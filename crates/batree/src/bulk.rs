@@ -121,7 +121,7 @@ fn bulk_node<V: AggValue>(
 ) -> Result<PageId> {
     let leaf_cap = ctx.params.leaf_cap(dim);
     if points.len() <= leaf_cap {
-        let id = ctx.store.allocate()?;
+        let id = ctx.store()?.allocate()?;
         ctx.write_node(id, dim, &Node::Leaf(EntrySlab::from_entries(dim, points)))?;
         return Ok(id);
     }
@@ -200,7 +200,7 @@ fn bulk_node<V: AggValue>(
         rec.child = bulk_node(ctx, dim, space, &cell.rect, cell.points)?;
     }
 
-    let id = ctx.store.allocate()?;
+    let id = ctx.store()?.allocate()?;
     ctx.write_node(id, dim, &Node::Index(records))?;
     Ok(id)
 }

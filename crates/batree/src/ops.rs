@@ -54,54 +54,35 @@ use boxagg_common::error::{invalid_arg, Result};
 use boxagg_common::geom::{Point, Rect};
 use boxagg_common::slab::EntrySlab;
 use boxagg_common::value::AggValue;
-use boxagg_pagestore::{PageId, SharedStore, StoreSnapshot};
+use boxagg_pagestore::{PageId, ReadHandle, SharedStore};
 
 use crate::node::{BaParams, BorderRef, IndexRecord, Node};
 
 /// Shared context threaded through every operation.
 ///
-/// `snap` selects the read source: `None` reads the live store (through
-/// the decoded-node cache), `Some` reads page images as of the
-/// snapshot's pinned commit epoch — a concurrent committer cannot
-/// perturb the traversal. Snapshot contexts are read-only; mutation
-/// entry points assert `snap.is_none()`.
+/// `pages` is where the tree was opened from — the live store or a
+/// pinned commit epoch (see [`ReadHandle`]). Reads go through it
+/// blindly; every mutation asks it for the writable store first and so
+/// fails with a typed error on a pinned tree.
 #[derive(Clone, Copy)]
 pub(crate) struct Ctx<'a> {
-    pub store: &'a SharedStore,
+    pub pages: &'a ReadHandle,
     pub params: &'a BaParams,
-    pub snap: Option<&'a StoreSnapshot>,
 }
 
 impl<'a> Ctx<'a> {
-    /// A context reading (and writing) the live store.
-    pub(crate) fn live(store: &'a SharedStore, params: &'a BaParams) -> Self {
-        Ctx {
-            store,
-            params,
-            snap: None,
-        }
+    /// The store to mutate, or `Error::ReadOnly` on a pinned tree.
+    pub(crate) fn store(&self) -> Result<&'a SharedStore> {
+        self.pages.writable()
     }
 
-    /// A read-only context pinned to `snap`'s commit epoch.
-    pub(crate) fn at(snap: &'a StoreSnapshot, params: &'a BaParams) -> Self {
-        Ctx {
-            store: snap.store(),
-            params,
-            snap: Some(snap),
-        }
-    }
-
-    /// Shared read through the store's decoded-node cache: warm
-    /// traversals skip `Node::decode` entirely. Byte-level I/O
-    /// accounting is unchanged (see `SharedStore::read_node`).
-    ///
-    /// Snapshot contexts decode from the pinned epoch's page image
-    /// instead — the cache only tracks live bytes.
+    /// Shared read of a decoded node. Live trees go through the store's
+    /// decoded-node cache (warm traversals skip `Node::decode` entirely;
+    /// byte-level I/O accounting is unchanged, see
+    /// `SharedStore::read_node`); pinned trees decode the pinned epoch's
+    /// page image.
     fn read_shared<V: AggValue>(&self, id: PageId, dim: usize) -> Result<std::sync::Arc<Node<V>>> {
-        match self.snap {
-            Some(s) => s.read_node(id, |bytes| Node::decode(bytes, dim)),
-            None => self.store.read_node(id, |bytes| Node::decode(bytes, dim)),
-        }
+        self.pages.read_node(id, |bytes| Node::decode(bytes, dim))
     }
 
     /// Owned read for mutation paths: a deep clone of the shared decode
@@ -122,15 +103,14 @@ impl<'a> Ctx<'a> {
     }
 
     fn write<V: AggValue>(&self, id: PageId, dim: usize, node: &Node<V>) -> Result<()> {
-        debug_assert!(self.snap.is_none(), "mutating through a snapshot context");
         debug_assert!(node.fits(self.params, dim), "writing oversized node");
         let mut w = ByteWriter::with_capacity(self.params.page_size);
         node.encode(dim, &mut w);
-        self.store.write_page(id, w.as_slice())
+        self.store()?.write_page(id, w.as_slice())
     }
 
     fn new_leaf<V: AggValue>(&self, dim: usize) -> Result<PageId> {
-        let id = self.store.allocate()?;
+        let id = self.store()?.allocate()?;
         self.write::<V>(id, dim, &Node::empty_leaf(dim))?;
         Ok(id)
     }
@@ -230,7 +210,7 @@ fn grow_root<V: AggValue>(
         };
         let records = split_subtree(ctx, dim, space, rec, node)?;
         node = Node::Index(records);
-        let root = ctx.store.allocate()?;
+        let root = ctx.store()?.allocate()?;
         if node.fits(ctx.params, dim) {
             ctx.write(root, dim, &node)?;
             return Ok(root);
@@ -456,7 +436,7 @@ pub(crate) fn tree_free<V: AggValue>(ctx: Ctx<'_>, dim: usize, root: PageId) -> 
             }
         }
     }
-    ctx.store.free(root)?;
+    ctx.store()?.free(root)?;
     Ok(())
 }
 
@@ -555,7 +535,7 @@ fn bulk_build_1d<V: AggValue>(
         for (_, v) in chunk {
             sum.add_assign(v);
         }
-        let id = ctx.store.allocate()?;
+        let id = ctx.store()?.allocate()?;
         ctx.write(id, 1, &Node::Leaf(EntrySlab::from_slice(1, chunk)))?;
         items.push((first, id, sum));
         start = end;
@@ -594,7 +574,7 @@ fn bulk_build_1d<V: AggValue>(
                 prefix.add_assign(sum);
                 node_sum.add_assign(sum);
             }
-            let id = ctx.store.allocate()?;
+            let id = ctx.store()?.allocate()?;
             ctx.write(id, 1, &Node::Index(records))?;
             next.push((items[i].0, id, node_sum));
             i = end;
@@ -793,7 +773,7 @@ fn split_record_at<V: AggValue>(
                 rt_subtotal.add_assign(v);
             }
         }
-        let rt_child = ctx.store.allocate()?;
+        let rt_child = ctx.store()?.allocate()?;
         let rb = IndexRecord {
             rect: rb_rect,
             child: rec.child,
@@ -859,7 +839,7 @@ fn split_record_at<V: AggValue>(
         }
     }
 
-    let rt_child = ctx.store.allocate()?;
+    let rt_child = ctx.store()?.allocate()?;
     let rb = IndexRecord {
         rect: rb_rect,
         child: rec.child,

@@ -4,7 +4,7 @@ use boxagg_common::error::{invalid_arg, Result};
 use boxagg_common::geom::{Point, Rect};
 use boxagg_common::traits::DominanceSumIndex;
 use boxagg_common::value::AggValue;
-use boxagg_pagestore::{PageId, RootEntry, RootKind, SharedStore, StoreSnapshot};
+use boxagg_pagestore::{PageId, ReadHandle, RootEntry, RootKind, SharedStore};
 
 use crate::bulk;
 use crate::node::BaParams;
@@ -33,7 +33,9 @@ use crate::ops::{self, Ctx};
 /// assert_eq!(tree.dominance_sum(&Point::new(&[99.0, 99.0])).unwrap(), 12.0);
 /// ```
 pub struct BATree<V: AggValue> {
-    store: SharedStore,
+    /// Where pages come from: the live store, or the pinned epoch the
+    /// tree was opened at (read-only).
+    pages: ReadHandle,
     params: BaParams,
     space: Rect,
     root: PageId,
@@ -49,23 +51,9 @@ impl<V: AggValue> BATree<V> {
     /// [`max_poly_encoded_size`](boxagg_common::poly::max_poly_encoded_size)
     /// for polynomial tuples). It determines node fanout.
     pub fn create(store: SharedStore, space: Rect, max_value_size: usize) -> Result<Self> {
-        let params = BaParams {
-            page_size: store.payload_size(),
-            max_value_size,
-        };
-        params.validate(space.dim())?;
-        let root = {
-            let ctx = Ctx::live(&store, &params);
-            ops::tree_new::<V>(ctx, space.dim())?
-        };
-        Ok(Self {
-            store,
-            params,
-            space,
-            root,
-            len: 0,
-            _marker: std::marker::PhantomData,
-        })
+        let mut tree = Self::open_at(store, space, max_value_size, PageId::NULL, 0)?;
+        tree.root = ops::tree_new::<V>(tree.ctx(), space.dim())?;
+        Ok(tree)
     }
 
     /// Bulk-loads a tree from weighted points: the k-d-B partition is
@@ -81,12 +69,7 @@ impl<V: AggValue> BATree<V> {
         max_value_size: usize,
         points: Vec<(Point, V)>,
     ) -> Result<Self> {
-        let params = BaParams {
-            page_size: store.payload_size(),
-            max_value_size,
-        };
-        params.validate(space.dim())?;
-        let len = points.len();
+        let mut tree = Self::open_at(store, space, max_value_size, PageId::NULL, points.len())?;
         for (p, _) in &points {
             if !space.contains_point(p) {
                 return Err(invalid_arg(format!(
@@ -94,22 +77,12 @@ impl<V: AggValue> BATree<V> {
                 )));
             }
         }
-        let root = {
-            let ctx = Ctx::live(&store, &params);
-            if points.is_empty() {
-                ops::tree_new::<V>(ctx, space.dim())?
-            } else {
-                bulk::bulk_build(ctx, space.dim(), &space, &space, points)?
-            }
+        tree.root = if points.is_empty() {
+            ops::tree_new::<V>(tree.ctx(), space.dim())?
+        } else {
+            bulk::bulk_build(tree.ctx(), space.dim(), &space, &space, points)?
         };
-        Ok(Self {
-            store,
-            params,
-            space,
-            root,
-            len,
-            _marker: std::marker::PhantomData,
-        })
+        Ok(tree)
     }
 
     /// Reopens a tree given its root page (see [`root_page`](Self::root_page))
@@ -121,13 +94,23 @@ impl<V: AggValue> BATree<V> {
         root: PageId,
         len: usize,
     ) -> Result<Self> {
+        Self::open_in(ReadHandle::Live(store), space, max_value_size, root, len)
+    }
+
+    fn open_in(
+        pages: ReadHandle,
+        space: Rect,
+        max_value_size: usize,
+        root: PageId,
+        len: usize,
+    ) -> Result<Self> {
         let params = BaParams {
-            page_size: store.payload_size(),
+            page_size: pages.store().payload_size(),
             max_value_size,
         };
         params.validate(space.dim())?;
         Ok(Self {
-            store,
+            pages,
             params,
             space,
             root,
@@ -149,7 +132,7 @@ impl<V: AggValue> BATree<V> {
     /// recorded root and length.
     pub fn persist_as(&self, name: &str) -> Result<()> {
         let d = self.space.dim();
-        self.store.set_root(
+        self.pages.writable()?.set_root(
             name,
             RootEntry {
                 root: self.root,
@@ -166,31 +149,19 @@ impl<V: AggValue> BATree<V> {
 
     /// Reopens a tree published by [`persist_as`](Self::persist_as):
     /// space, value size, root and length all come from the superblock
-    /// catalog.
-    pub fn open_named(store: SharedStore, name: &str) -> Result<Self> {
-        let entry = store
+    /// catalog `pages` sees.
+    ///
+    /// Pass the store (or a clone) for a live, writable tree. Pass a
+    /// pinned snapshot — `&Arc<StoreSnapshot>`, so trees opened together
+    /// share the pin — and root, length and every page read come from
+    /// the images that commit epoch saw: the tree answers exactly that
+    /// commit's state while writers keep committing, and refuses
+    /// `insert`, `persist_as` and `destroy` with a typed error.
+    pub fn open_named(pages: impl Into<ReadHandle>, name: &str) -> Result<Self> {
+        let pages = pages.into();
+        let entry = pages
             .root(name)?
             .ok_or_else(|| invalid_arg(format!("no root named {name:?} in the store catalog")))?;
-        Self::open_entry(store, name, entry)
-    }
-
-    /// Reopens a tree published by [`persist_as`](Self::persist_as) *as
-    /// of a pinned snapshot's commit epoch*: the root (and length) come
-    /// from the superblock image that epoch saw, so pair the result
-    /// with [`dominance_sum_at`](Self::dominance_sum_at) on the same
-    /// snapshot to query exactly that commit's tree while writers keep
-    /// committing.
-    pub fn open_named_at(snap: &StoreSnapshot, name: &str) -> Result<Self> {
-        let entry = snap.root(name)?.ok_or_else(|| {
-            invalid_arg(format!(
-                "no root named {name:?} in the store catalog at epoch {}",
-                snap.epoch()
-            ))
-        })?;
-        Self::open_entry(snap.store().clone(), name, entry)
-    }
-
-    fn open_entry(store: SharedStore, name: &str, entry: RootEntry) -> Result<Self> {
         if entry.kind != RootKind::BaTree {
             return Err(invalid_arg(format!(
                 "root {name:?} is a {:?}, not a BA-tree",
@@ -198,8 +169,8 @@ impl<V: AggValue> BATree<V> {
             )));
         }
         let space = Rect::from_bounds(&entry.bounds);
-        Self::open_at(
-            store,
+        Self::open_in(
+            pages,
             space,
             entry.max_value_size as usize,
             entry.root,
@@ -214,42 +185,26 @@ impl<V: AggValue> BATree<V> {
 
     /// The shared page store.
     pub fn store(&self) -> &SharedStore {
-        &self.store
+        self.pages.store()
+    }
+
+    fn ctx(&self) -> Ctx<'_> {
+        Ctx {
+            pages: &self.pages,
+            params: &self.params,
+        }
     }
 
     /// Collects every point inserted so far (diagnostics and tests).
     pub fn enumerate(&self) -> Result<Vec<(Point, V)>> {
-        let ctx = Ctx::live(&self.store, &self.params);
         let mut out = Vec::new();
-        ops::tree_enumerate(ctx, self.space.dim(), self.root, &mut out)?;
+        ops::tree_enumerate(self.ctx(), self.space.dim(), self.root, &mut out)?;
         Ok(out)
-    }
-
-    /// Dominance-sum evaluated against a pinned snapshot: every node
-    /// read resolves to the page image of `snap`'s commit epoch, so a
-    /// concurrent writer — even one mid-commit — cannot perturb the
-    /// answer. The tree handle itself (root page, space) must also
-    /// date from that epoch: open it with
-    /// [`open_named_at`](Self::open_named_at) on the same snapshot.
-    ///
-    /// Takes `&self`: snapshot queries are read-only and touch no tree
-    /// state, so many may run concurrently.
-    pub fn dominance_sum_at(&self, snap: &StoreSnapshot, q: &Point) -> Result<V> {
-        if q.dim() != self.space.dim() {
-            return Err(invalid_arg(format!(
-                "query dimension {} != tree dimension {}",
-                q.dim(),
-                self.space.dim()
-            )));
-        }
-        let ctx = Ctx::at(snap, &self.params);
-        ops::tree_query(ctx, self.space.dim(), &self.space, self.root, q)
     }
 
     /// Frees every page of the tree, leaving it unusable.
     pub fn destroy(self) -> Result<()> {
-        let ctx = Ctx::live(&self.store, &self.params);
-        ops::tree_free::<V>(ctx, self.space.dim(), self.root)
+        ops::tree_free::<V>(self.ctx(), self.space.dim(), self.root)
     }
 }
 
@@ -260,8 +215,7 @@ impl BATree<f64> {
     /// including spilled border trees. `O(n · fanout)` per level — for
     /// tests and debugging, not production paths.
     pub fn check_consistency(&self) -> Result<()> {
-        let ctx = Ctx::live(&self.store, &self.params);
-        ops::check_consistency(ctx, self.space.dim(), &self.space, self.root)
+        ops::check_consistency(self.ctx(), self.space.dim(), &self.space, self.root)
     }
 }
 
@@ -288,13 +242,12 @@ impl<V: AggValue> DominanceSumIndex<V> for BATree<V> {
             v.encoded_size() <= self.params.max_value_size,
             "value exceeds the configured max encoded size"
         );
-        let ctx = Ctx::live(&self.store, &self.params);
-        self.root = ops::tree_insert(ctx, self.space.dim(), &self.space, self.root, p, v)?;
+        self.root = ops::tree_insert(self.ctx(), self.space.dim(), &self.space, self.root, p, v)?;
         self.len += 1;
         Ok(())
     }
 
-    fn dominance_sum(&mut self, q: &Point) -> Result<V> {
+    fn dominance_sum(&self, q: &Point) -> Result<V> {
         if q.dim() != self.dim() {
             return Err(invalid_arg(format!(
                 "query dimension {} != tree dimension {}",
@@ -302,8 +255,7 @@ impl<V: AggValue> DominanceSumIndex<V> for BATree<V> {
                 self.dim()
             )));
         }
-        let ctx = Ctx::live(&self.store, &self.params);
-        ops::tree_query(ctx, self.space.dim(), &self.space, self.root, q)
+        ops::tree_query(self.ctx(), self.space.dim(), &self.space, self.root, q)
     }
 
     fn len(&self) -> usize {
@@ -316,6 +268,7 @@ mod tests {
     use super::*;
     use boxagg_common::traits::NaiveDominanceIndex;
     use boxagg_pagestore::StoreConfig;
+    use std::sync::Arc;
 
     fn unit_space(dim: usize) -> Rect {
         Rect::new(Point::zeros(dim), Point::splat(dim, 1.0))
@@ -336,7 +289,7 @@ mod tests {
 
     #[test]
     fn empty_tree_queries_zero() {
-        let mut t = small_tree(2, 512);
+        let t = small_tree(2, 512);
         assert_eq!(t.dominance_sum(&Point::new(&[0.5, 0.5])).unwrap(), 0.0);
         assert_eq!(t.len(), 0);
         assert!(t.is_empty());
@@ -586,7 +539,7 @@ mod tests {
             .map(|i| (Point::from_fn(2, |_| rnd(&mut s)), (i % 7) as f64 + 0.5))
             .collect();
         let store_b = SharedStore::open(&StoreConfig::small(1024, 64)).unwrap();
-        let mut bulk: BATree<f64> =
+        let bulk: BATree<f64> =
             BATree::bulk_load(store_b.clone(), unit_space(2), 8, points.clone()).unwrap();
         bulk.check_consistency().unwrap();
         let store_d = SharedStore::open(&StoreConfig::small(1024, 64)).unwrap();
@@ -647,8 +600,7 @@ mod tests {
             .collect();
         points.extend(points.clone()); // force many duplicates
         let store = SharedStore::open(&StoreConfig::small(2048, 64)).unwrap();
-        let mut t: BATree<f64> =
-            BATree::bulk_load(store, unit_space(3), 8, points.clone()).unwrap();
+        let t: BATree<f64> = BATree::bulk_load(store, unit_space(3), 8, points.clone()).unwrap();
         let mut oracle = NaiveDominanceIndex::new(3);
         for (p, v) in points {
             oracle.insert(p, v).unwrap();
@@ -665,7 +617,7 @@ mod tests {
     #[test]
     fn bulk_load_empty_and_rejects_escapees() {
         let store = SharedStore::open(&StoreConfig::small(1024, 64)).unwrap();
-        let mut t: BATree<f64> = BATree::bulk_load(store, unit_space(2), 8, vec![]).unwrap();
+        let t: BATree<f64> = BATree::bulk_load(store, unit_space(2), 8, vec![]).unwrap();
         assert_eq!(t.dominance_sum(&Point::new(&[1.0, 1.0])).unwrap(), 0.0);
         let store = SharedStore::open(&StoreConfig::small(1024, 64)).unwrap();
         assert!(BATree::bulk_load(
@@ -705,11 +657,11 @@ mod tests {
         t.persist_as("t").unwrap();
         store.commit().unwrap();
 
-        let snap = store.snapshot().unwrap();
-        let frozen: BATree<f64> = BATree::open_named_at(&snap, "t").unwrap();
+        let snap = Arc::new(store.snapshot().unwrap());
+        let frozen: BATree<f64> = BATree::open_named(&snap, "t").unwrap();
         assert_eq!(frozen.len(), 200);
         let q = Point::new(&[0.8, 0.8]);
-        let want = frozen.dominance_sum_at(&snap, &q).unwrap();
+        let want = frozen.dominance_sum(&q).unwrap();
         assert_eq!(t.dominance_sum(&q).unwrap(), want);
 
         // Keep inserting and committing: splits rewrite, free and
@@ -726,10 +678,10 @@ mod tests {
 
         // The snapshot still answers from its epoch — root, length and
         // every page image are the pinned commit's.
-        assert_eq!(frozen.dominance_sum_at(&snap, &q).unwrap(), want);
-        let refrozen: BATree<f64> = BATree::open_named_at(&snap, "t").unwrap();
+        assert_eq!(frozen.dominance_sum(&q).unwrap(), want);
+        let refrozen: BATree<f64> = BATree::open_named(&snap, "t").unwrap();
         assert_eq!(refrozen.len(), 200);
-        assert_eq!(refrozen.dominance_sum_at(&snap, &q).unwrap(), want);
+        assert_eq!(refrozen.dominance_sum(&q).unwrap(), want);
         // The live tree has moved on.
         assert!(t.dominance_sum(&q).unwrap() > want);
         drop(snap);
@@ -749,7 +701,7 @@ mod tests {
         let q = Point::new(&[0.7, 0.7]);
         let want = t.dominance_sum(&q).unwrap();
         drop(t);
-        let mut t2: BATree<f64> = BATree::open_at(store, unit_space(2), 8, root, len).unwrap();
+        let t2: BATree<f64> = BATree::open_at(store, unit_space(2), 8, root, len).unwrap();
         assert_eq!(t2.dominance_sum(&q).unwrap(), want);
         assert_eq!(t2.len(), len);
     }

@@ -91,7 +91,6 @@ fn main() -> boxagg_common::error::Result<()> {
             backing: Default::default(),
             parallelism: 1,
             node_cache_pages: buffer_pages,
-            checksums: true,
             wal: false,
         };
         let store = SharedStore::open(&cfg)?;

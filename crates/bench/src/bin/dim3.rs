@@ -34,8 +34,7 @@ fn main() -> boxagg_common::error::Result<()> {
     }
 
     let t0 = std::time::Instant::now();
-    let mut bat =
-        SimpleBoxSum::batree_bulk(space, args.store_config(), &objects).expect("bulk BAT");
+    let bat = SimpleBoxSum::batree_bulk(space, args.store_config(), &objects).expect("bulk BAT");
     let bat_store = bat.indexes()[0].store().clone();
     eprintln!(
         "  BAT (8 corner trees) built ({:.1}s, {:.1} MiB)",

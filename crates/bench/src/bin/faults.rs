@@ -8,8 +8,6 @@
 //! in torn-write mode — asserting for every index that the failure
 //! surfaces as a typed error, the pool and decoded-node cache stay
 //! structurally valid, and a retry converges to bit-identical answers.
-//! It also checks the checksum-neutrality criterion: verification on vs
-//! off must not change a single pager op, buffer counter or answer bit.
 //!
 //! `--smoke` runs the small exhaustive configuration (every op index)
 //! and writes nothing — the CI gate. The full run scales the workload
@@ -19,7 +17,7 @@
 //! Usage: `cargo run --release -p boxagg-bench --bin faults -- \
 //!     [--n 600] [--queries 64] [--seed S] [--smoke]`
 
-use boxagg_bench::faultsweep::{checksum_neutrality, run, SweepConfig, SweepReport, SweepScheme};
+use boxagg_bench::faultsweep::{clean_run, run, SweepConfig, SweepReport, SweepScheme};
 use boxagg_bench::{fmt_u64, print_table, Args};
 
 struct ModeResult {
@@ -83,19 +81,9 @@ fn main() {
                 torn_writes: false,
             }
         };
-        // Checksum neutrality doubles as the op-count probe for striding
-        // the full-size sweep.
-        let (ops, stats) = checksum_neutrality(&cfg);
-        println!(
-            "{}: checksum verification is I/O-neutral over {} pager ops \
-             ({} reads / {} writes / {} hits in the pool)",
-            scheme.name(),
-            fmt_u64(ops.total()),
-            fmt_u64(stats.reads),
-            fmt_u64(stats.writes),
-            fmt_u64(stats.hits),
-        );
         if !args.smoke {
+            // Stride the full-size sweep to ~1000 indexes per mode.
+            let (ops, _, _) = clean_run(&cfg);
             cfg.stride = (ops.total() / 1000).max(1);
         }
         results.push(sweep(&cfg, "error"));

@@ -104,7 +104,7 @@ fn scan_workload(
 }
 
 /// Proves the slab contract on this workload: scan answers bit-identical
-/// to the tuple reference (chunked and reference-mode paths both), and
+/// to the tuple reference (chunked scan and retained scalar scan both), and
 /// the encoded bytes identical to the historical interleaved layout.
 fn check_scan_identities(
     name: &str,
@@ -118,14 +118,12 @@ fn check_scan_identities(
         let mut got = 0.0f64;
         slab.sum_dominated_from_into(from, q, &mut got);
         assert_eq!(got.to_bits(), want, "{name}: slab answer differs at {q:?}");
-        boxagg_common::slab::set_reference_mode(true);
         let mut refv = 0.0f64;
-        slab.sum_dominated_from_into(from, q, &mut refv);
-        boxagg_common::slab::set_reference_mode(false);
+        slab.sum_dominated_from_into_reference(from, q, &mut refv);
         assert_eq!(
             refv.to_bits(),
             want,
-            "{name}: reference-mode answer differs"
+            "{name}: reference-scan answer differs"
         );
     }
     let mut slab_bytes = ByteWriter::new();

@@ -87,7 +87,6 @@ fn store_config(args: &Args, path: &std::path::Path) -> StoreConfig {
         backing: Backing::File(path.to_path_buf()),
         parallelism: 2,
         node_cache_pages: buffer_pages,
-        checksums: true,
         wal: true,
     }
 }
@@ -195,7 +194,7 @@ fn run_mixed(args: &Args, w: &Workload, serial: &HashMap<u64, Vec<f64>>) -> Mixe
     let mut final_pass = false;
     loop {
         let writer_done = done.load(Ordering::SeqCst);
-        let snap = store.snapshot().expect("snapshot");
+        let snap = Arc::new(store.snapshot().expect("snapshot"));
         assert!(
             snap.epoch() >= last_epoch,
             "epochs must be monotone: {} then {}",
@@ -207,7 +206,7 @@ fn run_mixed(args: &Args, w: &Workload, serial: &HashMap<u64, Vec<f64>>) -> Mixe
             report.first_epoch = snap.epoch();
         }
         report.last_epoch = snap.epoch();
-        let frozen: BATree<f64> = BATree::open_named_at(&snap, ROOT).expect("open at epoch");
+        let frozen: BATree<f64> = BATree::open_named(&snap, ROOT).expect("open at epoch");
         let want = serial.get(&(frozen.len() as u64)).unwrap_or_else(|| {
             // lint: allow(panic) -- bench harness: a length outside the serial catalog is the bug this binary exists to catch
             panic!(
@@ -219,7 +218,7 @@ fn run_mixed(args: &Args, w: &Workload, serial: &HashMap<u64, Vec<f64>>) -> Mixe
         for (q, want) in w.queries.iter().zip(want) {
             let started_in_commit = in_commit.load(Ordering::SeqCst);
             let t0 = Instant::now();
-            let got = frozen.dominance_sum_at(&snap, q).expect("snapshot query");
+            let got = frozen.dominance_sum(q).expect("snapshot query");
             let ns = t0.elapsed().as_nanos() as u64;
             report.latencies_ns.push(ns);
             report.queries_executed += 1;
@@ -250,14 +249,14 @@ fn run_mixed(args: &Args, w: &Workload, serial: &HashMap<u64, Vec<f64>>) -> Mixe
     // writer alive — the yardstick the mixed-run percentiles are
     // compared against.
     for _ in 0..5 {
-        let snap = store.snapshot().expect("snapshot");
-        let frozen: BATree<f64> = BATree::open_named_at(&snap, ROOT).expect("open at epoch");
+        let snap = Arc::new(store.snapshot().expect("snapshot"));
+        let frozen: BATree<f64> = BATree::open_named(&snap, ROOT).expect("open at epoch");
         let want = serial
             .get(&(frozen.len() as u64))
             .expect("final committed state must be in the serial catalog");
         for (q, want) in w.queries.iter().zip(want) {
             let t0 = Instant::now();
-            let got = frozen.dominance_sum_at(&snap, q).expect("snapshot query");
+            let got = frozen.dominance_sum(q).expect("snapshot query");
             report
                 .read_only_latencies_ns
                 .push(t0.elapsed().as_nanos() as u64);

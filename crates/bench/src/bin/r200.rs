@@ -21,7 +21,7 @@ fn main() -> boxagg_common::error::Result<()> {
     // (the plain R-tree simply never uses the aggregate summaries).
     let mut ar = build_ar(&args, &objects);
     eprintln!("  R*/aR built ({:.1}s)", ar.build_secs);
-    let mut bat = build_bat(&args, &objects);
+    let bat = build_bat(&args, &objects);
     eprintln!("  BAT built ({:.1}s)", bat.build_secs);
 
     let mut rows = Vec::new();
@@ -91,7 +91,7 @@ fn main() -> boxagg_common::error::Result<()> {
         }
         let plain_ios = ar.store.stats().total();
         drop(ar);
-        let mut bat =
+        let bat =
             SimpleBoxSum::batree_bulk(sweep_args.space(), sweep_args.store_config(), &objects)
                 .expect("bulk");
         let store = bat.indexes()[0].store().clone();

@@ -36,7 +36,7 @@ use boxagg_bench::{fmt_u64, print_table, Args};
 use boxagg_common::geom::Rect;
 use boxagg_common::rng::StdRng;
 use boxagg_common::tempdir::tempdir;
-use boxagg_core::batch::{persist_corner_engine, SnapshotBoxSum};
+use boxagg_core::catalog::{persist_corner_engine, SnapshotBoxSum};
 use boxagg_core::engine::SimpleBoxSum;
 use boxagg_pagestore::{Backing, SharedStore};
 use boxagg_serve::{Client, ServeConfig, ServeStats, ServerHandle};
@@ -274,9 +274,10 @@ fn main() {
     let mut expected = Vec::with_capacity(total_queries);
     let mut serial_decodes = 0u64;
     for q in queries.iter() {
-        let engine = SnapshotBoxSum::open(store.snapshot().expect("snapshot")).expect("open");
+        let snap = Arc::new(store.snapshot().expect("snapshot"));
+        let engine = SnapshotBoxSum::open(&snap).expect("open");
         expected.push(engine.query(q).expect("serial query").to_bits());
-        serial_decodes += engine.snapshot().node_reads().1;
+        serial_decodes += snap.node_reads().1;
     }
 
     let off = load_phase(

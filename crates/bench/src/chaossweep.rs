@@ -214,7 +214,6 @@ fn store_config(cfg: &ChaosConfig, path: &Path) -> StoreConfig {
         backing: Backing::File(path.to_path_buf()),
         parallelism: 1,
         node_cache_pages: cfg.buffer_pages,
-        checksums: true,
         wal: true,
     }
 }
@@ -252,7 +251,7 @@ fn fresh_store(cfg: &ChaosConfig, wl: &Workload, path: &Path) -> (SharedStore, F
         let v = rng.gen_range(1..1000) as f64;
         engine.insert(&r, v).expect("seed insert");
     }
-    boxagg_core::batch::persist_corner_engine(&engine, &wl.space).expect("persist seed engine");
+    boxagg_core::catalog::persist_corner_engine(&engine, &wl.space).expect("persist seed engine");
     store.commit().expect("seed commit");
     faults.reset_counts();
     (store, faults)

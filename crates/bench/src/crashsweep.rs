@@ -195,7 +195,6 @@ fn store_config(cfg: &CrashConfig, path: &std::path::Path) -> StoreConfig {
         backing: Backing::File(path.to_path_buf()),
         parallelism: 1,
         node_cache_pages: cfg.buffer_pages,
-        checksums: true,
         wal: true,
     }
 }

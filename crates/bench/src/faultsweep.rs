@@ -20,11 +20,6 @@
 //! [`FaultMode::TornWrite`](boxagg_pagestore::fault::FaultMode) on write
 //! ops, leaving a prefix of the new image on disk; the checksum trailer
 //! then guards recovery.
-//!
-//! [`checksum_neutrality`] separately verifies the acceptance criterion
-//! that checksum *verification* is free at the I/O level: identical
-//! workloads with verification on and off must produce identical pager
-//! op counts, identical buffer statistics and identical answers.
 
 use boxagg_batree::BATree;
 use boxagg_common::error::Error;
@@ -154,11 +149,11 @@ fn gen_data(cfg: &SweepConfig) -> (Weighted, Weighted, Vec<Point>) {
 /// A store over a fresh in-memory pager wrapped in a [`FaultPager`]; the
 /// handle doubles as an exact pager-op counter even when nothing is
 /// armed.
-fn fresh_store(cfg: &SweepConfig, checksums: bool) -> (SharedStore, FaultHandle) {
+fn fresh_store(cfg: &SweepConfig) -> (SharedStore, FaultHandle) {
     let (pager, handle) = FaultPager::new(Box::new(MemPager::new(cfg.page_size)));
     let store = SharedStore::with_pager(
         Box::new(pager),
-        &StoreConfig::small(cfg.page_size, cfg.buffer_pages).with_checksums(checksums),
+        &StoreConfig::small(cfg.page_size, cfg.buffer_pages),
     );
     (store, handle)
 }
@@ -195,7 +190,7 @@ fn build(
 
 /// Query phase: every dominance sum, as raw `f64` bit patterns so that
 /// "bit-identical" is literal.
-fn query_all(index: &mut dyn DominanceSumIndex<f64>, queries: &[Point]) -> Result<Vec<u64>> {
+fn query_all(index: &dyn DominanceSumIndex<f64>, queries: &[Point]) -> Result<Vec<u64>> {
     queries
         .iter()
         .map(|q| index.dominance_sum(q).map(f64::to_bits))
@@ -220,9 +215,9 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
     let (bulk, inserts, queries) = gen_data(cfg);
 
     // Clean baseline: answers and the op-count domain of the sweep.
-    let (store, counter) = fresh_store(cfg, true);
-    let mut index = build(cfg, &store, &bulk, &inserts).expect("clean build must succeed");
-    let baseline = query_all(&mut *index, &queries).expect("clean queries must succeed");
+    let (store, counter) = fresh_store(cfg);
+    let index = build(cfg, &store, &bulk, &inserts).expect("clean build must succeed");
+    let baseline = query_all(&*index, &queries).expect("clean queries must succeed");
     store.validate().expect("clean run leaves a valid store");
     let total_ops = counter.counts().total();
     assert!(total_ops > 0, "workload must touch the pager");
@@ -236,7 +231,7 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
     let mut k = 1;
     while k <= total_ops {
         report.ks_tested += 1;
-        let (store, faults) = fresh_store(cfg, true);
+        let (store, faults) = fresh_store(cfg);
         if cfg.torn_writes {
             let mut spec = FaultSpec::random_torn_write(k, cfg.page_size, cfg.seed ^ k);
             spec.ops = OpFilter::Any;
@@ -256,16 +251,15 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
                 report.build_failures += 1;
                 // Retry protocol for mutations: rebuild on a fresh store.
                 faults.disarm();
-                let (store2, _counter2) = fresh_store(cfg, true);
-                let mut rebuilt =
-                    build(cfg, &store2, &bulk, &inserts).expect("rebuild after fault");
-                let answers = query_all(&mut *rebuilt, &queries).expect("queries after rebuild");
+                let (store2, _counter2) = fresh_store(cfg);
+                let rebuilt = build(cfg, &store2, &bulk, &inserts).expect("rebuild after fault");
+                let answers = query_all(&*rebuilt, &queries).expect("queries after rebuild");
                 assert_eq!(
                     answers, baseline,
                     "rebuild after a fault at op {k} diverged from the baseline"
                 );
             }
-            Ok(mut idx) => match query_all(&mut *idx, &queries) {
+            Ok(idx) => match query_all(&*idx, &queries) {
                 Err(e) => {
                     assert_typed(cfg, k, &e);
                     let valid = store.validate();
@@ -276,7 +270,7 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
                     report.query_failures += 1;
                     // Retry protocol for queries: re-run in place.
                     faults.disarm();
-                    let answers = query_all(&mut *idx, &queries).expect("query retry");
+                    let answers = query_all(&*idx, &queries).expect("query retry");
                     assert_eq!(
                         answers, baseline,
                         "query retry after a fault at op {k} diverged from the baseline"
@@ -306,41 +300,14 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
     report
 }
 
-/// One clean run with checksum verification `on`, returning the pager op
-/// counts, the buffer statistics and the answers.
-fn clean_run(cfg: &SweepConfig, verify: bool) -> (OpCounts, IoStats, Vec<u64>) {
+/// One clean run: the pager op counts (how a full-size sweep picks its
+/// stride), the buffer statistics and the answers.
+pub fn clean_run(cfg: &SweepConfig) -> (OpCounts, IoStats, Vec<u64>) {
     let (bulk, inserts, queries) = gen_data(cfg);
-    let (store, counter) = fresh_store(cfg, verify);
-    let mut index = build(cfg, &store, &bulk, &inserts).expect("clean build");
-    let answers = query_all(&mut *index, &queries).expect("clean queries");
+    let (store, counter) = fresh_store(cfg);
+    let index = build(cfg, &store, &bulk, &inserts).expect("clean build");
+    let answers = query_all(&*index, &queries).expect("clean queries");
     (counter.counts(), store.stats(), answers)
-}
-
-/// Acceptance check: checksum verification must not change I/O — same
-/// pager ops, same buffer statistics, same answers, verification on or
-/// off (the trailer is reserved and stamped unconditionally).
-pub fn checksum_neutrality(cfg: &SweepConfig) -> (OpCounts, IoStats) {
-    let (ops_on, stats_on, answers_on) = clean_run(cfg, true);
-    let (ops_off, stats_off, answers_off) = clean_run(cfg, false);
-    assert_eq!(
-        ops_on,
-        ops_off,
-        "{}: pager op counts differ with checksum verification on vs off",
-        cfg.scheme.name()
-    );
-    assert_eq!(
-        stats_on,
-        stats_off,
-        "{}: buffer statistics differ with checksum verification on vs off",
-        cfg.scheme.name()
-    );
-    assert_eq!(
-        answers_on,
-        answers_off,
-        "{}: answers differ with checksum verification on vs off",
-        cfg.scheme.name()
-    );
-    (ops_on, stats_on)
 }
 
 #[cfg(test)]
@@ -356,8 +323,8 @@ mod tests {
                 queries: 8,
                 ..SweepConfig::small(scheme)
             };
-            let (a_ops, a_stats, a) = clean_run(&cfg, true);
-            let (b_ops, b_stats, b) = clean_run(&cfg, true);
+            let (a_ops, a_stats, a) = clean_run(&cfg);
+            let (b_ops, b_stats, b) = clean_run(&cfg);
             assert_eq!(a_ops, b_ops, "op stream must be deterministic");
             assert_eq!(a_stats, b_stats);
             assert_eq!(a, b);

@@ -45,8 +45,8 @@ pub struct Args {
     pub page_size: usize,
     /// LRU buffer size in MiB (paper: 10).
     pub buffer_mb: usize,
-    /// Worker threads for the corner fan-out (default 1: the paper's
-    /// sequential setting, with exact sequential I/O accounting).
+    /// Worker threads for the per-corner bulk loads (default 1: the
+    /// paper's sequential setting, with exact sequential I/O accounting).
     pub threads: usize,
     /// CI smoke mode (`--smoke`): shrink the workload to seconds and
     /// verify invariants instead of producing a full measurement.
@@ -117,7 +117,6 @@ impl Args {
             backing: Default::default(),
             parallelism: self.threads.max(1),
             node_cache_pages: buffer_pages,
-            checksums: true,
             wal: false,
         }
     }
@@ -310,9 +309,9 @@ mod tests {
             smoke: false,
         };
         let objects = args.dataset();
-        let mut bat = build_bat(&args, &objects);
-        let mut eu = build_ecdf(&args, BorderPolicy::UpdateOptimized, &objects);
-        let mut eq = build_ecdf(&args, BorderPolicy::QueryOptimized, &objects);
+        let bat = build_bat(&args, &objects);
+        let eu = build_ecdf(&args, BorderPolicy::UpdateOptimized, &objects);
+        let eq = build_ecdf(&args, BorderPolicy::QueryOptimized, &objects);
         let mut ar = build_ar(&args, &objects);
         assert!(bat.size_mib() > 0.0);
         let queries = boxagg_workload::gen_queries(2, args.queries, 0.01, 17);

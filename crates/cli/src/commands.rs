@@ -8,7 +8,7 @@ use std::time::Duration;
 use boxagg_batree::BATree;
 use boxagg_common::error::{invalid_arg, Result};
 use boxagg_common::geom::{Point, Rect};
-use boxagg_core::batch::{
+use boxagg_core::catalog::{
     corner_root_name, open_corner_engine, persist_corner_engine, OBJECTS_ROOT,
 };
 use boxagg_core::engine::SimpleBoxSum;
@@ -96,7 +96,6 @@ fn store_config(pages: &Path, page_size: usize, buffer_mb: usize) -> StoreConfig
         backing: Backing::File(pages.to_path_buf()),
         parallelism: 1,
         node_cache_pages: buffer_pages,
-        checksums: true,
         wal: true,
     }
 }
@@ -177,7 +176,7 @@ pub fn build(pages: &Path, csv: &Path, space_spec: &str, page_size: usize) -> Re
 pub fn query(pages: &Path, box_spec: &str) -> Result<String> {
     let q = parse_box(box_spec)?;
     let store = open_readonly(pages, 16)?;
-    let (mut engine, _space) = open_corner_engine(&store)
+    let (engine, _space) = open_corner_engine(&store)
         .map_err(|_| invalid_arg(format!("{} holds no box-sum index", pages.display())))?;
     let dim = engine.dim();
     if q.dim() != dim {

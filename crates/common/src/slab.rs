@@ -15,35 +15,15 @@
 //!
 //! The accumulate-into scan API ([`EntrySlab::sum_dominated_into`])
 //! preserves the exact per-entry `add_assign` order of the scalar loops it
-//! replaced, so aggregates are bit-identical to the old layout. A
-//! process-wide reference mode ([`set_reference_mode`]) switches the scans
-//! back to the retained scalar loop for equivalence testing.
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//! replaced, so aggregates are bit-identical to the old layout; that
+//! scalar loop is kept as
+//! [`EntrySlab::sum_dominated_from_into_reference`] for the equivalence
+//! tests and the inner-loop benchmark to compare against.
 
 use crate::bytes::{ByteReader, ByteWriter};
 use crate::error::Result;
 use crate::geom::{Point, MAX_DIM};
 use crate::value::AggValue;
-
-/// When set, slab scans fall back to the retained scalar reference loop.
-static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
-
-/// Switches every slab scan in the process to the scalar reference
-/// implementation (`true`) or the vectorized chunk scan (`false`).
-///
-/// Test/bench plumbing only — both paths are bit-identical by
-/// construction, and the layout-equivalence suite proves it.
-#[doc(hidden)]
-pub fn set_reference_mode(on: bool) {
-    REFERENCE_MODE.store(on, Ordering::Relaxed);
-}
-
-/// Whether the scalar reference scan path is active.
-#[doc(hidden)]
-pub fn reference_mode() -> bool {
-    REFERENCE_MODE.load(Ordering::Relaxed)
-}
 
 /// Chunk width of the vectorized dominance scan: the per-dimension column
 /// passes mask `CHUNK` entries at a time through a stack bitmap.
@@ -268,16 +248,6 @@ impl<V: AggValue> EntrySlab<V> {
         debug_assert_eq!(q.dim(), self.dim);
         debug_assert!(from <= self.dim);
         let n = self.len();
-        if reference_mode() {
-            // Retained scalar reference loop: per-entry early-exit
-            // dominance test, exactly the shape of the old tuple scan.
-            for i in 0..n {
-                if (from..self.dim).all(|d| self.cols[d][i] <= q.get(d)) {
-                    acc.add_assign(&self.values[i]);
-                }
-            }
-            return;
-        }
         // Vectorized path: per-dimension column passes AND a stack mask
         // over CHUNK entries at a time, then a masked accumulate in entry
         // order. Same comparisons, same add order → bit-identical.
@@ -299,6 +269,21 @@ impl<V: AggValue> EntrySlab<V> {
                 }
             }
             start += len;
+        }
+    }
+
+    /// The scalar loop [`sum_dominated_from_into`] replaced — per-entry
+    /// early-exit dominance test, exactly the shape of the old tuple
+    /// scan. Nothing in the product calls it; it is the reference the
+    /// equivalence tests and `bench --bin innerloop` hold the
+    /// vectorized scan to, bit for bit.
+    ///
+    /// [`sum_dominated_from_into`]: Self::sum_dominated_from_into
+    pub fn sum_dominated_from_into_reference(&self, from: usize, q: &Point, acc: &mut V) {
+        for i in 0..self.len() {
+            if (from..self.dim).all(|d| self.cols[d][i] <= q.get(d)) {
+                acc.add_assign(&self.values[i]);
+            }
         }
     }
 
@@ -374,10 +359,8 @@ mod tests {
             let mut got = 0.0f64;
             s.sum_dominated_into(&q, &mut got);
             assert_eq!(got.to_bits(), want.to_bits(), "q = {q:?}");
-            set_reference_mode(true);
             let mut refv = 0.0f64;
-            s.sum_dominated_into(&q, &mut refv);
-            set_reference_mode(false);
+            s.sum_dominated_from_into_reference(0, &q, &mut refv);
             assert_eq!(refv.to_bits(), want.to_bits(), "reference, q = {q:?}");
         }
     }

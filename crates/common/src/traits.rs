@@ -12,9 +12,10 @@ use crate::value::AggValue;
 /// trees and the BA-tree. The box-sum engines in `boxagg-core` are generic
 /// over this trait (Lemma 1 combines `2^d` dominance-sums into a box-sum).
 ///
-/// Methods take `&mut self` because disk-based implementations route every
-/// page access through an LRU buffer pool, which updates recency state even
-/// on reads.
+/// Reads take `&self`: a dominance-sum is a pure function of the indexed
+/// points, so one index can answer queries from many threads at once.
+/// (Disk-based implementations keep buffer recency and I/O counters in
+/// the shared, internally synchronized page store, not in the index.)
 pub trait DominanceSumIndex<V: AggValue> {
     /// Dimensionality of the indexed points.
     fn dim(&self) -> usize;
@@ -24,7 +25,7 @@ pub trait DominanceSumIndex<V: AggValue> {
 
     /// Total value of all points dominated by `q` (closed: `x ≤ q`
     /// componentwise).
-    fn dominance_sum(&mut self, q: &Point) -> Result<V>;
+    fn dominance_sum(&self, q: &Point) -> Result<V>;
 
     /// Number of `insert` calls accepted so far.
     fn len(&self) -> usize;
@@ -72,7 +73,7 @@ impl<V: AggValue> DominanceSumIndex<V> for NaiveDominanceIndex<V> {
         Ok(())
     }
 
-    fn dominance_sum(&mut self, q: &Point) -> Result<V> {
+    fn dominance_sum(&self, q: &Point) -> Result<V> {
         let mut acc = V::zero();
         for (p, v) in &self.points {
             if p.dominated_by(q) {
@@ -110,7 +111,7 @@ mod tests {
 
     #[test]
     fn empty_index() {
-        let mut idx: NaiveDominanceIndex<f64> = NaiveDominanceIndex::new(3);
+        let idx: NaiveDominanceIndex<f64> = NaiveDominanceIndex::new(3);
         assert!(idx.is_empty());
         assert_eq!(idx.dominance_sum(&Point::splat(3, 1e9)).unwrap(), 0.0);
     }

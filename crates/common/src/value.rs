@@ -14,8 +14,8 @@ use crate::error::Result;
 /// form of bounded size.
 ///
 /// `Send + Sync` are required so that indexes over any `AggValue` can be
-/// queried and bulk-loaded from the parallel corner fan-out (the `2^d`
-/// dominance-sum queries of the corner reduction are independent).
+/// queried from many threads at once and bulk-loaded one corner per
+/// thread.
 pub trait AggValue: Clone + std::fmt::Debug + PartialEq + Send + Sync + 'static {
     /// The group identity.
     fn zero() -> Self;

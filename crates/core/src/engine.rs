@@ -8,8 +8,9 @@
 
 use boxagg_batree::BATree;
 use boxagg_common::error::Result;
-use boxagg_common::geom::Rect;
+use boxagg_common::geom::{Point, Rect};
 use boxagg_common::poly::Poly;
+use boxagg_common::traits::DominanceSumIndex;
 use boxagg_ecdf::{BorderPolicy, EcdfBTree};
 use boxagg_pagestore::{SharedStore, StoreConfig};
 
@@ -39,37 +40,43 @@ impl SimpleBoxSum<BATree<f64>> {
         Self::batree_in(space, store)
     }
 
-    /// Same, over an existing store. Inherits the store's
-    /// `parallelism` for the corner query fan-out.
+    /// Same, over an existing store.
     pub fn batree_in(space: Rect, store: SharedStore) -> Result<Self> {
-        let mut engine = CornerBoxSum::new(space.dim(), |_| {
+        CornerBoxSum::new(space.dim(), |_| {
             BATree::create(store.clone(), space, F64_SIZE)
-        })?;
-        engine.set_parallelism(store.parallelism());
-        Ok(engine)
+        })
     }
 
     /// Bulk-loads the `2^d` corner BA-trees from a dataset. With
     /// `config.parallelism > 1` the per-corner loads (independent
-    /// trees over the shared store) run on the engine's persistent
-    /// worker pool, which then serves its queries too.
+    /// trees over the shared store) run on that many threads.
     pub fn batree_bulk(space: Rect, config: StoreConfig, objects: &[(Rect, f64)]) -> Result<Self> {
         let store = SharedStore::open(&config)?;
-        let pool = Arc::new(WorkerPool::new(store.parallelism()));
-        let objects: Arc<[(Rect, f64)]> = objects.into();
-        let trees = {
-            let store = store.clone();
-            let objects = Arc::clone(&objects);
-            pool.run(1 << space.dim(), move |mask| {
-                let pts = objects.iter().map(|(r, v)| (r.corner(mask), *v)).collect();
-                BATree::bulk_load(store.clone(), space, F64_SIZE, pts)
-            })?
-        };
-        let mut engine = CornerBoxSum::from_indexes(space.dim(), trees)?;
-        engine.attach_pool(pool);
-        engine.note_bulk_loaded(objects.len());
-        Ok(engine)
+        bulk_corner_engine(space.dim(), store.parallelism(), objects, move |pts| {
+            BATree::bulk_load(store.clone(), space, F64_SIZE, pts)
+        })
     }
+}
+
+/// Builds the `2^dim` corner indexes from `objects` with `load`, one
+/// task per corner mask on `threads` workers, and assembles the engine.
+fn bulk_corner_engine<I, F>(
+    dim: usize,
+    threads: usize,
+    objects: &[(Rect, f64)],
+    load: F,
+) -> Result<CornerBoxSum<I>>
+where
+    I: DominanceSumIndex<f64> + Send + 'static,
+    F: Fn(Vec<(Point, f64)>) -> Result<I> + Send + Sync + 'static,
+{
+    let shared: Arc<[(Rect, f64)]> = objects.into();
+    let indexes = WorkerPool::new(threads).run(1 << dim, move |mask| {
+        load(shared.iter().map(|(r, v)| (r.corner(mask), *v)).collect())
+    })?;
+    let mut engine = CornerBoxSum::from_indexes(dim, indexes)?;
+    engine.note_bulk_loaded(objects.len());
+    Ok(engine)
 }
 
 impl SimpleBoxSum<EcdfBTree<f64>> {
@@ -80,20 +87,16 @@ impl SimpleBoxSum<EcdfBTree<f64>> {
         Self::ecdf_in(dim, policy, store)
     }
 
-    /// Same, over an existing store. Inherits the store's
-    /// `parallelism` for the corner query fan-out.
+    /// Same, over an existing store.
     pub fn ecdf_in(dim: usize, policy: BorderPolicy, store: SharedStore) -> Result<Self> {
-        let mut engine = CornerBoxSum::new(dim, |_| {
+        CornerBoxSum::new(dim, |_| {
             EcdfBTree::create(store.clone(), dim, policy, F64_SIZE)
-        })?;
-        engine.set_parallelism(store.parallelism());
-        Ok(engine)
+        })
     }
 
     /// Bulk-loads the `2^d` corner indexes from a dataset (§4) — how the
     /// large §6 configurations are built. With `config.parallelism > 1`
-    /// the per-corner loads run on the engine's persistent worker pool,
-    /// which then serves its queries too.
+    /// the per-corner loads run on that many threads.
     pub fn ecdf_bulk(
         dim: usize,
         policy: BorderPolicy,
@@ -101,20 +104,9 @@ impl SimpleBoxSum<EcdfBTree<f64>> {
         objects: &[(Rect, f64)],
     ) -> Result<Self> {
         let store = SharedStore::open(&config)?;
-        let pool = Arc::new(WorkerPool::new(store.parallelism()));
-        let objects: Arc<[(Rect, f64)]> = objects.into();
-        let trees = {
-            let store = store.clone();
-            let objects = Arc::clone(&objects);
-            pool.run(1 << dim, move |mask| {
-                let pts = objects.iter().map(|(r, v)| (r.corner(mask), *v)).collect();
-                EcdfBTree::bulk_load(store.clone(), dim, policy, F64_SIZE, pts)
-            })?
-        };
-        let mut engine = CornerBoxSum::from_indexes(dim, trees)?;
-        engine.attach_pool(pool);
-        engine.note_bulk_loaded(objects.len());
-        Ok(engine)
+        bulk_corner_engine(dim, store.parallelism(), objects, move |pts| {
+            EcdfBTree::bulk_load(store.clone(), dim, policy, F64_SIZE, pts)
+        })
     }
 }
 
@@ -223,7 +215,6 @@ impl FunctionalBoxSum<EcdfBTree<Poly>> {
 mod tests {
     use super::*;
     use crate::functional::FunctionalObject;
-    use boxagg_common::geom::Point;
     use boxagg_common::value::AggValue;
 
     fn rnd(state: &mut u64) -> f64 {
@@ -277,7 +268,7 @@ mod tests {
     #[test]
     fn batree_bulk_matches_dynamic_engine() {
         let objs = dataset(600, 71);
-        let mut bulk =
+        let bulk =
             SimpleBoxSum::batree_bulk(unit_space(), StoreConfig::small(1024, 256), &objs).unwrap();
         let mut dynamic =
             SimpleBoxSum::batree(unit_space(), StoreConfig::small(1024, 256)).unwrap();
@@ -369,20 +360,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_bulk_and_query_match_sequential() {
-        // Same dataset, sequential store vs a 4-thread store: bulk-built
-        // trees must answer identically, corner queries fan out across
-        // threads and still combine in mask order.
+    fn parallel_bulk_load_matches_sequential() {
+        // Same dataset, sequential store vs a 4-thread store: the
+        // bulk-built trees must answer identically.
         let objs = dataset(500, 91);
-        let mut seq =
+        let seq =
             SimpleBoxSum::batree_bulk(unit_space(), StoreConfig::small(1024, 256), &objs).unwrap();
-        let mut par = SimpleBoxSum::batree_bulk(
+        let par = SimpleBoxSum::batree_bulk(
             unit_space(),
             StoreConfig::small(1024, 256).with_parallelism(4),
             &objs,
         )
         .unwrap();
-        assert_eq!(par.parallelism(), 4);
         assert_eq!(par.len(), 500);
         let mut s = 92u64;
         for _ in 0..40 {
@@ -419,7 +408,7 @@ mod tests {
     #[test]
     fn ecdf_bulk_matches_dynamic() {
         let objs = dataset(400, 31);
-        let mut bulk = SimpleBoxSum::ecdf_bulk(
+        let bulk = SimpleBoxSum::ecdf_bulk(
             2,
             BorderPolicy::QueryOptimized,
             StoreConfig::small(1024, 256),
@@ -494,7 +483,7 @@ mod tests {
             let o = FunctionalObject::new(r, Poly::constant(rnd(&mut s) * 3.0)).unwrap();
             objs.push(o);
         }
-        let mut e = FunctionalBoxSum::ecdf_bulk(
+        let e = FunctionalBoxSum::ecdf_bulk(
             2,
             BorderPolicy::QueryOptimized,
             StoreConfig::small(2048, 256),

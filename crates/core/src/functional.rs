@@ -30,10 +30,11 @@
 //! The degree grows by at most 1 per dimension (`k → k + d` overall,
 //! matching the paper), so tuples stay constant-size.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use boxagg_common::error::{invalid_arg, Result};
 use boxagg_common::geom::{Point, Rect, MAX_DIM};
 use boxagg_common::poly::{max_poly_encoded_size, HornerEval, Poly};
-use boxagg_common::slab;
 use boxagg_common::traits::DominanceSumIndex;
 use boxagg_common::value::AggValue;
 
@@ -134,11 +135,8 @@ pub struct FunctionalBoxSum<I> {
     dim: usize,
     index: I,
     len: usize,
-    queries_issued: u64,
-    /// Reusable Horner evaluation scratch: corner-tuple evaluation runs
-    /// over a dense coefficient grid with no per-query allocation after
-    /// warmup.
-    horner: HornerEval,
+    /// A statistic only; publishes no other data.
+    queries_issued: AtomicU64,
 }
 
 impl<I: DominanceSumIndex<Poly>> FunctionalBoxSum<I> {
@@ -152,8 +150,7 @@ impl<I: DominanceSumIndex<Poly>> FunctionalBoxSum<I> {
             dim,
             index,
             len: 0,
-            queries_issued: 0,
-            horner: HornerEval::new(),
+            queries_issued: AtomicU64::new(0),
         })
     }
 
@@ -174,7 +171,7 @@ impl<I: DominanceSumIndex<Poly>> FunctionalBoxSum<I> {
 
     /// Dominance queries issued so far.
     pub fn queries_issued(&self) -> u64 {
-        self.queries_issued
+        self.queries_issued.load(Ordering::Relaxed)
     }
 
     /// The wrapped index (diagnostics).
@@ -217,23 +214,28 @@ impl<I: DominanceSumIndex<Poly>> FunctionalBoxSum<I> {
 
     /// Origin-involved functional box-sum at `p`: the aggregated tuple
     /// over dominated corners, evaluated at `p`.
-    pub fn oifbs(&mut self, p: &Point) -> Result<f64> {
+    pub fn oifbs(&self, p: &Point) -> Result<f64> {
+        self.oifbs_with(&mut HornerEval::new(), p)
+    }
+
+    /// [`oifbs`](Self::oifbs) over a caller-held Horner scratch grid, so
+    /// the `2^d` evaluations of one box-sum share one allocation.
+    /// (`Poly::eval`, the sparse per-term sum Horner replaced, is what
+    /// the layout-equivalence test holds this to.)
+    fn oifbs_with(&self, horner: &mut HornerEval, p: &Point) -> Result<f64> {
         let tuple = self.index.dominance_sum(p)?;
-        self.queries_issued += 1;
-        if slab::reference_mode() {
-            // Retained reference path: the sparse per-term powi sum.
-            return Ok(tuple.eval(p));
-        }
-        Ok(self.horner.eval(&tuple, p))
+        self.queries_issued.fetch_add(1, Ordering::Relaxed);
+        Ok(horner.eval(&tuple, p))
     }
 
     /// Functional box-sum over `q`: the alternating OIFBS sum over `q`'s
     /// corners (Fig. 4).
-    pub fn query(&mut self, q: &Rect) -> Result<f64> {
+    pub fn query(&self, q: &Rect) -> Result<f64> {
         if q.dim() != self.dim {
             return Err(invalid_arg("query dimensionality mismatch"));
         }
         let mut acc = 0.0;
+        let mut horner = HornerEval::new();
         let mut corner = Point::zeros(self.dim);
         for mask in 0..(1usize << self.dim) {
             // Scratch reuse: overwrite one corner point per mask instead
@@ -245,7 +247,7 @@ impl<I: DominanceSumIndex<Poly>> FunctionalBoxSum<I> {
                     q.low().get(i)
                 }
             });
-            let term = self.oifbs(&corner)?;
+            let term = self.oifbs_with(&mut horner, &corner)?;
             // Sign: + for the all-high corner, alternating per low pick.
             let lows = self.dim as u32 - mask.count_ones();
             if lows.is_multiple_of(2) {

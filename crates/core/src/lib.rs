@@ -18,20 +18,20 @@
 //! * [`engine`] — ready-made engines wiring the reductions to the
 //!   concrete disk-based backends, sharing one page store per engine so
 //!   the paper's size and I/O metrics apply to whole structures.
-//! * [`parallel`] — scoped-thread fan-out over the `2^d` independent
-//!   corner tasks (queries and bulk-loads), enabled by
-//!   `StoreConfig::parallelism`.
-//! * [`batch`] — snapshot-pinned, `&self` box-sum evaluation plus the
-//!   shared catalog naming scheme: what a query server executes batches
-//!   of requests against, bit-identical to the live engine.
+//! * [`parallel`] — the worker pool the `2^d` independent per-corner
+//!   bulk loads run on, sized by `StoreConfig::parallelism`.
+//! * [`catalog`] — the catalog naming scheme persisted engines use and
+//!   the one opener that reads it back, from the live store or from a
+//!   pinned commit epoch (what a query server executes batches of
+//!   requests against) — the same engine either way.
 
-pub mod batch;
+pub mod catalog;
 pub mod engine;
 pub mod functional;
 pub mod parallel;
 pub mod reduction;
 
-pub use batch::{
+pub use catalog::{
     corner_root_name, open_corner_engine, persist_corner_engine, SnapshotBoxSum, OBJECTS_ROOT,
 };
 pub use engine::SimpleBoxSum;

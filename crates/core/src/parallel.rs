@@ -1,20 +1,16 @@
-//! Persistent worker pool for the `2^d` independent corner tasks.
+//! Worker pool for the `2^d` independent per-corner bulk loads.
 //!
-//! The corner reduction (§2) decomposes a box-sum into `2^d` dominance
-//! sums against `2^d` *independent* indexes, and bulk-loading builds
-//! those `2^d` indexes from disjoint corner point sets. Both are
-//! embarrassingly parallel. Earlier revisions re-spawned
-//! [`std::thread::scope`] threads for every single query; this module
-//! replaces that with a [`WorkerPool`] created **once per engine** —
-//! workers park on a channel between queries, so the per-query cost is a
-//! handful of channel sends instead of `2^d` thread spawns. (Built on
-//! `std` channels only: the workspace builds offline, without a
-//! thread-pool crate.)
+//! The corner reduction (§2) keeps `2^d` *independent* indexes, and
+//! bulk-loading builds them from disjoint corner point sets — the one
+//! embarrassingly parallel job left in the engine (box-sum queries are
+//! a single sequential loop; see `reduction`). A bulk constructor makes
+//! a [`WorkerPool`] of `StoreConfig::parallelism` threads, runs the
+//! loads on it and drops it. (Built on `std` channels only: the
+//! workspace builds offline, without a thread-pool crate.)
 //!
 //! Determinism contract: [`WorkerPool::run`] returns results **in task
 //! order** and reports the error earliest in task order, exactly like a
-//! sequential loop would — callers combining floating-point terms get
-//! bit-identical answers at any thread count.
+//! sequential loop would.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -203,7 +199,17 @@ impl WorkerPool {
             });
         }
         drop(tx);
-        collect_in_order(&rx, tasks).into_iter().collect()
+        let mut slots: Vec<Option<Result<T>>> = (0..tasks).map(|_| None).collect();
+        for _ in 0..tasks {
+            let (i, value) = rx
+                .recv()
+                .expect("a worker task panicked before reporting its result");
+            slots[i] = Some(value);
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every task reports exactly once"))
+            .collect()
     }
 }
 
@@ -243,7 +249,7 @@ fn worker_loop(receiver: &Mutex<Receiver<Job>>) {
         };
         match job {
             // A panicking job must not take the worker down with it —
-            // the pool outlives any single query. (A panic *payload*
+            // the pool outlives any single task. (A panic *payload*
             // whose own Drop panics still unwinds through this catch
             // and kills the thread; the DeathNotice sentinel flags that
             // and `WorkerPool::heal` respawns a replacement.)
@@ -251,23 +257,6 @@ fn worker_loop(receiver: &Mutex<Receiver<Job>>) {
             Err(_) => return,
         }
     }
-}
-
-/// Receives `tasks` `(index, value)` messages and returns the values in
-/// index order. Panics if a producer vanished without reporting (i.e. a
-/// task panicked on its worker).
-pub(crate) fn collect_in_order<T>(rx: &Receiver<(usize, T)>, tasks: usize) -> Vec<T> {
-    let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
-    for _ in 0..tasks {
-        let (i, value) = rx
-            .recv()
-            .expect("a worker task panicked before reporting its result");
-        slots[i] = Some(value);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every task reports exactly once"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -343,7 +332,7 @@ mod tests {
 
     #[test]
     fn pool_survives_many_rounds() {
-        // The whole point of the pool: reuse across queries. 100 rounds
+        // Workers are reused across `run` calls. 100 rounds
         // on one pool must neither leak workers nor wedge the channel.
         let pool = WorkerPool::new(3);
         for round in 0..100usize {

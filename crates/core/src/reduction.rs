@@ -26,14 +26,11 @@
 //! reduction. Implemented here as the ablation baseline; "above" events
 //! become dominance conditions by negating the coordinate.
 
-use std::sync::mpsc::channel;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use boxagg_common::error::{invalid_arg, Result};
 use boxagg_common::geom::{Point, Rect, MAX_DIM};
 use boxagg_common::traits::DominanceSumIndex;
-
-use crate::parallel::{collect_in_order, WorkerPool};
 
 /// Number of dominance-sum queries the corner reduction issues per
 /// box-sum (Theorem 2).
@@ -51,10 +48,10 @@ pub fn eo_query_count(dim: usize) -> u64 {
 /// `mask`: `q.h_i` (closed) where bit `i` is clear; just below `q.l_i`
 /// (strict, via [`f64::next_down`]) where it is set.
 ///
-/// Every box-sum evaluator in the workspace — [`CornerBoxSum`], the
-/// snapshot-pinned batch engine, external dominance-sum callers — must
-/// derive corner points through this one function so their answers stay
-/// bit-identical.
+/// [`CornerBoxSum::query`] evaluates exactly these points (from a
+/// scratch buffer, bit for bit); external dominance-sum callers that
+/// recompose a box-sum themselves must derive corner points through
+/// this function so their answers stay bit-identical to it.
 pub fn corner_query_point(q: &Rect, dim: usize, mask: usize) -> Point {
     Point::from_fn(dim, |i| {
         if mask & (1 << i) != 0 {
@@ -68,15 +65,25 @@ pub fn corner_query_point(q: &Rect, dim: usize, mask: usize) -> Point {
 /// Simple box-sum engine over the **corner reduction**: `2^d` dominance
 /// indexes, `2^d` insertions per object, `2^d` dominance queries per
 /// box-sum.
+///
+/// Queries take `&self` — one engine answers from any number of threads
+/// — and read whatever its indexes were opened over: live pages, or one
+/// pinned commit epoch (see `catalog::open_corner_engine`).
 pub struct CornerBoxSum<I> {
     dim: usize,
     indexes: Vec<I>,
     len: usize,
-    queries_issued: u64,
-    parallelism: usize,
-    /// Persistent worker pool, created once per engine (never per
-    /// query). `None` in sequential mode.
-    pool: Option<Arc<WorkerPool>>,
+    /// A statistic only; publishes no other data.
+    queries_issued: AtomicU64,
+}
+
+impl<I> std::fmt::Debug for CornerBoxSum<I> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CornerBoxSum")
+            .field("dim", &self.dim)
+            .field("len", &self.len)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<I: DominanceSumIndex<f64>> CornerBoxSum<I> {
@@ -112,33 +119,8 @@ impl<I: DominanceSumIndex<f64>> CornerBoxSum<I> {
             dim,
             indexes,
             len: 0,
-            queries_issued: 0,
-            parallelism: 1,
-            pool: None,
+            queries_issued: AtomicU64::new(0),
         })
-    }
-
-    /// Sets the number of worker threads [`query`](Self::query) fans the
-    /// `2^d` corner queries out to, (re)creating the engine's persistent
-    /// [`WorkerPool`]. `1` (the default) evaluates corners sequentially
-    /// in mask order — the paper-faithful mode with exact sequential I/O
-    /// accounting.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        self.parallelism = threads;
-        self.pool = (threads > 1).then(|| Arc::new(WorkerPool::new(threads)));
-    }
-
-    /// Attaches an already-running pool (e.g. the one that just ran the
-    /// per-corner bulk loads), avoiding a second spawn.
-    pub(crate) fn attach_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.parallelism = pool.threads();
-        self.pool = (pool.threads() > 1).then_some(pool);
-    }
-
-    /// Worker threads used by [`query`](Self::query).
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
     }
 
     /// Dimensionality.
@@ -166,7 +148,7 @@ impl<I: DominanceSumIndex<f64>> CornerBoxSum<I> {
 
     /// Dominance-sum queries issued so far (Theorem 2 instrumentation).
     pub fn queries_issued(&self) -> u64 {
-        self.queries_issued
+        self.queries_issued.load(Ordering::Relaxed)
     }
 
     /// Access to the underlying corner indexes (diagnostics).
@@ -174,8 +156,7 @@ impl<I: DominanceSumIndex<f64>> CornerBoxSum<I> {
         &self.indexes
     }
 
-    /// Mutable access to the underlying corner indexes (diagnostics and
-    /// benchmarks that issue raw dominance-sum queries).
+    /// Mutable access to the underlying corner indexes (raw inserts).
     pub fn indexes_mut(&mut self) -> &mut [I] {
         &mut self.indexes
     }
@@ -212,85 +193,39 @@ impl<I: DominanceSumIndex<f64>> CornerBoxSum<I> {
         Ok(())
     }
 
-    /// Total value of objects intersecting `q` (closed intersection).
-    ///
-    /// With [`parallelism`](Self::parallelism) `> 1` the `2^d` corner
-    /// queries run on the engine's persistent [`WorkerPool`] (they hit
-    /// independent indexes); terms are still combined in mask order, so
-    /// the result is bit-identical to the sequential evaluation.
-    pub fn query(&mut self, q: &Rect) -> Result<f64>
-    where
-        I: Send + 'static,
-    {
+    /// Total value of objects intersecting `q` (closed intersection):
+    /// the `2^d` corner dominance-sums, evaluated and combined in
+    /// mask-ascending order — the paper's access pattern, so I/O
+    /// accounting is exactly sequential. This loop is the only code in
+    /// the workspace that combines corner terms.
+    pub fn query(&self, q: &Rect) -> Result<f64> {
         if q.dim() != self.dim {
             return Err(invalid_arg("query dimensionality mismatch"));
         }
-        let n = 1usize << self.dim;
-        let pool = self.pool.as_ref().filter(|p| p.threads() > 1).cloned();
-        let terms: Vec<f64> = if let Some(pool) = pool {
-            // Each worker takes ownership of its corner index for the
-            // duration of the query (jobs must be 'static); indexes come
-            // back through the same channel as the terms and are
-            // reinstalled in mask order.
-            let (tx, rx) = channel();
-            for (mask, mut idx) in std::mem::take(&mut self.indexes).into_iter().enumerate() {
-                let y = corner_query_point(q, self.dim, mask);
-                let tx = tx.clone();
-                pool.execute(move || {
-                    let term = idx.dominance_sum(&y);
-                    // lint: allow(discarded-result) -- send fails only if the collector hung up after a panic
-                    let _ = tx.send((mask, (idx, term)));
-                });
-            }
-            drop(tx);
-            let mut terms = Vec::with_capacity(n);
-            let mut first_err = None;
-            for (idx, term) in collect_in_order(&rx, n) {
-                self.indexes.push(idx);
-                match term {
-                    Ok(t) => terms.push(t),
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
-            }
-            self.queries_issued += n as u64;
-            if let Some(e) = first_err {
-                // Every index is already back in place; the error
-                // earliest in mask order wins, as sequentially.
-                return Err(e);
-            }
-            terms
-        } else {
-            // Sequential mask-ascending evaluation: the paper's access
-            // pattern, preserved exactly for I/O accounting. The `d`
-            // `next_down` nudges are computed once per query and the
-            // corner point is rebuilt into a scratch buffer per mask —
-            // coordinates bit-identical to `corner_query_point`.
-            let mut lo = [0.0f64; MAX_DIM];
-            let mut hi = [0.0f64; MAX_DIM];
-            for i in 0..self.dim {
-                lo[i] = q.low().get(i).next_down();
-                hi[i] = q.high().get(i);
-            }
-            let mut y = Point::zeros(self.dim);
-            let mut terms = Vec::with_capacity(n);
-            for mask in 0..n {
-                y.from_fn_into(
-                    self.dim,
-                    |i| {
-                        if mask & (1 << i) != 0 {
-                            lo[i]
-                        } else {
-                            hi[i]
-                        }
-                    },
-                );
-                terms.push(self.indexes[mask].dominance_sum(&y)?);
-                self.queries_issued += 1;
-            }
-            terms
-        };
+        // The `d` `next_down` nudges are computed once per query and
+        // the corner point is rebuilt into a scratch buffer per mask —
+        // coordinates bit-identical to `corner_query_point`.
+        let mut lo = [0.0f64; MAX_DIM];
+        let mut hi = [0.0f64; MAX_DIM];
+        for i in 0..self.dim {
+            lo[i] = q.low().get(i).next_down();
+            hi[i] = q.high().get(i);
+        }
+        let mut y = Point::zeros(self.dim);
         let mut acc = 0.0;
-        for (mask, term) in terms.into_iter().enumerate() {
+        for (mask, index) in self.indexes.iter().enumerate() {
+            y.from_fn_into(
+                self.dim,
+                |i| {
+                    if mask & (1 << i) != 0 {
+                        lo[i]
+                    } else {
+                        hi[i]
+                    }
+                },
+            );
+            let term = index.dominance_sum(&y)?;
+            self.queries_issued.fetch_add(1, Ordering::Relaxed);
             if (mask.count_ones() & 1) == 0 {
                 acc += term;
             } else {
@@ -312,7 +247,8 @@ pub struct EoBoxSum<I> {
     indexes: Vec<I>,
     total: f64,
     len: usize,
-    queries_issued: u64,
+    /// A statistic only; publishes no other data.
+    queries_issued: AtomicU64,
 }
 
 /// The space that index `mask` of an [`EoBoxSum`] over `space` must
@@ -353,7 +289,7 @@ impl<I: DominanceSumIndex<f64>> EoBoxSum<I> {
             indexes,
             total: 0.0,
             len: 0,
-            queries_issued: 0,
+            queries_issued: AtomicU64::new(0),
         })
     }
 
@@ -374,7 +310,7 @@ impl<I: DominanceSumIndex<f64>> EoBoxSum<I> {
 
     /// Dominance-sum queries issued so far (Theorem 1 instrumentation).
     pub fn queries_issued(&self) -> u64 {
-        self.queries_issued
+        self.queries_issued.load(Ordering::Relaxed)
     }
 
     /// Access to the underlying indexes (diagnostics).
@@ -445,7 +381,7 @@ impl<I: DominanceSumIndex<f64>> EoBoxSum<I> {
     /// Total value of objects intersecting `q`, via
     /// `total − Sum{misses}` with inclusion–exclusion over per-dimension
     /// below/above events.
-    pub fn query(&mut self, q: &Rect) -> Result<f64> {
+    pub fn query(&self, q: &Rect) -> Result<f64> {
         if q.dim() != self.dim {
             return Err(invalid_arg("query dimensionality mismatch"));
         }
@@ -497,7 +433,7 @@ impl<I: DominanceSumIndex<f64>> EoBoxSum<I> {
                 _ => above[i],      // above: −o.l_i < −q.h_i
             });
             let term = self.indexes[mask].dominance_sum(&y)?;
-            self.queries_issued += 1;
+            self.queries_issued.fetch_add(1, Ordering::Relaxed);
             if involved % 2 == 1 {
                 missed += term;
             } else {
@@ -552,8 +488,8 @@ mod tests {
 
     #[test]
     fn engines_count_their_queries() {
-        let mut c = corner_engine(2);
-        let mut e = eo_engine(2);
+        let c = corner_engine(2);
+        let e = eo_engine(2);
         let q = rand_rect(&mut 7u64.clone(), 2, 0.5);
         c.query(&q).unwrap();
         e.query(&q).unwrap();
@@ -650,34 +586,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_query_is_bit_identical_to_sequential() {
-        let mut seq = corner_engine(3);
-        let mut par = corner_engine(3);
-        par.set_parallelism(4);
-        assert_eq!(par.parallelism(), 4);
-        let mut s = 205u64;
-        for i in 0..150 {
-            let r = rand_rect(&mut s, 3, 0.3);
-            let v = (i % 9) as f64 - 3.5;
-            seq.insert(&r, v).unwrap();
-            par.insert(&r, v).unwrap();
-        }
-        for _ in 0..60 {
-            let q = rand_rect(&mut s, 3, 0.5);
-            let a = seq.query(&q).unwrap();
-            let b = par.query(&q).unwrap();
-            // Terms combine in mask order either way: bit-identical.
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-        }
-        assert_eq!(seq.queries_issued(), par.queries_issued());
-    }
-
-    #[test]
     fn scratch_corner_points_match_allocating_path() {
-        // The sequential hot loop rebuilds the corner query point into a
-        // scratch buffer from precomputed lo/hi arrays; it must be
-        // bit-identical (all coordinates, every mask) to the allocating
-        // `corner_query_point` the parallel path uses.
+        // The query loop rebuilds the corner query point into a scratch
+        // buffer from precomputed lo/hi arrays; it must be bit-identical
+        // (all coordinates, every mask) to the allocating
+        // `corner_query_point` external callers use.
         let mut s = 404u64;
         for dim in 1..=4usize {
             for _ in 0..50 {

@@ -1,29 +1,36 @@
-//! Layout-equivalence model test: every engine answers identically —
-//! bit for bit — through the struct-of-arrays slab/Horner hot paths and
-//! the retained scalar reference paths, over identical seeded workloads,
-//! with identical byte-level I/O traces.
+//! Layout-equivalence model test: the struct-of-arrays slab scan and
+//! Horner evaluation answer identically — bit for bit — to the scalar
+//! loops they replaced, on what every engine actually stores and asks.
 //!
-//! The slab scans preserve the per-entry `add_assign` order of the tuple
-//! loops they replaced, so bit-identity holds on arbitrary float
-//! workloads. Horner corner-tuple evaluation associates differently from
-//! the sparse per-term sum, so the functional engine's slice of the test
-//! uses a dyadic-rational workload (integer boxes, exponents `{0, 1, 3}`,
-//! half-integer coefficients, integer query corners) where both orders
-//! are exact — and therefore equal.
+//! The scalar loops are plain functions nothing in the product calls
+//! ([`EntrySlab::sum_dominated_from_into_reference`], [`Poly::eval`]),
+//! so the comparison needs no process-wide switch:
 //!
-//! The reference-mode switch is a process-wide flag, so all engine
-//! comparisons run inside this single `#[test]`.
+//! * every dominance index of every `f64` engine (BAT corner, EO,
+//!   ECDF-Bu, ECDF-Bq) is enumerated back out of its pages and scanned
+//!   both ways at every corner point of every query, over every
+//!   dimension suffix. The slab scan preserves the per-entry
+//!   `add_assign` order, so bit-identity holds on arbitrary floats;
+//! * the functional engine's `query` is held to the same reduction done
+//!   here over `index().dominance_sum` + `Poly::eval`, with identical
+//!   byte-level I/O. Horner associates differently from the sparse
+//!   per-term sum, so this slice uses a dyadic-rational workload
+//!   (integer boxes, exponents `{0, 1, 3}`, half-integer coefficients,
+//!   integer query corners) where both orders are exact — and equal.
 
+use boxagg_batree::BATree;
+use boxagg_common::error::Result;
 use boxagg_common::geom::{Point, Rect};
 use boxagg_common::poly::Poly;
 use boxagg_common::rng::StdRng;
-use boxagg_common::slab;
+use boxagg_common::slab::EntrySlab;
+use boxagg_common::traits::DominanceSumIndex;
 use boxagg_common::value::AggValue;
 use boxagg_core::engine::SimpleBoxSum;
 use boxagg_core::functional::{FunctionalBoxSum, FunctionalObject};
-use boxagg_core::reduction::EoBoxSum;
-use boxagg_ecdf::BorderPolicy;
-use boxagg_pagestore::{IoStats, StoreConfig};
+use boxagg_core::reduction::{corner_query_point, EoBoxSum};
+use boxagg_ecdf::{BorderPolicy, EcdfBTree};
+use boxagg_pagestore::StoreConfig;
 
 fn config() -> StoreConfig {
     StoreConfig::small(512, 64)
@@ -72,147 +79,136 @@ fn dyadic_workload(seed: u64, n: usize, queries: usize) -> (Vec<FunctionalObject
     (objects, qs)
 }
 
-/// One engine run: build, insert the workload, answer every query.
-/// Returns the per-query answer bits and the store's complete I/O trace.
-struct Trace {
-    answers: Vec<u64>,
-    io: IoStats,
+/// Both scans of `points` at every corner point of every query, over
+/// every dimension suffix. Returns how many scans saw a nonzero sum.
+fn assert_scans_agree(name: &str, points: Vec<(Point, f64)>, queries: &[Rect]) -> usize {
+    let slab = EntrySlab::from_entries(2, points);
+    let mut nonzero = 0;
+    for q in queries {
+        for mask in 0..4 {
+            let y = corner_query_point(q, 2, mask);
+            for from in 0..2 {
+                let mut got = 0.0f64;
+                slab.sum_dominated_from_into(from, &y, &mut got);
+                let mut want = 0.0f64;
+                slab.sum_dominated_from_into_reference(from, &y, &mut want);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{name}: slab and scalar scans differ at {y:?}, dims {from}.."
+                );
+                nonzero += usize::from(got != 0.0);
+            }
+        }
+    }
+    nonzero
 }
 
-fn assert_equivalent(name: &str, slab: &Trace, reference: &Trace) {
-    assert_eq!(
-        slab.answers, reference.answers,
-        "{name}: answers must be bit-identical between slab and reference paths"
-    );
-    assert_eq!(
-        slab.io, reference.io,
-        "{name}: byte-level I/O traces must be identical"
-    );
+/// The points each index stores, read back out of its pages.
+type Stored = Vec<(Point, f64)>;
+
+fn enumerate_all<I>(indexes: &[I], enumerate: fn(&I) -> Result<Stored>) -> Vec<Stored> {
+    indexes.iter().map(|t| enumerate(t).unwrap()).collect()
 }
 
-fn run_bat_corner(objects: &[(Rect, f64)], queries: &[Rect]) -> Trace {
+#[test]
+fn slab_scans_are_bit_identical_on_every_engines_points() {
+    let (objects, queries) = simple_workload(20020601, 400, 60);
     let space = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
-    let mut e = SimpleBoxSum::batree(space, config()).unwrap();
-    let store = e.indexes()[0].store().clone();
-    for (r, v) in objects {
-        e.insert(r, *v).unwrap();
+
+    let mut bat = SimpleBoxSum::batree(space, config()).unwrap();
+    let mut eo = EoBoxSum::batree(space, config()).unwrap();
+    let mut ecdfu = SimpleBoxSum::ecdf(2, BorderPolicy::UpdateOptimized, config()).unwrap();
+    let mut ecdfq = SimpleBoxSum::ecdf(2, BorderPolicy::QueryOptimized, config()).unwrap();
+    for (r, v) in &objects {
+        bat.insert(r, *v).unwrap();
+        eo.insert(r, *v).unwrap();
+        ecdfu.insert(r, *v).unwrap();
+        ecdfq.insert(r, *v).unwrap();
     }
-    let answers = queries
-        .iter()
-        .map(|q| e.query(q).unwrap().to_bits())
-        .collect();
-    Trace {
-        answers,
-        io: store.stats(),
+    let stored = [
+        (
+            "BAT corner",
+            enumerate_all(bat.indexes(), BATree::enumerate),
+        ),
+        ("EO", enumerate_all(eo.indexes(), BATree::enumerate)),
+        (
+            "ECDFu",
+            enumerate_all(ecdfu.indexes(), EcdfBTree::enumerate),
+        ),
+        (
+            "ECDFq",
+            enumerate_all(ecdfq.indexes(), EcdfBTree::enumerate),
+        ),
+    ];
+    for (name, indexes) in stored {
+        assert_eq!(indexes.len(), 4, "{name}: one index per corner mask");
+        let mut nonzero = 0;
+        for points in indexes {
+            assert!(!points.is_empty(), "{name}: an index holds no points");
+            nonzero += assert_scans_agree(name, points, &queries);
+        }
+        assert!(nonzero > 0, "{name}: degenerate workload, every scan was 0");
     }
 }
 
-fn run_eo(objects: &[(Rect, f64)], queries: &[Rect]) -> Trace {
-    let space = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
-    let mut e = EoBoxSum::batree(space, config()).unwrap();
-    let store = e.indexes()[0].store().clone();
-    for (r, v) in objects {
-        e.insert(r, *v).unwrap();
+/// The functional reduction (Fig. 4) over the engine's own index, each
+/// aggregated tuple evaluated by the sparse per-term `Poly::eval`.
+fn functional_reference<I: DominanceSumIndex<Poly>>(engine: &FunctionalBoxSum<I>, q: &Rect) -> f64 {
+    let dim = engine.dim();
+    let mut acc = 0.0;
+    for mask in 0..(1usize << dim) {
+        let corner = Point::from_fn(dim, |i| {
+            if mask & (1 << i) != 0 {
+                q.high().get(i)
+            } else {
+                q.low().get(i)
+            }
+        });
+        let term = engine.index().dominance_sum(&corner).unwrap().eval(&corner);
+        if (dim as u32 - mask.count_ones()).is_multiple_of(2) {
+            acc += term;
+        } else {
+            acc -= term;
+        }
     }
-    let answers = queries
-        .iter()
-        .map(|q| e.query(q).unwrap().to_bits())
-        .collect();
-    Trace {
-        answers,
-        io: store.stats(),
-    }
+    acc
 }
 
-fn run_ecdf(policy: BorderPolicy, objects: &[(Rect, f64)], queries: &[Rect]) -> Trace {
-    let mut e = SimpleBoxSum::ecdf(2, policy, config()).unwrap();
-    let store = e.indexes()[0].store().clone();
-    for (r, v) in objects {
-        e.insert(r, *v).unwrap();
-    }
-    let answers = queries
-        .iter()
-        .map(|q| e.query(q).unwrap().to_bits())
-        .collect();
-    Trace {
-        answers,
-        io: store.stats(),
-    }
-}
-
-fn run_functional(objects: &[FunctionalObject], queries: &[Rect]) -> Trace {
+#[test]
+fn horner_engine_is_bit_identical_to_sparse_evaluation() {
+    let (objects, queries) = dyadic_workload(20020602, 48, 40);
     let space = Rect::from_bounds(&[(0.0, 4.0), (0.0, 4.0)]);
     // Degree-3 corner tuples need ~420 B each: use a page large enough
     // to hold a couple per node.
     let mut e = FunctionalBoxSum::batree(space, StoreConfig::small(4096, 64), 3).unwrap();
     let store = e.index().store().clone();
-    for o in objects {
+    for o in &objects {
         e.insert(o).unwrap();
     }
-    let answers = queries
-        .iter()
-        .map(|q| e.query(q).unwrap().to_bits())
-        .collect();
-    Trace {
-        answers,
-        io: store.stats(),
-    }
-}
-
-/// Restores the process-wide reference flag even if an assertion fails
-/// mid-test, so a failure here can't poison unrelated runs.
-struct FlagGuard;
-
-impl Drop for FlagGuard {
-    fn drop(&mut self) {
-        slab::set_reference_mode(false);
-    }
-}
-
-#[test]
-fn every_engine_is_bit_identical_across_layouts() {
-    let _guard = FlagGuard;
-    let (objects, queries) = simple_workload(20020601, 400, 60);
-    let (fobjects, fqueries) = dyadic_workload(20020602, 48, 40);
-
-    let with_mode = |on: bool| {
-        slab::set_reference_mode(on);
-        let traces = (
-            run_bat_corner(&objects, &queries),
-            run_eo(&objects, &queries),
-            run_ecdf(BorderPolicy::UpdateOptimized, &objects, &queries),
-            run_ecdf(BorderPolicy::QueryOptimized, &objects, &queries),
-            run_functional(&fobjects, &fqueries),
-        );
-        slab::set_reference_mode(false);
-        traces
+    let pass = |f: &dyn Fn(&Rect) -> f64| {
+        let before = store.stats();
+        let answers: Vec<u64> = queries.iter().map(|q| f(q).to_bits()).collect();
+        (answers, store.stats().since(&before))
     };
-
-    let slab_traces = with_mode(false);
-    let ref_traces = with_mode(true);
-
-    assert_equivalent("BAT corner", &slab_traces.0, &ref_traces.0);
-    assert_equivalent("EO", &slab_traces.1, &ref_traces.1);
-    assert_equivalent("ECDFu", &slab_traces.2, &ref_traces.2);
-    assert_equivalent("ECDFq", &slab_traces.3, &ref_traces.3);
-    assert_equivalent("functional", &slab_traces.4, &ref_traces.4);
-
-    // The workload is non-trivial: every engine must have answered
-    // something nonzero somewhere.
-    for (name, t) in [
-        ("BAT corner", &slab_traces.0),
-        ("EO", &slab_traces.1),
-        ("ECDFu", &slab_traces.2),
-        ("ECDFq", &slab_traces.3),
-        ("functional", &slab_traces.4),
-    ] {
-        assert!(
-            t.answers.iter().any(|&b| b != 0),
-            "{name}: degenerate workload, every answer was +0.0"
-        );
-        assert!(
-            t.io.total() + t.io.hits > 0,
-            "{name}: no page traffic recorded"
-        );
-    }
+    // One pass to settle the buffer, then one of each kind.
+    pass(&|q| e.query(q).unwrap());
+    let (horner, horner_io) = pass(&|q| e.query(q).unwrap());
+    let (sparse, sparse_io) = pass(&|q| functional_reference(&e, q));
+    assert_eq!(
+        horner, sparse,
+        "functional: answers must be bit-identical between Horner and sparse evaluation"
+    );
+    assert_eq!(
+        horner_io, sparse_io,
+        "functional: byte-level I/O traces must be identical"
+    );
+    assert!(
+        horner.iter().any(|&b| b != 0),
+        "functional: degenerate workload, every answer was +0.0"
+    );
+    assert!(
+        horner_io.total() + horner_io.hits > 0,
+        "functional: no page traffic recorded"
+    );
 }

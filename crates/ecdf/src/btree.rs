@@ -33,7 +33,7 @@ use boxagg_common::geom::Point;
 use boxagg_common::slab::EntrySlab;
 use boxagg_common::traits::DominanceSumIndex;
 use boxagg_common::value::AggValue;
-use boxagg_pagestore::{PageId, RootEntry, RootKind, SharedStore, StoreSnapshot};
+use boxagg_pagestore::{PageId, ReadHandle, RootEntry, RootKind, SharedStore};
 
 /// Which prefix of subtrees each border covers (Fig. 6).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -173,34 +173,34 @@ impl<V: AggValue> Node<V> {
     }
 }
 
-/// Shared context threaded through every operation. `snap` selects the
-/// read source: `None` reads the live store through the decoded-node
-/// cache; `Some` reads page images as of the snapshot's pinned commit
-/// epoch (read-only — mutation paths assert it is unset).
+/// Shared context threaded through every operation. `pages` is where the
+/// tree was opened from — the live store or a pinned commit epoch (see
+/// [`ReadHandle`]). Reads go through it blindly; every mutation asks it
+/// for the writable store first and so fails with a typed error on a
+/// pinned tree.
 #[derive(Clone, Copy)]
 struct Ctx<'a> {
-    store: &'a SharedStore,
+    pages: &'a ReadHandle,
     params: &'a EcdfParams,
     dim: usize,
     policy: BorderPolicy,
-    snap: Option<&'a StoreSnapshot>,
 }
 
 impl<'a> Ctx<'a> {
-    /// Shared read through the store's decoded-node cache: warm
-    /// traversals skip `Node::decode` entirely. Byte-level I/O
-    /// accounting is unchanged (see `SharedStore::read_node`).
-    ///
-    /// Snapshot contexts decode from the pinned epoch's page image
-    /// instead — the cache only tracks live bytes.
+    /// The store to mutate, or `Error::ReadOnly` on a pinned tree.
+    fn store(&self) -> Result<&'a SharedStore> {
+        self.pages.writable()
+    }
+
+    /// Shared read of a decoded node. Live trees go through the store's
+    /// decoded-node cache (warm traversals skip `Node::decode` entirely;
+    /// byte-level I/O accounting is unchanged, see
+    /// `SharedStore::read_node`); pinned trees decode the pinned epoch's
+    /// page image.
     fn read_shared<V: AggValue>(&self, id: PageId, level: usize) -> Result<Arc<Node<V>>> {
         let dim = self.dim;
-        match self.snap {
-            Some(s) => s.read_node(id, |bytes| Node::decode(bytes, dim, level)),
-            None => self
-                .store
-                .read_node(id, |bytes| Node::decode(bytes, dim, level)),
-        }
+        self.pages
+            .read_node(id, |bytes| Node::decode(bytes, dim, level))
     }
 
     /// Owned read for mutation paths: a deep clone of the shared decode
@@ -211,15 +211,14 @@ impl<'a> Ctx<'a> {
     }
 
     fn write<V: AggValue>(&self, id: PageId, level: usize, node: &Node<V>) -> Result<()> {
-        debug_assert!(self.snap.is_none(), "mutating through a snapshot context");
         debug_assert!(node.fits(self.params, self.dim));
         let mut w = ByteWriter::with_capacity(self.params.page_size);
         node.encode(self.dim, level, &mut w);
-        self.store.write_page(id, w.as_slice())
+        self.store()?.write_page(id, w.as_slice())
     }
 
     fn new_leaf<V: AggValue>(&self, level: usize) -> Result<PageId> {
-        let id = self.store.allocate()?;
+        let id = self.store()?.allocate()?;
         self.write::<V>(id, level, &Node::Leaf(EntrySlab::new(self.dim)))?;
         Ok(id)
     }
@@ -261,7 +260,7 @@ fn free_tree<V: AggValue>(ctx: Ctx<'_>, level: usize, root: PageId) -> Result<()
             }
         }
     }
-    ctx.store.free(root)?;
+    ctx.store()?.free(root)?;
     Ok(())
 }
 
@@ -310,7 +309,7 @@ fn bulk_build<V: AggValue>(
         // slice without an intermediate tuple clone.
         let chunk = EntrySlab::from_slice(ctx.dim, &points[start..end]);
         let router = points[end - 1].0.get(level);
-        let id = ctx.store.allocate()?;
+        let id = ctx.store()?.allocate()?;
         ctx.write(id, level, &Node::Leaf(chunk))?;
         level_items.push((router, id, start..end));
         start = end;
@@ -341,7 +340,7 @@ fn bulk_build<V: AggValue>(
                     border: make_border(ctx, level, border_points)?,
                 });
             }
-            let id = ctx.store.allocate()?;
+            let id = ctx.store()?.allocate()?;
             // lint: allow(unwrap) -- one entry per group member, group non-empty
             let router = entries.last().unwrap().router;
             ctx.write(id, level, &Node::Internal(entries))?;
@@ -461,7 +460,7 @@ fn tree_insert<V: AggValue>(
                 },
             ];
             rebuild_borders(ctx, level, &mut entries, &[0, 1])?;
-            let new_root = ctx.store.allocate()?;
+            let new_root = ctx.store()?.allocate()?;
             ctx.write(new_root, level, &Node::Internal(entries))?;
             Ok(new_root)
         }
@@ -548,7 +547,7 @@ fn insert_rec<V: AggValue>(
             // split_position cuts strictly inside: both halves non-empty.
             let left_router = entries.coord(level, entries.len() - 1);
             let right_router = right.coord(level, right.len() - 1);
-            let right_page = ctx.store.allocate()?;
+            let right_page = ctx.store()?.allocate()?;
             ctx.write(right_page, level, &Node::Leaf(right))?;
             ctx.write(node_id, level, &node)?;
             Ok(Some(SplitUp {
@@ -618,7 +617,7 @@ fn insert_rec<V: AggValue>(
             let left_router = entries.last().unwrap().router;
             // lint: allow(unwrap) -- split_position cuts strictly inside, both halves non-empty
             let right_router = right.last().unwrap().router;
-            let right_page = ctx.store.allocate()?;
+            let right_page = ctx.store()?.allocate()?;
             ctx.write(right_page, level, &Node::Internal(right))?;
             ctx.write(node_id, level, &node)?;
             Ok(Some(SplitUp {
@@ -666,7 +665,9 @@ fn split_position(len: usize, boundary: impl Fn(usize) -> bool) -> usize {
 /// assert_eq!(t.dominance_sum(&Point::new(&[4.0, 4.0])).unwrap(), 3.0);
 /// ```
 pub struct EcdfBTree<V: AggValue> {
-    store: SharedStore,
+    /// Where pages come from: the live store, or the pinned epoch the
+    /// tree was opened at (read-only).
+    pages: ReadHandle,
     params: EcdfParams,
     dim: usize,
     policy: BorderPolicy,
@@ -683,33 +684,9 @@ impl<V: AggValue> EcdfBTree<V> {
         policy: BorderPolicy,
         max_value_size: usize,
     ) -> Result<Self> {
-        if dim == 0 {
-            return Err(invalid_arg("dimension must be at least 1"));
-        }
-        let params = EcdfParams {
-            page_size: store.payload_size(),
-            max_value_size,
-        };
-        params.validate(dim)?;
-        let root = {
-            let ctx = Ctx {
-                store: &store,
-                params: &params,
-                dim,
-                policy,
-                snap: None,
-            };
-            ctx.new_leaf::<V>(0)?
-        };
-        Ok(Self {
-            store,
-            params,
-            dim,
-            policy,
-            root,
-            len: 0,
-            _marker: std::marker::PhantomData,
-        })
+        let mut tree = Self::open_at(store, dim, policy, max_value_size, PageId::NULL, 0)?;
+        tree.root = tree.ctx().new_leaf::<V>(0)?;
+        Ok(tree)
     }
 
     /// Bulk-loads a tree from `points` (§4): sorted runs bottom-up, with
@@ -721,14 +698,8 @@ impl<V: AggValue> EcdfBTree<V> {
         max_value_size: usize,
         points: Vec<(Point, V)>,
     ) -> Result<Self> {
-        if dim == 0 {
-            return Err(invalid_arg("dimension must be at least 1"));
-        }
-        let params = EcdfParams {
-            page_size: store.payload_size(),
-            max_value_size,
-        };
-        params.validate(dim)?;
+        let len = points.len();
+        let mut tree = Self::open_at(store, dim, policy, max_value_size, PageId::NULL, len)?;
         // Reject non-finite coordinates up front: a NaN would silently
         // corrupt the router ordering the whole structure depends on (and
         // previously panicked mid-build, leaking allocated pages).
@@ -737,30 +708,12 @@ impl<V: AggValue> EcdfBTree<V> {
                 "point {p:?} has a non-finite coordinate"
             )));
         }
-        let len = points.len();
-        let root = {
-            let ctx = Ctx {
-                store: &store,
-                params: &params,
-                dim,
-                policy,
-                snap: None,
-            };
-            if points.is_empty() {
-                ctx.new_leaf::<V>(0)?
-            } else {
-                bulk_build(ctx, 0, points)?
-            }
+        tree.root = if points.is_empty() {
+            tree.ctx().new_leaf::<V>(0)?
+        } else {
+            bulk_build(tree.ctx(), 0, points)?
         };
-        Ok(Self {
-            store,
-            params,
-            dim,
-            policy,
-            root,
-            len,
-            _marker: std::marker::PhantomData,
-        })
+        Ok(tree)
     }
 
     /// Reopens a tree given its root page (see
@@ -775,16 +728,34 @@ impl<V: AggValue> EcdfBTree<V> {
         root: PageId,
         len: usize,
     ) -> Result<Self> {
+        Self::open_in(
+            ReadHandle::Live(store),
+            dim,
+            policy,
+            max_value_size,
+            root,
+            len,
+        )
+    }
+
+    fn open_in(
+        pages: ReadHandle,
+        dim: usize,
+        policy: BorderPolicy,
+        max_value_size: usize,
+        root: PageId,
+        len: usize,
+    ) -> Result<Self> {
         if dim == 0 {
             return Err(invalid_arg("dimension must be at least 1"));
         }
         let params = EcdfParams {
-            page_size: store.payload_size(),
+            page_size: pages.store().payload_size(),
             max_value_size,
         };
         params.validate(dim)?;
         Ok(Self {
-            store,
+            pages,
             params,
             dim,
             policy,
@@ -797,11 +768,12 @@ impl<V: AggValue> EcdfBTree<V> {
     /// Publishes this tree under `name` in the store's superblock
     /// catalog, so [`open_named`](Self::open_named) can reopen it with
     /// no out-of-band state. The border policy is recorded as the root
-    /// kind; ECDF-B-trees have no bounding space, so the entry carries
-    /// no bounds. Call again after mutations to refresh the recorded
-    /// root and length.
+    /// kind; ECDF-B-trees have no bounding space, so every dimension
+    /// records `(-∞, +∞)` (the catalog codec carries exactly one bound
+    /// pair per dimension). Call again after mutations to refresh the
+    /// recorded root and length.
     pub fn persist_as(&self, name: &str) -> Result<()> {
-        self.store.set_root(
+        self.pages.writable()?.set_root(
             name,
             RootEntry {
                 root: self.root,
@@ -812,38 +784,26 @@ impl<V: AggValue> EcdfBTree<V> {
                     BorderPolicy::UpdateOptimized => RootKind::EcdfUpdate,
                     BorderPolicy::QueryOptimized => RootKind::EcdfQuery,
                 },
-                bounds: Vec::new(),
+                bounds: vec![(f64::NEG_INFINITY, f64::INFINITY); self.dim],
             },
         )
     }
 
     /// Reopens a tree published by [`persist_as`](Self::persist_as):
-    /// dimension, policy, value size, root and length all come from the
-    /// superblock catalog.
-    pub fn open_named(store: SharedStore, name: &str) -> Result<Self> {
-        let entry = store
+    /// dimension, policy, value size, root and length all come from the superblock
+    /// catalog `pages` sees.
+    ///
+    /// Pass the store (or a clone) for a live, writable tree. Pass a
+    /// pinned snapshot — `&Arc<StoreSnapshot>`, so trees opened together
+    /// share the pin — and root, length and every page read come from
+    /// the images that commit epoch saw: the tree answers exactly that
+    /// commit's state while writers keep committing, and refuses
+    /// `insert`, `persist_as` and `destroy` with a typed error.
+    pub fn open_named(pages: impl Into<ReadHandle>, name: &str) -> Result<Self> {
+        let pages = pages.into();
+        let entry = pages
             .root(name)?
             .ok_or_else(|| invalid_arg(format!("no root named {name:?} in the store catalog")))?;
-        Self::open_entry(store, name, entry)
-    }
-
-    /// Reopens a tree published by [`persist_as`](Self::persist_as) *as
-    /// of a pinned snapshot's commit epoch*: the root (and length) come
-    /// from the superblock image that epoch saw. Pair the result with
-    /// [`dominance_sum_at`](Self::dominance_sum_at) on the same
-    /// snapshot to query exactly that commit's tree while writers keep
-    /// committing.
-    pub fn open_named_at(snap: &StoreSnapshot, name: &str) -> Result<Self> {
-        let entry = snap.root(name)?.ok_or_else(|| {
-            invalid_arg(format!(
-                "no root named {name:?} in the store catalog at epoch {}",
-                snap.epoch()
-            ))
-        })?;
-        Self::open_entry(snap.store().clone(), name, entry)
-    }
-
-    fn open_entry(store: SharedStore, name: &str, entry: RootEntry) -> Result<Self> {
         let policy = match entry.kind {
             RootKind::EcdfUpdate => BorderPolicy::UpdateOptimized,
             RootKind::EcdfQuery => BorderPolicy::QueryOptimized,
@@ -853,8 +813,8 @@ impl<V: AggValue> EcdfBTree<V> {
                 )))
             }
         };
-        Self::open_at(
-            store,
+        Self::open_in(
+            pages,
             entry.dims as usize,
             policy,
             entry.max_value_size as usize,
@@ -870,7 +830,7 @@ impl<V: AggValue> EcdfBTree<V> {
 
     /// The shared page store.
     pub fn store(&self) -> &SharedStore {
-        &self.store
+        self.pages.store()
     }
 
     /// The root page id.
@@ -880,43 +840,11 @@ impl<V: AggValue> EcdfBTree<V> {
 
     fn ctx(&self) -> Ctx<'_> {
         Ctx {
-            store: &self.store,
+            pages: &self.pages,
             params: &self.params,
             dim: self.dim,
             policy: self.policy,
-            snap: None,
         }
-    }
-
-    /// A read-only context pinned to `snap`'s commit epoch.
-    fn ctx_at<'a>(&'a self, snap: &'a StoreSnapshot) -> Ctx<'a> {
-        Ctx {
-            store: snap.store(),
-            params: &self.params,
-            dim: self.dim,
-            policy: self.policy,
-            snap: Some(snap),
-        }
-    }
-
-    /// Dominance-sum evaluated against a pinned snapshot: every node
-    /// read resolves to the page image of `snap`'s commit epoch, so a
-    /// concurrent writer — even one mid-commit — cannot perturb the
-    /// answer. The tree handle itself (root page, length) must also
-    /// date from that epoch: open it with
-    /// [`open_named_at`](Self::open_named_at) on the same snapshot.
-    ///
-    /// Takes `&self`: snapshot queries are read-only and touch no tree
-    /// state, so many may run concurrently.
-    pub fn dominance_sum_at(&self, snap: &StoreSnapshot, q: &Point) -> Result<V> {
-        if q.dim() != self.dim {
-            return Err(invalid_arg(format!(
-                "query dimension {} != tree dimension {}",
-                q.dim(),
-                self.dim
-            )));
-        }
-        query_tree(self.ctx_at(snap), 0, self.root, q)
     }
 
     /// Collects every indexed point (tests/diagnostics).
@@ -955,7 +883,7 @@ impl<V: AggValue> DominanceSumIndex<V> for EcdfBTree<V> {
         Ok(())
     }
 
-    fn dominance_sum(&mut self, q: &Point) -> Result<V> {
+    fn dominance_sum(&self, q: &Point) -> Result<V> {
         if q.dim() != self.dim {
             return Err(invalid_arg(format!(
                 "query dimension {} != tree dimension {}",
@@ -1095,7 +1023,7 @@ mod tests {
     #[test]
     fn empty_tree_queries_zero() {
         for policy in POLICIES {
-            let mut t = new_tree(2, policy, 512);
+            let t = new_tree(2, policy, 512);
             assert_eq!(t.dominance_sum(&Point::new(&[5.0, 5.0])).unwrap(), 0.0);
             assert!(t.is_empty());
         }
@@ -1182,7 +1110,7 @@ mod tests {
             pts.push((p, (i % 5) as f64 + 1.0));
         }
         let store = SharedStore::open(&StoreConfig::small(256, 64)).unwrap();
-        let mut t = EcdfBTree::bulk_load(store, dim, policy, 8, pts.clone()).unwrap();
+        let t = EcdfBTree::bulk_load(store, dim, policy, 8, pts.clone()).unwrap();
         let mut oracle = NaiveDominanceIndex::new(dim);
         for (p, v) in pts {
             oracle.insert(p, v).unwrap();
@@ -1348,11 +1276,11 @@ mod tests {
             t.persist_as("e").unwrap();
             store.commit().unwrap();
 
-            let snap = store.snapshot().unwrap();
-            let frozen: EcdfBTree<f64> = EcdfBTree::open_named_at(&snap, "e").unwrap();
+            let snap = Arc::new(store.snapshot().unwrap());
+            let frozen: EcdfBTree<f64> = EcdfBTree::open_named(&snap, "e").unwrap();
             assert_eq!(frozen.len(), 200, "{policy:?}");
             let q = Point::new(&[0.8, 0.8]);
-            let want = frozen.dominance_sum_at(&snap, &q).unwrap();
+            let want = frozen.dominance_sum(&q).unwrap();
             assert_eq!(t.dominance_sum(&q).unwrap(), want, "{policy:?}");
 
             // Keep inserting and committing: splits rebuild borders,
@@ -1369,13 +1297,13 @@ mod tests {
             store.commit().unwrap();
 
             assert_eq!(
-                frozen.dominance_sum_at(&snap, &q).unwrap(),
+                frozen.dominance_sum(&q).unwrap(),
                 want,
                 "{policy:?}: snapshot answer moved under later commits"
             );
-            let refrozen: EcdfBTree<f64> = EcdfBTree::open_named_at(&snap, "e").unwrap();
+            let refrozen: EcdfBTree<f64> = EcdfBTree::open_named(&snap, "e").unwrap();
             assert_eq!(refrozen.len(), 200, "{policy:?}");
-            assert_eq!(refrozen.dominance_sum_at(&snap, &q).unwrap(), want);
+            assert_eq!(refrozen.dominance_sum(&q).unwrap(), want);
             assert!(t.dominance_sum(&q).unwrap() > want, "{policy:?}");
             drop(snap);
             store.validate().unwrap();

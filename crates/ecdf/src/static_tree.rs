@@ -209,7 +209,7 @@ impl<V: AggValue> DominanceSumIndex<V> for RebuildingEcdf<V> {
         Ok(())
     }
 
-    fn dominance_sum(&mut self, q: &Point) -> Result<V> {
+    fn dominance_sum(&self, q: &Point) -> Result<V> {
         Ok(self.tree.query(q))
     }
 

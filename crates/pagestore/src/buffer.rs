@@ -64,11 +64,9 @@
 //! The last [`checksum::TRAILER`] bytes of every page are reserved for a
 //! checksum trailer (see [`crate::checksum`]); callers only ever see the
 //! remaining [`payload_size`](BufferPool::payload_size) bytes. The
-//! trailer is stamped on every write-back and — when verification is
-//! enabled — checked on every fetch, surfacing torn or flipped pages as
-//! [`Error::Corruption`](boxagg_common::error::Error::Corruption). The
-//! reservation is unconditional, so fan-out, page counts and byte-level
-//! I/O accounting are identical with verification on or off.
+//! trailer is stamped on every write-back and checked on every fetch,
+//! surfacing torn or flipped pages as
+//! [`Error::Corruption`](boxagg_common::error::Error::Corruption).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -270,8 +268,6 @@ pub struct BufferPool {
     page_size: usize,
     /// `page_size - checksum::TRAILER`: the bytes callers may use.
     payload: usize,
-    /// Whether fetched pages are verified against their trailer.
-    checksums: bool,
     /// Precomputed `checksum::zero_mask(payload)`.
     zero_mask: u64,
     capacity: usize,
@@ -408,26 +404,12 @@ impl BufferPool {
     }
 
     /// Creates a pool of `shards` independent LRU lists (rounded up to a
-    /// power of two) splitting `capacity` between them. Checksum
-    /// verification is on.
+    /// power of two) splitting `capacity` between them.
     pub fn with_shards(pager: Box<dyn Pager>, capacity: usize, shards: usize) -> Self {
-        Self::with_options(pager, capacity, shards, true)
+        Self::with_config(pager, capacity, shards, false)
     }
 
-    /// [`with_shards`](Self::with_shards) with explicit checksum
-    /// verification. Disabling only skips the verify-on-fetch step; the
-    /// trailer is reserved and stamped either way, so payload size and
-    /// I/O accounting never depend on the setting.
-    pub fn with_options(
-        pager: Box<dyn Pager>,
-        capacity: usize,
-        shards: usize,
-        checksums: bool,
-    ) -> Self {
-        Self::with_config(pager, capacity, shards, checksums, false)
-    }
-
-    /// [`with_options`](Self::with_options) plus the WAL switch. With
+    /// [`with_shards`](Self::with_shards) plus the WAL switch. With
     /// `wal` on, dirty pages are pinned in the buffer (no-steal: an
     /// eviction never writes an uncommitted page in place) until a
     /// [`commit`](Self::commit) streams them through the write-ahead
@@ -435,13 +417,7 @@ impl BufferPool {
     /// shard is dirty. With `wal` off (the default everywhere else),
     /// behavior — including every I/O count — is byte-identical to the
     /// pre-WAL pool.
-    pub fn with_config(
-        pager: Box<dyn Pager>,
-        capacity: usize,
-        shards: usize,
-        checksums: bool,
-        wal: bool,
-    ) -> Self {
+    pub fn with_config(pager: Box<dyn Pager>, capacity: usize, shards: usize, wal: bool) -> Self {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
         let mut pager = pager;
         let n = shards.max(1).next_power_of_two();
@@ -472,7 +448,6 @@ impl BufferPool {
             pager: RankedMutex::new(rank::PAGER, "pager", pager),
             page_size,
             payload,
-            checksums,
             zero_mask: checksum::zero_mask(payload),
             capacity,
             shards: shards.into_boxed_slice(),
@@ -523,11 +498,6 @@ impl BufferPool {
     /// see and the limit [`write_page`](Self::write_page) enforces.
     pub fn payload_size(&self) -> usize {
         self.payload
-    }
-
-    /// Whether fetched pages are verified against their trailer.
-    pub fn checksums(&self) -> bool {
-        self.checksums
     }
 
     /// Whether the pool runs the WAL commit protocol.
@@ -753,20 +723,18 @@ impl BufferPool {
                 shard.free.push(idx);
                 return Err(e);
             }
-            if self.checksums {
-                if let Err((stored, computed)) =
-                    checksum::verify(&shard.frames[idx].data, self.zero_mask)
-                {
-                    // A corrupt page never enters the buffer (and its
-                    // fetch is not counted: only verified reads are
-                    // I/Os the caller can use).
-                    shard.free.push(idx);
-                    return Err(Error::Corruption {
-                        page: id.0,
-                        expected: stored,
-                        found: computed,
-                    });
-                }
+            if let Err((stored, computed)) =
+                checksum::verify(&shard.frames[idx].data, self.zero_mask)
+            {
+                // A corrupt page never enters the buffer (and its
+                // fetch is not counted: only verified reads are
+                // I/Os the caller can use).
+                shard.free.push(idx);
+                return Err(Error::Corruption {
+                    page: id.0,
+                    expected: stored,
+                    found: computed,
+                });
             }
             self.reads.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -1198,14 +1166,12 @@ impl BufferPool {
                 // uncommitted frame.
                 let mut buf = vec![0u8; self.page_size].into_boxed_slice();
                 self.pager.acquire().read_page(id, &mut buf)?;
-                if self.checksums {
-                    if let Err((stored, computed)) = checksum::verify(&buf, self.zero_mask) {
-                        return Err(Error::Corruption {
-                            page: id.0,
-                            expected: stored,
-                            found: computed,
-                        });
-                    }
+                if let Err((stored, computed)) = checksum::verify(&buf, self.zero_mask) {
+                    return Err(Error::Corruption {
+                        page: id.0,
+                        expected: stored,
+                        found: computed,
+                    });
                 }
                 self.reads.fetch_add(1, Ordering::Relaxed);
                 return Ok(f(&buf[..self.payload]));
@@ -1778,7 +1744,6 @@ mod tests {
     #[test]
     fn checksummed_round_trip_through_eviction() {
         let p = pool(2);
-        assert!(p.checksums());
         let ids: Vec<PageId> = (0..6u8).map(|i| page_with(&p, i)).collect();
         p.flush_all().unwrap();
         for (i, &id) in ids.iter().enumerate() {
@@ -1833,7 +1798,7 @@ mod tests {
 
     fn wal_pool(cap: usize) -> (BufferPool, crate::fault::FaultHandle) {
         let (pager, faults) = crate::fault::FaultPager::new(Box::new(MemPager::new(128)));
-        let p = BufferPool::with_config(Box::new(pager), cap, 1, true, true);
+        let p = BufferPool::with_config(Box::new(pager), cap, 1, true);
         (p, faults)
     }
 
@@ -2208,7 +2173,7 @@ mod tests {
             armed: armed.clone(),
             hook: Some((sig_tx, res_rx)),
         };
-        let p = BufferPool::with_config(Box::new(pager), 4, 1, true, true);
+        let p = BufferPool::with_config(Box::new(pager), 4, 1, true);
         (std::sync::Arc::new(p), armed, sig_rx, res_tx)
     }
 
@@ -2313,20 +2278,5 @@ mod tests {
         assert_eq!(p.dirty_pages(), 0);
         assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 4);
         p.validate().unwrap();
-    }
-
-    #[test]
-    fn verification_off_still_reserves_and_stamps_the_trailer() {
-        // A file written with verification off must be readable with it
-        // on: the trailer is stamped unconditionally.
-        let mem = MemPager::new(128);
-        let p = BufferPool::with_options(Box::new(mem), 2, 1, false);
-        assert!(!p.checksums());
-        assert_eq!(p.payload_size(), 120);
-        let ids: Vec<PageId> = (0..5u8).map(|i| page_with(&p, i)).collect();
-        p.flush_all().unwrap();
-        for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(p.with_page(id, |d| d[0]).unwrap(), i as u8);
-        }
     }
 }

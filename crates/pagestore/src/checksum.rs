@@ -22,10 +22,6 @@
 //! payload length and is computed once per pool.
 
 /// Bytes reserved at the end of every page for the checksum trailer.
-///
-/// Reserved unconditionally — with checksums disabled the trailer is
-/// still stamped but not verified — so the usable payload, and therefore
-/// tree fan-out and page counts, never depend on the checksum setting.
 pub const TRAILER: usize = 8;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -34,7 +34,9 @@
 //!   [`store::SharedStore::open_readonly`]),
 //! * [`store`] — [`store::SharedStore`], a cheaply-clonable
 //!   handle letting many trees (e.g. a BA-tree and its recursive border
-//!   trees) share one pool so space and I/O are accounted jointly.
+//!   trees) share one pool so space and I/O are accounted jointly, and
+//!   [`store::ReadHandle`], through which an index reads either that
+//!   live store or one pinned commit epoch.
 
 pub mod buffer;
 pub mod checksum;
@@ -52,6 +54,6 @@ pub use fault::{FaultHandle, FaultPager, FaultSpec, OpFilter};
 pub use nodecache::NodeCache;
 pub use pager::{FilePager, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE};
 pub use rank::{RankedGuard, RankedMutex, RankedReadGuard, RankedRwLock, RankedWriteGuard};
-pub use store::{Backing, SharedStore, StoreConfig, StoreSnapshot};
+pub use store::{Backing, ReadHandle, SharedStore, StoreConfig, StoreSnapshot};
 pub use superblock::{RootEntry, RootKind, Superblock};
 pub use wal::RecoveryReport;

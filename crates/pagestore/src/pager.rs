@@ -31,7 +31,7 @@ pub const DEFAULT_PAGE_SIZE: usize = 8192;
 ///
 /// Implementations are dumb: no caching, no statistics. That is the
 /// [`BufferPool`](crate::buffer::BufferPool)'s job. Pagers must be
-/// `Send` so the pool can be shared across the parallel corner fan-out;
+/// `Send` so the pool can be shared across threads;
 /// the pool serializes access behind a mutex, so `Sync` is not needed.
 pub trait Pager: Send {
     /// Size of every page in bytes.
@@ -636,7 +636,7 @@ mod tests {
             let mut p = FilePager::create(&path, 1024).unwrap();
             let id = p.allocate().unwrap();
             let mut page = vec![0u8; 1024];
-            let sb = Superblock::new(1024, true);
+            let sb = Superblock::new(1024);
             let enc = sb.encode();
             page[..enc.len()].copy_from_slice(&enc);
             p.write_page(id, &page).unwrap();

@@ -6,9 +6,9 @@
 //! indexes. All of them must share one pager and one LRU buffer so that
 //! index size and I/O counts are accounted the way the paper measures them
 //! — for the whole structure. `SharedStore` is that shared handle: an
-//! `Arc` over a sharded, internally synchronized [`BufferPool`], so the
-//! `2^d` independent corner queries and per-corner bulk-loads can run on
-//! separate threads against one pool.
+//! `Arc` over a sharded, internally synchronized [`BufferPool`], so
+//! concurrent readers and the per-corner bulk-loads can run on separate
+//! threads against one pool.
 //!
 //! With [`StoreConfig::parallelism`] left at its default of 1 the pool has
 //! a single shard and behaves byte-identically to the paper's sequential
@@ -58,21 +58,17 @@ pub struct StoreConfig {
     pub buffer_pages: usize,
     /// Backing storage. Default: memory.
     pub backing: Backing,
-    /// Worker threads for the corner fan-out (queries and bulk-loads).
-    /// Default: 1, the paper-faithful sequential mode — a single-shard
-    /// pool whose I/O counts match a sequential implementation exactly.
-    /// Values above 1 shard the buffer pool for concurrency.
+    /// Worker threads for the per-corner bulk loads. Default: 1, the
+    /// paper-faithful sequential mode — a single-shard pool whose I/O
+    /// counts match a sequential implementation exactly. Values above 1
+    /// also shard the buffer pool for concurrency. Box-sum queries are
+    /// always one sequential mask-ascending loop.
     pub parallelism: usize,
     /// Capacity of the decoded-node cache in nodes; 0 disables it.
     /// Default: 1280 (one decoded node per default buffer frame). The
     /// cache never changes byte-level I/O accounting — see
     /// [`SharedStore::read_node`] — so it defaults on.
     pub node_cache_pages: usize,
-    /// Verify per-page checksums on every fetch (default: on). The
-    /// checksum trailer is reserved and stamped unconditionally — the
-    /// flag only controls verification — so payload size, page counts
-    /// and byte-level I/O are identical either way.
-    pub checksums: bool,
     /// Crash-consistent commits through the write-ahead log (default:
     /// off). When on, dirty pages are pinned in the pool (no-steal)
     /// until [`SharedStore::commit`] streams them to the sidecar log,
@@ -91,7 +87,6 @@ impl Default for StoreConfig {
             backing: Backing::Memory,
             parallelism: 1,
             node_cache_pages: 10 * 1024 * 1024 / DEFAULT_PAGE_SIZE,
-            checksums: true,
             wal: false,
         }
     }
@@ -107,12 +102,11 @@ impl StoreConfig {
             backing: Backing::Memory,
             parallelism: 1,
             node_cache_pages: buffer_pages,
-            checksums: true,
             wal: false,
         }
     }
 
-    /// Sets the fan-out parallelism (see [`StoreConfig::parallelism`]).
+    /// Sets the bulk-load parallelism (see [`StoreConfig::parallelism`]).
     pub fn with_parallelism(mut self, threads: usize) -> Self {
         self.parallelism = threads.max(1);
         self
@@ -122,13 +116,6 @@ impl StoreConfig {
     /// [`StoreConfig::node_cache_pages`]).
     pub fn with_node_cache(mut self, pages: usize) -> Self {
         self.node_cache_pages = pages;
-        self
-    }
-
-    /// Enables or disables checksum verification on fetch (see
-    /// [`StoreConfig::checksums`]).
-    pub fn with_checksums(mut self, on: bool) -> Self {
-        self.checksums = on;
         self
     }
 
@@ -232,7 +219,7 @@ impl SharedStore {
         store.superblock = Some(Arc::new(RankedMutex::new(
             rank::SUPERBLOCK,
             "superblock",
-            Superblock::new(config.page_size as u32, config.checksums),
+            Superblock::new(config.page_size as u32),
         )));
         if store.pool.allocated_pages() == 0 {
             return Err(corrupt(
@@ -284,7 +271,7 @@ impl SharedStore {
         store.superblock = Some(Arc::new(RankedMutex::new(
             rank::SUPERBLOCK,
             "superblock",
-            Superblock::new(config.page_size as u32, config.checksums),
+            Superblock::new(config.page_size as u32),
         )));
         store.load_or_format_superblock(config)?;
         Ok(store)
@@ -302,7 +289,6 @@ impl SharedStore {
                 pager,
                 config.buffer_pages,
                 config.shards(),
-                config.checksums,
                 config.wal,
             )),
             nodes: Arc::new(NodeCache::new(config.node_cache_pages, config.shards())),
@@ -313,8 +299,8 @@ impl SharedStore {
         }
     }
 
-    /// Wraps an explicit pager with defaults: single shard, checksums
-    /// on, node cache sized like the buffer.
+    /// Wraps an explicit pager with defaults: single shard, node cache
+    /// sized like the buffer.
     pub fn from_pager(pager: Box<dyn Pager>, buffer_pages: usize) -> Self {
         let page_size = pager.page_size();
         Self::with_pager(
@@ -325,7 +311,6 @@ impl SharedStore {
                 backing: Backing::Memory,
                 parallelism: 1,
                 node_cache_pages: buffer_pages,
-                checksums: true,
                 wal: false,
             },
         )
@@ -334,7 +319,7 @@ impl SharedStore {
     /// Loads the superblock from page 0, formatting an empty or
     /// brand-new store in the process.
     fn load_or_format_superblock(&self, config: &StoreConfig) -> Result<()> {
-        let fresh = Superblock::new(config.page_size as u32, config.checksums);
+        let fresh = Superblock::new(config.page_size as u32);
         if self.pool.allocated_pages() == 0 {
             // Brand-new store: page 0 is the superblock, formatted
             // durably before anything else is written.
@@ -408,7 +393,7 @@ impl SharedStore {
         self.check_writable("set_root")?;
         let lock = self.superblock_lock()?;
         let mut sb = lock.acquire();
-        sb.set_root(name, entry);
+        sb.set_root(name, entry)?;
         let encoded = sb.encode();
         if encoded.len() > self.payload_size() {
             // Roll back: an oversized catalog must not poison the
@@ -615,7 +600,7 @@ impl SharedStore {
         self.pool.dirty_ceiling()
     }
 
-    /// Worker threads the corner fan-out should use (≥ 1).
+    /// Worker threads the per-corner bulk loads should use (≥ 1).
     pub fn parallelism(&self) -> usize {
         self.parallelism
     }
@@ -901,6 +886,86 @@ impl Drop for StoreSnapshot {
     }
 }
 
+/// Where an index reads its pages from, fixed once when it is opened:
+/// the live store, or a pinned [`StoreSnapshot`] shared by every tree
+/// opened at that epoch. This is the one place that tells the two
+/// apart — trees and engines hold a `ReadHandle` and never ask which.
+#[derive(Clone, Debug)]
+pub enum ReadHandle {
+    /// Current bytes through the decoded-node cache; writable.
+    Live(SharedStore),
+    /// Page images as of the pinned epoch; read-only.
+    Pinned(Arc<StoreSnapshot>),
+}
+
+impl ReadHandle {
+    /// [`SharedStore::read_node`] or [`StoreSnapshot::read_node`].
+    pub fn read_node<N, F>(&self, id: PageId, decode: F) -> Result<Arc<N>>
+    where
+        N: Any + Send + Sync,
+        F: FnOnce(&[u8]) -> Result<N>,
+    {
+        match self {
+            ReadHandle::Live(store) => store.read_node(id, decode),
+            ReadHandle::Pinned(snap) => snap.read_node(id, decode),
+        }
+    }
+
+    /// Looks up a named root in the catalog this handle sees.
+    pub fn root(&self, name: &str) -> Result<Option<RootEntry>> {
+        match self {
+            ReadHandle::Live(store) => store.root(name),
+            ReadHandle::Pinned(snap) => snap.root(name),
+        }
+    }
+
+    /// The underlying store (geometry, statistics). Reads through it
+    /// see current bytes, whatever this handle is pinned to.
+    pub fn store(&self) -> &SharedStore {
+        match self {
+            ReadHandle::Live(store) => store,
+            ReadHandle::Pinned(snap) => snap.store(),
+        }
+    }
+
+    /// The store to mutate, or [`Error::ReadOnly`] when the handle is
+    /// pinned: an index opened at an epoch describes that commit's
+    /// pages, and writing through it would edit the live store from a
+    /// stale root.
+    pub fn writable(&self) -> Result<&SharedStore> {
+        match self {
+            ReadHandle::Live(store) => Ok(store),
+            ReadHandle::Pinned(_) => Err(Error::ReadOnly {
+                op: "a write through an index opened at a pinned epoch",
+            }),
+        }
+    }
+}
+
+impl From<SharedStore> for ReadHandle {
+    fn from(store: SharedStore) -> Self {
+        ReadHandle::Live(store)
+    }
+}
+
+impl From<&SharedStore> for ReadHandle {
+    fn from(store: &SharedStore) -> Self {
+        ReadHandle::Live(store.clone())
+    }
+}
+
+impl From<StoreSnapshot> for ReadHandle {
+    fn from(snap: StoreSnapshot) -> Self {
+        ReadHandle::Pinned(Arc::new(snap))
+    }
+}
+
+impl From<&Arc<StoreSnapshot>> for ReadHandle {
+    fn from(snap: &Arc<StoreSnapshot>) -> Self {
+        ReadHandle::Pinned(Arc::clone(snap))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -955,7 +1020,6 @@ mod tests {
             backing: Backing::File(dir.path().join("store.db")),
             parallelism: 1,
             node_cache_pages: 2,
-            checksums: true,
             wal: false,
         };
         let s = SharedStore::open(&cfg).unwrap();
@@ -987,7 +1051,6 @@ mod tests {
             backing: Backing::File(path),
             parallelism: 1,
             node_cache_pages: 4,
-            checksums: true,
             wal: false,
         }
     }

@@ -13,7 +13,9 @@
 //! offset  size  field
 //!      0     8  magic  b"BOXAGGSB"
 //!      8     2  format version (currently 1)
-//!     10     1  flags (bit 0: page checksums enabled)
+//!     10     1  flags (bit 0: page checksums verified — always written as
+//!               1; files that recorded 0 still carry stamped trailers and
+//!               open normally)
 //!     11     1  reserved (0)
 //!     12     4  page size in bytes
 //!     16     4  root count
@@ -36,7 +38,8 @@
 use std::collections::BTreeMap;
 
 use boxagg_common::bytes::{ByteReader, ByteWriter};
-use boxagg_common::error::{corrupt, Error, Result};
+use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
+use boxagg_common::geom::MAX_DIM;
 
 use crate::pager::PageId;
 
@@ -118,22 +121,47 @@ pub struct RootEntry {
     pub bounds: Vec<(f64, f64)>,
 }
 
+impl RootEntry {
+    /// What both ends of the codec hold an entry to, so nothing is
+    /// written that [`Superblock::decode`] would refuse and nothing is
+    /// decoded that `Rect::from_bounds` would panic on: one bound pair
+    /// per dimension, `lo ≤ hi` with neither NaN, at most
+    /// [`MAX_DIM`] dimensions, and at least one for a tree root.
+    fn check(&self, name: &str) -> std::result::Result<(), String> {
+        let dims = self.dims as usize;
+        if self.bounds.len() != dims {
+            return Err(format!(
+                "root `{name}` declares {dims} dimensions but carries {} bound pairs",
+                self.bounds.len()
+            ));
+        }
+        if dims > MAX_DIM || (dims == 0 && self.kind != RootKind::Meta) {
+            return Err(format!(
+                "root `{name}` ({:?}) declares {dims} dimensions, out of range",
+                self.kind
+            ));
+        }
+        let invalid = |(lo, hi): &&(f64, f64)| lo.is_nan() || hi.is_nan() || lo > hi;
+        match self.bounds.iter().find(invalid) {
+            Some((lo, hi)) => Err(format!("root `{name}` has an invalid bound ({lo}, {hi})")),
+            None => Ok(()),
+        }
+    }
+}
+
 /// The decoded page-0 superblock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Superblock {
     /// Page size the store was created with.
     pub page_size: u32,
-    /// Whether page checksums were enabled at creation.
-    pub checksums: bool,
     roots: BTreeMap<String, RootEntry>,
 }
 
 impl Superblock {
     /// A fresh superblock with an empty root catalog.
-    pub fn new(page_size: u32, checksums: bool) -> Self {
+    pub fn new(page_size: u32) -> Self {
         Self {
             page_size,
-            checksums,
             roots: BTreeMap::new(),
         }
     }
@@ -143,9 +171,14 @@ impl Superblock {
         self.roots.get(name)
     }
 
-    /// Inserts or replaces a named root.
-    pub fn set_root(&mut self, name: &str, entry: RootEntry) {
+    /// Inserts or replaces a named root. An entry the codec could not
+    /// round-trip (see [`RootEntry`]: a bound pair count other than
+    /// `dims`, an out-of-range `dims`, an inverted or NaN bound) is
+    /// refused with a typed error and the catalog is left as it was.
+    pub fn set_root(&mut self, name: &str, entry: RootEntry) -> Result<()> {
+        entry.check(name).map_err(invalid_arg)?;
         self.roots.insert(name.to_string(), entry);
+        Ok(())
     }
 
     /// Removes a named root, returning it if present.
@@ -163,11 +196,7 @@ impl Superblock {
         let mut w = ByteWriter::new();
         w.put_bytes(&MAGIC);
         w.put_u16(VERSION);
-        let mut flags = 0u8;
-        if self.checksums {
-            flags |= 1;
-        }
-        w.put_u8(flags);
+        w.put_u8(1); // flags: checksums verified
         w.put_u8(0); // reserved
         w.put_u32(self.page_size);
         w.put_u32(self.roots.len() as u32);
@@ -189,8 +218,9 @@ impl Superblock {
 
     /// Decodes a superblock from a page payload.
     ///
-    /// Bad magic, an unsupported version, or a structurally truncated
-    /// catalog are typed errors — an unsupported version surfaces as
+    /// Bad magic, an unsupported version, a structurally truncated
+    /// catalog or an entry no writer could have produced (see
+    /// [`RootEntry`]) are typed errors — an unsupported version surfaces as
     /// [`Error::GeometryMismatch`] on `"version"` so callers can tell
     /// "newer format" apart from corruption.
     pub fn decode(payload: &[u8]) -> Result<Self> {
@@ -207,7 +237,7 @@ impl Superblock {
                 requested: VERSION as u64,
             });
         }
-        let flags = r.get_u8()?;
+        let _flags = r.get_u8()?;
         let _reserved = r.get_u8()?;
         let page_size = r.get_u32()?;
         let count = r.get_u32()?;
@@ -240,23 +270,18 @@ impl Superblock {
                 let hi = r.get_f64()?;
                 bounds.push((lo, hi));
             }
-            roots.insert(
-                name,
-                RootEntry {
-                    root,
-                    len,
-                    dims,
-                    max_value_size,
-                    kind,
-                    bounds,
-                },
-            );
+            let entry = RootEntry {
+                root,
+                len,
+                dims,
+                max_value_size,
+                kind,
+                bounds,
+            };
+            entry.check(&name).map_err(corrupt)?;
+            roots.insert(name, entry);
         }
-        Ok(Self {
-            page_size,
-            checksums: flags & 1 != 0,
-            roots,
-        })
+        Ok(Self { page_size, roots })
     }
 }
 
@@ -265,7 +290,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Superblock {
-        let mut sb = Superblock::new(4096, true);
+        let mut sb = Superblock::new(4096);
         sb.set_root(
             "primary",
             RootEntry {
@@ -276,7 +301,8 @@ mod tests {
                 kind: RootKind::BaTree,
                 bounds: vec![(0.0, 1.0), (-2.5, 2.5)],
             },
-        );
+        )
+        .unwrap();
         sb.set_root(
             "corner/3",
             RootEntry {
@@ -287,7 +313,8 @@ mod tests {
                 kind: RootKind::EcdfQuery,
                 bounds: vec![(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)],
             },
-        );
+        )
+        .unwrap();
         sb
     }
 
@@ -306,11 +333,20 @@ mod tests {
 
     #[test]
     fn empty_catalog_round_trip() {
-        let sb = Superblock::new(256, false);
+        let sb = Superblock::new(256);
         let back = Superblock::decode(&sb.encode()).unwrap();
         assert_eq!(back, sb);
         assert!(back.roots().next().is_none());
-        assert!(!back.checksums);
+    }
+
+    #[test]
+    fn cleared_checksum_flag_still_opens() {
+        // Stores created with verification off recorded flag bit 0 as
+        // 0; their trailers were stamped all the same.
+        let mut bytes = sample().encode();
+        assert_eq!(bytes[10], 1);
+        bytes[10] = 0;
+        assert_eq!(Superblock::decode(&bytes).unwrap(), sample());
     }
 
     #[test]
@@ -335,7 +371,7 @@ mod tests {
         // A corrupted dims field used to drive Vec::with_capacity
         // directly (u32::MAX dims → a 64 GiB reservation attempt);
         // decode must bound it against the remaining payload first.
-        let mut sb = Superblock::new(4096, true);
+        let mut sb = Superblock::new(4096);
         sb.set_root(
             "t",
             RootEntry {
@@ -346,7 +382,8 @@ mod tests {
                 kind: RootKind::BaTree,
                 bounds: vec![(0.0, 1.0)],
             },
-        );
+        )
+        .unwrap();
         let mut bytes = sb.encode();
         // dims sits after magic(8) + version(2) + flags(1) +
         // reserved(1) + page_size(4) + count(4) + name_len(2) +
@@ -379,24 +416,92 @@ mod tests {
 
     #[test]
     fn unknown_root_kind_is_corrupt() {
-        let mut sb = Superblock::new(256, true);
+        let mut sb = Superblock::new(256);
         sb.set_root(
             "x",
             RootEntry {
                 root: PageId(1),
                 len: 0,
-                dims: 0,
+                dims: 1,
                 max_value_size: 0,
                 kind: RootKind::BaTree,
-                bounds: vec![],
+                bounds: vec![(0.0, 1.0)],
             },
-        );
+        )
+        .unwrap();
         let mut bytes = sb.encode();
         // kind byte sits right after the 1-byte name.
         let kind_off = PREFIX_LEN + 4 + 2 + 1;
         assert_eq!(bytes[kind_off], 0);
         bytes[kind_off] = 9;
         assert!(Superblock::decode(&bytes).is_err());
+    }
+
+    fn ecdf_entry(root: u64, dims: u32) -> RootEntry {
+        RootEntry {
+            root: PageId(root),
+            len: 10 * root,
+            dims,
+            max_value_size: 8,
+            kind: RootKind::EcdfUpdate,
+            bounds: vec![(f64::NEG_INFINITY, f64::INFINITY); dims as usize],
+        }
+    }
+
+    #[test]
+    fn unbounded_ecdf_roots_round_trip_beside_a_ba_root() {
+        // Regression: ECDF-B roots used to record `dims = d` with no
+        // bound pairs, and decode read `dims` pairs regardless — eating
+        // 16·d bytes of whichever entry followed.
+        let mut sb = sample();
+        sb.set_root("corner/0", ecdf_entry(11, 2)).unwrap();
+        sb.set_root("corner/1", ecdf_entry(12, 2)).unwrap();
+        let mut padded = sb.encode();
+        padded.resize(4096, 0);
+        let back = Superblock::decode(&padded).unwrap();
+        assert_eq!(back, sb);
+        assert_eq!(back.root("corner/1"), Some(&ecdf_entry(12, 2)));
+        assert_eq!(back.root("primary"), sample().root("primary"));
+
+        // The asymmetric entry itself is refused where it is made.
+        let mut bare = ecdf_entry(13, 2);
+        bare.bounds.clear();
+        let err = sb.set_root("corner/2", bare).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
+        assert!(sb.root("corner/2").is_none());
+    }
+
+    #[test]
+    fn hostile_entries_are_corrupt_not_panics() {
+        // One 1-d BA root named "t": dims sits at offset 40 (see
+        // `corrupt_dims_is_typed_error_not_huge_allocation`), then
+        // max_value_size(4), then the (lo, hi) pair at 48 and 56. The
+        // zero padding behind it is payload a wide `dims` can read.
+        let mut sb = Superblock::new(4096);
+        let mut entry = ecdf_entry(3, 1);
+        entry.bounds = vec![(0.0, 1.0)];
+        sb.set_root("t", entry).unwrap();
+        let mut good = sb.encode();
+        good.resize(4096, 0);
+        assert!(Superblock::decode(&good).is_ok());
+
+        let hostile: [(&str, usize, Vec<u8>); 5] = [
+            // `Rect::new` asserts lo ≤ hi.
+            ("inverted", 48, 2.0f64.to_le_bytes().to_vec()),
+            ("nan lo", 48, f64::NAN.to_le_bytes().to_vec()),
+            ("nan hi", 56, f64::NAN.to_le_bytes().to_vec()),
+            // `Point::from_fn` asserts 1..=MAX_DIM.
+            ("zero dims", 40, 0u32.to_le_bytes().to_vec()),
+            ("wide dims", 40, (MAX_DIM as u32 + 1).to_le_bytes().to_vec()),
+        ];
+        for (what, at, bytes) in hostile {
+            let mut bad = good.clone();
+            bad[at..at + bytes.len()].copy_from_slice(&bytes);
+            match Superblock::decode(&bad) {
+                Err(Error::Corrupt(_)) => {}
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,6 @@ fn file_config(path: std::path::PathBuf) -> StoreConfig {
         backing: Backing::File(path),
         parallelism: 1,
         node_cache_pages: 4,
-        checksums: true,
         wal: false,
     }
 }
@@ -74,15 +73,6 @@ fn flipped_byte_on_disk_surfaces_as_corruption() {
         }
         s.validate().unwrap();
     }
-
-    // With verification off the same image is served raw — the flag only
-    // controls the verify step, never the data path.
-    let pager = FilePager::open(&path, PAGE).unwrap();
-    let s = SharedStore::with_pager(
-        Box::new(pager),
-        &StoreConfig::small(PAGE, 4).with_checksums(false),
-    );
-    assert_eq!(s.with_page(ids[5], |d| d[17]).unwrap(), 5 ^ 0x01);
 }
 
 #[test]

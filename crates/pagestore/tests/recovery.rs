@@ -1,13 +1,12 @@
 //! Recovery-path integration tests: idempotent replay under crashes
-//! *during* recovery, write-ahead fsync ordering at the store level,
-//! and recovery with checksum verification disabled.
+//! *during* recovery and write-ahead fsync ordering at the store level.
 //!
 //! The exhaustive every-operation crash sweep lives in the workspace
 //! root (`tests/crash_sweep.rs`); these tests pin the recovery
 //! machinery itself.
 
 use boxagg_common::tempdir;
-use boxagg_pagestore::fault::{is_injected, FaultMode, OpKind};
+use boxagg_pagestore::fault::{is_injected, OpKind};
 use boxagg_pagestore::pager::wal_path;
 use boxagg_pagestore::{
     wal, Backing, FaultPager, FaultSpec, FilePager, OpFilter, PageId, SharedStore, StoreConfig,
@@ -22,7 +21,6 @@ fn wal_config(path: std::path::PathBuf) -> StoreConfig {
         backing: Backing::File(path),
         parallelism: 1,
         node_cache_pages: 4,
-        checksums: true,
         wal: true,
     }
 }
@@ -182,68 +180,6 @@ fn every_data_write_in_a_commit_is_preceded_by_a_wal_sync() {
             "round {round}: log truncated before data was durable: {trace:?}"
         );
     }
-}
-
-#[test]
-fn store_without_checksum_verification_still_recovers() {
-    let dir = tempdir::tempdir().unwrap();
-    let path = dir.path().join("pages.db");
-    let cfg = StoreConfig {
-        checksums: false,
-        ..wal_config(path.clone())
-    };
-
-    let ids: Vec<PageId> = {
-        let file = FilePager::create(&path, PAGE).unwrap();
-        let (pager, faults) = FaultPager::new(Box::new(file));
-        let store = SharedStore::open_with_pager(Box::new(pager), &cfg).unwrap();
-        let ids: Vec<PageId> = (0..4u8)
-            .map(|i| {
-                let id = store.allocate().unwrap();
-                store.write_page(id, &[i + 1; 32]).unwrap();
-                id
-            })
-            .collect();
-        store.commit().unwrap();
-        for &id in &ids {
-            store.write_page(id, &[0x70 ^ id.0 as u8; 32]).unwrap();
-        }
-        // Tear the log mid-append: the second transaction must vanish.
-        faults.arm(FaultSpec {
-            ops: OpFilter::WalAppends,
-            at: 2,
-            sticky: true,
-            mode: FaultMode::TornWrite { prefix: 7 },
-        });
-        let err = store.commit().unwrap_err();
-        assert!(is_injected(&err), "got: {err}");
-        ids
-    };
-
-    // The in-process error path rolls the torn tail back out of the
-    // log, so re-tear it the way a crash would leave it: a partial
-    // record at the tail of the WAL file, persisted.
-    {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(wal_path(&path))
-            .unwrap();
-        f.write_all(&[0xAB; 7]).unwrap();
-    }
-
-    let store = SharedStore::open(&cfg).unwrap();
-    let report = store.recovery_report();
-    assert_eq!(report.txns_replayed, 0, "torn txn must not replay");
-    assert!(report.torn_tail_discarded || report.incomplete_txn_discarded);
-    for (i, &id) in ids.iter().enumerate() {
-        assert_eq!(
-            store.with_page(id, |d| d[0]).unwrap(),
-            i as u8 + 1,
-            "page {id:?} must hold the first committed state"
-        );
-    }
-    store.validate().unwrap();
 }
 
 #[test]

@@ -86,7 +86,8 @@ use std::time::{Duration, Instant};
 use boxagg_batree::BATree;
 use boxagg_common::error::{invalid_arg, Error, Result};
 use boxagg_common::geom::{Point, Rect};
-use boxagg_core::batch::{open_corner_engine, persist_corner_engine, SnapshotBoxSum};
+use boxagg_common::traits::DominanceSumIndex;
+use boxagg_core::catalog::{open_corner_engine, persist_corner_engine};
 use boxagg_core::parallel::WorkerPool;
 use boxagg_core::reduction::CornerBoxSum;
 use boxagg_pagestore::SharedStore;
@@ -340,10 +341,7 @@ impl ServerHandle {
                  snapshots and writes on the commit protocol",
             ));
         }
-        let (mut engine, space) = open_corner_engine(&store)?;
-        // The server's engine only takes writes (reads go through
-        // snapshots), so the corner fan-out pool would sit idle.
-        engine.set_parallelism(1);
+        let (engine, space) = open_corner_engine(&store)?;
         let dim = engine.dim();
 
         let listener = TcpListener::bind(addr)?;
@@ -556,7 +554,9 @@ fn batcher_loop(shared: &Shared, rx: &Receiver<ReadJob>) {
     }
 }
 
-/// Executes one admission group over a single pinned snapshot.
+/// Executes one admission group over a single pinned snapshot, through
+/// the same engine the writer mutates — opened at the pinned epoch
+/// instead of over live pages.
 ///
 /// Single-request groups use a plain snapshot (exactly the serial
 /// execution); larger groups use a memoized one so the shared upper
@@ -582,10 +582,11 @@ fn run_group(shared: &Shared, group: Vec<ReadJob>) {
         shared.store.snapshot_memoized()
     } else {
         shared.store.snapshot()
-    };
-    let engine = snap.and_then(SnapshotBoxSum::open);
-    let engine = match engine {
-        Ok(e) => e,
+    }
+    .map(Arc::new);
+    let opened = snap.and_then(|snap| Ok((open_corner_engine(&snap)?.0, snap)));
+    let (engine, snap) = match opened {
+        Ok(pair) => pair,
         Err(e) => {
             let msg = e.to_string();
             for job in live {
@@ -604,7 +605,13 @@ fn run_group(shared: &Shared, group: Vec<ReadJob>) {
         .iter()
         .map(|job| match &job.req {
             ReadReq::Box(rect) => engine.query(rect),
-            ReadReq::Dom(mask, point) => engine.dominance_sum(*mask as usize, point),
+            ReadReq::Dom(mask, point) => match engine.indexes().get(*mask as usize) {
+                Some(tree) => tree.dominance_sum(point),
+                None => Err(invalid_arg(format!(
+                    "corner mask {mask} out of range for dimension {}",
+                    shared.dim
+                ))),
+            },
         })
         .collect();
     // Counters must be published before any reply: a caller that saw
@@ -613,7 +620,7 @@ fn run_group(shared: &Shared, group: Vec<ReadJob>) {
     // consistent when a member's reply write fails (dead connection):
     // the group's work happened and is accounted exactly once, whether
     // or not every member lived to hear about it.
-    let (accesses, decodes) = engine.snapshot().node_reads();
+    let (accesses, decodes) = snap.node_reads();
     shared
         .counters
         .node_accesses

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use boxagg_common::error::Error;
 use boxagg_common::geom::Rect;
 use boxagg_common::rng::StdRng;
-use boxagg_core::batch::SnapshotBoxSum;
+use boxagg_core::catalog::SnapshotBoxSum;
 use boxagg_core::engine::SimpleBoxSum;
 use boxagg_pagestore::{SharedStore, StoreConfig};
 use boxagg_serve::proto::{self, code, frame, read_frame, Request, Response};
@@ -39,7 +39,7 @@ fn seeded_store(n: usize, seed: u64) -> (SharedStore, Rect) {
         let r = rand_rect(&mut rng, 2, 0.3);
         engine.insert(&r, (i % 9) as f64 - 3.0).expect("insert");
     }
-    boxagg_core::batch::persist_corner_engine(&engine, &space).expect("persist");
+    boxagg_core::catalog::persist_corner_engine(&engine, &space).expect("persist");
     store.commit().expect("commit");
     (store, space)
 }

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use boxagg_common::geom::{Point, Rect};
 use boxagg_common::rng::StdRng;
-use boxagg_core::batch::SnapshotBoxSum;
+use boxagg_core::catalog::SnapshotBoxSum;
 use boxagg_core::engine::SimpleBoxSum;
 use boxagg_pagestore::{SharedStore, StoreConfig};
 use boxagg_serve::proto::{self, frame, read_frame, Request, Response};
@@ -37,7 +37,7 @@ fn seeded_store(n: usize, seed: u64) -> (SharedStore, Rect) {
         let r = rand_rect(&mut rng, 2, 0.3);
         engine.insert(&r, (i % 9) as f64 - 3.0).expect("insert");
     }
-    boxagg_core::batch::persist_corner_engine(&engine, &space).expect("persist");
+    boxagg_core::catalog::persist_corner_engine(&engine, &space).expect("persist");
     store.commit().expect("commit");
     (store, space)
 }
@@ -54,9 +54,10 @@ fn concurrent_batched_queries_are_bit_identical_to_serial_with_fewer_decodes() {
     let mut serial_answers = Vec::new();
     let mut serial_decodes = 0u64;
     for q in &queries {
-        let engine = SnapshotBoxSum::open(store.snapshot().expect("snapshot")).expect("open");
+        let snap = Arc::new(store.snapshot().expect("snapshot"));
+        let engine = SnapshotBoxSum::open(&snap).expect("open");
         serial_answers.push(engine.query(q).expect("serial query"));
-        let (accesses, decodes) = engine.snapshot().node_reads();
+        let (accesses, decodes) = snap.node_reads();
         assert_eq!(
             accesses, decodes,
             "a plain snapshot decodes on every access"

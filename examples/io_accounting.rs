@@ -29,7 +29,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         backing: Backing::File(path.clone()),
         parallelism: 1,
         node_cache_pages: 64,
-        checksums: true,
         wal: true,
     };
 
@@ -79,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Reopen the persisted file with a fresh buffer pool and resume —
     // the name is the only thing this half knows.
     let store = SharedStore::open(&config)?;
-    let mut tree: BATree<f64> = BATree::open_named(store.clone(), "primary")?;
+    let tree: BATree<f64> = BATree::open_named(store.clone(), "primary")?;
     let q = Point::new(&[0.75, 0.75]);
     let sum = tree.dominance_sum(&q)?;
     let s = store.stats();

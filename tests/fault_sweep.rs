@@ -1,13 +1,12 @@
 //! Tier-1 fault sweeps: exhaustive single-fault injection over the
 //! BA-tree and ECDF-B workloads (see `boxagg_bench::faultsweep` for the
-//! driver and the properties asserted per op index), plus the
-//! checksum-neutrality acceptance check.
+//! driver and the properties asserted per op index).
 //!
 //! These are the debug-build twins of the `faults` bench binary's
 //! `--smoke` run, scaled so an exhaustive (`stride == 1`) sweep stays
 //! fast without a release build.
 
-use boxagg_bench::faultsweep::{checksum_neutrality, run, SweepConfig, SweepScheme};
+use boxagg_bench::faultsweep::{run, SweepConfig, SweepScheme};
 
 fn tiny(scheme: SweepScheme) -> SweepConfig {
     SweepConfig {
@@ -59,13 +58,4 @@ fn ecdfb_exhaustive_torn_write_sweep() {
         torn_writes: true,
         ..tiny(SweepScheme::EcdfB)
     });
-}
-
-#[test]
-fn checksum_verification_is_io_neutral() {
-    for scheme in [SweepScheme::BaTree, SweepScheme::EcdfB] {
-        let (ops, stats) = checksum_neutrality(&tiny(scheme));
-        assert!(ops.total() > 0);
-        assert!(stats.reads > 0 && stats.writes > 0);
-    }
 }

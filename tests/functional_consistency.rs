@@ -34,7 +34,7 @@ fn check_degree(degree: u32, seed: u64) {
     let mut bat = FunctionalBoxSum::batree(space, cfg.clone(), degree).unwrap();
     let mut ecdf_u =
         FunctionalBoxSum::ecdf(2, BorderPolicy::UpdateOptimized, cfg.clone(), degree).unwrap();
-    let mut ecdf_q =
+    let ecdf_q =
         FunctionalBoxSum::ecdf_bulk(2, BorderPolicy::QueryOptimized, cfg.clone(), degree, &objs)
             .unwrap();
 

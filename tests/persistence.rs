@@ -43,7 +43,6 @@ fn batree_survives_reopen_by_name() {
         backing: Backing::File(path.clone()),
         parallelism: 1,
         node_cache_pages: 16,
-        checksums: true,
         wal: true,
     };
     let expected: Vec<f64> = {
@@ -84,7 +83,7 @@ fn batree_survives_reopen_by_name() {
     drop(tree);
     drop(store);
     let store = SharedStore::open(&cfg).unwrap();
-    let mut tree: BATree<f64> = BATree::open_named(store, "primary").unwrap();
+    let tree: BATree<f64> = BATree::open_named(store, "primary").unwrap();
     assert_eq!(tree.len(), 3001);
     let got = tree.dominance_sum(&Point::new(&[1.0, 1.0])).unwrap();
     assert!((got - total).abs() < 1e-6);
@@ -105,12 +104,11 @@ fn ecdf_btree_survives_reopen_by_name() {
         backing: Backing::File(path.clone()),
         parallelism: 1,
         node_cache_pages: 8,
-        checksums: true,
         wal: true,
     };
     {
         let store = SharedStore::open(&cfg).unwrap();
-        let mut tree: EcdfBTree<f64> = EcdfBTree::bulk_load(
+        let tree: EcdfBTree<f64> = EcdfBTree::bulk_load(
             store.clone(),
             2,
             BorderPolicy::QueryOptimized,
@@ -129,7 +127,7 @@ fn ecdf_btree_survives_reopen_by_name() {
     // Dimension, policy, value size, root and length all come back from
     // the catalog — the reopen call takes only the name.
     let store = SharedStore::open(&cfg).unwrap();
-    let mut reopened: EcdfBTree<f64> = EcdfBTree::open_named(store, "ecdf-q").unwrap();
+    let reopened: EcdfBTree<f64> = EcdfBTree::open_named(store, "ecdf-q").unwrap();
     assert_eq!(reopened.policy(), BorderPolicy::QueryOptimized);
     assert_eq!(reopened.len(), 2000);
     assert_eq!(
@@ -161,7 +159,6 @@ fn open_at_compatibility_pin() {
         backing: Backing::File(path.clone()),
         parallelism: 1,
         node_cache_pages: 8,
-        checksums: true,
         wal: false,
     };
     let (root, len) = {
@@ -173,7 +170,7 @@ fn open_at_compatibility_pin() {
 
     let pager = FilePager::open(&path, 1024).unwrap();
     let store = SharedStore::from_pager(Box::new(pager), 8);
-    let mut tree: BATree<f64> = BATree::open_at(store, space, 8, root, len).unwrap();
+    let tree: BATree<f64> = BATree::open_at(store, space, 8, root, len).unwrap();
     assert_eq!(tree.len(), 500);
     assert_eq!(tree.dominance_sum(&Point::new(&[1.0, 1.0])).unwrap(), 500.0);
     std::fs::remove_file(&path).ok();

@@ -297,11 +297,11 @@ fn bulk_loaders_equal_dynamic_insertion() {
         let points = points_vec(&mut rng, 99);
         // BA-tree bulk loader.
         let store = SharedStore::open(&StoreConfig::small(512, 32)).unwrap();
-        let mut bulk_bat: BATree<f64> =
+        let bulk_bat: BATree<f64> =
             BATree::bulk_load(store, unit_space(), 8, points.clone()).unwrap();
         // ECDF bulk loaders.
         let store = SharedStore::open(&StoreConfig::small(512, 32)).unwrap();
-        let mut bulk_bq: EcdfBTree<f64> =
+        let bulk_bq: EcdfBTree<f64> =
             EcdfBTree::bulk_load(store, 2, BorderPolicy::QueryOptimized, 8, points.clone())
                 .unwrap();
         let mut oracle = NaiveDominanceIndex::new(2);
