@@ -5,17 +5,17 @@
 //! Three phases over one seeded dataset:
 //!
 //! 1. **Unbatched run.** Serve with a zero admission window (every
-//!    request is its own group on a plain snapshot — the serial
+//!    request is its own group on its own snapshot — the serial
 //!    execution) and drive it with `C` clients issuing box-sum queries
 //!    on independent open-loop Poisson schedules. Latency is measured
 //!    from the *scheduled* arrival, so queueing delay is charged to
 //!    the server, not hidden by a closed loop.
 //! 2. **Batched run.** Same clients, same seeded schedules and
-//!    queries, with the admission window on. Every answer must be
-//!    **bit-identical** to phase 1 and to a local serial evaluation;
-//!    the decoded-nodes-per-query ratio must drop strictly below the
-//!    unbatched run's, because grouped queries share one memoized
-//!    snapshot traversal of the upper index levels.
+//!    queries, with the admission window on. In both runs every reply
+//!    must be **bit-identical** to a local in-process evaluation, and
+//!    — the epoch being unchanged since that evaluation decoded it —
+//!    steady-state decodes per query must stay below 1: pinned reads
+//!    share decoded nodes across snapshots, batched or not.
 //! 3. **Soak.** ≥ 32 concurrent connections, three quarters issuing
 //!    reads and a quarter buffering inserts/deletes and committing.
 //!    Must finish with zero protocol errors and a clean `validate()`;
@@ -55,6 +55,9 @@ fn build_store(args: &Args, dir: &std::path::Path) -> (SharedStore, Rect) {
     let mut cfg = args.store_config();
     cfg.backing = Backing::File(dir.join("serve.pages"));
     cfg.wal = true;
+    // Node caches that hold the whole index: the decode gate below is
+    // about sharing across snapshots, not about capacity.
+    cfg.node_cache_pages = cfg.node_cache_pages.max(1 << 16);
     let store = SharedStore::open(&cfg).expect("open store");
     let space = args.space();
     let mut engine = SimpleBoxSum::batree_in(space, store.clone()).expect("create engine");
@@ -270,7 +273,8 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    // Ground truth: every query evaluated serially on a plain snapshot.
+    // Ground truth: every query evaluated in process, one snapshot
+    // each. Being the epoch's first pass, it pays the decodes.
     let mut expected = Vec::with_capacity(total_queries);
     let mut serial_decodes = 0u64;
     for q in queries.iter() {
@@ -299,25 +303,26 @@ fn main() {
 
     assert_eq!(
         off.answers, expected,
-        "unbatched answers drifted from serial"
+        "unbatched replies drifted from in-process"
     );
-    assert_eq!(on.answers, expected, "batched answers drifted from serial");
+    assert_eq!(
+        on.answers, expected,
+        "batched replies drifted from in-process"
+    );
     assert_eq!(off.stats.queries, total_queries as u64);
     assert_eq!(on.stats.queries, total_queries as u64);
     assert_eq!(off.stats.protocol_errors, 0);
     assert_eq!(on.stats.protocol_errors, 0);
-    assert!(
-        off.stats.node_decodes == serial_decodes,
-        "a zero window must execute exactly the serial decode schedule \
-         ({} vs {serial_decodes})",
-        off.stats.node_decodes
-    );
-    assert!(
-        on.stats.node_decodes < off.stats.node_decodes,
-        "batched admission must decode strictly fewer nodes: {} vs {}",
-        on.stats.node_decodes,
-        off.stats.node_decodes
-    );
+    let dpq = |s: &ServeStats| s.node_decodes as f64 / s.queries.max(1) as f64;
+    let cold_dpq = serial_decodes as f64 / total_queries as f64;
+    for (mode, stats) in [("unbatched", &off.stats), ("batched", &on.stats)] {
+        assert!(
+            dpq(stats) < 1.0,
+            "{mode}: {:.2} decodes per query on an unchanged epoch \
+             (the cold in-process pass paid {cold_dpq:.2})",
+            dpq(stats)
+        );
+    }
 
     let soak_report = soak(
         &store,
@@ -339,7 +344,6 @@ fn main() {
         "commit rounds cannot exceed commits"
     );
 
-    let dpq = |s: &ServeStats| s.node_decodes as f64 / s.queries.max(1) as f64;
     let row = |name: &str, r: &LoadReport| {
         vec![
             name.to_string(),
@@ -365,11 +369,11 @@ fn main() {
         &[row("unbatched", &off), row("batched", &on)],
     );
     println!(
-        "answers bit-identical across serial / unbatched / batched; \
-         decodes per query {:.1} -> {:.1} ({:.2}x)",
+        "replies bit-identical across in-process / unbatched / batched; \
+         decodes per query {cold_dpq:.2} on the cold in-process pass, \
+         {:.2} unbatched and {:.2} batched on the then-unchanged epoch",
         dpq(&off.stats),
         dpq(&on.stats),
-        dpq(&off.stats) / dpq(&on.stats).max(1e-9),
     );
     println!(
         "soak: {} connections, {} reads + {} writes, {} client commits in {} WAL rounds, \
@@ -393,7 +397,7 @@ fn main() {
                 "\"latency_ns\": {{\"p50\": {}, \"p99\": {}, \"p999\": {}}}}},\n",
                 "  \"batched\": {{\"decodes_per_query\": {:.2}, \"groups\": {}, ",
                 "\"latency_ns\": {{\"p50\": {}, \"p99\": {}, \"p999\": {}}}}},\n",
-                "  \"decode_reduction_x\": {:.2},\n",
+                "  \"cold_pass_decodes_per_query\": {:.2},\n",
                 "  \"answers_bit_identical\": true,\n",
                 "  \"soak\": {{\"connections\": {}, \"seconds\": {:.1}, \"reads\": {}, ",
                 "\"writes\": {}, \"client_commits\": {}, \"wal_commit_rounds\": {}, ",
@@ -415,7 +419,7 @@ fn main() {
             percentile(&on.latencies_ns, 500),
             percentile(&on.latencies_ns, 990),
             percentile(&on.latencies_ns, 999),
-            dpq(&off.stats) / dpq(&on.stats).max(1e-9),
+            cold_dpq,
             soak_conns,
             soak_report.elapsed_s,
             soak_report.reads,

@@ -131,9 +131,15 @@ mod tests {
         Rect::from_bounds(&vec![(0.0, 1.0); dim])
     }
 
+    /// Node caches large enough that nothing here is ever evicted: the
+    /// decode counts below are about sharing, not capacity.
     fn wal_store() -> SharedStore {
-        SharedStore::open(&StoreConfig::small(1024, 256).with_wal(true))
-            .expect("open memory WAL store")
+        SharedStore::open(
+            &StoreConfig::small(1024, 256)
+                .with_wal(true)
+                .with_node_cache(1 << 14),
+        )
+        .expect("open memory WAL store")
     }
 
     fn answers<I: DominanceSumIndex<f64>>(e: &CornerBoxSum<I>, queries: &[Rect]) -> Vec<u64> {
@@ -159,8 +165,10 @@ mod tests {
     }
 
     /// One row of the table: `live` (an empty engine over `store`) is
-    /// filled, published and answered from three sources — itself, a
-    /// plain pinned snapshot and a memoized one.
+    /// filled, published and answered from four sources — itself, the
+    /// first pin of the epoch (cold: decodes), a second pin of the same
+    /// epoch (warm: decodes nothing), and both pins again after later
+    /// commits rewrote their roots.
     fn one_engine_every_source<I>(store: &SharedStore, mut live: CornerBoxSum<I>, b: Backend<I>)
     where
         I: DominanceSumIndex<f64> + Sync,
@@ -191,13 +199,17 @@ mod tests {
         assert!(want.iter().any(|&w| w != 0), "{name}: degenerate workload");
 
         let (plain_snap, mut plain) = pin(store.snapshot().unwrap());
-        let (memo_snap, memo) = pin(store.snapshot_memoized().unwrap());
-        assert_eq!(answers(&plain, &queries), want, "{name}: pinned plain");
-        assert_eq!(answers(&memo, &queries), want, "{name}: pinned memoized");
+        assert_eq!(answers(&plain, &queries), want, "{name}: pinned cold");
         let (accesses, decodes) = plain_snap.node_reads();
-        assert_eq!(accesses, decodes, "{name}: plain pins decode every access");
-        let (accesses, decodes) = memo_snap.node_reads();
-        assert!(decodes < accesses, "{name}: memo never hit");
+        assert!(
+            0 < decodes && decodes < accesses,
+            "{name}: the epoch's first pin decodes each page once ({decodes} of {accesses})"
+        );
+        let (warm_snap, warm) = pin(store.snapshot().unwrap());
+        assert_eq!(answers(&warm, &queries), want, "{name}: pinned warm");
+        let (accesses, decodes) = warm_snap.node_reads();
+        assert!(accesses > 0, "{name}: warm pin never read");
+        assert_eq!(decodes, 0, "{name}: a second pin of the epoch decoded");
 
         // One pinned engine shared by `&` across two threads, both
         // released into `query` together.
@@ -241,18 +253,35 @@ mod tests {
             "{name}: pin after refusals"
         );
 
-        // Later commits move the live engine and nothing pinned.
-        for i in 0..150 {
-            live.insert(&rand_rect(&mut s, 2, 0.3), (i % 5) as f64 + 1.0)
-                .unwrap();
+        // Later commits — each rewrites every corner root — move the
+        // live engine and nothing pinned, whichever side read last.
+        for round in 0..3 {
+            for i in 0..50 {
+                live.insert(&rand_rect(&mut s, 2, 0.3), (i % 5) as f64 + 1.0)
+                    .unwrap();
+            }
+            publish(&live);
+            let moved = answers(&live, &queries);
+            assert_ne!(moved, want, "{name}: live engine moved on");
+            assert_eq!(
+                answers(&plain, &queries),
+                want,
+                "{name}: pin moved by later commit {round}"
+            );
+            let (fresh_snap, fresh) = pin(store.snapshot().unwrap());
+            assert_eq!(answers(&fresh, &queries), moved, "{name}: fresh pin");
+            // The new epoch's nodes are cached now; the old pins must
+            // never be served one.
+            assert_eq!(answers(&plain, &queries), want, "{name}: cold pin");
+            assert_eq!(answers(&warm, &queries), want, "{name}: warm pin");
+            let (_, before) = fresh_snap.node_reads();
+            assert_eq!(answers(&fresh, &queries), moved, "{name}: fresh again");
+            assert_eq!(
+                fresh_snap.node_reads().1,
+                before,
+                "{name}: a second pass over an unchanged epoch decoded"
+            );
         }
-        publish(&live);
-        let moved = answers(&live, &queries);
-        assert_ne!(moved, want, "{name}: live engine moved on");
-        assert_eq!(answers(&plain, &queries), want, "{name}: plain pin moved");
-        assert_eq!(answers(&memo, &queries), want, "{name}: memoized pin moved");
-        let (_, fresh) = pin(store.snapshot().unwrap());
-        assert_eq!(answers(&fresh, &queries), moved, "{name}: fresh pin");
     }
 
     #[test]
@@ -384,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn memoized_snapshot_shares_index_levels_across_a_batch() {
+    fn pinned_snapshots_share_index_levels_across_queries() {
         let store = wal_store();
         let space = unit_space(2);
         let mut live = SimpleBoxSum::batree_in(space, store.clone()).unwrap();
@@ -398,34 +427,41 @@ mod tests {
 
         let queries: Vec<Rect> = (0..16).map(|_| rand_rect(&mut s, 2, 0.4)).collect();
 
-        // Serial baseline: one plain snapshot per query.
-        let mut serial_answers = Vec::new();
-        let mut serial_decodes = 0u64;
-        for q in &queries {
-            let snap = Arc::new(store.snapshot().unwrap());
-            let eng = SnapshotBoxSum::open(&snap).unwrap();
-            serial_answers.push(eng.query(q).unwrap());
-            let (accesses, decodes) = snap.node_reads();
-            assert_eq!(accesses, decodes, "plain snapshots decode every access");
-            serial_decodes += decodes;
-        }
-
-        // Batched: one memoized snapshot executes the whole batch.
-        let snap = Arc::new(store.snapshot_memoized().unwrap());
+        // Unbatched: one snapshot per query, `(answers, accesses,
+        // decodes)` over the pass.
+        let serial_pass = || {
+            let mut answers = Vec::new();
+            let (mut accesses, mut decodes) = (0u64, 0u64);
+            for q in &queries {
+                let snap = Arc::new(store.snapshot().unwrap());
+                let eng = SnapshotBoxSum::open(&snap).unwrap();
+                answers.push(eng.query(q).unwrap());
+                let (a, d) = snap.node_reads();
+                accesses += a;
+                decodes += d;
+            }
+            (answers, accesses, decodes)
+        };
+        // The first pass after the commit decodes each page it touches
+        // once, whichever query's snapshot got there first.
+        let (serial_answers, accesses, decodes) = serial_pass();
+        assert!(
+            0 < decodes && decodes < accesses,
+            "cold pass never shared: {decodes} decodes for {accesses} accesses"
+        );
+        // A second pass on the unchanged epoch decodes nothing,
+        // unbatched...
+        let (again, _, decodes) = serial_pass();
+        assert_eq!(decodes, 0, "unbatched pass over an unchanged epoch decoded");
+        // ...or batched: one snapshot executes the whole batch.
+        let snap = Arc::new(store.snapshot().unwrap());
         let eng = SnapshotBoxSum::open(&snap).unwrap();
         let batched_answers: Vec<f64> = queries.iter().map(|q| eng.query(q).unwrap()).collect();
-        let (accesses, decodes) = snap.node_reads();
+        assert_eq!(snap.node_reads().1, 0, "batched pass decoded");
 
-        for (a, b) in serial_answers.iter().zip(&batched_answers) {
+        for ((a, b), c) in serial_answers.iter().zip(&batched_answers).zip(&again) {
             assert_eq!(a.to_bits(), b.to_bits(), "batching must be invisible");
+            assert_eq!(a.to_bits(), c.to_bits(), "the cache must be invisible");
         }
-        assert!(
-            decodes < accesses,
-            "memo never hit: {decodes} decodes for {accesses} accesses"
-        );
-        assert!(
-            decodes < serial_decodes,
-            "batched decodes ({decodes}) not below serial ({serial_decodes})"
-        );
     }
 }

@@ -45,6 +45,14 @@
 //! the superseded page images for every still-pinned older epoch, so a
 //! reader never observes a half-applied transaction.
 //!
+//! Pinned reads of *decoded* nodes ([`BufferPool::read_node_at`]) go
+//! through a [`NodeCache`] of committed images: an entry is the decode
+//! of its page's current committed image. That image changes only in
+//! the flip, which drops the entry of every transaction page before it
+//! releases the barrier; a reader holds the barrier shared from lookup
+//! to insert, and decodes a page superseded after its epoch from the
+//! retained image without caching it.
+//!
 //! Commits themselves *group*: concurrent committers collapse into one
 //! WAL append run and one log sync. Each committer notes the global
 //! mutation stamp it must see durable; whoever wins the commit lock
@@ -68,25 +76,26 @@
 //! surfacing torn or flipped pages as
 //! [`Error::Corruption`](boxagg_common::error::Error::Corruption).
 
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
 
 use crate::checksum;
+use crate::nodecache::NodeCache;
 use crate::pager::{PageId, Pager};
 use crate::rank::{self, RankedMutex, RankedRwLock};
 use crate::wal::{self, WalFile};
 
 /// Cumulative I/O statistics of a [`BufferPool`].
 ///
-/// The `decode_*` counters belong to the decoded-node cache layered above
-/// the byte pool (see [`crate::nodecache`]); they are zero when stats are
-/// read from a bare `BufferPool` and are folded in by
-/// [`SharedStore::stats`](crate::store::SharedStore::stats). They never
-/// contribute to [`total`](IoStats::total): a decoded-cache hit still
-/// performs exactly one byte-level access, so the paper-faithful I/O
-/// metric is unchanged by the cache.
+/// The `decode_*` counters belong to the decoded-node caches layered
+/// above the byte pool (see [`crate::nodecache`]): a bare `BufferPool`
+/// reports its committed-image cache (pinned reads), and
+/// [`SharedStore::stats`](crate::store::SharedStore::stats) adds the
+/// live cache. They never contribute to [`total`](IoStats::total).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
     /// Pages fetched from the pager (buffer misses).
@@ -175,7 +184,7 @@ struct Frame {
     /// has never been committed from the buffer — its committed image
     /// (if any) is on disk, where no-steal guarantees it stays until
     /// the next commit applies over it.
-    base: Option<Box<[u8]>>,
+    base: Option<Arc<[u8]>>,
     prev: usize,
     next: usize,
 }
@@ -302,6 +311,13 @@ pub struct BufferPool {
     /// and the commit flip serialize — a pin can never capture an epoch
     /// whose retention pass already ran.
     snapshots: RankedMutex<SnapshotTable>,
+    /// Decoded nodes of *committed* page images, for pinned reads (see
+    /// [`read_node_at`](Self::read_node_at)). An entry is the decode of
+    /// its page's current committed image; the epoch flip drops the
+    /// entries of its transaction's pages under the exclusive barrier.
+    /// Capacity 0 (nothing stored) on pools without WAL, which have no
+    /// epochs to pin.
+    committed: NodeCache,
     /// Pool-wide mutation stamp source (see [`Frame::seq`]).
     seq: AtomicU64,
     /// Highest mutation stamp covered by a durable commit: every write
@@ -334,8 +350,14 @@ pub struct BufferPool {
 #[derive(Debug)]
 struct PageVersion {
     superseded_at: u64,
-    data: Box<[u8]>,
+    data: Arc<[u8]>,
 }
+
+/// One page of a commit in flight: its id, the mutation stamp of the
+/// captured frame, and the captured image — one allocation shared by
+/// the log records, the frame's committed base and (while an older
+/// epoch is pinned) the snapshot table.
+type TxnPage = (PageId, u64, Arc<[u8]>);
 
 /// Commit-epoch bookkeeping behind the pool's snapshot lock.
 #[derive(Debug)]
@@ -406,7 +428,7 @@ impl BufferPool {
     /// Creates a pool of `shards` independent LRU lists (rounded up to a
     /// power of two) splitting `capacity` between them.
     pub fn with_shards(pager: Box<dyn Pager>, capacity: usize, shards: usize) -> Self {
-        Self::with_config(pager, capacity, shards, false)
+        Self::with_config(pager, capacity, shards, false, 0)
     }
 
     /// [`with_shards`](Self::with_shards) plus the WAL switch. With
@@ -416,8 +438,16 @@ impl BufferPool {
     /// log; the pool soft-exceeds its capacity when every frame of a
     /// shard is dirty. With `wal` off (the default everywhere else),
     /// behavior — including every I/O count — is byte-identical to the
-    /// pre-WAL pool.
-    pub fn with_config(pager: Box<dyn Pager>, capacity: usize, shards: usize, wal: bool) -> Self {
+    /// pre-WAL pool. `committed_nodes` sizes the decoded-node cache of
+    /// committed images that pinned reads go through (WAL pools only;
+    /// 0 disables it).
+    pub fn with_config(
+        pager: Box<dyn Pager>,
+        capacity: usize,
+        shards: usize,
+        wal: bool,
+        committed_nodes: usize,
+    ) -> Self {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
         let mut pager = pager;
         let n = shards.max(1).next_power_of_two();
@@ -466,6 +496,7 @@ impl BufferPool {
                     versions: HashMap::new(),
                 },
             ),
+            committed: NodeCache::new(if wal { committed_nodes } else { 0 }, n),
             seq: AtomicU64::new(0),
             synced_seq: AtomicU64::new(0),
             commits_done: AtomicU64::new(0),
@@ -530,7 +561,11 @@ impl BufferPool {
     /// Current statistics (a consistent-enough snapshot: each counter is
     /// exact; under concurrent load the three are read independently).
     pub fn stats(&self) -> IoStats {
+        let (decode_hits, decode_misses, decode_invalidations) = self.committed.counters();
         IoStats {
+            decode_hits,
+            decode_misses,
+            decode_invalidations,
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
@@ -539,7 +574,6 @@ impl BufferPool {
             wal_replays: self.wal_replays.load(Ordering::Relaxed),
             syncs: self.syncs.load(Ordering::Relaxed),
             dirty_high_water: self.dirty_high_water.load(Ordering::Relaxed),
-            ..IoStats::default()
         }
     }
 
@@ -553,6 +587,7 @@ impl BufferPool {
         self.wal_syncs.store(0, Ordering::Relaxed);
         self.wal_replays.store(0, Ordering::Relaxed);
         self.syncs.store(0, Ordering::Relaxed);
+        self.committed.reset_counters();
         // The high-water mark restarts from the *current* obligation,
         // not zero — frames dirty right now are still pinned.
         self.dirty_high_water
@@ -804,7 +839,7 @@ impl BufferPool {
                 // A resident clean frame holds the committed image —
                 // keep it as the base for snapshot readers. A miss
                 // means the committed image (if any) is on disk.
-                f.base = resident.map(|_| f.data.clone());
+                f.base = resident.map(|_| Arc::from(&f.data[..]));
             }
             f.data[..bytes.len()].copy_from_slice(bytes);
             f.data[bytes.len()..].fill(0);
@@ -884,7 +919,7 @@ impl BufferPool {
         // released before the I/O below — a writer changing a page
         // after its image was captured just stays dirty for the next
         // commit.
-        let mut txn: Vec<(PageId, u64, Box<[u8]>)> = Vec::new();
+        let mut txn: Vec<TxnPage> = Vec::new();
         let capture_seq;
         {
             let _quiesced = self.barrier.acquire_excl();
@@ -896,7 +931,7 @@ impl BufferPool {
                     let f = &mut shard.frames[idx];
                     if f.dirty && !f.id.is_null() {
                         checksum::stamp(&mut f.data, self.zero_mask);
-                        txn.push((f.id, f.seq, f.data.clone()));
+                        txn.push((f.id, f.seq, Arc::from(&f.data[..])));
                     }
                 }
             }
@@ -991,7 +1026,7 @@ impl BufferPool {
     /// syncs it. On `Ok(())` the transaction is durably committed; on
     /// error the caller rolls the log back to its pre-transaction
     /// length. The caller owns the statistics.
-    fn log_records(w: &mut dyn WalFile, txn: &[(PageId, u64, Box<[u8]>)]) -> Result<()> {
+    fn log_records(w: &mut dyn WalFile, txn: &[TxnPage]) -> Result<()> {
         w.append(&wal::encode_begin(txn.len() as u32))?;
         for (id, _, image) in txn {
             w.append(&wal::encode_page(*id, image))?;
@@ -1002,17 +1037,19 @@ impl BufferPool {
 
     /// Phase C of the commit protocol: under the exclusive barrier,
     /// retain the superseded image of every transaction page for
-    /// still-pinned older epochs, bump the commit epoch, and re-base
-    /// the dirty frames onto the just-committed images so new-epoch
-    /// readers see committed bytes from the buffer before the apply
-    /// phase reaches disk. The only fallible step (reading a pre-image
-    /// off disk) runs before any state changes, so an error leaves the
-    /// epoch — and every frame — untouched for the retry.
-    fn flip_epoch(&self, capture_seq: u64, txn: &[(PageId, u64, Box<[u8]>)]) -> Result<()> {
+    /// still-pinned older epochs, bump the commit epoch, drop the
+    /// transaction pages' decoded nodes from the committed-image cache,
+    /// and re-base the dirty frames onto the just-committed images so
+    /// new-epoch readers see committed bytes from the buffer before the
+    /// apply phase reaches disk. The only fallible step (reading a
+    /// pre-image off disk) runs before any state changes, so an error
+    /// leaves the epoch — and every frame and cached node — untouched
+    /// for the retry.
+    fn flip_epoch(&self, capture_seq: u64, txn: &[TxnPage]) -> Result<()> {
         let _quiesced = self.barrier.acquire_excl();
         let mut snaps = self.snapshots.acquire();
         let old_epoch = snaps.epoch;
-        let mut retained: Vec<(PageId, Box<[u8]>)> = Vec::new();
+        let mut retained: Vec<(PageId, Arc<[u8]>)> = Vec::new();
         if snaps.pins.range(..=old_epoch).next().is_some() {
             for (id, _, _) in txn {
                 retained.push((*id, self.pre_image(*id)?));
@@ -1028,6 +1065,10 @@ impl BufferPool {
         }
         drop(snaps);
         for (id, _, image) in txn {
+            // The page's committed image just changed: pinned readers
+            // are excluded until the barrier drops, and must not find
+            // the old epoch's decode when they return.
+            self.committed.invalidate(*id);
             let mut shard = self.shard_for(*id).acquire();
             if let Some(&idx) = shard.map.get(id) {
                 let f = &mut shard.frames[idx];
@@ -1036,7 +1077,7 @@ impl BufferPool {
                     // of the new epoch — even if the frame is a fresh
                     // incarnation (freed and re-allocated mid-commit),
                     // the base is keyed by page id, not incarnation.
-                    f.base = Some(image.clone());
+                    f.base = Some(Arc::clone(image));
                 }
             }
         }
@@ -1049,22 +1090,22 @@ impl BufferPool {
     /// dirty frame that was never committed from the buffer, and for
     /// pages whose frame is gone — the on-disk image, which no-steal
     /// guarantees is still the pre-transaction one at flip time.
-    fn pre_image(&self, id: PageId) -> Result<Box<[u8]>> {
+    fn pre_image(&self, id: PageId) -> Result<Arc<[u8]>> {
         {
             let shard = self.shard_for(id).acquire();
             if let Some(&idx) = shard.map.get(&id) {
                 let f = &shard.frames[idx];
                 if let Some(base) = &f.base {
-                    return Ok(base.clone());
+                    return Ok(Arc::clone(base));
                 }
                 if !f.dirty {
-                    return Ok(f.data.clone());
+                    return Ok(Arc::from(&f.data[..]));
                 }
             }
         }
-        let mut buf = vec![0u8; self.page_size].into_boxed_slice();
+        let mut buf = vec![0u8; self.page_size];
         self.pager.acquire().read_page(id, &mut buf)?;
-        Ok(buf)
+        Ok(Arc::from(buf))
     }
 
     /// Publishes a successful commit to group-commit followers: every
@@ -1139,21 +1180,66 @@ impl BufferPool {
     /// and must not re-enter the pool.
     pub fn with_page_at<T>(&self, id: PageId, epoch: u64, f: impl FnOnce(&[u8]) -> T) -> Result<T> {
         let _reader = self.barrier.acquire_shared();
-        {
-            let snaps = self.snapshots.acquire();
-            if let Some(versions) = snaps.versions.get(&id) {
-                // Lists ascend in `superseded_at`: the first version
-                // superseded *after* our epoch is the image our epoch
-                // saw.
-                if let Some(v) = versions.iter().find(|v| v.superseded_at > epoch) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(f(&v.data[..self.payload]));
-                }
-            }
+        match self.superseded_image(id, epoch) {
+            Some(image) => Ok(f(&image[..self.payload])),
+            None => self.with_committed_page(id, f),
         }
-        // Not superseded since `epoch`: the page's committed image is
-        // current, and no flip can interleave while we hold the shared
-        // barrier.
+    }
+
+    /// Reads page `id` *as of* commit `epoch` as a decoded node of type
+    /// `N`, through the committed-image node cache. Returns the node
+    /// and whether this call ran `decode`.
+    ///
+    /// The shared barrier is held from the lookup to the insert, so no
+    /// epoch flip — the only event that changes a committed image, and
+    /// the one that drops its cached decode — can fall in between: a
+    /// hit is the decode of exactly the bytes
+    /// [`with_page_at`](Self::with_page_at) would show. A hit performs
+    /// no byte-pool access. A page superseded after `epoch` is decoded
+    /// from its retained image and not cached: the cache describes
+    /// current committed images only.
+    ///
+    /// `decode` runs under pool locks and must not re-enter the pool.
+    pub fn read_node_at<N, F>(&self, id: PageId, epoch: u64, decode: F) -> Result<(Arc<N>, bool)>
+    where
+        N: Any + Send + Sync,
+        F: FnOnce(&[u8]) -> Result<N>,
+    {
+        let _reader = self.barrier.acquire_shared();
+        if let Some(image) = self.superseded_image(id, epoch) {
+            self.committed.count_miss();
+            return Ok((Arc::new(decode(&image[..self.payload])?), true));
+        }
+        let (cached, gen) = self.committed.lookup::<N>(id);
+        if let Some(node) = cached {
+            return Ok((node, false));
+        }
+        let node = Arc::new(self.with_committed_page(id, decode)??);
+        self.committed
+            .insert_if_current(id, gen, Arc::clone(&node) as Arc<dyn Any + Send + Sync>);
+        Ok((node, true))
+    }
+
+    /// The image of page `id` a reader pinned at `epoch` must see, when
+    /// a later commit superseded it (counted as a buffer hit); `None`
+    /// when the page's current committed image is still the one.
+    fn superseded_image(&self, id: PageId, epoch: u64) -> Option<Arc<[u8]>> {
+        let snaps = self.snapshots.acquire();
+        // Lists ascend in `superseded_at`: the first version superseded
+        // *after* `epoch` is the image that epoch saw.
+        let image = snaps
+            .versions
+            .get(&id)?
+            .iter()
+            .find(|v| v.superseded_at > epoch)
+            .map(|v| Arc::clone(&v.data))?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(image)
+    }
+
+    /// Runs `f` over page `id`'s current committed image. The caller
+    /// holds the barrier shared, so no flip can interleave.
+    fn with_committed_page<T>(&self, id: PageId, f: impl FnOnce(&[u8]) -> T) -> Result<T> {
         let mut shard = self.shard_for(id).acquire();
         if let Some(&idx) = shard.map.get(&id) {
             if shard.frames[idx].dirty {
@@ -1236,8 +1322,9 @@ impl BufferPool {
     /// exactly the mapped frames, every frame is either mapped or on the
     /// shard's free list (none leaked), free frames are truly reset, and
     /// occupancy respects capacity. Also checks the allocator's free
-    /// list against its double-free set, and — on a WAL pool — the
-    /// dirty-frame counter and the snapshot table's invariants.
+    /// list against its double-free set, the committed-image node cache
+    /// ([`NodeCache::validate`]), and — on a WAL pool — the dirty-frame
+    /// counter and the snapshot table's invariants.
     pub fn validate(&self) -> Result<()> {
         // Quiesce writers on a WAL pool so the dirty count is exact.
         let _quiesced = if self.wal {
@@ -1340,6 +1427,7 @@ impl BufferPool {
                 dirty_seen
             )));
         }
+        self.committed.validate()?;
         let alloc = self.alloc.acquire();
         if alloc.free_pages.len() != alloc.freed.len()
             || alloc.free_pages.iter().any(|id| !alloc.freed.contains(id))
@@ -1798,7 +1886,7 @@ mod tests {
 
     fn wal_pool(cap: usize) -> (BufferPool, crate::fault::FaultHandle) {
         let (pager, faults) = crate::fault::FaultPager::new(Box::new(MemPager::new(128)));
-        let p = BufferPool::with_config(Box::new(pager), cap, 1, true);
+        let p = BufferPool::with_config(Box::new(pager), cap, 1, true, cap);
         (p, faults)
     }
 
@@ -2173,7 +2261,7 @@ mod tests {
             armed: armed.clone(),
             hook: Some((sig_tx, res_rx)),
         };
-        let p = BufferPool::with_config(Box::new(pager), 4, 1, true);
+        let p = BufferPool::with_config(Box::new(pager), 4, 1, true, 4);
         (std::sync::Arc::new(p), armed, sig_rx, res_tx)
     }
 

@@ -40,13 +40,28 @@
 //! ancestor of the buffer pool's store-wide *commit epochs* (see the
 //! `buffer` module docs): a generation says "these decoded bytes are
 //! current", an epoch says "these bytes were current as of commit
-//! `e`".  The cache intentionally stays single-version — it always
-//! tracks the *live* image, and snapshot reads
-//! ([`StoreSnapshot`](crate::store::StoreSnapshot)) bypass it and
-//! decode from their pinned epoch's page images instead.  That keeps
-//! the invalidate-on-write protocol untouched: a cached node is valid
-//! iff its generation is current, regardless of how many older epochs
-//! are still pinned underneath.
+//! `e`".  A cache instance stays single-version, so a WAL store runs
+//! **two** of them, one per image a page can have between commits:
+//!
+//! * the *live* instance, owned by
+//!   [`SharedStore`](crate::store::SharedStore), tracks the bytes
+//!   writers see and is invalidated by every `write_page` / `free`;
+//! * the *committed* instance, owned by
+//!   [`BufferPool`](crate::buffer::BufferPool), tracks each page's
+//!   current **committed** image and serves every pinned read
+//!   ([`StoreSnapshot::read_node`](crate::store::StoreSnapshot::read_node)).
+//!   A committed image changes only inside the commit's epoch flip,
+//!   under the exclusive write barrier, and only for that
+//!   transaction's pages — so the flip invalidates exactly those
+//!   entries before it releases the barrier, and a pinned read holds
+//!   the barrier shared from its lookup to its insert.  Validity is
+//!   mutual exclusion on the barrier; the generation check is never
+//!   the deciding vote there.  A page superseded *after* a reader's
+//!   epoch is decoded from its retained image and never cached.
+//!
+//! One instance cannot do both jobs: a BA-tree insert dirties its
+//! whole root-to-leaf path, so between commits the hottest pages have
+//! two different images (measured in EXPERIMENTS.md, PR 13).
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -193,8 +208,8 @@ impl CacheShard {
 
 /// A sharded, generation-checked LRU cache of decoded nodes.
 ///
-/// Created and owned by [`SharedStore`](crate::store::SharedStore);
-/// capacity 0 disables storage entirely (every lookup is a counted miss,
+/// A store runs one instance over live bytes and, with WAL on, a
+/// second over committed images (see the module docs); capacity 0 disables storage entirely (every lookup is a counted miss,
 /// preserving the `decode_hits + decode_misses == node accesses`
 /// invariant even when disabled).
 pub struct NodeCache {
@@ -302,6 +317,13 @@ impl NodeCache {
         shard.remove(id);
         drop(shard);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a node read that decoded without consulting the cache (a
+    /// pinned read of a superseded image), keeping `hits + misses`
+    /// equal to the node reads served.
+    pub fn count_miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// `(hits, misses, invalidations)` counter snapshot.

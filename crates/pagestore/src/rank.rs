@@ -121,13 +121,6 @@ pub const WAL_STATE: u32 = 9;
 /// the pager or WAL-handle lock and is released before the faulted
 /// operation reaches the `WAL_STATE` lock.
 pub const STATS: u32 = 10;
-/// A snapshot's per-batch decoded-node memo
-/// ([`crate::store::StoreSnapshot`]).  A leaf lock at the very top of
-/// the order: lookups and inserts touch only the memo map and are
-/// released before the snapshot read descends into the barrier, shard
-/// and pager locks, so nothing is ever acquired while it is held.
-pub const SNAP_MEMO: u32 = 11;
-
 #[cfg(debug_assertions)]
 thread_local! {
     /// Ranks (and labels, for diagnostics) of locks currently held by

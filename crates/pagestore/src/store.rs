@@ -14,8 +14,7 @@
 //! a single shard and behaves byte-identically to the paper's sequential
 //! single-LRU setting: same eviction order, same I/O counts.
 
-use std::any::{Any, TypeId};
-use std::collections::HashMap;
+use std::any::Any;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -67,7 +66,9 @@ pub struct StoreConfig {
     /// Capacity of the decoded-node cache in nodes; 0 disables it.
     /// Default: 1280 (one decoded node per default buffer frame). The
     /// cache never changes byte-level I/O accounting — see
-    /// [`SharedStore::read_node`] — so it defaults on.
+    /// [`SharedStore::read_node`] — so it defaults on. A WAL store
+    /// sizes its second instance, over committed images for pinned
+    /// reads ([`StoreSnapshot::read_node`]), from the same number.
     pub node_cache_pages: usize,
     /// Crash-consistent commits through the write-ahead log (default:
     /// off). When on, dirty pages are pinned in the pool (no-steal)
@@ -139,7 +140,8 @@ impl StoreConfig {
 }
 
 /// Cheaply clonable, thread-safe handle to a shared [`BufferPool`] plus
-/// the decoded-node cache layered above it.
+/// the live decoded-node cache layered above it (the pool owns the
+/// committed-image one).
 #[derive(Clone, Debug)]
 pub struct SharedStore {
     pool: Arc<BufferPool>,
@@ -290,6 +292,7 @@ impl SharedStore {
                 config.buffer_pages,
                 config.shards(),
                 config.wal,
+                config.node_cache_pages,
             )),
             nodes: Arc::new(NodeCache::new(config.node_cache_pages, config.shards())),
             parallelism: config.parallelism.max(1),
@@ -534,6 +537,11 @@ impl SharedStore {
     /// while it is alive. Dropping the snapshot releases the pin (and
     /// the superseded page images retained for it).
     ///
+    /// Decoded nodes are shared *across* snapshots: every pin reads
+    /// through the store's cache of committed images (see
+    /// [`StoreSnapshot::read_node`]), so a snapshot taken per request
+    /// costs a warm read path, not a cold one.
+    ///
     /// Only WAL stores have commit epochs; a raw store (no atomicity
     /// boundary) returns an error.
     pub fn snapshot(&self) -> Result<StoreSnapshot> {
@@ -547,37 +555,9 @@ impl SharedStore {
         Ok(StoreSnapshot {
             store: self.clone(),
             epoch,
-            memo: None,
             node_accesses: AtomicU64::new(0),
             node_decodes: AtomicU64::new(0),
         })
-    }
-
-    /// Like [`snapshot`](Self::snapshot), but the returned view also
-    /// memoizes decoded nodes for its lifetime.
-    ///
-    /// A plain snapshot's [`read_node`](StoreSnapshot::read_node) pays
-    /// a full decode on every call (the global decoded-node cache is
-    /// keyed to *current* bytes and cannot serve a pinned epoch). When
-    /// one snapshot executes a whole *batch* of queries — the serving
-    /// layer's shared-traversal batching — that re-decodes the root
-    /// and upper index levels once per query. A memoized snapshot
-    /// decodes each `(page, type)` at most once and shares the `Arc`
-    /// across the batch; the memo is safe precisely because the
-    /// snapshot is immutable, and it dies with the snapshot.
-    ///
-    /// Note the accounting trade-off: a memo hit skips the buffer-pool
-    /// access entirely, so byte-level I/O counters no longer match a
-    /// sequential replay. Experiments that depend on exact paper
-    /// accounting must keep using [`snapshot`](Self::snapshot).
-    pub fn snapshot_memoized(&self) -> Result<StoreSnapshot> {
-        let mut snap = self.snapshot()?;
-        snap.memo = Some(RankedMutex::new(
-            rank::SNAP_MEMO,
-            "snapshot memo",
-            HashMap::new(),
-        ));
-        Ok(snap)
     }
 
     /// Sets the pool's dirty-frame ceiling: once this many uncommitted
@@ -689,9 +669,9 @@ impl SharedStore {
     pub fn stats(&self) -> IoStats {
         let mut stats = self.pool.stats();
         let (hits, misses, invalidations) = self.nodes.counters();
-        stats.decode_hits = hits;
-        stats.decode_misses = misses;
-        stats.decode_invalidations = invalidations;
+        stats.decode_hits += hits;
+        stats.decode_misses += misses;
+        stats.decode_invalidations += invalidations;
         stats
     }
 
@@ -729,26 +709,15 @@ impl SharedStore {
         self.live_pages() * self.page_size() as u64
     }
 
-    /// Checks the structural invariants of the buffer pool and the
-    /// decoded-node cache — see [`BufferPool::validate`] and
-    /// [`NodeCache::validate`]. The fault-sweep harness calls this after
+    /// Checks the structural invariants of the buffer pool (its
+    /// committed-image node cache included) and the live decoded-node
+    /// cache — see [`BufferPool::validate`] and [`NodeCache::validate`]. The fault-sweep harness calls this after
     /// every injected failure.
     pub fn validate(&self) -> Result<()> {
         self.pool.validate()?;
         self.nodes.validate()
     }
 }
-
-/// Ceiling on memoized decoded nodes per snapshot. A batch that walks
-/// more distinct pages than this simply stops inserting (lookups still
-/// hit what is already memoized), bounding memory for pathological
-/// batches.
-const SNAP_MEMO_CAP: usize = 1 << 16;
-
-/// Decoded-node memo keyed by page and concrete node type: one snapshot
-/// can serve nodes of different types (interior vs leaf) from the same
-/// traversal, so the page id alone is not a sufficient key.
-type SnapMemoMap = HashMap<(PageId, TypeId), Arc<dyn Any + Send + Sync>>;
 
 /// An immutable view of a [`SharedStore`] pinned to one commit epoch
 /// (see [`SharedStore::snapshot`]). Reads through it are repeatable —
@@ -758,13 +727,9 @@ type SnapMemoMap = HashMap<(PageId, TypeId), Arc<dyn Any + Send + Sync>>;
 pub struct StoreSnapshot {
     store: SharedStore,
     epoch: u64,
-    /// Per-snapshot decoded-node memo, present only for
-    /// [`SharedStore::snapshot_memoized`] views.
-    memo: Option<RankedMutex<SnapMemoMap>>,
     /// Decoded-node reads served through this snapshot.
     node_accesses: AtomicU64,
-    /// The subset of those reads that paid a decode (memo miss, or no
-    /// memo at all).
+    /// The subset of those reads that ran the codec.
     node_decodes: AtomicU64,
 }
 
@@ -772,7 +737,6 @@ impl std::fmt::Debug for StoreSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreSnapshot")
             .field("epoch", &self.epoch)
-            .field("memoized", &self.memo.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -798,54 +762,36 @@ impl StoreSnapshot {
     }
 
     /// Reads page `id` as a decoded node of type `N`, as of the pinned
-    /// epoch.
+    /// epoch, through the store's decoded-node cache of **committed**
+    /// images — a separate instance from the live cache
+    /// [`SharedStore::read_node`] consults, because between commits a
+    /// written page has two images. The cache is shared by every
+    /// snapshot of the store: a page's committed image changes only in
+    /// a commit's epoch flip, which drops that page's entry, so a node
+    /// decoded through one pin serves every later pin until a commit
+    /// rewrites the page. A page superseded after *this* pin's epoch is
+    /// decoded from its retained image on every read and never cached.
+    /// See [`BufferPool::read_node_at`].
     ///
-    /// Unlike [`SharedStore::read_node`] this never consults the
-    /// *global* decoded-node cache: its entries are keyed to a page's
-    /// current bytes by the generation protocol, while a snapshot may
-    /// be reading a superseded image. A snapshot obtained through
-    /// [`SharedStore::snapshot_memoized`] instead consults its own
-    /// per-snapshot memo, which is trivially consistent (the snapshot
-    /// never changes) — a memo hit skips both the decode *and* the
-    /// buffer-pool access.
+    /// Unlike the live path, a cache hit performs no byte-pool access.
+    /// `decode` runs under pool locks and must not access the store.
     pub fn read_node<N, F>(&self, id: PageId, decode: F) -> Result<Arc<N>>
     where
         N: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<N>,
     {
         self.node_accesses.fetch_add(1, Ordering::Relaxed);
-        if let Some(memo) = &self.memo {
-            let key = (id, TypeId::of::<N>());
-            {
-                // Probe in a tight scope: the memo lock is a leaf at
-                // the top of the rank order and is released before the
-                // page read descends into barrier/shard/pager locks.
-                let map = memo.acquire();
-                if let Some(hit) = map.get(&key) {
-                    if let Ok(node) = Arc::clone(hit).downcast::<N>() {
-                        return Ok(node);
-                    }
-                }
-            }
-            let node = Arc::new(self.store.pool.with_page_at(id, self.epoch, decode)??);
+        let (node, decoded) = self.store.pool.read_node_at(id, self.epoch, decode)?;
+        if decoded {
             self.node_decodes.fetch_add(1, Ordering::Relaxed);
-            let mut map = memo.acquire();
-            if map.len() < SNAP_MEMO_CAP {
-                map.insert(key, Arc::clone(&node) as Arc<dyn Any + Send + Sync>);
-            }
-            return Ok(node);
         }
-        self.node_decodes.fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::new(
-            self.store.pool.with_page_at(id, self.epoch, decode)??,
-        ))
+        Ok(node)
     }
 
     /// Decoded-node read counters for this snapshot, as
     /// `(accesses, decodes)`: `accesses` counts every
-    /// [`read_node`](Self::read_node) call, `decodes` the subset that
-    /// actually ran the codec. On a plain snapshot the two are equal;
-    /// on a memoized one the gap is exactly the work the batch shared.
+    /// [`read_node`](Self::read_node) call (catalog lookups included),
+    /// `decodes` the subset that actually ran the codec.
     pub fn node_reads(&self) -> (u64, u64) {
         (
             self.node_accesses.load(Ordering::Relaxed),
@@ -853,24 +799,22 @@ impl StoreSnapshot {
         )
     }
 
-    /// Whether this snapshot carries a decoded-node memo (see
-    /// [`SharedStore::snapshot_memoized`]).
-    pub fn is_memoized(&self) -> bool {
-        self.memo.is_some()
-    }
-
     /// Looks up a named root in the superblock catalog *as of the
     /// pinned epoch* — the root a query must traverse to see exactly
     /// the pinned commit's tree. `Ok(None)` for a name not in the
     /// catalog at that epoch (or for a store whose page 0 was never
-    /// formatted).
+    /// formatted). The catalog is a decoded node like any other: it
+    /// decodes once per commit that rewrites page 0, not once per call.
     pub fn root(&self, name: &str) -> Result<Option<RootEntry>> {
-        let payload = self.with_page(PageId(0), |d| d.to_vec())?;
-        if payload.iter().all(|&b| b == 0) {
-            return Ok(None);
-        }
-        let sb = Superblock::decode(&payload)?;
-        Ok(sb.root(name).cloned())
+        let page_size = self.store.page_size() as u32;
+        let catalog = self.read_node(PageId(0), |payload| {
+            if payload.iter().all(|&b| b == 0) {
+                // Never formatted: an empty catalog.
+                return Ok(Superblock::new(page_size));
+            }
+            Superblock::decode(payload)
+        })?;
+        Ok(catalog.root(name).cloned())
     }
 
     /// I/O statistics of the underlying store (snapshot reads count
@@ -892,9 +836,10 @@ impl Drop for StoreSnapshot {
 /// apart — trees and engines hold a `ReadHandle` and never ask which.
 #[derive(Clone, Debug)]
 pub enum ReadHandle {
-    /// Current bytes through the decoded-node cache; writable.
+    /// Current bytes through the live decoded-node cache; writable.
     Live(SharedStore),
-    /// Page images as of the pinned epoch; read-only.
+    /// Page images as of the pinned epoch through the committed-image
+    /// cache; read-only.
     Pinned(Arc<StoreSnapshot>),
 }
 
@@ -1224,7 +1169,7 @@ mod tests {
         assert_eq!(s.with_page(a, |d| d[0]).unwrap(), 9);
 
         // A snapshot taken now sees the new state; decoded reads on
-        // the old snapshot bypass the node cache.
+        // the old snapshot come from its retained image.
         let snap2 = s.snapshot().unwrap();
         assert_eq!(snap2.root("tree").unwrap().expect("root").root, b);
         let n = snap.read_node(a, |d| Ok(d[0])).unwrap();
@@ -1235,59 +1180,79 @@ mod tests {
     }
 
     #[test]
-    fn memoized_snapshot_shares_decodes_across_a_batch() {
+    fn pinned_reads_share_decodes_across_snapshots() {
         let s = SharedStore::open(&StoreConfig::small(256, 8).with_wal(true)).unwrap();
         let a = s.allocate().unwrap();
         let b = s.allocate().unwrap();
         s.write_page(a, &[1; 8]).unwrap();
         s.write_page(b, &[2; 8]).unwrap();
         s.commit().unwrap();
+        s.reset_stats();
 
-        // A plain snapshot decodes on every read: accesses == decodes.
-        let plain = s.snapshot().unwrap();
-        assert!(!plain.is_memoized());
+        // The first pin decodes each page once; its repeats hit.
+        let first = s.snapshot().unwrap();
         for _ in 0..4 {
-            assert_eq!(*plain.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+            assert_eq!(*first.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+            assert_eq!(*first.read_node(b, |d| Ok(d[0])).unwrap(), 2);
         }
-        assert_eq!(plain.node_reads(), (4, 4));
-        drop(plain);
+        assert_eq!(first.node_reads(), (8, 2));
 
-        // A memoized snapshot decodes each (page, type) once.
-        let memo = s.snapshot_memoized().unwrap();
-        assert!(memo.is_memoized());
-        for _ in 0..4 {
-            assert_eq!(*memo.read_node(a, |d| Ok(d[0])).unwrap(), 1);
-            assert_eq!(*memo.read_node(b, |d| Ok(d[0])).unwrap(), 2);
-        }
-        assert_eq!(memo.node_reads(), (8, 2));
-        // A different decoded type is a distinct memo entry, not a
-        // type-confused hit.
-        assert_eq!(*memo.read_node(a, |d| Ok(u16::from(d[0]))).unwrap(), 1u16);
-        assert_eq!(memo.node_reads(), (9, 3));
-        drop(memo);
+        // A second pin of the same epoch — what a server takes per
+        // request — decodes nothing: the cache is the store's, not the
+        // snapshot's.
+        let second = s.snapshot().unwrap();
+        assert_eq!(*second.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+        assert_eq!(*second.read_node(b, |d| Ok(d[0])).unwrap(), 2);
+        assert_eq!(second.node_reads(), (2, 0));
+        drop(first);
+        let third = s.snapshot().unwrap();
+        assert_eq!(*third.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+        assert_eq!(third.node_reads(), (1, 0), "entries outlive the pin");
 
-        // The memo pins superseded images only as long as the snapshot
-        // lives; writes after its death are invisible to it by then.
+        // A different decoded type is a miss that replaces the entry,
+        // never a type-confused hit.
+        assert_eq!(*third.read_node(a, |d| Ok(u16::from(d[0]))).unwrap(), 1u16);
+        assert_eq!(third.node_reads(), (2, 1));
+
+        // Pinned reads are folded into the store's decode counters, and
+        // the live cache is a separate instance with its own decodes.
+        let st = s.stats();
+        assert_eq!((st.decode_hits, st.decode_misses), (9, 3));
+        assert_eq!(*s.read_node(b, |d| Ok(d[0])).unwrap(), 2);
+        assert_eq!(s.stats().decode_misses, 4, "live read decodes for itself");
+        drop((second, third));
         s.validate().unwrap();
     }
 
     #[test]
-    fn memoized_snapshot_is_immutable_under_concurrent_commits() {
+    fn pinned_reads_keep_their_epoch_across_commits() {
         let s = SharedStore::open(&StoreConfig::small(256, 8).with_wal(true)).unwrap();
         let a = s.allocate().unwrap();
         s.write_page(a, &[1; 8]).unwrap();
         s.commit().unwrap();
-        let memo = s.snapshot_memoized().unwrap();
+        let old = s.snapshot().unwrap();
+        assert_eq!(*old.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+
+        // An uncommitted overwrite changes the live image only: the
+        // committed one is still cached and still current.
         s.write_page(a, &[9; 8]).unwrap();
+        assert_eq!(*old.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+        assert_eq!(*s.read_node(a, |d| Ok(d[0])).unwrap(), 9);
+        assert_eq!(old.node_reads(), (2, 1));
+
+        // The commit's flip drops the entry. The old pin now reads the
+        // retained image, decoding every time and caching nothing; a
+        // new pin decodes the new image once.
         s.commit().unwrap();
-        // Both the cold read and the memo hit see the pinned image.
-        assert_eq!(*memo.read_node(a, |d| Ok(d[0])).unwrap(), 1);
-        assert_eq!(*memo.read_node(a, |d| Ok(d[0])).unwrap(), 1);
-        assert_eq!(
-            *s.snapshot().unwrap().read_node(a, |d| Ok(d[0])).unwrap(),
-            9
-        );
-        drop(memo);
+        assert_eq!(*old.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+        assert_eq!(*old.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+        assert_eq!(old.node_reads(), (4, 3));
+        let new = s.snapshot().unwrap();
+        assert_eq!(*new.read_node(a, |d| Ok(d[0])).unwrap(), 9);
+        assert_eq!(*new.read_node(a, |d| Ok(d[0])).unwrap(), 9);
+        assert_eq!(new.node_reads(), (2, 1));
+        assert_eq!(*old.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+        drop((old, new));
         s.validate().unwrap();
     }
 

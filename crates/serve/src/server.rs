@@ -11,11 +11,14 @@
 //! [`ServeConfig::max_batch`]), then executes the whole group against
 //! **one** snapshot pinned to the current commit epoch. Requests inside
 //! a group are evaluated serially in arrival order — so every answer is
-//! bit-identical to the unbatched execution — but the snapshot's
-//! decoded-node memo (see `SharedStore::snapshot_memoized`) lets the
-//! group decode the root and upper index levels once instead of once
-//! per request. Batching changes *when* work happens, never *what* is
-//! computed.
+//! bit-identical to the unbatched execution. Decoded nodes are shared
+//! *across* groups, not just within one: every pinned read goes through
+//! the store's decoded-node cache of committed images (see
+//! `StoreSnapshot::read_node`), so on an unchanged epoch a request
+//! decodes nothing whether it was batched or not, and after a commit
+//! only the pages that commit rewrote decode again. What a group still
+//! shares is one pin and one catalog open. Batching changes *when* work
+//! happens, never *what* is computed.
 //!
 //! ## Write path — group commit, idempotency tokens
 //!
@@ -102,8 +105,8 @@ use crate::proto::{
 pub struct ServeConfig {
     /// How long the admission queue waits for companions after the
     /// first read request arrives. `Duration::ZERO` disables batching:
-    /// every request runs as its own single-element group on a plain
-    /// (un-memoized) snapshot — the serial baseline.
+    /// every request runs as its own single-element group — the serial
+    /// baseline. Groups of every size pin the same kind of snapshot.
     pub batch_window: Duration,
     /// Most read requests admitted into one group.
     pub max_batch: usize,
@@ -454,7 +457,7 @@ fn poisoned_error() -> Error {
 }
 
 /// Re-creates a typed error for fan-out to every member of a commit
-/// round ([`Error`] is not `Clone`; the wire code and payload must
+/// round or read group ([`Error`] is not `Clone`; the wire code and payload must
 /// survive the copy).
 fn replicate(e: &Error) -> Error {
     match e {
@@ -558,12 +561,12 @@ fn batcher_loop(shared: &Shared, rx: &Receiver<ReadJob>) {
 /// the same engine the writer mutates — opened at the pinned epoch
 /// instead of over live pages.
 ///
-/// Single-request groups use a plain snapshot (exactly the serial
-/// execution); larger groups use a memoized one so the shared upper
-/// index levels decode once. Requests are evaluated serially in
-/// arrival order — answers are bit-identical either way. Members whose
-/// deadline expired while queued are dropped up front with a typed
-/// reply: their traversal would be wasted work.
+/// Requests are evaluated serially in arrival order, so answers are
+/// bit-identical to the unbatched execution. Members whose deadline
+/// expired while queued are dropped up front with a typed reply: their
+/// traversal would be wasted work. A group that cannot pin or open its
+/// engine answers every member with that error's own class — a corrupt
+/// page is the server's fault (`INTERNAL`), not the caller's.
 fn run_group(shared: &Shared, group: Vec<ReadJob>) {
     let mut live = Vec::with_capacity(group.len());
     for job in group {
@@ -578,20 +581,17 @@ fn run_group(shared: &Shared, group: Vec<ReadJob>) {
     if live.is_empty() {
         return;
     }
-    let snap = if live.len() > 1 {
-        shared.store.snapshot_memoized()
-    } else {
-        shared.store.snapshot()
-    }
-    .map(Arc::new);
-    let opened = snap.and_then(|snap| Ok((open_corner_engine(&snap)?.0, snap)));
+    let opened = shared
+        .store
+        .snapshot()
+        .map(Arc::new)
+        .and_then(|snap| Ok((open_corner_engine(&snap)?.0, snap)));
     let (engine, snap) = match opened {
         Ok(pair) => pair,
         Err(e) => {
-            let msg = e.to_string();
             for job in live {
                 // lint: allow(discarded-result) -- a receiver that hung up no longer wants the error
-                let _ = job.reply.send(Err(invalid_arg(msg.clone())));
+                let _ = job.reply.send(Err(replicate(&e)));
             }
             return;
         }

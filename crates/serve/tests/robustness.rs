@@ -12,7 +12,7 @@ use boxagg_common::geom::Rect;
 use boxagg_common::rng::StdRng;
 use boxagg_core::catalog::SnapshotBoxSum;
 use boxagg_core::engine::SimpleBoxSum;
-use boxagg_pagestore::{SharedStore, StoreConfig};
+use boxagg_pagestore::{Backing, SharedStore, StoreConfig};
 use boxagg_serve::proto::{self, code, frame, read_frame, Request, Response};
 use boxagg_serve::{
     Client, ServeConfig, ServerHandle, StreamFaultHandle, StreamFaultSpec, StreamOpFilter,
@@ -581,5 +581,86 @@ fn shed_reads_recover_through_client_backoff() {
     }
     assert!(shed_seen, "no burst ever tripped the shedding policy");
     assert!(server.stats().validate_ok);
+    server.shutdown();
+}
+
+/// A read group that cannot open its engine answers with the failure's
+/// own class: a checksum error on the catalog page is the server's
+/// fault (`INTERNAL`, worth retrying), not the caller's
+/// (`INVALID_ARGUMENT`). The page is damaged on disk behind a running
+/// server whose two-frame buffer, with both node caches off, has to
+/// fetch it again for every group.
+#[test]
+fn a_failed_group_open_keeps_its_error_class() {
+    const PAGE: usize = 2048;
+    let dir = boxagg_common::tempdir::tempdir().expect("tempdir");
+    let path = dir.path().join("serve.pages");
+    let cfg = StoreConfig {
+        page_size: PAGE,
+        buffer_pages: 2,
+        backing: Backing::File(path.clone()),
+        parallelism: 1,
+        node_cache_pages: 0,
+        wal: true,
+    };
+    let space = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
+    {
+        let store = SharedStore::open(&cfg).expect("create file-backed WAL store");
+        let mut engine = SimpleBoxSum::batree_in(space, store.clone()).expect("create engine");
+        let mut rng = StdRng::seed_from_u64(77);
+        for i in 0..60 {
+            engine
+                .insert(&rand_rect(&mut rng, 2, 0.3), (i % 5) as f64 + 1.0)
+                .expect("insert");
+        }
+        boxagg_core::catalog::persist_corner_engine(&engine, &space).expect("persist");
+        store.commit().expect("commit");
+    }
+    // Reopened, the pool holds only what it has fetched since.
+    let store = SharedStore::open(&cfg).expect("reopen");
+    let server =
+        ServerHandle::bind(store, "127.0.0.1:0", ServeConfig::default()).expect("bind server");
+
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    let hello = read_frame(&mut stream).expect("hello frame");
+    assert!(hello.is_some());
+    let mut ask = || {
+        let inner = Rect::from_bounds(&[(0.25, 0.75), (0.25, 0.75)]);
+        let body = proto::encode_request(&Request::BoxSum(inner));
+        stream.write_all(&frame(&body)).expect("send query");
+        let reply = read_frame(&mut stream).expect("reply frame").expect("body");
+        proto::decode_response(&reply).expect("decode reply")
+    };
+    // An interior box reads all four corner roots, which push the
+    // catalog page out of the buffer.
+    let Response::Sum(before) = ask() else {
+        panic!("healthy store must answer")
+    };
+
+    let flip_catalog_byte = || {
+        let mut bytes = std::fs::read(&path).expect("read store file");
+        bytes[17] ^= 0x01;
+        std::fs::write(&path, &bytes).expect("write store file");
+    };
+    flip_catalog_byte();
+    match ask() {
+        Response::Error {
+            code: c, message, ..
+        } => {
+            assert_eq!(c, code::INTERNAL, "wire code for: {message}");
+            assert!(message.contains("checksum"), "got: {message}");
+        }
+        other => panic!("expected a typed error frame, got {other:?}"),
+    }
+    // The connection survives, and so does the server once the page is
+    // whole again: a corrupt fetch never entered the buffer.
+    flip_catalog_byte();
+    let Response::Sum(after) = ask() else {
+        panic!("repaired store must answer")
+    };
+    assert_eq!(after.to_bits(), before.to_bits());
     server.shutdown();
 }

@@ -1,6 +1,6 @@
 //! End-to-end tests for the serving layer: batching equivalence
-//! (concurrent ≡ serial, bit for bit, with strictly fewer decodes)
-//! and survival under hostile bytes.
+//! (concurrent ≡ serial, bit for bit; nothing decodes on a warm epoch,
+//! batched or not) and survival under hostile bytes.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -28,8 +28,12 @@ fn rand_rect(rng: &mut StdRng, dim: usize, side: f64) -> Rect {
 /// Builds a committed 2-d store with `n` objects and returns it with
 /// the query space.
 fn seeded_store(n: usize, seed: u64) -> (SharedStore, Rect) {
-    let store = SharedStore::open(&StoreConfig::small(2048, 256).with_wal(true))
-        .expect("open memory WAL store");
+    // Node caches that never evict: decode counts below are about
+    // sharing, not capacity.
+    let cfg = StoreConfig::small(2048, 256)
+        .with_wal(true)
+        .with_node_cache(1 << 14);
+    let store = SharedStore::open(&cfg).expect("open memory WAL store");
     let space = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
     let mut engine = SimpleBoxSum::batree_in(space, store.clone()).expect("create engine");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -43,43 +47,57 @@ fn seeded_store(n: usize, seed: u64) -> (SharedStore, Rect) {
 }
 
 #[test]
-fn concurrent_batched_queries_are_bit_identical_to_serial_with_fewer_decodes() {
+fn served_queries_are_bit_identical_to_serial_and_a_warm_epoch_decodes_nothing() {
     const K: usize = 16;
     let (store, _space) = seeded_store(400, 0xB0B5);
     let mut rng = StdRng::seed_from_u64(42);
     let queries: Vec<Rect> = (0..K).map(|_| rand_rect(&mut rng, 2, 0.5)).collect();
 
-    // Serial baseline: each query on its own plain snapshot, exactly
-    // what an unbatched server does. Counts every decode it costs.
+    // Serial baseline: each query on its own snapshot, exactly what an
+    // unbatched server does. It is also the epoch's first pass, so it
+    // pays the decodes — each page once, shared across the snapshots.
     let mut serial_answers = Vec::new();
-    let mut serial_decodes = 0u64;
+    let (mut serial_accesses, mut serial_decodes) = (0u64, 0u64);
     for q in &queries {
         let snap = Arc::new(store.snapshot().expect("snapshot"));
         let engine = SnapshotBoxSum::open(&snap).expect("open");
         serial_answers.push(engine.query(q).expect("serial query"));
         let (accesses, decodes) = snap.node_reads();
-        assert_eq!(
-            accesses, decodes,
-            "a plain snapshot decodes on every access"
-        );
+        serial_accesses += accesses;
         serial_decodes += decodes;
     }
+    assert!(
+        0 < serial_decodes && serial_decodes < serial_accesses,
+        "the cold pass decodes each page once: {serial_decodes} of {serial_accesses}"
+    );
 
-    let server = ServerHandle::bind(
-        store,
-        "127.0.0.1:0",
-        ServeConfig {
-            batch_window: Duration::from_millis(200),
-            max_batch: 64,
-            threads: K + 4,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind server");
+    let serve = |window: Duration| {
+        ServerHandle::bind(
+            store.clone(),
+            "127.0.0.1:0",
+            ServeConfig {
+                batch_window: window,
+                max_batch: 64,
+                threads: K + 4,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("bind server")
+    };
+    let assert_serial = |served: &[f64], how: &str| {
+        for (i, (got, want)) in served.iter().zip(&serial_answers).enumerate() {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "query {i}: {how} {got} vs serial {want}"
+            );
+        }
+    };
+
+    // Batched: all clients connect first, then fire simultaneously so
+    // the admission window actually sees them together.
+    let server = serve(Duration::from_millis(200));
     let addr = server.local_addr();
-
-    // All clients connect first, then fire simultaneously so the
-    // admission window actually sees them together.
     let barrier = Arc::new(Barrier::new(K));
     let handles: Vec<_> = queries
         .iter()
@@ -99,15 +117,7 @@ fn concurrent_batched_queries_are_bit_identical_to_serial_with_fewer_decodes() {
         let (i, v) = h.join().expect("client thread");
         served[i] = v;
     }
-
-    for (i, (got, want)) in served.iter().zip(&serial_answers).enumerate() {
-        assert_eq!(
-            got.to_bits(),
-            want.to_bits(),
-            "query {i}: batched {got} vs serial {want}"
-        );
-    }
-
+    assert_serial(&served, "batched");
     let stats = server.stats();
     assert_eq!(stats.queries, K as u64);
     assert!(
@@ -116,13 +126,28 @@ fn concurrent_batched_queries_are_bit_identical_to_serial_with_fewer_decodes() {
         stats.groups,
         stats.queries
     );
-    assert!(
-        stats.node_decodes < serial_decodes,
-        "shared traversal should decode strictly less than serial: \
-         batched {} vs serial {serial_decodes}",
-        stats.node_decodes
+    assert!(stats.node_accesses > 0);
+    assert_eq!(
+        stats.node_decodes, 0,
+        "a batched pass over an unchanged epoch decoded"
     );
     assert!(stats.validate_ok, "store failed validate() after serving");
+    server.shutdown();
+
+    // Unbatched: a zero window, one connection, one group per request.
+    let server = serve(Duration::ZERO);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let served: Vec<f64> = queries
+        .iter()
+        .map(|q| client.box_sum(q).expect("box_sum"))
+        .collect();
+    assert_serial(&served, "unbatched");
+    let stats = server.stats();
+    assert_eq!((stats.queries, stats.groups), (K as u64, K as u64));
+    assert_eq!(
+        stats.node_decodes, 0,
+        "an unbatched pass over an unchanged epoch decoded"
+    );
     server.shutdown();
 }
 
