@@ -1,7 +1,6 @@
 //! The CLI commands, factored for testability: every command takes plain
 //! arguments and returns its report as a `String`.
 
-use std::io::Read as _;
 use std::path::Path;
 use std::time::Duration;
 
@@ -74,18 +73,15 @@ pub fn parse_object(line: &str, dim: usize) -> Result<(Rect, f64)> {
 }
 
 /// Reads the page size recorded in the file's superblock prefix —
-/// needed before the store can be opened at the right geometry.
+/// needed before the store can be opened at the right geometry. A
+/// store of another format version is refused here already.
 fn stored_page_size(pages: &Path) -> Result<usize> {
-    let mut prefix = [0u8; superblock::PREFIX_LEN];
-    std::fs::File::open(pages)?.read_exact(&mut prefix)?;
-    superblock::peek_page_size(&prefix)
-        .map(|p| p as usize)
-        .ok_or_else(|| {
-            invalid_arg(format!(
-                "{} is not a boxagg store (no superblock)",
-                pages.display()
-            ))
-        })
+    superblock::stored_page_size(&mut std::fs::File::open(pages)?)?.ok_or_else(|| {
+        invalid_arg(format!(
+            "{} is not a boxagg store (no superblock)",
+            pages.display()
+        ))
+    })
 }
 
 fn store_config(pages: &Path, page_size: usize, buffer_mb: usize) -> StoreConfig {
@@ -233,6 +229,7 @@ pub fn info(pages: &Path) -> Result<String> {
     let bytes = std::fs::metadata(pages)?.len();
     let mut s = String::new();
     s.push_str(&format!("index:     {}\n", pages.display()));
+    s.push_str(&format!("format:    v{}\n", superblock::VERSION));
     s.push_str(&format!("dimension: {dim}\n"));
     s.push_str(&format!("objects:   {}\n", meta.len));
     s.push_str(&format!("space:     {space:?}\n"));
@@ -379,6 +376,7 @@ mod tests {
         assert!(out.starts_with("sum = 460"), "{out}");
 
         let out = info(&pages).unwrap();
+        assert!(out.contains("format:    v2"), "{out}");
         assert!(out.contains("dimension: 2"), "{out}");
         assert!(out.contains("objects:   3"), "{out}");
     }

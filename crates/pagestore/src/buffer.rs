@@ -72,9 +72,14 @@
 //! The last [`checksum::TRAILER`] bytes of every page are reserved for a
 //! checksum trailer (see [`crate::checksum`]); callers only ever see the
 //! remaining [`payload_size`](BufferPool::payload_size) bytes. The
-//! trailer is stamped on every write-back and checked on every fetch,
-//! surfacing torn or flipped pages as
-//! [`Error::Corruption`](boxagg_common::error::Error::Corruption).
+//! trailer is stamped on every write-back and commit capture, and
+//! checked on every read off the pager — a buffer miss, a pinned read
+//! of a committed image that lives only on disk, the epoch flip's
+//! pre-image fallback: all through one `read_verified` — surfacing
+//! torn or flipped pages as
+//! [`Error::Corruption`](boxagg_common::error::Error::Corruption). The
+//! sum is [`checksum::sum64`], ≈ 0.5 µs per 8 KB page, so a miss is
+//! dominated by the pager read and the node decode, not by the check.
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -711,6 +716,18 @@ impl BufferPool {
         false
     }
 
+    /// Reads page `id` from the pager into `buf` and verifies its
+    /// checksum trailer: the one way on-disk bytes enter the pool. A
+    /// mismatch is a typed [`Error::Corruption`].
+    fn read_verified(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+        self.pager.acquire().read_page(id, buf)?;
+        checksum::verify(buf, self.zero_mask).map_err(|(stored, computed)| Error::Corruption {
+            page: id.0,
+            expected: stored,
+            found: computed,
+        })
+    }
+
     /// Returns the frame index for `id` in `shard`, fetching
     /// (`fetch = true`) or zero-filling (`fetch = false`, for whole-page
     /// overwrites) on a miss.
@@ -749,27 +766,13 @@ impl BufferPool {
             }
         };
         if fetch {
-            let res = self
-                .pager
-                .acquire()
-                .read_page(id, &mut shard.frames[idx].data);
-            if let Err(e) = res {
-                // Keep the unused frame on the free list.
+            if let Err(e) = self.read_verified(id, &mut shard.frames[idx].data) {
+                // A page that failed to read or verify never enters
+                // the buffer — the unused frame stays on the free list
+                // — and its fetch is not counted: only verified reads
+                // are I/Os the caller can use.
                 shard.free.push(idx);
                 return Err(e);
-            }
-            if let Err((stored, computed)) =
-                checksum::verify(&shard.frames[idx].data, self.zero_mask)
-            {
-                // A corrupt page never enters the buffer (and its
-                // fetch is not counted: only verified reads are
-                // I/Os the caller can use).
-                shard.free.push(idx);
-                return Err(Error::Corruption {
-                    page: id.0,
-                    expected: stored,
-                    found: computed,
-                });
             }
             self.reads.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -865,7 +868,7 @@ impl BufferPool {
     /// Without WAL this is [`flush_all`](Self::flush_all). With WAL it
     /// is the commit boundary: every dirty page image is streamed to
     /// the write-ahead log (begin / per-page / commit records, each
-    /// FNV-checksummed), the log is synced — the durability point —
+    /// checksummed), the log is synced — the durability point —
     /// then the images are written in place, the data file is synced,
     /// and the log is truncated. A crash anywhere in between recovers
     /// to exactly the pre-commit or post-commit state: before the log
@@ -1041,10 +1044,10 @@ impl BufferPool {
     /// transaction pages' decoded nodes from the committed-image cache,
     /// and re-base the dirty frames onto the just-committed images so
     /// new-epoch readers see committed bytes from the buffer before the
-    /// apply phase reaches disk. The only fallible step (reading a
-    /// pre-image off disk) runs before any state changes, so an error
-    /// leaves the epoch — and every frame and cached node — untouched
-    /// for the retry.
+    /// apply phase reaches disk. The only fallible step (reading and
+    /// verifying a pre-image off disk) runs before any state changes, so
+    /// an I/O error or a corrupt pre-image leaves the epoch — and every
+    /// frame and cached node — untouched for the retry.
     fn flip_epoch(&self, capture_seq: u64, txn: &[TxnPage]) -> Result<()> {
         let _quiesced = self.barrier.acquire_excl();
         let mut snaps = self.snapshots.acquire();
@@ -1089,7 +1092,9 @@ impl BufferPool {
     /// epoch: a dirty frame's base, a clean frame's bytes, or — for a
     /// dirty frame that was never committed from the buffer, and for
     /// pages whose frame is gone — the on-disk image, which no-steal
-    /// guarantees is still the pre-transaction one at flip time.
+    /// guarantees is still the pre-transaction one at flip time. Read
+    /// off disk it is verified like any fetch: pinned readers will be
+    /// served these bytes for as long as their epoch lives.
     fn pre_image(&self, id: PageId) -> Result<Arc<[u8]>> {
         {
             let shard = self.shard_for(id).acquire();
@@ -1104,7 +1109,7 @@ impl BufferPool {
             }
         }
         let mut buf = vec![0u8; self.page_size];
-        self.pager.acquire().read_page(id, &mut buf)?;
+        self.read_verified(id, &mut buf)?;
         Ok(Arc::from(buf))
     }
 
@@ -1251,14 +1256,7 @@ impl BufferPool {
                 // disk (no-steal). Read it without disturbing the
                 // uncommitted frame.
                 let mut buf = vec![0u8; self.page_size].into_boxed_slice();
-                self.pager.acquire().read_page(id, &mut buf)?;
-                if let Err((stored, computed)) = checksum::verify(&buf, self.zero_mask) {
-                    return Err(Error::Corruption {
-                        page: id.0,
-                        expected: stored,
-                        found: computed,
-                    });
-                }
+                self.read_verified(id, &mut buf)?;
                 self.reads.fetch_add(1, Ordering::Relaxed);
                 return Ok(f(&buf[..self.payload]));
             }
@@ -2156,6 +2154,54 @@ mod tests {
         assert_eq!(p.stats().reads, reads0 + 1, "served from disk");
         assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 6);
         p.unpin_snapshot(e);
+        p.validate().unwrap();
+    }
+
+    #[test]
+    fn corrupt_pre_image_on_disk_fails_the_flip_before_any_state_changes() {
+        use crate::fault::{is_injected, FaultSpec};
+
+        let (p, faults) = wal_pool(2);
+        let a = p.allocate().unwrap();
+        p.write_page(a, &[5; 8]).unwrap();
+        // The commit's in-place write of `a` tears after 33 bytes: the
+        // transaction is durable in the log and published, the data
+        // file holds a torn image.
+        faults.arm(FaultSpec::torn_write_at(1, 33));
+        assert!(is_injected(&p.commit().unwrap_err()));
+        faults.disarm();
+        // Drop the dirty frame (and with it the committed base), then
+        // overwrite the recycled page while it is not resident: the
+        // new dirty frame has no base, so the flip's fallback for the
+        // pinned epoch's image of `a` is the torn bytes on disk.
+        p.free_page(a).unwrap();
+        assert_eq!(p.allocate().unwrap(), a);
+        let e = p.pin_snapshot();
+        p.write_page(a, &[6; 8]).unwrap();
+
+        let epoch = p.commit_epoch();
+        for attempt in 0..2 {
+            match p.commit().unwrap_err() {
+                Error::Corruption { page, .. } => assert_eq!(page, a.0),
+                other => panic!("attempt {attempt}: expected Corruption, got: {other}"),
+            }
+            // Nothing moved: no new epoch, no retained garbage for the
+            // pin, the uncommitted write still live and dirty.
+            assert_eq!(p.commit_epoch(), epoch);
+            assert!(p.snapshots.acquire().versions.is_empty());
+            assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 6);
+            p.validate().unwrap();
+        }
+        // With the pin gone the flip needs no pre-image; the apply
+        // phase rewrites `a` whole, which heals the file.
+        p.unpin_snapshot(e);
+        p.commit().unwrap();
+        assert_eq!(p.commit_epoch(), epoch + 1);
+        page_with(&p, 1);
+        page_with(&p, 2);
+        let reads0 = p.stats().reads;
+        assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 6);
+        assert_eq!(p.stats().reads, reads0 + 1, "fetched from disk, verified");
         p.validate().unwrap();
     }
 

@@ -103,6 +103,11 @@ pub enum FaultMode {
         /// Bytes of the new image that reach the inner pager.
         prefix: usize,
     },
+    /// Reads only: the read *succeeds*, with the first bit of the
+    /// returned image flipped — rot on the medium, which nothing but
+    /// the caller's checksum verification can catch. Other operations
+    /// treat this as [`FaultMode::Error`].
+    BitRot,
 }
 
 /// One entry of a fault schedule.
@@ -150,6 +155,17 @@ impl FaultSpec {
             at,
             sticky: false,
             mode: FaultMode::TornWrite { prefix },
+        }
+    }
+
+    /// One-shot silent corruption: the `at`-th read returns a rotted
+    /// image and reports success.
+    pub fn rot_read_at(at: u64) -> Self {
+        Self {
+            ops: OpFilter::Reads,
+            at,
+            sticky: false,
+            mode: FaultMode::BitRot,
         }
     }
 
@@ -367,7 +383,7 @@ impl crate::wal::WalFile for FaultWal {
     fn append(&mut self, bytes: &[u8]) -> Result<()> {
         match decide(&self.plan, OpKind::WalAppend) {
             None => self.inner.append(bytes),
-            Some(FaultMode::Error) => Err(injected_error("wal append")),
+            Some(FaultMode::Error | FaultMode::BitRot) => Err(injected_error("wal append")),
             Some(FaultMode::TornWrite { prefix }) => {
                 let prefix = prefix.min(bytes.len());
                 self.inner.append(&bytes[..prefix])?;
@@ -420,16 +436,21 @@ impl Pager for FaultPager {
     }
 
     fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
-        if self.decide(OpKind::Read).is_some() {
-            return Err(injected_error("read"));
+        match self.decide(OpKind::Read) {
+            None => self.inner.read_page(id, buf),
+            Some(FaultMode::BitRot) => {
+                self.inner.read_page(id, buf)?;
+                buf[0] ^= 1;
+                Ok(())
+            }
+            Some(_) => Err(injected_error("read")),
         }
-        self.inner.read_page(id, buf)
     }
 
     fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<()> {
         match self.decide(OpKind::Write) {
             None => self.inner.write_page(id, data),
-            Some(FaultMode::Error) => Err(injected_error("write")),
+            Some(FaultMode::Error | FaultMode::BitRot) => Err(injected_error("write")),
             Some(FaultMode::TornWrite { prefix }) => {
                 // Persist the new image's prefix over the old contents —
                 // exactly what a crash mid-sector-sequence leaves behind.
@@ -453,7 +474,7 @@ impl Pager for FaultPager {
     fn wal_append(&mut self, bytes: &[u8]) -> Result<()> {
         match self.decide(OpKind::WalAppend) {
             None => self.inner.wal_append(bytes),
-            Some(FaultMode::Error) => Err(injected_error("wal append")),
+            Some(FaultMode::Error | FaultMode::BitRot) => Err(injected_error("wal append")),
             Some(FaultMode::TornWrite { prefix }) => {
                 // Persist a prefix of the record — a torn log tail that
                 // recovery must detect by checksum and discard.
@@ -555,6 +576,21 @@ mod tests {
         let mut out = vec![0u8; 128];
         p.read_page(a, &mut out).unwrap();
         assert_eq!(out, buf);
+    }
+
+    #[test]
+    fn bit_rot_corrupts_one_read_silently_and_leaves_the_medium_alone() {
+        let (mut p, h) = faulty();
+        let a = p.allocate().unwrap();
+        let buf = vec![7u8; 128];
+        p.write_page(a, &buf).unwrap();
+        h.arm(FaultSpec::rot_read_at(1));
+        let mut out = vec![0u8; 128];
+        p.read_page(a, &mut out).unwrap(); // reports success…
+        assert_ne!(out, buf, "…with a rotted image");
+        assert_eq!(h.injected(), 1);
+        p.read_page(a, &mut out).unwrap();
+        assert_eq!(out, buf, "one-shot: the stored page was never touched");
     }
 
     #[test]

@@ -352,10 +352,12 @@ impl FilePager {
     /// missing one are equivalent).
     ///
     /// If the file begins with a [`superblock`](crate::superblock), the
-    /// recorded page size is authoritative: opening with a different
-    /// `page_size` is a typed [`Error::GeometryMismatch`] instead of
-    /// sheared page reads. Files without a superblock (raw pager files)
-    /// fall back to the length-divisibility check.
+    /// recorded geometry is authoritative: another format version, or
+    /// opening with a different `page_size`, is a typed
+    /// [`Error::GeometryMismatch`] — raised before the sidecar log is
+    /// opened, so neither file is touched — instead of sheared page
+    /// reads. Files without a superblock (raw pager files) fall back
+    /// to the length-divisibility check.
     ///
     /// [`Error::GeometryMismatch`]: boxagg_common::error::Error::GeometryMismatch
     pub fn open(path: impl AsRef<Path>, page_size: usize) -> Result<Self> {
@@ -363,21 +365,10 @@ impl FilePager {
             .read(true)
             .write(true)
             .open(path.as_ref())?;
+        // Before the log is so much as opened: its record sums belong
+        // to the format version.
+        crate::superblock::check_geometry(&mut file, page_size)?;
         let len = file.metadata()?.len();
-        let mut prefix = [0u8; crate::superblock::PREFIX_LEN];
-        if len >= prefix.len() as u64 {
-            file.read_exact(&mut prefix)?;
-            file.seek(SeekFrom::Start(0))?;
-            if let Some(stored) = crate::superblock::peek_page_size(&prefix) {
-                if stored as usize != page_size {
-                    return Err(boxagg_common::error::Error::GeometryMismatch {
-                        what: "page_size",
-                        stored: stored as u64,
-                        requested: page_size as u64,
-                    });
-                }
-            }
-        }
         if len % page_size as u64 != 0 {
             return Err(invalid_arg(format!(
                 "file length {len} is not a multiple of page size {page_size}"

@@ -53,21 +53,10 @@ impl ReadOnlyPager {
     pub(crate) fn open(path: impl AsRef<Path>, page_size: usize) -> Result<Self> {
         let path = path.as_ref();
         let mut file = File::open(path)?;
+        // Before the log is read: its record sums belong to the
+        // format version.
+        crate::superblock::check_geometry(&mut file, page_size)?;
         let len = file.metadata()?.len();
-        let mut prefix = [0u8; crate::superblock::PREFIX_LEN];
-        if len >= prefix.len() as u64 {
-            file.read_exact(&mut prefix)?;
-            file.seek(SeekFrom::Start(0))?;
-            if let Some(stored) = crate::superblock::peek_page_size(&prefix) {
-                if stored as usize != page_size {
-                    return Err(Error::GeometryMismatch {
-                        what: "page_size",
-                        stored: stored as u64,
-                        requested: page_size as u64,
-                    });
-                }
-            }
-        }
         if len % page_size as u64 != 0 {
             return Err(invalid_arg(format!(
                 "file length {len} is not a multiple of page size {page_size}"

@@ -12,7 +12,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"BOXAGGSB"
-//!      8     2  format version (currently 1)
+//!      8     2  format version (currently 2)
 //!     10     1  flags (bit 0: page checksums verified — always written as
 //!               1; files that recorded 0 still carry stamped trailers and
 //!               open normally)
@@ -24,11 +24,25 @@
 //! ```
 //!
 //! The first [`PREFIX_LEN`] bytes are position-stable across versions so
-//! [`FilePager::open`](crate::pager::FilePager::open) can peek geometry
-//! from the raw file prefix before any page-level machinery exists —
-//! that is what turns a wrong `page_size` into a typed
+//! both pagers ([`FilePager::open`](crate::pager::FilePager::open) and
+//! the read-only one) can [`check_geometry`] from the raw file prefix
+//! before any page-level machinery exists and **before a single log
+//! byte is read**. That is what turns a wrong `page_size` into a typed
 //! [`GeometryMismatch`](boxagg_common::error::Error::GeometryMismatch)
-//! instead of sheared reads.
+//! instead of sheared reads, and a store of another format version
+//! into the same typed error instead of a committed log discarded as
+//! a "torn tail" because its record sums are another version's.
+//!
+//! ## Format versions
+//!
+//! The version covers everything on disk, not just this page: **v2**
+//! sums page trailers and log records with
+//! [`checksum::sum64`](crate::checksum::sum64); v1 used bytewise
+//! FNV-1a for both. There is no v1 reader — a v1 store is refused at
+//! open with both files untouched; rebuild it with `boxagg build`. (A
+//! raw pager file has no superblock and so no version: one written
+//! before v2 opens, and its first fetched page fails verification as
+//! a typed `Corruption`.)
 //!
 //! The superblock is updated *through* the WAL like any other page
 //! (`SharedStore::set_root` marks page 0 dirty; `commit()` makes it
@@ -36,6 +50,8 @@
 //! recovers to a store that simply does not list the root yet.
 
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{ErrorKind, Read, Seek, SeekFrom};
 
 use boxagg_common::bytes::{ByteReader, ByteWriter};
 use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
@@ -46,22 +62,68 @@ use crate::pager::PageId;
 /// Magic bytes identifying a boxagg superblock.
 pub const MAGIC: [u8; 8] = *b"BOXAGGSB";
 
-/// Current superblock format version.
-pub const VERSION: u16 = 1;
+/// Current on-disk format version (see the module docs).
+pub const VERSION: u16 = 2;
 
 /// Length of the position-stable prefix (magic through page size).
 pub const PREFIX_LEN: usize = 16;
 
-/// If `prefix` begins with a superblock, returns the recorded page
-/// size. `None` means "not a superblock" (raw pager files), never an
-/// error — absence of the magic is legitimate.
-pub fn peek_page_size(prefix: &[u8]) -> Option<u32> {
+fn version_mismatch(stored: u16) -> Error {
+    Error::GeometryMismatch {
+        what: "version",
+        stored: stored as u64,
+        requested: VERSION as u64,
+    }
+}
+
+/// Checks a raw file prefix in the order magic → version → page size.
+/// `Ok(None)` means "not a superblock" (raw pager files, or too short
+/// to hold one) — absence of the magic is legitimate; a superblock of
+/// another format version is the typed error; otherwise the recorded
+/// page size.
+fn parse_prefix(prefix: &[u8]) -> Result<Option<usize>> {
     if prefix.len() < PREFIX_LEN || prefix[..8] != MAGIC {
-        return None;
+        return Ok(None);
+    }
+    let version = u16::from_le_bytes([prefix[8], prefix[9]]);
+    if version != VERSION {
+        return Err(version_mismatch(version));
     }
     let mut b = [0u8; 4];
     b.copy_from_slice(&prefix[12..16]);
-    Some(u32::from_le_bytes(b))
+    Ok(Some(u32::from_le_bytes(b) as usize))
+}
+
+/// Reads the position-stable prefix off the start of a store file and
+/// returns the page size it records — `None` for a file without a
+/// superblock, [`Error::GeometryMismatch`] on `"version"` for a store
+/// of another format version. Touches nothing but those
+/// [`PREFIX_LEN`] bytes.
+pub fn stored_page_size(file: &mut File) -> Result<Option<usize>> {
+    let mut prefix = [0u8; PREFIX_LEN];
+    file.seek(SeekFrom::Start(0))?;
+    match file.read_exact(&mut prefix) {
+        Ok(()) => parse_prefix(&prefix),
+        Err(e) if e.kind() == ErrorKind::UnexpectedEof => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// The gate both pagers pass before they look at the write-ahead log:
+/// if `file` begins with a superblock, its format version must be
+/// [`VERSION`] and its page size `page_size`, else a typed
+/// [`Error::GeometryMismatch`]. The log's record sums belong to the
+/// format, so replaying (or overlaying) a log before this check would
+/// silently drop another version's committed transactions.
+pub fn check_geometry(file: &mut File, page_size: usize) -> Result<()> {
+    match stored_page_size(file)? {
+        Some(stored) if stored != page_size => Err(Error::GeometryMismatch {
+            what: "page_size",
+            stored: stored as u64,
+            requested: page_size as u64,
+        }),
+        _ => Ok(()),
+    }
 }
 
 /// What kind of index a named root points at, so `open_named` can
@@ -231,11 +293,7 @@ impl Superblock {
         }
         let version = r.get_u16()?;
         if version != VERSION {
-            return Err(Error::GeometryMismatch {
-                what: "version",
-                stored: version as u64,
-                requested: VERSION as u64,
-            });
+            return Err(version_mismatch(version));
         }
         let _flags = r.get_u8()?;
         let _reserved = r.get_u8()?;
@@ -350,13 +408,28 @@ mod tests {
     }
 
     #[test]
-    fn peek_reads_page_size_from_raw_prefix() {
+    fn prefix_check_is_magic_then_version_then_page_size() {
         let bytes = sample().encode();
-        assert_eq!(peek_page_size(&bytes), Some(4096));
-        assert_eq!(peek_page_size(&bytes[..PREFIX_LEN]), Some(4096));
-        assert_eq!(peek_page_size(&bytes[..PREFIX_LEN - 1]), None);
-        assert_eq!(peek_page_size(b"not a superblock"), None);
-        assert_eq!(peek_page_size(&[0u8; 64]), None);
+        assert_eq!(parse_prefix(&bytes).unwrap(), Some(4096));
+        assert_eq!(parse_prefix(&bytes[..PREFIX_LEN]).unwrap(), Some(4096));
+        assert_eq!(parse_prefix(&bytes[..PREFIX_LEN - 1]).unwrap(), None);
+        assert_eq!(parse_prefix(b"not a superblock").unwrap(), None);
+        assert_eq!(parse_prefix(&[0u8; 64]).unwrap(), None);
+        // Another version is refused whatever page size it records…
+        let mut v1 = bytes.clone();
+        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+        v1[12..16].copy_from_slice(&512u32.to_le_bytes());
+        match parse_prefix(&v1) {
+            Err(Error::GeometryMismatch {
+                what: "version",
+                stored: 1,
+                requested: 2,
+            }) => {}
+            other => panic!("expected a version mismatch, got {other:?}"),
+        }
+        // …but only behind the magic: a raw file is never "versioned".
+        v1[0] ^= 0xFF;
+        assert_eq!(parse_prefix(&v1).unwrap(), None);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! The log is a sequence of framed records:
 //!
 //! ```text
-//! [body_len: u32][body: body_len bytes][crc: u64 = fnv1a(body)]
+//! [body_len: u32][body: body_len bytes][crc: u64 = sum64(body)]
 //! ```
 //!
 //! with three body shapes, distinguished by the first byte:
@@ -25,6 +25,13 @@
 //! page    [2u8][page_id: u64][image: page_size]  — one physical image
 //! commit  [3u8]                                  — transaction is durable
 //! ```
+//!
+//! `sum64` is [`checksum::sum64`](crate::checksum::sum64), the kernel
+//! behind the page trailers, taken plain (no zero mask: an empty log is
+//! empty, not zeros). The record sum is part of the on-disk format — a
+//! log written under another superblock version does not decode, which
+//! is why both pagers check the version *before* they read a log byte
+//! (see [`superblock::check_geometry`](crate::superblock::check_geometry)).
 //!
 //! ## Recovery
 //!
@@ -48,7 +55,7 @@
 use boxagg_common::bytes::{ByteReader, ByteWriter};
 use boxagg_common::error::{Error, Result};
 
-use crate::checksum::fnv1a_64;
+use crate::checksum::sum64;
 use crate::pager::{PageId, Pager};
 
 const TAG_BEGIN: u8 = 1;
@@ -90,7 +97,7 @@ fn frame(body: &[u8]) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(body.len() + 12);
     w.put_u32(body.len() as u32);
     w.put_bytes(body);
-    w.put_u64(fnv1a_64(body));
+    w.put_u64(sum64(body));
     w.into_vec()
 }
 
@@ -160,7 +167,7 @@ pub(crate) fn decode_records(log: &[u8], page_size: usize) -> Result<ParsedLog> 
         let body = &rest[4..4 + body_len];
         let mut crc_bytes = [0u8; 8];
         crc_bytes.copy_from_slice(&rest[4 + body_len..4 + body_len + 8]);
-        if fnv1a_64(body) != u64::from_le_bytes(crc_bytes) {
+        if sum64(body) != u64::from_le_bytes(crc_bytes) {
             out.torn_tail = true;
             break;
         }

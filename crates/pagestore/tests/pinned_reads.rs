@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
+use boxagg_common::error::Error;
 use boxagg_common::rng::StdRng;
 use boxagg_pagestore::fault::is_injected;
 use boxagg_pagestore::{
@@ -58,12 +59,14 @@ struct Pin {
 enum Phase {
     Log,
     PreImage,
+    /// The pre-image read succeeds but returns rotted bytes.
+    RottenPreImage,
     Apply,
 }
 
 #[derive(Default)]
 struct Tally {
-    failed_in: [u64; 3],
+    failed_in: [u64; 4],
     max_pins: usize,
     superseded_reads: u64,
     warm_reads: u64,
@@ -185,17 +188,22 @@ impl Schedule {
                 true
             }
             Err(e) => {
-                assert!(is_injected(&e), "only injected failures: {e}");
+                // A rotted read is injected too; it surfaces through
+                // the pool's checksum, typed.
+                let rot = matches!(e, Error::Corruption { .. });
+                assert!(is_injected(&e) || rot, "only injected failures: {e}");
+                assert!(!rot || after == before, "a rotten pre-image flipped");
                 false
             }
         }
     }
 
     fn step_commit(&mut self) {
-        let phase = match self.rng.gen_range(0..6) {
+        let phase = match self.rng.gen_range(0..7) {
             0 => Some(Phase::Log),
             1 => Some(Phase::PreImage),
-            2 => Some(Phase::Apply),
+            2 => Some(Phase::RottenPreImage),
+            3 => Some(Phase::Apply),
             _ => None,
         };
         let nth = 1 + self.rng.gen_range(0..3) as u64;
@@ -205,6 +213,9 @@ impl Schedule {
                 .arm(FaultSpec::error_at(OpFilter::WalAppends, nth)),
             // The flip's only pager reads fetch pre-images off disk.
             Some(Phase::PreImage) => self.faults.arm(FaultSpec::error_at(OpFilter::Reads, 1)),
+            // …and if one comes back rotted, it must not be retained
+            // for the pins: the flip fails as if the read had.
+            Some(Phase::RottenPreImage) => self.faults.arm(FaultSpec::rot_read_at(1)),
             Some(Phase::Apply) => self.faults.arm(FaultSpec::error_at(OpFilter::Writes, nth)),
             None => {}
         }
@@ -331,7 +342,8 @@ fn seeded_schedules_of_pins_commits_and_faults_match_the_model() {
     }
     // The schedules reached what they are for.
     assert!(total.max_pins >= 3, "never three epochs pinned at once");
-    for (phase, n) in ["log", "pre-image", "apply"].iter().zip(total.failed_in) {
+    let phases = ["log", "pre-image", "rotten pre-image", "apply"];
+    for (phase, n) in phases.iter().zip(total.failed_in) {
         assert!(n > 0, "no commit ever failed in its {phase} phase");
     }
     assert!(total.superseded_reads > 0 && total.warm_reads > 0);

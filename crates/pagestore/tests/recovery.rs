@@ -128,6 +128,49 @@ fn recovered_state_is_committed_exactly_once_even_after_double_replay() {
 }
 
 #[test]
+fn another_format_version_is_refused_before_the_log_is_touched() {
+    use boxagg_common::error::Error;
+
+    let dir = tempdir::tempdir().unwrap();
+    let path = dir.path().join("pages.db");
+    leave_pending_txn(&path);
+    // Patch the superblock's version field (bytes 8‥10 of the file's
+    // position-stable prefix) to 1: a store of the previous format,
+    // whose committed log a v2 reader would mistake for a torn tail —
+    // record sums differ between versions — and truncate away.
+    let mut pages = std::fs::read(&path).unwrap();
+    assert_eq!(pages[8..10], 2u16.to_le_bytes());
+    pages[8..10].copy_from_slice(&1u16.to_le_bytes());
+    std::fs::write(&path, &pages).unwrap();
+    let log = std::fs::read(wal_path(&path)).unwrap();
+    assert!(!log.is_empty(), "a committed transaction is pending");
+
+    let cfg = wal_config(path.clone());
+    let refused = |how: &str, opened: boxagg_common::error::Result<SharedStore>| {
+        match opened {
+            Err(Error::GeometryMismatch {
+                what: "version",
+                stored: 1,
+                requested: 2,
+            }) => {}
+            Err(other) => panic!("{how}: expected a version mismatch, got: {other}"),
+            Ok(_) => panic!("{how}: opened a store of another format version"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), pages, "{how}: data file");
+        assert_eq!(std::fs::read(wal_path(&path)).unwrap(), log, "{how}: log");
+    };
+    refused("open", SharedStore::open(&cfg));
+    refused("open_readonly", SharedStore::open_readonly(&cfg));
+
+    // Patched back, the same files open and recover the transaction.
+    pages[8..10].copy_from_slice(&2u16.to_le_bytes());
+    std::fs::write(&path, &pages).unwrap();
+    let store = SharedStore::open(&cfg).unwrap();
+    assert_eq!(store.recovery_report().txns_replayed, 1);
+    store.validate().unwrap();
+}
+
+#[test]
 fn every_data_write_in_a_commit_is_preceded_by_a_wal_sync() {
     let dir = tempdir::tempdir().unwrap();
     let path = dir.path().join("pages.db");

@@ -9,9 +9,10 @@
 //! [body_len: u32 LE] [body: body_len bytes] [crc: u64 LE]
 //! ```
 //!
-//! with `crc = fnv1a_64(body)` — the same checksum the page trailers
-//! and the WAL use, so one hash function covers every byte this
-//! workspace persists or transmits. The body starts with a tag byte;
+//! with `crc = fnv1a_64(body)`. (Pages and the WAL moved to the
+//! word-parallel `checksum::sum64` with on-disk format v2; bodies here
+//! are under 100 bytes, where a bytewise hash costs nothing worth a
+//! wire break.) The body starts with a tag byte;
 //! request tags live below 16, response tags at 16 and above, so the
 //! two directions cannot be confused.
 //!
