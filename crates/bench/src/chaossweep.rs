@@ -47,7 +47,6 @@
 
 use std::net::SocketAddr;
 use std::path::Path;
-use std::time::Duration;
 
 use boxagg_common::error::Error;
 use boxagg_common::geom::Rect;
@@ -218,11 +217,10 @@ fn store_config(cfg: &ChaosConfig, path: &Path) -> StoreConfig {
     }
 }
 
-/// The driver is strictly serial (one request in flight at a time), so
-/// batching windows would only add waits without changing grouping.
+/// The driver is strictly serial (one request in flight at a time):
+/// four workers cover the connection, its reconnects and the probes.
 fn serve_config() -> ServeConfig {
     ServeConfig {
-        batch_window: Duration::ZERO,
         threads: 4,
         ..ServeConfig::default()
     }

@@ -245,16 +245,14 @@ pub fn info(pages: &Path) -> Result<String> {
 
 /// `boxagg serve INDEX --listen ADDR`: starts the network query
 /// service and returns its handle (the caller decides how long to
-/// serve). Read requests from concurrent connections are batched
-/// through shared snapshot traversals; commits collapse through group
-/// commit. The robustness knobs — per-frame read deadline, idle reap,
-/// connection cap, admission-queue shedding limit — pass straight
-/// into [`ServeConfig`]; `0` keeps each one's default.
-#[allow(clippy::too_many_arguments)]
+/// serve). Each read is answered inline on a snapshot pinned to the
+/// last committed epoch; commits collapse through group commit. The
+/// robustness knobs — per-frame read deadline, idle reap, connection
+/// cap, load-shedding limit — pass straight into [`ServeConfig`]; `0`
+/// keeps each one's default.
 pub fn serve(
     pages: &Path,
     listen: &str,
-    batch_window: Duration,
     threads: usize,
     read_deadline_ms: u64,
     idle_timeout_ms: u64,
@@ -268,8 +266,6 @@ pub fn serve(
         store,
         listen,
         ServeConfig {
-            batch_window,
-            max_batch: 64,
             threads,
             read_deadline: if read_deadline_ms == 0 {
                 defaults.read_deadline
@@ -439,17 +435,7 @@ mod tests {
         let csv = write_csv(dir.path(), &["10,30,10,25,120", "25,50,20,40,340"]);
         build(&pages, &csv, "0,100,0,100", 1024).unwrap();
 
-        let server = serve(
-            &pages,
-            "127.0.0.1:0",
-            std::time::Duration::from_micros(200),
-            4,
-            0,
-            0,
-            0,
-            0,
-        )
-        .unwrap();
+        let server = serve(&pages, "127.0.0.1:0", 4, 0, 0, 0, 0).unwrap();
         let mut client = boxagg_serve::Client::connect(server.local_addr()).unwrap();
         assert_eq!(client.hello().objects, 2);
         let sum = client

@@ -9,9 +9,9 @@
 //! boxagg insert INDEX --object l1,h1,l2,h2,value
 //! boxagg delete INDEX --object l1,h1,l2,h2,value
 //! boxagg info   INDEX
-//! boxagg serve  INDEX --listen ADDR [--batch-window-us N] [--threads N]
-//!               [--read-deadline-ms N] [--idle-timeout-ms N]
-//!               [--max-connections N] [--queue-limit N]
+//! boxagg serve  INDEX --listen ADDR [--threads N] [--read-deadline-ms N]
+//!               [--idle-timeout-ms N] [--max-connections N]
+//!               [--queue-limit N]
 //! ```
 //!
 //! CSV object lines are `l1,h1,…,ld,hd,value`; `#` starts a comment.
@@ -28,9 +28,9 @@ usage:
   boxagg insert INDEX --object l1,h1,l2,h2,value
   boxagg delete INDEX --object l1,h1,l2,h2,value
   boxagg info   INDEX
-  boxagg serve  INDEX --listen ADDR [--batch-window-us N] [--threads N]
-                [--read-deadline-ms N] [--idle-timeout-ms N]
-                [--max-connections N] [--queue-limit N]";
+  boxagg serve  INDEX --listen ADDR [--threads N] [--read-deadline-ms N]
+                [--idle-timeout-ms N] [--max-connections N]
+                [--queue-limit N]";
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -72,12 +72,6 @@ fn run() -> Result<String, String> {
         "info" => commands::info(&index),
         "serve" => {
             let listen = flag(&args, "--listen").ok_or("serve needs --listen HOST:PORT")?;
-            let window_us = match flag(&args, "--batch-window-us") {
-                Some(w) => w
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad --batch-window-us: {e}"))?,
-                None => 200,
-            };
             let threads = match flag(&args, "--threads") {
                 Some(t) => t
                     .parse::<usize>()
@@ -98,7 +92,6 @@ fn run() -> Result<String, String> {
             let server = commands::serve(
                 &index,
                 &listen,
-                std::time::Duration::from_micros(window_us),
                 threads,
                 read_deadline_ms,
                 idle_timeout_ms,
@@ -107,7 +100,7 @@ fn run() -> Result<String, String> {
             )
             .map_err(|e| e.to_string())?;
             println!(
-                "serving {} on {} (batch window {window_us} µs, {threads} threads); Ctrl-C to stop",
+                "serving {} on {} ({threads} threads); Ctrl-C to stop",
                 index.display(),
                 server.local_addr()
             );

@@ -67,15 +67,16 @@ pub enum Error {
     },
     /// A request's deadline elapsed before the server finished (or
     /// started) the work. The deadline travels in the request frame;
-    /// the server checks it both at admission and when dequeuing
-    /// batched work, so an expired request is dropped instead of
-    /// burning a traversal nobody is waiting for.
+    /// the server checks it on arrival and again after any wait (the
+    /// write lock, the commit queue), so an expired request is dropped
+    /// instead of doing work nobody is waiting for.
     DeadlineExceeded {
         /// The budget the client granted, in milliseconds.
         budget_ms: u32,
     },
-    /// The server shed the request under load: an admission queue was
-    /// full, the connection limit was reached, or the pagestore's
+    /// The server shed the request under load: the commit queue was
+    /// full, too many reads were in flight, the connection limit was
+    /// reached, or the pagestore's
     /// dirty-page ceiling pushed back. The request was *not* applied;
     /// retrying after the hinted delay is always safe.
     Overloaded {

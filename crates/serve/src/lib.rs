@@ -5,9 +5,9 @@
 //!
 //! - [`proto`] — the length-framed, checksummed wire codec (requests,
 //!   responses, and the frame layer shared by both sides);
-//! - [`server`] — the serving loop: connections on a worker pool, read
-//!   requests batched through shared snapshot traversals, commits
-//!   collapsed through the store's group-commit path, overload shed
+//! - [`server`] — the serving loop: connections on a worker pool, each
+//!   read answered inline on a pinned snapshot, commits collapsed
+//!   through the store's group-commit path, overload shed
 //!   with typed `OVERLOADED` frames, deadlines enforced end to end;
 //! - [`client`] — a blocking request/response client with capped,
 //!   seeded-jitter backoff and idempotency-token retry;
@@ -16,9 +16,9 @@
 //!   pagestore's `FaultPager`.
 //!
 //! Answers through the server are bit-identical to running the same
-//! queries serially against the store: batching only shares decoded
-//! index pages between concurrent queries pinned to the same commit
-//! epoch, it never reorders or approximates the arithmetic.
+//! queries in process against the store: a served read is the same
+//! engine opened on a snapshot of the last committed epoch, and
+//! concurrent reads share nothing but decoded index pages.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]

@@ -60,8 +60,9 @@ pub mod code {
     /// The request's deadline elapsed before the server could answer;
     /// the work was dropped (possibly before it ever started).
     pub const DEADLINE_EXCEEDED: u16 = 5;
-    /// The server shed the request under load (full admission queue,
-    /// connection limit, or dirty-page backpressure). The frame carries
+    /// The server shed the request under load (full commit queue, too
+    /// many reads in flight, connection limit, or dirty-page
+    /// backpressure). The frame carries
     /// a retry-after hint; retrying after it is always safe.
     pub const OVERLOADED: u16 = 6;
 }
@@ -149,9 +150,11 @@ pub enum Request {
 pub struct ServeStats {
     /// Read queries (box-sums + dominance-sums) answered.
     pub queries: u64,
-    /// Admission groups executed (each over one pinned snapshot).
+    /// Snapshots pinned for reads. Reads run one per pin, so this
+    /// equals `queries`; the field dates from admission groups and
+    /// keeps its place on the wire.
     pub groups: u64,
-    /// Decoded-node accesses across all groups.
+    /// Decoded-node accesses across all reads.
     pub node_accesses: u64,
     /// The subset of accesses that actually ran the codec.
     pub node_decodes: u64,
@@ -161,7 +164,7 @@ pub struct ServeStats {
     pub commit_rounds: u64,
     /// Structurally broken frames answered with a typed error.
     pub protocol_errors: u64,
-    /// Requests shed by the admission-queue load-shedding policy.
+    /// Requests shed by the load-shedding policy.
     pub shed: u64,
     /// Requests dropped because their deadline had already expired.
     pub expired: u64,

@@ -1,24 +1,20 @@
 //! The `boxagg serve` server: TCP connections on a [`WorkerPool`],
-//! reads batched through shared snapshot traversals, writes collapsed
-//! through group commit.
+//! reads answered inline on pinned snapshots, writes collapsed through
+//! group commit.
 //!
-//! ## Read path — shared-traversal batching
+//! ## Read path — inline on a pinned snapshot
 //!
-//! Every box-sum / dominance-sum request is posted to one **admission
-//! queue**. The batcher thread takes the first waiting request, keeps
-//! admitting compatible requests for a small window
-//! ([`ServeConfig::batch_window`], capped at
-//! [`ServeConfig::max_batch`]), then executes the whole group against
-//! **one** snapshot pinned to the current commit epoch. Requests inside
-//! a group are evaluated serially in arrival order — so every answer is
-//! bit-identical to the unbatched execution. Decoded nodes are shared
-//! *across* groups, not just within one: every pinned read goes through
-//! the store's decoded-node cache of committed images (see
-//! `StoreSnapshot::read_node`), so on an unchanged epoch a request
-//! decodes nothing whether it was batched or not, and after a commit
-//! only the pages that commit rewrote decode again. What a group still
-//! shares is one pin and one catalog open. Batching changes *when* work
-//! happens, never *what* is computed.
+//! A box-sum / dominance-sum request is answered on the pool worker
+//! that read its frame: pin a snapshot of the current commit epoch,
+//! open the persisted engine at that epoch, run the `2^d` dominance
+//! sums, publish the snapshot's node counters, reply. No queue and no
+//! thread hand-off stand between the frame and the traversal. Every
+//! pinned read goes through the store's decoded-node cache of committed
+//! images (see `StoreSnapshot::read_node`), so on an unchanged epoch a
+//! request decodes nothing, and after a commit only the pages that
+//! commit rewrote decode again; a pin and a catalog open cost about
+//! 1.5 µs per request. Answers are bit-identical to an in-process
+//! `SnapshotBoxSum` on the same epoch, whatever else is in flight.
 //!
 //! ## Write path — group commit, idempotency tokens
 //!
@@ -44,21 +40,21 @@
 //! ## Deadlines, overload, failure
 //!
 //! Requests may carry a deadline (milliseconds, in the frame header).
-//! Queued work whose deadline has already expired is dropped with a
-//! typed [`DEADLINE_EXCEEDED`](proto::code::DEADLINE_EXCEEDED) frame
-//! instead of burning a traversal nobody is waiting for. Each *frame
-//! read* is separately bounded by [`ServeConfig::read_deadline`]: a
+//! Work whose deadline has already expired is dropped with a typed
+//! [`DEADLINE_EXCEEDED`](proto::code::DEADLINE_EXCEEDED) frame instead
+//! of being done for a caller who has stopped waiting: every request
+//! is checked on arrival (a read never waits after that), a write
+//! again once it holds the write lock, a commit again when the
+//! committer takes it off its queue. Each *frame read* is separately bounded by [`ServeConfig::read_deadline`]: a
 //! slowloris peer trickling one byte a second cannot hold a worker
 //! past it, because the per-read socket timeout shrinks as the frame
 //! deadline approaches. Idle connections are reaped after
 //! [`ServeConfig::idle_timeout`].
 //!
-//! Overload is shed, not queued without bound: admission queues have a
-//! depth limit ([`ServeConfig::queue_limit`]), and the shedding order
-//! is writes first (commits shed at a quarter of the limit), then
-//! singleton reads (half the limit — they benefit least from
-//! batching), then batched reads (the full limit). Shed requests — and
-//! writes refused by the pagestore's dirty-page ceiling
+//! Overload is shed, not queued without bound, writes first: the
+//! commit queue refuses at a quarter of [`ServeConfig::queue_limit`],
+//! reads only once `queue_limit` of them are in flight at the same
+//! moment. Shed requests — and writes refused by the pagestore's dirty-page ceiling
 //! (`Error::Backpressure`) — answer a typed
 //! [`OVERLOADED`](proto::code::OVERLOADED) frame carrying a
 //! retry-after hint; the connection stays open. The accept loop
@@ -88,7 +84,7 @@ use std::time::{Duration, Instant};
 
 use boxagg_batree::BATree;
 use boxagg_common::error::{invalid_arg, Error, Result};
-use boxagg_common::geom::{Point, Rect};
+use boxagg_common::geom::Rect;
 use boxagg_common::traits::DominanceSumIndex;
 use boxagg_core::catalog::{open_corner_engine, persist_corner_engine};
 use boxagg_core::parallel::WorkerPool;
@@ -103,13 +99,6 @@ use crate::proto::{
 /// Tuning knobs of the serving loop.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// How long the admission queue waits for companions after the
-    /// first read request arrives. `Duration::ZERO` disables batching:
-    /// every request runs as its own single-element group — the serial
-    /// baseline. Groups of every size pin the same kind of snapshot.
-    pub batch_window: Duration,
-    /// Most read requests admitted into one group.
-    pub max_batch: usize,
     /// Worker threads for connection handling (min 2: one would make
     /// the pool run handlers inline on the accept thread).
     pub threads: usize,
@@ -126,9 +115,8 @@ pub struct ServeConfig {
     /// connection occupies one pool worker, so admitting more than the
     /// pool can hold would starve the accept loop.
     pub max_connections: usize,
-    /// Admission-queue depth at which load shedding begins. Commits
-    /// shed at a quarter of this, singleton reads at half, batched
-    /// reads at the full limit.
+    /// Where load shedding begins. Commits shed once a quarter of
+    /// this many are queued, reads once this many are in flight.
     pub queue_limit: usize,
     /// The retry-after hint carried by `OVERLOADED` frames.
     pub retry_after: Duration,
@@ -140,8 +128,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            batch_window: Duration::from_micros(200),
-            max_batch: 64,
             threads: 48,
             read_deadline: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(30),
@@ -191,18 +177,6 @@ impl Deadline {
             budget_ms: self.budget_ms,
         }
     }
-}
-
-/// A read request queued for admission.
-enum ReadReq {
-    Box(Rect),
-    Dom(u32, Point),
-}
-
-struct ReadJob {
-    req: ReadReq,
-    deadline: Deadline,
-    reply: Sender<Result<f64>>,
 }
 
 struct CommitJob {
@@ -281,16 +255,16 @@ struct Shared {
     space: Rect,
     dim: usize,
     cfg: ServeConfig,
-    read_tx: Sender<ReadJob>,
     commit_tx: Sender<CommitJob>,
-    /// Depth of the read admission queue (jobs sent, not yet drained).
-    read_depth: AtomicU64,
     /// Depth of the commit queue.
     commit_depth: AtomicU64,
-    /// Whether the batcher is currently holding an admission window
-    /// open — arrivals now join a forming group, so they shed later
-    /// than singletons would.
-    group_forming: AtomicBool,
+    /// Reads being answered right now, one per pool worker inside
+    /// [`run_read`].
+    reads_in_flight: AtomicU64,
+    /// The live engine's object count, stored under the write lock
+    /// after every applied insert/delete so the handshake can say it
+    /// without waiting out a commit.
+    objects: AtomicU64,
     /// Live connections (accept-time guard).
     conns: AtomicU64,
     counters: Counters,
@@ -327,7 +301,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
     committer: Option<JoinHandle<()>>,
     pool: Option<Arc<WorkerPool>>,
 }
@@ -346,12 +319,12 @@ impl ServerHandle {
         }
         let (engine, space) = open_corner_engine(&store)?;
         let dim = engine.dim();
+        let objects = engine.len() as u64;
 
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
 
-        let (read_tx, read_rx) = channel::<ReadJob>();
         let (commit_tx, commit_rx) = channel::<CommitJob>();
         let threads = cfg.threads.max(2);
         let shared = Arc::new(Shared {
@@ -365,21 +338,16 @@ impl ServerHandle {
             space,
             dim,
             cfg,
-            read_tx,
             commit_tx,
-            read_depth: AtomicU64::new(0),
             commit_depth: AtomicU64::new(0),
-            group_forming: AtomicBool::new(false),
+            reads_in_flight: AtomicU64::new(0),
+            objects: AtomicU64::new(objects),
             conns: AtomicU64::new(0),
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
         });
 
         let pool = Arc::new(WorkerPool::new(threads));
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || batcher_loop(&shared, &read_rx))
-        };
         let committer = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || committer_loop(&shared, &commit_rx))
@@ -393,7 +361,6 @@ impl ServerHandle {
             addr: local,
             shared,
             accept: Some(accept),
-            batcher: Some(batcher),
             committer: Some(committer),
             pool: Some(pool),
         })
@@ -419,13 +386,9 @@ impl ServerHandle {
 
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        for h in [
-            self.accept.take(),
-            self.batcher.take(),
-            self.committer.take(),
-        ]
-        .into_iter()
-        .flatten()
+        for h in [self.accept.take(), self.committer.take()]
+            .into_iter()
+            .flatten()
         {
             if let Err(payload) = h.join() {
                 // A serving thread never panics by design; if one ever
@@ -457,7 +420,7 @@ fn poisoned_error() -> Error {
 }
 
 /// Re-creates a typed error for fan-out to every member of a commit
-/// round or read group ([`Error`] is not `Clone`; the wire code and payload must
+/// round ([`Error`] is not `Clone`; the wire code and payload must
 /// survive the copy).
 fn replicate(e: &Error) -> Error {
     match e {
@@ -514,124 +477,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, pool: &Arc<WorkerPo
             }
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
-    }
-}
-
-fn batcher_loop(shared: &Shared, rx: &Receiver<ReadJob>) {
-    let window = shared.cfg.batch_window;
-    let max_batch = shared.cfg.max_batch.max(1);
-    loop {
-        // Wait for the first request of the next group, polling the
-        // shutdown flag at a coarse interval.
-        let first = match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        shared.read_depth.fetch_sub(1, Ordering::SeqCst);
-        let mut group = vec![first];
-        if !window.is_zero() {
-            shared.group_forming.store(true, Ordering::SeqCst);
-            let deadline = Instant::now() + window;
-            while group.len() < max_batch {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match rx.recv_timeout(deadline - now) {
-                    Ok(job) => {
-                        shared.read_depth.fetch_sub(1, Ordering::SeqCst);
-                        group.push(job);
-                    }
-                    Err(_) => break,
-                }
-            }
-            shared.group_forming.store(false, Ordering::SeqCst);
-        }
-        run_group(shared, group);
-    }
-}
-
-/// Executes one admission group over a single pinned snapshot, through
-/// the same engine the writer mutates — opened at the pinned epoch
-/// instead of over live pages.
-///
-/// Requests are evaluated serially in arrival order, so answers are
-/// bit-identical to the unbatched execution. Members whose deadline
-/// expired while queued are dropped up front with a typed reply: their
-/// traversal would be wasted work. A group that cannot pin or open its
-/// engine answers every member with that error's own class — a corrupt
-/// page is the server's fault (`INTERNAL`), not the caller's.
-fn run_group(shared: &Shared, group: Vec<ReadJob>) {
-    let mut live = Vec::with_capacity(group.len());
-    for job in group {
-        if job.deadline.expired() {
-            shared.counters.expired.fetch_add(1, Ordering::Relaxed);
-            // lint: allow(discarded-result) -- a receiver that hung up no longer wants the verdict
-            let _ = job.reply.send(Err(job.deadline.error()));
-        } else {
-            live.push(job);
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-    let opened = shared
-        .store
-        .snapshot()
-        .map(Arc::new)
-        .and_then(|snap| Ok((open_corner_engine(&snap)?.0, snap)));
-    let (engine, snap) = match opened {
-        Ok(pair) => pair,
-        Err(e) => {
-            for job in live {
-                // lint: allow(discarded-result) -- a receiver that hung up no longer wants the error
-                let _ = job.reply.send(Err(replicate(&e)));
-            }
-            return;
-        }
-    };
-    shared
-        .counters
-        .queries
-        .fetch_add(live.len() as u64, Ordering::Relaxed);
-    shared.counters.groups.fetch_add(1, Ordering::Relaxed);
-    let answers: Vec<Result<f64>> = live
-        .iter()
-        .map(|job| match &job.req {
-            ReadReq::Box(rect) => engine.query(rect),
-            ReadReq::Dom(mask, point) => match engine.indexes().get(*mask as usize) {
-                Some(tree) => tree.dominance_sum(point),
-                None => Err(invalid_arg(format!(
-                    "corner mask {mask} out of range for dimension {}",
-                    shared.dim
-                ))),
-            },
-        })
-        .collect();
-    // Counters must be published before any reply: a caller that saw
-    // its answer may immediately read stats and must find this group's
-    // traversal accounted for. This ordering also keeps the counters
-    // consistent when a member's reply write fails (dead connection):
-    // the group's work happened and is accounted exactly once, whether
-    // or not every member lived to hear about it.
-    let (accesses, decodes) = snap.node_reads();
-    shared
-        .counters
-        .node_accesses
-        .fetch_add(accesses, Ordering::Relaxed);
-    shared
-        .counters
-        .node_decodes
-        .fetch_add(decodes, Ordering::Relaxed);
-    for (job, answer) in live.iter().zip(answers) {
-        // lint: allow(discarded-result) -- a receiver that hung up no longer wants its answer
-        let _ = job.reply.send(answer);
     }
 }
 
@@ -791,17 +636,16 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
     // the write budget either.
     // lint: allow(discarded-result) -- timeout support is best-effort; a blocking write still works
     let _ = stream.set_write_timeout(Some(shared.cfg.read_deadline));
-    let hello = {
-        let w = lock_write(shared);
-        Hello {
-            version: PROTO_VERSION,
-            dims: shared.dim as u32,
-            page_size: shared.store.page_size() as u32,
-            objects: w.engine.len() as u64,
-            bounds: (0..shared.dim)
-                .map(|i| (shared.space.low().get(i), shared.space.high().get(i)))
-                .collect(),
-        }
+    // The object count comes from the published atomic, not from the
+    // engine: a connect during a commit must not wait for the write lock.
+    let hello = Hello {
+        version: PROTO_VERSION,
+        dims: shared.dim as u32,
+        page_size: shared.store.page_size() as u32,
+        objects: shared.objects.load(Ordering::SeqCst),
+        bounds: (0..shared.dim)
+            .map(|i| (shared.space.low().get(i), shared.space.high().get(i)))
+            .collect(),
     };
     if !send_response(&mut stream, &Response::Hello(hello)) {
         return;
@@ -917,20 +761,7 @@ fn error_response(shared: &Shared, e: &Error) -> Response {
     }
 }
 
-/// Applies the read-shedding policy: singleton reads (no group
-/// currently forming) shed at half the queue limit, reads joining a
-/// forming group at the full limit.
-fn read_shed(shared: &Shared) -> bool {
-    let depth = shared.read_depth.load(Ordering::SeqCst);
-    let limit = if shared.group_forming.load(Ordering::SeqCst) {
-        shared.cfg.queue_limit as u64
-    } else {
-        (shared.cfg.queue_limit / 2).max(1) as u64
-    };
-    depth >= limit
-}
-
-fn dispatch(shared: &Arc<Shared>, req: Request, deadline: Deadline) -> Response {
+fn dispatch(shared: &Shared, req: Request, deadline: Deadline) -> Response {
     if deadline.expired() {
         shared.counters.expired.fetch_add(1, Ordering::Relaxed);
         return error_response(shared, &deadline.error());
@@ -947,7 +778,7 @@ fn dispatch(shared: &Arc<Shared>, req: Request, deadline: Deadline) -> Response 
                     )),
                 );
             }
-            read_via_batcher(shared, ReadReq::Box(rect), deadline)
+            run_read(shared, |engine| engine.query(&rect))
         }
         Request::DomSum { mask, point } => {
             if point.dim() != shared.dim {
@@ -969,20 +800,26 @@ fn dispatch(shared: &Arc<Shared>, req: Request, deadline: Deadline) -> Response 
                     )),
                 );
             }
-            read_via_batcher(shared, ReadReq::Dom(mask, point), deadline)
+            run_read(shared, |engine| {
+                engine.indexes()[mask as usize].dominance_sum(&point)
+            })
         }
         Request::Insert {
             rect,
             value,
             token,
             seq,
-        } => apply_write(shared, token, seq, |w| w.engine.insert(&rect, value)),
+        } => apply_write(shared, deadline, token, seq, |w| {
+            w.engine.insert(&rect, value)
+        }),
         Request::Delete {
             rect,
             value,
             token,
             seq,
-        } => apply_write(shared, token, seq, |w| w.engine.delete(&rect, value)),
+        } => apply_write(shared, deadline, token, seq, |w| {
+            w.engine.delete(&rect, value)
+        }),
         Request::Commit { token } => {
             // A token already durable on disk means this commit (and
             // everything under it) happened: answer the recorded
@@ -1028,18 +865,27 @@ fn dispatch(shared: &Arc<Shared>, req: Request, deadline: Deadline) -> Response 
     }
 }
 
-/// The shared insert/delete path: fail-stop check, backpressure
-/// admission, `(token, seq)` replay filtering (in-memory and against
-/// durable tokens), then the engine mutation. Dirty-page
+/// The shared insert/delete path: deadline re-check, fail-stop check,
+/// backpressure admission, `(token, seq)` replay filtering (in-memory
+/// and against durable tokens), then the engine mutation. Dirty-page
 /// `Backpressure` from the store passes through typed — the wire maps
 /// it to `OVERLOADED`.
 fn apply_write(
-    shared: &Arc<Shared>,
+    shared: &Shared,
+    deadline: Deadline,
     token: u64,
     seq: u32,
     op: impl FnOnce(&mut WriteState) -> Result<()>,
 ) -> Response {
     let mut w = lock_write(shared);
+    // The write lock is held across a whole commit round, so the wait
+    // for it can outlast the caller's deadline. An expired op is
+    // refused before it touches the engine or the replay filter: the
+    // caller's retry under the same `(token, seq)` applies it once.
+    if deadline.expired() {
+        shared.counters.expired.fetch_add(1, Ordering::Relaxed);
+        return error_response(shared, &deadline.error());
+    }
     if w.poisoned {
         return error_response(shared, &poisoned_error());
     }
@@ -1078,36 +924,74 @@ fn apply_write(
             if token != 0 {
                 w.record(token, seq);
             }
-            Response::Ok {
-                objects: w.engine.len() as u64,
-            }
+            let objects = w.engine.len() as u64;
+            shared.objects.store(objects, Ordering::SeqCst);
+            Response::Ok { objects }
         }
         Err(e) => error_response(shared, &e),
     }
 }
 
-fn read_via_batcher(shared: &Arc<Shared>, req: ReadReq, deadline: Deadline) -> Response {
-    if read_shed(shared) {
+/// One read's claim on the read tier, released on drop.
+struct ReadSlot<'a>(&'a AtomicU64);
+
+impl<'a> ReadSlot<'a> {
+    /// `None` once `limit` reads are already in flight.
+    fn claim(in_flight: &'a AtomicU64, limit: u64) -> Option<Self> {
+        let slot = Self(in_flight);
+        (in_flight.fetch_add(1, Ordering::SeqCst) < limit).then_some(slot)
+    }
+}
+
+impl Drop for ReadSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Answers one read on the calling pool worker: pin the current commit
+/// epoch, open the engine the writer mutates at that epoch instead of
+/// over live pages, and run `read` against it. A read that cannot pin
+/// or open its engine answers with that error's own class — a corrupt
+/// page is the server's fault (`INTERNAL`), not the caller's.
+fn run_read(
+    shared: &Shared,
+    read: impl FnOnce(&CornerBoxSum<BATree<f64>>) -> Result<f64>,
+) -> Response {
+    // Reads shed last: only with `queue_limit` of them in flight.
+    let limit = shared.cfg.queue_limit.max(1) as u64;
+    let Some(_slot) = ReadSlot::claim(&shared.reads_in_flight, limit) else {
         shared.counters.shed.fetch_add(1, Ordering::Relaxed);
         return error_response(shared, &shared.overloaded());
-    }
-    let (tx, rx) = channel();
-    shared.read_depth.fetch_add(1, Ordering::SeqCst);
-    if shared
-        .read_tx
-        .send(ReadJob {
-            req,
-            deadline,
-            reply: tx,
-        })
-        .is_err()
-    {
-        shared.read_depth.fetch_sub(1, Ordering::SeqCst);
-        return error_response(shared, &invalid_arg("server is shutting down"));
-    }
-    match rx.recv() {
-        Ok(Ok(sum)) => Response::Sum(sum),
-        Ok(Err(e)) => error_response(shared, &e),
-        Err(_) => error_response(shared, &invalid_arg("server is shutting down")),
+    };
+    let opened = shared
+        .store
+        .snapshot()
+        .map(Arc::new)
+        .and_then(|snap| Ok((open_corner_engine(&snap)?.0, snap)));
+    let (engine, snap) = match opened {
+        Ok(pair) => pair,
+        Err(e) => return error_response(shared, &e),
+    };
+    // `groups` stays on the wire and counts one per executed read.
+    shared.counters.queries.fetch_add(1, Ordering::Relaxed);
+    shared.counters.groups.fetch_add(1, Ordering::Relaxed);
+    let answer = read(&engine);
+    // Counters are published before the reply: a caller that saw its
+    // answer may immediately read stats and must find this traversal
+    // accounted for — and a reply that lands on a dead connection
+    // leaves its work counted exactly once.
+    let (accesses, decodes) = snap.node_reads();
+    shared
+        .counters
+        .node_accesses
+        .fetch_add(accesses, Ordering::Relaxed);
+    shared
+        .counters
+        .node_decodes
+        .fetch_add(decodes, Ordering::Relaxed);
+    match answer {
+        Ok(sum) => Response::Sum(sum),
+        Err(e) => error_response(shared, &e),
     }
 }

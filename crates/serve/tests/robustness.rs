@@ -4,15 +4,15 @@
 //! writes under injected connection death.
 
 use std::io::Write;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use boxagg_common::error::Error;
+use boxagg_common::error::{Error, Result};
 use boxagg_common::geom::Rect;
 use boxagg_common::rng::StdRng;
 use boxagg_core::catalog::SnapshotBoxSum;
 use boxagg_core::engine::SimpleBoxSum;
-use boxagg_pagestore::{Backing, SharedStore, StoreConfig};
+use boxagg_pagestore::{Backing, FilePager, MemPager, PageId, Pager, SharedStore, StoreConfig};
 use boxagg_serve::proto::{self, code, frame, read_frame, Request, Response};
 use boxagg_serve::{
     Client, ServeConfig, ServerHandle, StreamFaultHandle, StreamFaultSpec, StreamOpFilter,
@@ -32,6 +32,10 @@ fn rand_rect(rng: &mut StdRng, dim: usize, side: f64) -> Rect {
 fn seeded_store(n: usize, seed: u64) -> (SharedStore, Rect) {
     let store = SharedStore::open(&StoreConfig::small(2048, 256).with_wal(true))
         .expect("open memory WAL store");
+    seed_store(store, n, seed)
+}
+
+fn seed_store(store: SharedStore, n: usize, seed: u64) -> (SharedStore, Rect) {
     let space = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
     let mut engine = SimpleBoxSum::batree_in(space, store.clone()).expect("create engine");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -42,6 +46,149 @@ fn seeded_store(n: usize, seed: u64) -> (SharedStore, Rect) {
     boxagg_core::catalog::persist_corner_engine(&engine, &space).expect("persist");
     store.commit().expect("commit");
     (store, space)
+}
+
+/// Parks whoever reaches one chosen pager operation until the test
+/// lets them go.
+#[derive(Clone, Default)]
+struct Gate(Arc<(Mutex<GateState>, Condvar)>);
+
+#[derive(Default)]
+struct GateState {
+    closed: bool,
+    parked: bool,
+}
+
+/// The pager operation a [`GatedPager`] parks at.
+#[derive(Clone, Copy, PartialEq)]
+enum GatedOp {
+    /// A commit's data sync: the committer holds the server's write
+    /// lock at that point.
+    DataSync,
+    /// A buffer miss: the read that caused it is in flight.
+    ReadPage,
+}
+
+impl Gate {
+    fn set_closed(&self, closed: bool) {
+        let (state, cv) = &*self.0;
+        state.lock().expect("gate").closed = closed;
+        cv.notify_all();
+    }
+
+    /// The pager's side: announce the arrival, wait while closed — but
+    /// not for ever, so that a server which wrongly waits on the parked
+    /// thread fails an assertion instead of hanging the test.
+    fn pass(&self) {
+        let (state, cv) = &*self.0;
+        let mut g = state.lock().expect("gate");
+        g.parked = true;
+        cv.notify_all();
+        (g, _) = cv
+            .wait_timeout_while(g, Duration::from_secs(5), |g| g.closed)
+            .expect("gate");
+        g.parked = false;
+    }
+
+    /// Blocks until someone is parked at the gate.
+    fn wait_for_arrival(&self) {
+        let (state, cv) = &*self.0;
+        let g = state.lock().expect("gate");
+        let (_g, timeout) = cv
+            .wait_timeout_while(g, Duration::from_secs(10), |g| !g.parked)
+            .expect("gate");
+        assert!(!timeout.timed_out(), "nobody ever reached the gated op");
+    }
+}
+
+/// A pager with one operation behind a [`Gate`].
+struct GatedPager {
+    inner: Box<dyn Pager>,
+    gate: Gate,
+    op: GatedOp,
+}
+
+impl Pager for GatedPager {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+    fn num_pages(&self) -> u64 {
+        self.inner.num_pages()
+    }
+    fn allocate(&mut self) -> Result<PageId> {
+        self.inner.allocate()
+    }
+    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
+        if self.op == GatedOp::ReadPage {
+            self.gate.pass();
+        }
+        self.inner.read_page(id, buf)
+    }
+    fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<()> {
+        self.inner.write_page(id, data)
+    }
+    fn sync(&mut self) -> Result<()> {
+        if self.op == GatedOp::DataSync {
+            self.gate.pass();
+        }
+        self.inner.sync()
+    }
+    fn wal_append(&mut self, bytes: &[u8]) -> Result<()> {
+        self.inner.wal_append(bytes)
+    }
+    fn wal_sync(&mut self) -> Result<()> {
+        self.inner.wal_sync()
+    }
+    fn wal_len(&mut self) -> Result<u64> {
+        self.inner.wal_len()
+    }
+    fn wal_rollback(&mut self, len: u64) -> Result<()> {
+        self.inner.wal_rollback(len)
+    }
+    fn wal_truncate(&mut self) -> Result<()> {
+        self.inner.wal_truncate()
+    }
+    fn wal_read(&mut self) -> Result<Vec<u8>> {
+        self.inner.wal_read()
+    }
+}
+
+/// A seeded memory store whose commits park in their data sync; the
+/// gate starts open.
+fn commit_gated_store(n: usize, seed: u64) -> (SharedStore, Gate) {
+    let gate = Gate::default();
+    let pager = GatedPager {
+        inner: Box::new(MemPager::new(2048)),
+        gate: gate.clone(),
+        op: GatedOp::DataSync,
+    };
+    let cfg = StoreConfig::small(2048, 256).with_wal(true);
+    let store = SharedStore::open_with_pager(Box::new(pager), &cfg).expect("open gated store");
+    (seed_store(store, n, seed).0, gate)
+}
+
+/// A server over a gated store with one commit parked in its data
+/// sync: the write lock is held until the gate opens. Returns the
+/// thread that will hear that commit's answer.
+fn server_with_a_commit_in_progress(
+    n: usize,
+    seed: u64,
+) -> (ServerHandle, Gate, std::thread::JoinHandle<u64>) {
+    let (store, gate) = commit_gated_store(n, seed);
+    let server = ServerHandle::bind(
+        store,
+        "127.0.0.1:0",
+        ServeConfig {
+            threads: 6,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind server");
+    let mut committer = Client::connect(server.local_addr()).expect("connect");
+    gate.set_closed(true);
+    let commit = std::thread::spawn(move || committer.commit().expect("gated commit"));
+    gate.wait_for_arrival();
+    (server, gate, commit)
 }
 
 /// Satellite 1: the accept loop refuses connections past
@@ -92,28 +239,30 @@ fn connection_limit_refuses_with_a_typed_overloaded_frame() {
     server.shutdown();
 }
 
-/// Satellite 2: a batch member whose connection dies before its reply
-/// can be written must not skew the group's counters — the traversal
-/// happened once, the counters say so once, and the surviving members'
-/// answers stay bit-identical to serial.
+/// Satellite 2: a connection killed before its reply can be written
+/// leaves the read counted exactly once — the traversal happened, the
+/// counters were published before the reply — and its neighbours'
+/// answers stay bit-identical to in-process.
 #[test]
-fn a_dead_member_reply_does_not_skew_group_counters() {
+fn a_connection_killed_before_its_reply_is_counted_exactly_once() {
     let (store, _space) = seeded_store(300, 0xDEAD);
     let mut rng = StdRng::seed_from_u64(9);
     let queries: Vec<Rect> = (0..3).map(|_| rand_rect(&mut rng, 2, 0.5)).collect();
 
-    // Serial answers for the two members that live to hear theirs.
+    // In-process answers and node accesses for all three.
     let mut serial = Vec::new();
+    let mut serial_accesses = 0;
     for q in &queries {
-        let engine = SnapshotBoxSum::open(store.snapshot().expect("snapshot")).expect("open");
+        let snap = Arc::new(store.snapshot().expect("snapshot"));
+        let engine = SnapshotBoxSum::open(&snap).expect("open");
         serial.push(engine.query(q).expect("serial query"));
+        serial_accesses += snap.node_reads().0;
     }
 
     let server = ServerHandle::bind(
         store,
         "127.0.0.1:0",
         ServeConfig {
-            batch_window: Duration::from_millis(300),
             threads: 8,
             ..ServeConfig::default()
         },
@@ -128,9 +277,9 @@ fn a_dead_member_reply_does_not_skew_group_counters() {
         let barrier = Arc::clone(&barrier);
         handles.push(std::thread::spawn(move || {
             if i == 2 {
-                // This member's socket dies right after the request is
-                // written: the server computes its answer but the reply
-                // write lands on a killed connection.
+                // This socket dies right after the request is written:
+                // the server computes the answer but the reply lands on
+                // a killed connection.
                 let handle = StreamFaultHandle::new();
                 let mut client = Client::connect_faulted(addr, handle.clone()).expect("connect");
                 barrier.wait();
@@ -141,28 +290,35 @@ fn a_dead_member_reply_does_not_skew_group_counters() {
             } else {
                 let mut client = Client::connect(addr).expect("connect");
                 barrier.wait();
-                Some((i, client.box_sum(&q).expect("healthy member answer")))
+                Some((i, client.box_sum(&q).expect("healthy answer")))
             }
         }));
     }
     for h in handles {
-        if let Some((i, got)) = h.join().expect("member thread") {
+        if let Some((i, got)) = h.join().expect("client thread") {
             assert_eq!(
                 got.to_bits(),
                 serial[i].to_bits(),
-                "member {i} diverged from serial"
+                "connection {i} diverged from in-process"
             );
         }
     }
 
-    // Give the server a beat to finish the group's bookkeeping, then
-    // pin the counters: all three traversals accounted exactly once,
-    // in exactly one group, dead reply or not.
-    std::thread::sleep(Duration::from_millis(100));
+    // The killed client gave up at its first read; its request may
+    // still be running. Wait for its traversal to be published, then
+    // pin the counters: all three accounted exactly once, dead reply
+    // or not.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().node_accesses < serial_accesses && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let stats = server.stats();
-    assert_eq!(stats.queries, 3, "every member's traversal counts once");
-    assert_eq!(stats.groups, 1, "one admission window, one group");
-    assert!(stats.node_accesses >= stats.node_decodes);
+    assert_eq!(stats.queries, 3, "every traversal counts once");
+    assert_eq!(stats.groups, 3, "one per executed read");
+    assert_eq!(
+        stats.node_accesses, serial_accesses,
+        "the dead connection's traversal is in the counters, once"
+    );
     assert!(stats.validate_ok);
     server.shutdown();
 }
@@ -370,32 +526,25 @@ fn every_error_path_answers_a_typed_frame_before_closing() {
     server.shutdown();
 }
 
-/// A request whose deadline expires while it waits in the admission
-/// queue is dropped with a typed `DEADLINE_EXCEEDED` — no traversal is
-/// spent on an answer nobody is waiting for — and the connection stays
-/// usable.
+/// A commit whose deadline expires while it waits in the commit queue
+/// — the only queue left — behind a round in progress is dropped with a
+/// typed `DEADLINE_EXCEEDED`, and the connection stays usable.
 #[test]
 fn queued_work_past_its_deadline_is_dropped_with_a_typed_frame() {
-    let (store, _space) = seeded_store(40, 31);
-    let server = ServerHandle::bind(
-        store,
-        "127.0.0.1:0",
-        ServeConfig {
-            // A long admission window guarantees the tiny deadline
-            // expires while the request sits in the forming group.
-            batch_window: Duration::from_millis(400),
-            threads: 4,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind server");
+    let (server, gate, first_commit) = server_with_a_commit_in_progress(40, 31);
 
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let whole = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
     client.set_deadline_ms(30);
-    let err = client
-        .box_sum(&whole)
-        .expect_err("30 ms deadline inside a 400 ms window must expire");
+    let queued = std::thread::spawn(move || {
+        let err = client
+            .commit()
+            .expect_err("a 30 ms deadline behind a parked round must expire");
+        (client, err)
+    });
+    std::thread::sleep(Duration::from_millis(150));
+    gate.set_closed(false);
+    assert_eq!(first_commit.join().expect("first committer"), 40);
+    let (mut client, err) = queued.join().expect("queued committer");
     assert!(
         matches!(err, Error::DeadlineExceeded { .. }),
         "expired queued work must answer DEADLINE_EXCEEDED, got: {err}"
@@ -403,9 +552,94 @@ fn queued_work_past_its_deadline_is_dropped_with_a_typed_frame() {
 
     // Same connection, no deadline: served normally.
     client.set_deadline_ms(0);
+    assert_eq!(client.commit().expect("undeadlined commit"), 40);
+    let whole = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
     client.box_sum(&whole).expect("undeadlined query");
     let stats = client.stats().expect("stats");
     assert!(stats.expired >= 1, "the expiry must be counted");
+    assert!(stats.validate_ok);
+    server.shutdown();
+}
+
+/// A connect during a commit is greeted at once: the handshake reads
+/// the published object count, not the engine behind the write lock.
+#[test]
+fn handshake_does_not_wait_for_a_commit() {
+    let (store, gate) = commit_gated_store(25, 41);
+    let server =
+        ServerHandle::bind(store, "127.0.0.1:0", ServeConfig::default()).expect("bind server");
+    let addr = server.local_addr();
+
+    let mut writer = Client::connect(addr).expect("connect");
+    let obj = Rect::from_bounds(&[(0.4, 0.5), (0.4, 0.5)]);
+    assert_eq!(writer.insert(&obj, 3.0).expect("insert"), 26);
+    gate.set_closed(true);
+    let commit = std::thread::spawn(move || writer.commit().expect("gated commit"));
+    gate.wait_for_arrival();
+
+    // The committer now holds the write lock and will until the gate
+    // opens; a new connection must still hear Hello, with the count as
+    // of the last applied write.
+    let t0 = Instant::now();
+    let greeted = Client::connect(addr).expect("connect during the commit");
+    let waited = t0.elapsed();
+    assert_eq!(greeted.hello().objects, 26);
+    assert!(
+        waited < Duration::from_secs(1),
+        "handshake took {waited:?} behind a held write lock"
+    );
+
+    gate.set_closed(false);
+    assert_eq!(commit.join().expect("committer"), 26);
+    server.shutdown();
+}
+
+/// A write that out-waited its deadline on the write lock is refused
+/// once it gets there — typed `DEADLINE_EXCEEDED`, nothing applied,
+/// `(token, seq)` not recorded — so the client's retry under the same
+/// identity applies it exactly once.
+#[test]
+fn a_write_that_outwaited_its_deadline_is_not_applied() {
+    let (server, gate, first_commit) = server_with_a_commit_in_progress(30, 43);
+    let addr = server.local_addr();
+
+    let mut client = Client::connect(addr).expect("connect");
+    client.set_deadline_ms(40);
+    let obj = Rect::from_bounds(&[(0.2, 0.3), (0.6, 0.7)]);
+    let blocked = std::thread::spawn(move || {
+        let err = client
+            .insert(&obj, 9.0)
+            .expect_err("a 40 ms deadline behind a held write lock must expire");
+        (client, err)
+    });
+    std::thread::sleep(Duration::from_millis(200));
+    gate.set_closed(false);
+    assert_eq!(first_commit.join().expect("first committer"), 30);
+    let (mut client, err) = blocked.join().expect("blocked writer");
+    assert!(
+        matches!(err, Error::DeadlineExceeded { .. }),
+        "a write past its deadline must answer DEADLINE_EXCEEDED, got: {err}"
+    );
+    assert_eq!(client.pending_writes(), 0);
+    assert_eq!(Client::connect(addr).expect("probe").hello().objects, 30);
+    let stats = client.stats().expect("stats");
+    assert!(stats.expired >= 1, "the expiry must be counted");
+    assert_eq!(stats.replays, 0);
+
+    // The retry carries the same `(token, seq)`; had the refused op
+    // been recorded it would be skipped as a replay and lost.
+    let whole = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
+    let before = client.box_sum(&whole).expect("sum before");
+    client.set_deadline_ms(0);
+    assert_eq!(client.insert(&obj, 9.0).expect("retry"), 31);
+    assert_eq!(client.commit().expect("commit"), 31);
+    let after = client.box_sum(&whole).expect("sum after");
+    assert_eq!(after.to_bits(), (before + 9.0).to_bits());
+    let stats = client.stats().expect("stats");
+    assert_eq!(
+        stats.replays, 0,
+        "the retry was a first apply, not a replay"
+    );
     assert!(stats.validate_ok);
     server.shutdown();
 }
@@ -520,14 +754,34 @@ fn commit_durable_rides_through_a_killed_connection() {
     server.shutdown();
 }
 
-/// Under a burst that outruns the admission queue, singleton reads are
-/// shed with typed `OVERLOADED` frames and every client still gets its
+/// With more reads in flight than `queue_limit` allows, the excess is
+/// shed with a typed `OVERLOADED` frame and the client still gets its
 /// (bit-identical) answer through backoff — overload degrades latency,
-/// never correctness.
+/// never correctness. A two-frame buffer with both node caches off
+/// makes every box-sum miss, and the gate parks the first miss with
+/// its read still in flight.
 #[test]
 fn shed_reads_recover_through_client_backoff() {
-    const CLIENTS: usize = 12;
-    let (store, _space) = seeded_store(200, 0x0DD);
+    let dir = boxagg_common::tempdir::tempdir().expect("tempdir");
+    let path = dir.path().join("shed.pages");
+    let cfg = StoreConfig {
+        page_size: 2048,
+        buffer_pages: 2,
+        backing: Backing::File(path.clone()),
+        parallelism: 1,
+        node_cache_pages: 0,
+        wal: true,
+    };
+    seed_store(SharedStore::open(&cfg).expect("create store"), 200, 0x0DD);
+    // Reopened behind the gate, the pool holds only what it has
+    // fetched since.
+    let gate = Gate::default();
+    let pager = GatedPager {
+        inner: Box::new(FilePager::open(&path, cfg.page_size).expect("reopen file")),
+        gate: gate.clone(),
+        op: GatedOp::ReadPage,
+    };
+    let store = SharedStore::open_with_pager(Box::new(pager), &cfg).expect("reopen gated store");
     let whole = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
     let serial = {
         let engine = SnapshotBoxSum::open(store.snapshot().expect("snapshot")).expect("open");
@@ -538,49 +792,43 @@ fn shed_reads_recover_through_client_backoff() {
         store,
         "127.0.0.1:0",
         ServeConfig {
-            // Window zero keeps every read a singleton; queue_limit 2
-            // makes singletons shed at depth 1 — the smallest burst
-            // contention trips the policy.
-            batch_window: Duration::ZERO,
-            queue_limit: 2,
+            // One read in flight at a time.
+            queue_limit: 1,
             retry_after: Duration::from_millis(1),
-            threads: CLIENTS + 4,
+            threads: 4,
             ..ServeConfig::default()
         },
     )
     .expect("bind server");
     let addr = server.local_addr();
+    let mut first = Client::connect(addr).expect("connect");
+    let mut second = Client::connect(addr).expect("connect");
+    second.set_backoff_seed(0x0DD);
 
-    let mut clients: Vec<Client> = (0..CLIENTS)
-        .map(|i| {
-            let mut c = Client::connect(addr).expect("connect");
-            c.set_backoff_seed(0x0DD ^ i as u64);
-            c
+    gate.set_closed(true);
+    let parked = std::thread::spawn(move || first.box_sum(&whole).expect("parked query"));
+    gate.wait_for_arrival();
+    // The second read's first attempt meets a full tier; its backoff
+    // (at least half a second in all) outlasts the parked read.
+    let opener = {
+        let gate = gate.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            gate.set_closed(false);
         })
-        .collect();
+    };
+    let got = second.box_sum(&whole).expect("backoff rides out the shed");
+    assert_eq!(got.to_bits(), serial.to_bits());
+    assert_eq!(
+        parked.join().expect("parked reader").to_bits(),
+        serial.to_bits()
+    );
+    opener.join().expect("opener thread");
 
-    // Concurrent bursts until shedding is observed (virtually always
-    // the first round); every answer must come back correct.
-    let mut shed_seen = false;
-    for _round in 0..40 {
-        let barrier = Arc::new(Barrier::new(CLIENTS));
-        std::thread::scope(|scope| {
-            for client in clients.iter_mut() {
-                let barrier = Arc::clone(&barrier);
-                scope.spawn(move || {
-                    barrier.wait();
-                    let got = client.box_sum(&whole).expect("burst query");
-                    assert_eq!(got.to_bits(), serial.to_bits());
-                });
-            }
-        });
-        if server.stats().shed > 0 {
-            shed_seen = true;
-            break;
-        }
-    }
-    assert!(shed_seen, "no burst ever tripped the shedding policy");
-    assert!(server.stats().validate_ok);
+    let stats = server.stats();
+    assert!(stats.shed >= 1, "the second read was never shed");
+    assert_eq!(stats.queries, 2, "a shed attempt is not an executed read");
+    assert!(stats.validate_ok);
     server.shutdown();
 }
 

@@ -1,6 +1,6 @@
-//! End-to-end tests for the serving layer: batching equivalence
-//! (concurrent ≡ serial, bit for bit; nothing decodes on a warm epoch,
-//! batched or not) and survival under hostile bytes.
+//! End-to-end tests for the serving layer: concurrent connections ≡
+//! in-process `SnapshotBoxSum` (bit for bit; nothing decodes on a warm
+//! epoch) and survival under hostile bytes.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -47,15 +47,15 @@ fn seeded_store(n: usize, seed: u64) -> (SharedStore, Rect) {
 }
 
 #[test]
-fn served_queries_are_bit_identical_to_serial_and_a_warm_epoch_decodes_nothing() {
+fn concurrent_connections_answer_like_in_process_and_a_warm_epoch_decodes_nothing() {
     const K: usize = 16;
     let (store, _space) = seeded_store(400, 0xB0B5);
     let mut rng = StdRng::seed_from_u64(42);
     let queries: Vec<Rect> = (0..K).map(|_| rand_rect(&mut rng, 2, 0.5)).collect();
 
-    // Serial baseline: each query on its own snapshot, exactly what an
-    // unbatched server does. It is also the epoch's first pass, so it
-    // pays the decodes — each page once, shared across the snapshots.
+    // In-process baseline: each query on its own snapshot, exactly what
+    // the server does per request. It is also the epoch's first pass,
+    // so it pays the decodes — each page once, shared across snapshots.
     let mut serial_answers = Vec::new();
     let (mut serial_accesses, mut serial_decodes) = (0u64, 0u64);
     for q in &queries {
@@ -71,33 +71,19 @@ fn served_queries_are_bit_identical_to_serial_and_a_warm_epoch_decodes_nothing()
         "the cold pass decodes each page once: {serial_decodes} of {serial_accesses}"
     );
 
-    let serve = |window: Duration| {
-        ServerHandle::bind(
-            store.clone(),
-            "127.0.0.1:0",
-            ServeConfig {
-                batch_window: window,
-                max_batch: 64,
-                threads: K + 4,
-                ..ServeConfig::default()
-            },
-        )
-        .expect("bind server")
-    };
-    let assert_serial = |served: &[f64], how: &str| {
-        for (i, (got, want)) in served.iter().zip(&serial_answers).enumerate() {
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "query {i}: {how} {got} vs serial {want}"
-            );
-        }
-    };
-
-    // Batched: all clients connect first, then fire simultaneously so
-    // the admission window actually sees them together.
-    let server = serve(Duration::from_millis(200));
+    let server = ServerHandle::bind(
+        store.clone(),
+        "127.0.0.1:0",
+        ServeConfig {
+            threads: K + 4,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind server");
     let addr = server.local_addr();
+
+    // All clients connect first, then fire simultaneously: K reads in
+    // flight on K pool workers, each on its own pin of the same epoch.
     let barrier = Arc::new(Barrier::new(K));
     let handles: Vec<_> = queries
         .iter()
@@ -117,37 +103,28 @@ fn served_queries_are_bit_identical_to_serial_and_a_warm_epoch_decodes_nothing()
         let (i, v) = h.join().expect("client thread");
         served[i] = v;
     }
-    assert_serial(&served, "batched");
-    let stats = server.stats();
-    assert_eq!(stats.queries, K as u64);
-    assert!(
-        stats.groups < stats.queries,
-        "batching never formed a group: {} groups for {} queries",
-        stats.groups,
-        stats.queries
-    );
-    assert!(stats.node_accesses > 0);
-    assert_eq!(
-        stats.node_decodes, 0,
-        "a batched pass over an unchanged epoch decoded"
-    );
-    assert!(stats.validate_ok, "store failed validate() after serving");
-    server.shutdown();
-
-    // Unbatched: a zero window, one connection, one group per request.
-    let server = serve(Duration::ZERO);
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    let served: Vec<f64> = queries
-        .iter()
-        .map(|q| client.box_sum(q).expect("box_sum"))
-        .collect();
-    assert_serial(&served, "unbatched");
+    for (i, (got, want)) in served.iter().zip(&serial_answers).enumerate() {
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "query {i}: served {got} vs in-process {want}"
+        );
+    }
     let stats = server.stats();
     assert_eq!((stats.queries, stats.groups), (K as u64, K as u64));
     assert_eq!(
-        stats.node_decodes, 0,
-        "an unbatched pass over an unchanged epoch decoded"
+        stats.node_accesses, serial_accesses,
+        "the same queries on the same epoch touch the same nodes"
     );
+    assert_eq!(
+        stats.node_decodes, 0,
+        "a served pass over an unchanged epoch decoded"
+    );
+    assert_eq!(
+        (stats.shed, stats.expired, stats.protocol_errors),
+        (0, 0, 0)
+    );
+    assert!(stats.validate_ok, "store failed validate() after serving");
     server.shutdown();
 }
 
