@@ -246,9 +246,12 @@ impl WalFile for ParkWal {
     fn truncate(&mut self) -> Result<()> {
         self.inner.truncate()
     }
+    fn read_all(&mut self) -> Result<Vec<u8>> {
+        self.inner.read_all()
+    }
 }
 
-/// A pass-through pager whose split-off WAL handle is a [`ParkWal`].
+/// A pass-through pager whose log handle is a [`ParkWal`].
 struct ParkPager {
     inner: FaultPager,
     armed: Arc<AtomicBool>,
@@ -274,28 +277,9 @@ impl Pager for ParkPager {
     fn sync(&mut self) -> Result<()> {
         self.inner.sync()
     }
-    fn wal_append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.inner.wal_append(bytes)
-    }
-    fn wal_sync(&mut self) -> Result<()> {
-        self.inner.wal_sync()
-    }
-    fn wal_len(&mut self) -> Result<u64> {
-        self.inner.wal_len()
-    }
-    fn wal_rollback(&mut self, len: u64) -> Result<()> {
-        self.inner.wal_rollback(len)
-    }
-    fn wal_truncate(&mut self) -> Result<()> {
-        self.inner.wal_truncate()
-    }
-    fn wal_read(&mut self) -> Result<Vec<u8>> {
-        self.inner.wal_read()
-    }
-    fn split_wal(&mut self) -> Option<Box<dyn WalFile>> {
-        let inner = self.inner.split_wal()?;
-        Some(Box::new(ParkWal {
-            inner,
+    fn wal(&mut self) -> Result<Box<dyn WalFile>> {
+        Ok(Box::new(ParkWal {
+            inner: self.inner.wal()?,
             armed: self.armed.clone(),
             hook: self.hook.take(),
         }))

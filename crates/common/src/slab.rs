@@ -275,8 +275,7 @@ impl<V: AggValue> EntrySlab<V> {
     /// The scalar loop [`sum_dominated_from_into`] replaced — per-entry
     /// early-exit dominance test, exactly the shape of the old tuple
     /// scan. Nothing in the product calls it; it is the reference the
-    /// equivalence tests and `bench --bin innerloop` hold the
-    /// vectorized scan to, bit for bit.
+    /// equivalence tests hold the vectorized scan to, bit for bit.
     ///
     /// [`sum_dominated_from_into`]: Self::sum_dominated_from_into
     pub fn sum_dominated_from_into_reference(&self, from: usize, q: &Point, acc: &mut V) {

@@ -16,7 +16,12 @@
 //!   byte-level I/O. Horner associates differently from the sparse
 //!   per-term sum, so this slice uses a dyadic-rational workload
 //!   (integer boxes, exponents `{0, 1, 3}`, half-integer coefficients,
-//!   integer query corners) where both orders are exact — and equal.
+//!   integer query corners) where both orders are exact — and equal;
+//! * the decoded-node cache changes neither an answer nor a byte-level
+//!   I/O count: BAT, ECDF-Bu and ECDF-Bq built with `node_cache_pages`
+//!   on and off answer the same warm queries `to_bits()`-equal with
+//!   equal `(reads, writes, hits)`, and only the cached store records
+//!   decode hits.
 
 use boxagg_batree::BATree;
 use boxagg_common::error::Result;
@@ -30,7 +35,7 @@ use boxagg_core::engine::SimpleBoxSum;
 use boxagg_core::functional::{FunctionalBoxSum, FunctionalObject};
 use boxagg_core::reduction::{corner_query_point, EoBoxSum};
 use boxagg_ecdf::{BorderPolicy, EcdfBTree};
-use boxagg_pagestore::StoreConfig;
+use boxagg_pagestore::{SharedStore, StoreConfig};
 
 fn config() -> StoreConfig {
     StoreConfig::small(512, 64)
@@ -211,4 +216,80 @@ fn horner_engine_is_bit_identical_to_sparse_evaluation() {
         horner_io.total() + horner_io.hits > 0,
         "functional: no page traffic recorded"
     );
+}
+
+/// One scheme of the node-cache identity check: the same bulk-loaded
+/// engine over a store with the decoded-node cache on and one with it
+/// off, driven through the same warm query sequence.
+fn assert_node_cache_is_invisible<I: DominanceSumIndex<f64>>(
+    name: &str,
+    build: impl Fn(StoreConfig) -> SimpleBoxSum<I>,
+    store_of: fn(&I) -> &SharedStore,
+    queries: &[Rect],
+) {
+    // The whole index stays resident: decode is the only work a warm
+    // query can save.
+    let cfg = StoreConfig::small(512, 4096);
+    let on = build(cfg.clone());
+    let off = build(cfg.with_node_cache(0));
+    let store_on = store_of(&on.indexes()[0]);
+    let store_off = store_of(&off.indexes()[0]);
+    let pass = |engine: &SimpleBoxSum<I>| -> Vec<u64> {
+        let probe = &engine.indexes()[0];
+        queries
+            .iter()
+            .flat_map(|q| {
+                let corner = Point::from_fn(2, |i| q.high().get(i));
+                [
+                    engine.query(q).unwrap().to_bits(),
+                    probe.dominance_sum(&corner).unwrap().to_bits(),
+                ]
+            })
+            .collect()
+    };
+    // Warm both byte buffers and the decoded cache, then count.
+    let want = pass(&on);
+    assert_eq!(pass(&off), want, "{name}: cache-off answers differ");
+    store_on.reset_stats();
+    store_off.reset_stats();
+    assert_eq!(pass(&on), want, "{name}: warm answers drifted");
+    assert_eq!(pass(&off), want, "{name}: warm cache-off answers drifted");
+    let (io_on, io_off) = (store_on.stats(), store_off.stats());
+    assert_eq!(
+        (io_on.reads, io_on.writes, io_on.hits),
+        (io_off.reads, io_off.writes, io_off.hits),
+        "{name}: byte-level I/O must not depend on the decoded-node cache"
+    );
+    assert!(io_on.hits > 0, "{name}: the warm pass touched no page");
+    assert!(
+        io_on.decode_hits > 0,
+        "{name}: warm queries never hit the cache"
+    );
+    assert_eq!(
+        io_off.decode_hits, 0,
+        "{name}: a disabled cache recorded a hit"
+    );
+}
+
+#[test]
+fn node_cache_changes_no_answer_and_no_byte_level_io() {
+    let (objects, queries) = simple_workload(0x407, 2_000, 25);
+    let space = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
+    assert_node_cache_is_invisible(
+        "BAT",
+        |cfg| SimpleBoxSum::batree_bulk(space, cfg, &objects).unwrap(),
+        BATree::store,
+        &queries,
+    );
+    for (name, policy) in [
+        ("ECDFu", BorderPolicy::UpdateOptimized),
+        ("ECDFq", BorderPolicy::QueryOptimized),
+    ] {
+        assert_node_cache_is_invisible(
+            name,
+            |cfg| SimpleBoxSum::ecdf_bulk(2, policy, cfg, &objects).unwrap(),
+            EcdfBTree::store,
+            &queries,
+        );
+    }
 }

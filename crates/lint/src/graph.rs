@@ -20,9 +20,7 @@
 //!   caller's held-lock set. A closure passed to a higher-order
 //!   function is therefore checked against the locks held where it is
 //!   *written*, not where it eventually runs. This is an
-//!   under-approximation for callback-style code (`with_wal`'s
-//!   fallback route deliberately holds the pager lock across the
-//!   caller's log I/O — the documented pre-split behavior).
+//!   under-approximation for callback-style code.
 //! * Method calls resolve through the receiver's *type* to every
 //!   `impl` (and trait default) with that base name — a may-analysis
 //!   union over dynamic dispatch. Untypeable receivers contribute no
@@ -48,14 +46,10 @@ use crate::rules::Finding;
 /// buffer-pool shard lock is held — a reader blocked on the shard
 /// would wait out a disk flush.
 const SYNC_FAMILY: &[&str] = &["sync", "sync_data", "sync_all"];
-/// Method names making up the WAL I/O family (R8): banned while a
-/// shard *or* the pager lock is held — the pre-PR-6 bug class where
-/// the commit's log fsync stalled every cache-miss reader.
-const WAL_FAMILY: &[&str] = &["wal_append", "wal_sync"];
-/// Lock const names under which the sync family may not run.
+/// Lock const names under which the sync family may not run. (Log I/O
+/// under a shard or the pager lock needs no rule of its own: the log's
+/// one handle ranks below both, so R7 rejects reaching for it there.)
 const SYNC_HOT: &[&str] = &["SHARD"];
-/// Lock const names under which the WAL family may not run.
-const WAL_HOT: &[&str] = &["SHARD", "PAGER"];
 
 /// Method names that mutate store state (R9 targets) when defined on
 /// one of [`MUT_TYPES`].
@@ -746,7 +740,7 @@ impl<'m, 'a> Scanner<'m, 'a> {
                                     line: toks[i].line,
                                 });
                             }
-                            if io_family(id).is_some() && !after_path && !after_dot {
+                            if is_io(id) && !after_path && !after_dot {
                                 self.record(Event::Io {
                                     name: id.clone(),
                                     line: toks[i].line,
@@ -842,7 +836,7 @@ impl<'m, 'a> Scanner<'m, 'a> {
             name: m.clone(),
             line,
         });
-        if io_family(&m).is_some() {
+        if is_io(&m) {
             self.record(Event::Io {
                 name: m.clone(),
                 line,
@@ -1111,7 +1105,7 @@ impl<'m, 'a> Scanner<'m, 'a> {
             }
             Some(_) | None => {
                 if starts_upper(name) {
-                    // Tuple-struct constructor `PagerWal(...)`.
+                    // Tuple-struct constructor `MemWal(...)`.
                     return Some(name.to_string());
                 }
                 let cands = match qual {
@@ -1138,15 +1132,9 @@ impl<'m, 'a> Scanner<'m, 'a> {
     }
 }
 
-/// Which I/O family a method name belongs to, if any.
-fn io_family(name: &str) -> Option<&'static str> {
-    if SYNC_FAMILY.contains(&name) {
-        Some("sync")
-    } else if WAL_FAMILY.contains(&name) {
-        Some("wal")
-    } else {
-        None
-    }
+/// Whether a method name belongs to the blocking-I/O family R8 tracks.
+fn is_io(name: &str) -> bool {
+    SYNC_FAMILY.contains(&name)
 }
 
 fn is_expr_keyword(id: &str) -> bool {
@@ -1366,12 +1354,11 @@ fn max_held(held: &[Lock]) -> Option<&Lock> {
 }
 
 fn io_violates<'a>(name: &str, held: &'a [Lock]) -> Option<&'a Lock> {
-    let hot: &[&str] = match io_family(name)? {
-        "sync" => SYNC_HOT,
-        _ => WAL_HOT,
-    };
+    if !is_io(name) {
+        return None;
+    }
     held.iter()
-        .find(|l| l.name.as_deref().is_some_and(|n| hot.contains(&n)))
+        .find(|l| l.name.as_deref().is_some_and(|n| SYNC_HOT.contains(&n)))
 }
 
 fn check_rank_and_io(

@@ -455,8 +455,8 @@ fn rule_codec_roundtrip(
 }
 
 /// R11: no per-call allocation inside a function marked `// lint:
-/// hot-path` — the pinned inner loops the `innerloop` microbench holds to
-/// a ns/entry budget. `Vec::new`, `Vec::with_capacity`, `.to_vec()`,
+/// hot-path` — the pinned inner loops `benchmark/` times per entry
+/// (`common.slab_scan_ns_per_entry`, `common.horner_ns_per_eval`). `Vec::new`, `Vec::with_capacity`, `.to_vec()`,
 /// `.collect()` and `vec![…]` all allocate on every call; hot loops must
 /// reuse caller-owned scratch (`clear()` + refill) instead. A justified
 /// exception says why with

@@ -1,10 +1,10 @@
-//! R8 fixture (good twin): log I/O on a dedicated WAL handle with its
-//! own lock, never under the shard or pager lock. The pager's own
-//! `sync` under the pager lock is allowed — only a *shard* lock makes
-//! the data-sync family hot.
+//! Good twin of `bad_hot_lock_io.rs`: log I/O on the log handle under
+//! its own lock, taken with neither a shard nor the pager held. The
+//! pager's own `sync` under the pager lock is allowed — only a *shard*
+//! lock makes the data-sync family hot.
 
-pub const PAGER: u32 = 7;
-pub const WAL_IO: u32 = 8;
+pub const WAL_IO: u32 = 5;
+pub const PAGER: u32 = 8;
 
 struct Pager {
     n: u64,
@@ -21,32 +21,32 @@ struct Wal {
 }
 
 impl Wal {
-    fn wal_append(&mut self, rec: &[u8]) -> u64 {
+    fn append(&mut self, rec: &[u8]) -> u64 {
         self.n + rec.len() as u64
     }
 
-    fn wal_sync(&mut self) -> u64 {
+    fn sync(&mut self) -> u64 {
         self.n
     }
 }
 
 struct Pool {
     pager: RankedMutex<Pager>,
-    wal_io: RankedMutex<Wal>,
+    log: RankedMutex<Wal>,
 }
 
 impl Pool {
     fn new() -> Pool {
         Pool {
             pager: RankedMutex::new(PAGER, "pager", Pager { n: 0 }),
-            wal_io: RankedMutex::new(WAL_IO, "wal io", Wal { n: 0 }),
+            log: RankedMutex::new(WAL_IO, "wal io", Wal { n: 0 }),
         }
     }
 
     fn log_commit(&self) -> u64 {
-        let mut w = self.wal_io.acquire();
-        let appended = w.wal_append(&[1, 2, 3]);
-        appended + w.wal_sync()
+        let mut log = self.log.acquire();
+        let appended = log.append(&[1, 2, 3]);
+        appended + log.sync()
     }
 
     fn flush(&self) -> u64 {

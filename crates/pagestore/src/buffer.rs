@@ -18,7 +18,7 @@
 //!
 //! Every lock is a [`RankedMutex`] (plus one [`RankedRwLock`], the
 //! commit write barrier) in the order `commit < barrier < snapshot <
-//! allocator < shard < pager < wal io` (see [`crate::rank`] for the
+//! allocator < wal io < shard < pager` (see [`crate::rank`] for the
 //! derivation); debug builds panic on any out-of-order acquisition, so
 //! a lock-order inversion cannot survive the test suite.
 //!
@@ -38,7 +38,7 @@
 //! ([`BufferPool::pin_snapshot`]) and then read pages *as of* that
 //! epoch through [`BufferPool::with_page_at`], lock-free with respect
 //! to commits: a committer prepares the next epoch (logs and syncs the
-//! transaction through a dedicated WAL handle, without the pager lock)
+//! transaction through the pool's log handle, without the pager lock)
 //! while pinned readers keep observing the previous one. The flip to
 //! the new epoch happens under the exclusive barrier — the only moment
 //! a snapshot reader and a committer exclude each other — and retains
@@ -289,9 +289,6 @@ pub struct BufferPool {
     /// `shards.len() - 1`; shard count is a power of two.
     shard_mask: u64,
     alloc: RankedMutex<AllocState>,
-    /// Whether dirty pages go through the WAL commit protocol
-    /// ([`commit`](Self::commit)) instead of in-place write-back.
-    wal: bool,
     /// Serializes commits; rank [`WAL`](rank::WAL), below every lock the
     /// protocol takes.
     commit_lock: RankedMutex<()>,
@@ -303,13 +300,14 @@ pub struct BufferPool {
     /// across all shards rather than a shard-by-shard crawl a concurrent
     /// writer could race through.
     barrier: RankedRwLock<()>,
-    /// Dedicated write-ahead-log handle split off the pager at
-    /// construction (rank [`WAL_IO`](rank::WAL_IO), *above* the pager):
-    /// commit's log I/O — including the fsync at the atomicity point —
-    /// runs through it without holding the pager lock, so reads proceed
-    /// while a committer waits on the log. `None` when the pager cannot
-    /// split (commits then fall back to the pager-lock route).
-    wal_io: Option<RankedMutex<Box<dyn WalFile>>>,
+    /// The write-ahead-log handle (rank [`WAL_IO`](rank::WAL_IO),
+    /// *below* the shards and the pager). A WAL pool is a pool that has
+    /// a log: with `Some`, dirty pages go through the commit protocol
+    /// ([`commit`](Self::commit)) — whose log I/O, the fsync at the
+    /// atomicity point included, runs through this handle without the
+    /// pager lock, so reads proceed while a committer waits on the log;
+    /// with `None`, they are written back in place.
+    log: Option<RankedMutex<Box<dyn WalFile>>>,
     /// Commit-epoch state (rank [`SNAPSHOT`](rank::SNAPSHOT)): the
     /// current epoch, reader pins, and superseded page images retained
     /// for pinned epochs. The epoch lives *inside* the lock so pinning
@@ -379,30 +377,6 @@ struct SnapshotTable {
     versions: HashMap<PageId, Vec<PageVersion>>,
 }
 
-/// Adapts the pager's own `wal_*` methods to the [`WalFile`] interface
-/// — the commit path's fallback log route for pagers that cannot split
-/// a dedicated handle. The pager lock is held for the duration (the
-/// pre-split behavior).
-struct PagerWal<'a>(&'a mut dyn Pager);
-
-impl WalFile for PagerWal<'_> {
-    fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.0.wal_append(bytes)
-    }
-    fn sync(&mut self) -> Result<()> {
-        self.0.wal_sync()
-    }
-    fn len(&mut self) -> Result<u64> {
-        self.0.wal_len()
-    }
-    fn rollback(&mut self, len: u64) -> Result<()> {
-        self.0.wal_rollback(len)
-    }
-    fn truncate(&mut self) -> Result<()> {
-        self.0.wal_truncate()
-    }
-}
-
 #[derive(Debug, Default)]
 struct AllocState {
     /// Freed ids in LIFO reuse order.
@@ -433,28 +407,27 @@ impl BufferPool {
     /// Creates a pool of `shards` independent LRU lists (rounded up to a
     /// power of two) splitting `capacity` between them.
     pub fn with_shards(pager: Box<dyn Pager>, capacity: usize, shards: usize) -> Self {
-        Self::with_config(pager, capacity, shards, false, 0)
+        Self::with_config(pager, capacity, shards, None, 0)
     }
 
-    /// [`with_shards`](Self::with_shards) plus the WAL switch. With
-    /// `wal` on, dirty pages are pinned in the buffer (no-steal: an
-    /// eviction never writes an uncommitted page in place) until a
-    /// [`commit`](Self::commit) streams them through the write-ahead
-    /// log; the pool soft-exceeds its capacity when every frame of a
-    /// shard is dirty. With `wal` off (the default everywhere else),
-    /// behavior — including every I/O count — is byte-identical to the
-    /// pre-WAL pool. `committed_nodes` sizes the decoded-node cache of
-    /// committed images that pinned reads go through (WAL pools only;
-    /// 0 disables it).
+    /// [`with_shards`](Self::with_shards) plus the log. Given `log` —
+    /// the handle `pager` hands out ([`Pager::wal`]) — dirty pages are
+    /// pinned in the buffer (no-steal: an eviction never writes an
+    /// uncommitted page in place) until a [`commit`](Self::commit)
+    /// streams them through it; the pool soft-exceeds its capacity when
+    /// every frame of a shard is dirty. Without one (the default
+    /// everywhere else), behavior — including every I/O count — is
+    /// byte-identical to the pre-WAL pool. `committed_nodes` sizes the
+    /// decoded-node cache of committed images that pinned reads go
+    /// through (WAL pools only; 0 disables it).
     pub fn with_config(
         pager: Box<dyn Pager>,
         capacity: usize,
         shards: usize,
-        wal: bool,
+        log: Option<Box<dyn WalFile>>,
         committed_nodes: usize,
     ) -> Self {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
-        let mut pager = pager;
         let n = shards.max(1).next_power_of_two();
         let page_size = pager.page_size();
         assert!(
@@ -470,15 +443,6 @@ impl BufferPool {
                 RankedMutex::new(rank::SHARD, "buffer shard", Shard::new(cap))
             })
             .collect();
-        // Only WAL pools log; splitting the handle off a non-WAL pager
-        // would tie up resources the pool will never use.
-        let wal_io = if wal {
-            pager
-                .split_wal()
-                .map(|h| RankedMutex::new(rank::WAL_IO, "wal io", h))
-        } else {
-            None
-        };
         Self {
             pager: RankedMutex::new(rank::PAGER, "pager", pager),
             page_size,
@@ -488,10 +452,10 @@ impl BufferPool {
             shards: shards.into_boxed_slice(),
             shard_mask: (n - 1) as u64,
             alloc: RankedMutex::new(rank::ALLOCATOR, "page allocator", AllocState::default()),
-            wal,
             commit_lock: RankedMutex::new(rank::WAL, "commit", ()),
             barrier: RankedRwLock::new(rank::BARRIER, "write barrier", ()),
-            wal_io,
+            committed: NodeCache::new(if log.is_some() { committed_nodes } else { 0 }, n),
+            log: log.map(|h| RankedMutex::new(rank::WAL_IO, "wal io", h)),
             snapshots: RankedMutex::new(
                 rank::SNAPSHOT,
                 "snapshot table",
@@ -501,7 +465,6 @@ impl BufferPool {
                     versions: HashMap::new(),
                 },
             ),
-            committed: NodeCache::new(if wal { committed_nodes } else { 0 }, n),
             seq: AtomicU64::new(0),
             synced_seq: AtomicU64::new(0),
             commits_done: AtomicU64::new(0),
@@ -538,7 +501,7 @@ impl BufferPool {
 
     /// Whether the pool runs the WAL commit protocol.
     pub fn wal(&self) -> bool {
-        self.wal
+        self.log.is_some()
     }
 
     /// Folds `n` recovery replays into the statistics (called by
@@ -653,7 +616,7 @@ impl BufferPool {
         // Hold the alloc lock while dropping the cached frame so a
         // concurrent re-allocation cannot observe the stale frame.
         let was_dirty = self.shard_for(id).acquire().drop_frame(id);
-        if self.wal && was_dirty {
+        if self.wal() && was_dirty {
             self.dirty_frames.fetch_sub(1, Ordering::Relaxed);
         }
         Ok(())
@@ -737,7 +700,7 @@ impl BufferPool {
             shard.touch(idx);
             return Ok(idx);
         }
-        if self.wal {
+        if self.wal() {
             // No-steal: evict clean frames (also shrinking back after a
             // commit cleaned an over-capacity shard); when every frame
             // is dirty, soft-exceed capacity rather than leak an
@@ -818,7 +781,7 @@ impl BufferPool {
         // dirty-frame snapshot can never capture this mutation half-done.
         let _writer = self.barrier.acquire_shared();
         let mut shard = self.shard_for(id).acquire();
-        if self.wal {
+        if self.wal() {
             // Peek residency *before* installing a frame: a rejected
             // write must leave no trace — in particular no zero-filled
             // clean frame a later read could mistake for page content.
@@ -891,15 +854,15 @@ impl BufferPool {
     /// every write staged before they arrived.
     ///
     /// Readers are never blocked: the pager lock is not held across the
-    /// log fsync (log I/O runs through the dedicated WAL handle when
-    /// the pager provides one), and pinned snapshot readers keep
+    /// log fsync (log I/O runs through the pool's log handle, under
+    /// its own lock), and pinned snapshot readers keep
     /// observing the previous epoch throughout — the flip to the new
     /// epoch is the commit's only barrier-exclusive section after the
     /// dirty-frame capture.
     pub fn commit(&self) -> Result<()> {
-        if !self.wal {
+        let Some(log) = &self.log else {
             return self.flush_all_inner();
-        }
+        };
         // Group commit, follower side: note what must be durable for
         // *this* call — every mutation staged so far — and whether any
         // commit completes while we wait for the lock.
@@ -949,24 +912,24 @@ impl BufferPool {
         }
         // Phase B — log: append the whole transaction and sync the
         // log; the commit record hitting stable storage is the
-        // atomicity point. This runs through the WAL route — the
-        // split-off handle when the pager provides one — so the pager
-        // lock is NOT held across the log fsync and readers proceed
-        // meanwhile. On failure, roll the log back to its pre-txn
-        // length — the log may legitimately hold earlier *committed*
-        // transactions (a commit whose apply phase failed leaves its
-        // txn for recovery), but an *incomplete* tail must not survive
-        // into the retry, or the retry's `begin` would land inside the
-        // open transaction and recovery would report `WalCorrupt`.
-        self.with_wal(|w| {
-            let pre_txn_len = w.len()?;
-            if let Err(e) = Self::log_records(w, &txn) {
+        // atomicity point. This runs under the log handle's own lock,
+        // so the pager lock is NOT held across the log fsync and
+        // readers proceed meanwhile. On failure, roll the log back to
+        // its pre-txn length — the log may legitimately hold earlier
+        // *committed* transactions (a commit whose apply phase failed
+        // leaves its txn for recovery), but an *incomplete* tail must
+        // not survive into the retry, or the retry's `begin` would land
+        // inside the open transaction and recovery would report
+        // `WalCorrupt`.
+        {
+            let mut log = log.acquire();
+            let pre_txn_len = log.len()?;
+            if let Err(e) = Self::log_records(log.as_mut(), &txn) {
                 // lint: allow(discarded-result) -- best-effort rollback; the log error is what the caller must see
-                let _ = w.rollback(pre_txn_len);
+                let _ = log.rollback(pre_txn_len);
                 return Err(e);
             }
-            Ok(())
-        })?;
+        }
         self.wal_appends
             .fetch_add(txn.len() as u64 + 2, Ordering::Relaxed);
         self.wal_syncs.fetch_add(1, Ordering::Relaxed);
@@ -986,10 +949,11 @@ impl BufferPool {
         }
         self.syncs.fetch_add(1, Ordering::Relaxed);
         // Phase E — the transaction is fully applied: drop the log.
-        self.with_wal(|w| {
-            w.truncate()?;
-            w.sync()
-        })?;
+        {
+            let mut log = log.acquire();
+            log.truncate()?;
+            log.sync()?;
+        }
         self.wal_syncs.fetch_add(1, Ordering::Relaxed);
         // Phase F — un-dirty exactly the frame incarnations we
         // captured: stamp equality, not byte equality, so a page freed
@@ -1009,20 +973,6 @@ impl BufferPool {
         }
         self.dirty_frames.fetch_sub(undirtied, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Runs `f` over the write-ahead-log route: the dedicated handle
-    /// split off the pager when available (log I/O then never touches
-    /// the pager lock), the pager itself otherwise.
-    fn with_wal<R>(&self, f: impl FnOnce(&mut dyn WalFile) -> Result<R>) -> Result<R> {
-        match &self.wal_io {
-            Some(h) => f(&mut **h.acquire()),
-            None => {
-                let mut pager = self.pager.acquire();
-                let mut adapter = PagerWal(pager.as_mut());
-                f(&mut adapter)
-            }
-        }
     }
 
     /// Appends `begin` + every page image + `commit` to the log and
@@ -1281,7 +1231,7 @@ impl BufferPool {
     /// writing uncommitted dirty pages in place would break the
     /// no-steal invariant recovery depends on.
     pub fn flush_all(&self) -> Result<()> {
-        if self.wal {
+        if self.wal() {
             return self.commit();
         }
         self.flush_all_inner()
@@ -1325,12 +1275,12 @@ impl BufferPool {
     /// counter and the snapshot table's invariants.
     pub fn validate(&self) -> Result<()> {
         // Quiesce writers on a WAL pool so the dirty count is exact.
-        let _quiesced = if self.wal {
+        let _quiesced = if self.wal() {
             Some(self.barrier.acquire_excl())
         } else {
             None
         };
-        if self.wal {
+        if self.wal() {
             let snaps = self.snapshots.acquire();
             if snaps.epoch == 0 {
                 return Err(corrupt("snapshot table: epoch zero".to_string()));
@@ -1399,7 +1349,7 @@ impl BufferPool {
             // A WAL pool pins dirty frames (no-steal) and may therefore
             // legitimately exceed capacity until the next commit + miss
             // shrinks it back; the bound only holds strictly without WAL.
-            if !self.wal && shard.map.len() > shard.capacity {
+            if !self.wal() && shard.map.len() > shard.capacity {
                 return fail("occupancy exceeds capacity");
             }
             let mut free_set = HashSet::new();
@@ -1418,7 +1368,7 @@ impl BufferPool {
                 return fail("frame leaked (neither mapped nor free)");
             }
         }
-        if self.wal && dirty_seen != self.dirty_frames.load(Ordering::Relaxed) {
+        if self.wal() && dirty_seen != self.dirty_frames.load(Ordering::Relaxed) {
             return Err(corrupt(format!(
                 "dirty-frame counter {} disagrees with {} dirty frames",
                 self.dirty_frames.load(Ordering::Relaxed),
@@ -1694,23 +1644,8 @@ mod tests {
         fn sync(&mut self) -> Result<()> {
             Ok(())
         }
-        fn wal_append(&mut self, bytes: &[u8]) -> Result<()> {
-            self.inner.wal_append(bytes)
-        }
-        fn wal_sync(&mut self) -> Result<()> {
-            self.inner.wal_sync()
-        }
-        fn wal_len(&mut self) -> Result<u64> {
-            self.inner.wal_len()
-        }
-        fn wal_rollback(&mut self, len: u64) -> Result<()> {
-            self.inner.wal_rollback(len)
-        }
-        fn wal_truncate(&mut self) -> Result<()> {
-            self.inner.wal_truncate()
-        }
-        fn wal_read(&mut self) -> Result<Vec<u8>> {
-            self.inner.wal_read()
+        fn wal(&mut self) -> Result<Box<dyn WalFile>> {
+            self.inner.wal()
         }
     }
 
@@ -1883,8 +1818,9 @@ mod tests {
     }
 
     fn wal_pool(cap: usize) -> (BufferPool, crate::fault::FaultHandle) {
-        let (pager, faults) = crate::fault::FaultPager::new(Box::new(MemPager::new(128)));
-        let p = BufferPool::with_config(Box::new(pager), cap, 1, true, cap);
+        let (mut pager, faults) = crate::fault::FaultPager::new(Box::new(MemPager::new(128)));
+        let log = pager.wal().unwrap();
+        let p = BufferPool::with_config(Box::new(pager), cap, 1, Some(log), cap);
         (p, faults)
     }
 
@@ -2205,22 +2141,16 @@ mod tests {
         p.validate().unwrap();
     }
 
-    /// A pager whose split-off WAL handle parks the first log sync
+    /// A log handle that parks the first sync after `armed` is set
     /// until the test releases it — a deterministic window into the
     /// middle of a concurrent commit (past capture, before the flip).
-    struct HookPager {
-        inner: MemPager,
-        armed: std::sync::Arc<std::sync::atomic::AtomicBool>,
-        hook: Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>,
-    }
-
     struct HookWal {
-        inner: Box<dyn crate::wal::WalFile>,
+        inner: Box<dyn WalFile>,
         armed: std::sync::Arc<std::sync::atomic::AtomicBool>,
         hook: Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>,
     }
 
-    impl crate::wal::WalFile for HookWal {
+    impl WalFile for HookWal {
         fn append(&mut self, bytes: &[u8]) -> Result<()> {
             self.inner.append(bytes)
         }
@@ -2242,52 +2172,8 @@ mod tests {
         fn truncate(&mut self) -> Result<()> {
             self.inner.truncate()
         }
-    }
-
-    impl Pager for HookPager {
-        fn page_size(&self) -> usize {
-            self.inner.page_size()
-        }
-        fn num_pages(&self) -> u64 {
-            self.inner.num_pages()
-        }
-        fn allocate(&mut self) -> Result<PageId> {
-            self.inner.allocate()
-        }
-        fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
-            self.inner.read_page(id, buf)
-        }
-        fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<()> {
-            self.inner.write_page(id, data)
-        }
-        fn sync(&mut self) -> Result<()> {
-            self.inner.sync()
-        }
-        fn wal_append(&mut self, bytes: &[u8]) -> Result<()> {
-            self.inner.wal_append(bytes)
-        }
-        fn wal_sync(&mut self) -> Result<()> {
-            self.inner.wal_sync()
-        }
-        fn wal_len(&mut self) -> Result<u64> {
-            self.inner.wal_len()
-        }
-        fn wal_rollback(&mut self, len: u64) -> Result<()> {
-            self.inner.wal_rollback(len)
-        }
-        fn wal_truncate(&mut self) -> Result<()> {
-            self.inner.wal_truncate()
-        }
-        fn wal_read(&mut self) -> Result<Vec<u8>> {
-            self.inner.wal_read()
-        }
-        fn split_wal(&mut self) -> Option<Box<dyn crate::wal::WalFile>> {
-            let inner = self.inner.split_wal()?;
-            Some(Box::new(HookWal {
-                inner,
-                armed: self.armed.clone(),
-                hook: self.hook.take(),
-            }))
+        fn read_all(&mut self) -> Result<Vec<u8>> {
+            self.inner.read_all()
         }
     }
 
@@ -2302,12 +2188,13 @@ mod tests {
         let (sig_tx, sig_rx) = std::sync::mpsc::channel();
         let (res_tx, res_rx) = std::sync::mpsc::channel();
         let armed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let pager = HookPager {
-            inner: MemPager::new(128),
+        let mut pager = MemPager::new(128);
+        let log = HookWal {
+            inner: pager.wal().unwrap(),
             armed: armed.clone(),
             hook: Some((sig_tx, res_rx)),
         };
-        let p = BufferPool::with_config(Box::new(pager), 4, 1, true, 4);
+        let p = BufferPool::with_config(Box::new(pager), 4, 1, Some(Box::new(log)), 4);
         (std::sync::Arc::new(p), armed, sig_rx, res_tx)
     }
 

@@ -13,10 +13,14 @@
 //! Injected failures are typed [`Error::Io`] values whose message starts
 //! with `"injected fault"`; tests can tell them from real I/O errors.
 //!
-//! The schedule lives behind a [`RankedMutex`] at rank
-//! [`STATS`](crate::rank::STATS): pager methods are called while the
-//! pool's pager lock (rank [`PAGER`](crate::rank::PAGER)) is held, and
-//! the plan lock nests strictly inside it.
+//! The pager's log handle ([`Pager::wal`]) injects from the same
+//! schedule, so page and log traffic form one counted operation stream
+//! whichever lock each ran under. The schedule lives behind a
+//! [`RankedMutex`] at rank [`STATS`](crate::rank::STATS), the top of
+//! the order: it is consulted while the pool's pager lock (rank
+//! [`PAGER`](crate::rank::PAGER)) or log-handle lock (rank
+//! [`WAL_IO`](crate::rank::WAL_IO)) is held, nests strictly inside
+//! either, and is released before the faulted operation runs.
 
 use std::sync::Arc;
 
@@ -25,6 +29,7 @@ use boxagg_common::rng::StdRng;
 
 use crate::pager::{PageId, Pager};
 use crate::rank::{self, RankedMutex};
+use crate::wal::WalFile;
 
 /// The pager operations a fault can target (data-page ops plus the
 /// write-ahead-log byte-stream ops).
@@ -38,13 +43,13 @@ pub enum OpKind {
     Sync,
     /// `allocate`.
     Allocate,
-    /// `wal_append`.
+    /// The log handle's `append`.
     WalAppend,
-    /// `wal_sync`.
+    /// The log handle's `sync`.
     WalSync,
-    /// `wal_truncate`.
+    /// The log handle's `truncate` and `rollback`.
     WalTruncate,
-    /// `wal_read`.
+    /// The log handle's `read_all`.
     WalRead,
 }
 
@@ -59,13 +64,13 @@ pub enum OpFilter {
     Syncs,
     /// Only `allocate` calls.
     Allocates,
-    /// Only `wal_append` calls.
+    /// Only log appends.
     WalAppends,
-    /// Only `wal_sync` calls.
+    /// Only log syncs.
     WalSyncs,
-    /// Only `wal_truncate` calls.
+    /// Only log truncations and rollbacks.
     WalTruncates,
-    /// Only `wal_read` calls.
+    /// Only whole-log reads.
     WalReads,
     /// Every pager operation, WAL traffic included.
     Any,
@@ -95,7 +100,7 @@ pub enum FaultMode {
     /// Writes and WAL appends only: persist the first `prefix` bytes of
     /// the new page image (resp. appended record) then report failure —
     /// a torn sector write. `prefix == page_size` models a lost ack
-    /// (fully persisted, still reported as failed); for a `wal_append`
+    /// (fully persisted, still reported as failed); for a log append
     /// the prefix is clamped to the record length, leaving a torn log
     /// tail for recovery to discard. Other operations treat this as
     /// [`FaultMode::Error`].
@@ -191,13 +196,13 @@ pub struct OpCounts {
     pub syncs: u64,
     /// `allocate` calls.
     pub allocates: u64,
-    /// `wal_append` calls.
+    /// Log `append` calls.
     pub wal_appends: u64,
-    /// `wal_sync` calls.
+    /// Log `sync` calls.
     pub wal_syncs: u64,
-    /// `wal_truncate` calls.
+    /// Log `truncate` and `rollback` calls.
     pub wal_truncates: u64,
-    /// `wal_read` calls.
+    /// Log `read_all` calls.
     pub wal_reads: u64,
 }
 
@@ -332,18 +337,17 @@ impl FaultPager {
         (Self { inner, plan }, handle)
     }
 
-    /// Counts `op` and returns the firing spec's mode, if any. The first
-    /// matching armed spec wins when several fire on the same operation.
     fn decide(&self, op: OpKind) -> Option<FaultMode> {
         decide(&self.plan, op)
     }
 }
 
-/// The schedule logic shared by [`FaultPager`] and its split-off
-/// [`FaultWal`] handles: both routes count the *same* global op stream,
-/// so a sweep index addresses every operation of a workload no matter
-/// which lock it ran under. The plan lock is released before the inner
-/// operation runs.
+/// Counts `op` and returns the firing spec's mode, if any; the first
+/// matching armed spec wins when several fire on the same operation.
+/// [`FaultPager`] and its [`FaultWal`] share this: one global op
+/// stream, so a sweep index addresses every operation of a workload no
+/// matter which lock it ran under. The plan lock is released before
+/// the inner operation runs.
 fn decide(plan: &RankedMutex<Plan>, op: OpKind) -> Option<FaultMode> {
     let mut plan = plan.acquire();
     plan.counts.bump(op);
@@ -371,20 +375,21 @@ fn decide(plan: &RankedMutex<Plan>, op: OpKind) -> Option<FaultMode> {
     fire
 }
 
-/// Split-off WAL handle that injects from the same plan as its
-/// [`FaultPager`] (same counters, same specs, same trace — one global
-/// operation stream).
+/// The log handle of a [`FaultPager`]: injects from the same plan (same
+/// counters, same specs, same trace — one global operation stream).
 struct FaultWal {
-    inner: Box<dyn crate::wal::WalFile>,
+    inner: Box<dyn WalFile>,
     plan: Arc<RankedMutex<Plan>>,
 }
 
-impl crate::wal::WalFile for FaultWal {
+impl WalFile for FaultWal {
     fn append(&mut self, bytes: &[u8]) -> Result<()> {
         match decide(&self.plan, OpKind::WalAppend) {
             None => self.inner.append(bytes),
             Some(FaultMode::Error | FaultMode::BitRot) => Err(injected_error("wal append")),
             Some(FaultMode::TornWrite { prefix }) => {
+                // Persist a prefix of the record — a torn log tail that
+                // recovery must detect by checksum and discard.
                 let prefix = prefix.min(bytes.len());
                 self.inner.append(&bytes[..prefix])?;
                 Err(injected_error("torn wal append"))
@@ -400,11 +405,16 @@ impl crate::wal::WalFile for FaultWal {
     }
 
     fn len(&mut self) -> Result<u64> {
-        // Metadata peek: never counted, never faulted (see `wal_len`).
+        // Metadata peek, not an I/O: never counted, never faulted — so
+        // the commit protocol's rollback bookkeeping does not shift the
+        // op indices of existing sweeps.
         self.inner.len()
     }
 
     fn rollback(&mut self, len: u64) -> Result<()> {
+        // Counted and faulted as log-truncation traffic: from the crash
+        // model's point of view, rolling a torn tail back is the same
+        // kind of operation as dropping an applied transaction.
         if decide(&self.plan, OpKind::WalTruncate).is_some() {
             return Err(injected_error("wal rollback"));
         }
@@ -416,6 +426,13 @@ impl crate::wal::WalFile for FaultWal {
             return Err(injected_error("wal truncate"));
         }
         self.inner.truncate()
+    }
+
+    fn read_all(&mut self) -> Result<Vec<u8>> {
+        if decide(&self.plan, OpKind::WalRead).is_some() {
+            return Err(injected_error("wal read"));
+        }
+        self.inner.read_all()
     }
 }
 
@@ -471,62 +488,9 @@ impl Pager for FaultPager {
         self.inner.sync()
     }
 
-    fn wal_append(&mut self, bytes: &[u8]) -> Result<()> {
-        match self.decide(OpKind::WalAppend) {
-            None => self.inner.wal_append(bytes),
-            Some(FaultMode::Error | FaultMode::BitRot) => Err(injected_error("wal append")),
-            Some(FaultMode::TornWrite { prefix }) => {
-                // Persist a prefix of the record — a torn log tail that
-                // recovery must detect by checksum and discard.
-                let prefix = prefix.min(bytes.len());
-                self.inner.wal_append(&bytes[..prefix])?;
-                Err(injected_error("torn wal append"))
-            }
-        }
-    }
-
-    fn wal_sync(&mut self) -> Result<()> {
-        if self.decide(OpKind::WalSync).is_some() {
-            return Err(injected_error("wal sync"));
-        }
-        self.inner.wal_sync()
-    }
-
-    fn wal_len(&mut self) -> Result<u64> {
-        // Metadata peek, not an I/O: never counted, never faulted — so
-        // the commit protocol's rollback bookkeeping does not shift the
-        // op indices of existing sweeps.
-        self.inner.wal_len()
-    }
-
-    fn wal_rollback(&mut self, len: u64) -> Result<()> {
-        // Counted and faulted as log-truncation traffic: from the crash
-        // model's point of view, rolling a torn tail back is the same
-        // kind of operation as dropping an applied transaction.
-        if self.decide(OpKind::WalTruncate).is_some() {
-            return Err(injected_error("wal rollback"));
-        }
-        self.inner.wal_rollback(len)
-    }
-
-    fn wal_truncate(&mut self) -> Result<()> {
-        if self.decide(OpKind::WalTruncate).is_some() {
-            return Err(injected_error("wal truncate"));
-        }
-        self.inner.wal_truncate()
-    }
-
-    fn wal_read(&mut self) -> Result<Vec<u8>> {
-        if self.decide(OpKind::WalRead).is_some() {
-            return Err(injected_error("wal read"));
-        }
-        self.inner.wal_read()
-    }
-
-    fn split_wal(&mut self) -> Option<Box<dyn crate::wal::WalFile>> {
-        let inner = self.inner.split_wal()?;
-        Some(Box::new(FaultWal {
-            inner,
+    fn wal(&mut self) -> Result<Box<dyn WalFile>> {
+        Ok(Box::new(FaultWal {
+            inner: self.inner.wal()?,
             plan: Arc::clone(&self.plan),
         }))
     }
@@ -675,11 +639,12 @@ mod tests {
     #[test]
     fn counts_and_filters_wal_operations() {
         let (mut p, h) = faulty();
-        p.wal_append(b"aaa").unwrap();
-        p.wal_append(b"bbb").unwrap();
-        p.wal_sync().unwrap();
-        assert_eq!(p.wal_read().unwrap(), b"aaabbb");
-        p.wal_truncate().unwrap();
+        let mut w = p.wal().unwrap();
+        w.append(b"aaa").unwrap();
+        w.append(b"bbb").unwrap();
+        w.sync().unwrap();
+        assert_eq!(w.read_all().unwrap(), b"aaabbb");
+        w.truncate().unwrap();
         let c = h.counts();
         assert_eq!(
             (c.wal_appends, c.wal_syncs, c.wal_reads, c.wal_truncates),
@@ -688,28 +653,29 @@ mod tests {
         assert_eq!(c.total(), 5);
         // Targeted filters hit only their own kind.
         h.arm(FaultSpec::error_at(OpFilter::WalSyncs, 1));
-        p.wal_append(b"x").unwrap();
-        assert!(is_injected(&p.wal_sync().unwrap_err()));
-        p.wal_sync().unwrap();
+        w.append(b"x").unwrap();
+        assert!(is_injected(&w.sync().unwrap_err()));
+        w.sync().unwrap();
         h.arm(FaultSpec::error_at(OpFilter::WalTruncates, 1));
-        assert!(is_injected(&p.wal_truncate().unwrap_err()));
+        assert!(is_injected(&w.truncate().unwrap_err()));
         h.arm(FaultSpec::error_at(OpFilter::WalReads, 1));
-        assert!(is_injected(&p.wal_read().unwrap_err()));
+        assert!(is_injected(&w.read_all().unwrap_err()));
     }
 
     #[test]
     fn torn_wal_append_persists_exactly_the_prefix() {
         let (mut p, h) = faulty();
-        p.wal_append(b"good").unwrap();
+        let mut w = p.wal().unwrap();
+        w.append(b"good").unwrap();
         h.arm(FaultSpec {
             ops: OpFilter::WalAppends,
             at: 1,
             sticky: false,
             mode: FaultMode::TornWrite { prefix: 3 },
         });
-        let err = p.wal_append(b"torn-record").unwrap_err();
+        let err = w.append(b"torn-record").unwrap_err();
         assert!(is_injected(&err), "got: {err}");
-        assert_eq!(p.wal_read().unwrap(), b"goodtor", "3-byte torn tail");
+        assert_eq!(w.read_all().unwrap(), b"goodtor", "3-byte torn tail");
         // Non-append WAL ops treat TornWrite as a clean error.
         h.arm(FaultSpec {
             ops: OpFilter::WalSyncs,
@@ -717,21 +683,22 @@ mod tests {
             sticky: false,
             mode: FaultMode::TornWrite { prefix: 1 },
         });
-        assert!(is_injected(&p.wal_sync().unwrap_err()));
-        assert_eq!(p.wal_read().unwrap(), b"goodtor", "sync tore nothing");
+        assert!(is_injected(&w.sync().unwrap_err()));
+        assert_eq!(w.read_all().unwrap(), b"goodtor", "sync tore nothing");
     }
 
     #[test]
     fn trace_records_the_exact_op_sequence() {
         let (mut p, h) = faulty();
         p.allocate().unwrap(); // before the trace: not recorded
+        let mut w = p.wal().unwrap(); // handing the handle out is not an op
         h.start_trace();
         let a = PageId(0);
-        p.wal_append(b"r").unwrap();
-        p.wal_sync().unwrap();
+        w.append(b"r").unwrap();
+        w.sync().unwrap();
         p.write_page(a, &[0u8; 128]).unwrap();
         p.sync().unwrap();
-        p.wal_truncate().unwrap();
+        w.truncate().unwrap();
         assert_eq!(
             h.take_trace(),
             vec![
@@ -749,18 +716,19 @@ mod tests {
     }
 
     #[test]
-    fn split_wal_handle_shares_plan_counts_and_faults() {
+    fn wal_handle_shares_plan_counts_and_faults() {
         let (mut p, h) = faulty();
-        let mut w = p.split_wal().expect("MemPager supports split_wal");
-        // Both routes land in one op stream.
+        let mut w = p.wal().unwrap();
+        // Page and log traffic land in one op stream.
         w.append(b"aaa").unwrap();
-        p.wal_append(b"bbb").unwrap();
+        p.allocate().unwrap();
+        w.append(b"bbb").unwrap();
         assert_eq!(h.counts().wal_appends, 2);
+        assert_eq!(h.counts().total(), 3);
         // Faults armed on the handle's traffic fire through the handle.
         h.arm(FaultSpec::error_at(OpFilter::WalSyncs, 1));
         assert!(is_injected(&w.sync().unwrap_err()));
         w.sync().unwrap();
-        // Torn appends behave identically to the pager route.
         h.arm(FaultSpec {
             ops: OpFilter::WalAppends,
             at: 1,
@@ -768,13 +736,15 @@ mod tests {
             mode: FaultMode::TornWrite { prefix: 2 },
         });
         assert!(is_injected(&w.append(b"torn").unwrap_err()));
-        assert_eq!(p.wal_read().unwrap(), b"aaabbbto");
-        // Rollback through the handle counts as truncation traffic and
-        // len stays an unfaulted metadata peek.
+        assert_eq!(w.read_all().unwrap(), b"aaabbbto");
+        // Rollback counts as truncation traffic and `len` stays an
+        // unfaulted, uncounted metadata peek.
         h.arm(FaultSpec::sticky_from(OpFilter::WalTruncates, 1));
         assert!(is_injected(&w.rollback(0).unwrap_err()));
         assert!(is_injected(&w.truncate().unwrap_err()));
+        let before = h.counts().total();
         assert_eq!(w.len().unwrap(), 8);
+        assert_eq!(h.counts().total(), before);
         h.disarm();
         w.truncate().unwrap();
         assert_eq!(w.len().unwrap(), 0);

@@ -1,13 +1,18 @@
 //! Raw page storage: the layer below the buffer pool.
+//!
+//! A [`Pager`] is pages plus one log: six page methods and
+//! [`Pager::wal`], which hands out the [`WalFile`] handle every byte of
+//! log traffic — recovery's read, a commit's appends and fsyncs — goes
+//! through. There is no second way to the log, so a wrapper pager
+//! (fault injection, a test gate) cannot route commits differently from
+//! production by leaving a method out: it does not compile without one.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::Arc;
 
 use boxagg_common::error::{invalid_arg, Result};
 
-use crate::rank::{self, RankedMutex};
 use crate::wal::WalFile;
 
 /// Identifier of a page within a pager. Dense, starting at 0.
@@ -52,46 +57,24 @@ pub trait Pager: Send {
     /// Flushes any pager-level buffering to durable storage.
     fn sync(&mut self) -> Result<()>;
 
-    /// Appends raw bytes to the sidecar write-ahead log.
+    /// Hands out the handle onto this pager's sidecar write-ahead log.
     ///
-    /// The pager treats the log as an opaque byte stream — framing and
-    /// checksumming live in [`wal`](crate::wal). Routing the log
-    /// through the pager keeps the crash model linear: a fault injected
-    /// at operation *k* kills data-page and log traffic uniformly.
-    fn wal_append(&mut self, bytes: &[u8]) -> Result<()>;
+    /// A log has one handle: the store asks once per open, lets
+    /// [`wal::recover`](crate::wal::recover) borrow it, then gives it to
+    /// the buffer pool, whose commits run their log I/O through it
+    /// without the pager lock. Asking again is an error, as is asking a
+    /// read-only pager at all.
+    fn wal(&mut self) -> Result<Box<dyn WalFile>>;
+}
 
-    /// Flushes the write-ahead log to durable storage.
-    fn wal_sync(&mut self) -> Result<()>;
-
-    /// Current length of the write-ahead log in bytes — the pre-append
-    /// offset a commit records so a failed append can be rolled back
-    /// with [`wal_rollback`](Pager::wal_rollback). Metadata only: no
-    /// I/O is performed and no fault is injected.
-    fn wal_len(&mut self) -> Result<u64>;
-
-    /// Discards every log byte past `len`, rolling an incompletely
-    /// appended transaction back out of the log while preserving any
-    /// committed transactions before it. `len` past the current end is
-    /// a no-op.
-    fn wal_rollback(&mut self, len: u64) -> Result<()>;
-
-    /// Discards the write-ahead log (after a fully applied commit).
-    fn wal_truncate(&mut self) -> Result<()>;
-
-    /// Reads the entire current write-ahead log (for recovery).
-    fn wal_read(&mut self) -> Result<Vec<u8>>;
-
-    /// Detaches a standalone [`WalFile`] handle onto the same log, or
-    /// `None` if this pager cannot serve log traffic independently of
-    /// its page traffic.
-    ///
-    /// When a handle is returned, the buffer pool routes the log phase
-    /// of every commit through it instead of through the pager's own
-    /// `wal_*` methods, so WAL fsyncs no longer hold the pager mutex
-    /// and cache-miss readers proceed during a commit. Pagers with the
-    /// default `None` keep the legacy single-lock route.
-    fn split_wal(&mut self) -> Option<Box<dyn WalFile>> {
-        None
+/// [`Pager::wal`] for a pager that keeps its log in an `Option` until
+/// asked: the first call moves it out, a second is refused.
+fn hand_out<W: WalFile + 'static>(log: &mut Option<W>) -> Result<Box<dyn WalFile>> {
+    match log.take() {
+        Some(log) => Ok(Box::new(log)),
+        None => Err(invalid_arg(
+            "this pager's log handle was already handed out: a log has one handle",
+        )),
     }
 }
 
@@ -114,11 +97,8 @@ fn check_id(id: PageId, num_pages: u64) -> Result<usize> {
 pub struct MemPager {
     page_size: usize,
     pages: Vec<Box<[u8]>>,
-    // Shared with split-off `WalFile` handles; the rank-checked lock
-    // sits at `WAL_STATE`, above every pool lock, so either route (the
-    // pool's dedicated WAL handle or the pager's own `wal_*` methods
-    // under the pager mutex) may take it last.
-    wal: Arc<RankedMutex<Vec<u8>>>,
+    /// The log, until [`Pager::wal`] hands it out.
+    wal: Option<MemWal>,
 }
 
 impl MemPager {
@@ -128,21 +108,18 @@ impl MemPager {
         Self {
             page_size,
             pages: Vec::new(),
-            wal: Arc::new(RankedMutex::new(
-                rank::WAL_STATE,
-                "mem wal state",
-                Vec::new(),
-            )),
+            wal: Some(MemWal(Vec::new())),
         }
     }
 }
 
-/// Split-off WAL handle for [`MemPager`]: a clone of the shared log.
-struct MemWal(Arc<RankedMutex<Vec<u8>>>);
+/// [`MemPager`]'s log: the bytes themselves.
+#[derive(Debug)]
+struct MemWal(Vec<u8>);
 
 impl WalFile for MemWal {
     fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.0.acquire().extend_from_slice(bytes);
+        self.0.extend_from_slice(bytes);
         Ok(())
     }
 
@@ -151,21 +128,21 @@ impl WalFile for MemWal {
     }
 
     fn len(&mut self) -> Result<u64> {
-        Ok(self.0.acquire().len() as u64)
+        Ok(self.0.len() as u64)
     }
 
     fn rollback(&mut self, len: u64) -> Result<()> {
-        let mut wal = self.0.acquire();
-        let len = len as usize;
-        if len < wal.len() {
-            wal.truncate(len);
-        }
+        self.0.truncate(usize::try_from(len).unwrap_or(usize::MAX));
         Ok(())
     }
 
     fn truncate(&mut self) -> Result<()> {
-        self.0.acquire().clear();
+        self.0.clear();
         Ok(())
+    }
+
+    fn read_all(&mut self) -> Result<Vec<u8>> {
+        Ok(self.0.clone())
     }
 }
 
@@ -203,35 +180,8 @@ impl Pager for MemPager {
         Ok(())
     }
 
-    fn wal_append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.wal.acquire().extend_from_slice(bytes);
-        Ok(())
-    }
-
-    fn wal_sync(&mut self) -> Result<()> {
-        Ok(())
-    }
-
-    fn wal_len(&mut self) -> Result<u64> {
-        Ok(self.wal.acquire().len() as u64)
-    }
-
-    fn wal_rollback(&mut self, len: u64) -> Result<()> {
-        self.wal.acquire().truncate(len as usize);
-        Ok(())
-    }
-
-    fn wal_truncate(&mut self) -> Result<()> {
-        self.wal.acquire().clear();
-        Ok(())
-    }
-
-    fn wal_read(&mut self) -> Result<Vec<u8>> {
-        Ok(self.wal.acquire().clone())
-    }
-
-    fn split_wal(&mut self) -> Option<Box<dyn WalFile>> {
-        Some(Box::new(MemWal(Arc::clone(&self.wal))))
+    fn wal(&mut self) -> Result<Box<dyn WalFile>> {
+        hand_out(&mut self.wal)
     }
 }
 
@@ -239,26 +189,25 @@ impl Pager for MemPager {
 ///
 /// The write-ahead log lives in a sidecar file at `<path>.wal` — created
 /// alongside the page file, preserved across reopen so recovery can
-/// replay it, and emptied by [`wal_truncate`](Pager::wal_truncate) once
-/// a commit is fully applied in place.
+/// replay it, and emptied by [`WalFile::truncate`] once a commit is
+/// fully applied in place.
 #[derive(Debug)]
 pub struct FilePager {
     page_size: usize,
     file: File,
     num_pages: u64,
-    // Shared with split-off `WalFile` handles (see `MemPager::wal`).
-    wal: Arc<RankedMutex<WalState>>,
+    /// The log, until [`Pager::wal`] hands it out.
+    wal: Option<FileWal>,
 }
 
-/// The sidecar log file plus its tracked length, shared between a
-/// [`FilePager`] and any [`WalFile`] handles split off from it.
+/// [`FilePager`]'s log: the sidecar file plus its tracked length.
 #[derive(Debug)]
-struct WalState {
+struct FileWal {
     file: File,
     len: u64,
 }
 
-impl WalState {
+impl WalFile for FileWal {
     fn append(&mut self, bytes: &[u8]) -> Result<()> {
         self.file.seek(SeekFrom::Start(self.len))?;
         if let Err(e) = self.file.write_all(bytes) {
@@ -274,6 +223,15 @@ impl WalState {
         Ok(())
     }
 
+    fn sync(&mut self) -> Result<()> {
+        self.file.sync_data()?;
+        Ok(())
+    }
+
+    fn len(&mut self) -> Result<u64> {
+        Ok(self.len)
+    }
+
     fn rollback(&mut self, len: u64) -> Result<()> {
         if len < self.len {
             self.file.set_len(len)?;
@@ -281,34 +239,19 @@ impl WalState {
         }
         Ok(())
     }
-}
-
-/// Split-off WAL handle for [`FilePager`]: a clone of the shared state.
-struct FileWal(Arc<RankedMutex<WalState>>);
-
-impl WalFile for FileWal {
-    fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.0.acquire().append(bytes)
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        self.0.acquire().file.sync_data()?;
-        Ok(())
-    }
-
-    fn len(&mut self) -> Result<u64> {
-        Ok(self.0.acquire().len)
-    }
-
-    fn rollback(&mut self, len: u64) -> Result<()> {
-        self.0.acquire().rollback(len)
-    }
 
     fn truncate(&mut self) -> Result<()> {
-        let mut wal = self.0.acquire();
-        wal.file.set_len(0)?;
-        wal.len = 0;
+        self.file.set_len(0)?;
+        self.len = 0;
         Ok(())
+    }
+
+    fn read_all(&mut self) -> Result<Vec<u8>> {
+        self.file.seek(SeekFrom::Start(0))?;
+        let mut out = Vec::new();
+        self.file.read_to_end(&mut out)?;
+        self.len = out.len() as u64;
+        Ok(out)
     }
 }
 
@@ -339,11 +282,7 @@ impl FilePager {
             page_size,
             file,
             num_pages: 0,
-            wal: Arc::new(RankedMutex::new(
-                rank::WAL_STATE,
-                "file wal state",
-                WalState { file: wal, len: 0 },
-            )),
+            wal: Some(FileWal { file: wal, len: 0 }),
         })
     }
 
@@ -387,14 +326,10 @@ impl FilePager {
             page_size,
             file,
             num_pages: len / page_size as u64,
-            wal: Arc::new(RankedMutex::new(
-                rank::WAL_STATE,
-                "file wal state",
-                WalState {
-                    file: wal,
-                    len: wal_len,
-                },
-            )),
+            wal: Some(FileWal {
+                file: wal,
+                len: wal_len,
+            }),
         })
     }
 
@@ -449,41 +384,8 @@ impl Pager for FilePager {
         Ok(())
     }
 
-    fn wal_append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.wal.acquire().append(bytes)
-    }
-
-    fn wal_sync(&mut self) -> Result<()> {
-        self.wal.acquire().file.sync_data()?;
-        Ok(())
-    }
-
-    fn wal_len(&mut self) -> Result<u64> {
-        Ok(self.wal.acquire().len)
-    }
-
-    fn wal_rollback(&mut self, len: u64) -> Result<()> {
-        self.wal.acquire().rollback(len)
-    }
-
-    fn wal_truncate(&mut self) -> Result<()> {
-        let mut wal = self.wal.acquire();
-        wal.file.set_len(0)?;
-        wal.len = 0;
-        Ok(())
-    }
-
-    fn wal_read(&mut self) -> Result<Vec<u8>> {
-        let mut wal = self.wal.acquire();
-        wal.file.seek(SeekFrom::Start(0))?;
-        let mut out = Vec::new();
-        wal.file.read_to_end(&mut out)?;
-        wal.len = out.len() as u64;
-        Ok(out)
-    }
-
-    fn split_wal(&mut self) -> Option<Box<dyn WalFile>> {
-        Some(Box::new(FileWal(Arc::clone(&self.wal))))
+    fn wal(&mut self) -> Result<Box<dyn WalFile>> {
+        hand_out(&mut self.wal)
     }
 }
 
@@ -492,6 +394,7 @@ mod tests {
     use super::*;
     use boxagg_common::tempdir as tempfile;
 
+    /// The pager contract: pages, then the one log handle.
     fn exercise(pager: &mut dyn Pager) {
         let a = pager.allocate().unwrap();
         let b = pager.allocate().unwrap();
@@ -524,95 +427,72 @@ mod tests {
 
         // The sidecar WAL round-trips as an opaque byte stream: appends
         // concatenate, reads see everything, truncate empties it.
-        assert_eq!(pager.wal_read().unwrap(), b"");
-        assert_eq!(pager.wal_len().unwrap(), 0);
-        pager.wal_append(b"alpha").unwrap();
-        pager.wal_append(b"-beta").unwrap();
-        pager.wal_sync().unwrap();
-        assert_eq!(pager.wal_read().unwrap(), b"alpha-beta");
-        assert_eq!(pager.wal_len().unwrap(), 10);
+        let mut log = pager.wal().unwrap();
+        assert!(pager.wal().is_err(), "a log has one handle");
+        assert_eq!(log.read_all().unwrap(), b"");
+        assert_eq!(log.len().unwrap(), 0);
+        log.append(b"alpha").unwrap();
+        log.append(b"-beta").unwrap();
+        log.sync().unwrap();
+        assert_eq!(log.read_all().unwrap(), b"alpha-beta");
+        assert_eq!(log.len().unwrap(), 10);
         // Appends after a full read continue at the tail.
-        pager.wal_append(b"!").unwrap();
-        assert_eq!(pager.wal_read().unwrap(), b"alpha-beta!");
+        log.append(b"!").unwrap();
+        assert_eq!(log.read_all().unwrap(), b"alpha-beta!");
         // Rollback drops only the bytes past the recorded offset; a
         // rollback to (or past) the current end is a no-op.
-        pager.wal_rollback(5).unwrap();
-        assert_eq!(pager.wal_read().unwrap(), b"alpha");
-        pager.wal_rollback(999).unwrap();
-        assert_eq!(pager.wal_read().unwrap(), b"alpha");
-        pager.wal_append(b"!").unwrap();
-        assert_eq!(pager.wal_read().unwrap(), b"alpha!");
-        pager.wal_truncate().unwrap();
-        assert_eq!(pager.wal_read().unwrap(), b"");
-        assert_eq!(pager.wal_len().unwrap(), 0);
+        log.rollback(5).unwrap();
+        assert_eq!(log.read_all().unwrap(), b"alpha");
+        log.rollback(999).unwrap();
+        assert_eq!(log.read_all().unwrap(), b"alpha");
+        log.append(b"!").unwrap();
+        assert_eq!(log.read_all().unwrap(), b"alpha!");
+        assert_eq!(log.len().unwrap(), 6);
+        log.truncate().unwrap();
+        assert_eq!(log.read_all().unwrap(), b"");
+        assert_eq!(log.len().unwrap(), 0);
         // The log is independent of page storage.
         pager.read_page(b, &mut buf).unwrap();
         assert_eq!(buf, data);
-    }
-
-    /// A split-off handle and the pager's own `wal_*` methods must see
-    /// one and the same byte stream, whichever side wrote last.
-    fn exercise_split_wal(pager: &mut dyn Pager) {
-        let mut h = pager
-            .split_wal()
-            .expect("built-in pagers support split_wal");
-        h.append(b"abc").unwrap();
-        assert_eq!(pager.wal_read().unwrap(), b"abc");
-        pager.wal_append(b"+d").unwrap();
-        assert_eq!(h.len().unwrap(), 5);
-        h.rollback(3).unwrap();
-        h.rollback(999).unwrap();
-        assert_eq!(pager.wal_read().unwrap(), b"abc");
-        h.sync().unwrap();
-        h.truncate().unwrap();
-        assert_eq!(pager.wal_len().unwrap(), 0);
-        assert_eq!(h.len().unwrap(), 0);
+        // Left pending for whoever reopens the medium.
+        log.append(b"pending-txn").unwrap();
+        log.sync().unwrap();
     }
 
     #[test]
     fn mem_pager_basics() {
-        let mut p = MemPager::new(256);
+        exercise(&mut MemPager::new(256));
+    }
+
+    #[test]
+    fn unarmed_fault_pager_is_a_pager() {
+        let (mut p, faults) = crate::fault::FaultPager::new(Box::new(MemPager::new(256)));
         exercise(&mut p);
-        exercise_split_wal(&mut p);
+        assert_eq!(faults.injected(), 0);
     }
 
     #[test]
     fn file_pager_basics_and_reopen() {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("pages.db");
-        {
-            let mut p = FilePager::create(&path, 256).unwrap();
-            exercise(&mut p);
-            exercise_split_wal(&mut p);
-        }
-        // Reopen: contents persisted.
+        // Dropped without truncating the log: death mid-commit.
+        exercise(&mut FilePager::create(&path, 256).unwrap());
+        assert!(wal_path(&path).exists());
+        // Reopen: pages and the pending log persisted.
         let mut p = FilePager::open(&path, 256).unwrap();
         assert_eq!(p.num_pages(), 2);
         let mut buf = vec![0u8; 256];
         p.read_page(PageId(1), &mut buf).unwrap();
         assert_eq!(buf[0], 0xAA);
         assert_eq!(buf[255], 0x55);
-    }
-
-    #[test]
-    fn file_pager_wal_survives_reopen() {
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("pages.db");
-        {
-            let mut p = FilePager::create(&path, 256).unwrap();
-            p.allocate().unwrap();
-            p.wal_append(b"pending-txn").unwrap();
-            p.wal_sync().unwrap();
-            // Dropped without truncating: simulates death mid-commit.
-        }
-        assert!(wal_path(&path).exists());
-        let mut p = FilePager::open(&path, 256).unwrap();
-        assert_eq!(p.wal_read().unwrap(), b"pending-txn");
+        let mut log = p.wal().unwrap();
+        assert_eq!(log.len().unwrap(), 11);
+        assert_eq!(log.read_all().unwrap(), b"pending-txn");
         // Further appends land after the surviving tail.
-        p.wal_append(b"+more").unwrap();
-        assert_eq!(p.wal_read().unwrap(), b"pending-txn+more");
-        p.wal_truncate().unwrap();
-        assert_eq!(p.wal_read().unwrap(), b"");
+        log.append(b"+more").unwrap();
+        assert_eq!(log.read_all().unwrap(), b"pending-txn+more");
+        log.truncate().unwrap();
+        assert_eq!(log.read_all().unwrap(), b"");
     }
 
     #[test]

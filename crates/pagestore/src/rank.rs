@@ -38,24 +38,21 @@
 //! exclusively (and then touches shards and the pager to retain
 //! superseded images), and a snapshot reader takes it under a shared
 //! barrier before falling back to the shards — so it must sit between
-//! `BARRIER` and `ALLOCATOR`.  `NODE_CACHE` guards a decoded-node cache
-//! shard in [`crate::nodecache`]; it is a *leaf* lock — never held
-//! across any other acquisition — so any slot above `SUPERBLOCK` would
-//! do, and it sits just below `SHARD` to mirror the layering (typed
-//! cache above the byte pool).  `WAL_IO` guards the pool's dedicated
-//! [`WalFile`](crate::wal::WalFile) handle: the log phase of a commit
-//! takes it *instead of* the pager lock (so log fsyncs never block
-//! cache-miss readers), and it ranks above `PAGER` because the legacy
-//! fallback route reaches the same log bytes while holding the pager.
-//! `WAL_STATE` is the pager-internal lock on the shared log bytes
-//! themselves ([`MemPager`](crate::pager::MemPager) /
-//! [`FilePager`](crate::pager::FilePager)); it is taken last on either
-//! route — under `WAL_IO` via a split handle, or under `PAGER` via the
-//! pager's own `wal_*` methods — so it ranks above both.  `STATS` at
-//! the very top holds the fault-injection plan ([`crate::fault`]),
-//! which nests strictly inside the pager lock and is always released
-//! before the faulted operation runs — today's
-//! [`crate::buffer::IoStats`] counters are atomics and take no lock.
+//! `BARRIER` and `ALLOCATOR`.  `WAL_IO` guards the pool's
+//! [`WalFile`](crate::wal::WalFile) handle — the only way to the log.
+//! The log phase of a commit takes it holding nothing but the commit
+//! mutex, and holds it across appends and log fsyncs; it ranks *below*
+//! the node-cache, shard and pager locks so that log I/O under any of
+//! them — a commit's fsync stalling every cache-miss reader — is an
+//! ordering violation, not a convention.  `NODE_CACHE` guards a
+//! decoded-node cache shard in [`crate::nodecache`]; it is a *leaf*
+//! lock — never held across any other acquisition — and sits just below
+//! `SHARD` to mirror the layering (typed cache above the byte pool).
+//! `STATS` at the very top holds the fault-injection plan
+//! ([`crate::fault`]), which nests strictly inside the pager lock or
+//! the log-handle lock and is always released before the faulted
+//! operation runs — today's [`crate::buffer::IoStats`] counters are
+//! atomics and take no lock.
 //!
 //! Release builds compile the checker away entirely: `acquire` is then a
 //! plain `Mutex::lock` with poison recovery.
@@ -95,32 +92,28 @@ pub const SNAPSHOT: u32 = 3;
 /// Free-list / high-water-mark allocator state.  Held across pager grow
 /// and across shard frame-drop, so it must rank below both.
 pub const ALLOCATOR: u32 = 4;
+/// The pool's write-ahead-log handle ([`crate::wal::WalFile`], handed
+/// out by the pager when the store opens).  The log phase of a commit
+/// holds it across appends and log fsyncs with only the commit mutex
+/// beneath it; nothing but `STATS` is acquired while it is held.  Below
+/// `NODE_CACHE`, `SHARD` and `PAGER`, so taking it under any of them is
+/// a rank violation.
+pub const WAL_IO: u32 = 5;
 /// A decoded-node cache shard ([`crate::nodecache`]).  A leaf lock:
 /// lookups, conditional inserts and invalidations never touch another
 /// lock while holding it.
-pub const NODE_CACHE: u32 = 5;
+pub const NODE_CACHE: u32 = 6;
 /// A buffer-pool shard (cache segment).  Held across pager I/O on miss,
 /// eviction, and flush.
-pub const SHARD: u32 = 6;
-/// The backing pager (file or memory).  Nothing else below `WAL_STATE`
-/// is acquired while it is held.
-pub const PAGER: u32 = 7;
-/// The pool's dedicated WAL handle ([`crate::wal::WalFile`], split off
-/// the pager at construction).  The log phase of a commit holds it
-/// across appends and log fsyncs *without* the pager lock; above
-/// `PAGER` because the no-split fallback performs the same log traffic
-/// while holding the pager.
-pub const WAL_IO: u32 = 8;
-/// Pager-internal lock on the shared WAL bytes (the state a split
-/// [`WalFile`](crate::wal::WalFile) handle aliases).  Taken last on
-/// both routes — under `WAL_IO` via the handle, under `PAGER` via the
-/// pager's own `wal_*` methods — so it ranks above both.
-pub const WAL_STATE: u32 = 9;
+pub const SHARD: u32 = 7;
+/// The backing pager (file or memory).  Nothing but `STATS` is acquired
+/// while it is held.
+pub const PAGER: u32 = 8;
 /// Reserved for a future lock-based statistics sink; used today by the
 /// fault-injection plan ([`crate::fault`]), which nests strictly inside
-/// the pager or WAL-handle lock and is released before the faulted
-/// operation reaches the `WAL_STATE` lock.
-pub const STATS: u32 = 10;
+/// the pager or log-handle lock and is released before the faulted
+/// operation runs.
+pub const STATS: u32 = 9;
 #[cfg(debug_assertions)]
 thread_local! {
     /// Ranks (and labels, for diagnostics) of locks currently held by
@@ -143,8 +136,8 @@ fn check_and_push(lock_rank: u32, label: &'static str) {
                 "lock-rank violation: acquiring `{label}` (rank {lock_rank}) \
                  while holding `{top_label}` (rank {top_rank}); locks must be \
                  taken in strictly increasing rank order (wal < superblock < \
-                 barrier < snapshot < allocator < node cache < shard < pager < \
-                 wal io < wal state < stats)",
+                 barrier < snapshot < allocator < wal io < node cache < shard < \
+                 pager < stats)",
             );
         }
         held.borrow_mut().push((lock_rank, label));
@@ -414,24 +407,6 @@ mod tests {
         drop(gp);
         // Would panic here if SHARD or PAGER were still recorded.
         let _ga = a.acquire();
-    }
-
-    #[test]
-    fn wal_state_is_reachable_from_both_log_routes() {
-        // The shared WAL bytes are taken last on either route: under the
-        // pool's dedicated handle (split path) or under the pager lock
-        // (no-split fallback). Both must be legal orders.
-        let pager = RankedMutex::new(PAGER, "pager", 0u32);
-        let handle = RankedMutex::new(WAL_IO, "wal handle", 0u32);
-        let state = RankedMutex::new(WAL_STATE, "wal state", 0u32);
-        {
-            let _h = handle.acquire();
-            let _s = state.acquire();
-        }
-        {
-            let _p = pager.acquire();
-            let _s = state.acquire();
-        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! superblock. [`ReadOnlyPager`] removes the entire class of bugs by
 //! construction: the data file is opened without write permission, the
 //! sidecar log is read (never opened for writing, never created, never
-//! truncated), and every mutating [`Pager`] entry point returns a typed
-//! [`Error::ReadOnly`].
+//! truncated), and every mutating [`Pager`] entry point — asking for
+//! the log handle included — returns a typed [`Error::ReadOnly`].
 //!
 //! Committed-but-unapplied WAL transactions still have to be visible —
 //! a crash may have left the last commit sitting in the log, and a
@@ -28,7 +28,7 @@ use std::path::Path;
 use boxagg_common::error::{invalid_arg, Error, Result};
 
 use crate::pager::{wal_path, PageId, Pager};
-use crate::wal;
+use crate::wal::{self, WalFile};
 
 /// Read-only view of a page file plus the committed tail of its WAL.
 pub(crate) struct ReadOnlyPager {
@@ -144,28 +144,8 @@ impl Pager for ReadOnlyPager {
         Self::denied("sync")
     }
 
-    fn wal_append(&mut self, _bytes: &[u8]) -> Result<()> {
-        Self::denied("wal_append")
-    }
-
-    fn wal_sync(&mut self) -> Result<()> {
-        Self::denied("wal_sync")
-    }
-
-    fn wal_len(&mut self) -> Result<u64> {
-        Self::denied("wal_len")
-    }
-
-    fn wal_rollback(&mut self, _len: u64) -> Result<()> {
-        Self::denied("wal_rollback")
-    }
-
-    fn wal_truncate(&mut self) -> Result<()> {
-        Self::denied("wal_truncate")
-    }
-
-    fn wal_read(&mut self) -> Result<Vec<u8>> {
-        Self::denied("wal_read")
+    fn wal(&mut self) -> Result<Box<dyn WalFile>> {
+        Self::denied("wal")
     }
 }
 
@@ -195,8 +175,7 @@ mod tests {
             ("write_page", ro.write_page(a, &[0u8; PS]).unwrap_err()),
             ("allocate", ro.allocate().map(|_| ()).unwrap_err()),
             ("sync", ro.sync().unwrap_err()),
-            ("wal_truncate", ro.wal_truncate().unwrap_err()),
-            ("wal_append", ro.wal_append(&[1]).unwrap_err()),
+            ("wal", ro.wal().map(|_| ()).unwrap_err()),
         ] {
             assert!(
                 matches!(err, Error::ReadOnly { op: o } if o == op),
@@ -222,9 +201,10 @@ mod tests {
         // And an uncommitted tail that must be ignored.
         log.extend_from_slice(&wal::encode_begin(1));
         log.extend_from_slice(&wal::encode_page(PageId(0), &[0xEE; PS]));
-        fp.wal_append(&log).unwrap();
-        fp.wal_sync().unwrap();
-        drop(fp);
+        let mut wal = fp.wal().unwrap();
+        wal.append(&log).unwrap();
+        wal.sync().unwrap();
+        drop((fp, wal));
 
         let before_pages = std::fs::read(&path).unwrap();
         let before_wal = std::fs::read(wal_path(&path)).unwrap();

@@ -26,7 +26,7 @@ use crate::nodecache::NodeCache;
 use crate::pager::{FilePager, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE};
 use crate::rank::{self, RankedMutex};
 use crate::superblock::{RootEntry, Superblock};
-use crate::wal::{self, RecoveryReport};
+use crate::wal::{self, RecoveryReport, WalFile};
 
 /// Catalog-name prefix for durable idempotency tokens (see
 /// [`SharedStore::record_idempotency_token`]).
@@ -214,35 +214,20 @@ impl SharedStore {
             ));
         };
         let pager = crate::readonly::ReadOnlyPager::open(path, config.page_size)?;
-        let mut cfg = config.clone();
-        cfg.wal = false; // the pool must never touch the sidecar log
-        let mut store = Self::with_pager(Box::new(pager), &cfg);
+        // No log: the pool must never touch the sidecar.
+        let mut store = Self::assemble(Box::new(pager), None, config);
         store.readonly = true;
-        store.superblock = Some(Arc::new(RankedMutex::new(
-            rank::SUPERBLOCK,
-            "superblock",
-            Superblock::new(config.page_size as u32),
-        )));
+        store.init_superblock(config);
         if store.pool.allocated_pages() == 0 {
             return Err(corrupt(
                 "cannot open an empty store read-only: formatting page 0 is a write",
             ));
         }
-        let payload = store.pool.with_page(PageId(0), |d| d.to_vec())?;
-        if payload.iter().all(|&b| b == 0) {
+        if !store.load_superblock(config)? {
             return Err(corrupt(
                 "page 0 is not a superblock; read-only opens never format",
             ));
         }
-        let sb = Superblock::decode(&payload)?;
-        if sb.page_size as usize != config.page_size {
-            return Err(Error::GeometryMismatch {
-                what: "page_size",
-                stored: sb.page_size as u64,
-                requested: config.page_size as u64,
-            });
-        }
-        store.install_superblock(sb)?;
         Ok(store)
     }
 
@@ -259,22 +244,21 @@ impl SharedStore {
         Ok(())
     }
 
-    /// Opens a *formatted* store over an explicit pager: runs WAL
-    /// recovery on the raw pager, then loads the page-0 superblock (or
-    /// formats one into an empty pager). This is [`open`](Self::open)
-    /// minus the file handling — the crash-sweep harness uses it to
-    /// interpose a [`FaultPager`](crate::fault::FaultPager) between the
-    /// pool and the file.
+    /// Opens a *formatted* store over an explicit pager: asks it for
+    /// its log handle, runs WAL recovery on the raw pager through that
+    /// handle, hands the handle to the pool (when [`StoreConfig::wal`]
+    /// is on), then loads the page-0 superblock (or formats one into an
+    /// empty pager). This is [`open`](Self::open) minus the file
+    /// handling — the crash-sweep harness uses it to interpose a
+    /// [`FaultPager`](crate::fault::FaultPager) between the pool and
+    /// the file.
     pub fn open_with_pager(mut pager: Box<dyn Pager>, config: &StoreConfig) -> Result<Self> {
-        let report = wal::recover(pager.as_mut())?;
-        let mut store = Self::with_pager(pager, config);
+        let mut log = pager.wal()?;
+        let report = wal::recover(pager.as_mut(), log.as_mut())?;
+        let mut store = Self::assemble(pager, config.wal.then_some(log), config);
         store.recovery = report;
         store.pool.note_wal_replays(report.pages_replayed);
-        store.superblock = Some(Arc::new(RankedMutex::new(
-            rank::SUPERBLOCK,
-            "superblock",
-            Superblock::new(config.page_size as u32),
-        )));
+        store.init_superblock(config);
         store.load_or_format_superblock(config)?;
         Ok(store)
     }
@@ -285,13 +269,34 @@ impl SharedStore {
     /// `page_size` (the pager defines those). No recovery runs and no
     /// superblock is read or written: this is the raw compatibility
     /// path for stores addressed by explicit page ids.
-    pub fn with_pager(pager: Box<dyn Pager>, config: &StoreConfig) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// With [`StoreConfig::wal`] on, if `pager` cannot hand out its log
+    /// handle (it already did, or it is read-only) — a WAL store over a
+    /// pager without a log is a caller bug.
+    pub fn with_pager(mut pager: Box<dyn Pager>, config: &StoreConfig) -> Self {
+        let log = config.wal.then(|| {
+            pager
+                .wal()
+                .expect("`StoreConfig::wal` needs a pager that still has its log handle")
+        });
+        Self::assemble(pager, log, config)
+    }
+
+    /// The pool (a WAL pool iff `log` is given) plus the live node
+    /// cache, with no superblock yet.
+    fn assemble(
+        pager: Box<dyn Pager>,
+        log: Option<Box<dyn WalFile>>,
+        config: &StoreConfig,
+    ) -> Self {
         Self {
             pool: Arc::new(BufferPool::with_config(
                 pager,
                 config.buffer_pages,
                 config.shards(),
-                config.wal,
+                log,
                 config.node_cache_pages,
             )),
             nodes: Arc::new(NodeCache::new(config.node_cache_pages, config.shards())),
@@ -302,21 +307,35 @@ impl SharedStore {
         }
     }
 
-    /// Wraps an explicit pager with defaults: single shard, node cache
-    /// sized like the buffer.
-    pub fn from_pager(pager: Box<dyn Pager>, buffer_pages: usize) -> Self {
-        let page_size = pager.page_size();
-        Self::with_pager(
-            pager,
-            &StoreConfig {
-                page_size,
-                buffer_pages,
-                backing: Backing::Memory,
-                parallelism: 1,
-                node_cache_pages: buffer_pages,
-                wal: false,
-            },
-        )
+    /// Gives the store a superblock slot, blank until page 0 is loaded
+    /// (or formatted) into it.
+    fn init_superblock(&mut self, config: &StoreConfig) {
+        self.superblock = Some(Arc::new(RankedMutex::new(
+            rank::SUPERBLOCK,
+            "superblock",
+            Superblock::new(config.page_size as u32),
+        )));
+    }
+
+    /// Reads page 0 and, unless it is all zeros (`Ok(false)`: not a
+    /// superblock — the caller decides whether that may be formatted
+    /// over), decodes it, checks the recorded page size against
+    /// `config` and installs it.
+    fn load_superblock(&self, config: &StoreConfig) -> Result<bool> {
+        let payload = self.pool.with_page(PageId(0), |d| d.to_vec())?;
+        if payload.iter().all(|&b| b == 0) {
+            return Ok(false);
+        }
+        let sb = Superblock::decode(&payload)?;
+        if sb.page_size as usize != config.page_size {
+            return Err(Error::GeometryMismatch {
+                what: "page_size",
+                stored: sb.page_size as u64,
+                requested: config.page_size as u64,
+            });
+        }
+        self.install_superblock(sb)?;
+        Ok(true)
     }
 
     /// Loads the superblock from page 0, formatting an empty or
@@ -332,39 +351,30 @@ impl SharedStore {
             self.pool.flush_all()?;
             return self.install_superblock(fresh);
         }
-        let payload = self.pool.with_page(PageId(0), |d| d.to_vec())?;
-        if payload.iter().all(|&b| b == 0) {
-            // An all-zero page 0 is ambiguous: it is what a crash
-            // *during* the initial format leaves (page 0 allocated, the
-            // superblock image not yet durable — the commit protocol
-            // guarantees nothing else was applied first), but it is
-            // also what a raw compatibility-path store looks like when
-            // its first data page happens to hold a zero payload (the
-            // zero-mask checksum stamps such a page as all zeros too).
-            // Only the former is safe to format over, and it is
-            // recognizable by the file holding nothing *but* that one
-            // page; a multi-page file is someone's data — refuse with a
-            // typed error instead of silently clobbering page 0.
-            if self.pool.allocated_pages() == 1 {
-                self.pool.write_page(PageId(0), &fresh.encode())?;
-                self.pool.flush_all()?;
-                return self.install_superblock(fresh);
-            }
-            return Err(corrupt(
-                "page 0 is not a superblock (all zeros in a multi-page file); \
-                 raw compatibility-path stores must be opened with \
-                 `SharedStore::with_pager`, not `SharedStore::open`",
-            ));
+        if self.load_superblock(config)? {
+            return Ok(());
         }
-        let sb = Superblock::decode(&payload)?;
-        if sb.page_size as usize != config.page_size {
-            return Err(Error::GeometryMismatch {
-                what: "page_size",
-                stored: sb.page_size as u64,
-                requested: config.page_size as u64,
-            });
+        // An all-zero page 0 is ambiguous: it is what a crash *during*
+        // the initial format leaves (page 0 allocated, the superblock
+        // image not yet durable — the commit protocol guarantees
+        // nothing else was applied first), but it is also what a raw
+        // compatibility-path store looks like when its first data page
+        // happens to hold a zero payload (the zero-mask checksum stamps
+        // such a page as all zeros too). Only the former is safe to
+        // format over, and it is recognizable by the file holding
+        // nothing *but* that one page; a multi-page file is someone's
+        // data — refuse with a typed error instead of silently
+        // clobbering page 0.
+        if self.pool.allocated_pages() == 1 {
+            self.pool.write_page(PageId(0), &fresh.encode())?;
+            self.pool.flush_all()?;
+            return self.install_superblock(fresh);
         }
-        self.install_superblock(sb)
+        Err(corrupt(
+            "page 0 is not a superblock (all zeros in a multi-page file); \
+             raw compatibility-path stores must be opened with \
+             `SharedStore::with_pager`, not `SharedStore::open`",
+        ))
     }
 
     fn install_superblock(&self, sb: Superblock) -> Result<()> {
@@ -983,7 +993,7 @@ mod tests {
         // Reopen the file with a fresh pool and confirm persistence.
         drop(s);
         let pager = FilePager::open(dir.path().join("store.db"), 256).unwrap();
-        let s = SharedStore::from_pager(Box::new(pager), 2);
+        let s = SharedStore::with_pager(Box::new(pager), &cfg);
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(s.with_page(id, |d| d[0]).unwrap(), i as u8);
         }

@@ -62,23 +62,21 @@ const TAG_BEGIN: u8 = 1;
 const TAG_PAGE: u8 = 2;
 const TAG_COMMIT: u8 = 3;
 
-/// A standalone handle onto a pager's write-ahead log.
+/// The handle onto a pager's write-ahead log — the only way to the
+/// log there is.
 ///
-/// [`Pager::split_wal`](crate::pager::Pager::split_wal) detaches one of
-/// these so the buffer pool can run the log phase of a commit *without*
-/// holding the pager mutex: log appends and `sync`s go through the
-/// handle (rank `WAL_IO`, above the pager in the rank table) while
-/// cache-miss readers keep taking the pager lock underneath. The handle
-/// and the pager's own `wal_*` methods address the same byte stream;
-/// the pool guarantees they are never used concurrently (all log
-/// traffic goes through exactly one of the two routes, and recovery
-/// runs before the pool exists).
+/// [`Pager::wal`](crate::pager::Pager::wal) hands it out once per open;
+/// [`recover`] borrows it before a pool exists, then the buffer pool
+/// owns it (rank `WAL_IO`, taken under the commit lock alone) and runs
+/// every commit's appends and log `sync`s through it — never under a
+/// shard or the pager lock, so cache-miss readers keep streaming pages
+/// through the pager while a committer waits out a log fsync.
 ///
-/// Semantics mirror the pager's `wal_*` family: `append` extends the
-/// log atomically-or-rolls-back, `rollback(len)` truncates back to a
-/// previously observed length (a no-op past the end), `truncate`
-/// empties the log, and `len` is a metadata peek with no I/O
-/// side-effects worth accounting.
+/// The log is an opaque byte stream — framing and checksumming live in
+/// this module. `append` extends it or rolls its partial write back,
+/// `rollback(len)` cuts it to a previously observed length (a no-op
+/// past the end), `truncate` empties it, and `len` is a metadata peek:
+/// no I/O worth accounting, never faulted.
 #[allow(clippy::len_without_is_empty)] // `len` is a fallible metadata peek, not a container length
 pub trait WalFile: Send {
     /// Appends raw bytes to the end of the log.
@@ -91,6 +89,8 @@ pub trait WalFile: Send {
     fn rollback(&mut self, len: u64) -> Result<()>;
     /// Empties the log.
     fn truncate(&mut self) -> Result<()>;
+    /// Reads the entire current log (for recovery).
+    fn read_all(&mut self) -> Result<Vec<u8>>;
 }
 
 fn frame(body: &[u8]) -> Vec<u8> {
@@ -240,7 +240,7 @@ pub struct RecoveryReport {
     pub log_bytes: u64,
 }
 
-/// Replays every committed transaction in the pager's log, then
+/// Replays every committed transaction in `log` onto `pager`, then
 /// truncates the log.
 ///
 /// Runs against the *raw* pager — images are full physical pages,
@@ -252,19 +252,19 @@ pub struct RecoveryReport {
 /// The log is truncated only after replay *and* a data sync succeed, so
 /// a crash anywhere inside `recover` is itself recoverable: the next
 /// call sees the same log and replays the same physical images.
-pub fn recover(pager: &mut dyn Pager) -> Result<RecoveryReport> {
+pub fn recover(pager: &mut dyn Pager, log: &mut dyn WalFile) -> Result<RecoveryReport> {
     let page_size = pager.page_size();
-    let log = pager.wal_read()?;
-    if log.is_empty() {
+    let bytes = log.read_all()?;
+    if bytes.is_empty() {
         return Ok(RecoveryReport::default());
     }
-    let parsed = decode_records(&log, page_size)?;
+    let parsed = decode_records(&bytes, page_size)?;
     let mut report = RecoveryReport {
         txns_replayed: parsed.committed.len() as u64,
         pages_replayed: 0,
         torn_tail_discarded: parsed.torn_tail,
         incomplete_txn_discarded: parsed.incomplete_txn,
-        log_bytes: log.len() as u64,
+        log_bytes: bytes.len() as u64,
     };
     for txn in &parsed.committed {
         for (id, image) in txn {
@@ -276,8 +276,8 @@ pub fn recover(pager: &mut dyn Pager) -> Result<RecoveryReport> {
         }
     }
     pager.sync()?;
-    pager.wal_truncate()?;
-    pager.wal_sync()?;
+    log.truncate()?;
+    log.sync()?;
     Ok(report)
 }
 
@@ -392,10 +392,10 @@ mod tests {
         let a = pager.allocate().unwrap();
         pager.write_page(a, &img(0x01)).unwrap();
         // Log commits a new image for page 0 and extends to page 2.
-        let log = txn_bytes(&[(0, 0xAA), (2, 0xCC)]);
-        pager.wal_append(&log).unwrap();
+        let mut log = pager.wal().unwrap();
+        log.append(&txn_bytes(&[(0, 0xAA), (2, 0xCC)])).unwrap();
 
-        let report = recover(&mut pager).unwrap();
+        let report = recover(&mut pager, log.as_mut()).unwrap();
         assert_eq!(report.txns_replayed, 1);
         assert_eq!(report.pages_replayed, 2);
         assert!(!report.torn_tail_discarded);
@@ -405,10 +405,10 @@ mod tests {
         assert_eq!(buf, img(0xAA));
         pager.read_page(PageId(2), &mut buf).unwrap();
         assert_eq!(buf, img(0xCC));
-        assert!(pager.wal_read().unwrap().is_empty(), "log truncated");
+        assert!(log.read_all().unwrap().is_empty(), "log truncated");
 
         // Second recovery over the truncated log is a no-op.
-        let again = recover(&mut pager).unwrap();
+        let again = recover(&mut pager, log.as_mut()).unwrap();
         assert_eq!(again, RecoveryReport::default());
     }
 
@@ -417,14 +417,15 @@ mod tests {
         let mut pager = MemPager::new(PS);
         let a = pager.allocate().unwrap();
         pager.write_page(a, &img(0x01)).unwrap();
-        let mut log = txn_bytes(&[(0, 0xAA)]);
+        let mut bytes = txn_bytes(&[(0, 0xAA)]);
         // An in-flight txn that never committed overwrites page 0 —
         // must NOT be replayed.
-        log.extend_from_slice(&encode_begin(1));
-        log.extend_from_slice(&encode_page(PageId(0), &img(0xEE)));
-        pager.wal_append(&log).unwrap();
+        bytes.extend_from_slice(&encode_begin(1));
+        bytes.extend_from_slice(&encode_page(PageId(0), &img(0xEE)));
+        let mut log = pager.wal().unwrap();
+        log.append(&bytes).unwrap();
 
-        let report = recover(&mut pager).unwrap();
+        let report = recover(&mut pager, log.as_mut()).unwrap();
         assert_eq!(report.txns_replayed, 1);
         assert!(report.incomplete_txn_discarded);
         let mut buf = vec![0u8; PS];
@@ -437,21 +438,23 @@ mod tests {
         // Simulate a crash mid-replay by hand: apply the first image,
         // "crash", then run full recovery — the end state must equal a
         // clean single recovery because images are physical.
-        let log = txn_bytes(&[(0, 0xAA), (1, 0xBB)]);
-        let mut clean = MemPager::new(PS);
-        clean.allocate().unwrap();
-        clean.allocate().unwrap();
-        clean.wal_append(&log).unwrap();
-        recover(&mut clean).unwrap();
+        let bytes = txn_bytes(&[(0, 0xAA), (1, 0xBB)]);
+        let two_pages_and_the_log = || {
+            let mut pager = MemPager::new(PS);
+            pager.allocate().unwrap();
+            pager.allocate().unwrap();
+            let mut log = pager.wal().unwrap();
+            log.append(&bytes).unwrap();
+            (pager, log)
+        };
+        let (mut clean, mut log) = two_pages_and_the_log();
+        recover(&mut clean, log.as_mut()).unwrap();
 
-        let mut crashed = MemPager::new(PS);
-        crashed.allocate().unwrap();
-        crashed.allocate().unwrap();
-        crashed.wal_append(&log).unwrap();
+        let (mut crashed, mut log) = two_pages_and_the_log();
         // Partial replay: first image lands, then the process dies —
         // the log is still intact because truncation comes last.
         crashed.write_page(PageId(0), &img(0xAA)).unwrap();
-        recover(&mut crashed).unwrap();
+        recover(&mut crashed, log.as_mut()).unwrap();
 
         let mut a = vec![0u8; PS];
         let mut b = vec![0u8; PS];

@@ -53,7 +53,7 @@ fn flipped_byte_on_disk_surfaces_as_corruption() {
     std::fs::write(&path, &bytes).unwrap();
 
     let pager = FilePager::open(&path, PAGE).unwrap();
-    let s = SharedStore::from_pager(Box::new(pager), 4);
+    let s = SharedStore::with_pager(Box::new(pager), &file_config(path.clone()));
     // Healthy pages read fine...
     assert_eq!(s.with_page(ids[0], |d| d[0]).unwrap(), 0);
     assert_eq!(s.with_page(ids[7], |d| d[0]).unwrap(), 7);
@@ -96,7 +96,7 @@ fn torn_final_write_surfaces_as_corruption_on_reopen() {
     };
 
     let pager = FilePager::open(&path, PAGE).unwrap();
-    let s = SharedStore::from_pager(Box::new(pager), 4);
+    let s = SharedStore::with_pager(Box::new(pager), &file_config(path.clone()));
     // Pages untouched by the tear reopen intact.
     for (i, &id) in ids.iter().take(3).enumerate() {
         assert_eq!(s.with_page(id, |d| d[0]).unwrap(), i as u8);
@@ -116,6 +116,6 @@ fn torn_final_write_surfaces_as_corruption_on_reopen() {
     // And a clean reopen now verifies end to end.
     drop(s);
     let pager = FilePager::open(&path, PAGE).unwrap();
-    let s = SharedStore::from_pager(Box::new(pager), 4);
+    let s = SharedStore::with_pager(Box::new(pager), &file_config(path.clone()));
     assert_eq!(s.with_page(torn, |d| d[0]).unwrap(), 0xCC);
 }

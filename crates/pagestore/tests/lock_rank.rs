@@ -34,6 +34,26 @@ fn pager_then_shard_panics() {
     );
 }
 
+/// Log I/O under the pager lock is the shape the log handle exists to
+/// rule out — a commit's log fsync in front of every cache-miss reader.
+/// `WAL_IO < PAGER` makes reaching for the handle there a violation.
+#[cfg(debug_assertions)]
+#[test]
+fn log_handle_under_the_pager_lock_panics() {
+    let pager = RankedMutex::new(rank::PAGER, "pager", ());
+    let log = RankedMutex::new(rank::WAL_IO, "wal io", ());
+    let _gp = pager.acquire();
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        let _gl = log.acquire();
+    }))
+    .expect_err("the log handle after the pager must trip the rank checker");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("pager") && msg.contains("wal io"),
+        "panic should name both locks, got: {msg}"
+    );
+}
+
 /// Same pair in the correct order must not panic, and the full
 /// allocator < shard < pager chain must be accepted.
 #[test]

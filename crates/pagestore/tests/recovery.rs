@@ -9,7 +9,8 @@ use boxagg_common::tempdir;
 use boxagg_pagestore::fault::{is_injected, OpKind};
 use boxagg_pagestore::pager::wal_path;
 use boxagg_pagestore::{
-    wal, Backing, FaultPager, FaultSpec, FilePager, OpFilter, PageId, SharedStore, StoreConfig,
+    wal, Backing, FaultPager, FaultSpec, FilePager, OpFilter, PageId, Pager, SharedStore,
+    StoreConfig,
 };
 
 const PAGE: usize = 256;
@@ -64,7 +65,8 @@ fn recovery_is_idempotent_under_crashes_during_replay() {
     let total = {
         let file = FilePager::open(&path, PAGE).unwrap();
         let (mut pager, faults) = FaultPager::new(Box::new(file));
-        let report = wal::recover(&mut pager).unwrap();
+        let mut log = pager.wal().unwrap();
+        let report = wal::recover(&mut pager, log.as_mut()).unwrap();
         assert_eq!(report.txns_replayed, 1);
         assert_eq!(report.pages_replayed, ids.len() as u64);
         faults.counts().total()
@@ -82,8 +84,9 @@ fn recovery_is_idempotent_under_crashes_during_replay() {
         {
             let file = FilePager::open(&path, PAGE).unwrap();
             let (mut pager, faults) = FaultPager::new(Box::new(file));
+            let mut log = pager.wal().unwrap();
             faults.arm(FaultSpec::sticky_from(OpFilter::Any, j));
-            let err = wal::recover(&mut pager).unwrap_err();
+            let err = wal::recover(&mut pager, log.as_mut()).unwrap_err();
             assert!(is_injected(&err), "op {j}: {err}");
             // Crash: pager dropped mid-recovery.
         }
@@ -113,8 +116,9 @@ fn recovered_state_is_committed_exactly_once_even_after_double_replay() {
     {
         let file = FilePager::open(&path, PAGE).unwrap();
         let (mut pager, faults) = FaultPager::new(Box::new(file));
+        let mut log = pager.wal().unwrap();
         faults.arm(FaultSpec::sticky_from(OpFilter::WalTruncates, 0));
-        let err = wal::recover(&mut pager).unwrap_err();
+        let err = wal::recover(&mut pager, log.as_mut()).unwrap_err();
         assert!(is_injected(&err), "got: {err}");
     }
     let store = SharedStore::open(&wal_config(path.clone())).unwrap();

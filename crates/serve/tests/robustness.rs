@@ -12,6 +12,7 @@ use boxagg_common::geom::Rect;
 use boxagg_common::rng::StdRng;
 use boxagg_core::catalog::SnapshotBoxSum;
 use boxagg_core::engine::SimpleBoxSum;
+use boxagg_pagestore::wal::WalFile;
 use boxagg_pagestore::{Backing, FilePager, MemPager, PageId, Pager, SharedStore, StoreConfig};
 use boxagg_serve::proto::{self, code, frame, read_frame, Request, Response};
 use boxagg_serve::{
@@ -67,6 +68,9 @@ enum GatedOp {
     DataSync,
     /// A buffer miss: the read that caused it is in flight.
     ReadPage,
+    /// A commit's log fsync, inside the log handle: the committer holds
+    /// the handle and the commit lock there — and not the pager.
+    LogSync,
 }
 
 impl Gate {
@@ -88,6 +92,11 @@ impl Gate {
             .wait_timeout_while(g, Duration::from_secs(5), |g| g.closed)
             .expect("gate");
         g.parked = false;
+    }
+
+    /// Whether someone is parked at the gate right now.
+    fn is_parked(&self) -> bool {
+        self.0 .0.lock().expect("gate").parked
     }
 
     /// Blocks until someone is parked at the gate.
@@ -133,23 +142,42 @@ impl Pager for GatedPager {
         }
         self.inner.sync()
     }
-    fn wal_append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.inner.wal_append(bytes)
+    fn wal(&mut self) -> Result<Box<dyn WalFile>> {
+        Ok(Box::new(GatedWal {
+            inner: self.inner.wal()?,
+            gate: (self.op == GatedOp::LogSync).then(|| self.gate.clone()),
+        }))
     }
-    fn wal_sync(&mut self) -> Result<()> {
-        self.inner.wal_sync()
+}
+
+/// The log handle of a [`GatedPager`]; gated in its `sync` when the
+/// pager's chosen operation is [`GatedOp::LogSync`].
+struct GatedWal {
+    inner: Box<dyn WalFile>,
+    gate: Option<Gate>,
+}
+
+impl WalFile for GatedWal {
+    fn append(&mut self, bytes: &[u8]) -> Result<()> {
+        self.inner.append(bytes)
     }
-    fn wal_len(&mut self) -> Result<u64> {
-        self.inner.wal_len()
+    fn sync(&mut self) -> Result<()> {
+        if let Some(gate) = &self.gate {
+            gate.pass();
+        }
+        self.inner.sync()
     }
-    fn wal_rollback(&mut self, len: u64) -> Result<()> {
-        self.inner.wal_rollback(len)
+    fn len(&mut self) -> Result<u64> {
+        self.inner.len()
     }
-    fn wal_truncate(&mut self) -> Result<()> {
-        self.inner.wal_truncate()
+    fn rollback(&mut self, len: u64) -> Result<()> {
+        self.inner.rollback(len)
     }
-    fn wal_read(&mut self) -> Result<Vec<u8>> {
-        self.inner.wal_read()
+    fn truncate(&mut self) -> Result<()> {
+        self.inner.truncate()
+    }
+    fn read_all(&mut self) -> Result<Vec<u8>> {
+        self.inner.read_all()
     }
 }
 
@@ -829,6 +857,74 @@ fn shed_reads_recover_through_client_backoff() {
     assert!(stats.shed >= 1, "the second read was never shed");
     assert_eq!(stats.queries, 2, "a shed attempt is not an executed read");
     assert!(stats.validate_ok);
+    server.shutdown();
+}
+
+/// A read that misses the buffer is served while a commit waits on its
+/// log fsync: the committer holds the log handle there, not the pager
+/// lock the miss needs. Same store shape as the shed test — two frames,
+/// both node caches off, so every box-sum goes to the pager.
+#[test]
+fn a_cold_read_is_served_while_a_commit_waits_on_its_log_fsync() {
+    let dir = boxagg_common::tempdir::tempdir().expect("tempdir");
+    let path = dir.path().join("logsync.pages");
+    let cfg = StoreConfig {
+        page_size: 2048,
+        buffer_pages: 2,
+        backing: Backing::File(path.clone()),
+        parallelism: 1,
+        node_cache_pages: 0,
+        wal: true,
+    };
+    seed_store(SharedStore::open(&cfg).expect("create store"), 200, 0x106);
+    let gate = Gate::default();
+    let pager = GatedPager {
+        inner: Box::new(FilePager::open(&path, cfg.page_size).expect("reopen file")),
+        gate: gate.clone(),
+        op: GatedOp::LogSync,
+    };
+    let store = SharedStore::open_with_pager(Box::new(pager), &cfg).expect("reopen gated store");
+    let server = ServerHandle::bind(
+        store.clone(),
+        "127.0.0.1:0",
+        ServeConfig {
+            threads: 4,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind server");
+    let addr = server.local_addr();
+    let whole = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
+    let mut reader = Client::connect(addr).expect("connect");
+    let committed = reader.box_sum(&whole).expect("sum before");
+
+    let mut writer = Client::connect(addr).expect("connect");
+    let obj = Rect::from_bounds(&[(0.4, 0.5), (0.4, 0.5)]);
+    assert_eq!(writer.insert(&obj, 3.0).expect("insert"), 201);
+    gate.set_closed(true);
+    let commit = std::thread::spawn(move || writer.commit().expect("gated commit"));
+    gate.wait_for_arrival();
+
+    // The transaction is logged but not synced: not yet committed. The
+    // read sees the last committed epoch, off the pager, and returns
+    // with the committer still parked.
+    let misses = store.stats().reads;
+    let during = reader.box_sum(&whole).expect("read during the log fsync");
+    assert!(
+        gate.is_parked(),
+        "the read only came back once the log fsync was let go"
+    );
+    assert!(
+        store.stats().reads > misses,
+        "the read never left the buffer"
+    );
+    assert_eq!(during.to_bits(), committed.to_bits());
+
+    gate.set_closed(false);
+    assert_eq!(commit.join().expect("committer"), 201);
+    let after = reader.box_sum(&whole).expect("sum after");
+    assert_eq!(after.to_bits(), (committed + 3.0).to_bits());
+    assert!(server.stats().validate_ok);
     server.shutdown();
 }
 

@@ -143,7 +143,7 @@ fn ecdf_btree_survives_reopen_by_name() {
 }
 
 /// Compatibility pin: the pre-superblock reopen path — raw
-/// `FilePager::open` + `from_pager` + `open_at` with caller-remembered
+/// `FilePager::open` + `with_pager` + `open_at` with caller-remembered
 /// root/len — keeps working for stores addressed by explicit page ids.
 #[test]
 fn open_at_compatibility_pin() {
@@ -169,7 +169,7 @@ fn open_at_compatibility_pin() {
     };
 
     let pager = FilePager::open(&path, 1024).unwrap();
-    let store = SharedStore::from_pager(Box::new(pager), 8);
+    let store = SharedStore::with_pager(Box::new(pager), &cfg);
     let tree: BATree<f64> = BATree::open_at(store, space, 8, root, len).unwrap();
     assert_eq!(tree.len(), 500);
     assert_eq!(tree.dominance_sum(&Point::new(&[1.0, 1.0])).unwrap(), 500.0);
