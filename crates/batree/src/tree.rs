@@ -689,6 +689,98 @@ mod tests {
     }
 
     #[test]
+    fn pinned_reads_match_the_serial_schedule_while_a_writer_commits() {
+        // The same seeded rounds twice, each on a file-backed WAL
+        // store. Serially first, recording every committed state's
+        // answers under the tree length its catalog entry carries
+        // (unique per round); then with a writer thread replaying the
+        // rounds while this thread keeps pinning the current epoch and
+        // reopening the catalogued tree there. Whatever epoch a pin
+        // lands on — mid-transaction or inside a commit's fsync — its
+        // answers must be that committed state's, bit for bit.
+        const ROUNDS: usize = 6;
+        let mut s = 33u64;
+        let mut points = |n: usize| -> Vec<(Point, f64)> {
+            (0..n)
+                .map(|_| (Point::from_fn(2, |_| rnd(&mut s)), rnd(&mut s) * 1000.0))
+                .collect()
+        };
+        let base = points(400);
+        let rounds: Vec<_> = (0..ROUNDS).map(|_| points(50)).collect();
+        let queries: Vec<Point> = std::iter::once(Point::new(&[1.0, 1.0]))
+            .chain(points(23).into_iter().map(|(p, _)| p))
+            .collect();
+
+        let dir = boxagg_common::tempdir::tempdir().unwrap();
+        let open_with_base = |file: &str| {
+            let config = StoreConfig {
+                backing: boxagg_pagestore::Backing::File(dir.path().join(file)),
+                ..StoreConfig::small(512, 64).with_wal(true)
+            };
+            let store = SharedStore::open(&config).unwrap();
+            let mut t: BATree<f64> = BATree::create(store.clone(), unit_space(2), 8).unwrap();
+            apply_round(&store, &mut t, &base);
+            (store, t)
+        };
+        fn apply_round(store: &SharedStore, t: &mut BATree<f64>, round: &[(Point, f64)]) {
+            for (p, v) in round {
+                t.insert(*p, *v).unwrap();
+            }
+            t.persist_as("t").unwrap();
+            store.commit().unwrap();
+        }
+        let answers = |t: &BATree<f64>| -> Vec<u64> {
+            queries
+                .iter()
+                .map(|q| t.dominance_sum(q).unwrap().to_bits())
+                .collect()
+        };
+
+        let (store, mut t) = open_with_base("serial.pages");
+        let mut serial = std::collections::HashMap::new();
+        serial.insert(t.len(), answers(&t));
+        for round in &rounds {
+            apply_round(&store, &mut t, round);
+            serial.insert(t.len(), answers(&t));
+        }
+        assert_eq!(serial.len(), ROUNDS + 1, "one answer set per commit");
+
+        let (store, mut t) = open_with_base("mixed.pages");
+        // One pinned read of the whole query set; returns its epoch.
+        let pinned_pass = || {
+            let snap = Arc::new(store.snapshot().unwrap());
+            let frozen: BATree<f64> = BATree::open_named(&snap, "t").unwrap();
+            let want = serial.get(&frozen.len()).unwrap_or_else(|| {
+                panic!(
+                    "epoch {} sees length {}, which no serial commit produced",
+                    snap.epoch(),
+                    frozen.len()
+                )
+            });
+            assert_eq!(&answers(&frozen), want, "epoch {}", snap.epoch());
+            snap.epoch()
+        };
+        let first_epoch = pinned_pass();
+        let mut last_epoch = first_epoch;
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                for round in &rounds {
+                    apply_round(&store, &mut t, round);
+                }
+            });
+            while !writer.is_finished() {
+                let epoch = pinned_pass();
+                assert!(epoch >= last_epoch, "epochs are monotone");
+                last_epoch = epoch;
+            }
+            writer.join().expect("writer thread");
+        });
+        // The final committed state, with no writer alive.
+        assert_eq!(pinned_pass(), first_epoch + ROUNDS as u64);
+        store.validate().unwrap();
+    }
+
+    #[test]
     fn open_at_resumes_existing_tree() {
         let store = SharedStore::open(&StoreConfig::small(512, 64)).unwrap();
         let mut t: BATree<f64> = BATree::create(store.clone(), unit_space(2), 8).unwrap();

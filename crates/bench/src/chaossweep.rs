@@ -218,10 +218,11 @@ fn store_config(cfg: &ChaosConfig, path: &Path) -> StoreConfig {
 }
 
 /// The driver is strictly serial (one request in flight at a time):
-/// four workers cover the connection, its reconnects and the probes.
+/// four connections cover the driver's own, its reconnects and the
+/// probes.
 fn serve_config() -> ServeConfig {
     ServeConfig {
-        threads: 4,
+        max_connections: 4,
         ..ServeConfig::default()
     }
 }

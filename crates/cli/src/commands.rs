@@ -253,7 +253,6 @@ pub fn info(pages: &Path) -> Result<String> {
 pub fn serve(
     pages: &Path,
     listen: &str,
-    threads: usize,
     read_deadline_ms: u64,
     idle_timeout_ms: u64,
     max_connections: usize,
@@ -266,7 +265,6 @@ pub fn serve(
         store,
         listen,
         ServeConfig {
-            threads,
             read_deadline: if read_deadline_ms == 0 {
                 defaults.read_deadline
             } else {
@@ -277,7 +275,11 @@ pub fn serve(
             } else {
                 Duration::from_millis(idle_timeout_ms)
             },
-            max_connections,
+            max_connections: if max_connections == 0 {
+                defaults.max_connections
+            } else {
+                max_connections
+            },
             queue_limit: if queue_limit == 0 {
                 defaults.queue_limit
             } else {
@@ -435,7 +437,7 @@ mod tests {
         let csv = write_csv(dir.path(), &["10,30,10,25,120", "25,50,20,40,340"]);
         build(&pages, &csv, "0,100,0,100", 1024).unwrap();
 
-        let server = serve(&pages, "127.0.0.1:0", 4, 0, 0, 0, 0).unwrap();
+        let server = serve(&pages, "127.0.0.1:0", 0, 0, 0, 0).unwrap();
         let mut client = boxagg_serve::Client::connect(server.local_addr()).unwrap();
         assert_eq!(client.hello().objects, 2);
         let sum = client

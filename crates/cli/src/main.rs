@@ -9,7 +9,7 @@
 //! boxagg insert INDEX --object l1,h1,l2,h2,value
 //! boxagg delete INDEX --object l1,h1,l2,h2,value
 //! boxagg info   INDEX
-//! boxagg serve  INDEX --listen ADDR [--threads N] [--read-deadline-ms N]
+//! boxagg serve  INDEX --listen ADDR [--read-deadline-ms N]
 //!               [--idle-timeout-ms N] [--max-connections N]
 //!               [--queue-limit N]
 //! ```
@@ -28,7 +28,7 @@ usage:
   boxagg insert INDEX --object l1,h1,l2,h2,value
   boxagg delete INDEX --object l1,h1,l2,h2,value
   boxagg info   INDEX
-  boxagg serve  INDEX --listen ADDR [--threads N] [--read-deadline-ms N]
+  boxagg serve  INDEX --listen ADDR [--read-deadline-ms N]
                 [--idle-timeout-ms N] [--max-connections N]
                 [--queue-limit N]";
 
@@ -72,12 +72,6 @@ fn run() -> Result<String, String> {
         "info" => commands::info(&index),
         "serve" => {
             let listen = flag(&args, "--listen").ok_or("serve needs --listen HOST:PORT")?;
-            let threads = match flag(&args, "--threads") {
-                Some(t) => t
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad --threads: {e}"))?,
-                None => 48,
-            };
             // Robustness knobs; 0 (the default) keeps ServeConfig's default.
             let numeric = |name: &str| -> Result<u64, String> {
                 match flag(&args, name) {
@@ -92,7 +86,6 @@ fn run() -> Result<String, String> {
             let server = commands::serve(
                 &index,
                 &listen,
-                threads,
                 read_deadline_ms,
                 idle_timeout_ms,
                 max_connections,
@@ -100,7 +93,7 @@ fn run() -> Result<String, String> {
             )
             .map_err(|e| e.to_string())?;
             println!(
-                "serving {} on {} ({threads} threads); Ctrl-C to stop",
+                "serving {} on {}; Ctrl-C to stop",
                 index.display(),
                 server.local_addr()
             );

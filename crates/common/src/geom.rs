@@ -296,16 +296,6 @@ impl Rect {
         &self.high
     }
 
-    /// Mutable access to the low corner (used by k-d-B splits).
-    pub fn low_mut(&mut self) -> &mut Point {
-        &mut self.low
-    }
-
-    /// Mutable access to the high corner (used by k-d-B splits).
-    pub fn high_mut(&mut self) -> &mut Point {
-        &mut self.high
-    }
-
     /// Side length in dimension `i`.
     #[inline]
     pub fn extent(&self, i: usize) -> Coord {

@@ -17,10 +17,9 @@ use boxagg_pagestore::{SharedStore, StoreConfig};
 pub use crate::functional::FunctionalBoxSum;
 pub use crate::reduction::{CornerBoxSum, EoBoxSum};
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::functional::{corner_tuples, tuple_value_size, FunctionalObject};
-use crate::parallel::WorkerPool;
 use crate::reduction::eo_index_space;
 
 /// A simple box-sum engine: the corner reduction over any backend.
@@ -58,8 +57,17 @@ impl SimpleBoxSum<BATree<f64>> {
     }
 }
 
-/// Builds the `2^dim` corner indexes from `objects` with `load`, one
-/// task per corner mask on `threads` workers, and assembles the engine.
+/// Builds the `2^dim` corner indexes from `objects` with `load` and
+/// assembles the engine. With `threads <= 1` the masks are loaded in a
+/// plain loop on the caller's thread (the paper-faithful mode: what the
+/// CLI and the benchmark run). Otherwise `min(threads, 2^dim)` scoped
+/// workers claim masks from a shared counter; the indexes still come
+/// back **in mask order** and a failure reports the error earliest in
+/// mask order, exactly like the sequential loop would.
+///
+/// # Panics
+///
+/// Re-raises the panic of a `load` that panicked on a worker.
 fn bulk_corner_engine<I, F>(
     dim: usize,
     threads: usize,
@@ -67,13 +75,47 @@ fn bulk_corner_engine<I, F>(
     load: F,
 ) -> Result<CornerBoxSum<I>>
 where
-    I: DominanceSumIndex<f64> + Send + 'static,
-    F: Fn(Vec<(Point, f64)>) -> Result<I> + Send + Sync + 'static,
+    I: DominanceSumIndex<f64> + Send,
+    F: Fn(Vec<(Point, f64)>) -> Result<I> + Sync,
 {
-    let shared: Arc<[(Rect, f64)]> = objects.into();
-    let indexes = WorkerPool::new(threads).run(1 << dim, move |mask| {
-        load(shared.iter().map(|(r, v)| (r.corner(mask), *v)).collect())
-    })?;
+    let masks = 1usize << dim;
+    let load_mask = |mask| load(objects.iter().map(|(r, v)| (r.corner(mask), *v)).collect());
+    let indexes: Vec<I> = if threads <= 1 {
+        (0..masks).map(load_mask).collect::<Result<_>>()?
+    } else {
+        // Relaxed: the counter hands out mask numbers and publishes
+        // nothing else; the results travel through `join`.
+        let next = AtomicUsize::new(0);
+        let mut loaded: Vec<(usize, Result<I>)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads.min(masks))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut loaded = Vec::new();
+                        loop {
+                            let mask = next.fetch_add(1, Ordering::Relaxed);
+                            if mask >= masks {
+                                return loaded;
+                            }
+                            loaded.push((mask, load_mask(mask)));
+                        }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|worker| {
+                    worker
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
+        });
+        loaded.sort_unstable_by_key(|(mask, _)| *mask);
+        loaded
+            .into_iter()
+            .map(|(_, index)| index)
+            .collect::<Result<_>>()?
+    };
     let mut engine = CornerBoxSum::from_indexes(dim, indexes)?;
     engine.note_bulk_loaded(objects.len());
     Ok(engine)
@@ -215,6 +257,7 @@ impl FunctionalBoxSum<EcdfBTree<Poly>> {
 mod tests {
     use super::*;
     use crate::functional::FunctionalObject;
+    use boxagg_common::traits::NaiveDominanceIndex;
     use boxagg_common::value::AggValue;
 
     fn rnd(state: &mut u64) -> f64 {
@@ -381,6 +424,43 @@ mod tests {
             let want = brute(&objs, &q);
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
             assert!((a - want).abs() < 1e-6 * want.abs().max(1.0));
+        }
+    }
+
+    #[test]
+    fn scoped_bulk_load_keeps_mask_order_and_reports_the_earliest_error() {
+        // 8 masks on 3 workers (tasks > threads). The mask a load call
+        // is working on is recovered from the corner it was handed.
+        let space = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]);
+        let objs = vec![(
+            Rect::from_bounds(&[(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)]),
+            1.0,
+        )];
+        let probe = objs[0].0;
+        let mask_of = move |pts: &[(Point, f64)]| (0..8).find(|&m| probe.corner(m) == pts[0].0);
+        let load = move |failing: &'static [usize]| {
+            move |pts: Vec<(Point, f64)>| {
+                let mask = mask_of(&pts).expect("a corner of the only object");
+                if failing.contains(&mask) {
+                    return Err(boxagg_common::error::invalid_arg(format!("mask {mask}")));
+                }
+                let mut index = NaiveDominanceIndex::new(3);
+                for (p, v) in pts {
+                    index.insert(p, v)?;
+                }
+                Ok(index)
+            }
+        };
+        let engine = bulk_corner_engine(space.dim(), 3, &objs, load(&[])).unwrap();
+        assert_eq!(engine.len(), 1);
+        for (mask, index) in engine.indexes().iter().enumerate() {
+            assert_eq!(index.points()[0].0, probe.corner(mask), "slot {mask}");
+        }
+        for threads in [1, 3] {
+            let Err(err) = bulk_corner_engine(space.dim(), threads, &objs, load(&[3, 1])) else {
+                panic!("masks 1 and 3 fail");
+            };
+            assert!(err.to_string().contains("mask 1"), "{threads}: {err}");
         }
     }
 

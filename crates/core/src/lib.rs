@@ -17,18 +17,18 @@
 //!   integral of the function over their intersection with the query.
 //! * [`engine`] — ready-made engines wiring the reductions to the
 //!   concrete disk-based backends, sharing one page store per engine so
-//!   the paper's size and I/O metrics apply to whole structures.
-//! * [`parallel`] — the worker pool the `2^d` independent per-corner
-//!   bulk loads run on, sized by `StoreConfig::parallelism`.
+//!   the paper's size and I/O metrics apply to whole structures. The
+//!   `2^d` independent per-corner bulk loads run there too: a plain
+//!   loop, or one `std::thread::scope` of `StoreConfig::parallelism`
+//!   workers when that is above 1.
 //! * [`catalog`] — the catalog naming scheme persisted engines use and
 //!   the one opener that reads it back, from the live store or from a
-//!   pinned commit epoch (what a query server executes batches of
-//!   requests against) — the same engine either way.
+//!   pinned commit epoch (what a query server answers each read
+//!   against) — the same engine either way.
 
 pub mod catalog;
 pub mod engine;
 pub mod functional;
-pub mod parallel;
 pub mod reduction;
 
 pub use catalog::{

@@ -34,7 +34,7 @@ pub const IDEM_PREFIX: &str = "idem/";
 
 /// Catalog name a token is recorded under: fixed-width hex so names
 /// sort stably and never collide with index roots.
-pub fn idem_root_name(token: u64) -> String {
+fn idem_root_name(token: u64) -> String {
     format!("{IDEM_PREFIX}{token:016x}")
 }
 

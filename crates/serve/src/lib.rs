@@ -5,9 +5,9 @@
 //!
 //! - [`proto`] — the length-framed, checksummed wire codec (requests,
 //!   responses, and the frame layer shared by both sides);
-//! - [`server`] — the serving loop: connections on a worker pool, each
-//!   read answered inline on a pinned snapshot, commits collapsed
-//!   through the store's group-commit path, overload shed
+//! - [`server`] — the serving loop: one thread per connection, each
+//!   read answered inline on a pinned snapshot, commits collapsed into
+//!   rounds by one committer thread, overload shed
 //!   with typed `OVERLOADED` frames, deadlines enforced end to end;
 //! - [`client`] — a blocking request/response client with capped,
 //!   seeded-jitter backoff and idempotency-token retry;

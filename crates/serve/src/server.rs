@@ -1,11 +1,19 @@
-//! The `boxagg serve` server: TCP connections on a [`WorkerPool`],
-//! reads answered inline on pinned snapshots, writes collapsed through
-//! group commit.
+//! The `boxagg serve` server: one thread per TCP connection, reads
+//! answered inline on pinned snapshots, writes collapsed into commit
+//! rounds.
+//!
+//! ## Connections — a connection is a thread
+//!
+//! The accept thread owns a `std::thread::scope`; every admitted
+//! connection is one scoped thread that lives exactly as long as the
+//! connection does. An idle server is two threads (accept, committer).
+//! Leaving the scope joins every connection thread, which is the join
+//! [`ServerHandle::shutdown`] waits for.
 //!
 //! ## Read path — inline on a pinned snapshot
 //!
-//! A box-sum / dominance-sum request is answered on the pool worker
-//! that read its frame: pin a snapshot of the current commit epoch,
+//! A box-sum / dominance-sum request is answered on the connection
+//! thread that read its frame: pin a snapshot of the current commit epoch,
 //! open the persisted engine at that epoch, run the `2^d` dominance
 //! sums, publish the snapshot's node counters, reply. No queue and no
 //! thread hand-off stand between the frame and the traversal. Every
@@ -21,11 +29,11 @@
 //! Inserts and deletes mutate the live engine under a mutex and stay
 //! buffered in the store's no-steal pool; they become visible to reads
 //! only at the next commit (reads run on snapshots of the last
-//! committed epoch). `Commit` requests queue to a committer thread
-//! that drains everything waiting, publishes the catalog once and runs
-//! one `SharedStore::commit` — the pool's group commit then does one
-//! WAL fsync for the whole round, so N concurrent network commits cost
-//! one sync, not N.
+//! committed epoch). `Commit` requests queue to a committer thread,
+//! the only caller of `SharedStore::commit`. It collapses a round
+//! itself: it drains everything waiting, publishes the catalog once
+//! and commits once, so N concurrent network commits cost one WAL
+//! transaction and one set of syncs, not N.
 //!
 //! Writes are retry-safe end to end. A tokened op (`token != 0`)
 //! carries a per-token sequence number; the server skips `(token,
@@ -46,7 +54,7 @@
 //! is checked on arrival (a read never waits after that), a write
 //! again once it holds the write lock, a commit again when the
 //! committer takes it off its queue. Each *frame read* is separately bounded by [`ServeConfig::read_deadline`]: a
-//! slowloris peer trickling one byte a second cannot hold a worker
+//! slowloris peer trickling one byte a second cannot hold a thread
 //! past it, because the per-read socket timeout shrinks as the frame
 //! deadline approaches. Idle connections are reaped after
 //! [`ServeConfig::idle_timeout`].
@@ -59,8 +67,9 @@
 //! [`OVERLOADED`](proto::code::OVERLOADED) frame carrying a
 //! retry-after hint; the connection stays open. The accept loop
 //! enforces [`ServeConfig::max_connections`] the same way: a refused
-//! connection gets one typed `OVERLOADED` frame, then closes, so a
-//! full worker pool can never silently starve the accept queue.
+//! connection gets one typed `OVERLOADED` frame, then closes — never a
+//! silent drop. A connection's slot is released by a guard its thread
+//! owns, so a handler that dies still gives the slot back.
 //!
 //! Malformed frames (bad checksum, truncation, alien tags) get a typed
 //! [`code::PROTOCOL`](proto::code::PROTOCOL) error frame and the
@@ -76,6 +85,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -87,7 +97,6 @@ use boxagg_common::error::{invalid_arg, Error, Result};
 use boxagg_common::geom::Rect;
 use boxagg_common::traits::DominanceSumIndex;
 use boxagg_core::catalog::{open_corner_engine, persist_corner_engine};
-use boxagg_core::parallel::WorkerPool;
 use boxagg_core::reduction::CornerBoxSum;
 use boxagg_pagestore::SharedStore;
 
@@ -99,55 +108,37 @@ use crate::proto::{
 /// Tuning knobs of the serving loop.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads for connection handling (min 2: one would make
-    /// the pool run handlers inline on the accept thread).
-    pub threads: usize,
     /// Budget for reading one complete frame off a connection. A peer
     /// that cannot deliver a whole frame within it (slowloris) is cut
     /// off with a typed `DEADLINE_EXCEEDED` frame. Also the write
     /// budget for replies.
     pub read_deadline: Duration,
     /// Connections silent for longer than this are reaped (typed
-    /// frame, then close) so half-open peers cannot pin workers.
+    /// frame, then close) so half-open peers cannot pin threads.
     pub idle_timeout: Duration,
-    /// Most concurrent connections served; further accepts get a typed
-    /// `OVERLOADED` refusal. `0` means "same as `threads`" — each
-    /// connection occupies one pool worker, so admitting more than the
-    /// pool can hold would starve the accept loop.
+    /// Most concurrent connections served, one thread each; further
+    /// accepts get a typed `OVERLOADED` refusal.
     pub max_connections: usize,
     /// Where load shedding begins. Commits shed once a quarter of
     /// this many are queued, reads once this many are in flight.
     pub queue_limit: usize,
     /// The retry-after hint carried by `OVERLOADED` frames.
     pub retry_after: Duration,
-    /// Durable idempotency tokens retained in the superblock catalog;
-    /// a commit retried within this many later commits deduplicates.
-    pub idem_retain: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            threads: 48,
             read_deadline: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(30),
-            max_connections: 0,
+            max_connections: 48,
             queue_limit: 256,
             retry_after: Duration::from_millis(25),
-            idem_retain: 16,
         }
     }
 }
 
 impl ServeConfig {
-    fn conn_limit(&self) -> u64 {
-        if self.max_connections == 0 {
-            self.threads.max(2) as u64
-        } else {
-            self.max_connections as u64
-        }
-    }
-
     fn retry_after_ms(&self) -> u32 {
         self.retry_after.as_millis().min(u128::from(u32::MAX)) as u32
     }
@@ -207,6 +198,10 @@ struct Counters {
 /// far beyond any realistic concurrent-writer count.
 const IDEM_MEM_CAP: usize = 1024;
 
+/// Durable idempotency tokens retained in the superblock catalog; a
+/// commit retried within this many later commits deduplicates.
+const IDEM_RETAIN: usize = 16;
+
 /// Everything the write path mutates, under one lock: the live
 /// engine, the in-memory `(token, seq)` replay filter, and the
 /// fail-stop flag.
@@ -258,14 +253,14 @@ struct Shared {
     commit_tx: Sender<CommitJob>,
     /// Depth of the commit queue.
     commit_depth: AtomicU64,
-    /// Reads being answered right now, one per pool worker inside
-    /// [`run_read`].
+    /// Reads being answered right now, one per connection thread
+    /// inside [`run_read`].
     reads_in_flight: AtomicU64,
     /// The live engine's object count, stored under the write lock
     /// after every applied insert/delete so the handshake can say it
     /// without waiting out a commit.
     objects: AtomicU64,
-    /// Live connections (accept-time guard).
+    /// Live connections, one [`Slot`] each (accept-time guard).
     conns: AtomicU64,
     counters: Counters,
     shutdown: AtomicBool,
@@ -302,7 +297,6 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     committer: Option<JoinHandle<()>>,
-    pool: Option<Arc<WorkerPool>>,
 }
 
 impl ServerHandle {
@@ -326,7 +320,6 @@ impl ServerHandle {
         let local = listener.local_addr()?;
 
         let (commit_tx, commit_rx) = channel::<CommitJob>();
-        let threads = cfg.threads.max(2);
         let shared = Arc::new(Shared {
             store,
             write: Mutex::new(WriteState {
@@ -347,22 +340,19 @@ impl ServerHandle {
             shutdown: AtomicBool::new(false),
         });
 
-        let pool = Arc::new(WorkerPool::new(threads));
         let committer = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || committer_loop(&shared, &commit_rx))
         };
         let accept = {
             let shared = Arc::clone(&shared);
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || accept_loop(&listener, &shared, &pool))
+            std::thread::spawn(move || accept_loop(&listener, &shared))
         };
         Ok(Self {
             addr: local,
             shared,
             accept: Some(accept),
             committer: Some(committer),
-            pool: Some(pool),
         })
     }
 
@@ -377,9 +367,10 @@ impl ServerHandle {
         self.shared.stats()
     }
 
-    /// Stops accepting, drains the serving threads and joins them.
-    /// Connected clients are cut loose (handlers notice the shutdown
-    /// flag within their poll interval).
+    /// Stops accepting, drains the serving threads and joins them: the
+    /// accept thread returns only once every connection thread in its
+    /// scope has. Connected clients are cut loose (handlers notice the
+    /// shutdown flag within their poll interval).
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -396,8 +387,6 @@ impl ServerHandle {
                 std::mem::forget(payload);
             }
         }
-        // Dropping the pool joins the connection handlers.
-        self.pool = None;
     }
 }
 
@@ -440,44 +429,74 @@ fn replicate(e: &Error) -> Error {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, pool: &Arc<WorkerPool>) {
-    let limit = shared.cfg.conn_limit();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                if shared.conns.load(Ordering::SeqCst) >= limit {
-                    // Refuse with one typed frame written inline —
-                    // never a silent drop, never a queued job a full
-                    // pool would starve.
-                    shared
-                        .counters
-                        .refused_conns
-                        .fetch_add(1, Ordering::Relaxed);
-                    // lint: allow(discarded-result) -- best-effort refusal write; the peer may already be gone
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-                    send_response(
-                        &mut stream,
-                        &Response::Error {
-                            code: code::OVERLOADED,
-                            message: format!("connection limit of {limit} reached"),
-                            retry_after_ms: shared.cfg.retry_after_ms(),
-                        },
-                    );
+/// Refuses a connection with one typed `OVERLOADED` frame written on
+/// the accept thread — never a silent drop.
+fn refuse(stream: &mut TcpStream, shared: &Shared, message: String) {
+    shared
+        .counters
+        .refused_conns
+        .fetch_add(1, Ordering::Relaxed);
+    // lint: allow(discarded-result) -- best-effort refusal write; the peer may already be gone
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+    send_response(
+        stream,
+        &Response::Error {
+            code: code::OVERLOADED,
+            message,
+            retry_after_ms: shared.cfg.retry_after_ms(),
+        },
+    );
+}
+
+fn accept_loop(listener: &TcpListener, shared: &Shared) {
+    let limit = shared.cfg.max_connections as u64;
+    // Every connection thread is spawned into this scope, so returning
+    // from it is the join of all of them.
+    std::thread::scope(|scope| {
+        while !shared.shutdown.load(Ordering::SeqCst) {
+            let mut stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(_) => {
+                    std::thread::sleep(Duration::from_millis(5));
                     continue;
                 }
-                shared.conns.fetch_add(1, Ordering::SeqCst);
-                let shared = Arc::clone(shared);
-                pool.execute(move || {
-                    handle_conn(stream, &shared);
-                    shared.conns.fetch_sub(1, Ordering::SeqCst);
-                });
+            };
+            let Some(slot) = Slot::claim(&shared.conns, limit) else {
+                refuse(
+                    &mut stream,
+                    shared,
+                    format!("connection limit of {limit} reached"),
+                );
+                continue;
+            };
+            // The thread serves a second handle to the socket; this one
+            // stays here to carry the refusal if the thread cannot be
+            // started. The slot moves into the thread and is released
+            // when it ends, however it ends — or right here, with the
+            // closure a failed spawn drops.
+            let spawned = stream.try_clone().and_then(|conn| {
+                std::thread::Builder::new().spawn_scoped(scope, move || {
+                    let _slot = slot;
+                    if let Err(payload) =
+                        catch_unwind(AssertUnwindSafe(|| handle_conn(conn, shared)))
+                    {
+                        // A handler never panics by design. If one does,
+                        // its connection dies with it and the server
+                        // goes on; a payload whose own `Drop` panics
+                        // must not detonate in the scope's join.
+                        std::mem::forget(payload);
+                    }
+                })
+            });
+            if let Err(e) = spawned {
+                refuse(
+                    &mut stream,
+                    shared,
+                    format!("cannot start a connection thread: {e}"),
+                );
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
-    }
+    });
 }
 
 fn committer_loop(shared: &Shared, rx: &Receiver<CommitJob>) {
@@ -537,7 +556,7 @@ fn committer_loop(shared: &Shared, rx: &Receiver<CommitJob>) {
                     res = res.and_then(|()| {
                         shared
                             .store
-                            .record_idempotency_token(t, objects, shared.cfg.idem_retain)
+                            .record_idempotency_token(t, objects, IDEM_RETAIN)
                     });
                 }
                 let res = res
@@ -629,10 +648,10 @@ impl Read for DeadlineReader<'_> {
     }
 }
 
-fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
+fn handle_conn(mut stream: TcpStream, shared: &Shared) {
     // lint: allow(discarded-result) -- Nagle stays on if the socket refuses; only latency suffers
     let _ = stream.set_nodelay(true);
-    // A peer that stops draining replies cannot hold the worker past
+    // A peer that stops draining replies cannot hold the thread past
     // the write budget either.
     // lint: allow(discarded-result) -- timeout support is best-effort; a blocking write still works
     let _ = stream.set_write_timeout(Some(shared.cfg.read_deadline));
@@ -932,24 +951,25 @@ fn apply_write(
     }
 }
 
-/// One read's claim on the read tier, released on drop.
-struct ReadSlot<'a>(&'a AtomicU64);
+/// One claim on a bounded tier — a read in flight, a live connection —
+/// released on drop, so a holder that unwinds still gives it back.
+struct Slot<'a>(&'a AtomicU64);
 
-impl<'a> ReadSlot<'a> {
-    /// `None` once `limit` reads are already in flight.
-    fn claim(in_flight: &'a AtomicU64, limit: u64) -> Option<Self> {
-        let slot = Self(in_flight);
-        (in_flight.fetch_add(1, Ordering::SeqCst) < limit).then_some(slot)
+impl<'a> Slot<'a> {
+    /// `None` once `limit` claims are already held.
+    fn claim(held: &'a AtomicU64, limit: u64) -> Option<Self> {
+        let slot = Self(held);
+        (held.fetch_add(1, Ordering::SeqCst) < limit).then_some(slot)
     }
 }
 
-impl Drop for ReadSlot<'_> {
+impl Drop for Slot<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// Answers one read on the calling pool worker: pin the current commit
+/// Answers one read on the calling connection thread: pin the current commit
 /// epoch, open the engine the writer mutates at that epoch instead of
 /// over live pages, and run `read` against it. A read that cannot pin
 /// or open its engine answers with that error's own class — a corrupt
@@ -960,7 +980,7 @@ fn run_read(
 ) -> Response {
     // Reads shed last: only with `queue_limit` of them in flight.
     let limit = shared.cfg.queue_limit.max(1) as u64;
-    let Some(_slot) = ReadSlot::claim(&shared.reads_in_flight, limit) else {
+    let Some(_slot) = Slot::claim(&shared.reads_in_flight, limit) else {
         shared.counters.shed.fetch_add(1, Ordering::Relaxed);
         return error_response(shared, &shared.overloaded());
     };

@@ -4,6 +4,7 @@
 //! writes under injected connection death.
 
 use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -181,6 +182,41 @@ impl WalFile for GatedWal {
     }
 }
 
+/// A pager whose next `read_page` panics once the test arms it: a bug
+/// somewhere under a request handler, as the server would meet it.
+struct PanickingPager {
+    inner: Box<dyn Pager>,
+    armed: Arc<AtomicBool>,
+}
+
+impl Pager for PanickingPager {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+    fn num_pages(&self) -> u64 {
+        self.inner.num_pages()
+    }
+    fn allocate(&mut self) -> Result<PageId> {
+        self.inner.allocate()
+    }
+    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
+        assert!(
+            !self.armed.swap(false, Ordering::SeqCst),
+            "injected: this read_page panics"
+        );
+        self.inner.read_page(id, buf)
+    }
+    fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<()> {
+        self.inner.write_page(id, data)
+    }
+    fn sync(&mut self) -> Result<()> {
+        self.inner.sync()
+    }
+    fn wal(&mut self) -> Result<Box<dyn WalFile>> {
+        self.inner.wal()
+    }
+}
+
 /// A seeded memory store whose commits park in their data sync; the
 /// gate starts open.
 fn commit_gated_store(n: usize, seed: u64) -> (SharedStore, Gate) {
@@ -203,15 +239,8 @@ fn server_with_a_commit_in_progress(
     seed: u64,
 ) -> (ServerHandle, Gate, std::thread::JoinHandle<u64>) {
     let (store, gate) = commit_gated_store(n, seed);
-    let server = ServerHandle::bind(
-        store,
-        "127.0.0.1:0",
-        ServeConfig {
-            threads: 6,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind server");
+    let server =
+        ServerHandle::bind(store, "127.0.0.1:0", ServeConfig::default()).expect("bind server");
     let mut committer = Client::connect(server.local_addr()).expect("connect");
     gate.set_closed(true);
     let commit = std::thread::spawn(move || committer.commit().expect("gated commit"));
@@ -230,7 +259,6 @@ fn connection_limit_refuses_with_a_typed_overloaded_frame() {
         "127.0.0.1:0",
         ServeConfig {
             max_connections: 2,
-            threads: 4,
             ..ServeConfig::default()
         },
     )
@@ -267,6 +295,76 @@ fn connection_limit_refuses_with_a_typed_overloaded_frame() {
     server.shutdown();
 }
 
+/// A handler that panics takes its own connection down and nothing
+/// else: the slot it held comes back, so a server capped at one
+/// connection admits the next one and answers it correctly. Same store
+/// shape as the shed test — two frames, both node caches off — so the
+/// served read has to go to the pager, which panics under it.
+#[test]
+fn a_panicking_handler_gives_its_connection_slot_back() {
+    let dir = boxagg_common::tempdir::tempdir().expect("tempdir");
+    let path = dir.path().join("panic.pages");
+    let cfg = StoreConfig {
+        page_size: 2048,
+        buffer_pages: 2,
+        backing: Backing::File(path.clone()),
+        parallelism: 1,
+        node_cache_pages: 0,
+        wal: true,
+    };
+    seed_store(SharedStore::open(&cfg).expect("create store"), 200, 0xBAD);
+    let armed = Arc::new(AtomicBool::new(false));
+    let pager = PanickingPager {
+        inner: Box::new(FilePager::open(&path, cfg.page_size).expect("reopen file")),
+        armed: Arc::clone(&armed),
+    };
+    let store = SharedStore::open_with_pager(Box::new(pager), &cfg).expect("reopen store");
+    let whole = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
+    let serial = {
+        let engine = SnapshotBoxSum::open(store.snapshot().expect("snapshot")).expect("open");
+        engine.query(&whole).expect("serial answer")
+    };
+
+    let server = ServerHandle::bind(
+        store,
+        "127.0.0.1:0",
+        ServeConfig {
+            max_connections: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind server");
+    let addr = server.local_addr();
+
+    let mut doomed = Client::connect(addr).expect("the one connection");
+    armed.store(true, Ordering::SeqCst);
+    doomed
+        .box_sum(&whole)
+        .expect_err("the handler panicked under this read");
+    assert!(!armed.load(Ordering::SeqCst), "the read never missed");
+
+    // The dead handler's socket closes a moment before its slot is
+    // released, so the first attempts may still be refused.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut next = loop {
+        match Client::connect(addr) {
+            Ok(client) => break client,
+            Err(e) => {
+                assert!(
+                    Instant::now() < deadline,
+                    "the panicked handler's slot never came back: {e}"
+                );
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+    };
+    // (`validate_ok` is not asked for: the pool was filling a frame
+    // when its pager panicked, and counts that frame as leaked.)
+    let got = next.box_sum(&whole).expect("the server keeps answering");
+    assert_eq!(got.to_bits(), serial.to_bits());
+    server.shutdown();
+}
+
 /// Satellite 2: a connection killed before its reply can be written
 /// leaves the read counted exactly once — the traversal happened, the
 /// counters were published before the reply — and its neighbours'
@@ -287,15 +385,8 @@ fn a_connection_killed_before_its_reply_is_counted_exactly_once() {
         serial_accesses += snap.node_reads().0;
     }
 
-    let server = ServerHandle::bind(
-        store,
-        "127.0.0.1:0",
-        ServeConfig {
-            threads: 8,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind server");
+    let server =
+        ServerHandle::bind(store, "127.0.0.1:0", ServeConfig::default()).expect("bind server");
     let addr = server.local_addr();
 
     let barrier = Arc::new(Barrier::new(3));
@@ -364,7 +455,6 @@ fn slowloris_cannot_hold_a_worker_past_the_read_deadline() {
         "127.0.0.1:0",
         ServeConfig {
             read_deadline,
-            threads: 4,
             ..ServeConfig::default()
         },
     )
@@ -433,7 +523,6 @@ fn dirty_page_backpressure_is_typed_overloaded_and_recovers_after_backoff() {
         "127.0.0.1:0",
         ServeConfig {
             retry_after: Duration::from_millis(1),
-            threads: 4,
             ..ServeConfig::default()
         },
     )
@@ -494,7 +583,6 @@ fn every_error_path_answers_a_typed_frame_before_closing() {
         ServeConfig {
             read_deadline: Duration::from_millis(300),
             idle_timeout: Duration::from_millis(600),
-            threads: 4,
             ..ServeConfig::default()
         },
     )
@@ -823,7 +911,6 @@ fn shed_reads_recover_through_client_backoff() {
             // One read in flight at a time.
             queue_limit: 1,
             retry_after: Duration::from_millis(1),
-            threads: 4,
             ..ServeConfig::default()
         },
     )
@@ -884,15 +971,8 @@ fn a_cold_read_is_served_while_a_commit_waits_on_its_log_fsync() {
         op: GatedOp::LogSync,
     };
     let store = SharedStore::open_with_pager(Box::new(pager), &cfg).expect("reopen gated store");
-    let server = ServerHandle::bind(
-        store.clone(),
-        "127.0.0.1:0",
-        ServeConfig {
-            threads: 4,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind server");
+    let server = ServerHandle::bind(store.clone(), "127.0.0.1:0", ServeConfig::default())
+        .expect("bind server");
     let addr = server.local_addr();
     let whole = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
     let mut reader = Client::connect(addr).expect("connect");

@@ -71,19 +71,12 @@ fn concurrent_connections_answer_like_in_process_and_a_warm_epoch_decodes_nothin
         "the cold pass decodes each page once: {serial_decodes} of {serial_accesses}"
     );
 
-    let server = ServerHandle::bind(
-        store.clone(),
-        "127.0.0.1:0",
-        ServeConfig {
-            threads: K + 4,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind server");
+    let server = ServerHandle::bind(store.clone(), "127.0.0.1:0", ServeConfig::default())
+        .expect("bind server");
     let addr = server.local_addr();
 
     // All clients connect first, then fire simultaneously: K reads in
-    // flight on K pool workers, each on its own pin of the same epoch.
+    // flight on K connection threads, each on its own pin of the same epoch.
     let barrier = Arc::new(Barrier::new(K));
     let handles: Vec<_> = queries
         .iter()
