@@ -239,6 +239,11 @@ impl<V: AggValue> Node<V> {
                 Ok(Node::Leaf(EntrySlab::decode_entries(&mut r, dim, count)?))
             }
             1 => {
+                // Box, child, `dim` empty inline borders, subtotal: the
+                // least a record can be. `count` is input; check it
+                // before allocating ≈ 184 bytes per record for it.
+                let min_record = Rect::encoded_size(dim) + 8 + dim * 3 + V::WIDTH.min();
+                r.expect_records(count, min_record)?;
                 let mut records = Vec::with_capacity(count);
                 for _ in 0..count {
                     let rect = Rect::decode(&mut r, dim)?;
@@ -423,6 +428,60 @@ mod tests {
     fn decode_rejects_garbage_tag() {
         let bytes = [9u8, 0, 0];
         assert!(Node::<f64>::decode(&bytes, 2).is_err());
+    }
+
+    #[test]
+    fn record_count_is_checked_before_anything_is_allocated() {
+        use boxagg_common::error::Error;
+        // The whole payload is a header claiming 65,535 records. The
+        // parent reserved `count` records (≈ 12 MB of `IndexRecord`s, or
+        // 65,535 words per leaf column) before reading the first one
+        // and only then met the end of the page.
+        for tag in [0u8, 1] {
+            let claim = [tag, 0xFF, 0xFF];
+            for dim in 1..=3 {
+                match Node::<f64>::decode(&claim, dim) {
+                    Err(Error::Corrupt(msg)) if tag == 1 => {
+                        assert!(msg.contains("record count 65535"), "{msg}")
+                    }
+                    Err(Error::Corrupt(msg)) => {
+                        assert!(
+                            msg.contains(&format!("{} bytes", 65535 * (dim + 1) * 8)),
+                            "{msg}"
+                        )
+                    }
+                    other => panic!("tag {tag} dim {dim}: {other:?}"),
+                }
+                assert!(matches!(
+                    Node::<Poly>::decode(&claim, dim),
+                    Err(Error::Corrupt(_))
+                ));
+            }
+        }
+        // A full-count header over half a body, for both kinds.
+        let leaf: Node<f64> = Node::Leaf(EntrySlab::from_slice(
+            2,
+            &(0..40)
+                .map(|i| (Point::new(&[i as f64, 1.0]), 2.0))
+                .collect::<Vec<_>>(),
+        ));
+        let rec = IndexRecord {
+            rect: Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]),
+            child: PageId(1),
+            subtotal: 0.5,
+            borders: vec![BorderRef::empty(1), BorderRef::Tree(PageId(9))],
+        };
+        for node in [leaf, Node::Index(vec![rec; 12])] {
+            let mut w = ByteWriter::new();
+            node.encode(2, &mut w);
+            let bytes = w.into_vec();
+            Node::<f64>::decode(&bytes, 2).unwrap();
+            let half = &bytes[..3 + (bytes.len() - 3) / 2];
+            assert!(matches!(
+                Node::<f64>::decode(half, 2),
+                Err(Error::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

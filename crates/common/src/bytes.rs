@@ -5,7 +5,7 @@
 //! versionless, and hand-rolling keeps the encoded size of every record
 //! predictable, which the fanout computations depend on.
 
-use crate::error::{corrupt, Result};
+use crate::error::{corrupt, Error, Result};
 
 /// Append-only writer over a byte buffer.
 #[derive(Debug, Default)]
@@ -51,32 +51,53 @@ impl ByteWriter {
         self.buf.clear();
     }
 
+    /// Reserves room for at least `additional` more bytes, so a run of
+    /// `put_*` calls of known total size grows the buffer once.
+    #[inline]
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
+    /// Appends `n` zero bytes and hands them back to be filled in place.
+    #[inline]
+    pub fn put_zeroed(&mut self, n: usize) -> &mut [u8] {
+        let at = self.buf.len();
+        self.buf.resize(at + n, 0);
+        &mut self.buf[at..]
+    }
+
     /// Writes a single byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a `u16` little-endian.
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u32` little-endian.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u64` little-endian.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes an `f64` as its little-endian IEEE-754 bit pattern.
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes raw bytes verbatim.
+    #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
@@ -91,11 +112,13 @@ pub struct ByteReader<'a> {
 
 impl<'a> ByteReader<'a> {
     /// Creates a reader positioned at the start of `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
     /// Bytes remaining after the cursor.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -105,36 +128,47 @@ impl<'a> ByteReader<'a> {
         self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
-            return Err(corrupt(format!(
-                "short read: wanted {n} bytes, {} remaining",
-                self.remaining()
-            )));
+            return Err(self.short(n));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
+    /// The error of a read past the end, built off the decoders' path.
+    #[cold]
+    fn short(&self, n: usize) -> Error {
+        corrupt(format!(
+            "short read: wanted {n} bytes, {} remaining",
+            self.remaining()
+        ))
+    }
+
     /// Reads a single byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn get_u16(&mut self) -> Result<u16> {
         let s = self.take(2)?;
         Ok(u16::from_le_bytes([s[0], s[1]]))
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32> {
         let s = self.take(4)?;
         Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64> {
         let s = self.take(8)?;
         let mut b = [0u8; 8];
@@ -143,6 +177,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian `f64`.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64> {
         let s = self.take(8)?;
         let mut b = [0u8; 8];
@@ -151,8 +186,25 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads `n` raw bytes.
+    #[inline]
     pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
         self.take(n)
+    }
+
+    /// Fails unless `count` records of at least `min_size` bytes each
+    /// could still follow the cursor. A decoder calls this on a count it
+    /// read from the page *before* it allocates for that many records:
+    /// the count is two bytes of input, the allocation it asks for is
+    /// not.
+    #[inline]
+    pub fn expect_records(&self, count: usize, min_size: usize) -> Result<()> {
+        if count.saturating_mul(min_size) > self.remaining() {
+            return Err(corrupt(format!(
+                "record count {count} needs at least {min_size} bytes each, {} remaining",
+                self.remaining()
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -191,6 +243,20 @@ mod tests {
         assert_eq!(r.remaining(), 3);
         assert_eq!(r.get_u16().unwrap(), 0x0201);
         assert!(r.get_u16().is_err());
+    }
+
+    #[test]
+    fn record_count_is_checked_against_what_remains() {
+        let bytes = [0u8; 24];
+        let mut r = ByteReader::new(&bytes);
+        r.expect_records(3, 8).unwrap();
+        r.expect_records(0, usize::MAX).unwrap();
+        r.expect_records(usize::MAX, 0).unwrap();
+        assert!(r.expect_records(4, 8).is_err());
+        assert!(r.expect_records(usize::MAX, 2).is_err(), "no overflow");
+        r.get_u64().unwrap();
+        assert!(r.expect_records(3, 8).is_err(), "counts from the cursor");
+        assert_eq!(r.remaining(), 16, "a check consumes nothing");
     }
 
     #[test]

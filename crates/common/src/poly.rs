@@ -17,7 +17,7 @@ use std::fmt;
 use crate::bytes::{ByteReader, ByteWriter};
 use crate::error::{corrupt, Result};
 use crate::geom::{Point, MAX_DIM};
-use crate::value::AggValue;
+use crate::value::{AggValue, EncodedWidth};
 
 /// One monomial term: `coeff · Π xᵢ^exps[i]`.
 #[derive(Clone, Copy, PartialEq)]
@@ -295,6 +295,9 @@ impl fmt::Debug for Poly {
 }
 
 impl AggValue for Poly {
+    /// The term count alone; the terms vary.
+    const WIDTH: EncodedWidth = EncodedWidth::AtLeast(2);
+
     fn zero() -> Self {
         Poly::new()
     }

@@ -3,15 +3,34 @@
 //! Leaf and border entries used to be decoded into `Vec<(Point, V)>` — an
 //! array-of-structs whose 80-byte stride leaves the autovectorizer nothing
 //! to chew on. An [`EntrySlab`] stores the same entries as one contiguous
-//! `Vec<f64>` *column per dimension* plus a values column, so the hot
+//! `f64` *column per dimension* plus a values column, so the hot
 //! dominance scans (`coord[i] ≤ q[i]` across a column) compile to
 //! branch-light vectorized passes.
 //!
-//! The on-disk codec is **byte-identical** to the tuple layout: entries are
-//! still serialized as `coord₀ … coord_{d−1} value` per entry, in entry
-//! order ([`EntrySlab::encode_entries`] / [`EntrySlab::decode_entries`]).
-//! Only the decode *target* changed, so page checksums, the WAL and the
-//! decoded-node cache are untouched.
+//! **One coordinate buffer.** All `dim` columns live in a single
+//! `Vec<f64>` of `dim × cap` words, column `d` at
+//! `coords[d·cap .. d·cap + len]`: a slab is two allocations at any
+//! dimension (coordinates, values), not `dim + 1` behind a `Vec` of
+//! `Vec`s. Words past `len` in a column are padding nobody reads —
+//! [`col`](EntrySlab::col) slices to `len`, and `==` compares logical
+//! columns, so two slabs with the same entries are equal whatever their
+//! capacities.
+//!
+//! **Column passes.** The on-disk codec is **byte-identical** to the
+//! tuple layout: entries are serialized as `coord₀ … coord_{d−1} value`
+//! per entry, in entry order ([`EntrySlab::encode_entries`] /
+//! [`EntrySlab::decode_entries`]). A cold read decodes one slab per
+//! page, so the decoder is part of what a query costs: when the value
+//! type has a fixed encoded width ([`AggValue::WIDTH`]) it takes the
+//! whole run of rows with **one** bounds check and fills each column in
+//! its own `chunks_exact` pass over them; variable-width values take
+//! each row's coordinates in one check and decode the value after it.
+//! Either way nothing is allocated until the bytes that must fill it are
+//! known to be there, and a short slab is the same typed `Corrupt` error
+//! it always was. The per-word loops these replaced (one
+//! `Result`-returning read and one `push` per `f64`) survive only under
+//! `#[cfg(test)]`, as the oracle the differential test holds the
+//! kernels to — same slabs, same bytes, same errors at every truncation.
 //!
 //! The accumulate-into scan API ([`EntrySlab::sum_dominated_into`])
 //! preserves the exact per-entry `add_assign` order of the scalar loops it
@@ -23,24 +42,50 @@
 use crate::bytes::{ByteReader, ByteWriter};
 use crate::error::Result;
 use crate::geom::{Point, MAX_DIM};
-use crate::value::AggValue;
+use crate::value::{AggValue, EncodedWidth};
 
 /// Chunk width of the vectorized dominance scan: the per-dimension column
 /// passes mask `CHUNK` entries at a time through a stack bitmap.
 const CHUNK: usize = 64;
 
+/// Encoded bytes of one coordinate.
+const WORD: usize = 8;
+
 /// Struct-of-arrays storage for `(Point, V)` entries of one fixed
 /// dimensionality.
 ///
-/// Coordinates live in `dim` contiguous `f64` columns; values live in a
-/// parallel column. Entry order is the order of insertion (the same order
-/// the tuple vector kept), and every aggregate walk visits entries in that
-/// order so floating-point results match the old layout bit for bit.
-#[derive(Debug, Clone, PartialEq)]
+/// Coordinates live in `dim` contiguous `f64` columns of one buffer;
+/// values live in a parallel column. Entry order is the order of
+/// insertion (the same order the tuple vector kept), and every aggregate
+/// walk visits entries in that order so floating-point results match the
+/// old layout bit for bit.
+#[derive(Debug, Clone)]
 pub struct EntrySlab<V> {
     dim: usize,
-    cols: Vec<Vec<f64>>,
+    /// Entries each column has room for; `coords.len() == dim * cap`.
+    cap: usize,
+    /// Column `d` is `coords[d * cap .. d * cap + len]`.
+    coords: Vec<f64>,
     values: Vec<V>,
+}
+
+impl<V: AggValue> PartialEq for EntrySlab<V> {
+    /// Same dimension, same entries in the same order — capacity and
+    /// whatever sits in the padding are not part of a slab's value.
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim
+            && self.values == other.values
+            && (0..self.dim).all(|d| self.col(d) == other.col(d))
+    }
+}
+
+/// The `f64` at `bytes[at..at + WORD]`.
+#[inline]
+fn word(bytes: &[u8], at: usize) -> f64 {
+    let b: [u8; WORD] = bytes[at..at + WORD]
+        .try_into()
+        .expect("a WORD-byte slice is a WORD-byte array");
+    f64::from_le_bytes(b)
 }
 
 impl<V: AggValue> EntrySlab<V> {
@@ -50,12 +95,7 @@ impl<V: AggValue> EntrySlab<V> {
     /// 1-dimensional tree projects its borders to zero dimensions but
     /// never stores entries in them).
     pub fn new(dim: usize) -> Self {
-        assert!(dim <= MAX_DIM, "slab dimension {dim} out of range");
-        Self {
-            dim,
-            cols: vec![Vec::new(); dim],
-            values: Vec::new(),
-        }
+        Self::with_capacity(dim, 0)
     }
 
     /// An empty slab with room for `cap` entries per column.
@@ -63,8 +103,8 @@ impl<V: AggValue> EntrySlab<V> {
         assert!(dim <= MAX_DIM, "slab dimension {dim} out of range");
         Self {
             dim,
-            // `vec![v; n]` clones, and a `Vec` clone drops its capacity.
-            cols: (0..dim).map(|_| Vec::with_capacity(cap)).collect(),
+            cap,
+            coords: vec![0.0; dim * cap],
             values: Vec::with_capacity(cap),
         }
     }
@@ -105,40 +145,57 @@ impl<V: AggValue> EntrySlab<V> {
         self.values.is_empty()
     }
 
+    /// Makes room for one more entry: a full slab moves every column
+    /// into a buffer of twice the stride.
+    fn reserve_one(&mut self) {
+        let len = self.len();
+        if len < self.cap {
+            return;
+        }
+        let cap = (self.cap * 2).max(4);
+        let mut coords = vec![0.0; self.dim * cap];
+        for d in 0..self.dim {
+            coords[d * cap..d * cap + len].copy_from_slice(self.col(d));
+        }
+        self.coords = coords;
+        self.cap = cap;
+    }
+
     /// Appends an entry.
     pub fn push(&mut self, p: &Point, v: V) {
-        debug_assert_eq!(p.dim(), self.dim, "point dimension mismatch");
-        for (d, col) in self.cols.iter_mut().enumerate() {
-            col.push(p.get(d));
-        }
-        self.values.push(v);
+        self.insert_at(self.len(), p, v);
     }
 
     /// Inserts an entry at position `i`, shifting later entries right.
     pub fn insert_at(&mut self, i: usize, p: &Point, v: V) {
         debug_assert_eq!(p.dim(), self.dim, "point dimension mismatch");
-        for (d, col) in self.cols.iter_mut().enumerate() {
-            col.insert(i, p.get(d));
-        }
+        self.reserve_one();
+        let len = self.len();
         self.values.insert(i, v);
+        for d in 0..self.dim {
+            let col = &mut self.coords[d * self.cap..d * self.cap + len + 1];
+            col.copy_within(i..len, i + 1);
+            col[i] = p.get(d);
+        }
     }
 
     /// Materializes the point of entry `i`.
     #[inline]
     pub fn point(&self, i: usize) -> Point {
-        Point::from_fn(self.dim, |d| self.cols[d][i])
+        Point::from_fn(self.dim, |d| self.col(d)[i])
     }
 
     /// Coordinate of entry `i` in dimension `d`.
     #[inline]
     pub fn coord(&self, d: usize, i: usize) -> f64 {
-        self.cols[d][i]
+        self.col(d)[i]
     }
 
     /// The whole coordinate column of dimension `d`.
     #[inline]
     pub fn col(&self, d: usize) -> &[f64] {
-        &self.cols[d]
+        assert!(d < self.dim, "column {d} of a {}-d slab", self.dim);
+        &self.coords[d * self.cap..d * self.cap + self.values.len()]
     }
 
     /// Value of entry `i`.
@@ -182,14 +239,16 @@ impl<V: AggValue> EntrySlab<V> {
     /// Index of the entry whose point equals `p` exactly, if any.
     pub fn find_exact(&self, p: &Point) -> Option<usize> {
         debug_assert_eq!(p.dim(), self.dim);
-        (0..self.len()).find(|&i| (0..self.dim).all(|d| self.cols[d][i] == p.get(d)))
+        (0..self.len()).find(|&i| (0..self.dim).all(|d| self.col(d)[i] == p.get(d)))
     }
 
     /// Splits the slab at `at`, returning the tail `[at..]`.
     pub fn split_off(&mut self, at: usize) -> Self {
+        let len = self.len();
         Self {
             dim: self.dim,
-            cols: self.cols.iter_mut().map(|c| c.split_off(at)).collect(),
+            cap: len - at,
+            coords: self.packed_cols(at, len),
             values: self.values.split_off(at),
         }
     }
@@ -197,7 +256,7 @@ impl<V: AggValue> EntrySlab<V> {
     /// For entries sorted ascending on dimension `d`: the number of
     /// leading entries with `coord ≤ key` (cf. `slice::partition_point`).
     pub fn partition_point_le(&self, d: usize, key: f64) -> usize {
-        self.cols[d].partition_point(|&c| c <= key)
+        self.col(d).partition_point(|&c| c <= key)
     }
 
     /// Stably sorts the entry range `[start, end)` by the coordinate in
@@ -205,10 +264,11 @@ impl<V: AggValue> EntrySlab<V> {
     /// values in lockstep. Equal keys keep their relative order, matching
     /// `slice::sort_by` on the tuple layout exactly.
     pub fn sort_range_by_dim(&mut self, d: usize, start: usize, end: usize) {
+        let key = self.col(d);
         let mut perm: Vec<usize> = (start..end).collect();
-        perm.sort_by(|&a, &b| self.cols[d][a].total_cmp(&self.cols[d][b]));
+        perm.sort_by(|&a, &b| key[a].total_cmp(&key[b]));
         let mut scratch: Vec<f64> = Vec::with_capacity(end - start);
-        for col in self.cols.iter_mut() {
+        for col in self.coords.chunks_exact_mut(self.cap.max(1)) {
             scratch.clear();
             scratch.extend(perm.iter().map(|&i| col[i]));
             col[start..end].copy_from_slice(&scratch);
@@ -224,9 +284,20 @@ impl<V: AggValue> EntrySlab<V> {
     pub fn sub_slab(&self, start: usize, end: usize) -> Self {
         Self {
             dim: self.dim,
-            cols: self.cols.iter().map(|c| c[start..end].to_vec()).collect(),
+            cap: end - start,
+            coords: self.packed_cols(start, end),
             values: self.values[start..end].to_vec(),
         }
+    }
+
+    /// Rows `[start, end)` of every column, as the coordinate buffer of
+    /// a slab whose capacity is exactly `end - start`.
+    fn packed_cols(&self, start: usize, end: usize) -> Vec<f64> {
+        let mut coords = Vec::with_capacity(self.dim * (end - start));
+        for d in 0..self.dim {
+            coords.extend_from_slice(&self.col(d)[start..end]);
+        }
+        coords
     }
 
     /// Accumulates the values of every entry dominated by `q`
@@ -258,7 +329,7 @@ impl<V: AggValue> EntrySlab<V> {
             mask[..len].fill(true);
             for d in from..self.dim {
                 let qd = q.get(d);
-                let col = &self.cols[d][start..start + len];
+                let col = &self.col(d)[start..start + len];
                 for (m, &c) in mask[..len].iter_mut().zip(col) {
                     *m &= c <= qd;
                 }
@@ -280,42 +351,137 @@ impl<V: AggValue> EntrySlab<V> {
     /// [`sum_dominated_from_into`]: Self::sum_dominated_from_into
     pub fn sum_dominated_from_into_reference(&self, from: usize, q: &Point, acc: &mut V) {
         for i in 0..self.len() {
-            if (from..self.dim).all(|d| self.cols[d][i] <= q.get(d)) {
+            if (from..self.dim).all(|d| self.col(d)[i] <= q.get(d)) {
                 acc.add_assign(&self.values[i]);
             }
         }
     }
 
     /// Serializes all entries as `coord₀ … coord_{d−1} value`, in entry
-    /// order — byte-identical to encoding `(Point, V)` tuples.
+    /// order — byte-identical to encoding `(Point, V)` tuples. The
+    /// mirror of [`decode_entries`](Self::decode_entries): the writer
+    /// grows once; fixed-width rows are filled a column at a time,
+    /// variable-width rows go out coordinates first, then the value.
     pub fn encode_entries(&self, w: &mut ByteWriter) {
-        for i in 0..self.len() {
-            for col in &self.cols {
-                w.put_f64(col[i]);
+        let point = self.dim * WORD;
+        match V::WIDTH {
+            EncodedWidth::Fixed(width) if point + width > 0 => {
+                let stride = point + width;
+                // `encode` appends; the values column is packed here
+                // and dealt into the rows like any other column.
+                let mut packed = ByteWriter::with_capacity(self.len() * width);
+                for v in &self.values {
+                    v.encode(&mut packed);
+                }
+                assert_eq!(packed.len(), self.len() * width, "AggValue::WIDTH");
+                let rows = w.put_zeroed(self.len() * stride);
+                for d in 0..self.dim {
+                    let at = d * WORD;
+                    for (row, c) in rows.chunks_exact_mut(stride).zip(self.col(d)) {
+                        row[at..at + WORD].copy_from_slice(&c.to_le_bytes());
+                    }
+                }
+                let packed = packed.as_slice().chunks_exact(width);
+                for (row, v) in rows.chunks_exact_mut(stride).zip(packed) {
+                    row[point..].copy_from_slice(v);
+                }
             }
-            self.values[i].encode(w);
+            _ => {
+                let values: usize = self.values.iter().map(V::encoded_size).sum();
+                w.reserve(self.len() * point + values);
+                let mut row = [0u8; MAX_DIM * WORD];
+                for (i, v) in self.values.iter().enumerate() {
+                    for (d, c) in row[..point].chunks_exact_mut(WORD).enumerate() {
+                        c.copy_from_slice(&self.coords[d * self.cap + i].to_le_bytes());
+                    }
+                    w.put_bytes(&row[..point]);
+                    v.encode(w);
+                }
+            }
         }
     }
 
     /// Decodes `count` entries straight into slab columns — the same byte
     /// stream [`encode_entries`](Self::encode_entries) produces, with no
-    /// intermediate tuple vector.
+    /// intermediate tuple vector. `count` is input: no column is
+    /// allocated before the bytes that fill it are known to be there.
     pub fn decode_entries(r: &mut ByteReader<'_>, dim: usize, count: usize) -> Result<Self> {
         assert!(dim <= MAX_DIM, "slab dimension {dim} out of range");
-        let mut s = Self::with_capacity(dim, count);
-        for _ in 0..count {
-            for col in s.cols.iter_mut() {
-                col.push(r.get_f64()?);
+        let point = dim * WORD;
+        match V::WIDTH {
+            // Rows of one known stride: one bounds check for the slab,
+            // then one pass over the rows per column.
+            EncodedWidth::Fixed(width) if point + width > 0 => {
+                let stride = point + width;
+                let rows = r.get_bytes(count.saturating_mul(stride))?;
+                let mut coords = Vec::with_capacity(dim * count);
+                for d in 0..dim {
+                    let at = d * WORD;
+                    coords.extend(rows.chunks_exact(stride).map(|row| word(row, at)));
+                }
+                let mut values = Vec::with_capacity(count);
+                for row in rows.chunks_exact(stride) {
+                    values.push(V::decode(&mut ByteReader::new(&row[point..]))?);
+                }
+                Ok(Self {
+                    dim,
+                    cap: count,
+                    coords,
+                    values,
+                })
+            }
+            // Values delimit themselves: a row's coordinates are one
+            // check, its value whatever `V::decode` takes.
+            width => {
+                r.expect_records(count, point + width.min())?;
+                let mut s = Self::with_capacity(dim, count);
+                for i in 0..count {
+                    let row = r.get_bytes(point)?;
+                    for d in 0..dim {
+                        s.coords[d * count + i] = word(row, d * WORD);
+                    }
+                    s.values.push(V::decode(r)?);
+                }
+                Ok(s)
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl<V: AggValue> EntrySlab<V> {
+    /// The decode [`decode_entries`](Self::decode_entries) replaced: one
+    /// checked read and one push per word. The oracle of
+    /// `kernels_agree_with_the_per_word_oracle`.
+    fn decode_entries_per_word(r: &mut ByteReader<'_>, dim: usize, count: usize) -> Result<Self> {
+        let mut s = Self::new(dim);
+        for i in 0..count {
+            s.reserve_one();
+            for d in 0..dim {
+                s.coords[d * s.cap + i] = r.get_f64()?;
             }
             s.values.push(V::decode(r)?);
         }
         Ok(s)
+    }
+
+    /// The encode [`encode_entries`](Self::encode_entries) replaced.
+    fn encode_entries_per_word(&self, w: &mut ByteWriter) {
+        for i in 0..self.len() {
+            for d in 0..self.dim {
+                w.put_f64(self.coord(d, i));
+            }
+            self.values[i].encode(w);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
+    use crate::poly::{Poly, Term};
+    use crate::rng::StdRng;
 
     fn p(cs: &[f64]) -> Point {
         Point::new(cs)
@@ -443,5 +609,344 @@ mod tests {
         let mut w = ByteWriter::new();
         s.encode_entries(&mut w);
         assert!(w.is_empty());
+    }
+
+    /// Bit-level view of a value, for comparisons `==` cannot make (NaN)
+    /// or makes too kindly (`-0.0 == 0.0`).
+    trait Bits {
+        fn bits(&self) -> Vec<u64>;
+    }
+
+    impl Bits for f64 {
+        fn bits(&self) -> Vec<u64> {
+            vec![self.to_bits()]
+        }
+    }
+
+    impl Bits for Poly {
+        fn bits(&self) -> Vec<u64> {
+            self.terms()
+                .iter()
+                .flat_map(|t| [t.coeff.to_bits(), u64::from_le_bytes(t.exps)])
+                .collect()
+        }
+    }
+
+    fn slab_bits<V: AggValue + Bits>(s: &EntrySlab<V>) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+        let cols = (0..s.dim())
+            .map(|d| s.col(d).iter().map(|c| c.to_bits()).collect())
+            .collect();
+        (cols, s.values().iter().map(Bits::bits).collect())
+    }
+
+    fn random_f64(rng: &mut StdRng) -> f64 {
+        (rng.gen::<f64>() - 0.5) * 1e6
+    }
+
+    fn random_poly(rng: &mut StdRng) -> Poly {
+        let terms = (0..rng.gen_range(0..4))
+            .map(|_| Term::new(random_f64(rng), &[rng.gen::<u8>() % 3, rng.gen::<u8>() % 3]))
+            .collect();
+        Poly::from_terms(terms)
+    }
+
+    fn random_slab(rng: &mut StdRng, dim: usize, count: usize) -> EntrySlab<f64> {
+        let mut s = EntrySlab::new(dim);
+        for _ in 0..count {
+            s.push(&Point::from_fn(dim, |_| random_f64(rng)), random_f64(rng));
+        }
+        s
+    }
+
+    /// `count` encoded rows, written word by word — a zero-dimensional
+    /// slab has no `Point` to push, but it has bytes.
+    fn random_rows<V: AggValue>(
+        rng: &mut StdRng,
+        dim: usize,
+        count: usize,
+        value: fn(&mut StdRng) -> V,
+    ) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for _ in 0..count {
+            for _ in 0..dim {
+                w.put_f64(random_f64(rng));
+            }
+            value(rng).encode(&mut w);
+        }
+        w.into_vec()
+    }
+
+    /// Both codecs on one encoded slab: the same slab out of the bytes,
+    /// the same bytes back out of the slab, and the same refusal of
+    /// every proper prefix. Hands back (kernel's, oracle's) slab.
+    fn check_against_oracle<V: AggValue + Bits>(
+        bytes: &[u8],
+        dim: usize,
+        count: usize,
+        sweep_oracle: bool,
+    ) -> (EntrySlab<V>, EntrySlab<V>) {
+        let at = format!("dim {dim} count {count}");
+        let mut r = ByteReader::new(bytes);
+        let got = EntrySlab::<V>::decode_entries(&mut r, dim, count).unwrap();
+        assert_eq!(r.remaining(), 0, "{at}: the kernel takes exactly the slab");
+        let want = EntrySlab::<V>::decode_entries_per_word(&mut ByteReader::new(bytes), dim, count)
+            .unwrap();
+        assert_eq!((got.dim(), got.len()), (dim, count), "{at}");
+        assert_eq!(slab_bits(&got), slab_bits(&want), "{at}");
+
+        let mut w = ByteWriter::new();
+        got.encode_entries(&mut w);
+        assert_eq!(w.as_slice(), bytes, "{at}");
+        let mut w = ByteWriter::new();
+        want.encode_entries_per_word(&mut w);
+        assert_eq!(w.as_slice(), bytes, "{at}");
+
+        for cut in 0..bytes.len() {
+            let short = &bytes[..cut];
+            match EntrySlab::<V>::decode_entries(&mut ByteReader::new(short), dim, count) {
+                Err(Error::Corrupt(_)) => {}
+                other => panic!("{at} cut {cut}: {other:?}"),
+            }
+            if sweep_oracle {
+                let mut r = ByteReader::new(short);
+                let e = EntrySlab::<V>::decode_entries_per_word(&mut r, dim, count);
+                assert!(matches!(e, Err(Error::Corrupt(_))), "{at} cut {cut}");
+            }
+        }
+        (got, want)
+    }
+
+    /// The oracle check at every dimension, from an empty slab through
+    /// the chunk boundary to `full(dim)` entries — about a page of them.
+    fn sweep_dims<V: AggValue + Bits>(
+        rng: &mut StdRng,
+        value: fn(&mut StdRng) -> V,
+        full: fn(usize) -> usize,
+    ) {
+        for dim in 0..=MAX_DIM {
+            let full = full(dim);
+            for count in [0, 1, CHUNK - 1, CHUNK + 1, full] {
+                let bytes = random_rows(rng, dim, count, value);
+                let (got, want) = check_against_oracle::<V>(&bytes, dim, count, count < full);
+                // The values are finite, so `==` must agree with the bits.
+                assert_eq!(got, want, "dim {dim} count {count}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_agree_with_the_per_word_oracle() {
+        const PAGE: usize = 8192 - 3;
+        let mut rng = StdRng::seed_from_u64(0x51AB_C0DE);
+        sweep_dims(&mut rng, random_f64, |dim| PAGE / (dim * WORD + 8));
+        // A polynomial here is 0 to 3 terms of 16 bytes behind a
+        // two-byte count.
+        sweep_dims(&mut rng, random_poly, |dim| PAGE / (dim * WORD + 26));
+    }
+
+    #[test]
+    fn kernels_keep_every_bit_of_unusual_floats() {
+        let odd = [
+            f64::NAN,
+            -f64::NAN,
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(0x7FF0_0000_0000_0001),
+        ];
+        let mut s = EntrySlab::new(2);
+        for (i, &a) in odd.iter().enumerate() {
+            s.push(&p(&[a, odd[(i + 3) % odd.len()]]), odd[(i + 5) % odd.len()]);
+        }
+        let mut w = ByteWriter::new();
+        s.encode_entries(&mut w);
+        check_against_oracle::<f64>(w.as_slice(), 2, odd.len(), true);
+    }
+
+    #[test]
+    fn a_count_the_bytes_cannot_back_allocates_nothing() {
+        // `count` is input. The parent reserved `count` words per column
+        // before reading one — a capacity-overflow abort here, and 4 MB
+        // per slab for the largest count a page header can carry.
+        let huge = usize::MAX / 16;
+        for bytes in [&[][..], &[0u8; 40][..]] {
+            for dim in [0, 2, MAX_DIM] {
+                let e = EntrySlab::<f64>::decode_entries(&mut ByteReader::new(bytes), dim, huge);
+                assert!(matches!(e, Err(Error::Corrupt(_))), "f64 dim {dim}");
+                let e = EntrySlab::<Poly>::decode_entries(&mut ByteReader::new(bytes), dim, huge);
+                assert!(matches!(e, Err(Error::Corrupt(_))), "Poly dim {dim}");
+                let e = EntrySlab::<f64>::decode_entries(
+                    &mut ByteReader::new(bytes),
+                    dim,
+                    usize::from(u16::MAX),
+                );
+                assert!(matches!(e, Err(Error::Corrupt(_))), "u16::MAX, dim {dim}");
+            }
+        }
+    }
+
+    #[test]
+    fn growth_moves_every_column() {
+        // Push and insert across several doublings of the stride; the
+        // tuple vector is the model.
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut s = EntrySlab::<f64>::new(3);
+        let mut model: Vec<(Point, f64)> = Vec::new();
+        for i in 0..70 {
+            let pt = Point::from_fn(3, |_| random_f64(&mut rng));
+            let at = if i % 3 == 0 {
+                model.len()
+            } else {
+                rng.gen_range(0..model.len() + 1)
+            };
+            s.insert_at(at, &pt, i as f64);
+            model.insert(at, (pt, i as f64));
+            assert_eq!(s.to_entries(), model, "after {i} inserts");
+        }
+        for d in 0..3 {
+            assert_eq!(s.col(d).len(), 70);
+        }
+        // A slab built at its exact size is full: the next push grows it.
+        let mut exact = EntrySlab::from_slice(3, &model);
+        assert_eq!(exact, s);
+        exact.push(&p(&[1.0, 2.0, 3.0]), -1.0);
+        s.push(&p(&[1.0, 2.0, 3.0]), -1.0);
+        assert_eq!(exact, s);
+        assert_eq!(exact.point(70), p(&[1.0, 2.0, 3.0]));
+    }
+
+    #[test]
+    fn both_halves_of_a_split_take_pushes() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let s = random_slab(&mut rng, 2, 9);
+        let all = s.to_entries();
+        let mut head = s.clone();
+        let mut tail = head.split_off(4);
+        assert_eq!(head.to_entries(), all[..4]);
+        assert_eq!(tail.to_entries(), all[4..]);
+        // The head keeps its stride and stale words past `len`; the tail
+        // is exactly full. Neither may show through.
+        head.push(&p(&[-1.0, -2.0]), 10.0);
+        tail.push(&p(&[-3.0, -4.0]), 20.0);
+        tail.insert_at(0, &p(&[-5.0, -6.0]), 30.0);
+        let mut want_head = all[..4].to_vec();
+        want_head.push((p(&[-1.0, -2.0]), 10.0));
+        let mut want_tail = vec![(p(&[-5.0, -6.0]), 30.0)];
+        want_tail.extend_from_slice(&all[4..]);
+        want_tail.push((p(&[-3.0, -4.0]), 20.0));
+        assert_eq!(head.to_entries(), want_head);
+        assert_eq!(tail.to_entries(), want_tail);
+        assert_eq!(head.col(1).len(), 5);
+        // Splitting at either end.
+        let mut whole = s.clone();
+        assert!(whole.split_off(9).is_empty());
+        assert_eq!(whole, s);
+        assert_eq!(whole.split_off(0), s);
+        assert!(whole.is_empty());
+    }
+
+    #[test]
+    fn range_sort_and_sub_slab_ignore_the_padding() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut s = EntrySlab::<f64>::with_capacity(2, 32);
+        for i in 0..11 {
+            s.push(&p(&[(i % 4) as f64, random_f64(&mut rng)]), i as f64);
+        }
+        let mut want = s.to_entries();
+        want[2..9].sort_by(|a, b| a.0.get(0).total_cmp(&b.0.get(0)));
+        s.sort_range_by_dim(0, 2, 9);
+        assert_eq!(s.to_entries(), want);
+        let sub = s.sub_slab(3, 8);
+        assert_eq!(sub.to_entries(), want[3..8]);
+        assert_eq!(sub.sub_slab(1, 3).to_entries(), want[4..6]);
+        assert!(s.sub_slab(5, 5).is_empty());
+    }
+
+    #[test]
+    fn equality_is_of_entries_not_of_buffers() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let entries = random_slab(&mut rng, 3, 6).to_entries();
+        let exact = EntrySlab::from_slice(3, &entries);
+        let mut roomy = EntrySlab::with_capacity(3, 50);
+        let mut grown = EntrySlab::new(3);
+        for (pt, v) in &entries {
+            roomy.push(pt, *v);
+            grown.push(pt, *v);
+        }
+        // Leave stale words behind the length of one of them.
+        grown.push(&p(&[9.0, 9.0, 9.0]), 9.0);
+        let _ = grown.split_off(6);
+        assert_eq!(exact, roomy);
+        assert_eq!(exact, grown);
+        assert_eq!(roomy.clone(), grown.clone());
+        let mut other = grown.clone();
+        *other.value_mut(2) += 1.0;
+        assert_ne!(other, exact);
+        let mut longer = roomy.clone();
+        longer.push(&p(&[0.0, 0.0, 0.0]), 0.0);
+        assert_ne!(longer, exact);
+        assert_ne!(EntrySlab::<f64>::new(2), EntrySlab::<f64>::new(3));
+    }
+
+    /// Not a test of anything: prints what decoding and encoding one
+    /// full leaf costs through the kernels and through the oracle. Run
+    /// with `cargo test --release -p boxagg-common --lib slab -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing report, not a check"]
+    fn kernel_speed() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        type Decode = fn(&mut ByteReader<'_>, usize, usize) -> Result<EntrySlab<f64>>;
+        type Encode = fn(&EntrySlab<f64>, &mut ByteWriter);
+        const ITERS: usize = 20_000;
+        let mut rng = StdRng::seed_from_u64(1);
+        for dim in [1, 2, 3] {
+            let count = (8192 - 3) / (dim * WORD + 8);
+            let bytes = random_rows(&mut rng, dim, count, random_f64);
+            let slab =
+                EntrySlab::<f64>::decode_entries(&mut ByteReader::new(&bytes), dim, count).unwrap();
+            let decode = |f: Decode| {
+                let start = Instant::now();
+                for _ in 0..ITERS {
+                    black_box(f(&mut ByteReader::new(black_box(&bytes)), dim, count).unwrap());
+                }
+                start.elapsed().as_secs_f64() * 1e6 / ITERS as f64
+            };
+            let encode = |f: Encode| {
+                let mut w = ByteWriter::with_capacity(8192);
+                let start = Instant::now();
+                for _ in 0..ITERS {
+                    w.clear();
+                    f(black_box(&slab), &mut w);
+                    black_box(w.as_slice());
+                }
+                start.elapsed().as_secs_f64() * 1e6 / ITERS as f64
+            };
+            // The floor: the same de-interleave into columns that are
+            // already there — no allocation, no checks, no slab.
+            let stride = (dim + 1) * WORD;
+            let mut cols = vec![0.0f64; (dim + 1) * count];
+            let start = Instant::now();
+            for _ in 0..ITERS {
+                let rows = black_box(&bytes).chunks_exact(stride);
+                for (d, col) in cols.chunks_exact_mut(count).enumerate() {
+                    for (c, row) in col.iter_mut().zip(rows.clone()) {
+                        *c = word(row, d * WORD);
+                    }
+                }
+                black_box(&mut cols);
+            }
+            let floor = start.elapsed().as_secs_f64() * 1e6 / ITERS as f64;
+            println!(
+                "{dim}-d leaf, {count} entries: decode {:.3} us (per word {:.3}, \
+                 gather alone {floor:.3}), encode {:.3} us (per word {:.3})",
+                decode(EntrySlab::decode_entries),
+                decode(EntrySlab::decode_entries_per_word),
+                encode(EntrySlab::encode_entries),
+                encode(EntrySlab::encode_entries_per_word),
+            );
+        }
     }
 }

@@ -17,6 +17,10 @@ use crate::error::Result;
 /// queried from many threads at once and bulk-loaded one corner per
 /// thread.
 pub trait AggValue: Clone + std::fmt::Debug + PartialEq + Send + Sync + 'static {
+    /// What a page decoder may assume about [`encode`](Self::encode)'s
+    /// output before it has read a byte of it.
+    const WIDTH: EncodedWidth;
+
     /// The group identity.
     fn zero() -> Self;
 
@@ -51,7 +55,31 @@ pub trait AggValue: Clone + std::fmt::Debug + PartialEq + Send + Sync + 'static 
     }
 }
 
+/// The encoded size of a value type, as far as it is known without
+/// decoding: what lets a slab decoder take a whole run of entries with
+/// one bounds check ([`Fixed`](Self::Fixed)), and what lets any node
+/// decoder refuse a record count the page cannot hold before it
+/// allocates for it ([`min`](Self::min)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EncodedWidth {
+    /// Every value encodes to exactly this many bytes.
+    Fixed(usize),
+    /// Sizes vary by value; none is shorter than this.
+    AtLeast(usize),
+}
+
+impl EncodedWidth {
+    /// The fewest bytes one encoded value occupies.
+    pub const fn min(self) -> usize {
+        match self {
+            EncodedWidth::Fixed(n) | EncodedWidth::AtLeast(n) => n,
+        }
+    }
+}
+
 impl AggValue for f64 {
+    const WIDTH: EncodedWidth = EncodedWidth::Fixed(8);
+
     fn zero() -> Self {
         0.0
     }
@@ -68,10 +96,12 @@ impl AggValue for f64 {
         *self == 0.0
     }
 
+    #[inline]
     fn encode(&self, w: &mut ByteWriter) {
         w.put_f64(*self);
     }
 
+    #[inline]
     fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
         r.get_f64()
     }

@@ -151,11 +151,16 @@ impl<V: AggValue> Node<V> {
         match tag {
             0 => Ok(Node::Leaf(EntrySlab::decode_entries(&mut r, dim, count)?)),
             1 => {
+                // `count` is input: check it against the page before
+                // allocating for it.
+                let last = level + 1 == dim;
+                let min_entry = 8 + 8 + if last { V::WIDTH.min() } else { 8 };
+                r.expect_records(count, min_entry)?;
                 let mut entries = Vec::with_capacity(count);
                 for _ in 0..count {
                     let router = r.get_f64()?;
                     let child = PageId(r.get_u64()?);
-                    let border = if level + 1 == dim {
+                    let border = if last {
                         Border::Value(V::decode(&mut r)?)
                     } else {
                         Border::Tree(PageId(r.get_u64()?))
@@ -992,6 +997,51 @@ mod tests {
 
         // Corrupt tag is rejected, not misparsed.
         assert!(Node::<f64>::decode(&[9u8, 0, 0], 2, 0).is_err());
+    }
+
+    #[test]
+    fn record_count_is_checked_before_anything_is_allocated() {
+        use boxagg_common::error::Error;
+        // A header claiming 65,535 entries and not one byte of them: the
+        // parent reserved all 65,535 (≈ 2 MB of internal entries, or
+        // that many words per leaf column) before it read the first.
+        for (dim, level) in [(1, 0), (2, 0), (2, 1)] {
+            match Node::<f64>::decode(&[1u8, 0xFF, 0xFF], dim, level) {
+                Err(Error::Corrupt(msg)) => assert!(msg.contains("record count 65535"), "{msg}"),
+                other => panic!("internal, dim {dim} level {level}: {other:?}"),
+            }
+            match Node::<f64>::decode(&[0u8, 0xFF, 0xFF], dim, level) {
+                Err(Error::Corrupt(msg)) => {
+                    assert!(
+                        msg.contains(&format!("{} bytes", 65535 * (dim + 1) * 8)),
+                        "{msg}"
+                    )
+                }
+                other => panic!("leaf, dim {dim} level {level}: {other:?}"),
+            }
+        }
+        // A full-count header over half a body, for both kinds.
+        let pts: Vec<(Point, f64)> = (0..40)
+            .map(|i| (Point::new(&[i as f64, 1.0]), 2.0))
+            .collect();
+        let entry = InternalEntry {
+            router: 1.0,
+            child: PageId(2),
+            border: Border::Value(3.0),
+        };
+        for node in [
+            Node::Leaf(EntrySlab::from_slice(2, &pts)),
+            Node::Internal(vec![entry; 12]),
+        ] {
+            let mut w = ByteWriter::new();
+            node.encode(2, 1, &mut w);
+            Node::<f64>::decode(w.as_slice(), 2, 1).unwrap();
+            let half = &w.as_slice()[..3 + (w.len() - 3) / 2];
+            assert!(matches!(
+                Node::<f64>::decode(half, 2, 1),
+                Err(Error::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

@@ -6,9 +6,15 @@
 //! through. There is no second way to the log, so a wrapper pager
 //! (fault injection, a test gate) cannot route commits differently from
 //! production by leaving a method out: it does not compile without one.
+//!
+//! The file-backed pager does **positional I/O**: every page read, page
+//! write, allocation and log append names its own offset
+//! (`read_exact_at` / `write_all_at`, one `pread` or `pwrite` each), so
+//! neither file has a cursor to move first and nothing depends on where
+//! the last operation left one. A buffer miss is one system call.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use boxagg_common::error::{invalid_arg, Result};
@@ -196,6 +202,8 @@ pub struct FilePager {
     page_size: usize,
     file: File,
     num_pages: u64,
+    /// What [`Pager::allocate`] appends: one zero page, built once.
+    zero_page: Box<[u8]>,
     /// The log, until [`Pager::wal`] hands it out.
     wal: Option<FileWal>,
 }
@@ -209,8 +217,7 @@ struct FileWal {
 
 impl WalFile for FileWal {
     fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.file.seek(SeekFrom::Start(self.len))?;
-        if let Err(e) = self.file.write_all(bytes) {
+        if let Err(e) = self.file.write_all_at(bytes, self.len) {
             // A short append leaves a torn tail; recovery would discard
             // it by checksum, but rolling back keeps the clean path
             // append-at-known-offset. Best effort: the write error is
@@ -247,10 +254,10 @@ impl WalFile for FileWal {
     }
 
     fn read_all(&mut self) -> Result<Vec<u8>> {
-        self.file.seek(SeekFrom::Start(0))?;
-        let mut out = Vec::new();
-        self.file.read_to_end(&mut out)?;
-        self.len = out.len() as u64;
+        let len = usize::try_from(self.len)
+            .map_err(|_| invalid_arg("the log is too large to read into memory"))?;
+        let mut out = vec![0u8; len];
+        self.file.read_exact_at(&mut out, 0)?;
         Ok(out)
     }
 }
@@ -282,6 +289,7 @@ impl FilePager {
             page_size,
             file,
             num_pages: 0,
+            zero_page: vec![0u8; page_size].into_boxed_slice(),
             wal: Some(FileWal { file: wal, len: 0 }),
         })
     }
@@ -326,6 +334,7 @@ impl FilePager {
             page_size,
             file,
             num_pages: len / page_size as u64,
+            zero_page: vec![0u8; page_size].into_boxed_slice(),
             wal: Some(FileWal {
                 file: wal,
                 len: wal_len,
@@ -333,10 +342,9 @@ impl FilePager {
         })
     }
 
-    fn seek_to(&mut self, index: usize) -> Result<()> {
-        self.file
-            .seek(SeekFrom::Start(index as u64 * self.page_size as u64))?;
-        Ok(())
+    /// Byte offset of page `index` in the file.
+    fn offset(&self, index: usize) -> u64 {
+        index as u64 * self.page_size as u64
     }
 }
 
@@ -351,12 +359,12 @@ impl Pager for FilePager {
 
     fn allocate(&mut self) -> Result<PageId> {
         let id = PageId(self.num_pages);
-        self.seek_to(self.num_pages as usize)?;
-        if let Err(e) = self.file.write_all(&vec![0u8; self.page_size]) {
+        let end = self.offset(self.num_pages as usize);
+        if let Err(e) = self.file.write_all_at(&self.zero_page, end) {
             // A short write would leave a misaligned tail that
             // `open` rejects; truncate back to the last whole page.
             // lint: allow(discarded-result) -- best-effort rollback; the write error is what the caller must see
-            let _ = self.file.set_len(self.num_pages * self.page_size as u64);
+            let _ = self.file.set_len(end);
             return Err(e.into());
         }
         self.num_pages += 1;
@@ -366,16 +374,14 @@ impl Pager for FilePager {
     fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
         let i = check_id(id, self.num_pages)?;
         debug_assert_eq!(buf.len(), self.page_size);
-        self.seek_to(i)?;
-        self.file.read_exact(buf)?;
+        self.file.read_exact_at(buf, self.offset(i))?;
         Ok(())
     }
 
     fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<()> {
         let i = check_id(id, self.num_pages)?;
         debug_assert_eq!(data.len(), self.page_size);
-        self.seek_to(i)?;
-        self.file.write_all(data)?;
+        self.file.write_all_at(data, self.offset(i))?;
         Ok(())
     }
 
@@ -531,6 +537,29 @@ mod tests {
         // The recorded size still opens fine.
         let p = FilePager::open(&path, 1024).unwrap();
         assert_eq!(p.num_pages(), 1);
+    }
+
+    #[test]
+    fn a_failed_allocate_changes_nothing() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("ro.db");
+        {
+            let mut p = FilePager::create(&path, 256).unwrap();
+            p.allocate().unwrap();
+            p.allocate().unwrap();
+        }
+        // The same pager over a descriptor that cannot be written: the
+        // append fails, the page count and the file stay as they were,
+        // and the pages already there still read by offset.
+        let mut p = FilePager::open(&path, 256).unwrap();
+        p.file = File::open(&path).unwrap();
+        assert!(p.allocate().is_err());
+        assert_eq!(p.num_pages(), 2);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 512);
+        let mut buf = vec![0xFFu8; 256];
+        p.read_page(PageId(1), &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == 0));
+        assert!(p.read_page(PageId(2), &mut buf).is_err());
     }
 
     #[test]

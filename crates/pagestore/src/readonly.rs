@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use boxagg_common::error::{invalid_arg, Error, Result};
@@ -130,9 +130,7 @@ impl Pager for ReadOnlyPager {
             buf.fill(0);
             return Ok(());
         }
-        self.file
-            .seek(SeekFrom::Start(id.0 * self.page_size as u64))?;
-        self.file.read_exact(buf)?;
+        self.file.read_exact_at(buf, id.0 * self.page_size as u64)?;
         Ok(())
     }
 

@@ -181,6 +181,9 @@ impl<L: LeafPayload> Node<L> {
         let count = r.get_u16()? as usize;
         match tag {
             0 => {
+                // `count` is input: check it against the page before
+                // allocating for it. A payload may encode to nothing.
+                r.expect_records(count, Rect::encoded_size(dim) + 8)?;
                 let mut entries = Vec::with_capacity(count);
                 for _ in 0..count {
                     let rect = Rect::decode(&mut r, dim)?;
@@ -191,6 +194,7 @@ impl<L: LeafPayload> Node<L> {
                 Ok(Node::Leaf(entries))
             }
             1 => {
+                r.expect_records(count, Rect::encoded_size(dim) + 8 + 8 + 8)?;
                 let mut entries = Vec::with_capacity(count);
                 for _ in 0..count {
                     let rect = Rect::decode(&mut r, dim)?;
@@ -305,6 +309,42 @@ mod tests {
                 assert_eq!(es[0].count, 42);
             }
             _ => panic!(),
+        }
+    }
+
+    #[test]
+    fn record_count_is_checked_before_anything_is_allocated() {
+        use boxagg_common::error::Error;
+        // A header claiming 65,535 entries and not one byte of them: the
+        // parent reserved all 65,535 (≈ 10 MB of leaf entries) before it
+        // read the first.
+        for tag in [0u8, 1] {
+            match Node::<()>::decode(&[tag, 0xFF, 0xFF], 2) {
+                Err(Error::Corrupt(msg)) => assert!(msg.contains("record count 65535"), "{msg}"),
+                other => panic!("tag {tag}: {other:?}"),
+            }
+        }
+        // A full-count header over half a body, for both kinds.
+        let leaf = LeafEntry {
+            rect: Rect::from_bounds(&[(0.0, 1.0), (2.0, 3.0)]),
+            agg: 5.0,
+            payload: (),
+        };
+        let index = IndexEntry {
+            rect: Rect::from_bounds(&[(0.0, 8.0), (1.0, 9.0)]),
+            child: PageId(3),
+            agg: 100.0,
+            count: 42,
+        };
+        for node in [Node::Leaf(vec![leaf; 12]), Node::Index(vec![index; 12])] {
+            let mut w = ByteWriter::new();
+            node.encode(2, &mut w);
+            Node::<()>::decode(w.as_slice(), 2).unwrap();
+            let half = &w.as_slice()[..3 + (w.len() - 3) / 2];
+            assert!(matches!(
+                Node::<()>::decode(half, 2),
+                Err(Error::Corrupt(_))
+            ));
         }
     }
 
