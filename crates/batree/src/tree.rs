@@ -693,11 +693,13 @@ mod tests {
         // The same seeded rounds twice, each on a file-backed WAL
         // store. Serially first, recording every committed state's
         // answers under the tree length its catalog entry carries
-        // (unique per round); then with a writer thread replaying the
-        // rounds while this thread keeps pinning the current epoch and
-        // reopening the catalogued tree there. Whatever epoch a pin
-        // lands on — mid-transaction or inside a commit's fsync — its
-        // answers must be that committed state's, bit for bit.
+        // (unique per round); then with a writer replaying the rounds
+        // while two reader threads keep pinning the current epoch and
+        // reopening the catalogued tree there — so one reader's pins
+        // fill the committed-image cache with an epoch the other may
+        // already be behind. Whatever epoch a pin lands on —
+        // mid-transaction or inside a commit's fsync — its answers must
+        // be that committed state's, bit for bit.
         const ROUNDS: usize = 6;
         let mut s = 33u64;
         let mut points = |n: usize| -> Vec<(Point, f64)> {
@@ -761,19 +763,36 @@ mod tests {
             snap.epoch()
         };
         let first_epoch = pinned_pass();
-        let mut last_epoch = first_epoch;
+        let writer_done = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
-            let writer = scope.spawn(|| {
-                for round in &rounds {
-                    apply_round(&store, &mut t, round);
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut last_epoch = first_epoch;
+                        while !writer_done.load(std::sync::atomic::Ordering::SeqCst) {
+                            let epoch = pinned_pass();
+                            assert!(epoch >= last_epoch, "epochs are monotone");
+                            last_epoch = epoch;
+                        }
+                    })
+                })
+                .collect();
+            // Set on the way out, by return or by a failed commit: the
+            // readers must stop either way.
+            struct Done<'a>(&'a std::sync::atomic::AtomicBool);
+            impl Drop for Done<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, std::sync::atomic::Ordering::SeqCst);
                 }
-            });
-            while !writer.is_finished() {
-                let epoch = pinned_pass();
-                assert!(epoch >= last_epoch, "epochs are monotone");
-                last_epoch = epoch;
             }
-            writer.join().expect("writer thread");
+            let done = Done(&writer_done);
+            for round in &rounds {
+                apply_round(&store, &mut t, round);
+            }
+            drop(done);
+            for reader in readers {
+                reader.join().expect("reader thread");
+            }
         });
         // The final committed state, with no writer alive.
         assert_eq!(pinned_pass(), first_epoch + ROUNDS as u64);

@@ -48,10 +48,15 @@
 //! Pinned reads of *decoded* nodes ([`BufferPool::read_node_at`]) go
 //! through a [`NodeCache`] of committed images: an entry is the decode
 //! of its page's current committed image. That image changes only in
-//! the flip, which drops the entry of every transaction page before it
-//! releases the barrier; a reader holds the barrier shared from lookup
-//! to insert, and decodes a page superseded after its epoch from the
-//! retained image without caching it.
+//! the flip, which publishes the new epoch and then drops the entry of
+//! every transaction page before it releases the barrier. A hit takes
+//! no pool-wide lock: it reads the epoch (an atomic), looks the page up
+//! under one cache-shard lock and reads the epoch again, and keeps the
+//! node only if both reads are the reader's pinned epoch — the shard
+//! lock orders any later flip's invalidation, and any insert made after
+//! it, before that second read. Every other pinned read holds the
+//! barrier shared from lookup to insert, and decodes a page superseded
+//! after its epoch from the retained image without caching it.
 //!
 //! Commits themselves *group*: concurrent committers collapse into one
 //! WAL append run and one log sync. Each committer notes the global
@@ -93,6 +98,15 @@ use crate::nodecache::NodeCache;
 use crate::pager::{PageId, Pager};
 use crate::rank::{self, RankedMutex, RankedRwLock};
 use crate::wal::{self, WalFile};
+
+/// The widest the byte pool is split ([`StoreConfig`]'s shard count
+/// tops out here), and the fixed shard count of the committed-image
+/// node cache, clamped to its capacity: pinned hits on every core go
+/// through it, whatever `parallelism` the byte pool keeps for its
+/// paper-faithful LRU.
+///
+/// [`StoreConfig`]: crate::store::StoreConfig
+pub(crate) const MAX_SHARDS: usize = 64;
 
 /// Cumulative I/O statistics of a [`BufferPool`].
 ///
@@ -308,18 +322,27 @@ pub struct BufferPool {
     /// pager lock, so reads proceed while a committer waits on the log;
     /// with `None`, they are written back in place.
     log: Option<RankedMutex<Box<dyn WalFile>>>,
-    /// Commit-epoch state (rank [`SNAPSHOT`](rank::SNAPSHOT)): the
-    /// current epoch, reader pins, and superseded page images retained
-    /// for pinned epochs. The epoch lives *inside* the lock so pinning
-    /// and the commit flip serialize — a pin can never capture an epoch
-    /// whose retention pass already ran.
+    /// Pin bookkeeping (rank [`SNAPSHOT`](rank::SNAPSHOT)): reader
+    /// pins and superseded page images retained for pinned epochs.
     snapshots: RankedMutex<SnapshotTable>,
+    /// The current commit epoch. Epoch 1 is the store's opening state;
+    /// every non-empty commit creates the next one. Stored only in
+    /// [`flip_epoch`](Self::flip_epoch), under the exclusive barrier
+    /// *and* the snapshot lock, so a load under either is exact: a pin
+    /// (which reads it under the snapshot lock) can never capture an
+    /// epoch whose retention pass already ran, and a reader holding the
+    /// barrier shared sees no flip in progress. Lock-free loads serve
+    /// the hit path of [`read_node_at`](Self::read_node_at). The
+    /// `Release` store and `Acquire` loads publish nothing beyond the
+    /// value: what makes a lock-free load conclusive is the cache-shard
+    /// lock ordering argued on `read_node_at`.
+    epoch: AtomicU64,
     /// Decoded nodes of *committed* page images, for pinned reads (see
-    /// [`read_node_at`](Self::read_node_at)). An entry is the decode of
-    /// its page's current committed image; the epoch flip drops the
-    /// entries of its transaction's pages under the exclusive barrier.
-    /// Capacity 0 (nothing stored) on pools without WAL, which have no
-    /// epochs to pin.
+    /// [`read_node_at`](Self::read_node_at)), in [`MAX_SHARDS`] shards.
+    /// An entry is the decode of its page's current committed image;
+    /// the epoch flip drops the entries of its transaction's pages
+    /// under the exclusive barrier. Capacity 0 (nothing stored) on
+    /// pools without WAL, which have no epochs to pin.
     committed: NodeCache,
     /// Pool-wide mutation stamp source (see [`Frame::seq`]).
     seq: AtomicU64,
@@ -365,9 +388,6 @@ type TxnPage = (PageId, u64, Arc<[u8]>);
 /// Commit-epoch bookkeeping behind the pool's snapshot lock.
 #[derive(Debug)]
 struct SnapshotTable {
-    /// The current commit epoch. Epoch 1 is the store's opening state;
-    /// every non-empty commit creates the next one.
-    epoch: u64,
     /// Pinned epoch → pin count. Readers pin before traversing and
     /// unpin when done; retention at the flip consults this map.
     pins: BTreeMap<u64, usize>,
@@ -454,17 +474,17 @@ impl BufferPool {
             alloc: RankedMutex::new(rank::ALLOCATOR, "page allocator", AllocState::default()),
             commit_lock: RankedMutex::new(rank::WAL, "commit", ()),
             barrier: RankedRwLock::new(rank::BARRIER, "write barrier", ()),
-            committed: NodeCache::new(if log.is_some() { committed_nodes } else { 0 }, n),
+            committed: NodeCache::new(if log.is_some() { committed_nodes } else { 0 }, MAX_SHARDS),
             log: log.map(|h| RankedMutex::new(rank::WAL_IO, "wal io", h)),
             snapshots: RankedMutex::new(
                 rank::SNAPSHOT,
                 "snapshot table",
                 SnapshotTable {
-                    epoch: 1,
                     pins: BTreeMap::new(),
                     versions: HashMap::new(),
                 },
             ),
+            epoch: AtomicU64::new(1),
             seq: AtomicU64::new(0),
             synced_seq: AtomicU64::new(0),
             commits_done: AtomicU64::new(0),
@@ -998,29 +1018,34 @@ impl BufferPool {
     /// verifying a pre-image off disk) runs before any state changes, so
     /// an I/O error or a corrupt pre-image leaves the epoch — and every
     /// frame and cached node — untouched for the retry.
+    ///
+    /// The new epoch is stored *before* the invalidations, and the
+    /// snapshot lock is held across them: a lock-free hit that observes
+    /// an invalidation is thereby ordered after the store, and no pin
+    /// can capture the new epoch while an old decode is still cached
+    /// (see [`read_node_at`](Self::read_node_at)).
     fn flip_epoch(&self, capture_seq: u64, txn: &[TxnPage]) -> Result<()> {
         let _quiesced = self.barrier.acquire_excl();
         let mut snaps = self.snapshots.acquire();
-        let old_epoch = snaps.epoch;
+        let old_epoch = self.epoch.load(Ordering::Relaxed);
         let mut retained: Vec<(PageId, Arc<[u8]>)> = Vec::new();
         if snaps.pins.range(..=old_epoch).next().is_some() {
             for (id, _, _) in txn {
                 retained.push((*id, self.pre_image(*id)?));
             }
         }
-        snaps.epoch = old_epoch + 1;
-        let superseded_at = snaps.epoch;
+        let superseded_at = old_epoch + 1;
+        self.epoch.store(superseded_at, Ordering::Release);
         for (id, image) in retained {
             snaps.versions.entry(id).or_default().push(PageVersion {
                 superseded_at,
                 data: image,
             });
         }
-        drop(snaps);
         for (id, _, image) in txn {
-            // The page's committed image just changed: pinned readers
-            // are excluded until the barrier drops, and must not find
-            // the old epoch's decode when they return.
+            // The page's committed image just changed: readers pinned
+            // at the old epoch now fail their hit's epoch check, and
+            // new-epoch readers cannot pin until this loop is done.
             self.committed.invalidate(*id);
             let mut shard = self.shard_for(*id).acquire();
             if let Some(&idx) = shard.map.get(id) {
@@ -1034,6 +1059,7 @@ impl BufferPool {
                 }
             }
         }
+        drop(snaps);
         self.finish_commit(capture_seq);
         Ok(())
     }
@@ -1076,7 +1102,7 @@ impl BufferPool {
     /// The current commit epoch (1 before the first non-empty commit;
     /// each non-empty commit creates the next).
     pub fn commit_epoch(&self) -> u64 {
-        self.snapshots.acquire().epoch
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// Pins the current commit epoch and returns it. Until the matching
@@ -1087,7 +1113,8 @@ impl BufferPool {
     /// nest; each pin must be unpinned exactly once.
     pub fn pin_snapshot(&self) -> u64 {
         let mut snaps = self.snapshots.acquire();
-        let epoch = snaps.epoch;
+        // Exact: only a flip stores the epoch, under this lock.
+        let epoch = self.epoch.load(Ordering::Relaxed);
         *snaps.pins.entry(epoch).or_insert(0) += 1;
         epoch
     }
@@ -1143,16 +1170,34 @@ impl BufferPool {
 
     /// Reads page `id` *as of* commit `epoch` as a decoded node of type
     /// `N`, through the committed-image node cache. Returns the node
-    /// and whether this call ran `decode`.
+    /// and whether this call ran `decode`. A hit performs no byte-pool
+    /// access, and each call counts exactly one cache hit or miss.
     ///
-    /// The shared barrier is held from the lookup to the insert, so no
-    /// epoch flip — the only event that changes a committed image, and
-    /// the one that drops its cached decode — can fall in between: a
-    /// hit is the decode of exactly the bytes
-    /// [`with_page_at`](Self::with_page_at) would show. A hit performs
-    /// no byte-pool access. A page superseded after `epoch` is decoded
-    /// from its retained image and not cached: the cache describes
-    /// current committed images only.
+    /// **The hit path takes no pool-wide lock.** It loads the epoch,
+    /// looks `id` up under its cache-shard lock, and loads the epoch
+    /// again under that lock; the node is kept only if both loads are
+    /// `epoch`. Why a kept node is the decode of the bytes
+    /// [`with_page_at`](Self::with_page_at) would show:
+    ///
+    /// * *Not older than `epoch`.* Every flip up to `epoch` invalidated
+    ///   its pages while holding the snapshot lock, which the pin of
+    ///   `epoch` took afterwards; an insert is a decode of the image
+    ///   committed while its reader held the barrier shared, so no
+    ///   insert can bring a superseded image back.
+    /// * *Not newer.* A later flip stores `epoch + 1` before it
+    ///   invalidates, and any insert of a newer decode is made after
+    ///   that flip released the barrier. Either is a shard-lock critical
+    ///   section that ends after the store; a lookup that observed it
+    ///   took the same lock afterwards, so the second load — sequenced
+    ///   after that lookup — reads `epoch + 1` or later, and the node is
+    ///   discarded.
+    ///
+    /// A discarded or absent hit counts nothing and falls back to the
+    /// barrier path, which counts the read: the shared barrier is held
+    /// from the lookup to the insert, so no flip can fall in between. A
+    /// page superseded after `epoch` is decoded from its retained image
+    /// and not cached: the cache describes current committed images
+    /// only.
     ///
     /// `decode` runs under pool locks and must not re-enter the pool.
     pub fn read_node_at<N, F>(&self, id: PageId, epoch: u64, decode: F) -> Result<(Arc<N>, bool)>
@@ -1160,9 +1205,14 @@ impl BufferPool {
         N: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<N>,
     {
+        if self.epoch.load(Ordering::Acquire) == epoch {
+            if let Some(node) = self.committed_hit(id, epoch) {
+                return Ok((node, false));
+            }
+        }
         let _reader = self.barrier.acquire_shared();
         if let Some(image) = self.superseded_image(id, epoch) {
-            self.committed.count_miss();
+            self.committed.count_miss(id);
             return Ok((Arc::new(decode(&image[..self.payload])?), true));
         }
         let (cached, gen) = self.committed.lookup::<N>(id);
@@ -1175,10 +1225,26 @@ impl BufferPool {
         Ok((node, true))
     }
 
+    /// The second half of [`read_node_at`](Self::read_node_at)'s hit
+    /// path, for a reader whose first epoch load read `epoch`: the
+    /// cached node of `id`, kept only if the epoch — loaded again under
+    /// the shard lock that found it — is still `epoch`.
+    fn committed_hit<N: Any + Send + Sync>(&self, id: PageId, epoch: u64) -> Option<Arc<N>> {
+        self.committed
+            .try_hit(id, || self.epoch.load(Ordering::Acquire) == epoch)
+    }
+
     /// The image of page `id` a reader pinned at `epoch` must see, when
     /// a later commit superseded it (counted as a buffer hit); `None`
-    /// when the page's current committed image is still the one.
+    /// when the page's current committed image is still the one. The
+    /// caller holds the barrier shared.
     fn superseded_image(&self, id: PageId, epoch: u64) -> Option<Arc<[u8]>> {
+        // No flip is in progress under the shared barrier, so the epoch
+        // is exact, and every retained version was superseded at or
+        // before it: a pin of the current epoch has nothing to find.
+        if epoch == self.epoch.load(Ordering::Acquire) {
+            return None;
+        }
         let snaps = self.snapshots.acquire();
         // Lists ascend in `superseded_at`: the first version superseded
         // *after* `epoch` is the image that epoch saw.
@@ -1282,7 +1348,8 @@ impl BufferPool {
         };
         if self.wal() {
             let snaps = self.snapshots.acquire();
-            if snaps.epoch == 0 {
+            let epoch = self.epoch.load(Ordering::Relaxed);
+            if epoch == 0 {
                 return Err(corrupt("snapshot table: epoch zero".to_string()));
             }
             if snaps.pins.is_empty() && !snaps.versions.is_empty() {
@@ -1302,7 +1369,7 @@ impl BufferPool {
                         "snapshot table: versions of {id:?} not ascending"
                     )));
                 }
-                if vs.iter().any(|v| v.superseded_at > snaps.epoch) {
+                if vs.iter().any(|v| v.superseded_at > epoch) {
                     return Err(corrupt(format!(
                         "snapshot table: version of {id:?} from the future"
                     )));
@@ -2265,6 +2332,44 @@ mod tests {
         assert_eq!(p.with_page_at(a, e, |d| d[0]).unwrap(), 1);
         assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 2);
         p.unpin_snapshot(e);
+        p.validate().unwrap();
+    }
+
+    /// The interleaving the hit path's second epoch load exists for: a
+    /// reader pinned at `e` loads `e`, then a flip lands and a reader
+    /// of `e + 1` caches the new image's decode before the first
+    /// reader's lookup. That lookup finds the `e + 1` node and must
+    /// discard it, uncounted; the read it falls back to is counted once
+    /// and serves `e`'s retained image.
+    #[test]
+    fn a_hit_found_after_a_flip_is_discarded_and_counted_once() {
+        let (p, _) = wal_pool(4);
+        let a = p.allocate().unwrap();
+        p.write_page(a, &[1; 8]).unwrap();
+        p.commit().unwrap();
+        let e = p.pin_snapshot();
+        let decode = |d: &[u8]| Ok(d[0]);
+        assert_eq!(*p.read_node_at(a, e, decode).unwrap().0, 1);
+        // The reader's first load read `e` here.
+        assert_eq!(p.commit_epoch(), e);
+        p.write_page(a, &[2; 8]).unwrap();
+        p.commit().unwrap();
+        let newer = p.pin_snapshot();
+        assert_eq!(
+            p.read_node_at(a, newer, decode).unwrap(),
+            (Arc::new(2), true)
+        );
+        let before = p.stats();
+        assert!(p.committed_hit::<u8>(a, e).is_none(), "e + 1's node kept");
+        assert_eq!(p.stats(), before, "a discarded hit counts nothing");
+        assert_eq!(p.read_node_at(a, e, decode).unwrap(), (Arc::new(1), true));
+        let after = p.stats();
+        assert_eq!(after.decode_misses - before.decode_misses, 1);
+        assert_eq!(after.decode_hits, before.decode_hits);
+        // The newer pin's own hit is kept.
+        assert_eq!(*p.committed_hit::<u8>(a, newer).unwrap(), 2);
+        p.unpin_snapshot(e);
+        p.unpin_snapshot(newer);
         p.validate().unwrap();
     }
 

@@ -52,12 +52,18 @@
 //!   ([`StoreSnapshot::read_node`](crate::store::StoreSnapshot::read_node)).
 //!   A committed image changes only inside the commit's epoch flip,
 //!   under the exclusive write barrier, and only for that
-//!   transaction's pages — so the flip invalidates exactly those
-//!   entries before it releases the barrier, and a pinned read holds
-//!   the barrier shared from its lookup to its insert.  Validity is
-//!   mutual exclusion on the barrier; the generation check is never
-//!   the deciding vote there.  A page superseded *after* a reader's
-//!   epoch is decoded from its retained image and never cached.
+//!   transaction's pages — so the flip publishes the new epoch, then
+//!   invalidates exactly those entries before it releases the
+//!   barrier, and a pinned read that decodes holds the barrier shared
+//!   from its lookup to its insert.  A pinned *hit* takes no barrier:
+//!   [`try_hit`](NodeCache::try_hit) re-reads the pool's epoch under
+//!   the shard lock that found the entry and keeps the entry only if
+//!   the epoch is still the reader's (the argument is on
+//!   [`BufferPool::read_node_at`](crate::buffer::BufferPool::read_node_at)).
+//!   Validity is the epoch check ordered by the shard lock; the
+//!   generation check is never the deciding vote there.  A page
+//!   superseded *after* a reader's epoch is decoded from its retained
+//!   image and never cached.
 //!
 //! One instance cannot do both jobs: a BA-tree insert dirties its
 //! whole root-to-leaf path, so between commits the hottest pages have
@@ -65,7 +71,6 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::pager::PageId;
@@ -100,6 +105,13 @@ struct CacheShard {
     /// Least recently used slot index.
     tail: usize,
     free: Vec<usize>,
+    /// Reads of this shard's pages served from a cached node / that had
+    /// to decode, and generation bumps — counted under the shard lock
+    /// the operation already holds, so concurrent readers share no
+    /// counter cache line.
+    hits: u64,
+    misses: u64,
+    invalidations: u64,
 }
 
 impl CacheShard {
@@ -112,6 +124,9 @@ impl CacheShard {
             head: NIL,
             tail: NIL,
             free: Vec::new(),
+            hits: 0,
+            misses: 0,
+            invalidations: 0,
         }
     }
 
@@ -209,16 +224,15 @@ impl CacheShard {
 /// A sharded, generation-checked LRU cache of decoded nodes.
 ///
 /// A store runs one instance over live bytes and, with WAL on, a
-/// second over committed images (see the module docs); capacity 0 disables storage entirely (every lookup is a counted miss,
+/// second over committed images (see the module docs); capacity 0
+/// disables storage entirely (every lookup is a counted miss,
 /// preserving the `decode_hits + decode_misses == node accesses`
-/// invariant even when disabled).
+/// invariant even when disabled). The counters live in the shards and
+/// are summed on demand.
 pub struct NodeCache {
     shards: Box<[RankedMutex<CacheShard>]>,
     /// `shards.len() - 1`; shard count is a power of two.
     shard_mask: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 impl std::fmt::Debug for NodeCache {
@@ -232,35 +246,37 @@ impl std::fmt::Debug for NodeCache {
 
 impl NodeCache {
     /// Creates a cache holding at most `capacity` decoded nodes split
-    /// across `shards` LRU lists (rounded up to a power of two).
-    /// `capacity == 0` disables storage but keeps counting accesses.
+    /// across `shards` LRU lists: rounded up to a power of two, then
+    /// clamped to the largest power of two ≤ `capacity`, so every shard
+    /// holds at least one node and together they hold exactly
+    /// `capacity`. `capacity == 0` disables storage (one empty shard)
+    /// but keeps counting accesses.
     pub fn new(capacity: usize, shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
+        let n = shards
+            .max(1)
+            .next_power_of_two()
+            .min(1 << capacity.max(1).ilog2());
         let shards: Vec<RankedMutex<CacheShard>> = (0..n)
             .map(|i| {
-                // Split capacity as evenly as possible; a disabled cache
-                // (capacity 0) gets zero-capacity shards.
-                let cap = if capacity == 0 {
-                    0
-                } else {
-                    (capacity / n + usize::from(i < capacity % n)).max(1)
-                };
+                // Split capacity as evenly as possible.
+                let cap = capacity / n + usize::from(i < capacity % n);
                 RankedMutex::new(rank::NODE_CACHE, "node cache shard", CacheShard::new(cap))
             })
             .collect();
         Self {
             shards: shards.into_boxed_slice(),
             shard_mask: (n - 1) as u64,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
         }
     }
 
-    fn shard_for(&self, id: PageId) -> &RankedMutex<CacheShard> {
+    fn shard_index(&self, id: PageId) -> usize {
         // Fibonacci hashing, matching the byte pool's spread.
         let h = id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        &self.shards[(h & self.shard_mask) as usize]
+        (h & self.shard_mask) as usize
+    }
+
+    fn shard_for(&self, id: PageId) -> &RankedMutex<CacheShard> {
+        &self.shards[self.shard_index(id)]
     }
 
     /// Total node capacity (summed across shards).
@@ -283,17 +299,37 @@ impl NodeCache {
                 .and_then(|n| n.downcast::<N>().ok());
             if let Some(node) = node {
                 shard.touch(idx);
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                shard.hits += 1;
                 return (Some(node), gen);
             }
             // Same page decoded as a different type: drop the entry and
             // let the caller re-decode.
             shard.remove(id);
         }
-        drop(shard);
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        shard.misses += 1;
         (None, gen)
+    }
+
+    /// The cached node for `id`, if there is one of type `N` and
+    /// `still_valid()` — called under the shard lock, after the entry
+    /// was found — returns true; only then is a hit counted and the
+    /// entry refreshed. Otherwise nothing is counted or changed and the
+    /// caller falls back to [`lookup`](Self::lookup), which counts the
+    /// read: every read is one hit or one miss, however it was served.
+    pub fn try_hit<N: Any + Send + Sync>(
+        &self,
+        id: PageId,
+        still_valid: impl FnOnce() -> bool,
+    ) -> Option<Arc<N>> {
+        let mut shard = self.shard_for(id).acquire();
+        let idx = *shard.map.get(&id)?;
+        let node = shard.slots[idx].node.clone()?.downcast::<N>().ok()?;
+        if !still_valid() {
+            return None;
+        }
+        shard.touch(idx);
+        shard.hits += 1;
+        Some(node)
     }
 
     /// Caches `node` for `id` unless the page's generation moved past
@@ -315,31 +351,34 @@ impl NodeCache {
         let gen = shard.generation(id);
         shard.gens.insert(id, gen + 1);
         shard.remove(id);
-        drop(shard);
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        shard.invalidations += 1;
     }
 
-    /// Counts a node read that decoded without consulting the cache (a
-    /// pinned read of a superseded image), keeping `hits + misses`
+    /// Counts a read of `id` that decoded without consulting the cache
+    /// (a pinned read of a superseded image), keeping `hits + misses`
     /// equal to the node reads served.
-    pub fn count_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+    pub fn count_miss(&self, id: PageId) {
+        self.shard_for(id).acquire().misses += 1;
     }
 
-    /// `(hits, misses, invalidations)` counter snapshot.
+    /// `(hits, misses, invalidations)`, summed over every shard.
     pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.invalidations.load(Ordering::Relaxed),
-        )
+        let mut sum = (0, 0, 0);
+        for shard in self.shards.iter() {
+            let s = shard.acquire();
+            sum = (sum.0 + s.hits, sum.1 + s.misses, sum.2 + s.invalidations);
+        }
+        sum
     }
 
-    /// Zeroes the hit/miss/invalidation counters.
+    /// Zeroes every shard's hit/miss/invalidation counters.
     pub fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.invalidations.store(0, Ordering::Relaxed);
+        for shard in self.shards.iter() {
+            let mut s = shard.acquire();
+            s.hits = 0;
+            s.misses = 0;
+            s.invalidations = 0;
+        }
     }
 
     /// Checks the cache's structural invariants — used by the
@@ -485,6 +524,92 @@ mod tests {
         // Three lookups total: one counted hit, two counted misses.
         let (hits, misses, _) = cache.counters();
         assert_eq!((hits, misses), (1, 2));
+    }
+
+    fn put(cache: &NodeCache, n: u64) {
+        let (_, gen) = cache.lookup::<u64>(pid(n));
+        cache.insert_if_current(pid(n), gen, Arc::new(n));
+    }
+
+    #[test]
+    fn more_shards_than_nodes_are_clamped_to_the_capacity() {
+        let cache = NodeCache::new(8, 64);
+        assert_eq!(cache.capacity(), 8);
+        assert_eq!(cache.shards.len(), 8, "largest power of two <= 8");
+        assert_eq!(NodeCache::new(6, 64).shards.len(), 4);
+        assert_eq!(NodeCache::new(6, 64).capacity(), 6);
+        assert_eq!(NodeCache::new(0, 64).shards.len(), 1);
+        let resident = |c: &NodeCache| {
+            c.shards
+                .iter()
+                .map(|s| s.acquire().map.len())
+                .sum::<usize>()
+        };
+        // One page per shard fills the cache…
+        let mut first_per_shard = std::collections::BTreeMap::new();
+        let mut n = 0u64;
+        while first_per_shard.len() < 8 {
+            first_per_shard
+                .entry(cache.shard_index(pid(n)))
+                .or_insert(n);
+            n += 1;
+        }
+        for &n in first_per_shard.values() {
+            put(&cache, n);
+        }
+        assert_eq!(resident(&cache), 8);
+        // …and a ninth insert evicts.
+        let ninth = (0u64..)
+            .find(|n| !first_per_shard.values().any(|m| m == n))
+            .unwrap();
+        put(&cache, ninth);
+        assert_eq!(resident(&cache), 8);
+        let still = first_per_shard
+            .values()
+            .filter(|&&n| cache.lookup::<u64>(pid(n)).0.is_some())
+            .count();
+        assert_eq!(still, 7, "the ninth page's shard evicted its one node");
+        cache.validate().unwrap();
+    }
+
+    #[test]
+    fn try_hit_counts_only_the_hits_it_keeps() {
+        let cache = NodeCache::new(4, 1);
+        assert!(cache.try_hit::<u64>(pid(1), || true).is_none(), "absent");
+        put(&cache, 1);
+        assert!(
+            cache.try_hit::<u32>(pid(1), || true).is_none(),
+            "wrong type"
+        );
+        assert!(
+            cache.try_hit::<u64>(pid(1), || false).is_none(),
+            "not valid"
+        );
+        assert_eq!(cache.counters(), (0, 1, 0), "only put's lookup counted");
+        assert_eq!(*cache.try_hit::<u64>(pid(1), || true).unwrap(), 1);
+        assert_eq!(cache.counters(), (1, 1, 0));
+    }
+
+    #[test]
+    fn counters_and_their_reset_cover_every_shard() {
+        const PAGES: u64 = 512;
+        let cache = NodeCache::new(PAGES as usize, 64);
+        assert_eq!(cache.shards.len(), 64);
+        for n in 0..PAGES {
+            put(&cache, n); // a miss
+            assert!(cache.lookup::<u64>(pid(n)).0.is_some());
+            assert!(cache.try_hit::<u64>(pid(n), || true).is_some());
+            assert!(cache.try_hit::<u64>(pid(n), || false).is_none());
+            cache.count_miss(pid(n));
+            cache.invalidate(pid(n));
+        }
+        for shard in cache.shards.iter() {
+            let s = shard.acquire();
+            assert!(s.hits > 0 && s.misses > 0 && s.invalidations > 0);
+        }
+        assert_eq!(cache.counters(), (2 * PAGES, 2 * PAGES, PAGES));
+        cache.reset_counters();
+        assert_eq!(cache.counters(), (0, 0, 0));
     }
 
     #[test]

@@ -86,8 +86,10 @@ pub const BARRIER: u32 = 2;
 /// The snapshot table ([`crate::buffer::BufferPool`]): pinned commit
 /// epochs plus page images retained for them.  A commit's flip phase
 /// holds it (under the exclusive barrier) while touching shards and the
-/// pager to retain superseded images; snapshot readers hold it briefly
-/// under a shared barrier.  Hence above `BARRIER`, below `ALLOCATOR`.
+/// pager to retain superseded images and while invalidating the
+/// committed-image node cache; snapshot readers behind the current
+/// epoch hold it briefly under a shared barrier.  Hence above
+/// `BARRIER`, below `ALLOCATOR`.
 pub const SNAPSHOT: u32 = 3;
 /// Free-list / high-water-mark allocator state.  Held across pager grow
 /// and across shard frame-drop, so it must rank below both.

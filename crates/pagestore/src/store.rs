@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
 
-use crate::buffer::{BufferPool, IoStats};
+use crate::buffer::{BufferPool, IoStats, MAX_SHARDS};
 use crate::nodecache::NodeCache;
 use crate::pager::{FilePager, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE};
 use crate::rank::{self, RankedMutex};
@@ -60,8 +60,12 @@ pub struct StoreConfig {
     /// Worker threads for the per-corner bulk loads. Default: 1, the
     /// paper-faithful sequential mode — a single-shard pool whose I/O
     /// counts match a sequential implementation exactly. Values above 1
-    /// also shard the buffer pool for concurrency. Box-sum queries are
-    /// always one sequential mask-ascending loop.
+    /// also shard the buffer pool and the live decoded-node cache for
+    /// concurrency. It does not shard the committed-image cache that
+    /// pinned reads hit: that one always has 64 shards (fewer only when
+    /// it holds fewer nodes), because concurrent snapshot readers need
+    /// them at any setting and it takes no part in the §6 counts.
+    /// Box-sum queries are always one sequential mask-ascending loop.
     pub parallelism: usize,
     /// Capacity of the decoded-node cache in nodes; 0 disables it.
     /// Default: 1280 (one decoded node per default buffer frame). The
@@ -134,7 +138,7 @@ impl StoreConfig {
         if self.parallelism <= 1 {
             1
         } else {
-            (self.parallelism * 8).next_power_of_two().min(64)
+            (self.parallelism * 8).next_power_of_two().min(MAX_SHARDS)
         }
     }
 }

@@ -349,13 +349,89 @@ fn seeded_schedules_of_pins_commits_and_faults_match_the_model() {
     assert!(total.superseded_reads > 0 && total.warm_reads > 0);
 }
 
+/// A pin of epoch `e` reads every page after a pin of `e + 1` cached
+/// its own decodes of them: the older pin must still be served `e`'s
+/// tags, decoded from the retained images. A hit path that took a
+/// cached node without checking the reader's epoch would hand it
+/// `e + 1`'s — by construction, not by timing.
+#[test]
+fn an_older_pin_never_takes_the_newer_epochs_cached_node() {
+    const PAGES: usize = 8;
+    let cfg = StoreConfig::small(PAGE_SIZE, 4)
+        .with_wal(true)
+        .with_node_cache(64);
+    let store = SharedStore::open(&cfg).expect("open");
+    let ids: Vec<PageId> = (0..PAGES)
+        .map(|_| store.allocate().expect("allocate"))
+        .collect();
+    let commit_tag = |tag: u64| {
+        for &id in &ids {
+            store
+                .write_page(id, &tag.to_le_bytes())
+                .expect("write_page");
+        }
+        store.commit().expect("commit");
+    };
+    commit_tag(1);
+    let old = store.snapshot().expect("pin e");
+    for &id in &ids {
+        assert_eq!(
+            *old.read_node(id, tag_of).expect("read"),
+            1u64.to_le_bytes()
+        );
+    }
+    commit_tag(2);
+    let new = store.snapshot().expect("pin e + 1");
+    assert_eq!(new.epoch(), old.epoch() + 1);
+    for &id in &ids {
+        assert_eq!(
+            *new.read_node(id, tag_of).expect("read"),
+            2u64.to_le_bytes()
+        );
+    }
+    assert_eq!(
+        new.node_reads(),
+        (PAGES as u64, PAGES as u64),
+        "e + 1 cached"
+    );
+
+    let (_, decoded) = old.node_reads();
+    for &id in &ids {
+        let node = old.read_node(id, tag_of).expect("read through the old pin");
+        assert_eq!(*node, 1u64.to_le_bytes(), "{id:?} at epoch {}", old.epoch());
+    }
+    assert_eq!(
+        old.node_reads().1 - decoded,
+        PAGES as u64,
+        "every superseded page decoded from its retained image"
+    );
+    for &id in &ids {
+        assert_eq!(
+            *new.read_node(id, tag_of).expect("read"),
+            2u64.to_le_bytes()
+        );
+    }
+    assert_eq!(
+        new.node_reads(),
+        (2 * PAGES as u64, PAGES as u64),
+        "e + 1 hits"
+    );
+    drop((old, new));
+    store.validate().expect("validate");
+}
+
 /// A committer rewrites every page and commits, round after round,
-/// until the reader is gone; the reader holds each of its pins
+/// until the first reader is gone; that reader holds each of its pins
 /// until two flips have passed it, so every pin is read before, across
-/// and after a flip — by construction, not by timing. All pages carry
-/// the round that wrote them, so a node from any other epoch — cached by
-/// an earlier pin, or decoded past the flip — would show as a tag that
-/// disagrees with the pin's own epoch.
+/// and after a flip — by construction, not by timing. A second reader
+/// keeps pinning the newest epoch and reading every page, so the cache
+/// fills with each new epoch's decodes while the first reader's pin is
+/// still an epoch behind. All pages carry the round that wrote them, so
+/// a node from any other epoch — cached by another pin, or decoded past
+/// the flip — would show as a tag that disagrees with the pin's own
+/// epoch. And every pinned read is one decode hit or one miss, exactly:
+/// a hit discarded because a flip landed between its two epoch loads is
+/// counted once, by the read it falls back to.
 #[test]
 fn a_pinned_reader_never_sees_a_later_epochs_node_while_a_committer_flips() {
     const PAGES: usize = 8;
@@ -377,10 +453,22 @@ fn a_pinned_reader_never_sees_a_later_epochs_node_while_a_committer_flips() {
     };
     write_round(0);
     let base_epoch = store.commit_epoch();
+    store.reset_stats();
     let reader_gone = AtomicBool::new(false);
-    let start = Barrier::new(2);
+    let start = Barrier::new(3);
+    // Reads every page through one fresh pin of the newest epoch;
+    // returns the node reads it served.
+    let newest_pass = || {
+        let snap = store.snapshot().expect("snapshot");
+        let want = (snap.epoch() - base_epoch).to_le_bytes();
+        for &id in &ids {
+            let node = snap.read_node(id, tag_of).expect("newest read");
+            assert_eq!(*node, want, "{id:?} at newest epoch {}", snap.epoch());
+        }
+        snap.node_reads().0
+    };
 
-    let rounds = std::thread::scope(|scope| {
+    let (rounds, reads) = std::thread::scope(|scope| {
         let committer = scope.spawn(|| {
             start.wait();
             let mut round = 0u64;
@@ -390,9 +478,17 @@ fn a_pinned_reader_never_sees_a_later_epochs_node_while_a_committer_flips() {
             }
             round
         });
-        scope.spawn(|| {
+        let follower = scope.spawn(|| {
+            start.wait();
+            let mut reads = 0;
+            while !reader_gone.load(Ordering::SeqCst) {
+                reads += newest_pass();
+            }
+            reads
+        });
+        let lagging = scope.spawn(|| {
             // Set on the way out, by return or by a failed assertion:
-            // the committer must stop either way.
+            // the committer and the follower must stop either way.
             struct Gone<'a>(&'a AtomicBool);
             impl Drop for Gone<'_> {
                 fn drop(&mut self) {
@@ -401,6 +497,7 @@ fn a_pinned_reader_never_sees_a_later_epochs_node_while_a_committer_flips() {
             }
             let _gone = Gone(&reader_gone);
             start.wait();
+            let mut reads = 0;
             for _ in 0..PINS {
                 let snap = store.snapshot().expect("snapshot");
                 let want = (snap.epoch() - base_epoch).to_le_bytes();
@@ -413,9 +510,12 @@ fn a_pinned_reader_never_sees_a_later_epochs_node_while_a_committer_flips() {
                         break;
                     }
                 }
+                reads += snap.node_reads().0;
             }
+            reads
         });
-        committer.join().expect("committer")
+        let reads = lagging.join().expect("lagging reader") + follower.join().expect("follower");
+        (committer.join().expect("committer"), reads)
     });
     assert!(rounds >= 2 * u64::from(PINS) - 1, "two flips per pin");
     let last = store.snapshot().expect("snapshot");
@@ -425,6 +525,13 @@ fn a_pinned_reader_never_sees_a_later_epochs_node_while_a_committer_flips() {
             rounds.to_le_bytes()
         );
     }
+    let reads = reads + last.node_reads().0;
     drop(last);
+    let st = store.stats();
+    assert_eq!(
+        st.decode_hits + st.decode_misses,
+        reads,
+        "each pinned read is exactly one hit or one miss"
+    );
     store.validate().expect("validate");
 }
