@@ -8,9 +8,7 @@
 //! runs). This module provides the common pieces: CLI parsing, scheme
 //! builders over one shared dataset, and table formatting.
 
-pub mod chaossweep;
-pub mod crashsweep;
-pub mod faultsweep;
+pub mod sweep;
 
 use std::time::Instant;
 
@@ -48,9 +46,6 @@ pub struct Args {
     /// Worker threads for the per-corner bulk loads (default 1: the
     /// paper's sequential setting, with exact sequential I/O accounting).
     pub threads: usize,
-    /// CI smoke mode (`--smoke`): shrink the workload to seconds and
-    /// verify invariants instead of producing a full measurement.
-    pub smoke: bool,
 }
 
 impl Args {
@@ -71,16 +66,10 @@ impl Args {
             page_size: 8192,
             buffer_mb: default_buffer_mb,
             threads: 1,
-            smoke: false,
         };
         let argv: Vec<String> = std::env::args().collect();
         let mut i = 1;
         while i < argv.len() {
-            if argv[i] == "--smoke" {
-                args.smoke = true;
-                i += 1;
-                continue;
-            }
             let Some(val) = argv.get(i + 1) else {
                 eprintln!("flag {} is missing its value", argv[i]);
                 std::process::exit(2);
@@ -306,7 +295,6 @@ mod tests {
             page_size: 1024,
             buffer_mb: 1,
             threads: 1,
-            smoke: false,
         };
         let objects = args.dataset();
         let bat = build_bat(&args, &objects);

@@ -22,12 +22,15 @@
 //! * [`traits`] — the [`traits::DominanceSumIndex`]
 //!   interface implemented by the ECDF-B-trees and the BA-tree,
 //! * [`error`] — the common error type,
+//! * [`fault`] — the k-th-operation fault trigger and park gate behind
+//!   the pager and socket fault-injection wrappers,
 //! * [`rng`] — a deterministic seedable RNG for workloads and tests
 //!   (the workspace builds offline, without the `rand` crate),
 //! * [`tempdir`] — self-deleting temp directories for tests.
 
 pub mod bytes;
 pub mod error;
+pub mod fault;
 pub mod geom;
 pub mod poly;
 pub mod rng;

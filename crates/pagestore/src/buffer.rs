@@ -1682,60 +1682,23 @@ mod tests {
         assert_eq!(s.reads + s.hits, 40);
     }
 
-    /// A pager whose writes fail while the shared flag is set — drives
-    /// the eviction error path.
-    struct FailingPager {
-        inner: MemPager,
-        fail_writes: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    }
-
-    impl Pager for FailingPager {
-        fn page_size(&self) -> usize {
-            self.inner.page_size()
-        }
-        fn num_pages(&self) -> u64 {
-            self.inner.num_pages()
-        }
-        fn allocate(&mut self) -> Result<PageId> {
-            self.inner.allocate()
-        }
-        fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
-            self.inner.read_page(id, buf)
-        }
-        fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<()> {
-            if self.fail_writes.load(Ordering::Relaxed) {
-                return Err(invalid_arg("injected write failure"));
-            }
-            self.inner.write_page(id, data)
-        }
-        fn sync(&mut self) -> Result<()> {
-            Ok(())
-        }
-        fn wal(&mut self) -> Result<Box<dyn WalFile>> {
-            self.inner.wal()
-        }
-    }
-
     #[test]
     fn failed_eviction_write_back_leaves_pool_consistent() {
         // Regression: a failed dirty write-back used to leave the victim
         // frame detached from the LRU list but still mapped, so the next
         // hit on that page touched a detached frame and corrupted the
         // list. The victim must stay fully intact on the error path.
-        let fail = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let failing = FailingPager {
-            inner: MemPager::new(128),
-            fail_writes: fail.clone(),
-        };
-        let p = BufferPool::new(Box::new(failing), 2);
+        use crate::fault::{FaultPager, FaultSpec, OpFilter};
+        let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
+        let p = BufferPool::new(Box::new(pager), 2);
         let a = page_with(&p, 1);
         let b = page_with(&p, 2);
 
         // Make write-backs fail: inserting a third page must error while
         // trying to evict the dirty LRU victim.
         p.with_page(a, |_| ()).unwrap(); // b is now LRU
-        fail.store(true, Ordering::Relaxed);
         let c = p.allocate().unwrap();
+        faults.arm(FaultSpec::sticky_from(OpFilter::Writes, 1));
         let err = p.write_page(c, &[3; 4]).unwrap_err();
         assert!(err.to_string().contains("injected"), "got: {err}");
         let writes_after_failure = p.stats().writes;
@@ -1743,7 +1706,7 @@ mod tests {
         // Heal the pager; the pool must still be fully usable and both
         // cached pages must round-trip correctly through touch/evict
         // cycles (this used to corrupt the LRU list).
-        fail.store(false, Ordering::Relaxed);
+        faults.disarm();
         assert_eq!(p.with_page(b, |d| d[0]).unwrap(), 2);
         assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 1);
         p.write_page(c, &[3; 4]).unwrap();
@@ -2208,61 +2171,15 @@ mod tests {
         p.validate().unwrap();
     }
 
-    /// A log handle that parks the first sync after `armed` is set
-    /// until the test releases it — a deterministic window into the
-    /// middle of a concurrent commit (past capture, before the flip).
-    struct HookWal {
-        inner: Box<dyn WalFile>,
-        armed: std::sync::Arc<std::sync::atomic::AtomicBool>,
-        hook: Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>,
-    }
-
-    impl WalFile for HookWal {
-        fn append(&mut self, bytes: &[u8]) -> Result<()> {
-            self.inner.append(bytes)
-        }
-        fn sync(&mut self) -> Result<()> {
-            if self.armed.load(Ordering::SeqCst) {
-                if let Some((signal, resume)) = self.hook.take() {
-                    signal.send(()).unwrap();
-                    resume.recv().unwrap();
-                }
-            }
-            self.inner.sync()
-        }
-        fn len(&mut self) -> Result<u64> {
-            self.inner.len()
-        }
-        fn rollback(&mut self, len: u64) -> Result<()> {
-            self.inner.rollback(len)
-        }
-        fn truncate(&mut self) -> Result<()> {
-            self.inner.truncate()
-        }
-        fn read_all(&mut self) -> Result<Vec<u8>> {
-            self.inner.read_all()
-        }
-    }
-
-    /// A parking handle: `arm()` makes the next log sync park until
-    /// the returned sender fires.
-    fn hooked_pool() -> (
-        std::sync::Arc<BufferPool>,
-        std::sync::Arc<std::sync::atomic::AtomicBool>,
-        std::sync::mpsc::Receiver<()>,
-        std::sync::mpsc::Sender<()>,
-    ) {
-        let (sig_tx, sig_rx) = std::sync::mpsc::channel();
-        let (res_tx, res_rx) = std::sync::mpsc::channel();
-        let armed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut pager = MemPager::new(128);
-        let log = HookWal {
-            inner: pager.wal().unwrap(),
-            armed: armed.clone(),
-            hook: Some((sig_tx, res_rx)),
-        };
-        let p = BufferPool::with_config(Box::new(pager), 4, 1, Some(Box::new(log)), 4);
-        (std::sync::Arc::new(p), armed, sig_rx, res_tx)
+    /// Parks the pool's next log sync until the test opens the gate — a
+    /// deterministic window into the middle of a concurrent commit
+    /// (past capture, before the flip).
+    fn park_next_log_sync(faults: &crate::fault::FaultHandle) {
+        faults.close_gate();
+        faults.arm(crate::fault::FaultSpec::park_at(
+            crate::fault::OpFilter::WalSyncs,
+            1,
+        ));
     }
 
     /// Satellite regression for the un-dirty pass: a page freed and
@@ -2272,21 +2189,22 @@ mod tests {
     /// could confuse the two incarnations.)
     #[test]
     fn free_then_realloc_mid_commit_stays_dirty() {
-        let (p, armed, parked, resume) = hooked_pool();
+        let (p, faults) = wal_pool(4);
+        let p = Arc::new(p);
         let a = p.allocate().unwrap();
         p.write_page(a, &[7; 16]).unwrap();
-        armed.store(true, Ordering::SeqCst);
+        park_next_log_sync(&faults);
         let committer = {
             let p = p.clone();
             std::thread::spawn(move || p.commit())
         };
         // The committer is parked inside the log sync — past capture,
         // before the flip. Recycle the page with identical bytes.
-        parked.recv().unwrap();
+        assert!(faults.wait_parked());
         p.free_page(a).unwrap();
         assert_eq!(p.allocate().unwrap(), a, "freed page must be recycled");
         p.write_page(a, &[7; 16]).unwrap();
-        resume.send(()).unwrap();
+        faults.open_gate();
         committer.join().unwrap().unwrap();
         // The re-allocated incarnation is a different write than the
         // captured one: it stays dirty and the next commit logs it.
@@ -2310,23 +2228,24 @@ mod tests {
     /// miniature.
     #[test]
     fn snapshot_reads_proceed_while_a_commit_is_in_flight() {
-        let (p, armed, parked, resume) = hooked_pool();
+        let (p, faults) = wal_pool(4);
+        let p = Arc::new(p);
         let a = p.allocate().unwrap();
         p.write_page(a, &[1; 8]).unwrap();
         p.commit().unwrap();
         let e = p.pin_snapshot();
         p.write_page(a, &[2; 8]).unwrap();
-        armed.store(true, Ordering::SeqCst);
+        park_next_log_sync(&faults);
         let committer = {
             let p = p.clone();
             std::thread::spawn(move || p.commit())
         };
-        parked.recv().unwrap();
+        assert!(faults.wait_parked());
         // The committer holds the commit lock and the WAL handle, and
         // is blocked inside the log fsync. Reads do not wait for it.
         assert_eq!(p.with_page_at(a, e, |d| d[0]).unwrap(), 1);
         assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 2);
-        resume.send(()).unwrap();
+        faults.open_gate();
         committer.join().unwrap().unwrap();
         // Post-commit, the pinned epoch still serves the old image.
         assert_eq!(p.with_page_at(a, e, |d| d[0]).unwrap(), 1);
@@ -2378,20 +2297,21 @@ mod tests {
     /// sync, and followers add no log I/O.
     #[test]
     fn queued_committers_group_behind_the_leader() {
-        let (p, armed, parked, resume) = hooked_pool();
+        let (p, faults) = wal_pool(4);
+        let p = Arc::new(p);
         let a = p.allocate().unwrap();
         p.write_page(a, &[4; 4]).unwrap();
-        armed.store(true, Ordering::SeqCst);
+        park_next_log_sync(&faults);
         let leader = {
             let p = p.clone();
             std::thread::spawn(move || p.commit())
         };
-        parked.recv().unwrap();
+        assert!(faults.wait_parked());
         let follower = {
             let p = p.clone();
             std::thread::spawn(move || p.commit())
         };
-        resume.send(()).unwrap();
+        faults.open_gate();
         leader.join().unwrap().unwrap();
         follower.join().unwrap().unwrap();
         let s = p.stats();

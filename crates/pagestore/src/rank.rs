@@ -48,11 +48,10 @@
 //! decoded-node cache shard in [`crate::nodecache`]; it is a *leaf*
 //! lock — never held across any other acquisition — and sits just below
 //! `SHARD` to mirror the layering (typed cache above the byte pool).
-//! `STATS` at the very top holds the fault-injection plan
-//! ([`crate::fault`]), which nests strictly inside the pager lock or
-//! the log-handle lock and is always released before the faulted
-//! operation runs — today's [`crate::buffer::IoStats`] counters are
-//! atomics and take no lock.
+//! `PAGER` is the top: nothing is ranked above it. ([`crate::fault`]'s
+//! schedule, consulted under the pager or log-handle lock, is a leaf
+//! lock in `boxagg_common`, released before the faulted operation runs;
+//! [`crate::buffer::IoStats`] counters are atomics and take no lock.)
 //!
 //! Release builds compile the checker away entirely: `acquire` is then a
 //! plain `Mutex::lock` with poison recovery.
@@ -97,7 +96,7 @@ pub const ALLOCATOR: u32 = 4;
 /// The pool's write-ahead-log handle ([`crate::wal::WalFile`], handed
 /// out by the pager when the store opens).  The log phase of a commit
 /// holds it across appends and log fsyncs with only the commit mutex
-/// beneath it; nothing but `STATS` is acquired while it is held.  Below
+/// beneath it; nothing in this crate is acquired while it is held.  Below
 /// `NODE_CACHE`, `SHARD` and `PAGER`, so taking it under any of them is
 /// a rank violation.
 pub const WAL_IO: u32 = 5;
@@ -108,14 +107,9 @@ pub const NODE_CACHE: u32 = 6;
 /// A buffer-pool shard (cache segment).  Held across pager I/O on miss,
 /// eviction, and flush.
 pub const SHARD: u32 = 7;
-/// The backing pager (file or memory).  Nothing but `STATS` is acquired
-/// while it is held.
+/// The backing pager (file or memory).  Nothing in this crate is
+/// acquired while it is held.
 pub const PAGER: u32 = 8;
-/// Reserved for a future lock-based statistics sink; used today by the
-/// fault-injection plan ([`crate::fault`]), which nests strictly inside
-/// the pager or log-handle lock and is released before the faulted
-/// operation runs.
-pub const STATS: u32 = 9;
 #[cfg(debug_assertions)]
 thread_local! {
     /// Ranks (and labels, for diagnostics) of locks currently held by

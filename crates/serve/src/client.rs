@@ -460,8 +460,10 @@ fn frame_kind(resp: &Response) -> &'static str {
 /// raw socket error, a clean hangup at a frame boundary, and every
 /// torn-frame shape [`read_frame`] reports when the peer vanishes
 /// mid-frame ("connection closed inside a frame length prefix" /
-/// "mid-frame" / "before the frame checksum").
-fn is_connection_error(e: &Error) -> bool {
+/// "mid-frame" / "before the frame checksum"). The workspace's one
+/// definition of "the connection died": [`Client::commit_durable`]
+/// retries on it, and the connection-kill sweep asserts by it.
+pub fn is_connection_error(e: &Error) -> bool {
     match e {
         Error::Io(_) => true,
         Error::Corrupt(m) => m.contains("closed the connection"),

@@ -1,23 +1,21 @@
 //! Deterministic fault injection for the network layer.
 //!
-//! [`FaultStream`] wraps a [`TcpStream`] and fails socket operations
-//! according to an armed *schedule* of [`StreamFaultSpec`]s — the
-//! exact discipline `boxagg-pagestore`'s `FaultPager` applies to page
-//! I/O, lifted to the byte stream: "kill the connection on the 3rd
-//! write", "stall the 2nd read for 50 ms", "deliver 5 bytes of the 4th
-//! write then reset". Operation counting is exact and deterministic —
-//! the k-th matching socket op since arming fires the fault — so a
-//! chaos sweep over k replays the same mid-protocol failure at every
-//! op index of a scripted conversation, and a failing k reproduces in
+//! [`FaultStream`] wraps a [`TcpStream`] and runs every socket read and
+//! write past a [`StreamFaultHandle`] — the discipline
+//! `boxagg-pagestore`'s `FaultPager` applies to page I/O, on the same
+//! k-th-operation trigger ([`boxagg_common::fault`]), lifted to the
+//! byte stream: "kill the connection on the 3rd write", "stall the 2nd
+//! read for 50 ms", "deliver 5 bytes of the 4th write then reset". A
+//! chaos sweep over k replays the same mid-protocol failure at every op
+//! index of a scripted conversation, and a failing k reproduces in
 //! isolation.
 //!
-//! Injected failures surface as [`std::io::Error`]s whose message
-//! starts with `"injected fault"`; [`is_injected`] tells them from
-//! real socket errors. [`StreamFaultMode::Kill`] additionally shuts
-//! the socket down in both directions, so the *peer* observes a real
-//! mid-frame connection death — that is how the chaos sweep makes a
-//! server's reply write fail at a chosen instant without patching the
-//! server.
+//! Injected failures surface as [`std::io::Error`]s that
+//! `boxagg_common::fault::is_injected` recognizes once wrapped in the
+//! workspace error. [`StreamFaultMode::Kill`] additionally shuts the
+//! socket down in both directions, so the *peer* observes a real
+//! mid-frame connection death — that is how a sweep makes a server's
+//! reply write fail at a chosen instant without patching the server.
 //!
 //! The [`NetStream`] trait is the small socket surface both sides of
 //! the protocol need; `TcpStream` and `FaultStream` implement it, so a
@@ -25,8 +23,9 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
+
+use boxagg_common::fault::{injected_error, Schedule, Trigger};
 
 /// The socket operations a fault can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,16 +45,6 @@ pub enum StreamOpFilter {
     Writes,
     /// Every socket operation.
     Any,
-}
-
-impl StreamOpFilter {
-    fn matches(self, op: StreamOp) -> bool {
-        match self {
-            StreamOpFilter::Reads => op == StreamOp::Read,
-            StreamOpFilter::Writes => op == StreamOp::Write,
-            StreamOpFilter::Any => true,
-        }
-    }
 }
 
 /// What happens when a stream fault fires.
@@ -113,10 +102,9 @@ impl StreamFaultSpec {
     /// later operation fails too (the socket is gone).
     pub fn kill_at(ops: StreamOpFilter, at: u64) -> Self {
         Self {
-            ops,
-            at,
             sticky: true,
             mode: StreamFaultMode::Kill,
+            ..Self::error_at(ops, at)
         }
     }
 
@@ -124,10 +112,8 @@ impl StreamFaultSpec {
     /// once, then let it proceed.
     pub fn stall_at(ops: StreamOpFilter, at: u64, ms: u64) -> Self {
         Self {
-            ops,
-            at,
-            sticky: false,
             mode: StreamFaultMode::Stall { ms },
+            ..Self::error_at(ops, at)
         }
     }
 
@@ -135,11 +121,38 @@ impl StreamFaultSpec {
     /// connection (sticky: the socket is gone afterwards).
     pub fn partial_write_at(at: u64, prefix: usize) -> Self {
         Self {
-            ops: StreamOpFilter::Writes,
-            at,
             sticky: true,
             mode: StreamFaultMode::Partial { prefix },
+            ..Self::error_at(StreamOpFilter::Writes, at)
         }
+    }
+}
+
+impl Trigger for StreamFaultSpec {
+    type Op = StreamOp;
+    type Counts = StreamOpCounts;
+
+    fn count(counts: &mut StreamOpCounts, op: StreamOp) {
+        match op {
+            StreamOp::Read => counts.reads += 1,
+            StreamOp::Write => counts.writes += 1,
+        }
+    }
+
+    fn matches(&self, op: StreamOp) -> bool {
+        match self.ops {
+            StreamOpFilter::Reads => op == StreamOp::Read,
+            StreamOpFilter::Writes => op == StreamOp::Write,
+            StreamOpFilter::Any => true,
+        }
+    }
+
+    fn at(&self) -> u64 {
+        self.at
+    }
+
+    fn sticky(&self) -> bool {
+        self.sticky
     }
 }
 
@@ -159,105 +172,16 @@ impl StreamOpCounts {
     }
 }
 
-#[derive(Debug)]
-struct Armed {
-    spec: StreamFaultSpec,
-    seen: u64,
-}
-
-#[derive(Debug, Default)]
-struct Plan {
-    specs: Vec<Armed>,
-    counts: StreamOpCounts,
-    injected: u64,
-}
-
 /// A clonable handle onto a [`FaultStream`]'s schedule: arm faults,
-/// read op counts, count injections. Clones share one plan.
-#[derive(Debug, Clone, Default)]
-pub struct StreamFaultHandle {
-    plan: Arc<Mutex<Plan>>,
-}
-
-impl StreamFaultHandle {
-    /// A fresh handle with an empty schedule.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn plan(&self) -> std::sync::MutexGuard<'_, Plan> {
-        self.plan.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Adds `spec` to the schedule. Its op counting starts now.
-    pub fn arm(&self, spec: StreamFaultSpec) {
-        self.plan().specs.push(Armed { spec, seen: 0 });
-    }
-
-    /// Clears the schedule (op and injection counters keep running).
-    pub fn disarm(&self) {
-        self.plan().specs.clear();
-    }
-
-    /// Operations counted since the last [`reset_counts`](Self::reset_counts).
-    pub fn counts(&self) -> StreamOpCounts {
-        self.plan().counts
-    }
-
-    /// Faults injected since the last [`reset_counts`](Self::reset_counts).
-    pub fn injected(&self) -> u64 {
-        self.plan().injected
-    }
-
-    /// Zeroes the op and injection counters (armed specs keep their
-    /// own progress).
-    pub fn reset_counts(&self) {
-        let mut p = self.plan();
-        p.counts = StreamOpCounts::default();
-        p.injected = 0;
-    }
-
-    /// Counts `op` and decides whether a fault fires on it. First
-    /// matching armed spec wins.
-    fn decide(&self, op: StreamOp) -> Option<StreamFaultMode> {
-        let mut p = self.plan();
-        match op {
-            StreamOp::Read => p.counts.reads += 1,
-            StreamOp::Write => p.counts.writes += 1,
-        }
-        let mut fired = None;
-        for armed in &mut p.specs {
-            if !armed.spec.ops.matches(op) {
-                continue;
-            }
-            armed.seen += 1;
-            let hit = if armed.spec.sticky {
-                armed.seen >= armed.spec.at
-            } else {
-                armed.seen == armed.spec.at
-            };
-            if hit && fired.is_none() {
-                fired = Some(armed.spec.mode);
-            }
-        }
-        if fired.is_some() {
-            p.injected += 1;
-        }
-        fired
-    }
-}
+/// read op counts, count injections. Clones share one schedule.
+pub type StreamFaultHandle = Schedule<StreamFaultSpec>;
 
 /// The error an injected stream fault reports.
-fn injected_error(op: StreamOp) -> std::io::Error {
-    std::io::Error::new(
+fn injected(op: StreamOp) -> std::io::Error {
+    injected_error(
         std::io::ErrorKind::ConnectionReset,
-        format!("injected fault: {op:?} refused by schedule"),
+        format!("{op:?} refused by schedule"),
     )
-}
-
-/// Whether `err` is an injected stream fault (vs. a real socket error).
-pub fn is_injected(err: &std::io::Error) -> bool {
-    err.to_string().contains("injected fault")
 }
 
 /// The socket surface the protocol needs from a connection: blocking
@@ -310,9 +234,8 @@ impl FaultStream {
         Self { inner, handle }
     }
 
-    /// The schedule handle (clonable; shared with the wrapper).
-    pub fn handle(&self) -> StreamFaultHandle {
-        self.handle.clone()
+    fn fired(&self, op: StreamOp) -> Option<StreamFaultMode> {
+        self.handle.decide(op).map(|spec| spec.mode)
     }
 
     fn kill(&self) {
@@ -324,16 +247,16 @@ impl FaultStream {
 
 impl Read for FaultStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self.handle.decide(StreamOp::Read) {
+        match self.fired(StreamOp::Read) {
             None => self.inner.read(buf),
             Some(StreamFaultMode::Stall { ms }) => {
                 std::thread::sleep(Duration::from_millis(ms));
                 self.inner.read(buf)
             }
-            Some(StreamFaultMode::Error) => Err(injected_error(StreamOp::Read)),
+            Some(StreamFaultMode::Error) => Err(injected(StreamOp::Read)),
             Some(StreamFaultMode::Partial { .. }) | Some(StreamFaultMode::Kill) => {
                 self.kill();
-                Err(injected_error(StreamOp::Read))
+                Err(injected(StreamOp::Read))
             }
         }
     }
@@ -341,13 +264,13 @@ impl Read for FaultStream {
 
 impl Write for FaultStream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self.handle.decide(StreamOp::Write) {
+        match self.fired(StreamOp::Write) {
             None => self.inner.write(buf),
             Some(StreamFaultMode::Stall { ms }) => {
                 std::thread::sleep(Duration::from_millis(ms));
                 self.inner.write(buf)
             }
-            Some(StreamFaultMode::Error) => Err(injected_error(StreamOp::Write)),
+            Some(StreamFaultMode::Error) => Err(injected(StreamOp::Write)),
             Some(StreamFaultMode::Partial { prefix }) => {
                 let n = prefix.min(buf.len());
                 if n > 0 {
@@ -359,11 +282,11 @@ impl Write for FaultStream {
                     let _ = self.inner.flush();
                 }
                 self.kill();
-                Err(injected_error(StreamOp::Write))
+                Err(injected(StreamOp::Write))
             }
             Some(StreamFaultMode::Kill) => {
                 self.kill();
-                Err(injected_error(StreamOp::Write))
+                Err(injected(StreamOp::Write))
             }
         }
     }
@@ -394,6 +317,8 @@ impl NetStream for FaultStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boxagg_common::error::Error;
+    use boxagg_common::fault::is_injected;
     use std::net::TcpListener;
 
     /// A loopback pair: the returned streams are two ends of one
@@ -415,7 +340,7 @@ mod tests {
 
         faulted.write_all(b"one").expect("write 1");
         faulted.write_all(b"two").expect("write 2");
-        let err = faulted.write_all(b"xxx").expect_err("write 3 injected");
+        let err = Error::from(faulted.write_all(b"xxx").expect_err("write 3 injected"));
         assert!(is_injected(&err), "got: {err}");
         // One-shot: the 4th write goes through again.
         faulted.write_all(b"four").expect("write 4");
@@ -435,9 +360,9 @@ mod tests {
         let mut faulted = FaultStream::new(a, handle.clone());
 
         faulted.write_all(b"hi").expect("first op clean");
-        let err = faulted.write_all(b"yy").expect_err("second op killed");
+        let err = Error::from(faulted.write_all(b"yy").expect_err("second op killed"));
         assert!(is_injected(&err), "got: {err}");
-        let err = faulted.write_all(b"zz").expect_err("sticky: still dead");
+        let err = Error::from(faulted.write_all(b"zz").expect_err("sticky: still dead"));
         assert!(is_injected(&err), "got: {err}");
 
         // The peer drains the surviving bytes, then sees EOF: the
@@ -454,7 +379,7 @@ mod tests {
         handle.arm(StreamFaultSpec::partial_write_at(1, 4));
         let mut faulted = FaultStream::new(a, handle);
 
-        let err = faulted.write_all(b"0123456789").expect_err("torn write");
+        let err = Error::from(faulted.write_all(b"0123456789").expect_err("torn write"));
         assert!(is_injected(&err), "got: {err}");
         let mut got = Vec::new();
         b.read_to_end(&mut got).expect("peer read to EOF");

@@ -87,7 +87,7 @@ use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -250,7 +250,8 @@ struct Shared {
     space: Rect,
     dim: usize,
     cfg: ServeConfig,
-    commit_tx: Sender<CommitJob>,
+    /// The committer's queue; `None` tells it to stop.
+    commit_tx: Sender<Option<CommitJob>>,
     /// Depth of the commit queue.
     commit_depth: AtomicU64,
     /// Reads being answered right now, one per connection thread
@@ -319,7 +320,7 @@ impl ServerHandle {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
 
-        let (commit_tx, commit_rx) = channel::<CommitJob>();
+        let (commit_tx, commit_rx) = channel::<Option<CommitJob>>();
         let shared = Arc::new(Shared {
             store,
             write: Mutex::new(WriteState {
@@ -370,23 +371,30 @@ impl ServerHandle {
     /// Stops accepting, drains the serving threads and joins them: the
     /// accept thread returns only once every connection thread in its
     /// scope has. Connected clients are cut loose (handlers notice the
-    /// shutdown flag within their poll interval).
+    /// shutdown flag within their poll interval). The committer is
+    /// woken by a stop message queued behind every commit.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        for h in [self.accept.take(), self.committer.take()]
-            .into_iter()
-            .flatten()
-        {
-            if let Err(payload) = h.join() {
-                // A serving thread never panics by design; if one ever
-                // does, the payload must not re-detonate here.
-                std::mem::forget(payload);
-            }
+        // The accept thread returns only once every connection thread
+        // has, so no commit can be queued behind the stop message.
+        join(self.accept.take());
+        if let Some(committer) = self.committer.take() {
+            // lint: allow(discarded-result) -- a committer that already returned has dropped its queue
+            let _ = self.shared.commit_tx.send(None);
+            join(Some(committer));
         }
+    }
+}
+
+fn join(thread: Option<JoinHandle<()>>) {
+    if let Some(Err(payload)) = thread.map(JoinHandle::join) {
+        // A serving thread never panics by design; if one ever does,
+        // the payload must not re-detonate here.
+        std::mem::forget(payload);
     }
 }
 
@@ -499,21 +507,14 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
     });
 }
 
-fn committer_loop(shared: &Shared, rx: &Receiver<CommitJob>) {
-    loop {
-        let first = match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
+fn committer_loop(shared: &Shared, rx: &Receiver<Option<CommitJob>>) {
+    // `None` is the stop message, queued behind every commit (see
+    // `ServerHandle::stop`).
+    while let Ok(Some(first)) = rx.recv() {
         shared.commit_depth.fetch_sub(1, Ordering::SeqCst);
         let mut round = vec![first];
-        while let Ok(job) = rx.try_recv() {
+        while let Ok(msg) = rx.try_recv() {
+            let Some(job) = msg else { return };
             shared.commit_depth.fetch_sub(1, Ordering::SeqCst);
             round.push(job);
         }
@@ -864,11 +865,11 @@ fn dispatch(shared: &Shared, req: Request, deadline: Deadline) -> Response {
             shared.commit_depth.fetch_add(1, Ordering::SeqCst);
             if shared
                 .commit_tx
-                .send(CommitJob {
+                .send(Some(CommitJob {
                     token,
                     deadline,
                     reply: tx,
-                })
+                }))
                 .is_err()
             {
                 shared.commit_depth.fetch_sub(1, Ordering::SeqCst);

@@ -5,7 +5,7 @@
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use boxagg_common::error::{Error, Result};
@@ -14,7 +14,10 @@ use boxagg_common::rng::StdRng;
 use boxagg_core::catalog::SnapshotBoxSum;
 use boxagg_core::engine::SimpleBoxSum;
 use boxagg_pagestore::wal::WalFile;
-use boxagg_pagestore::{Backing, FilePager, MemPager, PageId, Pager, SharedStore, StoreConfig};
+use boxagg_pagestore::{
+    Backing, FaultHandle, FaultPager, FaultSpec, FilePager, MemPager, OpFilter, PageId, Pager,
+    SharedStore, StoreConfig,
+};
 use boxagg_serve::proto::{self, code, frame, read_frame, Request, Response};
 use boxagg_serve::{
     Client, ServeConfig, ServerHandle, StreamFaultHandle, StreamFaultSpec, StreamOpFilter,
@@ -50,136 +53,16 @@ fn seed_store(store: SharedStore, n: usize, seed: u64) -> (SharedStore, Rect) {
     (store, space)
 }
 
-/// Parks whoever reaches one chosen pager operation until the test
-/// lets them go.
-#[derive(Clone, Default)]
-struct Gate(Arc<(Mutex<GateState>, Condvar)>);
-
-#[derive(Default)]
-struct GateState {
-    closed: bool,
-    parked: bool,
-}
-
-/// The pager operation a [`GatedPager`] parks at.
-#[derive(Clone, Copy, PartialEq)]
-enum GatedOp {
-    /// A commit's data sync: the committer holds the server's write
-    /// lock at that point.
-    DataSync,
-    /// A buffer miss: the read that caused it is in flight.
-    ReadPage,
-    /// A commit's log fsync, inside the log handle: the committer holds
-    /// the handle and the commit lock there — and not the pager.
-    LogSync,
-}
-
-impl Gate {
-    fn set_closed(&self, closed: bool) {
-        let (state, cv) = &*self.0;
-        state.lock().expect("gate").closed = closed;
-        cv.notify_all();
-    }
-
-    /// The pager's side: announce the arrival, wait while closed — but
-    /// not for ever, so that a server which wrongly waits on the parked
-    /// thread fails an assertion instead of hanging the test.
-    fn pass(&self) {
-        let (state, cv) = &*self.0;
-        let mut g = state.lock().expect("gate");
-        g.parked = true;
-        cv.notify_all();
-        (g, _) = cv
-            .wait_timeout_while(g, Duration::from_secs(5), |g| g.closed)
-            .expect("gate");
-        g.parked = false;
-    }
-
-    /// Whether someone is parked at the gate right now.
-    fn is_parked(&self) -> bool {
-        self.0 .0.lock().expect("gate").parked
-    }
-
-    /// Blocks until someone is parked at the gate.
-    fn wait_for_arrival(&self) {
-        let (state, cv) = &*self.0;
-        let g = state.lock().expect("gate");
-        let (_g, timeout) = cv
-            .wait_timeout_while(g, Duration::from_secs(10), |g| !g.parked)
-            .expect("gate");
-        assert!(!timeout.timed_out(), "nobody ever reached the gated op");
-    }
-}
-
-/// A pager with one operation behind a [`Gate`].
-struct GatedPager {
-    inner: Box<dyn Pager>,
-    gate: Gate,
-    op: GatedOp,
-}
-
-impl Pager for GatedPager {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-    fn allocate(&mut self) -> Result<PageId> {
-        self.inner.allocate()
-    }
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
-        if self.op == GatedOp::ReadPage {
-            self.gate.pass();
-        }
-        self.inner.read_page(id, buf)
-    }
-    fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<()> {
-        self.inner.write_page(id, data)
-    }
-    fn sync(&mut self) -> Result<()> {
-        if self.op == GatedOp::DataSync {
-            self.gate.pass();
-        }
-        self.inner.sync()
-    }
-    fn wal(&mut self) -> Result<Box<dyn WalFile>> {
-        Ok(Box::new(GatedWal {
-            inner: self.inner.wal()?,
-            gate: (self.op == GatedOp::LogSync).then(|| self.gate.clone()),
-        }))
-    }
-}
-
-/// The log handle of a [`GatedPager`]; gated in its `sync` when the
-/// pager's chosen operation is [`GatedOp::LogSync`].
-struct GatedWal {
-    inner: Box<dyn WalFile>,
-    gate: Option<Gate>,
-}
-
-impl WalFile for GatedWal {
-    fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.inner.append(bytes)
-    }
-    fn sync(&mut self) -> Result<()> {
-        if let Some(gate) = &self.gate {
-            gate.pass();
-        }
-        self.inner.sync()
-    }
-    fn len(&mut self) -> Result<u64> {
-        self.inner.len()
-    }
-    fn rollback(&mut self, len: u64) -> Result<()> {
-        self.inner.rollback(len)
-    }
-    fn truncate(&mut self) -> Result<()> {
-        self.inner.truncate()
-    }
-    fn read_all(&mut self) -> Result<Vec<u8>> {
-        self.inner.read_all()
-    }
+/// `inner` behind a [`FaultPager`] whose every `ops` operation passes
+/// the handle's gate: while a test holds the gate closed, whoever
+/// reaches one parks there. The gate starts open.
+fn gated(inner: Box<dyn Pager>, ops: OpFilter) -> (FaultPager, FaultHandle) {
+    let (pager, gate) = FaultPager::new(inner);
+    gate.arm(FaultSpec {
+        sticky: true,
+        ..FaultSpec::park_at(ops, 1)
+    });
+    (pager, gate)
 }
 
 /// A pager whose next `read_page` panics once the test arms it: a bug
@@ -219,13 +102,8 @@ impl Pager for PanickingPager {
 
 /// A seeded memory store whose commits park in their data sync; the
 /// gate starts open.
-fn commit_gated_store(n: usize, seed: u64) -> (SharedStore, Gate) {
-    let gate = Gate::default();
-    let pager = GatedPager {
-        inner: Box::new(MemPager::new(2048)),
-        gate: gate.clone(),
-        op: GatedOp::DataSync,
-    };
+fn commit_gated_store(n: usize, seed: u64) -> (SharedStore, FaultHandle) {
+    let (pager, gate) = gated(Box::new(MemPager::new(2048)), OpFilter::Syncs);
     let cfg = StoreConfig::small(2048, 256).with_wal(true);
     let store = SharedStore::open_with_pager(Box::new(pager), &cfg).expect("open gated store");
     (seed_store(store, n, seed).0, gate)
@@ -237,14 +115,14 @@ fn commit_gated_store(n: usize, seed: u64) -> (SharedStore, Gate) {
 fn server_with_a_commit_in_progress(
     n: usize,
     seed: u64,
-) -> (ServerHandle, Gate, std::thread::JoinHandle<u64>) {
+) -> (ServerHandle, FaultHandle, std::thread::JoinHandle<u64>) {
     let (store, gate) = commit_gated_store(n, seed);
     let server =
         ServerHandle::bind(store, "127.0.0.1:0", ServeConfig::default()).expect("bind server");
     let mut committer = Client::connect(server.local_addr()).expect("connect");
-    gate.set_closed(true);
+    gate.close_gate();
     let commit = std::thread::spawn(move || committer.commit().expect("gated commit"));
-    gate.wait_for_arrival();
+    assert!(gate.wait_parked(), "nobody ever reached the gated op");
     (server, gate, commit)
 }
 
@@ -658,7 +536,7 @@ fn queued_work_past_its_deadline_is_dropped_with_a_typed_frame() {
         (client, err)
     });
     std::thread::sleep(Duration::from_millis(150));
-    gate.set_closed(false);
+    gate.open_gate();
     assert_eq!(first_commit.join().expect("first committer"), 40);
     let (mut client, err) = queued.join().expect("queued committer");
     assert!(
@@ -689,9 +567,9 @@ fn handshake_does_not_wait_for_a_commit() {
     let mut writer = Client::connect(addr).expect("connect");
     let obj = Rect::from_bounds(&[(0.4, 0.5), (0.4, 0.5)]);
     assert_eq!(writer.insert(&obj, 3.0).expect("insert"), 26);
-    gate.set_closed(true);
+    gate.close_gate();
     let commit = std::thread::spawn(move || writer.commit().expect("gated commit"));
-    gate.wait_for_arrival();
+    assert!(gate.wait_parked(), "nobody ever reached the gated op");
 
     // The committer now holds the write lock and will until the gate
     // opens; a new connection must still hear Hello, with the count as
@@ -705,7 +583,7 @@ fn handshake_does_not_wait_for_a_commit() {
         "handshake took {waited:?} behind a held write lock"
     );
 
-    gate.set_closed(false);
+    gate.open_gate();
     assert_eq!(commit.join().expect("committer"), 26);
     server.shutdown();
 }
@@ -729,7 +607,7 @@ fn a_write_that_outwaited_its_deadline_is_not_applied() {
         (client, err)
     });
     std::thread::sleep(Duration::from_millis(200));
-    gate.set_closed(false);
+    gate.open_gate();
     assert_eq!(first_commit.join().expect("first committer"), 30);
     let (mut client, err) = blocked.join().expect("blocked writer");
     assert!(
@@ -891,12 +769,10 @@ fn shed_reads_recover_through_client_backoff() {
     seed_store(SharedStore::open(&cfg).expect("create store"), 200, 0x0DD);
     // Reopened behind the gate, the pool holds only what it has
     // fetched since.
-    let gate = Gate::default();
-    let pager = GatedPager {
-        inner: Box::new(FilePager::open(&path, cfg.page_size).expect("reopen file")),
-        gate: gate.clone(),
-        op: GatedOp::ReadPage,
-    };
+    let (pager, gate) = gated(
+        Box::new(FilePager::open(&path, cfg.page_size).expect("reopen file")),
+        OpFilter::Reads,
+    );
     let store = SharedStore::open_with_pager(Box::new(pager), &cfg).expect("reopen gated store");
     let whole = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
     let serial = {
@@ -920,16 +796,16 @@ fn shed_reads_recover_through_client_backoff() {
     let mut second = Client::connect(addr).expect("connect");
     second.set_backoff_seed(0x0DD);
 
-    gate.set_closed(true);
+    gate.close_gate();
     let parked = std::thread::spawn(move || first.box_sum(&whole).expect("parked query"));
-    gate.wait_for_arrival();
+    assert!(gate.wait_parked(), "nobody ever reached the gated op");
     // The second read's first attempt meets a full tier; its backoff
     // (at least half a second in all) outlasts the parked read.
     let opener = {
         let gate = gate.clone();
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(200));
-            gate.set_closed(false);
+            gate.open_gate();
         })
     };
     let got = second.box_sum(&whole).expect("backoff rides out the shed");
@@ -964,12 +840,10 @@ fn a_cold_read_is_served_while_a_commit_waits_on_its_log_fsync() {
         wal: true,
     };
     seed_store(SharedStore::open(&cfg).expect("create store"), 200, 0x106);
-    let gate = Gate::default();
-    let pager = GatedPager {
-        inner: Box::new(FilePager::open(&path, cfg.page_size).expect("reopen file")),
-        gate: gate.clone(),
-        op: GatedOp::LogSync,
-    };
+    let (pager, gate) = gated(
+        Box::new(FilePager::open(&path, cfg.page_size).expect("reopen file")),
+        OpFilter::WalSyncs,
+    );
     let store = SharedStore::open_with_pager(Box::new(pager), &cfg).expect("reopen gated store");
     let server = ServerHandle::bind(store.clone(), "127.0.0.1:0", ServeConfig::default())
         .expect("bind server");
@@ -981,9 +855,9 @@ fn a_cold_read_is_served_while_a_commit_waits_on_its_log_fsync() {
     let mut writer = Client::connect(addr).expect("connect");
     let obj = Rect::from_bounds(&[(0.4, 0.5), (0.4, 0.5)]);
     assert_eq!(writer.insert(&obj, 3.0).expect("insert"), 201);
-    gate.set_closed(true);
+    gate.close_gate();
     let commit = std::thread::spawn(move || writer.commit().expect("gated commit"));
-    gate.wait_for_arrival();
+    assert!(gate.wait_parked(), "nobody ever reached the gated op");
 
     // The transaction is logged but not synced: not yet committed. The
     // read sees the last committed epoch, off the pager, and returns
@@ -1000,7 +874,7 @@ fn a_cold_read_is_served_while_a_commit_waits_on_its_log_fsync() {
     );
     assert_eq!(during.to_bits(), committed.to_bits());
 
-    gate.set_closed(false);
+    gate.open_gate();
     assert_eq!(commit.join().expect("committer"), 201);
     let after = reader.box_sum(&whole).expect("sum after");
     assert_eq!(after.to_bits(), (committed + 3.0).to_bits());

@@ -5,7 +5,7 @@
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use boxagg_common::geom::{Point, Rect};
 use boxagg_common::rng::StdRng;
@@ -44,6 +44,24 @@ fn seeded_store(n: usize, seed: u64) -> (SharedStore, Rect) {
     boxagg_core::catalog::persist_corner_engine(&engine, &space).expect("persist");
     store.commit().expect("commit");
     (store, space)
+}
+
+/// An idle server shuts down at once: its committer is woken by a stop
+/// message, not found out by a poll.
+#[test]
+fn an_idle_server_shuts_down_at_once() {
+    let (store, _space) = seeded_store(20, 7);
+    let server =
+        ServerHandle::bind(store, "127.0.0.1:0", ServeConfig::default()).expect("bind server");
+    // Let the committer settle into its wait.
+    std::thread::sleep(Duration::from_millis(20));
+    let t0 = Instant::now();
+    server.shutdown();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(50),
+        "an idle shutdown took {took:?}"
+    );
 }
 
 #[test]
