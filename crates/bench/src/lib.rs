@@ -95,9 +95,9 @@ impl Args {
         args
     }
 
-    /// Store configuration per these arguments. The decoded-node cache
-    /// is sized like the byte buffer (it caches the same working set,
-    /// one decode per resident page); `with_node_cache(0)` disables it.
+    /// Store configuration per these arguments. Decodes are kept (one
+    /// per resident page, in its buffer frame); `with_node_cache(0)`
+    /// keeps none.
     pub fn store_config(&self) -> StoreConfig {
         let buffer_pages = (self.buffer_mb * 1024 * 1024 / self.page_size).max(1);
         StoreConfig {

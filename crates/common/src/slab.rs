@@ -38,6 +38,13 @@
 //! scalar loop is kept as
 //! [`EntrySlab::sum_dominated_from_into_reference`] for the equivalence
 //! tests and the inner-loop benchmark to compare against.
+//!
+//! **Sorted slabs stop early.** A slab knows, exactly, whether its
+//! column 0 ascends — every mutation keeps the flag and a decode
+//! recomputes it — and a scan from dimension 0 of a sorted slab stops
+//! at the first chunk whose first key is past the query's. Bulk-loaded
+//! leaves are sorted so; the skipped entries are not dominated, so the
+//! sum is the same to the bit.
 
 use crate::bytes::{ByteReader, ByteWriter};
 use crate::error::Result;
@@ -61,7 +68,13 @@ const WORD: usize = 8;
 /// old layout bit for bit.
 #[derive(Debug, Clone)]
 pub struct EntrySlab<V> {
-    dim: usize,
+    /// Dimensionality of the points (≤ [`MAX_DIM`]).
+    dim: u8,
+    /// Exactly whether column 0 ascends — `col(0).windows(2).all(≤)`,
+    /// false when there is no column 0 — kept by every mutation and
+    /// recomputed at decode. A dominance scan of a sorted slab stops at
+    /// the first key past the query's.
+    sorted: bool,
     /// Entries each column has room for; `coords.len() == dim * cap`.
     cap: usize,
     /// Column `d` is `coords[d * cap .. d * cap + len]`.
@@ -75,7 +88,7 @@ impl<V: AggValue> PartialEq for EntrySlab<V> {
     fn eq(&self, other: &Self) -> bool {
         self.dim == other.dim
             && self.values == other.values
-            && (0..self.dim).all(|d| self.col(d) == other.col(d))
+            && (0..self.dim()).all(|d| self.col(d) == other.col(d))
     }
 }
 
@@ -100,13 +113,28 @@ impl<V: AggValue> EntrySlab<V> {
 
     /// An empty slab with room for `cap` entries per column.
     pub fn with_capacity(dim: usize, cap: usize) -> Self {
+        Self::from_parts(dim, cap, vec![0.0; dim * cap], Vec::with_capacity(cap))
+    }
+
+    /// A slab over ready columns (`coords` holds `dim` columns of stride
+    /// `cap`, each as long as `values`), with its sorted flag computed.
+    fn from_parts(dim: usize, cap: usize, coords: Vec<f64>, values: Vec<V>) -> Self {
         assert!(dim <= MAX_DIM, "slab dimension {dim} out of range");
-        Self {
-            dim,
+        let mut s = Self {
+            dim: dim as u8,
+            sorted: false,
             cap,
-            coords: vec![0.0; dim * cap],
-            values: Vec::with_capacity(cap),
-        }
+            coords,
+            values,
+        };
+        s.sorted = s.col0_ascends();
+        s
+    }
+
+    /// Whether column 0 exists and ascends: the value the `sorted` flag
+    /// must hold.
+    fn col0_ascends(&self) -> bool {
+        self.dim > 0 && self.col(0).windows(2).all(|w| w[0] <= w[1])
     }
 
     /// Builds a slab from an owned entry vector, preserving order.
@@ -130,7 +158,7 @@ impl<V: AggValue> EntrySlab<V> {
     /// Dimensionality of the stored points.
     #[inline]
     pub fn dim(&self) -> usize {
-        self.dim
+        usize::from(self.dim)
     }
 
     /// Number of entries.
@@ -153,8 +181,8 @@ impl<V: AggValue> EntrySlab<V> {
             return;
         }
         let cap = (self.cap * 2).max(4);
-        let mut coords = vec![0.0; self.dim * cap];
-        for d in 0..self.dim {
+        let mut coords = vec![0.0; self.dim() * cap];
+        for d in 0..self.dim() {
             coords[d * cap..d * cap + len].copy_from_slice(self.col(d));
         }
         self.coords = coords;
@@ -168,11 +196,17 @@ impl<V: AggValue> EntrySlab<V> {
 
     /// Inserts an entry at position `i`, shifting later entries right.
     pub fn insert_at(&mut self, i: usize, p: &Point, v: V) {
-        debug_assert_eq!(p.dim(), self.dim, "point dimension mismatch");
-        self.reserve_one();
+        debug_assert_eq!(p.dim(), self.dim(), "point dimension mismatch");
         let len = self.len();
+        if self.sorted {
+            // An unsorted slab stays unsorted: the neighbours that
+            // disagreed still do, or disagree with `p`.
+            let (keys, key) = (self.col(0), p.get(0));
+            self.sorted = (i == 0 || keys[i - 1] <= key) && (i == len || key <= keys[i]);
+        }
+        self.reserve_one();
         self.values.insert(i, v);
-        for d in 0..self.dim {
+        for d in 0..self.dim() {
             let col = &mut self.coords[d * self.cap..d * self.cap + len + 1];
             col.copy_within(i..len, i + 1);
             col[i] = p.get(d);
@@ -182,7 +216,7 @@ impl<V: AggValue> EntrySlab<V> {
     /// Materializes the point of entry `i`.
     #[inline]
     pub fn point(&self, i: usize) -> Point {
-        Point::from_fn(self.dim, |d| self.col(d)[i])
+        Point::from_fn(self.dim(), |d| self.col(d)[i])
     }
 
     /// Coordinate of entry `i` in dimension `d`.
@@ -194,7 +228,7 @@ impl<V: AggValue> EntrySlab<V> {
     /// The whole coordinate column of dimension `d`.
     #[inline]
     pub fn col(&self, d: usize) -> &[f64] {
-        assert!(d < self.dim, "column {d} of a {}-d slab", self.dim);
+        assert!(d < self.dim(), "column {d} of a {}-d slab", self.dim());
         &self.coords[d * self.cap..d * self.cap + self.values.len()]
     }
 
@@ -238,19 +272,17 @@ impl<V: AggValue> EntrySlab<V> {
 
     /// Index of the entry whose point equals `p` exactly, if any.
     pub fn find_exact(&self, p: &Point) -> Option<usize> {
-        debug_assert_eq!(p.dim(), self.dim);
-        (0..self.len()).find(|&i| (0..self.dim).all(|d| self.col(d)[i] == p.get(d)))
+        debug_assert_eq!(p.dim(), self.dim());
+        (0..self.len()).find(|&i| (0..self.dim()).all(|d| self.col(d)[i] == p.get(d)))
     }
 
     /// Splits the slab at `at`, returning the tail `[at..]`.
     pub fn split_off(&mut self, at: usize) -> Self {
         let len = self.len();
-        Self {
-            dim: self.dim,
-            cap: len - at,
-            coords: self.packed_cols(at, len),
-            values: self.values.split_off(at),
-        }
+        let coords = self.packed_cols(at, len);
+        let tail = Self::from_parts(self.dim(), len - at, coords, self.values.split_off(at));
+        self.sorted = self.col0_ascends();
+        tail
     }
 
     /// For entries sorted ascending on dimension `d`: the number of
@@ -277,24 +309,25 @@ impl<V: AggValue> EntrySlab<V> {
         for (slot, v) in self.values[start..end].iter_mut().zip(vals) {
             *slot = v;
         }
+        self.sorted = self.col0_ascends();
     }
 
     /// A column-wise copy of the entry range `[start, end)` as a fresh
     /// slab — no per-entry `Point` materialization.
     pub fn sub_slab(&self, start: usize, end: usize) -> Self {
-        Self {
-            dim: self.dim,
-            cap: end - start,
-            coords: self.packed_cols(start, end),
-            values: self.values[start..end].to_vec(),
-        }
+        Self::from_parts(
+            self.dim(),
+            end - start,
+            self.packed_cols(start, end),
+            self.values[start..end].to_vec(),
+        )
     }
 
     /// Rows `[start, end)` of every column, as the coordinate buffer of
     /// a slab whose capacity is exactly `end - start`.
     fn packed_cols(&self, start: usize, end: usize) -> Vec<f64> {
-        let mut coords = Vec::with_capacity(self.dim * (end - start));
-        for d in 0..self.dim {
+        let mut coords = Vec::with_capacity(self.dim() * (end - start));
+        for d in 0..self.dim() {
             coords.extend_from_slice(&self.col(d)[start..end]);
         }
         coords
@@ -314,20 +347,30 @@ impl<V: AggValue> EntrySlab<V> {
     /// [`sum_dominated_into`](Self::sum_dominated_into) restricted to
     /// dimensions `from..dim` (the ECDF-B-tree scans a suffix of the
     /// dimensions at each level).
+    ///
+    /// A slab sorted on dimension 0, scanned from it, stops at the first
+    /// chunk whose first key exceeds `q[0]`: no later entry can be
+    /// dominated, so the skipped entries add nothing and the sum keeps
+    /// every bit.
     // lint: hot-path
     pub fn sum_dominated_from_into(&self, from: usize, q: &Point, acc: &mut V) {
-        debug_assert_eq!(q.dim(), self.dim);
-        debug_assert!(from <= self.dim);
+        debug_assert_eq!(q.dim(), self.dim());
+        debug_assert!(from <= self.dim());
         let n = self.len();
+        // Column 0 and `q[0]`, when the scan may stop early.
+        let stop = (from == 0 && self.sorted).then(|| (self.col(0), q.get(0)));
         // Vectorized path: per-dimension column passes AND a stack mask
         // over CHUNK entries at a time, then a masked accumulate in entry
         // order. Same comparisons, same add order → bit-identical.
         let mut mask = [true; CHUNK];
         let mut start = 0;
         while start < n {
+            if stop.is_some_and(|(keys, q0)| keys[start] > q0) {
+                break;
+            }
             let len = (n - start).min(CHUNK);
             mask[..len].fill(true);
-            for d in from..self.dim {
+            for d in from..self.dim() {
                 let qd = q.get(d);
                 let col = &self.col(d)[start..start + len];
                 for (m, &c) in mask[..len].iter_mut().zip(col) {
@@ -351,7 +394,7 @@ impl<V: AggValue> EntrySlab<V> {
     /// [`sum_dominated_from_into`]: Self::sum_dominated_from_into
     pub fn sum_dominated_from_into_reference(&self, from: usize, q: &Point, acc: &mut V) {
         for i in 0..self.len() {
-            if (from..self.dim).all(|d| self.col(d)[i] <= q.get(d)) {
+            if (from..self.dim()).all(|d| self.col(d)[i] <= q.get(d)) {
                 acc.add_assign(&self.values[i]);
             }
         }
@@ -363,7 +406,7 @@ impl<V: AggValue> EntrySlab<V> {
     /// grows once; fixed-width rows are filled a column at a time,
     /// variable-width rows go out coordinates first, then the value.
     pub fn encode_entries(&self, w: &mut ByteWriter) {
-        let point = self.dim * WORD;
+        let point = self.dim() * WORD;
         match V::WIDTH {
             EncodedWidth::Fixed(width) if point + width > 0 => {
                 let stride = point + width;
@@ -375,7 +418,7 @@ impl<V: AggValue> EntrySlab<V> {
                 }
                 assert_eq!(packed.len(), self.len() * width, "AggValue::WIDTH");
                 let rows = w.put_zeroed(self.len() * stride);
-                for d in 0..self.dim {
+                for d in 0..self.dim() {
                     let at = d * WORD;
                     for (row, c) in rows.chunks_exact_mut(stride).zip(self.col(d)) {
                         row[at..at + WORD].copy_from_slice(&c.to_le_bytes());
@@ -423,12 +466,7 @@ impl<V: AggValue> EntrySlab<V> {
                 for row in rows.chunks_exact(stride) {
                     values.push(V::decode(&mut ByteReader::new(&row[point..]))?);
                 }
-                Ok(Self {
-                    dim,
-                    cap: count,
-                    coords,
-                    values,
-                })
+                Ok(Self::from_parts(dim, count, coords, values))
             }
             // Values delimit themselves: a row's coordinates are one
             // check, its value whatever `V::decode` takes.
@@ -442,6 +480,7 @@ impl<V: AggValue> EntrySlab<V> {
                     }
                     s.values.push(V::decode(r)?);
                 }
+                s.sorted = s.col0_ascends();
                 Ok(s)
             }
         }
@@ -462,13 +501,14 @@ impl<V: AggValue> EntrySlab<V> {
             }
             s.values.push(V::decode(r)?);
         }
+        s.sorted = s.col0_ascends();
         Ok(s)
     }
 
     /// The encode [`encode_entries`](Self::encode_entries) replaced.
     fn encode_entries_per_word(&self, w: &mut ByteWriter) {
         for i in 0..self.len() {
-            for d in 0..self.dim {
+            for d in 0..self.dim() {
                 w.put_f64(self.coord(d, i));
             }
             self.values[i].encode(w);
@@ -888,6 +928,160 @@ mod tests {
         longer.push(&p(&[0.0, 0.0, 0.0]), 0.0);
         assert_ne!(longer, exact);
         assert_ne!(EntrySlab::<f64>::new(2), EntrySlab::<f64>::new(3));
+    }
+
+    /// What the sorted flag must say: column 0 ascends.
+    fn ascends<V: AggValue>(s: &EntrySlab<V>) -> bool {
+        s.col(0).windows(2).all(|w| w[0] <= w[1])
+    }
+
+    /// A key from a small grid, so ties and ordered runs are common, and
+    /// now and then a signed zero or a NaN.
+    fn grid_key(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..40) {
+            0 => f64::NAN,
+            1 => -0.0,
+            _ => rng.gen_range(0..12) as f64,
+        }
+    }
+
+    #[test]
+    fn the_sorted_flag_is_exact_after_every_step() {
+        let mut rng = StdRng::seed_from_u64(0x0050_27ED);
+        for dim in 1..=3 {
+            for seq in 0..60 {
+                let mut s = EntrySlab::<f64>::new(dim);
+                for step in 0..150 {
+                    let at = format!("dim {dim} seq {seq} step {step}");
+                    let len = s.len();
+                    let mut pt = Point::from_fn(dim, |_| grid_key(&mut rng));
+                    match rng.gen_range(0..10) {
+                        0..=2 => {
+                            // Mostly in order, so sorted slabs grow long.
+                            if len > 0 && rng.gen_range(0..4) != 0 {
+                                let last = s.coord(0, len - 1);
+                                let mut c: Vec<f64> = (0..dim).map(|d| pt.get(d)).collect();
+                                c[0] = last + rng.gen_range(0..2) as f64;
+                                pt = Point::new(&c);
+                            }
+                            s.push(&pt, random_f64(&mut rng));
+                        }
+                        3 => s.insert_at(rng.gen_range(0..len + 1), &pt, 1.0),
+                        4 => {
+                            let pos = s.partition_point_le(0, pt.get(0));
+                            s.insert_at(pos.min(len), &pt, 2.0);
+                        }
+                        5 => {
+                            let mut tail = s.split_off(rng.gen_range(0..len + 1));
+                            assert_eq!(tail.sorted, ascends(&tail), "{at}: tail");
+                            if rng.gen_range(0..2) == 0 {
+                                std::mem::swap(&mut s, &mut tail);
+                            }
+                        }
+                        6 => {
+                            let a = rng.gen_range(0..len + 1);
+                            s = s.sub_slab(a, a + rng.gen_range(0..len - a + 1));
+                        }
+                        7 => {
+                            let a = rng.gen_range(0..len + 1);
+                            let b = a + rng.gen_range(0..len - a + 1);
+                            s.sort_range_by_dim(rng.gen_range(0..dim), a, b);
+                        }
+                        8 => s.sort_range_by_dim(0, 0, len),
+                        _ => {
+                            let mut w = ByteWriter::new();
+                            s.encode_entries(&mut w);
+                            let mut r = ByteReader::new(w.as_slice());
+                            s = EntrySlab::decode_entries(&mut r, dim, len).unwrap();
+                            let mut r = ByteReader::new(w.as_slice());
+                            let oracle =
+                                EntrySlab::<f64>::decode_entries_per_word(&mut r, dim, len)
+                                    .unwrap();
+                            assert_eq!(oracle.sorted, ascends(&oracle), "{at}: oracle");
+                            // The same points under variable-width values.
+                            let mut poly = EntrySlab::<Poly>::new(dim);
+                            for (pt, _) in s.iter() {
+                                poly.push(&pt, random_poly(&mut rng));
+                            }
+                            let mut w = ByteWriter::new();
+                            poly.encode_entries(&mut w);
+                            let mut r = ByteReader::new(w.as_slice());
+                            let poly = EntrySlab::<Poly>::decode_entries(&mut r, dim, len).unwrap();
+                            assert_eq!(poly.sorted, ascends(&poly), "{at}: Poly");
+                        }
+                    }
+                    assert_eq!(s.sorted, ascends(&s), "{at}");
+                }
+            }
+        }
+    }
+
+    /// Column-0 keys of a slab: ascending (with ties) when `sorted`,
+    /// otherwise the same keys with one inversion at least.
+    fn scan_keys(rng: &mut StdRng, count: usize, sorted: bool) -> Vec<f64> {
+        let mut keys: Vec<f64> = (0..count)
+            .map(|_| (rng.gen_range(0..50) * 4) as f64)
+            .collect();
+        keys.sort_by(f64::total_cmp);
+        if !sorted && count >= 2 {
+            let i = rng.gen_range(0..count - 1);
+            keys.swap(i, count - 1);
+            if keys.windows(2).all(|w| w[0] <= w[1]) {
+                keys.reverse();
+                keys[0] += 1.0;
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn an_early_stop_sums_exactly_what_the_full_scan_does() {
+        let mut rng = StdRng::seed_from_u64(0x5CA7);
+        let mut stopped = 0;
+        for dim in 1..=3 {
+            for sorted in [true, false] {
+                for count in [0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 340] {
+                    let keys = scan_keys(&mut rng, count, sorted);
+                    let mut flat = EntrySlab::<f64>::new(dim);
+                    let mut poly = EntrySlab::<Poly>::new(dim);
+                    for &k in &keys {
+                        let pt =
+                            Point::from_fn(dim, |d| if d == 0 { k } else { random_f64(&mut rng) });
+                        flat.push(&pt, random_f64(&mut rng));
+                        poly.push(&pt, random_poly(&mut rng));
+                    }
+                    assert_eq!(flat.sorted, ascends(&flat));
+                    assert_eq!(flat.sorted, sorted || count < 2, "dim {dim} count {count}");
+                    // q₀ below, equal to, between and above the keys.
+                    let (lo, hi) = (keys.first().copied(), keys.last().copied());
+                    let mut q0s = vec![-1.0, 2.0, 1e9];
+                    q0s.extend(lo.iter().chain(&hi).copied());
+                    q0s.extend(keys.iter().step_by(17).flat_map(|&k| [k, k + 1.0]));
+                    for q0 in q0s {
+                        for rest in [f64::INFINITY, 0.0] {
+                            let q = Point::from_fn(dim, |d| if d == 0 { q0 } else { rest });
+                            for from in 0..=1.min(dim) {
+                                let at = format!(
+                                    "dim {dim} sorted {sorted} n {count} q0 {q0} from {from}"
+                                );
+                                let (mut got, mut want) = (0.0f64, 0.0f64);
+                                flat.sum_dominated_from_into(from, &q, &mut got);
+                                flat.sum_dominated_from_into_reference(from, &q, &mut want);
+                                assert_eq!(got.to_bits(), want.to_bits(), "{at}");
+                                let (mut got, mut want) = (Poly::zero(), Poly::zero());
+                                poly.sum_dominated_from_into(from, &q, &mut got);
+                                poly.sum_dominated_from_into_reference(from, &q, &mut want);
+                                assert!(got == want, "{at}: Poly");
+                                if from == 0 && flat.sorted && keys.iter().any(|&k| k > q0) {
+                                    stopped += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(stopped > 100, "the early stop was reached {stopped} times");
     }
 
     /// Not a test of anything: prints what decoding and encoding one

@@ -197,8 +197,8 @@ impl<'a> Ctx<'a> {
         self.pages.writable()
     }
 
-    /// Shared read of a decoded node. Live trees go through the store's
-    /// decoded-node cache (warm traversals skip `Node::decode` entirely;
+    /// Shared read of a decoded node. Live trees take the decode their
+    /// page's buffer frame holds (warm traversals skip `Node::decode` entirely;
     /// byte-level I/O accounting is unchanged, see
     /// `SharedStore::read_node`); pinned trees decode the pinned epoch's
     /// page image.

@@ -8,12 +8,14 @@
 //!
 //! ## Concurrency model
 //!
-//! The pool is sharded: page ids hash to one of `shards` independent
-//! LRU lists, each behind its own mutex, so concurrent accesses to
-//! different shards never contend. The pager sits behind a single mutex
-//! and is only locked on misses, evictions and flushes — buffer hits (the
-//! common case under the paper's cache-friendly workloads) touch exactly
-//! one shard lock. I/O statistics are atomic counters, so they still sum
+//! The pool is sharded: a page id's low bits pick one of `shards`
+//! independent LRU lists, each behind its own mutex, so concurrent
+//! accesses to different shards never contend. Page ids are dense, so a
+//! shard finds a frame through a dense `PageMap` — one `Vec` load, not a
+//! hash probe — which grows only for a page the pager has. The pager
+//! sits behind a single mutex and is only locked on misses, evictions
+//! and flushes — buffer hits (the common case under the paper's
+//! cache-friendly workloads) touch exactly one shard lock. I/O statistics are atomic counters, so they still sum
 //! to the paper's single-pool accounting regardless of interleaving.
 //!
 //! Every lock is a [`RankedMutex`] (plus one [`RankedRwLock`], the
@@ -45,9 +47,20 @@
 //! the superseded page images for every still-pinned older epoch, so a
 //! reader never observes a half-applied transaction.
 //!
+//! ## A frame holds its decode
+//!
+//! A live node read ([`BufferPool::read_node`]) is one shard lock and
+//! one directory probe: the page access, counted as any other, and then
+//! the decode the frame keeps beside its bytes, or a fresh decode the
+//! frame keeps for next time. Whatever changes a frame's bytes or page —
+//! a write, a free, an eviction, the frame's reuse — drops its decode
+//! under the same lock, so no decode can outlive its bytes, and the
+//! paper's LRU is the only LRU a live read goes through.
+//!
 //! Pinned reads of *decoded* nodes ([`BufferPool::read_node_at`]) go
 //! through a [`NodeCache`] of committed images: an entry is the decode
-//! of its page's current committed image. That image changes only in
+//! of its page's current committed image, and a clean frame's decode is
+//! that decode, so the two share it. That image changes only in
 //! the flip, which publishes the new epoch and then drops the entry of
 //! every transaction page before it releases the barrier. A hit takes
 //! no pool-wide lock: it reads the epoch (an atomic), looks the page up
@@ -94,7 +107,8 @@ use std::sync::Arc;
 use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
 
 use crate::checksum;
-use crate::nodecache::NodeCache;
+use crate::nodecache::{CachedNode, NodeCache};
+use crate::pagemap::PageMap;
 use crate::pager::{PageId, Pager};
 use crate::rank::{self, RankedMutex, RankedRwLock};
 use crate::wal::{self, WalFile};
@@ -110,11 +124,11 @@ pub(crate) const MAX_SHARDS: usize = 64;
 
 /// Cumulative I/O statistics of a [`BufferPool`].
 ///
-/// The `decode_*` counters belong to the decoded-node caches layered
-/// above the byte pool (see [`crate::nodecache`]): a bare `BufferPool`
-/// reports its committed-image cache (pinned reads), and
-/// [`SharedStore::stats`](crate::store::SharedStore::stats) adds the
-/// live cache. They never contribute to [`total`](IoStats::total).
+/// The `decode_*` counters count node reads and the decodes kept for
+/// them: live reads ([`BufferPool::read_node`]), served from the decode
+/// a frame holds, and pinned reads ([`BufferPool::read_node_at`]),
+/// served from the committed-image cache (see [`crate::nodecache`]).
+/// They never contribute to [`total`](IoStats::total).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
     /// Pages fetched from the pager (buffer misses).
@@ -123,13 +137,14 @@ pub struct IoStats {
     pub writes: u64,
     /// Page accesses satisfied from the buffer.
     pub hits: u64,
-    /// Node reads served from the decoded-node cache (decode skipped).
+    /// Node reads served from a kept decode (decode skipped).
     pub decode_hits: u64,
-    /// Node reads that had to decode from bytes (cold, stale, or cache
-    /// disabled).
+    /// Node reads that found no kept decode (cold, rewritten, or
+    /// decodes not kept): they decoded from bytes — or, a pinned read,
+    /// took over a clean frame's decode.
     pub decode_misses: u64,
-    /// Generation bumps from `write_page` / `free` that discarded (or
-    /// pre-empted) a cached decode.
+    /// `write_page` and `free` calls, each of which drops the page's
+    /// decode, plus the committed-image entries commits dropped.
     pub decode_invalidations: u64,
     /// Records appended to the write-ahead log by commits.
     pub wal_appends: u64,
@@ -183,6 +198,29 @@ impl IoStats {
 
 const NIL: usize = usize::MAX;
 
+/// The decode of `bytes` a frame's `slot` holds, if it is an `N`, or
+/// else `decode(bytes)`, left in the slot when `keep`; and whether
+/// `decode` ran.
+fn frame_node<N, F>(
+    slot: &mut Option<CachedNode>,
+    bytes: &[u8],
+    keep: bool,
+    decode: F,
+) -> Result<(Arc<N>, bool)>
+where
+    N: Any + Send + Sync,
+    F: FnOnce(&[u8]) -> Result<N>,
+{
+    if let Some(node) = slot.clone().and_then(|n| n.downcast::<N>().ok()) {
+        return Ok((node, false));
+    }
+    let node = Arc::new(decode(bytes)?);
+    if keep {
+        *slot = Some(Arc::clone(&node) as CachedNode);
+    }
+    Ok((node, true))
+}
+
 #[derive(Debug)]
 struct Frame {
     id: PageId,
@@ -204,8 +242,23 @@ struct Frame {
     /// (if any) is on disk, where no-steal guarantees it stays until
     /// the next commit applies over it.
     base: Option<Arc<[u8]>>,
+    /// The decode of `data`'s payload a live
+    /// [`read_node`](BufferPool::read_node) made, kept for the next one.
+    /// Whatever changes `data` or the page the frame holds — a write, a
+    /// free, an eviction, the frame's reuse — drops it.
+    node: Option<CachedNode>,
     prev: usize,
     next: usize,
+}
+
+impl Frame {
+    /// Empties the frame for the shard's free list.
+    fn reset(&mut self) {
+        self.id = PageId::NULL;
+        self.dirty = false;
+        self.base = None;
+        self.node = None;
+    }
 }
 
 /// One independent LRU list over a slice of the page-id space.
@@ -213,24 +266,43 @@ struct Frame {
 struct Shard {
     capacity: usize,
     frames: Vec<Frame>,
-    map: HashMap<PageId, usize>,
+    map: PageMap,
     /// Most recently used frame index.
     head: usize,
     /// Least recently used frame index.
     tail: usize,
     free: Vec<usize>,
+    /// Live node reads of this shard's pages served from a frame's
+    /// decode / that decoded, and the writes and frees that dropped (or
+    /// pre-empted) one — counted under the shard lock the operation
+    /// already holds.
+    decode_hits: u64,
+    decode_misses: u64,
+    invalidations: u64,
 }
 
 impl Shard {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, shards: usize) -> Self {
         Self {
             capacity,
             frames: Vec::new(),
-            map: HashMap::new(),
+            map: PageMap::new(shards),
             head: NIL,
             tail: NIL,
             free: Vec::new(),
+            decode_hits: 0,
+            decode_misses: 0,
+            invalidations: 0,
         }
+    }
+
+    /// Unlinks and unmaps frame `idx`, holding page `id`, and puts it
+    /// on the free list.
+    fn release(&mut self, idx: usize, id: PageId) {
+        self.detach(idx);
+        self.map.remove(id);
+        self.frames[idx].reset();
+        self.free.push(idx);
     }
 
     fn detach(&mut self, idx: usize) {
@@ -272,17 +344,12 @@ impl Shard {
     /// Returns whether the dropped frame was dirty (the caller owns the
     /// pool-wide dirty-frame counter).
     fn drop_frame(&mut self, id: PageId) -> bool {
-        if let Some(idx) = self.map.remove(&id) {
-            self.detach(idx);
-            let was_dirty = self.frames[idx].dirty;
-            self.frames[idx].dirty = false;
-            self.frames[idx].base = None;
-            self.frames[idx].id = PageId::NULL;
-            self.free.push(idx);
-            was_dirty
-        } else {
-            false
-        }
+        let Some(idx) = self.map.get(id) else {
+            return false;
+        };
+        let was_dirty = self.frames[idx].dirty;
+        self.release(idx, id);
+        was_dirty
     }
 }
 
@@ -299,9 +366,12 @@ pub struct BufferPool {
     /// Precomputed `checksum::zero_mask(payload)`.
     zero_mask: u64,
     capacity: usize,
+    /// Power-of-two many LRU lists; page `id` lives in shard
+    /// [`PageMap::shard_of`]`(id, shards.len())`.
     shards: Box<[RankedMutex<Shard>]>,
-    /// `shards.len() - 1`; shard count is a power of two.
-    shard_mask: u64,
+    /// Whether a frame keeps the decode a live read made of it
+    /// (`node_cache_pages > 0`).
+    keep_nodes: bool,
     alloc: RankedMutex<AllocState>,
     /// Serializes commits; rank [`WAL`](rank::WAL), below every lock the
     /// protocol takes.
@@ -437,15 +507,16 @@ impl BufferPool {
     /// streams them through it; the pool soft-exceeds its capacity when
     /// every frame of a shard is dirty. Without one (the default
     /// everywhere else), behavior — including every I/O count — is
-    /// byte-identical to the pre-WAL pool. `committed_nodes` sizes the
+    /// byte-identical to the pre-WAL pool. `node_cache_pages` sizes the
     /// decoded-node cache of committed images that pinned reads go
-    /// through (WAL pools only; 0 disables it).
+    /// through (WAL pools only); 0 keeps no decodes at all — neither
+    /// there nor in the frames [`read_node`](Self::read_node) serves.
     pub fn with_config(
         pager: Box<dyn Pager>,
         capacity: usize,
         shards: usize,
         log: Option<Box<dyn WalFile>>,
-        committed_nodes: usize,
+        node_cache_pages: usize,
     ) -> Self {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
         let n = shards.max(1).next_power_of_two();
@@ -460,7 +531,7 @@ impl BufferPool {
                 // Split capacity as evenly as possible, at least one
                 // frame per shard.
                 let cap = (capacity / n + usize::from(i < capacity % n)).max(1);
-                RankedMutex::new(rank::SHARD, "buffer shard", Shard::new(cap))
+                RankedMutex::new(rank::SHARD, "buffer shard", Shard::new(cap, n))
             })
             .collect();
         Self {
@@ -470,11 +541,11 @@ impl BufferPool {
             zero_mask: checksum::zero_mask(payload),
             capacity,
             shards: shards.into_boxed_slice(),
-            shard_mask: (n - 1) as u64,
+            keep_nodes: node_cache_pages > 0,
             alloc: RankedMutex::new(rank::ALLOCATOR, "page allocator", AllocState::default()),
             commit_lock: RankedMutex::new(rank::WAL, "commit", ()),
             barrier: RankedRwLock::new(rank::BARRIER, "write barrier", ()),
-            committed: NodeCache::new(if log.is_some() { committed_nodes } else { 0 }, MAX_SHARDS),
+            committed: NodeCache::new(if log.is_some() { node_cache_pages } else { 0 }, MAX_SHARDS),
             log: log.map(|h| RankedMutex::new(rank::WAL_IO, "wal io", h)),
             snapshots: RankedMutex::new(
                 rank::SNAPSHOT,
@@ -502,9 +573,9 @@ impl BufferPool {
     }
 
     fn shard_for(&self, id: PageId) -> &RankedMutex<Shard> {
-        // Fibonacci hashing spreads sequential page ids across shards.
-        let h = id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        &self.shards[(h & self.shard_mask) as usize]
+        // Low bits: sequential page ids deal round-robin across shards,
+        // and each shard's directory stays dense.
+        &self.shards[PageMap::shard_of(id, self.shards.len())]
     }
 
     /// Page size of the underlying pager.
@@ -549,7 +620,14 @@ impl BufferPool {
     /// Current statistics (a consistent-enough snapshot: each counter is
     /// exact; under concurrent load the three are read independently).
     pub fn stats(&self) -> IoStats {
-        let (decode_hits, decode_misses, decode_invalidations) = self.committed.counters();
+        let (mut decode_hits, mut decode_misses, mut decode_invalidations) =
+            self.committed.counters();
+        for shard in self.shards.iter() {
+            let s = shard.acquire();
+            decode_hits += s.decode_hits;
+            decode_misses += s.decode_misses;
+            decode_invalidations += s.invalidations;
+        }
         IoStats {
             decode_hits,
             decode_misses,
@@ -576,6 +654,12 @@ impl BufferPool {
         self.wal_replays.store(0, Ordering::Relaxed);
         self.syncs.store(0, Ordering::Relaxed);
         self.committed.reset_counters();
+        for shard in self.shards.iter() {
+            let mut s = shard.acquire();
+            s.decode_hits = 0;
+            s.decode_misses = 0;
+            s.invalidations = 0;
+        }
         // The high-water mark restarts from the *current* obligation,
         // not zero — frames dirty right now are still pinned.
         self.dirty_high_water
@@ -633,9 +717,13 @@ impl BufferPool {
             return Err(invalid_arg(format!("double free of page {id:?}")));
         }
         alloc.free_pages.push(id);
-        // Hold the alloc lock while dropping the cached frame so a
-        // concurrent re-allocation cannot observe the stale frame.
-        let was_dirty = self.shard_for(id).acquire().drop_frame(id);
+        // Hold the alloc lock while dropping the cached frame (and its
+        // decode) so a concurrent re-allocation cannot observe either.
+        let was_dirty = {
+            let mut shard = self.shard_for(id).acquire();
+            shard.invalidations += 1;
+            shard.drop_frame(id)
+        };
         if self.wal() && was_dirty {
             self.dirty_frames.fetch_sub(1, Ordering::Relaxed);
         }
@@ -672,10 +760,7 @@ impl BufferPool {
         if shard.frames[victim].dirty {
             self.write_back(&mut shard.frames[victim])?;
         }
-        shard.detach(victim);
-        shard.map.remove(&id);
-        shard.frames[victim].id = PageId::NULL;
-        shard.free.push(victim);
+        shard.release(victim, id);
         Ok(())
     }
 
@@ -688,10 +773,7 @@ impl BufferPool {
         while idx != NIL {
             if !shard.frames[idx].dirty {
                 let id = shard.frames[idx].id;
-                shard.detach(idx);
-                shard.map.remove(&id);
-                shard.frames[idx].id = PageId::NULL;
-                shard.free.push(idx);
+                shard.release(idx, id);
                 return true;
             }
             idx = shard.frames[idx].prev;
@@ -711,14 +793,27 @@ impl BufferPool {
         })
     }
 
+    /// Whether the pager has page `id`.
+    fn allocated(&self, id: PageId) -> bool {
+        id.0 < self.pager.acquire().num_pages()
+    }
+
     /// Returns the frame index for `id` in `shard`, fetching
     /// (`fetch = true`) or zero-filling (`fetch = false`, for whole-page
-    /// overwrites) on a miss.
+    /// overwrites) on a miss. Either way the shard's directory grows
+    /// only for a page the pager has: a fetch is verified first, and a
+    /// write past the directory's end is checked against the pager's
+    /// page count.
     fn frame_for(&self, shard: &mut Shard, id: PageId, fetch: bool) -> Result<usize> {
-        if let Some(&idx) = shard.map.get(&id) {
+        if let Some(idx) = shard.map.get(id) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             shard.touch(idx);
             return Ok(idx);
+        }
+        if !fetch && !shard.map.covers(id) && !self.allocated(id) {
+            return Err(invalid_arg(format!(
+                "write of page {id:?}, which was never allocated"
+            )));
         }
         if self.wal() {
             // No-steal: evict clean frames (also shrinking back after a
@@ -742,6 +837,7 @@ impl BufferPool {
                     dirty: false,
                     seq: 0,
                     base: None,
+                    node: None,
                     prev: NIL,
                     next: NIL,
                 });
@@ -761,10 +857,10 @@ impl BufferPool {
         } else {
             shard.frames[idx].data.fill(0);
         }
-        shard.frames[idx].id = id;
-        shard.frames[idx].dirty = false;
-        shard.frames[idx].seq = 0;
-        shard.frames[idx].base = None;
+        let f = &mut shard.frames[idx];
+        f.reset();
+        f.id = id;
+        f.seq = 0;
         shard.map.insert(id, idx);
         shard.push_front(idx);
         Ok(idx)
@@ -785,6 +881,43 @@ impl BufferPool {
         Ok(f(&shard.frames[idx].data[..self.payload]))
     }
 
+    /// Reads page `id` as a decoded node of type `N`: the live read
+    /// every index traversal makes. One shard lock and one directory
+    /// probe serve it — the page access [`with_page`](Self::with_page)
+    /// would make, counted the same way (a hit, or a miss that fetches
+    /// and verifies) — and then the frame's own decode, when it holds
+    /// one of type `N`. Otherwise `decode` runs over the payload and,
+    /// unless the pool keeps no decodes (`node_cache_pages == 0`), the
+    /// frame keeps the result for the next read. A frame's decode lives
+    /// exactly as long as its bytes: [`write_page`](Self::write_page),
+    /// [`free_page`](Self::free_page), eviction and the frame's reuse
+    /// drop it, so it can never outlive them. The paper's LRU is thus
+    /// the only LRU a live read goes through, and the §6 counts are the
+    /// same whether decodes are kept or not.
+    ///
+    /// Counts one decode hit or one decode miss per call. `decode` runs
+    /// under the shard lock and must not re-enter the pool.
+    pub fn read_node<N, F>(&self, id: PageId, decode: F) -> Result<Arc<N>>
+    where
+        N: Any + Send + Sync,
+        F: FnOnce(&[u8]) -> Result<N>,
+    {
+        let mut shard = self.shard_for(id).acquire();
+        let idx = self.frame_for(&mut shard, id, true)?;
+        let frame = &mut shard.frames[idx];
+        let got = frame_node(
+            &mut frame.node,
+            &frame.data[..self.payload],
+            self.keep_nodes,
+            decode,
+        );
+        match got {
+            Ok((_, false)) => shard.decode_hits += 1,
+            _ => shard.decode_misses += 1,
+        }
+        got.map(|(node, _)| node)
+    }
+
     /// Overwrites page `id`'s payload with `bytes` (shorter payloads are
     /// zero-padded). No read I/O is incurred on a miss: pages are always
     /// written whole. Payloads longer than
@@ -801,47 +934,41 @@ impl BufferPool {
         // dirty-frame snapshot can never capture this mutation half-done.
         let _writer = self.barrier.acquire_shared();
         let mut shard = self.shard_for(id).acquire();
-        if self.wal() {
-            // Peek residency *before* installing a frame: a rejected
-            // write must leave no trace — in particular no zero-filled
-            // clean frame a later read could mistake for page content.
-            let resident = shard.map.get(&id).copied();
-            let newly_dirty = match resident {
-                Some(idx) => !shard.frames[idx].dirty,
-                None => true,
-            };
-            if newly_dirty {
-                let ceiling = self.dirty_ceiling.load(Ordering::Relaxed);
-                if ceiling != 0 {
-                    let dirty = self.dirty_frames.load(Ordering::Relaxed);
-                    if dirty >= ceiling {
-                        return Err(Error::Backpressure { dirty, ceiling });
-                    }
+        // Peek residency *before* installing a frame: a rejected write
+        // must leave no trace — in particular no zero-filled clean frame
+        // a later read could mistake for page content.
+        let resident = shard.map.get(id);
+        let newly_dirty = resident.is_none_or(|idx| !shard.frames[idx].dirty);
+        let wal = self.wal();
+        if wal && newly_dirty {
+            let ceiling = self.dirty_ceiling.load(Ordering::Relaxed);
+            if ceiling != 0 {
+                let dirty = self.dirty_frames.load(Ordering::Relaxed);
+                if dirty >= ceiling {
+                    return Err(Error::Backpressure { dirty, ceiling });
                 }
             }
-            let idx = self.frame_for(&mut shard, id, false)?;
-            let f = &mut shard.frames[idx];
-            if newly_dirty {
-                // A resident clean frame holds the committed image —
-                // keep it as the base for snapshot readers. A miss
-                // means the committed image (if any) is on disk.
-                f.base = resident.map(|_| Arc::from(&f.data[..]));
-            }
-            f.data[..bytes.len()].copy_from_slice(bytes);
-            f.data[bytes.len()..].fill(0);
-            f.dirty = true;
+        }
+        let idx = self.frame_for(&mut shard, id, false)?;
+        shard.invalidations += 1;
+        let f = &mut shard.frames[idx];
+        if wal && newly_dirty {
+            // A resident clean frame holds the committed image — keep
+            // it as the base for snapshot readers. A miss means the
+            // committed image (if any) is on disk.
+            f.base = resident.map(|_| Arc::from(&f.data[..]));
+        }
+        f.data[..bytes.len()].copy_from_slice(bytes);
+        f.data[bytes.len()..].fill(0);
+        f.node = None;
+        f.dirty = true;
+        if wal {
             f.seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
             if newly_dirty {
                 let dirty = self.dirty_frames.fetch_add(1, Ordering::Relaxed) + 1;
                 self.dirty_high_water.fetch_max(dirty, Ordering::Relaxed);
             }
-            return Ok(());
         }
-        let idx = self.frame_for(&mut shard, id, false)?;
-        let data = &mut shard.frames[idx].data;
-        data[..bytes.len()].copy_from_slice(bytes);
-        data[bytes.len()..].fill(0);
-        shard.frames[idx].dirty = true;
         Ok(())
     }
 
@@ -982,7 +1109,7 @@ impl BufferPool {
         let mut undirtied = 0u64;
         for (id, cap_seq, _) in &txn {
             let mut shard = self.shard_for(*id).acquire();
-            if let Some(&idx) = shard.map.get(id) {
+            if let Some(idx) = shard.map.get(*id) {
                 let f = &mut shard.frames[idx];
                 if f.dirty && f.seq == *cap_seq {
                     f.dirty = false;
@@ -1048,7 +1175,7 @@ impl BufferPool {
             // new-epoch readers cannot pin until this loop is done.
             self.committed.invalidate(*id);
             let mut shard = self.shard_for(*id).acquire();
-            if let Some(&idx) = shard.map.get(id) {
+            if let Some(idx) = shard.map.get(*id) {
                 let f = &mut shard.frames[idx];
                 if f.dirty {
                     // `image` is the committed bytes of this page as
@@ -1074,7 +1201,7 @@ impl BufferPool {
     fn pre_image(&self, id: PageId) -> Result<Arc<[u8]>> {
         {
             let shard = self.shard_for(id).acquire();
-            if let Some(&idx) = shard.map.get(&id) {
+            if let Some(idx) = shard.map.get(id) {
                 let f = &shard.frames[idx];
                 if let Some(base) = &f.base {
                     return Ok(Arc::clone(base));
@@ -1164,14 +1291,19 @@ impl BufferPool {
         let _reader = self.barrier.acquire_shared();
         match self.superseded_image(id, epoch) {
             Some(image) => Ok(f(&image[..self.payload])),
-            None => self.with_committed_page(id, f),
+            None => self.with_committed_page(id, |bytes, _| f(bytes)),
         }
     }
 
     /// Reads page `id` *as of* commit `epoch` as a decoded node of type
     /// `N`, through the committed-image node cache. Returns the node
     /// and whether this call ran `decode`. A hit performs no byte-pool
-    /// access, and each call counts exactly one cache hit or miss.
+    /// access, and each call counts exactly one cache hit or miss. A
+    /// miss on a page whose clean frame holds a live read's decode of
+    /// type `N` takes that decode instead of running `decode`, and a
+    /// decode of a clean frame's bytes is left in the frame: those bytes
+    /// *are* the current committed image, so a clean page has one
+    /// decoded copy, shared by live and pinned reads.
     ///
     /// **The hit path takes no pool-wide lock.** It loads the epoch,
     /// looks `id` up under its cache-shard lock, and loads the epoch
@@ -1215,14 +1347,15 @@ impl BufferPool {
             self.committed.count_miss(id);
             return Ok((Arc::new(decode(&image[..self.payload])?), true));
         }
-        let (cached, gen) = self.committed.lookup::<N>(id);
-        if let Some(node) = cached {
+        if let Some(node) = self.committed.lookup::<N>(id) {
             return Ok((node, false));
         }
-        let node = Arc::new(self.with_committed_page(id, decode)??);
-        self.committed
-            .insert_if_current(id, gen, Arc::clone(&node) as Arc<dyn Any + Send + Sync>);
-        Ok((node, true))
+        let (node, decoded) = self.with_committed_page(id, |bytes, held| match held {
+            Some(slot) => frame_node(slot, bytes, self.keep_nodes, decode),
+            None => Ok((Arc::new(decode(bytes)?), true)),
+        })??;
+        self.committed.insert(id, Arc::clone(&node) as CachedNode);
+        Ok((node, decoded))
     }
 
     /// The second half of [`read_node_at`](Self::read_node_at)'s hit
@@ -1258,15 +1391,20 @@ impl BufferPool {
         Some(image)
     }
 
-    /// Runs `f` over page `id`'s current committed image. The caller
-    /// holds the barrier shared, so no flip can interleave.
-    fn with_committed_page<T>(&self, id: PageId, f: impl FnOnce(&[u8]) -> T) -> Result<T> {
+    /// Runs `f` over page `id`'s current committed image and, when that
+    /// image is a clean frame's bytes, the frame's decode slot. The
+    /// caller holds the barrier shared, so no flip can interleave.
+    fn with_committed_page<T>(
+        &self,
+        id: PageId,
+        f: impl FnOnce(&[u8], Option<&mut Option<CachedNode>>) -> T,
+    ) -> Result<T> {
         let mut shard = self.shard_for(id).acquire();
-        if let Some(&idx) = shard.map.get(&id) {
+        if let Some(idx) = shard.map.get(id) {
             if shard.frames[idx].dirty {
                 if let Some(base) = &shard.frames[idx].base {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(f(&base[..self.payload]));
+                    return Ok(f(&base[..self.payload], None));
                 }
                 // Dirty with no base: the committed image lives on
                 // disk (no-steal). Read it without disturbing the
@@ -1274,14 +1412,12 @@ impl BufferPool {
                 let mut buf = vec![0u8; self.page_size].into_boxed_slice();
                 self.read_verified(id, &mut buf)?;
                 self.reads.fetch_add(1, Ordering::Relaxed);
-                return Ok(f(&buf[..self.payload]));
+                return Ok(f(&buf[..self.payload], None));
             }
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            shard.touch(idx);
-            return Ok(f(&shard.frames[idx].data[..self.payload]));
         }
         let idx = self.frame_for(&mut shard, id, true)?;
-        Ok(f(&shard.frames[idx].data[..self.payload]))
+        let frame = &mut shard.frames[idx];
+        Ok(f(&frame.data[..self.payload], Some(&mut frame.node)))
     }
 
     /// Writes every dirty page back to the pager, then syncs it.
@@ -1391,7 +1527,9 @@ impl BufferPool {
                 if f.id.is_null() {
                     return fail("linked frame holds no page");
                 }
-                if shard.map.get(&f.id) != Some(&idx) {
+                if PageMap::shard_of(f.id, self.shards.len()) != si
+                    || shard.map.get(f.id) != Some(idx)
+                {
                     return fail("linked frame not mapped to itself");
                 }
                 if f.base.is_some() && !f.dirty {
@@ -1424,10 +1562,8 @@ impl BufferPool {
                 if !free_set.insert(i) {
                     return fail("frame on the free list twice");
                 }
-                if !shard.frames[i].id.is_null()
-                    || shard.frames[i].dirty
-                    || shard.frames[i].base.is_some()
-                {
+                let f = &shard.frames[i];
+                if !f.id.is_null() || f.dirty || f.base.is_some() || f.node.is_some() {
                     return fail("free frame not reset");
                 }
             }

@@ -15,10 +15,11 @@
 //!   benchmarks where only the *count* of I/Os matters, and
 //!   [`pager::FilePager`] for real files),
 //! * [`buffer`] — the [`buffer::BufferPool`]: LRU caching,
-//!   dirty write-back, [`buffer::IoStats`],
-//! * [`nodecache`] — the [`nodecache::NodeCache`]: a generation-checked
-//!   LRU of *decoded* nodes above the byte pool, so warm traversals skip
+//!   dirty write-back, [`buffer::IoStats`]; a frame also holds the
+//!   decode a live read made of its bytes, so warm traversals skip
 //!   codec cost without perturbing byte-level I/O accounting,
+//! * [`nodecache`] — the [`nodecache::NodeCache`]: an LRU of decoded
+//!   *committed* images, which pinned reads go through,
 //! * [`rank`] — [`rank::RankedMutex`], the rank-checked lock wrapper
 //!   every mutex in this crate goes through (debug builds panic on
 //!   out-of-order acquisition; see the module docs for the lock order),
@@ -42,6 +43,7 @@ pub mod buffer;
 pub mod checksum;
 pub mod fault;
 pub mod nodecache;
+mod pagemap;
 pub mod pager;
 pub mod rank;
 pub mod readonly;

@@ -1,82 +1,49 @@
-//! Decoded-node cache: a typed object cache layered *above* the byte
-//! buffer pool.
+//! Decoded-node cache of *committed* page images, for pinned reads.
 //!
-//! A dominance-sum traversal decodes every node it touches, so a byte
-//! buffer *hit* still re-parses points, values and polynomial tuples on
-//! every visit.  This cache keeps the decoded representation — an
-//! `Arc<dyn Any + Send + Sync>` — keyed by page id, so warm traversals
-//! skip the codec entirely.  It deliberately changes *nothing* about
-//! byte-level I/O accounting: the store still performs exactly one
-//! byte-pool access per node read (see
-//! [`SharedStore::read_node`](crate::store::SharedStore::read_node)), so
-//! the paper-faithful `IoStats` reads/hits/eviction order are
-//! byte-identical with the cache on or off.
+//! A live read keeps its decode in the buffer frame that holds the page
+//! (see [`BufferPool::read_node`](crate::buffer::BufferPool::read_node)):
+//! the paper's LRU is the only LRU a live read goes through. A pinned
+//! read cannot use a frame's decode when the frame is dirty — its bytes
+//! are the writer's, not the pinned commit's — so a WAL store keeps this
+//! second, typed cache: an entry is the decode of its page's *current
+//! committed image*, an `Arc<dyn Any + Send + Sync>` keyed by page id,
+//! and it serves every pinned read
+//! ([`StoreSnapshot::read_node`](crate::store::StoreSnapshot::read_node))
+//! of every pin. It changes nothing about byte-level I/O accounting.
 //!
-//! # Generation protocol
+//! # Why no generations
 //!
-//! Staleness is prevented with per-page *generations*:
-//!
-//! * [`lookup`](NodeCache::lookup) returns the cached node (if any) and
-//!   the page's current generation `g`.
-//! * The caller decodes **outside** the cache lock and then calls
-//!   [`insert_if_current`](NodeCache::insert_if_current) with `g`; the
-//!   insert is dropped if the generation moved in the meantime.
-//! * [`invalidate`](NodeCache::invalidate) — called by the store *after*
-//!   a byte write or free completes — bumps the generation and removes
-//!   any cached entry.
-//!
-//! Any decode racing a writer either (a) inserts before the writer's
-//! invalidate, which then removes it, or (b) inserts after, in which case
-//! its generation check fails.  An entry that survives was inserted with
-//! the post-write generation and therefore decoded the post-write bytes.
+//! A committed image changes only inside a commit's epoch flip, under
+//! the exclusive write barrier, and only for that transaction's pages:
+//! the flip publishes the new epoch, then [`invalidate`]s exactly those
+//! entries before it releases the barrier. A read that decodes holds the
+//! barrier shared from its [`lookup`] to its [`insert`], so no flip can
+//! fall between them and the insert is always of the current image.
+//! A pinned *hit* takes no barrier: [`try_hit`] re-reads the pool's
+//! epoch under the shard lock that found the entry and keeps the entry
+//! only if the epoch is still the reader's (the argument is on
+//! [`BufferPool::read_node_at`](crate::buffer::BufferPool::read_node_at)).
+//! A page superseded *after* a reader's epoch is decoded from its
+//! retained image and never cached.
 //!
 //! Each shard's mutex is a [`RankedMutex`] at rank
-//! [`NODE_CACHE`](crate::rank::NODE_CACHE); only the byte-pool locks
-//! below it in the rank table are acquired while it is held.
+//! [`NODE_CACHE`](crate::rank::NODE_CACHE), a leaf lock, and each shard
+//! finds its entries through a dense `PageMap`: the shard is a page
+//! id's low bits, as in the buffer pool.
 //!
-//! # Relation to commit epochs
-//!
-//! The `(page, generation)` pairs here are the single-version
-//! ancestor of the buffer pool's store-wide *commit epochs* (see the
-//! `buffer` module docs): a generation says "these decoded bytes are
-//! current", an epoch says "these bytes were current as of commit
-//! `e`".  A cache instance stays single-version, so a WAL store runs
-//! **two** of them, one per image a page can have between commits:
-//!
-//! * the *live* instance, owned by
-//!   [`SharedStore`](crate::store::SharedStore), tracks the bytes
-//!   writers see and is invalidated by every `write_page` / `free`;
-//! * the *committed* instance, owned by
-//!   [`BufferPool`](crate::buffer::BufferPool), tracks each page's
-//!   current **committed** image and serves every pinned read
-//!   ([`StoreSnapshot::read_node`](crate::store::StoreSnapshot::read_node)).
-//!   A committed image changes only inside the commit's epoch flip,
-//!   under the exclusive write barrier, and only for that
-//!   transaction's pages — so the flip publishes the new epoch, then
-//!   invalidates exactly those entries before it releases the
-//!   barrier, and a pinned read that decodes holds the barrier shared
-//!   from its lookup to its insert.  A pinned *hit* takes no barrier:
-//!   [`try_hit`](NodeCache::try_hit) re-reads the pool's epoch under
-//!   the shard lock that found the entry and keeps the entry only if
-//!   the epoch is still the reader's (the argument is on
-//!   [`BufferPool::read_node_at`](crate::buffer::BufferPool::read_node_at)).
-//!   Validity is the epoch check ordered by the shard lock; the
-//!   generation check is never the deciding vote there.  A page
-//!   superseded *after* a reader's epoch is decoded from its retained
-//!   image and never cached.
-//!
-//! One instance cannot do both jobs: a BA-tree insert dirties its
-//! whole root-to-leaf path, so between commits the hottest pages have
-//! two different images (measured in EXPERIMENTS.md, PR 13).
+//! [`lookup`]: NodeCache::lookup
+//! [`insert`]: NodeCache::insert
+//! [`invalidate`]: NodeCache::invalidate
+//! [`try_hit`]: NodeCache::try_hit
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::pagemap::PageMap;
 use crate::pager::PageId;
 use crate::rank::{self, RankedMutex};
 
-/// Type-erased decoded node as stored in the cache.
+/// Type-erased decoded node, as a buffer frame or the cache holds it.
 pub type CachedNode = Arc<dyn Any + Send + Sync>;
 
 const NIL: usize = usize::MAX;
@@ -84,43 +51,36 @@ const NIL: usize = usize::MAX;
 #[derive(Debug)]
 struct Slot {
     id: PageId,
-    gen: u64,
     node: Option<CachedNode>,
     prev: usize,
     next: usize,
 }
 
-/// One independent LRU list over a slice of the page-id space, mirroring
-/// the byte pool's shard structure.
+/// One independent LRU list over a slice of the page-id space.
 struct CacheShard {
     capacity: usize,
     slots: Vec<Slot>,
-    map: HashMap<PageId, usize>,
-    /// Current generation per page id.  Outlives the cached entry: a
-    /// generation recorded here rejects in-flight decodes that started
-    /// before the write that bumped it.  Absent means generation 0.
-    gens: HashMap<PageId, u64>,
+    map: PageMap,
     /// Most recently used slot index.
     head: usize,
     /// Least recently used slot index.
     tail: usize,
     free: Vec<usize>,
-    /// Reads of this shard's pages served from a cached node / that had
-    /// to decode, and generation bumps — counted under the shard lock
-    /// the operation already holds, so concurrent readers share no
-    /// counter cache line.
+    /// Reads of this shard's pages served from a cached node / that
+    /// found none, and invalidations — counted under the shard lock the
+    /// operation already holds, so concurrent readers share no counter
+    /// cache line.
     hits: u64,
     misses: u64,
     invalidations: u64,
 }
 
 impl CacheShard {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, shards: usize) -> Self {
         Self {
             capacity,
             slots: Vec::new(),
-            map: HashMap::new(),
-            gens: HashMap::new(),
+            map: PageMap::new(shards),
             head: NIL,
             tail: NIL,
             free: Vec::new(),
@@ -128,10 +88,6 @@ impl CacheShard {
             misses: 0,
             invalidations: 0,
         }
-    }
-
-    fn generation(&self, id: PageId) -> u64 {
-        self.gens.get(&id).copied().unwrap_or(0)
     }
 
     fn detach(&mut self, idx: usize) {
@@ -171,24 +127,20 @@ impl CacheShard {
 
     /// Removes the entry caching `id`, if any (LRU eviction or explicit
     /// invalidation).
-    fn remove(&mut self, id: PageId) -> bool {
-        if let Some(idx) = self.map.remove(&id) {
+    fn remove(&mut self, id: PageId) {
+        if let Some(idx) = self.map.remove(id) {
             self.detach(idx);
             self.slots[idx].node = None;
             self.slots[idx].id = PageId::NULL;
             self.free.push(idx);
-            true
-        } else {
-            false
         }
     }
 
-    fn insert(&mut self, id: PageId, gen: u64, node: CachedNode) {
+    fn insert(&mut self, id: PageId, node: CachedNode) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(&idx) = self.map.get(&id) {
-            self.slots[idx].gen = gen;
+        if let Some(idx) = self.map.get(id) {
             self.slots[idx].node = Some(node);
             self.touch(idx);
             return;
@@ -197,23 +149,17 @@ impl CacheShard {
             let victim = self.slots[self.tail].id;
             self.remove(victim);
         }
+        let slot = Slot {
+            id,
+            node: Some(node),
+            prev: NIL,
+            next: NIL,
+        };
         let idx = if let Some(idx) = self.free.pop() {
-            self.slots[idx] = Slot {
-                id,
-                gen,
-                node: Some(node),
-                prev: NIL,
-                next: NIL,
-            };
+            self.slots[idx] = slot;
             idx
         } else {
-            self.slots.push(Slot {
-                id,
-                gen,
-                node: Some(node),
-                prev: NIL,
-                next: NIL,
-            });
+            self.slots.push(slot);
             self.slots.len() - 1
         };
         self.map.insert(id, idx);
@@ -221,18 +167,15 @@ impl CacheShard {
     }
 }
 
-/// A sharded, generation-checked LRU cache of decoded nodes.
+/// A sharded LRU cache of decoded committed images.
 ///
-/// A store runs one instance over live bytes and, with WAL on, a
-/// second over committed images (see the module docs); capacity 0
-/// disables storage entirely (every lookup is a counted miss,
-/// preserving the `decode_hits + decode_misses == node accesses`
+/// The buffer pool of a WAL store owns one (see the module docs);
+/// capacity 0 disables storage entirely (every lookup is a counted
+/// miss, preserving the `decode_hits + decode_misses == node accesses`
 /// invariant even when disabled). The counters live in the shards and
 /// are summed on demand.
 pub struct NodeCache {
     shards: Box<[RankedMutex<CacheShard>]>,
-    /// `shards.len() - 1`; shard count is a power of two.
-    shard_mask: u64,
 }
 
 impl std::fmt::Debug for NodeCache {
@@ -260,19 +203,20 @@ impl NodeCache {
             .map(|i| {
                 // Split capacity as evenly as possible.
                 let cap = capacity / n + usize::from(i < capacity % n);
-                RankedMutex::new(rank::NODE_CACHE, "node cache shard", CacheShard::new(cap))
+                RankedMutex::new(
+                    rank::NODE_CACHE,
+                    "node cache shard",
+                    CacheShard::new(cap, n),
+                )
             })
             .collect();
         Self {
             shards: shards.into_boxed_slice(),
-            shard_mask: (n - 1) as u64,
         }
     }
 
     fn shard_index(&self, id: PageId) -> usize {
-        // Fibonacci hashing, matching the byte pool's spread.
-        let h = id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        (h & self.shard_mask) as usize
+        PageMap::shard_of(id, self.shards.len())
     }
 
     fn shard_for(&self, id: PageId) -> &RankedMutex<CacheShard> {
@@ -284,15 +228,12 @@ impl NodeCache {
         self.shards.iter().map(|s| s.acquire().capacity).sum()
     }
 
-    /// Looks up the decoded node for `id` and returns it (counting a hit)
-    /// together with the page's current generation. A missing entry — or
-    /// one whose concrete type is not `N` — counts as a miss; the caller
-    /// decodes and calls [`insert_if_current`](Self::insert_if_current)
-    /// with the returned generation.
-    pub fn lookup<N: Any + Send + Sync>(&self, id: PageId) -> (Option<Arc<N>>, u64) {
+    /// The cached node for `id`, counting a hit; a missing entry — or
+    /// one whose concrete type is not `N`, which is dropped — counts a
+    /// miss, and the caller decodes and [`insert`](Self::insert)s.
+    pub fn lookup<N: Any + Send + Sync>(&self, id: PageId) -> Option<Arc<N>> {
         let mut shard = self.shard_for(id).acquire();
-        let gen = shard.generation(id);
-        if let Some(&idx) = shard.map.get(&id) {
+        if let Some(idx) = shard.map.get(id) {
             let node = shard.slots[idx]
                 .node
                 .clone()
@@ -300,14 +241,12 @@ impl NodeCache {
             if let Some(node) = node {
                 shard.touch(idx);
                 shard.hits += 1;
-                return (Some(node), gen);
+                return Some(node);
             }
-            // Same page decoded as a different type: drop the entry and
-            // let the caller re-decode.
             shard.remove(id);
         }
         shard.misses += 1;
-        (None, gen)
+        None
     }
 
     /// The cached node for `id`, if there is one of type `N` and
@@ -322,7 +261,7 @@ impl NodeCache {
         still_valid: impl FnOnce() -> bool,
     ) -> Option<Arc<N>> {
         let mut shard = self.shard_for(id).acquire();
-        let idx = *shard.map.get(&id)?;
+        let idx = shard.map.get(id)?;
         let node = shard.slots[idx].node.clone()?.downcast::<N>().ok()?;
         if !still_valid() {
             return None;
@@ -332,24 +271,16 @@ impl NodeCache {
         Some(node)
     }
 
-    /// Caches `node` for `id` unless the page's generation moved past
-    /// `gen` since the matching [`lookup`](Self::lookup) — in which case
-    /// the decode raced a write and is silently dropped.
-    pub fn insert_if_current(&self, id: PageId, gen: u64, node: CachedNode) {
-        let mut shard = self.shard_for(id).acquire();
-        if shard.capacity == 0 || shard.generation(id) != gen {
-            return;
-        }
-        shard.insert(id, gen, node);
+    /// Caches `node` as the decode of `id`'s current committed image.
+    /// The caller holds what keeps that image from changing since its
+    /// [`lookup`](Self::lookup) (module docs).
+    pub fn insert(&self, id: PageId, node: CachedNode) {
+        self.shard_for(id).acquire().insert(id, node);
     }
 
-    /// Bumps `id`'s generation and removes any cached entry.  Must be
-    /// called after the byte-level write (or free) has completed, so that
-    /// any decode that survives the bump has seen the new bytes.
+    /// Drops any cached node of `id` and counts an invalidation.
     pub fn invalidate(&self, id: PageId) {
         let mut shard = self.shard_for(id).acquire();
-        let gen = shard.generation(id);
-        shard.gens.insert(id, gen + 1);
         shard.remove(id);
         shard.invalidations += 1;
     }
@@ -385,8 +316,7 @@ impl NodeCache {
     /// fault-sweep harness after injected failures. Per shard: the LRU
     /// list is well-formed over exactly the mapped slots, every slot is
     /// mapped or free (none leaked), free slots are truly emptied, live
-    /// entries hold a node, occupancy respects capacity, and no live
-    /// entry's generation exceeds the page's current generation.
+    /// entries hold a node, and occupancy respects capacity.
     pub fn validate(&self) -> boxagg_common::error::Result<()> {
         use boxagg_common::error::corrupt;
         for (si, shard) in self.shards.iter().enumerate() {
@@ -403,11 +333,8 @@ impl NodeCache {
                 if s.id.is_null() || s.node.is_none() {
                     return fail("linked slot holds no entry");
                 }
-                if shard.map.get(&s.id) != Some(&idx) {
+                if self.shard_index(s.id) != si || shard.map.get(s.id) != Some(idx) {
                     return fail("linked slot not mapped to itself");
-                }
-                if s.gen > shard.generation(s.id) {
-                    return fail("cached generation ahead of the page's");
                 }
                 linked += 1;
                 if linked > shard.slots.len() {
@@ -450,61 +377,57 @@ mod tests {
         PageId(n)
     }
 
+    fn put(cache: &NodeCache, n: u64) {
+        assert!(cache.lookup::<u64>(pid(n)).is_none());
+        cache.insert(pid(n), Arc::new(n));
+    }
+
     #[test]
     fn miss_then_hit_round_trip() {
         let cache = NodeCache::new(8, 1);
-        let (got, gen) = cache.lookup::<String>(pid(1));
-        assert!(got.is_none());
-        cache.insert_if_current(pid(1), gen, Arc::new("node".to_string()));
-        let (got, _) = cache.lookup::<String>(pid(1));
+        assert!(cache.lookup::<String>(pid(1)).is_none());
+        cache.insert(pid(1), Arc::new("node".to_string()));
+        let got = cache.lookup::<String>(pid(1));
         assert_eq!(got.unwrap().as_str(), "node");
         assert_eq!(cache.counters(), (1, 1, 0));
     }
 
     #[test]
-    fn invalidate_rejects_stale_insert_and_drops_entry() {
+    fn invalidate_drops_the_entry_and_a_later_insert_sticks() {
         let cache = NodeCache::new(8, 1);
-        let (_, gen) = cache.lookup::<u32>(pid(7));
+        put(&cache, 7);
         cache.invalidate(pid(7));
-        // The decode started before the write: its insert must be dropped.
-        cache.insert_if_current(pid(7), gen, Arc::new(1u32));
-        let (got, gen2) = cache.lookup::<u32>(pid(7));
-        assert!(got.is_none(), "stale insert must not be observable");
-        assert_ne!(gen, gen2);
-        // An insert carrying the post-write generation sticks.
-        cache.insert_if_current(pid(7), gen2, Arc::new(2u32));
-        assert_eq!(*cache.lookup::<u32>(pid(7)).0.unwrap(), 2);
-        // Invalidation removes a live entry too.
-        cache.invalidate(pid(7));
-        assert!(cache.lookup::<u32>(pid(7)).0.is_none());
+        assert!(cache.lookup::<u64>(pid(7)).is_none(), "entry dropped");
+        cache.insert(pid(7), Arc::new(2u64));
+        assert_eq!(*cache.lookup::<u64>(pid(7)).unwrap(), 2);
+        // Invalidating an absent page still counts.
+        cache.invalidate(pid(8));
+        assert_eq!(cache.counters(), (1, 2, 2));
+        cache.validate().unwrap();
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let cache = NodeCache::new(2, 1);
         for n in [1u64, 2] {
-            let (_, gen) = cache.lookup::<u64>(pid(n));
-            cache.insert_if_current(pid(n), gen, Arc::new(n));
+            put(&cache, n);
         }
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.lookup::<u64>(pid(1)).0.is_some());
-        let (_, gen) = cache.lookup::<u64>(pid(3));
-        cache.insert_if_current(pid(3), gen, Arc::new(3u64));
-        assert!(cache.lookup::<u64>(pid(2)).0.is_none(), "2 was evicted");
-        assert!(cache.lookup::<u64>(pid(1)).0.is_some());
-        assert!(cache.lookup::<u64>(pid(3)).0.is_some());
+        assert!(cache.lookup::<u64>(pid(1)).is_some());
+        put(&cache, 3);
+        assert!(cache.lookup::<u64>(pid(2)).is_none(), "2 was evicted");
+        assert!(cache.lookup::<u64>(pid(1)).is_some());
+        assert!(cache.lookup::<u64>(pid(3)).is_some());
     }
 
     #[test]
     fn zero_capacity_counts_misses_but_stores_nothing() {
         let cache = NodeCache::new(0, 4);
         for n in 0..10u64 {
-            let (got, gen) = cache.lookup::<u64>(pid(n));
-            assert!(got.is_none());
-            cache.insert_if_current(pid(n), gen, Arc::new(n));
+            put(&cache, n);
         }
         for n in 0..10u64 {
-            assert!(cache.lookup::<u64>(pid(n)).0.is_none());
+            assert!(cache.lookup::<u64>(pid(n)).is_none());
         }
         let (hits, misses, _) = cache.counters();
         assert_eq!((hits, misses), (0, 20));
@@ -514,21 +437,15 @@ mod tests {
     #[test]
     fn wrong_type_is_a_counted_miss_and_reinsertable() {
         let cache = NodeCache::new(4, 1);
-        let (_, gen) = cache.lookup::<u32>(pid(9));
-        cache.insert_if_current(pid(9), gen, Arc::new(5u32));
+        assert!(cache.lookup::<u32>(pid(9)).is_none());
+        cache.insert(pid(9), Arc::new(5u32));
         // Same page asked for as a different type: miss, entry dropped.
-        let (got, gen2) = cache.lookup::<String>(pid(9));
-        assert!(got.is_none());
-        cache.insert_if_current(pid(9), gen2, Arc::new("s".to_string()));
-        assert_eq!(cache.lookup::<String>(pid(9)).0.unwrap().as_str(), "s");
+        assert!(cache.lookup::<String>(pid(9)).is_none());
+        cache.insert(pid(9), Arc::new("s".to_string()));
+        assert_eq!(cache.lookup::<String>(pid(9)).unwrap().as_str(), "s");
         // Three lookups total: one counted hit, two counted misses.
         let (hits, misses, _) = cache.counters();
         assert_eq!((hits, misses), (1, 2));
-    }
-
-    fn put(cache: &NodeCache, n: u64) {
-        let (_, gen) = cache.lookup::<u64>(pid(n));
-        cache.insert_if_current(pid(n), gen, Arc::new(n));
     }
 
     #[test]
@@ -566,7 +483,7 @@ mod tests {
         assert_eq!(resident(&cache), 8);
         let still = first_per_shard
             .values()
-            .filter(|&&n| cache.lookup::<u64>(pid(n)).0.is_some())
+            .filter(|&&n| cache.lookup::<u64>(pid(n)).is_some())
             .count();
         assert_eq!(still, 7, "the ninth page's shard evicted its one node");
         cache.validate().unwrap();
@@ -597,7 +514,7 @@ mod tests {
         assert_eq!(cache.shards.len(), 64);
         for n in 0..PAGES {
             put(&cache, n); // a miss
-            assert!(cache.lookup::<u64>(pid(n)).0.is_some());
+            assert!(cache.lookup::<u64>(pid(n)).is_some());
             assert!(cache.try_hit::<u64>(pid(n), || true).is_some());
             assert!(cache.try_hit::<u64>(pid(n), || false).is_none());
             cache.count_miss(pid(n));
@@ -615,8 +532,7 @@ mod tests {
     #[test]
     fn counters_reset() {
         let cache = NodeCache::new(4, 2);
-        let (_, gen) = cache.lookup::<u8>(pid(3));
-        cache.insert_if_current(pid(3), gen, Arc::new(1u8));
+        put(&cache, 3);
         cache.lookup::<u8>(pid(3));
         cache.invalidate(pid(3));
         assert_ne!(cache.counters(), (0, 0, 0));

@@ -44,8 +44,8 @@
 //! mutex, and holds it across appends and log fsyncs; it ranks *below*
 //! the node-cache, shard and pager locks so that log I/O under any of
 //! them — a commit's fsync stalling every cache-miss reader — is an
-//! ordering violation, not a convention.  `NODE_CACHE` guards a
-//! decoded-node cache shard in [`crate::nodecache`]; it is a *leaf*
+//! ordering violation, not a convention.  `NODE_CACHE` guards a shard
+//! of the committed-image node cache in [`crate::nodecache`]; it is a *leaf*
 //! lock — never held across any other acquisition — and sits just below
 //! `SHARD` to mirror the layering (typed cache above the byte pool).
 //! `PAGER` is the top: nothing is ranked above it. ([`crate::fault`]'s
@@ -100,8 +100,8 @@ pub const ALLOCATOR: u32 = 4;
 /// `NODE_CACHE`, `SHARD` and `PAGER`, so taking it under any of them is
 /// a rank violation.
 pub const WAL_IO: u32 = 5;
-/// A decoded-node cache shard ([`crate::nodecache`]).  A leaf lock:
-/// lookups, conditional inserts and invalidations never touch another
+/// A shard of the committed-image node cache ([`crate::nodecache`]).
+/// A leaf lock: lookups, inserts and invalidations never touch another
 /// lock while holding it.
 pub const NODE_CACHE: u32 = 6;
 /// A buffer-pool shard (cache segment).  Held across pager I/O on miss,

@@ -22,7 +22,6 @@ use std::sync::Arc;
 use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
 
 use crate::buffer::{BufferPool, IoStats, MAX_SHARDS};
-use crate::nodecache::NodeCache;
 use crate::pager::{FilePager, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE};
 use crate::rank::{self, RankedMutex};
 use crate::superblock::{RootEntry, Superblock};
@@ -60,19 +59,22 @@ pub struct StoreConfig {
     /// Worker threads for the per-corner bulk loads. Default: 1, the
     /// paper-faithful sequential mode — a single-shard pool whose I/O
     /// counts match a sequential implementation exactly. Values above 1
-    /// also shard the buffer pool and the live decoded-node cache for
-    /// concurrency. It does not shard the committed-image cache that
-    /// pinned reads hit: that one always has 64 shards (fewer only when
-    /// it holds fewer nodes), because concurrent snapshot readers need
-    /// them at any setting and it takes no part in the §6 counts.
+    /// also shard the buffer pool (and with it the decodes its frames
+    /// hold) for concurrency. It does not shard the committed-image
+    /// cache that pinned reads hit: that one always has 64 shards
+    /// (fewer only when it holds fewer nodes), because concurrent
+    /// snapshot readers need them at any setting and it takes no part
+    /// in the §6 counts.
     /// Box-sum queries are always one sequential mask-ascending loop.
     pub parallelism: usize,
-    /// Capacity of the decoded-node cache in nodes; 0 disables it.
-    /// Default: 1280 (one decoded node per default buffer frame). The
-    /// cache never changes byte-level I/O accounting — see
-    /// [`SharedStore::read_node`] — so it defaults on. A WAL store
-    /// sizes its second instance, over committed images for pinned
-    /// reads ([`StoreSnapshot::read_node`]), from the same number.
+    /// Capacity in nodes of a WAL store's cache of decoded *committed*
+    /// images, which pinned reads ([`StoreSnapshot::read_node`]) go
+    /// through. Default: 1280 (one decoded node per default buffer
+    /// frame). Live reads ([`SharedStore::read_node`]) keep their
+    /// decodes in the buffer frames, one per resident page, whatever
+    /// this number; `0` keeps no decodes anywhere, so every node read
+    /// runs the codec. Decodes never change byte-level I/O accounting,
+    /// so they default on.
     pub node_cache_pages: usize,
     /// Crash-consistent commits through the write-ahead log (default:
     /// off). When on, dirty pages are pinned in the pool (no-steal)
@@ -117,7 +119,7 @@ impl StoreConfig {
         self
     }
 
-    /// Sets the decoded-node cache capacity; 0 disables the cache (see
+    /// Sets the committed-image cache capacity; 0 keeps no decodes (see
     /// [`StoreConfig::node_cache_pages`]).
     pub fn with_node_cache(mut self, pages: usize) -> Self {
         self.node_cache_pages = pages;
@@ -143,13 +145,10 @@ impl StoreConfig {
     }
 }
 
-/// Cheaply clonable, thread-safe handle to a shared [`BufferPool`] plus
-/// the live decoded-node cache layered above it (the pool owns the
-/// committed-image one).
+/// Cheaply clonable, thread-safe handle to a shared [`BufferPool`].
 #[derive(Clone, Debug)]
 pub struct SharedStore {
     pool: Arc<BufferPool>,
-    nodes: Arc<NodeCache>,
     parallelism: usize,
     /// In-memory image of the page-0 superblock; `None` for raw stores
     /// (memory backing without WAL) that predate the catalog.
@@ -288,8 +287,8 @@ impl SharedStore {
         Self::assemble(pager, log, config)
     }
 
-    /// The pool (a WAL pool iff `log` is given) plus the live node
-    /// cache, with no superblock yet.
+    /// The pool (a WAL pool iff `log` is given), with no superblock
+    /// yet.
     fn assemble(
         pager: Box<dyn Pager>,
         log: Option<Box<dyn WalFile>>,
@@ -303,7 +302,6 @@ impl SharedStore {
                 log,
                 config.node_cache_pages,
             )),
-            nodes: Arc::new(NodeCache::new(config.node_cache_pages, config.shards())),
             parallelism: config.parallelism.max(1),
             superblock: None,
             recovery: RecoveryReport::default(),
@@ -424,7 +422,6 @@ impl SharedStore {
             )));
         }
         self.pool.write_page(PageId(0), &encoded)?;
-        self.nodes.invalidate(PageId(0));
         Ok(())
     }
 
@@ -440,9 +437,7 @@ impl SharedStore {
         let lock = self.superblock_lock()?;
         let mut sb = lock.acquire();
         sb.remove_root(name);
-        self.pool.write_page(PageId(0), &sb.encode())?;
-        self.nodes.invalidate(PageId(0));
-        Ok(())
+        self.pool.write_page(PageId(0), &sb.encode())
     }
 
     /// All named roots in the catalog, sorted by name.
@@ -625,21 +620,19 @@ impl SharedStore {
         self.pool.with_page(id, f)
     }
 
-    /// Reads page `id` as a decoded node of type `N`, consulting the
-    /// decoded-node cache before paying codec cost.
+    /// Reads page `id` as a decoded node of type `N`: one buffer-pool
+    /// access, served from the decode the page's frame holds when it
+    /// has one — see [`BufferPool::read_node`].
     ///
-    /// Byte-level accounting is identical with the cache on, off, or
-    /// cold: every call performs exactly one [`with_page`] access (on a
-    /// decoded-cache hit the closure is empty), so buffer LRU order,
-    /// hit/read counters and eviction I/O are byte-for-byte what an
-    /// uncached implementation would produce. The win is purely the
-    /// skipped decode.
-    ///
-    /// Staleness is impossible by the generation protocol (see
-    /// [`crate::nodecache`]): [`write_page`](Self::write_page) and
-    /// [`free`](Self::free) bump the page's generation *after* the byte
-    /// operation completes, which both evicts the cached decode and
-    /// rejects any in-flight decode that started before the write.
+    /// Byte-level accounting is identical whether decodes are kept or
+    /// not (`node_cache_pages`): every call is exactly the page access
+    /// a [`with_page`] would make, so buffer LRU order, hit/read
+    /// counters and eviction I/O are what an undecoded read produces.
+    /// The win is purely the skipped decode. Staleness is impossible by
+    /// construction: the decode lives in the frame beside its bytes, and
+    /// [`write_page`](Self::write_page), [`free`](Self::free), eviction
+    /// and the frame's reuse drop it under the same shard lock that
+    /// changes them.
     ///
     /// `decode` runs while the page's pool shard is locked (exactly like
     /// a [`with_page`] closure): it must not access the store again.
@@ -650,27 +643,13 @@ impl SharedStore {
         N: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<N>,
     {
-        let (cached, gen) = self.nodes.lookup::<N>(id);
-        if let Some(node) = cached {
-            // Byte-identity: touch the buffer pool exactly as a decoding
-            // read would, so LRU order and hit/read counts are unchanged.
-            self.pool.with_page(id, |_| ())?;
-            return Ok(node);
-        }
-        let node = Arc::new(self.pool.with_page(id, decode)??);
-        self.nodes
-            .insert_if_current(id, gen, node.clone() as Arc<dyn Any + Send + Sync>);
-        Ok(node)
+        self.pool.read_node(id, decode)
     }
 
     /// Overwrites page `id` (short payloads zero-padded).
     pub fn write_page(&self, id: PageId, bytes: &[u8]) -> Result<()> {
         self.check_writable("write_page")?;
-        self.pool.write_page(id, bytes)?;
-        // Invalidate only after the byte write is visible, so a decode
-        // that survives the generation bump has seen the new bytes.
-        self.nodes.invalidate(id);
-        Ok(())
+        self.pool.write_page(id, bytes)
     }
 
     /// Flushes all dirty pages.
@@ -679,20 +658,14 @@ impl SharedStore {
         self.pool.flush_all()
     }
 
-    /// Current I/O statistics, including decoded-node cache counters.
+    /// Current I/O statistics, decode counters included.
     pub fn stats(&self) -> IoStats {
-        let mut stats = self.pool.stats();
-        let (hits, misses, invalidations) = self.nodes.counters();
-        stats.decode_hits += hits;
-        stats.decode_misses += misses;
-        stats.decode_invalidations += invalidations;
-        stats
+        self.pool.stats()
     }
 
     /// Resets the I/O statistics (byte and decode counters).
     pub fn reset_stats(&self) {
         self.pool.reset_stats();
-        self.nodes.reset_counters();
     }
 
     /// Pages ever allocated in the pager (high-water mark).
@@ -705,11 +678,7 @@ impl SharedStore {
     /// [`BufferPool::free_page`]).
     pub fn free(&self, id: PageId) -> Result<()> {
         self.check_writable("free")?;
-        self.pool.free_page(id)?;
-        // The id may be reallocated with fresh contents: drop the decoded
-        // entry and reject in-flight decodes of the old bytes.
-        self.nodes.invalidate(id);
-        Ok(())
+        self.pool.free_page(id)
     }
 
     /// Live (allocated minus freed) pages — the index size metric of
@@ -723,13 +692,12 @@ impl SharedStore {
         self.live_pages() * self.page_size() as u64
     }
 
-    /// Checks the structural invariants of the buffer pool (its
-    /// committed-image node cache included) and the live decoded-node
-    /// cache — see [`BufferPool::validate`] and [`NodeCache::validate`]. The fault-sweep harness calls this after
-    /// every injected failure.
+    /// Checks the structural invariants of the buffer pool, its
+    /// committed-image node cache included — see
+    /// [`BufferPool::validate`]. The fault-sweep harness calls this
+    /// after every injected failure.
     pub fn validate(&self) -> Result<()> {
-        self.pool.validate()?;
-        self.nodes.validate()
+        self.pool.validate()
     }
 }
 
@@ -777,9 +745,9 @@ impl StoreSnapshot {
 
     /// Reads page `id` as a decoded node of type `N`, as of the pinned
     /// epoch, through the store's decoded-node cache of **committed**
-    /// images — a separate instance from the live cache
-    /// [`SharedStore::read_node`] consults, because between commits a
-    /// written page has two images. The cache is shared by every
+    /// images — not the frames' decodes [`SharedStore::read_node`]
+    /// uses, because between commits a written page has two images
+    /// (a clean frame's decode is taken over on a miss). The cache is shared by every
     /// snapshot of the store: a page's committed image changes only in
     /// a commit's epoch flip, which drops that page's entry, so a node
     /// decoded through one pin serves every later pin until a commit
@@ -850,7 +818,7 @@ impl Drop for StoreSnapshot {
 /// apart — trees and engines hold a `ReadHandle` and never ask which.
 #[derive(Clone, Debug)]
 pub enum ReadHandle {
-    /// Current bytes through the live decoded-node cache; writable.
+    /// Current bytes, decoded through the buffer frames; writable.
     Live(SharedStore),
     /// Page images as of the pinned epoch through the committed-image
     /// cache; read-only.
@@ -1229,11 +1197,16 @@ mod tests {
         assert_eq!(third.node_reads(), (2, 1));
 
         // Pinned reads are folded into the store's decode counters, and
-        // the live cache is a separate instance with its own decodes.
+        // a pinned decode of a clean page stays in its frame, where a
+        // live read finds it.
         let st = s.stats();
         assert_eq!((st.decode_hits, st.decode_misses), (9, 3));
         assert_eq!(*s.read_node(b, |d| Ok(d[0])).unwrap(), 2);
-        assert_eq!(s.stats().decode_misses, 4, "live read decodes for itself");
+        assert_eq!(
+            s.stats().decode_misses,
+            3,
+            "live read took the pin's decode"
+        );
         drop((second, third));
         s.validate().unwrap();
     }
@@ -1256,7 +1229,8 @@ mod tests {
 
         // The commit's flip drops the entry. The old pin now reads the
         // retained image, decoding every time and caching nothing; a
-        // new pin decodes the new image once.
+        // new pin takes the live read's decode, which the commit made
+        // the decode of the new committed image, and decodes nothing.
         s.commit().unwrap();
         assert_eq!(*old.read_node(a, |d| Ok(d[0])).unwrap(), 1);
         assert_eq!(*old.read_node(a, |d| Ok(d[0])).unwrap(), 1);
@@ -1264,7 +1238,7 @@ mod tests {
         let new = s.snapshot().unwrap();
         assert_eq!(*new.read_node(a, |d| Ok(d[0])).unwrap(), 9);
         assert_eq!(*new.read_node(a, |d| Ok(d[0])).unwrap(), 9);
-        assert_eq!(new.node_reads(), (2, 1));
+        assert_eq!(new.node_reads(), (2, 0));
         assert_eq!(*old.read_node(a, |d| Ok(d[0])).unwrap(), 1);
         drop((old, new));
         s.validate().unwrap();

@@ -1,19 +1,41 @@
-//! Decoded-node cache integration tests: update visibility, the
-//! hit/miss accounting invariant under multi-threaded load, and
-//! staleness across `free`/realloc of a page id.
+//! Decoded nodes held by buffer frames: update visibility, the hit/miss
+//! accounting invariant (single- and multi-threaded, decodes kept or
+//! not), and staleness across every way a frame's bytes change or leave
+//! — a write, free/realloc of a page id, eviction, a failed write, a WAL
+//! commit — plus a pinned read taking over a clean frame's decode.
 //!
-//! The decoded type used throughout is plain `u8`/`Vec<u8>` — the cache
-//! is type-agnostic (`Arc<dyn Any>`), so byte-level payloads exercise
-//! the same paths the tree nodes do.
+//! The decoded type used throughout is plain `u8`/`u64` — a frame holds
+//! an `Arc<dyn Any>`, so byte-level payloads exercise the same paths the
+//! tree nodes do.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use boxagg_pagestore::fault::is_injected;
-use boxagg_pagestore::{FaultPager, FaultSpec, MemPager, OpFilter, SharedStore, StoreConfig};
+use boxagg_pagestore::{
+    FaultPager, FaultSpec, MemPager, OpFilter, PageId, SharedStore, StoreConfig,
+};
 
 fn store(buffer_pages: usize, cache_pages: usize) -> SharedStore {
     SharedStore::open(&StoreConfig::small(128, buffer_pages).with_node_cache(cache_pages)).unwrap()
+}
+
+fn first_byte(b: &[u8]) -> boxagg_common::error::Result<u8> {
+    Ok(b[0])
+}
+
+/// A page written with `byte`.
+fn page(s: &SharedStore, byte: u8) -> PageId {
+    let id = s.allocate().unwrap();
+    s.write_page(id, &[byte]).unwrap();
+    id
+}
+
+/// Reads `id` as a node and reports its value and whether it decoded.
+fn read(s: &SharedStore, id: PageId) -> (u8, bool) {
+    let misses = s.stats().decode_misses;
+    let got = *s.read_node(id, first_byte).unwrap();
+    (got, s.stats().decode_misses > misses)
 }
 
 #[test]
@@ -33,36 +55,37 @@ fn write_invalidates_cached_decode() {
     assert_eq!(*s.read_node::<u8, _>(id, |b| Ok(b[0])).unwrap(), 2);
     assert!(
         s.stats().decode_invalidations >= 2,
-        "writes bump generations"
+        "each write counts an invalidation"
     );
 }
 
 #[test]
 fn decode_accounting_invariant_holds() {
-    let s = store(8, 16);
-    let mut ids = Vec::new();
-    for i in 0..10u8 {
-        let id = s.allocate().unwrap();
-        s.write_page(id, &[i]).unwrap();
-        ids.push(id);
-    }
-    s.reset_stats();
-    let mut accesses = 0u64;
-    for round in 0..5 {
-        for (i, &id) in ids.iter().enumerate() {
-            let got = *s.read_node::<u8, _>(id, |b| Ok(b[0])).unwrap();
-            assert_eq!(got, i as u8, "round {round}");
-            accesses += 1;
+    for cache_pages in [16, 0] {
+        let s = store(16, cache_pages);
+        let ids: Vec<PageId> = (0..10u8).map(|i| page(&s, i)).collect();
+        s.reset_stats();
+        let mut accesses = 0u64;
+        for round in 0..5 {
+            for (i, &id) in ids.iter().enumerate() {
+                let got = *s.read_node::<u8, _>(id, |b| Ok(b[0])).unwrap();
+                assert_eq!(got, i as u8, "round {round}");
+                accesses += 1;
+            }
+        }
+        let st = s.stats();
+        assert_eq!(
+            st.decode_hits + st.decode_misses,
+            accesses,
+            "every node access is exactly one counted hit or miss ({cache_pages})"
+        );
+        if cache_pages > 0 {
+            // First round decodes cold, later rounds hit.
+            assert_eq!((st.decode_hits, st.decode_misses), (40, 10));
+        } else {
+            assert_eq!(st.decode_hits, 0, "no decode kept, none served");
         }
     }
-    let st = s.stats();
-    assert_eq!(
-        st.decode_hits + st.decode_misses,
-        accesses,
-        "every node access is exactly one counted hit or miss"
-    );
-    // First round decodes cold, later rounds hit: both kinds occur.
-    assert!(st.decode_hits > 0 && st.decode_misses > 0);
 }
 
 #[test]
@@ -266,4 +289,119 @@ fn concurrent_stress_no_stale_decodes() {
         "one invalidation per write_page"
     );
     assert!(st.decode_hits > 0, "warm pages must hit");
+}
+
+/// A frame's decode leaves with the frame: a page evicted and read back
+/// decodes its fetched bytes again.
+#[test]
+fn eviction_drops_the_decode_with_its_frame() {
+    let s = store(2, 8);
+    let [a, b, c] = [1, 2, 3].map(|byte| page(&s, byte));
+    assert_eq!(read(&s, a), (1, true));
+    assert_eq!(read(&s, a), (1, false), "kept in a's frame");
+    assert_eq!(read(&s, b), (2, true));
+    assert_eq!(read(&s, c), (3, true), "evicts a");
+    let reads = s.stats().reads;
+    assert_eq!(read(&s, a), (1, true), "a's decode went with its frame");
+    assert_eq!(s.stats().reads, reads + 1);
+    s.validate().unwrap();
+}
+
+/// A commit changes no frame's bytes, so a frame's decode survives it;
+/// the next write drops it.
+#[test]
+fn a_wal_commit_keeps_each_frames_decode_current() {
+    let s =
+        SharedStore::open(&StoreConfig::small(128, 4).with_wal(true).with_node_cache(4)).unwrap();
+    let a = page(&s, 1);
+    assert_eq!(read(&s, a), (1, true));
+    s.commit().unwrap();
+    assert_eq!(read(&s, a), (1, false));
+    s.write_page(a, &[2]).unwrap();
+    assert_eq!(read(&s, a), (2, true), "the write dropped the decode");
+    s.commit().unwrap();
+    assert_eq!(read(&s, a), (2, false));
+    s.validate().unwrap();
+}
+
+/// A pinned miss on a clean frame takes the live read's decode instead
+/// of running the codec, and leaves a decode it makes in the frame for
+/// the next live read. After a write and a commit the pin decodes the
+/// new image, and a dirty frame's decode — of uncommitted bytes — is
+/// never handed to a pin.
+#[test]
+fn a_pinned_miss_takes_a_clean_frames_decode() {
+    let s =
+        SharedStore::open(&StoreConfig::small(128, 8).with_wal(true).with_node_cache(8)).unwrap();
+    let a = page(&s, 1);
+    // A fresh pin reads `a`: its value, and (node reads, decodes).
+    let pinned = |want: u8, reads: (u64, u64)| {
+        let snap = s.snapshot().unwrap();
+        assert_eq!(*snap.read_node(a, first_byte).unwrap(), want);
+        assert_eq!(snap.node_reads(), reads);
+    };
+    s.commit().unwrap();
+    assert_eq!(read(&s, a), (1, true));
+    pinned(1, (1, 0));
+
+    s.write_page(a, &[2]).unwrap();
+    s.commit().unwrap();
+    pinned(2, (1, 1));
+
+    assert_eq!(
+        read(&s, a),
+        (2, false),
+        "the pin's decode, left in the frame"
+    );
+    s.write_page(a, &[3]).unwrap();
+    assert_eq!(read(&s, a), (3, true), "a decode of uncommitted bytes");
+    pinned(2, (1, 0));
+    s.commit().unwrap();
+    pinned(3, (1, 0));
+    s.validate().unwrap();
+}
+
+/// Each successful `write_page` and `free` counts one invalidation,
+/// resident or not; a rejected write counts none.
+#[test]
+fn one_invalidation_per_write_or_free() {
+    let s = store(2, 8);
+    let ids: Vec<PageId> = (0..6u8).map(|i| page(&s, i)).collect();
+    s.reset_stats();
+    for &id in &ids {
+        s.read_node(id, first_byte).unwrap();
+        s.write_page(id, &[9]).unwrap();
+    }
+    for &id in &ids[..3] {
+        s.free(id).unwrap();
+    }
+    assert!(s.free(ids[0]).is_err(), "double free");
+    assert!(
+        s.write_page(PageId(1 << 40), &[1]).is_err(),
+        "never allocated"
+    );
+    assert_eq!(s.stats().decode_invalidations, 6 + 3);
+    s.validate().unwrap();
+}
+
+/// `node_cache_pages: 0` keeps no decodes anywhere: every live and every
+/// pinned read runs the codec, and the byte-level reads are unchanged.
+#[test]
+fn zero_node_cache_pages_keeps_no_decodes() {
+    let s =
+        SharedStore::open(&StoreConfig::small(128, 8).with_wal(true).with_node_cache(0)).unwrap();
+    let a = page(&s, 5);
+    s.commit().unwrap();
+    s.reset_stats();
+    for _ in 0..3 {
+        assert_eq!(read(&s, a), (5, true));
+    }
+    let snap = s.snapshot().unwrap();
+    for _ in 0..3 {
+        assert_eq!(*snap.read_node(a, first_byte).unwrap(), 5);
+    }
+    assert_eq!(snap.node_reads(), (3, 3));
+    let st = s.stats();
+    assert_eq!((st.decode_hits, st.decode_misses), (0, 6));
+    assert_eq!((st.hits, st.reads), (6, 0));
 }

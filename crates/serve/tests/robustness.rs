@@ -176,7 +176,7 @@ fn connection_limit_refuses_with_a_typed_overloaded_frame() {
 /// A handler that panics takes its own connection down and nothing
 /// else: the slot it held comes back, so a server capped at one
 /// connection admits the next one and answers it correctly. Same store
-/// shape as the shed test — two frames, both node caches off — so the
+/// shape as the shed test — two frames, no decodes kept — so the
 /// served read has to go to the pager, which panics under it.
 #[test]
 fn a_panicking_handler_gives_its_connection_slot_back() {
@@ -751,7 +751,7 @@ fn commit_durable_rides_through_a_killed_connection() {
 /// With more reads in flight than `queue_limit` allows, the excess is
 /// shed with a typed `OVERLOADED` frame and the client still gets its
 /// (bit-identical) answer through backoff — overload degrades latency,
-/// never correctness. A two-frame buffer with both node caches off
+/// never correctness. A two-frame buffer with no decodes kept
 /// makes every box-sum miss, and the gate parks the first miss with
 /// its read still in flight.
 #[test]
@@ -826,7 +826,7 @@ fn shed_reads_recover_through_client_backoff() {
 /// A read that misses the buffer is served while a commit waits on its
 /// log fsync: the committer holds the log handle there, not the pager
 /// lock the miss needs. Same store shape as the shed test — two frames,
-/// both node caches off, so every box-sum goes to the pager.
+/// no decodes kept, so every box-sum goes to the pager.
 #[test]
 fn a_cold_read_is_served_while_a_commit_waits_on_its_log_fsync() {
     let dir = boxagg_common::tempdir::tempdir().expect("tempdir");
@@ -886,7 +886,7 @@ fn a_cold_read_is_served_while_a_commit_waits_on_its_log_fsync() {
 /// own class: a checksum error on the catalog page is the server's
 /// fault (`INTERNAL`, worth retrying), not the caller's
 /// (`INVALID_ARGUMENT`). The page is damaged on disk behind a running
-/// server whose two-frame buffer, with both node caches off, has to
+/// server whose two-frame buffer, with no decodes kept, has to
 /// fetch it again for every group.
 #[test]
 fn a_failed_group_open_keeps_its_error_class() {
