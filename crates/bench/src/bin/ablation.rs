@@ -89,7 +89,6 @@ fn main() -> boxagg_common::error::Result<()> {
             page_size,
             buffer_pages,
             backing: Default::default(),
-            parallelism: 1,
             node_cache_pages: buffer_pages,
             wal: false,
         };

@@ -43,9 +43,6 @@ pub struct Args {
     pub page_size: usize,
     /// LRU buffer size in MiB (paper: 10).
     pub buffer_mb: usize,
-    /// Worker threads for the per-corner bulk loads (default 1: the
-    /// paper's sequential setting, with exact sequential I/O accounting).
-    pub threads: usize,
 }
 
 impl Args {
@@ -65,7 +62,6 @@ impl Args {
             seed: 20020601,
             page_size: 8192,
             buffer_mb: default_buffer_mb,
-            threads: 1,
         };
         let argv: Vec<String> = std::env::args().collect();
         let mut i = 1;
@@ -84,7 +80,6 @@ impl Args {
                 "--buffer-mb" => {
                     args.buffer_mb = val.parse().expect("--buffer-mb takes an integer")
                 }
-                "--threads" => args.threads = val.parse().expect("--threads takes an integer"),
                 other => {
                     eprintln!("unknown flag {other}");
                     std::process::exit(2);
@@ -104,7 +99,6 @@ impl Args {
             page_size: self.page_size,
             buffer_pages,
             backing: Default::default(),
-            parallelism: self.threads.max(1),
             node_cache_pages: buffer_pages,
             wal: false,
         }
@@ -294,7 +288,6 @@ mod tests {
             seed: 9,
             page_size: 1024,
             buffer_mb: 1,
-            threads: 1,
         };
         let objects = args.dataset();
         let bat = build_bat(&args, &objects);

@@ -221,7 +221,6 @@ impl Files {
             page_size,
             buffer_pages,
             backing: Backing::File(path.clone()),
-            parallelism: 1,
             node_cache_pages: buffer_pages,
             wal: true,
         };

@@ -76,7 +76,7 @@ pub fn parse_object(line: &str, dim: usize) -> Result<(Rect, f64)> {
 /// needed before the store can be opened at the right geometry. A
 /// store of another format version is refused here already.
 fn stored_page_size(pages: &Path) -> Result<usize> {
-    superblock::stored_page_size(&mut std::fs::File::open(pages)?)?.ok_or_else(|| {
+    superblock::stored_page_size(&std::fs::File::open(pages)?)?.ok_or_else(|| {
         invalid_arg(format!(
             "{} is not a boxagg store (no superblock)",
             pages.display()
@@ -90,7 +90,6 @@ fn store_config(pages: &Path, page_size: usize, buffer_mb: usize) -> StoreConfig
         page_size,
         buffer_pages,
         backing: Backing::File(pages.to_path_buf()),
-        parallelism: 1,
         node_cache_pages: buffer_pages,
         wal: true,
     }
@@ -123,7 +122,7 @@ fn persist(engine: &SimpleBoxSum<BATree<f64>>, store: &SharedStore) -> Result<()
 }
 
 /// `boxagg build INDEX --csv FILE --space l1,h1,…`: builds a fresh
-/// file-backed index from a CSV of objects.
+/// file-backed index from a CSV of objects with one bulk load.
 pub fn build(pages: &Path, csv: &Path, space_spec: &str, page_size: usize) -> Result<String> {
     let space = parse_box(space_spec)?;
     let dim = space.dim();
@@ -142,24 +141,25 @@ pub fn build(pages: &Path, csv: &Path, space_spec: &str, page_size: usize) -> Re
             Err(e) => return Err(e.into()),
         }
     }
-    let store = SharedStore::open(&store_config(pages, page_size, 64))?;
-    let mut engine = SimpleBoxSum::batree_in(space, store.clone())?;
     let text = std::fs::read_to_string(csv)?;
-    let mut n = 0usize;
+    let mut objects = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (rect, value) = parse_object(line, dim)
-            .map_err(|e| invalid_arg(format!("{}:{}: {e}", csv.display(), lineno + 1)))?;
-        engine.insert(&rect, value)?;
-        n += 1;
+        objects.push(
+            parse_object(line, dim)
+                .map_err(|e| invalid_arg(format!("{}:{}: {e}", csv.display(), lineno + 1)))?,
+        );
     }
+    let engine = SimpleBoxSum::batree_bulk(space, store_config(pages, page_size, 64), &objects)?;
+    let store = engine.indexes()[0].store().clone();
     persist(&engine, &store)?;
     Ok(format!(
-        "built {} with {n} objects, {} pages ({:.1} MiB)",
+        "built {} with {} objects, {} pages ({:.1} MiB)",
         pages.display(),
+        objects.len(),
         store.live_pages(),
         store.size_bytes() as f64 / (1024.0 * 1024.0)
     ))
@@ -211,8 +211,8 @@ pub fn delete(pages: &Path, object_spec: &str) -> Result<String> {
 /// `boxagg info INDEX`: superblock-catalog and size report. Read-only,
 /// like [`query`].
 pub fn info(pages: &Path) -> Result<String> {
-    let page_size = stored_page_size(pages)?;
     let store = open_readonly(pages, 16)?;
+    let page_size = store.page_size();
     let meta = store
         .root(OBJECTS_ROOT)?
         .ok_or_else(|| invalid_arg(format!("{} holds no box-sum index", pages.display())))?;
@@ -484,23 +484,36 @@ mod tests {
         let csv = write_csv(dir.path(), &row_refs);
         build(&pages, &csv, "0,100,0,100", 1024).unwrap();
 
-        for (qlow, qhigh) in [(10.0, 40.0), (0.0, 100.0), (55.0, 56.0)] {
-            let spec = format!("{qlow},{qhigh},{qlow},{qhigh}");
-            let out = query(&pages, &spec).unwrap();
-            let got: f64 = out
-                .lines()
-                .next()
-                .unwrap()
-                .trim_start_matches("sum = ")
-                .parse()
-                .unwrap();
-            let q = Rect::from_bounds(&[(qlow, qhigh), (qlow, qhigh)]);
-            let want: f64 = objects
-                .iter()
-                .filter(|(r, _)| r.intersects(&q))
-                .map(|(_, v)| v)
-                .sum();
-            assert!((got - want).abs() < 1e-6, "{got} vs {want}");
-        }
+        let check = |objects: &[(Rect, f64)]| {
+            for (qlow, qhigh) in [(10.0, 40.0), (0.0, 100.0), (55.0, 56.0)] {
+                let spec = format!("{qlow},{qhigh},{qlow},{qhigh}");
+                let out = query(&pages, &spec).unwrap();
+                let got: f64 = out
+                    .lines()
+                    .next()
+                    .unwrap()
+                    .trim_start_matches("sum = ")
+                    .parse()
+                    .unwrap();
+                let q = Rect::from_bounds(&[(qlow, qhigh), (qlow, qhigh)]);
+                let want: f64 = objects
+                    .iter()
+                    .filter(|(r, _)| r.intersects(&q))
+                    .map(|(_, v)| v)
+                    .sum();
+                assert!((got - want).abs() < 1e-6, "{got} vs {want}");
+            }
+        };
+        check(&objects);
+
+        // Bulk load packs every node full, so the first insert into the
+        // reopened file splits: the split's new pages grow the file.
+        let bytes = || std::fs::metadata(&pages).unwrap().len();
+        let before = bytes();
+        let out = insert(&pages, "20,30,20,30,7").unwrap();
+        assert!(out.contains("801 objects"), "{out}");
+        assert!(bytes() > before, "a split allocates pages");
+        objects.push((Rect::from_bounds(&[(20.0, 30.0), (20.0, 30.0)]), 7.0));
+        check(&objects);
     }
 }

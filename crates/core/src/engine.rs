@@ -17,8 +17,6 @@ use boxagg_pagestore::{SharedStore, StoreConfig};
 pub use crate::functional::FunctionalBoxSum;
 pub use crate::reduction::{CornerBoxSum, EoBoxSum};
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use crate::functional::{corner_tuples, tuple_value_size, FunctionalObject};
 use crate::reduction::eo_index_space;
 
@@ -46,76 +44,26 @@ impl SimpleBoxSum<BATree<f64>> {
         })
     }
 
-    /// Bulk-loads the `2^d` corner BA-trees from a dataset. With
-    /// `config.parallelism > 1` the per-corner loads (independent
-    /// trees over the shared store) run on that many threads.
+    /// Bulk-loads the `2^d` corner BA-trees from a dataset.
     pub fn batree_bulk(space: Rect, config: StoreConfig, objects: &[(Rect, f64)]) -> Result<Self> {
         let store = SharedStore::open(&config)?;
-        bulk_corner_engine(space.dim(), store.parallelism(), objects, move |pts| {
+        bulk_corner_engine(space.dim(), objects, move |pts| {
             BATree::bulk_load(store.clone(), space, F64_SIZE, pts)
         })
     }
 }
 
-/// Builds the `2^dim` corner indexes from `objects` with `load` and
-/// assembles the engine. With `threads <= 1` the masks are loaded in a
-/// plain loop on the caller's thread (the paper-faithful mode: what the
-/// CLI and the benchmark run). Otherwise `min(threads, 2^dim)` scoped
-/// workers claim masks from a shared counter; the indexes still come
-/// back **in mask order** and a failure reports the error earliest in
-/// mask order, exactly like the sequential loop would.
-///
-/// # Panics
-///
-/// Re-raises the panic of a `load` that panicked on a worker.
-fn bulk_corner_engine<I, F>(
-    dim: usize,
-    threads: usize,
-    objects: &[(Rect, f64)],
-    load: F,
-) -> Result<CornerBoxSum<I>>
+/// Builds the `2^dim` corner indexes from `objects` with `load`, one
+/// mask after another in mask order, and assembles the engine. A
+/// failure reports the error earliest in mask order.
+fn bulk_corner_engine<I, F>(dim: usize, objects: &[(Rect, f64)], load: F) -> Result<CornerBoxSum<I>>
 where
-    I: DominanceSumIndex<f64> + Send,
-    F: Fn(Vec<(Point, f64)>) -> Result<I> + Sync,
+    I: DominanceSumIndex<f64>,
+    F: Fn(Vec<(Point, f64)>) -> Result<I>,
 {
-    let masks = 1usize << dim;
-    let load_mask = |mask| load(objects.iter().map(|(r, v)| (r.corner(mask), *v)).collect());
-    let indexes: Vec<I> = if threads <= 1 {
-        (0..masks).map(load_mask).collect::<Result<_>>()?
-    } else {
-        // Relaxed: the counter hands out mask numbers and publishes
-        // nothing else; the results travel through `join`.
-        let next = AtomicUsize::new(0);
-        let mut loaded: Vec<(usize, Result<I>)> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads.min(masks))
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut loaded = Vec::new();
-                        loop {
-                            let mask = next.fetch_add(1, Ordering::Relaxed);
-                            if mask >= masks {
-                                return loaded;
-                            }
-                            loaded.push((mask, load_mask(mask)));
-                        }
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|worker| {
-                    worker
-                        .join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
-        });
-        loaded.sort_unstable_by_key(|(mask, _)| *mask);
-        loaded
-            .into_iter()
-            .map(|(_, index)| index)
-            .collect::<Result<_>>()?
-    };
+    let indexes = (0..1usize << dim)
+        .map(|mask| load(objects.iter().map(|(r, v)| (r.corner(mask), *v)).collect()))
+        .collect::<Result<Vec<I>>>()?;
     let mut engine = CornerBoxSum::from_indexes(dim, indexes)?;
     engine.note_bulk_loaded(objects.len());
     Ok(engine)
@@ -137,8 +85,7 @@ impl SimpleBoxSum<EcdfBTree<f64>> {
     }
 
     /// Bulk-loads the `2^d` corner indexes from a dataset (§4) — how the
-    /// large §6 configurations are built. With `config.parallelism > 1`
-    /// the per-corner loads run on that many threads.
+    /// large §6 configurations are built.
     pub fn ecdf_bulk(
         dim: usize,
         policy: BorderPolicy,
@@ -146,7 +93,7 @@ impl SimpleBoxSum<EcdfBTree<f64>> {
         objects: &[(Rect, f64)],
     ) -> Result<Self> {
         let store = SharedStore::open(&config)?;
-        bulk_corner_engine(dim, store.parallelism(), objects, move |pts| {
+        bulk_corner_engine(dim, objects, move |pts| {
             EcdfBTree::bulk_load(store.clone(), dim, policy, F64_SIZE, pts)
         })
     }
@@ -403,34 +350,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_bulk_load_matches_sequential() {
-        // Same dataset, sequential store vs a 4-thread store: the
-        // bulk-built trees must answer identically.
-        let objs = dataset(500, 91);
-        let seq =
-            SimpleBoxSum::batree_bulk(unit_space(), StoreConfig::small(1024, 256), &objs).unwrap();
-        let par = SimpleBoxSum::batree_bulk(
-            unit_space(),
-            StoreConfig::small(1024, 256).with_parallelism(4),
-            &objs,
-        )
-        .unwrap();
-        assert_eq!(par.len(), 500);
-        let mut s = 92u64;
-        for _ in 0..40 {
-            let q = rand_rect(&mut s, 0.4);
-            let a = seq.query(&q).unwrap();
-            let b = par.query(&q).unwrap();
-            let want = brute(&objs, &q);
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-            assert!((a - want).abs() < 1e-6 * want.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn scoped_bulk_load_keeps_mask_order_and_reports_the_earliest_error() {
-        // 8 masks on 3 workers (tasks > threads). The mask a load call
-        // is working on is recovered from the corner it was handed.
+    fn bulk_load_keeps_mask_order_and_reports_the_earliest_error() {
+        // 8 masks. The mask a load call is working on is recovered from
+        // the corner it was handed.
         let space = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]);
         let objs = vec![(
             Rect::from_bounds(&[(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)]),
@@ -451,17 +373,15 @@ mod tests {
                 Ok(index)
             }
         };
-        let engine = bulk_corner_engine(space.dim(), 3, &objs, load(&[])).unwrap();
+        let engine = bulk_corner_engine(space.dim(), &objs, load(&[])).unwrap();
         assert_eq!(engine.len(), 1);
         for (mask, index) in engine.indexes().iter().enumerate() {
             assert_eq!(index.points()[0].0, probe.corner(mask), "slot {mask}");
         }
-        for threads in [1, 3] {
-            let Err(err) = bulk_corner_engine(space.dim(), threads, &objs, load(&[3, 1])) else {
-                panic!("masks 1 and 3 fail");
-            };
-            assert!(err.to_string().contains("mask 1"), "{threads}: {err}");
-        }
+        let Err(err) = bulk_corner_engine(space.dim(), &objs, load(&[3, 1])) else {
+            panic!("masks 1 and 3 fail");
+        };
+        assert!(err.to_string().contains("mask 1"), "{err}");
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //! * [`engine`] — ready-made engines wiring the reductions to the
 //!   concrete disk-based backends, sharing one page store per engine so
 //!   the paper's size and I/O metrics apply to whole structures. The
-//!   `2^d` independent per-corner bulk loads run there too: a plain
-//!   loop, or one `std::thread::scope` of `StoreConfig::parallelism`
-//!   workers when that is above 1.
+//!   `2^d` per-corner bulk loads run there too, as one loop over the
+//!   masks.
 //! * [`catalog`] — the catalog naming scheme persisted engines use and
 //!   the one opener that reads it back, from the live store or from a
 //!   pinned commit epoch (what a query server answers each read

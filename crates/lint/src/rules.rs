@@ -331,7 +331,7 @@ fn rule_unsafe(tokens: &[Token], out: &mut Vec<Finding>) {
 /// `acquire_excl` for reader-writer locking); raw `.lock()` /
 /// `.try_lock()` and any bare `RwLock` are rejected. This covers every
 /// pagestore lock: the allocator, the decoded-node cache shards
-/// (`nodecache.rs`, rank `NODE_CACHE`), the buffer-pool shards, the
+/// (`nodecache.rs`, rank `NODE_CACHE`), the buffer pool's LRU, the
 /// commit write barrier, the pager, and the stats sink.
 fn rule_raw_lock(tokens: &[Token], in_test: &dyn Fn(usize) -> bool, out: &mut Vec<Finding>) {
     for (i, t) in tokens.iter().enumerate() {

@@ -308,13 +308,13 @@ impl FilePager {
     ///
     /// [`Error::GeometryMismatch`]: boxagg_common::error::Error::GeometryMismatch
     pub fn open(path: impl AsRef<Path>, page_size: usize) -> Result<Self> {
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(path.as_ref())?;
         // Before the log is so much as opened: its record sums belong
         // to the format version.
-        crate::superblock::check_geometry(&mut file, page_size)?;
+        crate::superblock::check_geometry(&file, page_size)?;
         let len = file.metadata()?.len();
         if len % page_size as u64 != 0 {
             return Err(invalid_arg(format!(

@@ -14,8 +14,8 @@
 //! * `allocate` holds the **allocator** lock while touching the **pager**
 //!   (grow-on-allocate),
 //! * `free_page` holds the **allocator** lock while dropping a cached
-//!   frame from a **shard** (stale-frame race prevention),
-//! * `with_page` / eviction / flush hold a **shard** lock while reading or
+//!   frame from the **LRU** (rank `SHARD`; stale-frame race prevention),
+//! * `with_page` / eviction / flush hold the **LRU** lock while reading or
 //!   writing through the **pager**.
 //!
 //! The unique total order consistent with all three pairs is
@@ -24,25 +24,25 @@
 //! note, which predates the allocator-holds-shard stale-frame fix; the
 //! checker exists precisely to validate the order against the code rather
 //! than the other way around.)  `WAL` sits at the very bottom: the commit
-//! mutex is held across the whole commit protocol — shard collection, log
+//! mutex is held across the whole commit protocol — LRU capture, log
 //! appends, in-place writes, truncation — so everything those steps lock
 //! must rank above it.  `SUPERBLOCK` is held across the page-0 write that
 //! publishes a catalog update, so it ranks below the barrier, node-cache,
-//! shard and pager locks that write takes.  `BARRIER` is the commit write
+//! LRU and pager locks that write takes.  `BARRIER` is the commit write
 //! barrier: writers hold it shared around each page mutation (before the
-//! allocator in `free_page` and the shards in `write_page`), a commit
+//! allocator in `free_page` and the LRU in `write_page`), a commit
 //! holds it exclusively across its dirty-frame snapshot — so it must sit
 //! above `SUPERBLOCK` (whose holder writes page 0) and below `ALLOCATOR`.
 //! `SNAPSHOT` guards the pool's pinned-epoch table and retained page
 //! versions: a commit's flip phase takes it while holding the barrier
-//! exclusively (and then touches shards and the pager to retain
+//! exclusively (and then touches the LRU and the pager to retain
 //! superseded images), and a snapshot reader takes it under a shared
-//! barrier before falling back to the shards — so it must sit between
+//! barrier before falling back to the LRU — so it must sit between
 //! `BARRIER` and `ALLOCATOR`.  `WAL_IO` guards the pool's
 //! [`WalFile`](crate::wal::WalFile) handle — the only way to the log.
 //! The log phase of a commit takes it holding nothing but the commit
 //! mutex, and holds it across appends and log fsyncs; it ranks *below*
-//! the node-cache, shard and pager locks so that log I/O under any of
+//! the node-cache, LRU and pager locks so that log I/O under any of
 //! them — a commit's fsync stalling every cache-miss reader — is an
 //! ordering violation, not a convention.  `NODE_CACHE` guards a shard
 //! of the committed-image node cache in [`crate::nodecache`]; it is a *leaf*
@@ -64,34 +64,34 @@ use std::sync::{Mutex, PoisonError};
 // increasing rank order.
 
 /// The commit mutex ([`crate::buffer::BufferPool::commit`]): held
-/// across the entire WAL commit protocol — shard scans, log appends,
+/// across the entire WAL commit protocol — the LRU scan, log appends,
 /// in-place writes and the log truncation — so it ranks below every
-/// lock those steps take (shards, pager, allocator is not taken but
+/// lock those steps take (LRU, pager, allocator is not taken but
 /// ordering it first keeps commit free to grow).
 pub const WAL: u32 = 0;
 /// The in-memory superblock image ([`crate::store`]): held across the
 /// page-0 write that publishes a named-root update (so concurrent
 /// catalog updates cannot persist out of order), hence below the
-/// barrier, shard, pager and node-cache locks that write takes.
+/// barrier, LRU, pager and node-cache locks that write takes.
 pub const SUPERBLOCK: u32 = 1;
 /// The commit write barrier ([`RankedRwLock`] in
 /// [`crate::buffer::BufferPool`]): page writers hold it shared for the
 /// duration of one mutation, a commit holds it exclusively across its
 /// dirty-frame snapshot so the snapshot is a single point-in-time cut.
-/// Writers take it before the allocator (`free_page`) and the shards
+/// Writers take it before the allocator (`free_page`) and the LRU
 /// (`write_page`), and `set_root` reaches it while holding the
 /// superblock lock, which pins it between the two.
 pub const BARRIER: u32 = 2;
 /// The snapshot table ([`crate::buffer::BufferPool`]): pinned commit
 /// epochs plus page images retained for them.  A commit's flip phase
-/// holds it (under the exclusive barrier) while touching shards and the
+/// holds it (under the exclusive barrier) while touching the LRU and the
 /// pager to retain superseded images and while invalidating the
 /// committed-image node cache; snapshot readers behind the current
 /// epoch hold it briefly under a shared barrier.  Hence above
 /// `BARRIER`, below `ALLOCATOR`.
 pub const SNAPSHOT: u32 = 3;
 /// Free-list / high-water-mark allocator state.  Held across pager grow
-/// and across shard frame-drop, so it must rank below both.
+/// and across the LRU frame-drop, so it must rank below both.
 pub const ALLOCATOR: u32 = 4;
 /// The pool's write-ahead-log handle ([`crate::wal::WalFile`], handed
 /// out by the pager when the store opens).  The log phase of a commit
@@ -104,8 +104,10 @@ pub const WAL_IO: u32 = 5;
 /// A leaf lock: lookups, inserts and invalidations never touch another
 /// lock while holding it.
 pub const NODE_CACHE: u32 = 6;
-/// A buffer-pool shard (cache segment).  Held across pager I/O on miss,
-/// eviction, and flush.
+/// The buffer pool's one LRU (its frames, their directory and their
+/// recency order).  Held across pager I/O on miss, eviction, and flush.
+/// The name dates from when the byte pool was split into shards; the
+/// committed-image node cache's shards rank as [`NODE_CACHE`].
 pub const SHARD: u32 = 7;
 /// The backing pager (file or memory).  Nothing in this crate is
 /// acquired while it is held.

@@ -52,10 +52,10 @@ impl ReadOnlyPager {
     /// truncated log).
     pub(crate) fn open(path: impl AsRef<Path>, page_size: usize) -> Result<Self> {
         let path = path.as_ref();
-        let mut file = File::open(path)?;
+        let file = File::open(path)?;
         // Before the log is read: its record sums belong to the
         // format version.
-        crate::superblock::check_geometry(&mut file, page_size)?;
+        crate::superblock::check_geometry(&file, page_size)?;
         let len = file.metadata()?.len();
         if len % page_size as u64 != 0 {
             return Err(invalid_arg(format!(

@@ -6,13 +6,10 @@
 //! indexes. All of them must share one pager and one LRU buffer so that
 //! index size and I/O counts are accounted the way the paper measures them
 //! — for the whole structure. `SharedStore` is that shared handle: an
-//! `Arc` over a sharded, internally synchronized [`BufferPool`], so
-//! concurrent readers and the per-corner bulk-loads can run on separate
-//! threads against one pool.
-//!
-//! With [`StoreConfig::parallelism`] left at its default of 1 the pool has
-//! a single shard and behaves byte-identically to the paper's sequential
-//! single-LRU setting: same eviction order, same I/O counts.
+//! `Arc` over one internally synchronized [`BufferPool`], so concurrent
+//! readers can run on separate threads against one pool. The pool is
+//! the paper's single global LRU: same eviction order, same I/O counts
+//! as a sequential implementation.
 
 use std::any::Any;
 use std::path::PathBuf;
@@ -21,7 +18,7 @@ use std::sync::Arc;
 
 use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
 
-use crate::buffer::{BufferPool, IoStats, MAX_SHARDS};
+use crate::buffer::{BufferPool, IoStats};
 use crate::pager::{FilePager, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE};
 use crate::rank::{self, RankedMutex};
 use crate::superblock::{RootEntry, Superblock};
@@ -56,17 +53,6 @@ pub struct StoreConfig {
     pub buffer_pages: usize,
     /// Backing storage. Default: memory.
     pub backing: Backing,
-    /// Worker threads for the per-corner bulk loads. Default: 1, the
-    /// paper-faithful sequential mode — a single-shard pool whose I/O
-    /// counts match a sequential implementation exactly. Values above 1
-    /// also shard the buffer pool (and with it the decodes its frames
-    /// hold) for concurrency. It does not shard the committed-image
-    /// cache that pinned reads hit: that one always has 64 shards
-    /// (fewer only when it holds fewer nodes), because concurrent
-    /// snapshot readers need them at any setting and it takes no part
-    /// in the §6 counts.
-    /// Box-sum queries are always one sequential mask-ascending loop.
-    pub parallelism: usize,
     /// Capacity in nodes of a WAL store's cache of decoded *committed*
     /// images, which pinned reads ([`StoreSnapshot::read_node`]) go
     /// through. Default: 1280 (one decoded node per default buffer
@@ -92,7 +78,6 @@ impl Default for StoreConfig {
             page_size: DEFAULT_PAGE_SIZE,
             buffer_pages: 10 * 1024 * 1024 / DEFAULT_PAGE_SIZE,
             backing: Backing::Memory,
-            parallelism: 1,
             node_cache_pages: 10 * 1024 * 1024 / DEFAULT_PAGE_SIZE,
             wal: false,
         }
@@ -107,16 +92,9 @@ impl StoreConfig {
             page_size,
             buffer_pages,
             backing: Backing::Memory,
-            parallelism: 1,
             node_cache_pages: buffer_pages,
             wal: false,
         }
-    }
-
-    /// Sets the bulk-load parallelism (see [`StoreConfig::parallelism`]).
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = threads.max(1);
-        self
     }
 
     /// Sets the committed-image cache capacity; 0 keeps no decodes (see
@@ -132,24 +110,12 @@ impl StoreConfig {
         self.wal = on;
         self
     }
-
-    /// Shard count for the buffer pool: 1 in sequential mode (exact
-    /// paper accounting), otherwise enough power-of-two shards to keep
-    /// `parallelism` threads from contending.
-    fn shards(&self) -> usize {
-        if self.parallelism <= 1 {
-            1
-        } else {
-            (self.parallelism * 8).next_power_of_two().min(MAX_SHARDS)
-        }
-    }
 }
 
 /// Cheaply clonable, thread-safe handle to a shared [`BufferPool`].
 #[derive(Clone, Debug)]
 pub struct SharedStore {
     pool: Arc<BufferPool>,
-    parallelism: usize,
     /// In-memory image of the page-0 superblock; `None` for raw stores
     /// (memory backing without WAL) that predate the catalog.
     superblock: Option<Arc<RankedMutex<Superblock>>>,
@@ -298,11 +264,9 @@ impl SharedStore {
             pool: Arc::new(BufferPool::with_config(
                 pager,
                 config.buffer_pages,
-                config.shards(),
                 log,
                 config.node_cache_pages,
             )),
-            parallelism: config.parallelism.max(1),
             superblock: None,
             recovery: RecoveryReport::default(),
             readonly: false,
@@ -589,11 +553,6 @@ impl SharedStore {
         self.pool.dirty_ceiling()
     }
 
-    /// Worker threads the per-corner bulk loads should use (≥ 1).
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
     /// Page size in bytes (including the checksum trailer) — the unit of
     /// I/O and of the Fig. 9a size metric.
     pub fn page_size(&self) -> usize {
@@ -614,7 +573,7 @@ impl SharedStore {
 
     /// Runs `f` over the contents of page `id`.
     ///
-    /// `f` runs while the page's pool shard is locked: it must not access
+    /// `f` runs while the pool's LRU is locked: it must not access
     /// the store again (directly or through a clone of this handle).
     pub fn with_page<T>(&self, id: PageId, f: impl FnOnce(&[u8]) -> T) -> Result<T> {
         self.pool.with_page(id, f)
@@ -631,10 +590,10 @@ impl SharedStore {
     /// The win is purely the skipped decode. Staleness is impossible by
     /// construction: the decode lives in the frame beside its bytes, and
     /// [`write_page`](Self::write_page), [`free`](Self::free), eviction
-    /// and the frame's reuse drop it under the same shard lock that
+    /// and the frame's reuse drop it under the same LRU lock that
     /// changes them.
     ///
-    /// `decode` runs while the page's pool shard is locked (exactly like
+    /// `decode` runs while the pool's LRU is locked (exactly like
     /// a [`with_page`] closure): it must not access the store again.
     ///
     /// [`with_page`]: Self::with_page
@@ -903,19 +862,6 @@ mod tests {
         let c = StoreConfig::default();
         assert_eq!(c.page_size, 8192);
         assert_eq!(c.buffer_pages, 1280); // 10 MB buffer
-        assert_eq!(c.parallelism, 1, "sequential mode is the default");
-        assert_eq!(c.shards(), 1, "sequential mode keeps one global LRU");
-    }
-
-    #[test]
-    fn parallel_config_shards_the_pool() {
-        let c = StoreConfig::default().with_parallelism(4);
-        assert_eq!(c.parallelism, 4);
-        assert_eq!(c.shards(), 32);
-        assert_eq!(StoreConfig::default().with_parallelism(16).shards(), 64);
-        assert_eq!(StoreConfig::default().with_parallelism(0).parallelism, 1);
-        let s = SharedStore::open(&c).unwrap();
-        assert_eq!(s.parallelism(), 4);
     }
 
     #[test]
@@ -945,7 +891,6 @@ mod tests {
             page_size: 256,
             buffer_pages: 2,
             backing: Backing::File(dir.path().join("store.db")),
-            parallelism: 1,
             node_cache_pages: 2,
             wal: false,
         };
@@ -976,7 +921,6 @@ mod tests {
             page_size: 256,
             buffer_pages: 4,
             backing: Backing::File(path),
-            parallelism: 1,
             node_cache_pages: 4,
             wal: false,
         }
@@ -1304,7 +1248,7 @@ mod tests {
 
     #[test]
     fn concurrent_handles_share_accounting() {
-        let s = SharedStore::open(&StoreConfig::small(128, 8).with_parallelism(4)).unwrap();
+        let s = SharedStore::open(&StoreConfig::small(128, 8)).unwrap();
         let ids: Vec<PageId> = (0..16u8)
             .map(|i| {
                 let id = s.allocate().unwrap();

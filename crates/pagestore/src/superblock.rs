@@ -51,7 +51,8 @@
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{ErrorKind, Read, Seek, SeekFrom};
+use std::io::ErrorKind;
+use std::os::unix::fs::FileExt;
 
 use boxagg_common::bytes::{ByteReader, ByteWriter};
 use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
@@ -98,11 +99,10 @@ fn parse_prefix(prefix: &[u8]) -> Result<Option<usize>> {
 /// returns the page size it records — `None` for a file without a
 /// superblock, [`Error::GeometryMismatch`] on `"version"` for a store
 /// of another format version. Touches nothing but those
-/// [`PREFIX_LEN`] bytes.
-pub fn stored_page_size(file: &mut File) -> Result<Option<usize>> {
+/// [`PREFIX_LEN`] bytes, read in place: the file's cursor does not move.
+pub fn stored_page_size(file: &File) -> Result<Option<usize>> {
     let mut prefix = [0u8; PREFIX_LEN];
-    file.seek(SeekFrom::Start(0))?;
-    match file.read_exact(&mut prefix) {
+    match file.read_exact_at(&mut prefix, 0) {
         Ok(()) => parse_prefix(&prefix),
         Err(e) if e.kind() == ErrorKind::UnexpectedEof => Ok(None),
         Err(e) => Err(e.into()),
@@ -115,7 +115,7 @@ pub fn stored_page_size(file: &mut File) -> Result<Option<usize>> {
 /// [`Error::GeometryMismatch`]. The log's record sums belong to the
 /// format, so replaying (or overlaying) a log before this check would
 /// silently drop another version's committed transactions.
-pub fn check_geometry(file: &mut File, page_size: usize) -> Result<()> {
+pub fn check_geometry(file: &File, page_size: usize) -> Result<()> {
     match stored_page_size(file)? {
         Some(stored) if stored != page_size => Err(Error::GeometryMismatch {
             what: "page_size",
@@ -430,6 +430,56 @@ mod tests {
         // …but only behind the magic: a raw file is never "versioned".
         v1[0] ^= 0xFF;
         assert_eq!(parse_prefix(&v1).unwrap(), None);
+    }
+
+    #[test]
+    fn stored_page_size_reads_the_prefix_off_a_real_file() {
+        use crate::store::{Backing, SharedStore, StoreConfig};
+        let dir = boxagg_common::tempdir::tempdir().unwrap();
+        let read = |name: &str, bytes: Option<&[u8]>| {
+            let path = dir.path().join(name);
+            if let Some(bytes) = bytes {
+                std::fs::write(&path, bytes).unwrap();
+            }
+            stored_page_size(&File::open(path).unwrap())
+        };
+        let bytes = sample().encode();
+        // A file that ends inside the prefix holds no superblock.
+        assert_eq!(read("empty", Some(&[])).unwrap(), None);
+        assert_eq!(read("short", Some(&bytes[..PREFIX_LEN - 1])).unwrap(), None);
+        assert_eq!(
+            read("prefix", Some(&bytes[..PREFIX_LEN])).unwrap(),
+            Some(4096)
+        );
+
+        let cfg = StoreConfig {
+            backing: Backing::File(dir.path().join("store")),
+            ..StoreConfig::small(512, 4)
+        };
+        drop(SharedStore::open(&cfg).unwrap());
+        let formatted = dir.path().join("store");
+        assert_eq!(read("store", None).unwrap(), Some(512));
+        let file = File::open(&formatted).unwrap();
+        check_geometry(&file, 512).unwrap();
+        assert!(matches!(
+            check_geometry(&file, 1024),
+            Err(Error::GeometryMismatch {
+                what: "page_size",
+                stored: 512,
+                requested: 1024,
+            })
+        ));
+
+        let mut v1 = bytes[..PREFIX_LEN].to_vec();
+        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(
+            read("v1", Some(&v1)),
+            Err(Error::GeometryMismatch {
+                what: "version",
+                stored: 1,
+                requested: 2,
+            })
+        ));
     }
 
     #[test]

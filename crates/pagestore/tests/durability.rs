@@ -18,7 +18,6 @@ fn file_config(path: std::path::PathBuf) -> StoreConfig {
         page_size: PAGE,
         buffer_pages: 4,
         backing: Backing::File(path),
-        parallelism: 1,
         node_cache_pages: 4,
         wal: false,
     }

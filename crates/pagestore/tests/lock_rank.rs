@@ -2,8 +2,8 @@
 //!
 //! The interesting assertions only exist in debug builds — release builds
 //! compile the checker away — so the violation tests are gated on
-//! `debug_assertions`.  CI runs this file once in the default (debug)
-//! profile specifically to exercise them.
+//! `debug_assertions`.  The workspace test run (`cargo test --workspace`,
+//! debug profile) exercises them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -90,7 +90,7 @@ fn checker_recovers_after_a_caught_violation() {
 /// multi-threaded load.  In a debug build any inversion would panic.
 #[test]
 fn buffer_pool_paths_respect_rank_order() {
-    let pool = Arc::new(BufferPool::with_shards(Box::new(MemPager::new(256)), 8, 4));
+    let pool = Arc::new(BufferPool::new(Box::new(MemPager::new(256)), 8));
 
     let workers: Vec<_> = (0..4)
         .map(|t| {

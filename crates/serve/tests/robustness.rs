@@ -186,7 +186,6 @@ fn a_panicking_handler_gives_its_connection_slot_back() {
         page_size: 2048,
         buffer_pages: 2,
         backing: Backing::File(path.clone()),
-        parallelism: 1,
         node_cache_pages: 0,
         wal: true,
     };
@@ -762,7 +761,6 @@ fn shed_reads_recover_through_client_backoff() {
         page_size: 2048,
         buffer_pages: 2,
         backing: Backing::File(path.clone()),
-        parallelism: 1,
         node_cache_pages: 0,
         wal: true,
     };
@@ -835,7 +833,6 @@ fn a_cold_read_is_served_while_a_commit_waits_on_its_log_fsync() {
         page_size: 2048,
         buffer_pages: 2,
         backing: Backing::File(path.clone()),
-        parallelism: 1,
         node_cache_pages: 0,
         wal: true,
     };
@@ -897,7 +894,6 @@ fn a_failed_group_open_keeps_its_error_class() {
         page_size: PAGE,
         buffer_pages: 2,
         backing: Backing::File(path.clone()),
-        parallelism: 1,
         node_cache_pages: 0,
         wal: true,
     };

@@ -27,7 +27,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         page_size: 8192,
         buffer_pages: 64, // a deliberately small buffer: 512 KiB
         backing: Backing::File(path.clone()),
-        parallelism: 1,
         node_cache_pages: 64,
         wal: true,
     };

@@ -21,7 +21,7 @@ fn fill(id: PageId, round: u64) -> [u8; 24] {
 fn concurrent_reads_keep_exact_io_accounting() {
     // Setup: one thread writes every page, then stats are zeroed so the
     // read-only phase starts from a clean slate.
-    let store = SharedStore::open(&StoreConfig::small(256, 32).with_parallelism(THREADS)).unwrap();
+    let store = SharedStore::open(&StoreConfig::small(256, 32)).unwrap();
     let pages = 200usize;
     let ids: Vec<PageId> = (0..pages)
         .map(|_| {
@@ -57,7 +57,7 @@ fn concurrent_reads_keep_exact_io_accounting() {
     let s = store.stats();
     // The paper's cost model: every page access is either a buffer hit
     // or a read I/O — atomically counted, so the totals must be exact
-    // even under 8-way concurrency.
+    // even with 8 threads on the one LRU lock.
     assert_eq!(
         s.reads + s.hits,
         (THREADS * accesses_per_thread) as u64,
@@ -80,10 +80,7 @@ fn concurrent_readers_survive_injected_faults() {
     use boxagg::pagestore::{FaultPager, FaultSpec, MemPager, OpFilter};
 
     let (pager, faults) = FaultPager::new(Box::new(MemPager::new(256)));
-    let store = SharedStore::with_pager(
-        Box::new(pager),
-        &StoreConfig::small(256, 32).with_parallelism(THREADS),
-    );
+    let store = SharedStore::with_pager(Box::new(pager), &StoreConfig::small(256, 32));
     let pages = 128usize;
     let ids: Vec<PageId> = (0..pages)
         .map(|_| {
@@ -200,12 +197,8 @@ fn commit_storm_under_faults_keeps_content_intact() {
     use boxagg::pagestore::{FaultPager, FaultSpec, MemPager, OpFilter};
 
     let (pager, faults) = FaultPager::new(Box::new(MemPager::new(256)));
-    let store = SharedStore::with_pager(
-        Box::new(pager),
-        &StoreConfig::small(256, 16)
-            .with_parallelism(THREADS)
-            .with_wal(true),
-    );
+    let store =
+        SharedStore::with_pager(Box::new(pager), &StoreConfig::small(256, 16).with_wal(true));
     let per_thread = 12usize;
     let all: Vec<PageId> = (0..THREADS * per_thread)
         .map(|_| store.allocate().unwrap())
@@ -283,9 +276,9 @@ fn commit_storm_under_faults_keeps_content_intact() {
 fn concurrent_mixed_traffic_preserves_content_integrity() {
     // Each thread owns a disjoint slice of pages and hammers it with
     // writes, reads and free/reallocate cycles while the other threads
-    // do the same — all over one sharded pool with a tiny capacity, so
+    // do the same — all over one LRU lock with a tiny capacity, so
     // evictions interleave constantly.
-    let store = SharedStore::open(&StoreConfig::small(256, 8).with_parallelism(THREADS)).unwrap();
+    let store = SharedStore::open(&StoreConfig::small(256, 8)).unwrap();
     let per_thread = 16usize;
     let all: Vec<PageId> = (0..THREADS * per_thread)
         .map(|_| store.allocate().unwrap())

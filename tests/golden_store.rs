@@ -89,7 +89,6 @@ fn config(path: &Path) -> StoreConfig {
         page_size: PAGE,
         buffer_pages: 64,
         backing: Backing::File(path.to_path_buf()),
-        parallelism: 1,
         node_cache_pages: 64,
         wal: true,
     }

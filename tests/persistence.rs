@@ -41,7 +41,6 @@ fn batree_survives_reopen_by_name() {
         page_size: 1024,
         buffer_pages: 16,
         backing: Backing::File(path.clone()),
-        parallelism: 1,
         node_cache_pages: 16,
         wal: true,
     };
@@ -102,7 +101,6 @@ fn ecdf_btree_survives_reopen_by_name() {
         page_size: 1024,
         buffer_pages: 8,
         backing: Backing::File(path.clone()),
-        parallelism: 1,
         node_cache_pages: 8,
         wal: true,
     };
@@ -157,7 +155,6 @@ fn open_at_compatibility_pin() {
         page_size: 1024,
         buffer_pages: 8,
         backing: Backing::File(path.clone()),
-        parallelism: 1,
         node_cache_pages: 8,
         wal: false,
     };

@@ -1,8 +1,8 @@
 //! Randomized model tests of the storage substrate: the buffer pool
 //! must behave exactly like a trivial model (a vector of page images)
 //! under arbitrary interleavings of allocate / write / read / free /
-//! flush, for any pool capacity and shard count. Deterministic seeds —
-//! the workspace builds offline, without the `proptest` crate.
+//! flush, for any pool capacity. Deterministic seeds — the workspace
+//! builds offline, without the `proptest` crate.
 
 use boxagg::pagestore::{BufferPool, MemPager, PageId};
 use boxagg_common::rng::StdRng;
@@ -29,8 +29,8 @@ fn gen_op(rng: &mut StdRng) -> Op {
     }
 }
 
-fn run_case(capacity: usize, shards: usize, ops: &[Op]) {
-    let pool = BufferPool::with_shards(Box::new(MemPager::new(128)), capacity, shards);
+fn run_case(capacity: usize, ops: &[Op]) {
+    let pool = BufferPool::new(Box::new(MemPager::new(128)), capacity);
     // The pool exposes page *payloads* (the checksum trailer is
     // reserved inside the page), so the model mirrors payload images.
     let page = pool.payload_size();
@@ -106,12 +106,7 @@ fn run_case(capacity: usize, shards: usize, ops: &[Op]) {
             live(&model).len(),
             "live-page accounting diverged"
         );
-        // Per-shard capacity splitting can round each shard up to ≥ 1
-        // frame, so the global bound is capacity + (shards - 1).
-        assert!(
-            pool.resident() <= capacity + shards.saturating_sub(1),
-            "capacity exceeded"
-        );
+        assert!(pool.resident() <= capacity, "capacity exceeded");
         pool.validate()
             .expect("pool invariants must hold after every op");
     }
@@ -126,15 +121,10 @@ fn run_case(capacity: usize, shards: usize, ops: &[Op]) {
 #[test]
 fn buffer_pool_matches_model() {
     let mut rng = StdRng::seed_from_u64(0x10DE1);
-    for case in 0..128 {
+    for _ in 0..128 {
         let capacity = 1 + rng.gen_range(0..5);
         let n_ops = 1 + rng.gen_range(0..119);
         let ops: Vec<Op> = (0..n_ops).map(|_| gen_op(&mut rng)).collect();
-        // The same op sequence must hold for a single global LRU and
-        // for every sharded configuration.
-        for shards in [1, 2, 4] {
-            run_case(capacity, shards, &ops);
-        }
-        let _ = case;
+        run_case(capacity, &ops);
     }
 }
