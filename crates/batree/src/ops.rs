@@ -354,7 +354,9 @@ pub(crate) fn tree_query<V: AggValue>(
 
 // The dominance scans below are the tree's hottest loops; the slab scan
 // keeps the exact add order of the scalar loop it replaced (bit-identical
-// aggregates, see `EntrySlab::sum_dominated_into`).
+// aggregates, see `EntrySlab::sum_dominated_into`), and a leaf's fresh
+// sum from zero may come from its running sums, with the same bits
+// (`EntrySlab::dominated_sum`).
 fn query_rec<V: AggValue>(
     ctx: Ctx<'_>,
     dim: usize,
@@ -364,11 +366,7 @@ fn query_rec<V: AggValue>(
 ) -> Result<V> {
     let node = ctx.read_shared::<V>(node_id, dim)?;
     match &*node {
-        Node::Leaf(entries) => {
-            let mut acc = V::zero();
-            entries.sum_dominated_into(q, &mut acc);
-            Ok(acc)
-        }
+        Node::Leaf(entries) => Ok(entries.dominated_sum(q)),
         Node::Index(records) => {
             let i = find_owner(records, q, space)
                 .ok_or_else(|| invalid_arg(format!("query point {q:?} outside every record")))?;

@@ -2,7 +2,7 @@
 
 use boxagg_common::error::{invalid_arg, Result};
 use boxagg_common::geom::{Point, Rect};
-use boxagg_common::traits::DominanceSumIndex;
+use boxagg_common::traits::{check_query, DominanceSumIndex};
 use boxagg_common::value::AggValue;
 use boxagg_pagestore::{PageId, ReadHandle, RootEntry, RootKind, SharedStore};
 
@@ -248,13 +248,7 @@ impl<V: AggValue> DominanceSumIndex<V> for BATree<V> {
     }
 
     fn dominance_sum(&self, q: &Point) -> Result<V> {
-        if q.dim() != self.dim() {
-            return Err(invalid_arg(format!(
-                "query dimension {} != tree dimension {}",
-                q.dim(),
-                self.dim()
-            )));
-        }
+        check_query(q, self.dim())?;
         ops::tree_query(self.ctx(), self.space.dim(), &self.space, self.root, q)
     }
 
@@ -334,6 +328,72 @@ mod tests {
         assert_eq!(t.dominance_sum(&Point::new(&[10.0, 10.0])).unwrap(), 5.0);
         // Below the space floor: nothing dominated.
         assert_eq!(t.dominance_sum(&Point::new(&[-1.0, 0.5])).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn a_nan_query_coordinate_is_refused_and_infinities_clamp() {
+        let mut t = small_tree(2, 512);
+        t.insert(Point::new(&[0.2, 0.3]), 1.0).unwrap();
+        t.insert(Point::new(&[0.6, 0.4]), 2.0).unwrap();
+        let nan = f64::NAN;
+        for q in [[nan, 0.5], [0.5, nan], [nan, nan], [-nan, 1.0], [nan, -1.0]] {
+            match t.dominance_sum(&Point::new(&q)) {
+                Err(boxagg_common::Error::InvalidArgument(_)) => {}
+                other => panic!("{q:?} answered {other:?}"),
+            }
+        }
+        let inf = f64::INFINITY;
+        assert_eq!(t.dominance_sum(&Point::new(&[inf, inf])).unwrap(), 3.0);
+        assert_eq!(t.dominance_sum(&Point::new(&[inf, 0.35])).unwrap(), 1.0);
+        assert_eq!(t.dominance_sum(&Point::new(&[-inf, inf])).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn two_threads_visiting_shared_leaf_slabs_answer_alike() {
+        // 1-d leaves of ≈ 250 sorted entries, decoded once and shared:
+        // both threads make their first, second and later visits to the
+        // same decodes at once, which is when the running sums are built.
+        // The answers must be those of a store that keeps no decodes
+        // (every visit a first visit: a plain scan), to the bit.
+        let mut s = 0x5AB5u64;
+        let points: Vec<(Point, f64)> = (0..3000)
+            .map(|_| (Point::new(&[rnd(&mut s)]), (rnd(&mut s) - 0.5) * 1e6))
+            .collect();
+        let queries: Vec<Point> = (0..60).map(|_| Point::new(&[rnd(&mut s)])).collect();
+        let tree = |config: StoreConfig| -> BATree<f64> {
+            let store = SharedStore::open(&config).unwrap();
+            BATree::bulk_load(store, unit_space(1), 8, points.clone()).unwrap()
+        };
+        let scan = tree(StoreConfig {
+            node_cache_pages: 0,
+            ..StoreConfig::small(4096, 64)
+        });
+        let want: Vec<u64> = queries
+            .iter()
+            .map(|q| scan.dominance_sum(q).unwrap().to_bits())
+            .collect();
+        assert_eq!(scan.store().stats().decode_hits, 0, "every visit decodes");
+        for _ in 0..20 {
+            let shared = tree(StoreConfig::small(4096, 64));
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        for visit in 1..=3 {
+                            for (q, want) in queries.iter().zip(&want) {
+                                let got = shared.dominance_sum(q).unwrap().to_bits();
+                                assert_eq!(got, *want, "visit {visit}, q {q:?}");
+                            }
+                        }
+                    });
+                }
+            });
+            assert!(
+                shared.store().stats().decode_hits > 0,
+                "the decodes are shared"
+            );
+        }
     }
 
     fn compare_vs_naive(dim: usize, n: usize, page_size: usize, seed: u64) {

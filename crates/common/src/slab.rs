@@ -37,7 +37,7 @@
 //! replaced, so aggregates are bit-identical to the old layout; that
 //! scalar loop is kept as
 //! [`EntrySlab::sum_dominated_from_into_reference`] for the equivalence
-//! tests and the inner-loop benchmark to compare against.
+//! tests to compare against.
 //!
 //! **Sorted slabs stop early.** A slab knows, exactly, whether its
 //! column 0 ascends — every mutation keeps the flag and a decode
@@ -45,6 +45,21 @@
 //! at the first chunk whose first key is past the query's. Bulk-loaded
 //! leaves are sorted so; the skipped entries are not dominated, so the
 //! sum is the same to the bit.
+//!
+//! **A sorted 1-d slab answers from running sums.** In one dimension
+//! the entries a sorted slab dominates are a prefix, so the scan's sum
+//! from zero is, at every chunk start, a running sum of the values
+//! before it. [`EntrySlab::dominated_sum`] keeps those sums — one per
+//! 64-entry chunk, taken from `V::zero()` in entry order, the order the
+//! scan adds in — and answers with the sum at the last chunk whose first
+//! key is dominated plus that chunk's dominated entries: the same adds
+//! from the same start, so the same bits. The sums are built on a slab's
+//! *second* visit since it last changed, not at decode: a cold miss
+//! decodes a leaf it may never see again, and a first visit costs the
+//! plain scan. Every mutation forgets them, and a clone has none.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 use crate::bytes::{ByteReader, ByteWriter};
 use crate::error::Result;
@@ -66,7 +81,7 @@ const WORD: usize = 8;
 /// insertion (the same order the tuple vector kept), and every aggregate
 /// walk visits entries in that order so floating-point results match the
 /// old layout bit for bit.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EntrySlab<V> {
     /// Dimensionality of the points (≤ [`MAX_DIM`]).
     dim: u8,
@@ -75,11 +90,34 @@ pub struct EntrySlab<V> {
     /// recomputed at decode. A dominance scan of a sorted slab stops at
     /// the first key past the query's.
     sorted: bool,
+    /// Whether [`dominated_sum`](Self::dominated_sum) has visited the
+    /// slab since it last changed: the next visit builds `runs`.
+    visited: AtomicBool,
     /// Entries each column has room for; `coords.len() == dim * cap`.
     cap: usize,
     /// Column `d` is `coords[d * cap .. d * cap + len]`.
     coords: Vec<f64>,
     values: Vec<V>,
+    /// `runs[c]`: the sum from `V::zero()`, in entry order, of the values
+    /// before chunk `c` — built for sorted 1-d slabs of more than one
+    /// chunk on their second visit, dropped by every mutation.
+    runs: OnceLock<Box<[V]>>,
+}
+
+impl<V: Clone> Clone for EntrySlab<V> {
+    /// The same entries, without the running sums or the visit that
+    /// would build them: a clone is made to be edited.
+    fn clone(&self) -> Self {
+        Self {
+            dim: self.dim,
+            sorted: self.sorted,
+            visited: AtomicBool::new(false),
+            cap: self.cap,
+            coords: self.coords.clone(),
+            values: self.values.clone(),
+            runs: OnceLock::new(),
+        }
+    }
 }
 
 impl<V: AggValue> PartialEq for EntrySlab<V> {
@@ -123,12 +161,21 @@ impl<V: AggValue> EntrySlab<V> {
         let mut s = Self {
             dim: dim as u8,
             sorted: false,
+            visited: AtomicBool::new(false),
             cap,
             coords,
             values,
+            runs: OnceLock::new(),
         };
         s.sorted = s.col0_ascends();
         s
+    }
+
+    /// Drops the running sums and the visit that would build them: the
+    /// entries are about to change.
+    fn forget_runs(&mut self) {
+        *self.visited.get_mut() = false;
+        self.runs = OnceLock::new();
     }
 
     /// Whether column 0 exists and ascends: the value the `sorted` flag
@@ -197,6 +244,7 @@ impl<V: AggValue> EntrySlab<V> {
     /// Inserts an entry at position `i`, shifting later entries right.
     pub fn insert_at(&mut self, i: usize, p: &Point, v: V) {
         debug_assert_eq!(p.dim(), self.dim(), "point dimension mismatch");
+        self.forget_runs();
         let len = self.len();
         if self.sorted {
             // An unsorted slab stays unsorted: the neighbours that
@@ -241,6 +289,7 @@ impl<V: AggValue> EntrySlab<V> {
     /// Mutable value of entry `i`.
     #[inline]
     pub fn value_mut(&mut self, i: usize) -> &mut V {
+        self.forget_runs();
         &mut self.values[i]
     }
 
@@ -278,6 +327,7 @@ impl<V: AggValue> EntrySlab<V> {
 
     /// Splits the slab at `at`, returning the tail `[at..]`.
     pub fn split_off(&mut self, at: usize) -> Self {
+        self.forget_runs();
         let len = self.len();
         let coords = self.packed_cols(at, len);
         let tail = Self::from_parts(self.dim(), len - at, coords, self.values.split_off(at));
@@ -296,6 +346,7 @@ impl<V: AggValue> EntrySlab<V> {
     /// values in lockstep. Equal keys keep their relative order, matching
     /// `slice::sort_by` on the tuple layout exactly.
     pub fn sort_range_by_dim(&mut self, d: usize, start: usize, end: usize) {
+        self.forget_runs();
         let key = self.col(d);
         let mut perm: Vec<usize> = (start..end).collect();
         perm.sort_by(|&a, &b| key[a].total_cmp(&key[b]));
@@ -342,6 +393,74 @@ impl<V: AggValue> EntrySlab<V> {
     #[inline]
     pub fn sum_dominated_into(&self, q: &Point, acc: &mut V) {
         self.sum_dominated_from_into(0, q, acc);
+    }
+
+    /// The values of every entry dominated by `q`, summed from
+    /// `V::zero()` in entry order: what
+    /// [`sum_dominated_into`](Self::sum_dominated_into) leaves in a zero
+    /// accumulator, to the bit.
+    ///
+    /// A sorted 1-d slab of more than one chunk answers its second and
+    /// later visits from running sums: the sum before the last chunk
+    /// whose first key is dominated, plus that chunk's entries up to the
+    /// first key past `q[0]`. Those are the scan's own adds from the
+    /// scan's own start.
+    // lint: hot-path
+    pub fn dominated_sum(&self, q: &Point) -> V {
+        debug_assert_eq!(q.dim(), self.dim());
+        let Some(runs) = self.running_sums() else {
+            let mut acc = V::zero();
+            self.sum_dominated_from_into(0, q, &mut acc);
+            return acc;
+        };
+        let (keys, q0) = (self.col(0), q.get(0));
+        let mut c = 0;
+        while c + 1 < runs.len() && keys[(c + 1) * CHUNK] <= q0 {
+            c += 1;
+        }
+        let chunk = c * CHUNK..((c + 1) * CHUNK).min(self.len());
+        let mut acc = runs[c].clone();
+        for (_, v) in keys[chunk.clone()]
+            .iter()
+            .zip(&self.values[chunk])
+            .take_while(|&(&k, _)| k <= q0)
+        {
+            acc.add_assign(v);
+        }
+        acc
+    }
+
+    /// The running sums [`dominated_sum`](Self::dominated_sum) answers
+    /// from, if the slab takes them (1-d, sorted, more than one chunk)
+    /// and this is not its first visit since it last changed. The second
+    /// visit builds them here, so a leaf decoded for one query never
+    /// pays for them. Racing visits are harmless: the flag only picks
+    /// which visit builds, and either answer has the same bits.
+    fn running_sums(&self) -> Option<&[V]> {
+        if !(self.dim == 1 && self.sorted && self.len() > CHUNK) {
+            return None;
+        }
+        if let Some(runs) = self.runs.get() {
+            return Some(runs);
+        }
+        if !self.visited.load(Ordering::Relaxed) {
+            self.visited.store(true, Ordering::Relaxed);
+            return None;
+        }
+        let runs = self.runs.get_or_init(|| {
+            let mut acc = V::zero();
+            self.values
+                .chunks(CHUNK)
+                .map(|chunk| {
+                    let start = acc.clone();
+                    for v in chunk {
+                        acc.add_assign(v);
+                    }
+                    start
+                })
+                .collect()
+        });
+        Some(runs)
     }
 
     /// [`sum_dominated_into`](Self::sum_dominated_into) restricted to
@@ -1082,6 +1201,219 @@ mod tests {
             }
         }
         assert!(stopped > 100, "the early stop was reached {stopped} times");
+    }
+
+    /// What `dominated_sum` must return: the reference scan from zero.
+    fn scanned<V: AggValue>(s: &EntrySlab<V>, q: &Point) -> V {
+        let mut acc = V::zero();
+        s.sum_dominated_from_into_reference(0, q, &mut acc);
+        acc
+    }
+
+    /// Whether `dominated_sum` may build running sums for `s`.
+    fn takes_runs<V: AggValue>(s: &EntrySlab<V>) -> bool {
+        s.dim() == 1 && s.sorted && s.len() > CHUNK
+    }
+
+    /// A value whose magnitude varies over many binades, so a sum that
+    /// took its adds in another order or from another start would show
+    /// it in the low bits.
+    fn spread_f64(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..12) {
+            0 => -0.0,
+            1 => 0.0,
+            e => random_f64(rng) * 1e3f64.powi(e as i32 - 6),
+        }
+    }
+
+    #[test]
+    fn a_running_sum_answers_exactly_what_the_scan_does() {
+        let mut rng = StdRng::seed_from_u64(0x00AB_5005);
+        let mut built = 0;
+        for dim in 1..=3 {
+            for sorted in [true, false] {
+                for count in [0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK, 511] {
+                    // Ties, and `-0.0` beside `0.0`, which `≤` calls equal.
+                    let keys: Vec<f64> = scan_keys(&mut rng, count, sorted)
+                        .into_iter()
+                        .map(|k| {
+                            if k == 0.0 && rng.gen_range(0..2) == 0 {
+                                -0.0
+                            } else {
+                                k
+                            }
+                        })
+                        .collect();
+                    let mut flat = EntrySlab::<f64>::new(dim);
+                    let mut poly = EntrySlab::<Poly>::new(dim);
+                    for &k in &keys {
+                        let pt =
+                            Point::from_fn(dim, |d| if d == 0 { k } else { random_f64(&mut rng) });
+                        flat.push(&pt, spread_f64(&mut rng));
+                        poly.push(&pt, random_poly(&mut rng));
+                    }
+                    // q₀ below, equal to, between and above the keys.
+                    let (lo, hi) = (keys.first().copied(), keys.last().copied());
+                    let mut q0s = vec![-1.0, -0.0, 0.0, 2.0, 1e9];
+                    q0s.extend(lo.iter().chain(&hi).copied());
+                    q0s.extend(keys.iter().step_by(29).flat_map(|&k| [k, k + 1.0]));
+                    let queries: Vec<Point> = q0s
+                        .iter()
+                        .flat_map(|&q0| {
+                            [f64::INFINITY, 0.0]
+                                .map(|rest| Point::from_fn(dim, |d| if d == 0 { q0 } else { rest }))
+                        })
+                        .collect();
+                    let at = format!("dim {dim} sorted {sorted} n {count}");
+                    // A fresh copy per query, visited three times (the
+                    // first scans, the second builds, the third reuses),
+                    // and one long-lived slab visited by every query.
+                    for q in &queries {
+                        let (f, p) = (flat.clone(), poly.clone());
+                        for visit in 1..=3 {
+                            let at = format!("{at} q {q:?} visit {visit}");
+                            assert_eq!(f.dominated_sum(q).bits(), scanned(&f, q).bits(), "{at}");
+                            assert_eq!(p.dominated_sum(q).bits(), scanned(&p, q).bits(), "{at}");
+                            let runs = visit >= 2 && takes_runs(&f);
+                            assert_eq!(f.runs.get().is_some(), runs, "{at}");
+                            assert_eq!(p.runs.get().is_some(), runs, "{at}: Poly");
+                        }
+                    }
+                    for round in 0..2 {
+                        for q in &queries {
+                            let at = format!("{at} q {q:?} round {round}");
+                            assert_eq!(
+                                flat.dominated_sum(q).bits(),
+                                scanned(&flat, q).bits(),
+                                "{at}"
+                            );
+                            assert_eq!(
+                                poly.dominated_sum(q).bits(),
+                                scanned(&poly, q).bits(),
+                                "{at}"
+                            );
+                        }
+                    }
+                    if takes_runs(&flat) {
+                        assert_eq!(
+                            flat.runs.get().map(|r| r.len()),
+                            Some(count.div_ceil(CHUNK))
+                        );
+                        built += 1;
+                    } else {
+                        assert!(flat.runs.get().is_none(), "{at}");
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            built, 3,
+            "sorted 1-d slabs past one chunk: 65, 192 and 511 entries"
+        );
+    }
+
+    /// A sorted 1-d slab of 200 entries whose running sums are built.
+    fn warmed_slab() -> EntrySlab<f64> {
+        let mut rng = StdRng::seed_from_u64(0x0FF5);
+        let mut s = EntrySlab::new(1);
+        for i in 0..200 {
+            s.push(&p(&[(i / 2) as f64]), spread_f64(&mut rng));
+        }
+        let q = p(&[150.0]);
+        s.dominated_sum(&q);
+        s.dominated_sum(&q);
+        assert!(s.runs.get().is_some(), "the second visit builds the sums");
+        s
+    }
+
+    #[test]
+    fn every_mutation_forgets_the_running_sums() {
+        type Mutation = fn(&mut EntrySlab<f64>);
+        let mutations: [(&str, Mutation); 6] = [
+            ("push", |s| s.push(&p(&[1e6]), 3.5)),
+            ("insert_at", |s| s.insert_at(0, &p(&[-1.0]), 1e12)),
+            ("value_mut", |s| *s.value_mut(5) += 1e-3),
+            ("split_off", |s| drop(s.split_off(150))),
+            ("sort_range_by_dim", |s| s.sort_range_by_dim(0, 10, 90)),
+            ("sort_range_by_dim, whole", |s| {
+                s.sort_range_by_dim(0, 0, s.len())
+            }),
+        ];
+        let queries: Vec<Point> = [-5.0, 0.0, 31.5, 32.0, 64.0, 77.0, 99.0, 1e9]
+            .iter()
+            .map(|&q0| p(&[q0]))
+            .collect();
+        for (name, mutate) in mutations {
+            let mut s = warmed_slab();
+            mutate(&mut s);
+            assert!(s.runs.get().is_none(), "{name} kept the running sums");
+            assert!(!*s.visited.get_mut(), "{name} kept the first visit");
+            assert!(takes_runs(&s), "{name}: the slab still takes running sums");
+            for visit in 1..=3 {
+                for q in &queries {
+                    let at = format!("{name}, visit {visit}, q {q:?}");
+                    assert_eq!(
+                        s.dominated_sum(q).to_bits(),
+                        scanned(&s, q).to_bits(),
+                        "{at}"
+                    );
+                }
+            }
+            assert!(
+                s.runs.get().is_some(),
+                "{name}: rebuilt on the next second visit"
+            );
+        }
+    }
+
+    #[test]
+    fn a_clone_carries_no_running_sums() {
+        let s = warmed_slab();
+        let c = s.clone();
+        assert_eq!(c, s);
+        assert!(c.runs.get().is_none() && !c.visited.load(Ordering::Relaxed));
+        assert!(s.runs.get().is_some(), "the original keeps its sums");
+        let q = p(&[70.0]);
+        assert_eq!(c.dominated_sum(&q).to_bits(), s.dominated_sum(&q).to_bits());
+        assert!(c.runs.get().is_none(), "a clone's first visit scans");
+        assert_eq!(c.dominated_sum(&q).to_bits(), s.dominated_sum(&q).to_bits());
+        assert!(c.runs.get().is_some(), "a clone's second visit builds");
+    }
+
+    #[test]
+    fn two_threads_visiting_one_slab_answer_alike() {
+        let mut rng = StdRng::seed_from_u64(0x7EAD);
+        let mut keys = scan_keys(&mut rng, 340, true);
+        keys.sort_by(f64::total_cmp);
+        let mut base = EntrySlab::<f64>::new(1);
+        for k in keys {
+            base.push(&p(&[k]), spread_f64(&mut rng));
+        }
+        let queries: Vec<Point> = (0..24).map(|i| p(&[(i * 9) as f64 - 4.0])).collect();
+        let want: Vec<u64> = queries
+            .iter()
+            .map(|q| scanned(&base, q).to_bits())
+            .collect();
+        for _ in 0..200 {
+            // A fresh copy each round, so both threads race its first
+            // and second visits.
+            let shared = base.clone();
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        for visit in 1..=3 {
+                            for (q, want) in queries.iter().zip(&want) {
+                                let got = shared.dominated_sum(q).to_bits();
+                                assert_eq!(got, *want, "visit {visit}, q {q:?}");
+                            }
+                        }
+                    });
+                }
+            });
+            assert!(shared.runs.get().is_some());
+        }
     }
 
     /// Not a test of anything: prints what decoding and encoding one

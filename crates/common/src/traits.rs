@@ -1,6 +1,6 @@
 //! Core index interfaces.
 
-use crate::error::Result;
+use crate::error::{invalid_arg, Result};
 use crate::geom::Point;
 use crate::value::AggValue;
 
@@ -34,6 +34,26 @@ pub trait DominanceSumIndex<V: AggValue> {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// Refuses a dominance-sum query point a `dim`-dimensional index cannot
+/// answer: one of another dimension, or one with a NaN coordinate,
+/// which no point is dominated by and which clamping into the indexed
+/// space would silently turn into its ceiling. `±∞` is accepted: it
+/// clamps to the space's floor or ceiling, which is what it means.
+pub fn check_query(q: &Point, dim: usize) -> Result<()> {
+    if q.dim() != dim {
+        return Err(invalid_arg(format!(
+            "query dimension {} != tree dimension {dim}",
+            q.dim()
+        )));
+    }
+    if q.coords().iter().any(|c| c.is_nan()) {
+        return Err(invalid_arg(format!(
+            "query point {q:?} has a NaN coordinate"
+        )));
+    }
+    Ok(())
 }
 
 /// Brute-force reference implementation: a flat list of weighted points.

@@ -256,6 +256,31 @@ mod tests {
     }
 
     #[test]
+    fn a_box_sum_with_a_nan_coordinate_is_refused() {
+        fn check<I: DominanceSumIndex<f64>>(e: &SimpleBoxSum<I>, objs: &[(Rect, f64)]) {
+            for q in [[f64::NAN, 0.5], [0.5, f64::NAN]] {
+                match e.query(&Rect::degenerate(Point::new(&q))) {
+                    Err(boxagg_common::Error::InvalidArgument(_)) => {}
+                    other => panic!("{q:?} answered {other:?}"),
+                }
+            }
+            let all = Rect::from_bounds(&[(f64::NEG_INFINITY, f64::INFINITY); 2]);
+            assert_eq!(e.query(&all).unwrap(), brute(objs, &all));
+        }
+        let objs = dataset(50, 13);
+        let config = || StoreConfig::small(1024, 64);
+        check(
+            &SimpleBoxSum::batree_bulk(unit_space(), config(), &objs).unwrap(),
+            &objs,
+        );
+        let policy = BorderPolicy::UpdateOptimized;
+        check(
+            &SimpleBoxSum::ecdf_bulk(2, policy, config(), &objs).unwrap(),
+            &objs,
+        );
+    }
+
+    #[test]
     fn batree_bulk_matches_dynamic_engine() {
         let objs = dataset(600, 71);
         let bulk =

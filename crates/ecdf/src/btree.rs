@@ -31,7 +31,7 @@ use boxagg_common::bytes::ByteWriter;
 use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
 use boxagg_common::geom::Point;
 use boxagg_common::slab::EntrySlab;
-use boxagg_common::traits::DominanceSumIndex;
+use boxagg_common::traits::{check_query, DominanceSumIndex};
 use boxagg_common::value::AggValue;
 use boxagg_pagestore::{PageId, ReadHandle, RootEntry, RootKind, SharedStore};
 
@@ -889,13 +889,7 @@ impl<V: AggValue> DominanceSumIndex<V> for EcdfBTree<V> {
     }
 
     fn dominance_sum(&self, q: &Point) -> Result<V> {
-        if q.dim() != self.dim {
-            return Err(invalid_arg(format!(
-                "query dimension {} != tree dimension {}",
-                q.dim(),
-                self.dim
-            )));
-        }
+        check_query(q, self.dim)?;
         query_tree(self.ctx(), 0, self.root, q)
     }
 
@@ -924,6 +918,26 @@ mod tests {
 
     const POLICIES: [BorderPolicy; 2] =
         [BorderPolicy::UpdateOptimized, BorderPolicy::QueryOptimized];
+
+    #[test]
+    fn a_nan_query_coordinate_is_refused_and_infinities_clamp() {
+        for policy in POLICIES {
+            let mut t = new_tree(2, policy, 512);
+            t.insert(Point::new(&[0.2, 0.3]), 1.0).unwrap();
+            t.insert(Point::new(&[0.6, 0.4]), 2.0).unwrap();
+            let nan = f64::NAN;
+            for q in [[nan, 0.5], [0.5, nan], [nan, nan], [-nan, 1.0], [nan, -1.0]] {
+                match t.dominance_sum(&Point::new(&q)) {
+                    Err(Error::InvalidArgument(_)) => {}
+                    other => panic!("{policy:?} {q:?} answered {other:?}"),
+                }
+            }
+            let inf = f64::INFINITY;
+            assert_eq!(t.dominance_sum(&Point::new(&[inf, inf])).unwrap(), 3.0);
+            assert_eq!(t.dominance_sum(&Point::new(&[inf, 0.35])).unwrap(), 1.0);
+            assert_eq!(t.dominance_sum(&Point::new(&[-inf, inf])).unwrap(), 0.0);
+        }
+    }
 
     #[test]
     fn node_codec_round_trip() {

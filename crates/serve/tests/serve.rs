@@ -196,6 +196,67 @@ fn invalid_arguments_keep_the_connection_usable() {
     server.shutdown();
 }
 
+/// A `DomSum` frame with a NaN coordinate is well-formed on the wire
+/// but has no answer: it gets a typed `INVALID_ARGUMENT` frame (not the
+/// sum at the space's ceiling), the connection stays, and `±∞` is still
+/// answered.
+#[test]
+fn a_nan_dominance_query_is_a_typed_invalid_argument_on_a_kept_connection() {
+    let (store, _space) = seeded_store(30, 5);
+    let server =
+        ServerHandle::bind(store, "127.0.0.1:0", ServeConfig::default()).expect("bind server");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    let mut reply = move |req: Option<Request>| -> Response {
+        if let Some(req) = req {
+            let bytes = frame(&proto::encode_request(&req));
+            stream.write_all(&bytes).expect("send request");
+        }
+        let body = read_frame(&mut stream)
+            .expect("read reply")
+            .expect("a reply, not a hang-up");
+        proto::decode_response(&body).expect("decode reply")
+    };
+    assert!(matches!(reply(None), Response::Hello(_)));
+    let mut ask = |req: Request| reply(Some(req));
+    let inf = f64::INFINITY;
+    let whole = ask(Request::DomSum {
+        mask: 0,
+        point: Point::new(&[inf, inf]),
+    });
+    assert!(matches!(whole, Response::Sum(_)), "{whole:?}");
+    for coords in [[f64::NAN, 0.5], [0.5, f64::NAN], [f64::NAN, inf]] {
+        for mask in 0..4 {
+            let point = Point::new(&coords);
+            match ask(Request::DomSum { mask, point }) {
+                Response::Error { code: c, .. } => {
+                    assert_eq!(c, proto::code::INVALID_ARGUMENT, "{coords:?} mask {mask}")
+                }
+                other => panic!("{coords:?} mask {mask} answered {other:?}"),
+            }
+        }
+    }
+    // The same connection still answers, and `+∞` means the ceiling.
+    assert_eq!(
+        ask(Request::DomSum {
+            mask: 0,
+            point: Point::new(&[inf, inf]),
+        }),
+        whole
+    );
+    assert!(matches!(
+        ask(Request::DomSum {
+            mask: 0,
+            point: Point::new(&[-inf, 0.5]),
+        }),
+        Response::Sum(s) if s == 0.0
+    ));
+    assert_eq!(server.stats().protocol_errors, 0);
+    server.shutdown();
+}
+
 /// Seeded byte-level mutations of valid frames must never take the
 /// server down: every hostile connection ends in a typed error frame
 /// or a clean disconnect, and the server keeps serving well-formed
