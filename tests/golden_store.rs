@@ -16,6 +16,9 @@
 //!   committed files byte for byte — so a change to anything a writer
 //!   emits (ROADMAP item 1's redo records, say) fails here and becomes a
 //!   deliberate version bump with regenerated files, not drift.
+//! * Bulk loading: [`BULK_DIGESTS`] pins a digest of every page four
+//!   seeded bulk loads write, so a change to how the loader computes a
+//!   tree cannot change what it writes.
 //!
 //! To regenerate after such a bump: add `v<N>` files with
 //! `cargo test --test golden_store -- --ignored --nocapture`, paste the
@@ -24,13 +27,14 @@
 
 use std::path::{Path, PathBuf};
 
-use boxagg::common::{Point, Rect};
+use boxagg::common::{Point, Poly, Rect};
 use boxagg::core::catalog::{open_corner_engine, persist_corner_engine};
-use boxagg::engine::SimpleBoxSum;
+use boxagg::engine::{FunctionalBoxSum, SimpleBoxSum};
+use boxagg::functional::FunctionalObject;
 use boxagg::pagestore::fault::is_injected;
 use boxagg::pagestore::pager::wal_path;
 use boxagg::pagestore::{
-    Backing, FaultPager, FaultSpec, FilePager, OpFilter, SharedStore, StoreConfig,
+    Backing, FaultPager, FaultSpec, FilePager, OpFilter, PageId, SharedStore, StoreConfig,
 };
 use boxagg_common::rng::StdRng;
 use boxagg_common::tempdir;
@@ -94,9 +98,9 @@ fn config(path: &Path) -> StoreConfig {
     }
 }
 
-fn seeded_rect(rng: &mut StdRng, max_side: f64) -> Rect {
-    let low = Point::from_fn(2, |_| rng.gen::<f64>() * (1.0 - max_side));
-    let high = Point::from_fn(2, |i| low.get(i) + rng.gen::<f64>() * max_side);
+fn seeded_rect(rng: &mut StdRng, dim: usize, max_side: f64) -> Rect {
+    let low = Point::from_fn(dim, |_| rng.gen::<f64>() * (1.0 - max_side));
+    let high = Point::from_fn(dim, |i| low.get(i) + rng.gen::<f64>() * max_side);
     Rect::new(low, high)
 }
 
@@ -104,9 +108,9 @@ fn seeded_rect(rng: &mut StdRng, max_side: f64) -> Rect {
 fn inputs() -> (Vec<(Rect, f64)>, Vec<Rect>) {
     let mut rng = StdRng::seed_from_u64(SEED);
     let objects = (0..OBJECTS)
-        .map(|_| (seeded_rect(&mut rng, 0.1), rng.gen::<f64>() * 10.0 - 2.0))
+        .map(|_| (seeded_rect(&mut rng, 2, 0.1), rng.gen::<f64>() * 10.0 - 2.0))
         .collect();
-    let boxes = (0..BOXES).map(|_| seeded_rect(&mut rng, 0.5)).collect();
+    let boxes = (0..BOXES).map(|_| seeded_rect(&mut rng, 2, 0.5)).collect();
     (objects, boxes)
 }
 
@@ -211,4 +215,111 @@ fn regenerate_golden_store() {
         let bytes = std::fs::metadata(&file).unwrap().len();
         println!("{}: {bytes} bytes", file.display());
     }
+}
+
+/// `(input, pages, digest)` of each bulk load [`bulk_digests`] makes:
+/// the pages it allocated, and FNV-1a 64 over every page's bytes in
+/// page order.
+const BULK_DIGESTS: [(&str, u64, u64); 4] = [
+    (
+        "2-d grid with duplicates, 512-byte pages",
+        1372,
+        0x146f_5bf6_6bb1_da01,
+    ),
+    ("3-d, 512-byte pages", 2579, 0xdd5b_677e_82ee_332a),
+    (
+        "2-d functional, 512-byte pages",
+        1224,
+        0x7c48_f191_a32f_c79c,
+    ),
+    ("2-d, 8 KB pages", 1287, 0x2595_b604_6ad2_c2bd),
+];
+
+/// The page count of `store` and FNV-1a 64 over every page's bytes, in
+/// page order.
+fn page_digest(store: &SharedStore) -> (u64, u64) {
+    let pages = store.allocated_pages();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for id in 0..pages {
+        store
+            .with_page(PageId(id), |bytes| {
+                for &b in bytes {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            })
+            .unwrap();
+    }
+    (pages, hash)
+}
+
+/// Bulk-loads the seeded inputs of [`BULK_DIGESTS`] into fresh memory
+/// stores and digests each store's pages.
+fn bulk_digests() -> Vec<(&'static str, u64, u64)> {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0xB01C);
+    let unit = |dim: usize| Rect::from_bounds(&vec![(0.0, 1.0); dim]);
+    let small = || StoreConfig::small(PAGE, 64);
+    let mut digests = Vec::new();
+    let mut push = |name: &'static str, store: &SharedStore| {
+        let (pages, digest) = page_digest(store);
+        digests.push((name, pages, digest));
+    };
+
+    // At 512 bytes no border entry fits inline, so every non-empty
+    // border spills into its own tree. A 1/50 grid puts ties on every
+    // cut and coincident corners everywhere, and the first 300 objects
+    // come twice.
+    let mut grid: Vec<(Rect, f64)> = (0..2500)
+        .map(|_| {
+            let low = Point::from_fn(2, |_| rng.gen_range(0..45) as f64 / 50.0);
+            let high = Point::from_fn(2, |i| low.get(i) + rng.gen_range(0..6) as f64 / 50.0);
+            (Rect::new(low, high), rng.gen::<f64>() * 10.0 - 2.0)
+        })
+        .collect();
+    grid.extend_from_within(..300);
+    let engine = SimpleBoxSum::batree_bulk(unit(2), small(), &grid).unwrap();
+    push(BULK_DIGESTS[0].0, engine.indexes()[0].store());
+
+    // A 3-d tree's borders are 2-d trees built by insertion.
+    let cube: Vec<(Rect, f64)> = (0..400)
+        .map(|_| (seeded_rect(&mut rng, 3, 0.2), rng.gen::<f64>() * 10.0 - 2.0))
+        .collect();
+    let engine = SimpleBoxSum::batree_bulk(unit(3), small(), &cube).unwrap();
+    push(BULK_DIGESTS[1].0, engine.indexes()[0].store());
+
+    // Polynomial values: one tree of corner tuples.
+    let functional: Vec<FunctionalObject> = (0..300)
+        .map(|_| {
+            let f = Poly::constant(rng.gen::<f64>() * 4.0 - 1.0);
+            FunctionalObject::new(seeded_rect(&mut rng, 2, 0.1), f).unwrap()
+        })
+        .collect();
+    let engine = FunctionalBoxSum::batree_bulk(unit(2), small(), 0, &functional).unwrap();
+    push(BULK_DIGESTS[2].0, engine.index().store());
+
+    // At 8 KB a border of up to five entries stays inline.
+    let wide: Vec<(Rect, f64)> = (0..12_000)
+        .map(|_| {
+            (
+                seeded_rect(&mut rng, 2, 0.02),
+                rng.gen::<f64>() * 10.0 - 2.0,
+            )
+        })
+        .collect();
+    let engine = SimpleBoxSum::batree_bulk(unit(2), StoreConfig::small(8192, 64), &wide).unwrap();
+    push(BULK_DIGESTS[3].0, engine.indexes()[0].store());
+    digests
+}
+
+#[test]
+fn bulk_loads_write_the_pinned_page_images() {
+    let got = bulk_digests();
+    let lines: Vec<String> = got
+        .iter()
+        .map(|(name, pages, digest)| format!("    ({name:?}, {pages}, {digest:#018x}),"))
+        .collect();
+    assert!(
+        got == BULK_DIGESTS,
+        "a bulk load wrote other pages; they now read\n{}",
+        lines.join("\n")
+    );
 }
