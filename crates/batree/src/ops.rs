@@ -477,20 +477,25 @@ pub(crate) fn build_border<V: AggValue>(
 }
 
 /// Builds a fresh tree from entries (NULL for none). Used to rebuild
-/// border trees during splits. One-dimensional trees (every border of a
-/// 2-d BA-tree) are bulk-built with packed leaves and prefix subtotals;
-/// higher dimensions fall back to repeated insertion.
-fn build_tree<V: AggValue>(
+/// border trees during splits and by the bulk loader for the borders of
+/// trees of three or more dimensions. One-dimensional trees (every
+/// border of a 2-d BA-tree) are bulk-built with packed leaves and prefix
+/// subtotals; higher dimensions fall back to repeated insertion.
+pub(crate) fn build_tree<V: AggValue>(
     ctx: Ctx<'_>,
     dim: usize,
     space: &Rect,
-    entries: Vec<(Point, V)>,
+    mut entries: Vec<(Point, V)>,
 ) -> Result<PageId> {
     if entries.is_empty() {
         return Ok(PageId::NULL);
     }
     if dim == 1 {
-        return bulk_build_1d(ctx, space, entries);
+        // Stable: equal keys keep their order, which is the order they
+        // merge in.
+        entries.sort_by(|a, b| a.0.get(0).total_cmp(&b.0.get(0)));
+        let sorted = entries.into_iter().map(|(p, v)| (p.get(0), v));
+        return bulk_build_1d(ctx, space, sorted);
     }
     let mut root = ctx.new_leaf::<V>(dim)?;
     for (p, v) in entries {
@@ -499,44 +504,45 @@ fn build_tree<V: AggValue>(
     Ok(root)
 }
 
-/// Bottom-up bulk construction of a 1-d BA-tree (an aggregate B-tree):
-/// leaves are packed full in key order; each index record's box spans
-/// from its subtree's first key to the next sibling's first key (tiling
-/// the space), and its subtotal is the sum of the earlier siblings'
-/// subtrees *within the node* — exactly the state dynamic insertion
-/// would converge to, so later inserts and splits work unchanged.
-fn bulk_build_1d<V: AggValue>(
+/// Bottom-up bulk construction of a 1-d BA-tree (an aggregate B-tree)
+/// from `(key, value)` entries in ascending key order: coincident keys
+/// merge into the first of them, in the order given; leaves are packed
+/// full in key order; each index record's box spans from its subtree's
+/// first key to the next sibling's first key (tiling the space), and its
+/// subtotal is the sum of the earlier siblings' subtrees *within the
+/// node* — exactly the state dynamic insertion would converge to, so
+/// later inserts and splits work unchanged.
+pub(crate) fn bulk_build_1d<V: AggValue>(
     ctx: Ctx<'_>,
     space: &Rect,
-    mut entries: Vec<(Point, V)>,
+    sorted: impl IntoIterator<Item = (f64, V)>,
 ) -> Result<PageId> {
     debug_assert_eq!(space.dim(), 1);
-    entries.sort_by(|a, b| a.0.get(0).total_cmp(&b.0.get(0)));
     // Merge coincident points (the dynamic path does the same).
-    let mut merged: Vec<(Point, V)> = Vec::with_capacity(entries.len());
-    for (p, v) in entries {
-        match merged.last_mut() {
-            Some((q, acc)) if *q == p => acc.add_assign(&v),
-            _ => merged.push((p, v)),
+    let (mut keys, mut values): (Vec<f64>, Vec<V>) = (Vec::new(), Vec::new());
+    for (key, v) in sorted {
+        match values.last_mut() {
+            Some(acc) if keys.last() == Some(&key) => acc.add_assign(&v),
+            _ => {
+                keys.push(key);
+                values.push(v);
+            }
         }
     }
+    debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys not sorted");
 
     // Pack leaves. Item: (first key, page, subtree sum).
     let leaf_cap = ctx.params.leaf_cap(1);
     let mut items: Vec<(f64, PageId, V)> = Vec::new();
-    let mut start = 0;
-    while start < merged.len() {
-        let end = (start + leaf_cap).min(merged.len());
-        let chunk = &merged[start..end];
-        let first = chunk[0].0.get(0);
+    for (keys, values) in keys.chunks(leaf_cap).zip(values.chunks(leaf_cap)) {
         let mut sum = V::zero();
-        for (_, v) in chunk {
+        for v in values {
             sum.add_assign(v);
         }
         let id = ctx.store()?.allocate()?;
-        ctx.write(id, 1, &Node::Leaf(EntrySlab::from_slice(1, chunk)))?;
-        items.push((first, id, sum));
-        start = end;
+        let leaf = EntrySlab::from_columns(1, keys.to_vec(), values.to_vec());
+        ctx.write(id, 1, &Node::Leaf(leaf))?;
+        items.push((keys[0], id, sum));
     }
     if items.len() == 1 {
         return Ok(items[0].1);

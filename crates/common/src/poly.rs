@@ -319,6 +319,10 @@ impl AggValue for Poly {
         self.terms.is_empty()
     }
 
+    fn is_finite(&self) -> bool {
+        self.terms.iter().all(|t| t.coeff.is_finite())
+    }
+
     fn encode(&self, w: &mut ByteWriter) {
         debug_assert!(self.terms.len() <= u16::MAX as usize);
         w.put_u16(self.terms.len() as u16);

@@ -202,6 +202,14 @@ impl<V: AggValue> EntrySlab<V> {
         s
     }
 
+    /// Builds a slab over ready columns: `coords` holds the `dim`
+    /// columns one after another, each as long as `values` — no
+    /// per-entry push.
+    pub fn from_columns(dim: usize, coords: Vec<f64>, values: Vec<V>) -> Self {
+        assert_eq!(coords.len(), dim * values.len(), "{dim} full columns");
+        Self::from_parts(dim, values.len(), coords, values)
+    }
+
     /// Dimensionality of the stored points.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -667,6 +675,8 @@ mod tests {
         assert_eq!(ts[0], (p(&[1.0, 4.0]), 1.0));
         assert_eq!(EntrySlab::from_slice(2, &ts), s);
         assert_eq!(EntrySlab::from_entries(2, ts.clone()), s);
+        let columns = vec![1.0, 2.0, 3.0, 4.0, 2.0, 1.0];
+        assert_eq!(EntrySlab::from_columns(2, columns, vec![1.0, 2.0, 4.0]), s);
         assert_eq!(s.clone().into_entries(), ts);
     }
 

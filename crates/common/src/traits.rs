@@ -20,6 +20,15 @@ pub trait DominanceSumIndex<V: AggValue> {
     /// Dimensionality of the indexed points.
     fn dim(&self) -> usize;
 
+    /// Refuses, with `InvalidArgument` and without touching the index,
+    /// a point or value [`insert`](Self::insert) would refuse. An engine
+    /// that writes one object as several points checks every one before
+    /// it writes any, so a refused object leaves nothing behind. The
+    /// default is [`check_insert`].
+    fn check_insert(&self, p: &Point, v: &V) -> Result<()> {
+        check_insert(p, self.dim(), v)
+    }
+
     /// Inserts a weighted point.
     fn insert(&mut self, p: Point, v: V) -> Result<()>;
 
@@ -52,6 +61,23 @@ pub fn check_query(q: &Point, dim: usize) -> Result<()> {
         return Err(invalid_arg(format!(
             "query point {q:?} has a NaN coordinate"
         )));
+    }
+    Ok(())
+}
+
+/// Refuses a point a `dim`-dimensional index cannot take — one of
+/// another dimension — and a value that is not finite: a NaN or `±∞`
+/// added into an aggregate poisons every sum over it, and adding its
+/// negation cannot take it back out.
+pub fn check_insert<V: AggValue>(p: &Point, dim: usize, v: &V) -> Result<()> {
+    if p.dim() != dim {
+        return Err(invalid_arg(format!(
+            "point dimension {} != tree dimension {dim}",
+            p.dim()
+        )));
+    }
+    if !v.is_finite() {
+        return Err(invalid_arg(format!("value {v:?} is not finite")));
     }
     Ok(())
 }

@@ -33,6 +33,11 @@ pub trait AggValue: Clone + std::fmt::Debug + PartialEq + Send + Sync + 'static 
     /// Whether this value equals the identity.
     fn is_zero(&self) -> bool;
 
+    /// Whether every number in the value is finite (no NaN, no `±∞`).
+    /// Indexes refuse a value that is not: see
+    /// [`check_insert`](crate::traits::check_insert).
+    fn is_finite(&self) -> bool;
+
     /// Serializes the value. The encoding must be self-delimiting.
     fn encode(&self, w: &mut ByteWriter);
 
@@ -96,6 +101,10 @@ impl AggValue for f64 {
         *self == 0.0
     }
 
+    fn is_finite(&self) -> bool {
+        f64::is_finite(*self)
+    }
+
     #[inline]
     fn encode(&self, w: &mut ByteWriter) {
         w.put_f64(*self);
@@ -123,6 +132,10 @@ mod tests {
         a.sub_assign(&4.0);
         assert!(a.is_zero());
         assert!(f64::zero().is_zero());
+        assert!(AggValue::is_finite(&-1e300));
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!AggValue::is_finite(&v), "{v}");
+        }
         assert_eq!(3.0f64.add(&4.0), 7.0);
         assert_eq!(3.0f64.sub(&4.0), -1.0);
     }

@@ -7,10 +7,10 @@
 //! the functional problem's single polynomial index.
 
 use boxagg_batree::BATree;
-use boxagg_common::error::Result;
+use boxagg_common::error::{invalid_arg, Result};
 use boxagg_common::geom::{Point, Rect};
 use boxagg_common::poly::Poly;
-use boxagg_common::traits::DominanceSumIndex;
+use boxagg_common::traits::{check_insert, DominanceSumIndex};
 use boxagg_ecdf::{BorderPolicy, EcdfBTree};
 use boxagg_pagestore::{SharedStore, StoreConfig};
 
@@ -44,23 +44,45 @@ impl SimpleBoxSum<BATree<f64>> {
         })
     }
 
-    /// Bulk-loads the `2^d` corner BA-trees from a dataset.
+    /// Bulk-loads the `2^d` corner BA-trees from a dataset. An object
+    /// reaching past `space`, or with a value that is not finite, refuses
+    /// the load before any corner tree is built.
     pub fn batree_bulk(space: Rect, config: StoreConfig, objects: &[(Rect, f64)]) -> Result<Self> {
         let store = SharedStore::open(&config)?;
-        bulk_corner_engine(space.dim(), objects, move |pts| {
+        let fits = |r: &Rect| {
+            if space.contains_rect(r) {
+                Ok(())
+            } else {
+                Err(invalid_arg(format!(
+                    "object {r:?} outside the indexed space {space:?}"
+                )))
+            }
+        };
+        bulk_corner_engine(space.dim(), objects, fits, move |pts| {
             BATree::bulk_load(store.clone(), space, F64_SIZE, pts)
         })
     }
 }
 
 /// Builds the `2^dim` corner indexes from `objects` with `load`, one
-/// mask after another in mask order, and assembles the engine. A
-/// failure reports the error earliest in mask order.
-fn bulk_corner_engine<I, F>(dim: usize, objects: &[(Rect, f64)], load: F) -> Result<CornerBoxSum<I>>
+/// mask after another in mask order, and assembles the engine. Every
+/// object is checked first — its value must be finite and `fits` must
+/// take its box — so a refused object leaves no corner tree behind; a
+/// failure while building reports the error earliest in mask order.
+fn bulk_corner_engine<I, F>(
+    dim: usize,
+    objects: &[(Rect, f64)],
+    fits: impl Fn(&Rect) -> Result<()>,
+    load: F,
+) -> Result<CornerBoxSum<I>>
 where
     I: DominanceSumIndex<f64>,
     F: Fn(Vec<(Point, f64)>) -> Result<I>,
 {
+    for (rect, value) in objects {
+        check_insert(rect.low(), dim, value)?;
+        fits(rect)?;
+    }
     let indexes = (0..1usize << dim)
         .map(|mask| load(objects.iter().map(|(r, v)| (r.corner(mask), *v)).collect()))
         .collect::<Result<Vec<I>>>()?;
@@ -93,7 +115,16 @@ impl SimpleBoxSum<EcdfBTree<f64>> {
         objects: &[(Rect, f64)],
     ) -> Result<Self> {
         let store = SharedStore::open(&config)?;
-        bulk_corner_engine(dim, objects, move |pts| {
+        let fits = |r: &Rect| {
+            if r.is_finite() {
+                Ok(())
+            } else {
+                Err(invalid_arg(format!(
+                    "object {r:?} has a non-finite coordinate"
+                )))
+            }
+        };
+        bulk_corner_engine(dim, objects, fits, move |pts| {
             EcdfBTree::bulk_load(store.clone(), dim, policy, F64_SIZE, pts)
         })
     }
@@ -398,15 +429,98 @@ mod tests {
                 Ok(index)
             }
         };
-        let engine = bulk_corner_engine(space.dim(), &objs, load(&[])).unwrap();
+        let fits = |_: &Rect| Ok(());
+        let engine = bulk_corner_engine(space.dim(), &objs, fits, load(&[])).unwrap();
         assert_eq!(engine.len(), 1);
         for (mask, index) in engine.indexes().iter().enumerate() {
             assert_eq!(index.points()[0].0, probe.corner(mask), "slot {mask}");
         }
-        let Err(err) = bulk_corner_engine(space.dim(), &objs, load(&[3, 1])) else {
+        let Err(err) = bulk_corner_engine(space.dim(), &objs, fits, load(&[3, 1])) else {
             panic!("masks 1 and 3 fail");
         };
         assert!(err.to_string().contains("mask 1"), "{err}");
+    }
+
+    #[test]
+    fn a_refused_object_leaves_nothing_behind() {
+        // Over [0,100]², [50,200]×[10,20] has corners inside the space
+        // and outside it.
+        let space = Rect::from_bounds(&[(0.0, 100.0), (0.0, 100.0)]);
+        let past = Rect::from_bounds(&[(50.0, 200.0), (10.0, 20.0)]);
+        let inside = Rect::from_bounds(&[(50.0, 55.0), (10.0, 20.0)]);
+        let refused = [
+            (past, 5.0),
+            (inside, f64::NAN),
+            (inside, f64::INFINITY),
+            (inside, f64::NEG_INFINITY),
+        ];
+        let invalid = |r: Result<()>| matches!(r, Err(boxagg_common::Error::InvalidArgument(_)));
+        let config = || StoreConfig::small(1024, 64);
+        let mut corner = SimpleBoxSum::batree(space, config()).unwrap();
+        let mut eo = EoBoxSum::batree(space, config()).unwrap();
+        let mut func = FunctionalBoxSum::batree(space, config(), 0).unwrap();
+        for (rect, v) in refused {
+            let obj = FunctionalObject::new(rect, Poly::constant(v)).unwrap();
+            let at = format!("{rect:?} value {v}");
+            assert!(invalid(corner.insert(&rect, v)), "{at}");
+            assert!(invalid(corner.delete(&rect, v)), "{at}");
+            assert!(invalid(eo.insert(&rect, v)), "{at}");
+            assert!(invalid(eo.delete(&rect, v)), "{at}");
+            assert!(invalid(func.insert(&obj)), "{at}");
+            assert!(invalid(func.delete(&obj)), "{at}");
+        }
+        assert_eq!((corner.len(), eo.len(), func.len()), (0, 0, 0));
+        let stripe = Rect::from_bounds(&[(40.0, 60.0), (0.0, 100.0)]);
+        for q in [stripe, space] {
+            assert_eq!(corner.query(&q).unwrap(), 0.0, "{q:?}");
+            assert_eq!(eo.query(&q).unwrap(), 0.0, "{q:?}");
+            assert_eq!(func.query(&q).unwrap(), 0.0, "{q:?}");
+        }
+        corner.insert(&inside, 5.0).unwrap();
+        eo.insert(&inside, 5.0).unwrap();
+        assert_eq!(corner.query(&stripe).unwrap(), 5.0);
+        assert_eq!(eo.query(&stripe).unwrap(), 5.0);
+    }
+
+    #[test]
+    fn a_bulk_build_checks_every_object_before_any_corner() {
+        let space = Rect::from_bounds(&[(0.0, 100.0), (0.0, 100.0)]);
+        let good = (Rect::from_bounds(&[(10.0, 20.0), (10.0, 20.0)]), 1.0);
+        let config = || StoreConfig::small(1024, 64);
+        let fits = |r: &Rect| {
+            if space.contains_rect(r) {
+                Ok(())
+            } else {
+                Err(boxagg_common::error::invalid_arg("outside"))
+            }
+        };
+        for bad in [
+            (Rect::from_bounds(&[(50.0, 200.0), (10.0, 20.0)]), 5.0),
+            (good.0, f64::NAN),
+            (good.0, f64::INFINITY),
+        ] {
+            let objs = [good, bad];
+            assert!(SimpleBoxSum::batree_bulk(space, config(), &objs).is_err());
+            let loads = std::cell::Cell::new(0);
+            let load = |pts: Vec<(Point, f64)>| {
+                loads.set(loads.get() + 1);
+                let mut index = NaiveDominanceIndex::new(2);
+                for (p, v) in pts {
+                    index.insert(p, v)?;
+                }
+                Ok(index)
+            };
+            assert!(bulk_corner_engine(2, &objs, fits, load).is_err(), "{bad:?}");
+            assert_eq!(loads.get(), 0, "{bad:?}: a corner was built");
+        }
+        let policy = BorderPolicy::UpdateOptimized;
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            let objs = [good, (good.0, bad)];
+            assert!(SimpleBoxSum::ecdf_bulk(2, policy, config(), &objs).is_err());
+        }
+        let objs = [FunctionalObject::new(good.0, Poly::constant(f64::NAN)).unwrap()];
+        assert!(FunctionalBoxSum::batree_bulk(space, config(), 0, &objs).is_err());
+        assert!(FunctionalBoxSum::ecdf_bulk(2, policy, config(), 0, &objs).is_err());
     }
 
     #[test]

@@ -186,14 +186,9 @@ impl<I: DominanceSumIndex<Poly>> FunctionalBoxSum<I> {
     }
 
     /// Inserts an object: its `2^d` corner tuples go into the single
-    /// index.
+    /// index, once the index has accepted every one of them.
     pub fn insert(&mut self, obj: &FunctionalObject) -> Result<()> {
-        if obj.rect.dim() != self.dim {
-            return Err(invalid_arg("object dimensionality mismatch"));
-        }
-        for (p, tuple) in corner_tuples(obj) {
-            self.index.insert(p, tuple)?;
-        }
+        self.add_tuples(obj, false)?;
         self.len += 1;
         Ok(())
     }
@@ -201,14 +196,27 @@ impl<I: DominanceSumIndex<Poly>> FunctionalBoxSum<I> {
     /// Deletes a previously inserted object by inserting negated corner
     /// tuples (exact: polynomial tuples form a group under addition).
     pub fn delete(&mut self, obj: &FunctionalObject) -> Result<()> {
+        self.add_tuples(obj, true)?;
+        self.len = self.len.saturating_sub(1);
+        Ok(())
+    }
+
+    /// Inserts `obj`'s corner tuples, negated for a delete, once the
+    /// index has accepted every one of them.
+    fn add_tuples(&mut self, obj: &FunctionalObject, negate: bool) -> Result<()> {
         if obj.rect.dim() != self.dim {
             return Err(invalid_arg("object dimensionality mismatch"));
         }
-        for (p, mut tuple) in corner_tuples(obj) {
-            tuple.scale(-1.0);
+        let mut tuples = corner_tuples(obj);
+        for (p, tuple) in &mut tuples {
+            if negate {
+                tuple.scale(-1.0);
+            }
+            self.index.check_insert(p, tuple)?;
+        }
+        for (p, tuple) in tuples {
             self.index.insert(p, tuple)?;
         }
-        self.len = self.len.saturating_sub(1);
         Ok(())
     }
 

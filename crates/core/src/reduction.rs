@@ -167,14 +167,12 @@ impl<I: DominanceSumIndex<f64>> CornerBoxSum<I> {
         self.len += n;
     }
 
-    /// Inserts a weighted box: one corner point into each index.
+    /// Inserts a weighted box: one corner point into each index. Every
+    /// corner is checked against its index before any is written, so an
+    /// object one index refuses — a box reaching past its space, a value
+    /// that is not finite — leaves nothing behind.
     pub fn insert(&mut self, rect: &Rect, value: f64) -> Result<()> {
-        if rect.dim() != self.dim {
-            return Err(invalid_arg("object dimensionality mismatch"));
-        }
-        for mask in 0..(1usize << self.dim) {
-            self.indexes[mask].insert(rect.corner(mask), value)?;
-        }
+        self.add_corners(rect, value)?;
         self.len += 1;
         Ok(())
     }
@@ -182,14 +180,25 @@ impl<I: DominanceSumIndex<f64>> CornerBoxSum<I> {
     /// Deletes a previously inserted object by inserting its negation —
     /// exact for the group aggregates (SUM/COUNT/AVG) this engine
     /// serves. The box and value must match the original insertion.
+    /// Refused, like [`insert`](Self::insert), before anything is written.
     pub fn delete(&mut self, rect: &Rect, value: f64) -> Result<()> {
+        self.add_corners(rect, -value)?;
+        self.len = self.len.saturating_sub(1);
+        Ok(())
+    }
+
+    /// Inserts `value` at each corner of `rect` into that corner's index,
+    /// once every index has accepted its corner.
+    fn add_corners(&mut self, rect: &Rect, value: f64) -> Result<()> {
         if rect.dim() != self.dim {
             return Err(invalid_arg("object dimensionality mismatch"));
         }
-        for mask in 0..(1usize << self.dim) {
-            self.indexes[mask].insert(rect.corner(mask), -value)?;
+        for (mask, index) in self.indexes.iter().enumerate() {
+            index.check_insert(&rect.corner(mask), &value)?;
         }
-        self.len = self.len.saturating_sub(1);
+        for (mask, index) in self.indexes.iter_mut().enumerate() {
+            index.insert(rect.corner(mask), value)?;
+        }
         Ok(())
     }
 
@@ -318,31 +327,10 @@ impl<I: DominanceSumIndex<f64>> EoBoxSum<I> {
         &self.indexes
     }
 
-    /// Inserts a weighted box.
+    /// Inserts a weighted box. Every index's point is checked before any
+    /// is written, as in [`CornerBoxSum::insert`].
     pub fn insert(&mut self, rect: &Rect, value: f64) -> Result<()> {
-        if rect.dim() != self.dim {
-            return Err(invalid_arg("object dimensionality mismatch"));
-        }
-        // The negations are computed once and the per-mask point is
-        // rebuilt into a scratch buffer — coordinates bit-identical to
-        // the per-mask `Point::from_fn` this replaces.
-        let mut neglo = [0.0f64; MAX_DIM];
-        let mut hi = [0.0f64; MAX_DIM];
-        for i in 0..self.dim {
-            neglo[i] = -rect.low().get(i);
-            hi[i] = rect.high().get(i);
-        }
-        let mut p = Point::zeros(self.dim);
-        for mask in 0..(1usize << self.dim) {
-            p.from_fn_into(self.dim, |i| {
-                if mask & (1 << i) != 0 {
-                    neglo[i]
-                } else {
-                    hi[i]
-                }
-            });
-            self.indexes[mask].insert(p, value)?;
-        }
+        self.add_points(rect, value)?;
         self.total += value;
         self.len += 1;
         Ok(())
@@ -353,28 +341,35 @@ impl<I: DominanceSumIndex<f64>> EoBoxSum<I> {
     /// exact for the group aggregates (SUM/COUNT/AVG) this engine
     /// serves. The box and value must match the original insertion.
     pub fn delete(&mut self, rect: &Rect, value: f64) -> Result<()> {
+        self.add_points(rect, -value)?;
+        self.total -= value;
+        self.len = self.len.saturating_sub(1);
+        Ok(())
+    }
+
+    /// Inserts `value` into every index at the point it stores for
+    /// `rect`, once every index has accepted its point.
+    fn add_points(&mut self, rect: &Rect, value: f64) -> Result<()> {
         if rect.dim() != self.dim {
             return Err(invalid_arg("object dimensionality mismatch"));
         }
-        let mut neglo = [0.0f64; MAX_DIM];
-        let mut hi = [0.0f64; MAX_DIM];
-        for i in 0..self.dim {
-            neglo[i] = -rect.low().get(i);
-            hi[i] = rect.high().get(i);
+        let points: Vec<Point> = (0..self.indexes.len())
+            .map(|mask| {
+                Point::from_fn(self.dim, |i| {
+                    if mask & (1 << i) != 0 {
+                        -rect.low().get(i)
+                    } else {
+                        rect.high().get(i)
+                    }
+                })
+            })
+            .collect();
+        for (index, p) in self.indexes.iter().zip(&points) {
+            index.check_insert(p, &value)?;
         }
-        let mut p = Point::zeros(self.dim);
-        for mask in 0..(1usize << self.dim) {
-            p.from_fn_into(self.dim, |i| {
-                if mask & (1 << i) != 0 {
-                    neglo[i]
-                } else {
-                    hi[i]
-                }
-            });
-            self.indexes[mask].insert(p, -value)?;
+        for (index, p) in self.indexes.iter_mut().zip(points) {
+            index.insert(p, value)?;
         }
-        self.total -= value;
-        self.len = self.len.saturating_sub(1);
         Ok(())
     }
 

@@ -31,7 +31,7 @@ use boxagg_common::bytes::ByteWriter;
 use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
 use boxagg_common::geom::Point;
 use boxagg_common::slab::EntrySlab;
-use boxagg_common::traits::{check_query, DominanceSumIndex};
+use boxagg_common::traits::{check_insert, check_query, DominanceSumIndex};
 use boxagg_common::value::AggValue;
 use boxagg_pagestore::{PageId, ReadHandle, RootEntry, RootKind, SharedStore};
 
@@ -705,13 +705,11 @@ impl<V: AggValue> EcdfBTree<V> {
     ) -> Result<Self> {
         let len = points.len();
         let mut tree = Self::open_at(store, dim, policy, max_value_size, PageId::NULL, len)?;
-        // Reject non-finite coordinates up front: a NaN would silently
-        // corrupt the router ordering the whole structure depends on (and
-        // previously panicked mid-build, leaking allocated pages).
-        if let Some((p, _)) = points.iter().find(|(p, _)| !p.is_finite()) {
-            return Err(invalid_arg(format!(
-                "point {p:?} has a non-finite coordinate"
-            )));
+        // Refuse what `insert` would, before a page is written: a NaN
+        // coordinate would silently corrupt the router ordering the whole
+        // structure depends on, and a value that is not finite every sum.
+        for (p, v) in &points {
+            tree.check_insert(p, v)?;
         }
         tree.root = if points.is_empty() {
             tree.ctx().new_leaf::<V>(0)?
@@ -870,19 +868,18 @@ impl<V: AggValue> DominanceSumIndex<V> for EcdfBTree<V> {
         self.dim
     }
 
-    fn insert(&mut self, p: Point, v: V) -> Result<()> {
-        if p.dim() != self.dim {
-            return Err(invalid_arg(format!(
-                "point dimension {} != tree dimension {}",
-                p.dim(),
-                self.dim
-            )));
-        }
+    fn check_insert(&self, p: &Point, v: &V) -> Result<()> {
+        check_insert(p, self.dim, v)?;
         if !p.is_finite() {
             return Err(invalid_arg(format!(
                 "point {p:?} has a non-finite coordinate"
             )));
         }
+        Ok(())
+    }
+
+    fn insert(&mut self, p: Point, v: V) -> Result<()> {
+        self.check_insert(&p, &v)?;
         self.root = tree_insert(self.ctx(), 0, self.root, p, v)?;
         self.len += 1;
         Ok(())
@@ -1077,6 +1074,8 @@ mod tests {
             let mut t = new_tree(2, policy, 512);
             assert!(t.insert(Point::new(&[0.5, f64::INFINITY]), 1.0).is_err());
             assert!(t.insert(Point::new(&[f64::NAN, 0.0]), 1.0).is_err());
+            assert!(t.insert(Point::new(&[0.5, 0.5]), f64::NAN).is_err());
+            assert!(t.insert(Point::new(&[0.5, 0.5]), f64::INFINITY).is_err());
             assert!(t.is_empty(), "rejected inserts must not change the tree");
             // The tree stays fully usable afterwards.
             t.insert(Point::new(&[0.5, 0.5]), 2.0).unwrap();
