@@ -69,6 +69,9 @@ pub fn parse_object(line: &str, dim: usize) -> Result<(Rect, f64)> {
     }
     let low = Point::from_fn(dim, |i| nums[2 * i]);
     let high = Point::from_fn(dim, |i| nums[2 * i + 1]);
+    if !(0..dim).all(|i| low.get(i) <= high.get(i)) {
+        return Err(invalid_arg("object lows must not exceed highs"));
+    }
     Ok((Rect::new(low, high), nums[2 * dim]))
 }
 
@@ -407,6 +410,35 @@ mod tests {
         let csv = write_csv(dir.path(), &["1,2,3"]);
         let err = build(&pages, &csv, "0,10,0,10", 1024).unwrap_err();
         assert!(err.to_string().contains(":1:"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_values_are_refused_and_leave_the_index_as_it_was() {
+        let dir = tempfile::tempdir().unwrap();
+        let pages = dir.path().join("idx.pages");
+        let csv = write_csv(dir.path(), &["10,30,10,25,120", "25,50,20,40,NaN"]);
+        let err = build(&pages, &csv, "0,100,0,100", 1024).unwrap_err();
+        assert!(err.to_string().contains("not finite"), "{err}");
+
+        let csv = write_csv(dir.path(), &["10,30,10,25,120"]);
+        build(&pages, &csv, "0,100,0,100", 1024).unwrap();
+        for spec in [
+            "40,60,40,60,NaN",
+            "40,60,40,60,inf",
+            "40,60,40,60,-inf",
+            "50,200,10,20,5",
+        ] {
+            assert!(insert(&pages, spec).is_err(), "insert {spec}");
+            assert!(delete(&pages, spec).is_err(), "delete {spec}");
+        }
+        assert!(
+            parse_object("NaN,1,0,1,5", 2).is_err(),
+            "refused, not a panic"
+        );
+        let out = query(&pages, "0,100,0,100").unwrap();
+        assert!(out.starts_with("sum = 120\n"), "{out}");
+        let out = info(&pages).unwrap();
+        assert!(out.contains("objects:   1"), "{out}");
     }
 
     #[test]

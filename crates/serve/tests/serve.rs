@@ -257,6 +257,83 @@ fn a_nan_dominance_query_is_a_typed_invalid_argument_on_a_kept_connection() {
     server.shutdown();
 }
 
+/// A write the engine refuses — a value that is not finite, or an
+/// object reaching past the indexed space — gets a typed
+/// `INVALID_ARGUMENT` frame and leaves no part of the object behind:
+/// the next commit makes nothing durable, no answer moves, and the
+/// connection stays.
+#[test]
+fn a_refused_write_is_a_typed_invalid_argument_and_leaves_nothing_behind() {
+    let (store, _space) = seeded_store(30, 11);
+    let server =
+        ServerHandle::bind(store, "127.0.0.1:0", ServeConfig::default()).expect("bind server");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    let mut reply = move |req: Option<Request>| -> Response {
+        if let Some(req) = req {
+            let bytes = frame(&proto::encode_request(&req));
+            stream.write_all(&bytes).expect("send request");
+        }
+        let body = read_frame(&mut stream)
+            .expect("read reply")
+            .expect("a reply, not a hang-up");
+        proto::decode_response(&body).expect("decode reply")
+    };
+    assert!(matches!(reply(None), Response::Hello(_)));
+    let mut ask = |req: Request| reply(Some(req));
+    let stripe = Request::BoxSum(Rect::from_bounds(&[(0.4, 0.6), (0.0, 1.0)]));
+    let before = ask(stripe.clone());
+    assert!(matches!(before, Response::Sum(_)), "{before:?}");
+
+    let inside = Rect::from_bounds(&[(0.5, 0.55), (0.1, 0.2)]);
+    let past = Rect::from_bounds(&[(0.5, 2.0), (0.1, 0.2)]);
+    let write = |delete: bool, rect: Rect, value: f64| {
+        let (token, seq) = (0, 0);
+        if delete {
+            Request::Delete {
+                rect,
+                value,
+                token,
+                seq,
+            }
+        } else {
+            Request::Insert {
+                rect,
+                value,
+                token,
+                seq,
+            }
+        }
+    };
+    let refused = [
+        (past, 5.0),
+        (inside, f64::NAN),
+        (inside, f64::INFINITY),
+        (inside, f64::NEG_INFINITY),
+    ];
+    for (rect, value) in refused {
+        for delete in [false, true] {
+            let at = format!("{rect:?} value {value} delete {delete}");
+            match ask(write(delete, rect, value)) {
+                Response::Error { code, .. } => {
+                    assert_eq!(code, proto::code::INVALID_ARGUMENT, "{at}")
+                }
+                other => panic!("{at} answered {other:?}"),
+            }
+        }
+    }
+    assert_eq!(
+        ask(Request::Commit { token: 0 }),
+        Response::Ok { objects: 30 }
+    );
+    assert_eq!(ask(stripe), before, "a refused write left part of itself");
+    assert_eq!(ask(write(false, inside, 5.0)), Response::Ok { objects: 31 });
+    assert_eq!(server.stats().protocol_errors, 0);
+    server.shutdown();
+}
+
 /// Seeded byte-level mutations of valid frames must never take the
 /// server down: every hostile connection ends in a typed error frame
 /// or a clean disconnect, and the server keeps serving well-formed
