@@ -51,7 +51,7 @@ impl<V: AggValue> BATree<V> {
     /// [`max_poly_encoded_size`](boxagg_common::poly::max_poly_encoded_size)
     /// for polynomial tuples). It determines node fanout.
     pub fn create(store: SharedStore, space: Rect, max_value_size: usize) -> Result<Self> {
-        let mut tree = Self::open_at(store, space, max_value_size, PageId::NULL, 0)?;
+        let mut tree = Self::open_in(store.into(), space, max_value_size, PageId::NULL, 0)?;
         tree.root = ops::tree_new::<V>(tree.ctx(), space.dim())?;
         Ok(tree)
     }
@@ -71,7 +71,13 @@ impl<V: AggValue> BATree<V> {
         max_value_size: usize,
         points: Vec<(Point, V)>,
     ) -> Result<Self> {
-        let mut tree = Self::open_at(store, space, max_value_size, PageId::NULL, points.len())?;
+        let mut tree = Self::open_in(
+            store.into(),
+            space,
+            max_value_size,
+            PageId::NULL,
+            points.len(),
+        )?;
         for (p, v) in &points {
             tree.check_insert(p, v)?;
         }
@@ -81,18 +87,6 @@ impl<V: AggValue> BATree<V> {
             bulk::bulk_build(tree.ctx(), &space, points)?
         };
         Ok(tree)
-    }
-
-    /// Reopens a tree given its root page (see [`root_page`](Self::root_page))
-    /// in an existing store, e.g. after reloading a file-backed pager.
-    pub fn open_at(
-        store: SharedStore,
-        space: Rect,
-        max_value_size: usize,
-        root: PageId,
-        len: usize,
-    ) -> Result<Self> {
-        Self::open_in(ReadHandle::Live(store), space, max_value_size, root, len)
     }
 
     fn open_in(
@@ -117,7 +111,7 @@ impl<V: AggValue> BATree<V> {
         })
     }
 
-    /// The root page id (persist alongside the store to reopen the tree).
+    /// The root page id (what [`persist_as`](Self::persist_as) records).
     pub fn root_page(&self) -> PageId {
         self.root
     }
@@ -869,23 +863,5 @@ mod tests {
         // The final committed state, with no writer alive.
         assert_eq!(pinned_pass(), first_epoch + ROUNDS as u64);
         store.validate().unwrap();
-    }
-
-    #[test]
-    fn open_at_resumes_existing_tree() {
-        let store = SharedStore::open(&StoreConfig::small(512, 64)).unwrap();
-        let mut t: BATree<f64> = BATree::create(store.clone(), unit_space(2), 8).unwrap();
-        let mut s = 8u64;
-        for _ in 0..300 {
-            t.insert(Point::from_fn(2, |_| rnd(&mut s)), 2.0).unwrap();
-        }
-        let root = t.root_page();
-        let len = t.len();
-        let q = Point::new(&[0.7, 0.7]);
-        let want = t.dominance_sum(&q).unwrap();
-        drop(t);
-        let t2: BATree<f64> = BATree::open_at(store, unit_space(2), 8, root, len).unwrap();
-        assert_eq!(t2.dominance_sum(&q).unwrap(), want);
-        assert_eq!(t2.len(), len);
     }
 }

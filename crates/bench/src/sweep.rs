@@ -439,12 +439,14 @@ impl Retry {
         }
     }
 
-    /// A memory store behind a [`FaultPager`]; the handle counts ops
-    /// exactly even with nothing armed.
+    /// The paper's raw memory store behind a [`FaultPager`]; the handle
+    /// counts ops exactly even with nothing armed.
     fn store(&self) -> (SharedStore, FaultHandle) {
         let (pager, faults) = FaultPager::new(Box::new(MemPager::new(POINT_PAGE)));
         let config = StoreConfig::small(POINT_PAGE, self.cfg.buffer_pages);
-        (SharedStore::with_pager(Box::new(pager), &config), faults)
+        let store = SharedStore::open_with_pager(Box::new(pager), &config)
+            .expect("a raw memory store opens without I/O");
+        (store, faults)
     }
 
     /// The build phase: bulk-load, inserts, flush.

@@ -288,7 +288,6 @@ pub fn serve(
             } else {
                 queue_limit
             },
-            ..defaults
         },
     )
 }

@@ -689,7 +689,7 @@ impl<V: AggValue> EcdfBTree<V> {
         policy: BorderPolicy,
         max_value_size: usize,
     ) -> Result<Self> {
-        let mut tree = Self::open_at(store, dim, policy, max_value_size, PageId::NULL, 0)?;
+        let mut tree = Self::open_in(store.into(), dim, policy, max_value_size, PageId::NULL, 0)?;
         tree.root = tree.ctx().new_leaf::<V>(0)?;
         Ok(tree)
     }
@@ -704,7 +704,7 @@ impl<V: AggValue> EcdfBTree<V> {
         points: Vec<(Point, V)>,
     ) -> Result<Self> {
         let len = points.len();
-        let mut tree = Self::open_at(store, dim, policy, max_value_size, PageId::NULL, len)?;
+        let mut tree = Self::open_in(store.into(), dim, policy, max_value_size, PageId::NULL, len)?;
         // Refuse what `insert` would, before a page is written: a NaN
         // coordinate would silently corrupt the router ordering the whole
         // structure depends on, and a value that is not finite every sum.
@@ -717,28 +717,6 @@ impl<V: AggValue> EcdfBTree<V> {
             bulk_build(tree.ctx(), 0, points)?
         };
         Ok(tree)
-    }
-
-    /// Reopens a tree given its root page (see
-    /// [`root_page`](Self::root_page)) in an existing store, e.g. after
-    /// reloading a file-backed pager. The caller supplies the same
-    /// `dim`/`policy`/`max_value_size` the tree was created with.
-    pub fn open_at(
-        store: SharedStore,
-        dim: usize,
-        policy: BorderPolicy,
-        max_value_size: usize,
-        root: PageId,
-        len: usize,
-    ) -> Result<Self> {
-        Self::open_in(
-            ReadHandle::Live(store),
-            dim,
-            policy,
-            max_value_size,
-            root,
-            len,
-        )
     }
 
     fn open_in(

@@ -1532,8 +1532,8 @@ fn check_snapshot_purity(
 }
 
 /// R9 roots: `StoreSnapshot` methods, and `*_at` query functions that
-/// take a snapshot or an epoch. Plain `*_at` helpers (`split_at`,
-/// `open_at(store, …)`) are not snapshot readers.
+/// take a snapshot or an epoch. Plain `*_at` helpers (`split_at`) are
+/// not snapshot readers.
 fn is_snapshot_root(item: &FnItem) -> bool {
     if item.self_ty.as_deref() == Some("StoreSnapshot") {
         return true;

@@ -18,7 +18,7 @@
 //! | `bad-allow`       | meta: malformed / reason-less / unknown allow directive     |
 //!
 //! R7–R9 (plus `rank-drift`, the rank-table consistency check) are
-//! produced by the inter-procedural analysis in [`crate::graph`], not
+//! produced by the inter-procedural analysis in `graph.rs`, not
 //! here; they share this module's [`Finding`] type and allow-directive
 //! suppression.
 //!

@@ -70,7 +70,7 @@ impl BufferPool {
     /// observing the previous epoch throughout — the flip to the new
     /// epoch is the commit's only barrier-exclusive section after the
     /// dirty-frame capture.
-    pub fn commit(&self) -> Result<()> {
+    pub(crate) fn commit(&self) -> Result<()> {
         let Some(log) = &self.log else {
             return self.flush_all_inner();
         };

@@ -84,12 +84,15 @@ mod snapshot;
 /// byte pool's one paper-faithful LRU.
 pub(crate) const MAX_SHARDS: usize = 64;
 
-/// Cumulative I/O statistics of a [`BufferPool`].
+/// Cumulative I/O statistics of a store's buffer pool
+/// ([`SharedStore::stats`](crate::store::SharedStore::stats)).
 ///
 /// The `decode_*` counters count node reads and the decodes kept for
-/// them: live reads ([`BufferPool::read_node`]), served from the decode
-/// a frame holds, and pinned reads ([`BufferPool::read_node_at`]),
-/// served from the committed-image cache (see [`crate::nodecache`]).
+/// them: live reads
+/// ([`SharedStore::read_node`](crate::store::SharedStore::read_node)),
+/// served from the decode a frame holds, and pinned reads
+/// ([`StoreSnapshot::read_node`](crate::store::StoreSnapshot::read_node)),
+/// served from the committed-image cache.
 /// They never contribute to [`total`](IoStats::total).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
@@ -120,7 +123,8 @@ pub struct IoStats {
     /// `wal_*` counters — the §6 I/O counts must not move.
     pub syncs: u64,
     /// High-water mark of simultaneously dirty (uncommitted, pinned)
-    /// frames since the last [`reset_stats`](BufferPool::reset_stats) —
+    /// frames since the last
+    /// [`reset_stats`](crate::store::SharedStore::reset_stats) —
     /// the no-steal pool's memory obligation. Only maintained by WAL
     /// pools; zero otherwise.
     pub dirty_high_water: u64,
@@ -135,8 +139,8 @@ impl IoStats {
     }
 
     /// Statistics delta since `earlier`. Saturates at zero per counter,
-    /// so a [`reset_stats`](BufferPool::reset_stats) between the two
-    /// snapshots yields zeros instead of underflowing.
+    /// so a [`reset_stats`](crate::store::SharedStore::reset_stats)
+    /// between the two snapshots yields zeros instead of underflowing.
     pub fn since(&self, earlier: &IoStats) -> IoStats {
         IoStats {
             reads: self.reads.saturating_sub(earlier.reads),
@@ -317,7 +321,7 @@ impl Lru {
 /// All methods take `&self`; clone-free sharing is provided by
 /// [`SharedStore`](crate::store::SharedStore), which wraps the pool in an
 /// [`Arc`](std::sync::Arc).
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     pager: RankedMutex<Box<dyn Pager>>,
     page_size: usize,
     /// `page_size - checksum::TRAILER`: the bytes callers may use.
@@ -419,22 +423,19 @@ impl BufferPool {
     /// Creates a pool holding at most `capacity` pages of `pager` — the
     /// paper-faithful global LRU whose eviction order (and therefore I/O
     /// counts) matches a sequential implementation exactly.
-    pub fn new(pager: Box<dyn Pager>, capacity: usize) -> Self {
-        Self::with_config(pager, capacity, None, 0)
-    }
-
-    /// [`new`](Self::new) plus the log. Given `log` — the handle `pager`
-    /// hands out ([`Pager::wal`]) — dirty pages are pinned in the buffer
-    /// (no-steal: an eviction never writes an uncommitted page in place)
-    /// until a [`commit`](Self::commit) streams them through it; the
-    /// pool soft-exceeds its capacity when every frame is dirty. Without
-    /// one (the default everywhere else), behavior — including every I/O
-    /// count — is byte-identical to the pre-WAL pool. `node_cache_pages`
+    ///
+    /// Given `log` — the handle `pager` hands out ([`Pager::wal`]) —
+    /// dirty pages are pinned in the buffer (no-steal: an eviction never
+    /// writes an uncommitted page in place) until a
+    /// [`commit`](Self::commit) streams them through it; the pool
+    /// soft-exceeds its capacity when every frame is dirty. Without one,
+    /// behavior — including every I/O count — is byte-identical to the
+    /// pre-WAL pool. `node_cache_pages`
     /// sizes the decoded-node cache of committed images that pinned
     /// reads go through (WAL pools only); 0 keeps no decodes at all —
     /// neither there nor in the frames [`read_node`](Self::read_node)
     /// serves.
-    pub fn with_config(
+    pub(crate) fn new(
         pager: Box<dyn Pager>,
         capacity: usize,
         log: Option<Box<dyn WalFile>>,
@@ -479,42 +480,37 @@ impl BufferPool {
     }
 
     /// Page size of the underlying pager.
-    pub fn page_size(&self) -> usize {
+    pub(crate) fn page_size(&self) -> usize {
         self.page_size
     }
 
     /// Usable bytes per page: the page size minus the checksum trailer.
     /// This is the slice length [`with_page`](Self::with_page) closures
     /// see and the limit [`write_page`](Self::write_page) enforces.
-    pub fn payload_size(&self) -> usize {
+    pub(crate) fn payload_size(&self) -> usize {
         self.payload
     }
 
     /// Whether the pool runs the WAL commit protocol.
-    pub fn wal(&self) -> bool {
+    pub(crate) fn wal(&self) -> bool {
         self.log.is_some()
     }
 
     /// Folds `n` recovery replays into the statistics (called by
     /// [`SharedStore::open`](crate::store::SharedStore::open) after
     /// [`wal::recover`](crate::wal::recover) ran below the pool).
-    pub fn note_wal_replays(&self, n: u64) {
+    pub(crate) fn note_wal_replays(&self, n: u64) {
         self.wal_replays.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Total pages allocated in the underlying pager (index size metric).
-    pub fn allocated_pages(&self) -> u64 {
+    pub(crate) fn allocated_pages(&self) -> u64 {
         self.pager.acquire().num_pages()
-    }
-
-    /// Buffer capacity in pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current statistics (a consistent-enough snapshot: each counter is
     /// exact; under concurrent load the three are read independently).
-    pub fn stats(&self) -> IoStats {
+    pub(crate) fn stats(&self) -> IoStats {
         let (mut decode_hits, mut decode_misses, mut decode_invalidations) =
             self.committed.counters();
         {
@@ -540,7 +536,7 @@ impl BufferPool {
 
     /// Zeroes the statistics counters (e.g. after a bulk-load, before a
     /// query phase).
-    pub fn reset_stats(&self) {
+    pub(crate) fn reset_stats(&self) {
         self.reads.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
         self.hits.store(0, Ordering::Relaxed);
@@ -563,7 +559,7 @@ impl BufferPool {
 
     /// Currently dirty (uncommitted, memory-pinned) frames. Always zero
     /// on non-WAL pools, whose dirty pages are evictable and unpinned.
-    pub fn dirty_pages(&self) -> u64 {
+    pub(crate) fn dirty_pages(&self) -> u64 {
         self.dirty_frames.load(Ordering::Relaxed)
     }
 
@@ -573,19 +569,19 @@ impl BufferPool {
     /// until a commit releases them. `0` (the default) disables the
     /// ceiling. The bound is soft by a racing write or two — it guards
     /// memory, not an exact invariant.
-    pub fn set_dirty_ceiling(&self, ceiling: u64) {
+    pub(crate) fn set_dirty_ceiling(&self, ceiling: u64) {
         self.dirty_ceiling.store(ceiling, Ordering::Relaxed);
     }
 
     /// The configured dirty-frame ceiling (`0` = disabled).
-    pub fn dirty_ceiling(&self) -> u64 {
+    pub(crate) fn dirty_ceiling(&self) -> u64 {
         self.dirty_ceiling.load(Ordering::Relaxed)
     }
 
     /// Allocates a page, reusing a previously freed one when available.
     /// The page is *not* fetched into the buffer; it is expected to be
     /// written next.
-    pub fn allocate(&self) -> Result<PageId> {
+    pub(crate) fn allocate(&self) -> Result<PageId> {
         let mut alloc = self.alloc.acquire();
         if let Some(id) = alloc.free_pages.pop() {
             alloc.freed.remove(&id);
@@ -601,7 +597,7 @@ impl BufferPool {
     /// Freeing an already-free (or null) page returns an error instead of
     /// corrupting the free list — a double free means some structure still
     /// holds a stale reference.
-    pub fn free_page(&self, id: PageId) -> Result<()> {
+    pub(crate) fn free_page(&self, id: PageId) -> Result<()> {
         if id.is_null() {
             return Err(invalid_arg("free of the NULL page"));
         }
@@ -627,7 +623,7 @@ impl BufferPool {
 
     /// Pages allocated in the pager minus freed pages — the live-size
     /// metric used by the index-size experiments (Fig. 9a).
-    pub fn live_pages(&self) -> u64 {
+    pub(crate) fn live_pages(&self) -> u64 {
         let freed = self.alloc.acquire().free_pages.len() as u64;
         self.pager.acquire().num_pages() - freed
     }
@@ -770,7 +766,7 @@ impl BufferPool {
     /// `f` runs while the LRU is locked: it must not access the
     /// pool (directly or through a [`SharedStore`](crate::store::SharedStore)
     /// handle), or it will deadlock.
-    pub fn with_page<T>(&self, id: PageId, f: impl FnOnce(&[u8]) -> T) -> Result<T> {
+    pub(crate) fn with_page<T>(&self, id: PageId, f: impl FnOnce(&[u8]) -> T) -> Result<T> {
         let mut lru = self.lru.acquire();
         let idx = self.frame_for(&mut lru, id, true)?;
         Ok(f(&lru.frames[idx].data[..self.payload]))
@@ -792,7 +788,7 @@ impl BufferPool {
     ///
     /// Counts one decode hit or one decode miss per call. `decode` runs
     /// under the LRU lock and must not re-enter the pool.
-    pub fn read_node<N, F>(&self, id: PageId, decode: F) -> Result<Arc<N>>
+    pub(crate) fn read_node<N, F>(&self, id: PageId, decode: F) -> Result<Arc<N>>
     where
         N: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<N>,
@@ -818,7 +814,7 @@ impl BufferPool {
     /// written whole. Payloads longer than
     /// [`payload_size`](Self::payload_size) are rejected as
     /// [`RecordTooLarge`](boxagg_common::error::Error::RecordTooLarge).
-    pub fn write_page(&self, id: PageId, bytes: &[u8]) -> Result<()> {
+    pub(crate) fn write_page(&self, id: PageId, bytes: &[u8]) -> Result<()> {
         if bytes.len() > self.payload {
             return Err(Error::RecordTooLarge {
                 record: bytes.len(),
@@ -879,7 +875,7 @@ impl BufferPool {
     /// On a WAL pool this delegates to [`commit`](Self::commit):
     /// writing uncommitted dirty pages in place would break the
     /// no-steal invariant recovery depends on.
-    pub fn flush_all(&self) -> Result<()> {
+    pub(crate) fn flush_all(&self) -> Result<()> {
         if self.wal() {
             return self.commit();
         }
@@ -909,7 +905,7 @@ impl BufferPool {
     }
 
     /// Number of pages currently resident in the buffer.
-    pub fn resident(&self) -> usize {
+    pub(crate) fn resident(&self) -> usize {
         self.lru.acquire().map.len()
     }
 
@@ -922,7 +918,7 @@ impl BufferPool {
     /// its double-free set, the committed-image node cache
     /// ([`NodeCache::validate`]), and — on a WAL pool — the dirty-frame
     /// counter and the snapshot table's invariants.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         // Quiesce writers on a WAL pool so the dirty count is exact.
         let _quiesced = if self.wal() {
             Some(self.barrier.acquire_excl())
@@ -1017,7 +1013,7 @@ mod tests {
     use crate::pager::MemPager;
 
     fn pool(cap: usize) -> BufferPool {
-        BufferPool::new(Box::new(MemPager::new(128)), cap)
+        BufferPool::new(Box::new(MemPager::new(128)), cap, None, 0)
     }
 
     pub(super) fn page_with(pool: &BufferPool, byte: u8) -> PageId {
@@ -1167,7 +1163,7 @@ mod tests {
         page_with(&p, 1);
         page_with(&p, 2);
         assert_eq!(p.allocated_pages(), 3);
-        assert_eq!(p.capacity(), 2);
+        assert_eq!(p.capacity, 2);
     }
 
     #[test]
@@ -1232,7 +1228,7 @@ mod tests {
         // list. The victim must stay fully intact on the error path.
         use crate::fault::{FaultPager, FaultSpec, OpFilter};
         let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-        let p = BufferPool::new(Box::new(pager), 2);
+        let p = BufferPool::new(Box::new(pager), 2, None, 0);
         let a = page_with(&p, 1);
         let b = page_with(&p, 2);
 
@@ -1290,7 +1286,7 @@ mod tests {
 
         // 8 dirty pages; fail the 3rd flush write.
         let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-        let p = BufferPool::new(Box::new(pager), 16);
+        let p = BufferPool::new(Box::new(pager), 16, None, 0);
         let ids: Vec<PageId> = (0..8u8).map(|i| page_with(&p, i)).collect();
         faults.arm(FaultSpec::error_at(OpFilter::Writes, 3));
 
@@ -1323,7 +1319,7 @@ mod tests {
         use crate::fault::{is_injected, FaultPager, FaultSpec, OpFilter};
 
         let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-        let p = BufferPool::new(Box::new(pager), 4);
+        let p = BufferPool::new(Box::new(pager), 4, None, 0);
         page_with(&p, 1);
         faults.arm(FaultSpec::error_at(OpFilter::Syncs, 1));
         let err = p.flush_all().unwrap_err();
@@ -1350,7 +1346,7 @@ mod tests {
         use crate::fault::{is_injected, FaultPager, FaultSpec};
 
         let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-        let p = BufferPool::new(Box::new(pager), 4);
+        let p = BufferPool::new(Box::new(pager), 4, None, 0);
         let id = p.allocate().unwrap();
         p.write_page(id, &[0xAB; 100]).unwrap();
         // Tear the flush write after 33 bytes, then drop the frame so
@@ -1392,7 +1388,7 @@ mod tests {
     pub(super) fn wal_pool(cap: usize) -> (BufferPool, crate::fault::FaultHandle) {
         let (mut pager, faults) = crate::fault::FaultPager::new(Box::new(MemPager::new(128)));
         let log = pager.wal().unwrap();
-        let p = BufferPool::with_config(Box::new(pager), cap, Some(log), cap);
+        let p = BufferPool::new(Box::new(pager), cap, Some(log), cap);
         (p, faults)
     }
 

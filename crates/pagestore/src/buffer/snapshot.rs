@@ -100,7 +100,7 @@ impl BufferPool {
 
     /// The current commit epoch (1 before the first non-empty commit;
     /// each non-empty commit creates the next).
-    pub fn commit_epoch(&self) -> u64 {
+    pub(crate) fn commit_epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
@@ -110,7 +110,7 @@ impl BufferPool {
     /// observing exactly the state this commit epoch froze — commits
     /// proceed concurrently, retaining the superseded images. Pins
     /// nest; each pin must be unpinned exactly once.
-    pub fn pin_snapshot(&self) -> u64 {
+    pub(crate) fn pin_snapshot(&self) -> u64 {
         let mut snaps = self.snapshots.acquire();
         // Exact: only a flip stores the epoch, under this lock.
         let epoch = self.epoch.load(Ordering::Relaxed);
@@ -121,7 +121,7 @@ impl BufferPool {
     /// Releases one pin on `epoch` and garbage-collects any retained
     /// page images no remaining pin can reach. Unpinning an epoch that
     /// was never pinned is a no-op.
-    pub fn unpin_snapshot(&self, epoch: u64) {
+    pub(crate) fn unpin_snapshot(&self, epoch: u64) {
         let mut snaps = self.snapshots.acquire();
         let drained = match snaps.pins.get_mut(&epoch) {
             Some(n) => {
@@ -159,7 +159,12 @@ impl BufferPool {
     ///
     /// Like [`with_page`](Self::with_page), `f` runs under pool locks
     /// and must not re-enter the pool.
-    pub fn with_page_at<T>(&self, id: PageId, epoch: u64, f: impl FnOnce(&[u8]) -> T) -> Result<T> {
+    pub(crate) fn with_page_at<T>(
+        &self,
+        id: PageId,
+        epoch: u64,
+        f: impl FnOnce(&[u8]) -> T,
+    ) -> Result<T> {
         let _reader = self.barrier.acquire_shared();
         match self.superseded_image(id, epoch) {
             Some(image) => Ok(f(&image[..self.payload])),
@@ -204,7 +209,12 @@ impl BufferPool {
     /// only.
     ///
     /// `decode` runs under pool locks and must not re-enter the pool.
-    pub fn read_node_at<N, F>(&self, id: PageId, epoch: u64, decode: F) -> Result<(Arc<N>, bool)>
+    pub(crate) fn read_node_at<N, F>(
+        &self,
+        id: PageId,
+        epoch: u64,
+        decode: F,
+    ) -> Result<(Arc<N>, bool)>
     where
         N: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<N>,

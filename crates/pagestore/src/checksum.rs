@@ -48,7 +48,7 @@
 //! The last [`TRAILER`] bytes of each page hold the checksum of the
 //! preceding *payload* (little-endian `u64`); callers above the buffer
 //! pool only ever see the payload
-//! ([`BufferPool::payload_size`](crate::buffer::BufferPool::payload_size)
+//! ([`SharedStore::payload_size`](crate::store::SharedStore::payload_size)
 //! bytes). Because the trailer lives *inside* the fixed page size, the
 //! byte-level I/O accounting of the paper's §6 experiments is unchanged:
 //! a page read is a page read, checksummed or not.

@@ -14,12 +14,12 @@
 //! * [`pager`] — raw page storage ([`pager::MemPager`] for
 //!   benchmarks where only the *count* of I/Os matters, and
 //!   [`pager::FilePager`] for real files),
-//! * [`buffer`] — the [`buffer::BufferPool`]: LRU caching,
-//!   dirty write-back, [`buffer::IoStats`]; a frame also holds the
-//!   decode a live read made of its bytes, so warm traversals skip
-//!   codec cost without perturbing byte-level I/O accounting,
-//! * [`nodecache`] — the [`nodecache::NodeCache`]: an LRU of decoded
-//!   *committed* images, which pinned reads go through,
+//! * `buffer` (private) — the buffer pool: LRU caching, dirty
+//!   write-back, [`IoStats`]; a frame also holds the decode a live read
+//!   made of its bytes, so warm traversals skip codec cost without
+//!   perturbing byte-level I/O accounting,
+//! * `nodecache` (private) — an LRU of decoded *committed* images,
+//!   which pinned reads go through,
 //! * [`rank`] — [`rank::RankedMutex`], the rank-checked lock wrapper
 //!   every mutex in this crate goes through (debug builds panic on
 //!   out-of-order acquisition; see the module docs for the lock order),
@@ -33,16 +33,18 @@
 //!   file another process may be serving: mutations are refused by
 //!   construction and committed WAL state is overlaid in memory (see
 //!   [`store::SharedStore::open_readonly`]),
-//! * [`store`] — [`store::SharedStore`], a cheaply-clonable
-//!   handle letting many trees (e.g. a BA-tree and its recursive border
-//!   trees) share one pool so space and I/O are accounted jointly, and
+//! * [`store`] — [`store::SharedStore`], the one way into a pool: a
+//!   [`store::StoreConfig`] alone decides the store's kind, and the
+//!   cheaply-clonable handle lets many trees (e.g. a BA-tree and its
+//!   recursive border trees) share one pool so space and I/O are
+//!   accounted jointly, and
 //!   [`store::ReadHandle`], through which an index reads either that
 //!   live store or one pinned commit epoch.
 
-pub mod buffer;
+mod buffer;
 pub mod checksum;
 pub mod fault;
-pub mod nodecache;
+mod nodecache;
 mod pagemap;
 pub mod pager;
 pub mod rank;
@@ -51,9 +53,8 @@ pub mod store;
 pub mod superblock;
 pub mod wal;
 
-pub use buffer::{BufferPool, IoStats};
+pub use buffer::IoStats;
 pub use fault::{FaultHandle, FaultPager, FaultSpec, OpFilter};
-pub use nodecache::NodeCache;
 pub use pager::{FilePager, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE};
 pub use rank::{RankedGuard, RankedMutex, RankedReadGuard, RankedRwLock, RankedWriteGuard};
 pub use store::{Backing, ReadHandle, SharedStore, StoreConfig, StoreSnapshot};

@@ -44,7 +44,7 @@ use crate::pager::PageId;
 use crate::rank::{self, RankedMutex};
 
 /// Type-erased decoded node, as a buffer frame or the cache holds it.
-pub type CachedNode = Arc<dyn Any + Send + Sync>;
+pub(crate) type CachedNode = Arc<dyn Any + Send + Sync>;
 
 const NIL: usize = usize::MAX;
 
@@ -174,7 +174,7 @@ impl CacheShard {
 /// miss, preserving the `decode_hits + decode_misses == node accesses`
 /// invariant even when disabled). The counters live in the shards and
 /// are summed on demand.
-pub struct NodeCache {
+pub(crate) struct NodeCache {
     shards: Box<[RankedMutex<CacheShard>]>,
 }
 
@@ -194,7 +194,7 @@ impl NodeCache {
     /// holds at least one node and together they hold exactly
     /// `capacity`. `capacity == 0` disables storage (one empty shard)
     /// but keeps counting accesses.
-    pub fn new(capacity: usize, shards: usize) -> Self {
+    pub(crate) fn new(capacity: usize, shards: usize) -> Self {
         let n = shards
             .max(1)
             .next_power_of_two()
@@ -224,14 +224,14 @@ impl NodeCache {
     }
 
     /// Total node capacity (summed across shards).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.shards.iter().map(|s| s.acquire().capacity).sum()
     }
 
     /// The cached node for `id`, counting a hit; a missing entry — or
     /// one whose concrete type is not `N`, which is dropped — counts a
     /// miss, and the caller decodes and [`insert`](Self::insert)s.
-    pub fn lookup<N: Any + Send + Sync>(&self, id: PageId) -> Option<Arc<N>> {
+    pub(crate) fn lookup<N: Any + Send + Sync>(&self, id: PageId) -> Option<Arc<N>> {
         let mut shard = self.shard_for(id).acquire();
         if let Some(idx) = shard.map.get(id) {
             let node = shard.slots[idx]
@@ -255,7 +255,7 @@ impl NodeCache {
     /// entry refreshed. Otherwise nothing is counted or changed and the
     /// caller falls back to [`lookup`](Self::lookup), which counts the
     /// read: every read is one hit or one miss, however it was served.
-    pub fn try_hit<N: Any + Send + Sync>(
+    pub(crate) fn try_hit<N: Any + Send + Sync>(
         &self,
         id: PageId,
         still_valid: impl FnOnce() -> bool,
@@ -274,12 +274,12 @@ impl NodeCache {
     /// Caches `node` as the decode of `id`'s current committed image.
     /// The caller holds what keeps that image from changing since its
     /// [`lookup`](Self::lookup) (module docs).
-    pub fn insert(&self, id: PageId, node: CachedNode) {
+    pub(crate) fn insert(&self, id: PageId, node: CachedNode) {
         self.shard_for(id).acquire().insert(id, node);
     }
 
     /// Drops any cached node of `id` and counts an invalidation.
-    pub fn invalidate(&self, id: PageId) {
+    pub(crate) fn invalidate(&self, id: PageId) {
         let mut shard = self.shard_for(id).acquire();
         shard.remove(id);
         shard.invalidations += 1;
@@ -288,12 +288,12 @@ impl NodeCache {
     /// Counts a read of `id` that decoded without consulting the cache
     /// (a pinned read of a superseded image), keeping `hits + misses`
     /// equal to the node reads served.
-    pub fn count_miss(&self, id: PageId) {
+    pub(crate) fn count_miss(&self, id: PageId) {
         self.shard_for(id).acquire().misses += 1;
     }
 
     /// `(hits, misses, invalidations)`, summed over every shard.
-    pub fn counters(&self) -> (u64, u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64, u64) {
         let mut sum = (0, 0, 0);
         for shard in self.shards.iter() {
             let s = shard.acquire();
@@ -303,7 +303,7 @@ impl NodeCache {
     }
 
     /// Zeroes every shard's hit/miss/invalidation counters.
-    pub fn reset_counters(&self) {
+    pub(crate) fn reset_counters(&self) {
         for shard in self.shards.iter() {
             let mut s = shard.acquire();
             s.hits = 0;
@@ -317,7 +317,7 @@ impl NodeCache {
     /// list is well-formed over exactly the mapped slots, every slot is
     /// mapped or free (none leaked), free slots are truly emptied, live
     /// entries hold a node, and occupancy respects capacity.
-    pub fn validate(&self) -> boxagg_common::error::Result<()> {
+    pub(crate) fn validate(&self) -> boxagg_common::error::Result<()> {
         use boxagg_common::error::corrupt;
         for (si, shard) in self.shards.iter().enumerate() {
             let shard = shard.acquire();

@@ -41,9 +41,10 @@ pub const DEFAULT_PAGE_SIZE: usize = 8192;
 /// Backing storage for fixed-size pages.
 ///
 /// Implementations are dumb: no caching, no statistics. That is the
-/// [`BufferPool`](crate::buffer::BufferPool)'s job. Pagers must be
-/// `Send` so the pool can be shared across threads;
-/// the pool serializes access behind a mutex, so `Sync` is not needed.
+/// job of the buffer pool behind
+/// [`SharedStore`](crate::store::SharedStore). Pagers must be `Send` so
+/// the pool can be shared across threads; the pool serializes access
+/// behind a mutex, so `Sync` is not needed.
 pub trait Pager: Send {
     /// Size of every page in bytes.
     fn page_size(&self) -> usize;

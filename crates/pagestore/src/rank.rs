@@ -2,14 +2,15 @@
 //!
 //! Every lock in this crate is a [`RankedMutex`] (or, for the commit
 //! write barrier, a [`RankedRwLock`]) carrying a compile-time rank from
-//! the [`rank`] table.  A thread may only acquire a lock whose rank is
-//! *strictly greater* than the highest rank it already holds; in debug
-//! builds a thread-local stack of held ranks enforces this and panics on
-//! violation, turning any potential lock-order inversion into a
-//! deterministic test failure instead of a once-a-month deadlock.
+//! the table of constants below.  A thread may only acquire a lock
+//! whose rank is *strictly greater* than the highest rank it already
+//! holds; in debug builds a thread-local stack of held ranks enforces
+//! this and panics on violation, turning any potential lock-order
+//! inversion into a deterministic test failure instead of a
+//! once-a-month deadlock.
 //!
 //! The rank order is derived from an audit of the acquisition pairs that
-//! actually occur in [`crate::buffer`]:
+//! actually occur in the buffer pool (`buffer/`):
 //!
 //! * `allocate` holds the **allocator** lock while touching the **pager**
 //!   (grow-on-allocate),
@@ -45,7 +46,7 @@
 //! the node-cache, LRU and pager locks so that log I/O under any of
 //! them — a commit's fsync stalling every cache-miss reader — is an
 //! ordering violation, not a convention.  `NODE_CACHE` guards a shard
-//! of the committed-image node cache in [`crate::nodecache`]; it is a *leaf*
+//! of the committed-image node cache (`nodecache.rs`); it is a *leaf*
 //! lock — never held across any other acquisition — and sits just below
 //! `SHARD` to mirror the layering (typed cache above the byte pool).
 //! `PAGER` is the top: nothing is ranked above it. ([`crate::fault`]'s
@@ -63,7 +64,8 @@ use std::sync::{Mutex, PoisonError};
 // The static lock-rank table.  Locks must be acquired in strictly
 // increasing rank order.
 
-/// The commit mutex ([`crate::buffer::BufferPool::commit`]): held
+/// The commit mutex
+/// ([`SharedStore::commit`](crate::store::SharedStore::commit)): held
 /// across the entire WAL commit protocol — the LRU scan, log appends,
 /// in-place writes and the log truncation — so it ranks below every
 /// lock those steps take (LRU, pager, allocator is not taken but
@@ -74,16 +76,16 @@ pub const WAL: u32 = 0;
 /// catalog updates cannot persist out of order), hence below the
 /// barrier, LRU, pager and node-cache locks that write takes.
 pub const SUPERBLOCK: u32 = 1;
-/// The commit write barrier ([`RankedRwLock`] in
-/// [`crate::buffer::BufferPool`]): page writers hold it shared for the
-/// duration of one mutation, a commit holds it exclusively across its
-/// dirty-frame snapshot so the snapshot is a single point-in-time cut.
+/// The commit write barrier ([`RankedRwLock`] in the buffer pool):
+/// page writers hold it shared for the duration of one mutation, a
+/// commit holds it exclusively across its dirty-frame snapshot so the
+/// snapshot is a single point-in-time cut.
 /// Writers take it before the allocator (`free_page`) and the LRU
 /// (`write_page`), and `set_root` reaches it while holding the
 /// superblock lock, which pins it between the two.
 pub const BARRIER: u32 = 2;
-/// The snapshot table ([`crate::buffer::BufferPool`]): pinned commit
-/// epochs plus page images retained for them.  A commit's flip phase
+/// The snapshot table (in the buffer pool): pinned commit epochs
+/// plus page images retained for them.  A commit's flip phase
 /// holds it (under the exclusive barrier) while touching the LRU and the
 /// pager to retain superseded images and while invalidating the
 /// committed-image node cache; snapshot readers behind the current
@@ -100,7 +102,7 @@ pub const ALLOCATOR: u32 = 4;
 /// `NODE_CACHE`, `SHARD` and `PAGER`, so taking it under any of them is
 /// a rank violation.
 pub const WAL_IO: u32 = 5;
-/// A shard of the committed-image node cache ([`crate::nodecache`]).
+/// A shard of the committed-image node cache (`nodecache.rs`).
 /// A leaf lock: lookups, inserts and invalidations never touch another
 /// lock while holding it.
 pub const NODE_CACHE: u32 = 6;
@@ -170,9 +172,9 @@ pub struct RankedMutex<T: ?Sized> {
 }
 
 impl<T> RankedMutex<T> {
-    /// Wraps `value` in a mutex at position `lock_rank` (a [`rank`]
-    /// constant) in the lock order.  `label` names the lock in rank-panic
-    /// messages.
+    /// Wraps `value` in a mutex at position `lock_rank` (one of this
+    /// module's constants) in the lock order.  `label` names the lock in
+    /// rank-panic messages.
     pub fn new(lock_rank: u32, label: &'static str, value: T) -> Self {
         Self {
             lock_rank,
@@ -250,12 +252,12 @@ impl<T: ?Sized> Drop for RankedGuard<'_, T> {
 /// acquisition in the wrong order can still deadlock an exclusive
 /// waiter, so readers get no exemption.  Used for the commit write
 /// barrier (rank [`BARRIER`]): page writers hold it shared for the
-/// duration of one mutation, [`BufferPool::commit`] holds it
+/// duration of one mutation, [`SharedStore::commit`] holds it
 /// exclusively while snapshotting dirty frames, so the snapshot is a
 /// point-in-time cut that can never capture half of a single page
 /// write.
 ///
-/// [`BufferPool::commit`]: crate::buffer::BufferPool::commit
+/// [`SharedStore::commit`]: crate::store::SharedStore::commit
 pub struct RankedRwLock<T: ?Sized> {
     lock_rank: u32,
     label: &'static str,

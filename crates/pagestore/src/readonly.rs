@@ -5,7 +5,7 @@
 //! when *another process* is serving the same file: WAL recovery
 //! replays and truncates the sidecar log out from under the server,
 //! and an empty/all-zero file gets formatted with a fresh page-0
-//! superblock. [`ReadOnlyPager`] removes the entire class of bugs by
+//! superblock. `ReadOnlyPager` removes the entire class of bugs by
 //! construction: the data file is opened without write permission, the
 //! sidecar log is read (never opened for writing, never created, never
 //! truncated), and every mutating [`Pager`] entry point — asking for

@@ -6,7 +6,7 @@
 //! indexes. All of them must share one pager and one LRU buffer so that
 //! index size and I/O counts are accounted the way the paper measures them
 //! — for the whole structure. `SharedStore` is that shared handle: an
-//! `Arc` over one internally synchronized [`BufferPool`], so concurrent
+//! `Arc` over one internally synchronized buffer pool, so concurrent
 //! readers can run on separate threads against one pool. The pool is
 //! the paper's single global LRU: same eviction order, same I/O counts
 //! as a sequential implementation.
@@ -112,12 +112,13 @@ impl StoreConfig {
     }
 }
 
-/// Cheaply clonable, thread-safe handle to a shared [`BufferPool`].
+/// Cheaply clonable, thread-safe handle to a shared buffer pool — the
+/// only way into one.
 #[derive(Clone, Debug)]
 pub struct SharedStore {
     pool: Arc<BufferPool>,
-    /// In-memory image of the page-0 superblock; `None` for raw stores
-    /// (memory backing without WAL) that predate the catalog.
+    /// In-memory image of the page-0 superblock; `None` for the raw
+    /// paper store (memory backing without WAL), which has no page 0.
     superblock: Option<Arc<RankedMutex<Superblock>>>,
     /// What recovery replayed when this store was opened.
     recovery: RecoveryReport,
@@ -127,7 +128,10 @@ pub struct SharedStore {
 }
 
 impl SharedStore {
-    /// Opens a store per `config`.
+    /// Opens a store per `config`: builds the pager
+    /// [`StoreConfig::backing`] names, then
+    /// [`open_with_pager`](Self::open_with_pager), which decides the
+    /// store's kind.
     ///
     /// File-backed stores are *durable*: a missing file is created and
     /// formatted with a page-0 [`Superblock`]; an existing file is
@@ -136,27 +140,17 @@ impl SharedStore {
     /// left by a crash are replayed, and the superblock's catalog of
     /// named roots is loaded so indexes can be reopened by name with no
     /// out-of-band state. Memory-backed stores get the same treatment
-    /// when [`StoreConfig::wal`] is on; the plain memory default skips
-    /// page 0 entirely and stays byte-identical to earlier revisions.
+    /// when [`StoreConfig::wal`] is on; the plain memory default is the
+    /// paper's store, with no log and no page 0.
     pub fn open(config: &StoreConfig) -> Result<Self> {
-        match &config.backing {
-            Backing::Memory => {
-                let pager = Box::new(MemPager::new(config.page_size));
-                if config.wal {
-                    Self::open_with_pager(pager, config)
-                } else {
-                    Ok(Self::with_pager(pager, config))
-                }
+        let pager: Box<dyn Pager> = match &config.backing {
+            Backing::Memory => Box::new(MemPager::new(config.page_size)),
+            Backing::File(path) if path.exists() => {
+                Box::new(FilePager::open(path, config.page_size)?)
             }
-            Backing::File(path) => {
-                let pager: Box<dyn Pager> = if path.exists() {
-                    Box::new(FilePager::open(path, config.page_size)?)
-                } else {
-                    Box::new(FilePager::create(path, config.page_size)?)
-                };
-                Self::open_with_pager(pager, config)
-            }
-        }
+            Backing::File(path) => Box::new(FilePager::create(path, config.page_size)?),
+        };
+        Self::open_with_pager(pager, config)
     }
 
     /// Opens an existing file-backed store strictly read-only.
@@ -184,20 +178,13 @@ impl SharedStore {
         };
         let pager = crate::readonly::ReadOnlyPager::open(path, config.page_size)?;
         // No log: the pool must never touch the sidecar.
-        let mut store = Self::assemble(Box::new(pager), None, config);
-        store.readonly = true;
-        store.init_superblock(config);
-        if store.pool.allocated_pages() == 0 {
-            return Err(corrupt(
-                "cannot open an empty store read-only: formatting page 0 is a write",
-            ));
-        }
-        if !store.load_superblock(config)? {
-            return Err(corrupt(
-                "page 0 is not a superblock; read-only opens never format",
-            ));
-        }
-        Ok(store)
+        Self::catalogued(
+            Box::new(pager),
+            None,
+            RecoveryReport::default(),
+            config,
+            true,
+        )
     }
 
     /// Whether this handle was opened with
@@ -213,55 +200,40 @@ impl SharedStore {
         Ok(())
     }
 
-    /// Opens a *formatted* store over an explicit pager: asks it for
-    /// its log handle, runs WAL recovery on the raw pager through that
-    /// handle, hands the handle to the pool (when [`StoreConfig::wal`]
-    /// is on), then loads the page-0 superblock (or formats one into an
-    /// empty pager). This is [`open`](Self::open) minus the file
-    /// handling — the crash-sweep harness uses it to interpose a
-    /// [`FaultPager`](crate::fault::FaultPager) between the pool and
-    /// the file.
+    /// Opens a store over an explicit pager; `config` alone decides
+    /// its kind ([`open`](Self::open) is this plus the pager
+    /// [`StoreConfig::backing`] names, and the crash-sweep harness uses
+    /// it to interpose a [`FaultPager`](crate::fault::FaultPager)
+    /// between the pool and the file).
+    ///
+    /// - [`Backing::Memory`] without [`StoreConfig::wal`] is the paper's
+    ///   store: the pool over `pager` and nothing else — no log handle
+    ///   is taken, no recovery runs and there is no page 0, so every
+    ///   page I/O is an index page I/O.
+    /// - Every other config is *catalogued*: the pager's log handle is
+    ///   taken, WAL recovery runs on the raw pager through it, the handle
+    ///   goes to the pool when `wal` is on, and the page-0 superblock is
+    ///   loaded (or formatted into an empty pager).
+    ///
+    /// The pager defines the page size; `config.backing` only picks the
+    /// kind.
     pub fn open_with_pager(mut pager: Box<dyn Pager>, config: &StoreConfig) -> Result<Self> {
+        if matches!(config.backing, Backing::Memory) && !config.wal {
+            return Ok(Self::assemble(pager, None, config));
+        }
         let mut log = pager.wal()?;
         let report = wal::recover(pager.as_mut(), log.as_mut())?;
-        let mut store = Self::assemble(pager, config.wal.then_some(log), config);
-        store.recovery = report;
-        store.pool.note_wal_replays(report.pages_replayed);
-        store.init_superblock(config);
-        store.load_or_format_superblock(config)?;
-        Ok(store)
+        Self::catalogued(pager, config.wal.then_some(log), report, config, false)
     }
 
-    /// Wraps an explicit pager — a reopened [`FilePager`], or a
-    /// [`FaultPager`](crate::fault::FaultPager) in fault-injection
-    /// harnesses — honoring everything in `config` except `backing` and
-    /// `page_size` (the pager defines those). No recovery runs and no
-    /// superblock is read or written: this is the raw compatibility
-    /// path for stores addressed by explicit page ids.
-    ///
-    /// # Panics
-    ///
-    /// With [`StoreConfig::wal`] on, if `pager` cannot hand out its log
-    /// handle (it already did, or it is read-only) — a WAL store over a
-    /// pager without a log is a caller bug.
-    pub fn with_pager(mut pager: Box<dyn Pager>, config: &StoreConfig) -> Self {
-        let log = config.wal.then(|| {
-            pager
-                .wal()
-                .expect("`StoreConfig::wal` needs a pager that still has its log handle")
-        });
-        Self::assemble(pager, log, config)
-    }
-
-    /// The pool (a WAL pool iff `log` is given), with no superblock
-    /// yet.
+    /// The pool (a WAL pool iff `log` is given), with no superblock.
     fn assemble(
         pager: Box<dyn Pager>,
         log: Option<Box<dyn WalFile>>,
         config: &StoreConfig,
     ) -> Self {
         Self {
-            pool: Arc::new(BufferPool::with_config(
+            pool: Arc::new(BufferPool::new(
                 pager,
                 config.buffer_pages,
                 log,
@@ -273,90 +245,82 @@ impl SharedStore {
         }
     }
 
-    /// Gives the store a superblock slot, blank until page 0 is loaded
-    /// (or formatted) into it.
-    fn init_superblock(&mut self, config: &StoreConfig) {
-        self.superblock = Some(Arc::new(RankedMutex::new(
+    /// A store with a page-0 catalog, loaded from the pager or — unless
+    /// `readonly` — formatted into it.
+    fn catalogued(
+        pager: Box<dyn Pager>,
+        log: Option<Box<dyn WalFile>>,
+        recovery: RecoveryReport,
+        config: &StoreConfig,
+        readonly: bool,
+    ) -> Result<Self> {
+        let mut store = Self::assemble(pager, log, config);
+        store.recovery = recovery;
+        store.readonly = readonly;
+        store.pool.note_wal_replays(recovery.pages_replayed);
+        let sb = store.load_or_format_superblock(config)?;
+        store.superblock = Some(Arc::new(RankedMutex::new(
             rank::SUPERBLOCK,
             "superblock",
-            Superblock::new(config.page_size as u32),
+            sb,
         )));
-    }
-
-    /// Reads page 0 and, unless it is all zeros (`Ok(false)`: not a
-    /// superblock — the caller decides whether that may be formatted
-    /// over), decodes it, checks the recorded page size against
-    /// `config` and installs it.
-    fn load_superblock(&self, config: &StoreConfig) -> Result<bool> {
-        let payload = self.pool.with_page(PageId(0), |d| d.to_vec())?;
-        if payload.iter().all(|&b| b == 0) {
-            return Ok(false);
-        }
-        let sb = Superblock::decode(&payload)?;
-        if sb.page_size as usize != config.page_size {
-            return Err(Error::GeometryMismatch {
-                what: "page_size",
-                stored: sb.page_size as u64,
-                requested: config.page_size as u64,
-            });
-        }
-        self.install_superblock(sb)?;
-        Ok(true)
+        Ok(store)
     }
 
     /// Loads the superblock from page 0, formatting an empty or
-    /// brand-new store in the process.
-    fn load_or_format_superblock(&self, config: &StoreConfig) -> Result<()> {
-        let fresh = Superblock::new(config.page_size as u32);
-        if self.pool.allocated_pages() == 0 {
-            // Brand-new store: page 0 is the superblock, formatted
-            // durably before anything else is written.
-            let id = self.pool.allocate()?;
-            debug_assert_eq!(id, PageId(0));
-            self.pool.write_page(id, &fresh.encode())?;
-            self.pool.flush_all()?;
-            return self.install_superblock(fresh);
-        }
-        if self.load_superblock(config)? {
-            return Ok(());
+    /// brand-new writable store in the process.
+    fn load_or_format_superblock(&self, config: &StoreConfig) -> Result<Superblock> {
+        let pages = self.pool.allocated_pages();
+        if pages > 0 {
+            let payload = self.pool.with_page(PageId(0), |d| d.to_vec())?;
+            if payload.iter().any(|&b| b != 0) {
+                let sb = Superblock::decode(&payload)?;
+                if sb.page_size as usize != config.page_size {
+                    return Err(Error::GeometryMismatch {
+                        what: "page_size",
+                        stored: sb.page_size as u64,
+                        requested: config.page_size as u64,
+                    });
+                }
+                return Ok(sb);
+            }
         }
         // An all-zero page 0 is ambiguous: it is what a crash *during*
         // the initial format leaves (page 0 allocated, the superblock
         // image not yet durable — the commit protocol guarantees
-        // nothing else was applied first), but it is also what a raw
-        // compatibility-path store looks like when its first data page
-        // happens to hold a zero payload (the zero-mask checksum stamps
-        // such a page as all zeros too). Only the former is safe to
-        // format over, and it is recognizable by the file holding
-        // nothing *but* that one page; a multi-page file is someone's
-        // data — refuse with a typed error instead of silently
-        // clobbering page 0.
-        if self.pool.allocated_pages() == 1 {
-            self.pool.write_page(PageId(0), &fresh.encode())?;
-            self.pool.flush_all()?;
-            return self.install_superblock(fresh);
+        // nothing else was applied first), but a data page holding a
+        // zero payload is stamped as all zeros too (the zero-mask
+        // checksum). Only the former is safe to format over, and it is
+        // recognizable by the file holding nothing *but* that one page;
+        // a multi-page file is someone's data — refuse with a typed
+        // error instead of silently clobbering page 0.
+        if pages > 1 {
+            return Err(corrupt(
+                "page 0 is not a superblock (all zeros in a multi-page file)",
+            ));
         }
-        Err(corrupt(
-            "page 0 is not a superblock (all zeros in a multi-page file); \
-             raw compatibility-path stores must be opened with \
-             `SharedStore::with_pager`, not `SharedStore::open`",
-        ))
-    }
-
-    fn install_superblock(&self, sb: Superblock) -> Result<()> {
-        let lock = self
-            .superblock
-            .as_ref()
-            .expect("load_or_format_superblock called on a raw store");
-        *lock.acquire() = sb;
-        Ok(())
+        if self.readonly {
+            return Err(corrupt(
+                "page 0 is not a superblock; read-only opens never format",
+            ));
+        }
+        if pages == 0 {
+            // Brand-new store: page 0 is the superblock, formatted
+            // durably before anything else is written.
+            let id = self.pool.allocate()?;
+            debug_assert_eq!(id, PageId(0));
+        }
+        let fresh = Superblock::new(config.page_size as u32);
+        self.pool.write_page(PageId(0), &fresh.encode())?;
+        self.pool.flush_all()?;
+        Ok(fresh)
     }
 
     fn superblock_lock(&self) -> Result<&RankedMutex<Superblock>> {
         self.superblock.as_deref().ok_or_else(|| {
             invalid_arg(
-                "store has no superblock: memory backing without WAL keeps \
-                 the raw page-id addressing of earlier revisions",
+                "store has no superblock: memory backing without WAL is the \
+                 paper's raw store, with no page 0",
             )
         })
     }
@@ -372,12 +336,19 @@ impl SharedStore {
         self.check_writable("set_root")?;
         let lock = self.superblock_lock()?;
         let mut sb = lock.acquire();
+        let previous = sb.root(name).cloned();
         sb.set_root(name, entry)?;
         let encoded = sb.encode();
         if encoded.len() > self.payload_size() {
-            // Roll back: an oversized catalog must not poison the
-            // in-memory image that later writes would re-encode.
-            sb.remove_root(name);
+            // Roll back to the entry `name` held before (if any): an
+            // oversized catalog must not poison the in-memory image that
+            // later writes would re-encode.
+            match previous {
+                Some(previous) => sb.set_root(name, previous)?,
+                None => {
+                    sb.remove_root(name);
+                }
+            }
             return Err(invalid_arg(format!(
                 "superblock catalog overflow: {} bytes exceeds the {}-byte \
                  page-0 payload",
@@ -478,15 +449,14 @@ impl SharedStore {
     }
 
     /// What WAL recovery replayed when this store was opened (all
-    /// zeros for a clean open or a raw store).
+    /// zeros for a clean open, a raw store or a read-only open).
     pub fn recovery_report(&self) -> RecoveryReport {
         self.recovery
     }
 
     /// Commits all dirty pages as one crash-atomic transaction (WAL
-    /// stores) or flushes them eagerly (raw stores) — see
-    /// [`BufferPool::commit`]. After a successful return the committed
-    /// state survives any crash.
+    /// stores) or flushes them eagerly (stores without WAL). After a
+    /// successful return the committed state survives any crash.
     ///
     /// On a WAL store, commits never block readers: concurrent queries
     /// keep reading (and pinned [`snapshot`](Self::snapshot)s keep
@@ -498,7 +468,7 @@ impl SharedStore {
     }
 
     /// The store's current commit epoch — advances once per non-empty
-    /// committed transaction (see [`BufferPool::commit_epoch`]).
+    /// committed transaction.
     pub fn commit_epoch(&self) -> u64 {
         self.pool.commit_epoch()
     }
@@ -515,13 +485,13 @@ impl SharedStore {
     /// [`StoreSnapshot::read_node`]), so a snapshot taken per request
     /// costs a warm read path, not a cold one.
     ///
-    /// Only WAL stores have commit epochs; a raw store (no atomicity
-    /// boundary) returns an error.
+    /// Only WAL stores have commit epochs; a store without WAL (no
+    /// atomicity boundary) returns an error.
     pub fn snapshot(&self) -> Result<StoreSnapshot> {
         if !self.wal_enabled() {
             return Err(invalid_arg(
                 "snapshots need the WAL commit protocol: only committed \
-                 epochs are immutable, and a raw store has none",
+                 epochs are immutable, and a store without WAL has none",
             ));
         }
         let epoch = self.pool.pin_snapshot();
@@ -535,7 +505,7 @@ impl SharedStore {
 
     /// Sets the pool's dirty-frame ceiling: once this many uncommitted
     /// pages are pinned in memory, further dirtying writes fail with
-    /// [`Error::Backpressure`](boxagg_common::error::Error::Backpressure)
+    /// [`Error::Backpressure`]
     /// until a [`commit`](Self::commit) releases them. `0` disables the
     /// ceiling (the default).
     pub fn set_dirty_ceiling(&self, ceiling: u64) {
@@ -581,7 +551,7 @@ impl SharedStore {
 
     /// Reads page `id` as a decoded node of type `N`: one buffer-pool
     /// access, served from the decode the page's frame holds when it
-    /// has one — see [`BufferPool::read_node`].
+    /// has one.
     ///
     /// Byte-level accounting is identical whether decodes are kept or
     /// not (`node_cache_pages`): every call is exactly the page access
@@ -633,8 +603,7 @@ impl SharedStore {
     }
 
     /// Frees a page for reuse. The caller guarantees nothing references
-    /// it. Errors on a double free (see
-    /// [`BufferPool::free_page`]).
+    /// it. Errors on a double free.
     pub fn free(&self, id: PageId) -> Result<()> {
         self.check_writable("free")?;
         self.pool.free_page(id)
@@ -651,10 +620,13 @@ impl SharedStore {
         self.live_pages() * self.page_size() as u64
     }
 
-    /// Checks the structural invariants of the buffer pool, its
-    /// committed-image node cache included — see
-    /// [`BufferPool::validate`]. The fault-sweep harness calls this
-    /// after every injected failure.
+    /// Checks the structural invariants of the buffer pool: a
+    /// well-formed LRU over exactly the mapped frames, no leaked or
+    /// unreset frame, occupancy within capacity (non-WAL pools; a WAL
+    /// pool may soft-exceed it with dirty frames), the allocator's free
+    /// list, the committed-image node cache and, on a WAL pool, the
+    /// dirty-frame counter and the snapshot table. The fault-sweep
+    /// harness calls this after every injected failure.
     pub fn validate(&self) -> Result<()> {
         self.pool.validate()
     }
@@ -712,7 +684,6 @@ impl StoreSnapshot {
     /// decoded through one pin serves every later pin until a commit
     /// rewrites the page. A page superseded after *this* pin's epoch is
     /// decoded from its retained image on every read and never cached.
-    /// See [`BufferPool::read_node_at`].
     ///
     /// Unlike the live path, a cache hit performs no byte-pool access.
     /// `decode` runs under pool locks and must not access the store.
@@ -743,18 +714,11 @@ impl StoreSnapshot {
     /// Looks up a named root in the superblock catalog *as of the
     /// pinned epoch* — the root a query must traverse to see exactly
     /// the pinned commit's tree. `Ok(None)` for a name not in the
-    /// catalog at that epoch (or for a store whose page 0 was never
-    /// formatted). The catalog is a decoded node like any other: it
-    /// decodes once per commit that rewrites page 0, not once per call.
+    /// catalog at that epoch. The catalog is a decoded node like any
+    /// other: it decodes once per commit that rewrites page 0, not once
+    /// per call.
     pub fn root(&self, name: &str) -> Result<Option<RootEntry>> {
-        let page_size = self.store.page_size() as u32;
-        let catalog = self.read_node(PageId(0), |payload| {
-            if payload.iter().all(|&b| b == 0) {
-                // Never formatted: an empty catalog.
-                return Ok(Superblock::new(page_size));
-            }
-            Superblock::decode(payload)
-        })?;
+        let catalog = self.read_node(PageId(0), Superblock::decode)?;
         Ok(catalog.root(name).cloned())
     }
 
@@ -903,14 +867,15 @@ mod tests {
             })
             .collect();
         s.flush().unwrap();
+        // Page 0 is the catalog: data pages start at 1.
+        assert_eq!(ids[0], PageId(1));
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(s.with_page(id, |d| d[0]).unwrap(), i as u8);
         }
 
         // Reopen the file with a fresh pool and confirm persistence.
         drop(s);
-        let pager = FilePager::open(dir.path().join("store.db"), 256).unwrap();
-        let s = SharedStore::with_pager(Box::new(pager), &cfg);
+        let s = SharedStore::open(&cfg).unwrap();
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(s.with_page(id, |d| d[0]).unwrap(), i as u8);
         }
@@ -945,12 +910,12 @@ mod tests {
 
     #[test]
     fn zero_page0_in_multi_page_file_is_corrupt_not_clobbered() {
-        // Regression: a raw compatibility-path store whose page 0
-        // legitimately holds a zero payload (the zero-mask checksum
-        // stamps it as all zeros) used to be treated as "never
-        // formatted" and silently overwritten with a fresh superblock.
-        // A multi-page file cannot be the crash-during-format case, so
-        // it must be refused, byte-for-byte untouched.
+        // Regression: a catalog-less file whose page 0 holds a zero
+        // payload (the zero-mask checksum stamps it as all zeros) used
+        // to be treated as "never formatted" and silently overwritten
+        // with a fresh superblock. A multi-page file cannot be the
+        // crash-during-format case, so it must be refused,
+        // byte-for-byte untouched.
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("raw.db");
         let mut raw = vec![0u8; 512];
@@ -962,6 +927,85 @@ mod tests {
             "expected typed corrupt error, got: {err}"
         );
         assert_eq!(std::fs::read(&path).unwrap(), raw, "file left untouched");
+    }
+
+    #[test]
+    fn catalogless_file_is_refused_not_clobbered() {
+        // What a store written without a catalog looks like: data from
+        // page 0 on. Its page 0 is stamped with the current `sum64`
+        // trailer, with an FNV-1a trailer (format v1) or with none (the
+        // pages are all payload). Every shape is refused with a typed
+        // error by both opens, and the data file stays byte-for-byte
+        // what it was.
+        use crate::checksum;
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("raw.db");
+        let split = 256 - checksum::TRAILER;
+        let zero_mask = checksum::zero_mask(split);
+        let mut data = vec![0u8; 512];
+        data[256..256 + 32].fill(9);
+        checksum::stamp(&mut data[256..], zero_mask);
+        for trailer in ["sum64", "fnv1a", "none"] {
+            let page0 = &mut data[..256];
+            page0.fill(0);
+            page0[..32].fill(7);
+            match trailer {
+                "sum64" => checksum::stamp(page0, zero_mask),
+                "fnv1a" => {
+                    let sum = checksum::fnv1a_64(&page0[..split]);
+                    page0[split..].copy_from_slice(&sum.to_le_bytes());
+                }
+                _ => page0.fill(7),
+            }
+            std::fs::write(&path, &data).unwrap();
+            for readonly in [false, true] {
+                let cfg = file_cfg(path.clone());
+                let err = if readonly {
+                    SharedStore::open_readonly(&cfg)
+                } else {
+                    SharedStore::open(&cfg)
+                }
+                .unwrap_err();
+                assert!(
+                    matches!(err, Error::Corrupt(_) | Error::Corruption { .. }),
+                    "{trailer} trailer, readonly {readonly}: {err}"
+                );
+                assert_eq!(
+                    std::fs::read(&path).unwrap(),
+                    data,
+                    "{trailer} trailer, readonly {readonly}: data file untouched"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn refused_catalog_update_keeps_the_previous_entry() {
+        let s = SharedStore::open(&StoreConfig::small(256, 8).with_wal(true)).unwrap();
+        let mut names = Vec::new();
+        for i in 0.. {
+            let name = format!("r{i}");
+            if s.set_root(&name, entry_at(PageId(1), i)).is_err() {
+                break;
+            }
+            names.push(name);
+        }
+        assert!(names.len() > 1, "the catalog holds a few 1-d entries");
+        assert_eq!(s.root(&format!("r{}", names.len())).unwrap(), None);
+
+        // Replacing a 1-d entry with an 8-d one outgrows page 0: the
+        // update is refused and the old entry stays.
+        let wide = RootEntry {
+            dims: 8,
+            bounds: vec![(0.0, 1.0); 8],
+            ..entry_at(PageId(2), 99)
+        };
+        let err = s.set_root(&names[0], wide).unwrap_err();
+        assert!(err.to_string().contains("overflow"), "got: {err}");
+        assert_eq!(s.root(&names[0]).unwrap(), Some(entry_at(PageId(1), 0)));
+        s.commit().unwrap();
+        assert_eq!(s.roots().unwrap().len(), names.len());
+        s.validate().unwrap();
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! checksum flag) and a catalog of *named roots* — `{name → (root page,
 //! length, dimensionality, value-size bound, index kind, space
 //! bounds)}` — live in page 0, so reopening an index requires no
-//! out-of-band state (contrast `BATree::open_at`, which needs the
-//! caller to remember `(root, len, space)`).
+//! out-of-band state: the caller never has to remember
+//! `(root, len, space)`.
 //!
 //! Layout of the page-0 payload (all integers little-endian):
 //!
@@ -130,7 +130,7 @@ pub fn check_geometry(file: &File, page_size: usize) -> Result<()> {
 /// reject reopening a root under the wrong structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RootKind {
-    /// A BA-tree ([`boxagg_batree`]-style dominance-sum index).
+    /// A BA-tree (`boxagg_batree`'s dominance-sum index).
     BaTree,
     /// An ECDF-B-tree with the update-optimized border policy.
     EcdfUpdate,

@@ -50,7 +50,7 @@
 //! * **structural corruption inside a checksum-valid record** (commit
 //!   without begin, wrong image length, unknown tag) cannot be produced
 //!   by a crash and surfaces as a typed
-//!   [`Error::WalCorrupt`](boxagg_common::error::Error::WalCorrupt).
+//!   [`Error::WalCorrupt`].
 
 use boxagg_common::bytes::{ByteReader, ByteWriter};
 use boxagg_common::error::{Error, Result};
@@ -65,7 +65,7 @@ const TAG_COMMIT: u8 = 3;
 /// The handle onto a pager's write-ahead log — the only way to the
 /// log there is.
 ///
-/// [`Pager::wal`](crate::pager::Pager::wal) hands it out once per open;
+/// [`Pager::wal`] hands it out once per open;
 /// [`recover`] borrows it before a pool exists, then the buffer pool
 /// owns it (rank `WAL_IO`, taken under the commit lock alone) and runs
 /// every commit's appends and log `sync`s through it — never under the

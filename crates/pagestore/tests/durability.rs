@@ -51,8 +51,7 @@ fn flipped_byte_on_disk_surfaces_as_corruption() {
     bytes[ids[5].0 as usize * PAGE + 17] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
 
-    let pager = FilePager::open(&path, PAGE).unwrap();
-    let s = SharedStore::with_pager(Box::new(pager), &file_config(path.clone()));
+    let s = SharedStore::open(&file_config(path.clone())).unwrap();
     // Healthy pages read fine...
     assert_eq!(s.with_page(ids[0], |d| d[0]).unwrap(), 0);
     assert_eq!(s.with_page(ids[7], |d| d[0]).unwrap(), 7);
@@ -81,7 +80,7 @@ fn torn_final_write_surfaces_as_corruption_on_reopen() {
     let ids = {
         let file = FilePager::create(&path, PAGE).unwrap();
         let (pager, faults) = FaultPager::new(Box::new(file));
-        let s = SharedStore::with_pager(Box::new(pager), &file_config(path.clone()));
+        let s = SharedStore::open_with_pager(Box::new(pager), &file_config(path.clone())).unwrap();
         let ids = build(&s, 4);
         // Rewrite the last page; its write-back tears after 100 bytes —
         // the on-disk image is a new-prefix/old-suffix hybrid whose
@@ -94,8 +93,7 @@ fn torn_final_write_surfaces_as_corruption_on_reopen() {
         // "Crash": the store is dropped without a successful flush.
     };
 
-    let pager = FilePager::open(&path, PAGE).unwrap();
-    let s = SharedStore::with_pager(Box::new(pager), &file_config(path.clone()));
+    let s = SharedStore::open(&file_config(path.clone())).unwrap();
     // Pages untouched by the tear reopen intact.
     for (i, &id) in ids.iter().take(3).enumerate() {
         assert_eq!(s.with_page(id, |d| d[0]).unwrap(), i as u8);
@@ -114,7 +112,6 @@ fn torn_final_write_surfaces_as_corruption_on_reopen() {
 
     // And a clean reopen now verifies end to end.
     drop(s);
-    let pager = FilePager::open(&path, PAGE).unwrap();
-    let s = SharedStore::with_pager(Box::new(pager), &file_config(path.clone()));
+    let s = SharedStore::open(&file_config(path.clone())).unwrap();
     assert_eq!(s.with_page(torn, |d| d[0]).unwrap(), 0xCC);
 }

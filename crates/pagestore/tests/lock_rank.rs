@@ -6,10 +6,9 @@
 //! debug profile) exercises them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 use boxagg_pagestore::rank::{self, RankedMutex};
-use boxagg_pagestore::{BufferPool, MemPager, PageId};
+use boxagg_pagestore::{PageId, SharedStore, StoreConfig};
 
 /// Acquiring pager-then-shard is the wrong order (`SHARD < PAGER`): the
 /// checker must panic before the second lock blocks.
@@ -85,35 +84,36 @@ fn checker_recovers_after_a_caught_violation() {
     let _gp = pager.acquire();
 }
 
-/// End-to-end: every `BufferPool` code path (hit, miss, eviction,
+/// End-to-end: every buffer-pool code path (hit, miss, eviction,
 /// allocate, free, flush) respects the rank order, including under
 /// multi-threaded load.  In a debug build any inversion would panic.
 #[test]
 fn buffer_pool_paths_respect_rank_order() {
-    let pool = Arc::new(BufferPool::new(Box::new(MemPager::new(256)), 8));
+    let store = SharedStore::open(&StoreConfig::small(256, 8).with_node_cache(0)).expect("open");
 
     let workers: Vec<_> = (0..4)
         .map(|t| {
-            let pool = Arc::clone(&pool);
+            let store = store.clone();
             std::thread::spawn(move || {
                 let mut ids: Vec<PageId> = Vec::new();
                 for round in 0..50u8 {
-                    let id = pool.allocate().expect("allocate");
-                    pool.write_page(id, &[round; 8]).expect("write");
+                    let id = store.allocate().expect("allocate");
+                    store.write_page(id, &[round; 8]).expect("write");
                     ids.push(id);
                     // Re-read an older page: exercises hit and miss paths.
                     let probe = ids[usize::from(round) / 2];
-                    pool.with_page(probe, |_| ()).expect("read");
+                    store.with_page(probe, |_| ()).expect("read");
                     if round % 8 == t {
                         let victim = ids.swap_remove(0);
-                        pool.free_page(victim).expect("free");
+                        store.free(victim).expect("free");
                     }
                 }
-                pool.flush_all().expect("flush");
+                store.flush().expect("flush");
             })
         })
         .collect();
     for w in workers {
         w.join().expect("no rank panic on any worker thread");
     }
+    store.validate().expect("valid pool");
 }

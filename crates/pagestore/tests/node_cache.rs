@@ -155,10 +155,11 @@ fn no_stale_reads_after_free_and_realloc() {
 #[test]
 fn failing_write_never_leaves_stale_decode_servable() {
     let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-    let s = SharedStore::with_pager(
+    let s = SharedStore::open_with_pager(
         Box::new(pager),
         &StoreConfig::small(128, 2).with_node_cache(8),
-    );
+    )
+    .unwrap();
     let a = s.allocate().unwrap();
     let b = s.allocate().unwrap();
     let c = s.allocate().unwrap();
@@ -193,10 +194,11 @@ fn failing_write_never_leaves_stale_decode_servable() {
 #[test]
 fn free_under_write_faults_still_invalidates_the_decode() {
     let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-    let s = SharedStore::with_pager(
+    let s = SharedStore::open_with_pager(
         Box::new(pager),
         &StoreConfig::small(128, 4).with_node_cache(8),
-    );
+    )
+    .unwrap();
     let id = s.allocate().unwrap();
     s.write_page(id, &[3]).unwrap();
     assert_eq!(*s.read_node::<u8, _>(id, |d| Ok(d[0])).unwrap(), 3);

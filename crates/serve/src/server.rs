@@ -72,15 +72,15 @@
 //! owns, so a handler that dies still gives the slot back.
 //!
 //! Malformed frames (bad checksum, truncation, alien tags) get a typed
-//! [`code::PROTOCOL`](proto::code::PROTOCOL) error frame and the
-//! connection closes; semantically invalid requests on a well-formed
-//! frame get [`code::INVALID_ARGUMENT`](proto::code::INVALID_ARGUMENT)
-//! and the connection stays usable. Every error path answers a typed
-//! frame before closing; the server never panics on hostile bytes. If
-//! a commit round fails for a non-overload reason, the write path
-//! **fail-stops** (every later write answers `INTERNAL` until the
-//! process restarts): continuing to mutate an engine whose durable
-//! state is unknown would forfeit the exactly-once guarantee.
+//! [`code::PROTOCOL`] error frame and the connection closes;
+//! semantically invalid requests on a well-formed frame get
+//! [`code::INVALID_ARGUMENT`] and the connection stays usable. Every
+//! error path answers a typed frame before closing; the server never
+//! panics on hostile bytes. If a commit round fails for a non-overload
+//! reason, the write path **fail-stops** (every later write answers
+//! `INTERNAL` until the process restarts): continuing to mutate an
+//! engine whose durable state is unknown would forfeit the exactly-once
+//! guarantee.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read};
@@ -122,8 +122,6 @@ pub struct ServeConfig {
     /// Where load shedding begins. Commits shed once a quarter of
     /// this many are queued, reads once this many are in flight.
     pub queue_limit: usize,
-    /// The retry-after hint carried by `OVERLOADED` frames.
-    pub retry_after: Duration,
 }
 
 impl Default for ServeConfig {
@@ -133,16 +131,12 @@ impl Default for ServeConfig {
             idle_timeout: Duration::from_secs(30),
             max_connections: 48,
             queue_limit: 256,
-            retry_after: Duration::from_millis(25),
         }
     }
 }
 
-impl ServeConfig {
-    fn retry_after_ms(&self) -> u32 {
-        self.retry_after.as_millis().min(u128::from(u32::MAX)) as u32
-    }
-}
+/// The retry-after hint carried by `OVERLOADED` frames, in milliseconds.
+const RETRY_AFTER_MS: u32 = 25;
 
 /// A request's life deadline, as computed when its frame arrived.
 #[derive(Clone, Copy)]
@@ -287,7 +281,7 @@ impl Shared {
 
     fn overloaded(&self) -> Error {
         Error::Overloaded {
-            retry_after_ms: self.cfg.retry_after_ms(),
+            retry_after_ms: RETRY_AFTER_MS,
         }
     }
 }
@@ -451,7 +445,7 @@ fn refuse(stream: &mut TcpStream, shared: &Shared, message: String) {
         &Response::Error {
             code: code::OVERLOADED,
             message,
-            retry_after_ms: shared.cfg.retry_after_ms(),
+            retry_after_ms: RETRY_AFTER_MS,
         },
     );
 }
@@ -773,52 +767,43 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-fn error_response(shared: &Shared, e: &Error) -> Response {
+fn error_response(e: &Error) -> Response {
     Response::Error {
         code: code_for(e),
         message: e.to_string(),
-        retry_after_ms: retry_after_for(e, shared.cfg.retry_after_ms()),
+        retry_after_ms: retry_after_for(e, RETRY_AFTER_MS),
     }
 }
 
 fn dispatch(shared: &Shared, req: Request, deadline: Deadline) -> Response {
     if deadline.expired() {
         shared.counters.expired.fetch_add(1, Ordering::Relaxed);
-        return error_response(shared, &deadline.error());
+        return error_response(&deadline.error());
     }
     match req {
         Request::BoxSum(rect) => {
             if rect.dim() != shared.dim {
-                return error_response(
-                    shared,
-                    &invalid_arg(format!(
-                        "query is {}-d but the index is {}-d",
-                        rect.dim(),
-                        shared.dim
-                    )),
-                );
+                return error_response(&invalid_arg(format!(
+                    "query is {}-d but the index is {}-d",
+                    rect.dim(),
+                    shared.dim
+                )));
             }
             run_read(shared, |engine| engine.query(&rect))
         }
         Request::DomSum { mask, point } => {
             if point.dim() != shared.dim {
-                return error_response(
-                    shared,
-                    &invalid_arg(format!(
-                        "point is {}-d but the index is {}-d",
-                        point.dim(),
-                        shared.dim
-                    )),
-                );
+                return error_response(&invalid_arg(format!(
+                    "point is {}-d but the index is {}-d",
+                    point.dim(),
+                    shared.dim
+                )));
             }
             if mask as usize >= (1usize << shared.dim) {
-                return error_response(
-                    shared,
-                    &invalid_arg(format!(
-                        "corner mask {mask} out of range for dimension {}",
-                        shared.dim
-                    )),
-                );
+                return error_response(&invalid_arg(format!(
+                    "corner mask {mask} out of range for dimension {}",
+                    shared.dim
+                )));
             }
             run_read(shared, |engine| {
                 engine.indexes()[mask as usize].dominance_sum(&point)
@@ -851,7 +836,7 @@ fn dispatch(shared: &Shared, req: Request, deadline: Deadline) -> Response {
                         return Response::Ok { objects: result };
                     }
                     Ok(None) => {}
-                    Err(e) => return error_response(shared, &e),
+                    Err(e) => return error_response(&e),
                 }
             }
             // Writes shed first: commits refuse at a quarter of the
@@ -859,7 +844,7 @@ fn dispatch(shared: &Shared, req: Request, deadline: Deadline) -> Response {
             let commit_limit = (shared.cfg.queue_limit / 4).max(1) as u64;
             if shared.commit_depth.load(Ordering::SeqCst) >= commit_limit {
                 shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-                return error_response(shared, &shared.overloaded());
+                return error_response(&shared.overloaded());
             }
             let (tx, rx) = channel();
             shared.commit_depth.fetch_add(1, Ordering::SeqCst);
@@ -873,12 +858,12 @@ fn dispatch(shared: &Shared, req: Request, deadline: Deadline) -> Response {
                 .is_err()
             {
                 shared.commit_depth.fetch_sub(1, Ordering::SeqCst);
-                return error_response(shared, &invalid_arg("server is shutting down"));
+                return error_response(&invalid_arg("server is shutting down"));
             }
             match rx.recv() {
                 Ok(Ok(objects)) => Response::Ok { objects },
-                Ok(Err(e)) => error_response(shared, &e),
-                Err(_) => error_response(shared, &invalid_arg("server is shutting down")),
+                Ok(Err(e)) => error_response(&e),
+                Err(_) => error_response(&invalid_arg("server is shutting down")),
             }
         }
         Request::Stats => Response::StatsReply(shared.stats()),
@@ -904,10 +889,10 @@ fn apply_write(
     // caller's retry under the same `(token, seq)` applies it once.
     if deadline.expired() {
         shared.counters.expired.fetch_add(1, Ordering::Relaxed);
-        return error_response(shared, &deadline.error());
+        return error_response(&deadline.error());
     }
     if w.poisoned {
-        return error_response(shared, &poisoned_error());
+        return error_response(&poisoned_error());
     }
     if token != 0 {
         // Already applied in this incarnation, or already *committed*
@@ -915,7 +900,7 @@ fn apply_write(
         // the op.
         let committed = match shared.store.idempotency_token(token) {
             Ok(t) => t.is_some(),
-            Err(e) => return error_response(shared, &e),
+            Err(e) => return error_response(&e),
         };
         if committed || w.seen(token, seq) {
             shared.counters.replays.fetch_add(1, Ordering::Relaxed);
@@ -936,7 +921,7 @@ fn apply_write(
     if ceiling != 0 {
         let dirty = shared.store.dirty_pages();
         if dirty >= ceiling {
-            return error_response(shared, &Error::Backpressure { dirty, ceiling });
+            return error_response(&Error::Backpressure { dirty, ceiling });
         }
     }
     match op(&mut w) {
@@ -948,7 +933,7 @@ fn apply_write(
             shared.objects.store(objects, Ordering::SeqCst);
             Response::Ok { objects }
         }
-        Err(e) => error_response(shared, &e),
+        Err(e) => error_response(&e),
     }
 }
 
@@ -983,7 +968,7 @@ fn run_read(
     let limit = shared.cfg.queue_limit.max(1) as u64;
     let Some(_slot) = Slot::claim(&shared.reads_in_flight, limit) else {
         shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-        return error_response(shared, &shared.overloaded());
+        return error_response(&shared.overloaded());
     };
     let opened = shared
         .store
@@ -992,7 +977,7 @@ fn run_read(
         .and_then(|snap| Ok((open_corner_engine(&snap)?.0, snap)));
     let (engine, snap) = match opened {
         Ok(pair) => pair,
-        Err(e) => return error_response(shared, &e),
+        Err(e) => return error_response(&e),
     };
     // `groups` stays on the wire and counts one per executed read.
     shared.counters.queries.fetch_add(1, Ordering::Relaxed);
@@ -1013,6 +998,6 @@ fn run_read(
         .fetch_add(decodes, Ordering::Relaxed);
     match answer {
         Ok(sum) => Response::Sum(sum),
-        Err(e) => error_response(shared, &e),
+        Err(e) => error_response(&e),
     }
 }

@@ -399,7 +399,6 @@ fn dirty_page_backpressure_is_typed_overloaded_and_recovers_after_backoff() {
         store.clone(),
         "127.0.0.1:0",
         ServeConfig {
-            retry_after: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     )
@@ -784,7 +783,6 @@ fn shed_reads_recover_through_client_backoff() {
         ServeConfig {
             // One read in flight at a time.
             queue_limit: 1,
-            retry_after: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     )

@@ -80,7 +80,8 @@ fn concurrent_readers_survive_injected_faults() {
     use boxagg::pagestore::{FaultPager, FaultSpec, MemPager, OpFilter};
 
     let (pager, faults) = FaultPager::new(Box::new(MemPager::new(256)));
-    let store = SharedStore::with_pager(Box::new(pager), &StoreConfig::small(256, 32));
+    let store =
+        SharedStore::open_with_pager(Box::new(pager), &StoreConfig::small(256, 32)).unwrap();
     let pages = 128usize;
     let ids: Vec<PageId> = (0..pages)
         .map(|_| {
@@ -198,7 +199,8 @@ fn commit_storm_under_faults_keeps_content_intact() {
 
     let (pager, faults) = FaultPager::new(Box::new(MemPager::new(256)));
     let store =
-        SharedStore::with_pager(Box::new(pager), &StoreConfig::small(256, 16).with_wal(true));
+        SharedStore::open_with_pager(Box::new(pager), &StoreConfig::small(256, 16).with_wal(true))
+            .unwrap();
     let per_thread = 12usize;
     let all: Vec<PageId> = (0..THREADS * per_thread)
         .map(|_| store.allocate().unwrap())

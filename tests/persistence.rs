@@ -1,18 +1,16 @@
 //! Integration: file-backed persistence across process-like reopen
 //! boundaries (fresh buffer pools over the same page file).
 //!
-//! The primary path is *named* reopen: trees publish themselves in the
-//! page-0 superblock catalog with `persist_as`, and a later process
-//! reopens them by name with no out-of-band state (`open_named`). One
-//! test below keeps the legacy `open_at` + raw-`FilePager` path alive
-//! as a compatibility pin.
+//! Trees publish themselves in the page-0 superblock catalog with
+//! `persist_as`, and a later process reopens them by name with no
+//! out-of-band state (`open_named`).
 
 use boxagg::batree::BATree;
 use boxagg::common::traits::DominanceSumIndex;
 use boxagg::common::{Point, Rect};
 use boxagg::ecdf::{BorderPolicy, EcdfBTree};
 use boxagg::pagestore::pager::wal_path;
-use boxagg::pagestore::{Backing, FilePager, SharedStore, StoreConfig};
+use boxagg::pagestore::{Backing, SharedStore, StoreConfig};
 use boxagg_common::rng::StdRng;
 
 fn tmpfile(name: &str) -> std::path::PathBuf {
@@ -136,40 +134,6 @@ fn ecdf_btree_survives_reopen_by_name() {
         reopened.dominance_sum(&Point::new(&[-0.1, 0.5])).unwrap(),
         0.0
     );
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(wal_path(&path)).ok();
-}
-
-/// Compatibility pin: the pre-superblock reopen path — raw
-/// `FilePager::open` + `with_pager` + `open_at` with caller-remembered
-/// root/len — keeps working for stores addressed by explicit page ids.
-#[test]
-fn open_at_compatibility_pin() {
-    let path = tmpfile("compat.pages");
-    let space = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
-    let mut rng = StdRng::seed_from_u64(47);
-    let points: Vec<(Point, f64)> = (0..500)
-        .map(|_| (Point::new(&[rng.gen(), rng.gen()]), 1.0))
-        .collect();
-    let cfg = StoreConfig {
-        page_size: 1024,
-        buffer_pages: 8,
-        backing: Backing::File(path.clone()),
-        node_cache_pages: 8,
-        wal: false,
-    };
-    let (root, len) = {
-        let store = SharedStore::open(&cfg).unwrap();
-        let tree: BATree<f64> = BATree::bulk_load(store.clone(), space, 8, points.clone()).unwrap();
-        store.flush().unwrap();
-        (tree.root_page(), tree.len())
-    };
-
-    let pager = FilePager::open(&path, 1024).unwrap();
-    let store = SharedStore::with_pager(Box::new(pager), &cfg);
-    let tree: BATree<f64> = BATree::open_at(store, space, 8, root, len).unwrap();
-    assert_eq!(tree.len(), 500);
-    assert_eq!(tree.dominance_sum(&Point::new(&[1.0, 1.0])).unwrap(), 500.0);
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(wal_path(&path)).ok();
 }

@@ -4,7 +4,7 @@
 //! flush, for any pool capacity. Deterministic seeds — the workspace
 //! builds offline, without the `proptest` crate.
 
-use boxagg::pagestore::{BufferPool, MemPager, PageId};
+use boxagg::pagestore::{PageId, SharedStore, StoreConfig};
 use boxagg_common::rng::StdRng;
 
 #[derive(Debug, Clone)]
@@ -30,10 +30,10 @@ fn gen_op(rng: &mut StdRng) -> Op {
 }
 
 fn run_case(capacity: usize, ops: &[Op]) {
-    let pool = BufferPool::new(Box::new(MemPager::new(128)), capacity);
+    let store = SharedStore::open(&StoreConfig::small(128, capacity).with_node_cache(0)).unwrap();
     // The pool exposes page *payloads* (the checksum trailer is
     // reserved inside the page), so the model mirrors payload images.
-    let page = pool.payload_size();
+    let page = store.payload_size();
     // Model: id → current contents (None = freed).
     let mut model: Vec<Option<Vec<u8>>> = Vec::new();
     let live = |m: &Vec<Option<Vec<u8>>>| -> Vec<usize> {
@@ -47,7 +47,7 @@ fn run_case(capacity: usize, ops: &[Op]) {
     for o in ops {
         match *o {
             Op::Allocate => {
-                let id = pool.allocate().unwrap();
+                let id = store.allocate().unwrap();
                 let idx = id.0 as usize;
                 if idx < model.len() {
                     // Recycled page.
@@ -59,7 +59,7 @@ fn run_case(capacity: usize, ops: &[Op]) {
                 }
                 // Fresh/recycled pages must be written before read;
                 // write a known pattern right away like real callers.
-                pool.write_page(id, &[idx as u8; 16]).unwrap();
+                store.write_page(id, &[idx as u8; 16]).unwrap();
                 let mut img = vec![0u8; page];
                 img[..16].copy_from_slice(&[idx as u8; 16]);
                 model[idx] = Some(img);
@@ -70,7 +70,7 @@ fn run_case(capacity: usize, ops: &[Op]) {
                     continue;
                 }
                 let idx = ids[i % ids.len()];
-                pool.write_page(PageId(idx as u64), &[fill; 100]).unwrap();
+                store.write_page(PageId(idx as u64), &[fill; 100]).unwrap();
                 let mut img = vec![0u8; page];
                 img[..100].copy_from_slice(&[fill; 100]);
                 model[idx] = Some(img);
@@ -81,7 +81,7 @@ fn run_case(capacity: usize, ops: &[Op]) {
                     continue;
                 }
                 let idx = ids[i % ids.len()];
-                let got = pool.with_page(PageId(idx as u64), |d| d.to_vec()).unwrap();
+                let got = store.with_page(PageId(idx as u64), |d| d.to_vec()).unwrap();
                 assert_eq!(
                     &got,
                     model[idx].as_ref().unwrap(),
@@ -94,26 +94,27 @@ fn run_case(capacity: usize, ops: &[Op]) {
                     continue;
                 }
                 let idx = ids[i % ids.len()];
-                pool.free_page(PageId(idx as u64)).unwrap();
+                store.free(PageId(idx as u64)).unwrap();
                 model[idx] = None;
                 // A second free of the same page must be rejected.
-                assert!(pool.free_page(PageId(idx as u64)).is_err());
+                assert!(store.free(PageId(idx as u64)).is_err());
             }
-            Op::Flush => pool.flush_all().unwrap(),
+            Op::Flush => store.flush().unwrap(),
         }
         assert_eq!(
-            pool.live_pages() as usize,
+            store.live_pages() as usize,
             live(&model).len(),
             "live-page accounting diverged"
         );
-        assert!(pool.resident() <= capacity, "capacity exceeded");
-        pool.validate()
+        // Occupancy within capacity is one of the pool invariants.
+        store
+            .validate()
             .expect("pool invariants must hold after every op");
     }
 
     // Final sweep: every live page readable and correct.
     for idx in live(&model) {
-        let got = pool.with_page(PageId(idx as u64), |d| d.to_vec()).unwrap();
+        let got = store.with_page(PageId(idx as u64), |d| d.to_vec()).unwrap();
         assert_eq!(&got, model[idx].as_ref().unwrap());
     }
 }
