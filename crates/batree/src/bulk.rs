@@ -54,7 +54,7 @@ use boxagg_common::slab::EntrySlab;
 use boxagg_common::value::AggValue;
 use boxagg_pagestore::PageId;
 
-use crate::node::{BorderRef, IndexRecord, Node};
+use crate::node::{Ba, BorderRef, IndexRecord, Node};
 use crate::ops::{self, Ctx};
 
 /// The merged input: one coordinate column per dimension and the
@@ -143,16 +143,14 @@ fn bulk_node<V: AggValue>(
     node: Cell,
 ) -> Result<PageId> {
     let dim = cols.dim();
-    let leaf_cap = ctx.params.leaf_cap(dim);
+    let leaf_cap = ctx.leaf_cap(dim);
     if node.idx.len() <= leaf_cap {
-        let id = ctx.store()?.allocate()?;
-        ctx.write_node(id, dim, &Node::Leaf(cols.slab(&node.idx, None)))?;
-        return Ok(id);
+        return ctx.write_new(dim, &Node::Leaf(cols.slab(&node.idx, None)));
     }
 
     // Partition into at most index_cap cells, always cutting the most
     // populated cell that does not fit a leaf.
-    let index_cap = ctx.params.index_cap(dim);
+    let index_cap = ctx.index_cap(dim);
     let mut cells = vec![node];
     while cells.len() < index_cap {
         let Some((i, _)) = cells
@@ -168,7 +166,7 @@ fn bulk_node<V: AggValue>(
         cells.push(hi);
     }
 
-    let cap = ctx.params.inline_border_cap(dim);
+    let cap = Ba::inline_border_cap(ctx.params, dim);
     let stripes = (dim == 2).then(|| [0, 1].map(|k| Stripe::new(cols, &cells, k)));
     let mut records: Vec<IndexRecord<V>> = Vec::with_capacity(cells.len());
     for (r, cell) in cells.iter().enumerate() {
@@ -209,9 +207,7 @@ fn bulk_node<V: AggValue>(
         rec.child = bulk_node(ctx, space, cols, cell)?;
     }
 
-    let id = ctx.store()?.allocate()?;
-    ctx.write_node(id, dim, &Node::Index(records))?;
-    Ok(id)
+    ctx.write_new(dim, &Node::Index(records))
 }
 
 /// Splits `cell` at the median of its widest (space-normalized)

@@ -30,5 +30,4 @@ mod node;
 mod ops;
 mod tree;
 
-pub use node::BaParams;
 pub use tree::BATree;

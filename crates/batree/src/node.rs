@@ -12,44 +12,36 @@
 //! Values are variable-size (scalars vs polynomial tuples), so node
 //! capacities are computed from the configured worst-case value size —
 //! a node that passes the capacity check always fits its page.
+//!
+//! The header, the leaf codec and the capacity arithmetic are the
+//! shared [`paged`] layer's, as for the ECDF-B-trees; this module
+//! supplies the BA-tree's [`Layout`]: the index record, its worst-case
+//! size and its catalog kind.
 
 use boxagg_common::bytes::{ByteReader, ByteWriter};
-use boxagg_common::error::{corrupt, Error, Result};
+use boxagg_common::error::{corrupt, Result};
 use boxagg_common::geom::{Point, Rect};
 use boxagg_common::slab::EntrySlab;
 use boxagg_common::value::AggValue;
-use boxagg_pagestore::PageId;
-
-/// Sizing parameters of a BA-tree family (the tree and all its borders).
-#[derive(Clone, Copy, Debug)]
-pub struct BaParams {
-    /// Page size in bytes.
-    pub page_size: usize,
-    /// Worst-case encoded size of one aggregate value, in bytes.
-    pub max_value_size: usize,
-}
-
-/// Per-node header: tag byte + record count.
-const HEADER: usize = 3;
+use boxagg_pagestore::paged::{self, Layout, PageParams};
+use boxagg_pagestore::{PageId, RootEntry, RootKind};
 
 /// Fanout floor used to size the inline-border budget.
 const MIN_INDEX_FANOUT: usize = 32;
 
-impl BaParams {
-    /// Usable payload bytes per page.
-    pub fn payload(&self) -> usize {
-        self.page_size.saturating_sub(HEADER)
-    }
+/// The BA-tree's page layout. A node's `at` is its dimension: the
+/// border trees of a `d`-dim node are `(d−1)`-dim BA-trees.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Ba;
 
-    /// Worst-case bytes of one leaf entry in `dim` dimensions.
-    pub fn leaf_entry_size(&self, dim: usize) -> usize {
-        Point::encoded_size(dim) + self.max_value_size
-    }
+/// A decoded BA-tree node.
+pub(crate) type Node<V> = paged::Node<V, Ba>;
 
+impl Ba {
     /// Bytes of one inline border entry (a projected point + value).
-    pub fn border_entry_size(&self, dim: usize) -> usize {
+    fn border_entry_size(params: &PageParams, dim: usize) -> usize {
         debug_assert!(dim >= 2);
-        Point::encoded_size(dim - 1) + self.max_value_size
+        Point::encoded_size(dim - 1) + params.max_value_size
     }
 
     /// Maximum entries a border may hold *inline* in its index record
@@ -60,63 +52,122 @@ impl BaParams {
     /// index page"): small borders cost no extra pages and no extra
     /// I/O. The cap is sized so a full record still allows a fanout of
     /// at least `MIN_INDEX_FANOUT` (32).
-    pub fn inline_border_cap(&self, dim: usize) -> usize {
+    pub(crate) fn inline_border_cap(params: &PageParams, dim: usize) -> usize {
         if dim < 2 {
             return 0; // 1-d trees have no borders
         }
-        let budget = self.payload() / MIN_INDEX_FANOUT;
-        let base = self.index_record_base_size(dim);
+        let budget = params.payload() / MIN_INDEX_FANOUT;
+        let base = Self::index_record_base_size(params, dim);
         if budget <= base {
             return 0;
         }
-        ((budget - base) / (dim * self.border_entry_size(dim))).min(64)
+        ((budget - base) / (dim * Self::border_entry_size(params, dim))).min(64)
     }
 
     /// Record bytes excluding inline border entries: box + child +
     /// subtotal + per-border header (tag byte + the larger of a count or
     /// a page id).
-    fn index_record_base_size(&self, dim: usize) -> usize {
-        Rect::encoded_size(dim) + 8 + self.max_value_size + dim * (1 + 8)
+    fn index_record_base_size(params: &PageParams, dim: usize) -> usize {
+        Rect::encoded_size(dim) + 8 + params.max_value_size + dim * (1 + 8)
+    }
+}
+
+impl Layout for Ba {
+    const NAME: &'static str = "BA-tree";
+    type Record<V: AggValue> = IndexRecord<V>;
+
+    fn leaf_dim(&self, dim: usize) -> usize {
+        dim
     }
 
-    /// Worst-case bytes of one index record in `dim` dimensions
-    /// (all borders inline at the cap).
-    pub fn index_record_size(&self, dim: usize) -> usize {
-        self.index_record_base_size(dim)
+    /// All borders inline at the cap.
+    fn record_size(&self, params: &PageParams, dim: usize) -> usize {
+        Self::index_record_base_size(params, dim)
             + if dim >= 2 {
-                dim * self.inline_border_cap(dim) * self.border_entry_size(dim)
+                dim * Self::inline_border_cap(params, dim) * Self::border_entry_size(params, dim)
             } else {
                 0
             }
     }
 
-    /// Maximum leaf entries per page.
-    pub fn leaf_cap(&self, dim: usize) -> usize {
-        self.payload() / self.leaf_entry_size(dim)
+    /// Box, child, `dim` empty inline borders, subtotal.
+    fn min_record_size<V: AggValue>(&self, dim: usize) -> usize {
+        Rect::encoded_size(dim) + 8 + dim * 3 + V::WIDTH.min()
     }
 
-    /// Maximum index records per page.
-    pub fn index_cap(&self, dim: usize) -> usize {
-        self.payload() / self.index_record_size(dim)
-    }
-
-    /// Rejects configurations whose pages cannot hold a workable number of
-    /// records. Capacities only grow as the border recursion lowers the
-    /// dimension, so checking the top dimension covers all sub-trees.
-    pub fn validate(&self, dim: usize) -> Result<()> {
-        if self.leaf_cap(dim) < 2 {
-            return Err(Error::RecordTooLarge {
-                record: self.leaf_entry_size(dim),
-                page: self.payload() / 2,
-            });
+    fn encode_record<V: AggValue>(&self, r: &IndexRecord<V>, dim: usize, w: &mut ByteWriter) {
+        debug_assert_eq!(r.rect.dim(), dim);
+        debug_assert_eq!(r.borders.len(), dim);
+        r.rect.encode(w);
+        w.put_u64(r.child.0);
+        for b in &r.borders {
+            match b {
+                BorderRef::Inline(entries) => {
+                    w.put_u8(0);
+                    w.put_u16(entries.len() as u16);
+                    debug_assert_eq!(entries.dim(), dim - 1);
+                    entries.encode_entries(w);
+                }
+                BorderRef::Tree(id) => {
+                    w.put_u8(1);
+                    w.put_u64(id.0);
+                }
+            }
         }
-        if self.index_cap(dim) < 3 {
-            return Err(Error::RecordTooLarge {
-                record: self.index_record_size(dim),
-                page: self.payload() / 3,
-            });
+        r.subtotal.encode(w);
+    }
+
+    fn decode_record<V: AggValue>(
+        &self,
+        r: &mut ByteReader<'_>,
+        dim: usize,
+    ) -> Result<IndexRecord<V>> {
+        let rect = Rect::decode(r, dim)?;
+        let child = PageId(r.get_u64()?);
+        let mut borders = Vec::with_capacity(dim);
+        for _ in 0..dim {
+            match r.get_u8()? {
+                0 => {
+                    let n = r.get_u16()? as usize;
+                    borders.push(BorderRef::Inline(EntrySlab::decode_entries(r, dim - 1, n)?));
+                }
+                1 => borders.push(BorderRef::Tree(PageId(r.get_u64()?))),
+                t => return Err(corrupt(format!("unknown border tag {t}"))),
+            }
+        }
+        let subtotal = V::decode(r)?;
+        Ok(IndexRecord {
+            rect,
+            child,
+            subtotal,
+            borders,
+        })
+    }
+
+    fn child<V: AggValue>(r: &IndexRecord<V>) -> PageId {
+        r.child
+    }
+
+    fn border_trees<V: AggValue>(
+        &self,
+        r: &IndexRecord<V>,
+        dim: usize,
+        mut f: impl FnMut(usize, PageId) -> Result<()>,
+    ) -> Result<()> {
+        for b in &r.borders {
+            if let BorderRef::Tree(id) = b {
+                f(dim - 1, *id)?;
+            }
         }
         Ok(())
+    }
+
+    fn root_kind(&self) -> RootKind {
+        RootKind::BaTree
+    }
+
+    fn from_entry(entry: &RootEntry) -> Option<(Self, usize)> {
+        (entry.kind == RootKind::BaTree).then_some((Ba, entry.dims as usize))
     }
 }
 
@@ -124,7 +175,7 @@ impl BaParams {
 /// set below the record's low corner in one dimension's direction.
 ///
 /// Small borders live *inline* in the record (§4's multiple-borders-per-
-/// page optimization); beyond [`BaParams::inline_border_cap`] they spill
+/// page optimization); beyond [`Ba::inline_border_cap`] they spill
 /// into a dedicated `(d−1)`-dim BA-tree.
 #[derive(Debug, Clone)]
 pub(crate) enum BorderRef<V> {
@@ -167,149 +218,47 @@ pub(crate) struct IndexRecord<V> {
     pub borders: Vec<BorderRef<V>>,
 }
 
-/// Decoded node contents.
-#[derive(Debug, Clone)]
-pub(crate) enum Node<V> {
-    /// Weighted points, stored struct-of-arrays for the dominance scans.
-    Leaf(EntrySlab<V>),
-    /// Augmented k-d-B records.
-    Index(Vec<IndexRecord<V>>),
-}
-
-impl<V: AggValue> Node<V> {
-    /// An empty leaf of `dim`-dimensional points.
-    pub(crate) fn empty_leaf(dim: usize) -> Self {
-        Node::Leaf(EntrySlab::new(dim))
-    }
-
-    /// Whether the node respects the page capacity for its kind.
-    pub(crate) fn fits(&self, params: &BaParams, dim: usize) -> bool {
-        match self {
-            Node::Leaf(es) => es.len() <= params.leaf_cap(dim),
-            Node::Index(rs) => rs.len() <= params.index_cap(dim),
-        }
-    }
-
-    /// Serializes the node into page bytes.
-    pub(crate) fn encode(&self, dim: usize, w: &mut ByteWriter) {
-        match self {
-            Node::Leaf(entries) => {
-                w.put_u8(0);
-                w.put_u16(entries.len() as u16);
-                debug_assert_eq!(entries.dim(), dim);
-                entries.encode_entries(w);
-            }
-            Node::Index(records) => {
-                w.put_u8(1);
-                w.put_u16(records.len() as u16);
-                for r in records {
-                    debug_assert_eq!(r.rect.dim(), dim);
-                    debug_assert_eq!(r.borders.len(), dim);
-                    r.rect.encode(w);
-                    w.put_u64(r.child.0);
-                    for b in &r.borders {
-                        match b {
-                            BorderRef::Inline(entries) => {
-                                w.put_u8(0);
-                                w.put_u16(entries.len() as u16);
-                                debug_assert_eq!(entries.dim(), dim - 1);
-                                entries.encode_entries(w);
-                            }
-                            BorderRef::Tree(id) => {
-                                w.put_u8(1);
-                                w.put_u64(id.0);
-                            }
-                        }
-                    }
-                    r.subtotal.encode(w);
-                }
-            }
-        }
-    }
-
-    /// Deserializes a node of known dimensionality from page bytes.
-    pub(crate) fn decode(bytes: &[u8], dim: usize) -> Result<Self> {
-        let mut r = ByteReader::new(bytes);
-        let tag = r.get_u8()?;
-        let count = r.get_u16()? as usize;
-        match tag {
-            0 => {
-                // Decode straight into slab columns — no intermediate
-                // tuple vector. Byte stream unchanged.
-                Ok(Node::Leaf(EntrySlab::decode_entries(&mut r, dim, count)?))
-            }
-            1 => {
-                // Box, child, `dim` empty inline borders, subtotal: the
-                // least a record can be. `count` is input; check it
-                // before allocating ≈ 184 bytes per record for it.
-                let min_record = Rect::encoded_size(dim) + 8 + dim * 3 + V::WIDTH.min();
-                r.expect_records(count, min_record)?;
-                let mut records = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let rect = Rect::decode(&mut r, dim)?;
-                    let child = PageId(r.get_u64()?);
-                    let mut borders = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        match r.get_u8()? {
-                            0 => {
-                                let n = r.get_u16()? as usize;
-                                let entries = EntrySlab::decode_entries(&mut r, dim - 1, n)?;
-                                borders.push(BorderRef::Inline(entries));
-                            }
-                            1 => borders.push(BorderRef::Tree(PageId(r.get_u64()?))),
-                            t => {
-                                return Err(corrupt(format!("unknown border tag {t}")));
-                            }
-                        }
-                    }
-                    let subtotal = V::decode(&mut r)?;
-                    records.push(IndexRecord {
-                        rect,
-                        child,
-                        subtotal,
-                        borders,
-                    });
-                }
-                Ok(Node::Index(records))
-            }
-            t => Err(corrupt(format!("unknown BA-tree node tag {t}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use boxagg_common::poly::Poly;
 
-    fn params() -> BaParams {
-        BaParams {
+    fn params() -> PageParams {
+        PageParams {
             page_size: 8192,
             max_value_size: 8,
         }
+    }
+
+    fn index_cap(p: &PageParams, dim: usize) -> usize {
+        p.payload() / Ba.record_size(p, dim)
+    }
+
+    fn encode(node: &Node<f64>, dim: usize) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        node.encode(&Ba, dim, &mut w);
+        w.into_vec()
     }
 
     #[test]
     fn capacities_for_2d_scalars() {
         let p = params();
         // leaf entry: 16 (point) + 8 (value) = 24 → 8189/24 = 341
-        assert_eq!(p.leaf_entry_size(2), 24);
         assert_eq!(p.leaf_cap(2), 341);
         // base record: 32 (rect) + 8 (child) + 8 (subtotal) + 2·9 = 66;
         // inline budget (8189/32 − 66)/(2·16) = 5 entries per border.
-        assert_eq!(p.inline_border_cap(2), 5);
-        assert_eq!(p.index_record_size(2), 66 + 2 * 5 * 16);
-        assert!(p.index_cap(2) >= 16, "fanout floor respected");
-        p.validate(2).unwrap();
+        assert_eq!(Ba::inline_border_cap(&p, 2), 5);
+        assert_eq!(Ba.record_size(&p, 2), 66 + 2 * 5 * 16);
+        assert!(index_cap(&p, 2) >= 16, "fanout floor respected");
         // Borders (lower dimension) can only be roomier.
         assert!(p.leaf_cap(1) > p.leaf_cap(2));
-        assert_eq!(p.inline_border_cap(1), 0, "1-d trees have no borders");
+        assert_eq!(Ba::inline_border_cap(&p, 1), 0, "1-d trees have no borders");
     }
 
     #[test]
     fn encoded_record_at_inline_cap_respects_worst_case() {
         let p = params();
-        let k = p.inline_border_cap(2);
+        let k = Ba::inline_border_cap(&p, 2);
         let entries: Vec<(Point, f64)> = (0..k).map(|i| (Point::new(&[i as f64]), 1.0)).collect();
         let inline = EntrySlab::from_slice(1, &entries);
         let rec = IndexRecord {
@@ -318,64 +267,13 @@ mod tests {
             subtotal: 0.5,
             borders: vec![BorderRef::Inline(inline.clone()), BorderRef::Inline(inline)],
         };
-        let node = Node::Index(vec![rec; p.index_cap(2)]);
-        let mut w = ByteWriter::new();
-        node.encode(2, &mut w);
-        assert!(w.len() <= p.page_size, "{} > {}", w.len(), p.page_size);
-    }
-
-    #[test]
-    fn tiny_pages_are_rejected() {
-        let p = BaParams {
-            page_size: 64,
-            max_value_size: 256,
-        };
-        assert!(p.validate(2).is_err());
-    }
-
-    #[test]
-    fn leaf_round_trip() {
-        let node: Node<f64> = Node::Leaf(EntrySlab::from_slice(
-            2,
-            &[
-                (Point::new(&[1.0, 2.0]), 3.5),
-                (Point::new(&[-4.0, 0.0]), -1.25),
-            ],
-        ));
-        let mut w = ByteWriter::new();
-        node.encode(2, &mut w);
-        let bytes = w.into_vec();
-        match Node::<f64>::decode(&bytes, 2).unwrap() {
-            Node::Leaf(es) => {
-                assert_eq!(es.len(), 2);
-                assert_eq!(es.point(0), Point::new(&[1.0, 2.0]));
-                assert_eq!(*es.value(0), 3.5);
-                assert_eq!(es.point(1), Point::new(&[-4.0, 0.0]));
-                assert_eq!(*es.value(1), -1.25);
-            }
-            _ => panic!("wrong kind"),
-        }
-    }
-
-    #[test]
-    fn leaf_bytes_match_tuple_layout() {
-        // The slab codec must be byte-identical to the old per-entry
-        // `Point::encode` + value layout.
-        let entries = [
-            (Point::new(&[1.0, 2.0]), 3.5),
-            (Point::new(&[-4.0, 0.0]), -1.25),
-        ];
-        let node: Node<f64> = Node::Leaf(EntrySlab::from_slice(2, &entries));
-        let mut w = ByteWriter::new();
-        node.encode(2, &mut w);
-        let mut ref_w = ByteWriter::new();
-        ref_w.put_u8(0);
-        ref_w.put_u16(entries.len() as u16);
-        for (p, v) in &entries {
-            p.encode(&mut ref_w);
-            v.encode(&mut ref_w);
-        }
-        assert_eq!(w.as_slice(), ref_w.as_slice());
+        let bytes = encode(&Node::Index(vec![rec; index_cap(&p, 2)]), 2);
+        assert!(
+            bytes.len() <= p.page_size,
+            "{} > {}",
+            bytes.len(),
+            p.page_size
+        );
     }
 
     #[test]
@@ -392,11 +290,10 @@ mod tests {
                 BorderRef::Tree(PageId(7)),
             ],
         };
-        let node = Node::Index(vec![rec]);
+        let node: Node<Poly> = Node::Index(vec![rec]);
         let mut w = ByteWriter::new();
-        node.encode(2, &mut w);
-        let bytes = w.into_vec();
-        match Node::<Poly>::decode(&bytes, 2).unwrap() {
+        node.encode(&Ba, 2, &mut w);
+        match Node::<Poly>::decode(w.as_slice(), &Ba, 2).unwrap() {
             Node::Index(rs) => {
                 assert_eq!(rs.len(), 1);
                 assert_eq!(rs[0].child, PageId(42));
@@ -427,7 +324,25 @@ mod tests {
     #[test]
     fn decode_rejects_garbage_tag() {
         let bytes = [9u8, 0, 0];
-        assert!(Node::<f64>::decode(&bytes, 2).is_err());
+        assert!(Node::<f64>::decode(&bytes, &Ba, 2).is_err());
+        let rec = IndexRecord {
+            rect: Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]),
+            child: PageId(1),
+            subtotal: 0.5,
+            borders: vec![BorderRef::empty(1), BorderRef::Tree(PageId(9))],
+        };
+        let mut bytes = encode(&Node::Index(vec![rec]), 2);
+        // The second border's tag follows box, child and the first
+        // (empty inline) border.
+        let at = 3 + Rect::encoded_size(2) + 8 + 3;
+        assert_eq!(bytes[at], 1);
+        bytes[at] = 7;
+        match Node::<f64>::decode(&bytes, &Ba, 2) {
+            Err(boxagg_common::error::Error::Corrupt(msg)) => {
+                assert!(msg.contains("unknown border tag 7"), "{msg}")
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -440,7 +355,7 @@ mod tests {
         for tag in [0u8, 1] {
             let claim = [tag, 0xFF, 0xFF];
             for dim in 1..=3 {
-                match Node::<f64>::decode(&claim, dim) {
+                match Node::<f64>::decode(&claim, &Ba, dim) {
                     Err(Error::Corrupt(msg)) if tag == 1 => {
                         assert!(msg.contains("record count 65535"), "{msg}")
                     }
@@ -453,7 +368,7 @@ mod tests {
                     other => panic!("tag {tag} dim {dim}: {other:?}"),
                 }
                 assert!(matches!(
-                    Node::<Poly>::decode(&claim, dim),
+                    Node::<Poly>::decode(&claim, &Ba, dim),
                     Err(Error::Corrupt(_))
                 ));
             }
@@ -472,42 +387,19 @@ mod tests {
             borders: vec![BorderRef::empty(1), BorderRef::Tree(PageId(9))],
         };
         for node in [leaf, Node::Index(vec![rec; 12])] {
-            let mut w = ByteWriter::new();
-            node.encode(2, &mut w);
-            let bytes = w.into_vec();
-            Node::<f64>::decode(&bytes, 2).unwrap();
+            let bytes = encode(&node, 2);
+            Node::<f64>::decode(&bytes, &Ba, 2).unwrap();
             let half = &bytes[..3 + (bytes.len() - 3) / 2];
             assert!(matches!(
-                Node::<f64>::decode(half, 2),
+                Node::<f64>::decode(half, &Ba, 2),
                 Err(Error::Corrupt(_))
             ));
         }
     }
 
     #[test]
-    fn fits_respects_capacity() {
-        let p = BaParams {
-            page_size: 128,
-            max_value_size: 8,
-        };
-        // leaf cap in 1-d: (128-3)/16 = 7
-        assert_eq!(p.leaf_cap(1), 7);
-        let fill = |n: usize| {
-            let mut s = EntrySlab::new(1);
-            for i in 0..n {
-                s.push(&Point::new(&[i as f64]), 1.0);
-            }
-            Node::Leaf(s)
-        };
-        let small: Node<f64> = fill(7);
-        assert!(small.fits(&p, 1));
-        let big: Node<f64> = fill(8);
-        assert!(!big.fits(&p, 1));
-    }
-
-    #[test]
     fn encoded_leaf_at_capacity_fits_page() {
-        let p = BaParams {
+        let p = PageParams {
             page_size: 256,
             max_value_size: 8,
         };
@@ -516,19 +408,16 @@ mod tests {
         for i in 0..cap {
             s.push(&Point::new(&[i as f64, 0.0, 1.0]), 2.0);
         }
-        let node: Node<f64> = Node::Leaf(s);
-        let mut w = ByteWriter::new();
-        node.encode(3, &mut w);
-        assert!(w.len() <= p.page_size);
+        assert!(encode(&Node::Leaf(s), 3).len() <= p.page_size);
     }
 
     #[test]
     fn encoded_index_at_capacity_fits_page() {
-        let p = BaParams {
+        let p = PageParams {
             page_size: 512,
             max_value_size: 8,
         };
-        let cap = p.index_cap(2);
+        let cap = index_cap(&p, 2);
         assert!(cap >= 3);
         let recs: Vec<IndexRecord<f64>> = (0..cap)
             .map(|i| IndexRecord {
@@ -538,9 +427,6 @@ mod tests {
                 borders: vec![BorderRef::empty(1), BorderRef::empty(1)],
             })
             .collect();
-        let node = Node::Index(recs);
-        let mut w = ByteWriter::new();
-        node.encode(2, &mut w);
-        assert!(w.len() <= p.page_size);
+        assert!(encode(&Node::Index(recs), 2).len() <= p.page_size);
     }
 }

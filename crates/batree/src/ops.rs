@@ -49,72 +49,16 @@
 //!   In 2-d the "otherwise" set is empty and this is exactly the
 //!   paper's "the border along the split dimension is split in two".
 
-use boxagg_common::bytes::ByteWriter;
 use boxagg_common::error::{invalid_arg, Result};
 use boxagg_common::geom::{Point, Rect};
 use boxagg_common::slab::EntrySlab;
 use boxagg_common::value::AggValue;
-use boxagg_pagestore::{PageId, ReadHandle, SharedStore};
+use boxagg_pagestore::{paged, PageId};
 
-use crate::node::{BaParams, BorderRef, IndexRecord, Node};
+use crate::node::{Ba, BorderRef, IndexRecord, Node};
 
-/// Shared context threaded through every operation.
-///
-/// `pages` is where the tree was opened from — the live store or a
-/// pinned commit epoch (see [`ReadHandle`]). Reads go through it
-/// blindly; every mutation asks it for the writable store first and so
-/// fails with a typed error on a pinned tree.
-#[derive(Clone, Copy)]
-pub(crate) struct Ctx<'a> {
-    pub pages: &'a ReadHandle,
-    pub params: &'a BaParams,
-}
-
-impl<'a> Ctx<'a> {
-    /// The store to mutate, or `Error::ReadOnly` on a pinned tree.
-    pub(crate) fn store(&self) -> Result<&'a SharedStore> {
-        self.pages.writable()
-    }
-
-    /// Shared read of a decoded node. Live trees take the decode their
-    /// page's buffer frame holds (warm traversals skip `Node::decode` entirely;
-    /// byte-level I/O accounting is unchanged, see
-    /// `SharedStore::read_node`); pinned trees decode the pinned epoch's
-    /// page image.
-    fn read_shared<V: AggValue>(&self, id: PageId, dim: usize) -> Result<std::sync::Arc<Node<V>>> {
-        self.pages.read_node(id, |bytes| Node::decode(bytes, dim))
-    }
-
-    /// Owned read for mutation paths: a deep clone of the shared decode
-    /// (cloning is cheaper than re-parsing bytes on a cache hit).
-    fn read<V: AggValue>(&self, id: PageId, dim: usize) -> Result<Node<V>> {
-        let shared: std::sync::Arc<Node<V>> = self.read_shared(id, dim)?;
-        Ok((*shared).clone())
-    }
-
-    /// Writes a node to its page (bulk loader entry point).
-    pub(crate) fn write_node<V: AggValue>(
-        &self,
-        id: PageId,
-        dim: usize,
-        node: &Node<V>,
-    ) -> Result<()> {
-        self.write(id, dim, node)
-    }
-
-    fn write<V: AggValue>(&self, id: PageId, dim: usize, node: &Node<V>) -> Result<()> {
-        debug_assert!(node.fits(self.params, dim), "writing oversized node");
-        let mut w = ByteWriter::with_capacity(self.params.page_size);
-        node.encode(dim, &mut w);
-        self.store()?.write_page(id, w.as_slice())
-    }
-
-    fn new_leaf<V: AggValue>(&self, dim: usize) -> Result<PageId> {
-        let id = self.store()?.allocate()?;
-        self.write::<V>(id, dim, &Node::empty_leaf(dim))?;
-        Ok(id)
-    }
-}
+/// The page context every operation threads (see [`paged::Ctx`]).
+pub(crate) type Ctx<'a> = paged::Ctx<'a, Ba>;
 
 /// Semi-open containment used to make the k-d-B tiling a partition:
 /// `low[i] ≤ p[i] < high[i]`, closed at the top where the record touches
@@ -163,11 +107,6 @@ fn find_owner<V>(records: &[IndexRecord<V>], p: &Point, space: &Rect) -> Option<
     best
 }
 
-/// Creates an empty tree, returning its root (a leaf page).
-pub(crate) fn tree_new<V: AggValue>(ctx: Ctx<'_>, dim: usize) -> Result<PageId> {
-    ctx.new_leaf::<V>(dim)
-}
-
 /// Inserts into the tree rooted at `root` (NULL = empty), returning the
 /// possibly-new root.
 pub(crate) fn tree_insert<V: AggValue>(
@@ -211,7 +150,7 @@ fn grow_root<V: AggValue>(
         let records = split_subtree(ctx, dim, space, rec, node)?;
         node = Node::Index(records);
         let root = ctx.store()?.allocate()?;
-        if node.fits(ctx.params, dim) {
+        if ctx.fits(&node, dim) {
             ctx.write(root, dim, &node)?;
             return Ok(root);
         }
@@ -241,7 +180,7 @@ fn insert_rec<V: AggValue>(
             } else {
                 entries.push(&p, v);
             }
-            if !node.fits(ctx.params, dim) {
+            if !ctx.fits(&node, dim) {
                 return Ok(Some(node));
             }
             ctx.write(node_id, dim, &node)?;
@@ -266,7 +205,7 @@ fn insert_rec<V: AggValue>(
                 let at = i.min(records.len());
                 records.splice(at..at, pieces.drain(..));
             }
-            if !node.fits(ctx.params, dim) {
+            if !ctx.fits(&node, dim) {
                 return Ok(Some(node));
             }
             ctx.write(node_id, dim, &node)?;
@@ -313,7 +252,7 @@ fn register_against<V: AggValue>(
             } else {
                 entries.push(&pp, v.clone());
             }
-            if entries.len() > ctx.params.inline_border_cap(dim) {
+            if entries.len() > Ba::inline_border_cap(ctx.params, dim) {
                 // Spill the border into its own (d−1)-dim tree.
                 let drained = std::mem::replace(entries, EntrySlab::new(dim - 1));
                 let sub_space = space.drop_dim(k);
@@ -394,50 +333,6 @@ fn query_rec<V: AggValue>(
     }
 }
 
-/// Collects every leaf entry of the tree (insertions are never absorbed
-/// into borders, so leaves are a lossless record of the tree's points).
-pub(crate) fn tree_enumerate<V: AggValue>(
-    ctx: Ctx<'_>,
-    dim: usize,
-    root: PageId,
-    out: &mut Vec<(Point, V)>,
-) -> Result<()> {
-    if root.is_null() {
-        return Ok(());
-    }
-    let node = ctx.read_shared::<V>(root, dim)?;
-    match &*node {
-        Node::Leaf(entries) => out.extend(entries.iter().map(|(p, v)| (p, v.clone()))),
-        Node::Index(records) => {
-            for r in records {
-                tree_enumerate::<V>(ctx, dim, r.child, out)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Frees every page of the tree: child subtrees, border trees, then the
-/// node itself.
-pub(crate) fn tree_free<V: AggValue>(ctx: Ctx<'_>, dim: usize, root: PageId) -> Result<()> {
-    if root.is_null() {
-        return Ok(());
-    }
-    let node = ctx.read_shared::<V>(root, dim)?;
-    if let Node::Index(records) = &*node {
-        for r in records {
-            tree_free::<V>(ctx, dim, r.child)?;
-            for b in &r.borders {
-                if let BorderRef::Tree(id) = b {
-                    tree_free::<V>(ctx, dim - 1, *id)?;
-                }
-            }
-        }
-    }
-    ctx.store()?.free(root)?;
-    Ok(())
-}
-
 /// Collects a border's entries (inline list or spilled tree leaves).
 fn border_entries<V: AggValue>(
     ctx: Ctx<'_>,
@@ -448,7 +343,7 @@ fn border_entries<V: AggValue>(
         BorderRef::Inline(entries) => Ok(entries.to_entries()),
         BorderRef::Tree(root) => {
             let mut out = Vec::new();
-            tree_enumerate(ctx, dim - 1, *root, &mut out)?;
+            ctx.enumerate(dim - 1, *root, &mut out)?;
             Ok(out)
         }
     }
@@ -463,7 +358,7 @@ pub(crate) fn build_border<V: AggValue>(
     k: usize,
     entries: Vec<(Point, V)>,
 ) -> Result<BorderRef<V>> {
-    if entries.len() <= ctx.params.inline_border_cap(dim) {
+    if entries.len() <= Ba::inline_border_cap(ctx.params, dim) {
         Ok(BorderRef::Inline(EntrySlab::from_entries(dim - 1, entries)))
     } else {
         let sub_space = space.drop_dim(k);
@@ -532,16 +427,15 @@ pub(crate) fn bulk_build_1d<V: AggValue>(
     debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys not sorted");
 
     // Pack leaves. Item: (first key, page, subtree sum).
-    let leaf_cap = ctx.params.leaf_cap(1);
+    let leaf_cap = ctx.leaf_cap(1);
     let mut items: Vec<(f64, PageId, V)> = Vec::new();
     for (keys, values) in keys.chunks(leaf_cap).zip(values.chunks(leaf_cap)) {
         let mut sum = V::zero();
         for v in values {
             sum.add_assign(v);
         }
-        let id = ctx.store()?.allocate()?;
         let leaf = EntrySlab::from_columns(1, keys.to_vec(), values.to_vec());
-        ctx.write(id, 1, &Node::Leaf(leaf))?;
+        let id = ctx.write_new(1, &Node::Leaf(leaf))?;
         items.push((keys[0], id, sum));
     }
     if items.len() == 1 {
@@ -549,7 +443,7 @@ pub(crate) fn bulk_build_1d<V: AggValue>(
     }
 
     // Pack index levels.
-    let index_cap = ctx.params.index_cap(1);
+    let index_cap = ctx.index_cap(1);
     while items.len() > 1 {
         // Box boundaries: the space edges outside, the next item's first
         // key between siblings (keys are sorted, so boxes tile).
@@ -578,8 +472,7 @@ pub(crate) fn bulk_build_1d<V: AggValue>(
                 prefix.add_assign(sum);
                 node_sum.add_assign(sum);
             }
-            let id = ctx.store()?.allocate()?;
-            ctx.write(id, 1, &Node::Index(records))?;
+            let id = ctx.write_new(1, &Node::Index(records))?;
             next.push((items[i].0, id, node_sum));
             i = end;
         }
@@ -601,12 +494,12 @@ pub(crate) fn split_subtree<V: AggValue>(
     let mut work = vec![(rec, node)];
     let mut out = Vec::new();
     while let Some((rec, node)) = work.pop() {
-        if node.fits(ctx.params, dim) {
+        if ctx.fits(&node, dim) {
             ctx.write(rec.child, dim, &node)?;
             out.push(rec);
             continue;
         }
-        let (j, m) = choose_split(ctx.params, dim, space, &rec.rect, &node);
+        let (j, m) = choose_split(dim, space, &rec.rect, &node);
         let (rb, nb, rt, nt) = split_record_at(ctx, dim, space, rec, node, j, m)?;
         work.push((rt, nt));
         work.push((rb, nb));
@@ -623,7 +516,6 @@ pub(crate) fn split_subtree<V: AggValue>(
 /// ("the BA-tree partitions the index page by alternating directions",
 /// §5).
 fn choose_split<V: AggValue>(
-    _params: &BaParams,
     dim: usize,
     space: &Rect,
     rect: &Rect,
@@ -814,7 +706,7 @@ fn split_record_at<V: AggValue>(
             let jp = if j < k { j } else { j - 1 };
             let entries = border_entries(ctx, dim, &b)?;
             if let BorderRef::Tree(root) = b {
-                tree_free::<V>(ctx, dim - 1, root)?;
+                ctx.free_tree::<V>(dim - 1, root)?;
             }
             let rt_low_proj = rt_rect.low().drop_dim(k);
             let mut lo_entries = Vec::new();
@@ -937,7 +829,7 @@ pub(crate) fn check_consistency(
     let mut probes = vec![*space.high(), space.center()];
     collect(ctx, dim, space, root, space, &mut probes)?;
     let mut all: Vec<(Point, f64)> = Vec::new();
-    tree_enumerate::<f64>(ctx, dim, root, &mut all)?;
+    ctx.enumerate::<f64>(dim, root, &mut all)?;
     for q in &probes {
         let got = tree_query::<f64>(ctx, dim, space, root, q)?;
         let want: f64 = all

@@ -4,11 +4,12 @@ use boxagg_common::error::{invalid_arg, Result};
 use boxagg_common::geom::{Point, Rect};
 use boxagg_common::traits::{check_insert, check_query, DominanceSumIndex};
 use boxagg_common::value::AggValue;
-use boxagg_pagestore::{PageId, ReadHandle, RootEntry, RootKind, SharedStore};
+use boxagg_pagestore::paged::PagedTree;
+use boxagg_pagestore::{PageId, ReadHandle, SharedStore};
 
 use crate::bulk;
-use crate::node::BaParams;
-use crate::ops::{self, Ctx};
+use crate::node::Ba;
+use crate::ops;
 
 /// The Box Aggregation Tree (§5): a disk-based, dynamic dominance-sum
 /// index. A k-d-B-tree whose index records are augmented with a
@@ -33,14 +34,10 @@ use crate::ops::{self, Ctx};
 /// assert_eq!(tree.dominance_sum(&Point::new(&[99.0, 99.0])).unwrap(), 12.0);
 /// ```
 pub struct BATree<V: AggValue> {
-    /// Where pages come from: the live store, or the pinned epoch the
-    /// tree was opened at (read-only).
-    pages: ReadHandle,
-    params: BaParams,
+    /// Pages (the live store, or the pinned epoch the tree was opened
+    /// at, read-only), sizing, root and length.
+    nodes: PagedTree<V, Ba>,
     space: Rect,
-    root: PageId,
-    len: usize,
-    _marker: std::marker::PhantomData<V>,
 }
 
 impl<V: AggValue> BATree<V> {
@@ -51,9 +48,7 @@ impl<V: AggValue> BATree<V> {
     /// [`max_poly_encoded_size`](boxagg_common::poly::max_poly_encoded_size)
     /// for polynomial tuples). It determines node fanout.
     pub fn create(store: SharedStore, space: Rect, max_value_size: usize) -> Result<Self> {
-        let mut tree = Self::open_in(store.into(), space, max_value_size, PageId::NULL, 0)?;
-        tree.root = ops::tree_new::<V>(tree.ctx(), space.dim())?;
-        Ok(tree)
+        Self::bulk_load(store, space, max_value_size, Vec::new())
     }
 
     /// Bulk-loads a tree from weighted points: the k-d-B partition is
@@ -71,49 +66,23 @@ impl<V: AggValue> BATree<V> {
         max_value_size: usize,
         points: Vec<(Point, V)>,
     ) -> Result<Self> {
-        let mut tree = Self::open_in(
-            store.into(),
-            space,
-            max_value_size,
-            PageId::NULL,
-            points.len(),
-        )?;
+        let nodes = PagedTree::open_in(store.into(), Ba, space.dim(), max_value_size)?;
+        let mut tree = Self { nodes, space };
+        tree.nodes.len = points.len();
         for (p, v) in &points {
             tree.check_insert(p, v)?;
         }
-        tree.root = if points.is_empty() {
-            ops::tree_new::<V>(tree.ctx(), space.dim())?
+        tree.nodes.root = if points.is_empty() {
+            tree.nodes.ctx().new_leaf::<V>(space.dim())?
         } else {
-            bulk::bulk_build(tree.ctx(), &space, points)?
+            bulk::bulk_build(tree.nodes.ctx(), &space, points)?
         };
         Ok(tree)
     }
 
-    fn open_in(
-        pages: ReadHandle,
-        space: Rect,
-        max_value_size: usize,
-        root: PageId,
-        len: usize,
-    ) -> Result<Self> {
-        let params = BaParams {
-            page_size: pages.store().payload_size(),
-            max_value_size,
-        };
-        params.validate(space.dim())?;
-        Ok(Self {
-            pages,
-            params,
-            space,
-            root,
-            len,
-            _marker: std::marker::PhantomData,
-        })
-    }
-
     /// The root page id (what [`persist_as`](Self::persist_as) records).
     pub fn root_page(&self) -> PageId {
-        self.root
+        self.nodes.root
     }
 
     /// Publishes this tree under `name` in the store's superblock
@@ -123,20 +92,7 @@ impl<V: AggValue> BATree<V> {
     /// tree pages themselves. Call again after mutations to refresh the
     /// recorded root and length.
     pub fn persist_as(&self, name: &str) -> Result<()> {
-        let d = self.space.dim();
-        self.pages.writable()?.set_root(
-            name,
-            RootEntry {
-                root: self.root,
-                len: self.len as u64,
-                dims: d as u32,
-                max_value_size: self.params.max_value_size as u32,
-                kind: RootKind::BaTree,
-                bounds: (0..d)
-                    .map(|i| (self.space.low().get(i), self.space.high().get(i)))
-                    .collect(),
-            },
-        )
+        self.nodes.persist_as(name, self.space.bounds())
     }
 
     /// Reopens a tree published by [`persist_as`](Self::persist_as):
@@ -150,24 +106,11 @@ impl<V: AggValue> BATree<V> {
     /// commit's state while writers keep committing, and refuses
     /// `insert`, `persist_as` and `destroy` with a typed error.
     pub fn open_named(pages: impl Into<ReadHandle>, name: &str) -> Result<Self> {
-        let pages = pages.into();
-        let entry = pages
-            .root(name)?
-            .ok_or_else(|| invalid_arg(format!("no root named {name:?} in the store catalog")))?;
-        if entry.kind != RootKind::BaTree {
-            return Err(invalid_arg(format!(
-                "root {name:?} is a {:?}, not a BA-tree",
-                entry.kind
-            )));
-        }
-        let space = Rect::from_bounds(&entry.bounds);
-        Self::open_in(
-            pages,
-            space,
-            entry.max_value_size as usize,
-            entry.root,
-            entry.len as usize,
-        )
+        let (nodes, entry) = PagedTree::open_named(pages, name)?;
+        Ok(Self {
+            nodes,
+            space: Rect::from_bounds(&entry.bounds),
+        })
     }
 
     /// The indexed space.
@@ -177,26 +120,17 @@ impl<V: AggValue> BATree<V> {
 
     /// The shared page store.
     pub fn store(&self) -> &SharedStore {
-        self.pages.store()
-    }
-
-    fn ctx(&self) -> Ctx<'_> {
-        Ctx {
-            pages: &self.pages,
-            params: &self.params,
-        }
+        self.nodes.store()
     }
 
     /// Collects every point inserted so far (diagnostics and tests).
     pub fn enumerate(&self) -> Result<Vec<(Point, V)>> {
-        let mut out = Vec::new();
-        ops::tree_enumerate(self.ctx(), self.space.dim(), self.root, &mut out)?;
-        Ok(out)
+        self.nodes.enumerate()
     }
 
     /// Frees every page of the tree, leaving it unusable.
     pub fn destroy(self) -> Result<()> {
-        ops::tree_free::<V>(self.ctx(), self.space.dim(), self.root)
+        self.nodes.destroy()
     }
 }
 
@@ -207,7 +141,12 @@ impl BATree<f64> {
     /// including spilled border trees. `O(n · fanout)` per level — for
     /// tests and debugging, not production paths.
     pub fn check_consistency(&self) -> Result<()> {
-        ops::check_consistency(self.ctx(), self.space.dim(), &self.space, self.root)
+        ops::check_consistency(
+            self.nodes.ctx(),
+            self.space.dim(),
+            &self.space,
+            self.nodes.root,
+        )
     }
 }
 
@@ -230,21 +169,34 @@ impl<V: AggValue> DominanceSumIndex<V> for BATree<V> {
     fn insert(&mut self, p: Point, v: V) -> Result<()> {
         self.check_insert(&p, &v)?;
         debug_assert!(
-            v.encoded_size() <= self.params.max_value_size,
+            v.encoded_size() <= self.nodes.ctx().params.max_value_size,
             "value exceeds the configured max encoded size"
         );
-        self.root = ops::tree_insert(self.ctx(), self.space.dim(), &self.space, self.root, p, v)?;
-        self.len += 1;
+        self.nodes.root = ops::tree_insert(
+            self.nodes.ctx(),
+            self.space.dim(),
+            &self.space,
+            self.nodes.root,
+            p,
+            v,
+        )?;
+        self.nodes.len += 1;
         Ok(())
     }
 
     fn dominance_sum(&self, q: &Point) -> Result<V> {
         check_query(q, self.dim())?;
-        ops::tree_query(self.ctx(), self.space.dim(), &self.space, self.root, q)
+        ops::tree_query(
+            self.nodes.ctx(),
+            self.space.dim(),
+            &self.space,
+            self.nodes.root,
+            q,
+        )
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.nodes.len
     }
 }
 

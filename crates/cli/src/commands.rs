@@ -7,6 +7,7 @@ use std::time::Duration;
 use boxagg_batree::BATree;
 use boxagg_common::error::{invalid_arg, Result};
 use boxagg_common::geom::{Point, Rect};
+use boxagg_common::traits::check_insert;
 use boxagg_core::catalog::{
     corner_root_name, open_corner_engine, persist_corner_engine, OBJECTS_ROOT,
 };
@@ -87,8 +88,10 @@ fn stored_page_size(pages: &Path) -> Result<usize> {
     })
 }
 
+/// A page size of 0 yields a config [`StoreConfig::validate`] refuses,
+/// not a division by zero.
 fn store_config(pages: &Path, page_size: usize, buffer_mb: usize) -> StoreConfig {
-    let buffer_pages = (buffer_mb * 1024 * 1024 / page_size).max(1);
+    let buffer_pages = (buffer_mb * 1024 * 1024 / page_size.max(1)).max(1);
     StoreConfig {
         page_size,
         buffer_pages,
@@ -126,9 +129,36 @@ fn persist(engine: &SimpleBoxSum<BATree<f64>>, store: &SharedStore) -> Result<()
 
 /// `boxagg build INDEX --csv FILE --space l1,h1,…`: builds a fresh
 /// file-backed index from a CSV of objects with one bulk load.
+///
+/// Everything that can refuse the build is checked before the old index
+/// is removed: the space, the store config, every CSV line (parsed,
+/// finite, inside the space) and the index geometry at this page size.
 pub fn build(pages: &Path, csv: &Path, space_spec: &str, page_size: usize) -> Result<String> {
     let space = parse_box(space_spec)?;
     let dim = space.dim();
+    let config = store_config(pages, page_size, 64);
+    config.validate()?;
+    let text = std::fs::read_to_string(csv)?;
+    let mut objects = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let object = parse_object(line, dim).and_then(|(rect, value)| {
+            check_insert(rect.low(), dim, &value)?;
+            if !space.contains_rect(&rect) {
+                return Err(invalid_arg(format!("object {rect:?} outside {space:?}")));
+            }
+            Ok((rect, value))
+        });
+        objects.push(
+            object.map_err(|e| invalid_arg(format!("{}:{}: {e}", csv.display(), lineno + 1)))?,
+        );
+    }
+    // Pages too small for the trees' records: refused by empty trees
+    // in memory, at this page size.
+    SimpleBoxSum::batree_in(space, SharedStore::open(&StoreConfig::small(page_size, 1))?)?;
     // `build` means *create*: an existing file at the target path is
     // replaced, not appended to. Opening an existing store here would
     // silently stack a second set of trees into the old file (or fail
@@ -144,19 +174,7 @@ pub fn build(pages: &Path, csv: &Path, space_spec: &str, page_size: usize) -> Re
             Err(e) => return Err(e.into()),
         }
     }
-    let text = std::fs::read_to_string(csv)?;
-    let mut objects = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        objects.push(
-            parse_object(line, dim)
-                .map_err(|e| invalid_arg(format!("{}:{}: {e}", csv.display(), lineno + 1)))?,
-        );
-    }
-    let engine = SimpleBoxSum::batree_bulk(space, store_config(pages, page_size, 64), &objects)?;
+    let engine = SimpleBoxSum::batree_bulk(space, config, &objects)?;
     let store = engine.indexes()[0].store().clone();
     persist(&engine, &store)?;
     Ok(format!(
@@ -438,6 +456,63 @@ mod tests {
         assert!(out.starts_with("sum = 120\n"), "{out}");
         let out = info(&pages).unwrap();
         assert!(out.contains("objects:   1"), "{out}");
+    }
+
+    #[test]
+    fn a_refused_rebuild_leaves_the_old_index_in_place() {
+        let dir = tempfile::tempdir().unwrap();
+        let pages = dir.path().join("idx.pages");
+        let good = write_csv(dir.path(), &["10,30,10,25,120", "25,50,20,40,340"]);
+        build(&pages, &good, "0,100,0,100", 1024).unwrap();
+        let intact = |what: &str| {
+            let out = query(&pages, "0,100,0,100").unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(out.starts_with("sum = 460\n"), "{what}: {out}");
+            let out = info(&pages).unwrap();
+            assert!(out.contains("objects:   2"), "{what}: {out}");
+        };
+        let missing = dir.path().join("missing.csv");
+        let err = build(&pages, &missing, "0,100,0,100", 1024).unwrap_err();
+        assert!(err.to_string().contains("No such file"), "{err}");
+        intact("missing CSV");
+        for (rows, line, want) in [
+            (
+                &["10,30,10,25,120", "10,30,x,25,1"][..],
+                ":2:",
+                "malformed number",
+            ),
+            (
+                &["10,30,10,25,120", "25,50,20,40,NaN"][..],
+                ":2:",
+                "value NaN is not finite",
+            ),
+            (&["10,30,10,25,inf"][..], ":1:", "value inf is not finite"),
+            (
+                &["50,200,10,20,5"][..],
+                ":1:",
+                "outside [(0, 0) .. (100, 100)]",
+            ),
+        ] {
+            let csv = write_csv(dir.path(), rows);
+            let err = build(&pages, &csv, "0,100,0,100", 1024).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains(line) && msg.contains(want), "{rows:?}: {msg}");
+            intact(want);
+        }
+        // Page sizes the store refuses, and one the trees' records do
+        // not fit: typed errors, not panics, and nothing removed.
+        let good = write_csv(dir.path(), &["10,30,10,25,120", "25,50,20,40,340"]);
+        for (page_size, want) in [
+            (0, "page size 0 is below"),
+            (32, "page size 32 is below"),
+            (64, "record of 66 bytes cannot fit"),
+        ] {
+            let err = build(&pages, &good, "0,100,0,100", page_size).unwrap_err();
+            assert!(
+                err.to_string().contains(want),
+                "--page-size {page_size}: {err}"
+            );
+            intact(want);
+        }
     }
 
     #[test]

@@ -278,6 +278,14 @@ impl Rect {
         Self::new(low, high)
     }
 
+    /// The `(low, high)` pair of every dimension: the inverse of
+    /// [`from_bounds`](Self::from_bounds).
+    pub fn bounds(&self) -> Vec<(Coord, Coord)> {
+        (0..self.dim())
+            .map(|i| (self.low.get(i), self.high.get(i)))
+            .collect()
+    }
+
     /// Dimensionality of the box.
     #[inline]
     pub fn dim(&self) -> usize {

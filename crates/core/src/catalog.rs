@@ -66,9 +66,7 @@ pub fn persist_corner_engine(engine: &CornerBoxSum<BATree<f64>>, space: &Rect) -
             dims: d as u32,
             max_value_size: 0,
             kind: RootKind::Meta,
-            bounds: (0..d)
-                .map(|i| (space.low().get(i), space.high().get(i)))
-                .collect(),
+            bounds: space.bounds(),
         },
     )
 }
@@ -410,6 +408,60 @@ mod tests {
         assert!(err.to_string().contains("meta/objects"), "got: {err}");
         let err = open_corner_engine(&store).map(|_| ()).unwrap_err();
         assert!(err.to_string().contains("meta/objects"), "got: {err}");
+    }
+
+    #[test]
+    fn each_tree_opens_only_its_own_kind_of_root() {
+        let store = wal_store();
+        let space = unit_space(2);
+        let engine = SimpleBoxSum::batree_in(space, store.clone()).unwrap();
+        persist_corner_engine(&engine, &space).unwrap();
+        let ecdf: EcdfBTree<f64> =
+            EcdfBTree::create(store.clone(), 2, BorderPolicy::QueryOptimized, 8).unwrap();
+        ecdf.persist_as("ecdf").unwrap();
+        store.commit().unwrap();
+        let ba = corner_root_name(0);
+        BATree::<f64>::open_named(&store, &ba).unwrap();
+        EcdfBTree::<f64>::open_named(&store, "ecdf").unwrap();
+
+        fn refused<T>(what: &str, got: Result<T>, wants: &[&str]) {
+            match got {
+                Err(Error::InvalidArgument(msg)) => {
+                    for want in wants {
+                        assert!(msg.contains(want), "{what}: {msg:?} lacks {want:?}");
+                    }
+                }
+                Err(other) => panic!("{what}: {other:?}"),
+                Ok(_) => panic!("{what}: opened"),
+            }
+        }
+        let snap = Arc::new(store.snapshot().unwrap());
+        for pages in [ReadHandle::from(&store), ReadHandle::from(&snap)] {
+            for (name, kind) in [
+                ("missing", None),
+                ("ecdf", Some("EcdfQuery")),
+                (OBJECTS_ROOT, Some("Meta")),
+            ] {
+                let got = BATree::<f64>::open_named(pages.clone(), name);
+                refused(
+                    name,
+                    got,
+                    &[name, kind.unwrap_or("no root named"), "BA-tree"],
+                );
+            }
+            for (name, kind) in [
+                ("missing", None),
+                (ba.as_str(), Some("BaTree")),
+                (OBJECTS_ROOT, Some("Meta")),
+            ] {
+                let got = EcdfBTree::<f64>::open_named(pages.clone(), name);
+                refused(
+                    name,
+                    got,
+                    &[name, kind.unwrap_or("no root named"), "ECDF-B-tree"],
+                );
+            }
+        }
     }
 
     #[test]

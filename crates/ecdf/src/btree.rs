@@ -25,14 +25,13 @@
 //! bottom-up from sorted runs, computing each border as it seals each
 //! internal entry.
 
-use std::sync::Arc;
-
-use boxagg_common::bytes::ByteWriter;
-use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
+use boxagg_common::bytes::{ByteReader, ByteWriter};
+use boxagg_common::error::{invalid_arg, Result};
 use boxagg_common::geom::Point;
 use boxagg_common::slab::EntrySlab;
 use boxagg_common::traits::{check_insert, check_query, DominanceSumIndex};
 use boxagg_common::value::AggValue;
+use boxagg_pagestore::paged::{self, Layout, PageParams, PagedTree};
 use boxagg_pagestore::{PageId, ReadHandle, RootEntry, RootKind, SharedStore};
 
 /// Which prefix of subtrees each border covers (Fig. 6).
@@ -42,47 +41,6 @@ pub enum BorderPolicy {
     UpdateOptimized,
     /// ECDF-Bq-tree: border `i` covers `subtree(e_1..e_i)`.
     QueryOptimized,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct EcdfParams {
-    page_size: usize,
-    max_value_size: usize,
-}
-
-const HEADER: usize = 3;
-
-impl EcdfParams {
-    fn payload(&self) -> usize {
-        self.page_size.saturating_sub(HEADER)
-    }
-
-    fn leaf_entry_size(&self, dim: usize) -> usize {
-        Point::encoded_size(dim) + self.max_value_size
-    }
-
-    fn leaf_cap(&self, dim: usize) -> usize {
-        self.payload() / self.leaf_entry_size(dim)
-    }
-
-    fn internal_entry_size(&self) -> usize {
-        // router + child + border (page id or inline value)
-        8 + 8 + self.max_value_size.max(8)
-    }
-
-    fn internal_cap(&self) -> usize {
-        self.payload() / self.internal_entry_size()
-    }
-
-    fn validate(&self, dim: usize) -> Result<()> {
-        if self.leaf_cap(dim) < 2 || self.internal_cap() < 3 {
-            return Err(Error::RecordTooLarge {
-                record: self.leaf_entry_size(dim).max(self.internal_entry_size()),
-                page: self.payload() / 3,
-            });
-        }
-        Ok(())
-    }
 }
 
 /// Border payload of one internal entry.
@@ -102,172 +60,111 @@ struct InternalEntry<V> {
     border: Border<V>,
 }
 
-#[derive(Debug, Clone)]
-enum Node<V> {
-    /// Decoded struct-of-arrays leaf: one coordinate column per
-    /// dimension plus a values column, so the hot dominance scan walks
-    /// contiguous `f64` runs. The on-page bytes are unchanged (the
-    /// interleaved per-entry point/value layout).
-    Leaf(EntrySlab<V>),
-    Internal(Vec<InternalEntry<V>>),
-}
-
-impl<V: AggValue> Node<V> {
-    fn fits(&self, params: &EcdfParams, dim: usize) -> bool {
-        match self {
-            Node::Leaf(es) => es.len() <= params.leaf_cap(dim),
-            Node::Internal(es) => es.len() <= params.internal_cap(),
-        }
-    }
-
-    fn encode(&self, dim: usize, level: usize, w: &mut ByteWriter) {
-        match self {
-            Node::Leaf(entries) => {
-                debug_assert_eq!(entries.dim(), dim);
-                w.put_u8(0);
-                w.put_u16(entries.len() as u16);
-                entries.encode_entries(w);
-            }
-            Node::Internal(entries) => {
-                w.put_u8(1);
-                w.put_u16(entries.len() as u16);
-                for e in entries {
-                    w.put_f64(e.router);
-                    w.put_u64(e.child.0);
-                    match (&e.border, level + 1 == dim) {
-                        (Border::Tree(id), false) => w.put_u64(id.0),
-                        (Border::Value(v), true) => v.encode(w),
-                        _ => unreachable!("border kind inconsistent with level"),
-                    }
-                }
-            }
-        }
-    }
-
-    fn decode(bytes: &[u8], dim: usize, level: usize) -> Result<Self> {
-        let mut r = boxagg_common::bytes::ByteReader::new(bytes);
-        let tag = r.get_u8()?;
-        let count = r.get_u16()? as usize;
-        match tag {
-            0 => Ok(Node::Leaf(EntrySlab::decode_entries(&mut r, dim, count)?)),
-            1 => {
-                // `count` is input: check it against the page before
-                // allocating for it.
-                let last = level + 1 == dim;
-                let min_entry = 8 + 8 + if last { V::WIDTH.min() } else { 8 };
-                r.expect_records(count, min_entry)?;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let router = r.get_f64()?;
-                    let child = PageId(r.get_u64()?);
-                    let border = if last {
-                        Border::Value(V::decode(&mut r)?)
-                    } else {
-                        Border::Tree(PageId(r.get_u64()?))
-                    };
-                    entries.push(InternalEntry {
-                        router,
-                        child,
-                        border,
-                    });
-                }
-                Ok(Node::Internal(entries))
-            }
-            t => Err(corrupt(format!("unknown ECDF-B node tag {t}"))),
-        }
-    }
-}
-
-/// Shared context threaded through every operation. `pages` is where the
-/// tree was opened from — the live store or a pinned commit epoch (see
-/// [`ReadHandle`]). Reads go through it blindly; every mutation asks it
-/// for the writable store first and so fails with a typed error on a
-/// pinned tree.
-#[derive(Clone, Copy)]
-struct Ctx<'a> {
-    pages: &'a ReadHandle,
-    params: &'a EcdfParams,
+/// The ECDF-B-trees' page layout. Leaves at every level hold full
+/// `dim`-dimensional points; a node's `at` is its level, and a
+/// last-level entry's border is an inline value sum.
+#[derive(Clone, Copy, Debug)]
+struct Ecdf {
     dim: usize,
     policy: BorderPolicy,
 }
 
-impl<'a> Ctx<'a> {
-    /// The store to mutate, or `Error::ReadOnly` on a pinned tree.
-    fn store(&self) -> Result<&'a SharedStore> {
-        self.pages.writable()
+type Node<V> = paged::Node<V, Ecdf>;
+
+/// The page context every operation threads (see [`paged::Ctx`]).
+type Ctx<'a> = paged::Ctx<'a, Ecdf>;
+
+impl Layout for Ecdf {
+    const NAME: &'static str = "ECDF-B-tree";
+    type Record<V: AggValue> = InternalEntry<V>;
+
+    fn leaf_dim(&self, _level: usize) -> usize {
+        self.dim
     }
 
-    /// Shared read of a decoded node. Live trees take the decode their
-    /// page's buffer frame holds (warm traversals skip `Node::decode` entirely;
-    /// byte-level I/O accounting is unchanged, see
-    /// `SharedStore::read_node`); pinned trees decode the pinned epoch's
-    /// page image.
-    fn read_shared<V: AggValue>(&self, id: PageId, level: usize) -> Result<Arc<Node<V>>> {
-        let dim = self.dim;
-        self.pages
-            .read_node(id, |bytes| Node::decode(bytes, dim, level))
+    /// Router + child + border (page id or inline value).
+    fn record_size(&self, params: &PageParams, _level: usize) -> usize {
+        8 + 8 + params.max_value_size.max(8)
     }
 
-    /// Owned read for mutation paths: a deep clone of the shared decode
-    /// (cloning is cheaper than re-parsing bytes on a cache hit).
-    fn read<V: AggValue>(&self, id: PageId, level: usize) -> Result<Node<V>> {
-        let shared: Arc<Node<V>> = self.read_shared(id, level)?;
-        Ok((*shared).clone())
+    fn min_record_size<V: AggValue>(&self, level: usize) -> usize {
+        8 + 8
+            + if level + 1 == self.dim {
+                V::WIDTH.min()
+            } else {
+                8
+            }
     }
 
-    fn write<V: AggValue>(&self, id: PageId, level: usize, node: &Node<V>) -> Result<()> {
-        debug_assert!(node.fits(self.params, self.dim));
-        let mut w = ByteWriter::with_capacity(self.params.page_size);
-        node.encode(self.dim, level, &mut w);
-        self.store()?.write_page(id, w.as_slice())
+    fn encode_record<V: AggValue>(&self, e: &InternalEntry<V>, level: usize, w: &mut ByteWriter) {
+        w.put_f64(e.router);
+        w.put_u64(e.child.0);
+        match (&e.border, level + 1 == self.dim) {
+            (Border::Tree(id), false) => w.put_u64(id.0),
+            (Border::Value(v), true) => v.encode(w),
+            _ => unreachable!("border kind inconsistent with level"),
+        }
     }
 
-    fn new_leaf<V: AggValue>(&self, level: usize) -> Result<PageId> {
-        let id = self.store()?.allocate()?;
-        self.write::<V>(id, level, &Node::Leaf(EntrySlab::new(self.dim)))?;
-        Ok(id)
+    fn decode_record<V: AggValue>(
+        &self,
+        r: &mut ByteReader<'_>,
+        level: usize,
+    ) -> Result<InternalEntry<V>> {
+        let router = r.get_f64()?;
+        let child = PageId(r.get_u64()?);
+        let border = if level + 1 == self.dim {
+            Border::Value(V::decode(r)?)
+        } else {
+            Border::Tree(PageId(r.get_u64()?))
+        };
+        Ok(InternalEntry {
+            router,
+            child,
+            border,
+        })
+    }
+
+    fn child<V: AggValue>(e: &InternalEntry<V>) -> PageId {
+        e.child
+    }
+
+    fn border_trees<V: AggValue>(
+        &self,
+        e: &InternalEntry<V>,
+        level: usize,
+        mut f: impl FnMut(usize, PageId) -> Result<()>,
+    ) -> Result<()> {
+        match e.border {
+            Border::Tree(b) => f(level + 1, b),
+            Border::Value(_) => Ok(()),
+        }
+    }
+
+    fn root_kind(&self) -> RootKind {
+        match self.policy {
+            BorderPolicy::UpdateOptimized => RootKind::EcdfUpdate,
+            BorderPolicy::QueryOptimized => RootKind::EcdfQuery,
+        }
+    }
+
+    fn from_entry(entry: &RootEntry) -> Option<(Self, usize)> {
+        let policy = match entry.kind {
+            RootKind::EcdfUpdate => BorderPolicy::UpdateOptimized,
+            RootKind::EcdfQuery => BorderPolicy::QueryOptimized,
+            _ => return None,
+        };
+        let layout = Ecdf {
+            dim: entry.dims as usize,
+            policy,
+        };
+        Some((layout, 0))
     }
 }
 
 // ---------------------------------------------------------------------
-// enumeration / free / bulk loading
+// bulk loading
 // ---------------------------------------------------------------------
-
-fn enumerate<V: AggValue>(
-    ctx: Ctx<'_>,
-    level: usize,
-    root: PageId,
-    out: &mut Vec<(Point, V)>,
-) -> Result<()> {
-    if root.is_null() {
-        return Ok(());
-    }
-    match &*ctx.read_shared::<V>(root, level)? {
-        Node::Leaf(entries) => out.extend(entries.iter().map(|(p, v)| (p, v.clone()))),
-        Node::Internal(entries) => {
-            for e in entries {
-                enumerate::<V>(ctx, level, e.child, out)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-fn free_tree<V: AggValue>(ctx: Ctx<'_>, level: usize, root: PageId) -> Result<()> {
-    if root.is_null() {
-        return Ok(());
-    }
-    if let Node::Internal(entries) = &*ctx.read_shared::<V>(root, level)? {
-        for e in entries {
-            free_tree::<V>(ctx, level, e.child)?;
-            if let Border::Tree(b) = e.border {
-                free_tree::<V>(ctx, level + 1, b)?;
-            }
-        }
-    }
-    ctx.store()?.free(root)?;
-    Ok(())
-}
 
 fn sum_values<V: AggValue>(points: &[(Point, V)]) -> V {
     let mut acc = V::zero();
@@ -284,7 +181,7 @@ fn make_border<V: AggValue>(
     node_level: usize,
     points: Vec<(Point, V)>,
 ) -> Result<Border<V>> {
-    if node_level + 1 == ctx.dim {
+    if node_level + 1 == ctx.layout.dim {
         Ok(Border::Value(sum_values(&points)))
     } else {
         Ok(Border::Tree(bulk_build(ctx, node_level + 1, points)?))
@@ -304,7 +201,7 @@ fn bulk_build<V: AggValue>(
     points.sort_by(|a, b| a.0.get(level).total_cmp(&b.0.get(level)));
 
     // Leaf runs at ~full occupancy.
-    let leaf_cap = ctx.params.leaf_cap(ctx.dim);
+    let leaf_cap = ctx.leaf_cap(level);
     let mut level_items: Vec<(f64, PageId, std::ops::Range<usize>)> = Vec::new();
     let n = points.len();
     let mut start = 0;
@@ -312,17 +209,16 @@ fn bulk_build<V: AggValue>(
         let end = (start + leaf_cap).min(n);
         // Decode target is a slab; build it straight from the sorted
         // slice without an intermediate tuple clone.
-        let chunk = EntrySlab::from_slice(ctx.dim, &points[start..end]);
+        let chunk = EntrySlab::from_slice(ctx.layout.dim, &points[start..end]);
         let router = points[end - 1].0.get(level);
-        let id = ctx.store()?.allocate()?;
-        ctx.write(id, level, &Node::Leaf(chunk))?;
+        let id = ctx.write_new(level, &Node::Leaf(chunk))?;
         level_items.push((router, id, start..end));
         start = end;
     }
 
     // Internal levels: seal entries in groups, computing borders from the
     // covered point ranges.
-    let cap = ctx.params.internal_cap();
+    let cap = ctx.index_cap(level);
     while level_items.len() > 1 {
         let mut next: Vec<(f64, PageId, std::ops::Range<usize>)> = Vec::new();
         let mut i = 0;
@@ -335,7 +231,7 @@ fn bulk_build<V: AggValue>(
             let node_end = group.last().unwrap().2.end;
             let mut entries = Vec::with_capacity(group.len());
             for (router, child, range) in group {
-                let border_points = match ctx.policy {
+                let border_points = match ctx.layout.policy {
                     BorderPolicy::UpdateOptimized => points[range.clone()].to_vec(),
                     BorderPolicy::QueryOptimized => points[node_start..range.end].to_vec(),
                 };
@@ -345,10 +241,9 @@ fn bulk_build<V: AggValue>(
                     border: make_border(ctx, level, border_points)?,
                 });
             }
-            let id = ctx.store()?.allocate()?;
             // lint: allow(unwrap) -- one entry per group member, group non-empty
             let router = entries.last().unwrap().router;
-            ctx.write(id, level, &Node::Internal(entries))?;
+            let id = ctx.write_new(level, &Node::Index(entries))?;
             next.push((router, id, node_start..node_end));
             i = group_end;
         }
@@ -374,7 +269,7 @@ fn query_tree<V: AggValue>(ctx: Ctx<'_>, level: usize, root: PageId, q: &Point) 
             entries.sum_dominated_from_into(level, q, &mut acc);
             Ok(acc)
         }
-        Node::Internal(entries) => {
+        Node::Index(entries) => {
             // Entries with router ≤ q are wholly dominated in this
             // dimension; the first entry with router > q may straddle.
             let ql = q.get(level);
@@ -389,7 +284,7 @@ fn query_tree<V: AggValue>(ctx: Ctx<'_>, level: usize, root: PageId, q: &Point) 
                     break;
                 }
             }
-            match ctx.policy {
+            match ctx.layout.policy {
                 BorderPolicy::UpdateOptimized => {
                     if let Some(last) = last_full {
                         for e in &entries[..=last] {
@@ -465,15 +360,13 @@ fn tree_insert<V: AggValue>(
                 },
             ];
             rebuild_borders(ctx, level, &mut entries, &[0, 1])?;
-            let new_root = ctx.store()?.allocate()?;
-            ctx.write(new_root, level, &Node::Internal(entries))?;
-            Ok(new_root)
+            ctx.write_new(level, &Node::Index(entries))
         }
     }
 }
 
 fn empty_border<V: AggValue>(ctx: Ctx<'_>, node_level: usize) -> Border<V> {
-    if node_level + 1 == ctx.dim {
+    if node_level + 1 == ctx.layout.dim {
         Border::Value(V::zero())
     } else {
         Border::Tree(PageId::NULL)
@@ -490,16 +383,16 @@ fn rebuild_borders<V: AggValue>(
 ) -> Result<()> {
     for &i in indices {
         if let Border::Tree(old) = entries[i].border {
-            free_tree::<V>(ctx, node_level + 1, old)?;
+            ctx.free_tree::<V>(node_level + 1, old)?;
         }
         let mut pts = Vec::new();
-        match ctx.policy {
+        match ctx.layout.policy {
             BorderPolicy::UpdateOptimized => {
-                enumerate::<V>(ctx, node_level, entries[i].child, &mut pts)?;
+                ctx.enumerate::<V>(node_level, entries[i].child, &mut pts)?;
             }
             BorderPolicy::QueryOptimized => {
                 for e in entries[..=i].iter() {
-                    enumerate::<V>(ctx, node_level, e.child, &mut pts)?;
+                    ctx.enumerate::<V>(node_level, e.child, &mut pts)?;
                 }
             }
         }
@@ -540,7 +433,7 @@ fn insert_rec<V: AggValue>(
             let key = p.get(level);
             let pos = entries.partition_point_le(level, key);
             entries.insert_at(pos, &p, v);
-            if entries.len() <= ctx.params.leaf_cap(ctx.dim) {
+            if entries.len() <= ctx.leaf_cap(level) {
                 ctx.write(node_id, level, &node)?;
                 return Ok(None);
             }
@@ -552,8 +445,7 @@ fn insert_rec<V: AggValue>(
             // split_position cuts strictly inside: both halves non-empty.
             let left_router = entries.coord(level, entries.len() - 1);
             let right_router = right.coord(level, right.len() - 1);
-            let right_page = ctx.store()?.allocate()?;
-            ctx.write(right_page, level, &Node::Leaf(right))?;
+            let right_page = ctx.write_new(level, &Node::Leaf(right))?;
             ctx.write(node_id, level, &node)?;
             Ok(Some(SplitUp {
                 left_router,
@@ -561,7 +453,7 @@ fn insert_rec<V: AggValue>(
                 right_router,
             }))
         }
-        Node::Internal(entries) => {
+        Node::Index(entries) => {
             let key = p.get(level);
             // Descend into the first subtree whose router covers the key;
             // extend the last router when the key exceeds every subtree.
@@ -571,7 +463,7 @@ fn insert_rec<V: AggValue>(
                 entries[i].router = key;
             }
             // Border maintenance on the way down (Fig. 6a / 6c).
-            match ctx.policy {
+            match ctx.layout.policy {
                 BorderPolicy::UpdateOptimized => {
                     add_to_border(ctx, level, &mut entries[i].border, p, v.clone())?;
                 }
@@ -590,7 +482,7 @@ fn insert_rec<V: AggValue>(
                     border: empty_border(ctx, level),
                 };
                 entries.insert(i + 1, new_entry);
-                match ctx.policy {
+                match ctx.layout.policy {
                     BorderPolicy::UpdateOptimized => {
                         // Both halves' borders cover their own subtrees.
                         rebuild_borders(ctx, level, entries, &[i, i + 1])?;
@@ -605,14 +497,14 @@ fn insert_rec<V: AggValue>(
                     }
                 }
             }
-            if entries.len() <= ctx.params.internal_cap() {
+            if entries.len() <= ctx.index_cap(level) {
                 ctx.write(node_id, level, &node)?;
                 return Ok(None);
             }
             // Internal split.
             let cut = entries.len() / 2;
             let mut right: Vec<InternalEntry<V>> = entries.split_off(cut);
-            if ctx.policy == BorderPolicy::QueryOptimized {
+            if ctx.layout.policy == BorderPolicy::QueryOptimized {
                 // Prefixes are per-node: the high node's borders must no
                 // longer include the low node's subtrees.
                 let idx: Vec<usize> = (0..right.len()).collect();
@@ -622,8 +514,7 @@ fn insert_rec<V: AggValue>(
             let left_router = entries.last().unwrap().router;
             // lint: allow(unwrap) -- split_position cuts strictly inside, both halves non-empty
             let right_router = right.last().unwrap().router;
-            let right_page = ctx.store()?.allocate()?;
-            ctx.write(right_page, level, &Node::Internal(right))?;
+            let right_page = ctx.write_new(level, &Node::Index(right))?;
             ctx.write(node_id, level, &node)?;
             Ok(Some(SplitUp {
                 left_router,
@@ -670,15 +561,9 @@ fn split_position(len: usize, boundary: impl Fn(usize) -> bool) -> usize {
 /// assert_eq!(t.dominance_sum(&Point::new(&[4.0, 4.0])).unwrap(), 3.0);
 /// ```
 pub struct EcdfBTree<V: AggValue> {
-    /// Where pages come from: the live store, or the pinned epoch the
-    /// tree was opened at (read-only).
-    pages: ReadHandle,
-    params: EcdfParams,
-    dim: usize,
-    policy: BorderPolicy,
-    root: PageId,
-    len: usize,
-    _marker: std::marker::PhantomData<V>,
+    /// Pages (the live store, or the pinned epoch the tree was opened
+    /// at, read-only), sizing, dimension and policy, root and length.
+    nodes: PagedTree<V, Ecdf>,
 }
 
 impl<V: AggValue> EcdfBTree<V> {
@@ -689,9 +574,7 @@ impl<V: AggValue> EcdfBTree<V> {
         policy: BorderPolicy,
         max_value_size: usize,
     ) -> Result<Self> {
-        let mut tree = Self::open_in(store.into(), dim, policy, max_value_size, PageId::NULL, 0)?;
-        tree.root = tree.ctx().new_leaf::<V>(0)?;
-        Ok(tree)
+        Self::bulk_load(store, dim, policy, max_value_size, Vec::new())
     }
 
     /// Bulk-loads a tree from `points` (§4): sorted runs bottom-up, with
@@ -703,47 +586,26 @@ impl<V: AggValue> EcdfBTree<V> {
         max_value_size: usize,
         points: Vec<(Point, V)>,
     ) -> Result<Self> {
-        let len = points.len();
-        let mut tree = Self::open_in(store.into(), dim, policy, max_value_size, PageId::NULL, len)?;
+        if dim == 0 {
+            return Err(invalid_arg("dimension must be at least 1"));
+        }
+        let layout = Ecdf { dim, policy };
+        let mut tree = Self {
+            nodes: PagedTree::open_in(store.into(), layout, 0, max_value_size)?,
+        };
+        tree.nodes.len = points.len();
         // Refuse what `insert` would, before a page is written: a NaN
         // coordinate would silently corrupt the router ordering the whole
         // structure depends on, and a value that is not finite every sum.
         for (p, v) in &points {
             tree.check_insert(p, v)?;
         }
-        tree.root = if points.is_empty() {
-            tree.ctx().new_leaf::<V>(0)?
+        tree.nodes.root = if points.is_empty() {
+            tree.nodes.ctx().new_leaf::<V>(0)?
         } else {
-            bulk_build(tree.ctx(), 0, points)?
+            bulk_build(tree.nodes.ctx(), 0, points)?
         };
         Ok(tree)
-    }
-
-    fn open_in(
-        pages: ReadHandle,
-        dim: usize,
-        policy: BorderPolicy,
-        max_value_size: usize,
-        root: PageId,
-        len: usize,
-    ) -> Result<Self> {
-        if dim == 0 {
-            return Err(invalid_arg("dimension must be at least 1"));
-        }
-        let params = EcdfParams {
-            page_size: pages.store().payload_size(),
-            max_value_size,
-        };
-        params.validate(dim)?;
-        Ok(Self {
-            pages,
-            params,
-            dim,
-            policy,
-            root,
-            len,
-            _marker: std::marker::PhantomData,
-        })
     }
 
     /// Publishes this tree under `name` in the store's superblock
@@ -754,20 +616,8 @@ impl<V: AggValue> EcdfBTree<V> {
     /// pair per dimension). Call again after mutations to refresh the
     /// recorded root and length.
     pub fn persist_as(&self, name: &str) -> Result<()> {
-        self.pages.writable()?.set_root(
-            name,
-            RootEntry {
-                root: self.root,
-                len: self.len as u64,
-                dims: self.dim as u32,
-                max_value_size: self.params.max_value_size as u32,
-                kind: match self.policy {
-                    BorderPolicy::UpdateOptimized => RootKind::EcdfUpdate,
-                    BorderPolicy::QueryOptimized => RootKind::EcdfQuery,
-                },
-                bounds: vec![(f64::NEG_INFINITY, f64::INFINITY); self.dim],
-            },
-        )
+        let bounds = vec![(f64::NEG_INFINITY, f64::INFINITY); self.dim()];
+        self.nodes.persist_as(name, bounds)
     }
 
     /// Reopens a tree published by [`persist_as`](Self::persist_as):
@@ -781,73 +631,43 @@ impl<V: AggValue> EcdfBTree<V> {
     /// commit's state while writers keep committing, and refuses
     /// `insert`, `persist_as` and `destroy` with a typed error.
     pub fn open_named(pages: impl Into<ReadHandle>, name: &str) -> Result<Self> {
-        let pages = pages.into();
-        let entry = pages
-            .root(name)?
-            .ok_or_else(|| invalid_arg(format!("no root named {name:?} in the store catalog")))?;
-        let policy = match entry.kind {
-            RootKind::EcdfUpdate => BorderPolicy::UpdateOptimized,
-            RootKind::EcdfQuery => BorderPolicy::QueryOptimized,
-            other => {
-                return Err(invalid_arg(format!(
-                    "root {name:?} is a {other:?}, not an ECDF-B-tree"
-                )))
-            }
-        };
-        Self::open_in(
-            pages,
-            entry.dims as usize,
-            policy,
-            entry.max_value_size as usize,
-            entry.root,
-            entry.len as usize,
-        )
+        let (nodes, _) = PagedTree::open_named(pages, name)?;
+        Ok(Self { nodes })
     }
 
     /// The border policy.
     pub fn policy(&self) -> BorderPolicy {
-        self.policy
+        self.nodes.ctx().layout.policy
     }
 
     /// The shared page store.
     pub fn store(&self) -> &SharedStore {
-        self.pages.store()
+        self.nodes.store()
     }
 
     /// The root page id.
     pub fn root_page(&self) -> PageId {
-        self.root
-    }
-
-    fn ctx(&self) -> Ctx<'_> {
-        Ctx {
-            pages: &self.pages,
-            params: &self.params,
-            dim: self.dim,
-            policy: self.policy,
-        }
+        self.nodes.root
     }
 
     /// Collects every indexed point (tests/diagnostics).
     pub fn enumerate(&self) -> Result<Vec<(Point, V)>> {
-        let mut out = Vec::new();
-        enumerate(self.ctx(), 0, self.root, &mut out)?;
-        Ok(out)
+        self.nodes.enumerate()
     }
 
     /// Frees every page of the tree.
     pub fn destroy(self) -> Result<()> {
-        free_tree::<V>(self.ctx(), 0, self.root)
+        self.nodes.destroy()
     }
 }
 
 impl<V: AggValue> DominanceSumIndex<V> for EcdfBTree<V> {
     fn dim(&self) -> usize {
-        self.dim
+        self.nodes.ctx().layout.dim
     }
 
     fn check_insert(&self, p: &Point, v: &V) -> Result<()> {
-        check_insert(p, self.dim, v)?;
+        check_insert(p, self.dim(), v)?;
         if !p.is_finite() {
             return Err(invalid_arg(format!(
                 "point {p:?} has a non-finite coordinate"
@@ -858,32 +678,41 @@ impl<V: AggValue> DominanceSumIndex<V> for EcdfBTree<V> {
 
     fn insert(&mut self, p: Point, v: V) -> Result<()> {
         self.check_insert(&p, &v)?;
-        self.root = tree_insert(self.ctx(), 0, self.root, p, v)?;
-        self.len += 1;
+        self.nodes.root = tree_insert(self.nodes.ctx(), 0, self.nodes.root, p, v)?;
+        self.nodes.len += 1;
         Ok(())
     }
 
     fn dominance_sum(&self, q: &Point) -> Result<V> {
-        check_query(q, self.dim)?;
-        query_tree(self.ctx(), 0, self.root, q)
+        check_query(q, self.dim())?;
+        query_tree(self.nodes.ctx(), 0, self.nodes.root, q)
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.nodes.len
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boxagg_common::error::Error;
     use boxagg_common::traits::NaiveDominanceIndex;
     use boxagg_pagestore::StoreConfig;
+    use std::sync::Arc;
 
     fn rnd(state: &mut u64) -> f64 {
         *state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         ((*state >> 11) as f64) / ((1u64 << 53) as f64)
+    }
+
+    fn layout(dim: usize) -> Ecdf {
+        Ecdf {
+            dim,
+            policy: BorderPolicy::QueryOptimized,
+        }
     }
 
     fn new_tree(dim: usize, policy: BorderPolicy, page: usize) -> EcdfBTree<f64> {
@@ -923,7 +752,7 @@ mod tests {
         ];
         let leaf: Node<f64> = Node::Leaf(EntrySlab::from_slice(2, &pts));
         let mut w = ByteWriter::new();
-        leaf.encode(2, 0, &mut w);
+        leaf.encode(&layout(2), 0, &mut w);
         // The slab codec must be byte-identical to the historical
         // interleaved tuple layout.
         let mut tuple = ByteWriter::new();
@@ -934,7 +763,7 @@ mod tests {
             boxagg_common::value::AggValue::encode(v, &mut tuple);
         }
         assert_eq!(w.as_slice(), tuple.as_slice());
-        let back: Node<f64> = Node::decode(w.as_slice(), 2, 0).unwrap();
+        let back: Node<f64> = Node::decode(w.as_slice(), &layout(2), 0).unwrap();
         match back {
             Node::Leaf(entries) => {
                 assert_eq!(entries.len(), 2);
@@ -942,20 +771,20 @@ mod tests {
                 assert_eq!(*entries.value(0), 3.5);
                 assert_eq!(entries.point(1), Point::new(&[-4.0, 0.25]));
             }
-            Node::Internal(_) => panic!("leaf decoded as internal"),
+            Node::Index(_) => panic!("leaf decoded as index"),
         }
 
         // Internal node at the last level (value borders).
-        let internal: Node<f64> = Node::Internal(vec![InternalEntry {
+        let internal: Node<f64> = Node::Index(vec![InternalEntry {
             router: 7.5,
             child: PageId(42),
             border: Border::Value(9.0),
         }]);
         let mut w = ByteWriter::new();
-        internal.encode(1, 0, &mut w);
-        let back: Node<f64> = Node::decode(w.as_slice(), 1, 0).unwrap();
+        internal.encode(&layout(1), 0, &mut w);
+        let back: Node<f64> = Node::decode(w.as_slice(), &layout(1), 0).unwrap();
         match back {
-            Node::Internal(entries) => {
+            Node::Index(entries) => {
                 assert_eq!(entries.len(), 1);
                 assert_eq!(entries[0].router, 7.5);
                 assert_eq!(entries[0].child, PageId(42));
@@ -968,16 +797,16 @@ mod tests {
         }
 
         // Internal node above the last level (tree borders).
-        let internal: Node<f64> = Node::Internal(vec![InternalEntry {
+        let internal: Node<f64> = Node::Index(vec![InternalEntry {
             router: -1.0,
             child: PageId(7),
             border: Border::Tree(PageId(13)),
         }]);
         let mut w = ByteWriter::new();
-        internal.encode(2, 0, &mut w);
-        let back: Node<f64> = Node::decode(w.as_slice(), 2, 0).unwrap();
+        internal.encode(&layout(2), 0, &mut w);
+        let back: Node<f64> = Node::decode(w.as_slice(), &layout(2), 0).unwrap();
         match back {
-            Node::Internal(entries) => match entries[0].border {
+            Node::Index(entries) => match entries[0].border {
                 Border::Tree(id) => assert_eq!(id, PageId(13)),
                 Border::Value(_) => panic!("tree border decoded as value"),
             },
@@ -985,21 +814,20 @@ mod tests {
         }
 
         // Corrupt tag is rejected, not misparsed.
-        assert!(Node::<f64>::decode(&[9u8, 0, 0], 2, 0).is_err());
+        assert!(Node::<f64>::decode(&[9u8, 0, 0], &layout(2), 0).is_err());
     }
 
     #[test]
     fn record_count_is_checked_before_anything_is_allocated() {
-        use boxagg_common::error::Error;
         // A header claiming 65,535 entries and not one byte of them: the
         // parent reserved all 65,535 (≈ 2 MB of internal entries, or
         // that many words per leaf column) before it read the first.
         for (dim, level) in [(1, 0), (2, 0), (2, 1)] {
-            match Node::<f64>::decode(&[1u8, 0xFF, 0xFF], dim, level) {
+            match Node::<f64>::decode(&[1u8, 0xFF, 0xFF], &layout(dim), level) {
                 Err(Error::Corrupt(msg)) => assert!(msg.contains("record count 65535"), "{msg}"),
                 other => panic!("internal, dim {dim} level {level}: {other:?}"),
             }
-            match Node::<f64>::decode(&[0u8, 0xFF, 0xFF], dim, level) {
+            match Node::<f64>::decode(&[0u8, 0xFF, 0xFF], &layout(dim), level) {
                 Err(Error::Corrupt(msg)) => {
                     assert!(
                         msg.contains(&format!("{} bytes", 65535 * (dim + 1) * 8)),
@@ -1020,14 +848,14 @@ mod tests {
         };
         for node in [
             Node::Leaf(EntrySlab::from_slice(2, &pts)),
-            Node::Internal(vec![entry; 12]),
+            Node::Index(vec![entry; 12]),
         ] {
             let mut w = ByteWriter::new();
-            node.encode(2, 1, &mut w);
-            Node::<f64>::decode(w.as_slice(), 2, 1).unwrap();
+            node.encode(&layout(2), 1, &mut w);
+            Node::<f64>::decode(w.as_slice(), &layout(2), 1).unwrap();
             let half = &w.as_slice()[..3 + (w.len() - 3) / 2];
             assert!(matches!(
-                Node::<f64>::decode(half, 2, 1),
+                Node::<f64>::decode(half, &layout(2), 1),
                 Err(Error::Corrupt(_))
             ));
         }

@@ -39,12 +39,18 @@
 //!   recursive border trees) share one pool so space and I/O are
 //!   accounted jointly, and
 //!   [`store::ReadHandle`], through which an index reads either that
-//!   live store or one pinned commit epoch.
+//!   live store or one pinned commit epoch,
+//! * [`paged`] — the one paged-node layer over a `ReadHandle` both
+//!   dominance-sum trees (BA-tree, ECDF-B-trees) are built on: node
+//!   header and leaf codec, capacities, the page context and the
+//!   catalog handle; a tree supplies its index records as a
+//!   [`paged::Layout`].
 
 mod buffer;
 pub mod checksum;
 pub mod fault;
 mod nodecache;
+pub mod paged;
 mod pagemap;
 pub mod pager;
 pub mod rank;

@@ -38,6 +38,12 @@ impl PageId {
 /// Page size used throughout the paper's experiments (§6).
 pub const DEFAULT_PAGE_SIZE: usize = 8192;
 
+/// The smallest page size a pager accepts. [`SharedStore`]'s openers
+/// refuse a smaller one with a typed error before touching a file.
+///
+/// [`SharedStore`]: crate::SharedStore
+pub const MIN_PAGE_SIZE: usize = 64;
+
 /// Backing storage for fixed-size pages.
 ///
 /// Implementations are dumb: no caching, no statistics. That is the
@@ -111,7 +117,7 @@ pub struct MemPager {
 impl MemPager {
     /// Creates an empty in-memory pager.
     pub fn new(page_size: usize) -> Self {
-        assert!(page_size >= 64, "page size unreasonably small");
+        assert!(page_size >= MIN_PAGE_SIZE, "page size unreasonably small");
         Self {
             page_size,
             pages: Vec::new(),
@@ -273,7 +279,7 @@ pub fn wal_path(path: impl AsRef<Path>) -> std::path::PathBuf {
 impl FilePager {
     /// Creates (truncating) a new page file and an empty sidecar WAL.
     pub fn create(path: impl AsRef<Path>, page_size: usize) -> Result<Self> {
-        assert!(page_size >= 64, "page size unreasonably small");
+        assert!(page_size >= MIN_PAGE_SIZE, "page size unreasonably small");
         let file = OpenOptions::new()
             .read(true)
             .write(true)

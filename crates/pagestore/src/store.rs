@@ -19,7 +19,7 @@ use std::sync::Arc;
 use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
 
 use crate::buffer::{BufferPool, IoStats};
-use crate::pager::{FilePager, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE};
+use crate::pager::{FilePager, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE, MIN_PAGE_SIZE};
 use crate::rank::{self, RankedMutex};
 use crate::superblock::{RootEntry, Superblock};
 use crate::wal::{self, RecoveryReport, WalFile};
@@ -110,6 +110,25 @@ impl StoreConfig {
         self.wal = on;
         self
     }
+
+    /// Refuses, as a typed [`Error::InvalidArgument`], a configuration
+    /// no store can be opened with: pages under [`MIN_PAGE_SIZE`] bytes
+    /// or a buffer pool of no pages. Every [`SharedStore`] opener checks
+    /// this before it creates or truncates a file.
+    pub fn validate(&self) -> Result<()> {
+        if self.page_size < MIN_PAGE_SIZE {
+            return Err(invalid_arg(format!(
+                "page size {} is below the minimum of {MIN_PAGE_SIZE} bytes",
+                self.page_size
+            )));
+        }
+        if self.buffer_pages == 0 {
+            return Err(invalid_arg(
+                "the buffer pool needs at least one page (buffer_pages is 0)",
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Cheaply clonable, thread-safe handle to a shared buffer pool — the
@@ -143,6 +162,7 @@ impl SharedStore {
     /// when [`StoreConfig::wal`] is on; the plain memory default is the
     /// paper's store, with no log and no page 0.
     pub fn open(config: &StoreConfig) -> Result<Self> {
+        config.validate()?;
         let pager: Box<dyn Pager> = match &config.backing {
             Backing::Memory => Box::new(MemPager::new(config.page_size)),
             Backing::File(path) if path.exists() => {
@@ -176,6 +196,7 @@ impl SharedStore {
                  no shared file to protect",
             ));
         };
+        config.validate()?;
         let pager = crate::readonly::ReadOnlyPager::open(path, config.page_size)?;
         // No log: the pool must never touch the sidecar.
         Self::catalogued(
@@ -216,8 +237,10 @@ impl SharedStore {
     ///   loaded (or formatted into an empty pager).
     ///
     /// The pager defines the page size; `config.backing` only picks the
-    /// kind.
+    /// kind. A config [`StoreConfig::validate`] refuses is refused here
+    /// too, before the pager is touched.
     pub fn open_with_pager(mut pager: Box<dyn Pager>, config: &StoreConfig) -> Result<Self> {
+        config.validate()?;
         if matches!(config.backing, Backing::Memory) && !config.wal {
             return Ok(Self::assemble(pager, None, config));
         }
@@ -1288,6 +1311,63 @@ mod tests {
             vec![0u8; 256],
             "refused open did not format page 0"
         );
+    }
+
+    #[test]
+    fn bad_configs_are_typed_errors_before_any_file_is_touched() {
+        let dir = tempfile::tempdir().unwrap();
+        let kept = dir.path().join("kept.db");
+        {
+            let s = SharedStore::open(&file_cfg(kept.clone()).with_wal(true)).unwrap();
+            let id = s.allocate().unwrap();
+            s.write_page(id, &[7; 32]).unwrap();
+            s.commit().unwrap();
+        }
+        let files = |path: &std::path::Path| {
+            let wal = crate::pager::wal_path(path);
+            (std::fs::read(path).ok(), std::fs::read(wal).ok())
+        };
+        let before = files(&kept);
+        let fresh = dir.path().join("fresh.db");
+        for (page_size, buffer_pages, what) in [
+            (0, 4, "page size 0 "),
+            (32, 4, "page size 32 "),
+            (63, 4, "page size 63 "),
+            (256, 0, "buffer_pages is 0"),
+        ] {
+            for path in [&kept, &fresh] {
+                let file = StoreConfig {
+                    page_size,
+                    buffer_pages,
+                    ..file_cfg(path.clone())
+                };
+                let memory = StoreConfig::small(page_size, buffer_pages);
+                for (opener, got) in [
+                    ("open", SharedStore::open(&file)),
+                    (
+                        "open with WAL",
+                        SharedStore::open(&file.clone().with_wal(true)),
+                    ),
+                    ("open_readonly", SharedStore::open_readonly(&file)),
+                    ("open in memory", SharedStore::open(&memory)),
+                ] {
+                    match got {
+                        Err(Error::InvalidArgument(msg)) => {
+                            assert!(msg.contains(what), "{opener}: {msg}")
+                        }
+                        other => panic!("{opener} {what}: {other:?}"),
+                    }
+                }
+            }
+            assert_eq!(files(&kept), before, "{what}: the store was touched");
+            assert_eq!(files(&fresh), (None, None), "{what}: a file was created");
+        }
+        let pager = Box::new(MemPager::new(256));
+        match SharedStore::open_with_pager(pager, &StoreConfig::small(256, 0)) {
+            Err(Error::InvalidArgument(msg)) => assert!(msg.contains("buffer_pages"), "{msg}"),
+            other => panic!("open_with_pager: {other:?}"),
+        }
+        SharedStore::open(&file_cfg(kept)).unwrap();
     }
 
     #[test]

@@ -657,9 +657,7 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared) {
         dims: shared.dim as u32,
         page_size: shared.store.page_size() as u32,
         objects: shared.objects.load(Ordering::SeqCst),
-        bounds: (0..shared.dim)
-            .map(|i| (shared.space.low().get(i), shared.space.high().get(i)))
-            .collect(),
+        bounds: shared.space.bounds(),
     };
     if !send_response(&mut stream, &Response::Hello(hello)) {
         return;
