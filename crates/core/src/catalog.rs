@@ -129,15 +129,12 @@ mod tests {
         Rect::from_bounds(&vec![(0.0, 1.0); dim])
     }
 
-    /// Node caches large enough that nothing here is ever evicted: the
-    /// decode counts below are about sharing, not capacity.
+    /// A buffer large enough that no page here — and so no decode kept
+    /// with it — is ever evicted: the decode counts below are about
+    /// sharing, not capacity.
     fn wal_store() -> SharedStore {
-        SharedStore::open(
-            &StoreConfig::small(1024, 256)
-                .with_wal(true)
-                .with_node_cache(1 << 14),
-        )
-        .expect("open memory WAL store")
+        SharedStore::open(&StoreConfig::small(1024, 1 << 14).with_wal(true))
+            .expect("open memory WAL store")
     }
 
     fn answers<I: DominanceSumIndex<f64>>(e: &CornerBoxSum<I>, queries: &[Rect]) -> Vec<u64> {

@@ -233,8 +233,8 @@ impl BufferPool {
             // The page's committed image just changed: readers pinned
             // at the old epoch now fail their hit's epoch check, and
             // new-epoch readers cannot pin until this loop is done.
-            self.committed.invalidate(*id);
             let mut lru = self.lru.acquire();
+            self.committed.invalidate(*id);
             if let Some(idx) = lru.map.get(*id) {
                 let f = &mut lru.frames[idx];
                 if f.dirty {

@@ -41,7 +41,11 @@
 //! frame keeps for next time. Whatever changes a frame's bytes or page —
 //! a write, a free, an eviction, the frame's reuse — drops its decode
 //! under the same lock, so no decode can outlive its bytes, and the
-//! paper's LRU is the only LRU a live read goes through.
+//! paper's LRU is the only LRU a live read goes through. A WAL pool's
+//! committed-image cache, which pinned reads go through, follows the
+//! same rule: its entry for a page leaves with the page's frame
+//! ([`release`](BufferPool::release)), so the paper's LRU is the only
+//! eviction policy in the pool.
 //!
 //! Page-access closures passed to [`BufferPool::with_page`] run while the
 //! LRU is locked and therefore must not re-enter the pool.
@@ -78,11 +82,6 @@ use snapshot::SnapshotTable;
 
 mod commit;
 mod snapshot;
-
-/// The fixed shard count of the committed-image node cache, clamped to
-/// its capacity: pinned hits on every core go through it, beside the
-/// byte pool's one paper-faithful LRU.
-pub(crate) const MAX_SHARDS: usize = 64;
 
 /// Cumulative I/O statistics of a store's buffer pool
 /// ([`SharedStore::stats`](crate::store::SharedStore::stats)).
@@ -259,13 +258,15 @@ impl Lru {
         }
     }
 
-    /// Unlinks and unmaps frame `idx`, holding page `id`, and puts it
-    /// on the free list.
-    fn release(&mut self, idx: usize, id: PageId) {
+    /// Unlinks and unmaps frame `idx`, puts it on the free list and
+    /// returns the page it held.
+    fn release(&mut self, idx: usize) -> PageId {
+        let id = self.frames[idx].id;
         self.detach(idx);
         self.map.remove(id);
         self.frames[idx].reset();
         self.free.push(idx);
+        id
     }
 
     fn detach(&mut self, idx: usize) {
@@ -302,18 +303,6 @@ impl Lru {
             self.push_front(idx);
         }
     }
-
-    /// Drops the frame caching `id`, if any, without a write-back.
-    /// Returns whether the dropped frame was dirty (the caller owns the
-    /// pool-wide dirty-frame counter).
-    fn drop_frame(&mut self, id: PageId) -> bool {
-        let Some(idx) = self.map.get(id) else {
-            return false;
-        };
-        let was_dirty = self.frames[idx].dirty;
-        self.release(idx, id);
-        was_dirty
-    }
 }
 
 /// A fixed-capacity, thread-safe LRU page cache over a [`Pager`].
@@ -331,8 +320,8 @@ pub(crate) struct BufferPool {
     capacity: usize,
     /// The frames and their LRU order (rank [`SHARD`](rank::SHARD)).
     lru: RankedMutex<Lru>,
-    /// Whether a frame keeps the decode a live read made of it
-    /// (`node_cache_pages > 0`).
+    /// Whether decodes are kept: a live read's in its frame and, on a
+    /// WAL pool, a pinned read's in `committed`.
     keep_nodes: bool,
     alloc: RankedMutex<AllocState>,
     /// Serializes commits; rank [`WAL`](rank::WAL), below every lock the
@@ -369,11 +358,13 @@ pub(crate) struct BufferPool {
     /// lock ordering argued on `read_node_at`.
     epoch: AtomicU64,
     /// Decoded nodes of *committed* page images, for pinned reads (see
-    /// [`read_node_at`](Self::read_node_at)), in [`MAX_SHARDS`] shards.
-    /// An entry is the decode of its page's current committed image;
-    /// the epoch flip drops the entries of its transaction's pages
-    /// under the exclusive barrier. Capacity 0 (nothing stored) on
-    /// pools without WAL, which have no epochs to pin.
+    /// [`read_node_at`](Self::read_node_at)). An entry is the decode of
+    /// its page's current committed image, and its page has a frame:
+    /// it is inserted under the LRU lock with the frame held and leaves
+    /// with the frame ([`release`](Self::release)); the epoch flip
+    /// drops the entries of its transaction's pages. Entries are kept
+    /// only when [`keeps_committed`](Self::keeps_committed); every pool
+    /// counts its pinned reads here.
     committed: NodeCache,
     /// Pool-wide mutation stamp source (see [`Frame::seq`]).
     seq: AtomicU64,
@@ -430,16 +421,15 @@ impl BufferPool {
     /// [`commit`](Self::commit) streams them through it; the pool
     /// soft-exceeds its capacity when every frame is dirty. Without one,
     /// behavior — including every I/O count — is byte-identical to the
-    /// pre-WAL pool. `node_cache_pages`
-    /// sizes the decoded-node cache of committed images that pinned
-    /// reads go through (WAL pools only); 0 keeps no decodes at all —
-    /// neither there nor in the frames [`read_node`](Self::read_node)
-    /// serves.
+    /// pre-WAL pool. `keep_nodes` keeps decodes: a live read's in the
+    /// frame [`read_node`](Self::read_node) serves, and — WAL pools
+    /// only — a pinned read's in the committed-image cache, for as long
+    /// as the page has a frame. Without it every node read decodes.
     pub(crate) fn new(
         pager: Box<dyn Pager>,
         capacity: usize,
         log: Option<Box<dyn WalFile>>,
-        node_cache_pages: usize,
+        keep_nodes: bool,
     ) -> Self {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
         let page_size = pager.page_size();
@@ -455,11 +445,11 @@ impl BufferPool {
             zero_mask: checksum::zero_mask(payload),
             capacity,
             lru: RankedMutex::new(rank::SHARD, "buffer lru", Lru::new()),
-            keep_nodes: node_cache_pages > 0,
+            keep_nodes,
             alloc: RankedMutex::new(rank::ALLOCATOR, "page allocator", AllocState::default()),
             commit_lock: RankedMutex::new(rank::WAL, "commit", ()),
             barrier: RankedRwLock::new(rank::BARRIER, "write barrier", ()),
-            committed: NodeCache::new(if log.is_some() { node_cache_pages } else { 0 }, MAX_SHARDS),
+            committed: NodeCache::new(),
             log: log.map(|h| RankedMutex::new(rank::WAL_IO, "wal io", h)),
             snapshots: RankedMutex::new(rank::SNAPSHOT, "snapshot table", SnapshotTable::default()),
             epoch: AtomicU64::new(1),
@@ -494,6 +484,13 @@ impl BufferPool {
     /// Whether the pool runs the WAL commit protocol.
     pub(crate) fn wal(&self) -> bool {
         self.log.is_some()
+    }
+
+    /// Whether pinned reads keep their decodes in the committed-image
+    /// cache: on WAL pools that keep decodes. Without WAL a write
+    /// changes the committed image in place, so there is none to keep.
+    fn keeps_committed(&self) -> bool {
+        self.keep_nodes && self.wal()
     }
 
     /// Folds `n` recovery replays into the statistics (called by
@@ -609,11 +606,15 @@ impl BufferPool {
         }
         alloc.free_pages.push(id);
         // Hold the alloc lock while dropping the cached frame (and its
-        // decode) so a concurrent re-allocation cannot observe either.
+        // decodes) so a concurrent re-allocation cannot observe either.
         let was_dirty = {
             let mut lru = self.lru.acquire();
             lru.invalidations += 1;
-            lru.drop_frame(id)
+            lru.map.get(id).is_some_and(|idx| {
+                let dirty = lru.frames[idx].dirty;
+                self.release(&mut lru, idx);
+                dirty
+            })
         };
         if self.wal() && was_dirty {
             self.dirty_frames.fetch_sub(1, Ordering::Relaxed);
@@ -640,6 +641,17 @@ impl BufferPool {
         Ok(())
     }
 
+    /// Puts frame `idx` on the free list — the one way a frame leaves
+    /// its page (eviction, `free_page`), so also the one place its
+    /// page's committed-image entry goes: every entry's page has a
+    /// frame. Only a pool that keeps such entries takes a cache lock.
+    fn release(&self, lru: &mut Lru, idx: usize) {
+        let id = lru.release(idx);
+        if self.keeps_committed() {
+            self.committed.remove(id);
+        }
+    }
+
     /// Evicts the least-recently-used frame, writing it back first if dirty. On a
     /// write-back error the victim frame is left fully intact (still
     /// linked, still mapped, still dirty), so the pool stays consistent
@@ -647,11 +659,10 @@ impl BufferPool {
     fn evict_one(&self, lru: &mut Lru) -> Result<()> {
         let victim = lru.tail;
         debug_assert_ne!(victim, NIL);
-        let id = lru.frames[victim].id;
         if lru.frames[victim].dirty {
             self.write_back(&mut lru.frames[victim])?;
         }
-        lru.release(victim, id);
+        self.release(lru, victim);
         Ok(())
     }
 
@@ -663,8 +674,7 @@ impl BufferPool {
         let mut idx = lru.tail;
         while idx != NIL {
             if !lru.frames[idx].dirty {
-                let id = lru.frames[idx].id;
-                lru.release(idx, id);
+                self.release(lru, idx);
                 return true;
             }
             idx = lru.frames[idx].prev;
@@ -914,10 +924,11 @@ impl BufferPool {
     /// the LRU list is a well-formed doubly linked list over exactly the
     /// mapped frames, every frame is either mapped or on the free list
     /// (none leaked), free frames are truly reset, and occupancy
-    /// respects capacity. Also checks the allocator's free list against
-    /// its double-free set, the committed-image node cache
-    /// ([`NodeCache::validate`]), and — on a WAL pool — the dirty-frame
-    /// counter and the snapshot table's invariants.
+    /// respects capacity. Also checks the committed-image node cache
+    /// ([`NodeCache::validate`]): every entry's page has a frame, and a
+    /// pool that keeps no entries holds none; the allocator's free list
+    /// against its double-free set; and — on a WAL pool — the
+    /// dirty-frame counter and the snapshot table's invariants.
     pub(crate) fn validate(&self) -> Result<()> {
         // Quiesce writers on a WAL pool so the dirty count is exact.
         let _quiesced = if self.wal() {
@@ -986,6 +997,9 @@ impl BufferPool {
             if linked + lru.free.len() != lru.frames.len() {
                 return fail("frame leaked (neither mapped nor free)");
             }
+            let keeps = self.keeps_committed();
+            self.committed
+                .validate(|id| keeps && lru.map.get(id).is_some())?;
         }
         if self.wal() && dirty_seen != self.dirty_frames.load(Ordering::Relaxed) {
             return Err(corrupt(format!(
@@ -994,7 +1008,6 @@ impl BufferPool {
                 dirty_seen
             )));
         }
-        self.committed.validate()?;
         let alloc = self.alloc.acquire();
         if alloc.free_pages.len() != alloc.freed.len()
             || alloc.free_pages.iter().any(|id| !alloc.freed.contains(id))
@@ -1013,7 +1026,7 @@ mod tests {
     use crate::pager::MemPager;
 
     fn pool(cap: usize) -> BufferPool {
-        BufferPool::new(Box::new(MemPager::new(128)), cap, None, 0)
+        BufferPool::new(Box::new(MemPager::new(128)), cap, None, false)
     }
 
     pub(super) fn page_with(pool: &BufferPool, byte: u8) -> PageId {
@@ -1228,7 +1241,7 @@ mod tests {
         // list. The victim must stay fully intact on the error path.
         use crate::fault::{FaultPager, FaultSpec, OpFilter};
         let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-        let p = BufferPool::new(Box::new(pager), 2, None, 0);
+        let p = BufferPool::new(Box::new(pager), 2, None, false);
         let a = page_with(&p, 1);
         let b = page_with(&p, 2);
 
@@ -1286,7 +1299,7 @@ mod tests {
 
         // 8 dirty pages; fail the 3rd flush write.
         let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-        let p = BufferPool::new(Box::new(pager), 16, None, 0);
+        let p = BufferPool::new(Box::new(pager), 16, None, false);
         let ids: Vec<PageId> = (0..8u8).map(|i| page_with(&p, i)).collect();
         faults.arm(FaultSpec::error_at(OpFilter::Writes, 3));
 
@@ -1319,7 +1332,7 @@ mod tests {
         use crate::fault::{is_injected, FaultPager, FaultSpec, OpFilter};
 
         let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-        let p = BufferPool::new(Box::new(pager), 4, None, 0);
+        let p = BufferPool::new(Box::new(pager), 4, None, false);
         page_with(&p, 1);
         faults.arm(FaultSpec::error_at(OpFilter::Syncs, 1));
         let err = p.flush_all().unwrap_err();
@@ -1346,7 +1359,7 @@ mod tests {
         use crate::fault::{is_injected, FaultPager, FaultSpec};
 
         let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-        let p = BufferPool::new(Box::new(pager), 4, None, 0);
+        let p = BufferPool::new(Box::new(pager), 4, None, false);
         let id = p.allocate().unwrap();
         p.write_page(id, &[0xAB; 100]).unwrap();
         // Tear the flush write after 33 bytes, then drop the frame so
@@ -1388,7 +1401,7 @@ mod tests {
     pub(super) fn wal_pool(cap: usize) -> (BufferPool, crate::fault::FaultHandle) {
         let (mut pager, faults) = crate::fault::FaultPager::new(Box::new(MemPager::new(128)));
         let log = pager.wal().unwrap();
-        let p = BufferPool::new(Box::new(pager), cap, Some(log), cap);
+        let p = BufferPool::new(Box::new(pager), cap, Some(log), true);
         (p, faults)
     }
 

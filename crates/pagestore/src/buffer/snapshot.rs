@@ -14,12 +14,16 @@
 //! reader never observes a half-applied transaction.
 //!
 //! Pinned reads of *decoded* nodes ([`BufferPool::read_node_at`]) go
-//! through a [`NodeCache`](crate::nodecache::NodeCache) of committed images: an entry is the decode
-//! of its page's current committed image, and a clean frame's decode is
-//! that decode, so the two share it. That image changes only in
-//! the flip, which publishes the new epoch and then drops the entry of
-//! every transaction page before it releases the barrier. A hit takes
-//! no pool-wide lock: it reads the epoch (an atomic), looks the page up
+//! through a [`NodeCache`](crate::nodecache::NodeCache) of committed
+//! images: an entry is the decode of its page's current committed
+//! image, and a clean frame's decode is that decode, so the two share
+//! it. An entry lives only while its page has a frame: a miss inserts
+//! it under the LRU lock with the frame held, and the frame's eviction,
+//! free or reuse drops it, so the buffer's LRU is the cache's only
+//! eviction policy. The committed image changes only in the flip,
+//! which publishes the new epoch and then drops the entry of every
+//! transaction page before it releases the barrier. A hit takes no
+//! pool-wide lock: it reads the epoch (an atomic), looks the page up
 //! under one cache-shard lock and reads the epoch again, and keeps the
 //! node only if both reads are the reader's pinned epoch — the shard
 //! lock orders any later flip's invalidation, and any insert made after
@@ -180,7 +184,12 @@ impl BufferPool {
     /// type `N` takes that decode instead of running `decode`, and a
     /// decode of a clean frame's bytes is left in the frame: those bytes
     /// *are* the current committed image, so a clean page has one
-    /// decoded copy, shared by live and pinned reads.
+    /// decoded copy, shared by live and pinned reads. A miss caches its
+    /// node (when the pool [keeps committed decodes](Self::keeps_committed))
+    /// inside [`with_committed_page`](Self::with_committed_page), under
+    /// the LRU lock with the page's frame held, and the entry goes when
+    /// that frame does: a page the buffer evicted is a miss that fetches
+    /// it again.
     ///
     /// **The hit path takes no pool-wide lock.** It loads the epoch,
     /// looks `id` up under its cache-shard lock, and loads the epoch
@@ -232,12 +241,17 @@ impl BufferPool {
         if let Some(node) = self.committed.lookup::<N>(id) {
             return Ok((node, false));
         }
-        let (node, decoded) = self.with_committed_page(id, |bytes, held| match held {
-            Some(slot) => frame_node(slot, bytes, self.keep_nodes, decode),
-            None => Ok((Arc::new(decode(bytes)?), true)),
-        })??;
-        self.committed.insert(id, Arc::clone(&node) as CachedNode);
-        Ok((node, decoded))
+        let keep = self.keeps_committed();
+        self.with_committed_page(id, |bytes, held| {
+            let (node, decoded) = match held {
+                Some(slot) => frame_node(slot, bytes, self.keep_nodes, decode)?,
+                None => (Arc::new(decode(bytes)?), true),
+            };
+            if keep {
+                self.committed.insert(id, Arc::clone(&node) as CachedNode);
+            }
+            Ok((node, decoded))
+        })?
     }
 
     /// The second half of [`read_node_at`](Self::read_node_at)'s hit
@@ -274,8 +288,12 @@ impl BufferPool {
     }
 
     /// Runs `f` over page `id`'s current committed image and, when that
-    /// image is a clean frame's bytes, the frame's decode slot. The
-    /// caller holds the barrier shared, so no flip can interleave.
+    /// image is a clean frame's bytes, the frame's decode slot. `f` runs
+    /// under the LRU lock with `id`'s frame resident in every branch —
+    /// a dirty frame's base, the disk image behind a dirty frame, a
+    /// clean frame — so an entry `f` puts in the committed-image cache
+    /// has its frame. The caller holds the barrier shared, so no flip
+    /// can interleave.
     fn with_committed_page<T>(
         &self,
         id: PageId,
@@ -430,5 +448,28 @@ mod tests {
         p.unpin_snapshot(e);
         p.unpin_snapshot(newer);
         p.validate().unwrap();
+    }
+
+    /// Every committed-image entry's page has a frame: an eviction
+    /// takes the entry with it, and `validate` refuses an entry left
+    /// without one.
+    #[test]
+    fn validate_refuses_a_committed_entry_without_a_frame() {
+        let (p, _) = wal_pool(2);
+        let a = page_with(&p, 1);
+        p.commit().unwrap();
+        let e = p.pin_snapshot();
+        let decode = |d: &[u8]| Ok(d[0]);
+        assert_eq!(p.read_node_at(a, e, decode).unwrap(), (Arc::new(1), true));
+        p.validate().unwrap();
+        // Two dirty pages evict `a`'s clean frame — and its entry.
+        page_with(&p, 2);
+        page_with(&p, 3);
+        assert!(p.lru.acquire().map.get(a).is_none(), "`a` was evicted");
+        p.validate().unwrap();
+        p.committed.insert(a, Arc::new(1u8));
+        let err = p.validate().unwrap_err();
+        assert!(err.to_string().contains("no frame"), "got: {err}");
+        p.unpin_snapshot(e);
     }
 }

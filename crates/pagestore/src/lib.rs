@@ -18,8 +18,10 @@
 //!   write-back, [`IoStats`]; a frame also holds the decode a live read
 //!   made of its bytes, so warm traversals skip codec cost without
 //!   perturbing byte-level I/O accounting,
-//! * `nodecache` (private) — an LRU of decoded *committed* images,
-//!   which pinned reads go through,
+//! * `nodecache` (private) — an index of decoded *committed* images of
+//!   resident pages, which pinned reads go through; an entry lives and
+//!   dies with its page's buffer frame, so it has no eviction policy of
+//!   its own,
 //! * [`rank`] — [`rank::RankedMutex`], the rank-checked lock wrapper
 //!   every mutex in this crate goes through (debug builds panic on
 //!   out-of-order acquisition; see the module docs for the lock order),

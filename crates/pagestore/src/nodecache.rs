@@ -1,15 +1,24 @@
 //! Decoded-node cache of *committed* page images, for pinned reads.
 //!
 //! A live read keeps its decode in the buffer frame that holds the page
-//! (see [`BufferPool::read_node`](crate::buffer::BufferPool::read_node)):
-//! the paper's LRU is the only LRU a live read goes through. A pinned
-//! read cannot use a frame's decode when the frame is dirty — its bytes
-//! are the writer's, not the pinned commit's — so a WAL store keeps this
-//! second, typed cache: an entry is the decode of its page's *current
-//! committed image*, an `Arc<dyn Any + Send + Sync>` keyed by page id,
-//! and it serves every pinned read
+//! (see [`BufferPool::read_node`](crate::buffer::BufferPool::read_node)).
+//! A pinned read cannot use a frame's decode when the frame is dirty —
+//! its bytes are the writer's, not the pinned commit's — so a WAL store
+//! keeps this second, typed index: an entry is the decode of its page's
+//! *current committed image*, an `Arc<dyn Any + Send + Sync>` keyed by
+//! page id, and it serves every pinned read
 //! ([`StoreSnapshot::read_node`](crate::store::StoreSnapshot::read_node))
 //! of every pin. It changes nothing about byte-level I/O accounting.
+//!
+//! # No eviction policy of its own
+//!
+//! The cache holds decodes of *resident* pages only, and has no
+//! capacity, recency list or victim choice: the buffer pool inserts an
+//! entry while it holds the page's frame under the LRU lock, and
+//! [`remove`]s it under that lock when the frame goes — evicted, freed
+//! or reused. So every entry's page has a frame, the paper's LRU decides
+//! what a pinned read finds decoded, and the cache is bounded by the
+//! buffer.
 //!
 //! # Why no generations
 //!
@@ -19,20 +28,21 @@
 //! entries before it releases the barrier. A read that decodes holds the
 //! barrier shared from its [`lookup`] to its [`insert`], so no flip can
 //! fall between them and the insert is always of the current image.
-//! A pinned *hit* takes no barrier: [`try_hit`] re-reads the pool's
-//! epoch under the shard lock that found the entry and keeps the entry
-//! only if the epoch is still the reader's (the argument is on
+//! A pinned *hit* takes no barrier and no LRU lock: [`try_hit`] re-reads
+//! the pool's epoch under the shard lock that found the entry and keeps
+//! the entry only if the epoch is still the reader's (the argument is on
 //! [`BufferPool::read_node_at`](crate::buffer::BufferPool::read_node_at)).
 //! A page superseded *after* a reader's epoch is decoded from its
 //! retained image and never cached.
 //!
-//! Each shard's mutex is a [`RankedMutex`] at rank
-//! [`NODE_CACHE`](crate::rank::NODE_CACHE), a leaf lock, and each shard
-//! finds its entries through a dense `PageMap`: the shard is a page
-//! id's low bits, as in the buffer pool.
+//! Each of the [`SHARDS`] shards' mutex is a [`RankedMutex`] at rank
+//! [`NODE_CACHE`](crate::rank::NODE_CACHE), a leaf lock taken under the
+//! LRU or with no lock held, and each shard finds its entries through a
+//! dense `PageMap`: the shard is a page id's low bits.
 //!
 //! [`lookup`]: NodeCache::lookup
 //! [`insert`]: NodeCache::insert
+//! [`remove`]: NodeCache::remove
 //! [`invalidate`]: NodeCache::invalidate
 //! [`try_hit`]: NodeCache::try_hit
 
@@ -46,26 +56,15 @@ use crate::rank::{self, RankedMutex};
 /// Type-erased decoded node, as a buffer frame or the cache holds it.
 pub(crate) type CachedNode = Arc<dyn Any + Send + Sync>;
 
-const NIL: usize = usize::MAX;
+/// The fixed shard count: pinned hits on every core go through it,
+/// beside the byte pool's one paper-faithful LRU.
+const SHARDS: usize = 64;
 
-#[derive(Debug)]
-struct Slot {
-    id: PageId,
-    node: Option<CachedNode>,
-    prev: usize,
-    next: usize,
-}
-
-/// One independent LRU list over a slice of the page-id space.
+/// The decodes of one slice of the page-id space.
 struct CacheShard {
-    capacity: usize,
-    slots: Vec<Slot>,
     map: PageMap,
-    /// Most recently used slot index.
-    head: usize,
-    /// Least recently used slot index.
-    tail: usize,
-    free: Vec<usize>,
+    /// `(page, decode)` in no order; `map` holds each page's index.
+    nodes: Vec<(PageId, CachedNode)>,
     /// Reads of this shard's pages served from a cached node / that
     /// found none, and invalidations — counted under the shard lock the
     /// operation already holds, so concurrent readers share no counter
@@ -76,138 +75,55 @@ struct CacheShard {
 }
 
 impl CacheShard {
-    fn new(capacity: usize, shards: usize) -> Self {
-        Self {
-            capacity,
-            slots: Vec::new(),
-            map: PageMap::new(shards),
-            head: NIL,
-            tail: NIL,
-            free: Vec::new(),
-            hits: 0,
-            misses: 0,
-            invalidations: 0,
-        }
-    }
-
-    fn detach(&mut self, idx: usize) {
-        let (prev, next) = (self.slots[idx].prev, self.slots[idx].next);
-        if prev != NIL {
-            self.slots[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slots[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-        self.slots[idx].prev = NIL;
-        self.slots[idx].next = NIL;
-    }
-
-    fn push_front(&mut self, idx: usize) {
-        self.slots[idx].prev = NIL;
-        self.slots[idx].next = self.head;
-        if self.head != NIL {
-            self.slots[self.head].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-    }
-
-    fn touch(&mut self, idx: usize) {
-        if self.head != idx {
-            self.detach(idx);
-            self.push_front(idx);
-        }
-    }
-
-    /// Removes the entry caching `id`, if any (LRU eviction or explicit
-    /// invalidation).
-    fn remove(&mut self, id: PageId) {
-        if let Some(idx) = self.map.remove(id) {
-            self.detach(idx);
-            self.slots[idx].node = None;
-            self.slots[idx].id = PageId::NULL;
-            self.free.push(idx);
-        }
+    fn get(&self, id: PageId) -> Option<&CachedNode> {
+        self.map.get(id).map(|idx| &self.nodes[idx].1)
     }
 
     fn insert(&mut self, id: PageId, node: CachedNode) {
-        if self.capacity == 0 {
-            return;
+        match self.map.get(id) {
+            Some(idx) => self.nodes[idx].1 = node,
+            None => {
+                self.map.insert(id, self.nodes.len());
+                self.nodes.push((id, node));
+            }
         }
-        if let Some(idx) = self.map.get(id) {
-            self.slots[idx].node = Some(node);
-            self.touch(idx);
-            return;
+    }
+
+    /// Drops `id`'s entry, if any, moving the last entry into its place.
+    fn remove(&mut self, id: PageId) {
+        if let Some(idx) = self.map.remove(id) {
+            self.nodes.swap_remove(idx);
+            if let Some(&(moved, _)) = self.nodes.get(idx) {
+                self.map.insert(moved, idx);
+            }
         }
-        if self.map.len() >= self.capacity {
-            let victim = self.slots[self.tail].id;
-            self.remove(victim);
-        }
-        let slot = Slot {
-            id,
-            node: Some(node),
-            prev: NIL,
-            next: NIL,
-        };
-        let idx = if let Some(idx) = self.free.pop() {
-            self.slots[idx] = slot;
-            idx
-        } else {
-            self.slots.push(slot);
-            self.slots.len() - 1
-        };
-        self.map.insert(id, idx);
-        self.push_front(idx);
     }
 }
 
-/// A sharded LRU cache of decoded committed images.
+/// A sharded index of the decoded committed images of resident pages.
 ///
-/// The buffer pool of a WAL store owns one (see the module docs);
-/// capacity 0 disables storage entirely (every lookup is a counted
-/// miss, preserving the `decode_hits + decode_misses == node accesses`
-/// invariant even when disabled). The counters live in the shards and
-/// are summed on demand.
+/// The buffer pool of a WAL store keeps entries in one (see the module
+/// docs); every pool counts its pinned reads in one, so that
+/// `decode_hits + decode_misses` equals the node reads served whether
+/// decodes are kept or not. The counters live in the shards and are
+/// summed on demand.
 pub(crate) struct NodeCache {
     shards: Box<[RankedMutex<CacheShard>]>,
 }
 
-impl std::fmt::Debug for NodeCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeCache")
-            .field("shards", &self.shards.len())
-            .field("capacity", &self.capacity())
-            .finish()
-    }
-}
-
 impl NodeCache {
-    /// Creates a cache holding at most `capacity` decoded nodes split
-    /// across `shards` LRU lists: rounded up to a power of two, then
-    /// clamped to the largest power of two ≤ `capacity`, so every shard
-    /// holds at least one node and together they hold exactly
-    /// `capacity`. `capacity == 0` disables storage (one empty shard)
-    /// but keeps counting accesses.
-    pub(crate) fn new(capacity: usize, shards: usize) -> Self {
-        let n = shards
-            .max(1)
-            .next_power_of_two()
-            .min(1 << capacity.max(1).ilog2());
-        let shards: Vec<RankedMutex<CacheShard>> = (0..n)
-            .map(|i| {
-                // Split capacity as evenly as possible.
-                let cap = capacity / n + usize::from(i < capacity % n);
-                RankedMutex::new(
-                    rank::NODE_CACHE,
-                    "node cache shard",
-                    CacheShard::new(cap, n),
-                )
+    /// An empty cache of [`SHARDS`] shards.
+    pub(crate) fn new() -> Self {
+        let shards: Vec<RankedMutex<CacheShard>> = (0..SHARDS)
+            .map(|_| {
+                let shard = CacheShard {
+                    map: PageMap::new(SHARDS),
+                    nodes: Vec::new(),
+                    hits: 0,
+                    misses: 0,
+                    invalidations: 0,
+                };
+                RankedMutex::new(rank::NODE_CACHE, "node cache shard", shard)
             })
             .collect();
         Self {
@@ -223,23 +139,13 @@ impl NodeCache {
         &self.shards[self.shard_index(id)]
     }
 
-    /// Total node capacity (summed across shards).
-    pub(crate) fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.acquire().capacity).sum()
-    }
-
     /// The cached node for `id`, counting a hit; a missing entry — or
     /// one whose concrete type is not `N`, which is dropped — counts a
     /// miss, and the caller decodes and [`insert`](Self::insert)s.
     pub(crate) fn lookup<N: Any + Send + Sync>(&self, id: PageId) -> Option<Arc<N>> {
         let mut shard = self.shard_for(id).acquire();
-        if let Some(idx) = shard.map.get(id) {
-            let node = shard.slots[idx]
-                .node
-                .clone()
-                .and_then(|n| n.downcast::<N>().ok());
-            if let Some(node) = node {
-                shard.touch(idx);
+        if let Some(node) = shard.get(id) {
+            if let Ok(node) = Arc::clone(node).downcast::<N>() {
                 shard.hits += 1;
                 return Some(node);
             }
@@ -251,34 +157,39 @@ impl NodeCache {
 
     /// The cached node for `id`, if there is one of type `N` and
     /// `still_valid()` — called under the shard lock, after the entry
-    /// was found — returns true; only then is a hit counted and the
-    /// entry refreshed. Otherwise nothing is counted or changed and the
-    /// caller falls back to [`lookup`](Self::lookup), which counts the
-    /// read: every read is one hit or one miss, however it was served.
+    /// was found — returns true; only then is a hit counted. Otherwise
+    /// nothing is counted or changed and the caller falls back to
+    /// [`lookup`](Self::lookup), which counts the read: every read is
+    /// one hit or one miss, however it was served.
     pub(crate) fn try_hit<N: Any + Send + Sync>(
         &self,
         id: PageId,
         still_valid: impl FnOnce() -> bool,
     ) -> Option<Arc<N>> {
         let mut shard = self.shard_for(id).acquire();
-        let idx = shard.map.get(id)?;
-        let node = shard.slots[idx].node.clone()?.downcast::<N>().ok()?;
+        let node = Arc::clone(shard.get(id)?).downcast::<N>().ok()?;
         if !still_valid() {
             return None;
         }
-        shard.touch(idx);
         shard.hits += 1;
         Some(node)
     }
 
     /// Caches `node` as the decode of `id`'s current committed image.
-    /// The caller holds what keeps that image from changing since its
-    /// [`lookup`](Self::lookup) (module docs).
+    /// The caller holds `id`'s frame under the LRU lock, and what keeps
+    /// that image from changing since its [`lookup`](Self::lookup)
+    /// (module docs).
     pub(crate) fn insert(&self, id: PageId, node: CachedNode) {
         self.shard_for(id).acquire().insert(id, node);
     }
 
-    /// Drops any cached node of `id` and counts an invalidation.
+    /// Drops any cached node of `id`, uncounted: its frame is going.
+    pub(crate) fn remove(&self, id: PageId) {
+        self.shard_for(id).acquire().remove(id);
+    }
+
+    /// Drops any cached node of `id` and counts an invalidation: its
+    /// committed image changed.
     pub(crate) fn invalidate(&self, id: PageId) {
         let mut shard = self.shard_for(id).acquire();
         shard.remove(id);
@@ -312,57 +223,28 @@ impl NodeCache {
         }
     }
 
-    /// Checks the cache's structural invariants — used by the
-    /// fault-sweep harness after injected failures. Per shard: the LRU
-    /// list is well-formed over exactly the mapped slots, every slot is
-    /// mapped or free (none leaked), free slots are truly emptied, live
-    /// entries hold a node, and occupancy respects capacity.
-    pub(crate) fn validate(&self) -> boxagg_common::error::Result<()> {
+    /// Checks the cache's structural invariants: per shard, the
+    /// directory and the entries agree one to one, every entry sits in
+    /// its page's shard, and `may_hold(page)` accepts every entry — the
+    /// buffer pool's check that each entry's page has a frame.
+    pub(crate) fn validate(
+        &self,
+        may_hold: impl Fn(PageId) -> bool,
+    ) -> boxagg_common::error::Result<()> {
         use boxagg_common::error::corrupt;
         for (si, shard) in self.shards.iter().enumerate() {
             let shard = shard.acquire();
-            let fail = |msg: &str| Err(corrupt(format!("node cache shard {si}: {msg}")));
-            let mut linked = 0usize;
-            let mut prev = NIL;
-            let mut idx = shard.head;
-            while idx != NIL {
-                let s = &shard.slots[idx];
-                if s.prev != prev {
-                    return fail("LRU back-link mismatch");
-                }
-                if s.id.is_null() || s.node.is_none() {
-                    return fail("linked slot holds no entry");
-                }
-                if self.shard_index(s.id) != si || shard.map.get(s.id) != Some(idx) {
-                    return fail("linked slot not mapped to itself");
-                }
-                linked += 1;
-                if linked > shard.slots.len() {
-                    return fail("LRU list cycles");
-                }
-                prev = idx;
-                idx = s.next;
+            let fail = |msg: String| Err(corrupt(format!("node cache shard {si}: {msg}")));
+            if shard.map.len() != shard.nodes.len() {
+                return fail("directory and entries disagree in size".to_string());
             }
-            if shard.tail != prev {
-                return fail("tail does not end the LRU list");
-            }
-            if linked != shard.map.len() {
-                return fail("mapped slots missing from the LRU list");
-            }
-            if shard.map.len() > shard.capacity {
-                return fail("occupancy exceeds capacity (or a disabled shard stored an entry)");
-            }
-            let mut free_set = std::collections::HashSet::new();
-            for &i in &shard.free {
-                if !free_set.insert(i) {
-                    return fail("slot on the free list twice");
+            for (idx, &(id, _)) in shard.nodes.iter().enumerate() {
+                if self.shard_index(id) != si || shard.map.get(id) != Some(idx) {
+                    return fail(format!("entry of {id:?} not mapped to itself"));
                 }
-                if !shard.slots[i].id.is_null() || shard.slots[i].node.is_some() {
-                    return fail("free slot not emptied");
+                if !may_hold(id) {
+                    return fail(format!("entry of {id:?}, whose page has no frame"));
                 }
-            }
-            if linked + shard.free.len() != shard.slots.len() {
-                return fail("slot leaked (neither mapped nor free)");
             }
         }
         Ok(())
@@ -382,9 +264,13 @@ mod tests {
         cache.insert(pid(n), Arc::new(n));
     }
 
+    fn entries(cache: &NodeCache) -> usize {
+        cache.shards.iter().map(|s| s.acquire().nodes.len()).sum()
+    }
+
     #[test]
     fn miss_then_hit_round_trip() {
-        let cache = NodeCache::new(8, 1);
+        let cache = NodeCache::new();
         assert!(cache.lookup::<String>(pid(1)).is_none());
         cache.insert(pid(1), Arc::new("node".to_string()));
         let got = cache.lookup::<String>(pid(1));
@@ -394,7 +280,7 @@ mod tests {
 
     #[test]
     fn invalidate_drops_the_entry_and_a_later_insert_sticks() {
-        let cache = NodeCache::new(8, 1);
+        let cache = NodeCache::new();
         put(&cache, 7);
         cache.invalidate(pid(7));
         assert!(cache.lookup::<u64>(pid(7)).is_none(), "entry dropped");
@@ -403,40 +289,42 @@ mod tests {
         // Invalidating an absent page still counts.
         cache.invalidate(pid(8));
         assert_eq!(cache.counters(), (1, 2, 2));
-        cache.validate().unwrap();
+        cache.validate(|_| true).unwrap();
     }
 
     #[test]
-    fn lru_evicts_least_recently_used() {
-        let cache = NodeCache::new(2, 1);
-        for n in [1u64, 2] {
-            put(&cache, n);
-        }
-        // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.lookup::<u64>(pid(1)).is_some());
+    fn remove_drops_the_entry_uncounted() {
+        let cache = NodeCache::new();
         put(&cache, 3);
-        assert!(cache.lookup::<u64>(pid(2)).is_none(), "2 was evicted");
-        assert!(cache.lookup::<u64>(pid(1)).is_some());
-        assert!(cache.lookup::<u64>(pid(3)).is_some());
+        cache.remove(pid(3));
+        cache.remove(pid(4));
+        assert_eq!(entries(&cache), 0);
+        assert_eq!(cache.counters(), (0, 1, 0), "only put's lookup counted");
     }
 
     #[test]
-    fn zero_capacity_counts_misses_but_stores_nothing() {
-        let cache = NodeCache::new(0, 4);
-        for n in 0..10u64 {
+    fn removals_in_any_order_keep_the_directory_exact() {
+        // Pages of one shard, so removals move its entries around.
+        let cache = NodeCache::new();
+        let ids: Vec<u64> = (0..40).map(|n| n * SHARDS as u64 + 5).collect();
+        for &n in &ids {
             put(&cache, n);
         }
-        for n in 0..10u64 {
-            assert!(cache.lookup::<u64>(pid(n)).is_none());
+        let mut kept: std::collections::BTreeSet<u64> = ids.iter().copied().collect();
+        for &n in ids.iter().step_by(3).chain(ids.iter().rev().step_by(4)) {
+            cache.remove(pid(n));
+            kept.remove(&n);
+            cache.validate(|_| true).unwrap();
         }
-        let (hits, misses, _) = cache.counters();
-        assert_eq!((hits, misses), (0, 20));
-        assert_eq!(cache.capacity(), 0);
+        assert_eq!(entries(&cache), kept.len());
+        for &n in &kept {
+            assert_eq!(*cache.lookup::<u64>(pid(n)).unwrap(), n);
+        }
     }
 
     #[test]
     fn wrong_type_is_a_counted_miss_and_reinsertable() {
-        let cache = NodeCache::new(4, 1);
+        let cache = NodeCache::new();
         assert!(cache.lookup::<u32>(pid(9)).is_none());
         cache.insert(pid(9), Arc::new(5u32));
         // Same page asked for as a different type: miss, entry dropped.
@@ -449,49 +337,8 @@ mod tests {
     }
 
     #[test]
-    fn more_shards_than_nodes_are_clamped_to_the_capacity() {
-        let cache = NodeCache::new(8, 64);
-        assert_eq!(cache.capacity(), 8);
-        assert_eq!(cache.shards.len(), 8, "largest power of two <= 8");
-        assert_eq!(NodeCache::new(6, 64).shards.len(), 4);
-        assert_eq!(NodeCache::new(6, 64).capacity(), 6);
-        assert_eq!(NodeCache::new(0, 64).shards.len(), 1);
-        let resident = |c: &NodeCache| {
-            c.shards
-                .iter()
-                .map(|s| s.acquire().map.len())
-                .sum::<usize>()
-        };
-        // One page per shard fills the cache…
-        let mut first_per_shard = std::collections::BTreeMap::new();
-        let mut n = 0u64;
-        while first_per_shard.len() < 8 {
-            first_per_shard
-                .entry(cache.shard_index(pid(n)))
-                .or_insert(n);
-            n += 1;
-        }
-        for &n in first_per_shard.values() {
-            put(&cache, n);
-        }
-        assert_eq!(resident(&cache), 8);
-        // …and a ninth insert evicts.
-        let ninth = (0u64..)
-            .find(|n| !first_per_shard.values().any(|m| m == n))
-            .unwrap();
-        put(&cache, ninth);
-        assert_eq!(resident(&cache), 8);
-        let still = first_per_shard
-            .values()
-            .filter(|&&n| cache.lookup::<u64>(pid(n)).is_some())
-            .count();
-        assert_eq!(still, 7, "the ninth page's shard evicted its one node");
-        cache.validate().unwrap();
-    }
-
-    #[test]
     fn try_hit_counts_only_the_hits_it_keeps() {
-        let cache = NodeCache::new(4, 1);
+        let cache = NodeCache::new();
         assert!(cache.try_hit::<u64>(pid(1), || true).is_none(), "absent");
         put(&cache, 1);
         assert!(
@@ -510,8 +357,7 @@ mod tests {
     #[test]
     fn counters_and_their_reset_cover_every_shard() {
         const PAGES: u64 = 512;
-        let cache = NodeCache::new(PAGES as usize, 64);
-        assert_eq!(cache.shards.len(), 64);
+        let cache = NodeCache::new();
         for n in 0..PAGES {
             put(&cache, n); // a miss
             assert!(cache.lookup::<u64>(pid(n)).is_some());
@@ -525,17 +371,6 @@ mod tests {
             assert!(s.hits > 0 && s.misses > 0 && s.invalidations > 0);
         }
         assert_eq!(cache.counters(), (2 * PAGES, 2 * PAGES, PAGES));
-        cache.reset_counters();
-        assert_eq!(cache.counters(), (0, 0, 0));
-    }
-
-    #[test]
-    fn counters_reset() {
-        let cache = NodeCache::new(4, 2);
-        put(&cache, 3);
-        cache.lookup::<u8>(pid(3));
-        cache.invalidate(pid(3));
-        assert_ne!(cache.counters(), (0, 0, 0));
         cache.reset_counters();
         assert_eq!(cache.counters(), (0, 0, 0));
     }

@@ -3,10 +3,12 @@
 //! Page ids are dense by contract — a pager hands them out from 0 up and
 //! reuses freed ones — so a shard's directory is a `Vec` indexed by id,
 //! not a hash map: a lookup is one bounds check and one load. The buffer
-//! pool's one LRU is a single shard (the slot is the id); the
-//! committed-image [`NodeCache`](crate::nodecache::NodeCache) splits the
-//! id space: the shard is the id's low `log2(shards)` bits and the slot
-//! is the rest, `id >> bits`, so each shard's directory is dense too.
+//! pool's one LRU is a single shard (the directory position is the id,
+//! the slot a frame); the committed-image
+//! [`NodeCache`](crate::nodecache::NodeCache) splits the id space into
+//! 64: the shard is the id's low `log2(shards)` bits, the position the
+//! rest, `id >> bits`, and the slot an entry of the shard — so each
+//! shard's directory is dense too.
 //!
 //! A lookup never grows the directory: an id past its end is simply
 //! absent. Only [`insert`](PageMap::insert) grows it, and its callers

@@ -28,9 +28,9 @@
 //! mutex is held across the whole commit protocol — LRU capture, log
 //! appends, in-place writes, truncation — so everything those steps lock
 //! must rank above it.  `SUPERBLOCK` is held across the page-0 write that
-//! publishes a catalog update, so it ranks below the barrier, node-cache,
-//! LRU and pager locks that write takes.  `BARRIER` is the commit write
-//! barrier: writers hold it shared around each page mutation (before the
+//! publishes a catalog update, so it ranks below the barrier, LRU,
+//! node-cache and pager locks that write takes.  `BARRIER` is the commit
+//! write barrier: writers hold it shared around each page mutation (before the
 //! allocator in `free_page` and the LRU in `write_page`), a commit
 //! holds it exclusively across its dirty-frame snapshot — so it must sit
 //! above `SUPERBLOCK` (whose holder writes page 0) and below `ALLOCATOR`.
@@ -43,12 +43,14 @@
 //! [`WalFile`](crate::wal::WalFile) handle — the only way to the log.
 //! The log phase of a commit takes it holding nothing but the commit
 //! mutex, and holds it across appends and log fsyncs; it ranks *below*
-//! the node-cache, LRU and pager locks so that log I/O under any of
+//! the LRU, node-cache and pager locks so that log I/O under any of
 //! them — a commit's fsync stalling every cache-miss reader — is an
 //! ordering violation, not a convention.  `NODE_CACHE` guards a shard
 //! of the committed-image node cache (`nodecache.rs`); it is a *leaf*
-//! lock — never held across any other acquisition — and sits just below
-//! `SHARD` to mirror the layering (typed cache above the byte pool).
+//! lock — never held across any other acquisition — and sits just above
+//! `SHARD`: an entry lives only as long as its page's frame, so the
+//! pool inserts, drops and validates entries under the LRU lock (a
+//! pinned hit takes a shard with no other lock held).
 //! `PAGER` is the top: nothing is ranked above it. ([`crate::fault`]'s
 //! schedule, consulted under the pager or log-handle lock, is a leaf
 //! lock in `boxagg_common`, released before the faulted operation runs;
@@ -74,7 +76,7 @@ pub const WAL: u32 = 0;
 /// The in-memory superblock image ([`crate::store`]): held across the
 /// page-0 write that publishes a named-root update (so concurrent
 /// catalog updates cannot persist out of order), hence below the
-/// barrier, LRU, pager and node-cache locks that write takes.
+/// barrier, LRU, node-cache and pager locks that write takes.
 pub const SUPERBLOCK: u32 = 1;
 /// The commit write barrier ([`RankedRwLock`] in the buffer pool):
 /// page writers hold it shared for the duration of one mutation, a
@@ -87,9 +89,9 @@ pub const BARRIER: u32 = 2;
 /// The snapshot table (in the buffer pool): pinned commit epochs
 /// plus page images retained for them.  A commit's flip phase
 /// holds it (under the exclusive barrier) while touching the LRU and the
-/// pager to retain superseded images and while invalidating the
-/// committed-image node cache; snapshot readers behind the current
-/// epoch hold it briefly under a shared barrier.  Hence above
+/// pager to retain superseded images and while invalidating
+/// committed-image cache entries under the LRU; snapshot readers
+/// behind the current epoch hold it briefly under a shared barrier.  Hence above
 /// `BARRIER`, below `ALLOCATOR`.
 pub const SNAPSHOT: u32 = 3;
 /// Free-list / high-water-mark allocator state.  Held across pager grow
@@ -99,18 +101,22 @@ pub const ALLOCATOR: u32 = 4;
 /// out by the pager when the store opens).  The log phase of a commit
 /// holds it across appends and log fsyncs with only the commit mutex
 /// beneath it; nothing in this crate is acquired while it is held.  Below
-/// `NODE_CACHE`, `SHARD` and `PAGER`, so taking it under any of them is
+/// `SHARD`, `NODE_CACHE` and `PAGER`, so taking it under any of them is
 /// a rank violation.
 pub const WAL_IO: u32 = 5;
+/// The buffer pool's one LRU (its frames, their directory and their
+/// recency order).  Held across pager I/O on miss, eviction, and flush,
+/// and across the committed-image cache inserts, drops and checks that
+/// keep each entry beside its frame.  The name dates from when the byte
+/// pool was split into shards; the committed-image node cache's shards
+/// rank as [`NODE_CACHE`].
+pub const SHARD: u32 = 6;
 /// A shard of the committed-image node cache (`nodecache.rs`).
 /// A leaf lock: lookups, inserts and invalidations never touch another
-/// lock while holding it.
-pub const NODE_CACHE: u32 = 6;
-/// The buffer pool's one LRU (its frames, their directory and their
-/// recency order).  Held across pager I/O on miss, eviction, and flush.
-/// The name dates from when the byte pool was split into shards; the
-/// committed-image node cache's shards rank as [`NODE_CACHE`].
-pub const SHARD: u32 = 7;
+/// lock while holding it.  Taken under the LRU (a pinned miss's insert,
+/// a frame's release, the flip's invalidation, `validate`) or with no
+/// pool lock held (a pinned hit), hence above `SHARD`, below `PAGER`.
+pub const NODE_CACHE: u32 = 7;
 /// The backing pager (file or memory).  Nothing in this crate is
 /// acquired while it is held.
 pub const PAGER: u32 = 8;
@@ -136,8 +142,8 @@ fn check_and_push(lock_rank: u32, label: &'static str) {
                 "lock-rank violation: acquiring `{label}` (rank {lock_rank}) \
                  while holding `{top_label}` (rank {top_rank}); locks must be \
                  taken in strictly increasing rank order (wal < superblock < \
-                 barrier < snapshot < allocator < wal io < node cache < shard < \
-                 pager < stats)",
+                 barrier < snapshot < allocator < wal io < shard < node cache < \
+                 pager)",
             );
         }
         held.borrow_mut().push((lock_rank, label));

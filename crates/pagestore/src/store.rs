@@ -53,14 +53,16 @@ pub struct StoreConfig {
     pub buffer_pages: usize,
     /// Backing storage. Default: memory.
     pub backing: Backing,
-    /// Capacity in nodes of a WAL store's cache of decoded *committed*
-    /// images, which pinned reads ([`StoreSnapshot::read_node`]) go
-    /// through. Default: 1280 (one decoded node per default buffer
-    /// frame). Live reads ([`SharedStore::read_node`]) keep their
-    /// decodes in the buffer frames, one per resident page, whatever
-    /// this number; `0` keeps no decodes anywhere, so every node read
-    /// runs the codec. Decodes never change byte-level I/O accounting,
-    /// so they default on.
+    /// Whether node reads keep their decodes: `0` keeps none, so every
+    /// node read runs the codec (the reference tests compare against);
+    /// any other value keeps them. Live reads
+    /// ([`SharedStore::read_node`]) keep a decode in the page's buffer
+    /// frame; a WAL store's pinned reads ([`StoreSnapshot::read_node`])
+    /// keep the decode of the page's committed image beside it. Either
+    /// lives only as long as the page's frame, so the buffer
+    /// (`buffer_pages`) bounds them and the number itself sizes
+    /// nothing. Default: 1280. Decodes never change byte-level I/O
+    /// accounting, so they default on.
     pub node_cache_pages: usize,
     /// Crash-consistent commits through the write-ahead log (default:
     /// off). When on, dirty pages are pinned in the pool (no-steal)
@@ -97,8 +99,9 @@ impl StoreConfig {
         }
     }
 
-    /// Sets the committed-image cache capacity; 0 keeps no decodes (see
-    /// [`StoreConfig::node_cache_pages`]).
+    /// Sets [`StoreConfig::node_cache_pages`]: `0` keeps no decodes,
+    /// any other value keeps them for as long as their pages are
+    /// buffered.
     pub fn with_node_cache(mut self, pages: usize) -> Self {
         self.node_cache_pages = pages;
         self
@@ -260,7 +263,7 @@ impl SharedStore {
                 pager,
                 config.buffer_pages,
                 log,
-                config.node_cache_pages,
+                config.node_cache_pages > 0,
             )),
             superblock: None,
             recovery: RecoveryReport::default(),
@@ -701,12 +704,15 @@ impl StoreSnapshot {
     /// epoch, through the store's decoded-node cache of **committed**
     /// images — not the frames' decodes [`SharedStore::read_node`]
     /// uses, because between commits a written page has two images
-    /// (a clean frame's decode is taken over on a miss). The cache is shared by every
-    /// snapshot of the store: a page's committed image changes only in
-    /// a commit's epoch flip, which drops that page's entry, so a node
-    /// decoded through one pin serves every later pin until a commit
-    /// rewrites the page. A page superseded after *this* pin's epoch is
-    /// decoded from its retained image on every read and never cached.
+    /// (a clean frame's decode is taken over on a miss). The cache is
+    /// shared by every snapshot of the store: a page's committed image
+    /// changes only in a commit's epoch flip, which drops that page's
+    /// entry, so a node decoded through one pin serves every later pin
+    /// until a commit rewrites the page or the buffer evicts it — an
+    /// entry leaves with its page's frame, so the buffer's one LRU
+    /// decides what stays decoded. A page superseded after *this* pin's
+    /// epoch is decoded from its retained image on every read and never
+    /// cached.
     ///
     /// Unlike the live path, a cache hit performs no byte-pool access.
     /// `decode` runs under pool locks and must not access the store.

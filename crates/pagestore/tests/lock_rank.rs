@@ -53,6 +53,40 @@ fn log_handle_under_the_pager_lock_panics() {
     );
 }
 
+/// A committed-image entry lives and dies with its page's buffer
+/// frame, so the pool reaches a cache shard under the LRU:
+/// `SHARD < NODE_CACHE < PAGER` accepts that order.
+#[test]
+fn node_cache_shard_under_the_lru_is_accepted() {
+    let lru = RankedMutex::new(rank::SHARD, "buffer lru", ());
+    let cache = RankedMutex::new(rank::NODE_CACHE, "node cache shard", ());
+    let pager = RankedMutex::new(rank::PAGER, "pager", ());
+    {
+        let _gl = lru.acquire();
+        let _gc = cache.acquire();
+    }
+    let _gl = lru.acquire();
+    let _gp = pager.acquire();
+}
+
+/// …and the reverse — the LRU under a cache shard — panics.
+#[cfg(debug_assertions)]
+#[test]
+fn lru_under_a_node_cache_shard_panics() {
+    let lru = RankedMutex::new(rank::SHARD, "buffer lru", ());
+    let cache = RankedMutex::new(rank::NODE_CACHE, "node cache shard", ());
+    let _gc = cache.acquire();
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        let _gl = lru.acquire();
+    }))
+    .expect_err("the LRU after a cache shard must trip the rank checker");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("node cache shard") && msg.contains("buffer lru"),
+        "panic should name both locks, got: {msg}"
+    );
+}
+
 /// Same pair in the correct order must not panic, and the full
 /// allocator < shard < pager chain must be accepted.
 #[test]

@@ -2,7 +2,8 @@
 //! accounting invariant (single- and multi-threaded, decodes kept or
 //! not), and staleness across every way a frame's bytes change or leave
 //! — a write, free/realloc of a page id, eviction, a failed write, a WAL
-//! commit — plus a pinned read taking over a clean frame's decode.
+//! commit — plus a pinned read taking over a clean frame's decode, and
+//! a committed-image entry leaving with its page's frame.
 //!
 //! The decoded type used throughout is plain `u8`/`u64` — a frame holds
 //! an `Arc<dyn Any>`, so byte-level payloads exercise the same paths the
@@ -406,4 +407,37 @@ fn zero_node_cache_pages_keeps_no_decodes() {
     let st = s.stats();
     assert_eq!((st.decode_hits, st.decode_misses), (0, 6));
     assert_eq!((st.hits, st.reads), (6, 0));
+}
+
+/// A committed-image entry leaves with its page's frame: a pinned read
+/// after the frame's eviction is exactly one decode miss, it refetches
+/// the page, and the decode it makes is kept again.
+#[test]
+fn a_pinned_read_after_its_frames_eviction_decodes_and_refetches() {
+    let s = SharedStore::open(&StoreConfig::small(128, 2).with_wal(true)).unwrap();
+    let a = page(&s, 1);
+    s.commit().unwrap();
+    let snap = s.snapshot().unwrap();
+    assert_eq!(*snap.read_node(a, first_byte).unwrap(), 1);
+    let warm = s.stats();
+    assert_eq!(*snap.read_node(a, first_byte).unwrap(), 1);
+    let hit = s.stats().since(&warm);
+    assert_eq!((hit.decode_hits, hit.decode_misses, hit.reads), (1, 0, 0));
+    // Two dirty pages push every clean frame, `a`'s among them, out of
+    // the two-frame pool.
+    page(&s, 2);
+    page(&s, 3);
+    let before = s.stats();
+    assert_eq!(*snap.read_node(a, first_byte).unwrap(), 1);
+    let cold = s.stats().since(&before);
+    assert_eq!(
+        (cold.decode_hits, cold.decode_misses),
+        (0, 1),
+        "the entry left with its frame"
+    );
+    assert_eq!(cold.reads, 1, "the page is fetched again");
+    let again = s.stats();
+    assert_eq!(*snap.read_node(a, first_byte).unwrap(), 1);
+    assert_eq!(s.stats().since(&again).decode_hits, 1, "and kept again");
+    s.validate().unwrap();
 }

@@ -91,16 +91,20 @@ struct Schedule {
     tally: Tally,
 }
 
+/// The buffers every seed runs under. One is far smaller than the page
+/// set, so clean frames — and the committed-image entries that live
+/// with them — are evicted, and committed images are found on disk, in
+/// a dirty frame's base, and in clean frames. The other holds every
+/// page, so no entry is ever evicted and a decode is dropped only by
+/// the commit that supersedes its page. Under either, a repeat read
+/// decodes only when superseded: it follows its first read, which left
+/// the page's frame resident.
+const BUFFERS: [usize; 2] = [3, 4 * MAX_PAGES];
+
 impl Schedule {
-    fn new(seed: u64) -> Self {
+    fn new(seed: u64, buffer_pages: usize) -> Self {
         let (pager, faults) = FaultPager::new(Box::new(MemPager::new(PAGE_SIZE)));
-        // A buffer far smaller than the page set, so clean frames are
-        // evicted and committed images are found on disk, in a dirty
-        // frame's base, and in clean frames; node caches that hold
-        // everything, so a repeat read decodes only when superseded.
-        let cfg = StoreConfig::small(PAGE_SIZE, 3)
-            .with_wal(true)
-            .with_node_cache(4 * MAX_PAGES);
+        let cfg = StoreConfig::small(PAGE_SIZE, buffer_pages).with_wal(true);
         let store = SharedStore::open_with_pager(Box::new(pager), &cfg).expect("open");
         Self {
             store,
@@ -332,13 +336,15 @@ impl Schedule {
 fn seeded_schedules_of_pins_commits_and_faults_match_the_model() {
     let mut total = Tally::default();
     for seed in 0..96u64 {
-        let t = Schedule::new(0x5EED_0000 + seed).run(90);
-        for (sum, n) in total.failed_in.iter_mut().zip(t.failed_in) {
-            *sum += n;
+        for buffer_pages in BUFFERS {
+            let t = Schedule::new(0x5EED_0000 + seed, buffer_pages).run(90);
+            for (sum, n) in total.failed_in.iter_mut().zip(t.failed_in) {
+                *sum += n;
+            }
+            total.max_pins = total.max_pins.max(t.max_pins);
+            total.superseded_reads += t.superseded_reads;
+            total.warm_reads += t.warm_reads;
         }
-        total.max_pins = total.max_pins.max(t.max_pins);
-        total.superseded_reads += t.superseded_reads;
-        total.warm_reads += t.warm_reads;
     }
     // The schedules reached what they are for.
     assert!(total.max_pins >= 3, "never three epochs pinned at once");

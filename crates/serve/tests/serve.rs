@@ -28,11 +28,10 @@ fn rand_rect(rng: &mut StdRng, dim: usize, side: f64) -> Rect {
 /// Builds a committed 2-d store with `n` objects and returns it with
 /// the query space.
 fn seeded_store(n: usize, seed: u64) -> (SharedStore, Rect) {
-    // Node caches that never evict: decode counts below are about
-    // sharing, not capacity.
-    let cfg = StoreConfig::small(2048, 256)
-        .with_wal(true)
-        .with_node_cache(1 << 14);
+    // A buffer that never evicts a page, and so never drops a decode
+    // kept with one: decode counts below are about sharing, not
+    // capacity.
+    let cfg = StoreConfig::small(2048, 1 << 14).with_wal(true);
     let store = SharedStore::open(&cfg).expect("open memory WAL store");
     let space = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
     let mut engine = SimpleBoxSum::batree_in(space, store.clone()).expect("create engine");
