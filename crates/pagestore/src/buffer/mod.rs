@@ -45,7 +45,10 @@
 //! committed-image cache, which pinned reads go through, follows the
 //! same rule: its entry for a page leaves with the page's frame
 //! ([`release`](BufferPool::release)), so the paper's LRU is the only
-//! eviction policy in the pool.
+//! eviction policy in the pool. A pinned hit skips the LRU lock, so it
+//! marks its entry instead, and the no-steal eviction gives a marked
+//! frame a second chance ([`evict_clean`](BufferPool::evict_clean)):
+//! pinned readers keep their pages as live readers do.
 //!
 //! Page-access closures passed to [`BufferPool::with_page`] run while the
 //! LRU is locked and therefore must not re-enter the pool.
@@ -248,7 +251,7 @@ impl Lru {
     fn new() -> Self {
         Self {
             frames: Vec::new(),
-            map: PageMap::new(1),
+            map: PageMap::new(),
             head: NIL,
             tail: NIL,
             free: Vec::new(),
@@ -670,16 +673,37 @@ impl BufferPool {
     /// the WAL pool's no-steal eviction: uncommitted dirty pages must
     /// never reach the data file outside a commit, so dirty frames are
     /// pinned and eviction considers clean victims only.
+    ///
+    /// A pinned hit does not touch the LRU; it marks its committed-image
+    /// entry instead, and here a marked clean frame is spared once:
+    /// moved to the front, its mark cleared
+    /// ([`NodeCache::second_chance`]). When every clean frame is marked,
+    /// the least recently used of them goes after all.
     fn evict_clean(&self, lru: &mut Lru) -> bool {
+        let keeps = self.keeps_committed();
+        let mut spared = NIL;
         let mut idx = lru.tail;
-        while idx != NIL {
+        // Each frame once: a spared frame moves to the front, where
+        // the walk would meet it again.
+        for _ in 0..lru.map.len() {
+            let prev = lru.frames[idx].prev;
             if !lru.frames[idx].dirty {
-                self.release(lru, idx);
-                return true;
+                if !(keeps && self.committed.second_chance(lru.frames[idx].id)) {
+                    self.release(lru, idx);
+                    return true;
+                }
+                lru.touch(idx);
+                if spared == NIL {
+                    spared = idx;
+                }
             }
-            idx = lru.frames[idx].prev;
+            idx = prev;
         }
-        false
+        if spared == NIL {
+            return false;
+        }
+        self.release(lru, spared);
+        true
     }
 
     /// Reads page `id` from the pager into `buf` and verifies its

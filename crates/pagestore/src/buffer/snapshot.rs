@@ -20,9 +20,11 @@
 //! it. An entry lives only while its page has a frame: a miss inserts
 //! it under the LRU lock with the frame held, and the frame's eviction,
 //! free or reuse drops it, so the buffer's LRU is the cache's only
-//! eviction policy. The committed image changes only in the flip,
-//! which publishes the new epoch and then drops the entry of every
-//! transaction page before it releases the barrier. A hit takes no
+//! eviction policy. A hit, which takes no LRU lock, marks its entry,
+//! and the eviction spares a marked frame once, so a page pinned
+//! readers keep hitting stays resident. The committed image changes
+//! only in the flip, which publishes the new epoch and then drops the
+//! entry of every transaction page before it releases the barrier. A hit takes no
 //! pool-wide lock: it reads the epoch (an atomic), looks the page up
 //! under one cache-shard lock and reads the epoch again, and keeps the
 //! node only if both reads are the reader's pinned epoch — the shard
@@ -189,7 +191,8 @@ impl BufferPool {
     /// inside [`with_committed_page`](Self::with_committed_page), under
     /// the LRU lock with the page's frame held, and the entry goes when
     /// that frame does: a page the buffer evicted is a miss that fetches
-    /// it again.
+    /// it again. A hit marks its entry, which spares the page's frame
+    /// once at eviction, as an LRU touch would keep it.
     ///
     /// **The hit path takes no pool-wide lock.** It loads the epoch,
     /// looks `id` up under its cache-shard lock, and loads the epoch

@@ -21,7 +21,7 @@
 //! * `nodecache` (private) — an index of decoded *committed* images of
 //!   resident pages, which pinned reads go through; an entry lives and
 //!   dies with its page's buffer frame, so it has no eviction policy of
-//!   its own,
+//!   its own (a hit's mark only earns the frame a second chance),
 //! * [`rank`] — [`rank::RankedMutex`], the rank-checked lock wrapper
 //!   every mutex in this crate goes through (debug builds panic on
 //!   out-of-order acquisition; see the module docs for the lock order),

@@ -8,7 +8,9 @@
 //! *current committed image*, an `Arc<dyn Any + Send + Sync>` keyed by
 //! page id, and it serves every pinned read
 //! ([`StoreSnapshot::read_node`](crate::store::StoreSnapshot::read_node))
-//! of every pin. It changes nothing about byte-level I/O accounting.
+//! of every pin. A hit performs no page access, so it is neither a
+//! buffer hit nor a touch of the LRU; its one effect on the buffer is
+//! the second chance its mark earns the page's frame (below).
 //!
 //! # No eviction policy of its own
 //!
@@ -19,6 +21,13 @@
 //! or reused. So every entry's page has a frame, the paper's LRU decides
 //! what a pinned read finds decoded, and the cache is bounded by the
 //! buffer.
+//!
+//! A hit does not reach the LRU (that is what keeps it lock-light), so
+//! it leaves its recency here instead: it marks the entry *referenced*.
+//! The pool's no-steal eviction asks [`second_chance`] before it takes a
+//! clean frame, and a referenced page's frame goes back to the front of
+//! the LRU with its mark cleared — so a page only pinned readers use
+//! stays resident, and decoded, for as long as they keep using it.
 //!
 //! # Why no generations
 //!
@@ -37,34 +46,44 @@
 //!
 //! Each of the [`SHARDS`] shards' mutex is a [`RankedMutex`] at rank
 //! [`NODE_CACHE`](crate::rank::NODE_CACHE), a leaf lock taken under the
-//! LRU or with no lock held, and each shard finds its entries through a
-//! dense `PageMap`: the shard is a page id's low bits.
+//! LRU or with no lock held. The shard is a page id's low bits, and a
+//! shard is a dense `Vec` indexed by the rest: page ids are dense, and
+//! only a resident page's id is ever inserted, so the shards grow no
+//! further than the buffer's own directory.
 //!
 //! [`lookup`]: NodeCache::lookup
 //! [`insert`]: NodeCache::insert
 //! [`remove`]: NodeCache::remove
 //! [`invalidate`]: NodeCache::invalidate
 //! [`try_hit`]: NodeCache::try_hit
+//! [`second_chance`]: NodeCache::second_chance
 
 use std::any::Any;
 use std::sync::Arc;
 
-use crate::pagemap::PageMap;
 use crate::pager::PageId;
 use crate::rank::{self, RankedMutex};
 
 /// Type-erased decoded node, as a buffer frame or the cache holds it.
 pub(crate) type CachedNode = Arc<dyn Any + Send + Sync>;
 
-/// The fixed shard count: pinned hits on every core go through it,
-/// beside the byte pool's one paper-faithful LRU.
-const SHARDS: usize = 64;
+/// `log2` of the fixed shard count: pinned hits on every core go through
+/// the shards, beside the byte pool's one paper-faithful LRU.
+const SHARD_BITS: u32 = 6;
+const SHARDS: usize = 1 << SHARD_BITS;
+
+/// One cached decode.
+struct Entry {
+    node: CachedNode,
+    /// Hit since it was inserted or last given a
+    /// [second chance](NodeCache::second_chance).
+    referenced: bool,
+}
 
 /// The decodes of one slice of the page-id space.
 struct CacheShard {
-    map: PageMap,
-    /// `(page, decode)` in no order; `map` holds each page's index.
-    nodes: Vec<(PageId, CachedNode)>,
+    /// `entries[id >> SHARD_BITS]` is page `id`'s entry, if any.
+    entries: Vec<Option<Entry>>,
     /// Reads of this shard's pages served from a cached node / that
     /// found none, and invalidations — counted under the shard lock the
     /// operation already holds, so concurrent readers share no counter
@@ -74,29 +93,29 @@ struct CacheShard {
     invalidations: u64,
 }
 
+/// Position of page `id` in its shard; saturates, so an id no `Vec`
+/// could reach is simply past the end.
+fn pos(id: PageId) -> usize {
+    usize::try_from(id.0 >> SHARD_BITS).unwrap_or(usize::MAX)
+}
+
 impl CacheShard {
-    fn get(&self, id: PageId) -> Option<&CachedNode> {
-        self.map.get(id).map(|idx| &self.nodes[idx].1)
+    fn get_mut(&mut self, id: PageId) -> Option<&mut Entry> {
+        self.entries.get_mut(pos(id))?.as_mut()
     }
 
-    fn insert(&mut self, id: PageId, node: CachedNode) {
-        match self.map.get(id) {
-            Some(idx) => self.nodes[idx].1 = node,
-            None => {
-                self.map.insert(id, self.nodes.len());
-                self.nodes.push((id, node));
-            }
-        }
+    /// Takes `id`'s entry out of the shard.
+    fn take(&mut self, id: PageId) -> Option<Entry> {
+        self.entries.get_mut(pos(id))?.take()
     }
 
-    /// Drops `id`'s entry, if any, moving the last entry into its place.
-    fn remove(&mut self, id: PageId) {
-        if let Some(idx) = self.map.remove(id) {
-            self.nodes.swap_remove(idx);
-            if let Some(&(moved, _)) = self.nodes.get(idx) {
-                self.map.insert(moved, idx);
-            }
-        }
+    /// The node of `id`'s entry if it is an `N`, marking the entry
+    /// referenced; uncounted.
+    fn hit<N: Any + Send + Sync>(&mut self, id: PageId) -> Option<Arc<N>> {
+        let entry = self.get_mut(id)?;
+        let node = Arc::clone(&entry.node).downcast::<N>().ok()?;
+        entry.referenced = true;
+        Some(node)
     }
 }
 
@@ -117,8 +136,7 @@ impl NodeCache {
         let shards: Vec<RankedMutex<CacheShard>> = (0..SHARDS)
             .map(|_| {
                 let shard = CacheShard {
-                    map: PageMap::new(SHARDS),
-                    nodes: Vec::new(),
+                    entries: Vec::new(),
                     hits: 0,
                     misses: 0,
                     invalidations: 0,
@@ -131,12 +149,8 @@ impl NodeCache {
         }
     }
 
-    fn shard_index(&self, id: PageId) -> usize {
-        PageMap::shard_of(id, self.shards.len())
-    }
-
     fn shard_for(&self, id: PageId) -> &RankedMutex<CacheShard> {
-        &self.shards[self.shard_index(id)]
+        &self.shards[(id.0 & (SHARDS as u64 - 1)) as usize]
     }
 
     /// The cached node for `id`, counting a hit; a missing entry — or
@@ -144,13 +158,11 @@ impl NodeCache {
     /// miss, and the caller decodes and [`insert`](Self::insert)s.
     pub(crate) fn lookup<N: Any + Send + Sync>(&self, id: PageId) -> Option<Arc<N>> {
         let mut shard = self.shard_for(id).acquire();
-        if let Some(node) = shard.get(id) {
-            if let Ok(node) = Arc::clone(node).downcast::<N>() {
-                shard.hits += 1;
-                return Some(node);
-            }
-            shard.remove(id);
+        if let Some(node) = shard.hit(id) {
+            shard.hits += 1;
+            return Some(node);
         }
+        shard.take(id);
         shard.misses += 1;
         None
     }
@@ -158,7 +170,7 @@ impl NodeCache {
     /// The cached node for `id`, if there is one of type `N` and
     /// `still_valid()` — called under the shard lock, after the entry
     /// was found — returns true; only then is a hit counted. Otherwise
-    /// nothing is counted or changed and the caller falls back to
+    /// nothing is counted and the caller falls back to
     /// [`lookup`](Self::lookup), which counts the read: every read is
     /// one hit or one miss, however it was served.
     pub(crate) fn try_hit<N: Any + Send + Sync>(
@@ -167,7 +179,7 @@ impl NodeCache {
         still_valid: impl FnOnce() -> bool,
     ) -> Option<Arc<N>> {
         let mut shard = self.shard_for(id).acquire();
-        let node = Arc::clone(shard.get(id)?).downcast::<N>().ok()?;
+        let node = shard.hit(id)?;
         if !still_valid() {
             return None;
         }
@@ -180,19 +192,37 @@ impl NodeCache {
     /// that image from changing since its [`lookup`](Self::lookup)
     /// (module docs).
     pub(crate) fn insert(&self, id: PageId, node: CachedNode) {
-        self.shard_for(id).acquire().insert(id, node);
+        let mut shard = self.shard_for(id).acquire();
+        let at = pos(id);
+        if at >= shard.entries.len() {
+            shard.entries.resize_with(at + 1, || None);
+        }
+        shard.entries[at] = Some(Entry {
+            node,
+            referenced: false,
+        });
+    }
+
+    /// Whether `id`'s entry was hit since it was inserted or last asked;
+    /// clears the mark. The pool asks before it evicts `id`'s frame,
+    /// and spares a frame this returns true for.
+    pub(crate) fn second_chance(&self, id: PageId) -> bool {
+        let mut shard = self.shard_for(id).acquire();
+        shard
+            .get_mut(id)
+            .is_some_and(|entry| std::mem::take(&mut entry.referenced))
     }
 
     /// Drops any cached node of `id`, uncounted: its frame is going.
     pub(crate) fn remove(&self, id: PageId) {
-        self.shard_for(id).acquire().remove(id);
+        self.shard_for(id).acquire().take(id);
     }
 
     /// Drops any cached node of `id` and counts an invalidation: its
     /// committed image changed.
     pub(crate) fn invalidate(&self, id: PageId) {
         let mut shard = self.shard_for(id).acquire();
-        shard.remove(id);
+        shard.take(id);
         shard.invalidations += 1;
     }
 
@@ -223,27 +253,20 @@ impl NodeCache {
         }
     }
 
-    /// Checks the cache's structural invariants: per shard, the
-    /// directory and the entries agree one to one, every entry sits in
-    /// its page's shard, and `may_hold(page)` accepts every entry — the
+    /// Checks that `may_hold(page)` accepts every entry's page — the
     /// buffer pool's check that each entry's page has a frame.
     pub(crate) fn validate(
         &self,
         may_hold: impl Fn(PageId) -> bool,
     ) -> boxagg_common::error::Result<()> {
-        use boxagg_common::error::corrupt;
         for (si, shard) in self.shards.iter().enumerate() {
             let shard = shard.acquire();
-            let fail = |msg: String| Err(corrupt(format!("node cache shard {si}: {msg}")));
-            if shard.map.len() != shard.nodes.len() {
-                return fail("directory and entries disagree in size".to_string());
-            }
-            for (idx, &(id, _)) in shard.nodes.iter().enumerate() {
-                if self.shard_index(id) != si || shard.map.get(id) != Some(idx) {
-                    return fail(format!("entry of {id:?} not mapped to itself"));
-                }
-                if !may_hold(id) {
-                    return fail(format!("entry of {id:?}, whose page has no frame"));
+            for (at, entry) in shard.entries.iter().enumerate() {
+                let id = PageId((at as u64) << SHARD_BITS | si as u64);
+                if entry.is_some() && !may_hold(id) {
+                    return Err(boxagg_common::error::corrupt(format!(
+                        "node cache: entry of {id:?}, whose page has no frame"
+                    )));
                 }
             }
         }
@@ -265,7 +288,11 @@ mod tests {
     }
 
     fn entries(cache: &NodeCache) -> usize {
-        cache.shards.iter().map(|s| s.acquire().nodes.len()).sum()
+        cache
+            .shards
+            .iter()
+            .map(|s| s.acquire().entries.iter().flatten().count())
+            .sum()
     }
 
     #[test]
@@ -303,23 +330,27 @@ mod tests {
     }
 
     #[test]
-    fn removals_in_any_order_keep_the_directory_exact() {
-        // Pages of one shard, so removals move its entries around.
+    fn a_hit_earns_one_second_chance() {
         let cache = NodeCache::new();
-        let ids: Vec<u64> = (0..40).map(|n| n * SHARDS as u64 + 5).collect();
-        for &n in &ids {
+        put(&cache, 2);
+        assert!(!cache.second_chance(pid(2)), "inserted, never hit");
+        assert!(cache.try_hit::<u64>(pid(2), || true).is_some());
+        assert!(cache.lookup::<u64>(pid(2)).is_some());
+        assert!(cache.second_chance(pid(2)), "hit since");
+        assert!(!cache.second_chance(pid(2)), "the mark is spent");
+        assert!(!cache.second_chance(pid(3)), "no entry");
+        assert_eq!(entries(&cache), 1, "asking drops nothing");
+    }
+
+    #[test]
+    fn validate_names_the_page_it_refuses() {
+        let cache = NodeCache::new();
+        for n in [0, 5, 64 * 3 + 5, 1 << 20] {
             put(&cache, n);
         }
-        let mut kept: std::collections::BTreeSet<u64> = ids.iter().copied().collect();
-        for &n in ids.iter().step_by(3).chain(ids.iter().rev().step_by(4)) {
-            cache.remove(pid(n));
-            kept.remove(&n);
-            cache.validate(|_| true).unwrap();
-        }
-        assert_eq!(entries(&cache), kept.len());
-        for &n in &kept {
-            assert_eq!(*cache.lookup::<u64>(pid(n)).unwrap(), n);
-        }
+        cache.validate(|_| true).unwrap();
+        let err = cache.validate(|id| id != pid(64 * 3 + 5)).unwrap_err();
+        assert!(err.to_string().contains("PageId(197)"), "got: {err}");
     }
 
     #[test]

@@ -1,14 +1,8 @@
-//! [`PageMap`]: one cache shard's directory from page id to slot.
+//! [`PageMap`]: the buffer pool's directory from page id to frame.
 //!
 //! Page ids are dense by contract — a pager hands them out from 0 up and
-//! reuses freed ones — so a shard's directory is a `Vec` indexed by id,
-//! not a hash map: a lookup is one bounds check and one load. The buffer
-//! pool's one LRU is a single shard (the directory position is the id,
-//! the slot a frame); the committed-image
-//! [`NodeCache`](crate::nodecache::NodeCache) splits the id space into
-//! 64: the shard is the id's low `log2(shards)` bits, the position the
-//! rest, `id >> bits`, and the slot an entry of the shard — so each
-//! shard's directory is dense too.
+//! reuses freed ones — so the directory is a `Vec` indexed by id, not a
+//! hash map: a lookup is one bounds check and one load.
 //!
 //! A lookup never grows the directory: an id past its end is simply
 //! absent. Only [`insert`](PageMap::insert) grows it, and its callers
@@ -22,39 +16,29 @@ use crate::pager::PageId;
 /// Marks a directory slot with no entry.
 const EMPTY: u32 = u32::MAX;
 
-/// A dense page-id → slot-index directory for one cache shard.
+/// A dense page-id → slot-index directory.
 #[derive(Debug)]
 pub(crate) struct PageMap {
-    /// `slots[id >> shift]` is the slot holding page `id`, or `EMPTY`.
+    /// `slots[id]` is the slot holding page `id`, or `EMPTY`.
     slots: Vec<u32>,
-    /// `log2` of the shard count: the id bits that chose the shard.
-    shift: u32,
     /// Entries present.
     len: usize,
 }
 
 impl PageMap {
-    /// An empty directory for one of `shards` shards (a power of two).
-    pub(crate) fn new(shards: usize) -> Self {
-        debug_assert!(shards.is_power_of_two());
+    /// An empty directory.
+    pub(crate) fn new() -> Self {
         Self {
             slots: Vec::new(),
-            shift: shards.trailing_zeros(),
             len: 0,
         }
-    }
-
-    /// The shard of `shards` (a power of two) that page `id` belongs to.
-    #[inline]
-    pub(crate) fn shard_of(id: PageId, shards: usize) -> usize {
-        (id.0 & (shards as u64 - 1)) as usize
     }
 
     /// Directory position of `id`; saturates, so an id no `Vec` could
     /// reach is simply past the end.
     #[inline]
     fn pos(&self, id: PageId) -> usize {
-        usize::try_from(id.0 >> self.shift).unwrap_or(usize::MAX)
+        usize::try_from(id.0).unwrap_or(usize::MAX)
     }
 
     /// The slot holding page `id`, if any.
@@ -78,7 +62,7 @@ impl PageMap {
         let slot = u32::try_from(slot)
             .ok()
             .filter(|&s| s != EMPTY)
-            .expect("a shard holds fewer than u32::MAX slots");
+            .expect("a pool holds fewer than u32::MAX frames");
         let pos = self.pos(id);
         if pos >= self.slots.len() {
             self.slots.resize(pos + 1, EMPTY);
@@ -110,34 +94,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ids_of_one_shard_pack_densely() {
-        let shards = 4;
-        let mut m = PageMap::new(shards);
-        let mine: Vec<PageId> = (0..40u64)
-            .map(PageId)
-            .filter(|&id| PageMap::shard_of(id, shards) == 3)
-            .collect();
-        for (slot, &id) in mine.iter().enumerate() {
+    fn insert_get_remove_round_trip() {
+        let mut m = PageMap::new();
+        let ids: Vec<PageId> = (0..40u64).step_by(3).map(PageId).collect();
+        for (slot, &id) in ids.iter().enumerate() {
             assert!(m.get(id).is_none());
             m.insert(id, slot);
         }
-        assert_eq!(m.len(), mine.len());
-        assert_eq!(m.slots.len(), mine.len(), "one directory word per id");
-        for (slot, &id) in mine.iter().enumerate() {
+        assert_eq!(m.len(), ids.len());
+        assert_eq!(m.slots.len(), 40, "one directory word per id");
+        for (slot, &id) in ids.iter().enumerate() {
             assert_eq!(m.get(id), Some(slot));
         }
-        assert_eq!(m.remove(mine[2]), Some(2));
-        assert_eq!(m.remove(mine[2]), None);
-        assert_eq!(m.get(mine[2]), None);
-        assert_eq!(m.len(), mine.len() - 1);
-        m.insert(mine[2], 7);
-        m.insert(mine[2], 8);
-        assert_eq!((m.get(mine[2]), m.len()), (Some(8), mine.len()));
+        assert_eq!(m.remove(ids[2]), Some(2));
+        assert_eq!(m.remove(ids[2]), None);
+        assert_eq!(m.get(ids[2]), None);
+        assert_eq!(m.len(), ids.len() - 1);
+        m.insert(ids[2], 7);
+        m.insert(ids[2], 8);
+        assert_eq!((m.get(ids[2]), m.len()), (Some(8), ids.len()));
     }
 
     #[test]
     fn lookups_past_the_end_never_grow_it() {
-        let mut m = PageMap::new(1);
+        let mut m = PageMap::new();
         m.insert(PageId(2), 0);
         for id in [PageId(3), PageId(1 << 40), PageId::NULL] {
             assert!(!m.covers(id));

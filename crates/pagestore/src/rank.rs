@@ -49,8 +49,9 @@
 //! of the committed-image node cache (`nodecache.rs`); it is a *leaf*
 //! lock — never held across any other acquisition — and sits just above
 //! `SHARD`: an entry lives only as long as its page's frame, so the
-//! pool inserts, drops and validates entries under the LRU lock (a
-//! pinned hit takes a shard with no other lock held).
+//! pool inserts, drops, validates and asks for an entry's second chance
+//! under the LRU lock (a pinned hit takes a shard with no other lock
+//! held).
 //! `PAGER` is the top: nothing is ranked above it. ([`crate::fault`]'s
 //! schedule, consulted under the pager or log-handle lock, is a leaf
 //! lock in `boxagg_common`, released before the faulted operation runs;
@@ -114,8 +115,9 @@ pub const SHARD: u32 = 6;
 /// A shard of the committed-image node cache (`nodecache.rs`).
 /// A leaf lock: lookups, inserts and invalidations never touch another
 /// lock while holding it.  Taken under the LRU (a pinned miss's insert,
-/// a frame's release, the flip's invalidation, `validate`) or with no
-/// pool lock held (a pinned hit), hence above `SHARD`, below `PAGER`.
+/// the no-steal eviction's second-chance ask, a frame's release, the
+/// flip's invalidation, `validate`) or with no pool lock held (a pinned
+/// hit), hence above `SHARD`, below `PAGER`.
 pub const NODE_CACHE: u32 = 7;
 /// The backing pager (file or memory).  Nothing in this crate is
 /// acquired while it is held.

@@ -60,9 +60,13 @@ pub struct StoreConfig {
     /// frame; a WAL store's pinned reads ([`StoreSnapshot::read_node`])
     /// keep the decode of the page's committed image beside it. Either
     /// lives only as long as the page's frame, so the buffer
-    /// (`buffer_pages`) bounds them and the number itself sizes
-    /// nothing. Default: 1280. Decodes never change byte-level I/O
-    /// accounting, so they default on.
+    /// (`buffer_pages`) bounds them and this number sizes nothing: it is
+    /// still a count only so that struct literals written when it sized
+    /// a cache of its own keep compiling, and it is to become a flag.
+    /// Until then [`validate`](Self::validate) refuses a non-zero value
+    /// below `buffer_pages`, a cap the store would not keep; set it to
+    /// `buffer_pages`. Default: 1280. A live read's byte-level I/O is
+    /// the same with decodes kept or not, so they default on.
     pub node_cache_pages: usize,
     /// Crash-consistent commits through the write-ahead log (default:
     /// off). When on, dirty pages are pinned in the pool (no-steal)
@@ -99,9 +103,9 @@ impl StoreConfig {
         }
     }
 
-    /// Sets [`StoreConfig::node_cache_pages`]: `0` keeps no decodes,
-    /// any other value keeps them for as long as their pages are
-    /// buffered.
+    /// Sets [`StoreConfig::node_cache_pages`]: `0` keeps no decodes;
+    /// any other value, which must be at least `buffer_pages`, keeps
+    /// them for as long as their pages are buffered.
     pub fn with_node_cache(mut self, pages: usize) -> Self {
         self.node_cache_pages = pages;
         self
@@ -115,9 +119,11 @@ impl StoreConfig {
     }
 
     /// Refuses, as a typed [`Error::InvalidArgument`], a configuration
-    /// no store can be opened with: pages under [`MIN_PAGE_SIZE`] bytes
-    /// or a buffer pool of no pages. Every [`SharedStore`] opener checks
-    /// this before it creates or truncates a file.
+    /// no store can be opened with: pages under [`MIN_PAGE_SIZE`] bytes,
+    /// a buffer pool of no pages, or a non-zero `node_cache_pages` below
+    /// `buffer_pages` (see [`node_cache_pages`](Self::node_cache_pages)).
+    /// Every [`SharedStore`] opener checks this before it creates or
+    /// truncates a file.
     pub fn validate(&self) -> Result<()> {
         if self.page_size < MIN_PAGE_SIZE {
             return Err(invalid_arg(format!(
@@ -129,6 +135,13 @@ impl StoreConfig {
             return Err(invalid_arg(
                 "the buffer pool needs at least one page (buffer_pages is 0)",
             ));
+        }
+        if self.node_cache_pages != 0 && self.node_cache_pages < self.buffer_pages {
+            return Err(invalid_arg(format!(
+                "node_cache_pages {} is below buffer_pages {}: decodes are kept for every \
+                 buffered page, so it caps nothing (0 keeps none)",
+                self.node_cache_pages, self.buffer_pages
+            )));
         }
         Ok(())
     }
@@ -1374,6 +1387,20 @@ mod tests {
             other => panic!("open_with_pager: {other:?}"),
         }
         SharedStore::open(&file_cfg(kept)).unwrap();
+    }
+
+    #[test]
+    fn a_node_cache_below_the_buffer_is_refused() {
+        let cfg = StoreConfig::small(256, 8);
+        for pages in [1, 7] {
+            match SharedStore::open(&cfg.clone().with_node_cache(pages)) {
+                Err(Error::InvalidArgument(msg)) => assert!(msg.contains("caps nothing"), "{msg}"),
+                other => panic!("{pages}: {other:?}"),
+            }
+        }
+        for pages in [0, 8, 1 << 20] {
+            SharedStore::open(&cfg.clone().with_node_cache(pages)).unwrap();
+        }
     }
 
     #[test]

@@ -17,8 +17,15 @@ use boxagg_pagestore::{
     FaultPager, FaultSpec, MemPager, OpFilter, PageId, SharedStore, StoreConfig,
 };
 
-fn store(buffer_pages: usize, cache_pages: usize) -> SharedStore {
-    SharedStore::open(&StoreConfig::small(128, buffer_pages).with_node_cache(cache_pages)).unwrap()
+/// A store whose node reads keep their decodes, or keep none.
+fn store(buffer_pages: usize, keep_decodes: bool) -> SharedStore {
+    let config = StoreConfig::small(128, buffer_pages);
+    let config = if keep_decodes {
+        config
+    } else {
+        config.with_node_cache(0)
+    };
+    SharedStore::open(&config).unwrap()
 }
 
 fn first_byte(b: &[u8]) -> boxagg_common::error::Result<u8> {
@@ -41,7 +48,7 @@ fn read(s: &SharedStore, id: PageId) -> (u8, bool) {
 
 #[test]
 fn write_invalidates_cached_decode() {
-    let s = store(8, 8);
+    let s = store(8, true);
     let id = s.allocate().unwrap();
     s.write_page(id, &[1]).unwrap();
     let first = s.read_node::<u8, _>(id, |b| Ok(b[0])).unwrap();
@@ -62,8 +69,8 @@ fn write_invalidates_cached_decode() {
 
 #[test]
 fn decode_accounting_invariant_holds() {
-    for cache_pages in [16, 0] {
-        let s = store(16, cache_pages);
+    for keep in [true, false] {
+        let s = store(16, keep);
         let ids: Vec<PageId> = (0..10u8).map(|i| page(&s, i)).collect();
         s.reset_stats();
         let mut accesses = 0u64;
@@ -78,9 +85,9 @@ fn decode_accounting_invariant_holds() {
         assert_eq!(
             st.decode_hits + st.decode_misses,
             accesses,
-            "every node access is exactly one counted hit or miss ({cache_pages})"
+            "every node access is exactly one counted hit or miss (keep: {keep})"
         );
-        if cache_pages > 0 {
+        if keep {
             // First round decodes cold, later rounds hit.
             assert_eq!((st.decode_hits, st.decode_misses), (40, 10));
         } else {
@@ -91,7 +98,7 @@ fn decode_accounting_invariant_holds() {
 
 #[test]
 fn disabled_cache_counts_all_accesses_as_misses() {
-    let s = store(8, 0);
+    let s = store(8, false);
     let id = s.allocate().unwrap();
     s.write_page(id, &[7]).unwrap();
     s.reset_stats();
@@ -106,8 +113,8 @@ fn disabled_cache_counts_all_accesses_as_misses() {
 fn cache_does_not_change_byte_level_accounting() {
     // Identical access sequences against a cached and an uncached store:
     // byte reads/writes/hits must be equal in every position.
-    let run = |cache_pages: usize| {
-        let s = store(4, cache_pages); // tiny buffer: forces evictions
+    let run = |keep: bool| {
+        let s = store(4, keep); // tiny buffer: forces evictions
         let mut ids = Vec::new();
         for i in 0..12u8 {
             let id = s.allocate().unwrap();
@@ -125,15 +132,15 @@ fn cache_does_not_change_byte_level_accounting() {
         trace
     };
     assert_eq!(
-        run(64),
-        run(0),
+        run(true),
+        run(false),
         "byte-level I/O must be identical with the decoded cache on or off"
     );
 }
 
 #[test]
 fn no_stale_reads_after_free_and_realloc() {
-    let s = store(8, 8);
+    let s = store(8, true);
     let id = s.allocate().unwrap();
     s.write_page(id, &[1]).unwrap();
     assert_eq!(*s.read_node::<u8, _>(id, |b| Ok(b[0])).unwrap(), 1);
@@ -156,11 +163,7 @@ fn no_stale_reads_after_free_and_realloc() {
 #[test]
 fn failing_write_never_leaves_stale_decode_servable() {
     let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-    let s = SharedStore::open_with_pager(
-        Box::new(pager),
-        &StoreConfig::small(128, 2).with_node_cache(8),
-    )
-    .unwrap();
+    let s = SharedStore::open_with_pager(Box::new(pager), &StoreConfig::small(128, 2)).unwrap();
     let a = s.allocate().unwrap();
     let b = s.allocate().unwrap();
     let c = s.allocate().unwrap();
@@ -195,11 +198,7 @@ fn failing_write_never_leaves_stale_decode_servable() {
 #[test]
 fn free_under_write_faults_still_invalidates_the_decode() {
     let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-    let s = SharedStore::open_with_pager(
-        Box::new(pager),
-        &StoreConfig::small(128, 4).with_node_cache(8),
-    )
-    .unwrap();
+    let s = SharedStore::open_with_pager(Box::new(pager), &StoreConfig::small(128, 4)).unwrap();
     let id = s.allocate().unwrap();
     s.write_page(id, &[3]).unwrap();
     assert_eq!(*s.read_node::<u8, _>(id, |d| Ok(d[0])).unwrap(), 3);
@@ -229,7 +228,7 @@ fn concurrent_stress_no_stale_decodes() {
     const PAGES_PER_THREAD: usize = 4;
     const ROUNDS: u64 = 200;
 
-    let s = store(32, 16);
+    let s = store(32, true);
     let all_ids: Vec<_> = (0..THREADS * PAGES_PER_THREAD)
         .map(|_| {
             let id = s.allocate().unwrap();
@@ -298,7 +297,7 @@ fn concurrent_stress_no_stale_decodes() {
 /// decodes its fetched bytes again.
 #[test]
 fn eviction_drops_the_decode_with_its_frame() {
-    let s = store(2, 8);
+    let s = store(2, true);
     let [a, b, c] = [1, 2, 3].map(|byte| page(&s, byte));
     assert_eq!(read(&s, a), (1, true));
     assert_eq!(read(&s, a), (1, false), "kept in a's frame");
@@ -314,8 +313,7 @@ fn eviction_drops_the_decode_with_its_frame() {
 /// the next write drops it.
 #[test]
 fn a_wal_commit_keeps_each_frames_decode_current() {
-    let s =
-        SharedStore::open(&StoreConfig::small(128, 4).with_wal(true).with_node_cache(4)).unwrap();
+    let s = SharedStore::open(&StoreConfig::small(128, 4).with_wal(true)).unwrap();
     let a = page(&s, 1);
     assert_eq!(read(&s, a), (1, true));
     s.commit().unwrap();
@@ -334,8 +332,7 @@ fn a_wal_commit_keeps_each_frames_decode_current() {
 /// never handed to a pin.
 #[test]
 fn a_pinned_miss_takes_a_clean_frames_decode() {
-    let s =
-        SharedStore::open(&StoreConfig::small(128, 8).with_wal(true).with_node_cache(8)).unwrap();
+    let s = SharedStore::open(&StoreConfig::small(128, 8).with_wal(true)).unwrap();
     let a = page(&s, 1);
     // A fresh pin reads `a`: its value, and (node reads, decodes).
     let pinned = |want: u8, reads: (u64, u64)| {
@@ -368,7 +365,7 @@ fn a_pinned_miss_takes_a_clean_frames_decode() {
 /// resident or not; a rejected write counts none.
 #[test]
 fn one_invalidation_per_write_or_free() {
-    let s = store(2, 8);
+    let s = store(2, true);
     let ids: Vec<PageId> = (0..6u8).map(|i| page(&s, i)).collect();
     s.reset_stats();
     for &id in &ids {
@@ -439,5 +436,43 @@ fn a_pinned_read_after_its_frames_eviction_decodes_and_refetches() {
     let again = s.stats();
     assert_eq!(*snap.read_node(a, first_byte).unwrap(), 1);
     assert_eq!(s.stats().since(&again).decode_hits, 1, "and kept again");
+    s.validate().unwrap();
+}
+
+/// A pinned hit keeps its page resident: the hit marks the page's
+/// committed-image entry, and the buffer's eviction spares a marked
+/// frame once. A page only pinned readers use — here `hot`, hit once
+/// per round while a round's worth of other pages cycles through the
+/// rest of the buffer — keeps its frame and its decode, round after
+/// round, instead of ageing out as if it were idle.
+#[test]
+fn a_page_read_only_through_pinned_hits_keeps_its_decode() {
+    const FRAMES: usize = 4;
+    let s = SharedStore::open(&StoreConfig::small(128, FRAMES).with_wal(true)).unwrap();
+    // One commit per page, so each write's eviction keeps the pool at
+    // its capacity.
+    let mut committed = |byte| {
+        let id = page(&s, byte);
+        s.commit().unwrap();
+        id
+    };
+    let hot = committed(200);
+    let cold: Vec<PageId> = (0..24).map(&mut committed).collect();
+    let snap = s.snapshot().unwrap();
+    assert_eq!(*snap.read_node(hot, first_byte).unwrap(), 200);
+    for round in cold.chunks(FRAMES - 1) {
+        let before = s.stats();
+        assert_eq!(*snap.read_node(hot, first_byte).unwrap(), 200);
+        let hit = s.stats().since(&before);
+        assert_eq!(
+            (hit.decode_hits, hit.decode_misses, hit.reads),
+            (1, 0, 0),
+            "`hot` kept its decode"
+        );
+        for &id in round {
+            s.with_page(id, |_| ()).unwrap();
+        }
+        assert!(s.stats().since(&before).reads >= 1, "the round evicted");
+    }
     s.validate().unwrap();
 }

@@ -363,9 +363,7 @@ fn seeded_schedules_of_pins_commits_and_faults_match_the_model() {
 #[test]
 fn an_older_pin_never_takes_the_newer_epochs_cached_node() {
     const PAGES: usize = 8;
-    let cfg = StoreConfig::small(PAGE_SIZE, 4)
-        .with_wal(true)
-        .with_node_cache(64);
+    let cfg = StoreConfig::small(PAGE_SIZE, 4).with_wal(true);
     let store = SharedStore::open(&cfg).expect("open");
     let ids: Vec<PageId> = (0..PAGES)
         .map(|_| store.allocate().expect("allocate"))
@@ -442,9 +440,7 @@ fn an_older_pin_never_takes_the_newer_epochs_cached_node() {
 fn a_pinned_reader_never_sees_a_later_epochs_node_while_a_committer_flips() {
     const PAGES: usize = 8;
     const PINS: u32 = 24;
-    let cfg = StoreConfig::small(PAGE_SIZE, 4)
-        .with_wal(true)
-        .with_node_cache(64);
+    let cfg = StoreConfig::small(PAGE_SIZE, 4).with_wal(true);
     let store = SharedStore::open(&cfg).expect("open");
     let ids: Vec<PageId> = (0..PAGES)
         .map(|_| store.allocate().expect("allocate"))

@@ -19,7 +19,8 @@
 //! thread hand-off stand between the frame and the traversal. Every
 //! pinned read goes through the store's decoded-node cache of committed
 //! images (see `StoreSnapshot::read_node`), whose entries live as long
-//! as their pages' buffer frames, so on an unchanged epoch a request
+//! as their pages' buffer frames, and whose hits keep those frames
+//! resident as an LRU touch would, so on an unchanged epoch a request
 //! over a resident index decodes nothing, and after a commit only the
 //! pages that commit rewrote decode again; a pin and a catalog open cost about
 //! 1.5 µs per request. Answers are bit-identical to an in-process
