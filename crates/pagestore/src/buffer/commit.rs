@@ -30,9 +30,11 @@ use super::snapshot::PageVersion;
 use super::BufferPool;
 
 /// One page of a commit in flight: its id, the mutation stamp of the
-/// captured frame, and the captured image — one allocation shared by
-/// the log records, the frame's committed base and (while an older
-/// epoch is pinned) the snapshot table.
+/// captured frame, and the captured image. The image is the frame's own
+/// buffer, taken by refcount, not copied: the log records and the apply
+/// phase read it, the flip re-bases the frame onto it, and until the
+/// page is written again it is the frame's bytes too — a writer during
+/// the commit copies instead (see `Frame::data`).
 type TxnPage = (PageId, u64, Arc<[u8]>);
 
 impl BufferPool {
@@ -89,9 +91,9 @@ impl BufferPool {
             // neither counter, so its followers retry as leaders.
             return Ok(());
         }
-        // Phase A — capture: snapshot every dirty frame's physical
-        // image (trailer stamped) and mutation stamp. The exclusive
-        // barrier blocks writers across the whole scan, so the
+        // Phase A — capture: take every dirty frame's physical image
+        // (trailer stamped) by refcount, with its mutation stamp. The
+        // exclusive barrier blocks writers across the whole scan, so the
         // transaction is a point-in-time cut; it is released before the
         // I/O below — a writer changing a page after its image was
         // captured just stays dirty for the next commit.
@@ -104,8 +106,8 @@ impl BufferPool {
             let mut lru = self.lru.acquire();
             for f in lru.frames.iter_mut() {
                 if f.dirty && !f.id.is_null() {
-                    checksum::stamp(&mut f.data, self.zero_mask);
-                    txn.push((f.id, f.seq, Arc::from(&f.data[..])));
+                    checksum::stamp(Arc::make_mut(&mut f.data), self.zero_mask);
+                    txn.push((f.id, f.seq, Arc::clone(&f.data)));
                 }
             }
         }
@@ -267,7 +269,7 @@ impl BufferPool {
                     return Ok(Arc::clone(base));
                 }
                 if !f.dirty {
-                    return Ok(Arc::from(&f.data[..]));
+                    return Ok(Arc::clone(&f.data));
                 }
             }
         }
@@ -510,6 +512,113 @@ mod tests {
         );
         assert_eq!(p.dirty_pages(), 0);
         assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 7);
+        p.validate().unwrap();
+    }
+
+    /// The frame's buffer as it is now, and its page's committed base.
+    fn frame_bytes(p: &BufferPool, id: PageId) -> (Arc<[u8]>, Option<Arc<[u8]>>) {
+        let lru = p.lru.acquire();
+        let f = &lru.frames[lru.map.get(id).expect("resident")];
+        (Arc::clone(&f.data), f.base.clone())
+    }
+
+    /// The capture takes the frame's buffer by refcount: while the
+    /// commit is in flight the frame and the capture hold one
+    /// allocation, and when it is done the frame still owns it alone.
+    #[test]
+    fn a_commit_captures_the_frames_own_buffer() {
+        let (p, faults) = wal_pool(4);
+        let p = Arc::new(p);
+        let a = page_with(&p, 1);
+        let own = frame_bytes(&p, a).0.as_ptr();
+        park_next_log_sync(&faults);
+        let committer = {
+            let p = p.clone();
+            std::thread::spawn(move || p.commit())
+        };
+        assert!(faults.wait_parked());
+        let (held, _) = frame_bytes(&p, a);
+        assert_eq!(held.as_ptr(), own, "stamped in place, not copied");
+        // `held`, the frame and the capture: one allocation.
+        assert_eq!(
+            Arc::strong_count(&held),
+            3,
+            "the capture shares the frame's bytes"
+        );
+        drop(held);
+        faults.open_gate();
+        committer.join().unwrap().unwrap();
+        let (after, base) = frame_bytes(&p, a);
+        assert_eq!(after.as_ptr(), own, "the frame kept its buffer");
+        assert!(base.is_none());
+        assert_eq!(Arc::strong_count(&after), 2, "the commit let go of it");
+        p.validate().unwrap();
+    }
+
+    /// A write while a commit holds the frame's buffer copies first:
+    /// the commit logs and applies the bytes it captured, and the flip
+    /// re-bases the frame onto that same allocation.
+    #[test]
+    fn a_write_during_a_commit_gets_a_fresh_buffer() {
+        use crate::fault::{is_injected, FaultSpec, OpFilter};
+        let (p, faults) = wal_pool(4);
+        let p = Arc::new(p);
+        let a = page_with(&p, 1);
+        park_next_log_sync(&faults);
+        let committer = {
+            let p = p.clone();
+            std::thread::spawn(move || p.commit())
+        };
+        assert!(faults.wait_parked());
+        let (captured, _) = frame_bytes(&p, a);
+        p.write_page(a, &[2; 16]).unwrap();
+        let (fresh, _) = frame_bytes(&p, a);
+        assert!(!Arc::ptr_eq(&fresh, &captured), "the writer copied");
+        assert_eq!((captured[0], fresh[0]), (1, 2));
+        // Fail the apply's data sync, after its in-place writes: the
+        // transaction then stays in the log, where it can be read.
+        faults.arm(FaultSpec::error_at(OpFilter::Syncs, 1));
+        faults.open_gate();
+        assert!(is_injected(&committer.join().unwrap().unwrap_err()));
+        faults.disarm();
+
+        let (now, base) = frame_bytes(&p, a);
+        assert!(Arc::ptr_eq(&now, &fresh));
+        assert!(
+            Arc::ptr_eq(&base.unwrap(), &captured),
+            "the flip's base is the capture"
+        );
+        let mut on_disk = vec![0u8; p.page_size];
+        p.pager.acquire().read_page(a, &mut on_disk).unwrap();
+        assert_eq!(on_disk, &captured[..], "applied the captured bytes");
+        let log = p.log.as_ref().unwrap().acquire().read_all().unwrap();
+        let parsed = wal::decode_records(&log, p.page_size).unwrap();
+        assert_eq!(
+            parsed.committed,
+            vec![vec![(a, &captured[..])]],
+            "logged them"
+        );
+
+        p.commit().unwrap();
+        assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 2);
+        p.validate().unwrap();
+    }
+
+    /// Dirtying a clean resident frame copies its committed image into
+    /// `base` and writes the frame's own buffer in place: the buffer
+    /// does not move to the writing thread's allocations.
+    #[test]
+    fn a_write_to_a_clean_resident_frame_keeps_its_buffer() {
+        let (p, _faults) = wal_pool(4);
+        let a = page_with(&p, 1);
+        p.commit().unwrap();
+        let own = frame_bytes(&p, a).0.as_ptr();
+        p.write_page(a, &[2; 16]).unwrap();
+        let (data, base) = frame_bytes(&p, a);
+        assert_eq!(data.as_ptr(), own, "written in place");
+        let base = base.expect("a dirtied resident frame keeps its committed image");
+        assert!(!Arc::ptr_eq(&base, &data));
+        assert_eq!((base[0], data[0]), (1, 2));
         p.validate().unwrap();
     }
 

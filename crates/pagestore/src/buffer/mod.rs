@@ -192,7 +192,13 @@ where
 #[derive(Debug)]
 struct Frame {
     id: PageId,
-    data: Box<[u8]>,
+    /// The page image. The frame owns this buffer and writes it in
+    /// place; a commit's capture, the log records, the flip's `base`
+    /// and a pinned epoch's retained pre-image share it by refcount
+    /// instead of copying it. A writer that finds it shared — a commit
+    /// in flight still holds it — copies first ([`Arc::make_mut`]), so
+    /// every holder keeps the bytes it took.
+    data: Arc<[u8]>,
     dirty: bool,
     /// Global mutation stamp of the last `write_page` into this frame
     /// (from the pool-wide counter, so it is unique across the pool's
@@ -637,7 +643,7 @@ impl BufferPool {
     /// error the frame is untouched apart from the (idempotent) trailer
     /// stamp, so the write-back can be retried.
     fn write_back(&self, frame: &mut Frame) -> Result<()> {
-        checksum::stamp(&mut frame.data, self.zero_mask);
+        checksum::stamp(Arc::make_mut(&mut frame.data), self.zero_mask);
         self.pager.acquire().write_page(frame.id, &frame.data)?;
         self.writes.fetch_add(1, Ordering::Relaxed);
         frame.dirty = false;
@@ -758,7 +764,9 @@ impl BufferPool {
             None => {
                 lru.frames.push(Frame {
                     id: PageId::NULL,
-                    data: vec![0u8; self.page_size].into_boxed_slice(),
+                    // One zeroed allocation: `Arc::from(vec![..])`
+                    // would allocate and copy twice.
+                    data: std::iter::repeat_n(0, self.page_size).collect(),
                     dirty: false,
                     seq: 0,
                     base: None,
@@ -770,7 +778,7 @@ impl BufferPool {
             }
         };
         if fetch {
-            if let Err(e) = self.read_verified(id, &mut lru.frames[idx].data) {
+            if let Err(e) = self.read_verified(id, Arc::make_mut(&mut lru.frames[idx].data)) {
                 // A page that failed to read or verify never enters
                 // the buffer — the unused frame stays on the free list
                 // — and its fetch is not counted: only verified reads
@@ -780,7 +788,7 @@ impl BufferPool {
             }
             self.reads.fetch_add(1, Ordering::Relaxed);
         } else {
-            lru.frames[idx].data.fill(0);
+            Arc::make_mut(&mut lru.frames[idx].data).fill(0);
         }
         let f = &mut lru.frames[idx];
         f.reset();
@@ -879,12 +887,16 @@ impl BufferPool {
         let f = &mut lru.frames[idx];
         if wal && newly_dirty {
             // A resident clean frame holds the committed image — keep
-            // it as the base for snapshot readers. A miss means the
-            // committed image (if any) is on disk.
+            // a copy as the base for snapshot readers and write the
+            // frame's own buffer in place (handing the buffer to the
+            // base would move the page into the writing thread's
+            // allocations). A miss means the committed image (if any)
+            // is on disk.
             f.base = resident.map(|_| Arc::from(&f.data[..]));
         }
-        f.data[..bytes.len()].copy_from_slice(bytes);
-        f.data[bytes.len()..].fill(0);
+        let data = Arc::make_mut(&mut f.data);
+        data[..bytes.len()].copy_from_slice(bytes);
+        data[bytes.len()..].fill(0);
         f.node = None;
         f.dirty = true;
         if wal {

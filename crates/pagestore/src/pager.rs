@@ -106,10 +106,14 @@ fn check_id(id: PageId, num_pages: u64) -> Result<usize> {
 /// The experiments use this backing — the paper's metric is the *number*
 /// of I/Os under a fixed LRU buffer, which is a property of the access
 /// pattern, not of a spinning disk.
+///
+/// A page holds bytes only once it is written: an allocated page that
+/// was never written is `None` and reads as the zero page, so a store
+/// whose pages all stay in its buffer keeps no second copy here.
 #[derive(Debug)]
 pub struct MemPager {
     page_size: usize,
-    pages: Vec<Box<[u8]>>,
+    pages: Vec<Option<Box<[u8]>>>,
     /// The log, until [`Pager::wal`] hands it out.
     wal: Option<MemWal>,
 }
@@ -170,22 +174,27 @@ impl Pager for MemPager {
 
     fn allocate(&mut self) -> Result<PageId> {
         let id = PageId(self.pages.len() as u64);
-        self.pages
-            .push(vec![0u8; self.page_size].into_boxed_slice());
+        self.pages.push(None);
         Ok(id)
     }
 
     fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
         let i = check_id(id, self.num_pages())?;
         debug_assert_eq!(buf.len(), self.page_size);
-        buf.copy_from_slice(&self.pages[i]);
+        match &self.pages[i] {
+            Some(page) => buf.copy_from_slice(page),
+            None => buf.fill(0),
+        }
         Ok(())
     }
 
     fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<()> {
         let i = check_id(id, self.num_pages())?;
         debug_assert_eq!(data.len(), self.page_size);
-        self.pages[i].copy_from_slice(data);
+        match &mut self.pages[i] {
+            Some(page) => page.copy_from_slice(data),
+            slot => *slot = Some(data.into()),
+        }
         Ok(())
     }
 
@@ -470,6 +479,24 @@ mod tests {
         // Left pending for whoever reopens the medium.
         log.append(b"pending-txn").unwrap();
         log.sync().unwrap();
+    }
+
+    #[test]
+    fn an_allocated_page_holds_no_bytes_until_written() {
+        let mut p = MemPager::new(64);
+        let a = p.allocate().unwrap();
+        let b = p.allocate().unwrap();
+        p.write_page(b, &[3; 64]).unwrap();
+        assert!(
+            p.pages[a.0 as usize].is_none(),
+            "never written, never stored"
+        );
+        assert!(p.pages[b.0 as usize].is_some());
+        let mut buf = [9u8; 64];
+        p.read_page(a, &mut buf).unwrap();
+        assert_eq!(buf, [0; 64], "an unwritten page reads as zeros");
+        let mask = crate::checksum::zero_mask(64 - crate::checksum::TRAILER);
+        assert_eq!(crate::checksum::verify(&buf, mask), Ok(()), "and verifies");
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl ReadOnlyPager {
             for txn in parsed.committed {
                 for (id, image) in txn {
                     num_pages = num_pages.max(id.0 + 1);
-                    overlay.insert(id, image);
+                    overlay.insert(id, image.to_vec());
                 }
             }
         }

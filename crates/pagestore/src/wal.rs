@@ -93,42 +93,47 @@ pub trait WalFile: Send {
     fn read_all(&mut self) -> Result<Vec<u8>>;
 }
 
-fn frame(body: &[u8]) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(body.len() + 12);
-    w.put_u32(body.len() as u32);
-    w.put_bytes(body);
-    w.put_u64(sum64(body));
+/// One framed record, built in a single buffer: the length, the
+/// `body_len` bytes `put_body` writes, and their sum.
+fn frame(body_len: usize, put_body: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(4 + body_len + 8);
+    w.put_u32(body_len as u32);
+    put_body(&mut w);
+    debug_assert_eq!(w.len(), 4 + body_len, "body length as declared");
+    let sum = sum64(&w.as_slice()[4..]);
+    w.put_u64(sum);
     w.into_vec()
 }
 
 /// Encodes a framed `begin` record announcing `pages` page images.
 pub fn encode_begin(pages: u32) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(5);
-    w.put_u8(TAG_BEGIN);
-    w.put_u32(pages);
-    frame(w.as_slice())
+    frame(5, |w| {
+        w.put_u8(TAG_BEGIN);
+        w.put_u32(pages);
+    })
 }
 
 /// Encodes a framed `page` record carrying one full physical image.
 pub fn encode_page(id: PageId, image: &[u8]) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(9 + image.len());
-    w.put_u8(TAG_PAGE);
-    w.put_u64(id.0);
-    w.put_bytes(image);
-    frame(w.as_slice())
+    frame(9 + image.len(), |w| {
+        w.put_u8(TAG_PAGE);
+        w.put_u64(id.0);
+        w.put_bytes(image);
+    })
 }
 
 /// Encodes a framed `commit` record.
 pub fn encode_commit() -> Vec<u8> {
-    frame(&[TAG_COMMIT])
+    frame(1, |w| w.put_u8(TAG_COMMIT))
 }
 
-/// The committed content of a scanned log.
+/// The committed content of a scanned log. The page images are slices
+/// of the scanned bytes, so recovery holds the log in memory once.
 #[derive(Debug, Default, PartialEq)]
-pub(crate) struct ParsedLog {
+pub(crate) struct ParsedLog<'a> {
     /// Committed transactions in log order; each is the transaction's
     /// page images in append order.
-    pub(crate) committed: Vec<Vec<(PageId, Vec<u8>)>>,
+    pub(crate) committed: Vec<Vec<(PageId, &'a [u8])>>,
     /// A short or checksum-mismatched frame ended the scan.
     pub(crate) torn_tail: bool,
     /// The log ended inside an uncommitted transaction.
@@ -139,11 +144,11 @@ pub(crate) struct ParsedLog {
 ///
 /// Torn tails end the scan silently (see module docs); structural
 /// corruption inside checksum-valid records is a typed error.
-pub(crate) fn decode_records(log: &[u8], page_size: usize) -> Result<ParsedLog> {
+pub(crate) fn decode_records(log: &[u8], page_size: usize) -> Result<ParsedLog<'_>> {
     let mut out = ParsedLog::default();
     // An open (not yet committed) transaction: declared page count and
     // the page images seen so far.
-    type OpenTxn = (u32, Vec<(PageId, Vec<u8>)>);
+    type OpenTxn<'a> = (u32, Vec<(PageId, &'a [u8])>);
     let mut open: Option<OpenTxn> = None;
     let mut pos = 0usize;
     while pos < log.len() {
@@ -199,8 +204,7 @@ pub(crate) fn decode_records(log: &[u8], page_size: usize) -> Result<ParsedLog> 
                 }
                 let image = r
                     .get_bytes(page_size)
-                    .map_err(|_| bad("truncated page image"))?
-                    .to_vec();
+                    .map_err(|_| bad("truncated page image"))?;
                 pages.push((id, image));
             }
             TAG_COMMIT => {
@@ -310,9 +314,16 @@ mod tests {
         assert_eq!(parsed.committed.len(), 2);
         assert_eq!(
             parsed.committed[0],
-            vec![(PageId(0), img(0xAA)), (PageId(3), img(0x55))]
+            vec![(PageId(0), &img(0xAA)[..]), (PageId(3), &img(0x55)[..])]
         );
-        assert_eq!(parsed.committed[1], vec![(PageId(1), img(0x11))]);
+        assert_eq!(parsed.committed[1], vec![(PageId(1), &img(0x11)[..])]);
+        // Each image is a slice of the log, not a copy of it.
+        let log_bytes = log.as_ptr_range();
+        assert!(parsed
+            .committed
+            .iter()
+            .flatten()
+            .all(|(_, image)| log_bytes.contains(&image.as_ptr())));
     }
 
     #[test]
@@ -383,7 +394,7 @@ mod tests {
         log.extend_from_slice(&encode_commit());
         assert_wal_corrupt(&log, "count disagrees");
         // Unknown tag, valid crc.
-        assert_wal_corrupt(&frame(&[9u8]), "unknown record tag");
+        assert_wal_corrupt(&frame(1, |w| w.put_u8(9)), "unknown record tag");
     }
 
     #[test]
