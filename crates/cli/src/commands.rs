@@ -267,17 +267,16 @@ pub fn info(pages: &Path) -> Result<String> {
 /// `boxagg serve INDEX --listen ADDR`: starts the network query
 /// service and returns its handle (the caller decides how long to
 /// serve). Each read is answered inline on a snapshot pinned to the
-/// last committed epoch; commits collapse through group commit. The
-/// robustness knobs — per-frame read deadline, idle reap, connection
-/// cap, load-shedding limit — pass straight into [`ServeConfig`]; `0`
-/// keeps each one's default.
+/// last committed epoch; each commit runs on its own connection
+/// thread. The robustness knobs — per-frame read deadline, idle reap,
+/// connection cap — pass straight into [`ServeConfig`]; `0` keeps each
+/// one's default.
 pub fn serve(
     pages: &Path,
     listen: &str,
     read_deadline_ms: u64,
     idle_timeout_ms: u64,
     max_connections: usize,
-    queue_limit: usize,
 ) -> Result<ServerHandle> {
     let page_size = stored_page_size(pages)?;
     let store = SharedStore::open(&store_config(pages, page_size, 64))?;
@@ -300,11 +299,6 @@ pub fn serve(
                 defaults.max_connections
             } else {
                 max_connections
-            },
-            queue_limit: if queue_limit == 0 {
-                defaults.queue_limit
-            } else {
-                queue_limit
             },
         },
     )
@@ -543,7 +537,7 @@ mod tests {
         let csv = write_csv(dir.path(), &["10,30,10,25,120", "25,50,20,40,340"]);
         build(&pages, &csv, "0,100,0,100", 1024).unwrap();
 
-        let server = serve(&pages, "127.0.0.1:0", 0, 0, 0, 0).unwrap();
+        let server = serve(&pages, "127.0.0.1:0", 0, 0, 0).unwrap();
         let mut client = boxagg_serve::Client::connect(server.local_addr()).unwrap();
         assert_eq!(client.hello().objects, 2);
         let sum = client

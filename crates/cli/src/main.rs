@@ -11,15 +11,16 @@
 //! boxagg info   INDEX
 //! boxagg serve  INDEX --listen ADDR [--read-deadline-ms N]
 //!               [--idle-timeout-ms N] [--max-connections N]
-//!               [--queue-limit N]
 //! ```
 //!
 //! CSV object lines are `l1,h1,…,ld,hd,value`; `#` starts a comment.
+//! A flag a command does not take, or one with no value, is refused
+//! with the usage text.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use boxagg_cli::commands;
+use boxagg_cli::{commands, parse_flags};
 
 const USAGE: &str = "\
 usage:
@@ -29,15 +30,7 @@ usage:
   boxagg delete INDEX --object l1,h1,l2,h2,value
   boxagg info   INDEX
   boxagg serve  INDEX --listen ADDR [--read-deadline-ms N]
-                [--idle-timeout-ms N] [--max-connections N]
-                [--queue-limit N]";
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+                [--idle-timeout-ms N] [--max-connections N]";
 
 fn run() -> Result<String, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,36 +38,51 @@ fn run() -> Result<String, String> {
         (Some(c), Some(i)) if !i.starts_with("--") => (c.as_str(), PathBuf::from(i)),
         _ => return Err(USAGE.to_string()),
     };
+    let known: &[&str] = match cmd {
+        "build" => &["--csv", "--space", "--page-size"],
+        "query" => &["--box"],
+        "insert" | "delete" => &["--object"],
+        "info" => &[],
+        "serve" => &[
+            "--listen",
+            "--read-deadline-ms",
+            "--idle-timeout-ms",
+            "--max-connections",
+        ],
+        other => return Err(format!("unknown command {other}\n{USAGE}")),
+    };
+    let flags = parse_flags(&args[2..], known).map_err(|e| format!("{e}\n{USAGE}"))?;
+    let flag = |name: &str| flags.get(name).copied();
     let result = match cmd {
         "build" => {
-            let csv = flag(&args, "--csv").ok_or("build needs --csv FILE")?;
-            let space = flag(&args, "--space").ok_or("build needs --space l1,h1,…")?;
-            let page_size = match flag(&args, "--page-size") {
+            let csv = flag("--csv").ok_or("build needs --csv FILE")?;
+            let space = flag("--space").ok_or("build needs --space l1,h1,…")?;
+            let page_size = match flag("--page-size") {
                 Some(p) => p
                     .parse::<usize>()
                     .map_err(|e| format!("bad --page-size: {e}"))?,
                 None => 8192,
             };
-            commands::build(&index, &PathBuf::from(csv), &space, page_size)
+            commands::build(&index, &PathBuf::from(csv), space, page_size)
         }
         "query" => {
-            let b = flag(&args, "--box").ok_or("query needs --box l1,h1,…")?;
-            commands::query(&index, &b)
+            let b = flag("--box").ok_or("query needs --box l1,h1,…")?;
+            commands::query(&index, b)
         }
         "insert" => {
-            let o = flag(&args, "--object").ok_or("insert needs --object l1,h1,…,value")?;
-            commands::insert(&index, &o)
+            let o = flag("--object").ok_or("insert needs --object l1,h1,…,value")?;
+            commands::insert(&index, o)
         }
         "delete" => {
-            let o = flag(&args, "--object").ok_or("delete needs --object l1,h1,…,value")?;
-            commands::delete(&index, &o)
+            let o = flag("--object").ok_or("delete needs --object l1,h1,…,value")?;
+            commands::delete(&index, o)
         }
         "info" => commands::info(&index),
         "serve" => {
-            let listen = flag(&args, "--listen").ok_or("serve needs --listen HOST:PORT")?;
+            let listen = flag("--listen").ok_or("serve needs --listen HOST:PORT")?;
             // Robustness knobs; 0 (the default) keeps ServeConfig's default.
             let numeric = |name: &str| -> Result<u64, String> {
-                match flag(&args, name) {
+                match flag(name) {
                     Some(v) => v.parse::<u64>().map_err(|e| format!("bad {name}: {e}")),
                     None => Ok(0),
                 }
@@ -82,14 +90,12 @@ fn run() -> Result<String, String> {
             let read_deadline_ms = numeric("--read-deadline-ms")?;
             let idle_timeout_ms = numeric("--idle-timeout-ms")?;
             let max_connections = numeric("--max-connections")? as usize;
-            let queue_limit = numeric("--queue-limit")? as usize;
             let server = commands::serve(
                 &index,
-                &listen,
+                listen,
                 read_deadline_ms,
                 idle_timeout_ms,
                 max_connections,
-                queue_limit,
             )
             .map_err(|e| e.to_string())?;
             println!(

@@ -6,8 +6,8 @@
 //! - [`proto`] — the length-framed, checksummed wire codec (requests,
 //!   responses, and the frame layer shared by both sides);
 //! - [`server`] — the serving loop: one thread per connection, each
-//!   read answered inline on a pinned snapshot, commits collapsed into
-//!   rounds by one committer thread, overload shed
+//!   read answered inline on a pinned snapshot and each commit run on
+//!   its own connection thread under the write lock, overload refused
 //!   with typed `OVERLOADED` frames, deadlines enforced end to end;
 //! - [`client`] — a blocking request/response client with capped,
 //!   seeded-jitter backoff and idempotency-token retry;
@@ -26,6 +26,7 @@
 
 pub mod client;
 pub mod fault;
+mod idem;
 pub mod proto;
 pub mod server;
 

@@ -60,10 +60,9 @@ pub mod code {
     /// The request's deadline elapsed before the server could answer;
     /// the work was dropped (possibly before it ever started).
     pub const DEADLINE_EXCEEDED: u16 = 5;
-    /// The server shed the request under load (full commit queue, too
-    /// many reads in flight, connection limit, or dirty-page
-    /// backpressure). The frame carries
-    /// a retry-after hint; retrying after it is always safe.
+    /// The server turned the request away under load (connection limit
+    /// or dirty-page backpressure). The frame carries a retry-after
+    /// hint; retrying after it is always safe.
     pub const OVERLOADED: u16 = 6;
 }
 
@@ -158,13 +157,18 @@ pub struct ServeStats {
     pub node_accesses: u64,
     /// The subset of accesses that actually ran the codec.
     pub node_decodes: u64,
-    /// Commit requests received.
+    /// Commits run: requests that took the write lock in time (a
+    /// replayed or an expired commit is not counted).
     pub commits: u64,
-    /// WAL fsync rounds those commits collapsed into.
+    /// Equals `commits`: each commit runs on its own connection thread
+    /// as one WAL transaction. The field dates from commits merged into
+    /// rounds and keeps its place on the wire.
     pub commit_rounds: u64,
     /// Structurally broken frames answered with a typed error.
     pub protocol_errors: u64,
-    /// Requests shed by the load-shedding policy.
+    /// Requests answered `OVERLOADED`: writes the store's dirty-page
+    /// ceiling refused, the only shedding the server does. Connections
+    /// refused at accept count in `refused_conns`.
     pub shed: u64,
     /// Requests dropped because their deadline had already expired.
     pub expired: u64,

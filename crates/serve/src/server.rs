@@ -1,13 +1,12 @@
-//! The `boxagg serve` server: one thread per TCP connection, reads
-//! answered inline on pinned snapshots, writes collapsed into commit
-//! rounds.
+//! The `boxagg serve` server: one thread per TCP connection, and every
+//! request — read, write or commit — runs on the thread that read it.
 //!
 //! ## Connections — a connection is a thread
 //!
 //! The accept thread owns a `std::thread::scope`; every admitted
 //! connection is one scoped thread that lives exactly as long as the
-//! connection does. An idle server is two threads (accept, committer).
-//! Leaving the scope joins every connection thread, which is the join
+//! connection does. An idle server is one thread (accept). Leaving the
+//! scope joins every connection thread, which is the join
 //! [`ServerHandle::shutdown`] waits for.
 //!
 //! ## Read path — inline on a pinned snapshot
@@ -26,26 +25,25 @@
 //! 1.5 µs per request. Answers are bit-identical to an in-process
 //! `SnapshotBoxSum` on the same epoch, whatever else is in flight.
 //!
-//! ## Write path — group commit, idempotency tokens
+//! ## Write path — commits under the write lock, idempotency tokens
 //!
 //! Inserts and deletes mutate the live engine under a mutex and stay
 //! buffered in the store's no-steal pool; they become visible to reads
 //! only at the next commit (reads run on snapshots of the last
-//! committed epoch). `Commit` requests queue to a committer thread,
-//! the only caller of `SharedStore::commit`. It collapses a round
-//! itself: it drains everything waiting, publishes the catalog once
-//! and commits once, so N concurrent network commits cost one WAL
-//! transaction and one set of syncs, not N.
+//! committed epoch). A `Commit` runs on its own connection thread: it
+//! takes the same write lock, publishes the catalog and calls
+//! `SharedStore::commit`. Concurrent commits wait their turn for the
+//! lock, as writes do; each is its own WAL transaction.
 //!
 //! Writes are retry-safe end to end. A tokened op (`token != 0`)
 //! carries a per-token sequence number; the server skips `(token,
 //! seq)` pairs it has already applied, so a client replaying its
 //! buffered ops after a reconnect never double-applies. At commit, the
-//! round's tokens are recorded durably in the superblock catalog
-//! *inside the same WAL transaction* as the data — so after a server
-//! restart, a retried `Commit` whose token is on disk answers `Ok`
-//! with the originally recorded result instead of re-committing, and
-//! any re-sent ops under a durable token are skipped outright.
+//! token is recorded durably in the superblock catalog *inside the
+//! same WAL transaction* as the data — so after a server restart, a
+//! retried `Commit` whose token is on disk answers `Ok` with the
+//! originally recorded result instead of re-committing, and any re-sent
+//! ops under a durable token are skipped outright.
 //!
 //! ## Deadlines, overload, failure
 //!
@@ -53,32 +51,30 @@
 //! Work whose deadline has already expired is dropped with a typed
 //! [`DEADLINE_EXCEEDED`](proto::code::DEADLINE_EXCEEDED) frame instead
 //! of being done for a caller who has stopped waiting: every request
-//! is checked on arrival (a read never waits after that), a write
-//! again once it holds the write lock, a commit again when the
-//! committer takes it off its queue. Each *frame read* is separately bounded by [`ServeConfig::read_deadline`]: a
+//! is checked on arrival (a read never waits after that), and a write
+//! or a commit again once it holds the write lock. Each *frame read*
+//! is separately bounded by [`ServeConfig::read_deadline`]: a
 //! slowloris peer trickling one byte a second cannot hold a thread
 //! past it, because the per-read socket timeout shrinks as the frame
 //! deadline approaches. Idle connections are reaped after
 //! [`ServeConfig::idle_timeout`].
 //!
-//! Overload is shed, not queued without bound, writes first: the
-//! commit queue refuses at a quarter of [`ServeConfig::queue_limit`],
-//! reads only once `queue_limit` of them are in flight at the same
-//! moment. Shed requests — and writes refused by the pagestore's dirty-page ceiling
-//! (`Error::Backpressure`) — answer a typed
-//! [`OVERLOADED`](proto::code::OVERLOADED) frame carrying a
-//! retry-after hint; the connection stays open. The accept loop
-//! enforces [`ServeConfig::max_connections`] the same way: a refused
-//! connection gets one typed `OVERLOADED` frame, then closes — never a
-//! silent drop. A connection's slot is released by a guard its thread
-//! owns, so a handler that dies still gives the slot back.
+//! [`ServeConfig::max_connections`] is the one admission bound: a
+//! connection carries one request at a time, so it bounds the requests
+//! in flight too. The accept loop refuses a connection past it with one
+//! typed [`OVERLOADED`](proto::code::OVERLOADED) frame, then closes —
+//! never a silent drop. A connection's slot is released by a guard its
+//! thread owns, so a handler that dies still gives the slot back. A
+//! write the pagestore's dirty-page ceiling refuses
+//! (`Error::Backpressure`) answers `OVERLOADED` with a retry-after
+//! hint, and the connection stays open.
 //!
 //! Malformed frames (bad checksum, truncation, alien tags) get a typed
 //! [`code::PROTOCOL`] error frame and the connection closes;
 //! semantically invalid requests on a well-formed frame get
 //! [`code::INVALID_ARGUMENT`] and the connection stays usable. Every
 //! error path answers a typed frame before closing; the server never
-//! panics on hostile bytes. If a commit round fails for a non-overload
+//! panics on hostile bytes. If a commit fails for a non-overload
 //! reason, the write path **fail-stops** (every later write answers
 //! `INTERNAL` until the process restarts): continuing to mutate an
 //! engine whose durable state is unknown would forfeit the exactly-once
@@ -89,7 +85,6 @@ use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -102,6 +97,7 @@ use boxagg_core::catalog::{open_corner_engine, persist_corner_engine};
 use boxagg_core::reduction::CornerBoxSum;
 use boxagg_pagestore::SharedStore;
 
+use crate::idem;
 use crate::proto::{
     self, code, code_for, encode_response, read_frame, retry_after_for, write_frame, Hello,
     Request, Response, ServeStats, PROTO_VERSION,
@@ -119,11 +115,9 @@ pub struct ServeConfig {
     /// frame, then close) so half-open peers cannot pin threads.
     pub idle_timeout: Duration,
     /// Most concurrent connections served, one thread each; further
-    /// accepts get a typed `OVERLOADED` refusal.
+    /// accepts get a typed `OVERLOADED` refusal. A connection carries
+    /// one request at a time, so this also bounds requests in flight.
     pub max_connections: usize,
-    /// Where load shedding begins. Commits shed once a quarter of
-    /// this many are queued, reads once this many are in flight.
-    pub queue_limit: usize,
 }
 
 impl Default for ServeConfig {
@@ -132,7 +126,6 @@ impl Default for ServeConfig {
             read_deadline: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(30),
             max_connections: 48,
-            queue_limit: 256,
         }
     }
 }
@@ -164,12 +157,6 @@ impl Deadline {
             budget_ms: self.budget_ms,
         }
     }
-}
-
-struct CommitJob {
-    token: u64,
-    deadline: Deadline,
-    reply: Sender<Result<u64>>,
 }
 
 #[derive(Default)]
@@ -207,7 +194,7 @@ struct WriteState {
     applied: HashMap<u64, u32>,
     /// Admission order of `applied`, for FIFO eviction.
     order: VecDeque<u64>,
-    /// Set when a commit round failed for a non-overload reason; every
+    /// Set when a commit failed for a non-overload reason; every
     /// later write answers `INTERNAL` until the server restarts.
     poisoned: bool,
 }
@@ -246,13 +233,6 @@ struct Shared {
     space: Rect,
     dim: usize,
     cfg: ServeConfig,
-    /// The committer's queue; `None` tells it to stop.
-    commit_tx: Sender<Option<CommitJob>>,
-    /// Depth of the commit queue.
-    commit_depth: AtomicU64,
-    /// Reads being answered right now, one per connection thread
-    /// inside [`run_read`].
-    reads_in_flight: AtomicU64,
     /// The live engine's object count, stored under the write lock
     /// after every applied insert/delete so the handshake can say it
     /// without waiting out a commit.
@@ -280,12 +260,6 @@ impl Shared {
             validate_ok: self.store.validate().is_ok(),
         }
     }
-
-    fn overloaded(&self) -> Error {
-        Error::Overloaded {
-            retry_after_ms: RETRY_AFTER_MS,
-        }
-    }
 }
 
 /// A running server. Dropping the handle shuts the server down.
@@ -293,7 +267,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    committer: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -316,7 +289,6 @@ impl ServerHandle {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
 
-        let (commit_tx, commit_rx) = channel::<Option<CommitJob>>();
         let shared = Arc::new(Shared {
             store,
             write: Mutex::new(WriteState {
@@ -328,19 +300,12 @@ impl ServerHandle {
             space,
             dim,
             cfg,
-            commit_tx,
-            commit_depth: AtomicU64::new(0),
-            reads_in_flight: AtomicU64::new(0),
             objects: AtomicU64::new(objects),
             conns: AtomicU64::new(0),
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
         });
 
-        let committer = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || committer_loop(&shared, &commit_rx))
-        };
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(&listener, &shared))
@@ -349,7 +314,6 @@ impl ServerHandle {
             addr: local,
             shared,
             accept: Some(accept),
-            committer: Some(committer),
         })
     }
 
@@ -367,30 +331,19 @@ impl ServerHandle {
     /// Stops accepting, drains the serving threads and joins them: the
     /// accept thread returns only once every connection thread in its
     /// scope has. Connected clients are cut loose (handlers notice the
-    /// shutdown flag within their poll interval). The committer is
-    /// woken by a stop message queued behind every commit.
+    /// shutdown flag within their poll interval); a request in progress
+    /// is finished first.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // The accept thread returns only once every connection thread
-        // has, so no commit can be queued behind the stop message.
-        join(self.accept.take());
-        if let Some(committer) = self.committer.take() {
-            // lint: allow(discarded-result) -- a committer that already returned has dropped its queue
-            let _ = self.shared.commit_tx.send(None);
-            join(Some(committer));
+        if let Some(Err(payload)) = self.accept.take().map(JoinHandle::join) {
+            // The accept thread never panics by design; if it ever
+            // does, the payload must not re-detonate here.
+            std::mem::forget(payload);
         }
-    }
-}
-
-fn join(thread: Option<JoinHandle<()>>) {
-    if let Some(Err(payload)) = thread.map(JoinHandle::join) {
-        // A serving thread never panics by design; if one ever does,
-        // the payload must not re-detonate here.
-        std::mem::forget(payload);
     }
 }
 
@@ -410,27 +363,6 @@ fn poisoned_error() -> Error {
     Error::Io(std::io::Error::other(
         "write path fail-stopped by an earlier commit failure; restart the server",
     ))
-}
-
-/// Re-creates a typed error for fan-out to every member of a commit
-/// round ([`Error`] is not `Clone`; the wire code and payload must
-/// survive the copy).
-fn replicate(e: &Error) -> Error {
-    match e {
-        Error::Backpressure { dirty, ceiling } => Error::Backpressure {
-            dirty: *dirty,
-            ceiling: *ceiling,
-        },
-        Error::Overloaded { retry_after_ms } => Error::Overloaded {
-            retry_after_ms: *retry_after_ms,
-        },
-        Error::DeadlineExceeded { budget_ms } => Error::DeadlineExceeded {
-            budget_ms: *budget_ms,
-        },
-        Error::ReadOnly { op } => Error::ReadOnly { op },
-        Error::InvalidArgument(m) => Error::InvalidArgument(m.clone()),
-        other => Error::Io(std::io::Error::other(other.to_string())),
-    }
 }
 
 /// Refuses a connection with one typed `OVERLOADED` frame written on
@@ -501,103 +433,6 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             }
         }
     });
-}
-
-fn committer_loop(shared: &Shared, rx: &Receiver<Option<CommitJob>>) {
-    // `None` is the stop message, queued behind every commit (see
-    // `ServerHandle::stop`).
-    while let Ok(Some(first)) = rx.recv() {
-        shared.commit_depth.fetch_sub(1, Ordering::SeqCst);
-        let mut round = vec![first];
-        while let Ok(msg) = rx.try_recv() {
-            let Some(job) = msg else { return };
-            shared.commit_depth.fetch_sub(1, Ordering::SeqCst);
-            round.push(job);
-        }
-        // Members whose deadline expired while queued drop out before
-        // the round runs. (The round itself still commits for the
-        // survivors; an expired member's buffered writes may ride
-        // along — its token is *not* recorded, so its retry will
-        // re-commit and record it then.)
-        let mut live = Vec::with_capacity(round.len());
-        for job in round {
-            if job.deadline.expired() {
-                shared.counters.expired.fetch_add(1, Ordering::Relaxed);
-                // lint: allow(discarded-result) -- a receiver that hung up no longer wants the verdict
-                let _ = job.reply.send(Err(job.deadline.error()));
-            } else {
-                live.push(job);
-            }
-        }
-        if live.is_empty() {
-            continue;
-        }
-        // One catalog publish + one commit for the whole round. The
-        // write lock is held across token recording, root publish and
-        // the commit itself, so the tokens land in the same WAL
-        // transaction as the data they guard and no insert can
-        // interleave between the roots being published and the
-        // transaction committing.
-        let result = {
-            let mut w = lock_write(shared);
-            if w.poisoned {
-                Err(poisoned_error())
-            } else {
-                let objects = w.engine.len() as u64;
-                let mut tokens: Vec<u64> =
-                    live.iter().map(|j| j.token).filter(|&t| t != 0).collect();
-                tokens.sort_unstable();
-                tokens.dedup();
-                let mut res = Ok(());
-                for &t in &tokens {
-                    res = res.and_then(|()| {
-                        shared
-                            .store
-                            .record_idempotency_token(t, objects, IDEM_RETAIN)
-                    });
-                }
-                let res = res
-                    .and_then(|()| persist_corner_engine(&w.engine, &shared.space))
-                    .and_then(|()| shared.store.commit());
-                match res {
-                    Ok(()) => {
-                        // The tokens are durable; the in-memory replay
-                        // filter no longer needs their progress.
-                        for &t in &tokens {
-                            w.forget(t);
-                        }
-                        Ok(objects)
-                    }
-                    Err(e) => {
-                        if !matches!(e, Error::Backpressure { .. }) {
-                            // Fail-stop: the engine's durable state is
-                            // now unknown; more writes could smear a
-                            // half-committed image. Reads (snapshots of
-                            // the last committed epoch) stay safe.
-                            w.poisoned = true;
-                        }
-                        Err(e)
-                    }
-                }
-            }
-        };
-        shared
-            .counters
-            .commits
-            .fetch_add(live.len() as u64, Ordering::Relaxed);
-        shared
-            .counters
-            .commit_rounds
-            .fetch_add(1, Ordering::Relaxed);
-        for job in live {
-            let reply = match &result {
-                Ok(n) => Ok(*n),
-                Err(e) => Err(replicate(e)),
-            };
-            // lint: allow(discarded-result) -- a receiver that hung up no longer wants the outcome
-            let _ = job.reply.send(reply);
-        }
-    }
 }
 
 /// How long a connection handler waits in `peek` before re-checking
@@ -760,6 +595,17 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared) {
             }
         };
         let resp = dispatch(shared, req, Deadline::from_budget(deadline_ms));
+        // The requests answered `OVERLOADED` here are the writes the
+        // store's dirty-page ceiling refused: the server's only shedding.
+        if matches!(
+            resp,
+            Response::Error {
+                code: code::OVERLOADED,
+                ..
+            }
+        ) {
+            shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+        }
         last_active = Instant::now();
         if !send_response(&mut stream, &resp) {
             return;
@@ -825,48 +671,72 @@ fn dispatch(shared: &Shared, req: Request, deadline: Deadline) -> Response {
         } => apply_write(shared, deadline, token, seq, |w| {
             w.engine.delete(&rect, value)
         }),
-        Request::Commit { token } => {
-            // A token already durable on disk means this commit (and
-            // everything under it) happened: answer the recorded
-            // result without touching the engine.
-            if token != 0 {
-                match shared.store.idempotency_token(token) {
-                    Ok(Some(result)) => {
-                        shared.counters.replays.fetch_add(1, Ordering::Relaxed);
-                        return Response::Ok { objects: result };
-                    }
-                    Ok(None) => {}
-                    Err(e) => return error_response(&e),
-                }
-            }
-            // Writes shed first: commits refuse at a quarter of the
-            // queue limit.
-            let commit_limit = (shared.cfg.queue_limit / 4).max(1) as u64;
-            if shared.commit_depth.load(Ordering::SeqCst) >= commit_limit {
-                shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-                return error_response(&shared.overloaded());
-            }
-            let (tx, rx) = channel();
-            shared.commit_depth.fetch_add(1, Ordering::SeqCst);
-            if shared
-                .commit_tx
-                .send(Some(CommitJob {
-                    token,
-                    deadline,
-                    reply: tx,
-                }))
-                .is_err()
-            {
-                shared.commit_depth.fetch_sub(1, Ordering::SeqCst);
-                return error_response(&invalid_arg("server is shutting down"));
-            }
-            match rx.recv() {
-                Ok(Ok(objects)) => Response::Ok { objects },
-                Ok(Err(e)) => error_response(&e),
-                Err(_) => error_response(&invalid_arg("server is shutting down")),
-            }
-        }
+        Request::Commit { token } => commit(shared, deadline, token),
         Request::Stats => Response::StatsReply(shared.stats()),
+    }
+}
+
+/// Commits the live engine on the calling connection thread. A token
+/// already durable on disk means this commit (and everything under it)
+/// happened: it answers the recorded result without touching the
+/// engine. Otherwise, under the write lock, the deadline and the
+/// fail-stop flag are checked again, and the token is recorded, the
+/// catalog published and the store committed — so the token lands in
+/// the same WAL transaction as the data it guards, and no insert can
+/// interleave between the roots being published and the transaction
+/// committing.
+fn commit(shared: &Shared, deadline: Deadline, token: u64) -> Response {
+    if token != 0 {
+        match idem::lookup(&shared.store, token) {
+            Ok(Some(objects)) => {
+                shared.counters.replays.fetch_add(1, Ordering::Relaxed);
+                return Response::Ok { objects };
+            }
+            Ok(None) => {}
+            Err(e) => return error_response(&e),
+        }
+    }
+    let mut w = lock_write(shared);
+    if deadline.expired() {
+        shared.counters.expired.fetch_add(1, Ordering::Relaxed);
+        return error_response(&deadline.error());
+    }
+    // `commit_rounds` keeps its place on the wire and counts one per
+    // commit.
+    shared.counters.commits.fetch_add(1, Ordering::Relaxed);
+    shared
+        .counters
+        .commit_rounds
+        .fetch_add(1, Ordering::Relaxed);
+    if w.poisoned {
+        return error_response(&poisoned_error());
+    }
+    let objects = w.engine.len() as u64;
+    let recorded = if token == 0 {
+        Ok(())
+    } else {
+        idem::record(&shared.store, token, objects, IDEM_RETAIN)
+    };
+    let res = recorded
+        .and_then(|()| persist_corner_engine(&w.engine, &shared.space))
+        .and_then(|()| shared.store.commit());
+    match res {
+        Ok(()) => {
+            // The token is durable; the in-memory replay filter no
+            // longer needs its progress.
+            w.forget(token);
+            Response::Ok { objects }
+        }
+        Err(e) => {
+            if !matches!(e, Error::Backpressure { .. }) {
+                // Fail-stop: the engine's durable state is now
+                // unknown; more writes could smear a half-committed
+                // image. Reads (snapshots of the last committed epoch)
+                // stay safe.
+                w.poisoned = true;
+            }
+            error_response(&e)
+        }
     }
 }
 
@@ -883,7 +753,7 @@ fn apply_write(
     op: impl FnOnce(&mut WriteState) -> Result<()>,
 ) -> Response {
     let mut w = lock_write(shared);
-    // The write lock is held across a whole commit round, so the wait
+    // The write lock is held across a whole commit, so the wait
     // for it can outlast the caller's deadline. An expired op is
     // refused before it touches the engine or the replay filter: the
     // caller's retry under the same `(token, seq)` applies it once.
@@ -898,7 +768,7 @@ fn apply_write(
         // Already applied in this incarnation, or already *committed*
         // in a previous one: either way, applying again would double
         // the op.
-        let committed = match shared.store.idempotency_token(token) {
+        let committed = match idem::lookup(&shared.store, token) {
             Ok(t) => t.is_some(),
             Err(e) => return error_response(&e),
         };
@@ -937,8 +807,8 @@ fn apply_write(
     }
 }
 
-/// One claim on a bounded tier — a read in flight, a live connection —
-/// released on drop, so a holder that unwinds still gives it back.
+/// One claim on a live-connection slot, released on drop, so a holder
+/// that unwinds still gives it back.
 struct Slot<'a>(&'a AtomicU64);
 
 impl<'a> Slot<'a> {
@@ -964,12 +834,6 @@ fn run_read(
     shared: &Shared,
     read: impl FnOnce(&CornerBoxSum<BATree<f64>>) -> Result<f64>,
 ) -> Response {
-    // Reads shed last: only with `queue_limit` of them in flight.
-    let limit = shared.cfg.queue_limit.max(1) as u64;
-    let Some(_slot) = Slot::claim(&shared.reads_in_flight, limit) else {
-        shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-        return error_response(&shared.overloaded());
-    };
     let opened = shared
         .store
         .snapshot()

@@ -1,7 +1,7 @@
 //! Robustness tests for the serving layer: connection caps, deadlines
-//! (including slowloris starvation), overload shedding and dirty-page
-//! backpressure, typed-frame-before-close discipline, and retry-safe
-//! writes under injected connection death.
+//! (including slowloris starvation), dirty-page backpressure,
+//! typed-frame-before-close discipline, concurrent commits, and
+//! retry-safe writes under injected connection death.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -175,9 +175,9 @@ fn connection_limit_refuses_with_a_typed_overloaded_frame() {
 
 /// A handler that panics takes its own connection down and nothing
 /// else: the slot it held comes back, so a server capped at one
-/// connection admits the next one and answers it correctly. Same store
-/// shape as the shed test — two frames, no decodes kept — so the
-/// served read has to go to the pager, which panics under it.
+/// connection admits the next one and answers it correctly. Two frames
+/// and no decodes kept, so the served read has to go to the pager,
+/// which panics under it.
 #[test]
 fn a_panicking_handler_gives_its_connection_slot_back() {
     let dir = boxagg_common::tempdir::tempdir().expect("tempdir");
@@ -443,6 +443,7 @@ fn dirty_page_backpressure_is_typed_overloaded_and_recovers_after_backoff() {
     let n = client.commit().expect("commit");
     assert_eq!(n, 62);
     let stats = client.stats().expect("stats");
+    assert!(stats.shed >= 1, "the refused write was never counted");
     assert!(stats.validate_ok);
     server.shutdown();
 }
@@ -518,9 +519,9 @@ fn every_error_path_answers_a_typed_frame_before_closing() {
     server.shutdown();
 }
 
-/// A commit whose deadline expires while it waits in the commit queue
-/// — the only queue left — behind a round in progress is dropped with a
-/// typed `DEADLINE_EXCEEDED`, and the connection stays usable.
+/// A commit whose deadline expires while it waits for the write lock
+/// behind a commit in progress is dropped with a typed
+/// `DEADLINE_EXCEEDED`, and the connection stays usable.
 #[test]
 fn queued_work_past_its_deadline_is_dropped_with_a_typed_frame() {
     let (server, gate, first_commit) = server_with_a_commit_in_progress(40, 31);
@@ -704,6 +705,83 @@ fn replayed_ops_and_commits_are_exactly_once() {
     server.shutdown();
 }
 
+/// Several connections each insert under their own token, then all
+/// commit at once: each commit runs on its own connection thread and
+/// waits its turn for the write lock. Every commit answers `Ok`, every
+/// object lands once, and a raw retry of each commit is answered from
+/// its durable record.
+#[test]
+fn concurrent_commits_each_land_once_and_replay_from_their_records() {
+    const K: u64 = 4;
+    let (store, _space) = seeded_store(30, 0xC0C0);
+    let server =
+        ServerHandle::bind(store, "127.0.0.1:0", ServeConfig::default()).expect("bind server");
+    let addr = server.local_addr();
+    let whole = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
+    let mut probe = Client::connect(addr).expect("connect");
+    let before = probe.box_sum(&whole).expect("baseline sum");
+
+    // Connection `i` inserts `i + 1` objects of value `i + 1` under
+    // token `0x100 + i`.
+    let barrier = Arc::new(Barrier::new(K as usize));
+    let writers: Vec<_> = (0..K)
+        .map(|i| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                client.set_next_token(0x100 + i);
+                for j in 0..=i {
+                    let lo = 0.1 * j as f64;
+                    let obj = Rect::from_bounds(&[(lo, lo + 0.05), (0.5, 0.6)]);
+                    client.insert(&obj, (i + 1) as f64).expect("insert");
+                }
+                barrier.wait();
+                (0x100 + i, client.commit().expect("every commit answers Ok"))
+            })
+        })
+        .collect();
+    let committed: Vec<(u64, u64)> = writers
+        .into_iter()
+        .map(|h| h.join().expect("writer thread"))
+        .collect();
+
+    let batches: u64 = (1..=K).sum();
+    assert_eq!(
+        Client::connect(addr).expect("probe").hello().objects,
+        30 + batches
+    );
+    let added: f64 = (1..=K).map(|i| (i * i) as f64).sum();
+    let after = probe.box_sum(&whole).expect("sum after commits");
+    assert_eq!(after.to_bits(), (before + added).to_bits());
+
+    // A raw retry of each commit is answered from its durable record.
+    let replays = probe.stats().expect("stats").replays;
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    read_frame(&mut stream)
+        .expect("hello frame")
+        .expect("hello body");
+    for &(token, objects) in &committed {
+        let req = Request::Commit { token };
+        proto::write_frame(&mut stream, &proto::encode_request(&req)).expect("send retry");
+        let body = read_frame(&mut stream)
+            .expect("reply frame")
+            .expect("reply body");
+        match proto::decode_response(&body).expect("decode reply") {
+            Response::Ok { objects: got } => assert_eq!(got, objects, "token {token:#x}"),
+            other => panic!("a retried commit must answer Ok, got {other:?}"),
+        }
+    }
+    let stats = probe.stats().expect("stats");
+    assert_eq!(stats.replays, replays + K, "one replay per token");
+    assert_eq!(stats.commits, K);
+    assert_eq!(stats.commits, stats.commit_rounds);
+    assert!(stats.validate_ok);
+    server.shutdown();
+}
+
 /// `commit_durable` rides out a connection killed between the commit
 /// request and its reply: it reconnects, replays the pended ops (all
 /// skipped), retries the tokened commit, and is answered from the
@@ -746,83 +824,10 @@ fn commit_durable_rides_through_a_killed_connection() {
     server.shutdown();
 }
 
-/// With more reads in flight than `queue_limit` allows, the excess is
-/// shed with a typed `OVERLOADED` frame and the client still gets its
-/// (bit-identical) answer through backoff — overload degrades latency,
-/// never correctness. A two-frame buffer with no decodes kept
-/// makes every box-sum miss, and the gate parks the first miss with
-/// its read still in flight.
-#[test]
-fn shed_reads_recover_through_client_backoff() {
-    let dir = boxagg_common::tempdir::tempdir().expect("tempdir");
-    let path = dir.path().join("shed.pages");
-    let cfg = StoreConfig {
-        page_size: 2048,
-        buffer_pages: 2,
-        backing: Backing::File(path.clone()),
-        node_cache_pages: 0,
-        wal: true,
-    };
-    seed_store(SharedStore::open(&cfg).expect("create store"), 200, 0x0DD);
-    // Reopened behind the gate, the pool holds only what it has
-    // fetched since.
-    let (pager, gate) = gated(
-        Box::new(FilePager::open(&path, cfg.page_size).expect("reopen file")),
-        OpFilter::Reads,
-    );
-    let store = SharedStore::open_with_pager(Box::new(pager), &cfg).expect("reopen gated store");
-    let whole = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
-    let serial = {
-        let engine = SnapshotBoxSum::open(store.snapshot().expect("snapshot")).expect("open");
-        engine.query(&whole).expect("serial answer")
-    };
-
-    let server = ServerHandle::bind(
-        store,
-        "127.0.0.1:0",
-        ServeConfig {
-            // One read in flight at a time.
-            queue_limit: 1,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind server");
-    let addr = server.local_addr();
-    let mut first = Client::connect(addr).expect("connect");
-    let mut second = Client::connect(addr).expect("connect");
-    second.set_backoff_seed(0x0DD);
-
-    gate.close_gate();
-    let parked = std::thread::spawn(move || first.box_sum(&whole).expect("parked query"));
-    assert!(gate.wait_parked(), "nobody ever reached the gated op");
-    // The second read's first attempt meets a full tier; its backoff
-    // (at least half a second in all) outlasts the parked read.
-    let opener = {
-        let gate = gate.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(200));
-            gate.open_gate();
-        })
-    };
-    let got = second.box_sum(&whole).expect("backoff rides out the shed");
-    assert_eq!(got.to_bits(), serial.to_bits());
-    assert_eq!(
-        parked.join().expect("parked reader").to_bits(),
-        serial.to_bits()
-    );
-    opener.join().expect("opener thread");
-
-    let stats = server.stats();
-    assert!(stats.shed >= 1, "the second read was never shed");
-    assert_eq!(stats.queries, 2, "a shed attempt is not an executed read");
-    assert!(stats.validate_ok);
-    server.shutdown();
-}
-
 /// A read that misses the buffer is served while a commit waits on its
-/// log fsync: the committer holds the log handle there, not the pager
-/// lock the miss needs. Same store shape as the shed test — two frames,
-/// no decodes kept, so every box-sum goes to the pager.
+/// log fsync: the committing thread holds the log handle there, not
+/// the pager lock the miss needs. Two frames and no decodes kept, so
+/// every box-sum goes to the pager.
 #[test]
 fn a_cold_read_is_served_while_a_commit_waits_on_its_log_fsync() {
     let dir = boxagg_common::tempdir::tempdir().expect("tempdir");

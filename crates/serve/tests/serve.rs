@@ -45,14 +45,14 @@ fn seeded_store(n: usize, seed: u64) -> (SharedStore, Rect) {
     (store, space)
 }
 
-/// An idle server shuts down at once: its committer is woken by a stop
-/// message, not found out by a poll.
+/// An idle server shuts down at once: its only thread is the accept
+/// loop, and nothing waits on a queue to be woken.
 #[test]
 fn an_idle_server_shuts_down_at_once() {
     let (store, _space) = seeded_store(20, 7);
     let server =
         ServerHandle::bind(store, "127.0.0.1:0", ServeConfig::default()).expect("bind server");
-    // Let the committer settle into its wait.
+    // Let the accept loop settle into its poll.
     std::thread::sleep(Duration::from_millis(20));
     let t0 = Instant::now();
     server.shutdown();
