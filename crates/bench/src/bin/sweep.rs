@@ -3,7 +3,7 @@
 //!
 //! * retry, BAT and ECDFu, error and torn-write faults, about 1000 of
 //!   each domain's ops: `BENCH_PR4_FAULTS.json`;
-//! * crash, BAT and ECDFu, kill, torn-kill and grouped-kill, about 1000
+//! * crash, BAT and ECDFu, kill, torn-kill and queued-kill, about 1000
 //!   kill positions each: `BENCH_PR5_CRASH.json`;
 //! * connection kill and server kill over the served conversation, at
 //!   every op: `BENCH_PR10_CHAOS.json`.
@@ -77,7 +77,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for scheme in schemes {
-        for kill in [Kill::Clean, Kill::Torn, Kill::Grouped] {
+        for kill in [Kill::Clean, Kill::Torn, Kill::Queued] {
             let mut crash = Crash::new(Points::full(scheme, seed), kill);
             let t = sweep::run(&mut crash, RUNS);
             let [c1, c2] = crash.commits();

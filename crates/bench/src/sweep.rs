@@ -19,7 +19,8 @@
 //! * [`Crash`] — process death as the pager sees it (every op from `k`
 //!   on fails) during two committed transactions over a WAL file store.
 //!   [`Kill`] can also tear the first failing write, or commit
-//!   transaction 2 from two threads grouped behind one log sync. A cold
+//!   transaction 2 from two threads, the second queued on the commit
+//!   lock while the first is parked in its log sync. A cold
 //!   reopen runs WAL recovery, and must land bit-identically on exactly
 //!   one committed state, never losing one whose commit had returned.
 //!   Lands on `empty`, `txn1` or `txn2`.
@@ -38,7 +39,6 @@
 //!   `boundary m`, the seed state plus `m` batches.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use boxagg_batree::BATree;
 use boxagg_common::error::{Error, Result};
@@ -507,12 +507,12 @@ pub enum Kill {
     /// As `Clean`, and the first failing write persists a seeded prefix
     /// — a page or log tail torn by a crash mid-sector-sequence.
     Torn,
-    /// As `Clean`, with transaction 2 committed from two threads: a
-    /// leader parked inside its log fsync, and a follower the
-    /// group-commit protocol must absorb with no I/O of its own, so the
-    /// op stream stays the serial one and every kill lands inside a
-    /// grouped commit.
-    Grouped,
+    /// As `Clean`, with transaction 2 committed from two threads: the
+    /// first parked inside its log fsync, the second waiting on the
+    /// commit lock behind it. The second runs its own commit after the
+    /// first, an empty one (one data sync) when the first succeeded, so
+    /// the op stream is the serial one plus that sync.
+    Queued,
 }
 
 impl Kill {
@@ -521,7 +521,7 @@ impl Kill {
         match self {
             Kill::Clean => "kill",
             Kill::Torn => "torn-kill",
-            Kill::Grouped => "grouped-kill",
+            Kill::Queued => "queued-kill",
         }
     }
 }
@@ -579,8 +579,8 @@ impl Crash {
         let first = self.data.answers(&*index)?;
         self.data.insert_all(&mut *index)?;
         index.persist(ROOT)?;
-        if self.kill == Kill::Grouped {
-            commit_grouped(store, faults)?;
+        if self.kill == Kill::Queued {
+            commit_queued(store, faults)?;
         } else {
             store.commit()?;
         }
@@ -589,14 +589,15 @@ impl Crash {
     }
 }
 
-/// Commits from two threads, grouped: the leader parks inside its log
-/// fsync, and the follower calls `commit()` while it is parked. If a
-/// kill fells the leader, the follower commits as leader and dies of
-/// the same sticky fault; the first error is returned either way.
-fn commit_grouped(store: &SharedStore, faults: &FaultHandle) -> Result<()> {
+/// Commits from two threads: the first parks inside its log fsync,
+/// and the second calls `commit()` while it is parked, so it queues on
+/// the commit lock. If a kill fells the first, the second retries the
+/// transaction and dies of the same sticky fault; the first error is
+/// returned either way.
+fn commit_queued(store: &SharedStore, faults: &FaultHandle) -> Result<()> {
     faults.close_gate();
     faults.arm(FaultSpec::park_at(OpFilter::WalSyncs, 1));
-    let leader = {
+    let first = {
         let (store, faults) = (store.clone(), faults.clone());
         std::thread::spawn(move || {
             let r = store.commit();
@@ -605,29 +606,17 @@ fn commit_grouped(store: &SharedStore, faults: &FaultHandle) -> Result<()> {
             r
         })
     };
-    // The leader is parked mid-fsync, or it died first and opened the
+    // The first is parked mid-fsync, or it died first and opened the
     // gate.
     faults.wait_parked();
-    let (started_tx, started_rx) = std::sync::mpsc::channel();
-    let follower = {
+    let queued = {
         let store = store.clone();
-        std::thread::spawn(move || {
-            // lint: allow(discarded-result) -- the driver outlives this send
-            let _ = started_tx.send(());
-            store.commit()
-        })
+        std::thread::spawn(move || store.commit())
     };
-    // Let the leader go only once the follower is queued behind it: it
-    // samples the group-commit state on entry, then blocks on the
-    // commit lock the leader holds. The sleep is margin for a
-    // preemption between its signal and that sample.
-    // lint: allow(discarded-result) -- a follower that died first is reported by the join below
-    let _ = started_rx.recv();
-    std::thread::sleep(Duration::from_micros(200));
     faults.open_gate();
-    let leader = leader.join().expect("leader thread");
-    let follower = follower.join().expect("follower thread");
-    leader.and(follower)
+    let first = first.join().expect("first committer thread");
+    let queued = queued.join().expect("queued committer thread");
+    first.and(queued)
 }
 
 impl Scenario for Crash {

@@ -12,6 +12,7 @@ use boxagg_core::catalog::{
     corner_root_name, open_corner_engine, persist_corner_engine, OBJECTS_ROOT,
 };
 use boxagg_core::engine::SimpleBoxSum;
+use boxagg_pagestore::pager::wal_path;
 use boxagg_pagestore::{superblock, Backing, PageId, SharedStore, StoreConfig};
 use boxagg_serve::{ServeConfig, ServerHandle};
 
@@ -130,13 +131,19 @@ fn persist(engine: &SimpleBoxSum<BATree<f64>>, store: &SharedStore) -> Result<()
 /// `boxagg build INDEX --csv FILE --space l1,h1,…`: builds a fresh
 /// file-backed index from a CSV of objects with one bulk load.
 ///
-/// Everything that can refuse the build is checked before the old index
-/// is removed: the space, the store config, every CSV line (parsed,
-/// finite, inside the space) and the index geometry at this page size.
+/// The space, the store config and every CSV line (parsed, finite,
+/// inside the space) are checked first. The index is then built and
+/// committed in a sibling `INDEX.building` with its own log, which
+/// replaces the old index by rename only once it is complete: a build
+/// refused or failed at any step removes the sibling and leaves the old
+/// index untouched.
 pub fn build(pages: &Path, csv: &Path, space_spec: &str, page_size: usize) -> Result<String> {
     let space = parse_box(space_spec)?;
     let dim = space.dim();
-    let config = store_config(pages, page_size, 64);
+    let mut building = pages.as_os_str().to_os_string();
+    building.push(".building");
+    let building = std::path::PathBuf::from(building);
+    let config = store_config(&building, page_size, 64);
     config.validate()?;
     let text = std::fs::read_to_string(csv)?;
     let mut objects = Vec::new();
@@ -156,34 +163,55 @@ pub fn build(pages: &Path, csv: &Path, space_spec: &str, page_size: usize) -> Re
             object.map_err(|e| invalid_arg(format!("{}:{}: {e}", csv.display(), lineno + 1)))?,
         );
     }
-    // Pages too small for the trees' records: refused by empty trees
-    // in memory, at this page size.
-    SimpleBoxSum::batree_in(space, SharedStore::open(&StoreConfig::small(page_size, 1))?)?;
-    // `build` means *create*: an existing file at the target path is
-    // replaced, not appended to. Opening an existing store here would
-    // silently stack a second set of trees into the old file (or fail
-    // with GeometryMismatch on a different --page-size), so remove the
-    // file and its WAL sidecar first.
-    for stale in [
-        pages.to_path_buf(),
-        boxagg_pagestore::pager::wal_path(pages),
-    ] {
-        match std::fs::remove_file(&stale) {
+    // A sibling left by a build that crashed is stale: `build` means
+    // *create*, so nothing of it may be reopened.
+    remove_store(&building)?;
+    // The engine, and with it the store, is closed before the rename.
+    let built = SimpleBoxSum::batree_bulk(space, config, &objects)
+        .and_then(|engine| {
+            let store = engine.indexes()[0].store().clone();
+            persist(&engine, &store)?;
+            Ok((store.live_pages(), store.size_bytes()))
+        })
+        .and_then(|size| replace_store(&building, pages).map(|()| size));
+    let (live_pages, size_bytes) = built.inspect_err(|_| {
+        // lint: allow(discarded-result) -- best-effort cleanup; the build error is what the caller must see
+        let _ = remove_store(&building);
+    })?;
+    Ok(format!(
+        "built {} with {} objects, {live_pages} pages ({:.1} MiB)",
+        pages.display(),
+        objects.len(),
+        size_bytes as f64 / (1024.0 * 1024.0)
+    ))
+}
+
+/// Removes a store's data file and its log, if they exist.
+fn remove_store(pages: &Path) -> Result<()> {
+    for file in [pages.to_path_buf(), wal_path(pages)] {
+        match std::fs::remove_file(&file) {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(e.into()),
         }
     }
-    let engine = SimpleBoxSum::batree_bulk(space, config, &objects)?;
-    let store = engine.indexes()[0].store().clone();
-    persist(&engine, &store)?;
-    Ok(format!(
-        "built {} with {} objects, {} pages ({:.1} MiB)",
-        pages.display(),
-        objects.len(),
-        store.live_pages(),
-        store.size_bytes() as f64 / (1024.0 * 1024.0)
-    ))
+    Ok(())
+}
+
+/// Moves the committed store at `from` over the one at `to`. The log
+/// goes first, so the new pages never meet the old index's log; between
+/// the two renames the old data file sits beside `from`'s log, which is
+/// empty once its commit returned. The directory sync makes both
+/// renames durable.
+fn replace_store(from: &Path, to: &Path) -> Result<()> {
+    std::fs::rename(wal_path(from), wal_path(to))?;
+    std::fs::rename(from, to)?;
+    let dir = match to.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 /// `boxagg query INDEX --box l1,h1,…`: the total value of objects
@@ -507,6 +535,51 @@ mod tests {
             );
             intact(want);
         }
+    }
+
+    /// Every file in `dir` whose name ends in `.building` or
+    /// `.building.wal`.
+    fn building_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".building") || n.ends_with(".building.wal"))
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_rebuild_leaves_no_sibling_and_clears_a_stale_one() {
+        let dir = tempfile::tempdir().unwrap();
+        let pages = dir.path().join("idx.pages");
+        let good = write_csv(dir.path(), &["10,30,10,25,120", "25,50,20,40,340"]);
+        build(&pages, &good, "0,100,0,100", 1024).unwrap();
+        assert!(building_files(dir.path()).is_empty());
+        // Refused by the CSV, by the config, and by the load itself.
+        let bad = write_csv(dir.path(), &["10,30,10,25,NaN"]);
+        assert!(build(&pages, &bad, "0,100,0,100", 1024).is_err());
+        for page_size in [32, 64] {
+            assert!(build(&pages, &good, "0,100,0,100", page_size).is_err());
+        }
+        assert!(
+            building_files(dir.path()).is_empty(),
+            "a refused rebuild left {:?}",
+            building_files(dir.path())
+        );
+        // A crashed build's sibling pair: garbage the next build must
+        // not reopen, recover or stack onto.
+        std::fs::write(dir.path().join("idx.pages.building"), [0xAB; 3000]).unwrap();
+        std::fs::write(dir.path().join("idx.pages.building.wal"), [0xCD; 77]).unwrap();
+        let one = write_csv(dir.path(), &["70,90,65,80,90"]);
+        build(&pages, &one, "0,100,0,100", 1024).unwrap();
+        assert!(building_files(dir.path()).is_empty());
+        let out = query(&pages, "0,100,0,100").unwrap();
+        assert!(out.starts_with("sum = 90\n"), "{out}");
+        let out = info(&pages).unwrap();
+        assert!(out.contains("objects:   1"), "{out}");
+        // The rebuilt index's log is its own, and empty.
+        assert_eq!(std::fs::read(wal_path(&pages)).unwrap(), b"");
     }
 
     #[test]

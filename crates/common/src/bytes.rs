@@ -142,7 +142,8 @@ impl<'a> ByteReader<'a> {
     #[cold]
     fn short(&self, n: usize) -> Error {
         corrupt(format!(
-            "short read: wanted {n} bytes, {} remaining",
+            "truncated at byte {}: wanted {n} bytes, {} remaining",
+            self.pos,
             self.remaining()
         ))
     }

@@ -11,11 +11,10 @@
 //! that commit concurrently with multi-page writers must quiesce them
 //! first (every current caller commits from the writing thread).
 //!
-//! Commits themselves *group*: concurrent committers collapse into one
-//! WAL append run and one log sync. Each committer notes the global
-//! mutation stamp it must see durable; whoever wins the commit lock
-//! commits everything staged so far, and the others return without
-//! issuing any I/O once they observe their stamp covered.
+//! Commits run one at a time under the commit lock, each as its own WAL
+//! transaction: a committer queued behind another logs whatever is
+//! still dirty when it gets the lock — an empty commit, one data sync,
+//! if the commit before it took everything.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -60,11 +59,10 @@ impl BufferPool {
     /// one), while a transaction that failed while being *applied*
     /// stays in the log, committed, for recovery or the retry to finish.
     ///
-    /// Concurrent commits *group*: whoever wins the commit lock logs
-    /// everything dirty at that moment in a single log append run with
-    /// a single log sync; the committers that waited behind it return
-    /// without I/O once they observe a commit completed that covers
-    /// every write staged before they arrived.
+    /// Concurrent commits run one after another under the commit lock,
+    /// each as its own WAL transaction over exactly what is dirty when
+    /// it takes the lock. A commit queued behind one that took every
+    /// dirty page finds nothing to log and makes an empty commit.
     ///
     /// Readers are never blocked: the pager lock is not held across the
     /// log fsync (log I/O runs through the pool's log handle, under
@@ -76,21 +74,7 @@ impl BufferPool {
         let Some(log) = &self.log else {
             return self.flush_all_inner();
         };
-        // Group commit, follower side: note what must be durable for
-        // *this* call — every mutation staged so far — and whether any
-        // commit completes while we wait for the lock.
-        let my_target = self.seq.load(Ordering::SeqCst);
-        let done0 = self.commits_done.load(Ordering::SeqCst);
         let _commit = self.commit_lock.acquire();
-        if self.commits_done.load(Ordering::SeqCst) != done0
-            && self.synced_seq.load(Ordering::SeqCst) >= my_target
-        {
-            // A leader committed (and synced) while we queued, and its
-            // capture covered every write we are responsible for: our
-            // commit already happened. A *failed* leader updates
-            // neither counter, so its followers retry as leaders.
-            return Ok(());
-        }
         // Phase A — capture: take every dirty frame's physical image
         // (trailer stamped) by refcount, with its mutation stamp. The
         // exclusive barrier blocks writers across the whole scan, so the
@@ -98,11 +82,8 @@ impl BufferPool {
         // I/O below — a writer changing a page after its image was
         // captured just stays dirty for the next commit.
         let mut txn: Vec<TxnPage> = Vec::new();
-        let capture_seq;
         {
             let _quiesced = self.barrier.acquire_excl();
-            // Exact cut: no writer is concurrent with this load.
-            capture_seq = self.seq.load(Ordering::SeqCst);
             let mut lru = self.lru.acquire();
             for f in lru.frames.iter_mut() {
                 if f.dirty && !f.id.is_null() {
@@ -116,7 +97,6 @@ impl BufferPool {
             // Nothing to log; still honor "commit means durable".
             self.pager.acquire().sync()?;
             self.syncs.fetch_add(1, Ordering::Relaxed);
-            self.finish_commit(capture_seq);
             return Ok(());
         }
         // Phase B — log: append the whole transaction and sync the
@@ -144,8 +124,8 @@ impl BufferPool {
         self.wal_syncs.fetch_add(1, Ordering::Relaxed);
         // Phase C — flip: publish the new commit epoch, retaining the
         // superseded images for pinned readers. From here on the
-        // transaction is visible (and durable); followers may return.
-        self.flip_epoch(capture_seq, &txn)?;
+        // transaction is visible (and durable).
+        self.flip_epoch(&txn)?;
         // Phase D — apply: write the same images in place and sync the
         // data file.
         {
@@ -213,7 +193,7 @@ impl BufferPool {
     /// an invalidation is thereby ordered after the store, and no pin
     /// can capture the new epoch while an old decode is still cached
     /// (see [`read_node_at`](Self::read_node_at)).
-    fn flip_epoch(&self, capture_seq: u64, txn: &[TxnPage]) -> Result<()> {
+    fn flip_epoch(&self, txn: &[TxnPage]) -> Result<()> {
         let _quiesced = self.barrier.acquire_excl();
         let mut snaps = self.snapshots.acquire();
         let old_epoch = self.epoch.load(Ordering::Relaxed);
@@ -248,8 +228,6 @@ impl BufferPool {
                 }
             }
         }
-        drop(snaps);
-        self.finish_commit(capture_seq);
         Ok(())
     }
 
@@ -276,14 +254,6 @@ impl BufferPool {
         let mut buf = vec![0u8; self.page_size];
         self.read_verified(id, &mut buf)?;
         Ok(Arc::from(buf))
-    }
-
-    /// Publishes a successful commit to group-commit followers: every
-    /// mutation stamped at or below `capture_seq` is durable, and one
-    /// more commit completed.
-    fn finish_commit(&self, capture_seq: u64) {
-        self.synced_seq.fetch_max(capture_seq, Ordering::SeqCst);
-        self.commits_done.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -622,35 +592,49 @@ mod tests {
         p.validate().unwrap();
     }
 
-    /// Committers queued behind an in-flight leader group: the
-    /// transaction is logged exactly once with one atomicity-point
-    /// sync, and followers add no log I/O.
+    /// A commit queued behind a parked one runs after it as its own
+    /// transaction: the first logs and applies the dirty page, the
+    /// second finds nothing left dirty and makes an empty commit — one
+    /// data sync, no log I/O, no new epoch. Whether the second reaches
+    /// the commit lock before the gate opens or after, that is what it
+    /// does, so every count below is exact under any scheduling.
     #[test]
-    fn queued_committers_group_behind_the_leader() {
+    fn a_queued_commit_runs_after_the_parked_one() {
         let (p, faults) = wal_pool(4);
         let p = Arc::new(p);
         let a = p.allocate().unwrap();
         p.write_page(a, &[4; 4]).unwrap();
         park_next_log_sync(&faults);
-        let leader = {
+        let first = {
             let p = p.clone();
             std::thread::spawn(move || p.commit())
         };
         assert!(faults.wait_parked());
-        let follower = {
+        let queued = {
             let p = p.clone();
             std::thread::spawn(move || p.commit())
         };
         faults.open_gate();
-        leader.join().unwrap().unwrap();
-        follower.join().unwrap().unwrap();
+        first.join().unwrap().unwrap();
+        queued.join().unwrap().unwrap();
         let s = p.stats();
-        // Whether the follower queued in time (zero-op return) or
-        // arrived after the leader finished (empty commit), the
-        // transaction was logged exactly once.
-        assert_eq!(s.wal_appends, 3, "one transaction, logged once");
-        assert_eq!(s.wal_syncs, 2, "atomicity point + truncate only");
-        assert!(s.syncs <= 2, "at most one extra empty-commit sync");
+        assert_eq!(s.wal_appends, 3, "begin + image + commit, once");
+        assert_eq!(s.wal_syncs, 2, "atomicity point + truncate, once");
+        assert_eq!(s.writes, 1, "one page applied in place");
+        assert_eq!(s.syncs, 2, "the apply's data sync + the empty commit's");
+        let c = faults.counts();
+        assert_eq!(
+            (
+                c.wal_appends,
+                c.wal_syncs,
+                c.wal_truncates,
+                c.writes,
+                c.syncs
+            ),
+            (3, 2, 1, 1, 2),
+            "the pager saw the same ops"
+        );
+        assert_eq!(p.commit_epoch(), 2, "the empty commit made no epoch");
         assert_eq!(p.dirty_pages(), 0);
         assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 4);
         p.validate().unwrap();

@@ -375,17 +375,10 @@ pub(crate) struct BufferPool {
     /// only when [`keeps_committed`](Self::keeps_committed); every pool
     /// counts its pinned reads here.
     committed: NodeCache,
-    /// Pool-wide mutation stamp source (see [`Frame::seq`]).
+    /// Pool-wide mutation stamp source (see [`Frame::seq`]). A stamp
+    /// publishes nothing and is only compared with its own frame's,
+    /// under the LRU lock: it needs to be unique, so `Relaxed` does.
     seq: AtomicU64,
-    /// Highest mutation stamp covered by a durable commit: every write
-    /// stamped at or below it has reached the synced log (or the synced
-    /// data file). Group-commit followers compare their entry stamp
-    /// against this to detect that a leader already committed for them.
-    synced_seq: AtomicU64,
-    /// Count of successful commits (empty ones included) — the
-    /// second half of the group-commit follower test, distinguishing
-    /// "a leader committed while we waited" from "nothing happened".
-    commits_done: AtomicU64,
     /// Currently dirty frames (WAL pools only).
     dirty_frames: AtomicU64,
     /// High-water mark of `dirty_frames` since the last stats reset.
@@ -463,8 +456,6 @@ impl BufferPool {
             snapshots: RankedMutex::new(rank::SNAPSHOT, "snapshot table", SnapshotTable::default()),
             epoch: AtomicU64::new(1),
             seq: AtomicU64::new(0),
-            synced_seq: AtomicU64::new(0),
-            commits_done: AtomicU64::new(0),
             dirty_frames: AtomicU64::new(0),
             dirty_high_water: AtomicU64::new(0),
             dirty_ceiling: AtomicU64::new(0),
@@ -900,7 +891,7 @@ impl BufferPool {
         f.node = None;
         f.dirty = true;
         if wal {
-            f.seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
+            f.seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
             if newly_dirty {
                 let dirty = self.dirty_frames.fetch_add(1, Ordering::Relaxed) + 1;
                 self.dirty_high_water.fetch_max(dirty, Ordering::Relaxed);

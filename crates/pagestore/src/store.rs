@@ -431,8 +431,9 @@ impl SharedStore {
     ///
     /// On a WAL store, commits never block readers: concurrent queries
     /// keep reading (and pinned [`snapshot`](Self::snapshot)s keep
-    /// their epoch) while the transaction is logged and synced, and
-    /// concurrent `commit` calls group into a single log write.
+    /// their epoch) while the transaction is logged and synced.
+    /// Concurrent `commit` calls run one after another, each as its own
+    /// WAL transaction over what is dirty when its turn comes.
     pub fn commit(&self) -> Result<()> {
         self.check_writable("commit")?;
         self.pool.commit()

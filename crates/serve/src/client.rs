@@ -368,8 +368,9 @@ impl Client {
     }
 
     /// Makes all buffered writes durable and visible. Concurrent
-    /// commits from many clients collapse into one WAL fsync on the
-    /// server. Returns the committed object count.
+    /// commits from many clients run one after another on the server,
+    /// each as its own WAL transaction. Returns the committed object
+    /// count.
     ///
     /// The commit carries the batch's idempotency token; on success
     /// the pended ops are released. A *connection* failure leaves them

@@ -32,6 +32,7 @@
 
 use std::io::{Read, Write};
 
+use boxagg_common::bytes::{ByteReader, ByteWriter};
 use boxagg_common::error::{invalid_arg, Error, Result};
 use boxagg_common::geom::{Point, Rect, MAX_DIM};
 use boxagg_pagestore::checksum::fnv1a_64;
@@ -133,7 +134,8 @@ pub enum Request {
         /// Sequence number within the token (see [`Request::Insert`]).
         seq: u32,
     },
-    /// Make all buffered writes durable (group-committed server-side).
+    /// Make all buffered writes durable. Concurrent commits run one
+    /// after another server-side, each as its own WAL transaction.
     Commit {
         /// Idempotency token: a token the server already committed is
         /// *not* re-applied — the server answers `Ok` with the
@@ -279,97 +281,15 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
 // Body codec
 // ---------------------------------------------------------------------
 
-/// Cursor over a frame body that reports the byte offset of any
-/// truncation, mirroring the WAL's offset-bearing corruption errors.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+// A point travels as its dimension byte and its coordinates; a rect as
+// its low point and its high point.
+
+fn get_point(r: &mut ByteReader<'_>) -> Result<Point> {
+    let d = r.get_u8()? as usize;
+    Point::decode(r, d)
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(invalid_arg(format!(
-                "message truncated at byte {} (wanted {n} more, {} left)",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(invalid_arg(format!(
-                "{} trailing bytes after the message (at byte {})",
-                self.buf.len() - self.pos,
-                self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_point(out: &mut Vec<u8>, p: &Point) {
-    out.push(p.dim() as u8);
-    for i in 0..p.dim() {
-        put_f64(out, p.get(i));
-    }
-}
-
-fn get_point(r: &mut Reader<'_>) -> Result<Point> {
-    let d = r.u8()? as usize;
-    if d == 0 || d > MAX_DIM {
-        return Err(invalid_arg(format!("point dimension {d} out of range")));
-    }
-    let mut coords = [0.0f64; MAX_DIM];
-    for c in coords.iter_mut().take(d) {
-        *c = r.f64()?;
-    }
-    Ok(Point::new(&coords[..d]))
-}
-
-fn put_rect(out: &mut Vec<u8>, rect: &Rect) {
-    put_point(out, rect.low());
-    put_point(out, rect.high());
-}
-
-fn get_rect(r: &mut Reader<'_>) -> Result<Rect> {
+fn get_rect(r: &mut ByteReader<'_>) -> Result<Rect> {
     let low = get_point(r)?;
     let high = get_point(r)?;
     if low.dim() != high.dim() {
@@ -386,6 +306,18 @@ fn get_rect(r: &mut Reader<'_>) -> Result<Rect> {
     Ok(Rect::new(low, high))
 }
 
+/// Fails unless the body ended where its message did.
+fn done(r: &ByteReader<'_>) -> Result<()> {
+    if r.remaining() != 0 {
+        return Err(invalid_arg(format!(
+            "{} trailing bytes after the message (at byte {})",
+            r.remaining(),
+            r.position()
+        )));
+    }
+    Ok(())
+}
+
 /// Encodes a request body with no deadline (un-framed; see [`frame`]).
 pub fn encode_request(req: &Request) -> Vec<u8> {
     encode_request_with_deadline(req, 0)
@@ -395,56 +327,52 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// milliseconds (`0` = no deadline). The deadline sits between the tag
 /// and the payload so every request shape shares one header.
 pub fn encode_request_with_deadline(req: &Request, deadline_ms: u32) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut w = ByteWriter::new();
+    w.put_u8(match req {
+        Request::BoxSum(_) => TAG_BOX_SUM,
+        Request::DomSum { .. } => TAG_DOM_SUM,
+        Request::Insert { .. } => TAG_INSERT,
+        Request::Delete { .. } => TAG_DELETE,
+        Request::Commit { .. } => TAG_COMMIT,
+        Request::Stats => TAG_STATS,
+    });
+    w.put_u32(deadline_ms);
     match req {
         Request::BoxSum(rect) => {
-            out.push(TAG_BOX_SUM);
-            out.extend_from_slice(&deadline_ms.to_le_bytes());
-            put_rect(&mut out, rect);
+            for p in [rect.low(), rect.high()] {
+                w.put_u8(p.dim() as u8);
+                p.encode(&mut w);
+            }
         }
         Request::DomSum { mask, point } => {
-            out.push(TAG_DOM_SUM);
-            out.extend_from_slice(&deadline_ms.to_le_bytes());
-            out.extend_from_slice(&mask.to_le_bytes());
-            put_point(&mut out, point);
+            w.put_u32(*mask);
+            w.put_u8(point.dim() as u8);
+            point.encode(&mut w);
         }
         Request::Insert {
             rect,
             value,
             token,
             seq,
-        } => {
-            out.push(TAG_INSERT);
-            out.extend_from_slice(&deadline_ms.to_le_bytes());
-            put_rect(&mut out, rect);
-            put_f64(&mut out, *value);
-            out.extend_from_slice(&token.to_le_bytes());
-            out.extend_from_slice(&seq.to_le_bytes());
         }
-        Request::Delete {
+        | Request::Delete {
             rect,
             value,
             token,
             seq,
         } => {
-            out.push(TAG_DELETE);
-            out.extend_from_slice(&deadline_ms.to_le_bytes());
-            put_rect(&mut out, rect);
-            put_f64(&mut out, *value);
-            out.extend_from_slice(&token.to_le_bytes());
-            out.extend_from_slice(&seq.to_le_bytes());
+            for p in [rect.low(), rect.high()] {
+                w.put_u8(p.dim() as u8);
+                p.encode(&mut w);
+            }
+            w.put_f64(*value);
+            w.put_u64(*token);
+            w.put_u32(*seq);
         }
-        Request::Commit { token } => {
-            out.push(TAG_COMMIT);
-            out.extend_from_slice(&deadline_ms.to_le_bytes());
-            out.extend_from_slice(&token.to_le_bytes());
-        }
-        Request::Stats => {
-            out.push(TAG_STATS);
-            out.extend_from_slice(&deadline_ms.to_le_bytes());
-        }
+        Request::Commit { token } => w.put_u64(*token),
+        Request::Stats => {}
     }
-    out
+    w.into_vec()
 }
 
 /// Decodes a request body into the request and its deadline budget in
@@ -452,87 +380,86 @@ pub fn encode_request_with_deadline(req: &Request, deadline_ms: u32) -> Vec<u8> 
 /// truncation, trailing garbage, inverted rect — is a typed error
 /// naming the offending byte where applicable.
 pub fn decode_request(body: &[u8]) -> Result<(Request, u32)> {
-    let mut r = Reader::new(body);
-    let tag = r.u8()?;
-    let deadline_ms = r.u32()?;
+    let mut r = ByteReader::new(body);
+    let tag = r.get_u8()?;
+    let deadline_ms = r.get_u32()?;
     let req = match tag {
         TAG_BOX_SUM => Request::BoxSum(get_rect(&mut r)?),
         TAG_DOM_SUM => {
-            let mask = r.u32()?;
+            let mask = r.get_u32()?;
             let point = get_point(&mut r)?;
             Request::DomSum { mask, point }
         }
-        TAG_INSERT => {
+        TAG_INSERT | TAG_DELETE => {
             let rect = get_rect(&mut r)?;
-            let value = r.f64()?;
-            let token = r.u64()?;
-            let seq = r.u32()?;
-            Request::Insert {
-                rect,
-                value,
-                token,
-                seq,
+            let value = r.get_f64()?;
+            let token = r.get_u64()?;
+            let seq = r.get_u32()?;
+            if tag == TAG_INSERT {
+                Request::Insert {
+                    rect,
+                    value,
+                    token,
+                    seq,
+                }
+            } else {
+                Request::Delete {
+                    rect,
+                    value,
+                    token,
+                    seq,
+                }
             }
         }
-        TAG_DELETE => {
-            let rect = get_rect(&mut r)?;
-            let value = r.f64()?;
-            let token = r.u64()?;
-            let seq = r.u32()?;
-            Request::Delete {
-                rect,
-                value,
-                token,
-                seq,
-            }
-        }
-        TAG_COMMIT => Request::Commit { token: r.u64()? },
+        TAG_COMMIT => Request::Commit {
+            token: r.get_u64()?,
+        },
         TAG_STATS => Request::Stats,
         tag => return Err(invalid_arg(format!("unknown request tag {tag}"))),
     };
-    r.done()?;
+    done(&r)?;
     Ok((req, deadline_ms))
 }
 
 /// Encodes a response body (un-framed; see [`frame`]).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut w = ByteWriter::new();
     match resp {
         Response::Hello(h) => {
-            out.push(TAG_HELLO);
-            out.extend_from_slice(&h.version.to_le_bytes());
-            out.extend_from_slice(&h.dims.to_le_bytes());
-            out.extend_from_slice(&h.page_size.to_le_bytes());
-            out.extend_from_slice(&h.objects.to_le_bytes());
-            out.push(h.bounds.len() as u8);
-            for (l, hi) in &h.bounds {
-                put_f64(&mut out, *l);
-                put_f64(&mut out, *hi);
+            w.put_u8(TAG_HELLO);
+            w.put_u32(h.version);
+            w.put_u32(h.dims);
+            w.put_u32(h.page_size);
+            w.put_u64(h.objects);
+            w.put_u8(h.bounds.len() as u8);
+            for &(l, hi) in &h.bounds {
+                w.put_f64(l);
+                w.put_f64(hi);
             }
         }
         Response::Sum(v) => {
-            out.push(TAG_SUM);
-            put_f64(&mut out, *v);
+            w.put_u8(TAG_SUM);
+            w.put_f64(*v);
         }
         Response::Ok { objects } => {
-            out.push(TAG_OK);
-            out.extend_from_slice(&objects.to_le_bytes());
+            w.put_u8(TAG_OK);
+            w.put_u64(*objects);
         }
         Response::Error {
             code,
             message,
             retry_after_ms,
         } => {
-            out.push(TAG_ERROR);
-            out.extend_from_slice(&code.to_le_bytes());
-            out.extend_from_slice(&retry_after_ms.to_le_bytes());
+            w.put_u8(TAG_ERROR);
+            w.put_u16(*code);
+            w.put_u32(*retry_after_ms);
             let msg = message.as_bytes();
             let n = msg.len().min(MAX_BODY - 24);
-            out.extend_from_slice(&(n as u32).to_le_bytes());
-            out.extend_from_slice(&msg[..n]);
+            w.put_u32(n as u32);
+            w.put_bytes(&msg[..n]);
         }
         Response::StatsReply(s) => {
-            out.push(TAG_STATS_REPLY);
+            w.put_u8(TAG_STATS_REPLY);
             for v in [
                 s.queries,
                 s.groups,
@@ -546,32 +473,32 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 s.replays,
                 s.refused_conns,
             ] {
-                out.extend_from_slice(&v.to_le_bytes());
+                w.put_u64(v);
             }
-            out.push(u8::from(s.validate_ok));
+            w.put_u8(u8::from(s.validate_ok));
         }
     }
-    out
+    w.into_vec()
 }
 
 /// Decodes a response body (same defect discipline as
 /// [`decode_request`]).
 pub fn decode_response(body: &[u8]) -> Result<Response> {
-    let mut r = Reader::new(body);
-    let resp = match r.u8()? {
+    let mut r = ByteReader::new(body);
+    let resp = match r.get_u8()? {
         TAG_HELLO => {
-            let version = r.u32()?;
-            let dims = r.u32()?;
-            let page_size = r.u32()?;
-            let objects = r.u64()?;
-            let nb = r.u8()? as usize;
+            let version = r.get_u32()?;
+            let dims = r.get_u32()?;
+            let page_size = r.get_u32()?;
+            let objects = r.get_u64()?;
+            let nb = r.get_u8()? as usize;
             if nb > MAX_DIM {
                 return Err(invalid_arg(format!("hello carries {nb} bounds")));
             }
             let mut bounds = Vec::with_capacity(nb);
             for _ in 0..nb {
-                let l = r.f64()?;
-                let h = r.f64()?;
+                let l = r.get_f64()?;
+                let h = r.get_f64()?;
                 bounds.push((l, h));
             }
             Response::Hello(Hello {
@@ -582,13 +509,15 @@ pub fn decode_response(body: &[u8]) -> Result<Response> {
                 bounds,
             })
         }
-        TAG_SUM => Response::Sum(r.f64()?),
-        TAG_OK => Response::Ok { objects: r.u64()? },
+        TAG_SUM => Response::Sum(r.get_f64()?),
+        TAG_OK => Response::Ok {
+            objects: r.get_u64()?,
+        },
         TAG_ERROR => {
-            let code = r.u16()?;
-            let retry_after_ms = r.u32()?;
-            let n = r.u32()? as usize;
-            let message = String::from_utf8_lossy(r.take(n)?).into_owned();
+            let code = r.get_u16()?;
+            let retry_after_ms = r.get_u32()?;
+            let n = r.get_u32()? as usize;
+            let message = String::from_utf8_lossy(r.get_bytes(n)?).into_owned();
             Response::Error {
                 code,
                 message,
@@ -597,24 +526,24 @@ pub fn decode_response(body: &[u8]) -> Result<Response> {
         }
         TAG_STATS_REPLY => {
             let s = ServeStats {
-                queries: r.u64()?,
-                groups: r.u64()?,
-                node_accesses: r.u64()?,
-                node_decodes: r.u64()?,
-                commits: r.u64()?,
-                commit_rounds: r.u64()?,
-                protocol_errors: r.u64()?,
-                shed: r.u64()?,
-                expired: r.u64()?,
-                replays: r.u64()?,
-                refused_conns: r.u64()?,
-                validate_ok: r.u8()? != 0,
+                queries: r.get_u64()?,
+                groups: r.get_u64()?,
+                node_accesses: r.get_u64()?,
+                node_decodes: r.get_u64()?,
+                commits: r.get_u64()?,
+                commit_rounds: r.get_u64()?,
+                protocol_errors: r.get_u64()?,
+                shed: r.get_u64()?,
+                expired: r.get_u64()?,
+                replays: r.get_u64()?,
+                refused_conns: r.get_u64()?,
+                validate_ok: r.get_u8()? != 0,
             };
             Response::StatsReply(s)
         }
         tag => return Err(invalid_arg(format!("unknown response tag {tag}"))),
     };
-    r.done()?;
+    done(&r)?;
     Ok(resp)
 }
 
@@ -744,6 +673,23 @@ mod tests {
             let back = decode_response(&body).expect("decode what we encoded");
             assert_eq!(resp, back, "body {body:?}");
         }
+    }
+
+    /// The wire bytes of every message in [`all_requests`] (without
+    /// and with a deadline) and [`all_responses`], framed and hashed:
+    /// a codec change that moves one byte fails here.
+    #[test]
+    fn the_wire_bytes_are_pinned() {
+        let mut wire = Vec::new();
+        for (i, req) in all_requests().iter().enumerate() {
+            write_frame(&mut wire, &encode_request(req)).expect("write to Vec");
+            let body = encode_request_with_deadline(req, 1 + 250 * i as u32);
+            write_frame(&mut wire, &body).expect("write to Vec");
+        }
+        for resp in all_responses() {
+            write_frame(&mut wire, &encode_response(&resp)).expect("write to Vec");
+        }
+        assert_eq!((wire.len(), fnv1a_64(&wire)), (916, 0xf202_8a5a_53ee_758f));
     }
 
     #[test]

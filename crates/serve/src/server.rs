@@ -162,11 +162,9 @@ impl Deadline {
 #[derive(Default)]
 struct Counters {
     queries: AtomicU64,
-    groups: AtomicU64,
     node_accesses: AtomicU64,
     node_decodes: AtomicU64,
     commits: AtomicU64,
-    commit_rounds: AtomicU64,
     protocol_errors: AtomicU64,
     shed: AtomicU64,
     expired: AtomicU64,
@@ -244,14 +242,19 @@ struct Shared {
 }
 
 impl Shared {
+    /// `groups` and `commit_rounds` keep their places on the wire and
+    /// equal `queries` and `commits`: each read pins its own snapshot,
+    /// and each commit runs alone under the write lock.
     fn stats(&self) -> ServeStats {
+        let queries = self.counters.queries.load(Ordering::Relaxed);
+        let commits = self.counters.commits.load(Ordering::Relaxed);
         ServeStats {
-            queries: self.counters.queries.load(Ordering::Relaxed),
-            groups: self.counters.groups.load(Ordering::Relaxed),
+            queries,
+            groups: queries,
             node_accesses: self.counters.node_accesses.load(Ordering::Relaxed),
             node_decodes: self.counters.node_decodes.load(Ordering::Relaxed),
-            commits: self.counters.commits.load(Ordering::Relaxed),
-            commit_rounds: self.counters.commit_rounds.load(Ordering::Relaxed),
+            commits,
+            commit_rounds: commits,
             protocol_errors: self.counters.protocol_errors.load(Ordering::Relaxed),
             shed: self.counters.shed.load(Ordering::Relaxed),
             expired: self.counters.expired.load(Ordering::Relaxed),
@@ -701,13 +704,7 @@ fn commit(shared: &Shared, deadline: Deadline, token: u64) -> Response {
         shared.counters.expired.fetch_add(1, Ordering::Relaxed);
         return error_response(&deadline.error());
     }
-    // `commit_rounds` keeps its place on the wire and counts one per
-    // commit.
     shared.counters.commits.fetch_add(1, Ordering::Relaxed);
-    shared
-        .counters
-        .commit_rounds
-        .fetch_add(1, Ordering::Relaxed);
     if w.poisoned {
         return error_response(&poisoned_error());
     }
@@ -843,9 +840,7 @@ fn run_read(
         Ok(pair) => pair,
         Err(e) => return error_response(&e),
     };
-    // `groups` stays on the wire and counts one per executed read.
     shared.counters.queries.fetch_add(1, Ordering::Relaxed);
-    shared.counters.groups.fetch_add(1, Ordering::Relaxed);
     let answer = read(&engine);
     // Counters are published before the reply: a caller that saw its
     // answer may immediately read stats and must find this traversal

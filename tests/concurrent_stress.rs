@@ -185,11 +185,11 @@ where
 /// An N-thread commit storm under fault injection: every thread
 /// interleaves page writes with store-wide WAL commits while one-shot
 /// errors fire across the shared op stream — data writes and reads, WAL
-/// appends, syncs and truncates alike. Commits may group behind each
-/// other or batch another thread's writes; either way an injected
-/// failure must surface as a typed error to exactly one caller, content
-/// must stay bit-intact through every retry, and once the schedule is
-/// spent the store commits cleanly. The storm must also register in the
+/// appends, syncs and truncates alike. Commits run one after another,
+/// each as its own WAL transaction, and one may carry another thread's
+/// writes; either way an injected failure must surface as a typed error
+/// to exactly one caller, content must stay bit-intact through every
+/// retry, and once the schedule is spent the store commits cleanly. The storm must also register in the
 /// dirty high-water stat.
 #[test]
 fn commit_storm_under_faults_keeps_content_intact() {

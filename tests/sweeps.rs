@@ -89,13 +89,14 @@ fn batree_exhaustive_torn_kill_sweep() {
 }
 
 #[test]
-fn batree_exhaustive_grouped_commit_sweep() {
-    // Two committers race on transaction 2: a leader parked in its log
-    // fsync and a follower grouped behind it with no I/O of its own. The
-    // op stream, and so every tally, is the serial schedule's.
-    let (t, commits) = crash(Scheme::BaTree, Kill::Grouped);
-    assert_eq!(commits, [84, 159]);
-    assert_crash(&t, 188, [57, 71, 60, 60]);
+fn batree_exhaustive_queued_commit_sweep() {
+    // Two committers on transaction 2: the first parked in its log fsync,
+    // the second queued on the commit lock behind it. The second runs
+    // after the first as an empty commit, whose one data sync is the
+    // serial schedule's one extra op: it lands on txn 2.
+    let (t, commits) = crash(Scheme::BaTree, Kill::Queued);
+    assert_eq!(commits, [84, 160]);
+    assert_crash(&t, 189, [57, 71, 61, 60]);
 }
 
 #[test]
@@ -117,10 +118,10 @@ fn ecdfb_exhaustive_torn_kill_sweep() {
 }
 
 #[test]
-fn ecdfb_exhaustive_grouped_commit_sweep() {
-    let (t, commits) = crash(Scheme::EcdfB, Kill::Grouped);
-    assert_eq!(commits, [51, 109]);
-    assert_crash(&t, 129, [35, 52, 42, 40]);
+fn ecdfb_exhaustive_queued_commit_sweep() {
+    let (t, commits) = crash(Scheme::EcdfB, Kill::Queued);
+    assert_eq!(commits, [51, 110]);
+    assert_crash(&t, 130, [35, 52, 43, 40]);
 }
 
 #[test]
@@ -151,7 +152,7 @@ fn exhaustive_server_kill_sweep() {
     assert_eq!(t.get("in-flight landed"), 18, "{t:?}");
 }
 
-/// The kernel's grouped-commit schedule rests on this: an op parked at
+/// The kernel's queued-commit schedule rests on this: an op parked at
 /// the gate is counted once, and a kill armed at that op still fails it
 /// once it resumes.
 #[test]
