@@ -221,7 +221,10 @@ pub(crate) struct IndexRecord<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boxagg_common::error::Error;
     use boxagg_common::poly::Poly;
+    use boxagg_common::rng::StdRng;
+    use boxagg_common::value::EncodedWidth;
 
     fn params() -> PageParams {
         PageParams {
@@ -347,7 +350,6 @@ mod tests {
 
     #[test]
     fn record_count_is_checked_before_anything_is_allocated() {
-        use boxagg_common::error::Error;
         // The whole payload is a header claiming 65,535 records. The
         // parent reserved `count` records (≈ 12 MB of `IndexRecord`s, or
         // 65,535 words per leaf column) before reading the first one
@@ -428,5 +430,127 @@ mod tests {
             })
             .collect();
         assert!(encode(&Node::Index(recs), 2).len() <= p.page_size);
+    }
+
+    /// A value's exact bits: its encoding.
+    fn bits<V: AggValue>(v: &V) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        v.encode(&mut w);
+        w.into_vec()
+    }
+
+    /// What a mutated page at `dim` must do: decode, or refuse with a
+    /// typed error. The leaf row scan answers exactly what the decoded
+    /// leaf does, declines only values of no fixed width, and answers
+    /// nothing the decode refuses. Returns whether the page decoded.
+    fn check_mutant<V: AggValue>(bytes: &[u8], dim: usize, queries: &[Point]) -> bool {
+        let node = Node::<V>::decode(bytes, &Ba, dim);
+        if let Err(e) = &node {
+            assert!(matches!(e, Error::Corrupt(_)), "untyped refusal: {e:?}");
+        }
+        for q in queries {
+            match (&node, paged::sum_leaf_rows::<V>(bytes, dim, 0, q)) {
+                (Ok(Node::Leaf(s)), Some(sum)) => {
+                    assert_eq!(bits(&sum), bits(&s.dominated_sum(q)), "q {q:?}")
+                }
+                (Ok(Node::Leaf(_)), None) => {
+                    assert!(matches!(V::WIDTH, EncodedWidth::AtLeast(_)), "declined")
+                }
+                (_, None) => {}
+                (got, Some(_)) => panic!("the scan answered a page that decoded to {got:?}"),
+            }
+        }
+        node.is_ok()
+    }
+
+    /// Seed pages at `(dim, bytes)`: leaves of one to three dimensions —
+    /// a sorted 1-d leaf past one running-sum chunk among them — and
+    /// index records with inline and tree borders.
+    fn seed_pages<V: AggValue>(value: impl Fn(usize) -> V) -> Vec<(usize, Vec<u8>)> {
+        let leaf = |dim: usize, n: usize| {
+            // A 1-d leaf sorted with ties takes running sums; the others
+            // are unsorted, with ties.
+            let point = |i: usize| match dim {
+                1 => Point::new(&[(i / 2) as f64]),
+                _ => Point::from_fn(dim, |d| ((i * (d + 3)) % 17) as f64),
+            };
+            let slab = EntrySlab::from_entries(dim, (0..n).map(|i| (point(i), value(i))).collect());
+            let mut w = ByteWriter::new();
+            Node::Leaf(slab).encode(&Ba, dim, &mut w);
+            (dim, w.into_vec())
+        };
+        let rec = |i: usize| IndexRecord {
+            rect: Rect::from_bounds(&[(i as f64, i as f64 + 1.0), (-0.0, 1.0)]),
+            child: PageId(i as u64 + 1),
+            subtotal: value(i),
+            borders: vec![
+                BorderRef::Inline(EntrySlab::from_entries(
+                    1,
+                    (0..i % 4)
+                        .map(|j| (Point::new(&[j as f64]), value(j)))
+                        .collect(),
+                )),
+                BorderRef::Tree(PageId(9)),
+            ],
+        };
+        let mut w = ByteWriter::new();
+        Node::Index((0..6).map(rec).collect()).encode(&Ba, 2, &mut w);
+        vec![
+            leaf(1, 150),
+            leaf(2, 40),
+            leaf(3, 9),
+            leaf(2, 0),
+            (2, w.into_vec()),
+        ]
+    }
+
+    /// Runs `inputs` seeded mutants of every seed page through
+    /// [`check_mutant`], for `f64` and `Poly` values; returns how many
+    /// decoded.
+    fn fuzz(inputs: usize, seed: u64) -> usize {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let flat = seed_pages(|i| [1.5, -0.0, 0.0, -2.25, 1e300][i % 5]);
+        let poly = seed_pages(|i| Poly::monomial(i as f64 - 1.5, &[(i % 3) as u8, 1]));
+        let mut decoded = 0;
+        for i in 0..inputs {
+            let (dim, page) = if i % 2 == 0 {
+                &flat[i / 2 % flat.len()]
+            } else {
+                &poly[i / 2 % poly.len()]
+            };
+            let queries = [
+                Point::splat(*dim, f64::INFINITY),
+                Point::splat(*dim, 0.0),
+                Point::splat(*dim, 7.5),
+                Point::from_fn(*dim, |d| [3.0, -0.0, 16.0][d % 3]),
+            ];
+            let bytes = rng.mutate(page);
+            decoded += usize::from(if i % 2 == 0 {
+                check_mutant::<f64>(&bytes, *dim, &queries)
+            } else {
+                check_mutant::<Poly>(&bytes, *dim, &queries)
+            });
+        }
+        decoded
+    }
+
+    #[test]
+    fn fuzz_mutated_pages_decode_or_refuse_and_the_row_scan_agrees() {
+        // 20,000 mutants, ten per seed page and value type per round.
+        let decoded = fuzz(20_000, 0xBA_F022);
+        assert!(
+            (2_000..18_000).contains(&decoded),
+            "{decoded} of 20,000 mutants decoded: the mutator is degenerate"
+        );
+    }
+
+    /// The documented longer run: `cargo test --release -p boxagg-batree
+    /// --lib fuzz -- --ignored`.
+    #[test]
+    #[ignore = "long fuzz run"]
+    fn fuzz_long_run() {
+        for seed in 0..50 {
+            fuzz(200_000, seed);
+        }
     }
 }

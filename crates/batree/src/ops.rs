@@ -53,7 +53,7 @@ use boxagg_common::error::{invalid_arg, Result};
 use boxagg_common::geom::{Point, Rect};
 use boxagg_common::slab::EntrySlab;
 use boxagg_common::value::AggValue;
-use boxagg_pagestore::{paged, PageId};
+use boxagg_pagestore::{paged, PageId, Visit};
 
 use crate::node::{Ba, BorderRef, IndexRecord, Node};
 
@@ -295,7 +295,8 @@ pub(crate) fn tree_query<V: AggValue>(
 // keeps the exact add order of the scalar loop it replaced (bit-identical
 // aggregates, see `EntrySlab::sum_dominated_into`), and a leaf's fresh
 // sum from zero may come from its running sums, with the same bits
-// (`EntrySlab::dominated_sum`).
+// (`EntrySlab::dominated_sum`), or, on its first visit, from its page's
+// bytes (`paged::Ctx::read_or_sum`).
 fn query_rec<V: AggValue>(
     ctx: Ctx<'_>,
     dim: usize,
@@ -303,7 +304,10 @@ fn query_rec<V: AggValue>(
     node_id: PageId,
     q: &Point,
 ) -> Result<V> {
-    let node = ctx.read_shared::<V>(node_id, dim)?;
+    let node = match ctx.read_or_sum::<V>(node_id, dim, 0, q)? {
+        Visit::Scanned(sum) => return Ok(sum),
+        Visit::Node(node) => node,
+    };
     match &*node {
         Node::Leaf(entries) => Ok(entries.dominated_sum(q)),
         Node::Index(records) => {

@@ -297,11 +297,12 @@ mod tests {
 
     #[test]
     fn two_threads_visiting_shared_leaf_slabs_answer_alike() {
-        // 1-d leaves of ≈ 250 sorted entries, decoded once and shared:
-        // both threads make their first, second and later visits to the
-        // same decodes at once, which is when the running sums are built.
-        // The answers must be those of a store that keeps no decodes
-        // (every visit a first visit: a plain scan), to the bit.
+        // 1-d leaves of ≈ 250 sorted entries: both threads make a page's
+        // first visit (a scan of its bytes), its second (the decode both
+        // then share) and its later ones (when the decode's running sums
+        // are built) at once. The answers must be those of a store that
+        // keeps no decodes (every leaf visit a scan of the bytes), to
+        // the bit.
         let mut s = 0x5AB5u64;
         let points: Vec<(Point, f64)> = (0..3000)
             .map(|_| (Point::new(&[rnd(&mut s)]), (rnd(&mut s) - 0.5) * 1e6))
@@ -339,6 +340,101 @@ mod tests {
             assert!(
                 shared.store().stats().decode_hits > 0,
                 "the decodes are shared"
+            );
+        }
+    }
+
+    /// `(leaf scans, codec runs, decode hits)` of one query.
+    fn visit_counts(t: &BATree<f64>, q: &Point) -> ((u64, u64, u64), u64) {
+        let before = t.store().stats();
+        let answer = t.dominance_sum(q).unwrap().to_bits();
+        let d = t.store().stats().since(&before);
+        let decodes = d.decode_misses - d.leaf_scans;
+        ((d.leaf_scans, decodes, d.decode_hits), answer)
+    }
+
+    #[test]
+    fn a_leaf_is_scanned_on_its_first_visit_and_decoded_on_its_second() {
+        // A 1-d tree of a root and packed leaves, all resident: a query
+        // reads the root and one leaf.
+        let mut s = 0xF157u64;
+        let points: Vec<(Point, f64)> = (0..2000)
+            .map(|_| (Point::new(&[rnd(&mut s)]), (rnd(&mut s) - 0.5) * 1e3))
+            .collect();
+        let q = Point::new(&[0.61]);
+        let tree = |config: StoreConfig| {
+            let store = SharedStore::open(&config).unwrap();
+            BATree::bulk_load(store, unit_space(1), 8, points.clone()).unwrap()
+        };
+        let kept = tree(StoreConfig::small(4096, 64));
+        let (first, want) = visit_counts(&kept, &q);
+        assert_eq!(
+            first,
+            (1, 1, 0),
+            "visit 1: the leaf scans, the root decodes"
+        );
+        let (second, got) = visit_counts(&kept, &q);
+        assert_eq!(
+            second,
+            (0, 1, 1),
+            "visit 2: the leaf decodes, the root hits"
+        );
+        assert_eq!(got, want);
+        let (third, got) = visit_counts(&kept, &q);
+        assert_eq!(third, (0, 0, 2), "visit 3: both hit");
+        assert_eq!(got, want);
+        // A write drops the leaf's decode and its visit: the leaf
+        // scans again, then decodes, with one answer.
+        let mut kept = kept;
+        kept.insert(Point::new(&[0.6]), 2.5).unwrap();
+        let (after, scanned) = visit_counts(&kept, &q);
+        assert_eq!(after.0, 1, "the rewritten leaf scans again: {after:?}");
+        let (next, decoded) = visit_counts(&kept, &q);
+        assert_eq!(next, (0, 1, 1), "then decodes");
+        assert_eq!(scanned, decoded);
+
+        // An eviction drops them too: over a buffer of three frames, a
+        // leaf the other leaves pushed out is at its first visit again.
+        let small = tree(StoreConfig::small(4096, 3));
+        assert_eq!(visit_counts(&small, &q), ((1, 1, 0), want));
+        assert_eq!(visit_counts(&small, &q), ((0, 1, 1), want));
+        for x in [0.05, 0.3, 0.95, 0.8] {
+            small.dominance_sum(&Point::new(&[x])).unwrap();
+        }
+        assert_eq!(visit_counts(&small, &q), ((1, 0, 1), want));
+        small.store().validate().unwrap();
+
+        // A store that keeps no decodes scans every leaf visit and
+        // never decodes one.
+        let bare = tree(StoreConfig {
+            node_cache_pages: 0,
+            ..StoreConfig::small(4096, 64)
+        });
+        for visit in 1..=3 {
+            let (counts, got) = visit_counts(&bare, &q);
+            assert_eq!(counts, (1, 1, 0), "visit {visit}");
+            assert_eq!(got, want, "visit {visit}");
+        }
+
+        // A pinned read follows the same rule, and a snapshot counts
+        // only codec runs as decodes.
+        let store = SharedStore::open(&StoreConfig::small(4096, 64).with_wal(true)).unwrap();
+        let t = BATree::bulk_load(store.clone(), unit_space(1), 8, points.clone()).unwrap();
+        t.persist_as("t").unwrap();
+        store.commit().unwrap();
+        let snap = Arc::new(store.snapshot().unwrap());
+        let pinned: BATree<f64> = BATree::open_named(&snap, "t").unwrap();
+        let visits = [(1, (1, 1, 0), 1), (2, (0, 1, 1), 1), (3, (0, 0, 2), 0)];
+        for (visit, counts, decodes) in visits {
+            let before = snap.node_reads();
+            let (got_counts, got) = visit_counts(&pinned, &q);
+            let after = snap.node_reads();
+            assert_eq!(got_counts, counts, "pinned visit {visit}");
+            assert_eq!(got, want, "pinned visit {visit}");
+            assert_eq!(
+                (after.0 - before.0, after.1 - before.1),
+                (2, decodes),
+                "pinned visit {visit}: snapshot node reads"
             );
         }
     }
@@ -498,26 +594,30 @@ mod tests {
     fn cached_nodes_reflect_same_leaf_updates() {
         // Decoded-node cache invalidation, end to end: query a leaf so
         // its decode is cached, insert into that same leaf (the write
-        // bumps the page generation), and the next query must see the
-        // new point — a stale cached decode would drop it.
+        // drops the frame's decode and its visit), and the next queries
+        // must see the new point — a stale cached decode would drop it.
         let mut t = small_tree(2, 512);
         t.insert(Point::new(&[0.4, 0.4]), 1.0).unwrap();
         let q = Point::new(&[0.9, 0.9]);
         assert_eq!(t.dominance_sum(&q).unwrap(), 1.0);
         let warm = t.store().stats();
-        assert!(warm.decode_misses > 0, "first query decodes the root leaf");
-        // Same leaf (single-node tree), repeatedly: query → insert →
-        // query, checking the running sum after every update.
+        assert!(warm.decode_misses > 0, "first query reads the root leaf");
+        // Same leaf (single-node tree), repeatedly: insert, then three
+        // queries — a scan of the bytes, a decode, a kept decode — each
+        // checking the sum after the update.
         for i in 2..=20u64 {
             t.insert(Point::new(&[0.4 + (i as f64) * 0.01, 0.4]), 1.0)
                 .unwrap();
-            assert_eq!(
-                t.dominance_sum(&q).unwrap(),
-                i as f64,
-                "query after insert #{i} must reflect the update"
-            );
+            for visit in 1..=3 {
+                assert_eq!(
+                    t.dominance_sum(&q).unwrap(),
+                    i as f64,
+                    "visit {visit} after insert #{i} must reflect the update"
+                );
+            }
         }
         let st = t.store().stats();
+        assert!(st.leaf_scans >= 19, "a rewritten leaf's first visit scans");
         assert!(st.decode_hits > 0, "warm queries hit the decoded cache");
         assert!(
             st.decode_invalidations > 0,

@@ -334,6 +334,9 @@ impl AggValue for Poly {
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
         let n = r.get_u16()? as usize;
+        // `n` is input: refuse a count the bytes cannot back before
+        // reserving room for it.
+        r.expect_records(n, 8 + MAX_DIM)?;
         let mut terms = Vec::with_capacity(n);
         for _ in 0..n {
             let coeff = r.get_f64()?;
@@ -571,6 +574,21 @@ mod tests {
         let bytes = w.into_vec();
         let g = Poly::decode(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(f, g);
+    }
+
+    #[test]
+    fn a_term_count_the_bytes_cannot_back_is_refused_before_reserving() {
+        // The parent reserved room for 65,535 terms (1 MB) and only then
+        // met the end of the bytes.
+        let mut w = ByteWriter::new();
+        w.put_u16(u16::MAX);
+        w.put_bytes(&[0; 16]);
+        match Poly::decode(&mut ByteReader::new(w.as_slice())) {
+            Err(crate::error::Error::Corrupt(msg)) => {
+                assert!(msg.contains("record count 65535"), "{msg}")
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -63,6 +63,67 @@ impl StdRng {
         let hi = ((self.next_u64() as u128 * span as u128) >> 64) as u64;
         range.start + hi as usize
     }
+
+    /// A seeded mutation of `seed`, for fuzzing a decoder of untrusted
+    /// bytes: one to three edits, each a bit flip, a byte set to an
+    /// edge value, a `u16` count or an `f64` word overwritten with an
+    /// edge value, a truncation, an appended tail, or a span copied
+    /// over another. Counts land on the first three bytes (a node's tag
+    /// and record count) a third of the time.
+    pub fn mutate(&mut self, seed: &[u8]) -> Vec<u8> {
+        const COUNTS: [u16; 7] = [0, 1, 2, 64, 65, 0x7FFF, u16::MAX];
+        const WORDS: [f64; 8] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            -1.0,
+        ];
+        let mut out = seed.to_vec();
+        for _ in 0..=self.gen_range(0..3) {
+            let len = out.len().max(1);
+            match self.gen_range(0..7) {
+                0 if !out.is_empty() => {
+                    let at = self.gen_range(0..out.len());
+                    out[at] ^= 1 << self.gen_range(0..8);
+                }
+                1 if !out.is_empty() => {
+                    let at = self.gen_range(0..out.len());
+                    out[at] = [0, 1, 0x7F, 0x80, 0xFF][self.gen_range(0..5)];
+                }
+                2 if out.len() >= 3 => {
+                    let at = if self.gen_range(0..3) == 0 {
+                        1
+                    } else {
+                        self.gen_range(0..out.len() - 1)
+                    };
+                    let count = COUNTS[self.gen_range(0..COUNTS.len())];
+                    out[at..at + 2].copy_from_slice(&count.to_le_bytes());
+                }
+                3 if out.len() >= 8 => {
+                    let at = self.gen_range(0..out.len() - 7);
+                    let word = WORDS[self.gen_range(0..WORDS.len())];
+                    out[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                }
+                4 => out.truncate(self.gen_range(0..len)),
+                5 => {
+                    let tail = self.gen_range(1..64);
+                    out.extend((0..tail).map(|_| self.next_u64() as u8));
+                }
+                _ if out.len() >= 2 => {
+                    let span = self.gen_range(1..out.len());
+                    let from = self.gen_range(0..out.len() - span + 1);
+                    let to = self.gen_range(0..out.len() - span + 1);
+                    out.copy_within(from..from + span, to);
+                }
+                _ => out.push(self.next_u64() as u8),
+            }
+        }
+        out
+    }
 }
 
 /// Types [`StdRng::gen`] can sample uniformly.

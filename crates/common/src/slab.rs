@@ -54,9 +54,17 @@
 //! scan adds in — and answers with the sum at the last chunk whose first
 //! key is dominated plus that chunk's dominated entries: the same adds
 //! from the same start, so the same bits. The sums are built on a slab's
-//! *second* visit since it last changed, not at decode: a cold miss
-//! decodes a leaf it may never see again, and a first visit costs the
+//! *second* visit since it last changed, not at decode: a slab decoded
+//! for one more query never pays for them, and a first visit costs the
 //! plain scan. Every mutation forgets them, and a clone has none.
+//!
+//! **A page visited once is never decoded.** A leaf read for one
+//! dominance sum and then evicted pays for columns it never reads
+//! twice. [`EntrySlab::sum_dominated_rows`] answers such a visit from
+//! the encoded rows themselves: the same entries, added in the same
+//! order from `V::zero()`, as a decode followed by
+//! [`sum_dominated_from_into`](EntrySlab::sum_dominated_from_into), so
+//! the same bits — or `None`, and the caller decodes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -525,6 +533,52 @@ impl<V: AggValue> EntrySlab<V> {
                 acc.add_assign(&self.values[i]);
             }
         }
+    }
+
+    /// The dominated sum of `count` entries straight from their bytes,
+    /// laid out as [`encode_entries`](Self::encode_entries) writes them
+    /// at the start of `rows`: the values of every entry dominated by `q`
+    /// in dimensions `from..dim`, added in entry order from `V::zero()`.
+    /// That is what [`decode_entries`](Self::decode_entries) of the same
+    /// bytes and then
+    /// [`sum_dominated_from_into`](Self::sum_dominated_from_into) into a
+    /// zero accumulator give, to the bit, with no column built.
+    ///
+    /// `None`, and the caller decodes instead, when `V` has no fixed
+    /// width, when the rows are not all there, or when a dominated value
+    /// does not decode: whatever the decode makes of such bytes, the
+    /// caller takes from the decode.
+    // lint: hot-path
+    pub fn sum_dominated_rows(
+        rows: &[u8],
+        dim: usize,
+        count: usize,
+        from: usize,
+        q: &Point,
+    ) -> Option<V> {
+        debug_assert_eq!(q.dim(), dim);
+        let EncodedWidth::Fixed(width) = V::WIDTH else {
+            return None;
+        };
+        let point = dim * WORD;
+        let stride = point + width;
+        if stride == 0 {
+            return None;
+        }
+        let rows = rows.get(..count.checked_mul(stride)?)?;
+        let (from, qs) = (from.min(dim), q.coords());
+        let mut acc = V::zero();
+        for row in rows.chunks_exact(stride) {
+            let (coords, value) = row.split_at(point);
+            let dominated = coords[from * WORD..]
+                .chunks_exact(WORD)
+                .zip(&qs[from.min(qs.len())..])
+                .all(|(c, &qd)| word(c, 0) <= qd);
+            if dominated {
+                acc.add_assign(&V::decode(&mut ByteReader::new(value)).ok()?);
+            }
+        }
+        Some(acc)
     }
 
     /// Serializes all entries as `coord₀ … coord_{d−1} value`, in entry
@@ -1243,17 +1297,7 @@ mod tests {
         for dim in 1..=3 {
             for sorted in [true, false] {
                 for count in [0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK, 511] {
-                    // Ties, and `-0.0` beside `0.0`, which `≤` calls equal.
-                    let keys: Vec<f64> = scan_keys(&mut rng, count, sorted)
-                        .into_iter()
-                        .map(|k| {
-                            if k == 0.0 && rng.gen_range(0..2) == 0 {
-                                -0.0
-                            } else {
-                                k
-                            }
-                        })
-                        .collect();
+                    let keys = signed_keys(&mut rng, count, sorted);
                     let mut flat = EntrySlab::<f64>::new(dim);
                     let mut poly = EntrySlab::<Poly>::new(dim);
                     for &k in &keys {
@@ -1262,18 +1306,7 @@ mod tests {
                         flat.push(&pt, spread_f64(&mut rng));
                         poly.push(&pt, random_poly(&mut rng));
                     }
-                    // q₀ below, equal to, between and above the keys.
-                    let (lo, hi) = (keys.first().copied(), keys.last().copied());
-                    let mut q0s = vec![-1.0, -0.0, 0.0, 2.0, 1e9];
-                    q0s.extend(lo.iter().chain(&hi).copied());
-                    q0s.extend(keys.iter().step_by(29).flat_map(|&k| [k, k + 1.0]));
-                    let queries: Vec<Point> = q0s
-                        .iter()
-                        .flat_map(|&q0| {
-                            [f64::INFINITY, 0.0]
-                                .map(|rest| Point::from_fn(dim, |d| if d == 0 { q0 } else { rest }))
-                        })
-                        .collect();
+                    let queries = queries_over(&keys, dim);
                     let at = format!("dim {dim} sorted {sorted} n {count}");
                     // A fresh copy per query, visited three times (the
                     // first scans, the second builds, the third reuses),
@@ -1426,8 +1459,145 @@ mod tests {
         }
     }
 
+    /// `s` through its codec: the slab a page holding it decodes to.
+    fn decoded<V: AggValue>(s: &EntrySlab<V>) -> EntrySlab<V> {
+        let mut w = ByteWriter::new();
+        s.encode_entries(&mut w);
+        EntrySlab::decode_entries(&mut ByteReader::new(w.as_slice()), s.dim(), s.len()).unwrap()
+    }
+
+    /// Keys from `scan_keys`, some of their zeros signed: ties, and
+    /// `-0.0` beside `0.0`, which `≤` calls equal.
+    fn signed_keys(rng: &mut StdRng, count: usize, sorted: bool) -> Vec<f64> {
+        scan_keys(rng, count, sorted)
+            .into_iter()
+            .map(|k| {
+                if k == 0.0 && rng.gen_range(0..2) == 0 {
+                    -0.0
+                } else {
+                    k
+                }
+            })
+            .collect()
+    }
+
+    /// Queries whose dimension 0 falls below, on, between and above
+    /// `keys`, the other dimensions all-in or at zero.
+    fn queries_over(keys: &[f64], dim: usize) -> Vec<Point> {
+        let mut q0s = vec![-1.0, -0.0, 0.0, 2.0, 1e9];
+        q0s.extend(keys.first().iter().chain(&keys.last()).copied());
+        q0s.extend(keys.iter().step_by(29).flat_map(|&k| [k, k + 1.0]));
+        q0s.iter()
+            .flat_map(|&q0| {
+                [f64::INFINITY, 0.0, -0.0]
+                    .map(|rest| Point::from_fn(dim, |d| if d == 0 { q0 } else { rest }))
+            })
+            .collect()
+    }
+
+    /// The reference scan of dimensions `from..` from zero: what the
+    /// row kernel must return for `s`'s bytes.
+    fn scanned_from<V: AggValue>(s: &EntrySlab<V>, from: usize, q: &Point) -> V {
+        let mut acc = V::zero();
+        s.sum_dominated_from_into_reference(from, q, &mut acc);
+        acc
+    }
+
+    #[test]
+    fn the_row_kernel_sums_exactly_what_the_decoded_scan_does() {
+        let mut rng = StdRng::seed_from_u64(0x0520_05C4);
+        let mut checked = 0;
+        for dim in 1..=3 {
+            let full = (8192 - 3) / (dim * WORD + 8);
+            for sorted in [true, false] {
+                for count in [0, 1, CHUNK, CHUNK + 1, full] {
+                    let keys = signed_keys(&mut rng, count, sorted);
+                    let mut s = EntrySlab::<f64>::new(dim);
+                    for &k in &keys {
+                        // Later dimensions on a grid too, so ties and
+                        // signed zeros meet the query there as well.
+                        let pt =
+                            Point::from_fn(
+                                dim,
+                                |d| {
+                                    if d == 0 {
+                                        k
+                                    } else {
+                                        grid_key(&mut rng).abs()
+                                    }
+                                },
+                            );
+                        s.push(&pt, spread_f64(&mut rng));
+                    }
+                    let mut w = ByteWriter::new();
+                    s.encode_entries(&mut w);
+                    // Trailing bytes past the rows are not the kernel's.
+                    w.put_bytes(&[0xA5; 11]);
+                    let bytes = w.as_slice();
+                    let back = decoded(&s);
+                    let mut queries = queries_over(&keys, dim);
+                    queries.extend((0..8).map(|_| Point::from_fn(dim, |_| grid_key(&mut rng))));
+                    for q in &queries {
+                        for from in 0..=dim {
+                            let at =
+                                format!("dim {dim} sorted {sorted} n {count} from {from} q {q:?}");
+                            let got =
+                                EntrySlab::<f64>::sum_dominated_rows(bytes, dim, count, from, q)
+                                    .unwrap_or_else(|| panic!("{at}: declined"));
+                            let mut want = 0.0;
+                            back.sum_dominated_from_into(from, q, &mut want);
+                            assert_eq!(got.to_bits(), want.to_bits(), "{at}");
+                            assert_eq!(got.to_bits(), scanned_from(&s, from, q).to_bits(), "{at}");
+                            checked += 1;
+                        }
+                    }
+                    // Rows the bytes cannot hold: declined, as the
+                    // decode refuses them.
+                    let rows = count * (dim * WORD + 8);
+                    if count > 0 {
+                        let q = Point::splat(dim, f64::INFINITY);
+                        assert!(EntrySlab::<f64>::sum_dominated_rows(
+                            &bytes[..rows - 1],
+                            dim,
+                            count,
+                            0,
+                            &q
+                        )
+                        .is_none());
+                        assert!(EntrySlab::<f64>::decode_entries(
+                            &mut ByteReader::new(&bytes[..rows - 1]),
+                            dim,
+                            count
+                        )
+                        .is_err());
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 4_554, "sums checked");
+    }
+
+    #[test]
+    fn the_row_kernel_declines_what_it_cannot_read_in_place() {
+        let q = p(&[f64::INFINITY, f64::INFINITY]);
+        let mut poly = EntrySlab::<Poly>::new(2);
+        poly.push(&p(&[1.0, 2.0]), Poly::constant(3.0));
+        let mut w = ByteWriter::new();
+        poly.encode_entries(&mut w);
+        assert!(EntrySlab::<Poly>::sum_dominated_rows(w.as_slice(), 2, 1, 0, &q).is_none());
+        // A count the page cannot back, however large: no allocation, no
+        // overflow, no panic.
+        assert!(EntrySlab::<f64>::sum_dominated_rows(&[0; 64], 2, usize::MAX, 0, &q).is_none());
+        assert!(EntrySlab::<f64>::sum_dominated_rows(&[0; 64], 2, 3, 0, &q).is_none());
+        assert_eq!(
+            EntrySlab::<f64>::sum_dominated_rows(&[0; 64], 2, 0, 0, &q),
+            Some(0.0)
+        );
+    }
+
     /// Not a test of anything: prints what decoding and encoding one
-    /// full leaf costs through the kernels and through the oracle. Run
+    /// full leaf costs through the kernels and through the oracle, and
+    /// what summing it costs from its bytes and from its decode. Run
     /// with `cargo test --release -p boxagg-common --lib slab -- --ignored --nocapture`.
     #[test]
     #[ignore = "timing report, not a check"]
@@ -1475,9 +1645,29 @@ mod tests {
                 black_box(&mut cols);
             }
             let floor = start.elapsed().as_secs_f64() * 1e6 / ITERS as f64;
+            // The first-visit row kernel over the same bytes, every row
+            // dominated (each value added), and the decoded slab's scan.
+            let all = Point::splat(dim, f64::INFINITY);
+            let start = Instant::now();
+            for _ in 0..ITERS {
+                black_box(EntrySlab::<f64>::sum_dominated_rows(
+                    black_box(&bytes),
+                    dim,
+                    count,
+                    0,
+                    &all,
+                ));
+            }
+            let rows = start.elapsed().as_secs_f64() * 1e6 / ITERS as f64;
+            let start = Instant::now();
+            for _ in 0..ITERS {
+                black_box(black_box(&slab).dominated_sum(&all));
+            }
+            let scan = start.elapsed().as_secs_f64() * 1e6 / ITERS as f64;
             println!(
                 "{dim}-d leaf, {count} entries: decode {:.3} us (per word {:.3}, \
-                 gather alone {floor:.3}), encode {:.3} us (per word {:.3})",
+                 gather alone {floor:.3}), encode {:.3} us (per word {:.3}), \
+                 row scan {rows:.3} us, decoded scan {scan:.3} us",
                 decode(EntrySlab::decode_entries),
                 decode(EntrySlab::decode_entries_per_word),
                 encode(EntrySlab::encode_entries),

@@ -498,8 +498,10 @@ mod tests {
             0 < decodes && decodes < accesses,
             "cold pass never shared: {decodes} decodes for {accesses} accesses"
         );
-        // A second pass on the unchanged epoch decodes nothing,
-        // unbatched...
+        // A second pass decodes the leaves the first only scanned (a
+        // page's first visit answers from its bytes); a third on the
+        // unchanged epoch decodes nothing, unbatched...
+        let (second, _, _) = serial_pass();
         let (again, _, decodes) = serial_pass();
         assert_eq!(decodes, 0, "unbatched pass over an unchanged epoch decoded");
         // ...or batched: one snapshot executes the whole batch.
@@ -508,9 +510,15 @@ mod tests {
         let batched_answers: Vec<f64> = queries.iter().map(|q| eng.query(q).unwrap()).collect();
         assert_eq!(snap.node_reads().1, 0, "batched pass decoded");
 
-        for ((a, b), c) in serial_answers.iter().zip(&batched_answers).zip(&again) {
+        for (((a, b), c), d) in serial_answers
+            .iter()
+            .zip(&batched_answers)
+            .zip(&again)
+            .zip(&second)
+        {
             assert_eq!(a.to_bits(), b.to_bits(), "batching must be invisible");
             assert_eq!(a.to_bits(), c.to_bits(), "the cache must be invisible");
+            assert_eq!(a.to_bits(), d.to_bits(), "a scan must be invisible");
         }
     }
 }

@@ -32,7 +32,7 @@ use boxagg_common::slab::EntrySlab;
 use boxagg_common::traits::{check_insert, check_query, DominanceSumIndex};
 use boxagg_common::value::AggValue;
 use boxagg_pagestore::paged::{self, Layout, PageParams, PagedTree};
-use boxagg_pagestore::{PageId, ReadHandle, RootEntry, RootKind, SharedStore};
+use boxagg_pagestore::{PageId, ReadHandle, RootEntry, RootKind, SharedStore, Visit};
 
 /// Which prefix of subtrees each border covers (Fig. 6).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -260,11 +260,16 @@ fn query_tree<V: AggValue>(ctx: Ctx<'_>, level: usize, root: PageId, q: &Point) 
     if root.is_null() {
         return Ok(V::zero());
     }
-    match &*ctx.read_shared::<V>(root, level)? {
+    // Dominance on dimensions `level..d` only: the enclosing levels
+    // already resolved the lower coordinates. A leaf's first visit sums
+    // from its page's bytes; a decoded leaf's slab scan runs column-wise
+    // over contiguous coordinate runs.
+    let node = match ctx.read_or_sum::<V>(root, level, level, q)? {
+        Visit::Scanned(sum) => return Ok(sum),
+        Visit::Node(node) => node,
+    };
+    match &*node {
         Node::Leaf(entries) => {
-            // Dominance on dimensions `level..d` only: the enclosing
-            // levels already resolved the lower coordinates. The slab
-            // scan runs column-wise over contiguous coordinate runs.
             let mut acc = V::zero();
             entries.sum_dominated_from_into(level, q, &mut acc);
             Ok(acc)
@@ -697,7 +702,10 @@ impl<V: AggValue> DominanceSumIndex<V> for EcdfBTree<V> {
 mod tests {
     use super::*;
     use boxagg_common::error::Error;
+    use boxagg_common::poly::Poly;
+    use boxagg_common::rng::StdRng;
     use boxagg_common::traits::NaiveDominanceIndex;
+    use boxagg_common::value::EncodedWidth;
     use boxagg_pagestore::StoreConfig;
     use std::sync::Arc;
 
@@ -1188,5 +1196,133 @@ mod tests {
         // All equal: falls back near the middle.
         let cut = split_position(6, |_| false);
         assert_eq!(cut, 3);
+    }
+
+    /// A value's exact bits: its encoding.
+    fn bits<V: AggValue>(v: &V) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        v.encode(&mut w);
+        w.into_vec()
+    }
+
+    /// What a mutated page of `layout` at `level` must do: decode, or
+    /// refuse with a typed error. The leaf row scan over dimensions
+    /// `level..` answers exactly what the decoded leaf's scan does,
+    /// declines only values of no fixed width, and answers nothing the
+    /// decode refuses. Returns whether the page decoded.
+    fn check_mutant<V: AggValue>(
+        bytes: &[u8],
+        layout: &Ecdf,
+        level: usize,
+        queries: &[Point],
+    ) -> bool {
+        let node = Node::<V>::decode(bytes, layout, level);
+        if let Err(e) = &node {
+            assert!(matches!(e, Error::Corrupt(_)), "untyped refusal: {e:?}");
+        }
+        for q in queries {
+            match (
+                &node,
+                paged::sum_leaf_rows::<V>(bytes, layout.dim, level, q),
+            ) {
+                (Ok(Node::Leaf(s)), Some(sum)) => {
+                    let mut want = V::zero();
+                    s.sum_dominated_from_into(level, q, &mut want);
+                    assert_eq!(bits(&sum), bits(&want), "level {level} q {q:?}")
+                }
+                (Ok(Node::Leaf(_)), None) => {
+                    assert!(matches!(V::WIDTH, EncodedWidth::AtLeast(_)), "declined")
+                }
+                (_, None) => {}
+                (got, Some(_)) => panic!("the scan answered a page that decoded to {got:?}"),
+            }
+        }
+        node.is_ok()
+    }
+
+    /// Seed pages `(layout, level, bytes)` of a 2-d and a 3-d family:
+    /// leaves at every level, sorted and not, with ties; index pages
+    /// with tree borders and, at the last level, value borders.
+    fn seed_pages<V: AggValue>(value: impl Fn(usize) -> V) -> Vec<(Ecdf, usize, Vec<u8>)> {
+        let mut pages = Vec::new();
+        for dim in [2, 3] {
+            let layout = layout(dim);
+            for level in 0..dim {
+                let point = |i: usize| Point::from_fn(dim, |d| ((i * (d + level + 2)) % 13) as f64);
+                for n in [0, 1, 70] {
+                    let slab = EntrySlab::from_entries(
+                        dim,
+                        (0..n).map(|i| (point(i), value(i))).collect(),
+                    );
+                    let mut w = ByteWriter::new();
+                    Node::Leaf(slab).encode(&layout, level, &mut w);
+                    pages.push((layout, level, w.into_vec()));
+                }
+                let entry = |i: usize| InternalEntry {
+                    router: i as f64 - 0.0,
+                    child: PageId(i as u64 + 1),
+                    border: if level + 1 == dim {
+                        Border::Value(value(i))
+                    } else {
+                        Border::Tree(PageId(40 + i as u64))
+                    },
+                };
+                let mut w = ByteWriter::new();
+                Node::Index((0..5).map(entry).collect()).encode(&layout, level, &mut w);
+                pages.push((layout, level, w.into_vec()));
+            }
+        }
+        pages
+    }
+
+    /// Runs `inputs` seeded mutants of every seed page through
+    /// [`check_mutant`], for `f64` and `Poly` values; returns how many
+    /// decoded.
+    fn fuzz(inputs: usize, seed: u64) -> usize {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let flat = seed_pages(|i| [1.5, -0.0, 0.0, -2.25, 1e300][i % 5]);
+        let poly = seed_pages(|i| Poly::monomial(i as f64 - 1.5, &[(i % 3) as u8, 1]));
+        let mut decoded = 0;
+        for i in 0..inputs {
+            let (layout, level, page) = if i % 2 == 0 {
+                &flat[i / 2 % flat.len()]
+            } else {
+                &poly[i / 2 % poly.len()]
+            };
+            let dim = layout.dim;
+            let queries = [
+                Point::splat(dim, f64::INFINITY),
+                Point::splat(dim, 0.0),
+                Point::splat(dim, 6.5),
+                Point::from_fn(dim, |d| [3.0, -0.0, 12.0][d % 3]),
+            ];
+            let bytes = rng.mutate(page);
+            decoded += usize::from(if i % 2 == 0 {
+                check_mutant::<f64>(&bytes, layout, *level, &queries)
+            } else {
+                check_mutant::<Poly>(&bytes, layout, *level, &queries)
+            });
+        }
+        decoded
+    }
+
+    #[test]
+    fn fuzz_mutated_pages_decode_or_refuse_and_the_row_scan_agrees() {
+        // 20,000 mutants over 20 seed pages per value type.
+        let decoded = fuzz(20_000, 0xECDF_F022);
+        assert!(
+            (2_000..18_000).contains(&decoded),
+            "{decoded} of 20,000 mutants decoded: the mutator is degenerate"
+        );
+    }
+
+    /// The documented longer run: `cargo test --release -p boxagg-ecdf
+    /// --lib fuzz -- --ignored`.
+    #[test]
+    #[ignore = "long fuzz run"]
+    fn fuzz_long_run() {
+        for seed in 0..50 {
+            fuzz(200_000, seed);
+        }
     }
 }

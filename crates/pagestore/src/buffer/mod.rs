@@ -69,6 +69,7 @@
 
 use std::any::Any;
 use std::collections::HashSet;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -107,9 +108,14 @@ pub struct IoStats {
     /// Node reads served from a kept decode (decode skipped).
     pub decode_hits: u64,
     /// Node reads that found no kept decode (cold, rewritten, or
-    /// decodes not kept): they decoded from bytes — or, a pinned read,
-    /// took over a clean frame's decode.
+    /// decodes not kept): they decoded from bytes, answered from them
+    /// (`leaf_scans`), or — a pinned read — took over a clean frame's
+    /// decode. `decode_hits + decode_misses` is the node reads served.
     pub decode_misses: u64,
+    /// Node reads answered from a frame's bytes without a decode: a
+    /// leaf's first visit since its frame last held a decode, or any
+    /// leaf visit when decodes are not kept. Each is also a decode miss.
+    pub leaf_scans: u64,
     /// `write_page` and `free` calls, each of which drops the page's
     /// decode, plus the committed-image entries commits dropped.
     pub decode_invalidations: u64,
@@ -150,6 +156,7 @@ impl IoStats {
             hits: self.hits.saturating_sub(earlier.hits),
             decode_hits: self.decode_hits.saturating_sub(earlier.decode_hits),
             decode_misses: self.decode_misses.saturating_sub(earlier.decode_misses),
+            leaf_scans: self.leaf_scans.saturating_sub(earlier.leaf_scans),
             decode_invalidations: self
                 .decode_invalidations
                 .saturating_sub(earlier.decode_invalidations),
@@ -166,27 +173,68 @@ impl IoStats {
 
 const NIL: usize = usize::MAX;
 
-/// The decode of `bytes` a frame's `slot` holds, if it is an `N`, or
-/// else `decode(bytes)`, left in the slot when `keep`; and whether
-/// `decode` ran.
-fn frame_node<N, F>(
-    slot: &mut Option<CachedNode>,
+/// What a node read that offered a scan got: the decoded node, or what
+/// the scan made of the page's bytes on a first visit (see
+/// [`ReadHandle::visit_node`](crate::store::ReadHandle::visit_node)).
+#[derive(Debug)]
+pub enum Visit<N, T> {
+    /// The page's decode: kept, or made by this read.
+    Node(Arc<N>),
+    /// The scan's answer: the page was not decoded.
+    Scanned(T),
+}
+
+impl<N> Visit<N, Infallible> {
+    /// The node of a read whose scan always declines.
+    pub(crate) fn into_node(self) -> Arc<N> {
+        match self {
+            Visit::Node(node) => node,
+            Visit::Scanned(never) => match never {},
+        }
+    }
+}
+
+/// The scan of a plain node read: it declines, so the read decodes.
+pub(crate) fn decline(_: &[u8]) -> Option<Infallible> {
+    None
+}
+
+/// A frame's decode slot and visit bit ([`Frame::node`],
+/// [`Frame::visited`]).
+type Held<'a> = (&'a mut Option<CachedNode>, &'a mut bool);
+
+/// One node read of a frame's `bytes`, and whether `decode` ran:
+///
+/// * the decode the frame holds, if it is an `N`;
+/// * else, on the frame's first visit or when decodes are not kept,
+///   `scan(bytes)` when it answers, setting the visit bit;
+/// * else `decode(bytes)`, left in the frame when `keep`.
+fn frame_node<N, T, F, S>(
+    (slot, visited): Held<'_>,
     bytes: &[u8],
     keep: bool,
     decode: F,
-) -> Result<(Arc<N>, bool)>
+    scan: S,
+) -> Result<(Visit<N, T>, bool)>
 where
     N: Any + Send + Sync,
     F: FnOnce(&[u8]) -> Result<N>,
+    S: FnOnce(&[u8]) -> Option<T>,
 {
     if let Some(node) = slot.clone().and_then(|n| n.downcast::<N>().ok()) {
-        return Ok((node, false));
+        return Ok((Visit::Node(node), false));
+    }
+    if !(keep && *visited) {
+        if let Some(answer) = scan(bytes) {
+            *visited = true;
+            return Ok((Visit::Scanned(answer), false));
+        }
     }
     let node = Arc::new(decode(bytes)?);
     if keep {
         *slot = Some(Arc::clone(&node) as CachedNode);
     }
-    Ok((node, true))
+    Ok((Visit::Node(node), true))
 }
 
 #[derive(Debug)]
@@ -216,11 +264,16 @@ struct Frame {
     /// (if any) is on disk, where no-steal guarantees it stays until
     /// the next commit applies over it.
     base: Option<Arc<[u8]>>,
-    /// The decode of `data`'s payload a live
-    /// [`read_node`](BufferPool::read_node) made, kept for the next one.
-    /// Whatever changes `data` or the page the frame holds — a write, a
-    /// free, an eviction, the frame's reuse — drops it.
+    /// The decode of `data`'s payload a node read made, kept for the
+    /// next one. Whatever changes `data` or the page the frame holds — a
+    /// write, a free, an eviction, the frame's reuse — drops it, and
+    /// clears `visited` with it.
     node: Option<CachedNode>,
+    /// Set by a node read that answered from `data` instead of decoding
+    /// it: the frame's next read decodes. Meaningful only while `node`
+    /// is `None`; cleared wherever `node` is dropped, so a frame whose
+    /// bytes or page changed is at its first visit again.
+    visited: bool,
     prev: usize,
     next: usize,
 }
@@ -232,6 +285,7 @@ impl Frame {
         self.dirty = false;
         self.base = None;
         self.node = None;
+        self.visited = false;
     }
 }
 
@@ -388,6 +442,9 @@ pub(crate) struct BufferPool {
     reads: AtomicU64,
     writes: AtomicU64,
     hits: AtomicU64,
+    /// Node reads, live or pinned, answered by a scan of a frame's
+    /// bytes (each also a decode miss).
+    leaf_scans: AtomicU64,
     wal_appends: AtomicU64,
     wal_syncs: AtomicU64,
     wal_replays: AtomicU64,
@@ -462,6 +519,7 @@ impl BufferPool {
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
+            leaf_scans: AtomicU64::new(0),
             wal_appends: AtomicU64::new(0),
             wal_syncs: AtomicU64::new(0),
             wal_replays: AtomicU64::new(0),
@@ -520,6 +578,7 @@ impl BufferPool {
             decode_hits,
             decode_misses,
             decode_invalidations,
+            leaf_scans: self.leaf_scans.load(Ordering::Relaxed),
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
@@ -537,6 +596,7 @@ impl BufferPool {
         self.reads.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
         self.hits.store(0, Ordering::Relaxed);
+        self.leaf_scans.store(0, Ordering::Relaxed);
         self.wal_appends.store(0, Ordering::Relaxed);
         self.wal_syncs.store(0, Ordering::Relaxed);
         self.wal_replays.store(0, Ordering::Relaxed);
@@ -762,6 +822,7 @@ impl BufferPool {
                     seq: 0,
                     base: None,
                     node: None,
+                    visited: false,
                     prev: NIL,
                     next: NIL,
                 });
@@ -805,41 +866,58 @@ impl BufferPool {
         Ok(f(&lru.frames[idx].data[..self.payload]))
     }
 
-    /// Reads page `id` as a decoded node of type `N`: the live read
-    /// every index traversal makes. One LRU lock and one directory
-    /// probe serve it — the page access [`with_page`](Self::with_page)
-    /// would make, counted the same way (a hit, or a miss that fetches
-    /// and verifies) — and then the frame's own decode, when it holds
-    /// one of type `N`. Otherwise `decode` runs over the payload and,
-    /// unless the pool keeps no decodes (`node_cache_pages == 0`), the
-    /// frame keeps the result for the next read. A frame's decode lives
-    /// exactly as long as its bytes: [`write_page`](Self::write_page),
-    /// [`free_page`](Self::free_page), eviction and the frame's reuse
-    /// drop it, so it can never outlive them. The paper's LRU is thus
-    /// the only LRU a live read goes through, and the §6 counts are the
-    /// same whether decodes are kept or not.
+    /// Reads page `id` as a decoded node of type `N`, or answers from
+    /// its bytes: the live read every index traversal makes. One LRU
+    /// lock and one directory probe serve it — the page access
+    /// [`with_page`](Self::with_page) would make, counted the same way
+    /// (a hit, or a miss that fetches and verifies) — and then the
+    /// frame's own decode, when it holds one of type `N`. Otherwise, on
+    /// the frame's first visit since it last held a decode, or on every
+    /// visit when the pool keeps no decodes (`node_cache_pages == 0`),
+    /// `scan` may answer from the payload, and the page is not decoded.
+    /// When it declines, or on the frame's second visit, `decode` runs
+    /// over the payload and, unless the pool keeps no decodes, the frame
+    /// keeps the result for the next read. A frame's decode and its
+    /// visit live exactly as long as its bytes:
+    /// [`write_page`](Self::write_page), [`free_page`](Self::free_page),
+    /// eviction and the frame's reuse drop both, so neither can outlive
+    /// them. The paper's LRU is thus the only LRU a live read goes
+    /// through, and the §6 counts are the same whether decodes are kept
+    /// or not.
     ///
-    /// Counts one decode hit or one decode miss per call. `decode` runs
-    /// under the LRU lock and must not re-enter the pool.
-    pub(crate) fn read_node<N, F>(&self, id: PageId, decode: F) -> Result<Arc<N>>
+    /// Counts one decode hit or one decode miss per call, and a scan as
+    /// a miss and a leaf scan. `decode` and `scan` run under the LRU
+    /// lock and must not re-enter the pool.
+    pub(crate) fn visit_node<N, T, F, S>(
+        &self,
+        id: PageId,
+        decode: F,
+        scan: S,
+    ) -> Result<Visit<N, T>>
     where
         N: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<N>,
+        S: FnOnce(&[u8]) -> Option<T>,
     {
         let mut lru = self.lru.acquire();
         let idx = self.frame_for(&mut lru, id, true)?;
         let frame = &mut lru.frames[idx];
         let got = frame_node(
-            &mut frame.node,
+            (&mut frame.node, &mut frame.visited),
             &frame.data[..self.payload],
             self.keep_nodes,
             decode,
+            scan,
         );
         match got {
-            Ok((_, false)) => lru.decode_hits += 1,
+            Ok((Visit::Node(_), false)) => lru.decode_hits += 1,
+            Ok((Visit::Scanned(_), _)) => {
+                lru.decode_misses += 1;
+                self.leaf_scans.fetch_add(1, Ordering::Relaxed);
+            }
             _ => lru.decode_misses += 1,
         }
-        got.map(|(node, _)| node)
+        got.map(|(visit, _)| visit)
     }
 
     /// Overwrites page `id`'s payload with `bytes` (shorter payloads are
@@ -889,6 +967,7 @@ impl BufferPool {
         data[..bytes.len()].copy_from_slice(bytes);
         data[bytes.len()..].fill(0);
         f.node = None;
+        f.visited = false;
         f.dirty = true;
         if wal {
             f.seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1017,7 +1096,7 @@ impl BufferPool {
                     return fail("frame on the free list twice");
                 }
                 let f = &lru.frames[i];
-                if !f.id.is_null() || f.dirty || f.base.is_some() || f.node.is_some() {
+                if !f.id.is_null() || f.dirty || f.base.is_some() || f.node.is_some() || f.visited {
                     return fail("free frame not reset");
                 }
             }

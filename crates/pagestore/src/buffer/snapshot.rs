@@ -43,7 +43,7 @@ use boxagg_common::error::{corrupt, Result};
 use crate::nodecache::CachedNode;
 use crate::pager::PageId;
 
-use super::{frame_node, BufferPool};
+use super::{frame_node, BufferPool, Held, Visit};
 
 /// One retained committed page image, superseded when epoch
 /// `superseded_at` was created: it is the image readers pinned at any
@@ -221,39 +221,48 @@ impl BufferPool {
     /// only.
     ///
     /// `decode` runs under pool locks and must not re-enter the pool.
-    pub(crate) fn read_node_at<N, F>(
+    pub(crate) fn read_node_at<N, T, F, S>(
         &self,
         id: PageId,
         epoch: u64,
         decode: F,
-    ) -> Result<(Arc<N>, bool)>
+        scan: S,
+    ) -> Result<(Visit<N, T>, bool)>
     where
         N: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<N>,
+        S: FnOnce(&[u8]) -> Option<T>,
     {
         if self.epoch.load(Ordering::Acquire) == epoch {
             if let Some(node) = self.committed_hit(id, epoch) {
-                return Ok((node, false));
+                return Ok((Visit::Node(node), false));
             }
         }
         let _reader = self.barrier.acquire_shared();
         if let Some(image) = self.superseded_image(id, epoch) {
             self.committed.count_miss(id);
-            return Ok((Arc::new(decode(&image[..self.payload])?), true));
+            let node = Arc::new(decode(&image[..self.payload])?);
+            return Ok((Visit::Node(node), true));
         }
         if let Some(node) = self.committed.lookup::<N>(id) {
-            return Ok((node, false));
+            return Ok((Visit::Node(node), false));
         }
         let keep = self.keeps_committed();
         self.with_committed_page(id, |bytes, held| {
-            let (node, decoded) = match held {
-                Some(slot) => frame_node(slot, bytes, self.keep_nodes, decode)?,
-                None => (Arc::new(decode(bytes)?), true),
+            let (got, decoded) = match held {
+                Some(slot) => frame_node(slot, bytes, self.keep_nodes, decode, scan)?,
+                None => (Visit::Node(Arc::new(decode(bytes)?)), true),
             };
-            if keep {
-                self.committed.insert(id, Arc::clone(&node) as CachedNode);
+            match &got {
+                Visit::Node(node) if keep => {
+                    self.committed.insert(id, Arc::clone(node) as CachedNode);
+                }
+                Visit::Node(_) => {}
+                Visit::Scanned(_) => {
+                    self.leaf_scans.fetch_add(1, Ordering::Relaxed);
+                }
             }
-            Ok((node, decoded))
+            Ok((got, decoded))
         })?
     }
 
@@ -291,7 +300,8 @@ impl BufferPool {
     }
 
     /// Runs `f` over page `id`'s current committed image and, when that
-    /// image is a clean frame's bytes, the frame's decode slot. `f` runs
+    /// image is a clean frame's bytes, the frame's decode slot and visit
+    /// bit. `f` runs
     /// under the LRU lock with `id`'s frame resident in every branch —
     /// a dirty frame's base, the disk image behind a dirty frame, a
     /// clean frame — so an entry `f` puts in the committed-image cache
@@ -300,7 +310,7 @@ impl BufferPool {
     fn with_committed_page<T>(
         &self,
         id: PageId,
-        f: impl FnOnce(&[u8], Option<&mut Option<CachedNode>>) -> T,
+        f: impl FnOnce(&[u8], Option<Held<'_>>) -> T,
     ) -> Result<T> {
         let mut lru = self.lru.acquire();
         if let Some(idx) = lru.map.get(id) {
@@ -320,14 +330,27 @@ impl BufferPool {
         }
         let idx = self.frame_for(&mut lru, id, true)?;
         let frame = &mut lru.frames[idx];
-        Ok(f(&frame.data[..self.payload], Some(&mut frame.node)))
+        Ok(f(
+            &frame.data[..self.payload],
+            Some((&mut frame.node, &mut frame.visited)),
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::decline;
     use crate::buffer::tests::{page_with, park_next_log_sync, wal_pool};
+
+    /// A pinned read of page `id`'s first byte as a node, offering no
+    /// scan: the node and whether the read decoded.
+    fn read_at(p: &BufferPool, id: PageId, epoch: u64) -> (u8, bool) {
+        let (got, decoded) = p
+            .read_node_at(id, epoch, |d: &[u8]| Ok(d[0]), decline)
+            .unwrap();
+        (*got.into_node(), decoded)
+    }
 
     #[test]
     fn snapshot_readers_see_their_pinned_epoch() {
@@ -428,21 +451,17 @@ mod tests {
         p.write_page(a, &[1; 8]).unwrap();
         p.commit().unwrap();
         let e = p.pin_snapshot();
-        let decode = |d: &[u8]| Ok(d[0]);
-        assert_eq!(*p.read_node_at(a, e, decode).unwrap().0, 1);
+        assert_eq!(read_at(&p, a, e).0, 1);
         // The reader's first load read `e` here.
         assert_eq!(p.commit_epoch(), e);
         p.write_page(a, &[2; 8]).unwrap();
         p.commit().unwrap();
         let newer = p.pin_snapshot();
-        assert_eq!(
-            p.read_node_at(a, newer, decode).unwrap(),
-            (Arc::new(2), true)
-        );
+        assert_eq!(read_at(&p, a, newer), (2, true));
         let before = p.stats();
         assert!(p.committed_hit::<u8>(a, e).is_none(), "e + 1's node kept");
         assert_eq!(p.stats(), before, "a discarded hit counts nothing");
-        assert_eq!(p.read_node_at(a, e, decode).unwrap(), (Arc::new(1), true));
+        assert_eq!(read_at(&p, a, e), (1, true));
         let after = p.stats();
         assert_eq!(after.decode_misses - before.decode_misses, 1);
         assert_eq!(after.decode_hits, before.decode_hits);
@@ -462,8 +481,7 @@ mod tests {
         let a = page_with(&p, 1);
         p.commit().unwrap();
         let e = p.pin_snapshot();
-        let decode = |d: &[u8]| Ok(d[0]);
-        assert_eq!(p.read_node_at(a, e, decode).unwrap(), (Arc::new(1), true));
+        assert_eq!(read_at(&p, a, e), (1, true));
         p.validate().unwrap();
         // Two dirty pages evict `a`'s clean frame — and its entry.
         page_with(&p, 2);

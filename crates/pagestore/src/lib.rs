@@ -61,7 +61,7 @@ pub mod store;
 pub mod superblock;
 pub mod wal;
 
-pub use buffer::IoStats;
+pub use buffer::{IoStats, Visit};
 pub use fault::{FaultHandle, FaultPager, FaultSpec, OpFilter};
 pub use pager::{FilePager, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE};
 pub use rank::{RankedGuard, RankedMutex, RankedReadGuard, RankedRwLock, RankedWriteGuard};

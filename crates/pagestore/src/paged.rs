@@ -31,7 +31,7 @@ use boxagg_common::geom::Point;
 use boxagg_common::slab::EntrySlab;
 use boxagg_common::value::AggValue;
 
-use crate::{PageId, ReadHandle, RootEntry, RootKind, SharedStore};
+use crate::{PageId, ReadHandle, RootEntry, RootKind, SharedStore, Visit};
 
 /// Per-node header: tag byte + record count.
 const HEADER: usize = 3;
@@ -190,6 +190,21 @@ impl<V: AggValue, L: Layout> Node<V, L> {
     }
 }
 
+/// The scan [`Ctx::read_or_sum`] offers: the sum of the values of the
+/// entries of the leaf page `bytes` dominated by `q` in dimensions
+/// `from..dim`, straight from its rows
+/// ([`EntrySlab::sum_dominated_rows`]). `None` for a page that is not a
+/// leaf, and wherever the row scan declines: the read then decodes.
+pub fn sum_leaf_rows<V: AggValue>(bytes: &[u8], dim: usize, from: usize, q: &Point) -> Option<V> {
+    match bytes {
+        [LEAF_TAG, lo, hi, rows @ ..] => {
+            let count = usize::from(u16::from_le_bytes([*lo, *hi]));
+            EntrySlab::sum_dominated_rows(rows, dim, count, from, q)
+        }
+        _ => None,
+    }
+}
+
 /// The page context threaded through every tree operation.
 ///
 /// `pages` is where the tree was opened from — the live store or a
@@ -238,6 +253,29 @@ impl<'a, L: Layout> Ctx<'a, L> {
     pub fn read_shared<V: AggValue>(&self, id: PageId, at: usize) -> Result<Arc<Node<V, L>>> {
         self.pages
             .read_node(id, |bytes| Node::decode(bytes, &self.layout, at))
+    }
+
+    /// A node read for a dominance sum: the node at `at`, or, on a leaf
+    /// page's first visit ([`ReadHandle::visit_node`]), the sum of the
+    /// values of its entries dominated by `q` in dimensions `from..`,
+    /// added in entry order from `V::zero()` straight from the page's
+    /// bytes ([`EntrySlab::sum_dominated_rows`]) — what the decoded
+    /// leaf's [`sum_dominated_from_into`](EntrySlab::sum_dominated_from_into)
+    /// into a zero accumulator gives, to the bit. Index pages, and leaves
+    /// whose values have no fixed width, read the node.
+    pub fn read_or_sum<V: AggValue>(
+        &self,
+        id: PageId,
+        at: usize,
+        from: usize,
+        q: &Point,
+    ) -> Result<Visit<Node<V, L>, V>> {
+        let dim = self.layout.leaf_dim(at);
+        self.pages.visit_node(
+            id,
+            |bytes| Node::decode(bytes, &self.layout, at),
+            |bytes| sum_leaf_rows(bytes, dim, from, q),
+        )
     }
 
     /// Owned read for mutation paths: a deep clone of the shared decode

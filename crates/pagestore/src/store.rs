@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
 
-use crate::buffer::{BufferPool, IoStats};
+use crate::buffer::{decline, BufferPool, IoStats, Visit};
 use crate::pager::{FilePager, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE, MIN_PAGE_SIZE};
 use crate::rank::{self, RankedMutex};
 use crate::superblock::{RootEntry, Superblock};
@@ -544,7 +544,9 @@ impl SharedStore {
         N: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<N>,
     {
-        self.pool.read_node(id, decode)
+        self.pool
+            .visit_node(id, decode, decline)
+            .map(Visit::into_node)
     }
 
     /// Overwrites page `id` (short payloads zero-padded).
@@ -667,18 +669,33 @@ impl StoreSnapshot {
         N: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<N>,
     {
+        self.visit_node(id, decode, decline).map(Visit::into_node)
+    }
+
+    /// [`read_node`](Self::read_node) with the first-visit rule of
+    /// [`ReadHandle::visit_node`]: a clean frame's bytes are the
+    /// committed image, so a pinned read of a page whose frame holds no
+    /// decode may answer from them. Retained and superseded images and
+    /// a dirty frame's committed image always decode.
+    fn visit_node<N, T, F, S>(&self, id: PageId, decode: F, scan: S) -> Result<Visit<N, T>>
+    where
+        N: Any + Send + Sync,
+        F: FnOnce(&[u8]) -> Result<N>,
+        S: FnOnce(&[u8]) -> Option<T>,
+    {
         self.node_accesses.fetch_add(1, Ordering::Relaxed);
-        let (node, decoded) = self.store.pool.read_node_at(id, self.epoch, decode)?;
+        let (got, decoded) = self.store.pool.read_node_at(id, self.epoch, decode, scan)?;
         if decoded {
             self.node_decodes.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(node)
+        Ok(got)
     }
 
     /// Decoded-node read counters for this snapshot, as
-    /// `(accesses, decodes)`: `accesses` counts every
-    /// [`read_node`](Self::read_node) call (catalog lookups included),
-    /// `decodes` the subset that actually ran the codec.
+    /// `(accesses, decodes)`: `accesses` counts every node read through
+    /// it (catalog lookups included), `decodes` the subset that
+    /// actually ran the codec — not those served from a kept decode or
+    /// answered from a page's bytes.
     pub fn node_reads(&self) -> (u64, u64) {
         (
             self.node_accesses.load(Ordering::Relaxed),
@@ -733,6 +750,33 @@ impl ReadHandle {
         match self {
             ReadHandle::Live(store) => store.read_node(id, decode),
             ReadHandle::Pinned(snap) => snap.read_node(id, decode),
+        }
+    }
+
+    /// A node read that may answer from the page's bytes instead of
+    /// decoding them: the first-visit rule. When the page's buffer frame
+    /// holds no decode and has not been visited since it last held one —
+    /// or on any visit when the store keeps no decodes
+    /// (`node_cache_pages == 0`) — `scan` runs over the verified payload,
+    /// and its answer, when it gives one, is the read's: the frame
+    /// records the visit and keeps nothing. Otherwise this is
+    /// [`read_node`](Self::read_node): the next visit decodes, and the
+    /// frame keeps that decode as it always has. The page access and its
+    /// counts are a node read's in every case; an answered scan counts
+    /// as a decode miss and a [leaf scan](IoStats::leaf_scans).
+    ///
+    /// `scan` must answer what `decode` followed by the caller's use of
+    /// the node would, or decline with `None`. Like `decode`, it runs
+    /// under pool locks and must not access the store.
+    pub fn visit_node<N, T, F, S>(&self, id: PageId, decode: F, scan: S) -> Result<Visit<N, T>>
+    where
+        N: Any + Send + Sync,
+        F: FnOnce(&[u8]) -> Result<N>,
+        S: FnOnce(&[u8]) -> Option<T>,
+    {
+        match self {
+            ReadHandle::Live(store) => store.pool.visit_node(id, decode, scan),
+            ReadHandle::Pinned(snap) => snap.visit_node(id, decode, scan),
         }
     }
 

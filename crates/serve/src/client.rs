@@ -38,8 +38,8 @@ use boxagg_common::rng::StdRng;
 
 use crate::fault::{FaultStream, NetStream, StreamFaultHandle};
 use crate::proto::{
-    self, code, encode_request_with_deadline, read_frame, write_frame, Hello, Request, Response,
-    ServeStats, PROTO_VERSION,
+    self, closed, code, encode_request_with_deadline, read_frame, write_frame, Hello, Request,
+    Response, ServeStats, PROTO_VERSION,
 };
 
 /// Ceiling on one backoff sleep.
@@ -101,7 +101,7 @@ impl Client {
         // lint: allow(discarded-result) -- Nagle stays on if the socket refuses; only latency suffers
         let _ = stream.set_nodelay(true);
         let body = read_frame(&mut stream)?
-            .ok_or_else(|| corrupt("server closed the connection before saying hello"))?;
+            .ok_or_else(|| closed("server closed the connection before saying hello"))?;
         let hello = match proto::decode_response(&body)? {
             Response::Hello(hello) => hello,
             Response::Error {
@@ -248,7 +248,7 @@ impl Client {
             &encode_request_with_deadline(req, self.deadline_ms),
         )?;
         let body = read_frame(&mut self.stream)?
-            .ok_or_else(|| corrupt("server closed the connection mid-request"))?;
+            .ok_or_else(|| closed("server closed the connection mid-request"))?;
         let resp = proto::decode_response(&body)?;
         if let Response::Error {
             code: c,
@@ -457,20 +457,15 @@ fn frame_kind(resp: &Response) -> &'static str {
 }
 
 /// Whether `e` means the *connection* died (and a reconnect may
-/// succeed) rather than the server refusing the request. Covers the
-/// raw socket error, a clean hangup at a frame boundary, and every
-/// torn-frame shape [`read_frame`] reports when the peer vanishes
-/// mid-frame ("connection closed inside a frame length prefix" /
-/// "mid-frame" / "before the frame checksum"). The workspace's one
-/// definition of "the connection died": [`Client::commit_durable`]
-/// retries on it, and the connection-kill sweep asserts by it.
+/// succeed) rather than the server refusing the request: an
+/// [`Error::Io`]. That covers the raw socket error, a hangup where a
+/// reply was owed, and every torn frame [`read_frame`] reports when the
+/// peer vanishes mid-frame; a refusal is never one, whatever its text
+/// says. The workspace's one definition of "the connection died":
+/// [`Client::commit_durable`] retries on it, and the connection-kill
+/// sweep asserts by it.
 pub fn is_connection_error(e: &Error) -> bool {
-    match e {
-        Error::Io(_) => true,
-        Error::Corrupt(m) => m.contains("closed the connection"),
-        Error::InvalidArgument(m) => m.contains("connection closed"),
-        _ => false,
-    }
+    matches!(e, Error::Io(_))
 }
 
 /// Maps a typed error frame back onto the crate's error taxonomy.
@@ -481,5 +476,48 @@ fn error_from_frame(c: u16, message: &str, retry_after_ms: u32) -> Error {
         code::DEADLINE_EXCEEDED => Error::DeadlineExceeded { budget_ms: 0 },
         code::OVERLOADED => Error::Overloaded { retry_after_ms },
         _ => corrupt(format!("server error {c}: {message}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_torn_frame_is_a_connection_error() {
+        let mut full = Vec::new();
+        write_frame(
+            &mut full,
+            &proto::encode_request(&Request::Commit { token: 0 }),
+        )
+        .unwrap();
+        let body = full.len() - 4 - 8;
+        // Inside the length prefix, mid-body, before the checksum, and
+        // every other cut.
+        let shapes = [1, 4 + body / 2, 4 + body + 3];
+        for cut in shapes.into_iter().chain(1..full.len()) {
+            let err = read_frame(&mut &full[..cut]).expect_err("a torn frame");
+            assert!(
+                matches!(&err, Error::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+                "cut {cut}: {err:?}"
+            );
+            assert!(is_connection_error(&err), "cut {cut}: {err}");
+        }
+        let hangup = closed("server closed the connection mid-request");
+        assert!(is_connection_error(&hangup), "{hangup}");
+    }
+
+    #[test]
+    fn a_refusal_is_not_a_connection_error_whatever_it_says() {
+        let text = "connection closed by a peer; the server closed the connection";
+        for c in [
+            code::INVALID_ARGUMENT,
+            code::READ_ONLY,
+            code::PROTOCOL,
+            code::INTERNAL,
+        ] {
+            let refusal = error_from_frame(c, text, 0);
+            assert!(!is_connection_error(&refusal), "code {c}: {refusal}");
+        }
     }
 }

@@ -230,12 +230,30 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
     w.write_all(&frame(body))
 }
 
+/// The peer went away where a frame was owed: an [`Error::Io`] of kind
+/// `UnexpectedEof` saying where. The connection died; a reconnect may
+/// succeed ([`is_connection_error`](crate::client::is_connection_error)).
+pub(crate) fn closed(what: &str) -> Error {
+    Error::Io(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, what))
+}
+
+/// [`closed`] for an EOF inside a frame; any other I/O error as it is.
+fn torn(e: std::io::Error, what: &str) -> Error {
+    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+        closed(what)
+    } else {
+        e.into()
+    }
+}
+
 /// Reads one frame body from `r`.
 ///
 /// `Ok(None)` on a clean EOF at a frame boundary (the peer closed).
-/// Structural problems — EOF *inside* a frame, an oversized length
-/// prefix, a checksum mismatch — are typed errors; the caller answers
-/// with a [`code::PROTOCOL`] error frame and drops the connection.
+/// EOF *inside* a frame — a torn frame — is an [`Error::Io`] of kind
+/// `UnexpectedEof`: the connection died. Structural problems — an
+/// oversized length prefix, a checksum mismatch — are typed
+/// `InvalidArgument` errors. Either way the caller answers with a
+/// [`code::PROTOCOL`] error frame and drops the connection.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
     // The length prefix is filled incrementally so that EOF *before*
     // any byte (a clean close) is distinguishable from EOF after a
@@ -245,11 +263,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
     while filled < len_buf.len() {
         match r.read(&mut len_buf[filled..]) {
             Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(invalid_arg(
-                    "connection closed inside a frame length prefix",
-                ))
-            }
+            Ok(0) => return Err(closed("connection closed inside a frame length prefix")),
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
@@ -263,10 +277,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
     }
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)
-        .map_err(|_| invalid_arg("connection closed mid-frame"))?;
+        .map_err(|e| torn(e, "connection closed mid-frame"))?;
     let mut crc_buf = [0u8; 8];
     r.read_exact(&mut crc_buf)
-        .map_err(|_| invalid_arg("connection closed before the frame checksum"))?;
+        .map_err(|e| torn(e, "connection closed before the frame checksum"))?;
     let stored = u64::from_le_bytes(crc_buf);
     let computed = fnv1a_64(&body);
     if stored != computed {

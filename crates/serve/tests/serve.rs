@@ -71,21 +71,36 @@ fn concurrent_connections_answer_like_in_process_and_a_warm_epoch_decodes_nothin
     let queries: Vec<Rect> = (0..K).map(|_| rand_rect(&mut rng, 2, 0.5)).collect();
 
     // In-process baseline: each query on its own snapshot, exactly what
-    // the server does per request. It is also the epoch's first pass,
-    // so it pays the decodes — each page once, shared across snapshots.
-    let mut serial_answers = Vec::new();
-    let (mut serial_accesses, mut serial_decodes) = (0u64, 0u64);
-    for q in &queries {
-        let snap = Arc::new(store.snapshot().expect("snapshot"));
-        let engine = SnapshotBoxSum::open(&snap).expect("open");
-        serial_answers.push(engine.query(q).expect("serial query"));
-        let (accesses, decodes) = snap.node_reads();
-        serial_accesses += accesses;
-        serial_decodes += decodes;
-    }
+    // the server does per request. It is also the epoch's first two
+    // passes, so it pays the decodes — each page once, shared across
+    // snapshots; a leaf's first visit answers from its bytes, so a leaf
+    // visited once decodes in the second pass.
+    let serial_pass = || {
+        let mut answers = Vec::new();
+        let (mut accesses, mut decodes) = (0u64, 0u64);
+        for q in &queries {
+            let snap = Arc::new(store.snapshot().expect("snapshot"));
+            let engine = SnapshotBoxSum::open(&snap).expect("open");
+            answers.push(engine.query(q).expect("serial query"));
+            let (a, d) = snap.node_reads();
+            accesses += a;
+            decodes += d;
+        }
+        (answers, accesses, decodes)
+    };
+    let (serial_answers, serial_accesses, serial_decodes) = serial_pass();
     assert!(
         0 < serial_decodes && serial_decodes < serial_accesses,
         "the cold pass decodes each page once: {serial_decodes} of {serial_accesses}"
+    );
+    let (second, _, _) = serial_pass();
+    assert_eq!(
+        second.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        serial_answers
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>(),
+        "a decode answers what the scan of its bytes did"
     );
 
     let server = ServerHandle::bind(store.clone(), "127.0.0.1:0", ServeConfig::default())
