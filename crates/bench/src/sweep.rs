@@ -19,7 +19,7 @@
 //! * [`Crash`] — process death as the pager sees it (every op from `k`
 //!   on fails) during two committed transactions over a WAL file store.
 //!   [`Kill`] can also tear the first failing write, or commit
-//!   transaction 2 from two threads, the second queued on the commit
+//!   transaction 2 from two threads, the second queued on the writer
 //!   lock while the first is parked in its log sync. A cold
 //!   reopen runs WAL recovery, and must land bit-identically on exactly
 //!   one committed state, never losing one whose commit had returned.
@@ -509,7 +509,7 @@ pub enum Kill {
     Torn,
     /// As `Clean`, with transaction 2 committed from two threads: the
     /// first parked inside its log fsync, the second waiting on the
-    /// commit lock behind it. The second runs its own commit after the
+    /// writer lock behind it. The second runs its own commit after the
     /// first, an empty one (one data sync) when the first succeeded, so
     /// the op stream is the serial one plus that sync.
     Queued,
@@ -591,7 +591,7 @@ impl Crash {
 
 /// Commits from two threads: the first parks inside its log fsync,
 /// and the second calls `commit()` while it is parked, so it queues on
-/// the commit lock. If a kill fells the first, the second retries the
+/// the writer lock. If a kill fells the first, the second retries the
 /// transaction and dies of the same sticky fault; the first error is
 /// returned either way.
 fn commit_queued(store: &SharedStore, faults: &FaultHandle) -> Result<()> {

@@ -257,7 +257,7 @@ impl<'a> Model<'a> {
         // Inner-type map: a struct field whose type embeds a
         // `RankedMutex<T>` ties normalized `T` to the rank of the lock
         // bound to that field name (ambiguous inners are dropped —
-        // `()` serves both the commit lock and the barrier).
+        // two locks over `()` would share one).
         let mut inner: HashMap<String, Option<Lock>> = HashMap::new();
         for (fi, p) in parsed.iter().enumerate() {
             for s in &p.structs {

@@ -65,6 +65,9 @@ pub struct Scanned {
     /// Lines of `// lint: hot-path` markers: the next function after each
     /// is a pinned inner loop, checked by the `hot-loop-alloc` rule.
     pub hot_paths: Vec<u32>,
+    /// Every line a comment covers (line, block and doc comments), in
+    /// source order, for the line counts of `--count`.
+    pub comment_lines: Vec<u32>,
 }
 
 /// Scans `src` into tokens and allow directives.
@@ -90,6 +93,7 @@ pub fn scan(src: &str) -> Scanned {
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
+                out.comment_lines.push(line);
                 extract_directive(&src[start..i], line, &mut out);
             }
             b'/' if bytes.get(i + 1) == Some(&b'*') => {
@@ -111,6 +115,7 @@ pub fn scan(src: &str) -> Scanned {
                         i += 1;
                     }
                 }
+                out.comment_lines.extend(start_line..=line);
                 extract_directive(&src[start..i.min(src.len())], start_line, &mut out);
             }
             b'"' => {

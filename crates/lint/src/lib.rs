@@ -21,6 +21,9 @@
 //! * `cargo test -p boxagg-lint` — the fixture corpus plus a workspace
 //!   sweep run as ordinary tests, so `cargo test` is the single gate;
 //! * `boxagg-lint <paths>` — lint specific files or directories.
+//!
+//! `--count` also counts product, test and comment lines and `pub fn`
+//! per crate ([`count_workspace`]).
 
 mod graph;
 pub mod lexer;
@@ -28,6 +31,7 @@ mod parser;
 pub mod report;
 pub mod rules;
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -61,7 +65,7 @@ impl fmt::Display for FileFinding {
 
 /// Infers the owning crate from a path: the component after `crates`,
 /// stripped of any `boxagg-` prefix; the workspace root crate otherwise.
-pub fn crate_of(path: &Path) -> String {
+pub(crate) fn crate_of(path: &Path) -> String {
     let mut comps = path.components().map(|c| c.as_os_str().to_string_lossy());
     while let Some(c) = comps.next() {
         if c == "crates" {
@@ -123,10 +127,15 @@ fn token_rules(path: &Path, scanned: &lexer::Scanned) -> Vec<FileFinding> {
     .collect()
 }
 
-/// Lints one file on disk.
+/// Lints one file on disk, or every `.rs` file under a directory.
 pub fn lint_file(path: &Path) -> std::io::Result<Vec<FileFinding>> {
-    let src = std::fs::read_to_string(path)?;
-    Ok(lint_source(path, &src))
+    if !path.is_dir() {
+        return Ok(lint_source(path, &std::fs::read_to_string(path)?));
+    }
+    let mut files = Vec::new();
+    collect_rs(path, &mut files)?;
+    let linted: std::io::Result<Vec<_>> = files.iter().map(|f| lint_file(f)).collect();
+    Ok(linted?.concat())
 }
 
 /// Collects every lintable source file under a workspace root:
@@ -135,22 +144,104 @@ pub fn lint_file(path: &Path) -> std::io::Result<Vec<FileFinding>> {
 /// Integration tests (`tests/`), examples and fixtures are out of scope
 /// by construction — R1/R3 target library code, and test files are free
 /// to unwrap.
-pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+pub(crate) fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.is_dir())
-            .collect();
-        crate_dirs.sort();
-        for dir in crate_dirs {
-            collect_rs(&dir.join("src"), &mut files)?;
-        }
+    for (_, dir) in packages(root)? {
+        collect_rs(&dir.join("src"), &mut files)?;
     }
-    collect_rs(&root.join("src"), &mut files)?;
     files.sort();
     Ok(files)
+}
+
+/// The packages under a workspace root, by name: the root package
+/// (`boxagg`) and every directory in `crates/`.
+fn packages(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
+    let mut out = vec![("boxagg".to_string(), root.to_path_buf())];
+    let crates = root.join("crates");
+    if crates.is_dir() {
+        for entry in std::fs::read_dir(&crates)? {
+            let entry = entry?;
+            out.push((
+                entry.file_name().to_string_lossy().into_owned(),
+                entry.path(),
+            ));
+        }
+    }
+    Ok(out)
+}
+
+/// Product, test and comment lines and product `pub fn` items, counted
+/// with [`lexer`] (`boxagg-lint --count`). A line is code when a token
+/// starts on it: test code when that token is in a `#[cfg(test)]` item,
+/// a `#[test]` function or a file under `tests/`, product code
+/// otherwise. It is a comment line when a comment, and no token, is on
+/// it. `pub fn` does not count `pub(crate)` or narrower.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Counts {
+    /// Product code lines.
+    pub product: u64,
+    /// Test code lines.
+    pub test: u64,
+    /// Comment-only lines, doc comments included.
+    pub comment: u64,
+    /// Product `pub fn` items.
+    pub pub_fn: u64,
+}
+
+impl Counts {
+    /// The counts of one source file; `test_file` makes all of it test
+    /// code.
+    fn of(src: &str, test_file: bool) -> Counts {
+        let scanned = lexer::scan(src);
+        let tokens = &scanned.tokens;
+        let spans = rules::test_spans(tokens);
+        let mut c = Counts::default();
+        let mut code = BTreeSet::new();
+        for (i, t) in tokens.iter().enumerate() {
+            let test = test_file || spans.iter().any(|r| r.contains(&i));
+            if code.insert(t.line) {
+                *(if test { &mut c.test } else { &mut c.product }) += 1;
+            }
+            let pub_fn = t.is_ident("pub") && tokens.get(i + 1).is_some_and(|n| n.is_ident("fn"));
+            c.pub_fn += u64::from(pub_fn && !test);
+        }
+        let comments: BTreeSet<u32> = scanned.comment_lines.iter().copied().collect();
+        c.comment = comments.difference(&code).count() as u64;
+        c
+    }
+
+    fn add(&mut self, other: Counts) {
+        self.product += other.product;
+        self.test += other.test;
+        self.comment += other.comment;
+        self.pub_fn += other.pub_fn;
+    }
+}
+
+/// The [`Counts`] of every crate under `root` over its `src/`, `tests/`,
+/// `benches/` and `examples/` (the root package is `boxagg`), and of
+/// every directory inside a crate's `src/` — a module split over files,
+/// such as `pagestore/src/buffer` — keyed by those names.
+pub fn count_workspace(root: &Path) -> std::io::Result<BTreeMap<String, Counts>> {
+    let mut out: BTreeMap<String, Counts> = BTreeMap::new();
+    for (name, dir) in packages(root)? {
+        for part in ["src", "tests", "benches", "examples"] {
+            let mut files = Vec::new();
+            collect_rs(&dir.join(part), &mut files)?;
+            for file in files {
+                let c = Counts::of(&std::fs::read_to_string(&file)?, part == "tests");
+                out.entry(name.clone()).or_default().add(c);
+                let sub = file
+                    .parent()
+                    .and_then(|p| p.strip_prefix(dir.join("src")).ok());
+                if let Some(sub) = sub.filter(|s| !s.as_os_str().is_empty()) {
+                    let key = format!("{name}/src/{}", sub.display());
+                    out.entry(key).or_default().add(c);
+                }
+            }
+        }
+    }
+    Ok(out)
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -216,6 +307,54 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<FileFinding>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lines_count_as_product_test_or_comment() {
+        let src = "\
+//! Module doc.
+
+/// A doc line.
+pub fn a() -> u8 { 1 } // a code line, comment and all
+/* a block
+   comment */
+pub(crate) fn b() {}
+
+#[cfg(test)]
+mod tests {
+    // a test comment
+    pub fn helper() {}
+    #[test]
+    fn t() {}
+}
+";
+        let want = Counts {
+            product: 2,
+            test: 6,
+            comment: 5,
+            pub_fn: 1,
+        };
+        assert_eq!(Counts::of(src, false), want);
+        let all_test = Counts::of(src, true);
+        assert_eq!(
+            (all_test.product, all_test.test, all_test.pub_fn),
+            (0, 8, 0)
+        );
+    }
+
+    #[test]
+    fn the_workspace_counts_every_crate_and_the_buffer_module() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let counts = count_workspace(&root).unwrap();
+        for name in ["boxagg", "pagestore", "lint", "serve"] {
+            let c = counts[name];
+            assert!(
+                c.product > 0 && c.test > 0 && c.comment > 0,
+                "{name}: {c:?}"
+            );
+        }
+        let buffer = counts["pagestore/src/buffer"];
+        assert!(buffer.product > 0 && buffer.product < counts["pagestore"].product);
+    }
 
     #[test]
     fn crate_of_resolves_paths() {

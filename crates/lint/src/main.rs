@@ -4,7 +4,7 @@
 //! repository rules.
 //!
 //! ```text
-//! boxagg-lint [--deny-all] [--report FILE] [--root DIR] [PATH...]
+//! boxagg-lint [--deny-all] [--count] [--report FILE] [--root DIR] [PATH...]
 //! ```
 //!
 //! With no `PATH`s, walks `crates/*/src/**/*.rs` and `src/**/*.rs`
@@ -15,25 +15,30 @@
 //! of the default deny-everything behavior. `--report FILE` writes the
 //! machine-readable `lint-report.json` document (findings with call
 //! chains plus a per-rule summary) before the exit code is decided, so
-//! CI uploads a report whether the run passes or fails.
+//! CI uploads a report whether the run passes or fails. `--count` also
+//! counts product, test and comment lines and `pub fn` per crate of the
+//! workspace under the root (see `boxagg_lint::count_workspace`),
+//! prints them, and adds them to the report's `count` object.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use boxagg_lint::{lint_file, lint_workspace, report, FileFinding, RULE_KEYS};
+use boxagg_lint::{count_workspace, lint_file, lint_workspace, report, RULE_KEYS};
 
-const USAGE: &str =
-    "usage: boxagg-lint [--deny-all] [--list-rules] [--report FILE] [--root DIR] [PATH...]";
+const USAGE: &str = "usage: boxagg-lint [--deny-all] [--count] [--list-rules] [--report FILE] \
+                     [--root DIR] [PATH...]";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut report_path: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
+    let mut counting = false;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
             "--deny-all" => {}
+            "--count" => counting = true,
             "--list-rules" => {
                 for rule in RULE_KEYS {
                     println!("{rule}");
@@ -73,21 +78,34 @@ fn main() -> ExitCode {
         i += 1;
     }
 
-    let result = if paths.is_empty() {
-        let root = root.unwrap_or_else(default_root);
-        lint_workspace(&root)
-    } else {
-        lint_paths(&paths)
+    let root = root.unwrap_or_else(default_root);
+    let run = || -> std::io::Result<_> {
+        let findings = if paths.is_empty() {
+            lint_workspace(&root)?
+        } else {
+            let linted: std::io::Result<Vec<_>> = paths.iter().map(|p| lint_file(p)).collect();
+            linted?.concat()
+        };
+        Ok((
+            findings,
+            counting.then(|| count_workspace(&root)).transpose()?,
+        ))
     };
-    let findings = match result {
-        Ok(f) => f,
+    let (findings, counts) = match run() {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("boxagg-lint: i/o error: {e}");
             return ExitCode::from(2);
         }
     };
+    for (name, c) in counts.iter().flatten() {
+        println!(
+            "{name}: {} product, {} test, {} comment lines, {} pub fn",
+            c.product, c.test, c.comment, c.pub_fn
+        );
+    }
     if let Some(path) = &report_path {
-        if let Err(e) = std::fs::write(path, report::render(&findings)) {
+        if let Err(e) = std::fs::write(path, report::render(&findings, counts.as_ref())) {
             eprintln!("boxagg-lint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }
@@ -112,29 +130,4 @@ fn default_root() -> PathBuf {
         Some(ws) if ws.join("Cargo.toml").is_file() => ws.to_path_buf(),
         _ => PathBuf::from("."),
     }
-}
-
-fn lint_paths(paths: &[PathBuf]) -> std::io::Result<Vec<FileFinding>> {
-    let mut out = Vec::new();
-    for p in paths {
-        if p.is_dir() {
-            let mut stack = vec![p.clone()];
-            while let Some(dir) = stack.pop() {
-                let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)?
-                    .filter_map(|e| e.ok().map(|e| e.path()))
-                    .collect();
-                entries.sort();
-                for path in entries {
-                    if path.is_dir() {
-                        stack.push(path);
-                    } else if path.extension().is_some_and(|e| e == "rs") {
-                        out.extend(lint_file(&path)?);
-                    }
-                }
-            }
-        } else {
-            out.extend(lint_file(p)?);
-        }
-    }
-    Ok(out)
 }

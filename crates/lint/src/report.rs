@@ -10,16 +10,22 @@
 //!     {"path": "...", "line": 1, "rule": "...", "message": "...",
 //!      "chain": ["...", "..."]}
 //!   ],
-//!   "summary": {"total": 2, "by_rule": {"static-lock-rank": 2}}
+//!   "summary": {"total": 2, "by_rule": {"static-lock-rank": 2}},
+//!   "count": {"pagestore": {"product": 1, "test": 2, "comment": 3, "pub_fn": 4}}
 //! }
 //! ```
+//!
+//! `count` — one [`Counts`] per crate and per directory inside a
+//! crate's `src/` — is present only when the run counted lines
+//! (`--count`).
 
 use std::collections::BTreeMap;
 
-use crate::FileFinding;
+use crate::{Counts, FileFinding};
 
-/// Renders findings as the `lint-report.json` document.
-pub fn render(findings: &[FileFinding]) -> String {
+/// Renders findings, and the line counts when given, as the
+/// `lint-report.json` document.
+pub fn render(findings: &[FileFinding], count: Option<&BTreeMap<String, Counts>>) -> String {
     let mut out = String::from("{\n  \"version\": 1,\n  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
         if i > 0 {
@@ -60,7 +66,20 @@ pub fn render(findings: &[FileFinding]) -> String {
         out.push_str(": ");
         out.push_str(&n.to_string());
     }
-    out.push_str("}}\n}\n");
+    out.push_str("}}");
+    if let Some(count) = count {
+        out.push_str(",\n  \"count\": {");
+        for (i, (name, c)) in count.iter().enumerate() {
+            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
+            push_str_json(&mut out, name);
+            out.push_str(&format!(
+                ": {{\"product\": {}, \"test\": {}, \"comment\": {}, \"pub_fn\": {}}}",
+                c.product, c.test, c.comment, c.pub_fn
+            ));
+        }
+        out.push_str("\n  }");
+    }
+    out.push_str("\n}\n");
     out
 }
 
@@ -106,7 +125,7 @@ mod tests {
                 finding: Finding::new(1, "unwrap", "m"),
             },
         ];
-        let json = render(&findings);
+        let json = render(&findings, None);
         assert!(json.contains("\"version\": 1"));
         assert!(json.contains("\\\"SHARD\\\"\\nunder"), "{json}");
         assert!(json.contains("\"chain\": [\"commit (buffer.rs:100)\", \"helper (buffer.rs:50)\"]"));
@@ -117,9 +136,29 @@ mod tests {
 
     #[test]
     fn empty_report_has_no_rule_keys() {
-        let json = render(&[]);
+        let json = render(&[], None);
         assert!(json.contains("\"findings\": [],"));
         assert!(!json.contains("\"rule\":"), "{json}");
         assert!(json.contains("\"total\": 0"));
+        assert!(!json.contains("\"count\""), "{json}");
+    }
+
+    #[test]
+    fn counts_render_per_crate_and_directory() {
+        let c = Counts {
+            product: 10,
+            test: 5,
+            comment: 3,
+            pub_fn: 2,
+        };
+        let count = BTreeMap::from([
+            ("pagestore".to_string(), c),
+            ("pagestore/src/buffer".to_string(), c),
+        ]);
+        let json = render(&[], Some(&count));
+        let row = "{\"product\": 10, \"test\": 5, \"comment\": 3, \"pub_fn\": 2}";
+        assert!(json.contains(&format!("\"pagestore\": {row},")), "{json}");
+        assert!(json.contains(&format!("\"pagestore/src/buffer\": {row}\n  }}\n}}")));
+        assert!(!json.contains("\"rule\":"), "{json}");
     }
 }

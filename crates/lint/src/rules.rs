@@ -330,9 +330,8 @@ fn rule_unsafe(tokens: &[Token], out: &mut Vec<Finding>) {
 /// `RankedMutex::acquire` (or `RankedRwLock::acquire_shared`/
 /// `acquire_excl` for reader-writer locking); raw `.lock()` /
 /// `.try_lock()` and any bare `RwLock` are rejected. This covers every
-/// pagestore lock, in rank order: the commit mutex, the superblock, the
-/// commit write barrier, the snapshot table, the allocator, the log
-/// handle, the buffer pool's LRU, the decoded-node cache shards
+/// pagestore lock, in rank order: the writer lock, the superblock, the
+/// commit barrier, the snapshot table, the log handle, the buffer pool's LRU, the decoded-node cache shards
 /// (`nodecache.rs`, rank `NODE_CACHE`) and the pager.
 fn rule_raw_lock(tokens: &[Token], in_test: &dyn Fn(usize) -> bool, out: &mut Vec<Finding>) {
     for (i, t) in tokens.iter().enumerate() {

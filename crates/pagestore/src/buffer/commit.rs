@@ -2,16 +2,18 @@
 //! them, flip the commit epoch, apply in place, truncate the log and
 //! un-dirty what was captured (phases A–F of [`BufferPool::commit`]).
 //!
-//! The barrier makes a WAL commit's dirty-frame snapshot a point-in-time
-//! cut: [`BufferPool::write_page`] and [`BufferPool::free_page`] hold it
-//! shared around one mutation, [`BufferPool::commit`] holds it
-//! exclusively across the whole capture. Note the cut is *per call*: a
-//! logical update spanning several `write_page` calls (a tree split, say)
-//! is only commit-atomic if no commit runs between the calls — callers
-//! that commit concurrently with multi-page writers must quiesce them
-//! first (every current caller commits from the writing thread).
+//! A commit holds the writer lock (`&mut Writer`) from its capture
+//! through phase F, so no write or free runs inside it: the capture is
+//! a point-in-time cut under the LRU lock alone, and every frame it took
+//! is still dirty, holding the captured bytes, when phase F un-dirties
+//! it. The cut is *per call* of the writer lock: a logical update that
+//! spans several `write_page` calls (a tree split, say) is only
+//! commit-atomic if no commit runs between the calls — callers that
+//! commit beside multi-page writers must quiesce them first (every
+//! current caller commits from the writing thread). Only the flip takes
+//! the commit barrier, and only against pinned readers.
 //!
-//! Commits run one at a time under the commit lock, each as its own WAL
+//! Commits run one at a time under the writer lock, each as its own WAL
 //! transaction: a committer queued behind another logs whatever is
 //! still dirty when it gets the lock — an empty commit, one data sync,
 //! if the commit before it took everything.
@@ -26,15 +28,14 @@ use crate::pager::PageId;
 use crate::wal::{self, WalFile};
 
 use super::snapshot::PageVersion;
-use super::BufferPool;
+use super::{BufferPool, Writer};
 
-/// One page of a commit in flight: its id, the mutation stamp of the
-/// captured frame, and the captured image. The image is the frame's own
-/// buffer, taken by refcount, not copied: the log records and the apply
-/// phase read it, the flip re-bases the frame onto it, and until the
-/// page is written again it is the frame's bytes too — a writer during
-/// the commit copies instead (see `Frame::data`).
-type TxnPage = (PageId, u64, Arc<[u8]>);
+/// One page of a commit in flight: its id and the captured image. The
+/// image is the frame's own buffer, taken by refcount, not copied: the
+/// log records and the apply phase read it, the flip re-bases the frame
+/// onto it, and it stays the frame's bytes throughout — no write runs
+/// inside a commit.
+type TxnPage = (PageId, Arc<[u8]>);
 
 impl BufferPool {
     /// Makes every dirty page durable, atomically when the pool runs
@@ -50,49 +51,45 @@ impl BufferPool {
     /// sync the partial transaction has no commit record and is
     /// discarded; after it, recovery replays the full physical images.
     ///
-    /// A frame's dirty bit is cleared only if its mutation stamp still
-    /// matches the captured one (a concurrent writer may have moved on
-    /// — its update then belongs to the *next* commit). Errors leave
+    /// The caller's `&mut Writer` is held from the capture through the
+    /// last phase, so every captured frame is still dirty, and still
+    /// the captured bytes, when its dirty bit is cleared. Errors leave
     /// every dirty bit set, so a failed commit can simply be retried: a
     /// transaction that failed while being *logged* is rolled back out
     /// of the log (so the retry's `begin` never lands inside the torn
     /// one), while a transaction that failed while being *applied*
     /// stays in the log, committed, for recovery or the retry to finish.
     ///
-    /// Concurrent commits run one after another under the commit lock,
+    /// Concurrent commits run one after another under the writer lock,
     /// each as its own WAL transaction over exactly what is dirty when
     /// it takes the lock. A commit queued behind one that took every
     /// dirty page finds nothing to log and makes an empty commit.
     ///
     /// Readers are never blocked: the pager lock is not held across the
     /// log fsync (log I/O runs through the pool's log handle, under
-    /// its own lock), and pinned snapshot readers keep
-    /// observing the previous epoch throughout — the flip to the new
-    /// epoch is the commit's only barrier-exclusive section after the
-    /// dirty-frame capture.
-    pub(crate) fn commit(&self) -> Result<()> {
+    /// its own lock), readers never take the writer lock, and pinned
+    /// snapshot readers keep observing the previous epoch throughout —
+    /// the flip to the new epoch is the commit's only barrier-exclusive
+    /// section.
+    pub(crate) fn commit(&self, _: &mut Writer) -> Result<()> {
         let Some(log) = &self.log else {
             return self.flush_all_inner();
         };
-        let _commit = self.commit_lock.acquire();
         // Phase A — capture: take every dirty frame's physical image
-        // (trailer stamped) by refcount, with its mutation stamp. The
-        // exclusive barrier blocks writers across the whole scan, so the
-        // transaction is a point-in-time cut; it is released before the
-        // I/O below — a writer changing a page after its image was
-        // captured just stays dirty for the next commit.
+        // (trailer stamped) by refcount. The writer lock keeps every
+        // mutation out until the commit returns, and readers change no
+        // frame's bytes or dirty bit, so this is a point-in-time cut.
         let mut txn: Vec<TxnPage> = Vec::new();
         {
-            let _quiesced = self.barrier.acquire_excl();
             let mut lru = self.lru.acquire();
             for f in lru.frames.iter_mut() {
                 if f.dirty && !f.id.is_null() {
                     checksum::stamp(Arc::make_mut(&mut f.data), self.zero_mask);
-                    txn.push((f.id, f.seq, Arc::clone(&f.data)));
+                    txn.push((f.id, Arc::clone(&f.data)));
                 }
             }
         }
-        txn.sort_by_key(|&(id, _, _)| id);
+        txn.sort_by_key(|&(id, _)| id);
         if txn.is_empty() {
             // Nothing to log; still honor "commit means durable".
             self.pager.acquire().sync()?;
@@ -130,7 +127,7 @@ impl BufferPool {
         // data file.
         {
             let mut pager = self.pager.acquire();
-            for (id, _, image) in &txn {
+            for (id, image) in &txn {
                 pager.write_page(*id, image)?;
                 self.writes.fetch_add(1, Ordering::Relaxed);
             }
@@ -144,23 +141,24 @@ impl BufferPool {
             log.sync()?;
         }
         self.wal_syncs.fetch_add(1, Ordering::Relaxed);
-        // Phase F — un-dirty exactly the frame incarnations we
-        // captured: stamp equality, not byte equality, so a page freed
-        // and re-allocated mid-commit (whose bytes may coincide with
-        // the captured image) stays dirty for the next commit.
-        let mut undirtied = 0u64;
+        // Phase F — un-dirty what was captured. No write or free ran
+        // since the capture, and no-steal evicts no dirty frame, so
+        // every captured page still has its dirty frame.
         let mut lru = self.lru.acquire();
-        for (id, cap_seq, _) in &txn {
-            if let Some(idx) = lru.map.get(*id) {
+        for (id, _) in &txn {
+            let idx = lru.map.get(*id);
+            debug_assert!(
+                idx.is_some_and(|idx| lru.frames[idx].dirty),
+                "captured page {id:?} lost its dirty frame mid-commit"
+            );
+            if let Some(idx) = idx {
                 let f = &mut lru.frames[idx];
-                if f.dirty && f.seq == *cap_seq {
-                    f.dirty = false;
-                    f.base = None;
-                    undirtied += 1;
-                }
+                f.dirty = false;
+                f.base = None;
             }
         }
-        self.dirty_frames.fetch_sub(undirtied, Ordering::Relaxed);
+        self.dirty_frames
+            .fetch_sub(txn.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -170,7 +168,7 @@ impl BufferPool {
     /// length. The caller owns the statistics.
     fn log_records(w: &mut dyn WalFile, txn: &[TxnPage]) -> Result<()> {
         w.append(&wal::encode_begin(txn.len() as u32))?;
-        for (id, _, image) in txn {
+        for (id, image) in txn {
             w.append(&wal::encode_page(*id, image))?;
         }
         w.append(&wal::encode_commit())?;
@@ -178,6 +176,8 @@ impl BufferPool {
     }
 
     /// Phase C of the commit protocol: under the exclusive barrier,
+    /// which orders it against pinned misses (the writer lock the
+    /// commit holds already keeps every mutation out),
     /// retain the superseded image of every transaction page for
     /// still-pinned older epochs, bump the commit epoch, drop the
     /// transaction pages' decoded nodes from the committed-image cache,
@@ -199,7 +199,7 @@ impl BufferPool {
         let old_epoch = self.epoch.load(Ordering::Relaxed);
         let mut retained: Vec<(PageId, Arc<[u8]>)> = Vec::new();
         if snaps.pins.range(..=old_epoch).next().is_some() {
-            for (id, _, _) in txn {
+            for (id, _) in txn {
                 retained.push((*id, self.pre_image(*id)?));
             }
         }
@@ -211,44 +211,37 @@ impl BufferPool {
                 data: image,
             });
         }
-        for (id, _, image) in txn {
+        for (id, image) in txn {
             // The page's committed image just changed: readers pinned
             // at the old epoch now fail their hit's epoch check, and
             // new-epoch readers cannot pin until this loop is done.
             let mut lru = self.lru.acquire();
             self.committed.invalidate(*id);
             if let Some(idx) = lru.map.get(*id) {
-                let f = &mut lru.frames[idx];
-                if f.dirty {
-                    // `image` is the committed bytes of this page as
-                    // of the new epoch — even if the frame is a fresh
-                    // incarnation (freed and re-allocated mid-commit),
-                    // the base is keyed by page id, not incarnation.
-                    f.base = Some(Arc::clone(image));
-                }
+                // The frame is the captured one, still dirty: `image`
+                // is its committed base as of the new epoch.
+                lru.frames[idx].base = Some(Arc::clone(image));
             }
         }
         Ok(())
     }
 
-    /// The committed image of page `id` as of the *current* (pre-flip)
-    /// epoch: a dirty frame's base, a clean frame's bytes, or — for a
-    /// dirty frame that was never committed from the buffer, and for
-    /// pages whose frame is gone — the on-disk image, which no-steal
-    /// guarantees is still the pre-transaction one at flip time. Read
-    /// off disk it is verified like any fetch: pinned readers will be
-    /// served these bytes for as long as their epoch lives.
+    /// The committed image of transaction page `id` as of the
+    /// *current* (pre-flip) epoch: its dirty frame's base, or — for a
+    /// dirty frame that was never committed from the buffer — the
+    /// on-disk image, which no-steal guarantees is still the
+    /// pre-transaction one at flip time. Read off disk it is verified
+    /// like any fetch: pinned readers will be served these bytes for as
+    /// long as their epoch lives.
     fn pre_image(&self, id: PageId) -> Result<Arc<[u8]>> {
         {
             let lru = self.lru.acquire();
-            if let Some(idx) = lru.map.get(id) {
-                let f = &lru.frames[idx];
-                if let Some(base) = &f.base {
-                    return Ok(Arc::clone(base));
-                }
-                if !f.dirty {
-                    return Ok(Arc::clone(&f.data));
-                }
+            if let Some(base) = lru
+                .map
+                .get(id)
+                .and_then(|idx| lru.frames[idx].base.as_ref())
+            {
+                return Ok(Arc::clone(base));
             }
         }
         let mut buf = vec![0u8; self.page_size];
@@ -445,46 +438,6 @@ mod tests {
         p.validate().unwrap();
     }
 
-    /// Satellite regression for the un-dirty pass: a page freed and
-    /// re-allocated while its commit is in flight gets a fresh
-    /// mutation stamp, so even byte-identical content must stay dirty
-    /// and be logged by the *next* commit. (The old byte-compare pass
-    /// could confuse the two incarnations.)
-    #[test]
-    fn free_then_realloc_mid_commit_stays_dirty() {
-        let (p, faults) = wal_pool(4);
-        let p = Arc::new(p);
-        let a = p.allocate().unwrap();
-        p.write_page(a, &[7; 16]).unwrap();
-        park_next_log_sync(&faults);
-        let committer = {
-            let p = p.clone();
-            std::thread::spawn(move || p.commit())
-        };
-        // The committer is parked inside the log sync — past capture,
-        // before the flip. Recycle the page with identical bytes.
-        assert!(faults.wait_parked());
-        p.free_page(a).unwrap();
-        assert_eq!(p.allocate().unwrap(), a, "freed page must be recycled");
-        p.write_page(a, &[7; 16]).unwrap();
-        faults.open_gate();
-        committer.join().unwrap().unwrap();
-        // The re-allocated incarnation is a different write than the
-        // captured one: it stays dirty and the next commit logs it.
-        assert_eq!(p.dirty_pages(), 1);
-        p.validate().unwrap();
-        let appends = p.stats().wal_appends;
-        p.commit().unwrap();
-        assert_eq!(
-            p.stats().wal_appends - appends,
-            3,
-            "begin + image + commit re-logged"
-        );
-        assert_eq!(p.dirty_pages(), 0);
-        assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 7);
-        p.validate().unwrap();
-    }
-
     /// The frame's buffer as it is now, and its page's committed base.
     fn frame_bytes(p: &BufferPool, id: PageId) -> (Arc<[u8]>, Option<Arc<[u8]>>) {
         let lru = p.lru.acquire();
@@ -525,52 +478,75 @@ mod tests {
         p.validate().unwrap();
     }
 
-    /// A write while a commit holds the frame's buffer copies first:
-    /// the commit logs and applies the bytes it captured, and the flip
-    /// re-bases the frame onto that same allocation.
+    /// A writer started while a commit is parked in its log sync waits
+    /// for the whole commit, whether it reaches the writer lock before
+    /// the gate opens or after: the commit logs and applies the bytes it
+    /// captured, the write stays dirty for the next commit, and it lands
+    /// in the frame's own buffer — the commit has let go of it, so
+    /// nothing is copied.
     #[test]
-    fn a_write_during_a_commit_gets_a_fresh_buffer() {
-        use crate::fault::{is_injected, FaultSpec, OpFilter};
+    fn a_writer_beside_a_parked_commit_waits_for_it() {
+        use crate::fault::OpKind;
         let (p, faults) = wal_pool(4);
         let p = Arc::new(p);
         let a = page_with(&p, 1);
+        let own = frame_bytes(&p, a).0.as_ptr();
+        let payload = p.payload_size();
+        faults.start_trace();
         park_next_log_sync(&faults);
         let committer = {
             let p = p.clone();
             std::thread::spawn(move || p.commit())
         };
         assert!(faults.wait_parked());
-        let (captured, _) = frame_bytes(&p, a);
-        p.write_page(a, &[2; 16]).unwrap();
-        let (fresh, _) = frame_bytes(&p, a);
-        assert!(!Arc::ptr_eq(&fresh, &captured), "the writer copied");
-        assert_eq!((captured[0], fresh[0]), (1, 2));
-        // Fail the apply's data sync, after its in-place writes: the
-        // transaction then stays in the log, where it can be read.
-        faults.arm(FaultSpec::error_at(OpFilter::Syncs, 1));
+        let writer = {
+            let p = p.clone();
+            std::thread::spawn(move || p.write_page(a, &[2; 16]))
+        };
         faults.open_gate();
-        assert!(is_injected(&committer.join().unwrap().unwrap_err()));
-        faults.disarm();
+        committer.join().unwrap().unwrap();
+        writer.join().unwrap().unwrap();
 
-        let (now, base) = frame_bytes(&p, a);
-        assert!(Arc::ptr_eq(&now, &fresh));
-        assert!(
-            Arc::ptr_eq(&base.unwrap(), &captured),
-            "the flip's base is the capture"
+        // One transaction of one page, and what reached the data file
+        // is the captured bytes, not the write's.
+        assert_eq!(
+            faults.take_trace(),
+            [
+                OpKind::WalAppend,
+                OpKind::WalAppend,
+                OpKind::WalAppend,
+                OpKind::WalSync,
+                OpKind::Write,
+                OpKind::Sync,
+                OpKind::WalTruncate,
+                OpKind::WalSync,
+            ],
+            "begin + one image + commit, applied once"
         );
         let mut on_disk = vec![0u8; p.page_size];
         p.pager.acquire().read_page(a, &mut on_disk).unwrap();
-        assert_eq!(on_disk, &captured[..], "applied the captured bytes");
-        let log = p.log.as_ref().unwrap().acquire().read_all().unwrap();
-        let parsed = wal::decode_records(&log, p.page_size).unwrap();
-        assert_eq!(
-            parsed.committed,
-            vec![vec![(a, &captured[..])]],
-            "logged them"
-        );
+        assert!(on_disk[..16].iter().all(|&b| b == 1), "applied the capture");
+        assert!(on_disk[16..payload].iter().all(|&b| b == 0));
 
+        // The write is in the frame's own buffer, dirty, over the
+        // committed image kept as its base.
+        let (now, base) = frame_bytes(&p, a);
+        assert_eq!(now.as_ptr(), own, "written in place, not copied");
+        assert_eq!((now[0], base.map(|b| b[0])), (2, Some(1)));
+        drop(now);
+        assert_eq!(p.dirty_pages(), 1);
+        p.validate().unwrap();
+
+        let appends = p.stats().wal_appends;
         p.commit().unwrap();
-        assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 2);
+        assert_eq!(
+            p.stats().wal_appends - appends,
+            3,
+            "the next commit logs it"
+        );
+        assert_eq!(p.dirty_pages(), 0);
+        p.pager.acquire().read_page(a, &mut on_disk).unwrap();
+        assert_eq!(on_disk[0], 2);
         p.validate().unwrap();
     }
 
@@ -596,7 +572,7 @@ mod tests {
     /// transaction: the first logs and applies the dirty page, the
     /// second finds nothing left dirty and makes an empty commit — one
     /// data sync, no log I/O, no new epoch. Whether the second reaches
-    /// the commit lock before the gate opens or after, that is what it
+    /// the writer lock before the gate opens or after, that is what it
     /// does, so every count below is exact under any scheduling.
     #[test]
     fn a_queued_commit_runs_after_the_parked_one() {

@@ -18,12 +18,21 @@
 //! workloads) touch exactly the LRU lock. I/O statistics are atomic
 //! counters, exact regardless of interleaving.
 //!
+//! The pool has one writer at a time. Every mutation —
+//! [`allocate`](BufferPool::allocate), [`write_page`](BufferPool::write_page),
+//! [`free_page`](BufferPool::free_page), [`commit`](BufferPool::commit),
+//! [`flush_all`](BufferPool::flush_all) — takes `&mut` [`Writer`], the
+//! contents of the writer lock ([`BufferPool::writer`]), which also owns
+//! the allocator's free list; a commit holds it from its capture to its
+//! last phase, so no write or free ever lands inside a commit. Readers
+//! never take it.
+//!
 //! Every lock is a [`RankedMutex`] (plus one [`RankedRwLock`], the
-//! commit write barrier) in the order `commit < barrier < snapshot <
-//! allocator < wal io < shard < pager` — the LRU's rank is `SHARD` —
-//! (see [`crate::rank`] for the derivation); debug builds panic on any
-//! out-of-order acquisition, so a lock-order inversion cannot survive
-//! the test suite.
+//! commit barrier) in the order `writer < superblock < barrier <
+//! snapshot < wal io < shard < node cache < pager` — the LRU's rank is
+//! `SHARD` — (see [`crate::rank`] for the derivation); debug builds panic
+//! on any out-of-order acquisition, so a lock-order inversion cannot
+//! survive the test suite.
 //!
 //! ## Layout
 //!
@@ -79,7 +88,7 @@ use crate::checksum;
 use crate::nodecache::{CachedNode, NodeCache};
 use crate::pagemap::PageMap;
 use crate::pager::{PageId, Pager};
-use crate::rank::{self, RankedMutex, RankedRwLock};
+use crate::rank::{self, RankedGuard, RankedMutex, RankedRwLock};
 use crate::wal::WalFile;
 
 use snapshot::SnapshotTable;
@@ -243,19 +252,13 @@ struct Frame {
     /// The page image. The frame owns this buffer and writes it in
     /// place; a commit's capture, the log records, the flip's `base`
     /// and a pinned epoch's retained pre-image share it by refcount
-    /// instead of copying it. A writer that finds it shared — a commit
-    /// in flight still holds it — copies first ([`Arc::make_mut`]), so
-    /// every holder keeps the bytes it took.
+    /// instead of copying it. No write runs inside a commit, so a writer
+    /// finds it shared only after a failed apply (the flip's `base`
+    /// still holds it) or while a retained pre-image does; it then
+    /// copies first ([`Arc::make_mut`]), so every holder keeps the bytes
+    /// it took.
     data: Arc<[u8]>,
     dirty: bool,
-    /// Global mutation stamp of the last `write_page` into this frame
-    /// (from the pool-wide counter, so it is unique across the pool's
-    /// lifetime). A commit captures the stamp alongside the image and
-    /// un-dirties the frame only if the stamp still matches — a page
-    /// freed and re-allocated mid-commit gets a fresh stamp and can
-    /// never be mistaken for the captured incarnation, even if its
-    /// bytes happen to coincide.
-    seq: u64,
     /// The page's committed image, retained while the frame is dirty
     /// so snapshot readers (and epoch-flip retention) can serve the
     /// pre-transaction bytes without touching disk. Invariants:
@@ -370,7 +373,8 @@ impl Lru {
 
 /// A fixed-capacity, thread-safe LRU page cache over a [`Pager`].
 ///
-/// All methods take `&self`; clone-free sharing is provided by
+/// All methods take `&self`, and a mutation also the writer's
+/// `&mut` [`Writer`]; clone-free sharing is provided by
 /// [`SharedStore`](crate::store::SharedStore), which wraps the pool in an
 /// [`Arc`](std::sync::Arc).
 pub(crate) struct BufferPool {
@@ -386,16 +390,15 @@ pub(crate) struct BufferPool {
     /// Whether decodes are kept: a live read's in its frame and, on a
     /// WAL pool, a pinned read's in `committed`.
     keep_nodes: bool,
-    alloc: RankedMutex<AllocState>,
-    /// Serializes commits; rank [`WAL`](rank::WAL), below every lock the
-    /// protocol takes.
-    commit_lock: RankedMutex<()>,
-    /// The commit write barrier (rank [`BARRIER`](rank::BARRIER)):
-    /// [`write_page`](Self::write_page) and
-    /// [`free_page`](Self::free_page) hold it shared for the duration of
-    /// one mutation; [`commit`](Self::commit) holds it exclusively while
-    /// capturing dirty frames and flipping the epoch, so the capture is
-    /// a point-in-time cut no concurrent writer can race through.
+    /// The writer lock (rank [`WRITER`](rank::WRITER)), below every lock
+    /// a mutation or a commit takes: see [`Writer`].
+    writer: RankedMutex<Writer>,
+    /// The commit barrier (rank [`BARRIER`](rank::BARRIER)): a pinned
+    /// read that misses the committed-image cache holds it shared from
+    /// its look at the snapshot table to its read of the committed image
+    /// ([`with_page_at`](Self::with_page_at),
+    /// [`read_node_at`](Self::read_node_at)); the epoch flip holds it
+    /// exclusively, so it never falls between the two.
     barrier: RankedRwLock<()>,
     /// The write-ahead-log handle (rank [`WAL_IO`](rank::WAL_IO),
     /// *below* the LRU and the pager). A WAL pool is a pool that has
@@ -419,7 +422,13 @@ pub(crate) struct BufferPool {
     /// `Release` store and `Acquire` loads publish nothing beyond the
     /// value: what makes a lock-free load conclusive is the cache-shard
     /// lock ordering argued on `read_node_at`.
-    epoch: AtomicU64,
+    ///
+    /// It has a cache line of its own: a pinned hit loads it twice, and
+    /// on a line with the counters a writer bumps (`dirty_frames`, …)
+    /// every write stalls those loads — `serve-mixed`'s reader lost
+    /// ≈ 13 % of its box-sums that way on a 2-core x86-64 box
+    /// (EXPERIMENTS.md, "A writer inside a commit").
+    epoch: CacheLine<AtomicU64>,
     /// Decoded nodes of *committed* page images, for pinned reads (see
     /// [`read_node_at`](Self::read_node_at)). An entry is the decode of
     /// its page's current committed image, and its page has a frame:
@@ -429,11 +438,8 @@ pub(crate) struct BufferPool {
     /// only when [`keeps_committed`](Self::keeps_committed); every pool
     /// counts its pinned reads here.
     committed: NodeCache,
-    /// Pool-wide mutation stamp source (see [`Frame::seq`]). A stamp
-    /// publishes nothing and is only compared with its own frame's,
-    /// under the LRU lock: it needs to be unique, so `Relaxed` does.
-    seq: AtomicU64,
-    /// Currently dirty frames (WAL pools only).
+    /// Currently dirty frames (WAL pools only). Changed only under the
+    /// writer lock, so a writer's check against the ceiling is exact.
     dirty_frames: AtomicU64,
     /// High-water mark of `dirty_frames` since the last stats reset.
     dirty_high_water: AtomicU64,
@@ -451,8 +457,25 @@ pub(crate) struct BufferPool {
     syncs: AtomicU64,
 }
 
-#[derive(Debug, Default)]
-struct AllocState {
+/// A value alone on its cache line(s).
+#[repr(align(64))]
+struct CacheLine<T>(T);
+
+impl<T> std::ops::Deref for CacheLine<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// What the writer lock guards: the page allocator's free list.
+///
+/// Every mutation takes `&mut Writer`, so nothing in the crate changes a
+/// page without the guard ([`BufferPool::writer`]); a commit holds it
+/// from its capture through its last phase, so no write or free lands
+/// inside a commit. Only the pool constructs one.
+#[derive(Debug)]
+pub(crate) struct Writer {
     /// Freed ids in LIFO reuse order.
     free_pages: Vec<PageId>,
     /// Same ids as a set, for O(1) double-free detection.
@@ -505,14 +528,19 @@ impl BufferPool {
             capacity,
             lru: RankedMutex::new(rank::SHARD, "buffer lru", Lru::new()),
             keep_nodes,
-            alloc: RankedMutex::new(rank::ALLOCATOR, "page allocator", AllocState::default()),
-            commit_lock: RankedMutex::new(rank::WAL, "commit", ()),
-            barrier: RankedRwLock::new(rank::BARRIER, "write barrier", ()),
+            writer: RankedMutex::new(
+                rank::WRITER,
+                "writer",
+                Writer {
+                    free_pages: Vec::new(),
+                    freed: HashSet::new(),
+                },
+            ),
+            barrier: RankedRwLock::new(rank::BARRIER, "commit barrier", ()),
             committed: NodeCache::new(),
             log: log.map(|h| RankedMutex::new(rank::WAL_IO, "wal io", h)),
             snapshots: RankedMutex::new(rank::SNAPSHOT, "snapshot table", SnapshotTable::default()),
-            epoch: AtomicU64::new(1),
-            seq: AtomicU64::new(0),
+            epoch: CacheLine(AtomicU64::new(1)),
             dirty_frames: AtomicU64::new(0),
             dirty_high_water: AtomicU64::new(0),
             dirty_ceiling: AtomicU64::new(0),
@@ -537,6 +565,11 @@ impl BufferPool {
     /// see and the limit [`write_page`](Self::write_page) enforces.
     pub(crate) fn payload_size(&self) -> usize {
         self.payload
+    }
+
+    /// Takes the writer lock: the `&mut Writer` every mutation needs.
+    pub(crate) fn writer(&self) -> RankedGuard<'_, Writer> {
+        self.writer.acquire()
     }
 
     /// Whether the pool runs the WAL commit protocol.
@@ -624,8 +657,9 @@ impl BufferPool {
     /// further dirtying writes fail with
     /// [`Error::Backpressure`](boxagg_common::error::Error::Backpressure)
     /// until a commit releases them. `0` (the default) disables the
-    /// ceiling. The bound is soft by a racing write or two — it guards
-    /// memory, not an exact invariant.
+    /// ceiling. The bound is exact: a write checks it and counts the
+    /// frame it dirties under the writer lock, which every change to the
+    /// dirty count holds.
     pub(crate) fn set_dirty_ceiling(&self, ceiling: u64) {
         self.dirty_ceiling.store(ceiling, Ordering::Relaxed);
     }
@@ -638,10 +672,9 @@ impl BufferPool {
     /// Allocates a page, reusing a previously freed one when available.
     /// The page is *not* fetched into the buffer; it is expected to be
     /// written next.
-    pub(crate) fn allocate(&self) -> Result<PageId> {
-        let mut alloc = self.alloc.acquire();
-        if let Some(id) = alloc.free_pages.pop() {
-            alloc.freed.remove(&id);
+    pub(crate) fn allocate(&self, w: &mut Writer) -> Result<PageId> {
+        if let Some(id) = w.free_pages.pop() {
+            w.freed.remove(&id);
             return Ok(id);
         }
         self.pager.acquire().allocate()
@@ -654,19 +687,14 @@ impl BufferPool {
     /// Freeing an already-free (or null) page returns an error instead of
     /// corrupting the free list — a double free means some structure still
     /// holds a stale reference.
-    pub(crate) fn free_page(&self, id: PageId) -> Result<()> {
+    pub(crate) fn free_page(&self, w: &mut Writer, id: PageId) -> Result<()> {
         if id.is_null() {
             return Err(invalid_arg("free of the NULL page"));
         }
-        // Shared side of the commit write barrier (see `write_page`).
-        let _writer = self.barrier.acquire_shared();
-        let mut alloc = self.alloc.acquire();
-        if !alloc.freed.insert(id) {
+        if !w.freed.insert(id) {
             return Err(invalid_arg(format!("double free of page {id:?}")));
         }
-        alloc.free_pages.push(id);
-        // Hold the alloc lock while dropping the cached frame (and its
-        // decodes) so a concurrent re-allocation cannot observe either.
+        w.free_pages.push(id);
         let was_dirty = {
             let mut lru = self.lru.acquire();
             lru.invalidations += 1;
@@ -685,7 +713,7 @@ impl BufferPool {
     /// Pages allocated in the pager minus freed pages — the live-size
     /// metric used by the index-size experiments (Fig. 9a).
     pub(crate) fn live_pages(&self) -> u64 {
-        let freed = self.alloc.acquire().free_pages.len() as u64;
+        let freed = self.writer().free_pages.len() as u64;
         self.pager.acquire().num_pages() - freed
     }
 
@@ -819,7 +847,6 @@ impl BufferPool {
                     // would allocate and copy twice.
                     data: std::iter::repeat_n(0, self.page_size).collect(),
                     dirty: false,
-                    seq: 0,
                     base: None,
                     node: None,
                     visited: false,
@@ -845,7 +872,6 @@ impl BufferPool {
         let f = &mut lru.frames[idx];
         f.reset();
         f.id = id;
-        f.seq = 0;
         lru.map.insert(id, idx);
         lru.push_front(idx);
         Ok(idx)
@@ -925,16 +951,13 @@ impl BufferPool {
     /// written whole. Payloads longer than
     /// [`payload_size`](Self::payload_size) are rejected as
     /// [`RecordTooLarge`](boxagg_common::error::Error::RecordTooLarge).
-    pub(crate) fn write_page(&self, id: PageId, bytes: &[u8]) -> Result<()> {
+    pub(crate) fn write_page(&self, _: &mut Writer, id: PageId, bytes: &[u8]) -> Result<()> {
         if bytes.len() > self.payload {
             return Err(Error::RecordTooLarge {
                 record: bytes.len(),
                 page: self.payload,
             });
         }
-        // Shared side of the commit write barrier: a concurrent commit's
-        // dirty-frame snapshot can never capture this mutation half-done.
-        let _writer = self.barrier.acquire_shared();
         let mut lru = self.lru.acquire();
         // Peek residency *before* installing a frame: a rejected write
         // must leave no trace — in particular no zero-filled clean frame
@@ -969,12 +992,9 @@ impl BufferPool {
         f.node = None;
         f.visited = false;
         f.dirty = true;
-        if wal {
-            f.seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-            if newly_dirty {
-                let dirty = self.dirty_frames.fetch_add(1, Ordering::Relaxed) + 1;
-                self.dirty_high_water.fetch_max(dirty, Ordering::Relaxed);
-            }
+        if wal && newly_dirty {
+            let dirty = self.dirty_frames.fetch_add(1, Ordering::Relaxed) + 1;
+            self.dirty_high_water.fetch_max(dirty, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -991,9 +1011,9 @@ impl BufferPool {
     /// On a WAL pool this delegates to [`commit`](Self::commit):
     /// writing uncommitted dirty pages in place would break the
     /// no-steal invariant recovery depends on.
-    pub(crate) fn flush_all(&self) -> Result<()> {
+    pub(crate) fn flush_all(&self, w: &mut Writer) -> Result<()> {
         if self.wal() {
-            return self.commit();
+            return self.commit(w);
         }
         self.flush_all_inner()
     }
@@ -1035,13 +1055,11 @@ impl BufferPool {
     /// pool that keeps no entries holds none; the allocator's free list
     /// against its double-free set; and — on a WAL pool — the
     /// dirty-frame counter and the snapshot table's invariants.
+    ///
+    /// It takes the writer lock, so it waits out a write or a commit in
+    /// flight: the dirty count, the free list and the epoch hold still.
     pub(crate) fn validate(&self) -> Result<()> {
-        // Quiesce writers on a WAL pool so the dirty count is exact.
-        let _quiesced = if self.wal() {
-            Some(self.barrier.acquire_excl())
-        } else {
-            None
-        };
+        let w = self.writer();
         if self.wal() {
             self.snapshots
                 .acquire()
@@ -1114,9 +1132,8 @@ impl BufferPool {
                 dirty_seen
             )));
         }
-        let alloc = self.alloc.acquire();
-        if alloc.free_pages.len() != alloc.freed.len()
-            || alloc.free_pages.iter().any(|id| !alloc.freed.contains(id))
+        if w.free_pages.len() != w.freed.len()
+            || w.free_pages.iter().any(|id| !w.freed.contains(id))
         {
             return Err(corrupt(
                 "allocator free list and double-free set disagree".to_string(),
@@ -1131,11 +1148,49 @@ mod tests {
     use super::*;
     use crate::pager::MemPager;
 
-    fn pool(cap: usize) -> BufferPool {
-        BufferPool::new(Box::new(MemPager::new(128)), cap, None, false)
+    /// A pool whose mutations each take the writer lock for the one
+    /// call, as `SharedStore`'s do; everything else is the pool's own.
+    pub(super) struct TestPool(BufferPool);
+
+    impl std::ops::Deref for TestPool {
+        type Target = BufferPool;
+        fn deref(&self) -> &BufferPool {
+            &self.0
+        }
     }
 
-    pub(super) fn page_with(pool: &BufferPool, byte: u8) -> PageId {
+    impl TestPool {
+        pub(super) fn allocate(&self) -> Result<PageId> {
+            self.0.allocate(&mut self.writer())
+        }
+
+        pub(super) fn write_page(&self, id: PageId, bytes: &[u8]) -> Result<()> {
+            self.0.write_page(&mut self.writer(), id, bytes)
+        }
+
+        pub(super) fn free_page(&self, id: PageId) -> Result<()> {
+            self.0.free_page(&mut self.writer(), id)
+        }
+
+        pub(super) fn commit(&self) -> Result<()> {
+            self.0.commit(&mut self.writer())
+        }
+
+        pub(super) fn flush_all(&self) -> Result<()> {
+            self.0.flush_all(&mut self.writer())
+        }
+    }
+
+    fn pool(cap: usize) -> TestPool {
+        TestPool(BufferPool::new(
+            Box::new(MemPager::new(128)),
+            cap,
+            None,
+            false,
+        ))
+    }
+
+    pub(super) fn page_with(pool: &TestPool, byte: u8) -> PageId {
         let id = pool.allocate().unwrap();
         pool.write_page(id, &[byte; 16]).unwrap();
         id
@@ -1347,7 +1402,7 @@ mod tests {
         // list. The victim must stay fully intact on the error path.
         use crate::fault::{FaultPager, FaultSpec, OpFilter};
         let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-        let p = BufferPool::new(Box::new(pager), 2, None, false);
+        let p = TestPool(BufferPool::new(Box::new(pager), 2, None, false));
         let a = page_with(&p, 1);
         let b = page_with(&p, 2);
 
@@ -1405,7 +1460,7 @@ mod tests {
 
         // 8 dirty pages; fail the 3rd flush write.
         let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-        let p = BufferPool::new(Box::new(pager), 16, None, false);
+        let p = TestPool(BufferPool::new(Box::new(pager), 16, None, false));
         let ids: Vec<PageId> = (0..8u8).map(|i| page_with(&p, i)).collect();
         faults.arm(FaultSpec::error_at(OpFilter::Writes, 3));
 
@@ -1438,7 +1493,7 @@ mod tests {
         use crate::fault::{is_injected, FaultPager, FaultSpec, OpFilter};
 
         let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-        let p = BufferPool::new(Box::new(pager), 4, None, false);
+        let p = TestPool(BufferPool::new(Box::new(pager), 4, None, false));
         page_with(&p, 1);
         faults.arm(FaultSpec::error_at(OpFilter::Syncs, 1));
         let err = p.flush_all().unwrap_err();
@@ -1465,7 +1520,7 @@ mod tests {
         use crate::fault::{is_injected, FaultPager, FaultSpec};
 
         let (pager, faults) = FaultPager::new(Box::new(MemPager::new(128)));
-        let p = BufferPool::new(Box::new(pager), 4, None, false);
+        let p = TestPool(BufferPool::new(Box::new(pager), 4, None, false));
         let id = p.allocate().unwrap();
         p.write_page(id, &[0xAB; 100]).unwrap();
         // Tear the flush write after 33 bytes, then drop the frame so
@@ -1504,10 +1559,10 @@ mod tests {
         assert_eq!(p.with_page(id, |d| d[0]).unwrap(), 7);
     }
 
-    pub(super) fn wal_pool(cap: usize) -> (BufferPool, crate::fault::FaultHandle) {
+    pub(super) fn wal_pool(cap: usize) -> (TestPool, crate::fault::FaultHandle) {
         let (mut pager, faults) = crate::fault::FaultPager::new(Box::new(MemPager::new(128)));
         let log = pager.wal().unwrap();
-        let p = BufferPool::new(Box::new(pager), cap, Some(log), true);
+        let p = TestPool(BufferPool::new(Box::new(pager), cap, Some(log), true));
         (p, faults)
     }
 
@@ -1589,6 +1644,41 @@ mod tests {
         assert_eq!(p.stats().dirty_high_water, 2);
         p.reset_stats();
         assert_eq!(p.stats().dirty_high_water, 1);
+        p.validate().unwrap();
+    }
+
+    /// The ceiling is exact: however the writers of several threads
+    /// interleave, the dirty count stops at it — the check and the count
+    /// run under the writer lock — and every write past it is refused.
+    #[test]
+    fn racing_writers_stop_exactly_at_the_dirty_ceiling() {
+        const CEILING: u64 = 16;
+        let (p, _faults) = wal_pool(8);
+        p.set_dirty_ceiling(CEILING);
+        let ids: Vec<PageId> = (0..64).map(|_| p.allocate().unwrap()).collect();
+        let refused = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for chunk in ids.chunks(16) {
+                let (p, refused) = (&p, &refused);
+                s.spawn(move || {
+                    for &id in chunk {
+                        match p.write_page(id, &[7; 8]) {
+                            Ok(()) => {}
+                            Err(Error::Backpressure {
+                                dirty: CEILING,
+                                ceiling: CEILING,
+                            }) => {
+                                refused.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Err(e) => panic!("unexpected: {e}"),
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(p.dirty_pages(), CEILING);
+        assert_eq!(p.stats().dirty_high_water, CEILING);
+        assert_eq!(refused.into_inner(), 64 - CEILING);
         p.validate().unwrap();
     }
 

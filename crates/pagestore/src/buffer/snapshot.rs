@@ -157,8 +157,8 @@ impl BufferPool {
     /// (which the caller pinned via [`pin_snapshot`](Self::pin_snapshot)).
     ///
     /// Never blocks on a concurrent commit's log or data fsync: the
-    /// read holds the shared side of the write barrier (excluding only
-    /// the capture and flip sections) and serves, in order: a retained
+    /// read holds the shared side of the commit barrier (excluding only
+    /// the epoch flip) and serves, in order: a retained
     /// superseded image, a dirty frame's committed base, a clean
     /// frame's bytes, or the on-disk image. Uncommitted bytes are never
     /// observable through this method.
@@ -425,7 +425,7 @@ mod tests {
             std::thread::spawn(move || p.commit())
         };
         assert!(faults.wait_parked());
-        // The committer holds the commit lock and the WAL handle, and
+        // The committer holds the writer lock and the WAL handle, and
         // is blocked inside the log fsync. Reads do not wait for it.
         assert_eq!(p.with_page_at(a, e, |d| d[0]).unwrap(), 1);
         assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 2);

@@ -32,7 +32,7 @@
 //! # Why no generations
 //!
 //! A committed image changes only inside a commit's epoch flip, under
-//! the exclusive write barrier, and only for that transaction's pages:
+//! the exclusive commit barrier, and only for that transaction's pages:
 //! the flip publishes the new epoch, then [`invalidate`]s exactly those
 //! entries before it releases the barrier. A read that decodes holds the
 //! barrier shared from its [`lookup`] to its [`insert`], so no flip can

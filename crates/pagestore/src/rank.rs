@@ -1,7 +1,7 @@
 //! Rank-checked locks: static deadlock prevention for the page store.
 //!
 //! Every lock in this crate is a [`RankedMutex`] (or, for the commit
-//! write barrier, a [`RankedRwLock`]) carrying a compile-time rank from
+//! barrier, a [`RankedRwLock`]) carrying a compile-time rank from
 //! the table of constants below.  A thread may only acquire a lock
 //! whose rank is *strictly greater* than the highest rank it already
 //! holds; in debug builds a thread-local stack of held ranks enforces
@@ -10,48 +10,34 @@
 //! once-a-month deadlock.
 //!
 //! The rank order is derived from an audit of the acquisition pairs that
-//! actually occur in the buffer pool (`buffer/`):
+//! actually occur in the buffer pool (`buffer/`) and the store:
 //!
-//! * `allocate` holds the **allocator** lock while touching the **pager**
-//!   (grow-on-allocate),
-//! * `free_page` holds the **allocator** lock while dropping a cached
-//!   frame from the **LRU** (rank `SHARD`; stale-frame race prevention),
-//! * `with_page` / eviction / flush hold the **LRU** lock while reading or
-//!   writing through the **pager**.
+//! * every mutation — `allocate`, `write_page`, `free_page`, `commit`,
+//!   `flush_all` — runs under the **writer** lock, which a commit holds
+//!   from its capture to its last phase, so everything a mutation or a
+//!   commit locks ranks above it;
+//! * `set_root` takes the writer lock, then the **superblock** lock, and
+//!   holds both across the page-0 write;
+//! * the epoch flip holds the **barrier** exclusively while it takes the
+//!   **snapshot** table and retains pre-images through the **LRU** and
+//!   the **pager**; a pinned miss holds the barrier shared across the
+//!   snapshot table and the LRU;
+//! * a commit's log phase takes the **wal io** handle holding nothing
+//!   but the writer lock;
+//! * `with_page` / eviction / flush hold the **LRU** lock while reading
+//!   or writing through the **pager**, and reach a **node cache** shard
+//!   under it.
 //!
-//! The unique total order consistent with all three pairs is
-//! `ALLOCATOR < SHARD < PAGER`.  (This deliberately differs from the
-//! illustrative `shard < pager < allocator` sketch in the original design
-//! note, which predates the allocator-holds-shard stale-frame fix; the
-//! checker exists precisely to validate the order against the code rather
-//! than the other way around.)  `WAL` sits at the very bottom: the commit
-//! mutex is held across the whole commit protocol — LRU capture, log
-//! appends, in-place writes, truncation — so everything those steps lock
-//! must rank above it.  `SUPERBLOCK` is held across the page-0 write that
-//! publishes a catalog update, so it ranks below the barrier, LRU,
-//! node-cache and pager locks that write takes.  `BARRIER` is the commit
-//! write barrier: writers hold it shared around each page mutation (before the
-//! allocator in `free_page` and the LRU in `write_page`), a commit
-//! holds it exclusively across its dirty-frame snapshot — so it must sit
-//! above `SUPERBLOCK` (whose holder writes page 0) and below `ALLOCATOR`.
-//! `SNAPSHOT` guards the pool's pinned-epoch table and retained page
-//! versions: a commit's flip phase takes it while holding the barrier
-//! exclusively (and then touches the LRU and the pager to retain
-//! superseded images), and a snapshot reader takes it under a shared
-//! barrier before falling back to the LRU — so it must sit between
-//! `BARRIER` and `ALLOCATOR`.  `WAL_IO` guards the pool's
-//! [`WalFile`](crate::wal::WalFile) handle — the only way to the log.
-//! The log phase of a commit takes it holding nothing but the commit
-//! mutex, and holds it across appends and log fsyncs; it ranks *below*
-//! the LRU, node-cache and pager locks so that log I/O under any of
-//! them — a commit's fsync stalling every cache-miss reader — is an
-//! ordering violation, not a convention.  `NODE_CACHE` guards a shard
-//! of the committed-image node cache (`nodecache.rs`); it is a *leaf*
-//! lock — never held across any other acquisition — and sits just above
-//! `SHARD`: an entry lives only as long as its page's frame, so the
-//! pool inserts, drops, validates and asks for an entry's second chance
-//! under the LRU lock (a pinned hit takes a shard with no other lock
-//! held).
+//! That gives `WRITER < SUPERBLOCK < BARRIER < SNAPSHOT < WAL_IO < SHARD
+//! < NODE_CACHE < PAGER`.  `WAL_IO` has nothing constraining it from
+//! below but the writer lock, so it is placed under every hot lock: log
+//! I/O under the LRU, a node-cache shard or the pager — a commit's
+//! fsync stalling every cache-miss reader — is an ordering violation,
+//! not a convention.  `NODE_CACHE` is a *leaf* lock — never held across
+//! any other acquisition — and sits just above `SHARD`: an entry lives
+//! only as long as its page's frame, so the pool inserts, drops,
+//! validates and asks for an entry's second chance under the LRU lock
+//! (a pinned hit takes a shard with no other lock held).
 //! `PAGER` is the top: nothing is ranked above it. ([`crate::fault`]'s
 //! schedule, consulted under the pager or log-handle lock, is a leaf
 //! lock in `boxagg_common`, released before the faulted operation runs;
@@ -67,25 +53,22 @@ use std::sync::{Mutex, PoisonError};
 // The static lock-rank table.  Locks must be acquired in strictly
 // increasing rank order.
 
-/// The commit mutex
-/// ([`SharedStore::commit`](crate::store::SharedStore::commit)): held
-/// across the entire WAL commit protocol — the LRU scan, log appends,
-/// in-place writes and the log truncation — so it ranks below every
-/// lock those steps take (LRU, pager, allocator is not taken but
-/// ordering it first keeps commit free to grow).
-pub const WAL: u32 = 0;
+/// The writer lock (the buffer pool's `Writer`, which owns the page
+/// allocator's free list): every page mutation takes it, and a commit
+/// holds it from its capture through its last phase, so no write or
+/// free lands inside a commit.  Below every lock a mutation or a commit
+/// takes.
+pub const WRITER: u32 = 0;
 /// The in-memory superblock image ([`crate::store`]): held across the
-/// page-0 write that publishes a named-root update (so concurrent
-/// catalog updates cannot persist out of order), hence below the
-/// barrier, LRU, node-cache and pager locks that write takes.
+/// page-0 write that publishes a named-root update (so catalog updates
+/// cannot persist out of order), under the writer lock and below the
+/// LRU, node-cache and pager locks that write takes.
 pub const SUPERBLOCK: u32 = 1;
-/// The commit write barrier ([`RankedRwLock`] in the buffer pool):
-/// page writers hold it shared for the duration of one mutation, a
-/// commit holds it exclusively across its dirty-frame snapshot so the
-/// snapshot is a single point-in-time cut.
-/// Writers take it before the allocator (`free_page`) and the LRU
-/// (`write_page`), and `set_root` reaches it while holding the
-/// superblock lock, which pins it between the two.
+/// The commit barrier ([`RankedRwLock`] in the buffer pool): a pinned
+/// read that misses the committed-image cache holds it shared from its
+/// snapshot-table lookup to its read of the committed image, and the
+/// epoch flip holds it exclusively, so the flip never falls between the
+/// two.
 pub const BARRIER: u32 = 2;
 /// The snapshot table (in the buffer pool): pinned commit epochs
 /// plus page images retained for them.  A commit's flip phase
@@ -93,35 +76,32 @@ pub const BARRIER: u32 = 2;
 /// pager to retain superseded images and while invalidating
 /// committed-image cache entries under the LRU; snapshot readers
 /// behind the current epoch hold it briefly under a shared barrier.  Hence above
-/// `BARRIER`, below `ALLOCATOR`.
+/// `BARRIER`, below `SHARD`.
 pub const SNAPSHOT: u32 = 3;
-/// Free-list / high-water-mark allocator state.  Held across pager grow
-/// and across the LRU frame-drop, so it must rank below both.
-pub const ALLOCATOR: u32 = 4;
 /// The pool's write-ahead-log handle ([`crate::wal::WalFile`], handed
 /// out by the pager when the store opens).  The log phase of a commit
-/// holds it across appends and log fsyncs with only the commit mutex
+/// holds it across appends and log fsyncs with only the writer lock
 /// beneath it; nothing in this crate is acquired while it is held.  Below
 /// `SHARD`, `NODE_CACHE` and `PAGER`, so taking it under any of them is
 /// a rank violation.
-pub const WAL_IO: u32 = 5;
+pub const WAL_IO: u32 = 4;
 /// The buffer pool's one LRU (its frames, their directory and their
 /// recency order).  Held across pager I/O on miss, eviction, and flush,
 /// and across the committed-image cache inserts, drops and checks that
 /// keep each entry beside its frame.  The name dates from when the byte
 /// pool was split into shards; the committed-image node cache's shards
 /// rank as [`NODE_CACHE`].
-pub const SHARD: u32 = 6;
+pub const SHARD: u32 = 5;
 /// A shard of the committed-image node cache (`nodecache.rs`).
 /// A leaf lock: lookups, inserts and invalidations never touch another
 /// lock while holding it.  Taken under the LRU (a pinned miss's insert,
 /// the no-steal eviction's second-chance ask, a frame's release, the
 /// flip's invalidation, `validate`) or with no pool lock held (a pinned
 /// hit), hence above `SHARD`, below `PAGER`.
-pub const NODE_CACHE: u32 = 7;
+pub const NODE_CACHE: u32 = 6;
 /// The backing pager (file or memory).  Nothing in this crate is
 /// acquired while it is held.
-pub const PAGER: u32 = 8;
+pub const PAGER: u32 = 7;
 #[cfg(debug_assertions)]
 thread_local! {
     /// Ranks (and labels, for diagnostics) of locks currently held by
@@ -143,9 +123,8 @@ fn check_and_push(lock_rank: u32, label: &'static str) {
                 lock_rank > top_rank,
                 "lock-rank violation: acquiring `{label}` (rank {lock_rank}) \
                  while holding `{top_label}` (rank {top_rank}); locks must be \
-                 taken in strictly increasing rank order (wal < superblock < \
-                 barrier < snapshot < allocator < wal io < shard < node cache < \
-                 pager)",
+                 taken in strictly increasing rank order (writer < superblock \
+                 < barrier < snapshot < wal io < shard < node cache < pager)",
             );
         }
         held.borrow_mut().push((lock_rank, label));
@@ -258,12 +237,10 @@ impl<T: ?Sized> Drop for RankedGuard<'_, T> {
 ///
 /// Both acquisition modes are rank-checked identically: a shared
 /// acquisition in the wrong order can still deadlock an exclusive
-/// waiter, so readers get no exemption.  Used for the commit write
-/// barrier (rank [`BARRIER`]): page writers hold it shared for the
-/// duration of one mutation, [`SharedStore::commit`] holds it
-/// exclusively while snapshotting dirty frames, so the snapshot is a
-/// point-in-time cut that can never capture half of a single page
-/// write.
+/// waiter, so readers get no exemption.  Used for the commit barrier
+/// (rank [`BARRIER`]): a pinned miss holds it shared across its two
+/// steps, the epoch flip of [`SharedStore::commit`] holds it
+/// exclusively, so no reader sees the flip half done.
 ///
 /// [`SharedStore::commit`]: crate::store::SharedStore::commit
 pub struct RankedRwLock<T: ?Sized> {
@@ -381,7 +358,7 @@ mod tests {
 
     #[test]
     fn increasing_order_is_allowed() {
-        let a = RankedMutex::new(ALLOCATOR, "alloc", 1u32);
+        let a = RankedMutex::new(WRITER, "writer", 1u32);
         let s = RankedMutex::new(SHARD, "shard", 2u32);
         let p = RankedMutex::new(PAGER, "pager", 3u32);
         let ga = a.acquire();
@@ -404,7 +381,7 @@ mod tests {
 
     #[test]
     fn out_of_order_drop_keeps_stack_consistent() {
-        let a = RankedMutex::new(ALLOCATOR, "alloc", 0u32);
+        let a = RankedMutex::new(WRITER, "writer", 0u32);
         let s = RankedMutex::new(SHARD, "shard", 0u32);
         let p = RankedMutex::new(PAGER, "pager", 0u32);
         let ga = a.acquire();
@@ -421,7 +398,7 @@ mod tests {
     fn snapshot_sits_between_barrier_and_shard() {
         // A commit's flip phase: exclusive barrier, then the snapshot
         // table, then shards and the pager for retained images.
-        let barrier = RankedRwLock::new(BARRIER, "write barrier", 0u32);
+        let barrier = RankedRwLock::new(BARRIER, "commit barrier", 0u32);
         let snaps = RankedMutex::new(SNAPSHOT, "snapshot table", 0u32);
         let shard = RankedMutex::new(SHARD, "shard", 0u32);
         let pager = RankedMutex::new(PAGER, "pager", 0u32);
@@ -433,7 +410,7 @@ mod tests {
 
     #[test]
     fn rwlock_orders_with_mutexes() {
-        let barrier = RankedRwLock::new(BARRIER, "write barrier", 0u32);
+        let barrier = RankedRwLock::new(BARRIER, "commit barrier", 0u32);
         let shard = RankedMutex::new(SHARD, "shard", 0u32);
         {
             let _r = barrier.acquire_shared();
@@ -449,7 +426,7 @@ mod tests {
 
     #[test]
     fn rwlock_shared_does_not_exclude_shared() {
-        let barrier = std::sync::Arc::new(RankedRwLock::new(BARRIER, "write barrier", 0u32));
+        let barrier = std::sync::Arc::new(RankedRwLock::new(BARRIER, "commit barrier", 0u32));
         let g = barrier.acquire_shared();
         let other = std::sync::Arc::clone(&barrier);
         // A second reader on another thread must get through while this
@@ -465,7 +442,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn rwlock_violation_panics_in_either_mode() {
-        let barrier = RankedRwLock::new(BARRIER, "write barrier", 0u32);
+        let barrier = RankedRwLock::new(BARRIER, "commit barrier", 0u32);
         let shard = RankedMutex::new(SHARD, "shard", 0u32);
         let _s = shard.acquire();
         for excl in [false, true] {

@@ -333,15 +333,16 @@ impl SharedStore {
                 "page 0 is not a superblock; read-only opens never format",
             ));
         }
+        let mut w = self.pool.writer();
         if pages == 0 {
             // Brand-new store: page 0 is the superblock, formatted
             // durably before anything else is written.
-            let id = self.pool.allocate()?;
+            let id = self.pool.allocate(&mut w)?;
             debug_assert_eq!(id, PageId(0));
         }
         let fresh = Superblock::new(config.page_size as u32);
-        self.pool.write_page(PageId(0), &fresh.encode())?;
-        self.pool.flush_all()?;
+        self.pool.write_page(&mut w, PageId(0), &fresh.encode())?;
+        self.pool.flush_all(&mut w)?;
         Ok(fresh)
     }
 
@@ -356,14 +357,16 @@ impl SharedStore {
 
     /// Publishes `entry` under `name` in the superblock catalog.
     ///
-    /// The page-0 image is rewritten while the catalog lock is held, so
-    /// concurrent updates serialize; durability follows the store's
+    /// The page-0 image is rewritten while the writer and catalog locks
+    /// are held, so concurrent updates serialize and none lands inside a
+    /// commit; durability follows the store's
     /// normal rules — the update becomes crash-atomic at the next
     /// [`commit`](Self::commit) (WAL stores) or durable at the next
     /// [`flush`](Self::flush), together with the index pages it names.
     pub fn set_root(&self, name: &str, entry: RootEntry) -> Result<()> {
         self.check_writable("set_root")?;
         let lock = self.superblock_lock()?;
+        let mut w = self.pool.writer();
         let mut sb = lock.acquire();
         let previous = sb.root(name).cloned();
         sb.set_root(name, entry)?;
@@ -385,8 +388,7 @@ impl SharedStore {
                 self.payload_size()
             )));
         }
-        self.pool.write_page(PageId(0), &encoded)?;
-        Ok(())
+        self.pool.write_page(&mut w, PageId(0), &encoded)
     }
 
     /// Looks up a named root in the superblock catalog.
@@ -399,9 +401,10 @@ impl SharedStore {
     pub fn remove_root(&self, name: &str) -> Result<()> {
         self.check_writable("remove_root")?;
         let lock = self.superblock_lock()?;
+        let mut w = self.pool.writer();
         let mut sb = lock.acquire();
         sb.remove_root(name);
-        self.pool.write_page(PageId(0), &sb.encode())
+        self.pool.write_page(&mut w, PageId(0), &sb.encode())
     }
 
     /// All named roots in the catalog, sorted by name.
@@ -433,10 +436,13 @@ impl SharedStore {
     /// keep reading (and pinned [`snapshot`](Self::snapshot)s keep
     /// their epoch) while the transaction is logged and synced.
     /// Concurrent `commit` calls run one after another, each as its own
-    /// WAL transaction over what is dirty when its turn comes.
+    /// WAL transaction over what is dirty when its turn comes. A commit
+    /// holds the store's writer lock throughout, so a write, free or
+    /// catalog update called meanwhile waits for it to return and
+    /// belongs to the next commit.
     pub fn commit(&self) -> Result<()> {
         self.check_writable("commit")?;
-        self.pool.commit()
+        self.pool.commit(&mut self.pool.writer())
     }
 
     /// The store's current commit epoch — advances once per non-empty
@@ -479,7 +485,9 @@ impl SharedStore {
     /// pages are pinned in memory, further dirtying writes fail with
     /// [`Error::Backpressure`]
     /// until a [`commit`](Self::commit) releases them. `0` disables the
-    /// ceiling (the default).
+    /// ceiling (the default). The ceiling is exact: writes are checked
+    /// and counted one at a time, under the store's writer lock, so the
+    /// dirty count never passes it.
     pub fn set_dirty_ceiling(&self, ceiling: u64) {
         self.pool.set_dirty_ceiling(ceiling)
     }
@@ -510,7 +518,7 @@ impl SharedStore {
     /// Allocates a fresh page.
     pub fn allocate(&self) -> Result<PageId> {
         self.check_writable("allocate")?;
-        self.pool.allocate()
+        self.pool.allocate(&mut self.pool.writer())
     }
 
     /// Runs `f` over the contents of page `id`.
@@ -552,13 +560,13 @@ impl SharedStore {
     /// Overwrites page `id` (short payloads zero-padded).
     pub fn write_page(&self, id: PageId, bytes: &[u8]) -> Result<()> {
         self.check_writable("write_page")?;
-        self.pool.write_page(id, bytes)
+        self.pool.write_page(&mut self.pool.writer(), id, bytes)
     }
 
     /// Flushes all dirty pages.
     pub fn flush(&self) -> Result<()> {
         self.check_writable("flush")?;
-        self.pool.flush_all()
+        self.pool.flush_all(&mut self.pool.writer())
     }
 
     /// Current I/O statistics, decode counters included.
@@ -580,7 +588,7 @@ impl SharedStore {
     /// it. Errors on a double free.
     pub fn free(&self, id: PageId) -> Result<()> {
         self.check_writable("free")?;
-        self.pool.free_page(id)
+        self.pool.free_page(&mut self.pool.writer(), id)
     }
 
     /// Live (allocated minus freed) pages — the index size metric of
@@ -599,8 +607,9 @@ impl SharedStore {
     /// unreset frame, occupancy within capacity (non-WAL pools; a WAL
     /// pool may soft-exceed it with dirty frames), the allocator's free
     /// list, the committed-image node cache and, on a WAL pool, the
-    /// dirty-frame counter and the snapshot table. The fault-sweep
-    /// harness calls this after every injected failure.
+    /// dirty-frame counter and the snapshot table. It waits out a write
+    /// or commit in flight (it takes the writer lock); reads go on. The
+    /// fault-sweep harness calls this after every injected failure.
     pub fn validate(&self) -> Result<()> {
         self.pool.validate()
     }

@@ -67,7 +67,7 @@ const TAG_COMMIT: u8 = 3;
 ///
 /// [`Pager::wal`] hands it out once per open;
 /// [`recover`] borrows it before a pool exists, then the buffer pool
-/// owns it (rank `WAL_IO`, taken under the commit lock alone) and runs
+/// owns it (rank `WAL_IO`, taken under the writer lock alone) and runs
 /// every commit's appends and log `sync`s through it — never under the
 /// LRU or the pager lock, so cache-miss readers keep streaming pages
 /// through the pager while a committer waits out a log fsync.

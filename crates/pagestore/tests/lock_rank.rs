@@ -88,13 +88,13 @@ fn lru_under_a_node_cache_shard_panics() {
 }
 
 /// Same pair in the correct order must not panic, and the full
-/// allocator < shard < pager chain must be accepted.
+/// writer < shard < pager chain — a write's miss — must be accepted.
 #[test]
 fn shard_then_pager_is_accepted() {
-    let alloc = RankedMutex::new(rank::ALLOCATOR, "page allocator", ());
+    let writer = RankedMutex::new(rank::WRITER, "writer", ());
     let shard = RankedMutex::new(rank::SHARD, "buffer shard", ());
     let pager = RankedMutex::new(rank::PAGER, "pager", ());
-    let _ga = alloc.acquire();
+    let _ga = writer.acquire();
     let _gs = shard.acquire();
     let _gp = pager.acquire();
 }

@@ -180,6 +180,8 @@ pub struct ServeStats {
     /// Connections refused at accept time by the connection limit.
     pub refused_conns: u64,
     /// Whether `SharedStore::validate` passed when stats were taken.
+    /// `validate` takes the store's writer lock, so a stats request
+    /// waits out a commit in flight; pinned reads go on beside it.
     pub validate_ok: bool,
 }
 
@@ -590,6 +592,7 @@ pub fn retry_after_for(err: &Error, fallback_ms: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boxagg_common::rng::StdRng;
 
     fn rect2(b: &[(f64, f64)]) -> Rect {
         Rect::from_bounds(b)
@@ -844,5 +847,117 @@ mod tests {
             retry_after_for(&Error::Overloaded { retry_after_ms: 0 }, 40),
             40
         );
+    }
+
+    /// A refusal from a wire decoder: a typed error, never a panic.
+    fn assert_typed(e: &Error, what: &str) {
+        assert!(
+            matches!(
+                e,
+                Error::InvalidArgument(_) | Error::Corrupt(_) | Error::Io(_)
+            ),
+            "{what}: {e:?}"
+        );
+    }
+
+    /// `body` as a request and as a response. Each decode refuses with a
+    /// typed error or gives a message that re-encodes to the bytes it
+    /// came from — a request and most responses exactly; an error
+    /// message (read with `from_utf8_lossy`) and a stats reply (any
+    /// non-zero `validate_ok` byte is `true`) once in canonical form.
+    /// Returns whether either decoded.
+    fn check_body(body: &[u8]) -> bool {
+        let request = match decode_request(body) {
+            Ok((req, deadline)) => {
+                assert_eq!(encode_request_with_deadline(&req, deadline), body);
+                true
+            }
+            Err(e) => {
+                assert_typed(&e, "request");
+                false
+            }
+        };
+        let response = match decode_response(body) {
+            Ok(resp) => {
+                let again = encode_response(&resp);
+                if matches!(resp, Response::Error { .. } | Response::StatsReply(_)) {
+                    let canonical = decode_response(&again).expect("re-decodes");
+                    assert_eq!(encode_response(&canonical), again);
+                } else {
+                    assert_eq!(again, body);
+                }
+                true
+            }
+            Err(e) => {
+                assert_typed(&e, "response");
+                false
+            }
+        };
+        request || response
+    }
+
+    /// One mutant through every decoder here that reads a peer's bytes:
+    /// `body` through [`check_body`], and `stream` through
+    /// [`read_frame`], which refuses typed or reads back exactly the
+    /// frame it consumed, whose body then goes through [`check_body`]
+    /// too. Returns whether `body` decoded.
+    fn check_wire_mutant(body: &[u8], stream: &[u8]) -> bool {
+        let mut rest = stream;
+        match read_frame(&mut rest) {
+            Ok(None) => assert!(stream.is_empty(), "a frame was skipped"),
+            Ok(Some(read)) => {
+                let used = stream.len() - rest.len();
+                assert_eq!(stream[..used], frame(&read), "a frame reads as it was");
+                check_body(&read);
+            }
+            Err(e) => assert_typed(&e, "frame"),
+        }
+        check_body(body)
+    }
+
+    /// Runs `inputs` seeded mutants of every message in [`all_requests`]
+    /// and [`all_responses`] through [`check_wire_mutant`]: the mutant
+    /// body framed whole (the body decoders behind the frame layer) or,
+    /// every other input, a mutant of the seed's frame (the frame layer
+    /// itself). Returns how many mutant bodies decoded.
+    fn fuzz_wire(inputs: usize, seed: u64) -> usize {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut seeds: Vec<Vec<u8>> = all_requests()
+            .iter()
+            .enumerate()
+            .map(|(i, req)| encode_request_with_deadline(req, 250 * i as u32))
+            .collect();
+        seeds.extend(all_responses().iter().map(encode_response));
+        let mut decoded = 0;
+        for i in 0..inputs {
+            let seed = &seeds[i % seeds.len()];
+            let body = rng.mutate(seed);
+            let stream = if (i / seeds.len()).is_multiple_of(2) {
+                frame(&body)
+            } else {
+                rng.mutate(&frame(seed))
+            };
+            decoded += usize::from(check_wire_mutant(&body, &stream));
+        }
+        decoded
+    }
+
+    #[test]
+    fn fuzz_mutated_wire_bytes_decode_or_refuse() {
+        let decoded = fuzz_wire(20_000, 0x5E_27E);
+        assert!(
+            (2_000..18_000).contains(&decoded),
+            "{decoded} of 20,000 mutants decoded: the mutator is degenerate"
+        );
+    }
+
+    /// The documented longer run: `cargo test --release -p boxagg-serve
+    /// --lib fuzz -- --ignored`.
+    #[test]
+    #[ignore = "long fuzz run"]
+    fn fuzz_long_run() {
+        for seed in 0..50 {
+            fuzz_wire(200_000, seed);
+        }
     }
 }

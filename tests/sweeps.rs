@@ -91,7 +91,7 @@ fn batree_exhaustive_torn_kill_sweep() {
 #[test]
 fn batree_exhaustive_queued_commit_sweep() {
     // Two committers on transaction 2: the first parked in its log fsync,
-    // the second queued on the commit lock behind it. The second runs
+    // the second queued on the writer lock behind it. The second runs
     // after the first as an empty commit, whose one data sync is the
     // serial schedule's one extra op: it lands on txn 2.
     let (t, commits) = crash(Scheme::BaTree, Kill::Queued);
