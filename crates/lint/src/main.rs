@@ -10,7 +10,9 @@
 //! With no `PATH`s, walks `crates/*/src/**/*.rs` and `src/**/*.rs`
 //! under `--root` (default: the workspace containing this binary's
 //! manifest, falling back to the current directory) and runs the
-//! inter-procedural R7–R9 pass over the whole workspace at once. Exits
+//! inter-procedural R7–R9 pass over the whole workspace at once. With
+//! `PATH`s (files or directories), runs the same workspace-wide pass,
+//! the given files joining it, and reports only findings in them. Exits
 //! non-zero if any rule fires. `--deny-all` is the explicit CI spelling
 //! of the default deny-everything behavior. `--report FILE` writes the
 //! machine-readable `lint-report.json` document (findings with call
@@ -23,7 +25,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use boxagg_lint::{count_workspace, lint_file, lint_workspace, report, RULE_KEYS};
+use boxagg_lint::{count_workspace, lint_paths, lint_workspace, report, RULE_KEYS};
 
 const USAGE: &str = "usage: boxagg-lint [--deny-all] [--count] [--list-rules] [--report FILE] \
                      [--root DIR] [PATH...]";
@@ -83,8 +85,7 @@ fn main() -> ExitCode {
         let findings = if paths.is_empty() {
             lint_workspace(&root)?
         } else {
-            let linted: std::io::Result<Vec<_>> = paths.iter().map(|p| lint_file(p)).collect();
-            linted?.concat()
+            lint_paths(&root, &paths)?
         };
         Ok((
             findings,

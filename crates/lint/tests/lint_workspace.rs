@@ -8,7 +8,7 @@
 
 use std::path::{Path, PathBuf};
 
-use boxagg_lint::{lint_file, lint_workspace};
+use boxagg_lint::{lint_file, lint_paths, lint_workspace};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -217,4 +217,31 @@ fn workspace_lints_clean() {
         }
         panic!("workspace has {} lint violation(s)", findings.len());
     }
+}
+
+/// Path mode analyzes a workspace file with the workspace's call graph:
+/// `pagestore/src` alone holds lock sites whose ranks and callers live
+/// across the crate, so linting it file by file reported rank findings
+/// the workspace run does not. A file outside the workspace — a fixture
+/// — is still linted alone and still reports its violations.
+#[test]
+fn path_mode_lints_with_the_workspace_call_graph() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root resolves");
+    let findings = lint_paths(&root, &[root.join("crates/pagestore/src")]).unwrap();
+    if !findings.is_empty() {
+        for f in &findings {
+            eprintln!("{f}");
+        }
+        panic!("pagestore/src by path: {} violation(s)", findings.len());
+    }
+
+    let findings = lint_paths(&root, &[fixture("bad_lock_rank.rs")]).unwrap();
+    let rules: Vec<_> = findings.iter().map(|f| f.finding.rule).collect();
+    assert_eq!(rules, ["static-lock-rank"]);
+    assert!(lint_paths(&root, &[fixture("good_lock_rank.rs")])
+        .unwrap()
+        .is_empty());
 }
