@@ -23,7 +23,7 @@ use boxagg_common::error::{corrupt, Result};
 use boxagg_common::geom::{Point, Rect};
 use boxagg_common::slab::EntrySlab;
 use boxagg_common::value::AggValue;
-use boxagg_pagestore::paged::{self, Layout, PageParams};
+use boxagg_pagestore::paged::{self, Cataloged, Layout, PageParams};
 use boxagg_pagestore::{PageId, RootEntry, RootKind};
 
 /// Fanout floor used to size the inline-border budget.
@@ -161,7 +161,9 @@ impl Layout for Ba {
         }
         Ok(())
     }
+}
 
+impl Cataloged for Ba {
     fn root_kind(&self) -> RootKind {
         RootKind::BaTree
     }

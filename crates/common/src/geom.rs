@@ -421,10 +421,43 @@ impl Rect {
     pub fn decode(r: &mut ByteReader<'_>, dim: usize) -> Result<Rect> {
         let low = Point::decode(r, dim)?;
         let high = Point::decode(r, dim)?;
+        Self::stored(low, high)
+    }
+
+    /// The box of stored corners: `Corrupt` unless `high` dominates
+    /// `low` (no NaN either).
+    #[inline]
+    fn stored(low: Point, high: Point) -> Result<Rect> {
         if !high.dominates(&low) {
             return Err(corrupt("rect corners out of order".to_string()));
         }
         Ok(Rect { low, high })
+    }
+
+    /// Both corners as one `2·d`-dimensional point `[low…, high…]`: the
+    /// coordinates [`encode`](Self::encode) writes, as a point a slab
+    /// row can hold (`2·d ≤ MAX_DIM`).
+    pub fn corner_point(&self) -> Point {
+        let d = self.dim();
+        Point::from_fn(2 * d, |i| {
+            if i < d {
+                self.low.get(i)
+            } else {
+                self.high.get(i - d)
+            }
+        })
+    }
+
+    /// The inverse of [`corner_point`](Self::corner_point), refusing
+    /// what [`decode`](Self::decode) refuses: `Corrupt` when the high
+    /// corner does not dominate the low one.
+    pub fn from_corner_point(p: &Point) -> Result<Rect> {
+        let d = p.dim() / 2;
+        debug_assert_eq!(p.dim(), 2 * d, "a corner point has even dimension");
+        Self::stored(
+            Point::from_fn(d, |i| p.get(i)),
+            Point::from_fn(d, |i| p.get(d + i)),
+        )
     }
 
     /// Encoded size in bytes for a box of dimensionality `dim`.
@@ -556,6 +589,25 @@ mod tests {
         let bytes = w.into_vec();
         let s = Rect::decode(&mut ByteReader::new(&bytes), 3).unwrap();
         assert_eq!(r, s);
+    }
+
+    #[test]
+    fn corner_point_round_trip_refuses_swapped_corners() {
+        let r = Rect::from_bounds(&[(0.5, 1.5), (-3.0, 3.0)]);
+        let c = r.corner_point();
+        assert_eq!(c, p(&[0.5, -3.0, 1.5, 3.0]));
+        let mut w = ByteWriter::new();
+        c.encode(&mut w);
+        let mut wr = ByteWriter::new();
+        r.encode(&mut wr);
+        assert_eq!(w.as_slice(), wr.as_slice(), "the bytes Rect::encode writes");
+        assert_eq!(Rect::from_corner_point(&c).unwrap(), r);
+        for bad in [p(&[2.0, 0.0, 1.0, 1.0]), p(&[0.0, f64::NAN, 1.0, 1.0])] {
+            assert!(matches!(
+                Rect::from_corner_point(&bad),
+                Err(crate::error::Error::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

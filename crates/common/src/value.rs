@@ -80,6 +80,14 @@ impl EncodedWidth {
             EncodedWidth::Fixed(n) | EncodedWidth::AtLeast(n) => n,
         }
     }
+
+    /// The width of one value of `self` followed by one of `next`.
+    const fn then(self, next: EncodedWidth) -> EncodedWidth {
+        match (self, next) {
+            (EncodedWidth::Fixed(a), EncodedWidth::Fixed(b)) => EncodedWidth::Fixed(a + b),
+            _ => EncodedWidth::AtLeast(self.min() + next.min()),
+        }
+    }
 }
 
 impl AggValue for f64 {
@@ -120,9 +128,81 @@ impl AggValue for f64 {
     }
 }
 
+/// The trivial group: a value that carries nothing and encodes to no
+/// bytes, so a pair `(A, ())` is `A` on the page.
+impl AggValue for () {
+    const WIDTH: EncodedWidth = EncodedWidth::Fixed(0);
+
+    fn zero() -> Self {}
+
+    fn add_assign(&mut self, _other: &Self) {}
+
+    fn sub_assign(&mut self, _other: &Self) {}
+
+    fn is_zero(&self) -> bool {
+        true
+    }
+
+    fn is_finite(&self) -> bool {
+        true
+    }
+
+    fn encode(&self, _w: &mut ByteWriter) {}
+
+    fn decode(_r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(())
+    }
+
+    fn encoded_size(&self) -> usize {
+        0
+    }
+}
+
+/// The direct product of two groups, component-wise; encoded as the
+/// first value followed by the second.
+impl<A: AggValue, B: AggValue> AggValue for (A, B) {
+    const WIDTH: EncodedWidth = A::WIDTH.then(B::WIDTH);
+
+    fn zero() -> Self {
+        (A::zero(), B::zero())
+    }
+
+    fn add_assign(&mut self, other: &Self) {
+        self.0.add_assign(&other.0);
+        self.1.add_assign(&other.1);
+    }
+
+    fn sub_assign(&mut self, other: &Self) {
+        self.0.sub_assign(&other.0);
+        self.1.sub_assign(&other.1);
+    }
+
+    fn is_zero(&self) -> bool {
+        self.0.is_zero() && self.1.is_zero()
+    }
+
+    fn is_finite(&self) -> bool {
+        self.0.is_finite() && self.1.is_finite()
+    }
+
+    fn encode(&self, w: &mut ByteWriter) {
+        self.0.encode(w);
+        self.1.encode(w);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+
+    fn encoded_size(&self) -> usize {
+        self.0.encoded_size() + self.1.encoded_size()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poly::Poly;
 
     #[test]
     fn f64_group_laws() {
@@ -148,5 +228,41 @@ mod tests {
         assert_eq!(w.len(), v.encoded_size());
         let bytes = w.into_vec();
         assert_eq!(f64::decode(&mut ByteReader::new(&bytes)).unwrap(), v);
+    }
+
+    #[test]
+    fn pair_and_unit_round_trip_and_add_component_wise() {
+        let v = (2.5f64, ());
+        let mut w = ByteWriter::new();
+        v.encode(&mut w);
+        assert_eq!(w.as_slice(), 2.5f64.to_le_bytes(), "(f64, ()) is an f64");
+        assert_eq!(<(f64, ())>::WIDTH, EncodedWidth::Fixed(8));
+        assert_eq!(
+            <(f64, ())>::decode(&mut ByteReader::new(w.as_slice())).unwrap(),
+            v
+        );
+
+        let f = Poly::monomial(3.0, &[1, 0]);
+        let v = (1.5f64, f.clone());
+        let mut w = ByteWriter::new();
+        v.encode(&mut w);
+        assert_eq!(w.len(), v.encoded_size());
+        let mut bytes = 1.5f64.to_le_bytes().to_vec();
+        let mut fw = ByteWriter::new();
+        f.encode(&mut fw);
+        bytes.extend_from_slice(fw.as_slice());
+        assert_eq!(w.as_slice(), bytes, "the mass, then the function");
+        assert_eq!(
+            <(f64, Poly)>::WIDTH,
+            EncodedWidth::AtLeast(8 + Poly::WIDTH.min())
+        );
+        let back = <(f64, Poly)>::decode(&mut ByteReader::new(w.as_slice())).unwrap();
+        assert_eq!(back, v);
+
+        let sum = v.clone().add(&(0.5, f.clone()));
+        assert_eq!(sum, (2.0, f.clone().add(&f)));
+        assert!(sum.clone().sub(&sum).is_zero());
+        assert!(!(f64::NAN, ()).is_finite());
+        assert!(<(f64, ())>::zero().is_zero());
     }
 }

@@ -31,7 +31,7 @@ use boxagg_common::geom::Point;
 use boxagg_common::slab::EntrySlab;
 use boxagg_common::traits::{check_insert, check_query, DominanceSumIndex};
 use boxagg_common::value::AggValue;
-use boxagg_pagestore::paged::{self, Layout, PageParams, PagedTree};
+use boxagg_pagestore::paged::{self, Cataloged, Layout, PageParams, PagedTree};
 use boxagg_pagestore::{PageId, ReadHandle, RootEntry, RootKind, SharedStore, Visit};
 
 /// Which prefix of subtrees each border covers (Fig. 6).
@@ -140,7 +140,9 @@ impl Layout for Ecdf {
             Border::Value(_) => Ok(()),
         }
     }
+}
 
+impl Cataloged for Ecdf {
     fn root_kind(&self) -> RootKind {
         match self.policy {
             BorderPolicy::UpdateOptimized => RootKind::EcdfUpdate,

@@ -1,7 +1,8 @@
-//! One paged-node layer for the dominance-sum trees.
+//! One paged-node layer for every tree.
 //!
-//! The paper's two disk-resident dominance-sum indexes — the
-//! ECDF-B-trees (§4) and the BA-tree (§5) — store the same kind of page:
+//! The paper's three disk-resident indexes — the ECDF-B-trees (§4), the
+//! BA-tree (§5) and the aR-tree it is measured against (§6) — store the
+//! same kind of page:
 //!
 //! ```text
 //! leaf:   [tag=0:u8][count:u16] ([point: 8·d][value: var])*
@@ -12,14 +13,17 @@
 //! leaf codec (an [`EntrySlab`]), the capacity arithmetic, the page
 //! context [`Ctx`] every tree operation threads, and the catalog handle
 //! [`PagedTree`]. A tree supplies only what differs, as a [`Layout`]:
-//! its index-record codec and worst-case record size, its catalog
-//! [`RootKind`], and how a record names its child and border trees.
-//! Everything is monomorphised per layout and value type; the node
-//! read path holds no `dyn`.
+//! its index-record codec and worst-case record size, and how a record
+//! names its child and border trees; a tree the catalog records also
+//! names its [`RootKind`] ([`Cataloged`]). Everything is monomorphised
+//! per layout and value type; the node read path holds no `dyn`.
 //!
 //! A node's place in its tree family is one number, `at`: a BA-tree
 //! node's dimension (its border trees sit one dimension lower), or an
 //! ECDF-B-tree node's level (its border trees sit one level deeper).
+//! The aR-tree's layout, [`Ar`], lives here too: its leaf point is an
+//! object's box (`d`-dim corners as one `2·d`-dim point), and its
+//! nodes have one shape at every `at`.
 
 use std::fmt::Debug;
 use std::marker::PhantomData;
@@ -32,6 +36,10 @@ use boxagg_common::slab::EntrySlab;
 use boxagg_common::value::AggValue;
 
 use crate::{PageId, ReadHandle, RootEntry, RootKind, SharedStore, Visit};
+
+mod ar;
+
+pub use ar::{Ar, ArRecord};
 
 /// Per-node header: tag byte + record count.
 const HEADER: usize = 3;
@@ -79,7 +87,7 @@ impl PageParams {
 }
 
 /// What a tree supplies to the shared layer: everything about its index
-/// records, its catalog kind and its error name.
+/// records and its error name.
 pub trait Layout: Copy + Debug + Send + Sync + 'static {
     /// The tree's name in errors.
     const NAME: &'static str;
@@ -120,7 +128,11 @@ pub trait Layout: Copy + Debug + Send + Sync + 'static {
         at: usize,
         f: impl FnMut(usize, PageId) -> Result<()>,
     ) -> Result<()>;
+}
 
+/// A layout whose trees the store catalog records by name
+/// ([`PagedTree::persist_as`], [`PagedTree::open_named`]).
+pub trait Cataloged: Layout {
     /// The catalog kind a tree of this layout is recorded under.
     fn root_kind(&self) -> RootKind;
 
@@ -386,6 +398,34 @@ impl<V: AggValue, L: Layout> PagedTree<V, L> {
         })
     }
 
+    /// The page context for this tree's operations.
+    pub fn ctx(&self) -> Ctx<'_, L> {
+        Ctx {
+            pages: &self.pages,
+            params: &self.params,
+            layout: self.layout,
+        }
+    }
+
+    /// The shared page store.
+    pub fn store(&self) -> &SharedStore {
+        self.pages.store()
+    }
+
+    /// Every indexed point, leaves left to right.
+    pub fn enumerate(&self) -> Result<Vec<(Point, V)>> {
+        let mut out = Vec::new();
+        self.ctx().enumerate(self.root_at, self.root, &mut out)?;
+        Ok(out)
+    }
+
+    /// Frees every page of the tree.
+    pub fn destroy(self) -> Result<()> {
+        self.ctx().free_tree::<V>(self.root_at, self.root)
+    }
+}
+
+impl<V: AggValue, L: Cataloged> PagedTree<V, L> {
     /// Reopens the tree recorded under `name` in the catalog `pages`
     /// sees, returning it with its catalog entry. A missing name, or an
     /// entry of another kind, is a typed
@@ -427,32 +467,6 @@ impl<V: AggValue, L: Layout> PagedTree<V, L> {
                 bounds,
             },
         )
-    }
-
-    /// The page context for this tree's operations.
-    pub fn ctx(&self) -> Ctx<'_, L> {
-        Ctx {
-            pages: &self.pages,
-            params: &self.params,
-            layout: self.layout,
-        }
-    }
-
-    /// The shared page store.
-    pub fn store(&self) -> &SharedStore {
-        self.pages.store()
-    }
-
-    /// Every indexed point, leaves left to right.
-    pub fn enumerate(&self) -> Result<Vec<(Point, V)>> {
-        let mut out = Vec::new();
-        self.ctx().enumerate(self.root_at, self.root, &mut out)?;
-        Ok(out)
-    }
-
-    /// Frees every page of the tree.
-    pub fn destroy(self) -> Result<()> {
-        self.ctx().free_tree::<V>(self.root_at, self.root)
     }
 }
 
@@ -515,7 +529,9 @@ mod tests {
         ) -> Result<()> {
             f(at + 1, rec.border)
         }
+    }
 
+    impl Cataloged for Toy {
         fn root_kind(&self) -> RootKind {
             RootKind::EcdfQuery
         }

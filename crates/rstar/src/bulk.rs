@@ -9,18 +9,18 @@
 
 use boxagg_common::error::{invalid_arg, Result};
 use boxagg_common::geom::Rect;
+use boxagg_common::value::AggValue;
 use boxagg_pagestore::SharedStore;
 
-use crate::node::{summarize, IndexEntry, LeafEntry, LeafPayload, Node, RParams};
-use crate::tree::RStarTree;
+use crate::tree::{leaf, summarize, Node, Object, RStarTree, AT};
 
-fn sort_tile<L: LeafPayload>(objs: &mut [LeafEntry<L>], dim: usize, axis: usize, cap: usize) {
+fn sort_tile<L>(objs: &mut [Object<L>], dim: usize, axis: usize, cap: usize) {
     if axis >= dim || objs.len() <= cap {
         return;
     }
     objs.sort_by(|a, b| {
-        let ca = a.rect.center().get(axis);
-        let cb = b.rect.center().get(axis);
+        let ca = a.0.center().get(axis);
+        let cb = b.0.center().get(axis);
         ca.total_cmp(&cb)
     });
     if axis + 1 >= dim {
@@ -42,7 +42,7 @@ fn sort_tile<L: LeafPayload>(objs: &mut [LeafEntry<L>], dim: usize, axis: usize,
     }
 }
 
-impl<L: LeafPayload> RStarTree<L> {
+impl<L: AggValue> RStarTree<L> {
     /// Bulk-loads a tree from objects `(rect, agg, payload)` using STR.
     pub fn bulk_load(
         store: SharedStore,
@@ -64,57 +64,32 @@ impl<L: LeafPayload> RStarTree<L> {
                 "object {r:?} has a non-finite coordinate"
             )));
         }
-        let params = RParams {
-            page_size: store.payload_size(),
-            max_payload_size,
-        };
-        let leaf_cap = params.leaf_cap(dim);
-        let index_cap = params.index_cap(dim);
+        let ctx = tree.ctx();
+        let leaf_cap = ctx.leaf_cap(AT);
+        let index_cap = ctx.index_cap(AT);
         let n = objects.len();
 
-        let mut entries: Vec<LeafEntry<L>> = objects
+        let mut objects: Vec<Object<L>> = objects
             .into_iter()
-            .map(|(rect, agg, payload)| LeafEntry { rect, agg, payload })
+            .map(|(rect, agg, payload)| (rect, (agg, payload)))
             .collect();
-        sort_tile(&mut entries, dim, 0, leaf_cap);
+        sort_tile(&mut objects, dim, 0, leaf_cap);
 
         // Pack leaves.
-        let mut level: Vec<IndexEntry> = Vec::new();
-        let mut start = 0;
-        while start < entries.len() {
-            let end = (start + leaf_cap).min(entries.len());
-            let node = Node::Leaf(entries[start..end].to_vec());
-            let id = store.allocate()?;
-            write_node(&store, params.page_size, dim, id, &node)?;
-            let (rect, agg, count) = summarize(&node);
-            level.push(IndexEntry {
-                rect,
-                child: id,
-                agg,
-                count,
-            });
-            start = end;
+        let mut level = Vec::new();
+        for chunk in objects.chunks(leaf_cap) {
+            let node = leaf(dim, chunk);
+            level.push(summarize(ctx.write_new(AT, &node)?, &node)?);
         }
 
-        // Pack index levels.
+        // Pack index levels, keeping sibling locality: the level's
+        // records are already in tile order.
         let mut height = 1;
         while level.len() > 1 {
-            // Keep sibling locality: tile the level's entries too.
             let mut next = Vec::new();
-            let mut i = 0;
-            while i < level.len() {
-                let end = (i + index_cap).min(level.len());
-                let node: Node<L> = Node::Index(level[i..end].to_vec());
-                let id = store.allocate()?;
-                write_node(&store, params.page_size, dim, id, &node)?;
-                let (rect, agg, count) = summarize(&node);
-                next.push(IndexEntry {
-                    rect,
-                    child: id,
-                    agg,
-                    count,
-                });
-                i = end;
+            for chunk in level.chunks(index_cap) {
+                let node = Node::<L>::Index(chunk.to_vec());
+                next.push(summarize(ctx.write_new(AT, &node)?, &node)?);
             }
             level = next;
             height += 1;
@@ -126,18 +101,6 @@ impl<L: LeafPayload> RStarTree<L> {
         tree.set_root(level[0].child, height, n);
         Ok(tree)
     }
-}
-
-fn write_node<L: LeafPayload>(
-    store: &SharedStore,
-    page_size: usize,
-    dim: usize,
-    id: boxagg_pagestore::PageId,
-    node: &Node<L>,
-) -> Result<()> {
-    let mut w = boxagg_common::bytes::ByteWriter::with_capacity(page_size);
-    node.encode(dim, &mut w);
-    store.write_page(id, w.as_slice())
 }
 
 #[cfg(test)]

@@ -21,13 +21,16 @@
 //! As in §6, the tree pairs the shared LRU buffer with a *path buffer*
 //! holding the most recently traversed path of decoded nodes.
 //! STR bulk loading builds large baselines quickly.
+//!
+//! Its pages are the shared paged layer's
+//! ([`boxagg_pagestore::paged::Ar`]), as the BA-tree's and the
+//! ECDF-B-trees' are: one header, one leaf codec and one page access
+//! path for all three trees, so a figure compares indexes, not codecs.
 
 mod bulk;
-mod node;
 mod split;
 mod tree;
 
-pub use node::{IndexEntry, LeafEntry, LeafPayload, Node, RParams};
 pub use split::rstar_split;
 pub use tree::{AggResult, RStarTree};
 
