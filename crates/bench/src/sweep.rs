@@ -702,7 +702,7 @@ pub struct Served {
     pub ops_per_batch: usize,
     /// Queries per checkpoint.
     pub queries: usize,
-    /// Seed of the data, the queries and the client backoff jitter.
+    /// Seed of the data and the queries.
     pub seed: u64,
 }
 
@@ -906,7 +906,6 @@ impl Scenario for ConnKill {
             landing = "reconnect";
             Client::connect(addr).expect("writer redial")
         });
-        writer.set_backoff_seed(c.cfg.seed ^ k);
         let mut reader = Client::connect(addr).expect("reader connect");
         let (answers, counts) = c.script(&mut writer, &mut reader, |writer, e| {
             // The server is alive: reconnecting swaps the killed stream
@@ -973,7 +972,6 @@ impl ServerKill {
         &self,
         store: &SharedStore,
         what: &str,
-        seed: u64,
         run: &mut Doomed,
     ) -> std::result::Result<(), (Stop, Error)> {
         let c = &self.0;
@@ -983,7 +981,6 @@ impl ServerKill {
         let writer = run
             .writer
             .insert(Client::connect(addr).expect("writer connect"));
-        writer.set_backoff_seed(seed);
         let reader = run
             .reader
             .insert(Client::connect(addr).expect("reader connect"));
@@ -1025,12 +1022,10 @@ impl Scenario for ServerKill {
         faults.arm(FaultSpec::sticky_from(OpFilter::Any, k));
         let mut run = Doomed::default();
         let mut stop = Stop::Bind;
-        let doomed = self
-            .doomed(&store, &what, c.cfg.seed ^ k ^ 1, &mut run)
-            .map_err(|(at, e)| {
-                stop = at;
-                e
-            });
+        let doomed = self.doomed(&store, &what, &mut run).map_err(|(at, e)| {
+            stop = at;
+            e
+        });
         died_of(&what, doomed, |e| e.to_string().contains("injected fault"));
         // Process death: drop every in-process reference without a
         // flush. The writer lives on, its pended batch intact.

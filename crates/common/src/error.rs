@@ -43,18 +43,6 @@ pub enum Error {
         /// What was structurally wrong.
         reason: String,
     },
-    /// A write-ahead-log buffer pool's uncommitted dirty working set
-    /// hit its configured ceiling. A no-steal pool pins dirty frames in
-    /// memory until commit, so an unbounded transaction grows the pool
-    /// without limit; callers that opt into a ceiling receive this typed
-    /// error and must commit (or abandon writes) to make room. The
-    /// failed write left the page untouched.
-    Backpressure {
-        /// Dirty frames currently pinned by the pool.
-        dirty: u64,
-        /// The configured ceiling that would have been exceeded.
-        ceiling: u64,
-    },
     /// A mutation was attempted through a read-only store handle
     /// (`SharedStore::open_readonly`). Read-only opens promise the
     /// file another process may be serving stays byte-for-byte
@@ -74,11 +62,9 @@ pub enum Error {
         /// The budget the client granted, in milliseconds.
         budget_ms: u32,
     },
-    /// The server shed the request under load: the commit queue was
-    /// full, too many reads were in flight, the connection limit was
-    /// reached, or the pagestore's
-    /// dirty-page ceiling pushed back. The request was *not* applied;
-    /// retrying after the hinted delay is always safe.
+    /// The server refused the connection at accept: it already serves
+    /// its connection limit. Nothing was sent, let alone applied;
+    /// dialling again after the hinted delay is always safe.
     Overloaded {
         /// Server's hint for how long to back off before retrying,
         /// in milliseconds.
@@ -116,11 +102,6 @@ impl fmt::Display for Error {
                 f,
                 "page {page} failed checksum verification \
                  (stored {expected:#018x}, computed {found:#018x})"
-            ),
-            Error::Backpressure { dirty, ceiling } => write!(
-                f,
-                "dirty-page backpressure: {dirty} uncommitted dirty pages are at \
-                 the configured ceiling of {ceiling}; commit to release them"
             ),
             Error::WalCorrupt { offset, reason } => {
                 write!(f, "write-ahead log corrupt at byte {offset}: {reason}")
@@ -227,18 +208,6 @@ mod tests {
         assert!(s.contains("page_size"), "got: {s}");
         assert!(s.contains("1024"), "got: {s}");
         assert!(s.contains("4096"), "got: {s}");
-    }
-
-    #[test]
-    fn backpressure_reports_dirty_and_ceiling() {
-        let e = Error::Backpressure {
-            dirty: 96,
-            ceiling: 96,
-        };
-        let s = e.to_string();
-        assert!(s.contains("96"), "got: {s}");
-        assert!(s.contains("backpressure"), "got: {s}");
-        assert!(std::error::Error::source(&e).is_none());
     }
 
     #[test]

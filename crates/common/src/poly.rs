@@ -176,50 +176,6 @@ impl Poly {
         self.terms.iter().map(|t| t.eval(p)).sum()
     }
 
-    /// Antiderivative with respect to dimension `i`
-    /// (`xᵢ^e ↦ xᵢ^{e+1} / (e+1)`), without a constant of integration.
-    pub fn antiderivative(&self, i: usize) -> Poly {
-        assert!(i < MAX_DIM);
-        let terms = self
-            .terms
-            .iter()
-            .map(|t| {
-                let e = t.exps[i];
-                assert!(
-                    (e as usize) < u8::MAX as usize,
-                    "polynomial degree overflow in antiderivative"
-                );
-                let mut exps = t.exps;
-                exps[i] = e + 1;
-                Term {
-                    coeff: t.coeff / (e as f64 + 1.0),
-                    exps,
-                }
-            })
-            .collect();
-        Poly::from_terms(terms)
-    }
-
-    /// Substitutes the constant `v` for dimension `i`, producing a
-    /// polynomial that no longer references that dimension.
-    pub fn substitute(&self, i: usize, v: f64) -> Poly {
-        assert!(i < MAX_DIM);
-        let terms = self
-            .terms
-            .iter()
-            .map(|t| {
-                let e = t.exps[i];
-                let mut exps = t.exps;
-                exps[i] = 0;
-                Term {
-                    coeff: t.coeff * v.powi(e as i32),
-                    exps,
-                }
-            })
-            .collect();
-        Poly::from_terms(terms)
-    }
-
     /// Definite integral of the polynomial over the axis-aligned box
     /// `[low, high]`, integrating dimensions `0..dim`.
     ///
@@ -243,32 +199,6 @@ impl Poly {
                 v
             })
             .sum()
-    }
-
-    /// Renames dimensions: term exponent `exps[i]` moves to `exps[map[i]]`.
-    ///
-    /// Used when a polynomial built over a projected space (a border
-    /// structure) is re-expressed over the full space, and vice versa.
-    pub fn remap_dims(&self, map: &[usize]) -> Poly {
-        let terms = self
-            .terms
-            .iter()
-            .map(|t| {
-                let mut exps = [0u8; MAX_DIM];
-                for (i, &e) in t.exps.iter().enumerate() {
-                    if e > 0 {
-                        let j = map[i];
-                        assert!(j < MAX_DIM);
-                        exps[j] = exps[j].checked_add(e).expect("exponent clash in remap");
-                    }
-                }
-                Term {
-                    coeff: t.coeff,
-                    exps,
-                }
-            })
-            .collect();
-        Poly::from_terms(terms)
     }
 
     /// Approximate equality up to `tol` on each coefficient, comparing the
@@ -512,46 +442,14 @@ mod tests {
     }
 
     #[test]
-    fn antiderivative_and_eval() {
-        // ∫ (x − 2) dx = x²/2 − 2x ; over [15, 20] = (200−40)−(112.5−30)=77.5
+    fn integral_over_matches_hand_worked_values() {
+        // Paper: (11−7)·∫₁₅²⁰(x−2)dx = 4·77.5 = 310.
         let f = Poly::monomial(1.0, &[1]).sub(&Poly::constant(2.0));
-        let g = f.antiderivative(0);
-        let hi = g.eval(&pt(&[20.0]));
-        let lo = g.eval(&pt(&[15.0]));
-        assert_eq!(hi - lo, 77.5);
-        // Paper: (11−7)·∫₁₅²⁰(x−2)dx = 310.
-        assert_eq!(4.0 * (hi - lo), 310.0);
-    }
-
-    #[test]
-    fn integral_over_box_matches_iterated_antiderivative() {
-        // f(x, y) = 3x²y + 2 over [1,2]×[0,3]
+        assert_eq!(4.0 * f.integral_over(&pt(&[15.0]), &pt(&[20.0])), 310.0);
+        // ∫₁²∫₀³ (3x²y + 2) dy dx = 7·(9/2) + 2·1·3 = 37.5.
         let f = Poly::from_terms(vec![Term::new(3.0, &[2, 1]), Term::new(2.0, &[])]);
         let direct = f.integral_over(&pt(&[1.0, 0.0]), &pt(&[2.0, 3.0]));
-        // ∫∫ = [x³]₁² · [y²·3/2·(1/3)... do it by antiderivatives:
-        let gx = f.antiderivative(0);
-        let gxy = gx.antiderivative(1);
-        let ev = |x: f64, y: f64| gxy.eval(&pt(&[x, y]));
-        let iterated = ev(2.0, 3.0) - ev(1.0, 3.0) - ev(2.0, 0.0) + ev(1.0, 0.0);
-        assert!((direct - iterated).abs() < 1e-9);
-        assert!((direct - 37.5).abs() < 1e-9); // 7·(9/2)·1 + 2·1·3 = 31.5 + 6
-    }
-
-    #[test]
-    fn substitute_eliminates_dimension() {
-        // f = x·y², substitute y = 2 → 4x
-        let f = Poly::monomial(1.0, &[1, 2]);
-        let g = f.substitute(1, 2.0);
-        assert_eq!(g, Poly::monomial(4.0, &[1, 0]));
-        assert_eq!(g.degree(), 1);
-    }
-
-    #[test]
-    fn remap_dims_moves_exponents() {
-        // border polys live in projected space; remap x0→x1
-        let f = Poly::monomial(5.0, &[2]);
-        let g = f.remap_dims(&[1, 0, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(g, Poly::monomial(5.0, &[0, 2]));
+        assert!((direct - 37.5).abs() < 1e-9, "got {direct}");
     }
 
     #[test]

@@ -11,10 +11,8 @@
 //! dominated in this dimension — resolve it through the border (one
 //! dimension lower) and recurse right.
 
-use boxagg_common::error::Result;
 use boxagg_common::geom::Point;
 use boxagg_common::slab::EntrySlab;
-use boxagg_common::traits::DominanceSumIndex;
 use boxagg_common::value::AggValue;
 
 enum BorderInfo<V> {
@@ -178,50 +176,10 @@ impl<V: AggValue> EcdfTree<V> {
     }
 }
 
-/// Adapter: the static tree does not support inserts, but tests reuse the
-/// [`DominanceSumIndex`] oracle machinery through this wrapper by
-/// rebuilding on each insert. Intended for tests and tiny inputs only.
-pub struct RebuildingEcdf<V> {
-    dim: usize,
-    points: Vec<(Point, V)>,
-    tree: EcdfTree<V>,
-}
-
-impl<V: AggValue> RebuildingEcdf<V> {
-    /// Creates an empty rebuilding wrapper.
-    pub fn new(dim: usize) -> Self {
-        Self {
-            dim,
-            points: Vec::new(),
-            tree: EcdfTree::build(dim, Vec::new()),
-        }
-    }
-}
-
-impl<V: AggValue> DominanceSumIndex<V> for RebuildingEcdf<V> {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn insert(&mut self, p: Point, v: V) -> Result<()> {
-        self.points.push((p, v));
-        self.tree = EcdfTree::build(self.dim, self.points.clone());
-        Ok(())
-    }
-
-    fn dominance_sum(&self, q: &Point) -> Result<V> {
-        Ok(self.tree.query(q))
-    }
-
-    fn len(&self) -> usize {
-        self.points.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use boxagg_common::traits::NaiveDominanceIndex;
+    use boxagg_common::traits::{DominanceSumIndex, NaiveDominanceIndex};
 
     fn rnd(state: &mut u64) -> f64 {
         *state = state
@@ -295,16 +253,5 @@ mod tests {
         let p = Point::new(&[1.0, 1.0]);
         let t = EcdfTree::build(2, vec![(p, 1.0); 8]);
         assert_eq!(t.query(&Point::new(&[1.0, 1.0])), 8.0);
-    }
-
-    #[test]
-    fn rebuilding_adapter_tracks_inserts() {
-        let mut t: RebuildingEcdf<f64> = RebuildingEcdf::new(2);
-        assert!(t.is_empty());
-        t.insert(Point::new(&[1.0, 2.0]), 4.0).unwrap();
-        t.insert(Point::new(&[2.0, 1.0]), 6.0).unwrap();
-        assert_eq!(t.dominance_sum(&Point::new(&[2.0, 2.0])).unwrap(), 10.0);
-        assert_eq!(t.dominance_sum(&Point::new(&[1.0, 2.0])).unwrap(), 4.0);
-        assert_eq!(t.len(), 2);
     }
 }

@@ -439,12 +439,10 @@ pub(crate) struct BufferPool {
     /// counts its pinned reads here.
     committed: NodeCache,
     /// Currently dirty frames (WAL pools only). Changed only under the
-    /// writer lock, so a writer's check against the ceiling is exact.
+    /// writer lock.
     dirty_frames: AtomicU64,
     /// High-water mark of `dirty_frames` since the last stats reset.
     dirty_high_water: AtomicU64,
-    /// Dirty-frame ceiling for backpressure; 0 disables it.
-    dirty_ceiling: AtomicU64,
     reads: AtomicU64,
     writes: AtomicU64,
     hits: AtomicU64,
@@ -543,7 +541,6 @@ impl BufferPool {
             epoch: CacheLine(AtomicU64::new(1)),
             dirty_frames: AtomicU64::new(0),
             dirty_high_water: AtomicU64::new(0),
-            dirty_ceiling: AtomicU64::new(0),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -645,28 +642,6 @@ impl BufferPool {
         // not zero — frames dirty right now are still pinned.
         self.dirty_high_water
             .store(self.dirty_frames.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Currently dirty (uncommitted, memory-pinned) frames. Always zero
-    /// on non-WAL pools, whose dirty pages are evictable and unpinned.
-    pub(crate) fn dirty_pages(&self) -> u64 {
-        self.dirty_frames.load(Ordering::Relaxed)
-    }
-
-    /// Sets the dirty-frame ceiling: once this many frames are dirty,
-    /// further dirtying writes fail with
-    /// [`Error::Backpressure`](boxagg_common::error::Error::Backpressure)
-    /// until a commit releases them. `0` (the default) disables the
-    /// ceiling. The bound is exact: a write checks it and counts the
-    /// frame it dirties under the writer lock, which every change to the
-    /// dirty count holds.
-    pub(crate) fn set_dirty_ceiling(&self, ceiling: u64) {
-        self.dirty_ceiling.store(ceiling, Ordering::Relaxed);
-    }
-
-    /// The configured dirty-frame ceiling (`0` = disabled).
-    pub(crate) fn dirty_ceiling(&self) -> u64 {
-        self.dirty_ceiling.load(Ordering::Relaxed)
     }
 
     /// Allocates a page, reusing a previously freed one when available.
@@ -959,21 +934,11 @@ impl BufferPool {
             });
         }
         let mut lru = self.lru.acquire();
-        // Peek residency *before* installing a frame: a rejected write
-        // must leave no trace — in particular no zero-filled clean frame
-        // a later read could mistake for page content.
+        // Peek residency *before* installing a frame, which makes
+        // every page resident.
         let resident = lru.map.get(id);
         let newly_dirty = resident.is_none_or(|idx| !lru.frames[idx].dirty);
         let wal = self.wal();
-        if wal && newly_dirty {
-            let ceiling = self.dirty_ceiling.load(Ordering::Relaxed);
-            if ceiling != 0 {
-                let dirty = self.dirty_frames.load(Ordering::Relaxed);
-                if dirty >= ceiling {
-                    return Err(Error::Backpressure { dirty, ceiling });
-                }
-            }
-        }
         let idx = self.frame_for(&mut lru, id, false)?;
         lru.invalidations += 1;
         let f = &mut lru.frames[idx];
@@ -1178,6 +1143,12 @@ mod tests {
 
         pub(super) fn flush_all(&self) -> Result<()> {
             self.0.flush_all(&mut self.writer())
+        }
+
+        /// Currently dirty (uncommitted, memory-pinned) frames; always
+        /// zero on non-WAL pools.
+        pub(super) fn dirty_pages(&self) -> u64 {
+            self.0.dirty_frames.load(Ordering::Relaxed)
         }
     }
 
@@ -1603,83 +1574,30 @@ mod tests {
         assert!(s.reads > 0);
     }
 
-    /// Satellite regression: a dirtying write at the ceiling must fail
-    /// typed, leave no trace, and clear after a commit.
+    /// Writers of several threads that race to dirty fresh pages are all
+    /// admitted: the dirty count and its high-water mark, both kept under
+    /// the writer lock, count every page exactly once, and a reset
+    /// restarts the mark from the pages still dirty.
     #[test]
-    fn backpressure_rejects_dirtying_writes_at_the_ceiling() {
+    fn racing_writers_dirty_every_page_and_count_each_once() {
+        const PAGES: u64 = 64;
         let (p, _faults) = wal_pool(8);
-        p.set_dirty_ceiling(2);
-        let a = page_with(&p, 1);
-        let b = page_with(&p, 2);
-        assert_eq!(p.dirty_pages(), 2);
-        let c = p.allocate().unwrap();
-        let err = p.write_page(c, &[3; 4]).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::Backpressure {
-                    dirty: 2,
-                    ceiling: 2
-                }
-            ),
-            "got: {err}"
-        );
-        // The rejected write left no trace — in particular no
-        // zero-filled frame a later read could mistake for content.
-        p.validate().unwrap();
-        assert_eq!(p.resident(), 2);
-        // Re-dirtying an already-dirty page consumes no new frame and
-        // is still allowed at the ceiling.
-        p.write_page(a, &[9; 4]).unwrap();
-        assert_eq!(p.dirty_pages(), 2);
-        // Commit releases the obligation; the failed write retries.
-        p.commit().unwrap();
-        assert_eq!(p.dirty_pages(), 0);
-        p.write_page(c, &[3; 4]).unwrap();
-        assert_eq!(p.with_page(c, |d| d[0]).unwrap(), 3);
-        assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 9);
-        assert_eq!(p.with_page(b, |d| d[0]).unwrap(), 2);
-        // The high-water stat recorded the peak obligation, and a
-        // reset restarts it from the *current* dirty count.
-        assert_eq!(p.stats().dirty_high_water, 2);
-        p.reset_stats();
-        assert_eq!(p.stats().dirty_high_water, 1);
-        p.validate().unwrap();
-    }
-
-    /// The ceiling is exact: however the writers of several threads
-    /// interleave, the dirty count stops at it — the check and the count
-    /// run under the writer lock — and every write past it is refused.
-    #[test]
-    fn racing_writers_stop_exactly_at_the_dirty_ceiling() {
-        const CEILING: u64 = 16;
-        let (p, _faults) = wal_pool(8);
-        p.set_dirty_ceiling(CEILING);
-        let ids: Vec<PageId> = (0..64).map(|_| p.allocate().unwrap()).collect();
-        let refused = AtomicU64::new(0);
+        let ids: Vec<PageId> = (0..PAGES).map(|_| p.allocate().unwrap()).collect();
         std::thread::scope(|s| {
             for chunk in ids.chunks(16) {
-                let (p, refused) = (&p, &refused);
+                let p = &p;
                 s.spawn(move || {
                     for &id in chunk {
-                        match p.write_page(id, &[7; 8]) {
-                            Ok(()) => {}
-                            Err(Error::Backpressure {
-                                dirty: CEILING,
-                                ceiling: CEILING,
-                            }) => {
-                                refused.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => panic!("unexpected: {e}"),
-                        }
+                        p.write_page(id, &[7; 8]).unwrap();
                     }
                 });
             }
         });
-        assert_eq!(p.dirty_pages(), CEILING);
-        assert_eq!(p.stats().dirty_high_water, CEILING);
-        assert_eq!(refused.into_inner(), 64 - CEILING);
+        assert_eq!(p.dirty_pages(), PAGES);
+        assert_eq!(p.stats().dirty_high_water, PAGES);
         p.validate().unwrap();
+        p.reset_stats();
+        assert_eq!(p.stats().dirty_high_water, PAGES);
     }
 
     /// Parks the pool's next log sync until the test opens the gate — a

@@ -481,28 +481,6 @@ impl SharedStore {
         })
     }
 
-    /// Sets the pool's dirty-frame ceiling: once this many uncommitted
-    /// pages are pinned in memory, further dirtying writes fail with
-    /// [`Error::Backpressure`]
-    /// until a [`commit`](Self::commit) releases them. `0` disables the
-    /// ceiling (the default). The ceiling is exact: writes are checked
-    /// and counted one at a time, under the store's writer lock, so the
-    /// dirty count never passes it.
-    pub fn set_dirty_ceiling(&self, ceiling: u64) {
-        self.pool.set_dirty_ceiling(ceiling)
-    }
-
-    /// Currently dirty (uncommitted) pages pinned in the buffer pool.
-    pub fn dirty_pages(&self) -> u64 {
-        self.pool.dirty_pages()
-    }
-
-    /// The configured dirty-page ceiling (`0` = disabled); see
-    /// [`set_dirty_ceiling`](Self::set_dirty_ceiling).
-    pub fn dirty_ceiling(&self) -> u64 {
-        self.pool.dirty_ceiling()
-    }
-
     /// Page size in bytes (including the checksum trailer) — the unit of
     /// I/O and of the Fig. 9a size metric.
     pub fn page_size(&self) -> usize {

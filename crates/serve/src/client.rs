@@ -3,18 +3,19 @@
 //! One [`Client`] owns one connection and runs strictly
 //! request/response: each call writes one frame and blocks for the
 //! matching reply. Typed [`Error`](proto::Response::Error) frames from
-//! the server come back as `Err` values; the connection stays usable
-//! after an `INVALID_ARGUMENT`, `DEADLINE_EXCEEDED` or `OVERLOADED`
-//! (the server only hangs up on protocol damage).
+//! the server come back as `Err` values, and no request is retried on
+//! its own; the connection stays usable after an `INVALID_ARGUMENT` or
+//! `DEADLINE_EXCEEDED` (the server only hangs up on protocol damage).
+//! A server at its connection limit refuses the dial itself with a
+//! typed `OVERLOADED` frame, which [`Client::connect`] returns as
+//! [`Error::Overloaded`].
 //!
-//! ## Overload backoff
+//! ## Reconnect backoff
 //!
-//! `OVERLOADED` frames are retried automatically with capped
-//! exponential backoff and *seeded* jitter: the first retry waits the
-//! server's retry-after hint, each further attempt doubles it (capped
-//! at [`BACKOFF_CAP_MS`]), and a deterministic jitter factor in
-//! `[0.5, 1.5)` drawn from the client's seeded RNG decorrelates
-//! stampeding clients without making tests flaky.
+//! [`reconnect`](Client::reconnect) retries the dial with capped
+//! exponential backoff (doubling up to [`BACKOFF_CAP_MS`]) and a jitter
+//! factor in `[0.5, 1.5)` drawn from the client's RNG, which
+//! decorrelates clients that lost their server at the same moment.
 //!
 //! ## Retry-safe writes
 //!
@@ -44,10 +45,6 @@ use crate::proto::{
 
 /// Ceiling on one backoff sleep.
 pub const BACKOFF_CAP_MS: u64 = 1000;
-
-/// Most automatic retries of one request under `OVERLOADED` before the
-/// typed error is handed to the caller.
-pub const MAX_OVERLOAD_RETRIES: u32 = 10;
 
 /// Most reconnect-and-replay cycles one
 /// [`commit_durable`](Client::commit_durable) attempts.
@@ -144,12 +141,6 @@ impl Client {
         &self.hello
     }
 
-    /// Seeds the jitter RNG (for deterministic backoff in tests and
-    /// sweeps).
-    pub fn set_backoff_seed(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
-    }
-
     /// Deadline carried by every subsequent request, in milliseconds
     /// (`0` = none).
     pub fn set_deadline_ms(&mut self, deadline_ms: u32) {
@@ -158,7 +149,7 @@ impl Client {
 
     /// Chooses the idempotency token the *next* write batch will use
     /// (must be nonzero). Without this, tokens are drawn from the
-    /// seeded RNG.
+    /// client's RNG.
     pub fn set_next_token(&mut self, token: u64) {
         self.next_token = Some(token.max(1));
     }
@@ -237,11 +228,13 @@ impl Client {
     }
 
     fn jitter(&mut self, d: Duration) -> Duration {
-        // Deterministic factor in [0.5, 1.5): decorrelates clients
-        // that share an overload moment without flaky sleeps.
+        // A factor in [0.5, 1.5): decorrelates clients that lost
+        // their server at the same moment.
         d.mul_f64(0.5 + self.rng.gen::<f64>())
     }
 
+    /// One request/response exchange; a typed error frame comes back
+    /// as `Err`, and nothing is retried.
     fn call_once(&mut self, req: &Request) -> Result<Response> {
         write_frame(
             &mut self.stream,
@@ -261,29 +254,8 @@ impl Client {
         Ok(resp)
     }
 
-    /// One request/response exchange, transparently retrying
-    /// `OVERLOADED` rejections with capped exponential backoff and
-    /// seeded jitter. Every other error is handed to the caller.
-    fn call(&mut self, req: &Request) -> Result<Response> {
-        let mut attempt = 0u32;
-        loop {
-            match self.call_once(req) {
-                Err(Error::Overloaded { retry_after_ms }) if attempt < MAX_OVERLOAD_RETRIES => {
-                    let base = u64::from(retry_after_ms.max(1));
-                    let backed = base
-                        .saturating_mul(1 << attempt.min(10))
-                        .min(BACKOFF_CAP_MS);
-                    let sleep = self.jitter(Duration::from_millis(backed));
-                    std::thread::sleep(sleep);
-                    attempt += 1;
-                }
-                other => return other,
-            }
-        }
-    }
-
     fn expect_sum(&mut self, req: &Request) -> Result<f64> {
-        match self.call(req)? {
+        match self.call_once(req)? {
             Response::Sum(v) => Ok(v),
             other => Err(corrupt(format!(
                 "expected a sum frame, got {}",
@@ -293,7 +265,7 @@ impl Client {
     }
 
     fn expect_ok(&mut self, req: &Request) -> Result<u64> {
-        match self.call(req)? {
+        match self.call_once(req)? {
             Response::Ok { objects } => Ok(objects),
             other => Err(corrupt(format!(
                 "expected an ok frame, got {}",
@@ -430,7 +402,7 @@ impl Client {
 
     /// Fetches the server's serving statistics.
     pub fn stats(&mut self) -> Result<ServeStats> {
-        match self.call(&Request::Stats)? {
+        match self.call_once(&Request::Stats)? {
             Response::StatsReply(stats) => Ok(stats),
             other => Err(corrupt(format!(
                 "expected a stats frame, got {}",

@@ -7,10 +7,11 @@
 //!   responses, and the frame layer shared by both sides);
 //! - [`server`] — the serving loop: one thread per connection, each
 //!   read answered inline on a pinned snapshot and each commit run on
-//!   its own connection thread under the write lock, overload refused
-//!   with typed `OVERLOADED` frames, deadlines enforced end to end;
+//!   its own connection thread under the write lock, connections past
+//!   the limit refused with a typed `OVERLOADED` frame, deadlines
+//!   enforced end to end;
 //! - [`client`] — a blocking request/response client with capped,
-//!   seeded-jitter backoff and idempotency-token retry;
+//!   jittered reconnect backoff and idempotency-token retry;
 //! - [`fault`] — deterministic network fault injection
 //!   ([`fault::FaultStream`]), the socket-level mirror of the
 //!   pagestore's `FaultPager`.

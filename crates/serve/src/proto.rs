@@ -21,7 +21,8 @@
 //! client-chosen idempotency token (and a per-token sequence number on
 //! buffered ops) so a commit retried across a reconnect or server
 //! restart applies exactly once; error frames carry a retry-after hint
-//! so [`code::OVERLOADED`] rejections can steer client backoff.
+//! so an accept-time [`code::OVERLOADED`] refusal can say when to dial
+//! again.
 //!
 //! Failure taxonomy mirrors the WAL's: a cleanly closed connection at a
 //! frame boundary is EOF (like a truncated-but-valid log tail), while a
@@ -61,9 +62,9 @@ pub mod code {
     /// The request's deadline elapsed before the server could answer;
     /// the work was dropped (possibly before it ever started).
     pub const DEADLINE_EXCEEDED: u16 = 5;
-    /// The server turned the request away under load (connection limit
-    /// or dirty-page backpressure). The frame carries a retry-after
-    /// hint; retrying after it is always safe.
+    /// The server turned the connection away at accept: it already
+    /// serves its connection limit. The frame carries a retry-after
+    /// hint; dialling again after it is always safe.
     pub const OVERLOADED: u16 = 6;
 }
 
@@ -168,9 +169,9 @@ pub struct ServeStats {
     pub commit_rounds: u64,
     /// Structurally broken frames answered with a typed error.
     pub protocol_errors: u64,
-    /// Requests answered `OVERLOADED`: writes the store's dirty-page
-    /// ceiling refused, the only shedding the server does. Connections
-    /// refused at accept count in `refused_conns`.
+    /// Always 0: no admitted request is answered `OVERLOADED`, since
+    /// the server sheds only connections, at accept (counted in
+    /// `refused_conns`). The field keeps its place on the wire.
     pub shed: u64,
     /// Requests dropped because their deadline had already expired.
     pub expired: u64,
@@ -198,8 +199,9 @@ pub enum Response {
         objects: u64,
     },
     /// A typed failure; the connection stays open for
-    /// [`code::INVALID_ARGUMENT`], [`code::DEADLINE_EXCEEDED`] and
-    /// [`code::OVERLOADED`], and closes for [`code::PROTOCOL`].
+    /// [`code::INVALID_ARGUMENT`] and [`code::DEADLINE_EXCEEDED`], and
+    /// closes for [`code::PROTOCOL`] and the accept-time
+    /// [`code::OVERLOADED`].
     Error {
         /// One of the [`code`] constants.
         code: u16,
@@ -563,16 +565,13 @@ pub fn decode_response(body: &[u8]) -> Result<Response> {
     Ok(resp)
 }
 
-/// Maps a server-side error onto a wire error code. Dirty-page
-/// [`Backpressure`](Error::Backpressure) is overload, not an internal
-/// fault: the write was refused cleanly and retrying after a commit
-/// round is safe.
+/// Maps a server-side error onto a wire error code.
 pub fn code_for(err: &Error) -> u16 {
     match err {
         Error::InvalidArgument(_) => code::INVALID_ARGUMENT,
         Error::ReadOnly { .. } => code::READ_ONLY,
         Error::DeadlineExceeded { .. } => code::DEADLINE_EXCEEDED,
-        Error::Backpressure { .. } | Error::Overloaded { .. } => code::OVERLOADED,
+        Error::Overloaded { .. } => code::OVERLOADED,
         _ => code::INTERNAL,
     }
 }
@@ -584,7 +583,6 @@ pub fn retry_after_for(err: &Error, fallback_ms: u32) -> u32 {
     match err {
         Error::Overloaded { retry_after_ms } if *retry_after_ms > 0 => *retry_after_ms,
         Error::Overloaded { .. } => fallback_ms,
-        Error::Backpressure { .. } => fallback_ms,
         _ => 0,
     }
 }
@@ -816,29 +814,11 @@ mod tests {
             code_for(&Error::Overloaded { retry_after_ms: 5 }),
             code::OVERLOADED
         );
-        assert_eq!(
-            code_for(&Error::Backpressure {
-                dirty: 96,
-                ceiling: 96
-            }),
-            code::OVERLOADED,
-            "dirty-page backpressure must surface as OVERLOADED, not INTERNAL"
-        );
     }
 
     #[test]
     fn retry_after_hints_only_accompany_overload() {
         assert_eq!(retry_after_for(&invalid_arg("x"), 40), 0);
-        assert_eq!(
-            retry_after_for(
-                &Error::Backpressure {
-                    dirty: 96,
-                    ceiling: 96
-                },
-                40
-            ),
-            40
-        );
         assert_eq!(
             retry_after_for(&Error::Overloaded { retry_after_ms: 15 }, 40),
             15

@@ -64,18 +64,16 @@
 //! in flight too. The accept loop refuses a connection past it with one
 //! typed [`OVERLOADED`](proto::code::OVERLOADED) frame, then closes —
 //! never a silent drop. A connection's slot is released by a guard its
-//! thread owns, so a handler that dies still gives the slot back. A
-//! write the pagestore's dirty-page ceiling refuses
-//! (`Error::Backpressure`) answers `OVERLOADED` with a retry-after
-//! hint, and the connection stays open.
+//! thread owns, so a handler that dies still gives the slot back. An
+//! admitted request is never answered `OVERLOADED`.
 //!
 //! Malformed frames (bad checksum, truncation, alien tags) get a typed
 //! [`code::PROTOCOL`] error frame and the connection closes;
 //! semantically invalid requests on a well-formed frame get
 //! [`code::INVALID_ARGUMENT`] and the connection stays usable. Every
 //! error path answers a typed frame before closing; the server never
-//! panics on hostile bytes. If a commit fails for a non-overload
-//! reason, the write path **fail-stops** (every later write answers
+//! panics on hostile bytes. If a commit fails, the write path
+//! **fail-stops** (every later write answers
 //! `INTERNAL` until the process restarts): continuing to mutate an
 //! engine whose durable state is unknown would forfeit the exactly-once
 //! guarantee.
@@ -166,7 +164,6 @@ struct Counters {
     node_decodes: AtomicU64,
     commits: AtomicU64,
     protocol_errors: AtomicU64,
-    shed: AtomicU64,
     expired: AtomicU64,
     replays: AtomicU64,
     refused_conns: AtomicU64,
@@ -192,8 +189,8 @@ struct WriteState {
     applied: HashMap<u64, u32>,
     /// Admission order of `applied`, for FIFO eviction.
     order: VecDeque<u64>,
-    /// Set when a commit failed for a non-overload reason; every
-    /// later write answers `INTERNAL` until the server restarts.
+    /// Set when a commit failed; every later write answers
+    /// `INTERNAL` until the server restarts.
     poisoned: bool,
 }
 
@@ -244,7 +241,8 @@ struct Shared {
 impl Shared {
     /// `groups` and `commit_rounds` keep their places on the wire and
     /// equal `queries` and `commits`: each read pins its own snapshot,
-    /// and each commit runs alone under the write lock.
+    /// and each commit runs alone under the write lock. `shed` keeps
+    /// its place as 0: no admitted request is shed.
     fn stats(&self) -> ServeStats {
         let queries = self.counters.queries.load(Ordering::Relaxed);
         let commits = self.counters.commits.load(Ordering::Relaxed);
@@ -256,7 +254,7 @@ impl Shared {
             commits,
             commit_rounds: commits,
             protocol_errors: self.counters.protocol_errors.load(Ordering::Relaxed),
-            shed: self.counters.shed.load(Ordering::Relaxed),
+            shed: 0,
             expired: self.counters.expired.load(Ordering::Relaxed),
             replays: self.counters.replays.load(Ordering::Relaxed),
             refused_conns: self.counters.refused_conns.load(Ordering::Relaxed),
@@ -598,17 +596,6 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared) {
             }
         };
         let resp = dispatch(shared, req, Deadline::from_budget(deadline_ms));
-        // The requests answered `OVERLOADED` here are the writes the
-        // store's dirty-page ceiling refused: the server's only shedding.
-        if matches!(
-            resp,
-            Response::Error {
-                code: code::OVERLOADED,
-                ..
-            }
-        ) {
-            shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-        }
         last_active = Instant::now();
         if !send_response(&mut stream, &resp) {
             return;
@@ -725,23 +712,18 @@ fn commit(shared: &Shared, deadline: Deadline, token: u64) -> Response {
             Response::Ok { objects }
         }
         Err(e) => {
-            if !matches!(e, Error::Backpressure { .. }) {
-                // Fail-stop: the engine's durable state is now
-                // unknown; more writes could smear a half-committed
-                // image. Reads (snapshots of the last committed epoch)
-                // stay safe.
-                w.poisoned = true;
-            }
+            // Fail-stop: the engine's durable state is now unknown;
+            // more writes could smear a half-committed image. Reads
+            // (snapshots of the last committed epoch) stay safe.
+            w.poisoned = true;
             error_response(&e)
         }
     }
 }
 
 /// The shared insert/delete path: deadline re-check, fail-stop check,
-/// backpressure admission, `(token, seq)` replay filtering (in-memory
-/// and against durable tokens), then the engine mutation. Dirty-page
-/// `Backpressure` from the store passes through typed — the wire maps
-/// it to `OVERLOADED`.
+/// `(token, seq)` replay filtering (in-memory and against durable
+/// tokens), then the engine mutation.
 fn apply_write(
     shared: &Shared,
     deadline: Deadline,
@@ -774,21 +756,6 @@ fn apply_write(
             return Response::Ok {
                 objects: w.engine.len() as u64,
             };
-        }
-    }
-    // Admission check: a store already at its dirty-page ceiling would
-    // refuse the op midway through its page writes, leaving the engine
-    // partially mutated — and a partially applied op is NOT made safe
-    // by the `(token, seq)` filter, because a failed op is never
-    // recorded and its retry re-applies it whole. Refusing up front
-    // keeps refused writes side-effect-free, so the client's backoff
-    // retry is exactly-once. (Replays are answered above even at the
-    // ceiling: they touch no pages.)
-    let ceiling = shared.store.dirty_ceiling();
-    if ceiling != 0 {
-        let dirty = shared.store.dirty_pages();
-        if dirty >= ceiling {
-            return error_response(&Error::Backpressure { dirty, ceiling });
         }
     }
     match op(&mut w) {

@@ -1,7 +1,7 @@
 //! Robustness tests for the serving layer: connection caps, deadlines
-//! (including slowloris starvation), dirty-page backpressure,
-//! typed-frame-before-close discipline, concurrent commits, and
-//! retry-safe writes under injected connection death.
+//! (including slowloris starvation), typed-frame-before-close
+//! discipline, concurrent commits, write batches many times the buffer,
+//! and retry-safe writes under injected connection death.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use boxagg_common::error::{Error, Result};
 use boxagg_common::geom::Rect;
 use boxagg_common::rng::StdRng;
-use boxagg_core::catalog::SnapshotBoxSum;
+use boxagg_core::catalog::{open_corner_engine, SnapshotBoxSum};
 use boxagg_core::engine::SimpleBoxSum;
 use boxagg_pagestore::wal::WalFile;
 use boxagg_pagestore::{
@@ -388,64 +388,60 @@ fn slowloris_cannot_hold_a_worker_past_the_read_deadline() {
     server.shutdown();
 }
 
-/// Satellite 3: the pagestore's dirty-page ceiling surfaces through
-/// the network path as a typed `OVERLOADED` (never `INTERNAL`), the
-/// refused write has no side effects, and the client's backoff retry
-/// succeeds once the pressure lifts.
+/// A served write batch many times the buffer commits whole: a no-steal
+/// pool pins every page the batch dirties past its eight frames, no
+/// write is turned away, and the committed corner trees are consistent
+/// and answer bit for bit as an in-process engine over the same objects.
 #[test]
-fn dirty_page_backpressure_is_typed_overloaded_and_recovers_after_backoff() {
-    let (store, _space) = seeded_store(60, 13);
-    let server = ServerHandle::bind(
-        store.clone(),
-        "127.0.0.1:0",
-        ServeConfig {
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind server");
-    let addr = server.local_addr();
-
-    let mut client = Client::connect(addr).expect("connect");
-    client.set_backoff_seed(0x5EED);
-    let obj_a = Rect::from_bounds(&[(0.1, 0.2), (0.1, 0.2)]);
-    let obj_b = Rect::from_bounds(&[(0.7, 0.8), (0.7, 0.8)]);
-    let n = client.insert(&obj_a, 5.0).expect("insert under no ceiling");
-    assert_eq!(n, 61);
-
-    // Clamp the ceiling at the current dirty count: every further
-    // write must be refused up front.
-    store.set_dirty_ceiling(store.dirty_pages().max(1));
-    let err = client
-        .insert(&obj_b, 7.0)
-        .expect_err("write at the ceiling must be refused");
-    assert!(
-        matches!(err, Error::Overloaded { .. }),
-        "backpressure must surface as typed OVERLOADED, got: {err}"
-    );
-    // The refusal was side-effect-free: the engine still holds 61.
-    assert_eq!(Client::connect(addr).expect("probe").hello().objects, 61);
-
-    // Lift the pressure while the client is mid-backoff: the retry
-    // loop must land the write without the caller seeing any error.
-    let lifter = {
-        let store = store.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(150));
-            store.set_dirty_ceiling(0);
-        })
+fn a_write_batch_many_times_the_buffer_commits_whole() {
+    const PAGE: usize = 1024;
+    const OBJECTS: usize = 300;
+    let dir = boxagg_common::tempdir::tempdir().expect("tempdir");
+    let cfg = StoreConfig {
+        page_size: PAGE,
+        buffer_pages: 8,
+        backing: Backing::File(dir.path().join("batch.pages")),
+        node_cache_pages: 0,
+        wal: true,
     };
-    let n = client
-        .insert(&obj_b, 7.0)
-        .expect("backoff must ride out the pressure");
-    assert_eq!(n, 62);
-    lifter.join().expect("lifter thread");
+    let (store, space) = seed_store(SharedStore::open(&cfg).expect("create store"), 0, 0);
+    let reference_store =
+        SharedStore::open(&StoreConfig::small(PAGE, 1 << 12).with_wal(true)).expect("open");
+    let mut reference = SimpleBoxSum::batree_in(space, reference_store).expect("create engine");
+    let server = ServerHandle::bind(store.clone(), "127.0.0.1:0", ServeConfig::default())
+        .expect("bind server");
 
-    let n = client.commit().expect("commit");
-    assert_eq!(n, 62);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut rng = StdRng::seed_from_u64(0xB16);
+    for i in 0..OBJECTS {
+        let (r, v) = (rand_rect(&mut rng, 2, 0.3), (i % 7) as f64 + 0.5);
+        assert_eq!(client.insert(&r, v).expect("served insert"), i as u64 + 1);
+        reference.insert(&r, v).expect("reference insert");
+    }
+    assert_eq!(client.commit_durable().expect("commit"), OBJECTS as u64);
+    let dirtied = store.stats().dirty_high_water;
+    assert!(dirtied > 8 * 4, "the batch dirtied only {dirtied} pages");
+
+    let queries: Vec<Rect> = (0..64)
+        .map(|_| rand_rect(&mut rng, 2, 0.5))
+        .chain([space])
+        .collect();
+    for q in &queries {
+        let served = client.box_sum(q).expect("served box-sum");
+        let local = reference.query(q).expect("reference box-sum");
+        assert_eq!(served.to_bits(), local.to_bits(), "box {q:?}");
+    }
     let stats = client.stats().expect("stats");
-    assert!(stats.shed >= 1, "the refused write was never counted");
+    assert_eq!(stats.shed, 0);
     assert!(stats.validate_ok);
     server.shutdown();
+
+    let (committed, _) = open_corner_engine(&store).expect("open the committed engine");
+    assert_eq!(committed.len(), OBJECTS);
+    for (mask, tree) in committed.indexes().iter().enumerate() {
+        tree.check_consistency()
+            .unwrap_or_else(|e| panic!("corner {mask}: {e}"));
+    }
 }
 
 /// Satellite 5 (fixture): every way a connection can go wrong answers
@@ -795,7 +791,6 @@ fn commit_durable_rides_through_a_killed_connection() {
 
     let handle = StreamFaultHandle::new();
     let mut client = Client::connect_faulted(addr, handle.clone()).expect("connect");
-    client.set_backoff_seed(0xC0);
     client.set_next_token(0x99);
     let whole = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
     let before = client.box_sum(&whole).expect("baseline sum");
