@@ -39,7 +39,10 @@
 //!    sorted once per border direction by (kept coordinate, cell,
 //!    index), and border `k` of `r` is the `partition_point` range of
 //!    `r`'s extent in the kept dimension, filtered to `x[k] < r.low[k]`:
-//!    in the order the 1-d build packs, with nothing left to sort.
+//!    in the order the 1-d build packs, with nothing left to sort. That
+//!    build (`ops::bulk_build_1d`) spreads a border's entries evenly
+//!    over as few leaves as packing them full would take, so the leaves
+//!    keep room for the inserts that reach them later.
 //! 4. Recurse into each cell.
 //!
 //! Pages are allocated in one order: each record's borders in dimension

@@ -378,8 +378,8 @@ pub(crate) fn build_border<V: AggValue>(
 /// Builds a fresh tree from entries (NULL for none). Used to rebuild
 /// border trees during splits and by the bulk loader for the borders of
 /// trees of three or more dimensions. One-dimensional trees (every
-/// border of a 2-d BA-tree) are bulk-built with packed leaves and prefix
-/// subtotals; higher dimensions fall back to repeated insertion.
+/// border of a 2-d BA-tree) are bulk-built by [`bulk_build_1d`], leaves
+/// filled evenly; higher dimensions fall back to repeated insertion.
 pub(crate) fn build_tree<V: AggValue>(
     ctx: Ctx<'_>,
     dim: usize,
@@ -405,12 +405,17 @@ pub(crate) fn build_tree<V: AggValue>(
 
 /// Bottom-up bulk construction of a 1-d BA-tree (an aggregate B-tree)
 /// from `(key, value)` entries in ascending key order: coincident keys
-/// merge into the first of them, in the order given; leaves are packed
-/// full in key order; each index record's box spans from its subtree's
-/// first key to the next sibling's first key (tiling the space), and its
-/// subtotal is the sum of the earlier siblings' subtrees *within the
-/// node* — exactly the state dynamic insertion would converge to, so
-/// later inserts and splits work unchanged.
+/// merge into the first of them, in the order given. The `n` merged
+/// entries fill `⌈n / leaf_cap⌉` leaves in key order — as few as packing
+/// them full would — with entry counts that differ by at most one (the
+/// earlier leaves take the extra entries), so every leaf keeps its share
+/// of the free slots and an insert that reaches one need not split it.
+/// Index levels are packed full. Each index record's box spans from its
+/// subtree's first key to the next sibling's first key (tiling the
+/// space), and its subtotal is the sum of the earlier siblings' subtrees
+/// *within the node* — exactly the state dynamic insertion would
+/// converge to, so later inserts and splits work unchanged. No entries
+/// build no tree (NULL).
 pub(crate) fn bulk_build_1d<V: AggValue>(
     ctx: Ctx<'_>,
     space: &Rect,
@@ -430,20 +435,25 @@ pub(crate) fn bulk_build_1d<V: AggValue>(
     }
     debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys not sorted");
 
-    // Pack leaves. Item: (first key, page, subtree sum).
-    let leaf_cap = ctx.leaf_cap(1);
-    let mut items: Vec<(f64, PageId, V)> = Vec::new();
-    for (keys, values) in keys.chunks(leaf_cap).zip(values.chunks(leaf_cap)) {
+    // Spread the leaves. Item: (first key, page, subtree sum).
+    let n = keys.len();
+    let leaves = n.div_ceil(ctx.leaf_cap(1));
+    let mut items: Vec<(f64, PageId, V)> = Vec::with_capacity(leaves);
+    let mut start = 0;
+    for i in 0..leaves {
+        let end = start + n / leaves + usize::from(i < n % leaves);
         let mut sum = V::zero();
-        for v in values {
+        for v in &values[start..end] {
             sum.add_assign(v);
         }
-        let leaf = EntrySlab::from_columns(1, keys.to_vec(), values.to_vec());
+        let leaf =
+            EntrySlab::from_columns(1, keys[start..end].to_vec(), values[start..end].to_vec());
         let id = ctx.write_new(1, &Node::Leaf(leaf))?;
-        items.push((keys[0], id, sum));
+        items.push((keys[start], id, sum));
+        start = end;
     }
-    if items.len() == 1 {
-        return Ok(items[0].1);
+    if items.len() <= 1 {
+        return Ok(items.first().map_or(PageId::NULL, |it| it.1));
     }
 
     // Pack index levels.

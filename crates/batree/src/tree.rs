@@ -916,4 +916,111 @@ mod tests {
         assert_eq!(pinned_pass(), first_epoch + ROUNDS as u64);
         store.validate().unwrap();
     }
+
+    /// `(entries per leaf, index pages)` of the 1-d tree at `root`, in
+    /// key order.
+    fn leaf_sizes(ctx: ops::Ctx<'_>, root: PageId) -> (Vec<usize>, usize) {
+        let (mut leaves, mut index) = (Vec::new(), 0);
+        let mut stack = vec![root];
+        while let Some(id) = stack.pop() {
+            match &*ctx.read_shared::<f64>(id, 1).unwrap() {
+                crate::node::Node::Leaf(slab) => leaves.push(slab.len()),
+                crate::node::Node::Index(records) => {
+                    index += 1;
+                    stack.extend(records.iter().rev().map(|r| r.child));
+                }
+            }
+        }
+        (leaves, index)
+    }
+
+    #[test]
+    fn the_1d_packer_spreads_entries_over_as_few_leaves_as_full_packing() {
+        let space = unit_space(1);
+        let probe: BATree<f64> = small_tree(1, 256);
+        let (cap, index_cap) = (
+            probe.nodes.ctx().leaf_cap(1),
+            probe.nodes.ctx().index_cap(1),
+        );
+        assert!(cap > 4 && index_cap > 2, "cap {cap}, index cap {index_cap}");
+        let mut s = 0x9AC4u64;
+        let sizes = [
+            0,
+            1,
+            cap,
+            cap + 1,
+            2 * cap + 1,
+            3 * cap - 1,
+            cap * index_cap + 1,
+        ];
+        for n in sizes {
+            let t: BATree<f64> = small_tree(1, 256);
+            let ctx = t.nodes.ctx();
+            // Distinct ascending keys and small integer values, so every
+            // sum is exact whatever order it adds in.
+            let entries: Vec<(f64, f64)> = (0..n)
+                .map(|i| {
+                    (
+                        (i as f64 + rnd(&mut s)) / n as f64,
+                        (rnd(&mut s) * 64.0).floor() - 32.0,
+                    )
+                })
+                .collect();
+            let before = t.store().allocated_pages();
+            let root = ops::bulk_build_1d(ctx, &space, entries.iter().copied()).unwrap();
+            let written = t.store().allocated_pages() - before;
+            if n == 0 {
+                assert!(root.is_null(), "no entries, no tree");
+                assert_eq!(written, 0);
+                continue;
+            }
+            let (leaves, index) = leaf_sizes(ctx, root);
+            assert_eq!(leaves.len(), n.div_ceil(cap), "n = {n}: leaves");
+            assert_eq!(leaves.iter().sum::<usize>(), n, "n = {n}: entries");
+            let (lo, hi) = (leaves.iter().min().unwrap(), leaves.iter().max().unwrap());
+            assert!(hi - lo <= 1, "n = {n}: leaf sizes {leaves:?}");
+            assert_eq!(written, (leaves.len() + index) as u64, "n = {n}: pages");
+            ops::check_consistency(ctx, 1, &space, root).unwrap();
+            let keys = entries.iter().map(|e| e.0);
+            let probes = keys
+                .clone()
+                .chain(keys.map(f64::next_down))
+                .chain([0.0, 1.0]);
+            for q in probes {
+                let want: f64 = entries.iter().filter(|e| e.0 <= q).map(|e| e.1).sum();
+                let got: f64 = ops::tree_query(ctx, 1, &space, root, &Point::new(&[q])).unwrap();
+                assert_eq!(got, want, "n = {n}, q = {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn inserts_into_a_bulk_loaded_tree_find_room_in_its_border_leaves() {
+        // At 512-byte pages no border is inline, and the borders of the
+        // upper index records hold hundreds of points: 1-d trees of
+        // several leaves each. An insert adds an entry to a leaf of
+        // most of the borders on its path; a full leaf splits there.
+        const BATCH: usize = 200;
+        let mut s = 0x6A0Fu64;
+        let points: Vec<(Point, f64)> = (0..6000)
+            .map(|_| (Point::from_fn(2, |_| rnd(&mut s)), 1.0 + rnd(&mut s) * 99.0))
+            .collect();
+        let store = SharedStore::open(&StoreConfig::small(512, 64)).unwrap();
+        let mut t: BATree<f64> =
+            BATree::bulk_load(store.clone(), unit_space(2), 8, points).unwrap();
+        let loaded = store.allocated_pages();
+        for _ in 0..BATCH {
+            t.insert(Point::from_fn(2, |_| rnd(&mut s)), 1.0).unwrap();
+        }
+        // The bound sits between what these inserts allocate with the
+        // border leaves filled evenly (256 pages) and with each leaf
+        // filled to capacity but a border's last (539), over the same
+        // 2,348-page load.
+        let grown = store.allocated_pages() - loaded;
+        assert!(
+            grown <= 3 * BATCH as u64 / 2,
+            "{BATCH} inserts allocated {grown} pages over a {loaded}-page load"
+        );
+        t.check_consistency().unwrap();
+    }
 }

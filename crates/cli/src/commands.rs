@@ -679,8 +679,10 @@ mod tests {
         };
         check(&objects);
 
-        // Bulk load packs every node full, so the first insert into the
-        // reopened file splits: the split's new pages grow the file.
+        // A border whose entries nearly fill its leaves keeps full
+        // leaves after a bulk load (it takes as few leaves as packing
+        // full would), so the first insert into the reopened file
+        // splits one: the split's new pages grow the file.
         let bytes = || std::fs::metadata(&pages).unwrap().len();
         let before = bytes();
         let out = insert(&pages, "20,30,20,30,7").unwrap();

@@ -92,7 +92,7 @@ scheme  pages  MiB  build s
     aR     43  0.1        -
  ECDFu    196  0.4        -
  ECDFq  1,392  2.7        -
-   BAT    840  1.6        -
+   BAT    788  1.5        -
 "#;
 
 const FIG9B: &str = r#"
@@ -102,7 +102,7 @@ scheme  QBS 0.01%  QBS 0.1%  QBS 1%  QBS 10%
     aR          0         0       0        0
  ECDFu          0         0       0        0
  ECDFq        476       270     168      130
-   BAT        476       258     247      134
+   BAT        468       293     258      122
 "#;
 
 const FIG9C: &str = r#"
@@ -110,17 +110,17 @@ const FIG9C: &str = r#"
 scheme   I/Os  CPU ms  exec ms
 ------  -----  ------  -------
  aR_d0      0       -        -
-BAT_d0  1,388       -        -
+BAT_d0  1,381       -        -
  aR_d2      0       -        -
-BAT_d2  2,290       -        -
+BAT_d2  2,291       -        -
 
 == Fig. 9c supplement: I/Os per query vs n (degree 0, QBS 1%) — aR grows ∝ √n, BAT ∝ log n ==
     n  aR I/O per q  BAT I/O per q  aR / BAT
 -----  ------------  -------------  --------
   500           0.0            0.0      0.00
 1,000           0.0           13.2      0.00
-2,000           0.0           27.6      0.00
-4,000           0.0           34.9      0.00
+2,000           0.0           27.7      0.00
+4,000           0.0           35.1      0.00
 "#;
 
 const TABLE1: &str = r#"
@@ -146,33 +146,33 @@ const R200: &str = r#"
 == Plain R*-tree vs aR-tree vs BA-tree: total I/Os over 50 queries (n = 2,000) ==
   QBS  plain R*  aR  BAT  plain/BAT  aR/BAT
 -----  --------  --  ---  ---------  ------
-0.01%         0   0  534       0.0x    0.0x
- 0.1%         0   0  288       0.0x    0.0x
+0.01%         0   0  501       0.0x    0.0x
+ 0.1%         0   0  289       0.0x    0.0x
    1%         0   0  196       0.0x    0.0x
-  10%         0   0   92       0.0x    0.0x
+  10%         0   0   96       0.0x    0.0x
 
 == Supplement: plain-R*/BAT ratio vs n (QBS 10%) — the gap grows toward the paper's >200x ==
     n  plain R*  BAT  ratio
 -----  --------  ---  -----
   500         0    1   0.0x
 1,000         0    1   0.0x
-2,000         0  226   0.0x
-4,000         0  874   0.0x
+2,000         0  236   0.0x
+4,000         0  883   0.0x
 "#;
 
 const ABLATION: &str = r#"
 == Ablation 1: reduction choice over identical BA-tree backends (d = 2) ==
    reduction  dominance queries  total I/Os  I/Os per box-sum
 ------------  -----------------  ----------  ----------------
-corner (2^d)                200         374               7.5
-EO (3^d - 1)                400         564              11.3
+corner (2^d)                200         360               7.2
+EO (3^d - 1)                400         528              10.6
 
 == Ablation 2: BA-tree (corner engine) vs page size, QBS 1% ==
 page B  pages  MiB  I/Os per query  build s
 ------  -----  ---  --------------  -------
-  2048    840  1.6             7.5        -
-  4096    292  1.1             1.6        -
-  8192    100  0.8             0.0        -
+  2048    788  1.5             7.2        -
+  4096    272  1.1             1.4        -
+  8192     96  0.8             0.0        -
  16384     36  0.6             0.0        -
 "#;
 
@@ -180,8 +180,8 @@ const DIM3: &str = r#"
 == 3-d box-sum: total I/Os over 50 queries (n = 2,000, 8 dominance-sums per query) ==
   QBS  aR    BAT
 -----  --  -----
-0.01%   0  2,953
+0.01%   0  2,952
  0.1%   0  2,475
-   1%   0  1,926
-  10%   0    613
+   1%   0  1,925
+  10%   0    615
 "#;

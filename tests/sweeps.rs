@@ -33,13 +33,13 @@ fn retry(scheme: Scheme, torn: bool) -> Tally {
 #[test]
 fn batree_exhaustive_error_sweep() {
     let t = retry(Scheme::BaTree, false);
-    assert_tally(&t, 428, &[("build", 327), ("query", 101)]);
+    assert_tally(&t, 421, &[("build", 320), ("query", 101)]);
 }
 
 #[test]
 fn batree_exhaustive_torn_write_sweep() {
     let t = retry(Scheme::BaTree, true);
-    assert_tally(&t, 428, &[("build", 327), ("query", 101)]);
+    assert_tally(&t, 421, &[("build", 320), ("query", 101)]);
 }
 
 #[test]
