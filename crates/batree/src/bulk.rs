@@ -182,17 +182,8 @@ fn bulk_node<V: AggValue>(
                 .into_iter()
                 .enumerate()
                 .map(|(k, list)| {
-                    if list.len() <= cap {
-                        return Ok(BorderRef::Inline(cols.slab(&list, Some(k))));
-                    }
                     let entries = cols.slab(&list, Some(k)).into_entries();
-                    let sub_space = space.drop_dim(k);
-                    Ok(BorderRef::Tree(ops::build_tree(
-                        ctx,
-                        dim - 1,
-                        &sub_space,
-                        entries,
-                    )?))
+                    ops::build_border(ctx, dim, space, k, entries)
                 })
                 .collect::<Result<Vec<_>>>()?,
         };
@@ -391,10 +382,6 @@ impl Stripe {
             return Ok(BorderRef::Inline(cols.slab(&idx, Some(k))));
         }
         let entries = hits.iter().map(|p| (p.key, cols.value(p.i).clone()));
-        Ok(BorderRef::Tree(ops::bulk_build_1d(
-            ctx,
-            &space.drop_dim(k),
-            entries,
-        )?))
+        ops::bulk_build_1d(ctx, &space.drop_dim(k), entries)
     }
 }

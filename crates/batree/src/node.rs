@@ -6,8 +6,17 @@
 //! ```text
 //! leaf:   [tag=0:u8][count:u16] ([point: 8·d][value: var])*
 //! index:  [tag=1:u8][count:u16] ([rect: 16·d][child: u64]
-//!                                [border roots: 8·d][subtotal: var])*
+//!                                [border: var]·d [subtotal: var])*
+//! border: [tag=0:u8][count:u16] ([point: 8·(d−1)][value: var])*   inline entries
+//!       | [tag=1:u8][root: u64]                                   a border tree
+//!       | [tag=2:u8][c:u8] [bound: f64]·(c+1)                     a directory
+//!                          ([child: u64][subtotal: var])·c
 //! ```
+//!
+//! A directory is the top level of a 1-d border tree held in the record:
+//! record `i` covers `[bound_i, bound_(i+1)]` and holds its child's page
+//! and the sum of its earlier siblings' subtrees — the records the tree's
+//! root page would hold, with no page of their own.
 //!
 //! Values are variable-size (scalars vs polynomial tuples), so node
 //! capacities are computed from the configured worst-case value size —
@@ -29,10 +38,23 @@ use boxagg_pagestore::{PageId, RootEntry, RootKind};
 /// Fanout floor used to size the inline-border budget.
 const MIN_INDEX_FANOUT: usize = 32;
 
+/// Border tag: entries inline in the record.
+const INLINE: u8 = 0;
+/// Border tag: the root page of a border tree.
+const TREE: u8 = 1;
+/// Border tag: a 1-d border tree's top level, held in the record.
+const DIR: u8 = 2;
+
 /// The BA-tree's page layout. A node's `at` is its dimension: the
 /// border trees of a `d`-dim node are `(d−1)`-dim BA-trees.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Ba;
+///
+/// The default layout holds no directories; [`Layout::sized`] gives it
+/// its page size's [`dir_cap`](Ba::dir_cap).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Ba {
+    /// Most records a directory holds.
+    dir_cap: usize,
+}
 
 /// A decoded BA-tree node.
 pub(crate) type Node<V> = paged::Node<V, Ba>;
@@ -64,17 +86,77 @@ impl Ba {
         ((budget - base) / (dim * Self::border_entry_size(params, dim))).min(64)
     }
 
+    /// Most records a directory holds at this page size: as many as
+    /// keep it (a tag, a count and its last bound, then a bound, a child
+    /// and a subtotal per record) within the bytes a full inline border
+    /// takes, so the record's worst case — and the index fan-out — stays
+    /// that of the inline cap.
+    fn directory_cap(params: &PageParams) -> usize {
+        let inline = Self::inline_border_cap(params, 2) * Self::border_entry_size(params, 2);
+        inline.saturating_sub(8) / (16 + params.max_value_size)
+    }
+
+    /// Most records a `border_dim`-dimensional border tree's top level
+    /// may hold as a directory in its owning record: only 1-d border
+    /// trees have one.
+    pub(crate) fn dir_cap(&self, border_dim: usize) -> usize {
+        if border_dim == 1 {
+            self.dir_cap
+        } else {
+            0
+        }
+    }
+
     /// Record bytes excluding inline border entries: box + child +
     /// subtotal + per-border header (tag byte + the larger of a count or
     /// a page id).
     fn index_record_base_size(params: &PageParams, dim: usize) -> usize {
         Rect::encoded_size(dim) + 8 + params.max_value_size + dim * (1 + 8)
     }
+
+    /// A directory's records, after its tag, in a record of a tree one
+    /// dimension above `border_dim`: `Corrupt` unless it holds 1 to
+    /// [`dir_cap`](Ba::dir_cap) records over bounds in order.
+    fn decode_dir<V: AggValue>(
+        &self,
+        r: &mut ByteReader<'_>,
+        border_dim: usize,
+    ) -> Result<Vec<IndexRecord<V>>> {
+        let c = usize::from(r.get_u8()?);
+        let cap = self.dir_cap(border_dim);
+        if c == 0 || c > cap {
+            return Err(corrupt(format!(
+                "a border directory of {c} records (this page size holds 1 to {cap})"
+            )));
+        }
+        let bounds = (0..=c).map(|_| r.get_f64()).collect::<Result<Vec<_>>>()?;
+        // A NaN bound is in no order.
+        if !bounds.windows(2).all(|b| b[0] <= b[1]) {
+            return Err(corrupt("border directory bounds out of order".to_string()));
+        }
+        bounds
+            .windows(2)
+            .map(|b| {
+                Ok(IndexRecord {
+                    rect: Rect::new(Point::new(&[b[0]]), Point::new(&[b[1]])),
+                    child: PageId(r.get_u64()?),
+                    subtotal: V::decode(r)?,
+                    borders: vec![BorderRef::empty(0)],
+                })
+            })
+            .collect()
+    }
 }
 
 impl Layout for Ba {
     const NAME: &'static str = "BA-tree";
     type Record<V: AggValue> = IndexRecord<V>;
+
+    fn sized(self, params: &PageParams) -> Self {
+        Ba {
+            dir_cap: Self::directory_cap(params),
+        }
+    }
 
     fn leaf_dim(&self, dim: usize) -> usize {
         dim
@@ -103,14 +185,30 @@ impl Layout for Ba {
         for b in &r.borders {
             match b {
                 BorderRef::Inline(entries) => {
-                    w.put_u8(0);
+                    w.put_u8(INLINE);
                     w.put_u16(entries.len() as u16);
                     debug_assert_eq!(entries.dim(), dim - 1);
                     entries.encode_entries(w);
                 }
                 BorderRef::Tree(id) => {
-                    w.put_u8(1);
+                    w.put_u8(TREE);
                     w.put_u64(id.0);
+                }
+                BorderRef::Dir(records) => {
+                    debug_assert!((1..=self.dir_cap(dim - 1)).contains(&records.len()));
+                    debug_assert!(records
+                        .windows(2)
+                        .all(|w| w[0].rect.high() == w[1].rect.low()));
+                    w.put_u8(DIR);
+                    w.put_u8(records.len() as u8);
+                    for r in records {
+                        w.put_f64(r.rect.low().get(0));
+                    }
+                    w.put_f64(records[records.len() - 1].rect.high().get(0));
+                    for r in records {
+                        w.put_u64(r.child.0);
+                        r.subtotal.encode(w);
+                    }
                 }
             }
         }
@@ -127,11 +225,12 @@ impl Layout for Ba {
         let mut borders = Vec::with_capacity(dim);
         for _ in 0..dim {
             match r.get_u8()? {
-                0 => {
+                INLINE => {
                     let n = r.get_u16()? as usize;
                     borders.push(BorderRef::Inline(EntrySlab::decode_entries(r, dim - 1, n)?));
                 }
-                1 => borders.push(BorderRef::Tree(PageId(r.get_u64()?))),
+                TREE => borders.push(BorderRef::Tree(PageId(r.get_u64()?))),
+                DIR => borders.push(BorderRef::Dir(self.decode_dir(r, dim - 1)?)),
                 t => return Err(corrupt(format!("unknown border tag {t}"))),
             }
         }
@@ -148,6 +247,7 @@ impl Layout for Ba {
         r.child
     }
 
+    /// A directory's children each root a border tree of their own.
     fn border_trees<V: AggValue>(
         &self,
         r: &IndexRecord<V>,
@@ -155,8 +255,8 @@ impl Layout for Ba {
         mut f: impl FnMut(usize, PageId) -> Result<()>,
     ) -> Result<()> {
         for b in &r.borders {
-            if let BorderRef::Tree(id) = b {
-                f(dim - 1, *id)?;
+            for id in b.trees() {
+                f(dim - 1, id)?;
             }
         }
         Ok(())
@@ -169,7 +269,7 @@ impl Cataloged for Ba {
     }
 
     fn from_entry(entry: &RootEntry) -> Option<(Self, usize)> {
-        (entry.kind == RootKind::BaTree).then_some((Ba, entry.dims as usize))
+        (entry.kind == RootKind::BaTree).then_some((Ba::default(), entry.dims as usize))
     }
 }
 
@@ -178,7 +278,9 @@ impl Cataloged for Ba {
 ///
 /// Small borders live *inline* in the record (§4's multiple-borders-per-
 /// page optimization); beyond [`Ba::inline_border_cap`] they spill
-/// into a dedicated `(d−1)`-dim BA-tree.
+/// into a dedicated `(d−1)`-dim BA-tree. A spilled 1-d tree whose top
+/// level has at most [`Ba::dir_cap`] records keeps that level in the
+/// record too, as a directory: a query reads no page for it.
 #[derive(Debug, Clone)]
 pub(crate) enum BorderRef<V> {
     /// Entries stored in the record itself (projected points, decoded
@@ -186,6 +288,11 @@ pub(crate) enum BorderRef<V> {
     Inline(EntrySlab<V>),
     /// Root of a dedicated border tree.
     Tree(PageId),
+    /// The top level of a 1-d border tree: the records of the index
+    /// node that would be its root page, in key order, each box ending
+    /// where the next begins, each subtotal the sum of the earlier
+    /// siblings' subtrees.
+    Dir(Vec<IndexRecord<V>>),
 }
 
 impl<V: AggValue> BorderRef<V> {
@@ -200,6 +307,17 @@ impl<V: AggValue> BorderRef<V> {
     /// is never empty).
     pub(crate) fn is_empty_inline(&self) -> bool {
         matches!(self, BorderRef::Inline(v) if v.is_empty())
+    }
+
+    /// The roots of the border's pages: a tree's root, or each of a
+    /// directory's children.
+    pub(crate) fn trees(&self) -> impl Iterator<Item = PageId> + '_ {
+        let (root, dir) = match self {
+            BorderRef::Inline(_) => (None, &[][..]),
+            BorderRef::Tree(id) => (Some(*id), &[][..]),
+            BorderRef::Dir(records) => (None, &records[..]),
+        };
+        root.into_iter().chain(dir.iter().map(|r| r.child))
     }
 }
 
@@ -235,13 +353,19 @@ mod tests {
         }
     }
 
+    /// The layout sized for 8 KB pages of scalars: directories of up
+    /// to three records.
+    fn ba() -> Ba {
+        Ba::default().sized(&params())
+    }
+
     fn index_cap(p: &PageParams, dim: usize) -> usize {
-        p.payload() / Ba.record_size(p, dim)
+        p.payload() / ba().record_size(p, dim)
     }
 
     fn encode(node: &Node<f64>, dim: usize) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        node.encode(&Ba, dim, &mut w);
+        node.encode(&ba(), dim, &mut w);
         w.into_vec()
     }
 
@@ -253,7 +377,7 @@ mod tests {
         // base record: 32 (rect) + 8 (child) + 8 (subtotal) + 2·9 = 66;
         // inline budget (8189/32 − 66)/(2·16) = 5 entries per border.
         assert_eq!(Ba::inline_border_cap(&p, 2), 5);
-        assert_eq!(Ba.record_size(&p, 2), 66 + 2 * 5 * 16);
+        assert_eq!(ba().record_size(&p, 2), 66 + 2 * 5 * 16);
         assert!(index_cap(&p, 2) >= 16, "fanout floor respected");
         // Borders (lower dimension) can only be roomier.
         assert!(p.leaf_cap(1) > p.leaf_cap(2));
@@ -297,8 +421,8 @@ mod tests {
         };
         let node: Node<Poly> = Node::Index(vec![rec]);
         let mut w = ByteWriter::new();
-        node.encode(&Ba, 2, &mut w);
-        match Node::<Poly>::decode(w.as_slice(), &Ba, 2).unwrap() {
+        node.encode(&ba(), 2, &mut w);
+        match Node::<Poly>::decode(w.as_slice(), &ba(), 2).unwrap() {
             Node::Index(rs) => {
                 assert_eq!(rs.len(), 1);
                 assert_eq!(rs[0].child, PageId(42));
@@ -318,6 +442,170 @@ mod tests {
         }
     }
 
+    /// A directory of `c` records over `[0, 1]`: record `i` covers
+    /// `[i/c, (i+1)/c]`, with child page `100 + i` and subtotal
+    /// `value(i)`.
+    fn dir<V: AggValue>(c: usize, value: impl Fn(usize) -> V) -> BorderRef<V> {
+        BorderRef::Dir(
+            (0..c)
+                .map(|i| IndexRecord {
+                    rect: Rect::from_bounds(&[(i as f64 / c as f64, (i + 1) as f64 / c as f64)]),
+                    child: PageId(100 + i as u64),
+                    subtotal: value(i),
+                    borders: vec![BorderRef::empty(0)],
+                })
+                .collect(),
+        )
+    }
+
+    /// An 8 KB index page whose records carry directories of one, two
+    /// and three records beside inline and tree borders.
+    fn directory_page() -> Node<f64> {
+        let rec = |i: usize, borders| IndexRecord {
+            rect: Rect::from_bounds(&[(i as f64, i as f64 + 1.0), (0.0, 1.0)]),
+            child: PageId(i as u64 + 1),
+            subtotal: i as f64 - 0.5,
+            borders,
+        };
+        Node::Index(vec![
+            rec(0, vec![dir(1, |_| 0.0), BorderRef::empty(1)]),
+            rec(1, vec![BorderRef::Tree(PageId(9)), dir(2, |i| -(i as f64))]),
+            rec(2, vec![dir(3, |i| i as f64 * 1.5), dir(2, |_| -0.0)]),
+        ])
+    }
+
+    #[test]
+    fn directories_round_trip() {
+        let node = directory_page();
+        let bytes = encode(&node, 2);
+        let Node::Index(got) = Node::<f64>::decode(&bytes, &ba(), 2).unwrap() else {
+            panic!("wrong kind")
+        };
+        let Node::Index(want) = &node else {
+            unreachable!()
+        };
+        for (g, w) in got.iter().zip(want) {
+            for (gb, wb) in g.borders.iter().zip(&w.borders) {
+                match (gb, wb) {
+                    (BorderRef::Dir(g), BorderRef::Dir(w)) => {
+                        assert_eq!(g.len(), w.len());
+                        for (g, w) in g.iter().zip(w) {
+                            assert_eq!(g.rect, w.rect);
+                            assert_eq!(g.child, w.child);
+                            assert_eq!(g.subtotal.to_bits(), w.subtotal.to_bits());
+                            assert!(g.borders[0].is_empty_inline());
+                        }
+                    }
+                    (BorderRef::Tree(g), BorderRef::Tree(w)) => assert_eq!(g, w),
+                    (BorderRef::Inline(g), BorderRef::Inline(w)) => assert_eq!(g.len(), w.len()),
+                    other => panic!("{other:?}"),
+                }
+            }
+        }
+        assert_eq!(
+            encode(&Node::Index(got), 2),
+            bytes,
+            "re-encodes to the same bytes"
+        );
+        // A directory's children root its trees, in order.
+        let trees: Vec<PageId> = want
+            .iter()
+            .flat_map(|r| &r.borders)
+            .flat_map(|b| b.trees())
+            .collect();
+        let ids = [100, 9, 100, 101, 100, 101, 102, 100, 101];
+        assert_eq!(trees, ids.map(PageId));
+    }
+
+    #[test]
+    fn full_directories_fit_the_record_worst_case() {
+        // A record whose borders are both directories at the cap fits
+        // the worst case the index fan-out is sized by.
+        for page_size in [8192, 16384] {
+            let p = PageParams {
+                page_size,
+                max_value_size: 8,
+            };
+            let layout = Ba::default().sized(&p);
+            let k = layout.dir_cap(1);
+            assert!(k > 0, "{page_size}");
+            let rec = IndexRecord {
+                rect: Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]),
+                child: PageId(1),
+                subtotal: 0.5,
+                borders: vec![dir(k, |i| i as f64), dir(k, |i| i as f64)],
+            };
+            let mut w = ByteWriter::new();
+            layout.encode_record(&rec, 2, &mut w);
+            assert!(
+                w.as_slice().len() <= layout.record_size(&p, 2),
+                "{page_size}"
+            );
+        }
+    }
+
+    #[test]
+    fn directories_past_the_cap_or_out_of_order_are_refused() {
+        let refused =
+            |bytes: &[u8], layout: &Ba, want: &str| match Node::<f64>::decode(bytes, layout, 2) {
+                Err(Error::Corrupt(msg)) => assert!(msg.contains(want), "{msg}"),
+                other => panic!("{other:?}"),
+            };
+        let rec = |borders| IndexRecord {
+            rect: Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]),
+            child: PageId(1),
+            subtotal: 0.5,
+            borders,
+        };
+        let bytes = encode(
+            &Node::Index(vec![rec(vec![dir(3, |_| 1.0), BorderRef::empty(1)])]),
+            2,
+        );
+        // The directory's tag and count follow the header, box and child.
+        let at = 3 + Rect::encoded_size(2) + 8;
+        assert_eq!(bytes[at..at + 2], [2, 3]);
+        Node::<f64>::decode(&bytes, &ba(), 2).unwrap();
+        // A layout sized for pages that hold no directory refuses one.
+        let none = Ba::default();
+        refused(
+            &bytes,
+            &none,
+            "a border directory of 3 records (this page size holds 1 to 0)",
+        );
+        // A count past the cap, and a count of zero.
+        for c in [4u8, 0, 255] {
+            let mut bad = bytes.clone();
+            bad[at + 1] = c;
+            refused(&bad, &ba(), &format!("a border directory of {c} records"));
+        }
+        // Bounds out of order, and a NaN bound.
+        let bound = |i: usize| at + 2 + 8 * i;
+        for patch in [2.0f64.to_le_bytes(), f64::NAN.to_le_bytes()] {
+            let mut bad = bytes.clone();
+            bad[bound(1)..bound(2)].copy_from_slice(&patch);
+            refused(&bad, &ba(), "border directory bounds out of order");
+        }
+        // Equal bounds (a degenerate top slab) are in order.
+        let mut tie = bytes.clone();
+        let third = bytes[bound(2)..bound(3)].to_vec();
+        tie[bound(1)..bound(2)].copy_from_slice(&third);
+        Node::<f64>::decode(&tie, &ba(), 2).unwrap();
+        // In a 1-d record, whose borders are empty, a directory is refused.
+        let one_d = IndexRecord {
+            rect: Rect::from_bounds(&[(0.0, 1.0)]),
+            child: PageId(1),
+            subtotal: 0.5,
+            borders: vec![BorderRef::<f64>::empty(0)],
+        };
+        let mut bytes = encode(&Node::Index(vec![one_d]), 1);
+        let at = 3 + Rect::encoded_size(1) + 8;
+        bytes.splice(at..at + 3, [2, 1, 0]);
+        match Node::<f64>::decode(&bytes, &ba(), 1) {
+            Err(Error::Corrupt(msg)) => assert!(msg.contains("holds 1 to 0"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn border_ref_helpers() {
         let b: BorderRef<f64> = BorderRef::empty(1);
@@ -329,7 +617,7 @@ mod tests {
     #[test]
     fn decode_rejects_garbage_tag() {
         let bytes = [9u8, 0, 0];
-        assert!(Node::<f64>::decode(&bytes, &Ba, 2).is_err());
+        assert!(Node::<f64>::decode(&bytes, &ba(), 2).is_err());
         let rec = IndexRecord {
             rect: Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]),
             child: PageId(1),
@@ -342,7 +630,7 @@ mod tests {
         let at = 3 + Rect::encoded_size(2) + 8 + 3;
         assert_eq!(bytes[at], 1);
         bytes[at] = 7;
-        match Node::<f64>::decode(&bytes, &Ba, 2) {
+        match Node::<f64>::decode(&bytes, &ba(), 2) {
             Err(boxagg_common::error::Error::Corrupt(msg)) => {
                 assert!(msg.contains("unknown border tag 7"), "{msg}")
             }
@@ -359,7 +647,7 @@ mod tests {
         for tag in [0u8, 1] {
             let claim = [tag, 0xFF, 0xFF];
             for dim in 1..=3 {
-                match Node::<f64>::decode(&claim, &Ba, dim) {
+                match Node::<f64>::decode(&claim, &ba(), dim) {
                     Err(Error::Corrupt(msg)) if tag == 1 => {
                         assert!(msg.contains("record count 65535"), "{msg}")
                     }
@@ -372,7 +660,7 @@ mod tests {
                     other => panic!("tag {tag} dim {dim}: {other:?}"),
                 }
                 assert!(matches!(
-                    Node::<Poly>::decode(&claim, &Ba, dim),
+                    Node::<Poly>::decode(&claim, &ba(), dim),
                     Err(Error::Corrupt(_))
                 ));
             }
@@ -392,10 +680,10 @@ mod tests {
         };
         for node in [leaf, Node::Index(vec![rec; 12])] {
             let bytes = encode(&node, 2);
-            Node::<f64>::decode(&bytes, &Ba, 2).unwrap();
+            Node::<f64>::decode(&bytes, &ba(), 2).unwrap();
             let half = &bytes[..3 + (bytes.len() - 3) / 2];
             assert!(matches!(
-                Node::<f64>::decode(half, &Ba, 2),
+                Node::<f64>::decode(half, &ba(), 2),
                 Err(Error::Corrupt(_))
             ));
         }
@@ -446,7 +734,7 @@ mod tests {
     /// leaf does, declines only values of no fixed width, and answers
     /// nothing the decode refuses. Returns whether the page decoded.
     fn check_mutant<V: AggValue>(bytes: &[u8], dim: usize, queries: &[Point]) -> bool {
-        let node = Node::<V>::decode(bytes, &Ba, dim);
+        let node = Node::<V>::decode(bytes, &ba(), dim);
         if let Err(e) = &node {
             assert!(matches!(e, Error::Corrupt(_)), "untyped refusal: {e:?}");
         }
@@ -467,7 +755,8 @@ mod tests {
 
     /// Seed pages at `(dim, bytes)`: leaves of one to three dimensions —
     /// a sorted 1-d leaf past one running-sum chunk among them — and
-    /// index records with inline and tree borders.
+    /// index records with inline and tree borders, and with
+    /// directories of one to three records.
     fn seed_pages<V: AggValue>(value: impl Fn(usize) -> V) -> Vec<(usize, Vec<u8>)> {
         let leaf = |dim: usize, n: usize| {
             // A 1-d leaf sorted with ties takes running sums; the others
@@ -478,7 +767,7 @@ mod tests {
             };
             let slab = EntrySlab::from_entries(dim, (0..n).map(|i| (point(i), value(i))).collect());
             let mut w = ByteWriter::new();
-            Node::Leaf(slab).encode(&Ba, dim, &mut w);
+            Node::Leaf(slab).encode(&ba(), dim, &mut w);
             (dim, w.into_vec())
         };
         let rec = |i: usize| IndexRecord {
@@ -496,13 +785,23 @@ mod tests {
             ],
         };
         let mut w = ByteWriter::new();
-        Node::Index((0..6).map(rec).collect()).encode(&Ba, 2, &mut w);
+        Node::Index((0..6).map(rec).collect()).encode(&ba(), 2, &mut w);
+        // Directories of one, two and three records.
+        let dirs = |i: usize| IndexRecord {
+            rect: Rect::from_bounds(&[(i as f64, i as f64 + 1.0), (0.0, 1.0)]),
+            child: PageId(i as u64 + 1),
+            subtotal: value(i),
+            borders: vec![dir(i % 3 + 1, &value), dir((i + 1) % 3 + 1, &value)],
+        };
+        let mut dir_page = ByteWriter::new();
+        Node::Index((0..3).map(dirs).collect()).encode(&ba(), 2, &mut dir_page);
         vec![
             leaf(1, 150),
             leaf(2, 40),
             leaf(3, 9),
             leaf(2, 0),
             (2, w.into_vec()),
+            (2, dir_page.into_vec()),
         ]
     }
 

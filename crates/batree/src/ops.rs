@@ -48,6 +48,18 @@
 //!   they remain border entries (anchored on `k ∈ S`, still correct).
 //!   In 2-d the "otherwise" set is empty and this is exactly the
 //!   paper's "the border along the split dimension is split in two".
+//!
+//! ## Border directories
+//!
+//! A spilled 1-d border tree whose top level has at most
+//! [`Ba::dir_cap`] records keeps that level in its owning record
+//! ([`BorderRef::Dir`]) instead of on a root page: [`bulk_build_1d`]
+//! returns such a level as a directory, a border leaf that splits
+//! becomes one, and one that grows past the cap is written as the root
+//! page the tree would otherwise have had. Inserts and queries treat a
+//! directory as an index node held in memory (`insert_records`,
+//! `query_records`), so a query adds exactly what the root page's
+//! visit would have added, in the same order.
 
 use boxagg_common::error::{invalid_arg, Result};
 use boxagg_common::geom::{Point, Rect};
@@ -125,37 +137,63 @@ pub(crate) fn tree_insert<V: AggValue>(
     };
     match insert_rec(ctx, dim, space, root, p, v)? {
         None => Ok(root),
-        Some(oversized) => grow_root(ctx, dim, space, root, oversized),
+        Some(oversized) => {
+            let records = split_root(ctx, dim, space, root, oversized)?;
+            write_root(ctx, dim, space, records)
+        }
     }
 }
 
-/// Wraps an oversized ex-root node under fresh index roots until the top
-/// node fits a page.
-fn grow_root<V: AggValue>(
+/// Splits `oversized`, the contents of the root page `root` of a tree
+/// over `space`, into the records of a new top level.
+fn split_root<V: AggValue>(
     ctx: Ctx<'_>,
     dim: usize,
     space: &Rect,
-    old_root: PageId,
+    root: PageId,
     oversized: Node<V>,
+) -> Result<Vec<IndexRecord<V>>> {
+    let whole = IndexRecord {
+        rect: *space,
+        child: root,
+        subtotal: V::zero(),
+        borders: vec![BorderRef::empty(dim - 1); dim],
+    };
+    split_subtree(ctx, dim, space, whole, oversized)
+}
+
+/// Writes `records`, the top level of a tree over `space`, as a new root
+/// page, under as many new root levels as it takes to fit a page.
+fn write_root<V: AggValue>(
+    ctx: Ctx<'_>,
+    dim: usize,
+    space: &Rect,
+    records: Vec<IndexRecord<V>>,
 ) -> Result<PageId> {
-    let mut child = old_root;
-    let mut node = oversized;
+    let mut node = Node::Index(records);
     loop {
-        let rec = IndexRecord {
-            rect: *space,
-            child,
-            subtotal: V::zero(),
-            borders: vec![BorderRef::empty(dim - 1); dim],
-        };
-        let records = split_subtree(ctx, dim, space, rec, node)?;
-        node = Node::Index(records);
         let root = ctx.store()?.allocate()?;
         if ctx.fits(&node, dim) {
             ctx.write(root, dim, &node)?;
             return Ok(root);
         }
-        child = root;
+        node = Node::Index(split_root(ctx, dim, space, root, node)?);
     }
+}
+
+/// A spilled border over `space`, a `dim`-dim tree whose top level is
+/// `records`: a directory while they are few enough
+/// ([`Ba::dir_cap`]), else the tree's root page.
+fn border_top<V: AggValue>(
+    ctx: Ctx<'_>,
+    dim: usize,
+    space: &Rect,
+    records: Vec<IndexRecord<V>>,
+) -> Result<BorderRef<V>> {
+    if records.len() <= ctx.layout.dir_cap(dim) {
+        return Ok(BorderRef::Dir(records));
+    }
+    Ok(BorderRef::Tree(write_root(ctx, dim, space, records)?))
 }
 
 /// Recursive insert. Returns `Some(node)` when the updated node no longer
@@ -180,44 +218,51 @@ fn insert_rec<V: AggValue>(
             } else {
                 entries.push(&p, v);
             }
-            if !ctx.fits(&node, dim) {
-                return Ok(Some(node));
-            }
-            ctx.write(node_id, dim, &node)?;
-            Ok(None)
         }
-        Node::Index(records) => {
-            let i = find_owner(records, &p, space).ok_or_else(|| {
-                invalid_arg(format!("point {p:?} outside every record of the node"))
-            })?;
-            for (k, r) in records.iter_mut().enumerate() {
-                if k != i {
-                    // A contained-but-not-owning record (top-closure
-                    // overlap) is skipped inside: p is not below it
-                    // anywhere.
-                    register_against(ctx, dim, space, r, &p, &v)?;
-                }
-            }
-            let outcome = insert_rec(ctx, dim, space, records[i].child, p, v)?;
-            if let Some(oversized) = outcome {
-                let rec = records.remove(i);
-                let mut pieces = split_subtree(ctx, dim, space, rec, oversized)?;
-                let at = i.min(records.len());
-                records.splice(at..at, pieces.drain(..));
-            }
-            if !ctx.fits(&node, dim) {
-                return Ok(Some(node));
-            }
-            ctx.write(node_id, dim, &node)?;
-            Ok(None)
+        Node::Index(records) => insert_records(ctx, dim, space, records, p, v)?,
+    }
+    if !ctx.fits(&node, dim) {
+        return Ok(Some(node));
+    }
+    ctx.write(node_id, dim, &node)?;
+    Ok(None)
+}
+
+/// Inserts into the index node (a page's, or a directory) whose records
+/// are `records`: registers the point against every record but its
+/// owner, inserts it below the owner, and splices in the pieces of an
+/// owner's child that outgrew its page.
+fn insert_records<V: AggValue>(
+    ctx: Ctx<'_>,
+    dim: usize,
+    space: &Rect,
+    records: &mut Vec<IndexRecord<V>>,
+    p: Point,
+    v: V,
+) -> Result<()> {
+    let i = find_owner(records, &p, space)
+        .ok_or_else(|| invalid_arg(format!("point {p:?} outside every record of the node")))?;
+    for (k, r) in records.iter_mut().enumerate() {
+        if k != i {
+            // A contained-but-not-owning record (top-closure
+            // overlap) is skipped inside: p is not below it
+            // anywhere.
+            register_against(ctx, dim, space, r, &p, &v)?;
         }
     }
+    if let Some(oversized) = insert_rec(ctx, dim, space, records[i].child, p, v)? {
+        let rec = records.remove(i);
+        let mut pieces = split_subtree(ctx, dim, space, rec, oversized)?;
+        let at = i.min(records.len());
+        records.splice(at..at, pieces.drain(..));
+    }
+    Ok(())
 }
 
 /// Applies the region classification of the module docs to one
 /// non-containing record: fold into the subtotal, insert into a border,
 /// or skip.
-fn register_against<V: AggValue>(
+pub(crate) fn register_against<V: AggValue>(
     ctx: Ctx<'_>,
     dim: usize,
     space: &Rect,
@@ -245,7 +290,9 @@ fn register_against<V: AggValue>(
     let k = below_mask.trailing_zeros() as usize;
     debug_assert!(dim >= 2);
     let pp = p.drop_dim(k);
-    match &mut r.borders[k] {
+    let sub_space = space.drop_dim(k);
+    let border = &mut r.borders[k];
+    match border {
         BorderRef::Inline(entries) => {
             if let Some(i) = entries.find_exact(&pp) {
                 entries.value_mut(i).add_assign(v);
@@ -255,14 +302,22 @@ fn register_against<V: AggValue>(
             if entries.len() > Ba::inline_border_cap(ctx.params, dim) {
                 // Spill the border into its own (d−1)-dim tree.
                 let drained = std::mem::replace(entries, EntrySlab::new(dim - 1));
-                let sub_space = space.drop_dim(k);
-                let root = build_tree(ctx, dim - 1, &sub_space, drained.into_entries())?;
-                r.borders[k] = BorderRef::Tree(root);
+                *border = build_tree(ctx, dim - 1, &sub_space, drained.into_entries())?;
             }
         }
         BorderRef::Tree(root) => {
-            let sub_space = space.drop_dim(k);
-            *root = tree_insert(ctx, dim - 1, &sub_space, *root, pp, v.clone())?;
+            let root = *root;
+            if let Some(oversized) = insert_rec(ctx, dim - 1, &sub_space, root, pp, v.clone())? {
+                let records = split_root(ctx, dim - 1, &sub_space, root, oversized)?;
+                *border = border_top(ctx, dim - 1, &sub_space, records)?;
+            }
+        }
+        BorderRef::Dir(records) => {
+            insert_records(ctx, dim - 1, &sub_space, records, pp, v.clone())?;
+            if records.len() > ctx.layout.dir_cap(dim - 1) {
+                let records = std::mem::take(records);
+                *border = border_top(ctx, dim - 1, &sub_space, records)?;
+            }
         }
     }
     Ok(())
@@ -280,6 +335,35 @@ pub(crate) fn tree_query<V: AggValue>(
     if root.is_null() {
         return Ok(V::zero());
     }
+    top_query(ctx, dim, space, Top::Page(root), q)
+}
+
+/// The top of a tree: its root page, or a directory's records.
+#[derive(Clone, Copy, Debug)]
+enum Top<'a, V> {
+    Page(PageId),
+    Dir(&'a [IndexRecord<V>]),
+}
+
+impl<V> BorderRef<V> {
+    /// The top of a spilled border; `None` for an inline one.
+    fn top(&self) -> Option<Top<'_, V>> {
+        match self {
+            BorderRef::Inline(_) => None,
+            BorderRef::Tree(root) => Some(Top::Page(*root)),
+            BorderRef::Dir(records) => Some(Top::Dir(records)),
+        }
+    }
+}
+
+/// Dominance-sum over the tree whose top is `top`.
+fn top_query<V: AggValue>(
+    ctx: Ctx<'_>,
+    dim: usize,
+    space: &Rect,
+    top: Top<'_, V>,
+    q: &Point,
+) -> Result<V> {
     // Clamp the query into the space: below the space floor nothing is
     // dominated; above the ceiling the ceiling is equivalent.
     for i in 0..dim {
@@ -288,7 +372,10 @@ pub(crate) fn tree_query<V: AggValue>(
         }
     }
     let qc = q.component_min(space.high());
-    query_rec(ctx, dim, space, root, &qc)
+    match top {
+        Top::Page(root) => query_rec(ctx, dim, space, root, &qc),
+        Top::Dir(records) => query_records(ctx, dim, space, records, &qc),
+    }
 }
 
 // The dominance scans below are the tree's hottest loops; the slab scan
@@ -310,31 +397,37 @@ fn query_rec<V: AggValue>(
     };
     match &*node {
         Node::Leaf(entries) => Ok(entries.dominated_sum(q)),
-        Node::Index(records) => {
-            let i = find_owner(records, q, space)
-                .ok_or_else(|| invalid_arg(format!("query point {q:?} outside every record")))?;
-            let r = &records[i];
-            let mut acc = r.subtotal.clone();
-            for k in 0..dim {
-                match &r.borders[k] {
-                    BorderRef::Inline(entries) => {
-                        if !entries.is_empty() {
-                            let qp = q.drop_dim(k);
-                            entries.sum_dominated_into(&qp, &mut acc);
-                        }
-                    }
-                    BorderRef::Tree(root) => {
-                        let sub_space = space.drop_dim(k);
-                        let sub = tree_query::<V>(ctx, dim - 1, &sub_space, *root, &q.drop_dim(k))?;
-                        acc.add_assign(&sub);
-                    }
-                }
+        Node::Index(records) => query_records(ctx, dim, space, records, q),
+    }
+}
+
+/// The dominance-sum below the index node (a page's, or a directory)
+/// whose records are `records`: the owner's subtotal, then each of its
+/// borders, then its child's sum.
+fn query_records<V: AggValue>(
+    ctx: Ctx<'_>,
+    dim: usize,
+    space: &Rect,
+    records: &[IndexRecord<V>],
+    q: &Point,
+) -> Result<V> {
+    let i = find_owner(records, q, space)
+        .ok_or_else(|| invalid_arg(format!("query point {q:?} outside every record")))?;
+    let r = &records[i];
+    let mut acc = r.subtotal.clone();
+    for (k, b) in r.borders.iter().enumerate() {
+        if let BorderRef::Inline(entries) = b {
+            if !entries.is_empty() {
+                entries.sum_dominated_into(&q.drop_dim(k), &mut acc);
             }
-            let below = query_rec::<V>(ctx, dim, space, r.child, q)?;
-            acc.add_assign(&below);
-            Ok(acc)
+        } else if let Some(top) = b.top() {
+            let sub = top_query::<V>(ctx, dim - 1, &space.drop_dim(k), top, &q.drop_dim(k))?;
+            acc.add_assign(&sub);
         }
     }
+    let below = query_rec::<V>(ctx, dim, space, r.child, q)?;
+    acc.add_assign(&below);
+    Ok(acc)
 }
 
 /// Collects a border's entries (inline list or spilled tree leaves).
@@ -343,14 +436,14 @@ fn border_entries<V: AggValue>(
     dim: usize,
     border: &BorderRef<V>,
 ) -> Result<Vec<(Point, V)>> {
-    match border {
-        BorderRef::Inline(entries) => Ok(entries.to_entries()),
-        BorderRef::Tree(root) => {
-            let mut out = Vec::new();
-            ctx.enumerate(dim - 1, *root, &mut out)?;
-            Ok(out)
-        }
+    if let BorderRef::Inline(entries) = border {
+        return Ok(entries.to_entries());
     }
+    let mut out = Vec::new();
+    for root in border.trees() {
+        ctx.enumerate(dim - 1, root, &mut out)?;
+    }
+    Ok(out)
 }
 
 /// Builds a border from entries: inline when small, a dedicated tree
@@ -365,29 +458,24 @@ pub(crate) fn build_border<V: AggValue>(
     if entries.len() <= Ba::inline_border_cap(ctx.params, dim) {
         Ok(BorderRef::Inline(EntrySlab::from_entries(dim - 1, entries)))
     } else {
-        let sub_space = space.drop_dim(k);
-        Ok(BorderRef::Tree(build_tree(
-            ctx,
-            dim - 1,
-            &sub_space,
-            entries,
-        )?))
+        build_tree(ctx, dim - 1, &space.drop_dim(k), entries)
     }
 }
 
-/// Builds a fresh tree from entries (NULL for none). Used to rebuild
-/// border trees during splits and by the bulk loader for the borders of
-/// trees of three or more dimensions. One-dimensional trees (every
-/// border of a 2-d BA-tree) are bulk-built by [`bulk_build_1d`], leaves
-/// filled evenly; higher dimensions fall back to repeated insertion.
+/// Builds a fresh `dim`-dim border tree from entries (an empty inline
+/// border for none). Used to rebuild border trees during splits and by
+/// the bulk loader for the borders of trees of three or more
+/// dimensions. One-dimensional trees (every border of a 2-d BA-tree)
+/// are bulk-built by [`bulk_build_1d`], leaves filled evenly; higher
+/// dimensions fall back to repeated insertion.
 pub(crate) fn build_tree<V: AggValue>(
     ctx: Ctx<'_>,
     dim: usize,
     space: &Rect,
     mut entries: Vec<(Point, V)>,
-) -> Result<PageId> {
+) -> Result<BorderRef<V>> {
     if entries.is_empty() {
-        return Ok(PageId::NULL);
+        return Ok(BorderRef::empty(dim));
     }
     if dim == 1 {
         // Stable: equal keys keep their order, which is the order they
@@ -400,27 +488,29 @@ pub(crate) fn build_tree<V: AggValue>(
     for (p, v) in entries {
         root = tree_insert(ctx, dim, space, root, p, v)?;
     }
-    Ok(root)
+    Ok(BorderRef::Tree(root))
 }
 
-/// Bottom-up bulk construction of a 1-d BA-tree (an aggregate B-tree)
-/// from `(key, value)` entries in ascending key order: coincident keys
-/// merge into the first of them, in the order given. The `n` merged
-/// entries fill `⌈n / leaf_cap⌉` leaves in key order — as few as packing
-/// them full would — with entry counts that differ by at most one (the
-/// earlier leaves take the extra entries), so every leaf keeps its share
-/// of the free slots and an insert that reaches one need not split it.
-/// Index levels are packed full. Each index record's box spans from its
-/// subtree's first key to the next sibling's first key (tiling the
-/// space), and its subtotal is the sum of the earlier siblings' subtrees
-/// *within the node* — exactly the state dynamic insertion would
-/// converge to, so later inserts and splits work unchanged. No entries
-/// build no tree (NULL).
+/// Bottom-up bulk construction of a 1-d BA-tree (an aggregate B-tree),
+/// a border, from `(key, value)` entries in ascending key order:
+/// coincident keys merge into the first of them, in the order given.
+/// The `n` merged entries fill `⌈n / leaf_cap⌉` leaves in key order —
+/// as few as packing them full would — with entry counts that differ by
+/// at most one (the earlier leaves take the extra entries), so every
+/// leaf keeps its share of the free slots and an insert that reaches
+/// one need not split it. Index levels are packed full. Each index
+/// record's box spans from its subtree's first key to the next
+/// sibling's first key (tiling the space), and its subtotal is the sum
+/// of the earlier siblings' subtrees *within the node* — exactly the
+/// state dynamic insertion would converge to, so later inserts and
+/// splits work unchanged. A top level of at most [`Ba::dir_cap`]
+/// records is returned as a directory rather than written as a root
+/// page. No entries build an empty inline border.
 pub(crate) fn bulk_build_1d<V: AggValue>(
     ctx: Ctx<'_>,
     space: &Rect,
     sorted: impl IntoIterator<Item = (f64, V)>,
-) -> Result<PageId> {
+) -> Result<BorderRef<V>> {
     debug_assert_eq!(space.dim(), 1);
     // Merge coincident points (the dynamic path does the same).
     let (mut keys, mut values): (Vec<f64>, Vec<V>) = (Vec::new(), Vec::new());
@@ -452,13 +542,15 @@ pub(crate) fn bulk_build_1d<V: AggValue>(
         items.push((keys[start], id, sum));
         start = end;
     }
-    if items.len() <= 1 {
-        return Ok(items.first().map_or(PageId::NULL, |it| it.1));
+    match items.len() {
+        0 => return Ok(BorderRef::empty(1)),
+        1 => return Ok(BorderRef::Tree(items[0].1)),
+        _ => {}
     }
 
     // Pack index levels.
     let index_cap = ctx.index_cap(1);
-    while items.len() > 1 {
+    loop {
         // Box boundaries: the space edges outside, the next item's first
         // key between siblings (keys are sorted, so boxes tile).
         let mut bounds: Vec<f64> = Vec::with_capacity(items.len() + 1);
@@ -467,16 +559,12 @@ pub(crate) fn bulk_build_1d<V: AggValue>(
             bounds.push(it.0);
         }
         bounds.push(space.high().get(0));
-
-        let mut next: Vec<(f64, PageId, V)> = Vec::new();
-        let mut i = 0;
-        while i < items.len() {
-            let end = (i + index_cap).min(items.len());
-            let mut records = Vec::with_capacity(end - i);
+        // The records of the node over items `from..to`, and its sum.
+        let node = |from: usize, to: usize| {
+            let mut records = Vec::with_capacity(to - from);
             let mut prefix = V::zero();
             let mut node_sum = V::zero();
-            for (j, (_, child, sum)) in items[i..end].iter().enumerate() {
-                let k = i + j;
+            for (k, (_, child, sum)) in items.iter().enumerate().take(to).skip(from) {
                 records.push(IndexRecord {
                     rect: Rect::new(Point::new(&[bounds[k]]), Point::new(&[bounds[k + 1]])),
                     child: *child,
@@ -486,13 +574,23 @@ pub(crate) fn bulk_build_1d<V: AggValue>(
                 prefix.add_assign(sum);
                 node_sum.add_assign(sum);
             }
+            (records, node_sum)
+        };
+        if items.len() <= ctx.layout.dir_cap(1) {
+            return Ok(BorderRef::Dir(node(0, items.len()).0));
+        }
+
+        let mut next: Vec<(f64, PageId, V)> = Vec::new();
+        for from in (0..items.len()).step_by(index_cap) {
+            let (records, node_sum) = node(from, (from + index_cap).min(items.len()));
             let id = ctx.write_new(1, &Node::Index(records))?;
-            next.push((items[i].0, id, node_sum));
-            i = end;
+            next.push((items[from].0, id, node_sum));
+        }
+        if next.len() == 1 {
+            return Ok(BorderRef::Tree(next[0].1));
         }
         items = next;
     }
-    Ok(items[0].1)
 }
 
 /// Splits the subtree of `rec` (whose in-memory contents are `node`,
@@ -719,7 +817,7 @@ fn split_record_at<V: AggValue>(
             }
             let jp = if j < k { j } else { j - 1 };
             let entries = border_entries(ctx, dim, &b)?;
-            if let BorderRef::Tree(root) = b {
+            for root in b.trees() {
                 ctx.free_tree::<V>(dim - 1, root)?;
             }
             let rt_low_proj = rt_rect.low().drop_dim(k);
@@ -795,6 +893,11 @@ pub(crate) fn check_consistency(
     space: &Rect,
     root: PageId,
 ) -> Result<()> {
+    check_top(ctx, dim, space, Top::Page(root))
+}
+
+/// [`check_consistency`] for the tree whose top is `top`.
+fn check_top(ctx: Ctx<'_>, dim: usize, space: &Rect, top: Top<'_, f64>) -> Result<()> {
     // Walks one tree, collecting probe points, checking containment and
     // recursing into border trees (validated independently).
     fn collect(
@@ -806,7 +909,7 @@ pub(crate) fn check_consistency(
         probes: &mut Vec<Point>,
     ) -> Result<()> {
         let node = ctx.read_shared::<f64>(node_id, dim)?;
-        let records = match &*node {
+        match &*node {
             Node::Leaf(entries) => {
                 for (p, _) in entries.iter() {
                     if !rect.contains_point(&p) {
@@ -815,10 +918,18 @@ pub(crate) fn check_consistency(
                         )));
                     }
                 }
-                return Ok(());
+                Ok(())
             }
-            Node::Index(rs) => rs,
-        };
+            Node::Index(records) => collect_records(ctx, dim, space, records, probes),
+        }
+    }
+    fn collect_records(
+        ctx: Ctx<'_>,
+        dim: usize,
+        space: &Rect,
+        records: &[IndexRecord<f64>],
+        probes: &mut Vec<Point>,
+    ) -> Result<()> {
         for r in records {
             probes.push(r.rect.center());
             probes.push(Point::from_fn(dim, |i| {
@@ -830,9 +941,8 @@ pub(crate) fn check_consistency(
                 }
             }));
             for (k, b) in r.borders.iter().enumerate() {
-                if let BorderRef::Tree(broot) = b {
-                    let sub_space = space.drop_dim(k);
-                    check_consistency(ctx, dim - 1, &sub_space, *broot)?;
+                if let Some(top) = b.top() {
+                    check_top(ctx, dim - 1, &space.drop_dim(k), top)?;
                 }
             }
             collect(ctx, dim, space, r.child, &r.rect, probes)?;
@@ -841,11 +951,21 @@ pub(crate) fn check_consistency(
     }
 
     let mut probes = vec![*space.high(), space.center()];
-    collect(ctx, dim, space, root, space, &mut probes)?;
     let mut all: Vec<(Point, f64)> = Vec::new();
-    ctx.enumerate::<f64>(dim, root, &mut all)?;
+    match top {
+        Top::Page(root) => {
+            collect(ctx, dim, space, root, space, &mut probes)?;
+            ctx.enumerate::<f64>(dim, root, &mut all)?;
+        }
+        Top::Dir(records) => {
+            collect_records(ctx, dim, space, records, &mut probes)?;
+            for r in records {
+                ctx.enumerate::<f64>(dim, r.child, &mut all)?;
+            }
+        }
+    }
     for q in &probes {
-        let got = tree_query::<f64>(ctx, dim, space, root, q)?;
+        let got = top_query::<f64>(ctx, dim, space, top, q)?;
         let want: f64 = all
             .iter()
             .filter(|(p, _)| p.dominated_by(q))
@@ -853,7 +973,7 @@ pub(crate) fn check_consistency(
             .sum();
         if (got - want).abs() > 1e-6 * want.abs().max(1.0) {
             return Err(invalid_arg(format!(
-                "tree {root:?} over {space:?} ({dim}-d): query at {q:?} returns {got}, enumeration says {want}"
+                "tree {top:?} over {space:?} ({dim}-d): query at {q:?} returns {got}, enumeration says {want}"
             )));
         }
     }

@@ -66,7 +66,7 @@ impl<V: AggValue> BATree<V> {
         max_value_size: usize,
         points: Vec<(Point, V)>,
     ) -> Result<Self> {
-        let nodes = PagedTree::open_in(store.into(), Ba, space.dim(), max_value_size)?;
+        let nodes = PagedTree::open_in(store.into(), Ba::default(), space.dim(), max_value_size)?;
         let mut tree = Self { nodes, space };
         tree.nodes.len = points.len();
         for (p, v) in &points {
@@ -203,6 +203,7 @@ impl<V: AggValue> DominanceSumIndex<V> for BATree<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::{BorderRef, IndexRecord, Node};
     use boxagg_common::traits::NaiveDominanceIndex;
     use boxagg_pagestore::StoreConfig;
     use std::sync::Arc;
@@ -967,13 +968,14 @@ mod tests {
                 })
                 .collect();
             let before = t.store().allocated_pages();
-            let root = ops::bulk_build_1d(ctx, &space, entries.iter().copied()).unwrap();
+            let border = ops::bulk_build_1d(ctx, &space, entries.iter().copied()).unwrap();
             let written = t.store().allocated_pages() - before;
-            if n == 0 {
-                assert!(root.is_null(), "no entries, no tree");
+            // 256-byte pages hold no directory.
+            let BorderRef::Tree(root) = border else {
+                assert!(n == 0 && border.is_empty_inline(), "no entries, no tree");
                 assert_eq!(written, 0);
                 continue;
-            }
+            };
             let (leaves, index) = leaf_sizes(ctx, root);
             assert_eq!(leaves.len(), n.div_ceil(cap), "n = {n}: leaves");
             assert_eq!(leaves.iter().sum::<usize>(), n, "n = {n}: entries");
@@ -1022,5 +1024,246 @@ mod tests {
             "{BATCH} inserts allocated {grown} pages over a {loaded}-page load"
         );
         t.check_consistency().unwrap();
+    }
+
+    /// What a border is: inline entries, a tree's root leaf, a root
+    /// index page of so many records, or a directory of so many.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Shape {
+        Inline(usize),
+        Leaf,
+        Page(usize),
+        Dir(usize),
+    }
+
+    fn shape(ctx: ops::Ctx<'_>, border: &BorderRef<f64>) -> Shape {
+        match border {
+            BorderRef::Inline(entries) => Shape::Inline(entries.len()),
+            BorderRef::Dir(records) => Shape::Dir(records.len()),
+            BorderRef::Tree(root) => match &*ctx.read_shared::<f64>(*root, 1).unwrap() {
+                crate::node::Node::Leaf(_) => Shape::Leaf,
+                crate::node::Node::Index(records) => Shape::Page(records.len()),
+            },
+        }
+    }
+
+    /// The shape of every border of every index record of the 2-d tree
+    /// at `root`.
+    fn border_shapes(ctx: ops::Ctx<'_>, root: PageId) -> Vec<Shape> {
+        let mut shapes = Vec::new();
+        let mut stack = vec![root];
+        while let Some(id) = stack.pop() {
+            if let crate::node::Node::Index(records) = &*ctx.read_shared::<f64>(id, 2).unwrap() {
+                for r in records {
+                    shapes.extend(r.borders.iter().map(|b| shape(ctx, b)));
+                    stack.push(r.child);
+                }
+            }
+        }
+        shapes
+    }
+
+    /// Seeded 2-d points with small integer values, so every sum is
+    /// exact whatever order it adds in.
+    fn integer_points(n: usize, s: &mut u64) -> Vec<(Point, f64)> {
+        (0..n)
+            .map(|_| {
+                (
+                    Point::from_fn(2, |_| rnd(s)),
+                    (rnd(s) * 64.0).floor() - 20.0,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn directories_cap_per_page_size() {
+        // The most records a 1-d border tree's top level keeps in its
+        // record, for scalars and for the functional engine's smallest
+        // tuples (degree 0).
+        let tuple = boxagg_common::poly::max_poly_encoded_size(2, 1);
+        for (page_size, scalars, tuples) in [
+            (512, 0, 0),
+            (2048, 0, 0),
+            (4096, 0, 0),
+            (8192, 3, 0),
+            (16384, 8, 1),
+        ] {
+            let cap = |value_size: usize| {
+                let store = SharedStore::open(&StoreConfig::small(page_size, 8)).unwrap();
+                let t: BATree<f64> = BATree::create(store, unit_space(2), value_size).unwrap();
+                let ctx = t.nodes.ctx();
+                assert_eq!(ctx.layout.dir_cap(2), 0, "only 1-d border trees");
+                ctx.layout.dir_cap(1)
+            };
+            assert_eq!(
+                (cap(8), cap(tuple)),
+                (scalars, tuples),
+                "{page_size}-byte pages"
+            );
+        }
+    }
+
+    #[test]
+    fn directories_after_a_bulk_load_hold_every_small_border_top() {
+        let mut s = 0xD12u64;
+        let points = integer_points(40_000, &mut s);
+        let store = SharedStore::open(&StoreConfig::small(8192, 64)).unwrap();
+        let t: BATree<f64> = BATree::bulk_load(store, unit_space(2), 8, points.clone()).unwrap();
+        let ctx = t.nodes.ctx();
+        let k = ctx.layout.dir_cap(1);
+        assert_eq!(k, 3);
+        let shapes = border_shapes(ctx, t.root_page());
+        let small_pages: Vec<&Shape> = shapes
+            .iter()
+            .filter(|s| matches!(s, Shape::Page(c) if *c <= k))
+            .collect();
+        assert!(
+            small_pages.is_empty(),
+            "root pages of ≤ {k} records: {small_pages:?}"
+        );
+        for c in 2..=k {
+            assert!(
+                shapes.contains(&Shape::Dir(c)),
+                "no directory of {c}: {shapes:?}"
+            );
+        }
+        t.check_consistency().unwrap();
+        let mut oracle = NaiveDominanceIndex::new(2);
+        for (p, v) in points {
+            oracle.insert(p, v).unwrap();
+        }
+        for _ in 0..200 {
+            let q = Point::from_fn(2, |_| rnd(&mut s));
+            assert_eq!(
+                t.dominance_sum(&q).unwrap(),
+                oracle.dominance_sum(&q).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn directories_grow_from_a_split_leaf_and_spill_at_four_records() {
+        // Points left of a record over [0.5, 1] × [0, 1] all land in its
+        // border 0, a 1-d tree over y. Its record sits in a one-record
+        // root page, so the tree answers what the border holds.
+        let t = small_tree(2, 8192);
+        let (ctx, space) = (t.nodes.ctx(), unit_space(2));
+        let mut rec = IndexRecord {
+            rect: Rect::from_bounds(&[(0.5, 1.0), (0.0, 1.0)]),
+            child: ctx.new_leaf::<f64>(2).unwrap(),
+            subtotal: 0.0,
+            borders: vec![BorderRef::empty(1); 2],
+        };
+        let root = ctx.new_leaf::<f64>(2).unwrap();
+        let mut s = 0x61D5u64;
+        let mut inserted: Vec<(f64, f64)> = Vec::new();
+        // (shape reached, pages the insert that reached it allocated)
+        let mut steps = vec![(Shape::Inline(0), 0)];
+        while !matches!(steps.last(), Some((Shape::Page(_), _))) {
+            let (y, v) = (rnd(&mut s), (rnd(&mut s) * 64.0).floor());
+            let before = t.store().allocated_pages();
+            ops::register_against(ctx, 2, &space, &mut rec, &Point::new(&[0.25, y]), &v).unwrap();
+            inserted.push((y, v));
+            let grown = t.store().allocated_pages() - before;
+            let now = match shape(ctx, &rec.borders[0]) {
+                Shape::Inline(_) => Shape::Inline(0),
+                other => other,
+            };
+            let moved = steps.last().unwrap().0 != now;
+            if moved {
+                steps.push((now, grown));
+            } else {
+                assert_eq!(grown, 0, "an insert that splits nothing allocates nothing");
+            }
+            if moved || inserted.len().is_multiple_of(97) {
+                ctx.write(root, 2, &Node::Index(vec![rec.clone()])).unwrap();
+                for y in [0.0, rnd(&mut s), y, y.next_down(), 1.0] {
+                    let want: f64 = inserted.iter().filter(|e| e.0 <= y).map(|e| e.1).sum();
+                    let q = Point::new(&[0.75, y]);
+                    let got: f64 = ops::tree_query(ctx, 2, &space, root, &q).unwrap();
+                    assert_eq!(got, want, "after {} inserts, y = {y}", inserted.len());
+                }
+            }
+        }
+        // The spill makes one leaf; each leaf split makes one leaf more;
+        // only the fourth record takes a root page.
+        let want = [
+            (Shape::Inline(0), 0),
+            (Shape::Leaf, 1),
+            (Shape::Dir(2), 1),
+            (Shape::Dir(3), 1),
+            (Shape::Page(4), 2),
+        ];
+        assert_eq!(steps, want);
+        let BorderRef::Tree(border) = rec.borders[0] else {
+            unreachable!()
+        };
+        ops::check_consistency(ctx, 1, &space.drop_dim(0), border).unwrap();
+    }
+
+    #[test]
+    fn directories_answer_as_a_scan_after_deletes_reopen_and_pins() {
+        // A bulk load at 8 KB over a buffer of a few pages, then rounds
+        // of inserts and deletes (an insert of the negated value), each
+        // committed: the live tree, the tree reopened through the
+        // catalog and a pin of each commit answer what a scan does.
+        let mut s = 0xDE1u64;
+        let points = integer_points(30_000, &mut s);
+        let store = SharedStore::open(&StoreConfig::small(8192, 16).with_wal(true)).unwrap();
+        let mut t: BATree<f64> =
+            BATree::bulk_load(store.clone(), unit_space(2), 8, points.clone()).unwrap();
+        let mut live = points.clone();
+        let queries: Vec<Point> = (0..60)
+            .map(|_| Point::from_fn(2, |_| rnd(&mut s)))
+            .chain([Point::new(&[1.0, 1.0])])
+            .collect();
+        let scan = |objects: &[(Point, f64)]| -> Vec<f64> {
+            queries
+                .iter()
+                .map(|q| {
+                    objects
+                        .iter()
+                        .filter(|(p, _)| p.dominated_by(q))
+                        .map(|(_, v)| v)
+                        .sum()
+                })
+                .collect()
+        };
+        let answers = |t: &BATree<f64>| -> Vec<f64> {
+            queries
+                .iter()
+                .map(|q| t.dominance_sum(q).unwrap())
+                .collect()
+        };
+        let mut pins = Vec::new();
+        for round in 0..4 {
+            for i in 0..400usize {
+                let (p, v) = if i.is_multiple_of(3) {
+                    let (p, v) = live[(round * 977 + i * 31) % points.len()];
+                    (p, -v)
+                } else {
+                    integer_points(1, &mut s)[0]
+                };
+                t.insert(p, v).unwrap();
+                live.push((p, v));
+            }
+            t.persist_as("t").unwrap();
+            store.commit().unwrap();
+            let want = scan(&live);
+            assert_eq!(answers(&t), want, "round {round}: live");
+            let reopened: BATree<f64> = BATree::open_named(store.clone(), "t").unwrap();
+            assert_eq!(answers(&reopened), want, "round {round}: reopened");
+            let snap = Arc::new(store.snapshot().unwrap());
+            pins.push((BATree::<f64>::open_named(&snap, "t").unwrap(), want, snap));
+            for (pinned, want, _) in &pins {
+                assert_eq!(&answers(pinned), want, "round {round}: a pin");
+            }
+        }
+        t.check_consistency().unwrap();
+        let shapes = border_shapes(t.nodes.ctx(), t.root_page());
+        assert!(shapes.iter().any(|s| matches!(s, Shape::Dir(_))));
+        drop(pins);
+        store.validate().unwrap();
     }
 }

@@ -416,7 +416,7 @@ mod tests {
         assert!(out.starts_with("sum = 460"), "{out}");
 
         let out = info(&pages).unwrap();
-        assert!(out.contains("format:    v2"), "{out}");
+        assert!(out.contains("format:    v3"), "{out}");
         assert!(out.contains("dimension: 2"), "{out}");
         assert!(out.contains("objects:   3"), "{out}");
     }

@@ -1,5 +1,5 @@
 //! Checksums: one word-parallel 64-bit sum, [`sum64`], over every page
-//! payload and every write-ahead-log record body (format v2).
+//! payload and every write-ahead-log record body (formats v2 on).
 //!
 //! ## The kernel
 //!
@@ -257,7 +257,7 @@ mod tests {
 
     #[test]
     fn pinned_vectors() {
-        // Format v2 is these numbers: empty input, a six-byte tail, a
+        // Formats v2 and v3 are these numbers: empty input, a six-byte tail, a
         // full 8 KB payload. A kernel that computes others needs a
         // superblock version of its own.
         assert_eq!(sum64(b""), 0xf243_bc6d_12b1_5dd7);

@@ -95,6 +95,13 @@ pub trait Layout: Copy + Debug + Send + Sync + 'static {
     /// One index record over values `V`.
     type Record<V: AggValue>: Clone + Debug + Send + Sync + 'static;
 
+    /// The layout for a family whose pages `params` sizes: a layout
+    /// whose record codec depends on the page size takes it here
+    /// ([`PagedTree::open_in`] calls it). Unchanged by default.
+    fn sized(self, _params: &PageParams) -> Self {
+        self
+    }
+
     /// Dimension of a leaf's points at `at`.
     fn leaf_dim(&self, at: usize) -> usize;
 
@@ -387,6 +394,7 @@ impl<V: AggValue, L: Layout> PagedTree<V, L> {
         };
         params.require(params.leaf_entry_size(layout.leaf_dim(root_at)), 2)?;
         params.require(layout.record_size(&params, root_at), 3)?;
+        let layout = layout.sized(&params);
         Ok(Self {
             pages,
             params,

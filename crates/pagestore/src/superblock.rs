@@ -35,11 +35,14 @@
 //!
 //! ## Format versions
 //!
-//! The version covers everything on disk, not just this page: **v2**
-//! sums page trailers and log records with
-//! [`checksum::sum64`](crate::checksum::sum64); v1 used bytewise
-//! FNV-1a for both. There is no v1 reader — a v1 store is refused at
-//! open with both files untouched; rebuild it with `boxagg build`. (A
+//! The version covers everything on disk, not just this page: **v3**
+//! adds the BA-tree's border directory (a small 1-d border tree's top
+//! level held in its owning index record, border tag 2), which a v2
+//! reader would refuse as a corrupt record; v2 sums page trailers and
+//! log records with [`checksum::sum64`](crate::checksum::sum64); v1
+//! used bytewise FNV-1a for both. There is no reader for an older
+//! version — such a store is refused at open with both files
+//! untouched; rebuild it with `boxagg build`. (A
 //! raw pager file has no superblock and so no version: one written
 //! before v2 opens, and its first fetched page fails verification as
 //! a typed `Corruption`.)
@@ -64,7 +67,7 @@ use crate::pager::PageId;
 pub const MAGIC: [u8; 8] = *b"BOXAGGSB";
 
 /// Current on-disk format version (see the module docs).
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 
 /// Length of the position-stable prefix (magic through page size).
 pub const PREFIX_LEN: usize = 16;
@@ -423,8 +426,8 @@ mod tests {
             Err(Error::GeometryMismatch {
                 what: "version",
                 stored: 1,
-                requested: 2,
-            }) => {}
+                requested,
+            }) if requested == u64::from(VERSION) => {}
             other => panic!("expected a version mismatch, got {other:?}"),
         }
         // …but only behind the magic: a raw file is never "versioned".
@@ -477,8 +480,8 @@ mod tests {
             Err(Error::GeometryMismatch {
                 what: "version",
                 stored: 1,
-                requested: 2,
-            })
+                requested,
+            }) if requested == u64::from(VERSION)
         ));
     }
 

@@ -8,6 +8,7 @@
 use boxagg_common::tempdir;
 use boxagg_pagestore::fault::{is_injected, OpKind};
 use boxagg_pagestore::pager::wal_path;
+use boxagg_pagestore::superblock::VERSION;
 use boxagg_pagestore::{
     wal, Backing, FaultPager, FaultSpec, FilePager, OpFilter, PageId, Pager, SharedStore,
     StoreConfig,
@@ -138,12 +139,14 @@ fn another_format_version_is_refused_before_the_log_is_touched() {
     let path = dir.path().join("pages.db");
     leave_pending_txn(&path);
     // Patch the superblock's version field (bytes 8‥10 of the file's
-    // position-stable prefix) to 1: a store of the previous format,
-    // whose committed log a v2 reader would mistake for a torn tail —
-    // record sums differ between versions — and truncate away.
+    // position-stable prefix) to the previous format's: a reader that
+    // did not check it would take that store's border directories or
+    // record sums for corruption — its committed log for a torn tail,
+    // truncated away.
+    let (current, previous) = (VERSION, VERSION - 1);
     let mut pages = std::fs::read(&path).unwrap();
-    assert_eq!(pages[8..10], 2u16.to_le_bytes());
-    pages[8..10].copy_from_slice(&1u16.to_le_bytes());
+    assert_eq!(pages[8..10], current.to_le_bytes());
+    pages[8..10].copy_from_slice(&previous.to_le_bytes());
     std::fs::write(&path, &pages).unwrap();
     let log = std::fs::read(wal_path(&path)).unwrap();
     assert!(!log.is_empty(), "a committed transaction is pending");
@@ -153,9 +156,9 @@ fn another_format_version_is_refused_before_the_log_is_touched() {
         match opened {
             Err(Error::GeometryMismatch {
                 what: "version",
-                stored: 1,
-                requested: 2,
-            }) => {}
+                stored,
+                requested,
+            }) if stored == u64::from(previous) && requested == u64::from(current) => {}
             Err(other) => panic!("{how}: expected a version mismatch, got: {other}"),
             Ok(_) => panic!("{how}: opened a store of another format version"),
         }
@@ -166,7 +169,7 @@ fn another_format_version_is_refused_before_the_log_is_touched() {
     refused("open_readonly", SharedStore::open_readonly(&cfg));
 
     // Patched back, the same files open and recover the transaction.
-    pages[8..10].copy_from_slice(&2u16.to_le_bytes());
+    pages[8..10].copy_from_slice(&current.to_le_bytes());
     std::fs::write(&path, &pages).unwrap();
     let store = SharedStore::open(&cfg).unwrap();
     assert_eq!(store.recovery_report().txns_replayed, 1);

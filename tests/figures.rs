@@ -172,7 +172,7 @@ page B  pages  MiB  I/Os per query  build s
 ------  -----  ---  --------------  -------
   2048    788  1.5             7.2        -
   4096    272  1.1             1.4        -
-  8192     96  0.8             0.0        -
+  8192     84  0.7             0.0        -
  16384     36  0.6             0.0        -
 "#;
 

@@ -1,6 +1,6 @@
 //! The on-disk format, pinned on both sides by a committed store.
 //!
-//! `tests/golden/v2.pages` + `v2.pages.wal` are a small format-v2 store:
+//! `tests/golden/v3.pages` + `v3.pages.wal` are a small format-v3 store:
 //! a 2-d BA-tree corner engine over 512-byte pages, [`APPLIED`] seeded
 //! objects committed and applied in place, and one more transaction —
 //! the remaining inserts and one delete — committed in the log but
@@ -89,7 +89,7 @@ const ANSWERS: [u64; BOXES] = [
 ];
 
 fn golden() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/v2.pages")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/v3.pages")
 }
 
 fn config(path: &Path) -> StoreConfig {
@@ -157,9 +157,9 @@ fn answers(store: &SharedStore) -> Vec<u64> {
 }
 
 #[test]
-fn golden_v2_store_opens_recovers_and_answers_bit_identically() {
+fn golden_v3_store_opens_recovers_and_answers_bit_identically() {
     let dir = tempdir::tempdir().unwrap();
-    let path = dir.path().join("v2.pages");
+    let path = dir.path().join("v3.pages");
     std::fs::copy(golden(), &path).unwrap();
     std::fs::copy(wal_path(golden()), wal_path(&path)).unwrap();
     let pages = std::fs::read(&path).unwrap();
@@ -189,17 +189,17 @@ fn golden_v2_store_opens_recovers_and_answers_bit_identically() {
 #[test]
 fn rebuilding_from_the_seed_reproduces_the_golden_bytes() {
     let dir = tempdir::tempdir().unwrap();
-    let path = dir.path().join("v2.pages");
+    let path = dir.path().join("v3.pages");
     build(&path);
     let same = |a: &Path, b: &Path| std::fs::read(a).unwrap() == std::fs::read(b).unwrap();
     assert!(
         same(&path, &golden()),
-        "the data file a build writes today differs from tests/golden/v2.pages: \
+        "the data file a build writes today differs from tests/golden/v3.pages: \
          a writer moved — see this file's docs for when to bump superblock::VERSION"
     );
     assert!(
         same(&wal_path(&path), &wal_path(golden())),
-        "the log a build writes today differs from tests/golden/v2.pages.wal: \
+        "the log a build writes today differs from tests/golden/v3.pages.wal: \
          a writer moved — see this file's docs for when to bump superblock::VERSION"
     );
 }
@@ -236,7 +236,7 @@ const BULK_DIGESTS: [(&str, u64, u64); 4] = [
         1224,
         0xb88f_81de_c918_69ca,
     ),
-    ("2-d, 8 KB pages", 1287, 0x11a0_89c6_0aea_c43e),
+    ("2-d, 8 KB pages", 1186, 0x187e_c3d8_9e1a_08cb),
 ];
 
 /// The page count of `store` and FNV-1a 64 over every page's bytes, in
@@ -300,7 +300,8 @@ fn bulk_digests() -> Vec<(&'static str, u64, u64)> {
     let engine = FunctionalBoxSum::batree_bulk(unit(2), small(), 0, &functional).unwrap();
     push(BULK_DIGESTS[2].0, engine.index().store());
 
-    // At 8 KB a border of up to five entries stays inline.
+    // At 8 KB a border of up to five entries stays inline, and a border
+    // tree's top level of up to three records stays in its record.
     let wide: Vec<(Rect, f64)> = (0..12_000)
         .map(|_| {
             (
