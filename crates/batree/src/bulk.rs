@@ -14,7 +14,7 @@
 //! them; the merged points become one coordinate column per dimension
 //! plus a value column, and a point is its index there (its rank in lex
 //! order). Nodes and cells carry `u32` index lists, each kept
-//! ascending; leaves and inline borders are packed straight from the
+//! ascending; leaves and held leaves are packed straight from the
 //! columns.
 //!
 //! Construction of one node over index list `P` within box `R`:
@@ -31,9 +31,12 @@
 //!    apply the §5 classification: below `r.low` everywhere → subtotal;
 //!    below somewhere and within `r.high` elsewhere → border `min(S)`
 //!    (projected). Points are taken in *classification order* — cells
-//!    in order, each cell's points in index order: subtotals add in it,
-//!    inline borders keep it, and the `(d−1)`-dim border trees of a
-//!    `d ≥ 3` tree are inserted in it.
+//!    in order, each cell's points in index order: subtotals add in it
+//!    and held leaves keep it. A border past a held leaf's cap is a tree
+//!    built by this same loader one dimension down (`ops::build_border`),
+//!    so the `(d−1)`-dim border trees of a `d ≥ 3` tree take their
+//!    entries in lex order, coincident ones merged in classification
+//!    order, and their bytes are fixed as this tree's are.
 //!    A 2-d tree's borders are 1-d trees, which take their entries by
 //!    key, equal keys in classification order. So the node's points are
 //!    sorted once per border direction by (kept coordinate, cell,
@@ -181,10 +184,7 @@ fn bulk_node<V: AggValue>(
             None => border_lists(cols, &cells, r)
                 .into_iter()
                 .enumerate()
-                .map(|(k, list)| {
-                    let entries = cols.slab(&list, Some(k)).into_entries();
-                    ops::build_border(ctx, dim, space, k, entries)
-                })
+                .map(|(k, list)| ops::build_border(ctx, dim, space, k, cols.slab(&list, Some(k))))
                 .collect::<Result<Vec<_>>>()?,
         };
         records.push(IndexRecord {
@@ -379,7 +379,7 @@ impl Stripe {
         if hits.len() <= cap {
             hits.sort_unstable_by_key(|p| (p.cell, p.i));
             let idx: Vec<u32> = hits.iter().map(|p| p.i).collect();
-            return Ok(BorderRef::Inline(cols.slab(&idx, Some(k))));
+            return Ok(BorderRef::Held(Node::Leaf(cols.slab(&idx, Some(k)))));
         }
         let entries = hits.iter().map(|p| (p.key, cols.value(p.i).clone()));
         ops::bulk_build_1d(ctx, &space.drop_dim(k), entries)

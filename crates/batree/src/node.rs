@@ -7,16 +7,19 @@
 //! leaf:   [tag=0:u8][count:u16] ([point: 8·d][value: var])*
 //! index:  [tag=1:u8][count:u16] ([rect: 16·d][child: u64]
 //!                                [border: var]·d [subtotal: var])*
-//! border: [tag=0:u8][count:u16] ([point: 8·(d−1)][value: var])*   inline entries
-//!       | [tag=1:u8][root: u64]                                   a border tree
-//!       | [tag=2:u8][c:u8] [bound: f64]·(c+1)                     a directory
+//! border: [tag=0:u8][count:u16] ([point: 8·(d−1)][value: var])*   a held leaf
+//!       | [tag=1:u8][root: u64]                                   a border tree's root page
+//!       | [tag=2:u8][c:u8] [bound: f64]·(c+1)                     a held index node
 //!                          ([child: u64][subtotal: var])·c
 //! ```
 //!
-//! A directory is the top level of a 1-d border tree held in the record:
-//! record `i` covers `[bound_i, bound_(i+1)]` and holds its child's page
-//! and the sum of its earlier siblings' subtrees — the records the tree's
-//! root page would hold, with no page of their own.
+//! Every border is a `(d−1)`-dim BA-tree ([`BorderRef`]), and its top
+//! node may be held in the record instead of on a page of its own: a
+//! leaf's projected entries (tag 0), or the records of a 1-d tree's root
+//! index node (tag 2, a *directory*): record `i` covers
+//! `[bound_i, bound_(i+1)]` and holds its child's page and the sum of
+//! its earlier siblings' subtrees. A 1-d record's one border is always
+//! an empty held leaf.
 //!
 //! Values are variable-size (scalars vs polynomial tuples), so node
 //! capacities are computed from the configured worst-case value size —
@@ -38,11 +41,11 @@ use boxagg_pagestore::{PageId, RootEntry, RootKind};
 /// Fanout floor used to size the inline-border budget.
 const MIN_INDEX_FANOUT: usize = 32;
 
-/// Border tag: entries inline in the record.
-const INLINE: u8 = 0;
+/// Border tag: a held leaf, its entries in the record.
+const LEAF: u8 = 0;
 /// Border tag: the root page of a border tree.
 const TREE: u8 = 1;
-/// Border tag: a 1-d border tree's top level, held in the record.
+/// Border tag: a held index node (a 1-d border tree's top level).
 const DIR: u8 = 2;
 
 /// The BA-tree's page layout. A node's `at` is its dimension: the
@@ -96,14 +99,31 @@ impl Ba {
         inline.saturating_sub(8) / (16 + params.max_value_size)
     }
 
-    /// Most records a `border_dim`-dimensional border tree's top level
-    /// may hold as a directory in its owning record: only 1-d border
-    /// trees have one.
+    /// Most records a `border_dim`-dimensional border tree's top index
+    /// node may hold in its owning record: only 1-d border trees hold
+    /// one.
     pub(crate) fn dir_cap(&self, border_dim: usize) -> usize {
         if border_dim == 1 {
             self.dir_cap
         } else {
             0
+        }
+    }
+
+    /// Whether `node`, the top of a `border_dim`-dimensional border
+    /// tree, stays held in its owning record — the held counterpart of
+    /// [`paged::Ctx::fits`]: a leaf of at most
+    /// [`inline_border_cap`](Ba::inline_border_cap) entries, an index
+    /// node of at most [`dir_cap`](Ba::dir_cap) records.
+    pub(crate) fn holds<V: AggValue>(
+        &self,
+        params: &PageParams,
+        node: &Node<V>,
+        border_dim: usize,
+    ) -> bool {
+        match node {
+            Node::Leaf(entries) => entries.len() <= Self::inline_border_cap(params, border_dim + 1),
+            Node::Index(records) => records.len() <= self.dir_cap(border_dim),
         }
     }
 
@@ -114,8 +134,8 @@ impl Ba {
         Rect::encoded_size(dim) + 8 + params.max_value_size + dim * (1 + 8)
     }
 
-    /// A directory's records, after its tag, in a record of a tree one
-    /// dimension above `border_dim`: `Corrupt` unless it holds 1 to
+    /// A held index node's records, after its tag, in a record of a
+    /// tree one dimension above `border_dim`: `Corrupt` unless it holds 1 to
     /// [`dir_cap`](Ba::dir_cap) records over bounds in order.
     fn decode_dir<V: AggValue>(
         &self,
@@ -184,8 +204,8 @@ impl Layout for Ba {
         w.put_u64(r.child.0);
         for b in &r.borders {
             match b {
-                BorderRef::Inline(entries) => {
-                    w.put_u8(INLINE);
+                BorderRef::Held(Node::Leaf(entries)) => {
+                    w.put_u8(LEAF);
                     w.put_u16(entries.len() as u16);
                     debug_assert_eq!(entries.dim(), dim - 1);
                     entries.encode_entries(w);
@@ -194,7 +214,7 @@ impl Layout for Ba {
                     w.put_u8(TREE);
                     w.put_u64(id.0);
                 }
-                BorderRef::Dir(records) => {
+                BorderRef::Held(Node::Index(records)) => {
                     debug_assert!((1..=self.dir_cap(dim - 1)).contains(&records.len()));
                     debug_assert!(records
                         .windows(2)
@@ -224,15 +244,20 @@ impl Layout for Ba {
         let child = PageId(r.get_u64()?);
         let mut borders = Vec::with_capacity(dim);
         for _ in 0..dim {
-            match r.get_u8()? {
-                INLINE => {
+            let border = match r.get_u8()? {
+                LEAF => {
                     let n = r.get_u16()? as usize;
-                    borders.push(BorderRef::Inline(EntrySlab::decode_entries(r, dim - 1, n)?));
+                    BorderRef::Held(Node::Leaf(EntrySlab::decode_entries(r, dim - 1, n)?))
                 }
-                TREE => borders.push(BorderRef::Tree(PageId(r.get_u64()?))),
-                DIR => borders.push(BorderRef::Dir(self.decode_dir(r, dim - 1)?)),
+                TREE => BorderRef::Tree(PageId(r.get_u64()?)),
+                DIR => BorderRef::Held(Node::Index(self.decode_dir(r, dim - 1)?)),
                 t => return Err(corrupt(format!("unknown border tag {t}"))),
+            };
+            // A 1-d record has nothing to project a border onto.
+            if dim == 1 && !border.is_empty() {
+                return Err(corrupt("a 1-d index record with a border".to_string()));
             }
+            borders.push(border);
         }
         let subtotal = V::decode(r)?;
         Ok(IndexRecord {
@@ -247,7 +272,8 @@ impl Layout for Ba {
         r.child
     }
 
-    /// A directory's children each root a border tree of their own.
+    /// A held index node's children each root a border tree of their
+    /// own.
     fn border_trees<V: AggValue>(
         &self,
         r: &IndexRecord<V>,
@@ -274,25 +300,22 @@ impl Cataloged for Ba {
 }
 
 /// One border of an index record: the `(d−1)`-dimensional weighted point
-/// set below the record's low corner in one dimension's direction.
+/// set below the record's low corner in one dimension's direction, a
+/// `(d−1)`-dim BA-tree.
 ///
-/// Small borders live *inline* in the record (§4's multiple-borders-per-
-/// page optimization); beyond [`Ba::inline_border_cap`] they spill
-/// into a dedicated `(d−1)`-dim BA-tree. A spilled 1-d tree whose top
-/// level has at most [`Ba::dir_cap`] records keeps that level in the
-/// record too, as a directory: a query reads no page for it.
+/// While [`Ba::holds`] its top node, the record holds it (§4's
+/// multiple-borders-per-page optimization): a query reads no page for
+/// it. Past that, the tree's top is a page.
 #[derive(Debug, Clone)]
-pub(crate) enum BorderRef<V> {
-    /// Entries stored in the record itself (projected points, decoded
-    /// into struct-of-arrays columns for the dominance scans).
-    Inline(EntrySlab<V>),
-    /// Root of a dedicated border tree.
+pub(crate) enum BorderRef<V: AggValue> {
+    /// The tree's top node, held in the record: a leaf of projected
+    /// points (decoded into struct-of-arrays columns for the dominance
+    /// scans), or a 1-d tree's root index node — its records in key
+    /// order, each box ending where the next begins, each subtotal the
+    /// sum of the earlier siblings' subtrees.
+    Held(Node<V>),
+    /// The root page of the border tree.
     Tree(PageId),
-    /// The top level of a 1-d border tree: the records of the index
-    /// node that would be its root page, in key order, each box ending
-    /// where the next begins, each subtotal the sum of the earlier
-    /// siblings' subtrees.
-    Dir(Vec<IndexRecord<V>>),
 }
 
 impl<V: AggValue> BorderRef<V> {
@@ -300,30 +323,29 @@ impl<V: AggValue> BorderRef<V> {
     /// (`dim − 1` for a `dim`-dimensional tree; 0 for 1-d trees, whose
     /// borders are structurally empty).
     pub(crate) fn empty(projected_dim: usize) -> Self {
-        BorderRef::Inline(EntrySlab::new(projected_dim))
+        BorderRef::Held(Node::empty_leaf(projected_dim))
     }
 
-    /// Whether the border holds no entries (inline only; a spilled tree
-    /// is never empty).
-    pub(crate) fn is_empty_inline(&self) -> bool {
-        matches!(self, BorderRef::Inline(v) if v.is_empty())
+    /// Whether the border is an empty held leaf (a tree is never empty).
+    pub(crate) fn is_empty(&self) -> bool {
+        matches!(self, BorderRef::Held(Node::Leaf(v)) if v.is_empty())
     }
 
-    /// The roots of the border's pages: a tree's root, or each of a
-    /// directory's children.
+    /// The roots of the border's pages: a tree's root, or each of a held
+    /// index node's children.
     pub(crate) fn trees(&self) -> impl Iterator<Item = PageId> + '_ {
-        let (root, dir) = match self {
-            BorderRef::Inline(_) => (None, &[][..]),
+        let (root, held) = match self {
+            BorderRef::Held(Node::Leaf(_)) => (None, &[][..]),
             BorderRef::Tree(id) => (Some(*id), &[][..]),
-            BorderRef::Dir(records) => (None, &records[..]),
+            BorderRef::Held(Node::Index(records)) => (None, &records[..]),
         };
-        root.into_iter().chain(dir.iter().map(|r| r.child))
+        root.into_iter().chain(held.iter().map(|r| r.child))
     }
 }
 
 /// One k-d-B index record augmented with aggregation state (§5).
 #[derive(Debug, Clone)]
-pub(crate) struct IndexRecord<V> {
+pub(crate) struct IndexRecord<V: AggValue> {
     /// Region covered by the child subtree. Records of a node tile the
     /// node's region without overlap.
     pub rect: Rect,
@@ -389,12 +411,12 @@ mod tests {
         let p = params();
         let k = Ba::inline_border_cap(&p, 2);
         let entries: Vec<(Point, f64)> = (0..k).map(|i| (Point::new(&[i as f64]), 1.0)).collect();
-        let inline = EntrySlab::from_slice(1, &entries);
+        let held = BorderRef::Held(Node::Leaf(EntrySlab::from_slice(1, &entries)));
         let rec = IndexRecord {
             rect: Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]),
             child: PageId(1),
             subtotal: 0.5,
-            borders: vec![BorderRef::Inline(inline.clone()), BorderRef::Inline(inline)],
+            borders: vec![held.clone(), held],
         };
         let bytes = encode(&Node::Index(vec![rec; index_cap(&p, 2)]), 2);
         assert!(
@@ -412,10 +434,10 @@ mod tests {
             child: PageId(42),
             subtotal: Poly::monomial(2.0, &[1, 1]),
             borders: vec![
-                BorderRef::Inline(EntrySlab::from_slice(
+                BorderRef::Held(Node::Leaf(EntrySlab::from_slice(
                     1,
                     &[(Point::new(&[0.25]), Poly::constant(3.0))],
-                )),
+                ))),
                 BorderRef::Tree(PageId(7)),
             ],
         };
@@ -427,12 +449,12 @@ mod tests {
                 assert_eq!(rs.len(), 1);
                 assert_eq!(rs[0].child, PageId(42));
                 match &rs[0].borders[0] {
-                    BorderRef::Inline(es) => {
+                    BorderRef::Held(Node::Leaf(es)) => {
                         assert_eq!(es.len(), 1);
                         assert_eq!(es.point(0), Point::new(&[0.25]));
                         assert_eq!(*es.value(0), Poly::constant(3.0));
                     }
-                    _ => panic!("expected inline border"),
+                    _ => panic!("expected a held leaf"),
                 }
                 assert!(matches!(rs[0].borders[1], BorderRef::Tree(PageId(7))));
                 assert_eq!(rs[0].subtotal, Poly::monomial(2.0, &[1, 1]));
@@ -442,11 +464,11 @@ mod tests {
         }
     }
 
-    /// A directory of `c` records over `[0, 1]`: record `i` covers
-    /// `[i/c, (i+1)/c]`, with child page `100 + i` and subtotal
-    /// `value(i)`.
+    /// A held index node (a directory) of `c` records over `[0, 1]`:
+    /// record `i` covers `[i/c, (i+1)/c]`, with child page `100 + i` and
+    /// subtotal `value(i)`.
     fn dir<V: AggValue>(c: usize, value: impl Fn(usize) -> V) -> BorderRef<V> {
-        BorderRef::Dir(
+        BorderRef::Held(Node::Index(
             (0..c)
                 .map(|i| IndexRecord {
                     rect: Rect::from_bounds(&[(i as f64 / c as f64, (i + 1) as f64 / c as f64)]),
@@ -455,11 +477,11 @@ mod tests {
                     borders: vec![BorderRef::empty(0)],
                 })
                 .collect(),
-        )
+        ))
     }
 
     /// An 8 KB index page whose records carry directories of one, two
-    /// and three records beside inline and tree borders.
+    /// and three records beside held leaves and tree borders.
     fn directory_page() -> Node<f64> {
         let rec = |i: usize, borders| IndexRecord {
             rect: Rect::from_bounds(&[(i as f64, i as f64 + 1.0), (0.0, 1.0)]),
@@ -487,17 +509,19 @@ mod tests {
         for (g, w) in got.iter().zip(want) {
             for (gb, wb) in g.borders.iter().zip(&w.borders) {
                 match (gb, wb) {
-                    (BorderRef::Dir(g), BorderRef::Dir(w)) => {
+                    (BorderRef::Held(Node::Index(g)), BorderRef::Held(Node::Index(w))) => {
                         assert_eq!(g.len(), w.len());
                         for (g, w) in g.iter().zip(w) {
                             assert_eq!(g.rect, w.rect);
                             assert_eq!(g.child, w.child);
                             assert_eq!(g.subtotal.to_bits(), w.subtotal.to_bits());
-                            assert!(g.borders[0].is_empty_inline());
+                            assert!(g.borders[0].is_empty());
                         }
                     }
                     (BorderRef::Tree(g), BorderRef::Tree(w)) => assert_eq!(g, w),
-                    (BorderRef::Inline(g), BorderRef::Inline(w)) => assert_eq!(g.len(), w.len()),
+                    (BorderRef::Held(Node::Leaf(g)), BorderRef::Held(Node::Leaf(w))) => {
+                        assert_eq!(g.len(), w.len())
+                    }
                     other => panic!("{other:?}"),
                 }
             }
@@ -609,9 +633,10 @@ mod tests {
     #[test]
     fn border_ref_helpers() {
         let b: BorderRef<f64> = BorderRef::empty(1);
-        assert!(b.is_empty_inline());
+        assert!(b.is_empty());
         let t: BorderRef<f64> = BorderRef::Tree(PageId(1));
-        assert!(!t.is_empty_inline());
+        assert!(!t.is_empty());
+        assert!(!dir(1, |_| 0.0).is_empty());
     }
 
     #[test]
@@ -754,9 +779,9 @@ mod tests {
     }
 
     /// Seed pages at `(dim, bytes)`: leaves of one to three dimensions —
-    /// a sorted 1-d leaf past one running-sum chunk among them — and
-    /// index records with inline and tree borders, and with
-    /// directories of one to three records.
+    /// a sorted 1-d leaf past one running-sum chunk among them — 1-d
+    /// index records, and 2-d ones with held leaves and tree borders,
+    /// and with held index nodes of one to three records.
     fn seed_pages<V: AggValue>(value: impl Fn(usize) -> V) -> Vec<(usize, Vec<u8>)> {
         let leaf = |dim: usize, n: usize| {
             // A 1-d leaf sorted with ties takes running sums; the others
@@ -775,12 +800,12 @@ mod tests {
             child: PageId(i as u64 + 1),
             subtotal: value(i),
             borders: vec![
-                BorderRef::Inline(EntrySlab::from_entries(
+                BorderRef::Held(Node::Leaf(EntrySlab::from_entries(
                     1,
                     (0..i % 4)
                         .map(|j| (Point::new(&[j as f64]), value(j)))
                         .collect(),
-                )),
+                ))),
                 BorderRef::Tree(PageId(9)),
             ],
         };
@@ -795,6 +820,14 @@ mod tests {
         };
         let mut dir_page = ByteWriter::new();
         Node::Index((0..3).map(dirs).collect()).encode(&ba(), 2, &mut dir_page);
+        let one_d = |i: usize| IndexRecord {
+            rect: Rect::from_bounds(&[(i as f64, i as f64 + 1.0)]),
+            child: PageId(i as u64 + 1),
+            subtotal: value(i),
+            borders: vec![BorderRef::empty(0)],
+        };
+        let mut one_d_page = ByteWriter::new();
+        Node::Index((0..4).map(one_d).collect()).encode(&ba(), 1, &mut one_d_page);
         vec![
             leaf(1, 150),
             leaf(2, 40),
@@ -802,6 +835,7 @@ mod tests {
             leaf(2, 0),
             (2, w.into_vec()),
             (2, dir_page.into_vec()),
+            (1, one_d_page.into_vec()),
         ]
     }
 

@@ -49,17 +49,28 @@
 //!   In 2-d the "otherwise" set is empty and this is exactly the
 //!   paper's "the border along the split dimension is split in two".
 //!
-//! ## Border directories
+//! ## Held nodes
 //!
-//! A spilled 1-d border tree whose top level has at most
-//! [`Ba::dir_cap`] records keeps that level in its owning record
-//! ([`BorderRef::Dir`]) instead of on a root page: [`bulk_build_1d`]
-//! returns such a level as a directory, a border leaf that splits
-//! becomes one, and one that grows past the cap is written as the root
-//! page the tree would otherwise have had. Inserts and queries treat a
-//! directory as an index node held in memory (`insert_records`,
-//! `query_records`), so a query adds exactly what the root page's
-//! visit would have added, in the same order.
+//! A border tree's top node lives in its owning record
+//! ([`BorderRef::Held`]) while [`Ba::holds`] it: a leaf of at most
+//! [`Ba::inline_border_cap`] entries, or a 1-d tree's root index node of
+//! at most [`Ba::dir_cap`] records. A held node takes an insert through
+//! `insert_node`, as a page's node does, and leaves its record by one
+//! rule (`settle`) that mirrors [`paged::Ctx::fits`]: a leaf past its cap
+//! is rebuilt by [`build_tree`], an index node past its cap is written
+//! as the tree's root page, and a root page that splits into few enough
+//! records comes back as a held index node. A query adds a held leaf
+//! into the record's sum as it scans it, and visits a held index node as
+//! it would the root page (`top_query`, `query_node`), so it adds
+//! exactly what that page's visit would, in the same order.
+//!
+//! ## Building
+//!
+//! Every border tree is built by the column loader: a 1-d one by
+//! [`bulk_build_1d`], a higher one by [`bulk::bulk_build`], whose own
+//! borders come back through [`build_border`]. So the bulk load, the
+//! border rebuilds of a split and a held leaf's spill all build the same
+//! way; [`tree_insert`] takes single points only.
 
 use boxagg_common::error::{invalid_arg, Result};
 use boxagg_common::geom::{Point, Rect};
@@ -67,6 +78,7 @@ use boxagg_common::slab::EntrySlab;
 use boxagg_common::value::AggValue;
 use boxagg_pagestore::{paged, PageId, Visit};
 
+use crate::bulk;
 use crate::node::{Ba, BorderRef, IndexRecord, Node};
 
 /// The page context every operation threads (see [`paged::Ctx`]).
@@ -98,7 +110,7 @@ fn contains_partition(rect: &Rect, p: &Point, space: &Rect) -> bool {
 /// (lexicographically) — its subtree holds the boundary points, while
 /// the lower record's queries can never dominate them. Insertion and
 /// query must agree on this rule.
-fn find_owner<V>(records: &[IndexRecord<V>], p: &Point, space: &Rect) -> Option<usize> {
+fn find_owner<V: AggValue>(records: &[IndexRecord<V>], p: &Point, space: &Rect) -> Option<usize> {
     let mut best: Option<usize> = None;
     for (i, r) in records.iter().enumerate() {
         if contains_partition(&r.rect, p, space) {
@@ -181,19 +193,22 @@ fn write_root<V: AggValue>(
     }
 }
 
-/// A spilled border over `space`, a `dim`-dim tree whose top level is
-/// `records`: a directory while they are few enough
-/// ([`Ba::dir_cap`]), else the tree's root page.
-fn border_top<V: AggValue>(
+/// The border `node` makes as the top of a `dim`-dim tree over `space`:
+/// held while [`Ba::holds`] it; past that a leaf is rebuilt by
+/// [`build_tree`], and an index node is written as the tree's root page.
+fn settle<V: AggValue>(
     ctx: Ctx<'_>,
     dim: usize,
     space: &Rect,
-    records: Vec<IndexRecord<V>>,
+    node: Node<V>,
 ) -> Result<BorderRef<V>> {
-    if records.len() <= ctx.layout.dir_cap(dim) {
-        return Ok(BorderRef::Dir(records));
+    if ctx.layout.holds(ctx.params, &node, dim) {
+        return Ok(BorderRef::Held(node));
     }
-    Ok(BorderRef::Tree(write_root(ctx, dim, space, records)?))
+    match node {
+        Node::Leaf(entries) => build_tree(ctx, dim, space, entries.into_entries()),
+        Node::Index(records) => Ok(BorderRef::Tree(write_root(ctx, dim, space, records)?)),
+    }
 }
 
 /// Recursive insert. Returns `Some(node)` when the updated node no longer
@@ -209,18 +224,7 @@ fn insert_rec<V: AggValue>(
     v: V,
 ) -> Result<Option<Node<V>>> {
     let mut node: Node<V> = ctx.read(node_id, dim)?;
-    match &mut node {
-        Node::Leaf(entries) => {
-            // Coincident points merge, which keeps leaves splittable:
-            // distinct points always differ in some dimension.
-            if let Some(i) = entries.find_exact(&p) {
-                entries.value_mut(i).add_assign(&v);
-            } else {
-                entries.push(&p, v);
-            }
-        }
-        Node::Index(records) => insert_records(ctx, dim, space, records, p, v)?,
-    }
+    insert_node(ctx, dim, space, &mut node, p, v)?;
     if !ctx.fits(&node, dim) {
         return Ok(Some(node));
     }
@@ -228,18 +232,31 @@ fn insert_rec<V: AggValue>(
     Ok(None)
 }
 
-/// Inserts into the index node (a page's, or a directory) whose records
-/// are `records`: registers the point against every record but its
-/// owner, inserts it below the owner, and splices in the pieces of an
+/// Inserts into `node`, a page's or a held one; the caller decides what
+/// an outgrown node becomes. A leaf merges a coincident point or takes a
+/// new entry. An index node registers the point against every record but
+/// its owner, inserts it below the owner, and splices in the pieces of an
 /// owner's child that outgrew its page.
-fn insert_records<V: AggValue>(
+fn insert_node<V: AggValue>(
     ctx: Ctx<'_>,
     dim: usize,
     space: &Rect,
-    records: &mut Vec<IndexRecord<V>>,
+    node: &mut Node<V>,
     p: Point,
     v: V,
 ) -> Result<()> {
+    let records = match node {
+        Node::Leaf(entries) => {
+            // Coincident points merge, which keeps leaves splittable:
+            // distinct points always differ in some dimension.
+            match entries.find_exact(&p) {
+                Some(i) => entries.value_mut(i).add_assign(&v),
+                None => entries.push(&p, v),
+            }
+            return Ok(());
+        }
+        Node::Index(records) => records,
+    };
     let i = find_owner(records, &p, space)
         .ok_or_else(|| invalid_arg(format!("point {p:?} outside every record of the node")))?;
     for (k, r) in records.iter_mut().enumerate() {
@@ -289,37 +306,23 @@ pub(crate) fn register_against<V: AggValue>(
     }
     let k = below_mask.trailing_zeros() as usize;
     debug_assert!(dim >= 2);
-    let pp = p.drop_dim(k);
+    let (pp, v) = (p.drop_dim(k), v.clone());
     let sub_space = space.drop_dim(k);
     let border = &mut r.borders[k];
-    match border {
-        BorderRef::Inline(entries) => {
-            if let Some(i) = entries.find_exact(&pp) {
-                entries.value_mut(i).add_assign(v);
-            } else {
-                entries.push(&pp, v.clone());
+    let top = match border {
+        BorderRef::Held(node) => {
+            insert_node(ctx, dim - 1, &sub_space, node, pp, v)?;
+            if ctx.layout.holds(ctx.params, node, dim - 1) {
+                return Ok(());
             }
-            if entries.len() > Ba::inline_border_cap(ctx.params, dim) {
-                // Spill the border into its own (d−1)-dim tree.
-                let drained = std::mem::replace(entries, EntrySlab::new(dim - 1));
-                *border = build_tree(ctx, dim - 1, &sub_space, drained.into_entries())?;
-            }
+            std::mem::replace(node, Node::empty_leaf(0))
         }
-        BorderRef::Tree(root) => {
-            let root = *root;
-            if let Some(oversized) = insert_rec(ctx, dim - 1, &sub_space, root, pp, v.clone())? {
-                let records = split_root(ctx, dim - 1, &sub_space, root, oversized)?;
-                *border = border_top(ctx, dim - 1, &sub_space, records)?;
-            }
-        }
-        BorderRef::Dir(records) => {
-            insert_records(ctx, dim - 1, &sub_space, records, pp, v.clone())?;
-            if records.len() > ctx.layout.dir_cap(dim - 1) {
-                let records = std::mem::take(records);
-                *border = border_top(ctx, dim - 1, &sub_space, records)?;
-            }
-        }
-    }
+        BorderRef::Tree(root) => match insert_rec(ctx, dim - 1, &sub_space, *root, pp, v)? {
+            None => return Ok(()),
+            Some(oversized) => Node::Index(split_root(ctx, dim - 1, &sub_space, *root, oversized)?),
+        },
+    };
+    *border = settle(ctx, dim - 1, &sub_space, top)?;
     Ok(())
 }
 
@@ -335,33 +338,16 @@ pub(crate) fn tree_query<V: AggValue>(
     if root.is_null() {
         return Ok(V::zero());
     }
-    top_query(ctx, dim, space, Top::Page(root), q)
+    top_query(ctx, dim, space, &BorderRef::Tree(root), q)
 }
 
-/// The top of a tree: its root page, or a directory's records.
-#[derive(Clone, Copy, Debug)]
-enum Top<'a, V> {
-    Page(PageId),
-    Dir(&'a [IndexRecord<V>]),
-}
-
-impl<V> BorderRef<V> {
-    /// The top of a spilled border; `None` for an inline one.
-    fn top(&self) -> Option<Top<'_, V>> {
-        match self {
-            BorderRef::Inline(_) => None,
-            BorderRef::Tree(root) => Some(Top::Page(*root)),
-            BorderRef::Dir(records) => Some(Top::Dir(records)),
-        }
-    }
-}
-
-/// Dominance-sum over the tree whose top is `top`.
+/// Dominance-sum over the tree whose top is `top`: its root page, or a
+/// node held in a record.
 fn top_query<V: AggValue>(
     ctx: Ctx<'_>,
     dim: usize,
     space: &Rect,
-    top: Top<'_, V>,
+    top: &BorderRef<V>,
     q: &Point,
 ) -> Result<V> {
     // Clamp the query into the space: below the space floor nothing is
@@ -373,8 +359,8 @@ fn top_query<V: AggValue>(
     }
     let qc = q.component_min(space.high());
     match top {
-        Top::Page(root) => query_rec(ctx, dim, space, root, &qc),
-        Top::Dir(records) => query_records(ctx, dim, space, records, &qc),
+        BorderRef::Tree(root) => query_rec(ctx, dim, space, *root, &qc),
+        BorderRef::Held(node) => query_node(ctx, dim, space, node, &qc),
     }
 }
 
@@ -391,38 +377,42 @@ fn query_rec<V: AggValue>(
     node_id: PageId,
     q: &Point,
 ) -> Result<V> {
-    let node = match ctx.read_or_sum::<V>(node_id, dim, 0, q)? {
-        Visit::Scanned(sum) => return Ok(sum),
-        Visit::Node(node) => node,
-    };
-    match &*node {
-        Node::Leaf(entries) => Ok(entries.dominated_sum(q)),
-        Node::Index(records) => query_records(ctx, dim, space, records, q),
+    match ctx.read_or_sum::<V>(node_id, dim, 0, q)? {
+        Visit::Scanned(sum) => Ok(sum),
+        Visit::Node(node) => query_node(ctx, dim, space, &node, q),
     }
 }
 
-/// The dominance-sum below the index node (a page's, or a directory)
-/// whose records are `records`: the owner's subtotal, then each of its
-/// borders, then its child's sum.
-fn query_records<V: AggValue>(
+/// The dominance-sum below `node`, a page's or a held one: a leaf's
+/// dominated entries; for an index node, the owner's subtotal, then each
+/// of its borders, then its child's sum.
+fn query_node<V: AggValue>(
     ctx: Ctx<'_>,
     dim: usize,
     space: &Rect,
-    records: &[IndexRecord<V>],
+    node: &Node<V>,
     q: &Point,
 ) -> Result<V> {
+    let records = match node {
+        Node::Leaf(entries) => return Ok(entries.dominated_sum(q)),
+        Node::Index(records) => records,
+    };
     let i = find_owner(records, q, space)
         .ok_or_else(|| invalid_arg(format!("query point {q:?} outside every record")))?;
     let r = &records[i];
     let mut acc = r.subtotal.clone();
     for (k, b) in r.borders.iter().enumerate() {
-        if let BorderRef::Inline(entries) = b {
-            if !entries.is_empty() {
-                entries.sum_dominated_into(&q.drop_dim(k), &mut acc);
+        match b {
+            // A held leaf adds into the record's sum as it is scanned.
+            BorderRef::Held(Node::Leaf(entries)) => {
+                if !entries.is_empty() {
+                    entries.sum_dominated_into(&q.drop_dim(k), &mut acc);
+                }
             }
-        } else if let Some(top) = b.top() {
-            let sub = top_query::<V>(ctx, dim - 1, &space.drop_dim(k), top, &q.drop_dim(k))?;
-            acc.add_assign(&sub);
+            top => {
+                let sub = top_query::<V>(ctx, dim - 1, &space.drop_dim(k), top, &q.drop_dim(k))?;
+                acc.add_assign(&sub);
+            }
         }
     }
     let below = query_rec::<V>(ctx, dim, space, r.child, q)?;
@@ -430,65 +420,57 @@ fn query_records<V: AggValue>(
     Ok(acc)
 }
 
-/// Collects a border's entries (inline list or spilled tree leaves).
-fn border_entries<V: AggValue>(
+/// Every entry of the `dim`-dim tree whose top is `top`: a held leaf's,
+/// or its pages' leaves', left to right.
+fn tree_entries<V: AggValue>(
     ctx: Ctx<'_>,
     dim: usize,
-    border: &BorderRef<V>,
+    top: &BorderRef<V>,
 ) -> Result<Vec<(Point, V)>> {
-    if let BorderRef::Inline(entries) = border {
+    if let BorderRef::Held(Node::Leaf(entries)) = top {
         return Ok(entries.to_entries());
     }
     let mut out = Vec::new();
-    for root in border.trees() {
-        ctx.enumerate(dim - 1, root, &mut out)?;
+    for root in top.trees() {
+        ctx.enumerate(dim, root, &mut out)?;
     }
     Ok(out)
 }
 
-/// Builds a border from entries: inline when small, a dedicated tree
-/// otherwise.
+/// Builds border `k` of a record of a `dim`-dim tree over `space` from
+/// its projected entries: held while they fit a held leaf, built as a
+/// tree past that (`settle`).
 pub(crate) fn build_border<V: AggValue>(
     ctx: Ctx<'_>,
     dim: usize,
     space: &Rect,
     k: usize,
-    entries: Vec<(Point, V)>,
+    entries: EntrySlab<V>,
 ) -> Result<BorderRef<V>> {
-    if entries.len() <= Ba::inline_border_cap(ctx.params, dim) {
-        Ok(BorderRef::Inline(EntrySlab::from_entries(dim - 1, entries)))
-    } else {
-        build_tree(ctx, dim - 1, &space.drop_dim(k), entries)
+    if entries.is_empty() {
+        // Held at every dimension; a 1-d record's border has no space.
+        return Ok(BorderRef::Held(Node::Leaf(entries)));
     }
+    settle(ctx, dim - 1, &space.drop_dim(k), Node::Leaf(entries))
 }
 
-/// Builds a fresh `dim`-dim border tree from entries (an empty inline
-/// border for none). Used to rebuild border trees during splits and by
-/// the bulk loader for the borders of trees of three or more
-/// dimensions. One-dimensional trees (every border of a 2-d BA-tree)
-/// are bulk-built by [`bulk_build_1d`], leaves filled evenly; higher
-/// dimensions fall back to repeated insertion.
-pub(crate) fn build_tree<V: AggValue>(
+/// Builds a fresh `dim`-dim border tree over `space` from entries with
+/// the column loader: a 1-d tree by [`bulk_build_1d`], leaves filled
+/// evenly, a higher one by [`bulk::bulk_build`].
+fn build_tree<V: AggValue>(
     ctx: Ctx<'_>,
     dim: usize,
     space: &Rect,
     mut entries: Vec<(Point, V)>,
 ) -> Result<BorderRef<V>> {
-    if entries.is_empty() {
-        return Ok(BorderRef::empty(dim));
+    if dim > 1 {
+        return Ok(BorderRef::Tree(bulk::bulk_build(ctx, space, entries)?));
     }
-    if dim == 1 {
-        // Stable: equal keys keep their order, which is the order they
-        // merge in.
-        entries.sort_by(|a, b| a.0.get(0).total_cmp(&b.0.get(0)));
-        let sorted = entries.into_iter().map(|(p, v)| (p.get(0), v));
-        return bulk_build_1d(ctx, space, sorted);
-    }
-    let mut root = ctx.new_leaf::<V>(dim)?;
-    for (p, v) in entries {
-        root = tree_insert(ctx, dim, space, root, p, v)?;
-    }
-    Ok(BorderRef::Tree(root))
+    // Stable: equal keys keep their order, which is the order they
+    // merge in.
+    entries.sort_by(|a, b| a.0.get(0).total_cmp(&b.0.get(0)));
+    let sorted = entries.into_iter().map(|(p, v)| (p.get(0), v));
+    bulk_build_1d(ctx, space, sorted)
 }
 
 /// Bottom-up bulk construction of a 1-d BA-tree (an aggregate B-tree),
@@ -504,8 +486,8 @@ pub(crate) fn build_tree<V: AggValue>(
 /// of the earlier siblings' subtrees *within the node* — exactly the
 /// state dynamic insertion would converge to, so later inserts and
 /// splits work unchanged. A top level of at most [`Ba::dir_cap`]
-/// records is returned as a directory rather than written as a root
-/// page. No entries build an empty inline border.
+/// records is returned held rather than written as a root page. No
+/// entries build an empty held leaf.
 pub(crate) fn bulk_build_1d<V: AggValue>(
     ctx: Ctx<'_>,
     space: &Rect,
@@ -577,7 +559,7 @@ pub(crate) fn bulk_build_1d<V: AggValue>(
             (records, node_sum)
         };
         if items.len() <= ctx.layout.dir_cap(1) {
-            return Ok(BorderRef::Dir(node(0, items.len()).0));
+            return Ok(BorderRef::Held(Node::Index(node(0, items.len()).0)));
         }
 
         let mut next: Vec<(f64, PageId, V)> = Vec::new();
@@ -772,7 +754,7 @@ fn split_record_at<V: AggValue>(
     // --- border split ----------------------------------------------------
     let mut rb_borders: Vec<BorderRef<V>> = vec![BorderRef::empty(dim - 1); dim];
     let mut rt_borders: Vec<BorderRef<V>> = vec![BorderRef::empty(dim - 1); dim];
-    if dim == 1 {
+    let borders = if dim == 1 {
         // No borders in 1-d: "below in the split dimension" is "below in
         // every dimension", so the low page's points fold straight into
         // the high record's subtotal on a leaf split.
@@ -781,55 +763,41 @@ fn split_record_at<V: AggValue>(
                 rt_subtotal.add_assign(v);
             }
         }
-        let rt_child = ctx.store()?.allocate()?;
-        let rb = IndexRecord {
-            rect: rb_rect,
-            child: rec.child,
-            subtotal: rec.subtotal,
-            borders: rb_borders,
-        };
-        let rt = IndexRecord {
-            rect: rt_rect,
-            child: rt_child,
-            subtotal: rt_subtotal,
-            borders: rt_borders,
-        };
-        return Ok((rb, nb, rt, nt));
-    }
-    let mut borders = rec.borders;
-    for (k, b) in borders.drain(..).enumerate() {
+        Vec::new()
+    } else {
+        rec.borders
+    };
+    for (k, b) in borders.into_iter().enumerate() {
         if k == j {
             // Anchored on the split dimension: valid for both halves.
-            let mut entries = border_entries(ctx, dim, &b)?;
+            let mut entries = EntrySlab::from_entries(dim - 1, tree_entries(ctx, dim - 1, &b)?);
             if is_leaf {
                 // The low page's points sit below Ft in dim j only.
-                entries.extend(
-                    low_leaf_points
-                        .iter()
-                        .map(|(p, v)| (p.drop_dim(j), v.clone())),
-                );
+                for (p, v) in &low_leaf_points {
+                    entries.push(&p.drop_dim(j), v.clone());
+                }
             }
             rt_borders[k] = build_border(ctx, dim, space, k, entries)?;
             rb_borders[k] = b;
         } else {
-            if b.is_empty_inline() {
+            if b.is_empty() {
                 continue;
             }
             let jp = if j < k { j } else { j - 1 };
-            let entries = border_entries(ctx, dim, &b)?;
+            let entries = tree_entries(ctx, dim - 1, &b)?;
             for root in b.trees() {
                 ctx.free_tree::<V>(dim - 1, root)?;
             }
             let rt_low_proj = rt_rect.low().drop_dim(k);
-            let mut lo_entries = Vec::new();
-            let mut hi_entries = Vec::new();
+            let mut lo_entries = EntrySlab::new(dim - 1);
+            let mut hi_entries = EntrySlab::new(dim - 1);
             for (p, v) in entries {
                 let c = p.get(jp);
                 if c <= m {
-                    lo_entries.push((p, v.clone()));
+                    lo_entries.push(&p, v.clone());
                 }
                 if c >= m {
-                    hi_entries.push((p, v));
+                    hi_entries.push(&p, v);
                 } else {
                     // Below Ft in dim j too. Folds into the subtotal when
                     // below in every retained dimension (always, in 2-d);
@@ -838,7 +806,7 @@ fn split_record_at<V: AggValue>(
                     if below_all {
                         rt_subtotal.add_assign(&v);
                     } else {
-                        hi_entries.push((p, v));
+                        hi_entries.push(&p, v);
                     }
                 }
             }
@@ -893,43 +861,32 @@ pub(crate) fn check_consistency(
     space: &Rect,
     root: PageId,
 ) -> Result<()> {
-    check_top(ctx, dim, space, Top::Page(root))
+    check_top(ctx, dim, space, &BorderRef::Tree(root))
 }
 
 /// [`check_consistency`] for the tree whose top is `top`.
-fn check_top(ctx: Ctx<'_>, dim: usize, space: &Rect, top: Top<'_, f64>) -> Result<()> {
+fn check_top(ctx: Ctx<'_>, dim: usize, space: &Rect, top: &BorderRef<f64>) -> Result<()> {
     // Walks one tree, collecting probe points, checking containment and
     // recursing into border trees (validated independently).
     fn collect(
         ctx: Ctx<'_>,
         dim: usize,
         space: &Rect,
-        node_id: PageId,
+        node: &Node<f64>,
         rect: &Rect,
         probes: &mut Vec<Point>,
     ) -> Result<()> {
-        let node = ctx.read_shared::<f64>(node_id, dim)?;
-        match &*node {
+        let records = match node {
             Node::Leaf(entries) => {
-                for (p, _) in entries.iter() {
-                    if !rect.contains_point(&p) {
-                        return Err(invalid_arg(format!(
-                            "leaf point {p:?} escapes its region {rect:?}"
-                        )));
-                    }
-                }
-                Ok(())
+                return match entries.iter().find(|(p, _)| !rect.contains_point(p)) {
+                    Some((p, _)) => Err(invalid_arg(format!(
+                        "leaf point {p:?} escapes its region {rect:?}"
+                    ))),
+                    None => Ok(()),
+                };
             }
-            Node::Index(records) => collect_records(ctx, dim, space, records, probes),
-        }
-    }
-    fn collect_records(
-        ctx: Ctx<'_>,
-        dim: usize,
-        space: &Rect,
-        records: &[IndexRecord<f64>],
-        probes: &mut Vec<Point>,
-    ) -> Result<()> {
+            Node::Index(records) => records,
+        };
         for r in records {
             probes.push(r.rect.center());
             probes.push(Point::from_fn(dim, |i| {
@@ -941,29 +898,25 @@ fn check_top(ctx: Ctx<'_>, dim: usize, space: &Rect, top: Top<'_, f64>) -> Resul
                 }
             }));
             for (k, b) in r.borders.iter().enumerate() {
-                if let Some(top) = b.top() {
-                    check_top(ctx, dim - 1, &space.drop_dim(k), top)?;
+                if !b.is_empty() {
+                    check_top(ctx, dim - 1, &space.drop_dim(k), b)?;
                 }
             }
-            collect(ctx, dim, space, r.child, &r.rect, probes)?;
+            let child = ctx.read_shared::<f64>(r.child, dim)?;
+            collect(ctx, dim, space, &child, &r.rect, probes)?;
         }
         Ok(())
     }
 
     let mut probes = vec![*space.high(), space.center()];
-    let mut all: Vec<(Point, f64)> = Vec::new();
     match top {
-        Top::Page(root) => {
-            collect(ctx, dim, space, root, space, &mut probes)?;
-            ctx.enumerate::<f64>(dim, root, &mut all)?;
+        BorderRef::Tree(root) => {
+            let node = ctx.read_shared::<f64>(*root, dim)?;
+            collect(ctx, dim, space, &node, space, &mut probes)?;
         }
-        Top::Dir(records) => {
-            collect_records(ctx, dim, space, records, &mut probes)?;
-            for r in records {
-                ctx.enumerate::<f64>(dim, r.child, &mut all)?;
-            }
-        }
+        BorderRef::Held(node) => collect(ctx, dim, space, node, space, &mut probes)?,
     }
+    let all = tree_entries(ctx, dim, top)?;
     for q in &probes {
         let got = top_query::<f64>(ctx, dim, space, top, q)?;
         let want: f64 = all

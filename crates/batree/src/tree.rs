@@ -440,6 +440,45 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_1d_record_with_a_border_answers_corrupt() {
+        // A 1-d tree of a root index page over packed leaves. Its first
+        // record's border, always an empty held leaf, is rewritten as a
+        // tree's root, then as a held entry: a query through the record
+        // is refused as corrupt, where it once panicked projecting the
+        // query onto no dimension.
+        let mut s = 0x1DB0u64;
+        let points: Vec<(Point, f64)> = (0..2000)
+            .map(|_| (Point::new(&[rnd(&mut s)]), 1.0))
+            .collect();
+        let store = SharedStore::open(&StoreConfig::small(4096, 64)).unwrap();
+        let t = BATree::bulk_load(store.clone(), unit_space(1), 8, points).unwrap();
+        let ctx = t.nodes.ctx();
+        let Node::Index(records) = ctx.read::<f64>(t.root_page(), 1).unwrap() else {
+            panic!("a root leaf")
+        };
+        let q = records[0].rect.center();
+        let mut page = boxagg_common::bytes::ByteWriter::new();
+        Node::Index(records.clone()).encode(&ctx.layout, 1, &mut page);
+        let page = page.into_vec();
+        // Header, the first record's box and child, then its border.
+        let at = 3 + Rect::encoded_size(1) + 8;
+        assert_eq!(page[at..at + 3], [0, 0, 0], "an empty held leaf");
+        let mut tree = vec![1];
+        tree.extend(records[1].child.0.to_le_bytes());
+        let mut entry = vec![0, 1, 0];
+        entry.extend(2.0f64.to_le_bytes());
+        for border in [tree, entry] {
+            let mut bad = page.clone();
+            bad.splice(at..at + 3, border);
+            store.write_page(t.root_page(), &bad).unwrap();
+            match t.dominance_sum(&q) {
+                Err(boxagg_common::Error::Corrupt(_)) => {}
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
     fn compare_vs_naive(dim: usize, n: usize, page_size: usize, seed: u64) {
         let mut t = small_tree(dim, page_size);
         let mut oracle = NaiveDominanceIndex::new(dim);
@@ -925,8 +964,8 @@ mod tests {
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
             match &*ctx.read_shared::<f64>(id, 1).unwrap() {
-                crate::node::Node::Leaf(slab) => leaves.push(slab.len()),
-                crate::node::Node::Index(records) => {
+                Node::Leaf(slab) => leaves.push(slab.len()),
+                Node::Index(records) => {
                     index += 1;
                     stack.extend(records.iter().rev().map(|r| r.child));
                 }
@@ -970,9 +1009,9 @@ mod tests {
             let before = t.store().allocated_pages();
             let border = ops::bulk_build_1d(ctx, &space, entries.iter().copied()).unwrap();
             let written = t.store().allocated_pages() - before;
-            // 256-byte pages hold no directory.
+            // 256-byte pages hold no index node in a record.
             let BorderRef::Tree(root) = border else {
-                assert!(n == 0 && border.is_empty_inline(), "no entries, no tree");
+                assert!(n == 0 && border.is_empty(), "no entries, no tree");
                 assert_eq!(written, 0);
                 continue;
             };
@@ -1026,8 +1065,9 @@ mod tests {
         t.check_consistency().unwrap();
     }
 
-    /// What a border is: inline entries, a tree's root leaf, a root
-    /// index page of so many records, or a directory of so many.
+    /// What a border is: a held leaf of so many entries, a tree's root
+    /// leaf, a root index page of so many records, or a held index node
+    /// (a directory) of so many.
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Shape {
         Inline(usize),
@@ -1038,11 +1078,11 @@ mod tests {
 
     fn shape(ctx: ops::Ctx<'_>, border: &BorderRef<f64>) -> Shape {
         match border {
-            BorderRef::Inline(entries) => Shape::Inline(entries.len()),
-            BorderRef::Dir(records) => Shape::Dir(records.len()),
+            BorderRef::Held(Node::Leaf(entries)) => Shape::Inline(entries.len()),
+            BorderRef::Held(Node::Index(records)) => Shape::Dir(records.len()),
             BorderRef::Tree(root) => match &*ctx.read_shared::<f64>(*root, 1).unwrap() {
-                crate::node::Node::Leaf(_) => Shape::Leaf,
-                crate::node::Node::Index(records) => Shape::Page(records.len()),
+                Node::Leaf(_) => Shape::Leaf,
+                Node::Index(records) => Shape::Page(records.len()),
             },
         }
     }
@@ -1053,7 +1093,7 @@ mod tests {
         let mut shapes = Vec::new();
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
-            if let crate::node::Node::Index(records) = &*ctx.read_shared::<f64>(id, 2).unwrap() {
+            if let Node::Index(records) = &*ctx.read_shared::<f64>(id, 2).unwrap() {
                 for r in records {
                     shapes.extend(r.borders.iter().map(|b| shape(ctx, b)));
                     stack.push(r.child);

@@ -13,7 +13,8 @@
 //! adds `2^d − 1` more roundings of partial sums no larger than
 //! `Σ_s D_s`. So every answer is within `γ(m + 2^d) · Σ_s D_s` of the
 //! exact box-sum, whatever order the adds take. A change that reorders
-//! adds must stay inside it on every query.
+//! adds must stay inside it on every query, in two dimensions and in
+//! three (where the border trees are themselves BA-trees with borders).
 
 use boxagg::common::Rect;
 use boxagg::core::engine::SimpleBoxSum;
@@ -38,11 +39,19 @@ fn gamma(k: usize) -> f64 {
 
 #[test]
 fn box_sums_stay_within_the_derived_bound_of_an_exact_scan() {
+    // In 3-d, larger boxes, so that the box-sums add as many objects.
+    for (dim, mean_side) in [(2, 0.01), (3, 0.05)] {
+        check(dim, mean_side);
+    }
+}
+
+fn check(dim: usize, mean_side: f64) {
     const BULK: usize = 3_000;
     const INSERTS: usize = 600;
     let cfg = DatasetConfig {
         n: BULK + INSERTS,
-        mean_side: 0.01,
+        dim,
+        mean_side,
         ..DatasetConfig::paper(0, 0xE8AC7)
     };
     let mut rng = StdRng::seed_from_u64(0xE8AC7);
@@ -53,7 +62,7 @@ fn box_sums_stay_within_the_derived_bound_of_an_exact_scan() {
     let queries: Vec<Rect> = [1e-4, 1e-3, 1e-2, 1e-1]
         .iter()
         .enumerate()
-        .flat_map(|(i, qbs)| gen_queries(2, 100, *qbs, 0xE8AC7 + i as u64))
+        .flat_map(|(i, qbs)| gen_queries(dim, 100, *qbs, 0xE8AC7 + i as u64))
         .collect();
 
     // 1 KB pages: the borders are trees of several leaves, and the
@@ -66,7 +75,7 @@ fn box_sums_stay_within_the_derived_bound_of_an_exact_scan() {
 
     let values: Vec<i128> = objects.iter().map(|(_, v)| fixed(*v)).collect();
     // One more `u` for rounding the exact answer to `f64` to compare.
-    let bound = gamma(objects.len() + 4 + 1);
+    let bound = gamma(objects.len() + (1 << dim) + 1);
     let (mut worst, mut closest) = (0.0f64, 0.0f64);
     for q in &queries {
         let exact: i128 = objects
@@ -79,8 +88,8 @@ fn box_sums_stay_within_the_derived_bound_of_an_exact_scan() {
         // box-sum, and their sum scales the bound.
         let mut alternating = 0i128;
         let mut terms = 0i128;
-        for mask in 0..4 {
-            let y = corner_query_point(q, 2, mask);
+        for mask in 0..1 << dim {
+            let y = corner_query_point(q, dim, mask);
             let d: i128 = objects
                 .iter()
                 .zip(&values)
@@ -106,7 +115,7 @@ fn box_sums_stay_within_the_derived_bound_of_an_exact_scan() {
         closest = closest.max(err / allowed);
     }
     println!(
-        "over {} queries: max relative error against exact {worst:.3e}, \
+        "{dim}-d over {} queries: max relative error against exact {worst:.3e}, \
          at most {closest:.1e} of the bound",
         queries.len()
     );

@@ -180,8 +180,8 @@ const DIM3: &str = r#"
 == 3-d box-sum: total I/Os over 50 queries (n = 2,000, 8 dominance-sums per query) ==
   QBS  aR    BAT
 -----  --  -----
-0.01%   0  2,952
- 0.1%   0  2,475
-   1%   0  1,925
-  10%   0    615
+0.01%   0  2,904
+ 0.1%   0  2,422
+   1%   0  1,907
+  10%   0    554
 "#;

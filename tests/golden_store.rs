@@ -230,7 +230,7 @@ const BULK_DIGESTS: [(&str, u64, u64); 4] = [
         1372,
         0x4377_f6c1_f84a_b977,
     ),
-    ("3-d, 512-byte pages", 2543, 0x22f6_d742_f30d_d182),
+    ("3-d, 512-byte pages", 2215, 0x12a9_94dc_3d82_836d),
     (
         "2-d functional, 512-byte pages",
         1224,
