@@ -110,17 +110,17 @@ const FIG9C: &str = r#"
 scheme   I/Os  CPU ms  exec ms
 ------  -----  ------  -------
  aR_d0      0       -        -
-BAT_d0  1,381       -        -
+BAT_d0  1,146       -        -
  aR_d2      0       -        -
-BAT_d2  2,291       -        -
+BAT_d2  2,381       -        -
 
 == Fig. 9c supplement: I/Os per query vs n (degree 0, QBS 1%) — aR grows ∝ √n, BAT ∝ log n ==
     n  aR I/O per q  BAT I/O per q  aR / BAT
 -----  ------------  -------------  --------
   500           0.0            0.0      0.00
-1,000           0.0           13.2      0.00
-2,000           0.0           27.7      0.00
-4,000           0.0           35.1      0.00
+1,000           0.0           12.8      0.00
+2,000           0.0           22.2      0.00
+4,000           0.0           31.0      0.00
 "#;
 
 const TABLE1: &str = r#"
@@ -156,8 +156,8 @@ const R200: &str = r#"
 -----  --------  ---  -----
   500         0    1   0.0x
 1,000         0    1   0.0x
-2,000         0  236   0.0x
-4,000         0  883   0.0x
+2,000         0  264   0.0x
+4,000         0  822   0.0x
 "#;
 
 const ABLATION: &str = r#"
@@ -180,8 +180,8 @@ const DIM3: &str = r#"
 == 3-d box-sum: total I/Os over 50 queries (n = 2,000, 8 dominance-sums per query) ==
   QBS  aR    BAT
 -----  --  -----
-0.01%   0  2,904
- 0.1%   0  2,422
-   1%   0  1,907
-  10%   0    554
+0.01%   0  2,764
+ 0.1%   0  2,205
+   1%   0  1,752
+  10%   0    832
 "#;

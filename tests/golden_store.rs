@@ -227,16 +227,16 @@ fn regenerate_golden_store() {
 const BULK_DIGESTS: [(&str, u64, u64); 4] = [
     (
         "2-d grid with duplicates, 512-byte pages",
-        1372,
-        0x4377_f6c1_f84a_b977,
+        1521,
+        0xc585_14ad_638f_45b5,
     ),
-    ("3-d, 512-byte pages", 2215, 0x12a9_94dc_3d82_836d),
+    ("3-d, 512-byte pages", 2470, 0x5b63_91f4_c475_85f9),
     (
         "2-d functional, 512-byte pages",
-        1224,
-        0xb88f_81de_c918_69ca,
+        1537,
+        0xa3ad_db80_c847_f7ad,
     ),
-    ("2-d, 8 KB pages", 1186, 0x187e_c3d8_9e1a_08cb),
+    ("2-d, 8 KB pages", 767, 0xe8aa_8ef1_91b1_c053),
 ];
 
 /// The page count of `store` and FNV-1a 64 over every page's bytes, in
@@ -283,7 +283,7 @@ fn bulk_digests() -> Vec<(&'static str, u64, u64)> {
     let engine = SimpleBoxSum::batree_bulk(unit(2), small(), &grid).unwrap();
     push(BULK_DIGESTS[0].0, engine.indexes()[0].store());
 
-    // A 3-d tree's borders are 2-d trees built by insertion.
+    // A 3-d tree's borders are 2-d trees, built by the same loader.
     let cube: Vec<(Rect, f64)> = (0..400)
         .map(|_| (seeded_rect(&mut rng, 3, 0.2), rng.gen::<f64>() * 10.0 - 2.0))
         .collect();

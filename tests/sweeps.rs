@@ -33,13 +33,13 @@ fn retry(scheme: Scheme, torn: bool) -> Tally {
 #[test]
 fn batree_exhaustive_error_sweep() {
     let t = retry(Scheme::BaTree, false);
-    assert_tally(&t, 421, &[("build", 320), ("query", 101)]);
+    assert_tally(&t, 407, &[("build", 326), ("query", 81)]);
 }
 
 #[test]
 fn batree_exhaustive_torn_write_sweep() {
     let t = retry(Scheme::BaTree, true);
-    assert_tally(&t, 421, &[("build", 320), ("query", 101)]);
+    assert_tally(&t, 407, &[("build", 326), ("query", 81)]);
 }
 
 #[test]
@@ -73,15 +73,15 @@ fn assert_crash(t: &Tally, domain: u64, [empty, txn1, txn2, replays]: [u64; 4]) 
 #[test]
 fn batree_exhaustive_crash_sweep() {
     let (t, commits) = crash(Scheme::BaTree, Kill::Clean);
-    assert_eq!(commits, [84, 159]);
-    assert_crash(&t, 188, [57, 71, 60, 60]);
+    assert_eq!(commits, [78, 144]);
+    assert_crash(&t, 144, [53, 61, 30, 57]);
 }
 
 #[test]
 fn batree_exhaustive_torn_kill_sweep() {
     let (t, commits) = crash(Scheme::BaTree, Kill::Torn);
-    assert_eq!(commits, [84, 159]);
-    assert_crash(&t, 188, [56, 71, 61, 63]);
+    assert_eq!(commits, [78, 144]);
+    assert_crash(&t, 144, [52, 61, 31, 60]);
     assert!(
         t.get("tails") > 0,
         "torn kills leave tails to discard: {t:?}"
@@ -95,8 +95,8 @@ fn batree_exhaustive_queued_commit_sweep() {
     // after the first as an empty commit, whose one data sync is the
     // serial schedule's one extra op: it lands on txn 2.
     let (t, commits) = crash(Scheme::BaTree, Kill::Queued);
-    assert_eq!(commits, [84, 160]);
-    assert_crash(&t, 189, [57, 71, 61, 60]);
+    assert_eq!(commits, [78, 145]);
+    assert_crash(&t, 145, [53, 61, 31, 57]);
 }
 
 #[test]
