@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 
 //! Shared harness for the paper's figures and the fault sweeps.

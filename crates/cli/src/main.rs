@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! `boxagg` — build, query and inspect persistent box-aggregation
 //! indexes.
 //!

@@ -188,7 +188,7 @@ impl Point {
     }
 
     /// Componentwise maximum.
-    pub fn component_max(&self, other: &Point) -> Point {
+    fn component_max(&self, other: &Point) -> Point {
         debug_assert_eq!(self.dim, other.dim);
         Point::from_fn(self.dim(), |i| self.get(i).max(other.get(i)))
     }

@@ -1,10 +1,8 @@
-#![forbid(unsafe_code)]
-
 //! `boxagg-lint` — lint the workspace (or specific paths) against the
 //! repository rules.
 //!
 //! ```text
-//! boxagg-lint [--deny-all] [--count] [--report FILE] [--root DIR] [PATH...]
+//! boxagg-lint [--deny-all] [--count] [--list-rules] [--root DIR] [PATH...]
 //! ```
 //!
 //! With no `PATH`s, walks `crates/*/src/**/*.rs` and `src/**/*.rs`
@@ -13,26 +11,22 @@
 //! inter-procedural R7–R9 pass over the whole workspace at once. With
 //! `PATH`s (files or directories), runs the same workspace-wide pass,
 //! the given files joining it, and reports only findings in them. Exits
-//! non-zero if any rule fires. `--deny-all` is the explicit CI spelling
-//! of the default deny-everything behavior. `--report FILE` writes the
-//! machine-readable `lint-report.json` document (findings with call
-//! chains plus a per-rule summary) before the exit code is decided, so
-//! CI uploads a report whether the run passes or fails. `--count` also
-//! counts product, test and comment lines and `pub fn` per crate of the
-//! workspace under the root (see `boxagg_lint::count_workspace`),
-//! prints them, and adds them to the report's `count` object.
+//! non-zero if any rule fires: the exit code is the CI gate.
+//! `--deny-all` is the explicit CI spelling of the default
+//! deny-everything behavior. `--count` also counts product, test and
+//! comment lines and `pub fn` per crate of the workspace under the root
+//! (see `boxagg_lint::count_workspace`) and prints them.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use boxagg_lint::{count_workspace, lint_paths, lint_workspace, report, RULE_KEYS};
+use boxagg_lint::{count_workspace, lint_paths, lint_workspace, RULE_KEYS};
 
-const USAGE: &str = "usage: boxagg-lint [--deny-all] [--count] [--list-rules] [--report FILE] \
-                     [--root DIR] [PATH...]";
+const USAGE: &str =
+    "usage: boxagg-lint [--deny-all] [--count] [--list-rules] [--root DIR] [PATH...]";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut report_path: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut counting = false;
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -51,16 +45,6 @@ fn main() -> ExitCode {
                 i += 1;
                 match argv.get(i) {
                     Some(dir) => root = Some(PathBuf::from(dir)),
-                    None => {
-                        eprintln!("{USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--report" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(file) => report_path = Some(PathBuf::from(file)),
                     None => {
                         eprintln!("{USAGE}");
                         return ExitCode::from(2);
@@ -104,12 +88,6 @@ fn main() -> ExitCode {
             "{name}: {} product, {} test, {} comment lines, {} pub fn",
             c.product, c.test, c.comment, c.pub_fn
         );
-    }
-    if let Some(path) = &report_path {
-        if let Err(e) = std::fs::write(path, report::render(&findings, counts.as_ref())) {
-            eprintln!("boxagg-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
     }
     for f in &findings {
         println!("{f}");

@@ -1,21 +1,22 @@
-//! Repository lint rules R1–R5 over the token stream.
+//! Repository lint rules over the token stream.
 //!
 //! | key               | rule                                                        |
 //! |-------------------|-------------------------------------------------------------|
 //! | `unwrap`          | R1: no bare `.unwrap()` in non-test code                    |
 //! | `expect-empty`    | R1: no `.expect("")` / blank-message expect in non-test code|
 //! | `panic`           | R1: no `panic!` in non-test code                            |
-//! | `unsafe`          | R2: no `unsafe` anywhere (audited allow-list only)          |
 //! | `raw-lock`        | R3: `pagestore` must lock through `RankedMutex::acquire`    |
 //! | `codec-roundtrip` | R4: codec files need a `*round_trip*` test                  |
-//! | `todo`            | R5: no `todo!` / `unimplemented!` in committed code         |
-//! | `dbg`             | R5: no `dbg!` in committed code                             |
 //! | `discarded-result`| R6: no `let _ =` in library code (any crate)                |
 //! | `static-lock-rank`| R7: no path may acquire rank ≤ any rank already held        |
 //! | `hot-lock-io`     | R8: no blocking I/O reachable under a hot lock              |
 //! | `snapshot-purity` | R9: no mutation reachable from snapshot / `*_at` readers    |
 //! | `hot-loop-alloc`  | R11: no per-call allocation in `// lint: hot-path` functions|
 //! | `bad-allow`       | meta: malformed / reason-less / unknown allow directive     |
+//!
+//! R2 (`unsafe`) and R5 (`todo`, `dbg`) are retired to the workspace
+//! `[lints]` table in the root `Cargo.toml`: rustc's `unsafe_code` and
+//! clippy's `todo`, `unimplemented` and `dbg_macro`.
 //!
 //! R7–R9 (plus `rank-drift`, the rank-table consistency check) are
 //! produced by the inter-procedural analysis in `graph.rs`, not
@@ -34,11 +35,8 @@ pub const RULE_KEYS: &[&str] = &[
     "unwrap",
     "expect-empty",
     "panic",
-    "unsafe",
     "raw-lock",
     "codec-roundtrip",
-    "todo",
-    "dbg",
     "discarded-result",
     "static-lock-rank",
     "hot-lock-io",
@@ -91,7 +89,6 @@ pub fn check(scanned: &Scanned, ctx: FileContext<'_>) -> Vec<Finding> {
 
     let mut raw = Vec::new();
     rule_unwrap_expect_panic(tokens, &in_test, &mut raw);
-    rule_unsafe(tokens, &mut raw);
     if ctx.crate_name == "pagestore" {
         rule_raw_lock(tokens, &in_test, &mut raw);
     }
@@ -106,7 +103,6 @@ pub fn check(scanned: &Scanned, ctx: FileContext<'_>) -> Vec<Finding> {
             || (ctx.crate_name == "serve" && ctx.file_name == "proto.rs");
         rule_codec_roundtrip(tokens, &in_test, forced, &mut raw);
     }
-    rule_todo_dbg(tokens, &mut raw);
     rule_hot_loop_alloc(tokens, &scanned.hot_paths, &in_test, &mut raw);
 
     apply_allows(raw, &scanned.allows)
@@ -303,23 +299,6 @@ fn rule_unwrap_expect_panic(
                 message: "`panic!` in non-test code; return an `Error`, use a \
                           descriptive `assert!`, or justify with \
                           `// lint: allow(panic) -- <reason>`"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// R2: `unsafe` anywhere (the audited allow-list is the set of
-/// `lint: allow(unsafe)` annotations, currently empty).
-fn rule_unsafe(tokens: &[Token], out: &mut Vec<Finding>) {
-    for t in tokens {
-        if t.is_ident("unsafe") {
-            out.push(Finding {
-                line: t.line,
-                chain: Vec::new(),
-                rule: "unsafe",
-                message: "`unsafe` outside the audited allow-list; if genuinely \
-                          required, annotate `// lint: allow(unsafe) -- <audit>`"
                     .to_string(),
             });
         }
@@ -539,33 +518,6 @@ fn rule_hot_loop_alloc(
     }
 }
 
-/// R5: no `todo!` / `unimplemented!` / `dbg!` anywhere, test code
-/// included.
-fn rule_todo_dbg(tokens: &[Token], out: &mut Vec<Finding>) {
-    for (i, t) in tokens.iter().enumerate() {
-        if !tokens.get(i + 1).is_some_and(|t| t.is_punct('!')) {
-            continue;
-        }
-        if t.is_ident("todo") || t.is_ident("unimplemented") {
-            out.push(Finding {
-                line: t.line,
-                chain: Vec::new(),
-                rule: "todo",
-                message: "unfinished-code marker committed; implement it or return \
-                          an explicit error"
-                    .to_string(),
-            });
-        } else if t.is_ident("dbg") {
-            out.push(Finding {
-                line: t.line,
-                chain: Vec::new(),
-                rule: "dbg",
-                message: "`dbg!` committed; remove the debugging aid".to_string(),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,27 +594,10 @@ mod tests {
     }
 
     #[test]
-    fn panic_and_todo_rules() {
+    fn panic_rule() {
         assert_eq!(rules("fn f() { panic!(\"x\"); }", "core"), vec!["panic"]);
-        assert_eq!(rules("fn f() { todo!(); }", "core"), vec!["todo"]);
-        assert_eq!(rules("fn f() { unimplemented!(); }", "core"), vec!["todo"]);
-        assert_eq!(rules("fn f() { dbg!(x); }", "core"), vec!["dbg"]);
-        // R5 applies inside tests too.
-        assert_eq!(
-            rules("#[cfg(test)] mod t { fn f() { dbg!(x); } }", "core"),
-            vec!["dbg"]
-        );
-        // `assert!` and `unreachable!` are not covered by R1/R5.
+        // `assert!` and `unreachable!` are not covered by R1.
         assert!(rules("fn f() { assert!(x); unreachable!() }", "core").is_empty());
-    }
-
-    #[test]
-    fn unsafe_flagged_everywhere() {
-        assert_eq!(rules("fn f() { unsafe { * p } }", "core"), vec!["unsafe"]);
-        assert_eq!(
-            rules("#[cfg(test)] mod t { unsafe fn g() {} }", "core"),
-            vec!["unsafe"]
-        );
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! The fixture corpus under `tests/fixtures/` is the linter's regression
 //! suite: every `bad_*.rs` file must produce at least one finding with the
-//! expected rule, every `good_*.rs` file must lint clean.  The final test
-//! runs the linter over the entire workspace, which is the same check CI
-//! performs via `cargo run -p boxagg-lint -- --deny-all`.
+//! expected rule, every `good_*.rs` file must lint clean.  The workspace
+//! tests run the linter over the entire workspace, which is the same check
+//! CI performs via `cargo run -p boxagg-lint -- --deny-all`, and check that
+//! every package opts into the `[workspace.lints]` table that took over the
+//! retired rules.
 
 use std::path::{Path, PathBuf};
 
@@ -67,11 +69,6 @@ fn bad_panic_fires_r1() {
 }
 
 #[test]
-fn bad_unsafe_fires_r2() {
-    assert_bad("bad_unsafe.rs", "unsafe");
-}
-
-#[test]
 fn bad_raw_lock_fires_r3() {
     assert_bad("bad_raw_lock.rs", "raw-lock");
 }
@@ -84,23 +81,6 @@ fn bad_discarded_result_fires_r6() {
 #[test]
 fn bad_codec_missing_round_trip_fires_r4() {
     assert_bad("bad_codec_missing_round_trip.rs", "codec-roundtrip");
-}
-
-#[test]
-fn bad_todo_dbg_fires_r5() {
-    let rules = rules_for("bad_todo_dbg.rs");
-    assert!(
-        rules.contains(&"todo"),
-        "expected a [todo] finding, got {rules:?}"
-    );
-    assert!(
-        rules.contains(&"dbg"),
-        "expected a [dbg] finding (R5 applies inside tests too), got {rules:?}"
-    );
-    assert!(
-        rules.iter().all(|r| *r == "todo" || *r == "dbg"),
-        "expected only [todo]/[dbg] findings, got {rules:?}"
-    );
 }
 
 #[test]
@@ -244,4 +224,60 @@ fn path_mode_lints_with_the_workspace_call_graph() {
     assert!(lint_paths(&root, &[fixture("good_lock_rank.rs")])
         .unwrap()
         .is_empty());
+}
+
+/// The `key = value` lines of one `[table]` of a manifest, quotes kept.
+fn manifest_table(manifest: &str, table: &str) -> Vec<(String, String)> {
+    let header = format!("[{table}]");
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|line| *line != header)
+        .skip(1)
+        .take_while(|line| !line.starts_with('['))
+        .filter_map(|line| line.split_once('='))
+        .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
+        .collect()
+}
+
+/// The retired rules `unsafe`, `todo` and `dbg` are enforced by the
+/// root's `[workspace.lints]` table, which reaches every target of a
+/// package — bins, `tests/` and `examples/` too — only if the package
+/// opts in. (CI's clippy step enforces the clippy lints; this checks
+/// that the table exists and every package inherits it.)
+#[test]
+fn every_package_inherits_the_workspace_lints() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |path: &Path| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+    };
+    let root_manifest = read(&root.join("Cargo.toml"));
+    let rust = manifest_table(&root_manifest, "workspace.lints.rust");
+    assert!(
+        rust.contains(&("unsafe_code".into(), "\"forbid\"".into())),
+        "the workspace must forbid unsafe_code: {rust:?}"
+    );
+    let clippy = manifest_table(&root_manifest, "workspace.lints.clippy");
+    for lint in ["todo", "unimplemented", "dbg_macro"] {
+        assert!(
+            clippy.contains(&(lint.into(), "\"deny\"".into())),
+            "the workspace must deny clippy::{lint}: {clippy:?}"
+        );
+    }
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ lists") {
+        let manifest = entry.expect("crates/ entry").path().join("Cargo.toml");
+        if manifest.is_file() {
+            manifests.push(manifest);
+        }
+    }
+    assert!(manifests.len() > 10, "{manifests:?}");
+    for manifest in manifests {
+        let lints = manifest_table(&read(&manifest), "lints");
+        assert!(
+            lints.contains(&("workspace".into(), "true".into())),
+            "{}: no `[lints] workspace = true`",
+            manifest.display()
+        );
+    }
 }

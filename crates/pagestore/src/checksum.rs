@@ -144,7 +144,7 @@ pub fn zero_mask(payload_len: usize) -> u64 {
 }
 
 /// Computes the trailer value for a page's payload.
-pub fn trailer_for(payload: &[u8], zero_mask: u64) -> u64 {
+fn trailer_for(payload: &[u8], zero_mask: u64) -> u64 {
     sum64(payload) ^ zero_mask
 }
 

@@ -214,12 +214,6 @@ impl SharedStore {
         )
     }
 
-    /// Whether this handle was opened with
-    /// [`open_readonly`](Self::open_readonly).
-    pub fn is_readonly(&self) -> bool {
-        self.readonly
-    }
-
     fn check_writable(&self, op: &'static str) -> Result<()> {
         if self.readonly {
             return Err(Error::ReadOnly { op });
@@ -1179,7 +1173,6 @@ mod tests {
 
         let before_pages = std::fs::read(&path).unwrap();
         let ro = SharedStore::open_readonly(&cfg).unwrap();
-        assert!(ro.is_readonly());
         assert_eq!(ro.root("tree").unwrap().expect("catalog entry").root, a);
         assert_eq!(ro.with_page(a, |d| d[0]).unwrap(), 7);
         assert_eq!(ro.read_node(a, |d| Ok(d[0])).map(|n| *n).unwrap(), 7);

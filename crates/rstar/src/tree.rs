@@ -406,16 +406,10 @@ impl RStarTree<Poly> {
     /// (§3). Subtrees fully contained in `q` contribute their stored
     /// total mass without being visited.
     pub fn functional_sum(&mut self, q: &Rect) -> Result<f64> {
-        self.functional_rec(self.tree.root, q, true)
+        self.functional_rec(self.tree.root, q)
     }
 
-    /// Functional box-sum without the mass shortcut (plain R*-tree
-    /// behavior).
-    pub fn functional_sum_scan(&mut self, q: &Rect) -> Result<f64> {
-        self.functional_rec(self.tree.root, q, false)
-    }
-
-    fn functional_rec(&mut self, node_id: PageId, q: &Rect, shortcut: bool) -> Result<f64> {
+    fn functional_rec(&mut self, node_id: PageId, q: &Rect) -> Result<f64> {
         let node = self.read_q(node_id)?;
         let mut acc = 0.0;
         match &*node {
@@ -435,10 +429,10 @@ impl RStarTree<Poly> {
             }
             Node::Index(records) => {
                 for rec in records {
-                    if shortcut && q.contains_rect(&rec.rect) {
+                    if q.contains_rect(&rec.rect) {
                         acc += rec.agg;
                     } else if rec.rect.intersects(q) {
-                        acc += self.functional_rec(rec.child, q, shortcut)?;
+                        acc += self.functional_rec(rec.child, q)?;
                     }
                 }
             }
@@ -659,7 +653,6 @@ mod tests {
         // Intersections 10×5 and 2×6: 4·50 + 3·12 = 236 (the paper's
         // worked example).
         assert!((t.functional_sum(&q).unwrap() - 236.0).abs() < 1e-9);
-        assert!((t.functional_sum_scan(&q).unwrap() - 236.0).abs() < 1e-9);
     }
 
     #[test]

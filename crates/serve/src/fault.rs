@@ -4,9 +4,8 @@
 //! write past a [`StreamFaultHandle`] — the discipline
 //! `boxagg-pagestore`'s `FaultPager` applies to page I/O, on the same
 //! k-th-operation trigger ([`boxagg_common::fault`]), lifted to the
-//! byte stream: "kill the connection on the 3rd write", "stall the 2nd
-//! read for 50 ms", "deliver 5 bytes of the 4th write then reset". A
-//! chaos sweep over k replays the same mid-protocol failure at every op
+//! byte stream: "reset the 2nd read", "kill the connection on the 3rd
+//! write". A chaos sweep over k replays the same mid-protocol failure at every op
 //! index of a scripted conversation, and a failing k reproduces in
 //! isolation.
 //!
@@ -52,21 +51,6 @@ pub enum StreamOpFilter {
 pub enum StreamFaultMode {
     /// The operation does nothing and reports a connection-reset error.
     Error,
-    /// The operation sleeps for the given delay, then proceeds
-    /// normally — a network pause, visible to the peer only as
-    /// silence (the op itself succeeds).
-    Stall {
-        /// The injected delay.
-        ms: u64,
-    },
-    /// Writes only: deliver the first `prefix` bytes, then shut the
-    /// socket down and report failure — a mid-frame connection death
-    /// with a torn frame on the peer's side. Reads treat this as
-    /// [`StreamFaultMode::Kill`].
-    Partial {
-        /// Bytes of the write that reach the wire.
-        prefix: usize,
-    },
     /// Shut the socket down in both directions and report failure.
     /// The peer sees EOF/reset mid-protocol.
     Kill,
@@ -105,25 +89,6 @@ impl StreamFaultSpec {
             sticky: true,
             mode: StreamFaultMode::Kill,
             ..Self::error_at(ops, at)
-        }
-    }
-
-    /// Stall the `at`-th matching operation for `ms` milliseconds,
-    /// once, then let it proceed.
-    pub fn stall_at(ops: StreamOpFilter, at: u64, ms: u64) -> Self {
-        Self {
-            mode: StreamFaultMode::Stall { ms },
-            ..Self::error_at(ops, at)
-        }
-    }
-
-    /// Deliver only `prefix` bytes of the `at`-th write, then kill the
-    /// connection (sticky: the socket is gone afterwards).
-    pub fn partial_write_at(at: u64, prefix: usize) -> Self {
-        Self {
-            sticky: true,
-            mode: StreamFaultMode::Partial { prefix },
-            ..Self::error_at(StreamOpFilter::Writes, at)
         }
     }
 }
@@ -249,12 +214,8 @@ impl Read for FaultStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self.fired(StreamOp::Read) {
             None => self.inner.read(buf),
-            Some(StreamFaultMode::Stall { ms }) => {
-                std::thread::sleep(Duration::from_millis(ms));
-                self.inner.read(buf)
-            }
             Some(StreamFaultMode::Error) => Err(injected(StreamOp::Read)),
-            Some(StreamFaultMode::Partial { .. }) | Some(StreamFaultMode::Kill) => {
+            Some(StreamFaultMode::Kill) => {
                 self.kill();
                 Err(injected(StreamOp::Read))
             }
@@ -266,24 +227,7 @@ impl Write for FaultStream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self.fired(StreamOp::Write) {
             None => self.inner.write(buf),
-            Some(StreamFaultMode::Stall { ms }) => {
-                std::thread::sleep(Duration::from_millis(ms));
-                self.inner.write(buf)
-            }
             Some(StreamFaultMode::Error) => Err(injected(StreamOp::Write)),
-            Some(StreamFaultMode::Partial { prefix }) => {
-                let n = prefix.min(buf.len());
-                if n > 0 {
-                    // Push the torn prefix onto the wire before the
-                    // socket dies, so the peer sees a half frame.
-                    // lint: allow(discarded-result) -- the op is failing anyway; a lost prefix only shortens the tear
-                    let _ = self.inner.write(&buf[..n]);
-                    // lint: allow(discarded-result) -- best-effort flush of the torn prefix
-                    let _ = self.inner.flush();
-                }
-                self.kill();
-                Err(injected(StreamOp::Write))
-            }
             Some(StreamFaultMode::Kill) => {
                 self.kill();
                 Err(injected(StreamOp::Write))
@@ -370,36 +314,6 @@ mod tests {
         let mut got = Vec::new();
         b.read_to_end(&mut got).expect("peer read to EOF");
         assert_eq!(&got, b"hi");
-    }
-
-    #[test]
-    fn partial_write_tears_a_frame_on_the_wire() {
-        let (a, mut b) = pair();
-        let handle = StreamFaultHandle::new();
-        handle.arm(StreamFaultSpec::partial_write_at(1, 4));
-        let mut faulted = FaultStream::new(a, handle);
-
-        let err = Error::from(faulted.write_all(b"0123456789").expect_err("torn write"));
-        assert!(is_injected(&err), "got: {err}");
-        let mut got = Vec::new();
-        b.read_to_end(&mut got).expect("peer read to EOF");
-        assert_eq!(&got, b"0123", "exactly the prefix reached the peer");
-    }
-
-    #[test]
-    fn stall_delays_but_delivers() {
-        let (a, mut b) = pair();
-        let handle = StreamFaultHandle::new();
-        handle.arm(StreamFaultSpec::stall_at(StreamOpFilter::Writes, 1, 30));
-        let mut faulted = FaultStream::new(a, handle.clone());
-
-        let t0 = std::time::Instant::now();
-        faulted.write_all(b"late").expect("stalled write succeeds");
-        assert!(t0.elapsed() >= Duration::from_millis(25), "stall observed");
-        let mut got = [0u8; 4];
-        b.read_exact(&mut got).expect("delivered");
-        assert_eq!(&got, b"late");
-        assert_eq!(handle.injected(), 1);
     }
 
     #[test]

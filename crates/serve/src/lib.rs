@@ -21,7 +21,6 @@
 //! engine opened on a snapshot of the last committed epoch, and
 //! concurrent reads share nothing but decoded index pages.
 
-#![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 #![warn(missing_docs)]
 

@@ -55,11 +55,17 @@ fn ecdfb_exhaustive_torn_write_sweep() {
 }
 
 /// A crash sweep at smoke size, with the op indices at which its clean
-/// run's two commits returned.
+/// run's two commits returned. The domain must run past the second
+/// commit: the last query pass reads pages a kill can land in.
 fn crash(scheme: Scheme, kill: Kill) -> (Tally, [u64; 2]) {
     let mut crash = Crash::new(Points::crash_smoke(scheme), kill);
     let t = sweep::run(&mut crash, EXHAUSTIVE);
-    (t, crash.commits())
+    let commits = crash.commits();
+    assert!(
+        t.domain > commits[1],
+        "the post-commit query pass reaches no pager op: {t:?}, commits {commits:?}"
+    );
+    (t, commits)
 }
 
 /// Columns: recovered empty / txn 1 / txn 2, and WAL transactions
@@ -73,15 +79,15 @@ fn assert_crash(t: &Tally, domain: u64, [empty, txn1, txn2, replays]: [u64; 4]) 
 #[test]
 fn batree_exhaustive_crash_sweep() {
     let (t, commits) = crash(Scheme::BaTree, Kill::Clean);
-    assert_eq!(commits, [78, 144]);
-    assert_crash(&t, 144, [53, 61, 30, 57]);
+    assert_eq!(commits, [105, 185]);
+    assert_crash(&t, 232, [71, 78, 83, 72]);
 }
 
 #[test]
 fn batree_exhaustive_torn_kill_sweep() {
     let (t, commits) = crash(Scheme::BaTree, Kill::Torn);
-    assert_eq!(commits, [78, 144]);
-    assert_crash(&t, 144, [52, 61, 31, 60]);
+    assert_eq!(commits, [105, 185]);
+    assert_crash(&t, 232, [70, 78, 84, 75]);
     assert!(
         t.get("tails") > 0,
         "torn kills leave tails to discard: {t:?}"
@@ -95,22 +101,22 @@ fn batree_exhaustive_queued_commit_sweep() {
     // after the first as an empty commit, whose one data sync is the
     // serial schedule's one extra op: it lands on txn 2.
     let (t, commits) = crash(Scheme::BaTree, Kill::Queued);
-    assert_eq!(commits, [78, 145]);
-    assert_crash(&t, 145, [53, 61, 31, 57]);
+    assert_eq!(commits, [105, 186]);
+    assert_crash(&t, 233, [71, 78, 84, 72]);
 }
 
 #[test]
 fn ecdfb_exhaustive_crash_sweep() {
     let (t, commits) = crash(Scheme::EcdfB, Kill::Clean);
-    assert_eq!(commits, [51, 109]);
-    assert_crash(&t, 129, [35, 52, 42, 40]);
+    assert_eq!(commits, [63, 192]);
+    assert_crash(&t, 216, [43, 104, 69, 67]);
 }
 
 #[test]
 fn ecdfb_exhaustive_torn_kill_sweep() {
     let (t, commits) = crash(Scheme::EcdfB, Kill::Torn);
-    assert_eq!(commits, [51, 109]);
-    assert_crash(&t, 129, [34, 52, 43, 43]);
+    assert_eq!(commits, [63, 192]);
+    assert_crash(&t, 216, [42, 104, 70, 70]);
     assert!(
         t.get("tails") > 0,
         "torn kills leave tails to discard: {t:?}"
@@ -120,8 +126,8 @@ fn ecdfb_exhaustive_torn_kill_sweep() {
 #[test]
 fn ecdfb_exhaustive_queued_commit_sweep() {
     let (t, commits) = crash(Scheme::EcdfB, Kill::Queued);
-    assert_eq!(commits, [51, 110]);
-    assert_crash(&t, 130, [35, 52, 43, 40]);
+    assert_eq!(commits, [63, 193]);
+    assert_crash(&t, 217, [43, 104, 70, 67]);
 }
 
 #[test]
