@@ -30,9 +30,8 @@ pub enum TokenKind {
     },
     /// A char literal.
     Char,
-    /// A numeric literal, with its source text (`_` separators and type
-    /// suffixes included) so analyses can read constant values.
-    Number(String),
+    /// A numeric literal.
+    Number,
     /// A lifetime (`'a`, `'static`).
     Lifetime,
 }
@@ -153,7 +152,6 @@ pub fn scan(src: &str) -> Scanned {
                 });
             }
             _ if c.is_ascii_digit() => {
-                let start = i;
                 while i < bytes.len()
                     && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'.')
                 {
@@ -166,7 +164,7 @@ pub fn scan(src: &str) -> Scanned {
                     i += 1;
                 }
                 out.tokens.push(Token {
-                    kind: TokenKind::Number(src[start..i].to_string()),
+                    kind: TokenKind::Number,
                     line,
                 });
             }
@@ -427,14 +425,6 @@ impl Token {
     /// Whether the token is the punctuation `p`.
     pub fn is_punct(&self, p: char) -> bool {
         self.kind == TokenKind::Punct(p)
-    }
-
-    /// The numeric literal's source text, if this token is a number.
-    pub fn number(&self) -> Option<&str> {
-        match &self.kind {
-            TokenKind::Number(s) => Some(s),
-            _ => None,
-        }
     }
 }
 

@@ -22,15 +22,13 @@
 //!   by its exit code;
 //! * `cargo test -p boxagg-lint` — the fixture corpus plus a workspace
 //!   sweep run as ordinary tests, so `cargo test` is the single gate;
-//! * `boxagg-lint <paths>` — lint specific files or directories, with
-//!   the whole workspace's call graph ([`lint_paths`]).
+//! * `boxagg-lint <paths>` — lint specific files or directories
+//!   ([`lint_file`]).
 //!
 //! `--count` also counts product, test and comment lines and `pub fn`
 //! per crate ([`count_workspace`]).
 
-mod graph;
 pub mod lexer;
-mod parser;
 pub mod rules;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -57,11 +55,7 @@ impl fmt::Display for FileFinding {
             self.finding.line,
             self.finding.rule,
             self.finding.message
-        )?;
-        for (i, frame) in self.finding.chain.iter().enumerate() {
-            write!(f, "\n    {}. {}", i + 1, frame)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -86,26 +80,6 @@ pub(crate) fn crate_of(path: &Path) -> String {
 /// rules from `crates/lint/tests/fixtures/`.
 pub fn lint_source(path: &Path, src: &str) -> Vec<FileFinding> {
     let scanned = lexer::scan(src);
-    let mut findings = token_rules(path, &scanned);
-    // Single-file inter-procedural pass: fixtures and ad-hoc file
-    // lints get R7–R9 over whatever call graph the one file contains.
-    let graph = graph::analyze(&[(path, &scanned)], None)
-        .into_iter()
-        .map(|(_, f)| f)
-        .collect();
-    findings.extend(
-        rules::suppress(graph, &scanned.allows)
-            .into_iter()
-            .map(|finding| FileFinding {
-                path: path.to_path_buf(),
-                finding,
-            }),
-    );
-    findings
-}
-
-/// The per-file token rules (R1–R6) with allow-directives applied.
-fn token_rules(path: &Path, scanned: &lexer::Scanned) -> Vec<FileFinding> {
     let crate_name = scanned
         .crate_override
         .clone()
@@ -115,7 +89,7 @@ fn token_rules(path: &Path, scanned: &lexer::Scanned) -> Vec<FileFinding> {
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_default();
     rules::check(
-        scanned,
+        &scanned,
         rules::FileContext {
             crate_name: &crate_name,
             file_name: &file_name,
@@ -146,7 +120,7 @@ pub fn lint_file(path: &Path) -> std::io::Result<Vec<FileFinding>> {
 /// Integration tests (`tests/`), examples and fixtures are out of scope
 /// by construction — R1/R3 target library code, and test files are free
 /// to unwrap.
-pub(crate) fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     for (_, dir) in packages(root)? {
         collect_rs(&dir.join("src"), &mut files)?;
@@ -264,99 +238,13 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lints every workspace source under `root`, returning all findings.
-///
-/// The per-file token rules run file by file; the inter-procedural
-/// analysis (R7–R9 and rank-drift) runs once over the whole workspace
-/// so call chains cross crate boundaries, with DESIGN.md (when
-/// present) feeding the rank-table cross-check.
+/// Lints every workspace source under `root` file by file, with paths
+/// made relative to `root`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<FileFinding>> {
-    let sources = workspace_sources(root)?;
-    let all = vec![true; sources.len()];
-    lint_sources(root, sources, &all)
-}
-
-/// Lints the files under `paths` (files or directories). A workspace
-/// source is linted as part of the workspace under `root` — the
-/// inter-procedural pass sees the call graph [`lint_workspace`]
-/// builds — and only findings in the given files are reported. A file
-/// outside the workspace sources (a fixture, say) is linted alone, as
-/// [`lint_file`] does.
-pub fn lint_paths(root: &Path, paths: &[PathBuf]) -> std::io::Result<Vec<FileFinding>> {
-    let mut given = Vec::new();
-    for path in paths {
-        if path.is_dir() {
-            collect_rs(path, &mut given)?;
-        } else {
-            given.push(path.clone());
-        }
-    }
-    let sources = workspace_sources(root)?;
-    let canonical = sources
-        .iter()
-        .map(|f| f.canonicalize())
-        .collect::<std::io::Result<Vec<_>>>()?;
-    let mut wanted = BTreeSet::new();
-    let mut alone = Vec::new();
-    for file in given {
-        let c = file.canonicalize()?;
-        if canonical.contains(&c) {
-            wanted.insert(c);
-        } else {
-            alone.push(file);
-        }
-    }
-    let report: Vec<bool> = canonical.iter().map(|c| wanted.contains(c)).collect();
-    let mut out = lint_sources(root, sources, &report)?;
-    for file in alone {
-        out.extend(lint_file(&file)?);
-    }
-    Ok(out)
-}
-
-/// Runs every rule over `sources` — the token rules file by file, the
-/// inter-procedural pass over all of them at once — and returns the
-/// findings of the files whose `report` flag is set, with paths made
-/// relative to `root` where they lie under it.
-fn lint_sources(
-    root: &Path,
-    sources: Vec<PathBuf>,
-    report: &[bool],
-) -> std::io::Result<Vec<FileFinding>> {
-    let mut files = Vec::new();
-    for path in sources {
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-        let src = std::fs::read_to_string(&path)?;
-        files.push((rel, lexer::scan(&src)));
-    }
-
     let mut out = Vec::new();
-    for ((rel, scanned), _) in files.iter().zip(report).filter(|(_, r)| **r) {
-        out.extend(token_rules(rel, scanned));
-    }
-
-    let design = std::fs::read_to_string(root.join("DESIGN.md")).ok();
-    let inputs: Vec<(&Path, &lexer::Scanned)> = files
-        .iter()
-        .map(|(rel, scanned)| (rel.as_path(), scanned))
-        .collect();
-    let mut per_file: Vec<Vec<rules::Finding>> = vec![Vec::new(); files.len()];
-    for (fi, finding) in graph::analyze(&inputs, design.as_deref()) {
-        per_file[fi].push(finding);
-    }
-    for (fi, raw) in per_file.into_iter().enumerate() {
-        if !report[fi] {
-            continue;
-        }
-        let (rel, scanned) = &files[fi];
-        out.extend(
-            rules::suppress(raw, &scanned.allows)
-                .into_iter()
-                .map(|finding| FileFinding {
-                    path: rel.clone(),
-                    finding,
-                }),
-        );
+    for path in workspace_sources(root)? {
+        let rel = path.strip_prefix(root).unwrap_or(&path);
+        out.extend(lint_source(rel, &std::fs::read_to_string(&path)?));
     }
     Ok(out)
 }

@@ -7,11 +7,10 @@
 //!
 //! With no `PATH`s, walks `crates/*/src/**/*.rs` and `src/**/*.rs`
 //! under `--root` (default: the workspace containing this binary's
-//! manifest, falling back to the current directory) and runs the
-//! inter-procedural R7–R9 pass over the whole workspace at once. With
-//! `PATH`s (files or directories), runs the same workspace-wide pass,
-//! the given files joining it, and reports only findings in them. Exits
-//! non-zero if any rule fires: the exit code is the CI gate.
+//! manifest, falling back to the current directory); with `PATH`s
+//! (files or directories), lints those instead. Every rule is checked
+//! file by file. Exits non-zero if any rule fires: the exit code is the
+//! CI gate.
 //! `--deny-all` is the explicit CI spelling of the default
 //! deny-everything behavior. `--count` also counts product, test and
 //! comment lines and `pub fn` per crate of the workspace under the root
@@ -20,7 +19,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use boxagg_lint::{count_workspace, lint_paths, lint_workspace, RULE_KEYS};
+use boxagg_lint::{count_workspace, lint_file, lint_workspace, RULE_KEYS};
 
 const USAGE: &str =
     "usage: boxagg-lint [--deny-all] [--count] [--list-rules] [--root DIR] [PATH...]";
@@ -69,7 +68,8 @@ fn main() -> ExitCode {
         let findings = if paths.is_empty() {
             lint_workspace(&root)?
         } else {
-            lint_paths(&root, &paths)?
+            let linted: std::io::Result<Vec<_>> = paths.iter().map(|p| lint_file(p)).collect();
+            linted?.concat()
         };
         Ok((
             findings,

@@ -8,9 +8,6 @@
 //! | `raw-lock`        | R3: `pagestore` must lock through `RankedMutex::acquire`    |
 //! | `codec-roundtrip` | R4: codec files need a `*round_trip*` test                  |
 //! | `discarded-result`| R6: no `let _ =` in library code (any crate)                |
-//! | `static-lock-rank`| R7: no path may acquire rank ≤ any rank already held        |
-//! | `hot-lock-io`     | R8: no blocking I/O reachable under a hot lock              |
-//! | `snapshot-purity` | R9: no mutation reachable from snapshot / `*_at` readers    |
 //! | `hot-loop-alloc`  | R11: no per-call allocation in `// lint: hot-path` functions|
 //! | `bad-allow`       | meta: malformed / reason-less / unknown allow directive     |
 //!
@@ -18,10 +15,11 @@
 //! `[lints]` table in the root `Cargo.toml`: rustc's `unsafe_code` and
 //! clippy's `todo`, `unimplemented` and `dbg_macro`.
 //!
-//! R7–R9 (plus `rank-drift`, the rank-table consistency check) are
-//! produced by the inter-procedural analysis in `graph.rs`, not
-//! here; they share this module's [`Finding`] type and allow-directive
-//! suppression.
+//! R7–R10 (the lock-graph rules `static-lock-rank`, `hot-lock-io`,
+//! `snapshot-purity` and `rank-drift`) are retired to checks that run:
+//! the debug rank checker and its sync assertion in
+//! `boxagg_pagestore::rank`, the pinned-read model test, and the rank
+//! table test in `tests/lint_workspace.rs` (DESIGN.md §7).
 //!
 //! Suppression: `// lint: allow(<rule>) -- <reason>` on the same line or
 //! the line directly above a finding. The reason is mandatory.
@@ -38,10 +36,6 @@ pub const RULE_KEYS: &[&str] = &[
     "raw-lock",
     "codec-roundtrip",
     "discarded-result",
-    "static-lock-rank",
-    "hot-lock-io",
-    "snapshot-purity",
-    "rank-drift",
     "hot-loop-alloc",
 ];
 
@@ -54,22 +48,6 @@ pub struct Finding {
     pub rule: &'static str,
     /// Human-oriented explanation.
     pub message: String,
-    /// For inter-procedural rules (R7–R9): the call chain from the
-    /// offending entry point down to the violating site, outermost
-    /// first. Empty for single-site rules.
-    pub chain: Vec<String>,
-}
-
-impl Finding {
-    /// A finding with no call chain.
-    pub fn new(line: u32, rule: &'static str, message: impl Into<String>) -> Self {
-        Finding {
-            line,
-            rule,
-            message: message.into(),
-            chain: Vec::new(),
-        }
-    }
 }
 
 /// Which crate a file belongs to, for crate-scoped rules.
@@ -115,7 +93,6 @@ fn apply_allows(raw: Vec<Finding>, allows: &[AllowDirective]) -> Vec<Finding> {
         if d.malformed {
             out.push(Finding {
                 line: d.line,
-                chain: Vec::new(),
                 rule: "bad-allow",
                 message: "malformed lint directive; expected \
                           `// lint: allow(<rule>) -- <reason>`"
@@ -124,14 +101,12 @@ fn apply_allows(raw: Vec<Finding>, allows: &[AllowDirective]) -> Vec<Finding> {
         } else if !RULE_KEYS.contains(&d.rule.as_str()) {
             out.push(Finding {
                 line: d.line,
-                chain: Vec::new(),
                 rule: "bad-allow",
                 message: format!("unknown rule `{}` in allow directive", d.rule),
             });
         } else if d.reason.is_empty() {
             out.push(Finding {
                 line: d.line,
-                chain: Vec::new(),
                 rule: "bad-allow",
                 message: format!(
                     "allow({}) without a reason; append `-- <why this is sound>`",
@@ -146,10 +121,8 @@ fn apply_allows(raw: Vec<Finding>, allows: &[AllowDirective]) -> Vec<Finding> {
 }
 
 /// Drops findings covered by a well-formed, reasoned allow directive on
-/// the same line or the line directly above. Used standalone by the
-/// inter-procedural pass, whose findings arrive after [`check`] has
-/// already validated the file's directives.
-pub(crate) fn suppress(raw: Vec<Finding>, allows: &[AllowDirective]) -> Vec<Finding> {
+/// the same line or the line directly above.
+fn suppress(raw: Vec<Finding>, allows: &[AllowDirective]) -> Vec<Finding> {
     let suppressed = |f: &Finding| {
         allows.iter().any(|d| {
             !d.malformed
@@ -212,7 +185,7 @@ pub(crate) fn test_spans(tokens: &[Token]) -> Vec<Range<usize>> {
 
 /// If an attribute (`#[...]` or `#![...]`) starts at `i`, returns its
 /// exclusive end index and whether it marks test-only code.
-pub(crate) fn parse_attribute(tokens: &[Token], i: usize) -> Option<(usize, bool)> {
+fn parse_attribute(tokens: &[Token], i: usize) -> Option<(usize, bool)> {
     if !tokens.get(i)?.is_punct('#') {
         return None;
     }
@@ -266,7 +239,6 @@ fn rule_unwrap_expect_panic(
         {
             out.push(Finding {
                 line: tokens[i + 1].line,
-                chain: Vec::new(),
                 rule: "unwrap",
                 message: "bare `.unwrap()` in non-test code; propagate a `Result`, \
                           use `.expect(\"<invariant>\")`, or justify with \
@@ -284,7 +256,6 @@ fn rule_unwrap_expect_panic(
         {
             out.push(Finding {
                 line: tokens[i + 1].line,
-                chain: Vec::new(),
                 rule: "expect-empty",
                 message: "`.expect(\"\")` with a blank message; state the violated \
                           invariant in the message"
@@ -294,7 +265,6 @@ fn rule_unwrap_expect_panic(
         if t.is_ident("panic") && tokens.get(i + 1).is_some_and(|t| t.is_punct('!')) {
             out.push(Finding {
                 line: t.line,
-                chain: Vec::new(),
                 rule: "panic",
                 message: "`panic!` in non-test code; return an `Error`, use a \
                           descriptive `assert!`, or justify with \
@@ -325,7 +295,6 @@ fn rule_raw_lock(tokens: &[Token], in_test: &dyn Fn(usize) -> bool, out: &mut Ve
         {
             out.push(Finding {
                 line: tokens[i + 1].line,
-                chain: Vec::new(),
                 rule: "raw-lock",
                 message: "raw mutex acquisition in `pagestore`; go through \
                           `RankedMutex::acquire` so lock ordering is rank-checked"
@@ -335,7 +304,6 @@ fn rule_raw_lock(tokens: &[Token], in_test: &dyn Fn(usize) -> bool, out: &mut Ve
         if t.is_ident("RwLock") {
             out.push(Finding {
                 line: t.line,
-                chain: Vec::new(),
                 rule: "raw-lock",
                 message: "bare `RwLock` in `pagestore`; use the rank-checked \
                           `RankedRwLock` wrapper instead"
@@ -368,7 +336,6 @@ fn rule_discarded_result(
         {
             out.push(Finding {
                 line: t.line,
-                chain: Vec::new(),
                 rule: "discarded-result",
                 message: "`let _ =` discards a value (likely a `Result`) in \
                           library code; handle or propagate the error, or \
@@ -423,7 +390,6 @@ fn rule_codec_roundtrip(
         };
         out.push(Finding {
             line,
-            chain: Vec::new(),
             rule: "codec-roundtrip",
             message: format!(
                 "{what} without a `*round_trip*` test in this file; add one or \
@@ -478,7 +444,6 @@ fn rule_hot_loop_alloc(
         let flag = |out: &mut Vec<Finding>, line: u32, what: &str| {
             out.push(Finding {
                 line,
-                chain: Vec::new(),
                 rule: "hot-loop-alloc",
                 message: format!(
                     "{what} allocates on every call of a `// lint: hot-path` \

@@ -4,13 +4,16 @@
 //! suite: every `bad_*.rs` file must produce at least one finding with the
 //! expected rule, every `good_*.rs` file must lint clean.  The workspace
 //! tests run the linter over the entire workspace, which is the same check
-//! CI performs via `cargo run -p boxagg-lint -- --deny-all`, and check that
+//! CI performs via `cargo run -p boxagg-lint -- --deny-all`, check that
 //! every package opts into the `[workspace.lints]` table that took over the
-//! retired rules.
+//! retired rules, and check that DESIGN.md's lock-rank table matches
+//! `pagestore/src/rank.rs`.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use boxagg_lint::{lint_file, lint_paths, lint_workspace};
+use boxagg_lint::lexer;
+use boxagg_lint::{lint_file, lint_workspace};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -43,9 +46,6 @@ fn good_fixtures_are_clean() {
         "good_allowed_unwrap.rs",
         "good_codec_round_trip.rs",
         "good_discarded_result.rs",
-        "good_lock_rank.rs",
-        "good_hot_lock_io.rs",
-        "good_snapshot_purity.rs",
         "good_hot_loop_alloc.rs",
     ] {
         let rules = rules_for(name);
@@ -101,48 +101,6 @@ fn bad_allow_without_reason_is_rejected() {
 }
 
 #[test]
-fn bad_lock_rank_fires_r7_with_chain() {
-    assert_bad("bad_lock_rank.rs", "static-lock-rank");
-    let findings = lint_file(&fixture("bad_lock_rank.rs")).expect("fixture reads");
-    assert!(
-        findings.iter().any(|f| f.finding.chain.len() >= 2),
-        "expected a cross-call finding with a chain of >= 2 frames"
-    );
-    // The rendered finding prints the chain for humans.
-    let shown = findings
-        .iter()
-        .find(|f| f.finding.chain.len() >= 2)
-        .expect("cross-call finding")
-        .to_string();
-    assert!(shown.contains("touch_shard ("), "{shown}");
-}
-
-#[test]
-fn bad_hot_lock_io_fires_r7_and_r8() {
-    // Log I/O under the pager lock is an ordering violation (the log
-    // handle ranks below the pager); a data sync under a shard lock is
-    // hot-lock I/O. One finding each.
-    let mut rules = rules_for("bad_hot_lock_io.rs");
-    rules.sort_unstable();
-    assert_eq!(rules, ["hot-lock-io", "static-lock-rank"]);
-}
-
-#[test]
-fn bad_snapshot_purity_fires_r9_with_chain() {
-    assert_bad("bad_snapshot_purity.rs", "snapshot-purity");
-    let findings = lint_file(&fixture("bad_snapshot_purity.rs")).expect("fixture reads");
-    assert!(
-        findings.iter().any(|f| f.finding.chain.len() >= 3),
-        "expected snapshot -> helper -> write_page chain of >= 3 frames"
-    );
-}
-
-#[test]
-fn bad_unresolved_rank_fails_closed_as_r7() {
-    assert_bad("bad_unresolved_rank.rs", "static-lock-rank");
-}
-
-#[test]
 fn bad_hot_loop_alloc_fires_r11() {
     assert_bad("bad_hot_loop_alloc.rs", "hot-loop-alloc");
     let rules = rules_for("bad_hot_loop_alloc.rs");
@@ -151,35 +109,6 @@ fn bad_hot_loop_alloc_fires_r11() {
         4,
         "collect, to_vec, Vec::new and vec! all flagged: {rules:?}"
     );
-}
-
-/// The tentpole acceptance check: the inter-procedural pass over the real
-/// workspace proves the whole call graph free of rank inversions, hot-lock
-/// I/O and snapshot mutation, and the rank table matches `rank.rs` and
-/// DESIGN.md exactly.
-#[test]
-fn workspace_lock_graph_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root resolves");
-    let findings = lint_workspace(&root).expect("workspace walk succeeds");
-    let graph_rules = [
-        "static-lock-rank",
-        "hot-lock-io",
-        "snapshot-purity",
-        "rank-drift",
-    ];
-    let bad: Vec<_> = findings
-        .iter()
-        .filter(|f| graph_rules.contains(&f.finding.rule))
-        .collect();
-    if !bad.is_empty() {
-        for f in &bad {
-            eprintln!("{f}");
-        }
-        panic!("workspace lock graph has {} violation(s)", bad.len());
-    }
 }
 
 /// The acceptance gate: the workspace itself must lint clean.  This is the
@@ -199,31 +128,18 @@ fn workspace_lints_clean() {
     }
 }
 
-/// Path mode analyzes a workspace file with the workspace's call graph:
-/// `pagestore/src` alone holds lock sites whose ranks and callers live
-/// across the crate, so linting it file by file reported rank findings
-/// the workspace run does not. A file outside the workspace — a fixture
-/// — is still linted alone and still reports its violations.
+/// Linting a directory by path lints each file under it alone:
+/// `pagestore/src` is clean, as the workspace is.
 #[test]
-fn path_mode_lints_with_the_workspace_call_graph() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root resolves");
-    let findings = lint_paths(&root, &[root.join("crates/pagestore/src")]).unwrap();
+fn lint_by_path_is_per_file() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let findings = lint_file(&root.join("crates/pagestore/src")).unwrap();
     if !findings.is_empty() {
         for f in &findings {
             eprintln!("{f}");
         }
         panic!("pagestore/src by path: {} violation(s)", findings.len());
     }
-
-    let findings = lint_paths(&root, &[fixture("bad_lock_rank.rs")]).unwrap();
-    let rules: Vec<_> = findings.iter().map(|f| f.finding.rule).collect();
-    assert_eq!(rules, ["static-lock-rank"]);
-    assert!(lint_paths(&root, &[fixture("good_lock_rank.rs")])
-        .unwrap()
-        .is_empty());
 }
 
 /// The `key = value` lines of one `[table]` of a manifest, quotes kept.
@@ -278,6 +194,84 @@ fn every_package_inherits_the_workspace_lints() {
             lints.contains(&("workspace".into(), "true".into())),
             "{}: no `[lints] workspace = true`",
             manifest.display()
+        );
+    }
+}
+
+/// The lock ranks `pagestore/src/rank.rs` declares
+/// (`pub const NAME: u32 = N;`), by name.
+fn declared_ranks(rank_rs: &str) -> BTreeMap<String, u32> {
+    rank_rs
+        .lines()
+        .filter_map(|line| line.strip_prefix("pub const ")?.split_once(": u32 = "))
+        .map(|(name, value)| {
+            let value = value.trim_end_matches(';').parse();
+            (name.to_string(), value.expect("a rank is a u32 literal"))
+        })
+        .collect()
+}
+
+/// The rows of DESIGN.md's lock-rank table (`| N | `NAME` | …`), by
+/// name.
+fn documented_ranks(design: &str) -> BTreeMap<String, u32> {
+    design
+        .lines()
+        .skip_while(|line| *line != "### Lock-rank table")
+        .skip(1)
+        .take_while(|line| !line.starts_with('#'))
+        .filter_map(|line| {
+            let mut cells = line.split('|').map(str::trim).skip(1);
+            let value = cells.next()?.parse().ok()?;
+            let name = cells.next()?.strip_prefix('`')?.strip_suffix('`')?;
+            Some((name.to_string(), value))
+        })
+        .collect()
+}
+
+/// DESIGN.md's lock-rank table lists exactly the ranks `rank.rs`
+/// declares, names and values, and every rank names a lock: it appears
+/// as `rank::NAME` in the code (not a comment) of a `pagestore/src`
+/// file other than `rank.rs`.
+#[test]
+fn the_design_rank_table_matches_rank_rs() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |path: &Path| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+    };
+    let src = root.join("crates/pagestore/src");
+    let declared = declared_ranks(&read(&src.join("rank.rs")));
+    assert!(!declared.is_empty(), "rank.rs declares no rank");
+    assert_eq!(
+        documented_ranks(&read(&root.join("DESIGN.md"))),
+        declared,
+        "DESIGN.md's lock-rank table (left) drifted from rank.rs (right)"
+    );
+
+    let mut files = Vec::new();
+    let mut dirs = vec![src.clone()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("pagestore/src lists") {
+            let path = entry.expect("pagestore/src entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") && path != src.join("rank.rs") {
+                files.push(path);
+            }
+        }
+    }
+    let mut used = BTreeSet::new();
+    for file in files {
+        let tokens = lexer::scan(&read(&file)).tokens;
+        for w in tokens.windows(4) {
+            if w[0].is_ident("rank") && w[1].is_punct(':') && w[2].is_punct(':') {
+                used.extend(w[3].ident().map(str::to_string));
+            }
+        }
+    }
+    for name in declared.keys() {
+        assert!(
+            used.contains(name),
+            "rank::{name} is declared but no pagestore lock is built with it"
         );
     }
 }

@@ -199,6 +199,7 @@ impl Pager for MemPager {
     }
 
     fn sync(&mut self) -> Result<()> {
+        crate::rank::assert_no_lru_held_for_sync();
         Ok(())
     }
 
@@ -402,6 +403,7 @@ impl Pager for FilePager {
     }
 
     fn sync(&mut self) -> Result<()> {
+        crate::rank::assert_no_lru_held_for_sync();
         self.file.sync_data()?;
         Ok(())
     }

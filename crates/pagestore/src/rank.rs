@@ -43,6 +43,16 @@
 //! lock in `boxagg_common`, released before the faulted operation runs;
 //! [`crate::buffer::IoStats`] counters are atomics and take no lock.)
 //!
+//! Debug builds also check one rule that is not an order:
+//! `assert_no_lru_held_for_sync`, called first thing in every data
+//! `sync`, panics if the thread holds the LRU (`SHARD`).
+//!
+//! These checks are dynamic: they see the paths the debug tests run,
+//! and nothing else. `crates/lint/tests/lint_workspace.rs` checks that
+//! the constants below match DESIGN.md's lock-rank table and that each
+//! one builds a lock; `boxagg-lint`'s `raw-lock` rule makes every
+//! `pagestore` lock one of these wrappers, so the checker sees them all.
+//!
 //! Release builds compile the checker away entirely: `acquire` is then a
 //! plain `Mutex::lock` with poison recovery.
 
@@ -142,6 +152,27 @@ fn pop_rank(lock_rank: u32) {
         if let Some(pos) = held.iter().rposition(|&(r, _)| r == lock_rank) {
             held.remove(pos);
         }
+    });
+}
+
+/// Panics in debug builds if this thread holds the buffer LRU (rank
+/// [`SHARD`]): a data sync under it would make every reader that misses
+/// wait out a disk flush. [`MemPager`](crate::MemPager) and
+/// [`FilePager`](crate::FilePager) call it first thing in `sync`; a
+/// release build compiles it to nothing. Log I/O needs no such check:
+/// taking the log handle under the LRU, a node-cache shard or the pager
+/// is already a rank violation, since [`WAL_IO`] ranks below all three.
+#[inline]
+pub(crate) fn assert_no_lru_held_for_sync() {
+    #[cfg(debug_assertions)]
+    HELD.with(|held| {
+        let lru = held.borrow().iter().find(|&&(r, _)| r == SHARD).copied();
+        assert!(
+            lru.is_none(),
+            "data sync while holding `{}` (rank {SHARD}): a reader that \
+             misses would wait out the flush; sync before taking the LRU",
+            lru.map_or("", |(_, label)| label),
+        );
     });
 }
 

@@ -1,4 +1,5 @@
-//! Lock-rank checker tests (satellite of the static-analysis pass).
+//! Lock-rank checker tests: the rank order and the rule that no data
+//! sync runs under the buffer LRU.
 //!
 //! The interesting assertions only exist in debug builds — release builds
 //! compile the checker away — so the violation tests are gated on
@@ -8,7 +9,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use boxagg_pagestore::rank::{self, RankedMutex};
-use boxagg_pagestore::{PageId, SharedStore, StoreConfig};
+use boxagg_pagestore::{FilePager, MemPager, PageId, Pager, SharedStore, StoreConfig};
 
 /// Acquiring pager-then-shard is the wrong order (`SHARD < PAGER`): the
 /// checker must panic before the second lock blocks.
@@ -51,6 +52,34 @@ fn log_handle_under_the_pager_lock_panics() {
         msg.contains("pager") && msg.contains("wal io"),
         "panic should name both locks, got: {msg}"
     );
+}
+
+/// A data sync under the buffer LRU would make every reader that misses
+/// wait out the flush: the pagers refuse it in debug builds, whatever
+/// else is held.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "data sync while holding `buffer lru`")]
+fn a_pager_sync_under_the_lru_panics() {
+    let lru = RankedMutex::new(rank::SHARD, "buffer lru", ());
+    let pager = RankedMutex::new(rank::PAGER, "pager", MemPager::new(64));
+    let _gl = lru.acquire();
+    pager.acquire().sync().expect("a memory sync cannot fail");
+}
+
+/// A commit's data sync runs under the writer lock and the pager lock,
+/// and that is accepted, by the memory and the file pager alike.
+#[test]
+fn a_pager_sync_under_the_writer_and_the_pager_is_accepted() {
+    let dir = boxagg_common::tempdir::tempdir().expect("temp dir");
+    let file = FilePager::create(dir.path().join("pages"), 64).expect("create");
+    let pagers: [Box<dyn Pager>; 2] = [Box::new(MemPager::new(64)), Box::new(file)];
+    let writer = RankedMutex::new(rank::WRITER, "writer", ());
+    for pager in pagers {
+        let pager = RankedMutex::new(rank::PAGER, "pager", pager);
+        let _gw = writer.acquire();
+        pager.acquire().sync().expect("sync");
+    }
 }
 
 /// A committed-image entry lives and dies with its page's buffer

@@ -30,6 +30,8 @@
 //! durably answers `Ok` with the original result instead of applying
 //! anything twice.
 
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -49,6 +51,15 @@ pub const BACKOFF_CAP_MS: u64 = 1000;
 /// Most reconnect-and-replay cycles one
 /// [`commit_durable`](Client::commit_durable) attempts.
 pub const MAX_RECONNECTS: u32 = 10;
+
+/// The seed of a client's RNG, which draws its batch tokens: one no
+/// other client shares, or two clients of one server would send the
+/// same tokens and the server would drop the second one's writes as
+/// replays. `RandomState` is keyed by the OS and differs for each
+/// instance; the connection's local address is mixed in.
+fn client_seed(local: Option<SocketAddr>) -> u64 {
+    RandomState::new().hash_one(local)
+}
 
 /// One write pended until its batch commits (for replay after a
 /// reconnect).
@@ -122,11 +133,12 @@ impl Client {
                 hello.version
             )));
         }
+        let rng = StdRng::seed_from_u64(client_seed(stream.local_addr().ok()));
         Ok(Self {
             stream,
             addr,
             hello,
-            rng: StdRng::seed_from_u64(0xB0FF ^ u64::from(addr.port())),
+            rng,
             deadline_ms: 0,
             token: 0,
             next_token: None,

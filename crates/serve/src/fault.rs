@@ -21,7 +21,7 @@
 //! client can interpose faults without the server knowing.
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use boxagg_common::fault::{injected_error, Schedule, Trigger};
@@ -162,6 +162,8 @@ pub trait NetStream: Read + Write + Send + std::fmt::Debug {
     fn shutdown(&self, how: Shutdown) -> std::io::Result<()>;
     /// Disables (or re-enables) Nagle batching.
     fn set_nodelay(&self, on: bool) -> std::io::Result<()>;
+    /// This end's address.
+    fn local_addr(&self) -> std::io::Result<SocketAddr>;
 }
 
 impl NetStream for TcpStream {
@@ -179,6 +181,10 @@ impl NetStream for TcpStream {
 
     fn set_nodelay(&self, on: bool) -> std::io::Result<()> {
         TcpStream::set_nodelay(self, on)
+    }
+
+    fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        TcpStream::local_addr(self)
     }
 }
 
@@ -255,6 +261,10 @@ impl NetStream for FaultStream {
 
     fn set_nodelay(&self, on: bool) -> std::io::Result<()> {
         self.inner.set_nodelay(on)
+    }
+
+    fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        self.inner.local_addr()
     }
 }
 

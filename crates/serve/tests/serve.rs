@@ -185,6 +185,33 @@ fn writes_commit_through_the_server_and_become_visible() {
     server.shutdown();
 }
 
+/// Two clients of one server that leave their batch tokens to the
+/// client draw different ones: each one's insert lands, and the server
+/// answers none of them as a replay of the other's.
+#[test]
+fn two_clients_draw_different_batch_tokens_and_both_writes_land() {
+    let (store, _space) = seeded_store(10, 7);
+    let server =
+        ServerHandle::bind(store, "127.0.0.1:0", ServeConfig::default()).expect("bind server");
+    let mut a = Client::connect(server.local_addr()).expect("connect a");
+    let mut b = Client::connect(server.local_addr()).expect("connect b");
+    let whole = Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]);
+    let before = a.box_sum(&whole).expect("query before");
+
+    let box_a = Rect::from_bounds(&[(0.1, 0.2), (0.1, 0.2)]);
+    let box_b = Rect::from_bounds(&[(0.7, 0.8), (0.7, 0.8)]);
+    assert_eq!(a.insert(&box_a, 5.0).expect("insert a"), 11);
+    assert_eq!(b.insert(&box_b, 7.0).expect("insert b"), 12);
+    assert_eq!(a.commit().expect("commit a"), 12);
+    assert_eq!(b.commit().expect("commit b"), 12);
+
+    assert_eq!(b.box_sum(&whole).expect("query after"), before + 12.0);
+    let stats = b.stats().expect("stats");
+    assert_eq!(stats.replays, 0, "a client's write was taken for a replay");
+    assert!(stats.validate_ok);
+    server.shutdown();
+}
+
 #[test]
 fn invalid_arguments_keep_the_connection_usable() {
     let (store, _space) = seeded_store(30, 3);
