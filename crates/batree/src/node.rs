@@ -366,6 +366,7 @@ mod tests {
     use boxagg_common::error::Error;
     use boxagg_common::poly::Poly;
     use boxagg_common::rng::StdRng;
+    use boxagg_common::slab::LeafSums;
     use boxagg_common::value::EncodedWidth;
 
     fn params() -> PageParams {
@@ -756,23 +757,37 @@ mod tests {
 
     /// What a mutated page at `dim` must do: decode, or refuse with a
     /// typed error. The leaf row scan answers exactly what the decoded
-    /// leaf does, declines only values of no fixed width, and answers
-    /// nothing the decode refuses. Returns whether the page decoded.
+    /// leaf does — from the bytes alone, and from the sums the page
+    /// keeps from its second visit on, which only a page that decodes
+    /// to a leaf has — declines only values of no fixed width, and
+    /// answers nothing the decode refuses. Returns whether the page
+    /// decoded.
     fn check_mutant<V: AggValue>(bytes: &[u8], dim: usize, queries: &[Point]) -> bool {
         let node = Node::<V>::decode(bytes, &ba(), dim);
         if let Err(e) = &node {
             assert!(matches!(e, Error::Corrupt(_)), "untyped refusal: {e:?}");
         }
+        let sums = paged::leaf_sums::<V>(bytes, dim);
+        if sums.is_some() {
+            assert!(matches!(node, Ok(Node::Leaf(_))), "sums of {node:?}");
+        }
+        let kept: &[Option<&LeafSums<V>>] = match &sums {
+            Some(sums) => &[None, Some(sums)],
+            None => &[None],
+        };
         for q in queries {
-            match (&node, paged::sum_leaf_rows::<V>(bytes, dim, 0, q)) {
-                (Ok(Node::Leaf(s)), Some(sum)) => {
-                    assert_eq!(bits(&sum), bits(&s.dominated_sum(q)), "q {q:?}")
+            for &sums in kept {
+                let at = format!("q {q:?}, sums kept {}", sums.is_some());
+                match (&node, paged::sum_leaf_rows::<V>(bytes, dim, 0, q, sums)) {
+                    (Ok(Node::Leaf(s)), Some(sum)) => {
+                        assert_eq!(bits(&sum), bits(&s.dominated_sum(q)), "{at}")
+                    }
+                    (Ok(Node::Leaf(_)), None) => {
+                        assert!(matches!(V::WIDTH, EncodedWidth::AtLeast(_)), "declined")
+                    }
+                    (_, None) => {}
+                    (got, Some(_)) => panic!("the scan answered a page that decoded to {got:?}"),
                 }
-                (Ok(Node::Leaf(_)), None) => {
-                    assert!(matches!(V::WIDTH, EncodedWidth::AtLeast(_)), "declined")
-                }
-                (_, None) => {}
-                (got, Some(_)) => panic!("the scan answered a page that decoded to {got:?}"),
             }
         }
         node.is_ok()

@@ -366,10 +366,11 @@ fn top_query<V: AggValue>(
 
 // The dominance scans below are the tree's hottest loops; the slab scan
 // keeps the exact add order of the scalar loop it replaced (bit-identical
-// aggregates, see `EntrySlab::sum_dominated_into`), and a leaf's fresh
-// sum from zero may come from its running sums, with the same bits
-// (`EntrySlab::dominated_sum`), or, on its first visit, from its page's
-// bytes (`paged::Ctx::read_or_sum`).
+// aggregates, see `EntrySlab::sum_dominated_into`). A leaf page's fresh
+// sum from zero comes from its page's bytes and the running sums its
+// frame keeps (`paged::Ctx::read_or_sum`), with the same bits; only a
+// leaf the read decodes (`Poly` values, or a decode a mutation left in
+// its frame) answers from its slab (`EntrySlab::dominated_sum`).
 fn query_rec<V: AggValue>(
     ctx: Ctx<'_>,
     dim: usize,

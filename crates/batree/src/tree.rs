@@ -299,11 +299,11 @@ mod tests {
     #[test]
     fn two_threads_visiting_shared_leaf_slabs_answer_alike() {
         // 1-d leaves of ≈ 250 sorted entries: both threads make a page's
-        // first visit (a scan of its bytes), its second (the decode both
-        // then share) and its later ones (when the decode's running sums
-        // are built) at once. The answers must be those of a store that
-        // keeps no decodes (every leaf visit a scan of the bytes), to
-        // the bit.
+        // first visit (a scan of its bytes), its second (building the
+        // running sums its frame keeps, which both then share) and its
+        // later ones (answers from those sums) at once. The answers must
+        // be those of a store that keeps nothing (every leaf visit a
+        // scan of the bytes alone), to the bit.
         let mut s = 0x5AB5u64;
         let points: Vec<(Point, f64)> = (0..3000)
             .map(|_| (Point::new(&[rnd(&mut s)]), (rnd(&mut s) - 0.5) * 1e6))
@@ -321,7 +321,7 @@ mod tests {
             .iter()
             .map(|q| scan.dominance_sum(q).unwrap().to_bits())
             .collect();
-        assert_eq!(scan.store().stats().decode_hits, 0, "every visit decodes");
+        assert_eq!(scan.store().stats().decode_hits, 0, "nothing is kept");
         for _ in 0..20 {
             let shared = tree(StoreConfig::small(4096, 64));
             let barrier = std::sync::Barrier::new(2);
@@ -340,24 +340,31 @@ mod tests {
             });
             assert!(
                 shared.store().stats().decode_hits > 0,
-                "the decodes are shared"
+                "the kept sums are shared"
             );
         }
     }
 
-    /// `(leaf scans, codec runs, decode hits)` of one query.
-    fn visit_counts(t: &BATree<f64>, q: &Point) -> ((u64, u64, u64), u64) {
+    /// `(leaf scans, sums built, codec runs, decode hits)` of one
+    /// query, and its answer's bits.
+    fn visit_counts(t: &BATree<f64>, q: &Point) -> ((u64, u64, u64, u64), u64) {
         let before = t.store().stats();
         let answer = t.dominance_sum(q).unwrap().to_bits();
         let d = t.store().stats().since(&before);
-        let decodes = d.decode_misses - d.leaf_scans;
-        ((d.leaf_scans, decodes, d.decode_hits), answer)
+        let decodes = d.decode_misses - d.leaf_scans - d.sums_built;
+        ((d.leaf_scans, d.sums_built, decodes, d.decode_hits), answer)
     }
 
     #[test]
-    fn a_leaf_is_scanned_on_its_first_visit_and_decoded_on_its_second() {
+    fn a_leaf_is_scanned_then_answers_from_kept_sums() {
         // A 1-d tree of a root and packed leaves, all resident: a query
-        // reads the root and one leaf.
+        // reads the root and one leaf. The leaf is never decoded: its
+        // first visit scans its bytes and keeps nothing, its second
+        // builds the sums its frame keeps, and every later one answers
+        // from them, a decode hit.
+        const SCAN: (u64, u64, u64, u64) = (1, 0, 1, 0);
+        const BUILD: (u64, u64, u64, u64) = (0, 1, 0, 1);
+        const KEPT: (u64, u64, u64, u64) = (0, 0, 0, 2);
         let mut s = 0xF157u64;
         let points: Vec<(Point, f64)> = (0..2000)
             .map(|_| (Point::new(&[rnd(&mut s)]), (rnd(&mut s) - 0.5) * 1e3))
@@ -369,63 +376,61 @@ mod tests {
         };
         let kept = tree(StoreConfig::small(4096, 64));
         let (first, want) = visit_counts(&kept, &q);
-        assert_eq!(
-            first,
-            (1, 1, 0),
-            "visit 1: the leaf scans, the root decodes"
-        );
+        assert_eq!(first, SCAN, "visit 1: the leaf scans, the root decodes");
         let (second, got) = visit_counts(&kept, &q);
-        assert_eq!(
-            second,
-            (0, 1, 1),
-            "visit 2: the leaf decodes, the root hits"
-        );
+        assert_eq!(second, BUILD, "visit 2: the leaf builds its sums");
         assert_eq!(got, want);
-        let (third, got) = visit_counts(&kept, &q);
-        assert_eq!(third, (0, 0, 2), "visit 3: both hit");
-        assert_eq!(got, want);
-        // A write drops the leaf's decode and its visit: the leaf
-        // scans again, then decodes, with one answer.
+        for visit in 3..=5 {
+            let (later, got) = visit_counts(&kept, &q);
+            assert_eq!(later, KEPT, "visit {visit}: both hit, nothing decodes");
+            assert_eq!(got, want);
+        }
+        // A write drops the leaf's sums together with its bytes: the
+        // leaf scans again, then builds, with one answer.
         let mut kept = kept;
         kept.insert(Point::new(&[0.6]), 2.5).unwrap();
         let (after, scanned) = visit_counts(&kept, &q);
-        assert_eq!(after.0, 1, "the rewritten leaf scans again: {after:?}");
-        let (next, decoded) = visit_counts(&kept, &q);
-        assert_eq!(next, (0, 1, 1), "then decodes");
-        assert_eq!(scanned, decoded);
+        assert_eq!(
+            (after.0, after.1),
+            (1, 0),
+            "the rewritten leaf scans: {after:?}"
+        );
+        let (next, built) = visit_counts(&kept, &q);
+        assert_eq!(next, BUILD, "then builds");
+        assert_eq!(visit_counts(&kept, &q), (KEPT, built));
+        assert_eq!(scanned, built);
+        assert_ne!(scanned, want, "the insert is in the answer");
 
         // An eviction drops them too: over a buffer of three frames, a
         // leaf the other leaves pushed out is at its first visit again.
         let small = tree(StoreConfig::small(4096, 3));
-        assert_eq!(visit_counts(&small, &q), ((1, 1, 0), want));
-        assert_eq!(visit_counts(&small, &q), ((0, 1, 1), want));
+        assert_eq!(visit_counts(&small, &q), (SCAN, want));
+        assert_eq!(visit_counts(&small, &q), (BUILD, want));
         for x in [0.05, 0.3, 0.95, 0.8] {
             small.dominance_sum(&Point::new(&[x])).unwrap();
         }
-        assert_eq!(visit_counts(&small, &q), ((1, 0, 1), want));
+        assert_eq!(visit_counts(&small, &q), ((1, 0, 0, 1), want));
         small.store().validate().unwrap();
 
-        // A store that keeps no decodes scans every leaf visit and
-        // never decodes one.
+        // A store that keeps nothing scans every leaf visit, and decodes
+        // the root every time.
         let bare = tree(StoreConfig {
             node_cache_pages: 0,
             ..StoreConfig::small(4096, 64)
         });
         for visit in 1..=3 {
-            let (counts, got) = visit_counts(&bare, &q);
-            assert_eq!(counts, (1, 1, 0), "visit {visit}");
-            assert_eq!(got, want, "visit {visit}");
+            assert_eq!(visit_counts(&bare, &q), (SCAN, want), "visit {visit}");
         }
 
         // A pinned read follows the same rule, and a snapshot counts
-        // only codec runs as decodes.
+        // only codec runs as decodes: the root's, once.
         let store = SharedStore::open(&StoreConfig::small(4096, 64).with_wal(true)).unwrap();
         let t = BATree::bulk_load(store.clone(), unit_space(1), 8, points.clone()).unwrap();
         t.persist_as("t").unwrap();
         store.commit().unwrap();
         let snap = Arc::new(store.snapshot().unwrap());
         let pinned: BATree<f64> = BATree::open_named(&snap, "t").unwrap();
-        let visits = [(1, (1, 1, 0), 1), (2, (0, 1, 1), 1), (3, (0, 0, 2), 0)];
+        let visits = [(1, SCAN, 1), (2, BUILD, 0), (3, KEPT, 0), (4, KEPT, 0)];
         for (visit, counts, decodes) in visits {
             let before = snap.node_reads();
             let (got_counts, got) = visit_counts(&pinned, &q);
@@ -438,6 +443,10 @@ mod tests {
                 "pinned visit {visit}: snapshot node reads"
             );
         }
+        // A second pin of the epoch shares the first one's entries.
+        let again = Arc::new(store.snapshot().unwrap());
+        let repinned: BATree<f64> = BATree::open_named(&again, "t").unwrap();
+        assert_eq!(visit_counts(&repinned, &q), (KEPT, want));
     }
 
     #[test]
@@ -631,37 +640,49 @@ mod tests {
     }
 
     #[test]
-    fn cached_nodes_reflect_same_leaf_updates() {
-        // Decoded-node cache invalidation, end to end: query a leaf so
-        // its decode is cached, insert into that same leaf (the write
-        // drops the frame's decode and its visit), and the next queries
-        // must see the new point — a stale cached decode would drop it.
+    fn kept_sums_reflect_same_leaf_updates() {
+        // Kept-sums invalidation, end to end: query a leaf until its
+        // frame keeps its sums, insert into that same leaf (the write
+        // drops the sums together with the bytes, and the visit), and
+        // the next queries must see the new point — stale sums would
+        // answer the old leaf.
         let mut t = small_tree(2, 512);
         t.insert(Point::new(&[0.4, 0.4]), 1.0).unwrap();
         let q = Point::new(&[0.9, 0.9]);
         assert_eq!(t.dominance_sum(&q).unwrap(), 1.0);
-        let warm = t.store().stats();
-        assert!(warm.decode_misses > 0, "first query reads the root leaf");
-        // Same leaf (single-node tree), repeatedly: insert, then three
-        // queries — a scan of the bytes, a decode, a kept decode — each
-        // checking the sum after the update.
+        // Same leaf (a single-node tree), repeatedly: insert, then four
+        // queries — a scan of the bytes, a build of the sums and two
+        // answers from them — each checking the sum after the update.
         for i in 2..=20u64 {
             t.insert(Point::new(&[0.4 + (i as f64) * 0.01, 0.4]), 1.0)
                 .unwrap();
-            for visit in 1..=3 {
+            let written = t.store().stats();
+            for (visit, counts) in [
+                (1, (1, 0, 0)),
+                (2, (0, 1, 0)),
+                (3, (0, 0, 1)),
+                (4, (0, 0, 1)),
+            ] {
+                let before = t.store().stats();
                 assert_eq!(
                     t.dominance_sum(&q).unwrap(),
                     i as f64,
                     "visit {visit} after insert #{i} must reflect the update"
                 );
+                let d = t.store().stats().since(&before);
+                assert_eq!(d.decode_misses + d.decode_hits, 1, "one node read");
+                assert_eq!(
+                    (d.leaf_scans, d.sums_built, d.decode_hits),
+                    counts,
+                    "visit {visit} after insert #{i}: scan, build, kept, kept"
+                );
             }
+            let d = t.store().stats().since(&written);
+            assert_eq!(d.decode_misses, d.leaf_scans + d.sums_built, "no decode");
         }
-        let st = t.store().stats();
-        assert!(st.leaf_scans >= 19, "a rewritten leaf's first visit scans");
-        assert!(st.decode_hits > 0, "warm queries hit the decoded cache");
         assert!(
-            st.decode_invalidations > 0,
-            "leaf writes must bump the generation"
+            t.store().stats().decode_invalidations >= 19,
+            "every leaf write drops what its frame kept"
         );
     }
 

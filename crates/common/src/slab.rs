@@ -58,14 +58,18 @@
 //! for one more query never pays for them, and a first visit costs the
 //! plain scan. Every mutation forgets them, and a clone has none.
 //!
-//! **A page visited once is never decoded.** A leaf read for one
-//! dominance sum and then evicted pays for columns it never reads
-//! twice. [`EntrySlab::sum_dominated_rows`] answers such a visit from
-//! the encoded rows themselves: the same entries, added in the same
-//! order from `V::zero()`, as a decode followed by
+//! **A fixed-width leaf is never decoded for a query.**
+//! [`EntrySlab::sum_dominated_rows`] answers a dominance sum from the
+//! encoded rows themselves: the same entries, added in the same order
+//! from `V::zero()`, as a decode followed by
 //! [`sum_dominated_from_into`](EntrySlab::sum_dominated_from_into), so
-//! the same bits — or `None`, and the caller decodes.
+//! the same bits — or `None`, and the caller decodes. What a decoded
+//! slab knows beyond its entries, a page keeps beside its bytes as
+//! [`LeafSums`]: the sorted flag, for the early stop, and a sorted 1-d
+//! leaf's running sums, built and answered from by the same two helpers
+//! as the slab's own.
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
@@ -145,6 +149,99 @@ fn word(bytes: &[u8], at: usize) -> f64 {
         .try_into()
         .expect("a WORD-byte slice is a WORD-byte array");
     f64::from_le_bytes(b)
+}
+
+/// The running sums a sorted 1-d run answers from: entry `c` is the sum
+/// from `V::zero()`, in entry order, of the values before chunk `c` —
+/// the adds the scan makes before it reaches that chunk. `None` when a
+/// value is missing.
+fn chunk_start_sums<V: AggValue, B: Borrow<V>>(
+    values: impl Iterator<Item = Option<B>>,
+) -> Option<Box<[V]>> {
+    let mut acc = V::zero();
+    let mut runs = Vec::new();
+    for (i, v) in values.enumerate() {
+        if i % CHUNK == 0 {
+            runs.push(acc.clone());
+        }
+        acc.add_assign(v?.borrow());
+    }
+    Some(runs.into())
+}
+
+/// The sum of the values of the entries of a sorted 1-d run of `len`
+/// whose keys are at most `q0`, from its [`chunk_start_sums`]: the sum
+/// before the last chunk whose first key is dominated, plus that
+/// chunk's entries up to the first key past `q0`. Those are the scan's
+/// own adds from the scan's own start, so the same bits. `key(i)` and
+/// `value(i)` are entry `i`'s; `None` when a value is missing.
+#[inline]
+fn sum_by_runs<V: AggValue, B: Borrow<V>>(
+    runs: &[V],
+    len: usize,
+    q0: f64,
+    key: impl Fn(usize) -> f64,
+    value: impl Fn(usize) -> Option<B>,
+) -> Option<V> {
+    let mut c = 0;
+    while c + 1 < runs.len() && key((c + 1) * CHUNK) <= q0 {
+        c += 1;
+    }
+    let mut acc = runs[c].clone();
+    for i in (c * CHUNK..((c + 1) * CHUNK).min(len)).take_while(|&i| key(i) <= q0) {
+        acc.add_assign(value(i)?.borrow());
+    }
+    Some(acc)
+}
+
+/// The first `count` rows of `dim`-d points and `V` values at the
+/// start of `rows`, as [`EntrySlab::encode_entries`] writes them, and
+/// their stride; `None` when `V` has no fixed width or the bytes do
+/// not hold the rows.
+fn fixed_rows<V: AggValue>(rows: &[u8], dim: usize, count: usize) -> Option<(&[u8], usize)> {
+    let EncodedWidth::Fixed(width) = V::WIDTH else {
+        return None;
+    };
+    let stride = dim * WORD + width;
+    if stride == 0 {
+        return None;
+    }
+    Some((rows.get(..count.checked_mul(stride)?)?, stride))
+}
+
+/// What a leaf page keeps beside its bytes, in place of a decode, for
+/// [`EntrySlab::sum_dominated_rows`]: exactly whether its column 0
+/// ascends — a scan from dimension 0 then stops at the first key past
+/// the query's — and, for a sorted 1-d leaf of more than one chunk, the
+/// running sums at every chunk start, from which it answers as
+/// [`EntrySlab::dominated_sum`] does. A few words where the decode was
+/// as large as the page.
+#[derive(Debug)]
+pub struct LeafSums<V> {
+    sorted: bool,
+    /// Chunk-start running sums; empty unless the leaf takes them.
+    runs: Box<[V]>,
+}
+
+impl<V: AggValue> LeafSums<V> {
+    /// The sums of `count` encoded rows of `dim`-d points at the start
+    /// of `rows`: `None` where [`EntrySlab::sum_dominated_rows`] would
+    /// decline them all (no fixed value width, short rows) or a value
+    /// the running sums need does not decode.
+    pub fn of_rows(rows: &[u8], dim: usize, count: usize) -> Option<Self> {
+        let (rows, stride) = fixed_rows::<V>(rows, dim, count)?;
+        let key = |i: usize| word(rows, i * stride);
+        let sorted = dim > 0 && (1..count).all(|i| key(i - 1) <= key(i));
+        let runs = if dim == 1 && sorted && count > CHUNK {
+            chunk_start_sums(
+                rows.chunks_exact(stride)
+                    .map(|row| V::decode(&mut ByteReader::new(&row[WORD..])).ok()),
+            )?
+        } else {
+            Box::default()
+        };
+        Some(Self { sorted, runs })
+    }
 }
 
 impl<V: AggValue> EntrySlab<V> {
@@ -429,21 +526,15 @@ impl<V: AggValue> EntrySlab<V> {
             self.sum_dominated_from_into(0, q, &mut acc);
             return acc;
         };
-        let (keys, q0) = (self.col(0), q.get(0));
-        let mut c = 0;
-        while c + 1 < runs.len() && keys[(c + 1) * CHUNK] <= q0 {
-            c += 1;
-        }
-        let chunk = c * CHUNK..((c + 1) * CHUNK).min(self.len());
-        let mut acc = runs[c].clone();
-        for (_, v) in keys[chunk.clone()]
-            .iter()
-            .zip(&self.values[chunk])
-            .take_while(|&(&k, _)| k <= q0)
-        {
-            acc.add_assign(v);
-        }
-        acc
+        let keys = self.col(0);
+        sum_by_runs(
+            runs,
+            self.len(),
+            q.get(0),
+            |i| keys[i],
+            |i| Some(&self.values[i]),
+        )
+        .expect("a slab holds every value")
     }
 
     /// The running sums [`dominated_sum`](Self::dominated_sum) answers
@@ -464,17 +555,7 @@ impl<V: AggValue> EntrySlab<V> {
             return None;
         }
         let runs = self.runs.get_or_init(|| {
-            let mut acc = V::zero();
-            self.values
-                .chunks(CHUNK)
-                .map(|chunk| {
-                    let start = acc.clone();
-                    for v in chunk {
-                        acc.add_assign(v);
-                    }
-                    start
-                })
-                .collect()
+            chunk_start_sums(self.values.iter().map(Some)).expect("a slab holds every value")
         });
         Some(runs)
     }
@@ -544,6 +625,13 @@ impl<V: AggValue> EntrySlab<V> {
     /// [`sum_dominated_from_into`](Self::sum_dominated_from_into) into a
     /// zero accumulator give, to the bit, with no column built.
     ///
+    /// `sums`, the rows' [`LeafSums`] when the page keeps them, serve a
+    /// scan from dimension 0 as the decoded slab's state serves it: a
+    /// sorted leaf stops at the first key past `q[0]`, and a sorted 1-d
+    /// leaf answers from its running sums
+    /// ([`dominated_sum`](Self::dominated_sum)'s adds). Either way the
+    /// skipped entries are not dominated, so the bits are the same.
+    ///
     /// `None`, and the caller decodes instead, when `V` has no fixed
     /// width, when the rows are not all there, or when a dominated value
     /// does not decode: whatever the decode makes of such bytes, the
@@ -555,27 +643,37 @@ impl<V: AggValue> EntrySlab<V> {
         count: usize,
         from: usize,
         q: &Point,
+        sums: Option<&LeafSums<V>>,
     ) -> Option<V> {
         debug_assert_eq!(q.dim(), dim);
-        let EncodedWidth::Fixed(width) = V::WIDTH else {
-            return None;
-        };
+        let (rows, stride) = fixed_rows::<V>(rows, dim, count)?;
         let point = dim * WORD;
-        let stride = point + width;
-        if stride == 0 {
-            return None;
+        let value = |row: &[u8]| V::decode(&mut ByteReader::new(&row[point..])).ok();
+        let sums = sums.filter(|_| from == 0);
+        if let Some(runs) = sums.map(|s| &s.runs[..]).filter(|r| !r.is_empty()) {
+            debug_assert_eq!(runs.len(), count.div_ceil(CHUNK), "sums of other rows");
+            let row = |i: usize| &rows[i * stride..(i + 1) * stride];
+            return sum_by_runs(
+                runs,
+                count,
+                q.get(0),
+                |i| word(row(i), 0),
+                |i| value(row(i)),
+            );
         }
-        let rows = rows.get(..count.checked_mul(stride)?)?;
+        let stop = sums.is_some_and(|s| s.sorted);
         let (from, qs) = (from.min(dim), q.coords());
         let mut acc = V::zero();
         for row in rows.chunks_exact(stride) {
-            let (coords, value) = row.split_at(point);
-            let dominated = coords[from * WORD..]
+            if stop && word(row, 0) > qs[0] {
+                break;
+            }
+            let dominated = row[from * WORD..point]
                 .chunks_exact(WORD)
                 .zip(&qs[from.min(qs.len())..])
                 .all(|(c, &qd)| word(c, 0) <= qd);
             if dominated {
-                acc.add_assign(&V::decode(&mut ByteReader::new(value)).ok()?);
+                acc.add_assign(&value(row)?);
             }
         }
         Some(acc)
@@ -1541,9 +1639,10 @@ mod tests {
                         for from in 0..=dim {
                             let at =
                                 format!("dim {dim} sorted {sorted} n {count} from {from} q {q:?}");
-                            let got =
-                                EntrySlab::<f64>::sum_dominated_rows(bytes, dim, count, from, q)
-                                    .unwrap_or_else(|| panic!("{at}: declined"));
+                            let got = EntrySlab::<f64>::sum_dominated_rows(
+                                bytes, dim, count, from, q, None,
+                            )
+                            .unwrap_or_else(|| panic!("{at}: declined"));
                             let mut want = 0.0;
                             back.sum_dominated_from_into(from, q, &mut want);
                             assert_eq!(got.to_bits(), want.to_bits(), "{at}");
@@ -1561,7 +1660,8 @@ mod tests {
                             dim,
                             count,
                             0,
-                            &q
+                            &q,
+                            None
                         )
                         .is_none());
                         assert!(EntrySlab::<f64>::decode_entries(
@@ -1578,26 +1678,121 @@ mod tests {
     }
 
     #[test]
+    fn kept_sums_answer_exactly_what_the_decoded_slab_does() {
+        let mut rng = StdRng::seed_from_u64(0x1EAF_5035);
+        let (mut checked, mut with_runs, mut stops) = (0, 0, 0);
+        for page in [512, 8192] {
+            for dim in 1..=3 {
+                let full = (page - 3) / (dim * WORD + 8);
+                let mut counts = vec![
+                    0,
+                    1,
+                    2,
+                    CHUNK - 1,
+                    CHUNK,
+                    CHUNK + 1,
+                    2 * CHUNK,
+                    2 * CHUNK + 1,
+                ];
+                counts.retain(|&c| c < full);
+                counts.push(full);
+                for sorted in [true, false] {
+                    for &count in &counts {
+                        let keys = signed_keys(&mut rng, count, sorted);
+                        let mut s = EntrySlab::<f64>::new(dim);
+                        for &k in &keys {
+                            let pt = Point::from_fn(dim, |d| {
+                                if d == 0 {
+                                    k
+                                } else {
+                                    grid_key(&mut rng).abs()
+                                }
+                            });
+                            s.push(&pt, spread_f64(&mut rng));
+                        }
+                        let mut w = ByteWriter::new();
+                        s.encode_entries(&mut w);
+                        w.put_bytes(&[0x5A; 9]);
+                        let bytes = w.as_slice();
+                        let back = decoded(&s);
+                        let at = format!("page {page} dim {dim} sorted {sorted} n {count}");
+                        let sums = LeafSums::<f64>::of_rows(bytes, dim, count)
+                            .unwrap_or_else(|| panic!("{at}: fixed-width rows declined"));
+                        assert_eq!(sums.sorted, back.sorted, "{at}");
+                        assert_eq!(!sums.runs.is_empty(), takes_runs(&back), "{at}");
+                        with_runs += usize::from(!sums.runs.is_empty());
+                        // Queries on the keys either side of every chunk
+                        // boundary, as well as below, on, between and
+                        // above the keys.
+                        let mut queries = queries_over(&keys, dim);
+                        for c in (CHUNK..count).step_by(CHUNK) {
+                            for k in [keys[c - 1], keys[c], keys[c] - 1.0] {
+                                queries.push(Point::from_fn(dim, |d| if d == 0 { k } else { 7.0 }));
+                            }
+                        }
+                        queries.extend((0..6).map(|_| Point::from_fn(dim, |_| grid_key(&mut rng))));
+                        for q in &queries {
+                            for from in 0..=dim {
+                                let at = format!("{at} from {from} q {q:?}");
+                                let got = EntrySlab::<f64>::sum_dominated_rows(
+                                    bytes,
+                                    dim,
+                                    count,
+                                    from,
+                                    q,
+                                    Some(&sums),
+                                )
+                                .unwrap_or_else(|| panic!("{at}: declined"));
+                                let want = scanned_from(&back, from, q);
+                                assert_eq!(got.to_bits(), want.to_bits(), "{at}");
+                                if from == 0 {
+                                    let slab = back.dominated_sum(q);
+                                    assert_eq!(got.to_bits(), slab.to_bits(), "{at}: slab");
+                                    let past = keys.iter().any(|&k| k > q.get(0));
+                                    stops += usize::from(sums.sorted && past);
+                                }
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            with_runs, 4,
+            "sorted 1-d leaves past a chunk: 65, 128, 129 and 511 entries"
+        );
+        assert!(
+            stops > 500,
+            "the sorted early stop was reached {stops} times"
+        );
+        assert!(checked > 5_000, "{checked} sums checked");
+    }
+
+    #[test]
     fn the_row_kernel_declines_what_it_cannot_read_in_place() {
         let q = p(&[f64::INFINITY, f64::INFINITY]);
         let mut poly = EntrySlab::<Poly>::new(2);
         poly.push(&p(&[1.0, 2.0]), Poly::constant(3.0));
         let mut w = ByteWriter::new();
         poly.encode_entries(&mut w);
-        assert!(EntrySlab::<Poly>::sum_dominated_rows(w.as_slice(), 2, 1, 0, &q).is_none());
+        assert!(EntrySlab::<Poly>::sum_dominated_rows(w.as_slice(), 2, 1, 0, &q, None).is_none());
         // A count the page cannot back, however large: no allocation, no
         // overflow, no panic.
-        assert!(EntrySlab::<f64>::sum_dominated_rows(&[0; 64], 2, usize::MAX, 0, &q).is_none());
-        assert!(EntrySlab::<f64>::sum_dominated_rows(&[0; 64], 2, 3, 0, &q).is_none());
+        assert!(
+            EntrySlab::<f64>::sum_dominated_rows(&[0; 64], 2, usize::MAX, 0, &q, None).is_none()
+        );
+        assert!(EntrySlab::<f64>::sum_dominated_rows(&[0; 64], 2, 3, 0, &q, None).is_none());
         assert_eq!(
-            EntrySlab::<f64>::sum_dominated_rows(&[0; 64], 2, 0, 0, &q),
+            EntrySlab::<f64>::sum_dominated_rows(&[0; 64], 2, 0, 0, &q, None),
             Some(0.0)
         );
     }
 
     /// Not a test of anything: prints what decoding and encoding one
-    /// full leaf costs through the kernels and through the oracle, and
-    /// what summing it costs from its bytes and from its decode. Run
+    /// full leaf costs through the kernels and through the oracle, what
+    /// summing it costs from its bytes and from its decode, and what
+    /// building its [`LeafSums`] costs. Run
     /// with `cargo test --release -p boxagg-common --lib slab -- --ignored --nocapture`.
     #[test]
     #[ignore = "timing report, not a check"]
@@ -1645,8 +1840,9 @@ mod tests {
                 black_box(&mut cols);
             }
             let floor = start.elapsed().as_secs_f64() * 1e6 / ITERS as f64;
-            // The first-visit row kernel over the same bytes, every row
-            // dominated (each value added), and the decoded slab's scan.
+            // The row kernel over the same bytes, every row dominated
+            // (each value added); building the leaf's sums; and the
+            // decoded slab's scan.
             let all = Point::splat(dim, f64::INFINITY);
             let start = Instant::now();
             for _ in 0..ITERS {
@@ -1656,9 +1852,15 @@ mod tests {
                     count,
                     0,
                     &all,
+                    None,
                 ));
             }
             let rows = start.elapsed().as_secs_f64() * 1e6 / ITERS as f64;
+            let start = Instant::now();
+            for _ in 0..ITERS {
+                black_box(LeafSums::<f64>::of_rows(black_box(&bytes), dim, count));
+            }
+            let sums = start.elapsed().as_secs_f64() * 1e6 / ITERS as f64;
             let start = Instant::now();
             for _ in 0..ITERS {
                 black_box(black_box(&slab).dominated_sum(&all));
@@ -1667,7 +1869,7 @@ mod tests {
             println!(
                 "{dim}-d leaf, {count} entries: decode {:.3} us (per word {:.3}, \
                  gather alone {floor:.3}), encode {:.3} us (per word {:.3}), \
-                 row scan {rows:.3} us, decoded scan {scan:.3} us",
+                 row scan {rows:.3} us, sums {sums:.3} us, decoded scan {scan:.3} us",
                 decode(EntrySlab::decode_entries),
                 decode(EntrySlab::decode_entries_per_word),
                 encode(EntrySlab::encode_entries),

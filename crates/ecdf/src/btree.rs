@@ -263,7 +263,7 @@ fn query_tree<V: AggValue>(ctx: Ctx<'_>, level: usize, root: PageId, q: &Point) 
         return Ok(V::zero());
     }
     // Dominance on dimensions `level..d` only: the enclosing levels
-    // already resolved the lower coordinates. A leaf's first visit sums
+    // already resolved the lower coordinates. A fixed-width leaf sums
     // from its page's bytes; a decoded leaf's slab scan runs column-wise
     // over contiguous coordinate runs.
     let node = match ctx.read_or_sum::<V>(root, level, level, q)? {
@@ -706,6 +706,7 @@ mod tests {
     use boxagg_common::error::Error;
     use boxagg_common::poly::Poly;
     use boxagg_common::rng::StdRng;
+    use boxagg_common::slab::LeafSums;
     use boxagg_common::traits::NaiveDominanceIndex;
     use boxagg_common::value::EncodedWidth;
     use boxagg_pagestore::StoreConfig;
@@ -1222,21 +1223,32 @@ mod tests {
         if let Err(e) = &node {
             assert!(matches!(e, Error::Corrupt(_)), "untyped refusal: {e:?}");
         }
+        let sums = paged::leaf_sums::<V>(bytes, layout.dim);
+        if sums.is_some() {
+            assert!(matches!(node, Ok(Node::Leaf(_))), "sums of {node:?}");
+        }
+        let kept: &[Option<&LeafSums<V>>] = match &sums {
+            Some(sums) => &[None, Some(sums)],
+            None => &[None],
+        };
         for q in queries {
-            match (
-                &node,
-                paged::sum_leaf_rows::<V>(bytes, layout.dim, level, q),
-            ) {
-                (Ok(Node::Leaf(s)), Some(sum)) => {
-                    let mut want = V::zero();
-                    s.sum_dominated_from_into(level, q, &mut want);
-                    assert_eq!(bits(&sum), bits(&want), "level {level} q {q:?}")
+            for &sums in kept {
+                let at = format!("level {level} q {q:?}, sums kept {}", sums.is_some());
+                match (
+                    &node,
+                    paged::sum_leaf_rows::<V>(bytes, layout.dim, level, q, sums),
+                ) {
+                    (Ok(Node::Leaf(s)), Some(sum)) => {
+                        let mut want = V::zero();
+                        s.sum_dominated_from_into(level, q, &mut want);
+                        assert_eq!(bits(&sum), bits(&want), "{at}")
+                    }
+                    (Ok(Node::Leaf(_)), None) => {
+                        assert!(matches!(V::WIDTH, EncodedWidth::AtLeast(_)), "declined")
+                    }
+                    (_, None) => {}
+                    (got, Some(_)) => panic!("the scan answered a page that decoded to {got:?}"),
                 }
-                (Ok(Node::Leaf(_)), None) => {
-                    assert!(matches!(V::WIDTH, EncodedWidth::AtLeast(_)), "declined")
-                }
-                (_, None) => {}
-                (got, Some(_)) => panic!("the scan answered a page that decoded to {got:?}"),
             }
         }
         node.is_ok()

@@ -253,7 +253,8 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::tests::{page_with, park_next_log_sync, wal_pool};
+    use crate::buffer::tests::{page_with, park_next_log_sync, wal_pool, FirstByte};
+    use crate::buffer::Visit;
     use boxagg_common::error::Error;
 
     #[test]
@@ -565,6 +566,78 @@ mod tests {
         let base = base.expect("a dirtied resident frame keeps its committed image");
         assert!(!Arc::ptr_eq(&base, &data));
         assert_eq!((base[0], data[0]), (1, 2));
+        p.validate().unwrap();
+    }
+
+    /// A pinned read of page `id` at `epoch` offering [`FirstByte`]:
+    /// its answer, and whether it decoded.
+    fn scan_at(p: &BufferPool, id: PageId, epoch: u64) -> u8 {
+        match p.read_node_at(id, epoch, |d: &[u8]| Ok(d[0]), &FirstByte) {
+            Ok((Visit::Scanned(answer), false)) => answer,
+            other => panic!("a toy leaf was not scanned: {other:?}"),
+        }
+    }
+
+    /// A clean frame whose committed leaf entry shares its buffer hands
+    /// that buffer to `base` when it is written, and the write copies
+    /// it once, into the frame's new buffer: the entry, the base and a
+    /// reader pinned before the write keep the old image.
+    #[test]
+    fn a_write_to_a_clean_frame_a_kept_sums_entry_shares_hands_its_buffer_to_base() {
+        let (p, _faults) = wal_pool(4);
+        let a = page_with(&p, 1);
+        p.commit().unwrap();
+        let e = p.pin_snapshot();
+        // The first visit scans and keeps nothing; the second builds
+        // the sums and caches them with the frame's own buffer.
+        assert_eq!(scan_at(&p, a, e), 1);
+        assert_eq!(
+            Arc::strong_count(&frame_bytes(&p, a).0),
+            2,
+            "not shared yet"
+        );
+        assert_eq!(scan_at(&p, a, e), 1);
+        let own = {
+            let (own, _) = frame_bytes(&p, a);
+            assert_eq!(Arc::strong_count(&own), 3, "the frame, the entry and `own`");
+            own.as_ptr()
+        };
+
+        p.write_page(a, &[2; 16]).unwrap();
+        let (data, base) = frame_bytes(&p, a);
+        let base = base.expect("a dirtied resident frame keeps its committed image");
+        assert_eq!(
+            base.as_ptr(),
+            own,
+            "the shared buffer is the base, not a copy"
+        );
+        assert_ne!(data.as_ptr(), own, "the write copied it once");
+        assert_eq!(
+            Arc::strong_count(&base),
+            3,
+            "the frame's base, the entry and `base`"
+        );
+        assert_eq!((base[0], data[0]), (1, 2));
+        drop((data, base));
+
+        // The reader pinned before the write hits the entry: the old
+        // image, not a byte of the write.
+        let before = p.stats();
+        assert_eq!(scan_at(&p, a, e), 1);
+        let d = p.stats().since(&before);
+        assert_eq!(
+            (d.decode_hits, d.decode_misses, d.hits, d.reads),
+            (1, 0, 0, 0)
+        );
+        assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 2);
+        p.validate().unwrap();
+        // After the commit, the pin reads the retained image: scanned,
+        // not decoded.
+        p.commit().unwrap();
+        let before = p.stats();
+        assert_eq!(scan_at(&p, a, e), 1);
+        assert_eq!(p.stats().since(&before).leaf_scans, 1);
+        p.unpin_snapshot(e);
         p.validate().unwrap();
     }
 

@@ -44,12 +44,15 @@
 //!
 //! ## A frame holds its decode
 //!
-//! A live node read ([`BufferPool::read_node`]) is one LRU lock and
+//! A live node read ([`BufferPool::visit_node`]) is one LRU lock and
 //! one directory probe: the page access, counted as any other, and then
 //! the decode the frame keeps beside its bytes, or a fresh decode the
-//! frame keeps for next time. Whatever changes a frame's bytes or page —
-//! a write, a free, an eviction, the frame's reuse — drops its decode
-//! under the same lock, so no decode can outlive its bytes, and the
+//! frame keeps for next time — or, for a leaf a [`Scan`] reads in
+//! place, an answer from the bytes and, from the leaf's second visit
+//! on, the few sums the frame keeps instead of a decode. Whatever
+//! changes a frame's bytes or page — a write, a free, an eviction, the
+//! frame's reuse — drops what it keeps under the same lock, so nothing
+//! kept can outlive its bytes, and the
 //! paper's LRU is the only LRU a live read goes through. A WAL pool's
 //! committed-image cache, which pinned reads go through, follows the
 //! same rule: its entry for a page leaves with the page's frame
@@ -114,17 +117,25 @@ pub struct IoStats {
     pub writes: u64,
     /// Page accesses satisfied from the buffer.
     pub hits: u64,
-    /// Node reads served from a kept decode (decode skipped).
+    /// Node reads served from a kept decode, or answered from a leaf's
+    /// kept sums (decode skipped).
     pub decode_hits: u64,
-    /// Node reads that found no kept decode (cold, rewritten, or
-    /// decodes not kept): they decoded from bytes, answered from them
-    /// (`leaf_scans`), or — a pinned read — took over a clean frame's
-    /// decode. `decode_hits + decode_misses` is the node reads served.
+    /// Node reads that found nothing kept (cold, rewritten, or nothing
+    /// kept): they decoded from bytes, answered from them alone
+    /// (`leaf_scans`) or from the sums they built (`sums_built`), or —
+    /// a pinned read — took over what a clean frame kept.
+    /// `decode_hits + decode_misses` is the node reads served.
     pub decode_misses: u64,
-    /// Node reads answered from a frame's bytes without a decode: a
-    /// leaf's first visit since its frame last held a decode, or any
-    /// leaf visit when decodes are not kept. Each is also a decode miss.
+    /// Node reads answered from a leaf page's bytes alone: a leaf's
+    /// first visit since its frame last changed, any leaf visit when
+    /// nothing is kept, and a pinned read of a superseded leaf image.
+    /// Each is also a decode miss.
     pub leaf_scans: u64,
+    /// Node reads answered from a leaf page's bytes and the sums they
+    /// built and left kept: a leaf's second visit. Each is also a decode
+    /// miss; `decode_misses − leaf_scans − sums_built` ran the codec or
+    /// took over a clean frame's decode.
+    pub sums_built: u64,
     /// `write_page` and `free` calls, each of which drops the page's
     /// decode, plus the committed-image entries commits dropped.
     pub decode_invalidations: u64,
@@ -166,6 +177,7 @@ impl IoStats {
             decode_hits: self.decode_hits.saturating_sub(earlier.decode_hits),
             decode_misses: self.decode_misses.saturating_sub(earlier.decode_misses),
             leaf_scans: self.leaf_scans.saturating_sub(earlier.leaf_scans),
+            sums_built: self.sums_built.saturating_sub(earlier.sums_built),
             decode_invalidations: self
                 .decode_invalidations
                 .saturating_sub(earlier.decode_invalidations),
@@ -182,8 +194,8 @@ impl IoStats {
 
 const NIL: usize = usize::MAX;
 
-/// What a node read that offered a scan got: the decoded node, or what
-/// the scan made of the page's bytes on a first visit (see
+/// What a node read that offered a [`Scan`] got: the decoded node, or
+/// the scan's answer from the page's bytes (see
 /// [`ReadHandle::visit_node`](crate::store::ReadHandle::visit_node)).
 #[derive(Debug)]
 pub enum Visit<N, T> {
@@ -203,60 +215,121 @@ impl<N> Visit<N, Infallible> {
     }
 }
 
-/// The scan of a plain node read: it declines, so the read decodes.
-pub(crate) fn decline(_: &[u8]) -> Option<Infallible> {
-    None
+/// What a node read may answer from a page's bytes instead of decoding
+/// them ([`ReadHandle::visit_node`](crate::store::ReadHandle::visit_node)).
+/// A page's first visit answers from its bytes alone; its second builds
+/// the page's [`Sums`](Scan::Sums), which the buffer keeps in place of
+/// a decode for as long as it keeps the bytes, and its later visits
+/// answer from both.
+pub trait Scan {
+    /// What the scan answers.
+    type Answer;
+    /// What a page keeps beside its bytes for the scan.
+    type Sums: Any + Send + Sync;
+
+    /// The sums of the page `bytes`, or `None` where the scan declines
+    /// the page.
+    fn sums(&self, bytes: &[u8]) -> Option<Self::Sums>;
+
+    /// The answer from the page `bytes`, helped by their `sums` when
+    /// the page keeps them, or `None`: the read decodes instead.
+    fn answer(&self, bytes: &[u8], sums: Option<&Self::Sums>) -> Option<Self::Answer>;
 }
 
-/// A frame's decode slot and visit bit ([`Frame::node`],
-/// [`Frame::visited`]).
+/// The scan of a plain node read: it declines, so the read decodes.
+pub(crate) struct Decline;
+
+impl Scan for Decline {
+    type Answer = Infallible;
+    type Sums = Infallible;
+
+    fn sums(&self, _: &[u8]) -> Option<Infallible> {
+        None
+    }
+
+    fn answer(&self, _: &[u8], _: Option<&Infallible>) -> Option<Infallible> {
+        None
+    }
+}
+
+/// A frame's slot for what it keeps and its visit bit
+/// ([`Frame::node`], [`Frame::visited`]).
 type Held<'a> = (&'a mut Option<CachedNode>, &'a mut bool);
 
-/// One node read of a frame's `bytes`, and whether `decode` ran:
+/// How a node read was served, for its counters.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Served {
+    /// From a kept decode or kept sums: a decode hit.
+    Kept,
+    /// From the bytes alone, on a first visit: a miss and a leaf scan.
+    Scanned,
+    /// From the bytes and the sums this read built: a miss.
+    Built,
+    /// By a decode: a miss, and a codec run.
+    Decoded,
+}
+
+/// One node read of a frame's `bytes`:
 ///
-/// * the decode the frame holds, if it is an `N`;
-/// * else, on the frame's first visit or when decodes are not kept,
-///   `scan(bytes)` when it answers, setting the visit bit;
+/// * the decode the frame holds, if it is an `N`, or the scan's answer
+///   from the sums it holds;
+/// * else, on the frame's first visit or when nothing is kept, the
+///   scan's answer from the bytes alone, setting the visit bit;
+/// * else, on a later visit, the scan's answer from the sums it builds,
+///   left in the frame;
 /// * else `decode(bytes)`, left in the frame when `keep`.
-fn frame_node<N, T, F, S>(
+fn frame_node<N, Sc, F>(
     (slot, visited): Held<'_>,
     bytes: &[u8],
     keep: bool,
     decode: F,
-    scan: S,
-) -> Result<(Visit<N, T>, bool)>
+    scan: &Sc,
+) -> Result<(Visit<N, Sc::Answer>, Served)>
 where
     N: Any + Send + Sync,
+    Sc: Scan,
     F: FnOnce(&[u8]) -> Result<N>,
-    S: FnOnce(&[u8]) -> Option<T>,
 {
-    if let Some(node) = slot.clone().and_then(|n| n.downcast::<N>().ok()) {
-        return Ok((Visit::Node(node), false));
-    }
-    if !(keep && *visited) {
-        if let Some(answer) = scan(bytes) {
-            *visited = true;
-            return Ok((Visit::Scanned(answer), false));
+    if let Some(held) = slot {
+        if held.is::<N>() {
+            let node = Arc::clone(held).downcast::<N>().expect("an N");
+            return Ok((Visit::Node(node), Served::Kept));
         }
+        let sums = held.downcast_ref::<Sc::Sums>();
+        if let Some(answer) = sums.and_then(|sums| scan.answer(bytes, Some(sums))) {
+            return Ok((Visit::Scanned(answer), Served::Kept));
+        }
+    }
+    if keep && *visited {
+        if let Some(sums) = scan.sums(bytes) {
+            if let Some(answer) = scan.answer(bytes, Some(&sums)) {
+                *slot = Some(Arc::new(sums));
+                return Ok((Visit::Scanned(answer), Served::Built));
+            }
+        }
+    } else if let Some(answer) = scan.answer(bytes, None) {
+        *visited = true;
+        return Ok((Visit::Scanned(answer), Served::Scanned));
     }
     let node = Arc::new(decode(bytes)?);
     if keep {
         *slot = Some(Arc::clone(&node) as CachedNode);
     }
-    Ok((Visit::Node(node), true))
+    Ok((Visit::Node(node), Served::Decoded))
 }
 
 #[derive(Debug)]
 struct Frame {
     id: PageId,
     /// The page image. The frame owns this buffer and writes it in
-    /// place; a commit's capture, the log records, the flip's `base`
-    /// and a pinned epoch's retained pre-image share it by refcount
-    /// instead of copying it. No write runs inside a commit, so a writer
-    /// finds it shared only after a failed apply (the flip's `base`
-    /// still holds it) or while a retained pre-image does; it then
-    /// copies first ([`Arc::make_mut`]), so every holder keeps the bytes
-    /// it took.
+    /// place; a commit's capture, the log records, the flip's `base`, a
+    /// pinned epoch's retained pre-image and a committed-image leaf
+    /// entry share it by refcount instead of copying it. No write runs
+    /// inside a commit, so a writer finds it shared only after a failed
+    /// apply (the flip's `base` still holds it), while a retained
+    /// pre-image does, or while a committed-image entry does (then the
+    /// buffer becomes the frame's `base`); it then copies first
+    /// ([`Arc::make_mut`]), so every holder keeps the bytes it took.
     data: Arc<[u8]>,
     dirty: bool,
     /// The page's committed image, retained while the frame is dirty
@@ -267,14 +340,15 @@ struct Frame {
     /// (if any) is on disk, where no-steal guarantees it stays until
     /// the next commit applies over it.
     base: Option<Arc<[u8]>>,
-    /// The decode of `data`'s payload a node read made, kept for the
-    /// next one. Whatever changes `data` or the page the frame holds — a
-    /// write, a free, an eviction, the frame's reuse — drops it, and
+    /// What a node read made of `data`'s payload, kept for the next
+    /// one: its decode, or — for a leaf a [`Scan`] reads in place — the
+    /// scan's sums. Whatever changes `data` or the page the frame holds
+    /// — a write, a free, an eviction, the frame's reuse — drops it, and
     /// clears `visited` with it.
     node: Option<CachedNode>,
-    /// Set by a node read that answered from `data` instead of decoding
-    /// it: the frame's next read decodes. Meaningful only while `node`
-    /// is `None`; cleared wherever `node` is dropped, so a frame whose
+    /// Set by a node read that answered from `data` alone: the frame's
+    /// next read builds the scan's sums. Meaningful only while `node` is
+    /// `None`; cleared wherever `node` is dropped, so a frame whose
     /// bytes or page changed is at its first visit again.
     visited: bool,
     prev: usize,
@@ -387,8 +461,8 @@ pub(crate) struct BufferPool {
     capacity: usize,
     /// The frames and their LRU order (rank [`SHARD`](rank::SHARD)).
     lru: RankedMutex<Lru>,
-    /// Whether decodes are kept: a live read's in its frame and, on a
-    /// WAL pool, a pinned read's in `committed`.
+    /// Whether decodes and leaf sums are kept: a live read's in its
+    /// frame and, on a WAL pool, a pinned read's in `committed`.
     keep_nodes: bool,
     /// The writer lock (rank [`WRITER`](rank::WRITER)), below every lock
     /// a mutation or a commit takes: see [`Writer`].
@@ -429,9 +503,10 @@ pub(crate) struct BufferPool {
     /// ≈ 13 % of its box-sums that way on a 2-core x86-64 box
     /// (EXPERIMENTS.md, "A writer inside a commit").
     epoch: CacheLine<AtomicU64>,
-    /// Decoded nodes of *committed* page images, for pinned reads (see
+    /// *Committed* page images, for pinned reads (see
     /// [`read_node_at`](Self::read_node_at)). An entry is the decode of
-    /// its page's current committed image, and its page has a frame:
+    /// its page's current committed image — or a leaf's image buffer
+    /// and scan sums — and its page has a frame:
     /// it is inserted under the LRU lock with the frame held and leaves
     /// with the frame ([`release`](Self::release)); the epoch flip
     /// drops the entries of its transaction's pages. Entries are kept
@@ -446,9 +521,10 @@ pub(crate) struct BufferPool {
     reads: AtomicU64,
     writes: AtomicU64,
     hits: AtomicU64,
-    /// Node reads, live or pinned, answered by a scan of a frame's
-    /// bytes (each also a decode miss).
+    /// Node reads, live or pinned, answered from a leaf page's bytes
+    /// alone, and from the sums they built (each also a decode miss).
     leaf_scans: AtomicU64,
+    sums_built: AtomicU64,
     wal_appends: AtomicU64,
     wal_syncs: AtomicU64,
     wal_replays: AtomicU64,
@@ -545,6 +621,7 @@ impl BufferPool {
             writes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             leaf_scans: AtomicU64::new(0),
+            sums_built: AtomicU64::new(0),
             wal_appends: AtomicU64::new(0),
             wal_syncs: AtomicU64::new(0),
             wal_replays: AtomicU64::new(0),
@@ -609,6 +686,7 @@ impl BufferPool {
             decode_misses,
             decode_invalidations,
             leaf_scans: self.leaf_scans.load(Ordering::Relaxed),
+            sums_built: self.sums_built.load(Ordering::Relaxed),
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
@@ -627,6 +705,7 @@ impl BufferPool {
         self.writes.store(0, Ordering::Relaxed);
         self.hits.store(0, Ordering::Relaxed);
         self.leaf_scans.store(0, Ordering::Relaxed);
+        self.sums_built.store(0, Ordering::Relaxed);
         self.wal_appends.store(0, Ordering::Relaxed);
         self.wal_syncs.store(0, Ordering::Relaxed);
         self.wal_replays.store(0, Ordering::Relaxed);
@@ -867,38 +946,51 @@ impl BufferPool {
         Ok(f(&lru.frames[idx].data[..self.payload]))
     }
 
+    /// Counts a node read answered from a leaf page's bytes: alone, or
+    /// with the sums it built.
+    fn count_leaf_read(&self, served: Served) {
+        let counter = match served {
+            Served::Scanned => &self.leaf_scans,
+            Served::Built => &self.sums_built,
+            Served::Kept | Served::Decoded => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Reads page `id` as a decoded node of type `N`, or answers from
     /// its bytes: the live read every index traversal makes. One LRU
     /// lock and one directory probe serve it — the page access
     /// [`with_page`](Self::with_page) would make, counted the same way
     /// (a hit, or a miss that fetches and verifies) — and then the
-    /// frame's own decode, when it holds one of type `N`. Otherwise, on
-    /// the frame's first visit since it last held a decode, or on every
-    /// visit when the pool keeps no decodes (`node_cache_pages == 0`),
-    /// `scan` may answer from the payload, and the page is not decoded.
-    /// When it declines, or on the frame's second visit, `decode` runs
-    /// over the payload and, unless the pool keeps no decodes, the frame
-    /// keeps the result for the next read. A frame's decode and its
-    /// visit live exactly as long as its bytes:
-    /// [`write_page`](Self::write_page), [`free_page`](Self::free_page),
-    /// eviction and the frame's reuse drop both, so neither can outlive
-    /// them. The paper's LRU is thus the only LRU a live read goes
-    /// through, and the §6 counts are the same whether decodes are kept
-    /// or not.
+    /// frame's own decode, when it holds one of type `N`. Otherwise
+    /// `scan` may answer from the payload, and the page is not decoded:
+    /// on the frame's first visit since it last changed, or on every
+    /// visit when the pool keeps nothing (`node_cache_pages == 0`), from
+    /// the bytes alone; on its second, from the [`Scan::Sums`] it builds
+    /// and the frame keeps; and from those sums on every later visit.
+    /// When it declines, `decode` runs over the payload and, unless the
+    /// pool keeps nothing, the frame keeps the result for the next read.
+    /// What a frame keeps, and its visit, live exactly as long as its
+    /// bytes: [`write_page`](Self::write_page),
+    /// [`free_page`](Self::free_page), eviction and the frame's reuse
+    /// drop them, so nothing kept can outlive the bytes. The paper's LRU
+    /// is thus the only LRU a live read goes through, and the §6 counts
+    /// are the same whatever is kept.
     ///
-    /// Counts one decode hit or one decode miss per call, and a scan as
-    /// a miss and a leaf scan. `decode` and `scan` run under the LRU
-    /// lock and must not re-enter the pool.
-    pub(crate) fn visit_node<N, T, F, S>(
+    /// Counts one decode hit (an answer from what the frame keeps) or
+    /// one decode miss per call, and a first-visit scan also as a leaf
+    /// scan. `decode` and `scan` run under the LRU lock and must not
+    /// re-enter the pool.
+    pub(crate) fn visit_node<N, Sc, F>(
         &self,
         id: PageId,
         decode: F,
-        scan: S,
-    ) -> Result<Visit<N, T>>
+        scan: &Sc,
+    ) -> Result<Visit<N, Sc::Answer>>
     where
         N: Any + Send + Sync,
+        Sc: Scan,
         F: FnOnce(&[u8]) -> Result<N>,
-        S: FnOnce(&[u8]) -> Option<T>,
     {
         let mut lru = self.lru.acquire();
         let idx = self.frame_for(&mut lru, id, true)?;
@@ -911,12 +1003,12 @@ impl BufferPool {
             scan,
         );
         match got {
-            Ok((Visit::Node(_), false)) => lru.decode_hits += 1,
-            Ok((Visit::Scanned(_), _)) => {
+            Ok((_, Served::Kept)) => lru.decode_hits += 1,
+            Ok((_, served)) => {
                 lru.decode_misses += 1;
-                self.leaf_scans.fetch_add(1, Ordering::Relaxed);
+                self.count_leaf_read(served);
             }
-            _ => lru.decode_misses += 1,
+            Err(_) => lru.decode_misses += 1,
         }
         got.map(|(visit, _)| visit)
     }
@@ -942,20 +1034,28 @@ impl BufferPool {
         let idx = self.frame_for(&mut lru, id, false)?;
         lru.invalidations += 1;
         let f = &mut lru.frames[idx];
+        f.node = None;
+        f.visited = false;
         if wal && newly_dirty {
-            // A resident clean frame holds the committed image — keep
-            // a copy as the base for snapshot readers and write the
-            // frame's own buffer in place (handing the buffer to the
-            // base would move the page into the writing thread's
-            // allocations). A miss means the committed image (if any)
-            // is on disk.
-            f.base = resident.map(|_| Arc::from(&f.data[..]));
+            // A resident clean frame holds the committed image: it
+            // becomes the base for snapshot readers. A buffer the frame
+            // owns alone is copied into the base and written in place
+            // (handing it over would move the page into the writing
+            // thread's allocations); one a committed-image entry shares
+            // is handed over as it is, and the write below copies it
+            // once. A miss means the committed image (if any) is on
+            // disk.
+            f.base = resident.map(|_| {
+                if Arc::strong_count(&f.data) > 1 {
+                    Arc::clone(&f.data)
+                } else {
+                    Arc::from(&f.data[..])
+                }
+            });
         }
         let data = Arc::make_mut(&mut f.data);
         data[..bytes.len()].copy_from_slice(bytes);
         data[bytes.len()..].fill(0);
-        f.node = None;
-        f.visited = false;
         f.dirty = true;
         if wal && newly_dirty {
             let dirty = self.dirty_frames.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1159,6 +1259,24 @@ mod tests {
             None,
             false,
         ))
+    }
+
+    /// A toy leaf scan: a page whose first byte is below 100 is a leaf
+    /// whose answer, and whose sums, are that byte; any other page is
+    /// declined, so it decodes.
+    pub(super) struct FirstByte;
+
+    impl Scan for FirstByte {
+        type Answer = u8;
+        type Sums = u8;
+
+        fn sums(&self, bytes: &[u8]) -> Option<u8> {
+            (bytes[0] < 100).then_some(bytes[0])
+        }
+
+        fn answer(&self, bytes: &[u8], sums: Option<&u8>) -> Option<u8> {
+            sums.copied().or_else(|| self.sums(bytes))
+        }
     }
 
     pub(super) fn page_with(pool: &TestPool, byte: u8) -> PageId {

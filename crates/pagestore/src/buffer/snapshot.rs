@@ -13,11 +13,13 @@
 //! the superseded page images for every still-pinned older epoch, so a
 //! reader never observes a half-applied transaction.
 //!
-//! Pinned reads of *decoded* nodes ([`BufferPool::read_node_at`]) go
-//! through a [`NodeCache`](crate::nodecache::NodeCache) of committed
-//! images: an entry is the decode of its page's current committed
-//! image, and a clean frame's decode is that decode, so the two share
-//! it. An entry lives only while its page has a frame: a miss inserts
+//! Pinned node reads ([`BufferPool::read_node_at`]) go through a
+//! [`NodeCache`](crate::nodecache::NodeCache) of committed images: an
+//! entry is the decode of its page's current committed image — or, for
+//! a leaf a [`Scan`] reads in place, a [`KeptImage`]: that image's own
+//! buffer and its sums, so no leaf is decoded for a pinned query — and a
+//! clean frame's decode or sums are the entry's, so the two share them.
+//! An entry lives only while its page has a frame: a miss inserts
 //! it under the LRU lock with the frame held, and the frame's eviction,
 //! free or reuse drops it, so the buffer's LRU is the cache's only
 //! eviction policy. A hit, which takes no LRU lock, marks its entry,
@@ -30,8 +32,9 @@
 //! node only if both reads are the reader's pinned epoch — the shard
 //! lock orders any later flip's invalidation, and any insert made after
 //! it, before that second read. Every other pinned read holds the
-//! barrier shared from lookup to insert, and decodes a page superseded
-//! after its epoch from the retained image without caching it.
+//! barrier shared from lookup to insert, and reads a page superseded
+//! after its epoch from the retained image without caching it — a leaf
+//! by a scan of its bytes, another page by a decode.
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
@@ -43,7 +46,7 @@ use boxagg_common::error::{corrupt, Result};
 use crate::nodecache::CachedNode;
 use crate::pager::PageId;
 
-use super::{frame_node, BufferPool, Held, Visit};
+use super::{frame_node, BufferPool, Held, Scan, Served, Visit};
 
 /// One retained committed page image, superseded when epoch
 /// `superseded_at` was created: it is the image readers pinned at any
@@ -179,100 +182,159 @@ impl BufferPool {
     }
 
     /// Reads page `id` *as of* commit `epoch` as a decoded node of type
-    /// `N`, through the committed-image node cache. Returns the node
-    /// and whether this call ran `decode`. A hit performs no byte-pool
-    /// access, and each call counts exactly one cache hit or miss. A
-    /// miss on a page whose clean frame holds a live read's decode of
-    /// type `N` takes that decode instead of running `decode`, and a
-    /// decode of a clean frame's bytes is left in the frame: those bytes
-    /// *are* the current committed image, so a clean page has one
-    /// decoded copy, shared by live and pinned reads. A miss caches its
-    /// node (when the pool [keeps committed decodes](Self::keeps_committed))
+    /// `N`, or answers from its bytes as [`Scan`] allows, through the
+    /// committed-image node cache. Returns what the read got and whether
+    /// it ran `decode`. A hit performs no byte-pool access, and each call
+    /// counts exactly one cache hit or miss. An entry is a node, or — for
+    /// a page `scan` reads in place, a leaf — a [`KeptImage`]: the
+    /// committed image's own buffer, shared and not copied, and the sums
+    /// the scan answers from, so no leaf is decoded for a pinned query.
+    ///
+    /// A miss on a page whose clean frame holds a live read's decode of
+    /// type `N`, or its scan sums, takes them instead of running
+    /// `decode` or building sums, and whatever it makes of a clean
+    /// frame's bytes is left in the frame by the frame's visit rule
+    /// ([`visit_node`](Self::visit_node)): those bytes *are* the current
+    /// committed image, so a clean page has one decode, or one set of
+    /// sums, shared by live and pinned reads. A miss caches what it got
+    /// (when the pool [keeps committed decodes](Self::keeps_committed))
     /// inside [`with_committed_page`](Self::with_committed_page), under
-    /// the LRU lock with the page's frame held, and the entry goes when
-    /// that frame does: a page the buffer evicted is a miss that fetches
-    /// it again. A hit marks its entry, which spares the page's frame
-    /// once at eviction, as an LRU touch would keep it.
+    /// the LRU lock with the page's frame held — except a leaf's
+    /// first-visit scan of a clean frame, which keeps nothing — and the
+    /// entry goes when that frame does: a page the buffer evicted is a
+    /// miss that fetches it again. A hit marks its entry, which spares
+    /// the page's frame once at eviction, as an LRU touch would keep it.
     ///
     /// **The hit path takes no pool-wide lock.** It loads the epoch,
     /// looks `id` up under its cache-shard lock, and loads the epoch
-    /// again under that lock; the node is kept only if both loads are
-    /// `epoch`. Why a kept node is the decode of the bytes
+    /// again under that lock; the entry is kept only if both loads are
+    /// `epoch`. It clones the entry's one `Arc`, and a leaf's answer
+    /// runs after the lock is released. Why a kept entry is of the bytes
     /// [`with_page_at`](Self::with_page_at) would show:
     ///
     /// * *Not older than `epoch`.* Every flip up to `epoch` invalidated
     ///   its pages while holding the snapshot lock, which the pin of
-    ///   `epoch` took afterwards; an insert is a decode of the image
-    ///   committed while its reader held the barrier shared, so no
-    ///   insert can bring a superseded image back.
+    ///   `epoch` took afterwards; an insert is of the image committed
+    ///   while its reader held the barrier shared, so no insert can
+    ///   bring a superseded image back.
     /// * *Not newer.* A later flip stores `epoch + 1` before it
-    ///   invalidates, and any insert of a newer decode is made after
+    ///   invalidates, and any insert of a newer image is made after
     ///   that flip released the barrier. Either is a shard-lock critical
     ///   section that ends after the store; a lookup that observed it
     ///   took the same lock afterwards, so the second load — sequenced
-    ///   after that lookup — reads `epoch + 1` or later, and the node is
+    ///   after that lookup — reads `epoch + 1` or later, and the entry is
     ///   discarded.
     ///
     /// A discarded or absent hit counts nothing and falls back to the
     /// barrier path, which counts the read: the shared barrier is held
     /// from the lookup to the insert, so no flip can fall in between. A
-    /// page superseded after `epoch` is decoded from its retained image
-    /// and not cached: the cache describes current committed images
-    /// only.
+    /// page superseded after `epoch` is answered from its retained image
+    /// — scanned when `scan` reads it, decoded otherwise — and not
+    /// cached: the cache describes current committed images only.
     ///
-    /// `decode` runs under pool locks and must not re-enter the pool.
-    pub(crate) fn read_node_at<N, T, F, S>(
+    /// `decode` and `scan` run under pool locks and must not re-enter
+    /// the pool.
+    pub(crate) fn read_node_at<N, Sc, F>(
         &self,
         id: PageId,
         epoch: u64,
         decode: F,
-        scan: S,
-    ) -> Result<(Visit<N, T>, bool)>
+        scan: &Sc,
+    ) -> Result<(Visit<N, Sc::Answer>, bool)>
     where
         N: Any + Send + Sync,
+        Sc: Scan,
         F: FnOnce(&[u8]) -> Result<N>,
-        S: FnOnce(&[u8]) -> Option<T>,
     {
         if self.epoch.load(Ordering::Acquire) == epoch {
-            if let Some(node) = self.committed_hit(id, epoch) {
-                return Ok((Visit::Node(node), false));
+            if let Some(entry) = self.committed_hit(id, epoch) {
+                return self.serve_entry(entry, decode, scan);
             }
         }
         let _reader = self.barrier.acquire_shared();
         if let Some(image) = self.superseded_image(id, epoch) {
             self.committed.count_miss(id);
-            let node = Arc::new(decode(&image[..self.payload])?);
-            return Ok((Visit::Node(node), true));
+            let bytes = &image[..self.payload];
+            if let Some(answer) = scan.answer(bytes, None) {
+                self.count_leaf_read(Served::Scanned);
+                return Ok((Visit::Scanned(answer), false));
+            }
+            return Ok((Visit::Node(Arc::new(decode(bytes)?)), true));
         }
-        if let Some(node) = self.committed.lookup::<N>(id) {
-            return Ok((Visit::Node(node), false));
+        if let Some(entry) = self.committed.lookup(id, resolve::<N, Sc::Sums>) {
+            return self.serve_entry(entry, decode, scan);
         }
         let keep = self.keeps_committed();
-        self.with_committed_page(id, |bytes, held| {
-            let (got, decoded) = match held {
-                Some(slot) => frame_node(slot, bytes, self.keep_nodes, decode, scan)?,
-                None => (Visit::Node(Arc::new(decode(bytes)?)), true),
-            };
-            match &got {
-                Visit::Node(node) if keep => {
-                    self.committed.insert(id, Arc::clone(node) as CachedNode);
-                }
-                Visit::Node(_) => {}
-                Visit::Scanned(_) => {
-                    self.leaf_scans.fetch_add(1, Ordering::Relaxed);
+        self.with_committed_page(id, |image, held| {
+            // A committed image no clean frame holds (a dirty frame's
+            // base, the disk's copy) has no visit bit to follow: its
+            // first read builds the sums, or decodes, for the cache.
+            let (mut own, mut built) = (None, true);
+            let (slot, visited) = held.unwrap_or((&mut own, &mut built));
+            let bytes = &image[..self.payload];
+            let (got, served) =
+                frame_node((&mut *slot, visited), bytes, self.keep_nodes, decode, scan)?;
+            if keep {
+                match &got {
+                    Visit::Node(node) => {
+                        self.committed.insert(id, Arc::clone(node) as CachedNode);
+                    }
+                    Visit::Scanned(_) => {
+                        let sums = slot
+                            .clone()
+                            .and_then(|kept| kept.downcast::<Sc::Sums>().ok());
+                        if let Some(sums) = sums {
+                            let bytes = Arc::clone(image);
+                            self.committed
+                                .insert(id, Arc::new(KeptImage { bytes, sums }) as CachedNode);
+                        }
+                    }
                 }
             }
-            Ok((got, decoded))
+            self.count_leaf_read(served);
+            Ok((got, served == Served::Decoded))
         })?
+    }
+
+    /// A pinned read served from a committed-image entry: its node, or
+    /// the scan's answer from its image and sums (a decode of the image
+    /// should the scan decline).
+    fn serve_entry<N, Sc, F>(
+        &self,
+        entry: Entry<N, Sc::Sums>,
+        decode: F,
+        scan: &Sc,
+    ) -> Result<(Visit<N, Sc::Answer>, bool)>
+    where
+        Sc: Scan,
+        F: FnOnce(&[u8]) -> Result<N>,
+    {
+        match entry {
+            Entry::Node(node) => Ok((Visit::Node(node), false)),
+            Entry::Image(image) => {
+                let bytes = &image.bytes[..self.payload];
+                match scan.answer(bytes, Some(&image.sums)) {
+                    Some(answer) => Ok((Visit::Scanned(answer), false)),
+                    None => Ok((Visit::Node(Arc::new(decode(bytes)?)), true)),
+                }
+            }
+        }
     }
 
     /// The second half of [`read_node_at`](Self::read_node_at)'s hit
     /// path, for a reader whose first epoch load read `epoch`: the
-    /// cached node of `id`, kept only if the epoch — loaded again under
+    /// cached entry of `id`, kept only if the epoch — loaded again under
     /// the shard lock that found it — is still `epoch`.
-    fn committed_hit<N: Any + Send + Sync>(&self, id: PageId, epoch: u64) -> Option<Arc<N>> {
-        self.committed
-            .try_hit(id, || self.epoch.load(Ordering::Acquire) == epoch)
+    fn committed_hit<N: Any + Send + Sync, S: Any + Send + Sync>(
+        &self,
+        id: PageId,
+        epoch: u64,
+    ) -> Option<Entry<N, S>> {
+        self.committed.try_hit(
+            id,
+            || self.epoch.load(Ordering::Acquire) == epoch,
+            resolve::<N, S>,
+        )
     }
 
     /// The image of page `id` a reader pinned at `epoch` must see, when
@@ -301,55 +363,86 @@ impl BufferPool {
 
     /// Runs `f` over page `id`'s current committed image and, when that
     /// image is a clean frame's bytes, the frame's decode slot and visit
-    /// bit. `f` runs
-    /// under the LRU lock with `id`'s frame resident in every branch —
-    /// a dirty frame's base, the disk image behind a dirty frame, a
-    /// clean frame — so an entry `f` puts in the committed-image cache
-    /// has its frame. The caller holds the barrier shared, so no flip
-    /// can interleave.
+    /// bit. The image is handed over as its buffer — the clean frame's
+    /// own, a dirty frame's base, or one read off disk — so an entry
+    /// `f` caches may share it. `f` runs under the LRU lock with `id`'s
+    /// frame resident in every branch, so an entry `f` puts in the
+    /// committed-image cache has its frame. The caller holds the barrier
+    /// shared, so no flip can interleave.
     fn with_committed_page<T>(
         &self,
         id: PageId,
-        f: impl FnOnce(&[u8], Option<Held<'_>>) -> T,
+        f: impl FnOnce(&Arc<[u8]>, Option<Held<'_>>) -> T,
     ) -> Result<T> {
         let mut lru = self.lru.acquire();
         if let Some(idx) = lru.map.get(id) {
             if lru.frames[idx].dirty {
                 if let Some(base) = &lru.frames[idx].base {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(f(&base[..self.payload], None));
+                    return Ok(f(base, None));
                 }
                 // Dirty with no base: the committed image lives on
                 // disk (no-steal). Read it without disturbing the
                 // uncommitted frame.
-                let mut buf = vec![0u8; self.page_size].into_boxed_slice();
-                self.read_verified(id, &mut buf)?;
+                let mut buf: Arc<[u8]> = std::iter::repeat_n(0, self.page_size).collect();
+                self.read_verified(id, Arc::get_mut(&mut buf).expect("a fresh buffer"))?;
                 self.reads.fetch_add(1, Ordering::Relaxed);
-                return Ok(f(&buf[..self.payload], None));
+                return Ok(f(&buf, None));
             }
         }
         let idx = self.frame_for(&mut lru, id, true)?;
         let frame = &mut lru.frames[idx];
-        Ok(f(
-            &frame.data[..self.payload],
-            Some((&mut frame.node, &mut frame.visited)),
-        ))
+        Ok(f(&frame.data, Some((&mut frame.node, &mut frame.visited))))
+    }
+}
+
+/// A leaf's committed image as the committed-image cache keeps it, in
+/// one `Arc`: the image's buffer — a clean frame's own, shared and not
+/// copied, or a dirty frame's base — and the [`Scan::Sums`] pinned
+/// reads answer from.
+struct KeptImage<S> {
+    bytes: Arc<[u8]>,
+    sums: Arc<S>,
+}
+
+/// What a committed-image entry holds for a pinned read of `N` whose
+/// scan keeps `S`.
+enum Entry<N, S> {
+    Node(Arc<N>),
+    Image(Arc<KeptImage<S>>),
+}
+
+/// The committed-image entry `held` as an [`Entry`], or `None` when it
+/// is of another type: one `Arc` clone, under the shard lock.
+fn resolve<N: Any + Send + Sync, S: Any + Send + Sync>(held: &CachedNode) -> Option<Entry<N, S>> {
+    match Arc::clone(held).downcast::<N>() {
+        Ok(node) => Some(Entry::Node(node)),
+        Err(other) => other.downcast::<KeptImage<S>>().ok().map(Entry::Image),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::decline;
     use crate::buffer::tests::{page_with, park_next_log_sync, wal_pool};
+    use crate::buffer::Decline;
+    use std::convert::Infallible;
 
     /// A pinned read of page `id`'s first byte as a node, offering no
     /// scan: the node and whether the read decoded.
     fn read_at(p: &BufferPool, id: PageId, epoch: u64) -> (u8, bool) {
         let (got, decoded) = p
-            .read_node_at(id, epoch, |d: &[u8]| Ok(d[0]), decline)
+            .read_node_at(id, epoch, |d: &[u8]| Ok(d[0]), &Decline)
             .unwrap();
         (*got.into_node(), decoded)
+    }
+
+    /// A lock-free pinned hit of page `id`'s first byte as a node.
+    fn hit_at(p: &BufferPool, id: PageId, epoch: u64) -> Option<u8> {
+        match p.committed_hit::<u8, Infallible>(id, epoch)? {
+            Entry::Node(node) => Some(*node),
+            Entry::Image(_) => panic!("a node's entry held an image"),
+        }
     }
 
     #[test]
@@ -459,14 +552,14 @@ mod tests {
         let newer = p.pin_snapshot();
         assert_eq!(read_at(&p, a, newer), (2, true));
         let before = p.stats();
-        assert!(p.committed_hit::<u8>(a, e).is_none(), "e + 1's node kept");
+        assert!(hit_at(&p, a, e).is_none(), "e + 1's node kept");
         assert_eq!(p.stats(), before, "a discarded hit counts nothing");
         assert_eq!(read_at(&p, a, e), (1, true));
         let after = p.stats();
         assert_eq!(after.decode_misses - before.decode_misses, 1);
         assert_eq!(after.decode_hits, before.decode_hits);
         // The newer pin's own hit is kept.
-        assert_eq!(*p.committed_hit::<u8>(a, newer).unwrap(), 2);
+        assert_eq!(hit_at(&p, a, newer), Some(2));
         p.unpin_snapshot(e);
         p.unpin_snapshot(newer);
         p.validate().unwrap();

@@ -60,7 +60,7 @@ pub mod store;
 pub mod superblock;
 pub mod wal;
 
-pub use buffer::{IoStats, Visit};
+pub use buffer::{IoStats, Scan, Visit};
 pub use fault::{FaultHandle, FaultPager, FaultSpec, OpFilter};
 pub use pager::{FilePager, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE};
 pub use rank::{RankedGuard, RankedMutex, RankedReadGuard, RankedRwLock, RankedWriteGuard};

@@ -1,11 +1,13 @@
-//! Decoded-node cache of *committed* page images, for pinned reads.
+//! Cache of *committed* page images, for pinned reads.
 //!
-//! A live read keeps its decode in the buffer frame that holds the page
-//! (see [`BufferPool::read_node`](crate::buffer::BufferPool::read_node)).
-//! A pinned read cannot use a frame's decode when the frame is dirty —
+//! A live read keeps its decode, or a leaf's scan sums, in the buffer
+//! frame that holds the page (see
+//! [`BufferPool::visit_node`](crate::buffer::BufferPool::visit_node)).
+//! A pinned read cannot use what a frame keeps when the frame is dirty —
 //! its bytes are the writer's, not the pinned commit's — so a WAL store
-//! keeps this second, typed index: an entry is the decode of its page's
-//! *current committed image*, an `Arc<dyn Any + Send + Sync>` keyed by
+//! keeps this second, typed index: an entry is of its page's *current
+//! committed image* — its decode, or for a leaf the image's own buffer
+//! and sums in one `Arc` — an `Arc<dyn Any + Send + Sync>` keyed by
 //! page id, and it serves every pinned read
 //! ([`StoreSnapshot::read_node`](crate::store::StoreSnapshot::read_node))
 //! of every pin. A hit performs no page access, so it is neither a
@@ -14,7 +16,7 @@
 //!
 //! # No eviction policy of its own
 //!
-//! The cache holds decodes of *resident* pages only, and has no
+//! The cache holds entries of *resident* pages only, and has no
 //! capacity, recency list or victim choice: the buffer pool inserts an
 //! entry while it holds the page's frame under the LRU lock, and
 //! [`remove`]s it under that lock when the frame goes — evicted, freed
@@ -41,8 +43,10 @@
 //! the pool's epoch under the shard lock that found the entry and keeps
 //! the entry only if the epoch is still the reader's (the argument is on
 //! [`BufferPool::read_node_at`](crate::buffer::BufferPool::read_node_at)).
-//! A page superseded *after* a reader's epoch is decoded from its
-//! retained image and never cached.
+//! A page superseded *after* a reader's epoch is read from its retained
+//! image and never cached. A lookup resolves an entry to the reader's
+//! type under the shard lock; an entry of another type is a miss that
+//! stays, for the readers of its own type, until an insert replaces it.
 //!
 //! Each of the [`SHARDS`] shards' mutex is a [`RankedMutex`] at rank
 //! [`NODE_CACHE`](crate::rank::NODE_CACHE), a leaf lock taken under the
@@ -64,7 +68,8 @@ use std::sync::Arc;
 use crate::pager::PageId;
 use crate::rank::{self, RankedMutex};
 
-/// Type-erased decoded node, as a buffer frame or the cache holds it.
+/// What a buffer frame or the cache keeps of a page, type-erased: a
+/// decoded node, a leaf's scan sums, or a leaf's committed image.
 pub(crate) type CachedNode = Arc<dyn Any + Send + Sync>;
 
 /// `log2` of the fixed shard count: pinned hits on every core go through
@@ -72,7 +77,7 @@ pub(crate) type CachedNode = Arc<dyn Any + Send + Sync>;
 const SHARD_BITS: u32 = 6;
 const SHARDS: usize = 1 << SHARD_BITS;
 
-/// One cached decode.
+/// One cached entry.
 struct Entry {
     node: CachedNode,
     /// Hit since it was inserted or last given a
@@ -80,7 +85,7 @@ struct Entry {
     referenced: bool,
 }
 
-/// The decodes of one slice of the page-id space.
+/// The entries of one slice of the page-id space.
 struct CacheShard {
     /// `entries[id >> SHARD_BITS]` is page `id`'s entry, if any.
     entries: Vec<Option<Entry>>,
@@ -109,17 +114,17 @@ impl CacheShard {
         self.entries.get_mut(pos(id))?.take()
     }
 
-    /// The node of `id`'s entry if it is an `N`, marking the entry
-    /// referenced; uncounted.
-    fn hit<N: Any + Send + Sync>(&mut self, id: PageId) -> Option<Arc<N>> {
+    /// What `resolve` makes of `id`'s entry, marking the entry
+    /// referenced when it makes something; uncounted.
+    fn hit<R>(&mut self, id: PageId, resolve: impl FnOnce(&CachedNode) -> Option<R>) -> Option<R> {
         let entry = self.get_mut(id)?;
-        let node = Arc::clone(&entry.node).downcast::<N>().ok()?;
+        let got = resolve(&entry.node)?;
         entry.referenced = true;
-        Some(node)
+        Some(got)
     }
 }
 
-/// A sharded index of the decoded committed images of resident pages.
+/// A sharded index of the committed images of resident pages.
 ///
 /// The buffer pool of a WAL store keeps entries in one (see the module
 /// docs); every pool counts its pinned reads in one, so that
@@ -153,41 +158,47 @@ impl NodeCache {
         &self.shards[(id.0 & (SHARDS as u64 - 1)) as usize]
     }
 
-    /// The cached node for `id`, counting a hit; a missing entry — or
-    /// one whose concrete type is not `N`, which is dropped — counts a
-    /// miss, and the caller decodes and [`insert`](Self::insert)s.
-    pub(crate) fn lookup<N: Any + Send + Sync>(&self, id: PageId) -> Option<Arc<N>> {
+    /// What `resolve` — run under the shard lock — makes of `id`'s
+    /// entry, counting a hit; a missing entry, or one `resolve` makes
+    /// nothing of (another type), counts a miss and stays: the caller
+    /// decodes and [`insert`](Self::insert)s over it.
+    pub(crate) fn lookup<R>(
+        &self,
+        id: PageId,
+        resolve: impl FnOnce(&CachedNode) -> Option<R>,
+    ) -> Option<R> {
         let mut shard = self.shard_for(id).acquire();
-        if let Some(node) = shard.hit(id) {
+        if let Some(got) = shard.hit(id, resolve) {
             shard.hits += 1;
-            return Some(node);
+            return Some(got);
         }
-        shard.take(id);
         shard.misses += 1;
         None
     }
 
-    /// The cached node for `id`, if there is one of type `N` and
+    /// What `resolve` makes of `id`'s entry, if it makes something and
     /// `still_valid()` — called under the shard lock, after the entry
-    /// was found — returns true; only then is a hit counted. Otherwise
-    /// nothing is counted and the caller falls back to
+    /// was resolved — returns true; only then is a hit counted.
+    /// Otherwise nothing is counted and the caller falls back to
     /// [`lookup`](Self::lookup), which counts the read: every read is
     /// one hit or one miss, however it was served.
-    pub(crate) fn try_hit<N: Any + Send + Sync>(
+    pub(crate) fn try_hit<R>(
         &self,
         id: PageId,
         still_valid: impl FnOnce() -> bool,
-    ) -> Option<Arc<N>> {
+        resolve: impl FnOnce(&CachedNode) -> Option<R>,
+    ) -> Option<R> {
         let mut shard = self.shard_for(id).acquire();
-        let node = shard.hit(id)?;
+        let got = shard.hit(id, resolve)?;
         if !still_valid() {
             return None;
         }
         shard.hits += 1;
-        Some(node)
+        Some(got)
     }
 
-    /// Caches `node` as the decode of `id`'s current committed image.
+    /// Caches `node` as what pinned reads make of `id`'s current
+    /// committed image.
     /// The caller holds `id`'s frame under the LRU lock, and what keeps
     /// that image from changing since its [`lookup`](Self::lookup)
     /// (module docs).
@@ -282,8 +293,13 @@ mod tests {
         PageId(n)
     }
 
+    /// An entry as a `T`, the way the pool resolves its own types.
+    fn of<T: Any + Send + Sync>(held: &CachedNode) -> Option<Arc<T>> {
+        Arc::clone(held).downcast::<T>().ok()
+    }
+
     fn put(cache: &NodeCache, n: u64) {
-        assert!(cache.lookup::<u64>(pid(n)).is_none());
+        assert!(cache.lookup(pid(n), of::<u64>).is_none());
         cache.insert(pid(n), Arc::new(n));
     }
 
@@ -298,9 +314,9 @@ mod tests {
     #[test]
     fn miss_then_hit_round_trip() {
         let cache = NodeCache::new();
-        assert!(cache.lookup::<String>(pid(1)).is_none());
+        assert!(cache.lookup(pid(1), of::<String>).is_none());
         cache.insert(pid(1), Arc::new("node".to_string()));
-        let got = cache.lookup::<String>(pid(1));
+        let got = cache.lookup(pid(1), of::<String>);
         assert_eq!(got.unwrap().as_str(), "node");
         assert_eq!(cache.counters(), (1, 1, 0));
     }
@@ -310,9 +326,9 @@ mod tests {
         let cache = NodeCache::new();
         put(&cache, 7);
         cache.invalidate(pid(7));
-        assert!(cache.lookup::<u64>(pid(7)).is_none(), "entry dropped");
+        assert!(cache.lookup(pid(7), of::<u64>).is_none(), "entry dropped");
         cache.insert(pid(7), Arc::new(2u64));
-        assert_eq!(*cache.lookup::<u64>(pid(7)).unwrap(), 2);
+        assert_eq!(*cache.lookup(pid(7), of::<u64>).unwrap(), 2);
         // Invalidating an absent page still counts.
         cache.invalidate(pid(8));
         assert_eq!(cache.counters(), (1, 2, 2));
@@ -334,8 +350,8 @@ mod tests {
         let cache = NodeCache::new();
         put(&cache, 2);
         assert!(!cache.second_chance(pid(2)), "inserted, never hit");
-        assert!(cache.try_hit::<u64>(pid(2), || true).is_some());
-        assert!(cache.lookup::<u64>(pid(2)).is_some());
+        assert!(cache.try_hit(pid(2), || true, of::<u64>).is_some());
+        assert!(cache.lookup(pid(2), of::<u64>).is_some());
         assert!(cache.second_chance(pid(2)), "hit since");
         assert!(!cache.second_chance(pid(2)), "the mark is spent");
         assert!(!cache.second_chance(pid(3)), "no entry");
@@ -354,34 +370,43 @@ mod tests {
     }
 
     #[test]
-    fn wrong_type_is_a_counted_miss_and_reinsertable() {
+    fn wrong_type_is_a_counted_miss_that_keeps_the_entry() {
         let cache = NodeCache::new();
-        assert!(cache.lookup::<u32>(pid(9)).is_none());
+        assert!(cache.lookup(pid(9), of::<u32>).is_none());
         cache.insert(pid(9), Arc::new(5u32));
-        // Same page asked for as a different type: miss, entry dropped.
-        assert!(cache.lookup::<String>(pid(9)).is_none());
+        // Same page asked for as a different type: a miss, and the
+        // entry stays for the readers of its own type.
+        assert!(cache.lookup(pid(9), of::<String>).is_none());
+        assert!(cache.try_hit(pid(9), || true, of::<String>).is_none());
+        assert_eq!(entries(&cache), 1);
+        assert_eq!(*cache.lookup(pid(9), of::<u32>).unwrap(), 5);
+        // A decode of the other type replaces it.
         cache.insert(pid(9), Arc::new("s".to_string()));
-        assert_eq!(cache.lookup::<String>(pid(9)).unwrap().as_str(), "s");
-        // Three lookups total: one counted hit, two counted misses.
+        assert_eq!(cache.lookup(pid(9), of::<String>).unwrap().as_str(), "s");
+        assert!(cache.lookup(pid(9), of::<u32>).is_none());
+        // Five counted lookups: two hits, three misses.
         let (hits, misses, _) = cache.counters();
-        assert_eq!((hits, misses), (1, 2));
+        assert_eq!((hits, misses), (2, 3));
     }
 
     #[test]
     fn try_hit_counts_only_the_hits_it_keeps() {
         let cache = NodeCache::new();
-        assert!(cache.try_hit::<u64>(pid(1), || true).is_none(), "absent");
+        assert!(
+            cache.try_hit(pid(1), || true, of::<u64>).is_none(),
+            "absent"
+        );
         put(&cache, 1);
         assert!(
-            cache.try_hit::<u32>(pid(1), || true).is_none(),
+            cache.try_hit(pid(1), || true, of::<u32>).is_none(),
             "wrong type"
         );
         assert!(
-            cache.try_hit::<u64>(pid(1), || false).is_none(),
+            cache.try_hit(pid(1), || false, of::<u64>).is_none(),
             "not valid"
         );
         assert_eq!(cache.counters(), (0, 1, 0), "only put's lookup counted");
-        assert_eq!(*cache.try_hit::<u64>(pid(1), || true).unwrap(), 1);
+        assert_eq!(*cache.try_hit(pid(1), || true, of::<u64>).unwrap(), 1);
         assert_eq!(cache.counters(), (1, 1, 0));
     }
 
@@ -391,9 +416,9 @@ mod tests {
         let cache = NodeCache::new();
         for n in 0..PAGES {
             put(&cache, n); // a miss
-            assert!(cache.lookup::<u64>(pid(n)).is_some());
-            assert!(cache.try_hit::<u64>(pid(n), || true).is_some());
-            assert!(cache.try_hit::<u64>(pid(n), || false).is_none());
+            assert!(cache.lookup(pid(n), of::<u64>).is_some());
+            assert!(cache.try_hit(pid(n), || true, of::<u64>).is_some());
+            assert!(cache.try_hit(pid(n), || false, of::<u64>).is_none());
             cache.count_miss(pid(n));
             cache.invalidate(pid(n));
         }

@@ -32,10 +32,10 @@ use std::sync::Arc;
 use boxagg_common::bytes::{ByteReader, ByteWriter};
 use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
 use boxagg_common::geom::Point;
-use boxagg_common::slab::EntrySlab;
+use boxagg_common::slab::{EntrySlab, LeafSums};
 use boxagg_common::value::AggValue;
 
-use crate::{PageId, ReadHandle, RootEntry, RootKind, SharedStore, Visit};
+use crate::{PageId, ReadHandle, RootEntry, RootKind, Scan, SharedStore, Visit};
 
 mod ar;
 
@@ -209,18 +209,59 @@ impl<V: AggValue, L: Layout> Node<V, L> {
     }
 }
 
-/// The scan [`Ctx::read_or_sum`] offers: the sum of the values of the
-/// entries of the leaf page `bytes` dominated by `q` in dimensions
-/// `from..dim`, straight from its rows
-/// ([`EntrySlab::sum_dominated_rows`]). `None` for a page that is not a
-/// leaf, and wherever the row scan declines: the read then decodes.
-pub fn sum_leaf_rows<V: AggValue>(bytes: &[u8], dim: usize, from: usize, q: &Point) -> Option<V> {
+/// The sum of the values of the entries of the leaf page `bytes`
+/// dominated by `q` in dimensions `from..dim`, straight from its rows
+/// ([`EntrySlab::sum_dominated_rows`]), helped by the page's kept
+/// `sums` ([`leaf_sums`]). `None` for a page that is not a leaf, and
+/// wherever the row scan declines: the read then decodes.
+pub fn sum_leaf_rows<V: AggValue>(
+    bytes: &[u8],
+    dim: usize,
+    from: usize,
+    q: &Point,
+    sums: Option<&LeafSums<V>>,
+) -> Option<V> {
+    let (rows, count) = leaf_rows(bytes)?;
+    EntrySlab::sum_dominated_rows(rows, dim, count, from, q, sums)
+}
+
+/// What the leaf page `bytes` of `dim`-d points keeps for
+/// [`sum_leaf_rows`] in place of a decode ([`LeafSums::of_rows`]), or
+/// `None` for a page that is not a leaf or whose rows the scan
+/// declines.
+pub fn leaf_sums<V: AggValue>(bytes: &[u8], dim: usize) -> Option<LeafSums<V>> {
+    let (rows, count) = leaf_rows(bytes)?;
+    LeafSums::of_rows(rows, dim, count)
+}
+
+/// A leaf page's encoded rows and their count, or `None` for a page
+/// that is not a leaf.
+fn leaf_rows(bytes: &[u8]) -> Option<(&[u8], usize)> {
     match bytes {
-        [LEAF_TAG, lo, hi, rows @ ..] => {
-            let count = usize::from(u16::from_le_bytes([*lo, *hi]));
-            EntrySlab::sum_dominated_rows(rows, dim, count, from, q)
-        }
+        [LEAF_TAG, lo, hi, rows @ ..] => Some((rows, usize::from(u16::from_le_bytes([*lo, *hi])))),
         _ => None,
+    }
+}
+
+/// The [`Scan`] [`Ctx::read_or_sum`] offers: a leaf's dominance sum from
+/// its page's bytes, over dimensions `from..` of its `dim`-d points.
+struct LeafScan<'q, V> {
+    dim: usize,
+    from: usize,
+    q: &'q Point,
+    _values: PhantomData<fn() -> V>,
+}
+
+impl<V: AggValue> Scan for LeafScan<'_, V> {
+    type Answer = V;
+    type Sums = LeafSums<V>;
+
+    fn sums(&self, bytes: &[u8]) -> Option<LeafSums<V>> {
+        leaf_sums(bytes, self.dim)
+    }
+
+    fn answer(&self, bytes: &[u8], sums: Option<&LeafSums<V>>) -> Option<V> {
+        sum_leaf_rows(bytes, self.dim, self.from, self.q, sums)
     }
 }
 
@@ -274,14 +315,16 @@ impl<'a, L: Layout> Ctx<'a, L> {
             .read_node(id, |bytes| Node::decode(bytes, &self.layout, at))
     }
 
-    /// A node read for a dominance sum: the node at `at`, or, on a leaf
-    /// page's first visit ([`ReadHandle::visit_node`]), the sum of the
-    /// values of its entries dominated by `q` in dimensions `from..`,
-    /// added in entry order from `V::zero()` straight from the page's
-    /// bytes ([`EntrySlab::sum_dominated_rows`]) — what the decoded
-    /// leaf's [`sum_dominated_from_into`](EntrySlab::sum_dominated_from_into)
-    /// into a zero accumulator gives, to the bit. Index pages, and leaves
-    /// whose values have no fixed width, read the node.
+    /// A node read for a dominance sum: the node at `at`, or, for a
+    /// leaf page whose values have a fixed width, the sum of the values
+    /// of its entries dominated by `q` in dimensions `from..`, added in
+    /// entry order from `V::zero()` straight from the page's bytes
+    /// ([`sum_leaf_rows`]) — what the decoded leaf's
+    /// [`sum_dominated_from_into`](EntrySlab::sum_dominated_from_into)
+    /// into a zero accumulator gives, to the bit. Such a leaf is never
+    /// decoded here: from its second visit on the page keeps its
+    /// [`LeafSums`] instead ([`ReadHandle::visit_node`]). Index pages,
+    /// and leaves whose values have no fixed width, read the node.
     pub fn read_or_sum<V: AggValue>(
         &self,
         id: PageId,
@@ -289,12 +332,14 @@ impl<'a, L: Layout> Ctx<'a, L> {
         from: usize,
         q: &Point,
     ) -> Result<Visit<Node<V, L>, V>> {
-        let dim = self.layout.leaf_dim(at);
-        self.pages.visit_node(
-            id,
-            |bytes| Node::decode(bytes, &self.layout, at),
-            |bytes| sum_leaf_rows(bytes, dim, from, q),
-        )
+        let scan = LeafScan {
+            dim: self.layout.leaf_dim(at),
+            from,
+            q,
+            _values: PhantomData,
+        };
+        self.pages
+            .visit_node(id, |bytes| Node::decode(bytes, &self.layout, at), &scan)
     }
 
     /// Owned read for mutation paths: a deep clone of the shared decode

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
 
-use crate::buffer::{decline, BufferPool, IoStats, Visit};
+use crate::buffer::{BufferPool, Decline, IoStats, Scan, Visit};
 use crate::pager::{FilePager, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE, MIN_PAGE_SIZE};
 use crate::rank::{self, RankedMutex};
 use crate::superblock::{RootEntry, Superblock};
@@ -43,13 +43,17 @@ pub struct StoreConfig {
     pub buffer_pages: usize,
     /// Backing storage. Default: memory.
     pub backing: Backing,
-    /// Whether node reads keep their decodes: `0` keeps none, so every
-    /// node read runs the codec (the reference tests compare against);
-    /// any other value keeps them. Live reads
-    /// ([`SharedStore::read_node`]) keep a decode in the page's buffer
+    /// Whether node reads keep what they make of a page: `0` keeps
+    /// nothing, so every node read runs the codec and every leaf visit
+    /// ([`ReadHandle::visit_node`]) scans its bytes alone (the reference
+    /// tests compare against); any other value keeps decodes — and for
+    /// a leaf a query reads in place, never decoded, only the few
+    /// running sums its scan answers from. Live reads
+    /// ([`SharedStore::read_node`]) keep them in the page's buffer
     /// frame; a WAL store's pinned reads ([`StoreSnapshot::read_node`])
-    /// keep the decode of the page's committed image beside it. Either
-    /// lives only as long as the page's frame, so the buffer
+    /// keep those of the page's committed image beside it (a leaf's with
+    /// its shared page buffer). Either lives only as long as the page's
+    /// frame, so the buffer
     /// (`buffer_pages`) bounds them and this number sizes nothing: it is
     /// still a count only so that struct literals written when it sized
     /// a cache of its own keep compiling, and it is to become a flag.
@@ -525,7 +529,7 @@ impl SharedStore {
         F: FnOnce(&[u8]) -> Result<N>,
     {
         self.pool
-            .visit_node(id, decode, decline)
+            .visit_node(id, decode, &Decline)
             .map(Visit::into_node)
     }
 
@@ -650,19 +654,20 @@ impl StoreSnapshot {
         N: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<N>,
     {
-        self.visit_node(id, decode, decline).map(Visit::into_node)
+        self.visit_node(id, decode, &Decline).map(Visit::into_node)
     }
 
-    /// [`read_node`](Self::read_node) with the first-visit rule of
+    /// [`read_node`](Self::read_node) with the visit rule of
     /// [`ReadHandle::visit_node`]: a clean frame's bytes are the
-    /// committed image, so a pinned read of a page whose frame holds no
-    /// decode may answer from them. Retained and superseded images and
-    /// a dirty frame's committed image always decode.
-    fn visit_node<N, T, F, S>(&self, id: PageId, decode: F, scan: S) -> Result<Visit<N, T>>
+    /// committed image, so a pinned read of a page its frame keeps no
+    /// decode of follows that frame's visits. A superseded image is
+    /// scanned alone, and a dirty frame's committed image (its base, or
+    /// the disk's copy) builds its sums on its first pinned read.
+    fn visit_node<N, Sc, F>(&self, id: PageId, decode: F, scan: &Sc) -> Result<Visit<N, Sc::Answer>>
     where
         N: Any + Send + Sync,
+        Sc: Scan,
         F: FnOnce(&[u8]) -> Result<N>,
-        S: FnOnce(&[u8]) -> Option<T>,
     {
         self.node_accesses.fetch_add(1, Ordering::Relaxed);
         let (got, decoded) = self.store.pool.read_node_at(id, self.epoch, decode, scan)?;
@@ -735,25 +740,36 @@ impl ReadHandle {
     }
 
     /// A node read that may answer from the page's bytes instead of
-    /// decoding them: the first-visit rule. When the page's buffer frame
-    /// holds no decode and has not been visited since it last held one —
-    /// or on any visit when the store keeps no decodes
-    /// (`node_cache_pages == 0`) — `scan` runs over the verified payload,
-    /// and its answer, when it gives one, is the read's: the frame
-    /// records the visit and keeps nothing. Otherwise this is
-    /// [`read_node`](Self::read_node): the next visit decodes, and the
-    /// frame keeps that decode as it always has. The page access and its
-    /// counts are a node read's in every case; an answered scan counts
-    /// as a decode miss and a [leaf scan](IoStats::leaf_scans).
+    /// decoding them. A page `scan` reads (a fixed-width leaf) is never
+    /// decoded here: its first visit since its buffer frame last changed
+    /// — or any visit when the store keeps nothing
+    /// (`node_cache_pages == 0`) — answers from the verified payload
+    /// alone, and the frame records the visit and keeps nothing (a
+    /// decode miss and a [leaf scan](IoStats::leaf_scans)); its second
+    /// builds the page's [`Scan::Sums`], which the frame keeps in place
+    /// of a decode, and answers from bytes and sums (a decode miss, and
+    /// [`sums_built`](IoStats::sums_built)); every later visit answers
+    /// from them (a decode hit). A page the scan declines (an index
+    /// page, values of no fixed width) is [`read_node`](Self::read_node),
+    /// and a decode of type `N` the frame already keeps is returned as a
+    /// node. A pinned read keeps a leaf's sums with the committed image's
+    /// own buffer in the committed-image cache, where every pin of the
+    /// epoch shares them. The page access and its counts are a node
+    /// read's in every case.
     ///
     /// `scan` must answer what `decode` followed by the caller's use of
     /// the node would, or decline with `None`. Like `decode`, it runs
     /// under pool locks and must not access the store.
-    pub fn visit_node<N, T, F, S>(&self, id: PageId, decode: F, scan: S) -> Result<Visit<N, T>>
+    pub fn visit_node<N, Sc, F>(
+        &self,
+        id: PageId,
+        decode: F,
+        scan: &Sc,
+    ) -> Result<Visit<N, Sc::Answer>>
     where
         N: Any + Send + Sync,
+        Sc: Scan,
         F: FnOnce(&[u8]) -> Result<N>,
-        S: FnOnce(&[u8]) -> Option<T>,
     {
         match self {
             ReadHandle::Live(store) => store.pool.visit_node(id, decode, scan),
@@ -1075,52 +1091,93 @@ mod tests {
         s.validate().unwrap();
     }
 
+    /// A toy leaf scan: a page whose first byte is 0 is a leaf, whose
+    /// answer is the sum of its next three bytes and whose sums are that
+    /// answer; any other page is declined, so it decodes.
+    struct ToyLeaf;
+
+    impl Scan for ToyLeaf {
+        type Answer = u32;
+        type Sums = u32;
+
+        fn sums(&self, bytes: &[u8]) -> Option<u32> {
+            (bytes[0] == 0).then(|| bytes[1..4].iter().map(|&b| u32::from(b)).sum())
+        }
+
+        fn answer(&self, bytes: &[u8], sums: Option<&u32>) -> Option<u32> {
+            match sums {
+                Some(&sum) => Some(sum),
+                None => self.sums(bytes),
+            }
+        }
+    }
+
+    /// A node read of `id` through `pages` offering [`ToyLeaf`]: the
+    /// leaf's answer, or the page's first byte decoded as its node.
+    fn toy_visit(pages: &ReadHandle, id: PageId) -> u32 {
+        match pages.visit_node(id, |d| Ok(d[0]), &ToyLeaf).unwrap() {
+            Visit::Scanned(sum) => sum,
+            Visit::Node(node) => 1000 + u32::from(*node),
+        }
+    }
+
     #[test]
-    fn pinned_reads_share_decodes_across_snapshots() {
+    fn pinned_reads_share_one_kept_sums_entry_across_snapshots() {
         let s = SharedStore::open(&StoreConfig::small(256, 8).with_wal(true)).unwrap();
-        let a = s.allocate().unwrap();
-        let b = s.allocate().unwrap();
-        s.write_page(a, &[1; 8]).unwrap();
-        s.write_page(b, &[2; 8]).unwrap();
+        let (leaf, index) = (s.allocate().unwrap(), s.allocate().unwrap());
+        s.write_page(leaf, &[0, 1, 2, 3]).unwrap();
+        s.write_page(index, &[7; 8]).unwrap();
         s.commit().unwrap();
         s.reset_stats();
+        let counts = |since: &IoStats| {
+            let d = s.stats().since(since);
+            (d.leaf_scans, d.sums_built, d.decode_hits, d.decode_misses)
+        };
 
-        // The first pin decodes each page once; its repeats hit.
-        let first = s.snapshot().unwrap();
-        for _ in 0..4 {
-            assert_eq!(*first.read_node(a, |d| Ok(d[0])).unwrap(), 1);
-            assert_eq!(*first.read_node(b, |d| Ok(d[0])).unwrap(), 2);
+        // The first pin: the leaf scans, builds its sums and then
+        // answers from them; the index page decodes once and hits.
+        let first: ReadHandle = s.snapshot().unwrap().into();
+        let ReadHandle::Pinned(first_snap) = &first else {
+            unreachable!()
+        };
+        for (visit, want) in [(1, (1, 0, 0, 1)), (2, (0, 1, 0, 1)), (3, (0, 0, 1, 0))] {
+            let before = s.stats();
+            assert_eq!(toy_visit(&first, leaf), 6);
+            assert_eq!(counts(&before), want, "leaf visit {visit}");
         }
-        assert_eq!(first.node_reads(), (8, 2));
+        for _ in 0..3 {
+            assert_eq!(toy_visit(&first, index), 1007);
+        }
+        assert_eq!(first_snap.node_reads(), (6, 1), "one codec run: the index");
 
         // A second pin of the same epoch — what a server takes per
-        // request — decodes nothing: the cache is the store's, not the
-        // snapshot's.
-        let second = s.snapshot().unwrap();
-        assert_eq!(*second.read_node(a, |d| Ok(d[0])).unwrap(), 1);
-        assert_eq!(*second.read_node(b, |d| Ok(d[0])).unwrap(), 2);
-        assert_eq!(second.node_reads(), (2, 0));
+        // request — shares the leaf's one entry and the index's decode:
+        // hits only, nothing built, nothing decoded.
+        let second: ReadHandle = s.snapshot().unwrap().into();
+        let before = s.stats();
+        assert_eq!(toy_visit(&second, leaf), 6);
+        assert_eq!(toy_visit(&second, index), 1007);
+        assert_eq!(counts(&before), (0, 0, 2, 0));
         drop(first);
-        let third = s.snapshot().unwrap();
-        assert_eq!(*third.read_node(a, |d| Ok(d[0])).unwrap(), 1);
-        assert_eq!(third.node_reads(), (1, 0), "entries outlive the pin");
+        let third: ReadHandle = s.snapshot().unwrap().into();
+        assert_eq!(toy_visit(&third, leaf), 6);
+        assert_eq!(counts(&before), (0, 0, 3, 0), "entries outlive the pin");
 
-        // A different decoded type is a miss that replaces the entry,
-        // never a type-confused hit.
-        assert_eq!(*third.read_node(a, |d| Ok(u16::from(d[0]))).unwrap(), 1u16);
-        assert_eq!(third.node_reads(), (2, 1));
+        // The pin's sums stayed in the clean frame, where a live read
+        // answers from them: a hit.
+        let live: ReadHandle = s.clone().into();
+        assert_eq!(toy_visit(&live, leaf), 6);
+        assert_eq!(counts(&before), (0, 0, 4, 0));
 
-        // Pinned reads are folded into the store's decode counters, and
-        // a pinned decode of a clean page stays in its frame, where a
-        // live read finds it.
-        let st = s.stats();
-        assert_eq!((st.decode_hits, st.decode_misses), (9, 3));
-        assert_eq!(*s.read_node(b, |d| Ok(d[0])).unwrap(), 2);
-        assert_eq!(
-            s.stats().decode_misses,
-            3,
-            "live read took the pin's decode"
-        );
+        // A plain node read of the leaf is a miss that leaves the
+        // entry for the scans that use it and decodes; the decode then
+        // takes the entry's place, and scans are served the node.
+        let ReadHandle::Pinned(third_snap) = &third else {
+            unreachable!()
+        };
+        assert_eq!(*third_snap.read_node(leaf, |d| Ok(d[0])).unwrap(), 0);
+        assert_eq!(third_snap.node_reads(), (2, 1));
+        assert_eq!(toy_visit(&third, leaf), 1000, "the decode is kept");
         drop((second, third));
         s.validate().unwrap();
     }
